@@ -7,8 +7,7 @@
 //!
 //! Layout (all integers little-endian):
 //! ```text
-//! "ALP2" | bits:u8 | len:u64 | rowgroups:u32
-//! per row-group: rg_len:u32 | checksum:u64 (XXH64 of the rg_len body bytes)
+//! "ALP2" | bits:u8 | len:u64 | rowgroups:u32 | frame per row-group | [trailing parity frames]
 //!   body: scheme:u8 (0=ALP, 1=ALP_rd) | vectors:u32 | ...
 //!   ALP vector : e:u8 f:u8 width:u8 len:u16 base:i64 exc:u16
 //!                packed[16*width] exc_pos[exc] exc_val[exc]
@@ -16,16 +15,21 @@
 //!   RD vector  : len:u16 exc:u16 packed_codes packed_right exc_pos exc_left
 //! ```
 //!
-//! The legacy `ALP1` layout — identical except row-group bodies follow each
-//! other directly, with no length/checksum frame — is still accepted by
-//! [`from_bytes`]. The per-row-group frame serves two purposes: bit-rot in a
-//! payload is *detected* (a flipped packed bit otherwise decodes to plausible
-//! garbage), and [`from_bytes_salvage`] can resync past a damaged row-group
-//! using the length prefix and recover the rest of the column.
+//! This module owns the header and the row-group *body* codec
+//! ([`write_rowgroup`] / [`read_rowgroup`]); the `len | xxh64 | body` frame
+//! around each body, the parity section and repair are [`crate::frame`]'s.
+//! The frame buys two things: bit-rot in a payload is *detected* (a flipped
+//! packed bit otherwise decodes to plausible garbage), and
+//! [`from_bytes_salvage`] can resync past a damaged row-group and recover —
+//! or, with parity, rebuild — the rest of the column.
+//!
+//! The legacy `ALP1` layout — identical except that bare row-group bodies
+//! follow each other with no frame — is still accepted by [`from_bytes`];
+//! nothing writes it any more (`tests/golden/alp1_f64.bin` pins the reader).
 
 use crate::encode::{AlpVector, ExcArena, ExcView};
-use crate::hash::{xxh64, CHECKSUM_SEED};
-use crate::parity::{self, ParityAccumulator, ParityConfig};
+pub use crate::frame::parity_group_size;
+use crate::frame::{self, Frame, ParityConfig};
 use crate::rd::{RdMeta, RdVector};
 use crate::rowgroup::{AlpGroup, Compressed, RowGroup};
 use crate::sampler::ConfigError;
@@ -36,6 +40,7 @@ use crate::wire::{GetExt, PutExt};
 pub const MAGIC: &[u8; 4] = b"ALP2";
 
 /// Magic bytes of the legacy, checksum-less column layout (still readable).
+// ANALYZER-ALLOW(wire-tag-sync): read-only legacy tag, reader pinned by tests/golden
 pub const MAGIC_V1: &[u8; 4] = b"ALP1";
 
 /// Row-group scheme tag: the body holds plain ALP vectors.
@@ -93,29 +98,14 @@ impl std::error::Error for FormatError {}
 /// Serializes a compressed column to bytes (current `ALP2` layout: every
 /// row-group body is length-prefixed and XXH64-checksummed).
 pub fn to_bytes<F: AlpFloat>(c: &Compressed<F>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(c.compressed_bits() / 8 + 64);
-    out.put_slice(MAGIC);
-    out.put_u8(F::BITS as u8);
-    out.put_u64_le(c.len as u64);
-    out.put_u32_le(c.rowgroups.len() as u32);
-    let mut body = Vec::new();
-    for rg in &c.rowgroups {
-        body.clear();
-        write_rowgroup::<F>(&mut body, rg);
-        out.put_u32_le(body.len() as u32);
-        out.put_u64_le(xxh64(&body, CHECKSUM_SEED));
-        out.put_slice(&body);
-    }
-    out
+    write_column(c, None)
 }
 
-/// Serializes a compressed column like [`to_bytes`], then appends an XOR
-/// parity section: one checksummed `"ALPP"` parity frame (see
-/// [`crate::parity`]) per `parity.group_size` data frames, the last group
-/// possibly partial. The section trails the payload, so readers that predate
-/// parity — strict and salvage alike — never look at it; parity-aware
-/// salvage ([`from_bytes_salvage`]) uses it to reconstruct any *single*
-/// damaged row-group per group byte-identically.
+/// Serializes a compressed column like [`to_bytes`], then appends the
+/// trailing parity section (see [`crate::frame`]): one parity frame per
+/// `parity.group_size` data frames. Strict readers never look at it;
+/// [`from_bytes_salvage`] uses it to rebuild any *single* damaged row-group
+/// per group byte-identically.
 ///
 /// Returns [`ConfigError`] when the group size is out of range.
 pub fn to_bytes_with_parity<F: AlpFloat>(
@@ -123,48 +113,16 @@ pub fn to_bytes_with_parity<F: AlpFloat>(
     parity: ParityConfig,
 ) -> Result<Vec<u8>, ConfigError> {
     parity.validate()?;
+    Ok(write_column(c, Some(parity)))
+}
+
+fn write_column<F: AlpFloat>(c: &Compressed<F>, parity: Option<ParityConfig>) -> Vec<u8> {
     let mut out = Vec::with_capacity(c.compressed_bits() / 8 + 64);
     out.put_slice(MAGIC);
     out.put_u8(F::BITS as u8);
     out.put_u64_le(c.len as u64);
     out.put_u32_le(c.rowgroups.len() as u32);
-    let mut acc = ParityAccumulator::new(parity.group_size);
-    let mut pframes = Vec::new();
-    let mut body = Vec::new();
-    for rg in &c.rowgroups {
-        body.clear();
-        write_rowgroup::<F>(&mut body, rg);
-        let frame_start = out.len();
-        out.put_u32_le(body.len() as u32);
-        out.put_u64_le(xxh64(&body, CHECKSUM_SEED));
-        out.put_slice(&body);
-        if let Some(frame) = out.get(frame_start..) {
-            acc.absorb(frame);
-        }
-        if acc.is_full() {
-            if let Some(pf) = acc.take_frame() {
-                pframes.extend_from_slice(&pf);
-            }
-        }
-    }
-    if let Some(pf) = acc.take_frame() {
-        pframes.extend_from_slice(&pf);
-    }
-    out.extend_from_slice(&pframes);
-    Ok(out)
-}
-
-/// Serializes a compressed column in the legacy `ALP1` layout (no per-row-group
-/// checksums). Kept for interoperability tests and old readers.
-pub fn to_bytes_v1<F: AlpFloat>(c: &Compressed<F>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(c.compressed_bits() / 8 + 64);
-    out.put_slice(MAGIC_V1);
-    out.put_u8(F::BITS as u8);
-    out.put_u64_le(c.len as u64);
-    out.put_u32_le(c.rowgroups.len() as u32);
-    for rg in &c.rowgroups {
-        write_rowgroup::<F>(&mut out, rg);
-    }
+    frame::encode_trailing(&mut out, parity, &c.rowgroups, write_rowgroup::<F>);
     out
 }
 
@@ -233,18 +191,11 @@ fn write_rd_vector(out: &mut Vec<u8>, v: &RdVector, right_width: usize) {
     }
 }
 
-/// On-disk layout version, decided by the magic bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Version {
-    /// Legacy: bare row-group bodies, no integrity frames.
-    V1,
-    /// Current: each row-group body is `rg_len:u32 | checksum:u64 | body`.
-    V2,
-}
-
 /// Parsed column header (shared by strict and salvage readers).
 struct Header {
-    version: Version,
+    /// `"ALP2"`: each row-group body sits in a frame. `false` for the legacy
+    /// `"ALP1"` layout of bare bodies.
+    framed: bool,
     len: usize,
     rg_count: usize,
 }
@@ -254,9 +205,9 @@ fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
         return Err(FormatError::Truncated);
     }
     // ANALYZER-ALLOW(no-panic): length checked above
-    let version = match &buf[..4] {
-        m if m == MAGIC => Version::V2,
-        m if m == MAGIC_V1 => Version::V1,
+    let framed = match &buf[..4] {
+        m if m == MAGIC => true,
+        m if m == MAGIC_V1 => false,
         _ => return Err(FormatError::BadMagic),
     };
     buf.advance(4);
@@ -270,242 +221,40 @@ fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
     }
     let len = buf.get_u64_le() as usize;
     let rg_count = buf.get_u32_le() as usize;
-    Ok(Header { version, len, rg_count })
+    Ok(Header { framed, len, rg_count })
 }
 
-/// Verifies and parses one already-delimited `ALP2` frame body: checksum
-/// first, then a full-body parse. This is the per-morsel work unit of
-/// [`from_bytes_salvage_parallel`] — it touches nothing outside `body`, so
-/// frames verify and decode independently.
-fn decode_frame<F: AlpFloat>(
-    body: &[u8],
-    stored: u64,
-    index: usize,
-) -> Result<RowGroup, FormatError> {
-    let computed = xxh64(body, CHECKSUM_SEED);
-    if computed != stored {
-        return Err(FormatError::ChecksumMismatch { rowgroup: index, stored, computed });
-    }
-    let mut cursor = body;
-    let rg = read_rowgroup::<F>(&mut cursor)?;
-    if !cursor.is_empty() {
+/// Parses a frame body as exactly one row-group: trailing bytes are a
+/// framing error, not slack.
+pub(crate) fn read_rowgroup_exact<F: AlpFloat>(mut body: &[u8]) -> Result<RowGroup, FormatError> {
+    let rg = read_rowgroup::<F>(&mut body)?;
+    if !body.is_empty() {
         return Err(FormatError::Corrupt("row-group frame length"));
     }
     Ok(rg)
 }
 
-/// Reads one `ALP2` integrity frame: verifies the checksum, parses the body,
-/// and requires the body length to match the frame exactly. On success the
-/// cursor sits on the next frame.
-fn read_framed_rowgroup<F: AlpFloat>(
-    buf: &mut &[u8],
-    index: usize,
-) -> Result<RowGroup, FormatError> {
-    if buf.len() < 4 + 8 {
-        return Err(FormatError::Truncated);
-    }
-    let rg_len = buf.get_u32_le() as usize;
-    let stored = buf.get_u64_le();
-    let Some(body) = buf.get(..rg_len) else {
-        return Err(FormatError::Truncated);
-    };
-    let rg = decode_frame::<F>(body, stored, index)?;
-    buf.advance(rg_len);
-    Ok(rg)
+/// Verifies and parses one delimited frame: checksum first, then a full-body
+/// parse. The per-morsel work unit of [`from_bytes_salvage_parallel`] — it
+/// touches nothing outside the frame, so frames decode independently.
+fn decode_frame<F: AlpFloat>(frame: &Frame<'_>, index: usize) -> Result<RowGroup, FormatError> {
+    frame.check(index)?;
+    read_rowgroup_exact::<F>(frame.body)
 }
 
-/// One delimited `ALP2` frame: the whole frame bytes (the XOR unit of parity
-/// repair) plus its parsed pieces. For a frame whose *length prefix* was
-/// corrupted, `whole` is the opaque damaged region up to the next trustworthy
-/// boundary and `stored`/`body` are best-effort views into it.
-struct LocatedFrame<'a> {
-    /// `rg_len:u32 | checksum:u64 | body`, exactly as written.
-    whole: &'a [u8],
-    stored: u64,
-    body: &'a [u8],
-}
-
-/// Delimits the frame starting at `off`, bounded by `end`: `Some` when the
-/// 12-byte prefix is present and the recorded length lands inside the region.
-fn frame_at(buf: &[u8], off: usize, end: usize) -> Option<LocatedFrame<'_>> {
-    let region = buf.get(off..end)?;
-    let rg_len = u32::from_le_bytes(region.get(..4)?.try_into().ok()?) as usize;
-    let stored = u64::from_le_bytes(region.get(4..12)?.try_into().ok()?);
-    let total = 12usize.checked_add(rg_len)?;
-    let whole = region.get(..total)?;
-    let body = whole.get(12..)?;
-    Some(LocatedFrame { whole, stored, body })
-}
-
-/// Whether a checksum-verified frame starts at `off` — the resync probe for
-/// re-finding byte alignment after a corrupted length prefix.
-fn verified_frame_at(buf: &[u8], off: usize, end: usize) -> bool {
-    frame_at(buf, off, end).is_some_and(|f| xxh64(f.body, CHECKSUM_SEED) == f.stored)
-}
-
-/// Locates the parity section: the first offset where a checksum-verified
-/// `"ALPP"` parity frame begins. The magic sits at body position (12 bytes
-/// into the frame); the checksum plus the body-layout parse make a false
-/// positive inside packed float data vanishingly unlikely.
-fn find_parity_section(buf: &[u8]) -> Option<usize> {
-    let mut search = 0usize;
-    while let Some(rel) =
-        buf.get(search..)?.windows(4).position(|w| w == parity::PARITY_MAGIC.as_slice())
-    {
-        let pos = search + rel;
-        if let Some(start) = pos.checked_sub(12) {
-            if let Some(f) = frame_at(buf, start, buf.len()) {
-                if xxh64(f.body, CHECKSUM_SEED) == f.stored
-                    && parity::parse_parity_body(f.body).is_some()
-                {
-                    return Some(start);
-                }
-            }
-        }
-        search = pos + 1;
-    }
-    None
-}
-
-/// Walks the parity section starting at `off`: one entry per parity group,
-/// in group order. A damaged parity frame with a plausible length becomes
-/// `None` (its group is simply unprotected); an implausible length ends the
-/// walk, since group order past it cannot be trusted. Returns the parsed
-/// sections and the writer's group size (0 when none parsed).
-fn parse_parity_frames(buf: &[u8], mut off: usize) -> (Vec<Option<parity::ParityBody<'_>>>, usize) {
-    let mut sections = Vec::new();
-    let mut group_size = 0usize;
-    while off < buf.len() {
-        let Some(f) = frame_at(buf, off, buf.len()) else { break };
-        off += f.whole.len();
-        if xxh64(f.body, CHECKSUM_SEED) == f.stored {
-            if let Some(pb) = parity::parse_parity_body(f.body) {
-                group_size = group_size.max(pb.group_size);
-                sections.push(Some(pb));
-                continue;
-            }
-        }
-        sections.push(None);
-    }
-    (sections, group_size)
-}
-
-/// The parity group size advertised by `buf`'s trailing parity section, when
-/// the column carries one (located by magic scan and checksum-verified).
-/// `None` for unprotected or unrecognizable buffers — callers use this to
-/// re-encode a repaired column with the same protection it had.
-pub fn parity_group_size(buf: &[u8]) -> Option<usize> {
-    let start = find_parity_section(buf)?;
-    let (sections, group_size) = parse_parity_frames(buf, start);
-    if sections.is_empty() || group_size == 0 {
-        return None;
-    }
-    Some(group_size)
-}
-
-/// Serial frame-boundary walk over the `ALP2` data region `[0, data_end)`,
-/// delimiting up to `rg_count` frames by their length prefixes (cheap — no
-/// checksumming, no parsing).
-///
-/// Without a parity section (`can_resync == false`) this matches the
-/// historical scan: the walk ends at the first implausible length, and
-/// everything past it is lost. With one, the walk *resyncs* instead: the
-/// damaged stretch up to the next checksum-verified frame start (or the
-/// section itself) is recorded as one opaque damaged frame — parity can
-/// reconstruct it — and the walk continues on the re-found alignment.
-fn locate_data_frames(
-    buf: &[u8],
-    data_end: usize,
-    rg_count: usize,
-    can_resync: bool,
-) -> Vec<LocatedFrame<'_>> {
-    let mut frames: Vec<LocatedFrame<'_>> = Vec::with_capacity(rg_count.min(1 << 20));
-    let mut off = 0usize;
-    while frames.len() < rg_count && off < data_end {
-        if let Some(f) = frame_at(buf, off, data_end) {
-            off += f.whole.len();
-            frames.push(f);
-            continue;
-        }
-        if !can_resync {
-            break;
-        }
-        // Corrupted length prefix. The smallest real frame is 12 + 1 bytes,
-        // so the next boundary is at least 13 bytes on.
-        let resync = (off + 13..data_end).find(|&s| verified_frame_at(buf, s, data_end));
-        let span_end = resync.unwrap_or(data_end);
-        let whole = buf.get(off..span_end).unwrap_or(&[]);
-        let stored =
-            whole.get(4..12).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes).unwrap_or(0);
-        let body = whole.get(12..).unwrap_or(&[]);
-        frames.push(LocatedFrame { whole, stored, body });
-        off = span_end;
-    }
-    frames
-}
-
-/// Reconstructs, per parity group, the single damaged data frame (if any)
-/// from the group's intact frame bytes and its XOR block, decoding the
-/// repaired bytes through the same checksum-verified path as an on-disk
-/// frame. Successfully repaired indices land in `decoded` and `repaired`.
-fn repair_groups<F: AlpFloat>(
-    frames: &[LocatedFrame<'_>],
-    decoded: &mut [Option<RowGroup>],
-    repaired: &mut Vec<usize>,
-    sections: &[Option<parity::ParityBody<'_>>],
-    group_size: usize,
-    rg_count: usize,
-) {
-    if group_size == 0 {
-        return;
-    }
-    for (g, section) in sections.iter().enumerate() {
-        let Some(pb) = section else { continue };
-        let Some(start) = g.checked_mul(group_size) else { break };
-        let Some(group_end) = start.checked_add(pb.count) else { break };
-        let members = start..group_end.min(rg_count);
-        let damaged: Vec<usize> =
-            members.clone().filter(|&i| decoded.get(i).is_none_or(|d| d.is_none())).collect();
-        let Some(&victim) = damaged.first() else { continue };
-        if damaged.len() != 1 {
-            continue; // >= 2 faults in one group: beyond the protection level
-        }
-        let intact: Vec<&[u8]> = members
-            .clone()
-            .filter(|&i| i != victim)
-            .filter_map(|i| frames.get(i).map(|f| f.whole))
-            .collect();
-        if intact.len() + 1 != pb.count {
-            continue; // a member is missing entirely: cannot trust the XOR
-        }
-        let Some(rebuilt) = parity::try_repair_frame(pb.xor, &intact) else { continue };
-        let Some(stored) =
-            rebuilt.get(4..12).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes)
-        else {
-            continue;
-        };
-        let Some(body) = rebuilt.get(12..) else { continue };
-        if let Ok(rg) = decode_frame::<F>(body, stored, victim) {
-            if let Some(slot) = decoded.get_mut(victim) {
-                *slot = Some(rg);
-                repaired.push(victim);
-            }
-        }
-    }
-    repaired.sort_unstable();
-}
-
-/// Deserializes a column previously produced by [`to_bytes`] (or the legacy
-/// [`to_bytes_v1`]). Strict: any damage — structural or checksum — is an error.
+/// Deserializes a column previously produced by [`to_bytes`] (or a legacy
+/// `ALP1` writer). Strict: any damage — structural or checksum — is an error.
 pub fn from_bytes<F: AlpFloat>(mut buf: &[u8]) -> Result<Compressed<F>, FormatError> {
     let header = read_header::<F>(&mut buf)?;
     let mut rowgroups = Vec::with_capacity(header.rg_count.min(1 << 20));
     for i in 0..header.rg_count {
-        let rg = match header.version {
-            Version::V2 => read_framed_rowgroup::<F>(&mut buf, i)?,
-            Version::V1 => read_rowgroup::<F>(&mut buf)?,
-        };
-        rowgroups.push(rg);
+        rowgroups.push(if header.framed {
+            let (frame, rest) = Frame::split(buf).ok_or(FormatError::Truncated)?;
+            buf = rest;
+            decode_frame::<F>(&frame, i)?
+        } else {
+            read_rowgroup::<F>(&mut buf)?
+        });
     }
 
     // The recorded length must equal the vectors' actual content — a lying
@@ -546,19 +295,17 @@ impl<F: AlpFloat> Salvage<F> {
 /// Best-effort deserialization: skips damaged row-groups instead of failing,
 /// returning the survivors and exactly which row-groups were lost.
 ///
-/// With the `ALP2` layout the length prefix of each integrity frame allows
-/// resyncing past a damaged body, so one flipped bit costs *at most* one
-/// row-group — and when the column carries a parity section
-/// ([`to_bytes_with_parity`]), a group's single damaged row-group is
-/// XOR-reconstructed byte-identically and reported in
-/// [`Salvage::repaired_rowgroups`] instead of lost. Two or more damaged
-/// row-groups in one parity group are beyond the protection level and
+/// With the `ALP2` layout each frame's length prefix allows resyncing past a
+/// damaged body, so one flipped bit costs *at most* one row-group — and when
+/// the column carries a parity section ([`to_bytes_with_parity`]), a group's
+/// single damaged row-group is rebuilt byte-identically and reported in
+/// [`Salvage::repaired_rowgroups`] instead of lost; two or more in one group
 /// degrade to the loss report. A frame whose *length field itself* is
-/// implausible ends recovery on parity-less columns; with parity, the reader
-/// rescans for the next checksum-verified frame boundary and continues.
-/// Legacy `ALP1` columns have no frames, so the first damaged row-group ends
-/// recovery outright. A damaged header is unrecoverable and returns `Err`
-/// like [`from_bytes`].
+/// implausible ends recovery on parity-less columns; with parity, the walk
+/// resyncs on the next checksum-verified frame boundary (see
+/// [`frame::salvage`]). Legacy `ALP1` columns have no frames, so the first
+/// damaged row-group ends recovery outright. A damaged header is
+/// unrecoverable and returns `Err` like [`from_bytes`].
 ///
 /// Single-threaded shorthand for [`from_bytes_salvage_parallel`].
 pub fn from_bytes_salvage<F: AlpFloat>(buf: &[u8]) -> Result<Salvage<F>, FormatError> {
@@ -566,12 +313,10 @@ pub fn from_bytes_salvage<F: AlpFloat>(buf: &[u8]) -> Result<Salvage<F>, FormatE
 }
 
 /// [`from_bytes_salvage`] on up to `threads` morsel-claiming workers: a
-/// serial scan walks the `ALP2` length prefixes to find frame boundaries
-/// (cheap — no checksums, no parsing), then checksum verification and body
-/// decoding of the discovered frames fan out over the morsel scheduler, one
-/// frame per morsel. `threads <= 1` never spawns. The salvage report is
-/// identical to the serial path's for any input; legacy `ALP1` columns have
-/// no frame boundaries to scan, so they always walk serially.
+/// serial scan finds the frame boundaries, then checksum verification and
+/// body decoding fan out, one frame per morsel. `threads <= 1` never spawns.
+/// The salvage report is identical to the serial path's for any input;
+/// legacy `ALP1` columns have no boundaries to scan and always walk serially.
 pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     mut buf: &[u8],
     threads: usize,
@@ -579,67 +324,22 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     let header = read_header::<F>(&mut buf)?;
     // A corrupt header can claim billions of row-groups; clamp the loss report
     // to what the buffer could physically hold (smallest body is 5 bytes).
-    let min_frame = match header.version {
-        Version::V2 => 4 + 8 + 5,
-        Version::V1 => 5,
-    };
+    let min_frame = if header.framed { frame::PREFIX_LEN + 5 } else { 5 };
     let rg_count = header.rg_count.min(buf.len() / min_frame + 1);
-    let mut rowgroups = Vec::new();
-    let mut lost = Vec::new();
-    let mut repaired = Vec::new();
-    match header.version {
-        Version::V2 => {
-            // Phase 1 (serial): find the trailing parity section, if any,
-            // then delimit the data frames — resyncing past corrupted length
-            // prefixes only when parity bounds the data region.
-            let pstart = find_parity_section(buf);
-            let data_end = pstart.unwrap_or(buf.len());
-            let frames = locate_data_frames(buf, data_end, rg_count, pstart.is_some());
-            // Phase 2: verify + decode every delimited frame independently.
-            let mut decoded = crate::par::map_morsels(
-                threads,
-                frames.len(),
-                || (),
-                |(), m| {
-                    let frame = frames.get(m)?;
-                    decode_frame::<F>(frame.body, frame.stored, m).ok()
-                },
-            );
-            decoded.resize_with(rg_count, || None);
-            // Phase 3 (serial): XOR-reconstruct the single damaged frame of
-            // any group whose parity frame survived.
-            if let Some(pstart) = pstart {
-                let (sections, group_size) = parse_parity_frames(buf, pstart);
-                repair_groups::<F>(
-                    &frames,
-                    &mut decoded,
-                    &mut repaired,
-                    &sections,
-                    group_size,
-                    rg_count,
-                );
-            }
-            for (i, rg) in decoded.into_iter().enumerate() {
-                match rg {
-                    Some(rg) => rowgroups.push(rg),
-                    // Damaged beyond repair (or beyond the scan): lost.
-                    None => lost.push(i),
-                }
-            }
-        }
-        Version::V1 => {
-            let mut i = 0;
-            while i < rg_count {
-                match read_rowgroup::<F>(&mut buf) {
-                    Ok(rg) => rowgroups.push(rg),
-                    // No framing: a parse failure loses byte alignment for good.
-                    Err(_) => break,
-                }
-                i += 1;
-            }
-            lost.extend(i..rg_count);
-        }
-    }
+    let (mut decoded, repaired) = if header.framed {
+        // Serial boundary walk, parallel verify + decode, then parity repair
+        // of single-fault groups: the layer's random-access walker.
+        let walk = frame::salvage(buf, rg_count, threads, |f, i| decode_frame::<F>(f, i).ok());
+        (walk.items, walk.repaired)
+    } else {
+        // No framing: a parse failure loses byte alignment for good.
+        let walk = core::iter::from_fn(|| read_rowgroup::<F>(&mut buf).ok().map(Some));
+        (walk.take(rg_count).collect(), Vec::new())
+    };
+    // Damaged beyond repair, or beyond the walk: lost.
+    decoded.resize_with(rg_count, || None);
+    let lost = (0..rg_count).filter(|&i| decoded.get(i).is_some_and(Option::is_none)).collect();
+    let rowgroups: Vec<RowGroup> = decoded.into_iter().flatten().collect();
 
     let salvaged_len: usize = rowgroups.iter().map(|rg| rg.len()).sum();
     Ok(Salvage {
@@ -666,6 +366,10 @@ pub fn read_rowgroup<F: AlpFloat>(buf: &mut &[u8]) -> Result<RowGroup, FormatErr
             };
             for _ in 0..vec_count {
                 let v = read_alp_vector(buf, &mut group.exceptions)?;
+                // The decoder indexes its power-of-ten tables with these.
+                if v.exponent > F::MAX_EXPONENT || v.factor > v.exponent {
+                    return Err(FormatError::Corrupt("alp exponent/factor"));
+                }
                 group.vectors.push(v);
             }
             Ok(RowGroup::Alp(group))
@@ -931,23 +635,27 @@ mod tests {
         assert_eq!(salvage.column.len, data.len());
     }
 
+    /// The frozen `"ALP1"` file (no V1 writer is left) against the `"ALP2"`
+    /// golden of the same column; `tests/golden_wire.rs` holds both to the
+    /// generating dataset.
     #[test]
     fn legacy_v1_columns_still_roundtrip() {
-        let data: Vec<f64> = (0..120_000).map(|i| ((i % 511) as f64) * 0.25).collect();
-        let c = Compressor::new().compress(&data);
-        let v1 = to_bytes_v1(&c);
+        let v1: &[u8] = include_bytes!("../../../tests/golden/alp1_f64.bin");
+        let v2: &[u8] = include_bytes!("../../../tests/golden/alp2_f64.bin");
         assert_eq!(&v1[..4], MAGIC_V1);
-        let back = from_bytes::<f64>(&v1).unwrap();
-        let decoded = back.decompress();
-        for (a, b) in data.iter().zip(&decoded) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let want = from_bytes::<f64>(v2).unwrap().decompress();
+        let back = from_bytes::<f64>(v1).unwrap();
+        assert_eq!(back.rowgroups.len(), 4);
+        assert_bit_exact(&want, &back.decompress());
+        let salvage = from_bytes_salvage::<f64>(v1).unwrap();
+        assert!(salvage.is_complete());
+        assert_bit_exact(&want, &salvage.column.decompress());
         // Salvage accepts v1 too, but without frames damage ends recovery.
-        let mut damaged = v1.clone();
+        let mut damaged = v1.to_vec();
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0x01;
         let salvage = from_bytes_salvage::<f64>(&damaged).unwrap();
-        assert!(salvage.column.len <= data.len());
+        assert!(salvage.column.len <= want.len());
     }
 
     #[test]
@@ -1016,14 +724,14 @@ mod tests {
         (data, bytes)
     }
 
-    /// Frame spans `(start, end)` of the column's data frames, by length walk.
+    /// Frame spans `(start, end)` of the column's data frames.
     fn data_frame_spans(bytes: &[u8], count: usize) -> Vec<(usize, usize)> {
         let mut spans = Vec::new();
         let mut off = 4 + 1 + 8 + 4;
         for _ in 0..count {
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            spans.push((off, off + 12 + len));
-            off += 12 + len;
+            let (frame, _) = Frame::split(&bytes[off..]).expect("data frame");
+            spans.push((off, off + frame.whole.len()));
+            off += frame.whole.len();
         }
         spans
     }
@@ -1048,26 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn one_damaged_rowgroup_per_group_repairs_byte_identically() {
-        let (data, clean) = parity_column_bytes();
-        let spans = data_frame_spans(&clean, 13);
-        // One victim in each parity group, partial tail group included.
-        let victims = [1usize, 6, 9, 12];
-        let mut bytes = clean.clone();
-        for &v in &victims {
-            let (s, e) = spans[v];
-            bytes[s + 12 + (e - s) / 2] ^= 0x40; // flip a body bit
-        }
-        for threads in [1usize, 4] {
-            let salvage = from_bytes_salvage_parallel::<f64>(&bytes, threads).unwrap();
-            assert_eq!(salvage.repaired_rowgroups, victims, "threads={threads}");
-            assert!(salvage.lost_rowgroups.is_empty());
-            assert!(salvage.is_complete());
-            assert_bit_exact(&data, &salvage.column.decompress());
-        }
-    }
-
-    #[test]
     fn corrupted_length_prefix_resyncs_and_repairs() {
         let (data, clean) = parity_column_bytes();
         let spans = data_frame_spans(&clean, 13);
@@ -1088,43 +776,6 @@ mod tests {
         let _ = e;
         let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
         assert!(salvage.lost_rowgroups.is_empty());
-        assert_bit_exact(&data, &salvage.column.decompress());
-    }
-
-    #[test]
-    fn two_damaged_in_one_group_degrade_to_loss_report() {
-        let (data, clean) = parity_column_bytes();
-        let spans = data_frame_spans(&clean, 13);
-        let mut bytes = clean;
-        for &v in &[4usize, 6] {
-            let (s, e) = spans[v];
-            bytes[s + 12 + (e - s) / 2] ^= 0x01;
-        }
-        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
-        assert_eq!(salvage.lost_rowgroups, vec![4, 6]);
-        assert!(salvage.repaired_rowgroups.is_empty());
-        assert!(!salvage.is_complete());
-        let expected: Vec<f64> = data
-            .chunks(2 * fastlanes::VECTOR_SIZE)
-            .enumerate()
-            .filter(|(i, _)| *i != 4 && *i != 6)
-            .flat_map(|(_, c)| c.iter().copied())
-            .collect();
-        assert_bit_exact(&expected, &salvage.column.decompress());
-    }
-
-    #[test]
-    fn damaged_parity_section_costs_no_data() {
-        let (data, clean) = parity_column_bytes();
-        let spans = data_frame_spans(&clean, 13);
-        let parity_start = spans.last().unwrap().1;
-        let mut bytes = clean;
-        for b in &mut bytes[parity_start..] {
-            *b ^= 0x5A; // trash the entire parity section
-        }
-        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
-        assert!(salvage.is_complete());
-        assert!(salvage.repaired_rowgroups.is_empty());
         assert_bit_exact(&data, &salvage.column.decompress());
     }
 

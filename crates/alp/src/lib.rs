@@ -28,11 +28,14 @@
 //! * [`sampler`] — the two-level adaptive sampling of §3.2.
 //! * [`rd`] — ALP_rd for real doubles, §3.4.
 //! * [`rowgroup`] — the column-level [`Compressor`] tying it together.
-//! * [`mod@format`] — byte serialization of compressed columns.
+//! * [`mod@format`] — the row-group body codec and the `"ALP2"` column header.
+//! * [`frame`] — the one integrity layer under columns, streams and containers:
+//!   the `len | xxh64 | body` frame, `"ALPP"` parity frames, single-loss repair.
 //! * [`cascade`] — Dictionary/RLE cascades (the "LWC+ALP" column of Table 4).
-//! * [`stream`] — incremental `std::io` writer/reader (one row-group in memory).
+//! * [`stream`] — incremental `std::io` writer/reader (one row-group in memory):
+//!   the `"ALPT"` header, terminator and commit footer around [`frame`]s.
+//! * [`pipeline`] — the same stream bytes with compression on a worker pool.
 //! * [`mod@io`] — fault injection, bounded retry, and the fault taxonomy.
-//! * [`parity`] — XOR erasure protection: parity frames and single-loss repair.
 //! * [`par`] — the morsel-driven scheduler behind the `*_parallel` paths.
 //! * [`analysis`] — the dataset statistics of Table 2.
 
@@ -43,10 +46,10 @@ pub mod cascade;
 pub mod decode;
 pub mod encode;
 pub mod format;
+pub mod frame;
 pub mod hash;
 pub mod io;
 pub mod par;
-pub mod parity;
 pub mod pipeline;
 pub mod rd;
 pub mod rowgroup;
@@ -59,8 +62,8 @@ pub use decode::{scan_decoded, scan_vector, VectorScan, SCAN_WORDS};
 pub use encode::{
     decode_one, encode_one, fast_round, AlpVector, ExcArena, ExcView, OwnedAlpVector,
 };
+pub use frame::ParityConfig;
 pub use par::MorselFailure;
-pub use parity::ParityConfig;
 pub use pipeline::{IngestError, PipelineConfig, PipelinedColumnWriter};
 pub use rowgroup::{
     AlpGroup, Compressed, Compressor, DecompressSalvage, RowGroup, Scheme, VectorIndexError,

@@ -58,12 +58,12 @@ use std::io::{self, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
+use crate::frame::ParityConfig;
 use crate::io::RetryPolicy;
 use crate::par::{resolve_threads, run_morsels_contained, MorselFailure};
-use crate::parity::ParityConfig;
 use crate::rowgroup::Compressor;
 use crate::sampler::{ConfigError, SamplerParams};
-use crate::stream::{encode_frame, ColumnWriter, StreamSummary, StreamVersion};
+use crate::stream::{encode_frame, ColumnWriter, StreamSummary};
 use crate::traits::AlpFloat;
 
 /// Environment variable consulted by [`resolve_pipeline_depth`] when no
@@ -164,8 +164,6 @@ struct EncodedFrames {
     bytes: Vec<u8>,
     /// Source values the batch covers.
     values: usize,
-    /// Row-group frames in `bytes`.
-    rowgroups: usize,
 }
 
 /// State shared between the caller thread and the worker pool.
@@ -208,13 +206,7 @@ struct Pool<F> {
 }
 
 impl<F: AlpFloat> Pool<F> {
-    fn spawn(
-        compressor: Compressor,
-        version: StreamVersion,
-        threads: usize,
-        depth: usize,
-        panic_at: Option<u64>,
-    ) -> Self {
+    fn spawn(compressor: Compressor, threads: usize, depth: usize, panic_at: Option<u64>) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(PipeState {
                 pending: VecDeque::new(),
@@ -231,9 +223,7 @@ impl<F: AlpFloat> Pool<F> {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let compressor = compressor.clone();
-                std::thread::spawn(move || {
-                    worker_loop::<F>(&shared, &compressor, version, panic_at)
-                })
+                std::thread::spawn(move || worker_loop::<F>(&shared, &compressor, panic_at))
             })
             .collect();
         Self { shared, workers: handles, depth, next_seq: 0, next_commit: 0 }
@@ -295,12 +285,7 @@ impl<F> Drop for Pool<F> {
 
 /// Body of one pool worker: claim the oldest pending row-group, compress and
 /// frame it inside the containment seam, publish the outcome, repeat.
-fn worker_loop<F: AlpFloat>(
-    shared: &Shared<F>,
-    compressor: &Compressor,
-    version: StreamVersion,
-    panic_at: Option<u64>,
-) {
+fn worker_loop<F: AlpFloat>(shared: &Shared<F>, compressor: &Compressor, panic_at: Option<u64>) {
     loop {
         let job = {
             let mut state = lock_state(shared);
@@ -318,7 +303,7 @@ fn worker_loop<F: AlpFloat>(
             }
         };
         let Some((seq, data)) = job else { return };
-        let outcome = encode_contained::<F>(seq, &data, compressor, version, panic_at);
+        let outcome = encode_contained::<F>(seq, &data, compressor, panic_at);
         {
             let mut state = lock_state(shared);
             state.done.insert(seq, outcome);
@@ -335,7 +320,6 @@ fn encode_contained<F: AlpFloat>(
     seq: u64,
     data: &[F],
     compressor: &Compressor,
-    version: StreamVersion,
     panic_at: Option<u64>,
 ) -> Result<EncodedFrames, MorselFailure> {
     let (mut completed, mut failures) = run_morsels_contained(
@@ -349,9 +333,9 @@ fn encode_contained<F: AlpFloat>(
             let compressed = compressor.compress(data);
             let mut bytes = Vec::new();
             for rg in &compressed.rowgroups {
-                encode_frame::<F>(rg, version, &mut bytes);
+                encode_frame::<F>(rg, &mut bytes);
             }
-            EncodedFrames { bytes, values: data.len(), rowgroups: compressed.rowgroups.len() }
+            EncodedFrames { bytes, values: data.len() }
         },
     );
     if let Some((_, frames)) = completed.pop() {
@@ -421,11 +405,10 @@ impl<F: AlpFloat, W: Write> PipelinedColumnWriter<F, W> {
     }
 
     fn build(inner: ColumnWriter<F, W>, config: PipelineConfig) -> Self {
-        let rowgroup_values = inner.flush_values();
+        let rowgroup_values = inner.rowgroup_values();
         let pool = (config.threads > 1).then(|| {
             Pool::spawn(
                 inner.compressor().clone(),
-                inner.version(),
                 config.threads,
                 config.depth.max(1),
                 config.panic_at,
@@ -524,9 +507,9 @@ fn commit_next<F: AlpFloat, W: Write>(
     poisoned: &mut Option<MorselFailure>,
 ) -> Result<(), IngestError> {
     match pool.take_next_done() {
-        Ok(frames) => inner
-            .commit_encoded_frames(&frames.bytes, frames.values, frames.rowgroups)
-            .map_err(IngestError::Io),
+        Ok(frames) => {
+            inner.commit_encoded_frames(&frames.bytes, frames.values).map_err(IngestError::Io)
+        }
         Err(failure) => {
             *poisoned = Some(failure.clone());
             Err(IngestError::Poisoned(failure))

@@ -1,42 +1,32 @@
 //! Streaming compression over `std::io` — write a column row-group by
 //! row-group without ever materializing it, and read it back incrementally.
 //!
-//! The stream format is a sequence of self-contained frames followed by a
-//! commit footer:
-//!
 //! ```text
-//! "ALPT" | bits:u8 | { frame_len:u32 | xxh64:u64 | row-group bytes }* | frame_len = 0
+//! "ALPT" | bits:u8 | { frame }* | 0:u32
 //! "ALPF" | values:u64 | rowgroups:u32 | xxh64:u64            (commit footer)
 //! ```
 //!
-//! Each frame holds one serialized row-group (see [`crate::format`]) plus the
-//! [XXH64](crate::hash) checksum of its bytes, so a reader needs only one
-//! row-group of memory at a time, can stop early, and detects payload
-//! corruption before handing data out. Because every frame is
-//! length-prefixed, a reader can also *resync* past a damaged frame — see
-//! [`ColumnReader::next_rowgroup_salvaged`] — losing exactly the row-groups
-//! whose frames were hit.
+//! Each [frame](crate::frame) holds one serialized row-group (see
+//! [`crate::format`]), so a reader needs only one row-group of memory at a
+//! time, can stop early, detects payload corruption before handing data out,
+//! and can *resync* past a damaged frame
+//! ([`ColumnReader::next_rowgroup_salvaged`]). With a [`ParityConfig`] the
+//! writer puts one parity frame after every `group_size` row-group frames,
+//! and salvage *repairs* any single damaged frame per group. This module
+//! owns the header, the terminator, the commit footer, the
+//! one-row-group-in-memory windowing and the retry plumbing; the frame,
+//! parity and the repair rule are [`crate::frame`]'s.
 //!
 //! The commit footer is written only by [`ColumnWriter::finish`], so its
-//! presence (checked by [`ColumnReader::is_committed`]) distinguishes a
-//! cleanly finished stream from one whose writer died mid-row-group: a torn
-//! write can never fabricate the footer's magic, counts, and checksum. Both
-//! ends absorb *transient* I/O faults (`Interrupted`, `WouldBlock`, short
-//! reads/writes) under a bounded [`RetryPolicy`](crate::io::RetryPolicy) and
-//! surface hard faults as [`StreamError::Io`]; see [`crate::io`] for the
-//! taxonomy.
+//! presence ([`ColumnReader::is_committed`]) distinguishes a cleanly finished
+//! stream from one whose writer died mid-row-group: a torn write can never
+//! fabricate the footer's magic, counts, and checksum. Both ends absorb
+//! *transient* I/O faults under a bounded
+//! [`RetryPolicy`](crate::io::RetryPolicy) and surface hard faults as
+//! [`StreamError::Io`]; see [`crate::io`] for the taxonomy.
 //!
-//! Legacy `"ALPS"` streams (the pre-checksum layout, identical but with no
-//! `xxh64` field and no commit footer) are still read transparently.
-//!
-//! Writers configured with a [`ParityConfig`](crate::parity::ParityConfig)
-//! additionally emit one `"ALPP"` parity frame per `group_size` row-group
-//! frames (see [`crate::parity`]), which upgrades
-//! [`ColumnReader::next_rowgroup_salvaged`] from *skip and report* to
-//! *reconstruct, verify, and report repaired*: any single damaged frame per
-//! group comes back byte-identical. Readers that do not understand parity
-//! resync past the extra frames exactly as they would past damage, so the
-//! layout stays backward-compatible.
+//! Legacy `"ALPS"` streams (no per-frame `xxh64`, no commit footer) are still
+//! read; nothing writes them (`tests/golden/alps_f64.bin` pins the reader).
 //!
 //! # Example
 //! ```
@@ -58,21 +48,16 @@
 //! assert_eq!(restored.len(), 500_000);
 //! ```
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 use fastlanes::VECTOR_SIZE;
 
-/// The pipelined ingest path (`alp::stream::pipeline`): same stream bytes,
-/// with compression overlapped onto a worker pool. See [`crate::pipeline`].
-pub use crate::pipeline;
-
-use std::collections::VecDeque;
-
-use crate::format::{read_rowgroup, write_rowgroup, FormatError};
+use crate::format::{read_rowgroup_exact, write_rowgroup, FormatError};
+use crate::frame::{self, Frame, FrameRead, ParityAccumulator, ParityConfig};
 use crate::hash::{xxh64, CHECKSUM_SEED};
-use crate::io::{flush_retry, read_best_effort, read_full_retry, write_all_retry, RetryPolicy};
-use crate::parity::{self, ParityAccumulator, ParityConfig};
-use crate::rowgroup::{Compressor, RowGroup};
+use crate::io::{flush_retry, read_full_retry, write_all_retry, RetryPolicy};
+use crate::rowgroup::{Compressed, Compressor, RowGroup};
 use crate::sampler::{ConfigError, SamplerParams};
 use crate::traits::AlpFloat;
 use crate::wire::{GetExt, PutExt};
@@ -80,7 +65,8 @@ use crate::wire::{GetExt, PutExt};
 /// Magic bytes of a streamed column (current, checksummed format).
 pub const STREAM_MAGIC: &[u8; 4] = b"ALPT";
 
-/// Magic bytes of the legacy, pre-checksum stream format.
+/// Magic bytes of the legacy, pre-checksum stream format (still readable).
+// ANALYZER-ALLOW(wire-tag-sync): read-only legacy tag, reader pinned by tests/golden
 pub const STREAM_MAGIC_V1: &[u8; 4] = b"ALPS";
 
 /// Magic bytes of the commit footer a finished `"ALPT"` stream ends with.
@@ -99,15 +85,6 @@ pub struct StreamFooter {
     pub rowgroups: u32,
 }
 
-/// On-disk stream flavor, decided by the magic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StreamVersion {
-    /// `"ALPS"`: bare length-prefixed frames.
-    V1,
-    /// `"ALPT"`: every frame carries an XXH64 checksum of its body.
-    V2,
-}
-
 /// Statistics returned by [`ColumnWriter::finish`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSummary {
@@ -116,57 +93,32 @@ pub struct StreamSummary {
     /// Row-groups emitted.
     pub rowgroups: usize,
     /// Frame bytes written: every length prefix, per-frame checksum, and
-    /// compressed body. Excludes the 5-byte stream header, the 4-byte
-    /// terminator, and the `"ALPT"` commit footer.
+    /// compressed body (parity frames included). Excludes the 5-byte stream
+    /// header, the 4-byte terminator, and the commit footer.
     pub payload_bytes: usize,
     /// Every byte written to the sink — header, frames, terminator, and
-    /// (for `"ALPT"` streams) the commit footer. After a successful
-    /// [`ColumnWriter::finish`] this equals the sink's length exactly.
+    /// commit footer. After a successful [`ColumnWriter::finish`] this equals
+    /// the sink's length exactly.
     pub total_bytes: usize,
 }
 
-/// Appends one complete frame — `len:u32 | xxh64:u64 (V2 only) | body` — for
-/// `rg` to `out`. The single frame-encoding routine shared by the serial
-/// [`ColumnWriter`] and the pipelined ingest workers, so both produce
-/// byte-identical streams by construction.
-pub(crate) fn encode_frame<F: AlpFloat>(rg: &RowGroup, version: StreamVersion, out: &mut Vec<u8>) {
-    let prefix = match version {
-        StreamVersion::V1 => 4,
-        StreamVersion::V2 => 4 + 8,
-    };
-    let start = out.len();
-    out.resize(start + prefix, 0);
-    write_rowgroup::<F>(out, rg);
-    let body_len = (out.len() - start - prefix) as u32;
-    out[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
-    if version == StreamVersion::V2 {
-        let checksum = xxh64(&out[start + prefix..], CHECKSUM_SEED);
-        out[start + 4..start + prefix].copy_from_slice(&checksum.to_le_bytes());
-    }
+/// Appends the frame for `rg` to `out`. The single row-group framing routine
+/// shared by the serial [`ColumnWriter`] and the pipelined ingest workers, so
+/// both produce byte-identical streams by construction.
+pub(crate) fn encode_frame<F: AlpFloat>(rg: &RowGroup, out: &mut Vec<u8>) {
+    frame::encode(out, |body| write_rowgroup::<F>(body, rg));
 }
 
-/// Total byte length (prefix + body) of the frame at the head of `buf`, or
-/// `None` when `buf` does not hold a whole frame.
-fn frame_total_len(buf: &[u8], version: StreamVersion) -> Option<usize> {
-    let body = u32::from_le_bytes(buf.get(..4)?.try_into().ok()?) as usize;
-    let prefix: usize = match version {
-        StreamVersion::V1 => 4,
-        StreamVersion::V2 => 4 + 8,
-    };
-    let total = prefix.checked_add(body)?;
-    (total <= buf.len()).then_some(total)
-}
-
-/// Decodes one row-group frame body into its values; `None` when the body
-/// does not parse as exactly one row-group.
-fn decode_frame_values<F: AlpFloat>(body: &[u8]) -> Option<Vec<F>> {
-    let mut slice = body;
-    let rg = read_rowgroup::<F>(&mut slice).ok()?;
-    if !slice.is_empty() {
-        return None;
-    }
+/// Decompresses one row-group on its own.
+fn rowgroup_values<F: AlpFloat>(rg: RowGroup) -> Vec<F> {
     let len = rg.len();
-    Some(crate::rowgroup::Compressed::<F>::from_rowgroups(vec![rg], len).decompress())
+    Compressed::<F>::from_rowgroups(vec![rg], len).decompress()
+}
+
+/// Decodes a frame body to its values; `None` when it is not exactly one
+/// row-group.
+fn body_values<F: AlpFloat>(body: &[u8]) -> Option<Vec<F>> {
+    read_rowgroup_exact::<F>(body).ok().map(rowgroup_values)
 }
 
 /// Incremental column writer: buffers up to one row-group, compresses and
@@ -175,60 +127,34 @@ pub struct ColumnWriter<F: AlpFloat, W: Write> {
     sink: W,
     compressor: Compressor,
     buffer: Vec<F>,
-    /// Values buffered before a flush: `flush_rowgroups` full row-groups.
-    flush_values: usize,
+    /// Values in one full row-group: the flush threshold.
+    rowgroup_values: usize,
     header_written: bool,
     summary: StreamSummary,
     scratch: Vec<u8>,
-    version: StreamVersion,
     retry: RetryPolicy,
-    /// XOR erasure protection: when set, one `"ALPP"` parity frame is
-    /// emitted per `group_size` row-group frames (see [`crate::parity`]).
+    /// XOR erasure protection: when set, one `"ALPP"` parity frame follows
+    /// every `group_size` row-group frames (see [`crate::frame`]).
     parity: Option<ParityAccumulator>,
 }
 
 impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
     /// Writer with the paper's default sampling parameters.
     pub fn new(sink: W) -> Self {
-        Self::build(sink, Compressor::new(), StreamVersion::V2, 1)
+        Self::build(sink, Compressor::new(), None)
     }
 
     /// Writer with custom sampling parameters.
     ///
     /// Returns [`ConfigError`] when any count in `params` is zero — notably a
     /// zero `vectors_per_rowgroup`, which would make [`ColumnWriter::push`]
-    /// flush empty row-groups forever (it used to be silently clamped to 1).
+    /// flush empty row-groups forever.
     pub fn with_params(sink: W, params: SamplerParams) -> Result<Self, ConfigError> {
-        Ok(Self::build(sink, Compressor::with_params(params)?, StreamVersion::V2, 1))
+        Ok(Self::build(sink, Compressor::with_params(params)?, None))
     }
 
-    /// Writer that buffers `flush_rowgroups` full row-groups before each
-    /// compress-and-flush, amortizing sink syscalls for small row-group
-    /// configurations. The emitted stream is byte-identical to a writer
-    /// flushing one row-group at a time.
-    ///
-    /// Returns [`ConfigError`] when `flush_rowgroups` is zero (the writer
-    /// could never flush) or when any count in `params` is zero.
-    pub fn with_flush_rowgroups(
-        sink: W,
-        params: SamplerParams,
-        flush_rowgroups: usize,
-    ) -> Result<Self, ConfigError> {
-        if flush_rowgroups == 0 {
-            return Err(ConfigError { param: "flush_rowgroups" });
-        }
-        Ok(Self::build(sink, Compressor::with_params(params)?, StreamVersion::V2, flush_rowgroups))
-    }
-
-    /// Writer emitting the legacy pre-checksum `"ALPS"` layout, for
-    /// interoperability with readers that predate frame checksums.
-    pub fn legacy(sink: W) -> Self {
-        Self::build(sink, Compressor::new(), StreamVersion::V1, 1)
-    }
-
-    /// Writer with erasure protection: every `parity.group_size` row-group
-    /// frames are followed by an XOR parity frame, so any *single* damaged
-    /// frame per group is reconstructible on read (see [`crate::parity`]).
+    /// Writer with erasure protection (see [`crate::frame`]): one parity
+    /// frame follows every `parity.group_size` row-group frames.
     ///
     /// Returns [`ConfigError`] when the group size is out of range.
     pub fn with_parity(sink: W, parity: ParityConfig) -> Result<Self, ConfigError> {
@@ -245,31 +171,22 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         parity: ParityConfig,
     ) -> Result<Self, ConfigError> {
         parity.validate()?;
-        let mut writer = Self::build(sink, Compressor::with_params(params)?, StreamVersion::V2, 1);
-        writer.parity = Some(ParityAccumulator::new(parity.group_size));
-        Ok(writer)
+        Ok(Self::build(sink, Compressor::with_params(params)?, Some(parity)))
     }
 
-    fn build(
-        sink: W,
-        compressor: Compressor,
-        version: StreamVersion,
-        flush_rowgroups: usize,
-    ) -> Self {
-        // Nonzero: every `Compressor` constructor validates its params, and
-        // every caller of `build` validates `flush_rowgroups`.
-        let flush_values = flush_rowgroups * compressor.params().vectors_per_rowgroup * VECTOR_SIZE;
+    fn build(sink: W, compressor: Compressor, parity: Option<ParityConfig>) -> Self {
+        // Nonzero: every `Compressor` constructor validates its params.
+        let rowgroup_values = compressor.params().vectors_per_rowgroup * VECTOR_SIZE;
         Self {
             sink,
             compressor,
-            buffer: Vec::with_capacity(flush_values),
-            flush_values,
+            buffer: Vec::with_capacity(rowgroup_values),
+            rowgroup_values,
             header_written: false,
             summary: StreamSummary { values: 0, rowgroups: 0, payload_bytes: 0, total_bytes: 0 },
             scratch: Vec::new(),
-            version,
             retry: RetryPolicy::default(),
-            parity: None,
+            parity: parity.map(ParityAccumulator::new),
         }
     }
 
@@ -285,24 +202,20 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
     pub fn push(&mut self, values: &[F]) -> io::Result<()> {
         let mut rest = values;
         while !rest.is_empty() {
-            let room = self.flush_values - self.buffer.len();
+            let room = self.rowgroup_values - self.buffer.len();
             let take = room.min(rest.len());
             self.buffer.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
-            if self.buffer.len() == self.flush_values {
+            if self.buffer.len() == self.rowgroup_values {
                 self.flush_rowgroup()?;
             }
         }
         Ok(())
     }
 
-    /// Flushes any buffered tail, writes the end-of-stream marker, and — for
-    /// the current `"ALPT"` layout — commits the stream with a footer.
-    ///
-    /// The footer (`"ALPF" | values:u64 | rowgroups:u32 | xxh64:u64`) is the
-    /// stream's commit record: a reader that finds it intact knows the writer
-    /// finished cleanly, while a torn write — the process dying mid-frame —
-    /// can never fabricate it. Legacy `"ALPS"` streams stay footer-free.
+    /// Flushes any buffered tail, writes the end-of-stream marker, and
+    /// commits the stream with the footer — the record a torn write can
+    /// never fabricate.
     pub fn finish(mut self) -> io::Result<StreamSummary> {
         if !self.buffer.is_empty() {
             self.flush_rowgroup()?;
@@ -310,124 +223,93 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         self.ensure_header()?;
         // A partial final group still gets its parity frame, so the stream's
         // tail is as protected as its body.
-        if let Some(acc) = self.parity.as_mut() {
-            if let Some(pframe) = acc.take_frame() {
-                write_all_retry(&mut self.sink, &pframe, &self.retry)?;
-                self.summary.payload_bytes += pframe.len();
-                self.summary.total_bytes += pframe.len();
-            }
+        if let Some(pframe) = self.parity.as_mut().and_then(ParityAccumulator::flush) {
+            self.write_payload(&pframe)?;
         }
-        write_all_retry(&mut self.sink, &0u32.to_le_bytes(), &self.retry)?;
-        self.summary.total_bytes += 4;
-        if self.version == StreamVersion::V2 {
-            let mut footer = Vec::with_capacity(COMMIT_FOOTER_LEN);
-            footer.put_slice(COMMIT_MAGIC);
-            footer.put_u64_le(self.summary.values as u64);
-            footer.put_u32_le(self.summary.rowgroups as u32);
-            let checksum = xxh64(&footer, CHECKSUM_SEED);
-            footer.put_u64_le(checksum);
-            write_all_retry(&mut self.sink, &footer, &self.retry)?;
-            self.summary.total_bytes += footer.len();
-        }
+        let mut tail = Vec::with_capacity(4 + COMMIT_FOOTER_LEN);
+        tail.put_u32_le(0);
+        tail.put_slice(COMMIT_MAGIC);
+        tail.put_u64_le(self.summary.values as u64);
+        tail.put_u32_le(self.summary.rowgroups as u32);
+        let checksum = xxh64(&tail[4..], CHECKSUM_SEED);
+        tail.put_u64_le(checksum);
+        write_all_retry(&mut self.sink, &tail, &self.retry)?;
+        self.summary.total_bytes += tail.len();
         flush_retry(&mut self.sink, &self.retry)?;
         Ok(self.summary)
     }
 
     fn ensure_header(&mut self) -> io::Result<()> {
         if !self.header_written {
-            let magic = match self.version {
-                StreamVersion::V1 => STREAM_MAGIC_V1,
-                StreamVersion::V2 => STREAM_MAGIC,
-            };
-            write_all_retry(&mut self.sink, magic, &self.retry)?;
-            write_all_retry(&mut self.sink, &[F::BITS as u8], &self.retry)?;
+            let [m0, m1, m2, m3] = *STREAM_MAGIC;
+            let header = [m0, m1, m2, m3, F::BITS as u8];
+            write_all_retry(&mut self.sink, &header, &self.retry)?;
             self.header_written = true;
-            self.summary.total_bytes += magic.len() + 1;
+            self.summary.total_bytes += header.len();
         }
         Ok(())
     }
 
-    /// Compresses the buffered values and writes one frame per resulting
-    /// row-group. A flush spanning several row-groups (see
-    /// [`ColumnWriter::with_flush_rowgroups`]) emits them all, in order.
+    /// Writes frame bytes to the sink and counts them as payload.
+    fn write_payload(&mut self, bytes: &[u8]) -> io::Result<()> {
+        write_all_retry(&mut self.sink, bytes, &self.retry)?;
+        self.summary.payload_bytes += bytes.len();
+        self.summary.total_bytes += bytes.len();
+        Ok(())
+    }
+
+    /// Compresses the buffered values — one row-group's worth, or the tail —
+    /// and commits their frame.
     fn flush_rowgroup(&mut self) -> io::Result<()> {
         let compressed = self.compressor.compress(&self.buffer);
         let values = self.buffer.len();
         self.buffer.clear();
-        self.scratch.clear();
+        let mut frames = core::mem::take(&mut self.scratch);
+        frames.clear();
         for rg in &compressed.rowgroups {
-            encode_frame::<F>(rg, self.version, &mut self.scratch);
+            encode_frame::<F>(rg, &mut frames);
         }
-        let frames = core::mem::take(&mut self.scratch);
-        let result = self.commit_encoded_frames(&frames, values, compressed.rowgroups.len());
+        let result = self.commit_encoded_frames(&frames, values);
         self.scratch = frames;
         result
     }
 
-    /// Writes pre-encoded frames (see [`encode_frame`]) to the sink and folds
-    /// them into the summary. The commit seam shared with the pipelined
-    /// ingest path: frames land on the sink whole and in order, under the
-    /// writer's retry policy.
-    pub(crate) fn commit_encoded_frames(
-        &mut self,
-        frames: &[u8],
-        values: usize,
-        rowgroups: usize,
-    ) -> io::Result<()> {
+    /// Writes pre-encoded frames (see [`encode_frame`]) covering `values`
+    /// source values to the sink and folds them into the summary. The commit
+    /// seam shared with the pipelined ingest path: frames land on the sink
+    /// whole and in order, under the writer's retry policy, and each parity
+    /// frame lands immediately after the group it closes — so the layout is
+    /// independent of who encoded the frames.
+    pub(crate) fn commit_encoded_frames(&mut self, frames: &[u8], values: usize) -> io::Result<()> {
         self.ensure_header()?;
-        if self.parity.is_none() {
-            write_all_retry(&mut self.sink, frames, &self.retry)?;
-            self.summary.payload_bytes += frames.len();
-            self.summary.total_bytes += frames.len();
-        } else {
-            // Walk the batch frame by frame so each parity frame lands
-            // immediately after the group it closes — the layout is then
-            // independent of flush batching and of the pipelined path, both
-            // of which funnel through this seam.
-            let mut rest = frames;
-            while !rest.is_empty() {
-                let Some(frame_len) = frame_total_len(rest, self.version) else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "malformed encoded frame batch",
-                    ));
-                };
-                let (frame, tail) = rest.split_at(frame_len);
-                rest = tail;
-                write_all_retry(&mut self.sink, frame, &self.retry)?;
-                self.summary.payload_bytes += frame.len();
-                self.summary.total_bytes += frame.len();
-                if let Some(acc) = self.parity.as_mut() {
-                    acc.absorb(frame);
-                    if acc.is_full() {
-                        if let Some(pframe) = acc.take_frame() {
-                            write_all_retry(&mut self.sink, &pframe, &self.retry)?;
-                            self.summary.payload_bytes += pframe.len();
-                            self.summary.total_bytes += pframe.len();
-                        }
-                    }
-                }
+        let mut rest = frames;
+        while let Some((frame, tail)) = Frame::split(rest) {
+            rest = tail;
+            self.write_payload(frame.whole)?;
+            self.summary.rowgroups += 1;
+            if let Some(pframe) = self.parity.as_mut().and_then(|acc| acc.push(frame.whole)) {
+                self.write_payload(&pframe)?;
             }
         }
+        if !rest.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "malformed encoded frame batch",
+            ));
+        }
         self.summary.values += values;
-        self.summary.rowgroups += rowgroups;
         Ok(())
     }
 
-    /// Values a full flush buffer holds (`flush_rowgroups` row-groups' worth).
-    pub(crate) fn flush_values(&self) -> usize {
-        self.flush_values
+    /// Values in one full row-group (what a worker is handed at a time).
+    pub(crate) fn rowgroup_values(&self) -> usize {
+        self.rowgroup_values
     }
 
     /// The writer's compression parameters (for workers that encode frames
     /// on its behalf).
     pub(crate) fn compressor(&self) -> &Compressor {
         &self.compressor
-    }
-
-    /// The stream flavor this writer emits.
-    pub(crate) fn version(&self) -> StreamVersion {
-        self.version
     }
 }
 
@@ -439,26 +321,38 @@ const PARITY_PROBATION_FRAMES: usize = 256;
 /// Byte cap on the same probation window, for streams with huge frames.
 const PARITY_PROBATION_BYTES: usize = 64 << 20;
 
-/// One frame held by the salvage engine between parity resolutions.
-struct PendingFrame<F> {
-    /// Whole frame bytes — length prefix, checksum, and body — as read.
-    /// Intact frames feed XOR reconstruction of a damaged neighbor.
+/// One frame held by the salvage engine between parity resolutions. Held
+/// frames stay compressed: values are decoded when their turn comes.
+struct PendingFrame {
+    /// Whole frame bytes as read (what arrived, for a torn tail). Intact
+    /// frames feed the repair of a damaged neighbor.
     bytes: Vec<u8>,
     /// Frame checksum verified (the bytes are what the writer wrote).
     verified: bool,
-    /// Decoded values not yet handed to the caller (held while an earlier
-    /// frame in the group is unresolved, to preserve stream order).
-    values: Option<Vec<F>>,
     /// Values handed out (or the loss recorded): its data index is assigned.
+    /// A verified frame waits un-emitted only while an earlier frame in its
+    /// group is unresolved, to preserve stream order.
     emitted: bool,
+}
+
+impl PendingFrame {
+    /// The row-group values of a verified frame; `None` when its body does
+    /// not parse.
+    fn values<F: AlpFloat>(&self) -> Option<Vec<F>> {
+        body_values(Frame::split(&self.bytes)?.0.body)
+    }
 }
 
 /// Incremental column reader: yields one decompressed row-group at a time.
 pub struct ColumnReader<F: AlpFloat, R: Read> {
     source: R,
+    /// Reused read buffer; only its first `n` bytes (see
+    /// [`frame::read_frame`]) are the current frame.
     frame: Vec<u8>,
     done: bool,
-    version: StreamVersion,
+    /// `"ALPT"`: frames carry checksums and a commit footer follows the
+    /// terminator. `false` for the legacy `"ALPS"` layout, which has neither.
+    checksummed: bool,
     /// Index of the next *data* row-group (parity frames are not counted).
     next_index: usize,
     /// Row-group indices skipped by the salvage path.
@@ -472,9 +366,7 @@ pub struct ColumnReader<F: AlpFloat, R: Read> {
     footer: Option<StreamFooter>,
     retry: RetryPolicy,
     /// Frames since the last resolved parity group (salvage engine state).
-    window: Vec<PendingFrame<F>>,
-    /// Bytes retained in `window`, for the probation cap.
-    window_bytes: usize,
+    window: Vec<PendingFrame>,
     /// Decoded row-groups ready to hand out, in stream order.
     pending: VecDeque<Vec<F>>,
     /// Parity group size, once learned from a verified parity frame.
@@ -528,12 +420,12 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     pub fn with_retry_policy(mut source: R, retry: RetryPolicy) -> Result<Self, StreamError> {
         let mut header = [0u8; 5];
         read_full_retry(&mut source, &mut header, &retry)?;
-        let version = Self::parse_header(&header)?;
+        let checksummed = Self::parse_header(header)?;
         Ok(Self {
             source,
             frame: Vec::new(),
             done: false,
-            version,
+            checksummed,
             next_index: 0,
             lost: Vec::new(),
             repaired: Vec::new(),
@@ -541,50 +433,37 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             footer: None,
             retry,
             window: Vec::new(),
-            window_bytes: 0,
             pending: VecDeque::new(),
             group_size: None,
-            parity_possible: version == StreamVersion::V2,
+            parity_possible: checksummed,
         })
     }
 
-    /// Validates the 5-byte stream header: the magic (either flavor) picks
-    /// the [`StreamVersion`], and the element width must match `F`.
-    fn parse_header(header: &[u8; 5]) -> Result<StreamVersion, StreamError> {
-        let version = if &header[..4] == STREAM_MAGIC {
-            StreamVersion::V2
-        } else if &header[..4] == STREAM_MAGIC_V1 {
-            StreamVersion::V1
-        } else {
-            return Err(StreamError::Format(FormatError::BadMagic));
+    /// Validates the 5-byte stream header: the element width must match `F`,
+    /// and the magic says whether frames are checksummed (`"ALPT"`) or the
+    /// legacy bare `"ALPS"` kind.
+    fn parse_header([magic @ .., bits]: [u8; 5]) -> Result<bool, FormatError> {
+        let checksummed = match &magic {
+            STREAM_MAGIC => true,
+            STREAM_MAGIC_V1 => false,
+            _ => return Err(FormatError::BadMagic),
         };
-        if header[4] as u32 != F::BITS {
-            return Err(StreamError::Format(FormatError::WidthMismatch {
-                found: header[4],
-                expected: F::BITS as u8,
-            }));
+        if u32::from(bits) != F::BITS {
+            return Err(FormatError::WidthMismatch { found: bits, expected: F::BITS as u8 });
         }
-        Ok(version)
-    }
-
-    /// Replaces the transient-fault retry policy (default:
-    /// [`RetryPolicy::default`]). Transient source faults (`Interrupted`,
-    /// `WouldBlock`, short reads) are absorbed up to the policy budget; hard
-    /// faults always surface as [`StreamError::Io`].
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
+        Ok(checksummed)
     }
 
     /// Reads and decompresses the next row-group; `None` at end of stream.
     pub fn next_rowgroup(&mut self) -> Result<Option<Vec<F>>, StreamError> {
-        match self.next_rowgroup_compressed()? {
-            None => Ok(None),
-            Some(rg) => {
-                let len = rg.len();
-                let compressed = crate::rowgroup::Compressed::<F>::from_rowgroups(vec![rg], len);
-                Ok(Some(compressed.decompress()))
-            }
-        }
+        Ok(self.next_rowgroup_compressed()?.map(rowgroup_values::<F>))
+    }
+
+    /// Reads the next frame of either flavor into the reused buffer: a
+    /// checksummed frame, or the legacy `len:u32 | body`.
+    fn read_next(&mut self) -> io::Result<FrameRead> {
+        let extra = if self.checksummed { frame::PREFIX_LEN - 4 } else { 0 };
+        frame::read_len_prefixed(&mut self.source, &mut self.frame, extra, &self.retry)
     }
 
     /// Reads the next row-group without decompressing it (for servers that
@@ -598,70 +477,56 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             if self.done {
                 return Ok(None);
             }
-            let mut len_bytes = [0u8; 4];
-            read_full_retry(&mut self.source, &mut len_bytes, &self.retry)?;
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            if len == 0 {
-                self.done = true;
-                self.read_commit_footer();
-                return Ok(None);
-            }
-            let mut stored_checksum = 0u64;
-            if self.version == StreamVersion::V2 {
-                let mut checksum_bytes = [0u8; 8];
-                read_full_retry(&mut self.source, &mut checksum_bytes, &self.retry)?;
-                stored_checksum = u64::from_le_bytes(checksum_bytes);
-            }
-            self.frame.resize(len, 0);
-            read_full_retry(&mut self.source, &mut self.frame, &self.retry)?;
+            let n = match self.read_next()? {
+                FrameRead::Frame(n) => n,
+                FrameRead::Terminator => {
+                    self.done = true;
+                    self.read_commit_footer();
+                    return Ok(None);
+                }
+                FrameRead::Torn(_) => {
+                    let kind = io::ErrorKind::UnexpectedEof;
+                    return Err(io::Error::new(kind, "source ended mid-frame").into());
+                }
+            };
             // The frame is fully consumed from here on: every error below is
             // recoverable by reading the next frame.
-            if self.version == StreamVersion::V2 {
-                let computed = xxh64(&self.frame, CHECKSUM_SEED);
-                if computed != stored_checksum {
-                    let index = self.next_index;
+            let raw = self.frame.get(..n).unwrap_or(&[]);
+            let body = if self.checksummed {
+                let (frame, _) = Frame::split(raw).ok_or(FormatError::Truncated)?;
+                if let Err(mismatch) = frame.check(self.next_index) {
                     self.next_index += 1;
-                    return Err(StreamError::Format(FormatError::ChecksumMismatch {
-                        rowgroup: index,
-                        stored: stored_checksum,
-                        computed,
-                    }));
+                    return Err(mismatch.into());
                 }
-                if parity::is_parity_body(&self.frame) {
+                if frame::claims_parity(frame.whole) {
                     // Erasure-protection frame, not a row-group: skip it
                     // without consuming a data index.
                     continue;
                 }
-            }
+                frame.body
+            } else {
+                raw.get(4..).unwrap_or(&[])
+            };
             self.next_index += 1;
-            let mut slice: &[u8] = &self.frame;
-            let rg = read_rowgroup::<F>(&mut slice)?;
-            if !slice.is_empty() {
-                return Err(StreamError::Format(FormatError::Corrupt("row-group frame length")));
-            }
-            return Ok(Some(rg));
+            return Ok(Some(read_rowgroup_exact::<F>(body)?));
         }
     }
 
     /// Like [`ColumnReader::next_rowgroup`], but skips damaged frames instead
-    /// of failing — and, when the stream carries parity frames (see
-    /// [`ColumnWriter::with_parity`]), *reconstructs* any single damaged
-    /// frame per group, verifies the repaired frame's checksum, and records
-    /// its index in [`ColumnReader::repaired_rowgroups`]. Frames that remain
-    /// unrecoverable (two or more damaged in one group, or no parity at all)
-    /// are recorded in [`ColumnReader::lost_rowgroups`]. A torn tail — the
-    /// source ending mid-frame, where resync is impossible because the next
-    /// frame boundary is gone — ends the walk with the cut frame recorded as
-    /// lost, so the caller keeps exactly the committed prefix. Other I/O
-    /// errors (hard faults, exhausted retry budgets) still surface as `Err`.
+    /// of failing — and, when the stream carries parity frames
+    /// ([`ColumnWriter::with_parity`]), *reconstructs* any single damaged
+    /// frame per group and records its index in
+    /// [`ColumnReader::repaired_rowgroups`]. Frames that remain unrecoverable
+    /// (two or more damaged in one group, or no parity at all) are recorded
+    /// in [`ColumnReader::lost_rowgroups`]. A torn tail — the source ending
+    /// mid-frame — ends the walk with the cut frame recorded as lost, so the
+    /// caller keeps exactly the committed prefix. Hard faults and exhausted
+    /// retry budgets still surface as `Err`.
     ///
     /// Repair accounting assumes the stream is drained through this method;
     /// interleaving calls with the strict readers degrades repairs to losses
     /// (never the other way around).
     pub fn next_rowgroup_salvaged(&mut self) -> Result<Option<Vec<F>>, StreamError> {
-        if self.version == StreamVersion::V1 {
-            return self.next_rowgroup_salvaged_v1();
-        }
         loop {
             if let Some(values) = self.pending.pop_front() {
                 return Ok(Some(values));
@@ -673,233 +538,137 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
         }
     }
 
-    /// The pre-parity salvage walk, still exact for legacy `"ALPS"` streams
-    /// (whose frames carry no checksums, so there is nothing to repair
-    /// against).
-    fn next_rowgroup_salvaged_v1(&mut self) -> Result<Option<Vec<F>>, StreamError> {
-        loop {
-            let before = self.next_index;
-            match self.next_rowgroup() {
-                Ok(result) => return Ok(result),
-                Err(StreamError::Io(e))
-                    if e.kind() == io::ErrorKind::UnexpectedEof && !self.done =>
-                {
-                    // Torn write: the writer died mid-frame (or the tail was
-                    // truncated). `is_committed` stays false — the terminator
-                    // and footer were never reached.
-                    self.lost.push(before);
-                    self.done = true;
-                    return Ok(None);
-                }
-                Err(StreamError::Io(e)) => return Err(StreamError::Io(e)),
-                Err(StreamError::Format(_)) if self.next_index > before => {
-                    // The frame was consumed but its contents were bad: note
-                    // the loss and resync at the next length prefix.
-                    self.lost.push(before);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Reads one frame in salvage mode: verified row-groups decode (and are
     /// handed out as soon as nothing earlier is unresolved), verified parity
     /// frames resolve the pending group, damaged frames wait in the window
     /// for reconstruction. Torn tails resolve whatever is pending and end
     /// the stream.
     fn pump_salvage(&mut self) -> Result<(), StreamError> {
-        let mut len_bytes = [0u8; 4];
-        if self.read_or_tear(&mut len_bytes)? {
-            return Ok(());
-        }
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len == 0 {
-            self.done = true;
-            self.read_commit_footer();
-            self.resolve_terminal();
-            return Ok(());
-        }
-        let mut raw = vec![0u8; 4 + 8 + len];
-        if let Some(head) = raw.get_mut(..4) {
-            head.copy_from_slice(&len_bytes);
-        }
-        let expected = raw.len() - 4;
-        let got = match raw.get_mut(4..) {
-            Some(rest) => {
-                read_best_effort(&mut self.source, rest, &self.retry).map_err(StreamError::Io)?
+        let n = match self.read_next()? {
+            FrameRead::Frame(n) => n,
+            FrameRead::Terminator => {
+                self.done = true;
+                self.read_commit_footer();
+                self.resolve_terminal();
+                return Ok(());
             }
-            None => 0,
+            FrameRead::Torn(n) => {
+                // Torn tail: one last damaged entry. Its partial bytes still
+                // identify it when the settling happens — a cut inside a
+                // *parity* frame costs no data, a cut inside a row-group
+                // frame is a loss.
+                let bytes = self.frame.get(..n).unwrap_or(&[]).to_vec();
+                self.window.push(PendingFrame { bytes, verified: false, emitted: false });
+                self.done = true;
+                self.resolve_terminal();
+                return Ok(());
+            }
         };
-        if got < expected {
-            // Torn tail. The partial frame still identifies itself: a cut
-            // that landed inside a *parity* frame costs no data, while a cut
-            // inside a row-group frame is a (possibly repairable) loss.
-            let body_prefix_known = 4 + got >= 16;
-            let parity_tear =
-                body_prefix_known && raw.get(12..16) == Some(parity::PARITY_MAGIC.as_slice());
-            if !parity_tear {
-                self.window.push(PendingFrame {
-                    bytes: Vec::new(),
-                    verified: false,
-                    values: None,
-                    emitted: false,
-                });
-            }
-            self.done = true;
-            self.resolve_terminal();
-            return Ok(());
+        // The frame is lent out of the reader while the window machinery
+        // (which needs `&mut self`) looks at it.
+        let buf = core::mem::take(&mut self.frame);
+        let raw = buf.get(..n).unwrap_or(&[]);
+        if !self.checksummed {
+            // Legacy frames have no checksum and no parity: a frame is good
+            // exactly when it parses, and damage is final.
+            self.emit(raw.get(4..).and_then(body_values), false);
+        } else if let Some((frame, _)) = Frame::split(raw) {
+            self.absorb_frame(&frame);
         }
-        let stored = raw
-            .get(4..12)
-            .and_then(|b| <[u8; 8]>::try_from(b).ok())
-            .map(u64::from_le_bytes)
-            .unwrap_or(0);
-        let body_checksum = raw.get(12..).map(|body| xxh64(body, CHECKSUM_SEED));
-        let verified = body_checksum == Some(stored);
-
-        if verified {
-            if let Some(body) = raw.get(12..) {
-                if parity::is_parity_body(body) {
-                    match parity::parse_parity_body(body) {
-                        Some(pb) => {
-                            self.group_size = Some(pb.group_size);
-                            self.parity_possible = true;
-                            self.resolve_group(pb.count, pb.xor);
-                            return Ok(());
-                        }
-                        None => {
-                            // Checksummed but malformed parity body: nothing
-                            // to resolve against; fall through as a frame
-                            // that occupies no data slot.
-                            return Ok(());
-                        }
-                    }
-                }
-            }
-        }
-
-        let values = if verified { raw.get(12..).and_then(decode_frame_values::<F>) } else { None };
-
-        if !self.parity_possible {
-            // Probation expired with no parity frame in sight: the stream
-            // has none, so nothing is retained and damage is final.
-            let idx = self.next_index;
-            self.next_index += 1;
-            match values {
-                Some(v) => self.pending.push_back(v),
-                None => self.lost.push(idx),
-            }
-            return Ok(());
-        }
-
-        let mut entry = PendingFrame { bytes: raw, verified, values, emitted: false };
-        let holding = self.window.iter().any(|e| !e.emitted);
-        if !holding && entry.verified {
-            // Nothing unresolved ahead of this frame: hand it out (or record
-            // the loss) now, keeping only its bytes for a later repair.
-            let idx = self.next_index;
-            self.next_index += 1;
-            match entry.values.take() {
-                Some(v) => self.pending.push_back(v),
-                None => self.lost.push(idx),
-            }
-            entry.emitted = true;
-        }
-        self.window_bytes += entry.bytes.len();
-        self.window.push(entry);
-        self.enforce_window_bounds();
+        self.frame = buf;
         Ok(())
     }
 
-    /// Reads `buf` in full, or — on a torn tail — records the cut frame as
-    /// damaged, resolves the pending window, and ends the stream. Returns
-    /// `true` when the tail was torn.
-    fn read_or_tear(&mut self, buf: &mut [u8]) -> Result<bool, StreamError> {
-        match read_full_retry(&mut self.source, buf, &self.retry) {
-            Ok(()) => Ok(false),
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                self.window.push(PendingFrame {
-                    bytes: Vec::new(),
-                    verified: false,
-                    values: None,
-                    emitted: false,
-                });
-                self.done = true;
-                self.resolve_terminal();
-                Ok(true)
+    /// Salvage-mode handling of one whole frame, verified or not.
+    fn absorb_frame(&mut self, frame: &Frame<'_>) {
+        let verified = frame.verify();
+        if verified && frame::claims_parity(frame.whole) {
+            // A checksummed but malformed parity body has nothing to resolve
+            // against; either way the frame occupies no data slot.
+            if let Some(pb) = frame.parse_parity() {
+                self.group_size = Some(pb.group_size);
+                self.parity_possible = true;
+                let mut window = core::mem::take(&mut self.window);
+                self.resolve_group(&mut window, &pb);
             }
-            Err(e) => Err(StreamError::Io(e)),
+            return;
+        }
+        if !self.parity_possible {
+            // Probation expired with no parity frame in sight: the stream
+            // has none, so nothing is retained and damage is final.
+            self.emit(if verified { body_values(frame.body) } else { None }, false);
+            return;
+        }
+        let mut entry = PendingFrame { bytes: frame.whole.to_vec(), verified, emitted: false };
+        if verified && self.window.iter().all(|e| e.emitted) {
+            // Nothing unresolved ahead of this frame: hand it out (or record
+            // the loss) now, keeping only its bytes for a later repair.
+            self.emit(body_values(frame.body), false);
+            entry.emitted = true;
+        }
+        self.window.push(entry);
+        self.enforce_window_bounds();
+    }
+
+    /// Assigns the next data index: queues `values` for the caller (noting
+    /// the index as repaired when they came out of parity), or records the
+    /// loss when there are none.
+    fn emit(&mut self, values: Option<Vec<F>>, repaired: bool) {
+        let idx = self.next_index;
+        self.next_index += 1;
+        match values {
+            Some(v) => {
+                self.pending.push_back(v);
+                if repaired {
+                    self.repaired.push(idx);
+                }
+            }
+            None => self.lost.push(idx),
         }
     }
 
-    /// Caps salvage-window memory: a stream that never shows a parity frame
-    /// within the probation window carries none (groups hold at most 255
-    /// frames), and a stream whose parity frames are themselves repeatedly
-    /// damaged is beyond the single-fault protection level.
+    /// Caps salvage-window memory. A stream that shows no parity frame within
+    /// the probation window carries none (groups hold at most 255 frames), so
+    /// nothing more is retained for repair; one whose parity frames are
+    /// themselves lost twice in a row is beyond the single-fault protection
+    /// level. Either way position arithmetic settles what is held.
     fn enforce_window_bounds(&mut self) {
-        match self.group_size {
-            Some(k) => {
-                if self.window.len() >= 3 * (k + 1) {
-                    // Two consecutive parity frames lost: resolve what
-                    // position arithmetic still can, and start fresh.
-                    let mut window = core::mem::take(&mut self.window);
-                    self.window_bytes = 0;
-                    self.settle_positional(&mut window, k);
-                }
-            }
+        let full = match self.group_size {
+            Some(k) => self.window.len() >= 3 * (k + 1),
             None => {
-                if self.window.len() >= PARITY_PROBATION_FRAMES
-                    || self.window_bytes >= PARITY_PROBATION_BYTES
-                {
-                    self.parity_possible = false;
-                    let mut window = core::mem::take(&mut self.window);
-                    self.window_bytes = 0;
-                    self.settle_positional(&mut window, 0);
-                }
+                self.window.len() >= PARITY_PROBATION_FRAMES
+                    || self.window.iter().map(|e| e.bytes.len()).sum::<usize>()
+                        >= PARITY_PROBATION_BYTES
             }
+        };
+        if full {
+            self.parity_possible = self.group_size.is_some();
+            let mut window = core::mem::take(&mut self.window);
+            self.settle_positional(&mut window, self.group_size.unwrap_or(0));
         }
     }
 
-    /// Resolves the window against a verified parity frame covering its last
-    /// `count` entries: a single damaged frame in the group is rebuilt by
-    /// XOR, self-verified, and handed out in stream order.
-    fn resolve_group(&mut self, count: usize, xor: &[u8]) {
-        let mut window = core::mem::take(&mut self.window);
-        self.window_bytes = 0;
-        let group_start = window.len().saturating_sub(count);
+    /// Resolves `window` against a verified parity frame covering its last
+    /// `parity.count` entries: a single damaged frame in the group is rebuilt
+    /// by [`frame::repair_group`] and handed out in stream order.
+    fn resolve_group(&mut self, window: &mut [PendingFrame], parity: &frame::ParityBody<'_>) {
+        let group_start = window.len().saturating_sub(parity.count);
         let (prefix, group) = window.split_at_mut(group_start);
         // Entries before the group belong to earlier groups whose parity
         // frame was itself damaged: position arithmetic settles them.
-        let k = self.group_size.unwrap_or(0);
-        self.settle_positional(prefix, k);
+        self.settle_positional(prefix, parity.group_size);
         // Frames the window never saw (reader started mid-stream or mixed
-        // strict and salvaged reads) block reconstruction but damage nothing.
-        let missing = count.saturating_sub(group.len());
-        let damaged_count = group.iter().filter(|e| !e.verified).count();
-        let mut repaired_values: Option<Vec<F>> = None;
-        if missing == 0 && damaged_count == 1 {
-            let intact: Vec<&[u8]> =
-                group.iter().filter(|e| e.verified).map(|e| e.bytes.as_slice()).collect();
-            if let Some(frame) = parity::try_repair_frame(xor, &intact) {
-                repaired_values = frame.get(12..).and_then(decode_frame_values::<F>);
-            }
-        }
-        for e in group.iter_mut() {
-            if e.emitted {
-                continue;
-            }
-            let idx = self.next_index;
-            self.next_index += 1;
+        // strict and salvaged reads) leave the group short, which the repair
+        // rule refuses as a missing member — and damages nothing.
+        let members: Vec<Option<&[u8]>> =
+            group.iter().map(|e| e.verified.then_some(e.bytes.as_slice())).collect();
+        let mut rebuilt = frame::repair_group(&members, parity)
+            .and_then(|(_, bytes)| body_values(Frame::split(&bytes)?.0.body));
+        for e in group.iter_mut().filter(|e| !e.emitted) {
             if e.verified {
-                match e.values.take() {
-                    Some(v) => self.pending.push_back(v),
-                    None => self.lost.push(idx),
-                }
-            } else if let Some(v) = repaired_values.take() {
-                self.pending.push_back(v);
-                self.repaired.push(idx);
+                self.emit(e.values(), false);
             } else {
-                self.lost.push(idx);
+                self.emit(rebuilt.take(), true);
             }
             e.emitted = true;
         }
@@ -909,10 +678,8 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// arithmetic, then let a verified footer arbitrate — trailing "losses"
     /// in excess of its row-group count were parity frames, not data.
     fn resolve_terminal(&mut self) {
-        let k = self.group_size.unwrap_or(0);
         let mut window = core::mem::take(&mut self.window);
-        self.window_bytes = 0;
-        self.settle_positional(&mut window, k);
+        self.settle_positional(&mut window, self.group_size.unwrap_or(0));
         if let Some(f) = self.footer {
             let total = f.rowgroups as usize;
             while self.next_index > total && self.lost.last() == Some(&(self.next_index - 1)) {
@@ -926,13 +693,15 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// Settles entries without a resolving parity frame. Verified entries
     /// are data (parity frames never linger in the window); damaged entries
     /// are classified by their position within `k + 1`-frame chunks — one
-    /// parity slot per chunk — and a damaged frame sitting in a parity slot
-    /// costs no data. With `k == 0` (no parity knowledge) every damaged
-    /// frame is a data loss, the pre-parity behavior.
-    fn settle_positional(&mut self, entries: &mut [PendingFrame<F>], k: usize) {
+    /// parity slot per chunk — or by still naming themselves parity, and a
+    /// damaged frame sitting in a parity slot costs no data. With `k == 0`
+    /// (no parity frame ever verified) position says nothing, and every
+    /// other damaged frame is a data loss, the pre-parity behavior.
+    fn settle_positional(&mut self, entries: &mut [PendingFrame], k: usize) {
         let mut pos = 0usize;
         for e in entries.iter_mut() {
-            let parity_slot = k > 0 && pos == k;
+            let names_parity = self.checksummed && frame::claims_parity(&e.bytes);
+            let parity_slot = (k > 0 && pos == k) || (!e.verified && names_parity);
             if parity_slot {
                 pos = 0;
             } else {
@@ -942,16 +711,9 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
                 continue;
             }
             if e.verified {
-                let idx = self.next_index;
-                self.next_index += 1;
-                match e.values.take() {
-                    Some(v) => self.pending.push_back(v),
-                    None => self.lost.push(idx),
-                }
+                self.emit(e.values(), false);
             } else if !parity_slot {
-                let idx = self.next_index;
-                self.next_index += 1;
-                self.lost.push(idx);
+                self.emit(None, false);
             }
             e.emitted = true;
         }
@@ -993,7 +755,7 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// the stream uncommitted rather than erroring: an absent footer is the
     /// *signal* a torn write leaves behind, not a failure of this reader.
     fn read_commit_footer(&mut self) {
-        if self.version == StreamVersion::V1 {
+        if !self.checksummed {
             // The legacy layout has no footer: its terminator is the only
             // commit record there is.
             self.committed = true;
@@ -1003,18 +765,12 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
         if read_full_retry(&mut self.source, &mut raw, &self.retry).is_err() {
             return;
         }
-        let Some(attested) = raw.get(..COMMIT_FOOTER_LEN - 8) else { return };
-        let mut cursor: &[u8] = &raw;
-        if cursor.get(..4) != Some(COMMIT_MAGIC.as_slice()) {
+        let Some((attested, stored)) = raw.split_last_chunk::<8>() else { return };
+        let Some(mut fields) = attested.strip_prefix(COMMIT_MAGIC) else { return };
+        if xxh64(attested, CHECKSUM_SEED) != u64::from_le_bytes(*stored) {
             return;
         }
-        cursor.advance(4);
-        let values = cursor.get_u64_le();
-        let rowgroups = cursor.get_u32_le();
-        let stored = cursor.get_u64_le();
-        if xxh64(attested, CHECKSUM_SEED) != stored {
-            return;
-        }
+        let (values, rowgroups) = (fields.get_u64_le(), fields.get_u32_le());
         self.footer = Some(StreamFooter { values, rowgroups });
         self.committed = rowgroups as usize == self.next_index;
     }
@@ -1113,14 +869,12 @@ mod tests {
         assert!(reader.next_rowgroup().unwrap().is_none());
     }
 
-    /// Same pin for the legacy `"ALPS"` layout: the terminator alone commits
-    /// it, and it never carries a footer.
+    /// Same pin for the legacy `"ALPS"` layout, hand-written (no V1 writer is
+    /// left): header plus terminator. The terminator alone commits it, and
+    /// it never carries a footer.
     #[test]
     fn never_pushed_v1_commits_an_empty_stream() {
-        let mut file = Vec::new();
-        let writer = ColumnWriter::<f64, _>::legacy(&mut file);
-        let summary = writer.finish().unwrap();
-        assert_eq!(summary.total_bytes, file.len());
+        let file = [b'A', b'L', b'P', b'S', 64, 0, 0, 0, 0];
         let mut reader = ColumnReader::<f64, _>::new(&file[..]).unwrap();
         assert!(reader.next_rowgroup().unwrap().is_none());
         assert!(reader.is_committed());
@@ -1130,64 +884,17 @@ mod tests {
 
     /// Regression for the byte-accounting bug: `total_bytes` must equal the
     /// sink length exactly — header, frames, terminator, and footer all
-    /// included — for both stream versions, and `payload_bytes` must cover
-    /// exactly the frame bytes between header and terminator.
+    /// included — and `payload_bytes` must cover exactly the frame bytes
+    /// between header and terminator.
     #[test]
     fn summary_accounting_matches_sink_length() {
         let data: Vec<f64> = (0..150_000).map(|i| ((i % 777) as f64) / 8.0).collect();
-
-        let mut v2 = Vec::new();
-        let mut writer = ColumnWriter::<f64, _>::new(&mut v2);
+        let mut file = Vec::new();
+        let mut writer = ColumnWriter::<f64, _>::new(&mut file);
         writer.push(&data).unwrap();
         let summary = writer.finish().unwrap();
-        assert_eq!(summary.total_bytes, v2.len());
-        assert_eq!(summary.payload_bytes, v2.len() - 5 - 4 - COMMIT_FOOTER_LEN);
-
-        let mut v1 = Vec::new();
-        let mut writer = ColumnWriter::<f64, _>::legacy(&mut v1);
-        writer.push(&data).unwrap();
-        let summary = writer.finish().unwrap();
-        assert_eq!(summary.total_bytes, v1.len());
-        assert_eq!(summary.payload_bytes, v1.len() - 5 - 4);
-    }
-
-    #[test]
-    fn zero_flush_rowgroups_is_rejected_with_typed_error() {
-        let sink: Vec<u8> = Vec::new();
-        let err =
-            match ColumnWriter::<f64, _>::with_flush_rowgroups(sink, SamplerParams::default(), 0) {
-                Err(e) => e,
-                Ok(_) => panic!("zero flush_rowgroups must be rejected"),
-            };
-        assert_eq!(err.param, "flush_rowgroups");
-    }
-
-    /// A flush spanning several row-groups must emit one frame per row-group
-    /// and stay byte-identical to the one-row-group-per-flush writer — the
-    /// invariant `flush_rowgroup` used to only `debug_assert!`.
-    #[test]
-    fn multi_rowgroup_flushes_match_serial_writer_bytes() {
-        let params = SamplerParams { vectors_per_rowgroup: 3, ..SamplerParams::default() };
-        // 4.5 row-groups of data: full flushes of 3 row-groups plus a ragged
-        // tail flush that itself spans more than one row-group.
-        let data: Vec<f64> =
-            (0..3 * VECTOR_SIZE * 4 + 1536).map(|i| (i % 555) as f64 / 4.0).collect();
-
-        let mut serial = Vec::new();
-        let mut writer = ColumnWriter::<f64, _>::with_params(&mut serial, params).unwrap();
-        writer.push(&data).unwrap();
-        let serial_summary = writer.finish().unwrap();
-
-        let mut batched = Vec::new();
-        let mut writer =
-            ColumnWriter::<f64, _>::with_flush_rowgroups(&mut batched, params, 3).unwrap();
-        writer.push(&data).unwrap();
-        let batched_summary = writer.finish().unwrap();
-
-        assert_eq!(batched, serial);
-        assert_eq!(batched_summary, serial_summary);
-        assert_eq!(batched_summary.total_bytes, batched.len());
-        assert_eq!(batched_summary.rowgroups, 5);
+        assert_eq!(summary.total_bytes, file.len());
+        assert_eq!(summary.payload_bytes, file.len() - 5 - 4 - COMMIT_FOOTER_LEN);
     }
 
     #[test]
@@ -1290,24 +997,34 @@ mod tests {
         assert_eq!(restored.len(), data.len());
     }
 
-    #[test]
-    fn legacy_v1_streams_still_read() {
-        let data: Vec<f64> = (0..150_000).map(|i| (i % 333) as f64 / 2.0).collect();
-        let mut file = Vec::new();
-        let mut writer = ColumnWriter::<f64, _>::legacy(&mut file);
-        writer.push(&data).unwrap();
-        writer.finish().unwrap();
-        assert_eq!(&file[..4], b"ALPS");
+    /// The frozen `"ALPS"` file (no V1 writer is left) against the `"ALPT"`
+    /// golden of the same column; `tests/golden_wire.rs` holds both to the
+    /// generating dataset.
+    const GOLDEN_V1: &[u8] = include_bytes!("../../../tests/golden/alps_f64.bin");
+    const GOLDEN_V2: &[u8] = include_bytes!("../../../tests/golden/alpt_f64.bin");
 
-        let mut reader = ColumnReader::<f64, _>::new(&file[..]).unwrap();
+    fn drain_strict(file: &[u8]) -> (Vec<f64>, bool, Option<StreamFooter>) {
+        let mut reader = ColumnReader::<f64, _>::new(file).unwrap();
         let mut restored = Vec::new();
         while let Some(values) = reader.next_rowgroup().unwrap() {
             restored.extend(values);
         }
-        assert_eq!(restored.len(), data.len());
-        for (a, b) in data.iter().zip(&restored) {
+        (restored, reader.is_committed(), reader.footer())
+    }
+
+    #[test]
+    fn legacy_v1_streams_still_read() {
+        assert_eq!(&GOLDEN_V1[..4], b"ALPS");
+        let (want, _, _) = drain_strict(GOLDEN_V2);
+        let (restored, _, _) = drain_strict(GOLDEN_V1);
+        assert_eq!(restored.len(), 3 * 1024 + 333);
+        assert_eq!(restored.len(), want.len());
+        for (a, b) in want.iter().zip(&restored) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+        let (salvaged, lost, repaired, committed) = drain_salvaged(GOLDEN_V1);
+        assert!(lost.is_empty() && repaired.is_empty() && committed);
+        assert_eq!(salvaged.len(), want.len());
     }
 
     #[test]
@@ -1383,15 +1100,14 @@ mod tests {
 
     #[test]
     fn legacy_v1_commits_at_terminator() {
-        let data: Vec<f64> = (0..10_000).map(|i| i as f64 / 2.0).collect();
-        let mut file = Vec::new();
-        let mut writer = ColumnWriter::<f64, _>::legacy(&mut file);
-        writer.push(&data).unwrap();
-        writer.finish().unwrap();
-        let mut reader = ColumnReader::<f64, _>::new(&file[..]).unwrap();
-        while reader.next_rowgroup().unwrap().is_some() {}
-        assert!(reader.is_committed());
-        assert!(reader.footer().is_none(), "V1 streams carry no footer");
+        let (_, committed, footer) = drain_strict(GOLDEN_V1);
+        assert!(committed);
+        assert!(footer.is_none(), "V1 streams carry no footer");
+        // Cut inside the terminator: uncommitted, and the cut is reported.
+        let mut reader = ColumnReader::<f64, _>::new(&GOLDEN_V1[..GOLDEN_V1.len() - 2]).unwrap();
+        while reader.next_rowgroup_salvaged().unwrap().is_some() {}
+        assert!(!reader.is_committed());
+        assert_eq!(reader.lost_rowgroups(), &[4]);
     }
 
     #[test]
@@ -1448,24 +1164,15 @@ mod tests {
         file
     }
 
-    /// Byte ranges `(start, len)` of every frame in a V2 stream, in order.
-    fn frame_spans(file: &[u8]) -> Vec<(usize, usize)> {
+    /// Byte ranges `(start, len, is_parity)` of every frame in a V2 stream.
+    fn frame_spans(file: &[u8]) -> Vec<(usize, usize, bool)> {
         let mut spans = Vec::new();
         let mut at = 5;
-        loop {
-            let len = u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
-            if len == 0 {
-                break;
-            }
-            spans.push((at, 12 + len));
-            at += 12 + len;
+        while let Some((frame, _)) = Frame::split(&file[at..]) {
+            spans.push((at, frame.whole.len(), frame::claims_parity(frame.whole)));
+            at += frame.whole.len();
         }
         spans
-    }
-
-    /// Whether the frame at `span` is a parity frame.
-    fn is_parity_span(file: &[u8], span: (usize, usize)) -> bool {
-        file[span.0 + 12..span.0 + span.1].starts_with(parity::PARITY_MAGIC.as_slice())
     }
 
     fn drain_salvaged(file: &[u8]) -> (Vec<f64>, Vec<usize>, Vec<usize>, bool) {
@@ -1487,7 +1194,7 @@ mod tests {
         let data: Vec<f64> = (0..20_000).map(|i| (i % 333) as f64 / 4.0).collect();
         let file = parity_stream(&data, 4);
         let spans = frame_spans(&file);
-        let parity_frames = spans.iter().filter(|&&s| is_parity_span(&file, s)).count();
+        let parity_frames = spans.iter().filter(|s| s.2).count();
         let data_frames = spans.len() - parity_frames;
         // 20_000 values / 2048 per row-group = 10 frames → 2 full groups + 1
         // partial (tail) group → 3 parity frames.
@@ -1511,61 +1218,11 @@ mod tests {
     }
 
     #[test]
-    fn single_damaged_frame_per_group_is_repaired_byte_identically() {
-        let data: Vec<f64> = (0..20_000).map(|i| ((i % 777) as f64) / 8.0).collect();
-        let file = parity_stream(&data, 4);
-        let spans = frame_spans(&file);
-        let data_spans: Vec<(usize, usize)> =
-            spans.iter().copied().filter(|&s| !is_parity_span(&file, s)).collect();
-        // One damaged data frame in each of the three groups, including the
-        // partial tail group — every one must come back repaired.
-        for &victim in &[1usize, 6, 9] {
-            let mut hurt = file.clone();
-            let (start, len) = data_spans[victim];
-            hurt[start + len / 2] ^= 0x40;
-            let (restored, lost, repaired, committed) = drain_salvaged(&hurt);
-            assert_eq!(restored, data, "victim {victim} must restore bit-exactly");
-            assert!(lost.is_empty(), "victim {victim} must not be lost");
-            assert_eq!(repaired, vec![victim]);
-            assert!(committed);
-        }
-    }
-
-    #[test]
-    fn two_damaged_frames_in_one_group_degrade_to_loss_report() {
-        let data: Vec<f64> = (0..20_000).map(|i| (i % 555) as f64 / 2.0).collect();
-        let file = parity_stream(&data, 4);
-        let spans = frame_spans(&file);
-        let data_spans: Vec<(usize, usize)> =
-            spans.iter().copied().filter(|&s| !is_parity_span(&file, s)).collect();
-        let mut hurt = file.clone();
-        for &victim in &[4usize, 6] {
-            let (start, len) = data_spans[victim];
-            hurt[start + len / 2] ^= 0x08;
-        }
-        let (restored, lost, repaired, committed) = drain_salvaged(&hurt);
-        assert_eq!(lost, vec![4, 6]);
-        assert!(repaired.is_empty());
-        assert!(committed, "in-place damage does not un-commit a stream");
-        // Everything outside the two lost row-groups is intact and ordered.
-        let rg = 2 * VECTOR_SIZE;
-        let mut expect = Vec::new();
-        for (i, chunk) in data.chunks(rg).enumerate() {
-            if i != 4 && i != 6 {
-                expect.extend_from_slice(chunk);
-            }
-        }
-        assert_eq!(restored, expect);
-    }
-
-    #[test]
     fn damaged_parity_frame_costs_no_data() {
         let data: Vec<f64> = (0..20_000).map(|i| (i % 999) as f64 / 16.0).collect();
         let file = parity_stream(&data, 4);
         let spans = frame_spans(&file);
-        let parity_spans: Vec<(usize, usize)> =
-            spans.iter().copied().filter(|&s| is_parity_span(&file, s)).collect();
-        for &(start, len) in &parity_spans {
+        for &(start, len, _) in spans.iter().filter(|s| s.2) {
             let mut hurt = file.clone();
             hurt[start + len / 2] ^= 0x01;
             let (restored, lost, repaired, committed) = drain_salvaged(&hurt);
@@ -1581,7 +1238,7 @@ mod tests {
         let data: Vec<f64> = (0..20_000).map(|i| (i % 444) as f64 / 4.0).collect();
         let file = parity_stream(&data, 4);
         let spans = frame_spans(&file);
-        let &(pstart, plen) = spans.iter().rfind(|&&s| is_parity_span(&file, s)).unwrap();
+        let &(pstart, plen, _) = spans.iter().rfind(|s| s.2).unwrap();
         // Cut mid-way through the final (tail) parity frame: every data
         // frame is intact, so nothing is lost — but the commit record is
         // gone, so the stream reads as uncommitted.

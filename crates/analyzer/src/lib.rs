@@ -142,15 +142,20 @@ impl Default for Config {
                 "crates/gpzip/src/*",
                 "crates/alp/src/format.rs",
                 "crates/alp/src/stream.rs",
-                // Parity reconstruction decodes damaged frames; its decode
-                // entry points need fallible twins like any other reader.
-                "crates/alp/src/parity.rs",
+                // The frame layer reads and repairs damaged frames; its
+                // decode entry points need fallible twins like any other
+                // reader.
+                "crates/alp/src/frame.rs",
                 // The query service decodes untrusted-by-policy pages: its
                 // public decompress entry points need fallible twins too.
                 // (`crates/vectorq/src/scrub.rs` rides this glob.)
                 "crates/vectorq/src/*",
             ]),
-            wire_files: strings(&["crates/alp/src/format.rs", "crates/alp/src/stream.rs"]),
+            wire_files: strings(&[
+                "crates/alp/src/format.rs",
+                "crates/alp/src/stream.rs",
+                "crates/alp/src/frame.rs",
+            ]),
             writer_fn_patterns: strings(&[
                 "to_bytes",
                 "write",

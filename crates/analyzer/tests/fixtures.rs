@@ -45,15 +45,15 @@ fn no_panic_good_is_clean() {
 
 #[test]
 fn repair_bad_flags_the_panicking_xor_fold() {
-    // Labeled as the real parity module: `repair_rowgroup` matches the
+    // Labeled as the real frame module: `repair_rowgroup` matches the
     // `repair` decode-name pattern inside the `alp` decode crate.
-    let found = scan("crates/alp/src/parity.rs", include_str!("fixtures/repair_bad.rs"));
+    let found = scan("crates/alp/src/frame.rs", include_str!("fixtures/repair_bad.rs"));
     assert_eq!(found, pairs(&[("no-panic", 9)]));
 }
 
 #[test]
 fn repair_good_is_clean() {
-    let found = scan("crates/alp/src/parity.rs", include_str!("fixtures/repair_good.rs"));
+    let found = scan("crates/alp/src/frame.rs", include_str!("fixtures/repair_good.rs"));
     assert_eq!(found, pairs(&[]));
 }
 

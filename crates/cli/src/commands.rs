@@ -222,17 +222,20 @@ fn read_column_with_repair<F: alp::AlpFloat>(
     }
 }
 
+/// Whether `bytes` is a stream (`"ALPT"` / legacy `"ALPS"`) rather than a
+/// column. Both share the width-at-byte-4 convention; the magic picks the
+/// reader.
+fn is_stream(bytes: &[u8]) -> bool {
+    bytes.starts_with(alp::stream::STREAM_MAGIC) || bytes.starts_with(alp::stream::STREAM_MAGIC_V1)
+}
+
 /// `alp decompress <in> <out>` — with repair-on-read: a damaged but
 /// parity-protected file whose every row-group is reconstructible
 /// decompresses byte-identically, with a note naming the repaired
 /// row-groups.
 pub fn decompress(input: &str, output: &str) -> Result<()> {
     let bytes = fs::read(input)?;
-    // Streams (`"ALPT"` / legacy `"ALPS"`) and columns share the
-    // width-at-byte-4 convention; the magic picks the reader.
-    if bytes.len() >= 4
-        && (&bytes[..4] == alp::stream::STREAM_MAGIC || &bytes[..4] == alp::stream::STREAM_MAGIC_V1)
-    {
+    if is_stream(&bytes) {
         return decompress_stream(&bytes, output);
     }
     // Peek at the width byte (after the 4-byte magic).
@@ -413,9 +416,7 @@ fn verify_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8], threads: usize) -> 
 /// [`VERIFY_EXIT_UNREADABLE`] (4). `Err` exits 1.
 pub fn scrub(input: &str, threads: usize, rewrite: bool) -> Result<u8> {
     let bytes = fs::read(input)?;
-    if bytes.len() >= 4
-        && (&bytes[..4] == alp::stream::STREAM_MAGIC || &bytes[..4] == alp::stream::STREAM_MAGIC_V1)
-    {
+    if is_stream(&bytes) {
         if rewrite {
             return Err("--rewrite supports column files; re-ingest to rewrite a stream".into());
         }

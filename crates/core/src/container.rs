@@ -1,65 +1,49 @@
 //! Registry-keyed storage envelope.
 //!
-//! One frame works for every registered codec, replacing per-codec framing:
+//! One envelope works for every registered codec, replacing per-codec framing:
 //!
 //! ```text
 //! magic "ALPC" | id_len: u8 | id bytes | count: u64 LE | payload_len: u64 LE
-//!   | xxh64(payload): u64 LE | payload
+//!   | xxh64(payload): u64 LE | frames | [trailing parity frames]
 //! ```
 //!
 //! The codec id is stored by name, so a reader needs no out-of-band schema to
-//! pick the right decoder — it looks the id up in the [`Registry`] — and the
-//! payload checksum (same xxh64 as ALP's row-group format) rejects bit rot
+//! pick the right decoder — it looks the id up in the [`Registry`]. The
+//! payload follows cut into slices of at most [`SLICE_LEN`] bytes, each an
+//! [`alp::frame`] frame (`len | xxh64 | slice`) — the `"ALP2"` column's layout
+//! with a registry header and opaque bodies. Per-slice checksums *localize*
+//! damage; the header's whole-payload checksum stays as the end-to-end proof
+//! that the reassembled (and possibly repaired) payload is what was written,
 //! before any decoder sees the bytes.
 //!
-//! ## Parity section
-//!
-//! [`write_container_with_parity`] appends an optional erasure-protection
-//! section *after* the payload — readers that predate it (including
-//! [`try_read_header`], which only looks at `payload_len` bytes) skip it
-//! transparently:
-//!
-//! ```text
-//! "ALPP" | group_size:u8 | chunk_len:u32 | nchunks:u32
-//!   | chunk xxh64s [nchunks * 8] | XOR blocks [ceil(nchunks/group_size) * chunk_len]
-//!   | section xxh64
-//! ```
-//!
-//! The payload is cut into `chunk_len`-byte chunks (the last possibly
-//! short); per-chunk checksums *localize* damage the whole-payload checksum
-//! can only detect, and one XOR block per `group_size` chunks reconstructs
-//! any single damaged chunk per group ([`try_read_container_salvaged`]).
-//! Truncation is not repairable — the section trails the payload and is cut
-//! off with it — which is the honest trade for legacy compatibility.
+//! [`write_container_with_parity`] appends the layer's trailing `"ALPP"`
+//! parity section, one parity frame per `group_size` slices, which
+//! [`try_read_container_salvaged`] uses to rebuild any single damaged slice
+//! per group. Strict readers never look at it. Truncation is not repairable —
+//! the section trails the payload and is cut off with it.
 
 use crate::codec::ColumnCodec;
 use crate::error::CoreError;
 use crate::registry::Registry;
 use crate::scratch::Scratch;
 use alp::format::FormatError;
+use alp::frame::{self, Frame};
 use alp::ParityConfig;
 
-/// Frame magic: ALP container.
+/// Envelope magic: ALP container.
 pub const MAGIC: [u8; 4] = *b"ALPC";
 
-/// Magic of the trailing parity section (shared with the stream's parity
-/// frames — both spell "ALP parity").
-pub const PARITY_MAGIC: [u8; 4] = *b"ALPP";
-
-/// Seed of the payload checksum (distinct from ALP's row-group seed so the
-/// two integrity domains cannot be confused).
+/// Seed of the whole-payload checksum (distinct from the frame layer's seed
+/// so the two integrity domains cannot be confused).
 const CHECKSUM_SEED: u64 = 0xC0_17_A1_9E;
 
-/// Fixed bytes before the payload, excluding the variable-length id.
+/// Fixed bytes before the frames, excluding the variable-length id.
 const FIXED_HEADER: usize = MAGIC.len() + 1 + 8 + 8 + 8;
 
-/// Payload bytes per parity chunk — the localization granularity of repair.
-const PARITY_CHUNK_LEN: usize = 4096;
+/// Payload bytes per frame — the localization granularity of repair.
+const SLICE_LEN: usize = 4096;
 
-/// Fixed bytes of the parity section before the chunk checksums.
-const PARITY_FIXED: usize = PARITY_MAGIC.len() + 1 + 4 + 4;
-
-/// Wraps `codec`-compressed `data` in a self-describing checksummed frame.
+/// Wraps `codec`-compressed `data` in a self-describing checksummed envelope.
 ///
 /// Errs with [`CoreError::Unsupported`] for ratio-only codecs.
 pub fn write_container(
@@ -67,30 +51,12 @@ pub fn write_container(
     data: &[f64],
     scratch: &mut Scratch,
 ) -> Result<Vec<u8>, CoreError> {
-    let mut payload = std::mem::take(&mut scratch.stage);
-    let result = codec.try_compress_into(data, &mut payload, scratch);
-    let frame = result.map(|()| {
-        let id = codec.id().as_bytes();
-        debug_assert!(id.len() <= u8::MAX as usize, "registry ids are short");
-        let mut out = Vec::with_capacity(FIXED_HEADER + id.len() + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(id.len() as u8);
-        out.extend_from_slice(id);
-        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&alp::hash::xxh64(&payload, CHECKSUM_SEED).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    });
-    scratch.stage = payload;
-    frame
+    write_envelope(codec, data, scratch, None)
 }
 
-/// [`write_container`], then appends the XOR parity section described in the
-/// module docs: any single damaged `chunk_len`-byte payload chunk per
-/// `parity.group_size` chunks becomes reconstructible through
-/// [`try_read_container_salvaged`], at ~`1/group_size` space overhead.
-/// Readers that predate parity ignore the section entirely.
+/// [`write_container`] plus the trailing parity section: any single damaged
+/// slice per `parity.group_size` slices becomes reconstructible through
+/// [`try_read_container_salvaged`].
 ///
 /// Errs with [`CoreError::Config`] when the group size is out of range, or
 /// [`CoreError::Unsupported`] for ratio-only codecs.
@@ -101,61 +67,57 @@ pub fn write_container_with_parity(
     parity: ParityConfig,
 ) -> Result<Vec<u8>, CoreError> {
     parity.validate()?;
-    let mut frame = write_container(codec, data, scratch)?;
-    let payload_start = FIXED_HEADER + codec.id().len();
-    let section =
-        build_parity_section(frame.get(payload_start..).unwrap_or(&[]), parity.group_size);
-    frame.extend_from_slice(&section);
-    Ok(frame)
+    write_envelope(codec, data, scratch, Some(parity))
 }
 
-/// Builds the trailing parity section over a payload (see the module docs).
-fn build_parity_section(payload: &[u8], group_size: usize) -> Vec<u8> {
-    let chunks: Vec<&[u8]> = payload.chunks(PARITY_CHUNK_LEN).collect();
-    let ngroups = chunks.len().div_ceil(group_size.max(1));
-    let mut out =
-        Vec::with_capacity(PARITY_FIXED + chunks.len() * 8 + ngroups * PARITY_CHUNK_LEN + 8);
-    out.extend_from_slice(&PARITY_MAGIC);
-    out.push(group_size as u8);
-    out.extend_from_slice(&(PARITY_CHUNK_LEN as u32).to_le_bytes());
-    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-    for chunk in &chunks {
-        out.extend_from_slice(&alp::hash::xxh64(chunk, CHECKSUM_SEED).to_le_bytes());
-    }
-    for group in chunks.chunks(group_size.max(1)) {
-        let mut block = vec![0u8; PARITY_CHUNK_LEN];
-        for chunk in group {
-            for (b, &x) in block.iter_mut().zip(*chunk) {
-                *b ^= x;
-            }
-        }
-        out.extend_from_slice(&block);
-    }
-    let sum = alp::hash::xxh64(&out, CHECKSUM_SEED);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+fn write_envelope(
+    codec: &dyn ColumnCodec,
+    data: &[f64],
+    scratch: &mut Scratch,
+    parity: Option<ParityConfig>,
+) -> Result<Vec<u8>, CoreError> {
+    let mut payload = std::mem::take(&mut scratch.stage);
+    let result = codec.try_compress_into(data, &mut payload, scratch);
+    let envelope = result.map(|()| {
+        let id = codec.id().as_bytes();
+        debug_assert!(id.len() <= u8::MAX as usize, "registry ids are short");
+        let frames = payload.len().div_ceil(SLICE_LEN);
+        let mut out = Vec::with_capacity(
+            FIXED_HEADER + id.len() + payload.len() + frames * frame::PREFIX_LEN,
+        );
+        out.extend_from_slice(&MAGIC);
+        out.push(id.len() as u8);
+        out.extend_from_slice(id);
+        out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&alp::hash::xxh64(&payload, CHECKSUM_SEED).to_le_bytes());
+        frame::encode_trailing(&mut out, parity, payload.chunks(SLICE_LEN), |o, slice| {
+            o.extend_from_slice(slice)
+        });
+        out
+    });
+    scratch.stage = payload;
+    envelope
 }
 
-/// A parsed container header plus its payload slice.
-pub struct Container<'a> {
-    /// The codec the payload was written with, resolved from the registry.
-    pub codec: &'static dyn ColumnCodec,
-    /// Number of values in the column.
-    pub count: usize,
-    /// The checksum-verified compressed payload.
-    pub payload: &'a [u8],
+/// The parsed envelope header and the framed region behind it.
+struct Header<'a> {
+    id: &'a str,
+    count: usize,
+    payload_len: usize,
+    /// Stored checksum of the whole payload.
+    stored: u64,
+    /// `frames | [trailing parity frames]`.
+    frames: &'a [u8],
 }
 
 /// Pops a little-endian `u64` off the front of `bytes`.
 fn read_u64_le(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let (word, rest) = bytes.split_at_checked(8)?;
-    let word: [u8; 8] = word.try_into().ok()?;
-    Some((u64::from_le_bytes(word), rest))
+    let (word, rest) = bytes.split_first_chunk::<8>()?;
+    Some((u64::from_le_bytes(*word), rest))
 }
 
-/// Parses and integrity-checks a container frame without decompressing.
-pub fn try_read_header(bytes: &[u8]) -> Result<Container<'_>, CoreError> {
-    use alp::format::FormatError;
+fn read_header(bytes: &[u8]) -> Result<Header<'_>, CoreError> {
     let truncated = || CoreError::Format(FormatError::Truncated);
     let rest = bytes.strip_prefix(&MAGIC).ok_or(CoreError::Format(FormatError::BadMagic))?;
     let (&id_len, rest) = rest.split_first().ok_or_else(truncated)?;
@@ -164,44 +126,80 @@ pub fn try_read_header(bytes: &[u8]) -> Result<Container<'_>, CoreError> {
         .map_err(|_| CoreError::Format(FormatError::Corrupt("container id is not utf-8")))?;
     let (count, rest) = read_u64_le(rest).ok_or_else(truncated)?;
     let (payload_len, rest) = read_u64_le(rest).ok_or_else(truncated)?;
-    let (stored, rest) = read_u64_le(rest).ok_or_else(truncated)?;
-    if count > usize::MAX as u64 {
-        return Err(truncated());
+    let (stored, frames) = read_u64_le(rest).ok_or_else(truncated)?;
+    // A payload cannot be longer than the bytes that frame it.
+    let count = usize::try_from(count).map_err(|_| truncated())?;
+    let payload_len =
+        usize::try_from(payload_len).ok().filter(|&n| n <= frames.len()).ok_or_else(truncated)?;
+    Ok(Header { id, count, payload_len, stored, frames })
+}
+
+/// The end-to-end half of every read: the reassembled payload must have the
+/// promised length and whole-payload checksum before the registry codec
+/// named by the header decodes it into `out`.
+fn decode_payload(
+    header: &Header<'_>,
+    payload: &[u8],
+    out: &mut Vec<f64>,
+    scratch: &mut Scratch,
+) -> Result<&'static dyn ColumnCodec, CoreError> {
+    if payload.len() != header.payload_len {
+        return Err(CoreError::Format(FormatError::Corrupt("container payload length")));
     }
-    let payload =
-        usize::try_from(payload_len).ok().and_then(|n| rest.get(..n)).ok_or_else(truncated)?;
     let computed = alp::hash::xxh64(payload, CHECKSUM_SEED);
-    if computed != stored {
+    if computed != header.stored {
         return Err(CoreError::Format(FormatError::ChecksumMismatch {
             rowgroup: 0,
-            stored,
+            stored: header.stored,
             computed,
         }));
     }
-    let codec = Registry::get(id).ok_or_else(|| CoreError::UnknownCodec(id.to_owned()))?;
-    Ok(Container { codec, count: count as usize, payload })
+    let codec =
+        Registry::get(header.id).ok_or_else(|| CoreError::UnknownCodec(header.id.to_owned()))?;
+    codec.try_decompress_into(payload, header.count, out, scratch)?;
+    Ok(codec)
 }
 
-/// Reads a container and decompresses its column into `out`.
+/// Strict reassembly: the payload's slice frames in order, each verified.
+fn reassemble(header: &Header<'_>, payload: &mut Vec<u8>) -> Result<(), FormatError> {
+    payload.clear();
+    let mut rest = header.frames;
+    let mut index = 0usize;
+    while payload.len() < header.payload_len {
+        let (frame, tail) = Frame::split(rest).ok_or(FormatError::Truncated)?;
+        frame.check(index)?;
+        payload.extend_from_slice(frame.body);
+        rest = tail;
+        index += 1;
+    }
+    Ok(())
+}
+
+/// Reads a container and decompresses its column into `out`. Strict: any
+/// damaged slice is an error naming its index.
 ///
-/// Returns the codec the frame was written with.
+/// Returns the codec the envelope was written with.
 pub fn try_read_container_into(
     bytes: &[u8],
     out: &mut Vec<f64>,
     scratch: &mut Scratch,
 ) -> Result<&'static dyn ColumnCodec, CoreError> {
-    let container = try_read_header(bytes)?;
-    container.codec.try_decompress_into(container.payload, container.count, out, scratch)?;
-    Ok(container.codec)
+    let header = read_header(bytes)?;
+    let mut payload = std::mem::take(&mut scratch.stage);
+    let result = reassemble(&header, &mut payload)
+        .map_err(CoreError::Format)
+        .and_then(|()| decode_payload(&header, &payload, out, scratch));
+    scratch.stage = payload;
+    result
 }
 
 /// Outcome of a salvage-with-repair container read.
 pub struct ContainerSalvage {
-    /// The codec the frame was written with.
+    /// The codec the envelope was written with.
     pub codec: &'static dyn ColumnCodec,
-    /// Payload chunk indices that were XOR-reconstructed from the parity
-    /// section (empty on a clean read). The decoded column is byte-identical
-    /// to the uncorrupted original whenever this path returns `Ok`.
+    /// Payload slice indices that were rebuilt from the parity section (empty
+    /// on a clean read). The decoded column is byte-identical to the
+    /// uncorrupted original whenever this path returns `Ok`.
     pub repaired_chunks: Vec<usize>,
 }
 
@@ -214,158 +212,37 @@ impl core::fmt::Debug for ContainerSalvage {
     }
 }
 
-/// The trailing parity section, parsed and section-checksum-verified.
-struct ParitySection<'a> {
-    group_size: usize,
-    chunk_len: usize,
-    /// Stored per-chunk checksums, 8 bytes each.
-    sums: &'a [u8],
-    nchunks: usize,
-    /// The XOR blocks, `chunk_len` bytes per group.
-    blocks: &'a [u8],
-}
-
-/// Parses the parity section from the bytes trailing the payload. `None`
-/// when absent, malformed, or failing its own checksum — the caller then
-/// degrades to plain detection.
-fn parse_parity_section(tail: &[u8]) -> Option<ParitySection<'_>> {
-    let rest = tail.strip_prefix(&PARITY_MAGIC)?;
-    let (&gs, rest) = rest.split_first()?;
-    let group_size = gs as usize;
-    let (chunk_len, rest) = {
-        let (w, rest) = rest.split_at_checked(4)?;
-        (u32::from_le_bytes(w.try_into().ok()?) as usize, rest)
-    };
-    let (nchunks, rest) = {
-        let (w, rest) = rest.split_at_checked(4)?;
-        (u32::from_le_bytes(w.try_into().ok()?) as usize, rest)
-    };
-    if group_size == 0 || chunk_len == 0 {
-        return None;
-    }
-    let (sums, rest) = rest.split_at_checked(nchunks.checked_mul(8)?)?;
-    let ngroups = nchunks.div_ceil(group_size);
-    let (blocks, rest) = rest.split_at_checked(ngroups.checked_mul(chunk_len)?)?;
-    let (stored, _) = read_u64_le(rest)?;
-    let section_len = tail.len().checked_sub(rest.len())?;
-    let computed = alp::hash::xxh64(tail.get(..section_len)?, CHECKSUM_SEED);
-    if computed != stored {
-        return None;
-    }
-    Some(ParitySection { group_size, chunk_len, sums, nchunks, blocks })
-}
-
-/// Stored checksum of chunk `i` (little-endian u64 at `i * 8`).
-fn stored_chunk_sum(sums: &[u8], i: usize) -> Option<u64> {
-    let at = i.checked_mul(8)?;
-    Some(u64::from_le_bytes(sums.get(at..at + 8)?.try_into().ok()?))
-}
-
 /// [`try_read_container_into`] that *repairs* instead of merely detecting:
-/// when the payload checksum fails and the frame carries a parity section
-/// ([`write_container_with_parity`]), damaged chunks are localized by their
-/// stored per-chunk checksums (fanned out over up to `threads` morsel
-/// workers), XOR-reconstructed — at most one per parity group — and the
-/// repaired payload is re-verified against the header checksum before
-/// decoding. Two or more damaged chunks in one group, a damaged parity
-/// section, or a truncated frame surface the original error: detection
-/// without repair, exactly as [`try_read_container_into`] reports today.
+/// when the strict read fails on a damaged slice, the slices are verified on
+/// up to `threads` morsel workers, at most one damaged slice per parity group
+/// is rebuilt ([`frame::salvage`]), and the reassembled payload is re-verified
+/// against the header checksum before decoding. Damage beyond that — two
+/// slices in one group, no parity, truncation — surfaces the strict read's
+/// error: detection without repair.
 pub fn try_read_container_salvaged(
     bytes: &[u8],
     out: &mut Vec<f64>,
     scratch: &mut Scratch,
     threads: usize,
 ) -> Result<ContainerSalvage, CoreError> {
-    match try_read_container_into(bytes, out, scratch) {
-        Ok(codec) => Ok(ContainerSalvage { codec, repaired_chunks: Vec::new() }),
-        Err(original @ CoreError::Format(FormatError::ChecksumMismatch { .. })) => {
-            try_repair_container(bytes, out, scratch, threads).ok_or(original)
-        }
-        Err(e) => Err(e),
+    let strict_err = match try_read_container_into(bytes, out, scratch) {
+        Ok(codec) => return Ok(ContainerSalvage { codec, repaired_chunks: Vec::new() }),
+        Err(e @ CoreError::Format(_)) => e,
+        Err(e) => return Err(e),
+    };
+    let Ok(header) = read_header(bytes) else { return Err(strict_err) };
+    let slices = header.payload_len.div_ceil(SLICE_LEN);
+    let salvaged = frame::salvage(header.frames, slices, threads, |slice, _| {
+        slice.verify().then(|| slice.body.to_vec())
+    });
+    // Any slice still missing after repair is the strict read's error.
+    let Some(payload) = salvaged.items.into_iter().collect::<Option<Vec<_>>>() else {
+        return Err(strict_err);
+    };
+    match decode_payload(&header, &payload.concat(), out, scratch) {
+        Ok(codec) => Ok(ContainerSalvage { codec, repaired_chunks: salvaged.repaired }),
+        Err(_) => Err(strict_err),
     }
-}
-
-/// The repair half of [`try_read_container_salvaged`]: re-parses the header
-/// leniently, reconstructs damaged payload chunks from the parity section,
-/// and decodes the repaired payload. `None` when repair is impossible.
-fn try_repair_container(
-    bytes: &[u8],
-    out: &mut Vec<f64>,
-    scratch: &mut Scratch,
-    threads: usize,
-) -> Option<ContainerSalvage> {
-    // Lenient header walk: the strict read already classified the failure as
-    // a payload checksum mismatch, so the structural fields are parseable.
-    let rest = bytes.strip_prefix(&MAGIC)?;
-    let (&id_len, rest) = rest.split_first()?;
-    let (id, rest) = rest.split_at_checked(id_len as usize)?;
-    let id = core::str::from_utf8(id).ok()?;
-    let (count, rest) = read_u64_le(rest)?;
-    let (payload_len, rest) = read_u64_le(rest)?;
-    let (stored, rest) = read_u64_le(rest)?;
-    let payload_len = usize::try_from(payload_len).ok()?;
-    let payload = rest.get(..payload_len)?;
-    let section = parse_parity_section(rest.get(payload_len..)?)?;
-
-    let chunks: Vec<&[u8]> = payload.chunks(section.chunk_len).collect();
-    if chunks.len() != section.nchunks {
-        return None;
-    }
-    // Localize damage: verify every chunk against its stored checksum.
-    let verdicts = alp::par::map_morsels(
-        threads,
-        chunks.len(),
-        || (),
-        |(), m| {
-            let chunk = chunks.get(m)?;
-            let ok = stored_chunk_sum(section.sums, m)? == alp::hash::xxh64(chunk, CHECKSUM_SEED);
-            Some(ok)
-        },
-    );
-    let mut repaired_payload = payload.to_vec();
-    let mut repaired_chunks = Vec::new();
-    for (g, group) in verdicts.chunks(section.group_size).enumerate() {
-        let damaged: Vec<usize> = group
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| !matches!(v, Some(true)))
-            .map(|(j, _)| g * section.group_size + j)
-            .collect();
-        let Some(&victim) = damaged.first() else { continue };
-        if damaged.len() != 1 {
-            return None; // >= 2 damaged chunks in one group: beyond protection
-        }
-        let block_at = g.checked_mul(section.chunk_len)?;
-        let mut block = section.blocks.get(block_at..block_at + section.chunk_len)?.to_vec();
-        for i in (g * section.group_size..).take(group.len()) {
-            if i == victim {
-                continue;
-            }
-            for (b, &x) in block.iter_mut().zip(*chunks.get(i)?) {
-                *b ^= x;
-            }
-        }
-        let start = victim.checked_mul(section.chunk_len)?;
-        let slot = repaired_payload.get_mut(start..)?;
-        let take = slot.len().min(section.chunk_len);
-        slot.get_mut(..take)?.copy_from_slice(block.get(..take)?);
-        // The reconstruction must match the chunk's own stored checksum.
-        if stored_chunk_sum(section.sums, victim)?
-            != alp::hash::xxh64(repaired_payload.get(start..start + take)?, CHECKSUM_SEED)
-        {
-            return None;
-        }
-        repaired_chunks.push(victim);
-    }
-    // End-to-end proof: the repaired payload must match the header checksum.
-    if alp::hash::xxh64(&repaired_payload, CHECKSUM_SEED) != stored {
-        return None;
-    }
-    let codec = Registry::get(id)?;
-    codec
-        .try_decompress_into(&repaired_payload, usize::try_from(count).ok()?, out, scratch)
-        .ok()?;
-    Some(ContainerSalvage { codec, repaired_chunks })
 }
 
 #[cfg(test)]
@@ -426,13 +303,37 @@ mod tests {
         );
     }
 
-    /// Payload byte range of a container frame (after the variable header).
-    fn payload_range(codec: &dyn ColumnCodec, frame: &[u8]) -> (usize, usize) {
-        let start = FIXED_HEADER + codec.id().len();
+    /// The pre-frame-layer layout — header, then the payload as one raw run
+    /// — must be refused with a typed error, as must a header promising more
+    /// payload than the envelope holds.
+    #[test]
+    fn old_layout_and_lying_lengths_are_typed_errors() {
+        let data = sample();
+        let mut scratch = Scratch::new();
+        let codec = Registry::get("alp").expect("registered");
+        let mut payload = Vec::new();
+        codec.try_compress_into(&data, &mut payload, &mut scratch).expect("compress");
+        let mut old = Vec::new();
+        old.extend_from_slice(&MAGIC);
+        old.push(3);
+        old.extend_from_slice(b"alp");
+        old.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        old.extend_from_slice(&alp::hash::xxh64(&payload, CHECKSUM_SEED).to_le_bytes());
+        old.extend_from_slice(&payload);
+        let mut out = Vec::new();
+        for threads in [1usize, 4] {
+            let err = try_read_container_salvaged(&old, &mut out, &mut scratch, threads)
+                .map(|s| s.codec.id())
+                .unwrap_err();
+            assert!(matches!(err, CoreError::Format(_)), "got {err:?}");
+        }
+
+        let mut lying = write_container(codec, &data, &mut scratch).expect("compress");
         let len_at = MAGIC.len() + 1 + codec.id().len() + 8;
-        let payload_len =
-            u64::from_le_bytes(frame[len_at..len_at + 8].try_into().unwrap()) as usize;
-        (start, start + payload_len)
+        lying[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = try_read_container_into(&lying, &mut out, &mut scratch).map(|c| c.id());
+        assert_eq!(err.unwrap_err(), CoreError::Format(FormatError::Truncated));
     }
 
     #[test]
@@ -448,95 +349,17 @@ mod tests {
                 ParityConfig { group_size: 4 },
             )
             .expect("compress");
-            // The legacy reader skips the trailing section transparently.
+            // The strict reader never looks at the trailing section.
             let found =
-                try_read_container_into(&frame, &mut out, &mut scratch).expect("legacy read");
+                try_read_container_into(&frame, &mut out, &mut scratch).expect("strict read");
             assert_eq!(found.id(), codec.id());
-            assert_eq!(out, data, "{} legacy read", codec.id());
+            assert_eq!(out, data, "{} strict read", codec.id());
             // The salvage reader reports a clean read.
             let salvage = try_read_container_salvaged(&frame, &mut out, &mut scratch, 1)
                 .expect("salvage read");
             assert!(salvage.repaired_chunks.is_empty());
             assert_eq!(out, data, "{} salvage read", codec.id());
         }
-    }
-
-    #[test]
-    fn single_damaged_chunk_per_group_repairs_for_every_codec() {
-        let data = sample();
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        for codec in Registry::all().iter().filter(|c| !c.caps().ratio_only) {
-            let frame = write_container_with_parity(
-                *codec,
-                &data,
-                &mut scratch,
-                ParityConfig { group_size: 4 },
-            )
-            .expect("compress");
-            let (pstart, pend) = payload_range(*codec, &frame);
-            // One corrupted byte in the first chunk of each parity group.
-            let mut bytes = frame.clone();
-            let mut expected_chunks = Vec::new();
-            let mut off = pstart;
-            let mut chunk = 0usize;
-            while off < pend {
-                if chunk.is_multiple_of(4) {
-                    bytes[off] ^= 0xA5;
-                    expected_chunks.push(chunk);
-                }
-                off += PARITY_CHUNK_LEN;
-                chunk += 1;
-            }
-            // Detection without repair still errors.
-            assert!(try_read_container_into(&bytes, &mut out, &mut scratch).is_err());
-            for threads in [1usize, 4] {
-                let salvage = try_read_container_salvaged(&bytes, &mut out, &mut scratch, threads)
-                    .unwrap_or_else(|e| panic!("{} repair (t={threads}): {e}", codec.id()));
-                assert_eq!(salvage.repaired_chunks, expected_chunks, "{}", codec.id());
-                assert_eq!(out, data, "{} repaired decode", codec.id());
-            }
-        }
-    }
-
-    #[test]
-    fn two_damaged_chunks_in_one_group_report_the_original_error() {
-        let data = sample();
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        let codec = Registry::get("alp").expect("registered");
-        let frame =
-            write_container_with_parity(codec, &data, &mut scratch, ParityConfig { group_size: 4 })
-                .expect("compress");
-        let (pstart, pend) = payload_range(codec, &frame);
-        let mut bytes = frame.clone();
-        bytes[pstart] ^= 0x01;
-        bytes[(pstart + PARITY_CHUNK_LEN).min(pend - 1)] ^= 0x01;
-        let err = try_read_container_salvaged(&bytes, &mut out, &mut scratch, 2).unwrap_err();
-        assert!(
-            matches!(err, CoreError::Format(FormatError::ChecksumMismatch { .. })),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn damaged_parity_section_still_reads_data_clean() {
-        let data = sample();
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        let codec = Registry::get("alp").expect("registered");
-        let frame =
-            write_container_with_parity(codec, &data, &mut scratch, ParityConfig { group_size: 2 })
-                .expect("compress");
-        let (_, pend) = payload_range(codec, &frame);
-        let mut bytes = frame.clone();
-        for b in &mut bytes[pend..] {
-            *b ^= 0x3C;
-        }
-        let salvage = try_read_container_salvaged(&bytes, &mut out, &mut scratch, 1)
-            .expect("clean payload reads despite trashed parity");
-        assert!(salvage.repaired_chunks.is_empty());
-        assert_eq!(out, data);
     }
 
     #[test]

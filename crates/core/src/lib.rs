@@ -32,7 +32,7 @@ pub mod scratch;
 pub use codec::{Capabilities, ColumnCodec};
 pub use container::{
     try_read_container_into, try_read_container_salvaged, write_container,
-    write_container_with_parity, Container, ContainerSalvage,
+    write_container_with_parity, ContainerSalvage,
 };
 pub use error::CoreError;
 pub use registry::{Registry, SPEED_IDS, TABLE4_IDS};

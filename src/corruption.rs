@@ -41,13 +41,14 @@ pub fn transient_plans(seed: u64) -> Vec<(String, FaultPlan)> {
     ]
 }
 
-/// What a parity-aware fault case must do to a salvaging stream reader.
-/// The driver (`tests/self_healing.rs`) asserts each expectation literally;
-/// the cases themselves are pure functions of the `ALP_FAULT_SEED` base.
+/// What a parity-aware fault case must do to a salvaging reader. The driver
+/// (`tests/self_healing.rs`) asserts each expectation literally, on every
+/// framed format; the cases themselves are pure functions of the
+/// `ALP_FAULT_SEED` base.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParityExpectation {
     /// Exactly one frame per parity group is damaged: salvage must repair
-    /// every group and decode byte-identically to the pristine stream.
+    /// every group and decode byte-identically to the pristine bytes.
     Repairs,
     /// Two frames inside one parity group are damaged: single-fault XOR
     /// parity cannot reconstruct, so salvage must degrade to an honest loss
@@ -58,42 +59,43 @@ pub enum ParityExpectation {
     DataClean,
 }
 
-/// One parity-aware corruption of a protected `"ALPT"` stream.
+/// One parity-aware corruption of a protected stream, column or container.
 pub struct ParityCase {
-    /// Reproducing description (`"flip byte N of data frame F (group G)"` …).
+    /// Reproducing description (`"one data frame corrupt per group: g0@1234"` …).
     pub label: String,
-    /// The corrupted stream bytes.
+    /// The corrupted bytes.
     pub bytes: Vec<u8>,
     /// The contract the salvage path must uphold on these bytes.
     pub expect: ParityExpectation,
+    /// Indices (in data-frame order, ascending) of the data frames hit.
+    pub damaged: Vec<usize>,
 }
 
-/// Frame spans of an `"ALPT"`/`"ALPS"` stream: `(start, end, is_parity)` per
-/// `len:u32 | xxh64:u64 | body` frame, stopping at the zero-length
-/// terminator or the first span that runs past the buffer. Parity frames are
-/// recognised by their `"ALPP"` body magic. Public so suites can aim
-/// corruption at a specific frame's body rather than at raw offsets.
-pub fn stream_frame_spans(bytes: &[u8]) -> Vec<(usize, usize, bool)> {
-    let mut at = 5;
+/// Spans `(start, end, is_parity)` of the consecutive [`alp::frame`] frames
+/// starting at byte `at`, up to the first thing that is not a whole frame (a
+/// stream's terminator, the end of the buffer, a length running past it).
+/// The one frame walker of the harness and the suites: aim corruption at a
+/// specific frame's body rather than at raw offsets.
+pub fn frame_spans(bytes: &[u8], mut at: usize) -> Vec<(usize, usize, bool)> {
     let mut spans = Vec::new();
-    while at + 4 <= bytes.len() {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("frame length")) as usize;
-        if len == 0 {
-            break;
-        }
-        let end = at + 4 + 8 + len;
-        if end > bytes.len() {
-            break;
-        }
-        let is_parity = len >= 4 && &bytes[at + 12..at + 16] == b"ALPP";
-        spans.push((at, end, is_parity));
-        at = end;
+    while let Some((frame, _)) = bytes.get(at..).and_then(alp::frame::Frame::split) {
+        spans.push((at, at + frame.whole.len(), alp::frame::claims_parity(frame.whole)));
+        at += frame.whole.len();
     }
     spans
 }
 
-/// The three parity fault families over one parity-protected stream, derived
-/// from `seed` alone:
+/// [`frame_spans`] of an `"ALPT"` stream (frames start after its 5-byte
+/// header).
+pub fn stream_frame_spans(bytes: &[u8]) -> Vec<(usize, usize, bool)> {
+    frame_spans(bytes, 5)
+}
+
+/// The three parity fault families over one parity-protected byte string
+/// whose frames sit at `spans` (see [`frame_spans`]), derived from `seed`
+/// alone. Placement-agnostic — the `g`-th run of `group_size` data frames
+/// belongs to the `g`-th parity frame whether parity is interleaved (streams)
+/// or trailing (columns, containers):
 ///
 /// 1. one seed-picked data frame corrupted in *every* parity group
 ///    (must repair — each group absorbs one fault);
@@ -105,86 +107,84 @@ pub fn stream_frame_spans(bytes: &[u8]) -> Vec<(usize, usize, bool)> {
 /// Byte positions land strictly inside frame *bodies* (past the 12-byte
 /// `len | xxh64` prefix) so the corruption models payload rot rather than
 /// framing damage; the torn-framing classes live in [`truncations`].
-pub fn parity_fault_family(original: &[u8], seed: u64) -> Vec<ParityCase> {
-    /// One parity group while bucketing spans: the data-frame spans plus the
-    /// trailing parity-frame span, when present.
-    type GroupSpans = (Vec<(usize, usize)>, Option<(usize, usize)>);
+pub fn parity_fault_family(
+    original: &[u8],
+    spans: &[(usize, usize, bool)],
+    seed: u64,
+) -> Vec<ParityCase> {
+    let of_kind = |parity: bool| -> Vec<(usize, usize)> {
+        spans.iter().filter(|s| s.2 == parity).map(|&(s, e, _)| (s, e)).collect()
+    };
+    let (data, parity) = (of_kind(false), of_kind(true));
+    let group_size = parity
+        .first()
+        .and_then(|&(s, e)| alp::frame::Frame::split(&original[s..e])?.0.parse_parity())
+        .map_or(data.len().max(1), |pb| pb.group_size);
+    let groups: Vec<&[(usize, usize)]> = data.chunks(group_size).collect();
 
-    let spans = stream_frame_spans(original);
-    // Group the data frames by their trailing parity frame.
-    let mut groups: Vec<GroupSpans> = Vec::new();
-    let mut run: Vec<(usize, usize)> = Vec::new();
-    for &(s, e, is_parity) in &spans {
-        if is_parity {
-            groups.push((std::mem::take(&mut run), Some((s, e))));
-        } else {
-            run.push((s, e));
-        }
-    }
-    if !run.is_empty() {
-        groups.push((run, None));
-    }
     let mut rng = SplitMix64::new(seed ^ 0x0F0F_0F0F_0F0F_0F0F);
-    let body = |(s, e): (usize, usize), rng: &mut SplitMix64| s + 12 + rng.below(e - s - 12);
+    let prefix = alp::frame::PREFIX_LEN;
+    let body =
+        |(s, e): (usize, usize), rng: &mut SplitMix64| s + prefix + rng.below(e - s - prefix);
     let mut cases = Vec::new();
 
     // Family 1: one damaged data frame per group, all groups at once.
     let mut bytes = original.to_vec();
     let mut label = String::from("one data frame corrupt per group:");
-    for (gi, (data, _)) in groups.iter().enumerate() {
-        if data.is_empty() {
-            continue;
-        }
-        let frame = data[rng.below(data.len())];
-        let pos = body(frame, &mut rng);
+    let mut damaged = Vec::new();
+    for (gi, group) in groups.iter().enumerate() {
+        let pick = rng.below(group.len());
+        let pos = body(group[pick], &mut rng);
         bytes[pos] ^= 0xFF;
         label.push_str(&format!(" g{gi}@{pos}"));
+        damaged.push(gi * group_size + pick);
     }
-    cases.push(ParityCase { label, bytes, expect: ParityExpectation::Repairs });
+    cases.push(ParityCase { label, bytes, expect: ParityExpectation::Repairs, damaged });
 
     // Family 2: two damaged frames inside one group. Prefer a group with two
-    // data frames; a single-frame tail group degrades the same way when its
-    // data *and* parity frames are both hit.
-    if let Some((gi, (data, _))) = groups.iter().enumerate().find(|(_, (d, _))| d.len() >= 2) {
+    // data frames; a single-frame group degrades the same way when its data
+    // *and* parity frames are both hit.
+    if let Some((gi, group)) = groups.iter().enumerate().find(|(_, g)| g.len() >= 2) {
         let mut bytes = original.to_vec();
-        let a = body(data[0], &mut rng);
-        let b = body(data[1], &mut rng);
+        let a = body(group[0], &mut rng);
+        let b = body(group[1], &mut rng);
         bytes[a] ^= 0xFF;
         bytes[b] ^= 0xFF;
         cases.push(ParityCase {
             label: format!("two data frames corrupt in group {gi}: @{a} @{b}"),
             bytes,
             expect: ParityExpectation::DegradesToLoss,
+            damaged: vec![gi * group_size, gi * group_size + 1],
         });
-    } else if let Some((gi, (data, Some(parity)))) =
-        groups.iter().enumerate().find(|(_, (d, p))| d.len() == 1 && p.is_some())
-    {
+    } else if let (Some(group), Some(&pframe)) = (groups.first(), parity.first()) {
         let mut bytes = original.to_vec();
-        let a = body(data[0], &mut rng);
-        let b = body(*parity, &mut rng);
+        let a = body(group[0], &mut rng);
+        let b = body(pframe, &mut rng);
         bytes[a] ^= 0xFF;
         bytes[b] ^= 0xFF;
         cases.push(ParityCase {
-            label: format!("data + parity corrupt in group {gi}: @{a} @{b}"),
+            label: format!("data + parity corrupt in group 0: @{a} @{b}"),
             bytes,
             expect: ParityExpectation::DegradesToLoss,
+            damaged: vec![0],
         });
     }
 
     // Family 3: every parity frame damaged, all data frames pristine.
-    let mut bytes = original.to_vec();
-    let mut label = String::from("all parity frames corrupt:");
-    let mut hit = false;
-    for (gi, (_, parity)) in groups.iter().enumerate() {
-        if let Some(frame) = parity {
-            let pos = body(*frame, &mut rng);
+    if !parity.is_empty() {
+        let mut bytes = original.to_vec();
+        let mut label = String::from("all parity frames corrupt:");
+        for (gi, &pframe) in parity.iter().enumerate() {
+            let pos = body(pframe, &mut rng);
             bytes[pos] ^= 0xFF;
             label.push_str(&format!(" g{gi}@{pos}"));
-            hit = true;
         }
-    }
-    if hit {
-        cases.push(ParityCase { label, bytes, expect: ParityExpectation::DataClean });
+        cases.push(ParityCase {
+            label,
+            bytes,
+            expect: ParityExpectation::DataClean,
+            damaged: Vec::new(),
+        });
     }
     cases
 }

@@ -12,6 +12,10 @@
 //!   skip-friendly path the paper's query engine relies on. ALP's registry
 //!   `try_decompress_into` parses the checksummed column format first, and
 //!   building that column index allocates once per *column*, not per vector.
+//!
+//! The same allocator also gauges the largest single request, which pins the
+//! other half of the discipline: no reader sizes a buffer from a length field
+//! it has not yet seen the bytes for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,17 +29,24 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Largest single request (bytes) since the gauge was last reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 fn alloc_count() -> u64 {
     ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
+fn note_request(size: usize) {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
 // SAFETY: a counting veneer; every allocator duty is delegated verbatim to
 // `System`, which upholds the `GlobalAlloc` contract.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note_request(layout.size());
         // SAFETY: delegated verbatim to the system allocator.
         unsafe { System.alloc(layout) }
     }
@@ -46,7 +57,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        note_request(new_size);
         // SAFETY: same contract as `System::realloc`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -60,6 +71,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = alloc_count();
     f();
     alloc_count() - before
+}
+
+/// Largest single allocation request `f` makes on this thread, in bytes.
+fn largest_request_in(f: impl FnOnce()) -> usize {
+    LARGEST.with(|c| c.set(0));
+    f();
+    LARGEST.with(Cell::get)
 }
 
 /// Decimal-flavored data with a sprinkle of exceptions, so ALP exercises its
@@ -135,5 +153,53 @@ fn baseline_codec_layer_is_allocation_free_after_warmup() {
             }
         });
         assert_eq!(allocs, 0, "{}: codec layer allocated after warm-up", codec.name());
+    }
+}
+
+/// Regression: both stream readers used to size their frame buffer from the
+/// untrusted length prefix before reading a byte of body, so 17 bytes of
+/// input — a header, a length of 1 GiB, 8 more bytes — cost a 1 GiB request.
+/// The frame layer grows the buffer only as bytes arrive: every read path
+/// must return its typed error (or record the loss) within one bounded step.
+#[test]
+fn stream_readers_never_allocate_from_an_unbacked_length() {
+    use alp::stream::{ColumnReader, StreamError};
+    const CEILING: usize = 2 << 20;
+
+    let is_eof = |r: Result<bool, StreamError>| matches!(r, Err(StreamError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof);
+    for magic in [b"ALPT", b"ALPS"] {
+        for len in [0x4000_0000u32, u32::MAX] {
+            let mut input = magic.to_vec();
+            input.push(64);
+            input.extend_from_slice(&len.to_le_bytes());
+            input.extend_from_slice(&[0u8; 8]);
+            assert_eq!(input.len(), 17);
+            let label = format!("{} len={len:#x}", String::from_utf8_lossy(magic));
+
+            let mut typed_error = false;
+            let largest = largest_request_in(|| {
+                let mut reader = ColumnReader::<f64, _>::new(&input[..]).expect("header");
+                typed_error = is_eof(reader.next_rowgroup().map(|v| v.is_some()));
+            });
+            assert!(typed_error, "{label}: next_rowgroup must report UnexpectedEof");
+            assert!(largest <= CEILING, "{label}: next_rowgroup requested {largest} bytes");
+
+            let largest = largest_request_in(|| {
+                let mut reader = ColumnReader::<f64, _>::new(&input[..]).expect("header");
+                typed_error = is_eof(reader.next_rowgroup_compressed().map(|v| v.is_some()));
+            });
+            assert!(typed_error, "{label}: next_rowgroup_compressed must report UnexpectedEof");
+            assert!(largest <= CEILING, "{label}: compressed read requested {largest} bytes");
+
+            let mut lost = Vec::new();
+            let largest = largest_request_in(|| {
+                let mut reader = ColumnReader::<f64, _>::new(&input[..]).expect("header");
+                assert!(reader.next_rowgroup_salvaged().expect("salvage is total").is_none());
+                assert!(!reader.is_committed());
+                lost = reader.lost_rowgroups().to_vec();
+            });
+            assert_eq!(lost, [0], "{label}: the torn frame is the recorded loss");
+            assert!(largest <= CEILING, "{label}: salvage requested {largest} bytes");
+        }
     }
 }

@@ -77,8 +77,9 @@ fn alp_salvage_survives_the_corruption_corpus() {
 
 #[test]
 fn legacy_v1_format_survives_the_corruption_corpus() {
-    let data = sample_f64();
-    let bytes = alp::format::to_bytes_v1(&alp::Compressor::new().compress(&data));
+    // No V1 writer is left: the frozen `"ALP1"` golden is the pristine input.
+    let bytes = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/alp1_f64.bin"))
+        .expect("tests/golden/alp1_f64.bin");
     assert_decoder_robust(&bytes, 0xA171, |b| {
         alp::format::from_bytes::<f64>(b).map(|c| c.decompress())
     });

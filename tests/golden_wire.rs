@@ -11,7 +11,7 @@
 //!   frozen: they were written once by the V1 writers (`format::to_bytes_v1`,
 //!   and the `"ALPS"` branch of `ColumnWriter`, at commit 0a5735f, with the
 //!   [`params`] below) before those writers were deleted, and nothing in the
-//!   workspace can regenerate them. They pin V1 *reading*.
+//!   workspace can regenerate them. They pin V1 *reading*, strict and salvage.
 //!
 //! The input is small and deterministic (tiny `SamplerParams`, so every file
 //! is a few KB): three one-vector row-groups — decimals carrying every
@@ -230,9 +230,9 @@ fn every_golden_reads_back_bit_exactly() {
 }
 
 /// Offset of the first frame's body: the format's fixed header, then the
-/// 12-byte `len | xxh64` prefix.
-const COLUMN_FIRST_BODY: usize = 4 + 1 + 8 + 4 + 12;
-const STREAM_FIRST_BODY: usize = 4 + 1 + 12;
+/// frame's `len | xxh64` prefix.
+const COLUMN_FIRST_BODY: usize = 4 + 1 + 8 + 4 + alp::frame::PREFIX_LEN;
+const STREAM_FIRST_BODY: usize = 4 + 1 + alp::frame::PREFIX_LEN;
 
 #[test]
 fn one_flipped_body_byte_in_each_parity_golden_repairs_byte_identically() {

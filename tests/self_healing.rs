@@ -5,9 +5,11 @@
 //! * (a) a parity-protected stream repairs *any* single corrupted data frame
 //!   per group byte-identically, for every group size, at seed-derived
 //!   corruption offsets (property test);
-//! * (b) the three parity fault families uphold their contracts: one fault
-//!   per group repairs, two faults in one group degrade to an honest loss
-//!   report, a damaged parity frame costs no data;
+//! * (b) the three parity fault families uphold their contracts on every
+//!   framed format — `"ALPT"` stream, `"ALP2"` column, `"ALPC"` container —
+//!   from one table and one seed: one fault per group repairs, two faults in
+//!   one group degrade to an honest loss report, damaged parity frames cost
+//!   no data;
 //! * (c) the pipelined parity writer is byte-identical to the serial parity
 //!   writer at every thread count × pipeline depth;
 //! * (d) the query-service scrubber un-quarantines healed pages while query
@@ -17,7 +19,7 @@
 //!
 //! Plus the registry-wide container check: every codec's `"ALPC"` envelope,
 //! written with `ParityConfig { group_size: 4 }`, survives a corrupted
-//! payload chunk and decodes byte-identically through the salvage path.
+//! payload slice and decodes byte-identically through the salvage path.
 //!
 //! Everything derives from `ALP_FAULT_SEED` (default 42 for corruption
 //! offsets, 1 for poison plans) so CI sweeps seeds without recompiling.
@@ -27,9 +29,9 @@ use std::sync::Arc;
 use alp::io::fault_seed;
 use alp::pipeline::{PipelineConfig, PipelinedColumnWriter};
 use alp::stream::{ColumnReader, ColumnWriter};
-use alp::ParityConfig;
+use alp::{ParityConfig, SamplerParams};
 use alp_repro::corruption::{
-    parity_fault_family, stream_frame_spans, ParityExpectation, SplitMix64,
+    frame_spans, parity_fault_family, stream_frame_spans, ParityExpectation, SplitMix64,
 };
 use fastlanes::VECTOR_SIZE;
 use proptest::prelude::*;
@@ -109,34 +111,154 @@ proptest! {
     }
 }
 
-/// (b) The seeded fault families against a group-size-4 stream: repairable
-/// damage repairs bit-exactly, over-budget damage degrades to a loss report,
-/// parity-only damage costs no data.
+/// Where an `"ALPC"` envelope's frames start: magic, id length, id, then the
+/// value count, payload length and whole-payload checksum.
+fn container_frames_at(codec: &dyn alp_core::ColumnCodec) -> usize {
+    4 + 1 + codec.id().len() + 8 + 8 + 8
+}
+
+/// What one salvaging read recovered: the surviving values plus the loss and
+/// repair reports, in data-frame indices. `Err` is the all-or-nothing
+/// formats' honest loss — a typed error instead of partial values.
+type Salvaged = Result<(Vec<f64>, Vec<usize>, Vec<usize>), String>;
+
+/// One framed format under the shared fault table.
+struct Surface {
+    name: &'static str,
+    /// Pristine parity-protected bytes (group size 4) over [`table_dataset`].
+    clean: Vec<u8>,
+    /// Where the frames start: the format's header length.
+    frames_at: usize,
+    /// Values per data frame, for "the rest is intact" on partial reads;
+    /// `None` where frames are opaque slices and loss is all-or-nothing.
+    values_per_frame: Option<usize>,
+    read: fn(&[u8]) -> Salvaged,
+}
+
+/// Two-vector row-groups, so the stream and column get 13 data frames: three
+/// full parity groups of 4 and a partial tail group.
+const TABLE_ROWGROUP: usize = 2 * VECTOR_SIZE;
+
+fn table_dataset() -> Vec<f64> {
+    (0..12 * TABLE_ROWGROUP + 700).map(|i| ((i % 901) as f64) * 0.05 + (i / 901) as f64).collect()
+}
+
+fn table_surfaces(data: &[f64]) -> Vec<Surface> {
+    let params = SamplerParams { vectors_per_rowgroup: 2, ..SamplerParams::default() };
+    let parity = ParityConfig { group_size: 4 };
+
+    let mut stream = Vec::new();
+    let mut writer = ColumnWriter::<f64, _>::with_params_and_parity(&mut stream, params, parity)
+        .expect("valid config");
+    writer.push(data).expect("push");
+    writer.finish().expect("finish");
+
+    let compressed = alp::Compressor::with_params(params).expect("valid params").compress(data);
+    let column = alp::format::to_bytes_with_parity(&compressed, parity).expect("valid parity");
+
+    let codec = alp_core::Registry::get("alp").expect("registered");
+    let container =
+        alp_core::write_container_with_parity(codec, data, &mut alp_core::Scratch::new(), parity)
+            .expect("container write");
+
+    vec![
+        Surface {
+            name: "ALPT stream",
+            clean: stream,
+            frames_at: 5,
+            values_per_frame: Some(TABLE_ROWGROUP),
+            read: |bytes| Ok(drain_salvaged(bytes)),
+        },
+        Surface {
+            name: "ALP2 column",
+            clean: column,
+            frames_at: 4 + 1 + 8 + 4,
+            values_per_frame: Some(TABLE_ROWGROUP),
+            read: |bytes| {
+                let serial = alp::format::from_bytes_salvage::<f64>(bytes).expect("salvage");
+                let par = alp::format::from_bytes_salvage_parallel::<f64>(bytes, 4).expect("par");
+                assert_eq!(par.lost_rowgroups, serial.lost_rowgroups);
+                assert_eq!(par.repaired_rowgroups, serial.repaired_rowgroups);
+                assert_eq!(serial.is_complete(), serial.lost_rowgroups.is_empty());
+                Ok((serial.column.decompress(), serial.lost_rowgroups, serial.repaired_rowgroups))
+            },
+        },
+        Surface {
+            name: "ALPC container",
+            clean: container,
+            frames_at: container_frames_at(codec),
+            values_per_frame: None,
+            read: |bytes| {
+                let mut out = Vec::new();
+                let mut scratch = alp_core::Scratch::new();
+                let mut chunks = None;
+                for threads in [1usize, 4] {
+                    let read = alp_core::try_read_container_salvaged(
+                        bytes,
+                        &mut out,
+                        &mut scratch,
+                        threads,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    assert!(chunks.is_none_or(|c| c == read.repaired_chunks), "t={threads}");
+                    chunks = Some(read.repaired_chunks);
+                }
+                Ok((out, Vec::new(), chunks.unwrap_or_default()))
+            },
+        },
+    ]
+}
+
+/// (b) One table, one seed, three formats: the seeded fault families against
+/// group-size-4 parity on the stream, the column and the container.
+/// Repairable damage repairs bit-exactly and names exactly the frames hit;
+/// over-budget damage degrades to an honest loss report with everything else
+/// intact; parity-only damage costs no data.
 #[test]
 fn parity_fault_families_uphold_their_contracts() {
     let seed = fault_seed(42);
-    let data = dataset();
-    let clean = parity_stream(&data, 4);
+    let data = table_dataset();
+    for surface in table_surfaces(&data) {
+        let spans = frame_spans(&surface.clean, surface.frames_at);
+        let groups = spans.iter().filter(|s| s.2).count();
+        assert!(groups >= 4, "{}: {groups} parity groups", surface.name);
+        let (values, lost, repaired) = (surface.read)(&surface.clean).expect("clean read");
+        assert!(lost.is_empty() && repaired.is_empty(), "{}: clean read", surface.name);
+        assert_bits_eq(&data, &values, surface.name);
 
-    let cases = parity_fault_family(&clean, seed);
-    assert!(cases.len() >= 3, "expected all three fault families");
-    for case in cases {
-        let label = &case.label;
-        let (values, lost, repaired) = drain_salvaged(&case.bytes);
-        match case.expect {
-            ParityExpectation::Repairs => {
-                assert!(lost.is_empty(), "{label}: lost {lost:?}");
-                assert!(!repaired.is_empty(), "{label}: nothing repaired");
-                assert_bits_eq(&data, &values, label);
-            }
-            ParityExpectation::DegradesToLoss => {
-                assert!(!lost.is_empty(), "{label}: over-budget damage went unreported");
-                assert!(values.len() < data.len(), "{label}: loss not reflected in output");
-            }
-            ParityExpectation::DataClean => {
-                assert!(lost.is_empty(), "{label}: lost {lost:?}");
-                assert!(repaired.is_empty(), "{label}: repaired {repaired:?}");
-                assert_bits_eq(&data, &values, label);
+        let cases = parity_fault_family(&surface.clean, &spans, seed);
+        assert_eq!(cases.len(), 3, "{}: expected all three fault families", surface.name);
+        for case in cases {
+            let label = format!("{}: {}", surface.name, case.label);
+            let read = (surface.read)(&case.bytes);
+            match (case.expect, read) {
+                (ParityExpectation::Repairs, Ok((values, lost, repaired))) => {
+                    assert_eq!(case.damaged.len(), groups, "{label}: one victim per group");
+                    assert!(lost.is_empty(), "{label}: lost {lost:?}");
+                    assert_eq!(repaired, case.damaged, "{label}: repaired");
+                    assert_bits_eq(&data, &values, &label);
+                }
+                (ParityExpectation::DegradesToLoss, Ok((values, lost, repaired))) => {
+                    let per_frame = surface.values_per_frame.expect("partial reads carry values");
+                    assert_eq!(lost, case.damaged, "{label}: lost");
+                    assert!(repaired.is_empty(), "{label}: repaired {repaired:?}");
+                    let survivors: Vec<f64> = data
+                        .chunks(per_frame)
+                        .enumerate()
+                        .filter(|(i, _)| !lost.contains(i))
+                        .flat_map(|(_, c)| c.iter().copied())
+                        .collect();
+                    assert_bits_eq(&survivors, &values, &label);
+                }
+                (ParityExpectation::DegradesToLoss, Err(e)) => {
+                    assert!(surface.values_per_frame.is_none(), "{label}: {e}");
+                }
+                (ParityExpectation::DataClean, Ok((values, lost, repaired))) => {
+                    assert!(lost.is_empty(), "{label}: lost {lost:?}");
+                    assert!(repaired.is_empty(), "{label}: repaired {repaired:?}");
+                    assert_bits_eq(&data, &values, &label);
+                }
+                (_, Err(e)) => panic!("{label}: {e}"),
             }
         }
     }
@@ -192,12 +314,14 @@ fn every_registry_codec_container_repairs_single_chunk_damage() {
 
         // Probe seed-derived offsets until one provably damages the strict
         // read (a flip inside the parity section would not), then demand the
-        // salvage read repair it.
+        // salvage read repair it. Offsets start past the envelope header: a
+        // damaged header is unrecoverable by design.
         let mut rng = SplitMix64::new(seed ^ alp::hash::xxh64(codec.id().as_bytes(), 2));
         let mut out = Vec::new();
         let mut repaired_one = false;
         for _ in 0..64 {
-            let pos = 16 + rng.below(frame.len() - 16);
+            let header = container_frames_at(*codec);
+            let pos = header + rng.below(frame.len() - header);
             let mut bytes = frame.clone();
             bytes[pos] ^= 0xFF;
             if try_read_container_into(&bytes, &mut out, &mut scratch).is_ok() {

@@ -7,7 +7,7 @@
 use alp::io::{fault_seed, FaultyRead, RetryPolicy};
 use alp::stream::{ColumnReader, ColumnWriter};
 use alp::SamplerParams;
-use alp_repro::corruption::transient_plans;
+use alp_repro::corruption::{stream_frame_spans, transient_plans};
 use proptest::prelude::*;
 
 /// Small row-groups (4 × 1024 values) keep each case cheap while still
@@ -33,19 +33,9 @@ fn clean_stream(data: &[f64]) -> Vec<u8> {
     sink
 }
 
-/// Exclusive end offset of every frame: 5-byte header, then each
-/// `len:u32 | xxh64:u64 | body` frame up to the zero-length terminator.
+/// Exclusive end offset of every frame up to the terminator.
 fn frame_ends(bytes: &[u8]) -> Vec<usize> {
-    let mut at = 5;
-    let mut ends = Vec::new();
-    loop {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("frame length")) as usize;
-        if len == 0 {
-            return ends;
-        }
-        at += 4 + 8 + len;
-        ends.push(at);
-    }
+    stream_frame_spans(bytes).iter().map(|&(_, end, _)| end).collect()
 }
 
 /// Values held by the first `frames` row-groups of the dataset.
@@ -154,13 +144,10 @@ proptest! {
 #[test]
 fn legacy_streams_commit_at_the_terminator() {
     // `"ALPS"` has no footer: reaching the terminator *is* the commit
-    // record, and a truncated legacy stream still reads as uncommitted.
-    let data = dataset();
-    let mut sink = Vec::new();
-    let mut writer = ColumnWriter::<f64, _>::legacy(&mut sink);
-    writer.push(&data).expect("legacy push");
-    writer.finish().expect("legacy finish");
-    let clean = sink;
+    // record, and a truncated legacy stream still reads as uncommitted. No
+    // V1 writer is left; the frozen golden stream stands in for one.
+    let clean = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/alps_f64.bin"))
+        .expect("tests/golden/alps_f64.bin");
 
     let mut reader = ColumnReader::<f64, _>::new(clean.as_slice()).expect("open legacy");
     while reader.next_rowgroup().expect("read legacy").is_some() {}
