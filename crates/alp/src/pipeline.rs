@@ -66,31 +66,9 @@ use crate::sampler::{ConfigError, SamplerParams};
 use crate::stream::{encode_frame, ColumnWriter, StreamSummary};
 use crate::traits::AlpFloat;
 
-/// Environment variable consulted by [`resolve_pipeline_depth`] when no
-/// explicit depth is requested.
-pub const PIPELINE_DEPTH_ENV: &str = "ALP_PIPELINE_DEPTH";
-
 /// Default bound on in-flight row-groups: one compressing, one queued —
 /// enough to overlap fill with compression without hoarding buffers.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
-
-/// Resolves a pipeline depth: an explicit nonzero request wins, then a
-/// nonzero `ALP_PIPELINE_DEPTH`, then [`DEFAULT_PIPELINE_DEPTH`].
-pub fn resolve_pipeline_depth(requested: Option<usize>) -> usize {
-    if let Some(d) = requested {
-        if d > 0 {
-            return d;
-        }
-    }
-    if let Ok(v) = std::env::var(PIPELINE_DEPTH_ENV) {
-        if let Ok(d) = v.trim().parse::<usize>() {
-            if d > 0 {
-                return d;
-            }
-        }
-    }
-    DEFAULT_PIPELINE_DEPTH
-}
 
 /// Shape of a [`PipelinedColumnWriter`]'s worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,13 +93,13 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Resolves a config from optional explicit requests, falling back to
-    /// `ALP_THREADS` / `ALP_PIPELINE_DEPTH` and then the built-in defaults
-    /// (see [`resolve_threads`] and [`resolve_pipeline_depth`]).
+    /// Resolves a config from optional explicit requests: `threads` falls
+    /// back to `ALP_THREADS` and then the machine (see [`resolve_threads`]),
+    /// an absent or zero `depth` to [`DEFAULT_PIPELINE_DEPTH`].
     pub fn resolve(threads: Option<usize>, depth: Option<usize>) -> Self {
         Self {
             threads: resolve_threads(threads),
-            depth: resolve_pipeline_depth(depth),
+            depth: depth.filter(|&d| d > 0).unwrap_or(DEFAULT_PIPELINE_DEPTH),
             panic_at: None,
         }
     }
@@ -643,12 +621,9 @@ mod tests {
 
     #[test]
     fn depth_resolution_order() {
-        // Explicit request wins over everything.
-        assert_eq!(resolve_pipeline_depth(Some(7)), 7);
-        // Zero falls through to the env var and then the default.
-        if std::env::var(PIPELINE_DEPTH_ENV).is_err() {
-            assert_eq!(resolve_pipeline_depth(Some(0)), DEFAULT_PIPELINE_DEPTH);
-            assert_eq!(resolve_pipeline_depth(None), DEFAULT_PIPELINE_DEPTH);
-        }
+        // An explicit nonzero request wins; zero and absent mean the default.
+        assert_eq!(PipelineConfig::resolve(Some(1), Some(7)).depth, 7);
+        assert_eq!(PipelineConfig::resolve(Some(1), Some(0)).depth, DEFAULT_PIPELINE_DEPTH);
+        assert_eq!(PipelineConfig::resolve(Some(1), None).depth, DEFAULT_PIPELINE_DEPTH);
     }
 }

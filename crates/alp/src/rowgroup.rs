@@ -4,7 +4,7 @@
 
 use fastlanes::VECTOR_SIZE;
 
-use crate::decode::{decode_vector, decode_vector_unfused, scan_decoded, scan_vector, VectorScan};
+use crate::decode::{decode_vector, scan_decoded, scan_vector, VectorScan};
 use crate::encode::{encode_vector_into, AlpVector, ExcArena, ExcView, OwnedAlpVector};
 use crate::rd::{choose_cut, decode_rd_vector, encode_rd_vector, RdMeta, RdVector};
 use crate::sampler::{first_level, second_level, ConfigError, SamplerParams, SamplerStats};
@@ -140,6 +140,34 @@ impl RowGroup {
             }
         }
     }
+
+    /// Appends this row-group's values to `out`, decoding vector by vector
+    /// through `buf`, the caller's reused vector buffer (≥ 1024 elements).
+    /// This is the one whole-row-group decode loop: the serial, parallel and
+    /// salvaging column decoders and the stream reader all call it.
+    // ANALYZER-ALLOW(no-panic): decode kernels return n <= VECTOR_SIZE, and
+    // assert at entry that `buf` holds at least that many elements.
+    pub fn decode_into<F: AlpFloat>(&self, buf: &mut [F], out: &mut Vec<F>) {
+        match self {
+            RowGroup::Alp(g) => {
+                for v in &g.vectors {
+                    let n = decode_vector(v, g.view(v), buf);
+                    out.extend_from_slice(&buf[..n]);
+                }
+            }
+            RowGroup::Rd(meta, vs) => {
+                for v in vs {
+                    let n = decode_rd_vector(v, meta, buf);
+                    out.extend_from_slice(&buf[..n]);
+                }
+            }
+        }
+    }
+}
+
+/// A zeroed vector-sized decode buffer (one per decoding thread).
+fn vector_buf<F: AlpFloat>() -> Vec<F> {
+    vec![F::from_bits_u64(0); VECTOR_SIZE]
 }
 
 /// Result of [`Compressed::decompress_parallel_salvage`]: the values of
@@ -197,61 +225,42 @@ impl<F: AlpFloat> Compressed<F> {
     }
 
     /// Decompresses the whole column.
-    // ANALYZER-ALLOW(no-panic): decode kernels return n <= VECTOR_SIZE, the
-    // exact length of the reused scratch buffer being sliced.
     pub fn decompress(&self) -> Vec<F> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut buf = vec![F::from_bits_u64(0); VECTOR_SIZE];
-        for rg in &self.rowgroups {
-            match rg {
-                RowGroup::Alp(g) => {
-                    for v in &g.vectors {
-                        let n = decode_vector(v, g.view(v), &mut buf);
-                        out.extend_from_slice(&buf[..n]);
-                    }
-                }
-                RowGroup::Rd(meta, vs) => {
-                    for v in vs {
-                        let n = decode_rd_vector(v, meta, &mut buf);
-                        out.extend_from_slice(&buf[..n]);
-                    }
-                }
-            }
-        }
+        let mut out = Vec::new();
+        self.decompress_into(&mut out);
         out
+    }
+
+    /// Decompresses the whole column into `out` (cleared first), appending
+    /// each row-group's vectors straight into it.
+    pub fn decompress_into(&self, out: &mut Vec<F>) {
+        out.clear();
+        out.reserve(self.len);
+        let mut buf = vector_buf::<F>();
+        for rg in &self.rowgroups {
+            rg.decode_into(&mut buf, out);
+        }
+    }
+
+    /// Row-group `m`'s values on their own — one parallel worker's unit of
+    /// work (`m` comes from the morsel queue, so it is always in range).
+    fn decode_rowgroup(&self, m: usize, buf: &mut [F]) -> Vec<F> {
+        let mut part = Vec::new();
+        if let Some(rg) = self.rowgroups.get(m) {
+            part.reserve_exact(rg.len());
+            rg.decode_into(buf, &mut part);
+        }
+        part
     }
 
     /// Decompresses the whole column on up to `threads` morsel-claiming
     /// workers (one row-group per morsel), each with its own vector-sized
     /// scratch buffer. Values are identical to [`Compressed::decompress`].
-    // ANALYZER-ALLOW(no-panic): decode kernels return n <= VECTOR_SIZE, the
-    // exact length of each worker's reused scratch buffer being sliced; the
-    // morsel index is < rowgroups.len() by MorselQueue construction.
     pub fn decompress_parallel(&self, threads: usize) -> Vec<F> {
-        let parts = crate::par::map_morsels(
-            threads,
-            self.rowgroups.len(),
-            || vec![F::from_bits_u64(0); VECTOR_SIZE],
-            |buf, m| {
-                let rg = &self.rowgroups[m];
-                let mut part = Vec::with_capacity(rg.len());
-                match rg {
-                    RowGroup::Alp(g) => {
-                        for v in &g.vectors {
-                            let n = decode_vector(v, g.view(v), buf);
-                            part.extend_from_slice(&buf[..n]);
-                        }
-                    }
-                    RowGroup::Rd(meta, vs) => {
-                        for v in vs {
-                            let n = decode_rd_vector(v, meta, buf);
-                            part.extend_from_slice(&buf[..n]);
-                        }
-                    }
-                }
-                part
-            },
-        );
+        let parts =
+            crate::par::map_morsels(threads, self.rowgroups.len(), vector_buf::<F>, |buf, m| {
+                self.decode_rowgroup(m, buf)
+            });
         let mut out = Vec::with_capacity(self.len);
         for p in &parts {
             out.extend_from_slice(p);
@@ -266,37 +275,12 @@ impl<F: AlpFloat> Compressed<F> {
     /// ([`crate::par::run_morsels_contained`]), the row-group is reported in
     /// [`DecompressSalvage::lost_rowgroups`], and every surviving row-group
     /// decodes byte-identically to the serial path.
-    // ANALYZER-ALLOW(no-panic): decode kernels return n <= VECTOR_SIZE, the
-    // exact length of each worker's reused scratch buffer being sliced; the
-    // morsel index is < rowgroups.len() by MorselQueue construction. Panics
-    // from poisoned row-group *data* are the contained failure mode this
-    // method exists to absorb.
     pub fn decompress_parallel_salvage(&self, threads: usize) -> DecompressSalvage<F> {
         let total = self.rowgroups.len();
-        let (parts, lost_rowgroups) = crate::par::run_morsels_contained(
-            threads,
-            total,
-            || vec![F::from_bits_u64(0); VECTOR_SIZE],
-            |buf, m| {
-                let rg = &self.rowgroups[m];
-                let mut part = Vec::with_capacity(rg.len());
-                match rg {
-                    RowGroup::Alp(g) => {
-                        for v in &g.vectors {
-                            let n = decode_vector(v, g.view(v), buf);
-                            part.extend_from_slice(&buf[..n]);
-                        }
-                    }
-                    RowGroup::Rd(meta, vs) => {
-                        for v in vs {
-                            let n = decode_rd_vector(v, meta, buf);
-                            part.extend_from_slice(&buf[..n]);
-                        }
-                    }
-                }
-                part
-            },
-        );
+        let (parts, lost_rowgroups) =
+            crate::par::run_morsels_contained(threads, total, vector_buf::<F>, |buf, m| {
+                self.decode_rowgroup(m, buf)
+            });
         let mut values = Vec::with_capacity(self.len);
         for (_, p) in &parts {
             values.extend_from_slice(p);
@@ -375,46 +359,6 @@ impl<F: AlpFloat> Compressed<F> {
             }
         }
     }
-
-    /// Panicking convenience over [`Compressed::try_decompress_vector`].
-    ///
-    /// # Panics
-    /// Panics if `rowgroup`/`vector` are out of range, like slice indexing.
-    // ANALYZER-ALLOW(no-panic): positional panic is this accessor's documented
-    // contract; try_decompress_vector is the checked twin.
-    pub fn decompress_vector(&self, rowgroup: usize, vector: usize, out: &mut [F]) -> usize {
-        match self.try_decompress_vector(rowgroup, vector, out) {
-            Ok(n) => n,
-            Err(e) => panic!("decompress_vector: {e}"),
-        }
-    }
-
-    /// Same as [`Compressed::decompress`] but through the *unfused* decode
-    /// kernels — the Figure 5 baseline.
-    // ANALYZER-ALLOW(no-panic): decode kernels return n <= VECTOR_SIZE, the
-    // exact length of the reused scratch buffer being sliced.
-    pub fn decompress_unfused(&self) -> Vec<F> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut buf = vec![F::from_bits_u64(0); VECTOR_SIZE];
-        let mut scratch = vec![0i64; VECTOR_SIZE];
-        for rg in &self.rowgroups {
-            match rg {
-                RowGroup::Alp(g) => {
-                    for v in &g.vectors {
-                        let n = decode_vector_unfused(v, g.view(v), &mut scratch, &mut buf);
-                        out.extend_from_slice(&buf[..n]);
-                    }
-                }
-                RowGroup::Rd(meta, vs) => {
-                    for v in vs {
-                        let n = decode_rd_vector(v, meta, &mut buf);
-                        out.extend_from_slice(&buf[..n]);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// The ALP compressor. Construct once (optionally with custom
@@ -483,23 +427,17 @@ impl Compressor {
         }
     }
 
-    /// Compresses a column of floats.
+    /// Compresses a column of floats (on the calling thread).
     pub fn compress<F: AlpFloat>(&self, data: &[F]) -> Compressed<F> {
-        let rg_values = self.rowgroup_values();
-        let mut stats = SamplerStats::default();
-        let mut rowgroups = Vec::with_capacity(data.len().div_ceil(rg_values));
-        for rg_data in data.chunks(rg_values) {
-            let rg = self.compress_rowgroup(rg_data, &mut stats);
-            rowgroups.push(rg);
-        }
-        Compressed { rowgroups, len: data.len(), stats, _marker: core::marker::PhantomData }
+        self.compress_parallel(data, 1)
     }
 
     /// Compresses a column on up to `threads` morsel-claiming workers, one
-    /// row-group per morsel. The output — row-groups, exception arenas, and
-    /// sampling statistics — is byte-identical to [`Compressor::compress`]:
-    /// sampling is row-group-local and the per-worker [`SamplerStats`]
-    /// partials are pure sums (see [`SamplerStats::merge`]).
+    /// row-group per morsel (at `threads <= 1` the scheduler runs inline on
+    /// the caller). The output — row-groups, exception arenas, and sampling
+    /// statistics — is byte-identical at every thread count: sampling is
+    /// row-group-local and the per-worker [`SamplerStats`] partials are pure
+    /// sums (see [`SamplerStats::merge`]).
     pub fn compress_parallel<F: AlpFloat>(&self, data: &[F], threads: usize) -> Compressed<F> {
         let rg_values = self.rowgroup_values();
         let morsels = data.len().div_ceil(rg_values);
@@ -528,6 +466,7 @@ impl Compressor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::decode_vector_unfused;
 
     fn assert_lossless(data: &[f64]) -> Compressed<f64> {
         let c = Compressor::new().compress(data);
@@ -580,11 +519,11 @@ mod tests {
         let c = Compressor::new().compress(&data);
         let full = c.decompress();
         let mut buf = vec![0.0f64; VECTOR_SIZE];
-        let n = c.decompress_vector(0, 2, &mut buf);
+        let n = c.try_decompress_vector(0, 2, &mut buf).unwrap();
         assert_eq!(n, 1024);
         assert_eq!(&full[2048..2048 + n], &buf[..n]);
         // Last, short vector.
-        let n_last = c.decompress_vector(0, 4, &mut buf);
+        let n_last = c.try_decompress_vector(0, 4, &mut buf).unwrap();
         assert_eq!(n_last, 5000 - 4096);
         assert_eq!(&full[4096..], &buf[..n_last]);
     }
@@ -710,15 +649,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "decompress_vector")]
-    fn decompress_vector_panics_out_of_range() {
-        let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let c = Compressor::new().compress(&data);
-        let mut buf = vec![0.0f64; VECTOR_SIZE];
-        c.decompress_vector(7, 0, &mut buf);
-    }
-
-    #[test]
     fn special_values_roundtrip_anywhere() {
         let mut data: Vec<f64> = (0..8000).map(|i| (i as f64) / 8.0).collect();
         data[0] = f64::NAN;
@@ -732,7 +662,17 @@ mod tests {
     fn unfused_decode_is_identical() {
         let data: Vec<f64> = (0..50_000).map(|i| ((i * 7) % 99991) as f64 / 1000.0).collect();
         let c = Compressor::new().compress(&data);
-        assert_eq!(c.decompress(), c.decompress_unfused());
+        // The Figure 5 baseline kernel, vector by vector.
+        let mut unfused = Vec::new();
+        let (mut ints, mut buf) = (vec![0i64; VECTOR_SIZE], vec![0.0f64; VECTOR_SIZE]);
+        for rg in &c.rowgroups {
+            let RowGroup::Alp(g) = rg else { panic!("decimal data must pick the ALP scheme") };
+            for v in &g.vectors {
+                let n = decode_vector_unfused(v, g.view(v), &mut ints, &mut buf);
+                unfused.extend_from_slice(&buf[..n]);
+            }
+        }
+        assert_eq!(c.decompress(), unfused);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::format::{read_rowgroup_exact, write_rowgroup, FormatError};
 use crate::frame::{self, Frame, FrameRead, ParityAccumulator, ParityConfig};
 use crate::hash::{xxh64, CHECKSUM_SEED};
 use crate::io::{flush_retry, read_full_retry, write_all_retry, RetryPolicy};
-use crate::rowgroup::{Compressed, Compressor, RowGroup};
+use crate::rowgroup::{Compressor, RowGroup};
 use crate::sampler::{ConfigError, SamplerParams};
 use crate::traits::AlpFloat;
 use crate::wire::{GetExt, PutExt};
@@ -111,8 +111,9 @@ pub(crate) fn encode_frame<F: AlpFloat>(rg: &RowGroup, out: &mut Vec<u8>) {
 
 /// Decompresses one row-group on its own.
 fn rowgroup_values<F: AlpFloat>(rg: RowGroup) -> Vec<F> {
-    let len = rg.len();
-    Compressed::<F>::from_rowgroups(vec![rg], len).decompress()
+    let mut out = Vec::with_capacity(rg.len());
+    rg.decode_into(&mut [F::from_bits_u64(0); VECTOR_SIZE], &mut out);
+    out
 }
 
 /// Decodes a frame body to its values; `None` when it is not exactly one

@@ -60,45 +60,36 @@ impl GetExt for &[u8] {
         *self = &self[n..];
     }
     #[inline]
-    // ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
-    // callers bounds-check remaining length before reading, as with bytes::Buf.
     fn get_u8(&mut self) -> u8 {
-        let v = self[0];
-        *self = &self[1..];
-        v
+        u8::from_le_bytes(take(self))
     }
     #[inline]
-    // ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
-    // callers bounds-check remaining length before reading, as with bytes::Buf.
     fn get_u16_le(&mut self) -> u16 {
-        let v = u16::from_le_bytes(self[..2].try_into().unwrap());
-        *self = &self[2..];
-        v
+        u16::from_le_bytes(take(self))
     }
     #[inline]
-    // ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
-    // callers bounds-check remaining length before reading, as with bytes::Buf.
     fn get_u32_le(&mut self) -> u32 {
-        let v = u32::from_le_bytes(self[..4].try_into().unwrap());
-        *self = &self[4..];
-        v
+        u32::from_le_bytes(take(self))
     }
     #[inline]
-    // ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
-    // callers bounds-check remaining length before reading, as with bytes::Buf.
     fn get_u64_le(&mut self) -> u64 {
-        let v = u64::from_le_bytes(self[..8].try_into().unwrap());
-        *self = &self[8..];
-        v
+        u64::from_le_bytes(take(self))
     }
     #[inline]
-    // ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
-    // callers bounds-check remaining length before reading, as with bytes::Buf.
     fn get_i64_le(&mut self) -> i64 {
-        let v = i64::from_le_bytes(self[..8].try_into().unwrap());
-        *self = &self[8..];
-        v
+        i64::from_le_bytes(take(self))
     }
+}
+
+/// Splits the next `N` bytes off the cursor — the one place the typed
+/// readers can panic on a short slice.
+#[inline]
+// ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
+// callers bounds-check remaining length before reading, as with bytes::Buf.
+fn take<const N: usize>(cur: &mut &[u8]) -> [u8; N] {
+    let (head, tail) = cur.split_at(N);
+    *cur = tail;
+    head.try_into().unwrap()
 }
 
 #[cfg(test)]

@@ -8,11 +8,11 @@
 //! * decode paths must not panic (`no-panic`),
 //! * unsafe must be documented and unsafe-free crates must say so
 //!   (`undocumented-unsafe`),
-//! * public decode entry points need fallible twins (`fallible-pairing`),
 //! * wire-format tag constants must be kept in sync between serialize and
 //!   deserialize paths (`wire-tag-sync`),
-//! * every `ColumnCodec` implementation appears exactly once in the codec
-//!   registry's literal `ENTRIES` list, and every entry names a live impl
+//! * every `ColumnCodec` value (a unit-struct impl, or an instance of a
+//!   shared adapter type) appears exactly once in the codec registry's
+//!   literal `ENTRIES` list, and every entry names a live value
 //!   (`registry-sync`),
 //! * `catch_unwind` is only legal inside the parallel scheduler's panic
 //!   containment seam (`contained-unwind`).
@@ -73,8 +73,6 @@ pub struct Config {
     pub decode_files: Vec<String>,
     /// Function-name patterns (prefix or `_`-separated) marking decode paths.
     pub decode_name_patterns: Vec<String>,
-    /// Files (or `dir/*` globs) under the `fallible-pairing` rule.
-    pub pairing_files: Vec<String>,
     /// Files holding wire-format tag constants, checked by `wire-tag-sync`.
     pub wire_files: Vec<String>,
     /// Function-name patterns classifying a function as a serializer.
@@ -89,7 +87,7 @@ pub struct Config {
     /// The file holding the codec registry's `static ENTRIES` block, checked
     /// by `registry-sync`.
     pub registry_file: String,
-    /// The trait whose implementations must each appear in `ENTRIES`.
+    /// The trait whose implementing values must each appear in `ENTRIES`.
     pub codec_trait: String,
     /// Atomic field names that gate *data visibility* across threads (a flag
     /// whose observation implies some payload was written). `Relaxed` on them
@@ -136,20 +134,6 @@ impl Default for Config {
                 // least trustworthy bytes in the system.
                 "repair",
                 "scrub",
-            ]),
-            pairing_files: strings(&[
-                "crates/codecs/src/*",
-                "crates/gpzip/src/*",
-                "crates/alp/src/format.rs",
-                "crates/alp/src/stream.rs",
-                // The frame layer reads and repairs damaged frames; its
-                // decode entry points need fallible twins like any other
-                // reader.
-                "crates/alp/src/frame.rs",
-                // The query service decodes untrusted-by-policy pages: its
-                // public decompress entry points need fallible twins too.
-                // (`crates/vectorq/src/scrub.rs` rides this glob.)
-                "crates/vectorq/src/*",
             ]),
             wire_files: strings(&[
                 "crates/alp/src/format.rs",

@@ -8,17 +8,15 @@
 //!   narrowing `as` casts are forbidden in decode-path functions.
 //! * `undocumented-unsafe` — every `unsafe` needs a `// SAFETY:` comment, and
 //!   unsafe-free crates must declare `#![forbid(unsafe_code)]`.
-//! * `fallible-pairing` — public `decompress*` / `from_bytes*` /
-//!   `scan_fused*` functions in the codec and format layers must return
-//!   `Result` or have a `try_` twin.
 //! * `wire-tag-sync` — magic/tag constants in the wire-format files must be
 //!   used by both a serialize and a deserialize function, with no orphan or
 //!   duplicate tags.
-//! * `registry-sync` — every `ColumnCodec` impl must appear exactly once in
-//!   the codec registry's literal `ENTRIES` list, and every entry must name
-//!   a live impl. Additionally, a codec claiming `fused_scan: true` in its
-//!   capabilities must override `try_scan_fused` (and vice versa): the flag
-//!   and the kernel drift independently otherwise.
+//! * `registry-sync` — every `ColumnCodec` value (a unit-struct impl, or
+//!   each `static`/`const` instance of an implementing type) must appear
+//!   exactly once in the codec registry's literal `ENTRIES` list, and every
+//!   entry must name a live value. Additionally, a codec claiming
+//!   `fused_scan: true` in its capabilities must override `try_scan_fused`
+//!   (and vice versa): the flag and the kernel drift independently otherwise.
 //! * `contained-unwind` — `catch_unwind` is only legal inside the parallel
 //!   scheduler's containment seam (`alp::par`); swallowing panics anywhere
 //!   else hides poisoned state instead of quarantining it.
@@ -49,7 +47,6 @@ use crate::{Config, Finding};
 pub const RULE_IDS: &[&str] = &[
     "no-panic",
     "undocumented-unsafe",
-    "fallible-pairing",
     "wire-tag-sync",
     "registry-sync",
     "contained-unwind",
@@ -82,7 +79,6 @@ pub fn run_all(files: &BTreeMap<String, FileInfo>, cfg: &Config) -> Vec<Finding>
     for (path, info) in files {
         no_panic(path, info, cfg, &mut findings);
         undocumented_unsafe(path, info, &mut findings);
-        fallible_pairing(path, info, cfg, &mut findings);
         contained_unwind(path, info, cfg, &mut findings);
     }
     forbid_unsafe_crates(files, cfg, &mut findings);
@@ -479,53 +475,6 @@ fn forbid_unsafe_crates(
 }
 
 // ---------------------------------------------------------------------------
-// Rule: fallible-pairing
-// ---------------------------------------------------------------------------
-
-fn fallible_pairing(path: &str, info: &FileInfo, cfg: &Config, findings: &mut Vec<Finding>) {
-    let in_scope = cfg.pairing_files.iter().any(|p| {
-        if let Some(dir) = p.strip_suffix("/*") {
-            path.starts_with(dir)
-        } else {
-            p == path
-        }
-    });
-    if !in_scope {
-        return;
-    }
-    for f in &info.fns {
-        if f.in_test || !f.module_level || !f.is_pub {
-            continue;
-        }
-        let decode_entry = f.name.starts_with("decompress")
-            || f.name.starts_with("from_bytes")
-            || f.name.starts_with("scan_fused");
-        if !decode_entry || f.ret.contains("Result") {
-            continue;
-        }
-        let twin = format!("try_{}", f.name);
-        match info.fns.iter().find(|g| g.name == twin && g.module_level && !g.in_test) {
-            Some(t) if t.ret.contains("Result") => {}
-            Some(t) => findings.push(Finding::new(
-                "fallible-pairing",
-                path,
-                t.start_line,
-                &format!("`{twin}` exists but does not return Result"),
-            )),
-            None => findings.push(Finding::new(
-                "fallible-pairing",
-                path,
-                f.start_line,
-                &format!(
-                    "public decode entry point `{}` has no fallible `{twin}` twin returning Result",
-                    f.name
-                ),
-            )),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Rule: wire-tag-sync
 // ---------------------------------------------------------------------------
 
@@ -668,9 +617,31 @@ fn contained_unwind(path: &str, info: &FileInfo, cfg: &Config, findings: &mut Ve
 // Rule: registry-sync
 // ---------------------------------------------------------------------------
 
-/// Every `impl ColumnCodec for X` in the workspace must appear exactly once
-/// as a `&path::X,` entry inside the registry's `static ENTRIES` block, and
-/// every entry must name a live impl. The check is purely textual by design:
+/// Parses `[pub[(..)]] static|const NAME: Type …` from one code line into
+/// `(NAME, Type)`; `None` for anything else (including reference- or
+/// slice-typed items such as `ENTRIES` itself).
+fn parse_instance(code: &str) -> Option<(String, String)> {
+    let mut rest = code.trim();
+    if let Some(after_pub) = rest.strip_prefix("pub") {
+        rest = after_pub.trim_start();
+        if rest.starts_with('(') {
+            rest = rest.split_once(')')?.1.trim_start();
+        }
+    }
+    let rest = rest.strip_prefix("static").or_else(|| rest.strip_prefix("const"))?;
+    let (name, rest) = rest.strip_prefix(char::is_whitespace)?.split_once(':')?;
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let ty: String = rest.trim_start().chars().take_while(|c| ident(*c)).collect();
+    let name = name.trim();
+    (!name.is_empty() && name.chars().all(ident) && !ty.is_empty()).then(|| (name.to_string(), ty))
+}
+
+/// Every codec *value* in the workspace must appear exactly once as a
+/// `&path::NAME,` entry inside the registry's `static ENTRIES` block, and
+/// every entry must name a live value. A value is a type `X` with an
+/// `impl ColumnCodec for X` (a unit struct) — or, when the workspace declares
+/// `static`/`const` items of type `X` (one adapter shared by several codecs),
+/// each of those items in its place. The check is purely textual by design:
 /// it is what forces the registry to stay a literal one-entry-per-line list
 /// (no macros, no computed entries) that a reviewer can read at a glance.
 fn registry_sync(files: &BTreeMap<String, FileInfo>, cfg: &Config, findings: &mut Vec<Finding>) {
@@ -773,16 +744,29 @@ fn registry_sync(files: &BTreeMap<String, FileInfo>, cfg: &Config, findings: &mu
         }
     }
 
-    for (name, path, line) in &impls {
+    // Values: for each implementing type, its `static`/`const` instances if
+    // it has any, else the (unit-struct) type itself.
+    let mut values: Vec<(String, &str, usize, String)> = Vec::new();
+    for (ty, path, line) in &impls {
+        let before = values.len();
+        for (ipath, info) in files {
+            for (idx, l) in info.lines.iter().enumerate() {
+                if let Some((name, _)) = parse_instance(&l.code).filter(|(_, t)| t == ty) {
+                    values.push((name, ipath, idx + 1, format!("is an instance of `{ty}`")));
+                }
+            }
+        }
+        if values.len() == before {
+            values.push((ty.clone(), path, *line, format!("implements {}", cfg.codec_trait)));
+        }
+    }
+    for (name, path, line, what) in &values {
         if !entries.iter().any(|(e, _)| e == name) {
             findings.push(Finding::new(
                 "registry-sync",
                 path,
                 *line,
-                &format!(
-                    "`{name}` implements {} but is not listed in the registry's ENTRIES",
-                    cfg.codec_trait
-                ),
+                &format!("`{name}` {what} but is not listed in the registry's ENTRIES"),
             ));
         }
     }
@@ -797,13 +781,14 @@ fn registry_sync(files: &BTreeMap<String, FileInfo>, cfg: &Config, findings: &mu
         }
     }
     for (name, line) in &entries {
-        if !impls.iter().any(|(n, _, _)| n == name) {
+        if !values.iter().any(|(n, _, _, _)| n == name) {
             findings.push(Finding::new(
                 "registry-sync",
                 &cfg.registry_file,
                 *line,
                 &format!(
-                    "ENTRIES lists `{name}` but no `impl {} for {name}` exists",
+                    "ENTRIES lists `{name}` but no `impl {} for {name}`, nor an instance \
+                     of an implementing type named `{name}`, exists",
                     cfg.codec_trait
                 ),
             ));

@@ -82,18 +82,6 @@ fn forbid_good_is_clean() {
 }
 
 #[test]
-fn pairing_bad_flags_missing_try_twin() {
-    let found = scan("crates/codecs/src/fake.rs", include_str!("fixtures/pairing_bad.rs"));
-    assert_eq!(found, pairs(&[("fallible-pairing", 3)]));
-}
-
-#[test]
-fn pairing_good_is_clean() {
-    let found = scan("crates/codecs/src/fake.rs", include_str!("fixtures/pairing_good.rs"));
-    assert_eq!(found, pairs(&[]));
-}
-
-#[test]
 fn wire_bad_flags_orphans_duplicates_and_unread_tags() {
     let found = scan("crates/alp/src/format.rs", include_str!("fixtures/wire_bad.rs"));
     // Line 4: MAGIC written but never read, 5: ORPHAN_TAG orphan, 6:
@@ -120,9 +108,20 @@ fn wire_good_is_clean() {
 #[test]
 fn registry_bad_flags_unregistered_duplicate_and_ghost() {
     let found = scan("crates/core/src/registry.rs", include_str!("fixtures/registry_bad.rs"));
-    // Line 6: `Beta` implements the trait but is never registered, 10: the
-    // second `Alpha` entry is a duplicate, 11: `Ghost` has no impl.
-    assert_eq!(found, pairs(&[("registry-sync", 6), ("registry-sync", 10), ("registry-sync", 11)]));
+    // Line 6: `Beta` implements the trait but is never registered, 11: the
+    // `DELTA` instance of the shared `Adapter` is never registered, 16: the
+    // second `Alpha` entry is a duplicate, 17: `Ghost` names nothing, 19:
+    // `Adapter` is a type with instances, not itself a registrable value.
+    assert_eq!(
+        found,
+        pairs(&[
+            ("registry-sync", 6),
+            ("registry-sync", 11),
+            ("registry-sync", 16),
+            ("registry-sync", 17),
+            ("registry-sync", 19),
+        ])
+    );
 }
 
 #[test]

@@ -21,7 +21,7 @@ fn bench_codecs(c: &mut Criterion) {
         });
         let bytes = codec.compress_f64(&data);
         g.bench_function("decompress", |b| {
-            b.iter(|| codec.decompress_f64(std::hint::black_box(&bytes), data.len()))
+            b.iter(|| codec.try_decompress_f64(std::hint::black_box(&bytes), data.len()).unwrap())
         });
         g.finish();
     }
@@ -35,7 +35,9 @@ fn bench_gpzip(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("compress", |b| b.iter(|| gpzip::compress(std::hint::black_box(&raw))));
     let bytes = gpzip::compress(&raw);
-    g.bench_function("decompress", |b| b.iter(|| gpzip::decompress(std::hint::black_box(&bytes))));
+    g.bench_function("decompress", |b| {
+        b.iter(|| gpzip::try_decompress(std::hint::black_box(&bytes)).unwrap())
+    });
     g.finish();
 }
 

@@ -48,7 +48,7 @@ fn main() {
 
         let raw: Vec<u8> = weights.iter().flat_map(|v| v.to_le_bytes()).collect();
         let z = gpzip::compress(&raw);
-        assert_eq!(gpzip::decompress(&z), raw);
+        assert_eq!(gpzip::try_decompress(&z).unwrap(), raw);
         row.push(z.len() as f64 * 8.0 / n);
 
         for (s, v) in sums.iter_mut().zip(&row) {

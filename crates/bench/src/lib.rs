@@ -8,7 +8,6 @@
 //! * `ALP_BENCH_VALUES` — values generated per dataset (default 262,144).
 //! * `ALP_BENCH_SEED` — generator seed (default 20240609).
 
-pub mod scaling;
 pub mod schemes;
 pub mod tables;
 pub mod timing;

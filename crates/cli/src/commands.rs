@@ -86,7 +86,7 @@ pub fn compress_stream(
     depth: Option<usize>,
     parity: Option<usize>,
 ) -> Result<()> {
-    use alp_core::ingest::{resolve_pipeline_depth, PipelineConfig, PipelinedColumnWriter};
+    use alp_core::ingest::{PipelineConfig, PipelinedColumnWriter};
     use std::io::BufWriter;
 
     fn run<F: alp::AlpFloat>(
@@ -128,7 +128,7 @@ pub fn compress_stream(
         Ok(())
     }
 
-    let config = PipelineConfig { threads, depth: resolve_pipeline_depth(depth), panic_at: None };
+    let config = PipelineConfig::resolve(Some(threads), depth);
     let t0 = Instant::now();
     if f32_mode {
         run::<f32>(&read_f32(input)?, output, config, parity, t0, 32.0)

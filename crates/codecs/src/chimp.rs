@@ -153,18 +153,10 @@ pub fn try_decompress_words_into<W: Word>(
 
 /// Decompresses `count` words into a fresh vector — see
 /// [`try_decompress_words_into`] for the allocation-free variant.
-pub fn try_decompress_words<W: Word>(bytes: &[u8], count: usize) -> Result<Vec<W>, CodecError> {
+fn try_decompress_words<W: Word>(bytes: &[u8], count: usize) -> Result<Vec<W>, CodecError> {
     let mut out = Vec::new();
     try_decompress_words_into(bytes, count, &mut out)?;
     Ok(out)
-}
-
-/// Decompresses `count` words. Panics on corrupt input — use
-/// [`try_decompress_words`] for untrusted bytes.
-pub fn decompress_words<W: Word>(bytes: &[u8], count: usize) -> Vec<W> {
-    // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper; the
-    // try_ twin above is the path for untrusted bytes.
-    try_decompress_words(bytes, count).expect("corrupt chimp stream")
 }
 
 /// Compresses doubles.
@@ -172,12 +164,7 @@ pub fn compress_f64(data: &[f64]) -> Vec<u8> {
     compress_words(&f64_bits(data))
 }
 
-/// Decompresses `count` doubles.
-pub fn decompress_f64(bytes: &[u8], count: usize) -> Vec<f64> {
-    bits_f64(&decompress_words::<u64>(bytes, count))
-}
-
-/// Fallible variant of [`decompress_f64`] for untrusted input.
+/// Decompresses `count` doubles from untrusted bytes into a fresh vector.
 pub fn try_decompress_f64(bytes: &[u8], count: usize) -> Result<Vec<f64>, CodecError> {
     Ok(bits_f64(&try_decompress_words::<u64>(bytes, count)?))
 }
@@ -187,12 +174,7 @@ pub fn compress_f32(data: &[f32]) -> Vec<u8> {
     compress_words(&f32_bits(data))
 }
 
-/// Decompresses `count` 32-bit floats.
-pub fn decompress_f32(bytes: &[u8], count: usize) -> Vec<f32> {
-    bits_f32(&decompress_words::<u32>(bytes, count))
-}
-
-/// Fallible variant of [`decompress_f32`] for untrusted input.
+/// Decompresses `count` 32-bit floats from untrusted bytes into a fresh vector.
 pub fn try_decompress_f32(bytes: &[u8], count: usize) -> Result<Vec<f32>, CodecError> {
     Ok(bits_f32(&try_decompress_words::<u32>(bytes, count)?))
 }
@@ -203,7 +185,7 @@ mod tests {
 
     fn roundtrip64(data: &[f64]) {
         let bytes = compress_f64(data);
-        let back = decompress_f64(&bytes, data.len());
+        let back = try_decompress_f64(&bytes, data.len()).unwrap();
         for (i, (a, b)) in data.iter().zip(&back).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "idx {i}");
         }
@@ -249,7 +231,7 @@ mod tests {
     fn f32_roundtrip() {
         let data: Vec<f32> = (0..3000).map(|i| (i as f32) * 0.25 - 17.0).collect();
         let bytes = compress_f32(&data);
-        let back = decompress_f32(&bytes, data.len());
+        let back = try_decompress_f32(&bytes, data.len()).unwrap();
         for (a, b) in data.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -127,18 +127,10 @@ pub fn try_decompress_words_into<W: Word>(
 
 /// Decompresses `count` words into a fresh vector — see
 /// [`try_decompress_words_into`] for the allocation-free variant.
-pub fn try_decompress_words<W: Word>(bytes: &[u8], count: usize) -> Result<Vec<W>, CodecError> {
+fn try_decompress_words<W: Word>(bytes: &[u8], count: usize) -> Result<Vec<W>, CodecError> {
     let mut out = Vec::new();
     try_decompress_words_into(bytes, count, &mut out)?;
     Ok(out)
-}
-
-/// Decompresses `count` words. Panics on corrupt input — use
-/// [`try_decompress_words`] for untrusted bytes.
-pub fn decompress_words<W: Word>(bytes: &[u8], count: usize) -> Vec<W> {
-    // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper; the
-    // try_ twin above is the path for untrusted bytes.
-    try_decompress_words(bytes, count).expect("corrupt gorilla stream")
 }
 
 /// Compresses doubles.
@@ -146,12 +138,7 @@ pub fn compress_f64(data: &[f64]) -> Vec<u8> {
     compress_words(&f64_bits(data))
 }
 
-/// Decompresses `count` doubles.
-pub fn decompress_f64(bytes: &[u8], count: usize) -> Vec<f64> {
-    bits_f64(&decompress_words::<u64>(bytes, count))
-}
-
-/// Fallible variant of [`decompress_f64`] for untrusted input.
+/// Decompresses `count` doubles from untrusted bytes into a fresh vector.
 pub fn try_decompress_f64(bytes: &[u8], count: usize) -> Result<Vec<f64>, CodecError> {
     Ok(bits_f64(&try_decompress_words::<u64>(bytes, count)?))
 }
@@ -161,12 +148,7 @@ pub fn compress_f32(data: &[f32]) -> Vec<u8> {
     compress_words(&f32_bits(data))
 }
 
-/// Decompresses `count` 32-bit floats.
-pub fn decompress_f32(bytes: &[u8], count: usize) -> Vec<f32> {
-    bits_f32(&decompress_words::<u32>(bytes, count))
-}
-
-/// Fallible variant of [`decompress_f32`] for untrusted input.
+/// Decompresses `count` 32-bit floats from untrusted bytes into a fresh vector.
 pub fn try_decompress_f32(bytes: &[u8], count: usize) -> Result<Vec<f32>, CodecError> {
     Ok(bits_f32(&try_decompress_words::<u32>(bytes, count)?))
 }
@@ -177,7 +159,7 @@ mod tests {
 
     fn roundtrip64(data: &[f64]) {
         let bytes = compress_f64(data);
-        let back = decompress_f64(&bytes, data.len());
+        let back = try_decompress_f64(&bytes, data.len()).unwrap();
         assert_eq!(back.len(), data.len());
         for (i, (a, b)) in data.iter().zip(&back).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "idx {i}");
@@ -227,7 +209,7 @@ mod tests {
     fn f32_roundtrip() {
         let data: Vec<f32> = (0..3000).map(|i| ((i as f32) * 0.37).cos()).collect();
         let bytes = compress_f32(&data);
-        let back = decompress_f32(&bytes, data.len());
+        let back = try_decompress_f32(&bytes, data.len()).unwrap();
         for (a, b) in data.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -237,7 +219,7 @@ mod tests {
     fn f32_full_window_xor() {
         let data = vec![f32::from_bits(0x8000_0001), f32::from_bits(0x7FFF_FFFE)];
         let bytes = compress_f32(&data);
-        let back = decompress_f32(&bytes, 2);
+        let back = try_decompress_f32(&bytes, 2).unwrap();
         assert_eq!(back[1].to_bits(), data[1].to_bits());
     }
 }

@@ -91,20 +91,6 @@ impl Codec {
         }
     }
 
-    /// Decompresses `count` doubles from `bytes`. Panics on corrupt input —
-    /// use [`Codec::try_decompress_f64`] for untrusted bytes.
-    pub fn decompress_f64(&self, bytes: &[u8], count: usize) -> Vec<f64> {
-        match self {
-            Codec::Gorilla => gorilla::decompress_f64(bytes, count),
-            Codec::Chimp => chimp::decompress_f64(bytes, count),
-            Codec::Chimp128 => chimp128::decompress_f64(bytes, count),
-            Codec::Patas => patas::decompress_f64(bytes, count),
-            Codec::Elf => elf::decompress(bytes, count),
-            Codec::Pde => pde::decompress(bytes, count),
-            Codec::Fpc => fpc::decompress(bytes, count),
-        }
-    }
-
     /// Decompresses `count` doubles from untrusted `bytes`, returning an
     /// error instead of panicking on truncated or corrupt input.
     pub fn try_decompress_f64(&self, bytes: &[u8], count: usize) -> Result<Vec<f64>, CodecError> {
@@ -224,12 +210,6 @@ impl Codec {
             }
         }
     }
-
-    /// Alias of [`Codec::decompress_f32`] for symmetry with
-    /// [`Codec::try_decompress_f64`] (the 32-bit path is always fallible).
-    pub fn try_decompress_f32(&self, bytes: &[u8], count: usize) -> Result<Vec<f32>, CodecError> {
-        self.decompress_f32(bytes, count)
-    }
 }
 
 #[cfg(test)]
@@ -241,7 +221,7 @@ mod tests {
         let data: Vec<f64> = (0..3000).map(|i| (i as f64) * 0.1).collect();
         for codec in Codec::ALL {
             let bytes = codec.compress_f64(&data);
-            let back = codec.decompress_f64(&bytes, data.len());
+            let back = codec.try_decompress_f64(&bytes, data.len()).unwrap();
             assert_eq!(back.len(), data.len(), "{}", codec.name());
             for (i, (a, b)) in data.iter().zip(&back).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "{} idx {i}", codec.name());

@@ -243,21 +243,13 @@ pub fn try_decompress(bytes: &[u8], count: usize) -> Result<Vec<f64>, CodecError
     Ok(out)
 }
 
-/// Decompresses the column (`count` is validated against the header). Panics
-/// on corrupt input — use [`try_decompress`] for untrusted bytes.
-pub fn decompress(bytes: &[u8], count: usize) -> Vec<f64> {
-    // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper; the
-    // try_ twin above is the path for untrusted bytes.
-    try_decompress(bytes, count).expect("corrupt pde stream")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip(data: &[f64]) -> usize {
         let bytes = compress(data);
-        let back = decompress(&bytes, data.len());
+        let back = try_decompress(&bytes, data.len()).unwrap();
         for (i, (a, b)) in data.iter().zip(&back).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "idx {i}");
         }

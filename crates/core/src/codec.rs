@@ -58,14 +58,14 @@ impl Capabilities {
 
 /// A lossless floating-point column compressor.
 ///
-/// The fallible `try_*` methods are the real surface — they implement the
+/// The fallible `try_*` methods are the whole surface — they implement the
 /// workspace's untrusted-input contract (return `Err`, never panic, never
 /// read out of bounds) and write into caller-owned buffers so hot loops stay
-/// allocation-free once the buffers are warm. The panicking `compress` /
-/// `decompress` twins are conveniences for trusted in-process data.
+/// allocation-free once the buffers are warm.
 ///
-/// Implementations are unit structs registered exactly once in
-/// [`crate::registry`] (enforced by the `registry-sync` analyzer rule).
+/// Every implementing value — a unit struct, or a `static` instance of a
+/// shared adapter type — is registered exactly once in [`crate::registry`]
+/// (enforced by the `registry-sync` analyzer rule).
 pub trait ColumnCodec: Sync {
     /// Stable registry id (kebab-case, never changes once released).
     fn id(&self) -> &'static str;
@@ -192,27 +192,6 @@ pub trait ColumnCodec: Sync {
         threads: usize,
     ) -> Result<Vec<f64>, CoreError> {
         crate::par::decompress_chunks(self, blocks, threads)
-    }
-
-    /// Compresses trusted data, panicking on failure — use
-    /// [`ColumnCodec::try_compress_into`] for anything fallible.
-    fn compress(&self, data: &[f64]) -> Vec<u8> {
-        let mut out = Vec::new();
-        // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper;
-        // the try_ twin above is the fallible path.
-        self.try_compress_into(data, &mut out, &mut Scratch::new()).expect("compression failed");
-        out
-    }
-
-    /// Decompresses trusted bytes, panicking on corrupt input — use
-    /// [`ColumnCodec::try_decompress_into`] for untrusted bytes.
-    // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper;
-    // the try_ twin above is the fallible path.
-    fn decompress(&self, bytes: &[u8], count: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.try_decompress_into(bytes, count, &mut out, &mut Scratch::new())
-            .expect("corrupt compressed stream");
-        out
     }
 }
 

@@ -1,5 +1,7 @@
-//! [`ColumnCodec`] implementations — one unit struct per scheme of the
-//! paper's evaluation, each registered exactly once in [`crate::registry`].
+//! [`ColumnCodec`] implementations — one value per scheme of the paper's
+//! evaluation (a unit struct, or for the seven per-value baselines an
+//! instance of [`Baseline`]), each registered exactly once in
+//! [`crate::registry`].
 //!
 //! The impls are thin adapters: all compression logic lives in the `codecs`,
 //! `alp`, and `gpzip` crates; this module only maps the uniform trait surface
@@ -31,212 +33,51 @@ fn merge_max(acc: Option<f64>, v: Option<f64>) -> Option<f64> {
     }
 }
 
-/// Shared compress path of the seven per-value baselines.
-fn baseline_compress(
+/// One of the seven per-value baselines of the paper's evaluation — the
+/// registry's face of a [`codecs::Codec`]. The instances differ in nothing
+/// but the codec they wrap and its stable registry id; the display name and
+/// the 32-bit capability are the codec's own.
+pub struct Baseline {
     codec: codecs::Codec,
-    data: &[f64],
-    out: &mut Vec<u8>,
-) -> Result<(), CoreError> {
-    out.clear();
-    out.extend_from_slice(&codec.compress_f64(data));
-    Ok(())
-}
-
-/// Shared decode path of the seven per-value baselines — allocation-free once
-/// `out` and `scratch` are warm.
-fn baseline_decompress(
-    codec: codecs::Codec,
-    bytes: &[u8],
-    count: usize,
-    out: &mut Vec<f64>,
-    scratch: &mut Scratch,
-) -> Result<(), CoreError> {
-    codec.try_decompress_f64_into(bytes, count, out, &mut scratch.codecs)?;
-    Ok(())
-}
-
-/// Shared f32 compress path of the XOR-family baselines.
-fn baseline_compress_f32(
-    codec: codecs::Codec,
-    data: &[f32],
-    out: &mut Vec<u8>,
-) -> Result<(), CoreError> {
-    out.clear();
-    out.extend_from_slice(&codec.compress_f32(data)?);
-    Ok(())
-}
-
-/// Shared f32 decode path of the XOR-family baselines.
-fn baseline_decompress_f32(
-    codec: codecs::Codec,
-    bytes: &[u8],
-    count: usize,
-    out: &mut Vec<f32>,
-    scratch: &mut Scratch,
-) -> Result<(), CoreError> {
-    codec.try_decompress_f32_into(bytes, count, out, &mut scratch.codecs)?;
-    Ok(())
+    id: &'static str,
 }
 
 /// Gorilla (Facebook, VLDB'15).
-pub struct Gorilla;
-
-impl ColumnCodec for Gorilla {
-    fn id(&self) -> &'static str {
-        "gorilla"
-    }
-    fn name(&self) -> &'static str {
-        "Gorilla"
-    }
-    fn caps(&self) -> Capabilities {
-        Capabilities { f32: true, ..Capabilities::vector() }
-    }
-    fn try_compress_into(
-        &self,
-        data: &[f64],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress(codecs::Codec::Gorilla, data, out)
-    }
-    fn try_decompress_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress(codecs::Codec::Gorilla, bytes, count, out, scratch)
-    }
-    fn try_compress_f32_into(
-        &self,
-        data: &[f32],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress_f32(codecs::Codec::Gorilla, data, out)
-    }
-    fn try_decompress_f32_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress_f32(codecs::Codec::Gorilla, bytes, count, out, scratch)
-    }
-}
-
+pub static GORILLA: Baseline = Baseline { codec: codecs::Codec::Gorilla, id: "gorilla" };
 /// Chimp (VLDB'22).
-pub struct Chimp;
-
-impl ColumnCodec for Chimp {
-    fn id(&self) -> &'static str {
-        "chimp"
-    }
-    fn name(&self) -> &'static str {
-        "Chimp"
-    }
-    fn caps(&self) -> Capabilities {
-        Capabilities { f32: true, ..Capabilities::vector() }
-    }
-    fn try_compress_into(
-        &self,
-        data: &[f64],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress(codecs::Codec::Chimp, data, out)
-    }
-    fn try_decompress_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress(codecs::Codec::Chimp, bytes, count, out, scratch)
-    }
-    fn try_compress_f32_into(
-        &self,
-        data: &[f32],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress_f32(codecs::Codec::Chimp, data, out)
-    }
-    fn try_decompress_f32_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress_f32(codecs::Codec::Chimp, bytes, count, out, scratch)
-    }
-}
-
+pub static CHIMP: Baseline = Baseline { codec: codecs::Codec::Chimp, id: "chimp" };
 /// Chimp128 — Chimp with a 128-value reference window.
-pub struct Chimp128;
-
-impl ColumnCodec for Chimp128 {
-    fn id(&self) -> &'static str {
-        "chimp128"
-    }
-    fn name(&self) -> &'static str {
-        "Chimp128"
-    }
-    fn caps(&self) -> Capabilities {
-        Capabilities { f32: true, ..Capabilities::vector() }
-    }
-    fn try_compress_into(
-        &self,
-        data: &[f64],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress(codecs::Codec::Chimp128, data, out)
-    }
-    fn try_decompress_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress(codecs::Codec::Chimp128, bytes, count, out, scratch)
-    }
-    fn try_compress_f32_into(
-        &self,
-        data: &[f32],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress_f32(codecs::Codec::Chimp128, data, out)
-    }
-    fn try_decompress_f32_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress_f32(codecs::Codec::Chimp128, bytes, count, out, scratch)
-    }
-}
-
+pub static CHIMP128: Baseline = Baseline { codec: codecs::Codec::Chimp128, id: "chimp128" };
 /// Patas (DuckDB) — byte-aligned Chimp128 variant.
-pub struct Patas;
+pub static PATAS: Baseline = Baseline { codec: codecs::Codec::Patas, id: "patas" };
+/// PseudoDecimals (BtrBlocks, SIGMOD'23).
+pub static PDE: Baseline = Baseline { codec: codecs::Codec::Pde, id: "pde" };
+/// Elf (VLDB'23) — erase-then-XOR.
+pub static ELF: Baseline = Baseline { codec: codecs::Codec::Elf, id: "elf" };
+/// FPC (TC'09) — predictive FCM/DFCM scheme.
+pub static FPC: Baseline = Baseline { codec: codecs::Codec::Fpc, id: "fpc" };
 
-impl ColumnCodec for Patas {
+impl Baseline {
+    /// The 32-bit entry points of a codec without a 32-bit variant answer
+    /// with the registry's own `Unsupported`, like every other codec.
+    fn require_f32(&self, what: &'static str) -> Result<(), CoreError> {
+        if self.codec.supports_f32() {
+            Ok(())
+        } else {
+            Err(CoreError::Unsupported { codec: self.id, what })
+        }
+    }
+}
+
+impl ColumnCodec for Baseline {
     fn id(&self) -> &'static str {
-        "patas"
+        self.id
     }
     fn name(&self) -> &'static str {
-        "Patas"
+        self.codec.name()
     }
     fn caps(&self) -> Capabilities {
-        Capabilities { f32: true, ..Capabilities::vector() }
+        Capabilities { f32: self.codec.supports_f32(), ..Capabilities::vector() }
     }
     fn try_compress_into(
         &self,
@@ -244,8 +85,11 @@ impl ColumnCodec for Patas {
         out: &mut Vec<u8>,
         _scratch: &mut Scratch,
     ) -> Result<(), CoreError> {
-        baseline_compress(codecs::Codec::Patas, data, out)
+        out.clear();
+        out.extend_from_slice(&self.codec.compress_f64(data));
+        Ok(())
     }
+    /// Allocation-free once `out` and `scratch` are warm.
     fn try_decompress_into(
         &self,
         bytes: &[u8],
@@ -253,7 +97,8 @@ impl ColumnCodec for Patas {
         out: &mut Vec<f64>,
         scratch: &mut Scratch,
     ) -> Result<(), CoreError> {
-        baseline_decompress(codecs::Codec::Patas, bytes, count, out, scratch)
+        self.codec.try_decompress_f64_into(bytes, count, out, &mut scratch.codecs)?;
+        Ok(())
     }
     fn try_compress_f32_into(
         &self,
@@ -261,7 +106,10 @@ impl ColumnCodec for Patas {
         out: &mut Vec<u8>,
         _scratch: &mut Scratch,
     ) -> Result<(), CoreError> {
-        baseline_compress_f32(codecs::Codec::Patas, data, out)
+        self.require_f32("32-bit compression")?;
+        out.clear();
+        out.extend_from_slice(&self.codec.compress_f32(data)?);
+        Ok(())
     }
     fn try_decompress_f32_into(
         &self,
@@ -270,103 +118,9 @@ impl ColumnCodec for Patas {
         out: &mut Vec<f32>,
         scratch: &mut Scratch,
     ) -> Result<(), CoreError> {
-        baseline_decompress_f32(codecs::Codec::Patas, bytes, count, out, scratch)
-    }
-}
-
-/// PseudoDecimals (BtrBlocks, SIGMOD'23).
-pub struct Pde;
-
-impl ColumnCodec for Pde {
-    fn id(&self) -> &'static str {
-        "pde"
-    }
-    fn name(&self) -> &'static str {
-        "PDE"
-    }
-    fn caps(&self) -> Capabilities {
-        Capabilities::vector()
-    }
-    fn try_compress_into(
-        &self,
-        data: &[f64],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress(codecs::Codec::Pde, data, out)
-    }
-    fn try_decompress_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress(codecs::Codec::Pde, bytes, count, out, scratch)
-    }
-}
-
-/// Elf (VLDB'23) — erase-then-XOR.
-pub struct Elf;
-
-impl ColumnCodec for Elf {
-    fn id(&self) -> &'static str {
-        "elf"
-    }
-    fn name(&self) -> &'static str {
-        "Elf"
-    }
-    fn caps(&self) -> Capabilities {
-        Capabilities::vector()
-    }
-    fn try_compress_into(
-        &self,
-        data: &[f64],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress(codecs::Codec::Elf, data, out)
-    }
-    fn try_decompress_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress(codecs::Codec::Elf, bytes, count, out, scratch)
-    }
-}
-
-/// FPC (TC'09) — predictive FCM/DFCM scheme.
-pub struct Fpc;
-
-impl ColumnCodec for Fpc {
-    fn id(&self) -> &'static str {
-        "fpc"
-    }
-    fn name(&self) -> &'static str {
-        "FPC"
-    }
-    fn caps(&self) -> Capabilities {
-        Capabilities::vector()
-    }
-    fn try_compress_into(
-        &self,
-        data: &[f64],
-        out: &mut Vec<u8>,
-        _scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_compress(codecs::Codec::Fpc, data, out)
-    }
-    fn try_decompress_into(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut Scratch,
-    ) -> Result<(), CoreError> {
-        baseline_decompress(codecs::Codec::Fpc, bytes, count, out, scratch)
+        self.require_f32("32-bit decompression")?;
+        self.codec.try_decompress_f32_into(bytes, count, out, &mut scratch.codecs)?;
+        Ok(())
     }
 }
 
@@ -476,8 +230,7 @@ impl ColumnCodec for Alp {
                 actual: compressed.len,
             });
         }
-        out.clear();
-        out.extend_from_slice(&compressed.decompress());
+        compressed.decompress_into(out);
         Ok(())
     }
     fn try_compress_f32_into(
@@ -506,8 +259,7 @@ impl ColumnCodec for Alp {
                 actual: compressed.len,
             });
         }
-        out.clear();
-        out.extend_from_slice(&compressed.decompress());
+        compressed.decompress_into(out);
         Ok(())
     }
     /// Table 4 methodology: ALP's size is its exact in-memory bit accounting

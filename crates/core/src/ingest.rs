@@ -14,8 +14,7 @@
 use std::io::Write;
 
 pub use alp::pipeline::{
-    resolve_pipeline_depth, IngestError, PipelineConfig, PipelinedColumnWriter,
-    DEFAULT_PIPELINE_DEPTH, PIPELINE_DEPTH_ENV,
+    IngestError, PipelineConfig, PipelinedColumnWriter, DEFAULT_PIPELINE_DEPTH,
 };
 pub use alp::stream::{ColumnReader, ColumnWriter, StreamError, StreamFooter, StreamSummary};
 pub use alp::ParityConfig;
@@ -23,11 +22,11 @@ pub use alp::ParityConfig;
 use alp::sampler::ConfigError;
 use alp::AlpFloat;
 
-/// A pipelined column writer from resolved knobs: `threads` and `depth`
-/// follow the same explicit-request → env (`ALP_THREADS`,
-/// `ALP_PIPELINE_DEPTH`) → default chain as the rest of the workspace.
-/// `threads <= 1` (after resolution) yields the serial inline path with the
-/// identical on-disk stream.
+/// A pipelined column writer from resolved knobs: `threads` follows the
+/// workspace's explicit-request → `ALP_THREADS` → machine chain, an absent
+/// `depth` means [`DEFAULT_PIPELINE_DEPTH`]. `threads <= 1` (after
+/// resolution) yields the serial inline path with the identical on-disk
+/// stream.
 pub fn pipelined_writer<F: AlpFloat, W: Write>(
     sink: W,
     threads: Option<usize>,

@@ -1,22 +1,24 @@
 //! The one table every compression scheme is reachable through.
 //!
-//! Each [`ColumnCodec`] implementation in [`crate::impls`] appears exactly
-//! once in [`ENTRIES`], one literal per line — the `registry-sync` analyzer
-//! rule textually checks that impls and entries stay 1:1, so keep the list
-//! explicit (no macros, no computed entries).
+//! Each [`ColumnCodec`] value in [`crate::impls`] — a unit-struct
+//! implementation, or a `static` instance of an implementing type such as
+//! [`impls::Baseline`] — appears exactly once in [`ENTRIES`], one literal per
+//! line. The `registry-sync` analyzer rule textually checks that values and
+//! entries stay 1:1, so keep the list explicit (no macros, no computed
+//! entries).
 
 use crate::codec::ColumnCodec;
 use crate::impls;
 
 /// Every registered codec, one literal entry per implementation.
 static ENTRIES: &[&'static dyn ColumnCodec] = &[
-    &impls::Gorilla,
-    &impls::Chimp,
-    &impls::Chimp128,
-    &impls::Patas,
-    &impls::Pde,
-    &impls::Elf,
-    &impls::Fpc,
+    &impls::GORILLA,
+    &impls::CHIMP,
+    &impls::CHIMP128,
+    &impls::PATAS,
+    &impls::PDE,
+    &impls::ELF,
+    &impls::FPC,
     &impls::Alp,
     &impls::LwcAlp,
     &impls::Gpzip,

@@ -170,14 +170,6 @@ pub fn try_decompress_block(
     }
 }
 
-/// Decompresses a block produced by [`compress_block`]. Panics on corrupt
-/// input — use [`try_decompress_block`] for untrusted bytes.
-pub fn decompress_block(bytes: &[u8], expected: usize, out: &mut Vec<u8>) {
-    // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper; the
-    // try_ twin above is the path for untrusted bytes.
-    try_decompress_block(bytes, expected, out).expect("corrupt gpzip-fast block")
-}
-
 /// Compresses with framing: `u64` total length, then per-block `u32` sizes.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
@@ -222,21 +214,13 @@ pub fn try_decompress_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), CodecE
     Ok(())
 }
 
-/// Decompresses a frame produced by [`compress`]. Panics on corrupt input —
-/// use [`try_decompress`] for untrusted bytes.
-pub fn decompress(bytes: &[u8]) -> Vec<u8> {
-    // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper; the
-    // try_ twin above is the path for untrusted bytes.
-    try_decompress(bytes).expect("corrupt gpzip-fast frame")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn roundtrip(data: &[u8]) -> usize {
         let c = compress(data);
-        assert_eq!(decompress(&c), data, "len {}", data.len());
+        assert_eq!(try_decompress(&c).unwrap(), data, "len {}", data.len());
         c.len()
     }
 

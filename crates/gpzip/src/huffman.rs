@@ -113,15 +113,6 @@ impl Decoder {
         }
         None
     }
-
-    /// Decodes one symbol. Panics on an invalid stream — use
-    /// [`Decoder::try_read_symbol`] for untrusted bytes.
-    #[inline]
-    pub fn read_symbol(&self, r: &mut BitReader) -> usize {
-        // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper;
-        // try_read_symbol is the path for untrusted bytes.
-        self.try_read_symbol(r).expect("invalid Huffman stream")
-    }
 }
 
 /// Computes length-limited Huffman code lengths for `freq`.
@@ -266,7 +257,7 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         let dec = Decoder::read_lengths(&mut r, freq.len());
         for &s in stream {
-            assert_eq!(dec.read_symbol(&mut r), s);
+            assert_eq!(dec.try_read_symbol(&mut r), Some(s));
         }
     }
 

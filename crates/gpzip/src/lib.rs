@@ -20,7 +20,7 @@
 //! let data: Vec<u8> = (0..100_000u32).flat_map(|i| (i % 1000).to_le_bytes()).collect();
 //! let compressed = gpzip::compress(&data);
 //! assert!(compressed.len() < data.len() / 2);
-//! assert_eq!(gpzip::decompress(&compressed), data);
+//! assert_eq!(gpzip::try_decompress(&compressed).unwrap(), data);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,14 +84,6 @@ pub fn try_decompress_into(bytes: &[u8], out: &mut Vec<u8>) -> Result<(), CodecE
         try_decode_block(block, out, total)?;
     }
     Ok(())
-}
-
-/// Decompresses a stream produced by [`compress`]. Panics on corrupt input —
-/// use [`try_decompress`] for untrusted bytes.
-pub fn decompress(bytes: &[u8]) -> Vec<u8> {
-    // ANALYZER-ALLOW(no-panic): documented panicking convenience wrapper; the
-    // try_ twin above is the path for untrusted bytes.
-    try_decompress(bytes).expect("corrupt gpzip stream")
 }
 
 /// End-of-block symbol in the literal/length alphabet.
@@ -310,7 +302,7 @@ mod tests {
 
     fn roundtrip(data: &[u8]) -> usize {
         let c = compress(data);
-        assert_eq!(decompress(&c), data, "len {}", data.len());
+        assert_eq!(try_decompress(&c).unwrap(), data, "len {}", data.len());
         c.len()
     }
 

@@ -25,6 +25,8 @@ pub mod scrub;
 pub mod service;
 pub mod table;
 
+use core::ops::Range;
+
 use alp_core::{ColumnCodec, Registry, Scratch};
 use fastlanes::VECTOR_SIZE;
 
@@ -94,12 +96,15 @@ enum Storage {
     /// ALP keeps its native compressed form: it is the one codec with
     /// random vector access, which the engine exploits for per-vector reads.
     Alp(alp::Compressed<f64>),
-    /// Vector-granular codec: `(compressed bytes, value count)` per
-    /// 1024-value vector.
-    Vectors(&'static dyn ColumnCodec, Vec<(Vec<u8>, usize)>),
-    /// Block-granular codec: `(compressed bytes, value count)` per row-group
-    /// block (the general-purpose compressors).
-    Blocks(&'static dyn ColumnCodec, Vec<(Vec<u8>, usize)>),
+    /// Any other registered codec: `(compressed bytes, value count)` per
+    /// block of `vectors_per_block` vectors — 1 for the per-value codecs,
+    /// [`ROWGROUP_VECTORS`] for the block-based general-purpose compressors,
+    /// which must inflate a whole block to read anything inside it.
+    Blocks {
+        codec: &'static dyn ColumnCodec,
+        vectors_per_block: usize,
+        blocks: Vec<(Vec<u8>, usize)>,
+    },
 }
 
 /// Per-vector min/max statistics enabling predicate push-down: a vector whose
@@ -175,6 +180,41 @@ impl FilteredSum {
     pub const fn zero() -> Self {
         Self { sum: 0.0, matches: 0, vectors_scanned: 0, vectors_skipped: 0, valid: 0, invalid: 0 }
     }
+
+    /// Folds one vector's scan partials in — the single `VectorScan →
+    /// FilteredSum` step behind every route (compressed-domain, freshly
+    /// decoded, cached page), which is what keeps them bit-identical: one
+    /// sequential scalar sum per vector, added into the running total
+    /// afterwards.
+    pub(crate) fn add_scan(&mut self, scan: &alp::VectorScan<f64>) {
+        self.sum += scan.sum;
+        self.matches += scan.matches;
+        self.valid += scan.valid_count();
+        self.invalid += scan.invalid_count();
+    }
+
+    /// Folds one already-decoded vector (of a cached or freshly materialized
+    /// page) in: the same chain as [`alp::scan_decoded`] followed by
+    /// [`FilteredSum::add_scan`], bit for bit, as one dense branch-free pass
+    /// that builds no bitmaps. The service's cached route is nothing but
+    /// this loop, and there it measures a fifth faster than going through
+    /// the hit words (`hot_small`); `scan_decoded` is for the consumers that
+    /// need those words.
+    pub(crate) fn add_values(&mut self, values: &[f64], lo: f64, hi: f64) {
+        let mut sum = 0.0;
+        let mut matches = 0usize;
+        let mut invalid = 0usize;
+        for &x in values {
+            let hit = x >= lo && x <= hi;
+            sum += if hit { x } else { 0.0 };
+            matches += hit as usize;
+            invalid += x.is_nan() as usize;
+        }
+        self.sum += sum;
+        self.matches += matches;
+        self.valid += values.len() - invalid;
+        self.invalid += invalid;
+    }
 }
 
 /// Why [`Column::try_decompress_vector_at`] could not deliver a vector.
@@ -218,6 +258,30 @@ impl core::fmt::Display for VectorAccessError {
 
 impl std::error::Error for VectorAccessError {}
 
+/// The one seam where a decode failure becomes a panic. [`Column`]'s
+/// whole-column operators keep infallible signatures because their bytes were
+/// compressed in-process by the constructor, so a failure here is a codec
+/// bug, not bad input; everything that reads by caller-supplied index (the
+/// service, the scrubber, the `try_` accessors) stays on the `Result`.
+// ANALYZER-ALLOW(no-panic): the documented trusted-bytes seam described above
+// — the only place vectorq turns a decode error into a panic.
+pub(crate) fn trusted<T>(decoded: Result<T, VectorAccessError>) -> T {
+    decoded.expect("decoding bytes this column compressed in-process")
+}
+
+/// Calls `f` with the index of every set bit of a bitmap (bit `i` of word
+/// `i / 64`), ascending — the sparse-word walk that turns hit words into row
+/// offsets, so vectors with few matches cost almost nothing.
+pub(crate) fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
 /// A single compressed column plus scan/aggregate operators.
 pub struct Column {
     storage: Storage,
@@ -248,16 +312,11 @@ impl Column {
             }
             Format::Registered(codec) => {
                 assert!(!codec.caps().ratio_only, "{} cannot back a stored column", codec.id());
-                let granularity =
-                    if codec.caps().block_based { ROWGROUP_VALUES } else { VECTOR_SIZE };
+                let vectors_per_block = if codec.caps().block_based { ROWGROUP_VECTORS } else { 1 };
                 let blocks = codec
-                    .par_compress(data, granularity, threads)
+                    .par_compress(data, vectors_per_block * VECTOR_SIZE, threads)
                     .expect("in-memory compression of trusted data");
-                if codec.caps().block_based {
-                    Storage::Blocks(codec, blocks)
-                } else {
-                    Storage::Vectors(codec, blocks)
-                }
+                Storage::Blocks { codec, vectors_per_block, blocks }
             }
         };
         let zone_maps = data.chunks(VECTOR_SIZE).map(ZoneMap::of).collect();
@@ -267,123 +326,6 @@ impl Column {
     /// The per-vector zone maps.
     pub fn zone_maps(&self) -> &[ZoneMap] {
         &self.zone_maps
-    }
-
-    /// `SELECT sum(x) WHERE lo <= x <= hi` with zone-map push-down.
-    ///
-    /// Vector-granular formats (ALP, the per-value codecs, uncompressed) skip
-    /// non-overlapping vectors without touching their payload. GPZip can only
-    /// skip a whole row-group block when *every* vector inside it is
-    /// disjoint — the skipping disadvantage of block-based compression the
-    /// paper describes.
-    pub fn sum_where(&self, lo: f64, hi: f64) -> FilteredSum {
-        let mut result = FilteredSum::zero();
-        match &self.storage {
-            Storage::Blocks(_, blocks) => {
-                let mut vector_idx = 0usize;
-                for (m, (_, count)) in blocks.iter().enumerate() {
-                    let n_vectors = count.div_ceil(VECTOR_SIZE);
-                    let zones = &self.zone_maps[vector_idx..vector_idx + n_vectors];
-                    if zones.iter().any(|z| z.overlaps(lo, hi)) {
-                        // Must inflate the whole block even for one vector.
-                        let mut local = vector_idx;
-                        self.for_each_vector_in_morsel(m, &mut |v| {
-                            result.vectors_scanned += 1;
-                            if self.zone_maps[local].overlaps(lo, hi) {
-                                accumulate(v, lo, hi, &mut result);
-                            }
-                            local += 1;
-                        });
-                    } else {
-                        result.vectors_skipped += n_vectors;
-                    }
-                    vector_idx += n_vectors;
-                }
-            }
-            _ => {
-                let mut vector_idx = 0usize;
-                for m in 0..self.morsel_count() {
-                    // Fast path: skip the whole morsel when fully disjoint.
-                    self.for_each_vector_in_morsel_filtered(
-                        m,
-                        &mut vector_idx,
-                        lo,
-                        hi,
-                        &mut result,
-                    );
-                }
-            }
-        }
-        result
-    }
-
-    /// Vector-granular filtered scan of one morsel, consulting the zone map
-    /// *before* decompressing each vector.
-    fn for_each_vector_in_morsel_filtered(
-        &self,
-        m: usize,
-        vector_idx: &mut usize,
-        lo: f64,
-        hi: f64,
-        result: &mut FilteredSum,
-    ) {
-        match &self.storage {
-            Storage::Uncompressed(values) => {
-                let start = m * ROWGROUP_VALUES;
-                let end = (start + ROWGROUP_VALUES).min(values.len());
-                for chunk in values[start..end].chunks(VECTOR_SIZE) {
-                    if self.zone_maps[*vector_idx].overlaps(lo, hi) {
-                        result.vectors_scanned += 1;
-                        accumulate(chunk, lo, hi, result);
-                    } else {
-                        result.vectors_skipped += 1;
-                    }
-                    *vector_idx += 1;
-                }
-            }
-            Storage::Alp(c) => {
-                // Fused compressed-domain scan: unpack, FOR-add, exception
-                // patch, predicate and aggregate in one pass per vector with
-                // no intermediate `Vec<f64>`. The kernel's accumulation chain
-                // matches `accumulate` bit-for-bit (see `alp::scan_vector`),
-                // so this path and the materializing one agree exactly.
-                let mut buf = vec![0.0f64; VECTOR_SIZE];
-                for v in 0..c.rowgroups[m].vector_count() {
-                    if self.zone_maps[*vector_idx].overlaps(lo, hi) {
-                        result.vectors_scanned += 1;
-                        let scan = c
-                            .try_scan_vector(m, v, lo, hi, false, &mut buf)
-                            .expect("scanning coordinates this column produced");
-                        result.sum += scan.sum;
-                        result.matches += scan.matches;
-                        result.valid += scan.valid_count();
-                        result.invalid += scan.invalid_count();
-                    } else {
-                        result.vectors_skipped += 1;
-                    }
-                    *vector_idx += 1;
-                }
-            }
-            Storage::Vectors(codec, blocks) => {
-                let mut scratch = Scratch::new();
-                let mut decoded = Vec::new();
-                let start = m * ROWGROUP_VECTORS;
-                let end = (start + ROWGROUP_VECTORS).min(blocks.len());
-                for (bytes, count) in &blocks[start..end] {
-                    if self.zone_maps[*vector_idx].overlaps(lo, hi) {
-                        result.vectors_scanned += 1;
-                        codec
-                            .try_decompress_into(bytes, *count, &mut decoded, &mut scratch)
-                            .expect("decoding bytes this column compressed");
-                        accumulate(&decoded, lo, hi, result);
-                    } else {
-                        result.vectors_skipped += 1;
-                    }
-                    *vector_idx += 1;
-                }
-            }
-            Storage::Blocks(..) => unreachable!("handled by sum_where"),
-        }
     }
 
     /// Number of values in the column.
@@ -401,69 +343,157 @@ impl Column {
         match &self.storage {
             Storage::Uncompressed(v) => v.len() * 8,
             Storage::Alp(c) => c.compressed_bits() / 8,
-            Storage::Vectors(_, blocks) => blocks.iter().map(|(b, _)| b.len()).sum(),
-            Storage::Blocks(_, blocks) => blocks.iter().map(|(b, _)| b.len()).sum(),
+            Storage::Blocks { blocks, .. } => blocks.iter().map(|(b, _)| b.len()).sum(),
         }
     }
 
-    /// Number of morsels (parallel work units).
-    fn morsel_count(&self) -> usize {
-        match &self.storage {
-            Storage::Uncompressed(v) => v.len().div_ceil(ROWGROUP_VALUES),
-            Storage::Alp(c) => c.rowgroups.len(),
-            Storage::Vectors(_, blocks) => blocks.len().div_ceil(ROWGROUP_VECTORS),
-            Storage::Blocks(_, blocks) => blocks.len(),
+    /// The one storage walker: decodes the vectors of `vectors` (global
+    /// vector indices — a morsel, a page, or a single vector) that `wanted`
+    /// keeps and hands each to `visit` in ascending order, staging through
+    /// `scratch`. `wanted` is consulted *before* any payload is touched, and
+    /// a block of block-granular storage is inflated once per call, and only
+    /// when it holds a wanted vector. Every operator of [`Column`],
+    /// [`table::Table`], the [`service`] and the scrubber is a loop over
+    /// this.
+    ///
+    /// Returns how many vectors were decompressed: the visited ones, plus —
+    /// for block-granular storage — the unwanted in-range neighbours that
+    /// shared an inflated block (the skipping penalty the paper attributes
+    /// to general-purpose compression).
+    pub(crate) fn try_walk(
+        &self,
+        vectors: Range<usize>,
+        wanted: impl Fn(usize) -> bool,
+        scratch: &mut Scratch,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) -> Result<usize, VectorAccessError> {
+        let total = self.zone_maps.len();
+        let out_of_range = |vector| VectorAccessError::OutOfRange { vector, vectors: total };
+        if vectors.end > total {
+            return Err(out_of_range(vectors.end - 1));
         }
+        // The decode buffer lives in the caller's scratch so repeated walks
+        // stay allocation-free once warm.
+        let mut buf = std::mem::take(&mut scratch.floats);
+        let walked = (|| {
+            let mut decoded = 0usize;
+            match &self.storage {
+                Storage::Uncompressed(values) => {
+                    for v in vectors.filter(|&v| wanted(v)) {
+                        visit(v, values.chunks(VECTOR_SIZE).nth(v).ok_or(out_of_range(v))?);
+                        decoded += 1;
+                    }
+                }
+                Storage::Alp(c) => {
+                    if buf.len() < VECTOR_SIZE {
+                        buf.resize(VECTOR_SIZE, 0.0);
+                    }
+                    for v in vectors.filter(|&v| wanted(v)) {
+                        let n = c
+                            .try_decompress_vector(
+                                v / ROWGROUP_VECTORS,
+                                v % ROWGROUP_VECTORS,
+                                &mut buf,
+                            )
+                            .map_err(VectorAccessError::Index)?;
+                        let live = buf
+                            .get(..n)
+                            .ok_or(VectorAccessError::Truncated { vector: v, decoded: n })?;
+                        visit(v, live);
+                        decoded += 1;
+                    }
+                }
+                Storage::Blocks { codec, vectors_per_block, blocks } => {
+                    let mut v = vectors.start;
+                    while v < vectors.end {
+                        let block = v / vectors_per_block;
+                        let first = block * vectors_per_block;
+                        let block_end = (first + vectors_per_block).min(vectors.end);
+                        if (v..block_end).any(&wanted) {
+                            let (bytes, count) = blocks.get(block).ok_or(out_of_range(v))?;
+                            codec
+                                .try_decompress_into(bytes, *count, &mut buf, scratch)
+                                .map_err(VectorAccessError::Codec)?;
+                            for i in (v..block_end).filter(|&i| wanted(i)) {
+                                let live = buf.chunks(VECTOR_SIZE).nth(i - first).ok_or(
+                                    VectorAccessError::Truncated { vector: i, decoded: buf.len() },
+                                )?;
+                                visit(i, live);
+                            }
+                            decoded += block_end - v;
+                        }
+                        v = block_end;
+                    }
+                }
+            }
+            Ok(decoded)
+        })();
+        scratch.floats = buf;
+        walked
     }
 
-    /// Runs `consume` on every decompressed vector of morsel `m`.
-    // ANALYZER-ALLOW(no-panic): the bytes were produced in-memory by this
-    // column's own compressor, so a decode failure here is a codec bug, not
-    // untrusted input — the service layer's `try_` paths handle the fallible
-    // case and route failures through quarantine instead.
-    fn for_each_vector_in_morsel(&self, m: usize, consume: &mut dyn FnMut(&[f64])) {
-        match &self.storage {
-            Storage::Uncompressed(values) => {
-                let start = m * ROWGROUP_VALUES;
-                let end = (start + ROWGROUP_VALUES).min(values.len());
-                for chunk in values[start..end].chunks(VECTOR_SIZE) {
-                    consume(chunk);
-                }
-            }
-            Storage::Alp(c) => {
-                let mut buf = vec![0.0f64; VECTOR_SIZE];
-                let n_vectors = c.rowgroups[m].vector_count();
-                for v in 0..n_vectors {
-                    let n = c.decompress_vector(m, v, &mut buf);
-                    consume(&buf[..n]);
-                }
-            }
-            Storage::Vectors(codec, blocks) => {
-                let mut scratch = Scratch::new();
-                let mut decoded = Vec::new();
-                let start = m * ROWGROUP_VECTORS;
-                let end = (start + ROWGROUP_VECTORS).min(blocks.len());
-                for (bytes, count) in &blocks[start..end] {
-                    codec
-                        .try_decompress_into(bytes, *count, &mut decoded, &mut scratch)
-                        .expect("decoding bytes this column compressed");
-                    consume(&decoded);
-                }
-            }
-            Storage::Blocks(codec, blocks) => {
-                // Block-based: the whole row-group inflates before any vector
-                // can be delivered.
-                let mut scratch = Scratch::new();
-                let mut decoded = Vec::new();
-                let (bytes, count) = &blocks[m];
-                codec
-                    .try_decompress_into(bytes, *count, &mut decoded, &mut scratch)
-                    .expect("decoding bytes this column compressed");
-                for chunk in decoded.chunks(VECTOR_SIZE) {
-                    consume(chunk);
-                }
+    /// Predicate scan of the vectors in `vectors` whose zone map overlaps
+    /// `lo..=hi`: hands each one's [`alp::VectorScan`] (partial sum, match
+    /// count, validity and hit words) to `visit`. ALP and raw storage scan in
+    /// place ([`Column::try_scan_vector_fused`]); codec bytes go through
+    /// [`Column::try_walk`] and [`alp::scan_decoded`], the same accumulation
+    /// chain, so every storage folds bit-identically. Returns the
+    /// decompressed-vector count like [`Column::try_walk`].
+    pub(crate) fn try_scan_range(
+        &self,
+        vectors: Range<usize>,
+        lo: f64,
+        hi: f64,
+        scratch: &mut Scratch,
+        mut visit: impl FnMut(usize, &alp::VectorScan<f64>),
+    ) -> Result<usize, VectorAccessError> {
+        let wanted = |v: usize| self.zone_maps.get(v).is_some_and(|z| z.overlaps(lo, hi));
+        if !self.supports_fused_scan() {
+            return self.try_walk(vectors, wanted, scratch, |v, values| {
+                let mut scan = alp::VectorScan::empty(values.len());
+                alp::scan_decoded(values, lo, hi, false, &mut scan);
+                visit(v, &scan);
+            });
+        }
+        let mut scanned = 0usize;
+        for v in vectors.filter(|&v| wanted(v)) {
+            // `None` only for codec bytes, which took the branch above.
+            if let Some(scan) = self.try_scan_vector_fused(v, lo, hi, scratch)? {
+                visit(v, &scan);
+                scanned += 1;
             }
         }
+        Ok(scanned)
+    }
+
+    /// [`Column::sum_where`] over a vector range (the service's fused page
+    /// route is this over one page).
+    pub(crate) fn try_sum_where_in(
+        &self,
+        vectors: Range<usize>,
+        lo: f64,
+        hi: f64,
+        scratch: &mut Scratch,
+    ) -> Result<FilteredSum, VectorAccessError> {
+        let in_range = vectors.len();
+        let mut part = FilteredSum::zero();
+        let scanned =
+            self.try_scan_range(vectors, lo, hi, scratch, |_, scan| part.add_scan(scan))?;
+        part.vectors_scanned = scanned;
+        part.vectors_skipped = in_range - scanned;
+        Ok(part)
+    }
+
+    /// `SELECT sum(x) WHERE lo <= x <= hi` with zone-map push-down.
+    ///
+    /// Vector-granular formats (ALP, the per-value codecs, uncompressed) skip
+    /// non-overlapping vectors without touching their payload. GPZip can only
+    /// skip a whole row-group block when *every* vector inside it is
+    /// disjoint — the skipping disadvantage of block-based compression the
+    /// paper describes.
+    pub fn sum_where(&self, lo: f64, hi: f64) -> FilteredSum {
+        let all = 0..self.zone_maps.len();
+        trusted(self.try_sum_where_in(all, lo, hi, &mut Scratch::new()))
     }
 
     /// SCAN: decompresses every vector, returns the number of tuples
@@ -472,108 +502,55 @@ impl Column {
     /// without the fold a slice of raw data could be "scanned" without
     /// touching a byte.
     pub fn scan(&self) -> usize {
-        let mut tuples = 0usize;
-        let mut checksum = 0u64;
-        for m in 0..self.morsel_count() {
-            self.for_each_vector_in_morsel(m, &mut |v| {
-                checksum ^= fold_bits(v);
-                tuples += v.len();
-            });
-        }
-        std::hint::black_box(checksum);
-        tuples
+        self.par_scan(1)
     }
 
     /// SUM: scan plus vectorized aggregation.
     pub fn sum(&self) -> f64 {
-        let mut total = 0.0f64;
-        for m in 0..self.morsel_count() {
-            self.for_each_vector_in_morsel(m, &mut |v| {
-                total += v.iter().sum::<f64>();
-            });
-        }
-        total
+        self.par_sum(1)
     }
 
     /// Parallel SCAN over `threads` workers (morsel-driven). Returns total
     /// tuples scanned.
     pub fn par_scan(&self, threads: usize) -> usize {
-        self.parallel(threads, |col, m| {
-            let mut tuples = 0usize;
-            let mut checksum = 0u64;
-            col.for_each_vector_in_morsel(m, &mut |v| {
-                checksum ^= fold_bits(v);
-                tuples += v.len();
-            });
-            std::hint::black_box(checksum);
-            tuples as f64
+        self.fold_vectors(threads, |v| {
+            std::hint::black_box(fold_bits(v));
+            v.len() as f64
         }) as usize
     }
 
     /// Parallel SUM over `threads` workers.
     pub fn par_sum(&self, threads: usize) -> f64 {
-        self.parallel(threads, |col, m| {
-            let mut total = 0.0;
-            col.for_each_vector_in_morsel(m, &mut |v| {
-                total += v.iter().sum::<f64>();
-            });
-            total
-        })
+        self.fold_vectors(threads, |v| v.iter().sum())
+    }
+
+    /// Adds up `consume(vector)` over every decoded vector. Workers claim
+    /// 100-vector morsels from the workspace-shared [`alp_core::par`] queue,
+    /// each walking its morsels in order through its own [`Scratch`];
+    /// partials are added at the join barrier (at one thread: one running
+    /// total in vector order).
+    fn fold_vectors(&self, threads: usize, consume: impl Fn(&[f64]) -> f64 + Sync) -> f64 {
+        let vectors = self.zone_maps.len();
+        let (_, total) = alp_core::par::fold_morsels(
+            threads.max(1),
+            vectors.div_ceil(ROWGROUP_VECTORS),
+            || (Scratch::new(), 0.0f64),
+            |(scratch, acc), m| {
+                let morsel = m * ROWGROUP_VECTORS..((m + 1) * ROWGROUP_VECTORS).min(vectors);
+                trusted(self.try_walk(morsel, |_| true, scratch, |_, v| *acc += consume(v)));
+            },
+            |(scratch, a), (_, b)| (scratch, a + b),
+        );
+        total
     }
 
     /// Decompresses the vector with global index `vector_idx` into `out`
-    /// (≥ 1024 elements); returns the live count. For block-based storage
-    /// (GPZip) this inflates the whole containing block — the penalty the
-    /// paper attributes to general-purpose compression.
-    // ANALYZER-ALLOW(no-panic): the bytes were produced in-memory by this
-    // column's own compressor, so a decode failure here is a codec bug, not
-    // untrusted input — fallible callers (`try_aggregate`) never feed this
-    // path external bytes.
-    pub fn decompress_vector_at(&self, vector_idx: usize, out: &mut [f64]) -> usize {
-        assert!(out.len() >= VECTOR_SIZE);
-        match &self.storage {
-            Storage::Uncompressed(values) => {
-                let start = vector_idx * VECTOR_SIZE;
-                let end = (start + VECTOR_SIZE).min(values.len());
-                out[..end - start].copy_from_slice(&values[start..end]);
-                end - start
-            }
-            Storage::Alp(c) => c.decompress_vector(
-                vector_idx / ROWGROUP_VECTORS,
-                vector_idx % ROWGROUP_VECTORS,
-                out,
-            ),
-            Storage::Vectors(codec, blocks) => {
-                let (bytes, count) = &blocks[vector_idx];
-                let mut decoded = Vec::new();
-                codec
-                    .try_decompress_into(bytes, *count, &mut decoded, &mut Scratch::new())
-                    .expect("decoding bytes this column compressed");
-                out[..decoded.len()].copy_from_slice(&decoded);
-                decoded.len()
-            }
-            Storage::Blocks(codec, blocks) => {
-                let block_idx = vector_idx / ROWGROUP_VECTORS;
-                let within = vector_idx % ROWGROUP_VECTORS;
-                let (bytes, count) = &blocks[block_idx];
-                let mut decoded = Vec::new();
-                codec
-                    .try_decompress_into(bytes, *count, &mut decoded, &mut Scratch::new())
-                    .expect("decoding bytes this column compressed");
-                let start = within * VECTOR_SIZE;
-                let end = (start + VECTOR_SIZE).min(decoded.len());
-                out[..end - start].copy_from_slice(&decoded[start..end]);
-                end - start
-            }
-        }
-    }
-
-    /// Fallible twin of [`Column::decompress_vector_at`]: decompresses the
-    /// vector with global index `vector_idx` into `out` (cleared first),
-    /// staging through `scratch`, and returns the live count. Never panics —
+    /// (cleared first), staging through `scratch`, and returns the live
+    /// count — the random-access form of the storage walker. Never panics:
     /// out-of-range indices and corrupt payloads come back as typed
-    /// [`VectorAccessError`]s. This is the decode path the query service uses
-    /// for pages it treats as untrusted-by-policy.
+    /// [`VectorAccessError`]s. For block-based storage (GPZip) this inflates
+    /// the whole containing block — the penalty the paper attributes to
+    /// general-purpose compression — so range consumers walk instead.
     pub fn try_decompress_vector_at(
         &self,
         vector_idx: usize,
@@ -585,82 +562,17 @@ impl Column {
         if vector_idx >= vectors {
             return Err(VectorAccessError::OutOfRange { vector: vector_idx, vectors });
         }
-        match &self.storage {
-            Storage::Uncompressed(values) => {
-                let start = vector_idx.saturating_mul(VECTOR_SIZE);
-                let end = start.saturating_add(VECTOR_SIZE).min(values.len());
-                let live = values
-                    .get(start..end)
-                    .ok_or(VectorAccessError::OutOfRange { vector: vector_idx, vectors })?;
-                out.extend_from_slice(live);
-                Ok(out.len())
-            }
-            Storage::Alp(c) => {
-                // Stage through the scratch float buffer so repeated calls
-                // stay allocation-free once warm.
-                let mut buf = std::mem::take(&mut scratch.floats);
-                buf.clear();
-                buf.resize(VECTOR_SIZE, 0.0);
-                let decoded = c
-                    .try_decompress_vector(
-                        vector_idx / ROWGROUP_VECTORS,
-                        vector_idx % ROWGROUP_VECTORS,
-                        &mut buf,
-                    )
-                    .map_err(VectorAccessError::Index);
-                let result = decoded.and_then(|n| match buf.get(..n) {
-                    Some(live) => {
-                        out.extend_from_slice(live);
-                        Ok(out.len())
-                    }
-                    None => Err(VectorAccessError::Truncated { vector: vector_idx, decoded: n }),
-                });
-                scratch.floats = buf;
-                result
-            }
-            Storage::Vectors(codec, blocks) => {
-                let (bytes, count) = blocks
-                    .get(vector_idx)
-                    .ok_or(VectorAccessError::OutOfRange { vector: vector_idx, vectors })?;
-                codec
-                    .try_decompress_into(bytes, *count, out, scratch)
-                    .map_err(VectorAccessError::Codec)?;
-                Ok(out.len())
-            }
-            Storage::Blocks(codec, blocks) => {
-                let block_idx = vector_idx / ROWGROUP_VECTORS;
-                let within = vector_idx % ROWGROUP_VECTORS;
-                let (bytes, count) = blocks
-                    .get(block_idx)
-                    .ok_or(VectorAccessError::OutOfRange { vector: vector_idx, vectors })?;
-                // The whole block inflates before one vector can be sliced
-                // out — stage it in the scratch float buffer.
-                let mut decoded = std::mem::take(&mut scratch.floats);
-                let result = codec
-                    .try_decompress_into(bytes, *count, &mut decoded, scratch)
-                    .map_err(VectorAccessError::Codec)
-                    .and_then(|()| {
-                        let start = within.saturating_mul(VECTOR_SIZE);
-                        let end = start.saturating_add(VECTOR_SIZE).min(decoded.len());
-                        let live = decoded.get(start..end).ok_or(VectorAccessError::Truncated {
-                            vector: vector_idx,
-                            decoded: decoded.len(),
-                        })?;
-                        out.extend_from_slice(live);
-                        Ok(out.len())
-                    });
-                scratch.floats = decoded;
-                result
-            }
-        }
+        let one = vector_idx..vector_idx + 1;
+        self.try_walk(one, |_| true, scratch, |_, live| out.extend_from_slice(live))?;
+        Ok(out.len())
     }
 
     /// Fused per-vector scan — unpack→FOR→patch→predicate→aggregate in one
     /// pass, returning the vector's partial aggregates plus validity and hit
     /// bitmaps without materializing a `Vec<f64>`. `Ok(None)` means this
-    /// storage has no fused kernel (vector- or block-granular codec bytes);
-    /// the caller materializes instead. Partials fold bit-identically to
-    /// [`Column::sum_where`]'s materializing chain.
+    /// storage has no fused kernel (codec bytes); the caller materializes
+    /// instead. Partials fold bit-identically to [`Column::sum_where`]'s
+    /// materializing chain.
     pub fn try_scan_vector_fused(
         &self,
         vector_idx: usize,
@@ -708,7 +620,7 @@ impl Column {
                 alp::scan_decoded(live, lo, hi, false, &mut scan);
                 Ok(Some(scan))
             }
-            Storage::Vectors(..) | Storage::Blocks(..) => Ok(None),
+            Storage::Blocks { .. } => Ok(None),
         }
     }
 
@@ -721,61 +633,18 @@ impl Column {
     /// `SELECT row_ids WHERE lo <= x <= hi` with zone-map push-down: returns
     /// global row indices of matching values.
     ///
-    /// The selection vector is derived from per-vector hit-bitmap words:
-    /// fused storages hand the bitmap back straight from the compressed
-    /// domain, other storages materialize and build the same words — either
-    /// way ids come from a `trailing_zeros` sparse-word walk, so vectors with
-    /// few (or no) matches cost almost nothing beyond the scan itself.
+    /// The selection vector is derived from per-vector hit-bitmap words
+    /// ([`alp::VectorScan::hits`] — straight from the compressed domain on
+    /// fused storages), walked sparsely, so vectors with few (or no) matches
+    /// cost almost nothing beyond the scan itself.
     pub fn filter_indices(&self, lo: f64, hi: f64) -> Vec<u64> {
         let mut ids = Vec::new();
-        let mut buf = vec![0.0f64; VECTOR_SIZE];
-        let mut scratch = Scratch::new();
-        for (v_idx, zm) in self.zone_maps.iter().enumerate() {
-            if !zm.overlaps(lo, hi) {
-                continue;
-            }
-            let base = (v_idx * VECTOR_SIZE) as u64;
-            let words = match self
-                .try_scan_vector_fused(v_idx, lo, hi, &mut scratch)
-                .expect("scanning coordinates this column produced")
-            {
-                Some(scan) => scan.hits,
-                None => {
-                    let n = self.decompress_vector_at(v_idx, &mut buf);
-                    let mut words = [0u64; alp::SCAN_WORDS];
-                    for (j, chunk) in buf[..n].chunks(64).enumerate() {
-                        let mut word = 0u64;
-                        for (i, &x) in chunk.iter().enumerate() {
-                            word |= ((x >= lo && x <= hi) as u64) << i;
-                        }
-                        words[j] = word;
-                    }
-                    words
-                }
-            };
-            for (w_idx, &word) in words.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let bit = w.trailing_zeros() as u64;
-                    ids.push(base + (w_idx as u64) * 64 + bit);
-                    w &= w - 1;
-                }
-            }
-        }
+        let all = 0..self.zone_maps.len();
+        trusted(self.try_scan_range(all, lo, hi, &mut Scratch::new(), |v, scan| {
+            let base = v * VECTOR_SIZE;
+            for_each_set_bit(&scan.hits, |i| ids.push((base + i) as u64));
+        }));
         ids
-    }
-
-    /// Morsel scheduler: workers claim row-groups from the workspace-shared
-    /// [`alp_core::par`] queue and accumulate a partial result; partials are
-    /// added at the join barrier.
-    fn parallel(&self, threads: usize, work: impl Fn(&Column, usize) -> f64 + Sync) -> f64 {
-        alp_core::par::fold_morsels(
-            threads.max(1),
-            self.morsel_count(),
-            || 0.0f64,
-            |acc, m| *acc += work(self, m),
-            |a, b| a + b,
-        )
     }
 }
 
@@ -788,28 +657,6 @@ fn fold_bits(v: &[f64]) -> u64 {
         acc ^= x.to_bits();
     }
     acc
-}
-
-/// Adds the in-range values of `v` into `result` (branch-predictable
-/// predicated accumulation). Shared with [`service`] so a cached page scans
-/// bit-identically to the column's own operators — and the exact chain the
-/// fused scan kernels reproduce (`alp::scan_vector`): one sequential scalar
-/// sum per vector, added into the running total afterwards.
-#[inline]
-pub(crate) fn accumulate(v: &[f64], lo: f64, hi: f64, result: &mut FilteredSum) {
-    let mut sum = 0.0;
-    let mut matches = 0usize;
-    let mut invalid = 0usize;
-    for &x in v {
-        let hit = x >= lo && x <= hi;
-        sum += if hit { x } else { 0.0 };
-        matches += hit as usize;
-        invalid += x.is_nan() as usize;
-    }
-    result.sum += sum;
-    result.matches += matches;
-    result.valid += v.len() - invalid;
-    result.invalid += invalid;
 }
 
 #[cfg(test)]
@@ -1011,24 +858,52 @@ mod tests {
     }
 
     #[test]
-    fn try_decompress_vector_at_matches_the_panicking_twin() {
+    fn try_decompress_vector_at_delivers_every_vector_of_every_format() {
         let data = sample_data(ROWGROUP_VALUES + 700);
         let mut scratch = Scratch::new();
         for fmt in formats() {
             let col = Column::from_f64(&data, fmt);
-            let mut reference = vec![0.0f64; VECTOR_SIZE];
             let mut got = Vec::new();
             let vectors = col.zone_maps().len();
-            for v in 0..vectors {
-                let n = col.decompress_vector_at(v, &mut reference);
-                let m = col.try_decompress_vector_at(v, &mut got, &mut scratch).unwrap();
-                assert_eq!(n, m, "{} v={v}", fmt.name());
-                for (a, b) in reference[..n].iter().zip(&got) {
+            for (v, want) in data.chunks(VECTOR_SIZE).enumerate() {
+                let n = col.try_decompress_vector_at(v, &mut got, &mut scratch).unwrap();
+                assert_eq!(n, want.len(), "{} v={v}", fmt.name());
+                for (a, b) in want.iter().zip(&got) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{} v={v}", fmt.name());
                 }
             }
             // Out-of-range is a typed error, not a panic.
             let err = col.try_decompress_vector_at(vectors, &mut got, &mut scratch).unwrap_err();
+            assert_eq!(err, VectorAccessError::OutOfRange { vector: vectors, vectors });
+        }
+    }
+
+    #[test]
+    fn a_walk_inflates_each_block_once_and_visits_only_wanted_vectors() {
+        let data = sample_data(2 * ROWGROUP_VALUES + 700);
+        let mut scratch = Scratch::new();
+        for fmt in formats() {
+            let col = Column::from_f64(&data, fmt);
+            let vectors = col.zone_maps().len();
+            // Vectors 3 and 150: one per row-group block, none in the third.
+            let mut seen = Vec::new();
+            let decoded = col
+                .try_walk(
+                    0..vectors,
+                    |v| v == 3 || v == 150,
+                    &mut scratch,
+                    |v, live| {
+                        assert_eq!(live, &data[v * VECTOR_SIZE..(v + 1) * VECTOR_SIZE]);
+                        seen.push(v);
+                    },
+                )
+                .unwrap();
+            assert_eq!(seen, [3, 150], "{}", fmt.name());
+            let block_granular = fmt == Format::by_id("gpzip").unwrap();
+            let expect = if block_granular { 2 * ROWGROUP_VECTORS } else { 2 };
+            assert_eq!(decoded, expect, "{}", fmt.name());
+            // A range past the column is a typed error before any decode.
+            let err = col.try_walk(0..vectors + 1, |_| true, &mut scratch, |_, _| {}).unwrap_err();
             assert_eq!(err, VectorAccessError::OutOfRange { vector: vectors, vectors });
         }
     }

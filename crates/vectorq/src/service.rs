@@ -36,7 +36,7 @@ use fastlanes::VECTOR_SIZE;
 
 use crate::cache::{CacheConfig, CacheStats, PageCache};
 use crate::scrub::{ScrubOptions, ScrubReport};
-use crate::{accumulate, Column, FilteredSum};
+use crate::{Column, FilteredSum};
 
 // ---------------------------------------------------------------------------
 // Errors and reports
@@ -384,39 +384,37 @@ impl Store {
         self.healed.store(true, Ordering::Release);
     }
 
-    /// The active poison verdict for `page`: the seeded plan's decision,
-    /// unless the store has been healed.
-    fn poison_verdict(&self, page: usize) -> Option<PoisonKind> {
+    /// Fires the seeded plan's fault for `page`, if any and unless the store
+    /// has been healed: a panic (which the governed runner's containment
+    /// seam absorbs, for queries and scrub passes alike) or a typed decode
+    /// error.
+    fn injected_fault(&self, page: usize) -> Result<(), LossReason> {
         if self.healed.load(Ordering::Acquire) {
-            return None;
+            return Ok(());
         }
-        self.poison.decide(page)
+        match self.poison.decide(page) {
+            // ANALYZER-ALLOW(no-panic): deliberate fault injection — this is
+            // the panic the governed runner's containment seam exists to
+            // absorb, enabled only by a nonzero poison seed.
+            Some(PoisonKind::Panic) => panic!("injected page poison (page {page})"),
+            Some(PoisonKind::Corrupt) => {
+                Err(LossReason::Decode(format!("injected corruption (page {page})")))
+            }
+            None => Ok(()),
+        }
     }
 
     /// Re-verifies that `page` decodes cleanly end to end — the scrubber's
-    /// probe. Walks every vector through the same fallible decode path
+    /// probe. Walks every vector through the same fallible storage walker
     /// queries use, bypassing the cache (a verdict must come from the
-    /// payload, not a stale copy). An injected `Panic` fault fires here too:
-    /// the governed scrub runner's containment seam absorbs it exactly like
-    /// a query worker's.
+    /// payload, not a stale copy).
     pub(crate) fn verify_page(&self, page: usize, ctx: &mut PageCtx) -> Result<(), LossReason> {
-        match self.poison_verdict(page) {
-            // ANALYZER-ALLOW(no-panic): deliberate fault injection — this is
-            // the panic the governed scrub runner's containment seam exists
-            // to absorb, enabled only by a nonzero poison seed.
-            Some(PoisonKind::Panic) => panic!("injected page poison (page {page})"),
-            Some(PoisonKind::Corrupt) => {
-                return Err(LossReason::Decode(format!("injected corruption (page {page})")));
-            }
-            None => {}
-        }
+        self.injected_fault(page)?;
         let (v0, v1) = self.page_vectors(page);
-        for v in v0..v1 {
-            self.column
-                .try_decompress_vector_at(v, &mut ctx.vec_buf, &mut ctx.scratch)
-                .map_err(|e| LossReason::Decode(e.to_string()))?;
-        }
-        Ok(())
+        self.column
+            .try_walk(v0..v1, |_| true, &mut ctx.scratch, |_, _| {})
+            .map(drop)
+            .map_err(|e| LossReason::Decode(e.to_string()))
     }
 
     /// Test-only quarantine entry so the scrub suite can seed damage without
@@ -471,48 +469,13 @@ impl Store {
             };
             if zone.overlaps(lo, hi) {
                 part.vectors_scanned += 1;
-                accumulate(slice, lo, hi, &mut part);
+                part.add_values(slice, lo, hi);
             } else {
                 part.vectors_skipped += 1;
             }
             offset += len;
         }
         part
-    }
-
-    /// Scans a page in the compressed domain: one fused
-    /// unpack→FOR→patch→predicate→aggregate pass per overlapping vector,
-    /// with no page buffer. `Ok(None)` means some vector had no fused kernel
-    /// after all (the caller materializes); `Err` is a decode failure the
-    /// caller quarantines, exactly like a materializing failure.
-    fn scan_page_fused(
-        &self,
-        v0: usize,
-        v1: usize,
-        lo: f64,
-        hi: f64,
-        scratch: &mut Scratch,
-    ) -> Result<Option<FilteredSum>, crate::VectorAccessError> {
-        let mut part = FilteredSum::zero();
-        let zones = self.column.zone_maps();
-        for v in v0..v1 {
-            let Some(zone) = zones.get(v) else { break };
-            if !zone.overlaps(lo, hi) {
-                part.vectors_skipped += 1;
-                continue;
-            }
-            match self.column.try_scan_vector_fused(v, lo, hi, scratch)? {
-                Some(scan) => {
-                    part.vectors_scanned += 1;
-                    part.sum += scan.sum;
-                    part.matches += scan.matches;
-                    part.valid += scan.valid_count();
-                    part.invalid += scan.invalid_count();
-                }
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(part))
     }
 
     /// One morsel of a query: serve page `page` through the cache, decoding
@@ -551,17 +514,8 @@ impl Store {
             // actually reads it).
             return PageOutcome::Pruned(v1 - v0);
         }
-        match self.poison_verdict(page) {
-            // ANALYZER-ALLOW(no-panic): deliberate fault injection — this is
-            // the panic the governed runner's containment seam exists to
-            // absorb, enabled only by a nonzero poison seed.
-            Some(PoisonKind::Panic) => panic!("injected page poison (page {page})"),
-            Some(PoisonKind::Corrupt) => {
-                return PageOutcome::Skipped(LossReason::Decode(format!(
-                    "injected corruption (page {page})"
-                )));
-            }
-            None => {}
+        if let Err(reason) = self.injected_fault(page) {
+            return PageOutcome::Skipped(reason);
         }
         if let Some(values) = self.cache.get(page) {
             return PageOutcome::Scanned {
@@ -572,19 +526,23 @@ impl Store {
         let page_bytes = self.page_rows(page).saturating_mul(core::mem::size_of::<f64>());
         if !no_fused && self.column.supports_fused_scan() && !self.cache.would_admit(page_bytes) {
             // Predicted bypass: caching the decoded page is impossible, so
-            // materializing it buys nothing — scan fused instead.
-            match self.scan_page_fused(v0, v1, lo, hi, &mut ctx.scratch) {
-                Ok(Some(part)) => return PageOutcome::Scanned { part, fused: true },
-                Ok(None) => {} // no fused kernel after all — materialize below
-                Err(e) => return PageOutcome::Skipped(LossReason::Decode(e.to_string())),
-            }
+            // materializing it buys nothing — scan in the compressed domain,
+            // one fused pass per overlapping vector and no page buffer.
+            return match self.column.try_sum_where_in(v0..v1, lo, hi, &mut ctx.scratch) {
+                Ok(part) => PageOutcome::Scanned { part, fused: true },
+                Err(e) => PageOutcome::Skipped(LossReason::Decode(e.to_string())),
+            };
         }
         ctx.page_buf.clear();
-        for v in v0..v1 {
-            match self.column.try_decompress_vector_at(v, &mut ctx.vec_buf, &mut ctx.scratch) {
-                Ok(_) => ctx.page_buf.extend_from_slice(&ctx.vec_buf),
-                Err(e) => return PageOutcome::Skipped(LossReason::Decode(e.to_string())),
-            }
+        let page_buf = &mut ctx.page_buf;
+        let decoded = self.column.try_walk(
+            v0..v1,
+            |_| true,
+            &mut ctx.scratch,
+            |_, live| page_buf.extend_from_slice(live),
+        );
+        if let Err(e) = decoded {
+            return PageOutcome::Skipped(LossReason::Decode(e.to_string()));
         }
         let values = Arc::new(std::mem::take(&mut ctx.page_buf));
         let admitted = self.cache.insert(page, Arc::clone(&values));
@@ -601,19 +559,19 @@ impl Store {
     }
 }
 
-/// Per-worker query scratch: codec staging plus vector/page assembly buffers,
-/// built once per worker and reused across every page it claims. Shared with
-/// the scrubber ([`crate::scrub`]), whose workers re-verify pages through the
-/// same decode path.
+/// Per-worker query scratch: the walker's staging (which carries the block
+/// buffer of block-granular storage) plus the page assembly buffer, built
+/// once per worker and reused across every page it claims. Shared with the
+/// scrubber ([`crate::scrub`]), whose workers re-verify pages through the
+/// same walker.
 pub(crate) struct PageCtx {
     scratch: Scratch,
-    vec_buf: Vec<f64>,
     page_buf: Vec<f64>,
 }
 
 impl PageCtx {
     pub(crate) fn new() -> Self {
-        Self { scratch: Scratch::new(), vec_buf: Vec::new(), page_buf: Vec::new() }
+        Self { scratch: Scratch::new(), page_buf: Vec::new() }
     }
 }
 
@@ -862,7 +820,7 @@ impl Service {
         crate::scrub::scrub_store(&self.store, threads, &token)
     }
 
-    /// Snapshot of the store's cache counters (for `bench_json` and the CLI).
+    /// Snapshot of the store's cache counters (for the benchmark and the CLI).
     pub fn cache_stats(&self) -> CacheStats {
         self.store.cache_stats()
     }

@@ -2,9 +2,9 @@
 //! express the paper's end-to-end queries plus the selective scans that
 //! motivate vector-granular compression.
 
-use fastlanes::VECTOR_SIZE;
+use alp_core::Scratch;
 
-use crate::{Column, Format};
+use crate::{for_each_set_bit, trusted, Column, Format};
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,7 +22,7 @@ pub enum Aggregate {
 }
 
 /// Min/max accumulator with explicit emptiness: input with no valid (non-NaN)
-/// values stays `None` — never a ±inf sentinel. Both `aggregate` paths fold
+/// values stays `None` — never a ±inf sentinel. Both aggregate paths fold
 /// through this one helper, so MIN and MAX cannot drift apart again. Ties
 /// keep the earlier value, matching `alp_core::scan_values`' fold.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,11 +57,7 @@ impl MinMax {
             for (i, &x) in chunk.iter().enumerate() {
                 word |= ((!x.is_nan()) as u64) << i;
             }
-            while word != 0 {
-                let i = word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.update(chunk[i]);
-            }
+            for_each_set_bit(&[word], |i| self.update(chunk[i]));
         }
     }
 }
@@ -76,17 +72,20 @@ impl Column {
         let mut sum = 0.0f64;
         let mut minmax = MinMax::default();
         let mut count = 0usize;
-        let mut buf = vec![0.0f64; VECTOR_SIZE];
-        for v_idx in 0..self.zone_maps().len() {
-            let n = self.decompress_vector_at(v_idx, &mut buf);
-            count += n;
-            let live = buf.get(..n).unwrap_or(&buf);
-            match agg {
-                Aggregate::Sum | Aggregate::Avg => sum += live.iter().sum::<f64>(),
-                Aggregate::Min | Aggregate::Max => minmax.update_valid(live),
-                Aggregate::Count => {}
-            }
-        }
+        let all = 0..self.zone_maps().len();
+        trusted(self.try_walk(
+            all,
+            |_| true,
+            &mut Scratch::new(),
+            |_, live| {
+                count += live.len();
+                match agg {
+                    Aggregate::Sum | Aggregate::Avg => sum += live.iter().sum::<f64>(),
+                    Aggregate::Min | Aggregate::Max => minmax.update_valid(live),
+                    Aggregate::Count => {}
+                }
+            },
+        ));
         match agg {
             Aggregate::Sum => Some(sum),
             Aggregate::Min => minmax.min,
@@ -100,12 +99,6 @@ impl Column {
                 }
             }
         }
-    }
-
-    /// Convenience twin of [`Column::try_aggregate`]: undefined aggregates
-    /// (see there) come back as NaN.
-    pub fn aggregate(&self, agg: Aggregate) -> f64 {
-        self.try_aggregate(agg).unwrap_or(f64::NAN)
     }
 }
 
@@ -195,45 +188,31 @@ impl Table {
         let mut count = 0usize;
         let mut vectors_touched = 0usize;
 
-        let mut fbuf = vec![0.0f64; VECTOR_SIZE];
-        let mut tbuf = vec![0.0f64; VECTOR_SIZE];
-        for (v_idx, zm) in filter_col.zone_maps().iter().enumerate() {
-            if !zm.overlaps(lo, hi) {
-                continue;
+        // Pass 1 — the filter column's selection: hit words (one bit per
+        // row; NaNs fail both comparisons, so hit bits are valid bits) of
+        // every vector with at least one match, in vector order.
+        let all = 0..filter_col.zone_maps().len();
+        let mut scratch = Scratch::new();
+        let mut selected = Vec::new();
+        trusted(filter_col.try_scan_range(all.clone(), lo, hi, &mut scratch, |v, scan| {
+            if scan.matches > 0 {
+                selected.push((v, scan.hits));
             }
-            let n = filter_col.decompress_vector_at(v_idx, &mut fbuf);
-            // Selection bitmap of the filter vector: one word per 64 rows,
-            // built once, driving both the any-match test and the target
-            // walk — NaNs fail both comparisons, so hit bits are valid bits.
-            let mut hits = [0u64; VECTOR_SIZE / 64];
-            let mut any = false;
-            for (w, chunk) in fbuf[..n].chunks(64).enumerate() {
-                let mut word = 0u64;
-                for (i, &x) in chunk.iter().enumerate() {
-                    word |= ((x >= lo && x <= hi) as u64) << i;
-                }
-                hits[w] = word;
-                any |= word != 0;
-            }
-            if !any {
-                // Decompress the target vector only when matches exist.
-                continue;
-            }
+        }));
+        // Pass 2 — the target column, decompressing only the vectors that
+        // hold matches (the walker visits them in the same ascending order).
+        let wanted = |v: usize| selected.binary_search_by_key(&v, |(sv, _)| *sv).is_ok();
+        let mut selection = selected.iter();
+        trusted(target_col.try_walk(all, wanted, &mut scratch, |_, values| {
+            let Some((_, hits)) = selection.next() else { return };
             vectors_touched += 1;
-            let tn = target_col.decompress_vector_at(v_idx, &mut tbuf);
-            debug_assert_eq!(n, tn);
-            for (w, &word) in hits.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let i = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let t = tbuf[i];
-                    count += 1;
-                    sum += t;
-                    minmax.update(t);
-                }
-            }
-        }
+            for_each_set_bit(hits, |i| {
+                let t = values[i];
+                count += 1;
+                sum += t;
+                minmax.update(t);
+            });
+        }));
 
         let value = match agg {
             Aggregate::Sum => sum,
@@ -267,6 +246,8 @@ pub struct FilteredAggregate {
 
 #[cfg(test)]
 mod tests {
+    use fastlanes::VECTOR_SIZE;
+
     use super::*;
 
     fn test_table() -> Table {
@@ -281,13 +262,14 @@ mod tests {
     fn aggregates_match_reference() {
         let data: Vec<f64> = (0..50_000).map(|i| ((i % 997) as f64) / 10.0).collect();
         let col = Column::from_f64(&data, Format::alp());
-        assert_eq!(col.aggregate(Aggregate::Count), data.len() as f64);
+        let aggregate = |agg| col.try_aggregate(agg).unwrap();
+        assert_eq!(aggregate(Aggregate::Count), data.len() as f64);
         let sum: f64 = data.iter().sum();
-        assert!((col.aggregate(Aggregate::Sum) - sum).abs() < sum.abs() * 1e-12);
-        assert_eq!(col.aggregate(Aggregate::Min), 0.0);
-        assert_eq!(col.aggregate(Aggregate::Max), 99.6);
+        assert!((aggregate(Aggregate::Sum) - sum).abs() < sum.abs() * 1e-12);
+        assert_eq!(aggregate(Aggregate::Min), 0.0);
+        assert_eq!(aggregate(Aggregate::Max), 99.6);
         let avg = sum / data.len() as f64;
-        assert!((col.aggregate(Aggregate::Avg) - avg).abs() < 1e-9);
+        assert!((aggregate(Aggregate::Avg) - avg).abs() < 1e-9);
     }
 
     #[test]
@@ -296,8 +278,6 @@ mod tests {
         let col = Column::from_f64(&vec![f64::NAN; 2 * VECTOR_SIZE], Format::alp());
         assert_eq!(col.try_aggregate(Aggregate::Min), None);
         assert_eq!(col.try_aggregate(Aggregate::Max), None);
-        assert!(col.aggregate(Aggregate::Min).is_nan());
-        assert!(col.aggregate(Aggregate::Max).is_nan());
         // Count stays defined; Avg of NaNs is a defined (NaN) mean.
         assert_eq!(col.try_aggregate(Aggregate::Count), Some((2 * VECTOR_SIZE) as f64));
 
@@ -374,26 +354,5 @@ mod tests {
         let col = Column::from_f64(&data, Format::alp());
         let ids = col.filter_indices(5000.0, 5004.0);
         assert_eq!(ids, vec![5000, 5001, 5002, 5003, 5004]);
-    }
-
-    #[test]
-    fn decompress_vector_at_every_format() {
-        let data: Vec<f64> = (0..250_000).map(|i| (i % 333) as f64 / 4.0).collect();
-        for fmt in [
-            Format::Uncompressed,
-            Format::alp(),
-            Format::by_id("patas").unwrap(),
-            Format::by_id("gpzip").unwrap(),
-        ] {
-            let col = Column::from_f64(&data, fmt);
-            let mut buf = vec![0.0f64; VECTOR_SIZE];
-            for v_idx in [0usize, 101, 207, 244] {
-                let n = col.decompress_vector_at(v_idx, &mut buf);
-                let start = v_idx * VECTOR_SIZE;
-                let end = (start + VECTOR_SIZE).min(data.len());
-                assert_eq!(n, end - start, "{} v{}", fmt.name(), v_idx);
-                assert_eq!(&buf[..n], &data[start..end], "{} v{}", fmt.name(), v_idx);
-            }
-        }
     }
 }

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), codecs::CodecError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "Stocks-USA".to_string());
     let data = datagen::generate(&name, 500_000, 11);
     let mb = data.len() as f64 * 8.0 / 1e6;
@@ -37,7 +37,7 @@ fn main() {
         let bytes = codec.compress_f64(&data);
         let c_s = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let back = codec.decompress_f64(&bytes, data.len());
+        let back = codec.try_decompress_f64(&bytes, data.len())?;
         let d_s = t0.elapsed().as_secs_f64();
         assert!(data.iter().zip(&back).all(|(a, b)| a.to_bits() == b.to_bits()));
         println!(
@@ -55,7 +55,7 @@ fn main() {
     let z = gpzip::compress(&raw);
     let c_s = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
-    let back = gpzip::decompress(&z);
+    let back = gpzip::try_decompress(&z)?;
     let d_s = t0.elapsed().as_secs_f64();
     assert_eq!(back, raw);
     println!(
@@ -66,4 +66,5 @@ fn main() {
         mb / d_s
     );
     println!("\nall schemes verified bit-exact lossless on this dataset");
+    Ok(())
 }

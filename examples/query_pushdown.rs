@@ -48,7 +48,7 @@ fn main() {
     let alp_col = alp::Compressor::new().compress(&data);
     let mut buf = vec![0.0f64; alp::VECTOR_SIZE];
     let t0 = Instant::now();
-    let n = alp_col.decompress_vector(40, 50, &mut buf);
+    let n = alp_col.try_decompress_vector(40, 50, &mut buf).expect("in range");
     let alp_us = t0.elapsed().as_secs_f64() * 1e6;
     println!("  ALP   : decompress exactly {n} values          -> {alp_us:>8.1} us");
 
@@ -56,7 +56,7 @@ fn main() {
         data[..vectorq::ROWGROUP_VALUES].iter().flat_map(|v| v.to_le_bytes()).collect();
     let zblock = gpzip::compress(&block);
     let t0 = Instant::now();
-    let raw = gpzip::decompress(&zblock);
+    let raw = gpzip::try_decompress(&zblock).expect("bytes compressed above");
     let z_us = t0.elapsed().as_secs_f64() * 1e6;
     println!(
         "  GPZip : must inflate the whole {}-value block -> {z_us:>8.1} us ({:.0}x more data touched)",

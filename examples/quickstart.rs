@@ -37,6 +37,6 @@ fn main() {
 
     // Vector-level random access: decompress only vector 500 of row-group 2.
     let mut buffer = vec![0.0f64; alp::VECTOR_SIZE];
-    let n = restored.decompress_vector(2, 50, &mut buffer);
+    let n = restored.try_decompress_vector(2, 50, &mut buffer).expect("in range");
     println!("random access     : vector (rg=2, v=50) -> {n} values, first = {}", buffer[0]);
 }

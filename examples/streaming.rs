@@ -53,8 +53,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(count, total);
 
     // The pipelined mode: identical bytes, with compression overlapped onto
-    // a worker pool while the caller thread keeps filling (threads/depth
-    // resolve from ALP_THREADS / ALP_PIPELINE_DEPTH when not set here).
+    // a worker pool while the caller thread keeps filling (threads resolve
+    // from ALP_THREADS when not set here; the depth defaults to 2).
     let piped_path = std::env::temp_dir().join("alp_streaming_demo_piped.alps");
     let t0 = Instant::now();
     {

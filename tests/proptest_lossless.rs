@@ -74,43 +74,43 @@ proptest! {
     #[test]
     fn gorilla_is_lossless(data in vec(any_f64(), 0..2000)) {
         let bytes = codecs::gorilla::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::gorilla::decompress_f64(&bytes, data.len()));
+        assert_bits_eq(&data, &codecs::gorilla::try_decompress_f64(&bytes, data.len()).unwrap());
     }
 
     #[test]
     fn chimp_is_lossless(data in vec(any_f64(), 0..2000)) {
         let bytes = codecs::chimp::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::chimp::decompress_f64(&bytes, data.len()));
+        assert_bits_eq(&data, &codecs::chimp::try_decompress_f64(&bytes, data.len()).unwrap());
     }
 
     #[test]
     fn chimp128_is_lossless(data in vec(any_f64(), 0..2000)) {
         let bytes = codecs::chimp128::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::chimp128::decompress_f64(&bytes, data.len()));
+        assert_bits_eq(&data, &codecs::chimp128::try_decompress_f64(&bytes, data.len()).unwrap());
     }
 
     #[test]
     fn patas_is_lossless(data in vec(any_f64(), 0..2000)) {
         let bytes = codecs::patas::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::patas::decompress_f64(&bytes, data.len()));
+        assert_bits_eq(&data, &codecs::patas::try_decompress_f64(&bytes, data.len()).unwrap());
     }
 
     #[test]
     fn elf_is_lossless(data in vec(mixed_f64(), 0..800)) {
         let bytes = codecs::elf::compress(&data);
-        assert_bits_eq(&data, &codecs::elf::decompress(&bytes, data.len()));
+        assert_bits_eq(&data, &codecs::elf::try_decompress(&bytes, data.len()).unwrap());
     }
 
     #[test]
     fn pde_is_lossless(data in vec(mixed_f64(), 0..2000)) {
         let bytes = codecs::pde::compress(&data);
-        assert_bits_eq(&data, &codecs::pde::decompress(&bytes, data.len()));
+        assert_bits_eq(&data, &codecs::pde::try_decompress(&bytes, data.len()).unwrap());
     }
 
     #[test]
     fn gpzip_is_lossless(data in vec(any::<u8>(), 0..60_000)) {
         let z = gpzip::compress(&data);
-        prop_assert_eq!(gpzip::decompress(&z), data);
+        prop_assert_eq!(gpzip::try_decompress(&z).unwrap(), data);
     }
 
     #[test]
@@ -177,13 +177,13 @@ proptest! {
     #[test]
     fn fpc_is_lossless(data in vec(any_f64(), 0..2000)) {
         let bytes = codecs::fpc::compress(&data);
-        assert_bits_eq(&data, &codecs::fpc::decompress(&bytes, data.len()));
+        assert_bits_eq(&data, &codecs::fpc::try_decompress(&bytes, data.len()).unwrap());
     }
 
     #[test]
     fn gpzip_fast_is_lossless(data in vec(any::<u8>(), 0..60_000)) {
         let z = gpzip::fast::compress(&data);
-        prop_assert_eq!(gpzip::fast::decompress(&z), data);
+        prop_assert_eq!(gpzip::fast::try_decompress(&z).unwrap(), data);
     }
 
     #[test]
