@@ -3,10 +3,12 @@
 //! Three variants of the hot loop exist on purpose:
 //!
 //! * [`decode_vector`] — the production path: bit-unpack, add the FOR base and
-//!   multiply back to floats **in a single fused kernel**, then patch
-//!   exceptions. This is the "FFOR+ALP fused" configuration of Figure 5.
-//! * [`decode_vector_unfused`] — identical math split into two kernels with a
-//!   materialized intermediate integer vector (the Figure 5 baseline).
+//!   multiply back to floats **one 64-value block at a time**, the integers
+//!   never leaving L1, then patch exceptions. This is the "FFOR+ALP fused"
+//!   configuration of Figure 5.
+//! * [`decode_vector_unfused`] — identical math over the same block unpacker,
+//!   split into two passes with a materialized 1024-value integer vector in
+//!   between (the Figure 5 baseline).
 //! * [`decode_vector_scalar`] — a deliberately value-at-a-time, branchy
 //!   implementation (runtime-width bit extraction, per-value exception test)
 //!   standing in for the paper's "Scalar (vectorization disabled)"
@@ -18,33 +20,95 @@
 //! no materialized `Vec<f64>`. Its accumulation is a single sequential scalar
 //! chain per vector, so every aggregate is bit-identical to decoding the
 //! vector and folding the same chain over the buffer.
+//!
+//! The fast variants turn integers into floats without a conversion
+//! instruction wherever the vector's frame allows ([`AlpFloat::from_i64_magic`],
+//! chosen per vector from the header); the results are the same bits either
+//! way, which `tests/kernel_differential.rs` pins against the scalar variant.
 
-use fastlanes::dispatch::{width_mask, with_width, WidthKernel};
+use fastlanes::bitpack::{block_words, unpacker, Unpack64, BLOCK};
 use fastlanes::{ffor, VECTOR_SIZE};
 
 use crate::encode::{AlpVector, ExcView};
 use crate::traits::AlpFloat;
+
+/// `ALP_dec` for one vector: the block unpacker for its width, its frame
+/// and multipliers, and which int→float conversion the frame allows.
+struct AlpDec<'a, F> {
+    packed: &'a [u64],
+    width: usize,
+    unpack: Unpack64,
+    base: i64,
+    mul_f: F,
+    mul_e: F,
+    /// Every integer the frame can hold (`for_base ..= for_base + 2^W - 1`)
+    /// lies inside `±MAGIC_LIMIT`, so [`AlpFloat::from_i64_magic`] is exact.
+    magic: bool,
+    /// The current block's residuals, between unpack and multiply.
+    residuals: [u64; BLOCK],
+}
+
+impl<'a, F: AlpFloat> AlpDec<'a, F> {
+    fn of(v: &'a AlpVector) -> Self {
+        let limit = F::MAGIC_LIMIT;
+        let magic = v.bit_width <= 51
+            && (-limit..=limit).contains(&v.for_base)
+            && v.for_base + ((1i64 << v.bit_width) - 1) <= limit;
+        let width = v.bit_width as usize;
+        Self {
+            packed: &v.packed,
+            width,
+            unpack: unpacker(width),
+            base: v.for_base,
+            mul_f: F::f10(v.factor),
+            mul_e: F::if10(v.exponent),
+            magic,
+            residuals: [0; BLOCK],
+        }
+    }
+
+    /// `out[i] = ALP_dec(ints[i])`. Two loops, not a per-value branch: both
+    /// are integer-add / float-multiply bodies with no cross-lane state.
+    #[inline]
+    fn multiply(&self, ints: impl Iterator<Item = i64>, out: &mut [F]) {
+        let (mul_f, mul_e) = (self.mul_f, self.mul_e);
+        if self.magic {
+            for (o, d) in out.iter_mut().zip(ints) {
+                *o = F::from_i64_magic(d) * mul_f * mul_e;
+            }
+        } else {
+            for (o, d) in out.iter_mut().zip(ints) {
+                *o = F::from_i64(d) * mul_f * mul_e;
+            }
+        }
+    }
+
+    /// Stage 1 of the fused kernels: unpack block `block`, add the FOR base
+    /// and multiply back to floats while the 64 integers are still in L1.
+    #[inline]
+    fn block(&mut self, block: usize, out: &mut [F; BLOCK]) {
+        (self.unpack)(block_words(self.packed, self.width, block), &mut self.residuals);
+        let base = self.base as u64;
+        self.multiply(self.residuals.iter().map(|&r| r.wrapping_add(base) as i64), out);
+    }
+}
 
 /// Decodes `v` into `out[..v.len]` using the fused kernel, patching from the
 /// exception view `exc` (obtained from the owning arena). Returns the number
 /// of live values written.
 pub fn decode_vector<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, out: &mut [F]) -> usize {
     assert!(out.len() >= VECTOR_SIZE);
-    let mul_f = F::f10(v.factor);
-    let mul_e = F::if10(v.exponent);
-    with_width(
-        v.bit_width as usize,
-        FusedDecode { packed: &v.packed, base: v.for_base, mul_f, mul_e, out },
-    );
+    let mut dec = AlpDec::of(v);
+    let blocks = out.as_chunks_mut::<BLOCK>().0;
+    for (block, out_block) in blocks.iter_mut().enumerate().take(VECTOR_SIZE / BLOCK) {
+        dec.block(block, out_block);
+    }
     patch_exceptions(exc, out);
     v.len as usize
 }
 
 /// Unfused decode: unFFOR into an integer scratch vector, then a separate
 /// multiply loop. Exists for the Figure 5 kernel-fusion ablation.
-// ANALYZER-ALLOW(no-panic): fixed 1024-lane kernel geometry; scratch/out
-// lengths are asserted at entry and indices stay below VECTOR_SIZE.
-#[allow(clippy::needless_range_loop)] // affine-index form the vectorizer needs
 pub fn decode_vector_unfused<F: AlpFloat>(
     v: &AlpVector,
     exc: ExcView<'_>,
@@ -52,12 +116,9 @@ pub fn decode_vector_unfused<F: AlpFloat>(
     out: &mut [F],
 ) -> usize {
     assert!(scratch.len() >= VECTOR_SIZE && out.len() >= VECTOR_SIZE);
-    ffor::ffor_unpack(&v.packed, v.for_base, v.bit_width as usize, &mut scratch[..VECTOR_SIZE]);
-    let mul_f = F::f10(v.factor);
-    let mul_e = F::if10(v.exponent);
-    for i in 0..VECTOR_SIZE {
-        out[i] = F::from_i64(scratch[i]) * mul_f * mul_e;
-    }
+    let scratch = scratch.get_mut(..VECTOR_SIZE).unwrap_or_default();
+    ffor::ffor_unpack(&v.packed, v.for_base, v.bit_width as usize, scratch);
+    AlpDec::of(v).multiply(scratch.iter().copied(), out);
     patch_exceptions(exc, out);
     v.len as usize
 }
@@ -115,63 +176,6 @@ pub fn patch_exceptions<F: AlpFloat>(exc: ExcView<'_>, out: &mut [F]) {
         // is dropped rather than allowed to panic the decode path.
         if let Some(slot) = out.get_mut(p as usize) {
             *slot = F::from_bits_u64(bits);
-        }
-    }
-}
-
-struct FusedDecode<'a, F: AlpFloat> {
-    packed: &'a [u64],
-    base: i64,
-    mul_f: F,
-    mul_e: F,
-    out: &'a mut [F],
-}
-
-impl<F: AlpFloat> WidthKernel for FusedDecode<'_, F> {
-    type Out = ();
-    #[inline]
-    // ANALYZER-ALLOW(no-panic): fixed 1024-lane kernel geometry; callers assert
-    // out.len() >= VECTOR_SIZE and packed holds the 16*W+1 words the wire
-    // reader validated, so every block index is in bounds. The `as u32` shift
-    // cast is bounded by `& 63`.
-    #[allow(clippy::needless_range_loop)] // affine-index form the vectorizer needs
-    fn run<const W: usize>(self) {
-        let Self { packed, base, mul_f, mul_e, out } = self;
-        let base_u = base as u64;
-        if W == 0 {
-            let val = F::from_i64(base) * mul_f * mul_e;
-            out[..VECTOR_SIZE].fill(val);
-            return;
-        }
-        if W == 64 {
-            for i in 0..VECTOR_SIZE {
-                let d = packed[i].wrapping_add(base_u) as i64;
-                out[i] = F::from_i64(d) * mul_f * mul_e;
-            }
-            return;
-        }
-        let mask = width_mask::<W>();
-        // Same 16x64 block structure as the fastlanes kernels. Fusion happens
-        // at the cache-block level: the 64 unpacked integers stay in a local
-        // buffer (registers / L1) instead of a materialized 1024-value vector,
-        // and each mini-loop is a clean single-domain pattern the compiler
-        // auto-vectorizes (mixing the shift network and the int→float multiply
-        // in one loop defeats the vectorizer).
-        for block in 0..VECTOR_SIZE / 64 {
-            let words = &packed[block * W..block * W + W + 1];
-            let out_block = &mut out[block * 64..block * 64 + 64];
-            let mut tmp = [0i64; 64];
-            for j in 0..64 {
-                let bit = j * W;
-                let word = bit >> 6;
-                let off = (bit & 63) as u32;
-                let lo = words[word] >> off;
-                let hi = (words[word + 1] << 1) << (63 - off);
-                tmp[j] = ((lo | hi) & mask).wrapping_add(base_u) as i64;
-            }
-            for j in 0..64 {
-                out_block[j] = F::from_i64(tmp[j]) * mul_f * mul_e;
-            }
         }
     }
 }
@@ -252,22 +256,27 @@ pub fn scan_vector<F: AlpFloat>(
         scan_decoded(buf.get(..n).unwrap_or(&buf), lo, hi, with_minmax, &mut scan);
         return scan;
     }
-    let mul_f = F::f10(v.factor);
-    let mul_e = F::if10(v.exponent);
-    with_width(
-        v.bit_width as usize,
-        FusedScanKernel {
-            packed: &v.packed,
-            base: v.for_base,
-            mul_f,
-            mul_e,
-            exc,
-            lo,
-            hi,
-            with_minmax,
-            out: &mut scan,
-        },
-    );
+    let mut dec = AlpDec::of(v);
+    let mut exceptions = exc.positions.iter().zip(exc.values).peekable();
+    // Block-local staging: stage 1 overwrites every slot.
+    let mut vals = [F::from_i64(0); BLOCK];
+    for (block, start) in (0..scan.len.min(VECTOR_SIZE)).step_by(BLOCK).enumerate() {
+        // Stage 1: unpack + FOR-add + decimal multiply into the staging
+        // buffer — the same block step as `decode_vector`.
+        dec.block(block, &mut vals);
+        // Stage 2: mid-stream exception patch. Positions are ascending
+        // (checked above), so one cursor visits each exception once;
+        // positions past the vector end are dropped, matching
+        // `patch_exceptions`.
+        while let Some((&p, &bits)) = exceptions.next_if(|(&p, _)| (p as usize) < start + BLOCK) {
+            if let Some(slot) = (p as usize).checked_sub(start).and_then(|i| vals.get_mut(i)) {
+                *slot = F::from_bits_u64(bits);
+            }
+        }
+        // Stages 3 and 4: predicate, bitmaps and the aggregate chain.
+        let live = vals.get(..scan.len - start).unwrap_or(&vals);
+        scan.scan_block(block, live, lo, hi, with_minmax);
+    }
     scan
 }
 
@@ -282,26 +291,37 @@ pub fn scan_decoded<F: AlpFloat>(
     with_minmax: bool,
     scan: &mut VectorScan<F>,
 ) {
-    let mut sum = scan.sum;
-    let mut matches = scan.matches;
-    let mut min = scan.min;
-    let mut max = scan.max;
-    let words = scan.valid.iter_mut().zip(scan.hits.iter_mut());
-    for (chunk, (valid_word, hit_word)) in values.chunks(64).zip(words) {
-        // Predicate + bitmaps first (independent per lane, vectorizable),
-        // then the chain over hit lanes only — adding +0.0 for a miss is an
-        // exact no-op because the running sum starts at +0.0 and IEEE-754
-        // round-to-nearest never produces -0.0 unless both operands are
-        // -0.0, so skipping misses is bit-identical to the contract chain.
+    for (block, chunk) in values.chunks(BLOCK).enumerate().take(SCAN_WORDS) {
+        scan.scan_block(block, chunk, lo, hi, with_minmax);
+    }
+}
+
+impl<F: AlpFloat> VectorScan<F> {
+    /// Folds live values `64 * block ..` (at most 64 of them) into the scan.
+    #[inline]
+    fn scan_block(&mut self, block: usize, chunk: &[F], lo: F, hi: F, with_minmax: bool) {
+        // Predicate + bitmaps first: one independent comparison per lane, no
+        // loop-carried state beyond the two OR-accumulators.
+        let chunk = chunk.get(..BLOCK).unwrap_or(chunk);
         let mut vw = 0u64;
         let mut hw = 0u64;
         for (j, &x) in chunk.iter().enumerate() {
             vw |= ((!x.is_nan()) as u64) << j;
             hw |= ((x >= lo && x <= hi) as u64) << j;
         }
-        *valid_word = vw;
-        *hit_word = hw;
-        matches += hw.count_ones() as usize;
+        if let (Some(valid), Some(hits)) = (self.valid.get_mut(block), self.hits.get_mut(block)) {
+            *valid = vw;
+            *hits = hw;
+        }
+        self.matches += hw.count_ones() as usize;
+        // Then the aggregate chain, feeding only hit lanes into the serial FP
+        // dependency. The contract chain adds `+0.0` for every miss, and +0.0
+        // is the exact additive identity for every value the chain can hold:
+        // the sum starts at +0.0, and IEEE-754 round-to-nearest only yields
+        // -0.0 when *both* operands are -0.0, so the running sum is never
+        // -0.0 — skipping miss terms is bit-identical to adding them. The
+        // chain runs on locals so it stays in registers across the block.
+        let (mut sum, mut min, mut max) = (self.sum, self.min, self.max);
         for (j, &x) in chunk.iter().enumerate() {
             if (hw >> j) & 1 == 1 {
                 sum = sum + x;
@@ -317,134 +337,7 @@ pub fn scan_decoded<F: AlpFloat>(
                 }
             }
         }
-    }
-    scan.sum = sum;
-    scan.matches = matches;
-    scan.min = min;
-    scan.max = max;
-}
-
-struct FusedScanKernel<'a, F: AlpFloat> {
-    packed: &'a [u64],
-    base: i64,
-    mul_f: F,
-    mul_e: F,
-    exc: ExcView<'a>,
-    lo: F,
-    hi: F,
-    with_minmax: bool,
-    out: &'a mut VectorScan<F>,
-}
-
-impl<F: AlpFloat> WidthKernel for FusedScanKernel<'_, F> {
-    type Out = ();
-    #[inline]
-    // ANALYZER-ALLOW(no-panic): fixed 1024-lane kernel geometry; packed holds
-    // the 16*W+1 words the wire reader validated, block-local indices stay
-    // below 64, bitmap indices below SCAN_WORDS, and the `as u32` shift cast
-    // is bounded by `& 63`.
-    #[allow(clippy::needless_range_loop)] // affine-index form the vectorizer needs
-    fn run<const W: usize>(self) {
-        let Self { packed, base, mul_f, mul_e, exc, lo, hi, with_minmax, out } = self;
-        let zero = F::from_i64(0);
-        let base_u = base as u64;
-        let mask = width_mask::<W>();
-        let len = out.len.min(VECTOR_SIZE);
-        let mut exc_idx = 0usize;
-        let mut sum = out.sum;
-        let mut matches = out.matches;
-        let mut min = out.min;
-        let mut max = out.max;
-        // Block-local staging, hoisted out of the loop so its initialization
-        // is paid once, not per block (every live slot is overwritten before
-        // it is read — lanes past `n` never reach the bitmaps or the chain).
-        let mut vals = [zero; 64];
-        let mut tmp = [0i64; 64];
-        for block in 0..VECTOR_SIZE / 64 {
-            let start = block * 64;
-            if start >= len {
-                break;
-            }
-            let n = 64.min(len - start);
-            // Stage 1: unpack + FOR-add + decimal multiply into the staging
-            // buffer (registers / L1) — same mini-loop shapes as FusedDecode,
-            // so the shift network and the int→float multiply each stay a
-            // clean single-domain pattern the compiler auto-vectorizes.
-            if W == 0 {
-                vals.fill(F::from_i64(base) * mul_f * mul_e);
-            } else if W == 64 {
-                for j in 0..64 {
-                    let d = packed[start + j].wrapping_add(base_u) as i64;
-                    vals[j] = F::from_i64(d) * mul_f * mul_e;
-                }
-            } else {
-                let words = &packed[block * W..block * W + W + 1];
-                for j in 0..64 {
-                    let bit = j * W;
-                    let word = bit >> 6;
-                    let off = (bit & 63) as u32;
-                    let lo_w = words[word] >> off;
-                    let hi_w = (words[word + 1] << 1) << (63 - off);
-                    tmp[j] = ((lo_w | hi_w) & mask).wrapping_add(base_u) as i64;
-                }
-                for j in 0..64 {
-                    vals[j] = F::from_i64(tmp[j]) * mul_f * mul_e;
-                }
-            }
-            // Stage 2: mid-stream exception patch. Positions are ascending
-            // (checked by the caller), so one cursor visits each exception
-            // once; positions past the vector end are dropped, matching
-            // `patch_exceptions`.
-            let end = start + 64;
-            while exc_idx < exc.positions.len() {
-                let p = exc.positions[exc_idx] as usize;
-                if p >= end {
-                    break;
-                }
-                if p >= start {
-                    vals[p - start] = F::from_bits_u64(exc.values[exc_idx]);
-                }
-                exc_idx += 1;
-            }
-            // Stage 3: predicate + bitmaps. One independent comparison per
-            // lane — no loop-carried state, so the compiler vectorizes it.
-            let mut vw = 0u64;
-            let mut hw = 0u64;
-            for j in 0..n {
-                let x = vals[j];
-                vw |= ((!x.is_nan()) as u64) << j;
-                hw |= ((x >= lo && x <= hi) as u64) << j;
-            }
-            out.valid[block] = vw;
-            out.hits[block] = hw;
-            matches += hw.count_ones() as usize;
-            // Stage 4: the aggregate chain, feeding only hit lanes into the
-            // serial FP dependency. The contract chain adds `+0.0` for every
-            // miss, and +0.0 is the exact additive identity for every value
-            // the chain can hold: the sum starts at +0.0, and IEEE-754
-            // round-to-nearest only yields -0.0 when *both* operands are
-            // -0.0, so the running sum is never -0.0 — skipping miss terms
-            // is therefore bit-identical to adding them.
-            for (j, &x) in vals.iter().enumerate().take(n) {
-                if (hw >> j) & 1 == 1 {
-                    sum = sum + x;
-                    if with_minmax {
-                        min = Some(match min {
-                            Some(m) if m <= x => m,
-                            _ => x,
-                        });
-                        max = Some(match max {
-                            Some(m) if m >= x => m,
-                            _ => x,
-                        });
-                    }
-                }
-            }
-        }
-        out.sum = sum;
-        out.matches = matches;
-        out.min = min;
-        out.max = max;
+        (self.sum, self.min, self.max) = (sum, min, max);
     }
 }
 

@@ -201,6 +201,81 @@ impl core::ops::Deref for OwnedAlpVector {
     }
 }
 
+/// The encode pass for vectors whose scaled values all lie inside
+/// `±MAGIC_LIMIT` — every decimal column in practice. One loop scales, adds
+/// `SWEET`, reads the integer out of the sum's mantissa (no float→int
+/// conversion, which is scalar-only on baseline x86-64), verifies the round
+/// trip on the rounded float, and tracks the frame in the float domain; it
+/// carries no position cursor, so nothing in it is serial.
+///
+/// Fills `encoded` and `is_exc` for every input value and returns
+/// `(mismatches, min, max)`, or `None` when some scaled magnitude reaches
+/// `MAGIC_LIMIT` or is NaN — the integers are then garbage and the caller
+/// re-encodes through [`cast_pass`]. Inside the limit both passes compute the
+/// same integers and the same verdicts: `(x + SWEET) - SWEET` is an
+/// integer-valued float there, so the cast, the mantissa read and `from_i64`
+/// all are exact.
+fn sweet_pass<F: AlpFloat>(
+    input: &[F],
+    e: u8,
+    f: u8,
+    encoded: &mut [i64],
+    is_exc: &mut [bool],
+) -> Option<(usize, i64, i64)> {
+    // Float min/max is not a reduction the compiler may reorder (NaN, ±0), so
+    // the frame is tracked in independent lanes and folded once at the end.
+    const LANES: usize = 4;
+    let (enc_e, enc_f, dec_f, dec_e) = (F::f10(e), F::if10(f), F::f10(f), F::if10(e));
+    let (limit, neg_limit) = (F::from_i64(F::MAGIC_LIMIT), F::from_i64(-F::MAGIC_LIMIT));
+    let mut in_range = true;
+    let mut mismatches = 0usize;
+    let (mut mins, mut maxs) = ([limit; LANES], [neg_limit; LANES]);
+    let mut lanes = |slots: &mut [i64], flags: &mut [bool], values: &[F]| {
+        let frame = mins.iter_mut().zip(&mut maxs);
+        for (((slot, flag), &n), (min, max)) in slots.iter_mut().zip(flags).zip(values).zip(frame) {
+            let x = n * enc_e * enc_f;
+            let sum = x + F::SWEET;
+            let rounded = sum - F::SWEET;
+            *slot = F::sweet_to_i64(sum);
+            in_range &= (x < limit) & (x > neg_limit);
+            *flag = (rounded * dec_f * dec_e).to_bits_u64() != n.to_bits_u64();
+            mismatches += *flag as usize;
+            *min = if rounded < *min { rounded } else { *min };
+            *max = if rounded > *max { rounded } else { *max };
+        }
+    };
+    let (values, values_tail) = input.as_chunks::<LANES>();
+    let (slots, slots_tail) = encoded.get_mut(..input.len())?.as_chunks_mut::<LANES>();
+    let (flags, flags_tail) = is_exc.get_mut(..input.len())?.as_chunks_mut::<LANES>();
+    for ((slots, flags), values) in slots.iter_mut().zip(flags).zip(values) {
+        lanes(slots, flags, values);
+    }
+    lanes(slots_tail, flags_tail, values_tail);
+    let min = mins.into_iter().fold(limit, |a, b| if b < a { b } else { a });
+    let max = maxs.into_iter().fold(neg_limit, |a, b| if b > a { b } else { a });
+    in_range.then(|| (mismatches, min.to_i64_cast(), max.to_i64_cast()))
+}
+
+/// The encode pass for everything else: `ALP_enc` through the float→int cast
+/// (which saturates, and maps NaN to 0), verified through `ALP_dec`. Fills
+/// `encoded` and `is_exc` like [`sweet_pass`] and returns the mismatch count.
+fn cast_pass<F: AlpFloat>(
+    input: &[F],
+    e: u8,
+    f: u8,
+    encoded: &mut [i64],
+    is_exc: &mut [bool],
+) -> usize {
+    let mut mismatches = 0usize;
+    for ((slot, flag), &n) in encoded.iter_mut().zip(is_exc).zip(input) {
+        *slot = encode_one(n, e, f);
+        let dec: F = decode_one(*slot, e, f);
+        *flag = dec.to_bits_u64() != n.to_bits_u64();
+        mismatches += *flag as usize;
+    }
+    mismatches
+}
+
 /// Encodes one vector (Algorithm 1) with the given `(e, f)` combination,
 /// appending its exceptions to `exceptions`.
 ///
@@ -218,20 +293,26 @@ pub fn encode_vector_into<F: AlpFloat>(
     assert!(len > 0 && len <= VECTOR_SIZE, "vector length {len} out of range");
 
     let mut encoded = [0i64; VECTOR_SIZE];
-    // Main encode loop — branch-free, auto-vectorizable.
-    for i in 0..len {
-        encoded[i] = encode_one(input[i], e, f);
-    }
+    let mut is_exc = [false; VECTOR_SIZE];
+    // A vector the sweet pass verified clean has nothing to patch, and its
+    // frame is the pass's min/max (padding repeats `encoded[0]`, which lies
+    // inside it).
+    let (mismatches, clean_frame) = match sweet_pass(input, e, f, &mut encoded, &mut is_exc) {
+        Some((0, min, max)) => (0, Some((min, max))),
+        Some((mismatches, ..)) => (mismatches, None),
+        None => (cast_pass(input, e, f, &mut encoded, &mut is_exc), None),
+    };
 
-    // Exception detection, predicated as in Algorithm 1 (no if-then-else on
-    // the value path).
+    // Exception positions, predicated as in Algorithm 1 (no if-then-else on
+    // the value path). The cursor makes this loop serial, so it only runs
+    // for vectors that have exceptions.
     let mut exc_positions_buf = [0u16; VECTOR_SIZE];
     let mut exc_count = 0usize;
-    for i in 0..len {
-        let dec: F = decode_one(encoded[i], e, f);
-        let neq = dec.to_bits_u64() != input[i].to_bits_u64();
-        exc_positions_buf[exc_count] = i as u16;
-        exc_count += neq as usize;
+    if mismatches > 0 {
+        for (i, &neq) in is_exc[..len].iter().enumerate() {
+            exc_positions_buf[exc_count] = i as u16;
+            exc_count += neq as usize;
+        }
     }
 
     // FIND_FIRST_ENCODED: first position that is *not* an exception.
@@ -249,7 +330,10 @@ pub fn encode_vector_into<F: AlpFloat>(
         *slot = first_encoded;
     }
 
-    let (for_base, bit_width) = ffor::frame_of(&encoded);
+    let (for_base, bit_width) = match clean_frame {
+        Some((min, max)) => (min, fastlanes::bits_needed((max as u64).wrapping_sub(min as u64))),
+        None => ffor::frame_of(&encoded),
+    };
     let packed = ffor::ffor_pack(&encoded, for_base, bit_width);
 
     AlpVector {

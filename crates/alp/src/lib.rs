@@ -10,7 +10,9 @@
 //!
 //! The encoding is *adaptive* (a two-level sampling scheme chooses the scheme
 //! per row-group and the parameters per vector) and *vectorized* (all hot
-//! loops are branch-free over 1024-value vectors and auto-vectorize).
+//! loops run over 1024-value vectors with no per-value branch on the value
+//! path; what the compiler makes of each is measured by the benchmark's
+//! layer ladder, EXPERIMENTS.md E15).
 //!
 //! ## Quick start
 //! ```

@@ -43,8 +43,8 @@ impl Default for SamplerParams {
 impl SamplerParams {
     /// Validates the configuration: every count must be nonzero. A zero
     /// `vectors_per_rowgroup` used to be silently clamped to 1 deep inside
-    /// the compressor; zero sampling counts divide by zero in
-    /// [`equidistant_indices`]. Both are now rejected up front.
+    /// the compressor; zero sampling counts make [`equidistant_indices`]
+    /// sample nothing. Both are rejected up front.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let checks = [
             ("vectors_per_rowgroup", self.vectors_per_rowgroup),
@@ -101,24 +101,43 @@ pub struct SampleScore {
 /// Scores `sample` under `(e, f)`: estimated bits = `len * width(max-min)`
 /// plus `(BITS + 16)` bits per exception — the cost model of §3.2.
 pub fn score_sample<F: AlpFloat>(sample: &[F], e: u8, f: u8) -> SampleScore {
+    score_sample_capped(sample, e, f, usize::MAX)
+}
+
+/// [`score_sample`] that stops early once the score is known to exceed `cap`:
+/// returns the exact score when it is `<= cap`, and otherwise *some* lower
+/// bound of it that is `> cap`. Both terms of the estimate only grow as
+/// values are added (an exception adds its cost, an encodable value can only
+/// widen `max - min`), so the running estimate, checked every four values, is
+/// such a bound.
+fn score_sample_capped<F: AlpFloat>(sample: &[F], e: u8, f: u8, cap: usize) -> SampleScore {
     let mut exceptions = 0usize;
     let mut min = i64::MAX;
     let mut max = i64::MIN;
-    let mut ok = 0usize;
-    for &n in sample {
-        let d = encode_one(n, e, f);
-        let dec: F = decode_one(d, e, f);
-        if dec.to_bits_u64() == n.to_bits_u64() {
-            min = min.min(d);
-            max = max.max(d);
-            ok += 1;
+    let mut score = SampleScore { bits: 0, exceptions };
+    for chunk in sample.chunks(4) {
+        for &n in chunk {
+            let d = encode_one(n, e, f);
+            let dec: F = decode_one(d, e, f);
+            if dec.to_bits_u64() == n.to_bits_u64() {
+                min = min.min(d);
+                max = max.max(d);
+            } else {
+                exceptions += 1;
+            }
+        }
+        let width = if min <= max {
+            fastlanes::bits_needed((max as u64).wrapping_sub(min as u64))
         } else {
-            exceptions += 1;
+            0
+        };
+        let bits = sample.len() * width + exceptions * (F::BITS as usize + 16);
+        score = SampleScore { bits, exceptions };
+        if bits > cap {
+            break;
         }
     }
-    let width =
-        if ok > 0 { fastlanes::bits_needed((max as u64).wrapping_sub(min as u64)) } else { 0 };
-    SampleScore { bits: sample.len() * width + exceptions * (F::BITS as usize + 16), exceptions }
+    score
 }
 
 /// Brute-force search over the full `(e, f)` space; ties prefer higher `e`,
@@ -128,7 +147,9 @@ pub fn full_search<F: AlpFloat>(sample: &[F]) -> (Combination, SampleScore) {
     let mut best_score = SampleScore { bits: usize::MAX, exceptions: usize::MAX };
     for e in 0..=F::MAX_EXPONENT {
         for f in 0..=e {
-            let s = score_sample(sample, e, f);
+            // A combination abandoned above the best score could neither win
+            // nor tie, so capping changes no winner and no reported score.
+            let s = score_sample_capped(sample, e, f, best_score.bits);
             // `e` ascends and `f` ascends within `e`, so `<=` makes the
             // *later* (higher-e, then higher-f) combination win ties — the
             // paper's tie-break rule.
@@ -170,61 +191,63 @@ impl FirstLevelOutcome {
 /// sees one sub-population). The jitter keeps the samples spread while
 /// breaking that resonance; it is deterministic, so compression stays
 /// reproducible.
-pub fn equidistant_indices(len: usize, count: usize) -> Vec<usize> {
-    if len == 0 || count == 0 {
-        return Vec::new();
+pub fn equidistant_indices(len: usize, count: usize) -> impl Iterator<Item = usize> {
+    // `count >= len` takes every index (stride 1, no room for jitter).
+    let count = count.min(len);
+    let stride = len.checked_div(count).unwrap_or(1);
+    (0..count).map(move |i| {
+        let jitter = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % stride;
+        i * stride + jitter
+    })
+}
+
+/// Gathers `count` equidistant values of `vector` (at most one vector's
+/// worth) into `buf` and returns the filled prefix — the sample lives on the
+/// caller's stack, so sampling a vector never touches the heap.
+fn sample_into<'a, F: AlpFloat>(
+    vector: &[F],
+    count: usize,
+    buf: &'a mut [F; fastlanes::VECTOR_SIZE],
+) -> &'a [F] {
+    let mut taken = 0usize;
+    for (slot, idx) in buf.iter_mut().zip(equidistant_indices(vector.len(), count)) {
+        *slot = vector[idx];
+        taken += 1;
     }
-    if count >= len {
-        return (0..len).collect();
-    }
-    let stride = len / count;
-    (0..count)
-        .map(|i| {
-            let jitter = ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % stride;
-            i * stride + jitter
-        })
-        .collect()
+    &buf[..taken]
 }
 
 /// Level-1 sampling over one row-group, presented as a slice of (up to
 /// `vectors_per_rowgroup * 1024`) values.
 pub fn first_level<F: AlpFloat>(rowgroup: &[F], params: &SamplerParams) -> FirstLevelOutcome {
     let n_vectors = rowgroup.len().div_ceil(fastlanes::VECTOR_SIZE);
-    let vector_ids = equidistant_indices(n_vectors, params.sample_vectors);
 
-    let mut winners: Vec<Combination> = Vec::with_capacity(vector_ids.len());
-    let mut sample_buf: Vec<F> = Vec::with_capacity(params.sample_values);
+    // Winners with their frequencies, in order of first appearance.
+    let mut counts: Vec<(Combination, usize)> = Vec::new();
+    let mut sample_buf = [F::from_i64(0); fastlanes::VECTOR_SIZE];
     let mut sampled_values = 0usize;
     let mut best_bits = 0usize;
     let mut best_exceptions = 0usize;
 
-    for &vid in &vector_ids {
+    for vid in equidistant_indices(n_vectors, params.sample_vectors) {
         let start = vid * fastlanes::VECTOR_SIZE;
         let end = (start + fastlanes::VECTOR_SIZE).min(rowgroup.len());
-        let vector = &rowgroup[start..end];
-        sample_buf.clear();
-        for idx in equidistant_indices(vector.len(), params.sample_values) {
-            sample_buf.push(vector[idx]);
+        let sample = sample_into(&rowgroup[start..end], params.sample_values, &mut sample_buf);
+        let (combo, score) = full_search(sample);
+        match counts.iter_mut().find(|(c, _)| *c == combo) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((combo, 1)),
         }
-        let (combo, score) = full_search(&sample_buf);
-        winners.push(combo);
         // The scheme decision uses what a *per-vector adaptive* encoder can
         // achieve — each sampled vector under its own best combination —
         // so mixed row-groups (e.g. zero bursts next to value bursts) are
         // not mistaken for incompressible real doubles.
-        sampled_values += sample_buf.len();
+        sampled_values += sample.len();
         best_bits += score.bits;
         best_exceptions += score.exceptions;
     }
 
     // Frequency-rank the winners; ties prefer higher e, then higher f.
-    let mut counts: Vec<(Combination, usize)> = Vec::new();
-    for &w in &winners {
-        match counts.iter_mut().find(|(c, _)| *c == w) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((w, 1)),
-        }
-    }
     counts.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.e.cmp(&a.0.e)).then(b.0.f.cmp(&a.0.f)));
     counts.truncate(params.max_combinations);
     let combinations: Vec<Combination> = counts.into_iter().map(|(c, _)| c).collect();
@@ -286,16 +309,14 @@ pub fn second_level<F: AlpFloat>(
     stats: &mut SamplerStats,
 ) -> Combination {
     stats.vectors_encoded += 1;
-    let mut sample: Vec<F> = Vec::with_capacity(params.second_level_values);
-    for idx in equidistant_indices(vector.len(), params.second_level_values) {
-        sample.push(vector[idx]);
-    }
+    let mut sample_buf = [F::from_i64(0); fastlanes::VECTOR_SIZE];
+    let sample = sample_into(vector, params.second_level_values, &mut sample_buf);
 
     if candidates.len() <= 1 {
         stats.second_level_skipped += 1;
         stats.combinations_tried[1.min(candidates.len())] += 1;
         let combo = candidates.first().copied().unwrap_or(Combination { e: 0, f: 0 });
-        return rescue_if_poor(&sample, combo, stats);
+        return rescue_if_poor(sample, combo, stats);
     }
 
     let mut best = candidates[0];
@@ -304,7 +325,7 @@ pub fn second_level<F: AlpFloat>(
     let mut tried = 0usize;
     for &c in candidates {
         tried += 1;
-        let s = score_sample(&sample, c.e, c.f);
+        let s = score_sample(sample, c.e, c.f);
         if s.bits < best_bits {
             best = c;
             best_bits = s.bits;
@@ -317,7 +338,7 @@ pub fn second_level<F: AlpFloat>(
         }
     }
     stats.combinations_tried[tried.min(7)] += 1;
-    rescue_if_poor(&sample, best, stats)
+    rescue_if_poor(sample, best, stats)
 }
 
 /// Robustness guard (deviation from the paper, see DESIGN.md): if the
@@ -355,7 +376,7 @@ mod tests {
     #[test]
     fn sample_indices_are_strata_bounded_and_sorted() {
         for (len, count) in [(10, 3), (1024, 32), (1000, 7), (4096, 32)] {
-            let idx = equidistant_indices(len, count);
+            let idx: Vec<usize> = equidistant_indices(len, count).collect();
             assert_eq!(idx.len(), count);
             let stride = len / count;
             for (i, &x) in idx.iter().enumerate() {
@@ -363,15 +384,16 @@ mod tests {
             }
             assert!(idx.windows(2).all(|w| w[0] < w[1]));
         }
-        assert_eq!(equidistant_indices(2, 5), vec![0, 1]);
-        assert_eq!(equidistant_indices(0, 4), Vec::<usize>::new());
+        assert_eq!(equidistant_indices(2, 5).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(equidistant_indices(0, 4).count(), 0);
+        assert_eq!(equidistant_indices(4, 0).count(), 0);
     }
 
     #[test]
     fn sample_indices_break_periodic_aliasing() {
         // With a plain stride of 32 on 1024 values, all samples share
         // index % 4; the jitter must hit several residue classes.
-        let idx = equidistant_indices(1024, 32);
+        let idx: Vec<usize> = equidistant_indices(1024, 32).collect();
         let classes: std::collections::HashSet<usize> = idx.iter().map(|&i| i % 4).collect();
         assert!(classes.len() > 1, "{idx:?}");
     }

@@ -30,6 +30,11 @@ pub trait AlpFloat:
     /// `2^51 + 2^52` for doubles, `2^22 + 2^23` for floats: adding and
     /// subtracting this constant rounds to nearest integer (§3.1).
     const SWEET: Self;
+    /// Integers of magnitude up to this (`2^50` / `2^21`) convert to and
+    /// from the float domain through [`AlpFloat::SWEET`]'s mantissa — see
+    /// [`AlpFloat::from_i64_magic`]. A quarter of the sweet spot's exact
+    /// range, so a sum with `SWEET` never leaves its binade.
+    const MAGIC_LIMIT: i64;
     /// Human-readable name for reports ("f64" / "f32").
     const NAME: &'static str;
 
@@ -45,6 +50,21 @@ pub trait AlpFloat:
     fn from_i64(v: i64) -> Self;
     /// Saturating cast to `i64` (Rust `as` semantics: NaN → 0).
     fn to_i64_cast(self) -> i64;
+    /// [`AlpFloat::from_i64`] for `|d| <= MAGIC_LIMIT` without an int→float
+    /// conversion instruction (scalar-only on baseline x86-64): `SWEET + d`
+    /// has `SWEET`'s exponent and `d` added to its mantissa, so an integer
+    /// add on the bit pattern builds it, and subtracting `SWEET` is exact.
+    #[inline(always)]
+    fn from_i64_magic(d: i64) -> Self {
+        Self::from_bits_u64((d as u64).wrapping_add(Self::SWEET.to_bits_u64())) - Self::SWEET
+    }
+    /// Inverse of [`AlpFloat::from_i64_magic`]: the integer `r - SWEET` read
+    /// from the mantissa of `r`, for `r = x + SWEET` with `|x| < MAGIC_LIMIT`
+    /// (any other `r` yields a meaningless integer, never a panic).
+    #[inline(always)]
+    fn sweet_to_i64(r: Self) -> i64 {
+        r.to_bits_u64().wrapping_sub(Self::SWEET.to_bits_u64()) as i64
+    }
     /// True iff the value is NaN — the "invalid" state of the fused-scan
     /// validity bitmaps.
     fn is_nan(self) -> bool;
@@ -67,6 +87,7 @@ impl AlpFloat for f64 {
     const BITS: u32 = 64;
     const MAX_EXPONENT: u8 = 21;
     const SWEET: f64 = 6755399441055744.0; // 2^51 + 2^52
+    const MAGIC_LIMIT: i64 = 1 << 50;
     const NAME: &'static str = "f64";
 
     #[inline(always)]
@@ -109,6 +130,7 @@ impl AlpFloat for f32 {
     const BITS: u32 = 32;
     const MAX_EXPONENT: u8 = 10;
     const SWEET: f32 = 12582912.0; // 2^22 + 2^23
+    const MAGIC_LIMIT: i64 = 1 << 21;
     const NAME: &'static str = "f32";
 
     #[inline(always)]

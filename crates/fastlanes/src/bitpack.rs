@@ -1,13 +1,135 @@
 //! Bit-packing of 1024-value `u64` vectors to any width `0..=64`.
 //!
 //! Values are laid out LSB-first within consecutive little-endian words: value
-//! `i` occupies bits `[i*W, (i+1)*W)` of the packed stream. The unpack kernel
-//! is branch-free — it unconditionally reads the word pair straddling each
-//! value, which is why packed buffers carry one zeroed pad word (see
-//! [`crate::packed_len`]).
+//! `i` occupies bits `[i*W, (i+1)*W)` of the packed stream, so 64 consecutive
+//! values fill exactly `W` words. [`unpack64`] / [`pack64`] move one such
+//! block; every sequential-layout kernel in the workspace (this module,
+//! [`crate::ffor`], [`crate::bitpack32`], `alp::decode`) picks the block
+//! function for its vector's width once ([`unpacker`] / [`packer`]) and calls
+//! it 16 times, applying its own arithmetic to the 64 values in between.
 
 use crate::dispatch::{width_mask, with_width, WidthKernel};
 use crate::{packed_len, VECTOR_SIZE};
+
+/// Values per block: 64 `W`-bit values span exactly `W` words.
+pub const BLOCK: usize = 64;
+
+/// Expands to the array `[body(0), body(1), …, body(63)]` with `$j` a `const`
+/// in each element — so a word index or shift computed from `$j` and a const
+/// width is a literal in the generated code, whether or not the optimizer
+/// would have unrolled the equivalent loop (measured: it does not, see
+/// EXPERIMENTS.md E15). Elements are evaluated in lane order.
+macro_rules! lanes {
+    ($j:ident => $body:expr) => {
+        lanes!(@expand $j $body;
+            0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+            32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60
+            61 62 63)
+    };
+    (@expand $j:ident $body:expr; $($n:literal)*) => {
+        [$({
+            const $j: usize = $n;
+            $body
+        }),*]
+    };
+}
+
+/// Unpacks the 64 `W`-bit values held in `words[..W]`.
+///
+/// Reads exactly `W` words (no pad word). With `W` const, each of the 64
+/// steps has a literal word index and shift, and the "does this value
+/// straddle two words" test is decided at compile time.
+///
+/// # Panics
+/// Panics if `words.len() < W` or `W > 64`.
+#[inline]
+// ANALYZER-ALLOW(no-panic): block geometry — after the one `words[..W]` slice
+// check (callers size buffers with `packed_len`) every index is a literal
+// `J * W / 64 (+ 1 only when the value straddles)`, below `W` for `J < 64`.
+pub fn unpack64<const W: usize>(words: &[u64]) -> [u64; BLOCK] {
+    if W == 0 {
+        return [0; BLOCK];
+    }
+    // One slice check; every index below is a literal smaller than `W`.
+    let words = &words[..W];
+    let mask = width_mask::<W>();
+    lanes!(J => {
+        let (word, off) = (J * W / 64, J * W % 64);
+        let lo = words[word] >> off;
+        (if off + W > 64 { lo | (words[word + 1] << (64 - off)) } else { lo }) & mask
+    })
+}
+
+/// Packs 64 values (each truncated to `W` bits) into `words[..W]`,
+/// overwriting them. The inverse of [`unpack64`].
+///
+/// # Panics
+/// Panics if `words.len() < W` or `W > 64`.
+#[inline]
+pub fn pack64<const W: usize>(values: &[u64; BLOCK], words: &mut [u64]) {
+    if W == 0 {
+        return;
+    }
+    let words = &mut words[..W];
+    let mask = width_mask::<W>();
+    let mut acc = 0u64;
+    // 64 statements, run in lane order; the array of units they leave is
+    // dropped.
+    let _: [(); BLOCK] = lanes!(J => {
+        let (word, off) = (J * W / 64, J * W % 64);
+        let v = values[J] & mask;
+        acc |= v << off;
+        if off + W >= 64 {
+            words[word] = acc;
+            // Bits of `v` that did not fit open the next word.
+            acc = if off + W > 64 { v >> (64 - off) } else { 0 };
+        }
+    });
+    debug_assert_eq!(acc, 0, "lane 63 ends the last word");
+}
+
+/// [`unpack64`] at one width, writing its block in place: a caller's output
+/// slice or scratch receives the 64 stores directly, where an array returned
+/// through a function pointer would cost a 512-byte copy per block.
+pub type Unpack64 = fn(&[u64], &mut [u64; BLOCK]);
+/// [`pack64`] at one width.
+pub type Pack64 = fn(&[u64; BLOCK], &mut [u64]);
+
+/// The block unpacker for a runtime `width`. The 65 instantiations live here
+/// and nowhere else, whatever a caller does to the values afterwards.
+///
+/// # Panics
+/// Panics if `width > 64`.
+pub fn unpacker(width: usize) -> Unpack64 {
+    struct Pick;
+    impl WidthKernel for Pick {
+        type Out = Unpack64;
+        fn run<const W: usize>(self) -> Unpack64 {
+            |words, out| *out = unpack64::<W>(words)
+        }
+    }
+    with_width(width, Pick)
+}
+
+/// The block packer for a runtime `width` (see [`unpacker`]).
+pub fn packer(width: usize) -> Pack64 {
+    struct Pick;
+    impl WidthKernel for Pick {
+        type Out = Pack64;
+        fn run<const W: usize>(self) -> Pack64 {
+            pack64::<W>
+        }
+    }
+    with_width(width, Pick)
+}
+
+/// The `width` words of `packed` that hold block `block` (values
+/// `64 * block .. 64 * block + 64`) — the one place the block geometry of the
+/// sequential layout is spelled out.
+#[inline]
+pub fn block_words(packed: &[u64], width: usize, block: usize) -> &[u64] {
+    &packed[block * width..(block + 1) * width]
+}
 
 /// Packs `input` (exactly 1024 values, each already `< 2^width`) into a fresh
 /// buffer of [`packed_len`]`(width)` words.
@@ -17,120 +139,22 @@ use crate::{packed_len, VECTOR_SIZE};
 pub fn pack(input: &[u64], width: usize) -> Vec<u64> {
     assert_eq!(input.len(), VECTOR_SIZE);
     let mut out = vec![0u64; packed_len(width)];
-    with_width(width, PackKernel { input, out: &mut out });
+    let pack = packer(width);
+    for (block, values) in input.as_chunks::<BLOCK>().0.iter().enumerate() {
+        pack(values, &mut out[block * width..]);
+    }
     out
 }
 
 /// Unpacks a 1024-value vector of `width`-bit values from `packed` into `out`.
 ///
-/// `packed` must hold at least [`packed_len`]`(width)` words (the final word
-/// being padding that is read but ignored).
+/// `packed` must hold at least [`packed_len`]`(width)` words.
 pub fn unpack(packed: &[u64], width: usize, out: &mut [u64]) {
     assert_eq!(out.len(), VECTOR_SIZE);
     assert!(packed.len() >= packed_len(width));
-    with_width(width, UnpackKernel { packed, out });
-}
-
-struct PackKernel<'a> {
-    input: &'a [u64],
-    out: &'a mut [u64],
-}
-
-impl WidthKernel for PackKernel<'_> {
-    type Out = ();
-    fn run<const W: usize>(self) {
-        pack_const::<W>(self.input, self.out);
-    }
-}
-
-struct UnpackKernel<'a> {
-    packed: &'a [u64],
-    out: &'a mut [u64],
-}
-
-impl WidthKernel for UnpackKernel<'_> {
-    type Out = ();
-    fn run<const W: usize>(self) {
-        unpack_const::<W>(self.packed, self.out);
-    }
-}
-
-/// Monomorphized packing loop. Public so sibling crates can build fused
-/// kernels at a fixed width without re-dispatching.
-///
-/// Like the unpack kernel, packing proceeds in 16 independent blocks of 64
-/// values (64 values fill exactly `W` words), so the accumulator dependency
-/// chain is per-block and the compiler can overlap blocks.
-#[inline]
-pub fn pack_const<const W: usize>(input: &[u64], out: &mut [u64]) {
-    if W == 0 {
-        return;
-    }
-    if W == 64 {
-        out[..VECTOR_SIZE].copy_from_slice(&input[..VECTOR_SIZE]);
-        return;
-    }
-    let mask = width_mask::<W>();
-    for block in 0..VECTOR_SIZE / 64 {
-        let values = &input[block * 64..block * 64 + 64];
-        let words = &mut out[block * W..block * W + W];
-        let mut acc: u64 = 0;
-        let mut filled: usize = 0;
-        let mut word = 0usize;
-        for &raw in values.iter() {
-            let v = raw & mask;
-            acc |= v << filled;
-            filled += W;
-            if filled >= 64 {
-                words[word] = acc;
-                word += 1;
-                filled -= 64;
-                // Bits of `v` that did not fit go to the next word's bottom.
-                acc = if filled > 0 { v >> (W - filled) } else { 0 };
-            }
-        }
-        debug_assert_eq!(filled, 0);
-        debug_assert_eq!(word, W);
-    }
-}
-
-/// Monomorphized branch-free unpacking loop; reads one word past the last
-/// value, which [`packed_len`] reserves.
-///
-/// The loop is structured as 16 blocks of 64 values: within a block every
-/// value's word index and bit offset is an affine function of the (fully
-/// unrollable) inner index with `W` a compile-time constant, so LLVM turns
-/// the whole block into straight-line constant-shift code — the property
-/// FastLanes' layout is designed around.
-#[inline]
-#[allow(clippy::needless_range_loop)] // affine-index form the vectorizer needs
-                                      // ANALYZER-ALLOW(no-panic): fixed 1024-lane FastLanes geometry — callers
-                                      // size `packed` via packed_len::<W>() (16*W words plus the pad word) and
-                                      // `out` holds VECTOR_SIZE lanes; shift casts are bounded by the word width.
-pub fn unpack_const<const W: usize>(packed: &[u64], out: &mut [u64]) {
-    if W == 0 {
-        out[..VECTOR_SIZE].fill(0);
-        return;
-    }
-    if W == 64 {
-        out[..VECTOR_SIZE].copy_from_slice(&packed[..VECTOR_SIZE]);
-        return;
-    }
-    let mask = width_mask::<W>();
-    // 64 consecutive values span exactly W words.
-    for block in 0..VECTOR_SIZE / 64 {
-        let words = &packed[block * W..block * W + W + 1];
-        let out_block = &mut out[block * 64..block * 64 + 64];
-        for j in 0..64 {
-            let bit = j * W;
-            let word = bit >> 6;
-            let off = (bit & 63) as u32;
-            let lo = words[word] >> off;
-            // `(hi << 1) << (63 - off)` == `hi << (64 - off)` without the
-            // undefined shift-by-64 when off == 0 (it then yields 0).
-            let hi = (words[word + 1] << 1) << (63 - off);
-            out_block[j] = (lo | hi) & mask;
-        }
+    let unpack = unpacker(width);
+    for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
+        unpack(block_words(packed, width, block), out_block);
     }
 }
 

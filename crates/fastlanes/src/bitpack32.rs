@@ -1,37 +1,26 @@
-//! Native `u32` bit-packing (widths `0..=32`) over 1024-value vectors.
+//! `u32` bit-packing (widths `0..=32`) over 1024-value vectors, for 32-bit
+//! pipelines (ALP for `f32`, packed dictionary codes, PDE exponents) that
+//! want half the payload footprint of the `u64` kernels.
 //!
-//! The `u64` kernels in [`crate::bitpack`] serve 32-bit data correctly but
-//! waste half of every lane; 32-bit pipelines (ALP for `f32`, packed
-//! dictionary codes, PDE exponents) get twice the values per SIMD register
-//! from a native kernel. The `codec_speed`/`layout_ablation` benches compare
-//! the two.
-//!
-//! Layout mirrors the 64-bit kernels: 32 blocks of 32 values, each block
-//! filling exactly `W` consecutive `u32` words, LSB-first.
+//! Layout: 32 blocks of 32 values, each block filling exactly `W`
+//! consecutive `u32` words, LSB-first. Read as little-endian `u64` words that
+//! is the very bit stream [`crate::bitpack`] produces, so a pair of blocks is
+//! one [`crate::bitpack::pack64`] / [`crate::bitpack::unpack64`] block and
+//! the kernels here only join and split word halves around it. The `layout_ablation` bench compares the two.
 
-use crate::dispatch::{with_width, WidthKernel};
+use crate::bitpack::{packer, unpacker, BLOCK};
 use crate::VECTOR_SIZE;
 
 /// Words (u32) a packed 1024-value vector of `width` bits occupies, including
-/// one pad word.
+/// one pad word (kept so buffer sizes match the `u64` convention; the kernels
+/// do not read it).
 #[inline]
 pub const fn packed_len32(width: usize) -> usize {
     width * (VECTOR_SIZE / 32) + 1
 }
 
-/// Mask with the low `W` bits set (u32 domain).
-#[inline]
-const fn mask32<const W: usize>() -> u32 {
-    if W >= 32 {
-        u32::MAX
-    } else if W == 0 {
-        0
-    } else {
-        (1u32 << W) - 1
-    }
-}
-
-/// Packs 1024 `u32` values at `width` bits each.
+/// Packs 1024 `u32` values at `width` bits each: 64 values → `width` `u64`
+/// words → `2 * width` `u32` words per block.
 ///
 /// # Panics
 /// Panics if `width > 32` or `input.len() != 1024`.
@@ -39,100 +28,40 @@ pub fn pack(input: &[u32], width: usize) -> Vec<u32> {
     assert!(width <= 32, "u32 kernels support widths 0..=32");
     assert_eq!(input.len(), VECTOR_SIZE);
     let mut out = vec![0u32; packed_len32(width)];
-    with_width(width, Pack32 { input, out: &mut out });
+    let pack = packer(width);
+    let mut values = [0u64; BLOCK];
+    let mut words = [0u64; 32];
+    let halves = out.as_chunks_mut::<2>().0;
+    for (block, chunk) in input.as_chunks::<BLOCK>().0.iter().enumerate() {
+        for (v, &narrow) in values.iter_mut().zip(chunk) {
+            *v = u64::from(narrow);
+        }
+        pack(&values, &mut words);
+        for (pair, &w) in halves[block * width..].iter_mut().zip(&words[..width]) {
+            *pair = [w as u32, (w >> 32) as u32];
+        }
+    }
     out
 }
 
-/// Unpacks a 1024-value `u32` vector.
+/// Unpacks a 1024-value `u32` vector: `2 * width` `u32` words → `width` `u64`
+/// words → 64 values per block.
 pub fn unpack(packed: &[u32], width: usize, out: &mut [u32]) {
     assert!(width <= 32);
     assert_eq!(out.len(), VECTOR_SIZE);
     assert!(packed.len() >= packed_len32(width));
-    with_width(width, Unpack32 { packed, out });
-}
-
-struct Pack32<'a> {
-    input: &'a [u32],
-    out: &'a mut [u32],
-}
-
-impl WidthKernel for Pack32<'_> {
-    type Out = ();
-    fn run<const W: usize>(self) {
-        pack_const::<W>(self.input, self.out);
-    }
-}
-
-struct Unpack32<'a> {
-    packed: &'a [u32],
-    out: &'a mut [u32],
-}
-
-impl WidthKernel for Unpack32<'_> {
-    type Out = ();
-    fn run<const W: usize>(self) {
-        unpack_const::<W>(self.packed, self.out);
-    }
-}
-
-/// Monomorphized u32 pack (blocks of 32 values → exactly `W` words).
-#[inline]
-pub fn pack_const<const W: usize>(input: &[u32], out: &mut [u32]) {
-    if W == 0 {
-        return;
-    }
-    if W == 32 {
-        out[..VECTOR_SIZE].copy_from_slice(&input[..VECTOR_SIZE]);
-        return;
-    }
-    let mask = mask32::<W>();
-    for block in 0..VECTOR_SIZE / 32 {
-        let values = &input[block * 32..block * 32 + 32];
-        let words = &mut out[block * W..block * W + W];
-        let mut acc: u32 = 0;
-        let mut filled: usize = 0;
-        let mut word = 0usize;
-        for &raw in values.iter() {
-            let v = raw & mask;
-            acc |= v << filled;
-            filled += W;
-            if filled >= 32 {
-                words[word] = acc;
-                word += 1;
-                filled -= 32;
-                acc = if filled > 0 { v >> (W - filled) } else { 0 };
-            }
+    let unpack = unpacker(width);
+    let mut words = [0u64; 32];
+    let mut values = [0u64; BLOCK];
+    let halves = packed.as_chunks::<2>().0;
+    for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
+        for (w, &[lo, hi]) in words.iter_mut().zip(halves.iter().skip(block * width).take(width)) {
+            *w = u64::from(lo) | u64::from(hi) << 32;
         }
-        debug_assert_eq!(filled, 0);
-    }
-}
-
-/// Monomorphized u32 unpack (branch-free; reads the pad word).
-#[inline]
-#[allow(clippy::needless_range_loop)] // affine-index form the vectorizer needs
-                                      // ANALYZER-ALLOW(no-panic): fixed 1024-lane FastLanes geometry — callers
-                                      // size `packed` via packed_len::<W>() (16*W words plus the pad word) and
-                                      // `out` holds VECTOR_SIZE lanes; shift casts are bounded by the word width.
-pub fn unpack_const<const W: usize>(packed: &[u32], out: &mut [u32]) {
-    if W == 0 {
-        out[..VECTOR_SIZE].fill(0);
-        return;
-    }
-    if W == 32 {
-        out[..VECTOR_SIZE].copy_from_slice(&packed[..VECTOR_SIZE]);
-        return;
-    }
-    let mask = mask32::<W>();
-    for block in 0..VECTOR_SIZE / 32 {
-        let words = &packed[block * W..block * W + W + 1];
-        let out_block = &mut out[block * 32..block * 32 + 32];
-        for j in 0..32 {
-            let bit = j * W;
-            let word = bit >> 5;
-            let off = (bit & 31) as u32;
-            let lo = words[word] >> off;
-            let hi = (words[word + 1] << 1) << (31 - off);
-            out_block[j] = (lo | hi) & mask;
+        unpack(&words, &mut values);
+        for (o, &v) in out_block.iter_mut().zip(&values) {
+            // `v` is masked to `width <= 32` bits, so the conversion cannot fail.
+            *o = u32::try_from(v).unwrap_or(u32::MAX);
         }
     }
 }

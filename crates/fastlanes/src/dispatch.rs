@@ -1,9 +1,9 @@
 //! Runtime bit-width → monomorphized kernel dispatch.
 //!
-//! Packing kernels want the bit width as a compile-time constant so the
-//! compiler can fully unroll and auto-vectorize the inner loop, but the width
-//! is only known at runtime (it is stored per vector). [`with_width`] bridges
-//! the two: a 65-arm match, written once, that instantiates a caller-supplied
+//! Packing kernels want the bit width as a compile-time constant so masks,
+//! shifts and word indices fold to literals, but the width is only known at
+//! runtime (it is stored per vector). [`with_width`] bridges the two: a
+//! 65-arm match, written once, that instantiates a caller-supplied
 //! [`WidthKernel`] at every width.
 
 /// A computation parameterized by a const bit width.

@@ -11,7 +11,7 @@
 //! `v >= base`, so any `i64` range — including ones spanning more than
 //! `i64::MAX` — packs correctly into `u64` residuals.
 
-use crate::dispatch::{width_mask, with_width, WidthKernel};
+use crate::bitpack::{block_words, packer, unpacker, BLOCK};
 use crate::{bits_needed, packed_len, VECTOR_SIZE};
 
 /// Smallest width (bits per residual) that losslessly frames `input` against
@@ -28,19 +28,32 @@ pub fn frame_of(input: &[i64]) -> (i64, usize) {
     (min, bits_needed(range))
 }
 
-/// Fused subtract-base + bit-pack of a 1024-value vector.
+/// Fused subtract-base + bit-pack of a 1024-value vector: each block of 64
+/// residuals goes from the subtraction straight into
+/// [`crate::bitpack::pack64`] (which truncates to `width` bits).
 pub fn ffor_pack(input: &[i64], base: i64, width: usize) -> Vec<u64> {
     assert_eq!(input.len(), VECTOR_SIZE);
     let mut out = vec![0u64; packed_len(width)];
-    with_width(width, FforPack { input, base, out: &mut out });
+    let pack = packer(width);
+    let mut residuals = [0u64; BLOCK];
+    for (block, values) in input.as_chunks::<BLOCK>().0.iter().enumerate() {
+        for_encode(values, base, &mut residuals);
+        pack(&residuals, &mut out[block * width..]);
+    }
     out
 }
 
-/// Fused bit-unpack + add-base of a 1024-value vector.
+/// Fused bit-unpack + add-base of a 1024-value vector: the base is added
+/// while a block's 64 residuals are still in L1.
 pub fn ffor_unpack(packed: &[u64], base: i64, width: usize, out: &mut [i64]) {
     assert_eq!(out.len(), VECTOR_SIZE);
     assert!(packed.len() >= packed_len(width));
-    with_width(width, FforUnpack { packed, base, out });
+    let unpack = unpacker(width);
+    let mut residuals = [0u64; BLOCK];
+    for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
+        unpack(block_words(packed, width, block), &mut residuals);
+        for_decode(&residuals, base, out_block);
+    }
 }
 
 /// Unfused FOR encode: writes residuals to `residuals`, then the caller packs
@@ -57,104 +70,6 @@ pub fn for_decode(residuals: &[u64], base: i64, out: &mut [i64]) {
     assert_eq!(residuals.len(), out.len());
     for (o, &r) in out.iter_mut().zip(residuals) {
         *o = r.wrapping_add(base as u64) as i64;
-    }
-}
-
-struct FforPack<'a> {
-    input: &'a [i64],
-    base: i64,
-    out: &'a mut [u64],
-}
-
-impl WidthKernel for FforPack<'_> {
-    type Out = ();
-    fn run<const W: usize>(self) {
-        ffor_pack_const::<W>(self.input, self.base, self.out);
-    }
-}
-
-struct FforUnpack<'a> {
-    packed: &'a [u64],
-    base: i64,
-    out: &'a mut [i64],
-}
-
-impl WidthKernel for FforUnpack<'_> {
-    type Out = ();
-    fn run<const W: usize>(self) {
-        ffor_unpack_const::<W>(self.packed, self.base, self.out);
-    }
-}
-
-/// Monomorphized fused pack. Public for fixed-width fused kernels downstream.
-#[inline]
-pub fn ffor_pack_const<const W: usize>(input: &[i64], base: i64, out: &mut [u64]) {
-    if W == 64 {
-        // Residuals occupy full words; no masking needed.
-        for i in 0..VECTOR_SIZE {
-            out[i] = (input[i] as u64).wrapping_sub(base as u64);
-        }
-        return;
-    }
-    if W == 0 {
-        return;
-    }
-    let mask = width_mask::<W>();
-    let base_u = base as u64;
-    // Per-block accumulator chains (see `bitpack::pack_const`).
-    for block in 0..VECTOR_SIZE / 64 {
-        let values = &input[block * 64..block * 64 + 64];
-        let words = &mut out[block * W..block * W + W];
-        let mut acc: u64 = 0;
-        let mut filled: usize = 0;
-        let mut word = 0usize;
-        for &raw in values.iter() {
-            let v = (raw as u64).wrapping_sub(base_u) & mask;
-            acc |= v << filled;
-            filled += W;
-            if filled >= 64 {
-                words[word] = acc;
-                word += 1;
-                filled -= 64;
-                acc = if filled > 0 { v >> (W - filled) } else { 0 };
-            }
-        }
-        debug_assert_eq!(filled, 0);
-    }
-}
-
-/// Monomorphized fused unpack. Public for fixed-width fused kernels downstream.
-#[inline]
-#[allow(clippy::needless_range_loop)] // affine-index form the vectorizer needs
-                                      // ANALYZER-ALLOW(no-panic): fixed 1024-lane FastLanes geometry — callers
-                                      // size `packed` via packed_len::<W>() (16*W words plus the pad word) and
-                                      // `out` holds VECTOR_SIZE lanes; shift casts are bounded by the word width.
-pub fn ffor_unpack_const<const W: usize>(packed: &[u64], base: i64, out: &mut [i64]) {
-    if W == 0 {
-        out[..VECTOR_SIZE].fill(base);
-        return;
-    }
-    if W == 64 {
-        for i in 0..VECTOR_SIZE {
-            out[i] = packed[i].wrapping_add(base as u64) as i64;
-        }
-        return;
-    }
-    let mask = width_mask::<W>();
-    let base_u = base as u64;
-    // Block structure mirrors `bitpack::unpack_const`: constant shifts after
-    // unrolling, so the loop auto-vectorizes.
-    for block in 0..VECTOR_SIZE / 64 {
-        let words = &packed[block * W..block * W + W + 1];
-        let out_block = &mut out[block * 64..block * 64 + 64];
-        for j in 0..64 {
-            let bit = j * W;
-            let word = bit >> 6;
-            let off = (bit & 63) as u32;
-            let lo = words[word] >> off;
-            let hi = (words[word + 1] << 1) << (63 - off);
-            out_block[j] = ((lo | hi) & mask).wrapping_add(base_u) as i64;
-        }
     }
 }
 

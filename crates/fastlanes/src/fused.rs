@@ -7,7 +7,7 @@
 //! registers, tests the range predicate, and folds SUM/COUNT/MIN/MAX plus a
 //! selection bitmap — the decompressed vector never touches memory. Integer
 //! aggregation is exact and associative, so the per-lane accumulator layout
-//! (which is what keeps the loop auto-vectorizable) produces bit-identical
+//! (16 independent chains, no cross-lane dependency) produces bit-identical
 //! results to a scalar unpack-then-scan.
 //!
 //! The float-domain analogue (where FP addition is *not* associative and the
@@ -73,7 +73,7 @@ impl WidthKernel for FusedScan<'_> {
 
 /// Monomorphized fused scan. Public for fixed-width callers downstream.
 #[inline]
-#[allow(clippy::needless_range_loop)] // affine-index form the vectorizer needs
+#[allow(clippy::needless_range_loop)] // lanes index five parallel arrays
                                       // ANALYZER-ALLOW(no-panic): fixed 1024-lane FastLanes geometry — callers
                                       // size `packed` via packed_len(width), row/lane/word indices are bounded
                                       // at compile time, and shift casts are bounded by the word width.
@@ -101,7 +101,7 @@ pub fn ffor_unpack_cmp_agg_const<const W: usize>(
     }
     let mask = width_mask::<W>();
     let base_u = base as u64;
-    // Per-lane accumulators keep the reduction auto-vectorizable; integer
+    // Per-lane accumulators carry no cross-lane dependency; integer
     // arithmetic is associative, so folding lanes at the end is bit-identical
     // to a sequential scan. Row-major traversal *is* value order (value `i`
     // lives in row `i / 16`, lane `i % 16`), so four rows fill one bitmap word.

@@ -3,9 +3,13 @@
 //!
 //! All kernels operate on vectors of exactly [`VECTOR_SIZE`] = 1024 values, the
 //! granularity at which ALP (and vectorized query engines generally) move data.
-//! The hot loops are branch-free and monomorphized per bit width via
-//! [`dispatch::with_width`], so the compiler auto-vectorizes them — the property
-//! the paper's speed results rest on.
+//! Bit widths are compile-time constants inside the kernels
+//! ([`dispatch::with_width`]). In the sequential layout the 64 steps of a
+//! block are written out with literal indices ([`bitpack::unpack64`] /
+//! [`bitpack::pack64`]), so constant shifts and word indices — the property
+//! the paper's speed results rest on — do not depend on what the optimizer
+//! decides to unroll; what the stock x86-64 build makes of each kernel is
+//! measured, not assumed (EXPERIMENTS.md E15).
 //!
 //! Provided encodings:
 //!
@@ -42,7 +46,9 @@ pub mod rle;
 pub const VECTOR_SIZE: usize = 1024;
 
 /// Number of `u64` words a packed 1024-value vector of `width` bits occupies,
-/// *including* the single zeroed pad word the unpack kernels read past the end.
+/// *including* one zeroed pad word: the interleaved kernels and
+/// `alp::decode::decode_vector_scalar` read the word pair around every value
+/// unconditionally (the block kernels of [`bitpack`] do not).
 #[inline]
 pub const fn packed_len(width: usize) -> usize {
     width * (VECTOR_SIZE / 64) + 1

@@ -131,6 +131,31 @@ fn alp_per_vector_decode_is_allocation_free_after_warmup() {
     assert_eq!(allocs, 0, "ALP per-vector decode allocated after warm-up");
 }
 
+/// Level-2 sampling runs once per encoded vector: its sample lives on the
+/// stack, so picking a vector's combination — the skipped case, the greedy
+/// search over several candidates, and the rescue's full search alike — never
+/// touches the heap.
+#[test]
+fn second_level_sampling_is_allocation_free() {
+    use alp::sampler::{first_level, second_level};
+    let data = sample(8 * alp::VECTOR_SIZE);
+    let noise: Vec<f64> = (0..alp::VECTOR_SIZE).map(|i| (i as f64 + 0.1).sqrt().sin()).collect();
+    let params = alp::SamplerParams::default();
+    let mut stats = alp::SamplerStats::default();
+    let outcome = first_level(&data, &params);
+    let several = [(14, 12), (2, 0), (10, 5), (16, 16)].map(|(e, f)| alp::Combination { e, f });
+    for candidates in [&outcome.combinations[..], &several[..], &[]] {
+        for vector in data.chunks(alp::VECTOR_SIZE).chain([&noise[..], &data[..3]]) {
+            second_level(vector, candidates, &params, &mut stats); // warm-up
+            let allocs = allocations_in(|| {
+                second_level(vector, candidates, &params, &mut stats);
+            });
+            assert_eq!(allocs, 0, "second_level allocated ({} candidates)", candidates.len());
+        }
+    }
+    assert!(stats.rescued_vectors > 0, "the rescue's full search must have run");
+}
+
 #[test]
 fn baseline_codec_layer_is_allocation_free_after_warmup() {
     // The same guarantee one layer down, where the registry impls delegate:
