@@ -14,12 +14,28 @@
 //!   standing in for the paper's "Scalar (vectorization disabled)"
 //!   configuration of Figure 4.
 //!
-//! On top of these, [`scan_vector`] is the *fused scan* entry: unpack,
-//! FOR-add, decimal multiply, mid-stream exception patch, range predicate,
-//! and aggregate in one pass per vector, with validity/selection bitmaps and
-//! no materialized `Vec<f64>`. Its accumulation is a single sequential scalar
-//! chain per vector, so every aggregate is bit-identical to decoding the
-//! vector and folding the same chain over the buffer.
+//! On top of these sit the *fused scans*: unpack, FOR-add, decimal multiply,
+//! mid-stream exception patch, range predicate and aggregate in one pass per
+//! vector with no materialized `Vec<f64>` — [`scan_vector`] with
+//! validity/selection bitmaps for the consumers that walk them, and
+//! [`sum_vector`], the aggregate-only form that builds none.
+//!
+//! ## The canonical sum
+//! Every predicated sum in the workspace is one function of *position*:
+//!
+//! * within a 64-value block, live value `i` belongs to lane `i % 8`; each
+//!   lane folds its values in index order from `+0.0`, a miss adding `+0.0`;
+//! * the block's sum is the fixed tree
+//!   `((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))` ([`block_sum`]);
+//! * a vector's sum folds its block sums in block order from `+0.0`.
+//!
+//! The eight lanes are independent chains, so the loop vectorizes at any
+//! register width, and because the association order never depends on the
+//! data, the thread count, the build's target features or whether the values
+//! came from a fused decode, a cached page or a plain slice, every route
+//! yields the same bits. [`block_sum`] and [`block_sum_all`] are the only
+//! implementation; `tests/kernel_differential.rs` holds them to a
+//! value-at-a-time statement of the definition.
 //!
 //! The fast variants turn integers into floats without a conversion
 //! instruction wherever the vector's frame allows ([`AlpFloat::from_i64_magic`],
@@ -186,14 +202,13 @@ pub const SCAN_WORDS: usize = VECTOR_SIZE / 64;
 
 /// Aggregates and bitmaps produced by one fused vector scan.
 ///
-/// `sum`/`matches` follow the engine's accumulation contract: one sequential
-/// scalar chain over the vector's live values (`sum = sum + if hit { x } else
-/// { 0 }`), so the result is bit-identical to decoding into a buffer and
-/// folding the same chain over it — fusion removes the materialization, not
-/// the floating-point operation order.
+/// `sum`/`matches` are the canonical sum of the module docs (block sums from
+/// [`block_sum`], folded in block order), so the result is bit-identical to
+/// decoding into a buffer and scanning that — fusion removes the
+/// materialization, not the floating-point operation order.
 #[derive(Debug, Clone)]
 pub struct VectorScan<F> {
-    /// Chain sum of the values matching `lo..=hi` (misses contribute `+0`).
+    /// Canonical sum of the values matching `lo..=hi`.
     pub sum: F,
     /// Number of matching values.
     pub matches: usize,
@@ -235,6 +250,125 @@ impl<F: AlpFloat> VectorScan<F> {
     }
 }
 
+/// Lanes of the canonical sum: live value `i` of a block accumulates into
+/// lane `i % SUM_LANES`.
+pub const SUM_LANES: usize = 8;
+
+/// The fixed combine tree over a block's lanes.
+#[inline(always)]
+fn combine<F: AlpFloat>([l0, l1, l2, l3, l4, l5, l6, l7]: [F; SUM_LANES]) -> F {
+    ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+}
+
+/// The canonical predicated block sum (module docs): `(sum, matches)` of the
+/// values of `chunk` — one block, at most 64 values — inside `lo..=hi`. NaN
+/// fails both comparisons, so it never matches.
+///
+/// Written for the vectorizer: `&`, not `&&`, keeps the predicate a mask
+/// instead of a branch, and matches are counted in float lanes (exact — at
+/// most 8 per lane) because an integer count lane does not share the sum
+/// lanes' width.
+#[inline]
+pub fn block_sum<F: AlpFloat>(chunk: &[F], lo: F, hi: F) -> (F, usize) {
+    let (zero, one) = (F::from_i64(0), F::from_i64(1));
+    let mut sum = [zero; SUM_LANES];
+    let mut count = [zero; SUM_LANES];
+    let mut fold = |row: &[F]| {
+        for ((s, c), &x) in sum.iter_mut().zip(&mut count).zip(row) {
+            let hit = (x >= lo) & (x <= hi);
+            *s = *s + if hit { x } else { zero };
+            *c = *c + if hit { one } else { zero };
+        }
+    };
+    let (rows, tail) = chunk.as_chunks::<SUM_LANES>();
+    rows.iter().for_each(|row| fold(row));
+    fold(tail);
+    (combine(sum), combine(count).to_i64_cast() as usize)
+}
+
+/// [`block_sum`] without the predicate: the sum of every value of `chunk`.
+/// Bit-identical to `block_sum(chunk, lo, hi).0` whenever every value
+/// matches, since each lane then adds the same `x` in the same order.
+#[inline]
+pub fn block_sum_all<F: AlpFloat>(chunk: &[F]) -> F {
+    let mut sum = [F::from_i64(0); SUM_LANES];
+    let mut fold = |row: &[F]| {
+        for (s, &x) in sum.iter_mut().zip(row) {
+            *s = *s + x;
+        }
+    };
+    let (rows, tail) = chunk.as_chunks::<SUM_LANES>();
+    rows.iter().for_each(|row| fold(row));
+    fold(tail);
+    combine(sum)
+}
+
+/// Stages 1 and 2 of the fused scans, shared by the bitmap and the
+/// aggregate-only consumer: decode block by block exactly as
+/// [`decode_vector`] does, patch exceptions *mid-stream*, and hand each
+/// block's live values to `consume(block, values)` in order. Returns the
+/// number of live NaNs, which only exception lanes can hold (a decoded
+/// integer is never NaN).
+#[inline]
+fn for_each_block<F: AlpFloat>(
+    v: &AlpVector,
+    exc: ExcView<'_>,
+    mut consume: impl FnMut(usize, &[F]),
+) -> usize {
+    let len = (v.len as usize).min(VECTOR_SIZE);
+    if !exc.positions.is_sorted() {
+        return for_each_block_unsorted(v, exc, len, &mut consume);
+    }
+    let mut dec = AlpDec::of(v);
+    let mut exceptions = exc.positions.iter().zip(exc.values).peekable();
+    let mut nans = 0usize;
+    // Block-local staging: stage 1 overwrites every slot.
+    let mut vals = [F::from_i64(0); BLOCK];
+    for (block, start) in (0..len).step_by(BLOCK).enumerate() {
+        // Stage 1: unpack + FOR-add + decimal multiply into the staging
+        // buffer — the same block step as `decode_vector`.
+        dec.block(block, &mut vals);
+        let live = (len - start).min(BLOCK);
+        // Stage 2: mid-stream exception patch. Positions are ascending
+        // (checked above), so one cursor visits each exception once;
+        // positions past the vector end are dropped and of a run of equal
+        // positions the last one stays, matching `patch_exceptions`.
+        while let Some((&p, &bits)) = exceptions.next_if(|(&p, _)| (p as usize) < start + BLOCK) {
+            let Some(i) = (p as usize).checked_sub(start) else { continue };
+            let patch = F::from_bits_u64(bits);
+            if let Some(slot) = vals.get_mut(i) {
+                *slot = patch;
+            }
+            let stays = exceptions.peek().is_none_or(|(&next, _)| next != p);
+            nans += (stays && i < live && patch.is_nan()) as usize;
+        }
+        consume(block, vals.get(..live).unwrap_or(&vals));
+    }
+    nans
+}
+
+/// [`for_each_block`] for a corrupt-but-decodable exception list: the
+/// mid-stream cursor assumes ascending positions (the encoder's invariant),
+/// so decode the whole vector onto the stack first, which preserves
+/// `patch_exceptions`' overwrite order. Out of line so the hot path's frame
+/// does not carry the 8 KB buffer.
+#[cold]
+#[inline(never)]
+fn for_each_block_unsorted<F: AlpFloat>(
+    v: &AlpVector,
+    exc: ExcView<'_>,
+    len: usize,
+    consume: &mut dyn FnMut(usize, &[F]),
+) -> usize {
+    let mut buf = [F::from_i64(0); VECTOR_SIZE];
+    decode_vector(v, exc, &mut buf);
+    let live = buf.get(..len).unwrap_or(&buf);
+    for (block, chunk) in live.chunks(BLOCK).enumerate() {
+        consume(block, chunk);
+    }
+    live.iter().filter(|x| x.is_nan()).count()
+}
+
 /// Fused scan of one ALP vector: decodes, patches exceptions *mid-stream*
 /// from the sorted exception view, applies `lo <= x <= hi`, and aggregates —
 /// without materializing the decoded vector. Returns per-vector partials plus
@@ -247,40 +381,11 @@ pub fn scan_vector<F: AlpFloat>(
     with_minmax: bool,
 ) -> VectorScan<F> {
     let mut scan = VectorScan::empty(v.len as usize);
-    if !exc.positions.iter().zip(exc.positions.iter().skip(1)).all(|(a, b)| a <= b) {
-        // Corrupt-but-decodable exception list: the mid-stream cursor assumes
-        // ascending positions (the encoder's invariant), so fall back to
-        // decode-then-scan, which preserves `patch_exceptions` overwrite order.
-        let mut buf = vec![F::from_i64(0); VECTOR_SIZE];
-        let n = decode_vector(v, exc, &mut buf);
-        scan_decoded(buf.get(..n).unwrap_or(&buf), lo, hi, with_minmax, &mut scan);
-        return scan;
-    }
-    let mut dec = AlpDec::of(v);
-    let mut exceptions = exc.positions.iter().zip(exc.values).peekable();
-    // Block-local staging: stage 1 overwrites every slot.
-    let mut vals = [F::from_i64(0); BLOCK];
-    for (block, start) in (0..scan.len.min(VECTOR_SIZE)).step_by(BLOCK).enumerate() {
-        // Stage 1: unpack + FOR-add + decimal multiply into the staging
-        // buffer — the same block step as `decode_vector`.
-        dec.block(block, &mut vals);
-        // Stage 2: mid-stream exception patch. Positions are ascending
-        // (checked above), so one cursor visits each exception once;
-        // positions past the vector end are dropped, matching
-        // `patch_exceptions`.
-        while let Some((&p, &bits)) = exceptions.next_if(|(&p, _)| (p as usize) < start + BLOCK) {
-            if let Some(slot) = (p as usize).checked_sub(start).and_then(|i| vals.get_mut(i)) {
-                *slot = F::from_bits_u64(bits);
-            }
-        }
-        // Stages 3 and 4: predicate, bitmaps and the aggregate chain.
-        let live = vals.get(..scan.len - start).unwrap_or(&vals);
-        scan.scan_block(block, live, lo, hi, with_minmax);
-    }
+    for_each_block(v, exc, |block, live| scan.scan_block(block, live, lo, hi, with_minmax));
     scan
 }
 
-/// Scans already-decoded values with the same chain and bitmap semantics as
+/// Scans already-decoded values with the same sum and bitmap semantics as
 /// [`scan_vector`]. Used for ALP_rd vectors (no decimal fast path to fuse)
 /// and other fall-back paths; `scan` must be freshly [`VectorScan::empty`]
 /// with `len == values.len()` (at most [`VECTOR_SIZE`]).
@@ -300,45 +405,125 @@ impl<F: AlpFloat> VectorScan<F> {
     /// Folds live values `64 * block ..` (at most 64 of them) into the scan.
     #[inline]
     fn scan_block(&mut self, block: usize, chunk: &[F], lo: F, hi: F, with_minmax: bool) {
-        // Predicate + bitmaps first: one independent comparison per lane, no
-        // loop-carried state beyond the two OR-accumulators.
         let chunk = chunk.get(..BLOCK).unwrap_or(chunk);
-        let mut vw = 0u64;
-        let mut hw = 0u64;
-        for (j, &x) in chunk.iter().enumerate() {
-            vw |= ((!x.is_nan()) as u64) << j;
-            hw |= ((x >= lo && x <= hi) as u64) << j;
+        // One byte of each word per row of eight lanes: an 8-lane compare
+        // gathered into a `u8` is a move-mask, where 64 `bool << j` steps
+        // into a `u64` stay scalar.
+        let row_bytes = |lanes: &[F]| {
+            let (mut valid, mut hits) = (0u8, 0u8);
+            for (j, &x) in lanes.iter().enumerate() {
+                valid |= u8::from(!x.is_nan()) << j;
+                hits |= u8::from((x >= lo) & (x <= hi)) << j;
+            }
+            (u64::from(valid), u64::from(hits))
+        };
+        let (rows, tail) = chunk.as_chunks::<SUM_LANES>();
+        let (mut vw, mut hw) = (0u64, 0u64);
+        for (row, lanes) in rows.iter().enumerate() {
+            let (valid, hits) = row_bytes(lanes);
+            vw |= valid << (8 * row);
+            hw |= hits << (8 * row);
+        }
+        if !tail.is_empty() {
+            // A tail means fewer than eight full rows, so the shift is < 64.
+            let (valid, hits) = row_bytes(tail);
+            vw |= valid << (8 * rows.len());
+            hw |= hits << (8 * rows.len());
         }
         if let (Some(valid), Some(hits)) = (self.valid.get_mut(block), self.hits.get_mut(block)) {
             *valid = vw;
             *hits = hw;
         }
-        self.matches += hw.count_ones() as usize;
-        // Then the aggregate chain, feeding only hit lanes into the serial FP
-        // dependency. The contract chain adds `+0.0` for every miss, and +0.0
-        // is the exact additive identity for every value the chain can hold:
-        // the sum starts at +0.0, and IEEE-754 round-to-nearest only yields
-        // -0.0 when *both* operands are -0.0, so the running sum is never
-        // -0.0 — skipping miss terms is bit-identical to adding them. The
-        // chain runs on locals so it stays in registers across the block.
-        let (mut sum, mut min, mut max) = (self.sum, self.min, self.max);
-        for (j, &x) in chunk.iter().enumerate() {
-            if (hw >> j) & 1 == 1 {
-                sum = sum + x;
-                if with_minmax {
-                    min = Some(match min {
+        let (sum, matches) = block_sum(chunk, lo, hi);
+        self.sum = self.sum + sum;
+        self.matches += matches;
+        if with_minmax {
+            // Index order with a keep-the-earlier-value tie rule, so ±0.0
+            // ties are deterministic.
+            let mut rest = hw;
+            while rest != 0 {
+                if let Some(&x) = chunk.get(rest.trailing_zeros() as usize) {
+                    self.min = Some(match self.min {
                         Some(m) if m <= x => m,
                         _ => x,
                     });
-                    max = Some(match max {
+                    self.max = Some(match self.max {
                         Some(m) if m >= x => m,
                         _ => x,
                     });
                 }
+                rest &= rest - 1;
             }
         }
-        (self.sum, self.min, self.max) = (sum, min, max);
     }
+}
+
+/// What an aggregate-only scan of one vector yields: no bitmap words, so the
+/// SUM route pays only for what it consumes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VectorSum<F> {
+    /// Canonical sum of the matching values — the same bits as
+    /// [`VectorScan::sum`] over the same vector and band.
+    pub sum: F,
+    /// Number of matching values.
+    pub matches: usize,
+    /// Number of live NaN values (the complement of a validity popcount).
+    pub nans: usize,
+    /// Number of live values scanned (the vector's logical length).
+    pub len: usize,
+}
+
+/// One block's `(sum, matches)` under `band`: the predicate `Some((lo, hi))`,
+/// or `None` for "every value is known to match", which swaps in
+/// [`block_sum_all`] for the same bits.
+#[inline]
+fn block_sum_in<F: AlpFloat>(chunk: &[F], band: Option<(F, F)>) -> (F, usize) {
+    match band {
+        Some((lo, hi)) => block_sum(chunk, lo, hi),
+        None => (block_sum_all(chunk), chunk.len()),
+    }
+}
+
+/// Aggregate-only fused scan of one ALP vector: [`scan_vector`]'s decode and
+/// mid-stream patch with [`block_sum`] as the only consumer. `band` is the
+/// predicate `Some((lo, hi))`, or `None` when stored statistics (a zone map)
+/// prove every live value a non-NaN match. NaNs are counted from the patched
+/// exception lanes.
+pub fn sum_vector<F: AlpFloat>(
+    v: &AlpVector,
+    exc: ExcView<'_>,
+    band: Option<(F, F)>,
+) -> VectorSum<F> {
+    let mut sum = F::from_i64(0);
+    let mut matches = 0usize;
+    let nans = for_each_block(v, exc, |_, live| {
+        let (s, m) = block_sum_in(live, band);
+        sum = sum + s;
+        matches += m;
+    });
+    VectorSum { sum, matches, nans, len: (v.len as usize).min(VECTOR_SIZE) }
+}
+
+/// [`sum_vector`] over already-decoded values (ALP_rd vectors, cached pages,
+/// raw storage). `may_hold_nan: false` — a zone map recorded none — skips the
+/// per-value NaN test; `band: None` implies it.
+pub fn sum_decoded<F: AlpFloat>(
+    values: &[F],
+    band: Option<(F, F)>,
+    may_hold_nan: bool,
+) -> VectorSum<F> {
+    let mut sum = F::from_i64(0);
+    let mut matches = 0usize;
+    for chunk in values.chunks(BLOCK) {
+        let (s, m) = block_sum_in(chunk, band);
+        sum = sum + s;
+        matches += m;
+    }
+    let nans = match (band, may_hold_nan) {
+        (Some(_), true) => values.iter().filter(|x| x.is_nan()).count(),
+        _ => 0,
+    };
+    VectorSum { sum, matches, nans, len: values.len() }
 }
 
 #[cfg(test)]
@@ -403,8 +588,8 @@ mod tests {
         }
     }
 
-    /// Reference for the fused scan: decode, then run the identical chain
-    /// over the materialized buffer via `scan_decoded`.
+    /// Reference for the fused scan: decode, then `scan_decoded` over the
+    /// materialized buffer.
     fn scan_reference(v: &crate::encode::OwnedAlpVector, lo: f64, hi: f64) -> VectorScan<f64> {
         let mut buf = vec![0.0f64; VECTOR_SIZE];
         let n = decode_vector(v, v.view(), &mut buf);

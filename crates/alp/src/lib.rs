@@ -60,7 +60,9 @@ pub mod stream;
 pub mod traits;
 pub(crate) mod wire;
 
-pub use decode::{scan_decoded, scan_vector, VectorScan, SCAN_WORDS};
+pub use decode::{
+    scan_decoded, scan_vector, sum_decoded, sum_vector, VectorScan, VectorSum, SCAN_WORDS,
+};
 pub use encode::{
     decode_one, encode_one, fast_round, AlpVector, ExcArena, ExcView, OwnedAlpVector,
 };

@@ -4,7 +4,9 @@
 
 use fastlanes::VECTOR_SIZE;
 
-use crate::decode::{decode_vector, scan_decoded, scan_vector, VectorScan};
+use crate::decode::{
+    decode_vector, scan_decoded, scan_vector, sum_decoded, sum_vector, VectorScan, VectorSum,
+};
 use crate::encode::{encode_vector_into, AlpVector, ExcArena, ExcView, OwnedAlpVector};
 use crate::rd::{choose_cut, decode_rd_vector, encode_rd_vector, RdMeta, RdVector};
 use crate::sampler::{first_level, second_level, ConfigError, SamplerParams, SamplerStats};
@@ -288,6 +290,29 @@ impl<F: AlpFloat> Compressed<F> {
         DecompressSalvage { values, lost_rowgroups, total_rowgroups: total }
     }
 
+    /// Locates vector (`rowgroup`, `vector`) — the one index check behind
+    /// every per-vector entry point.
+    fn vector_at(
+        &self,
+        rowgroup: usize,
+        vector: usize,
+    ) -> Result<StoredVector<'_>, VectorIndexError> {
+        let rg = self
+            .rowgroups
+            .get(rowgroup)
+            .ok_or(VectorIndexError::RowGroup { index: rowgroup, count: self.rowgroups.len() })?;
+        let out_of_range = |count| VectorIndexError::Vector { index: vector, count };
+        match rg {
+            RowGroup::Alp(g) => {
+                let v = g.vectors.get(vector).ok_or(out_of_range(g.vectors.len()))?;
+                Ok(StoredVector::Alp(v, g.view(v)))
+            }
+            RowGroup::Rd(meta, vs) => {
+                Ok(StoredVector::Rd(vs.get(vector).ok_or(out_of_range(vs.len()))?, meta))
+            }
+        }
+    }
+
     /// Decompresses a single vector (`rowgroup`, `vector`) into `out`
     /// (≥ 1024 elements); returns the live count, or a typed
     /// [`VectorIndexError`] naming the out-of-range axis. This is the
@@ -298,25 +323,10 @@ impl<F: AlpFloat> Compressed<F> {
         vector: usize,
         out: &mut [F],
     ) -> Result<usize, VectorIndexError> {
-        let rg = self
-            .rowgroups
-            .get(rowgroup)
-            .ok_or(VectorIndexError::RowGroup { index: rowgroup, count: self.rowgroups.len() })?;
-        match rg {
-            RowGroup::Alp(g) => {
-                let v = g
-                    .vectors
-                    .get(vector)
-                    .ok_or(VectorIndexError::Vector { index: vector, count: g.vectors.len() })?;
-                Ok(decode_vector(v, g.view(v), out))
-            }
-            RowGroup::Rd(meta, vs) => {
-                let v = vs
-                    .get(vector)
-                    .ok_or(VectorIndexError::Vector { index: vector, count: vs.len() })?;
-                Ok(decode_rd_vector(v, meta, out))
-            }
-        }
+        Ok(match self.vector_at(rowgroup, vector)? {
+            StoredVector::Alp(v, exc) => decode_vector(v, exc, out),
+            StoredVector::Rd(v, meta) => decode_rd_vector(v, meta, out),
+        })
     }
 
     /// Fused scan of a single vector (`rowgroup`, `vector`): aggregates the
@@ -325,8 +335,7 @@ impl<F: AlpFloat> Compressed<F> {
     /// unpack→FOR→patch→predicate→aggregate kernel; ALP_rd vectors (no
     /// decimal fast path) decode into `buf` (≥ 1024 elements) and scan that.
     /// Either way the result is bit-identical to
-    /// [`Compressed::try_decompress_vector`] followed by the same
-    /// accumulation chain.
+    /// [`Compressed::try_decompress_vector`] followed by [`scan_decoded`].
     pub fn try_scan_vector(
         &self,
         rowgroup: usize,
@@ -336,29 +345,44 @@ impl<F: AlpFloat> Compressed<F> {
         with_minmax: bool,
         buf: &mut [F],
     ) -> Result<VectorScan<F>, VectorIndexError> {
-        let rg = self
-            .rowgroups
-            .get(rowgroup)
-            .ok_or(VectorIndexError::RowGroup { index: rowgroup, count: self.rowgroups.len() })?;
-        match rg {
-            RowGroup::Alp(g) => {
-                let v = g
-                    .vectors
-                    .get(vector)
-                    .ok_or(VectorIndexError::Vector { index: vector, count: g.vectors.len() })?;
-                Ok(scan_vector(v, g.view(v), lo, hi, with_minmax))
-            }
-            RowGroup::Rd(meta, vs) => {
-                let v = vs
-                    .get(vector)
-                    .ok_or(VectorIndexError::Vector { index: vector, count: vs.len() })?;
+        Ok(match self.vector_at(rowgroup, vector)? {
+            StoredVector::Alp(v, exc) => scan_vector(v, exc, lo, hi, with_minmax),
+            StoredVector::Rd(v, meta) => {
                 let n = decode_rd_vector(v, meta, buf);
                 let mut scan = VectorScan::empty(n);
                 scan_decoded(buf.get(..n).unwrap_or(&[]), lo, hi, with_minmax, &mut scan);
-                Ok(scan)
+                scan
             }
-        }
+        })
     }
+
+    /// Aggregate-only form of [`Compressed::try_scan_vector`] — the same
+    /// sum, match count and NaN count without bitmap words
+    /// ([`sum_vector`] / [`sum_decoded`], whose `band` and `may_hold_nan`
+    /// this passes through; the latter matters only to ALP_rd vectors, whose
+    /// NaNs are found by testing the decoded values).
+    pub fn try_sum_vector(
+        &self,
+        rowgroup: usize,
+        vector: usize,
+        band: Option<(F, F)>,
+        may_hold_nan: bool,
+        buf: &mut [F],
+    ) -> Result<VectorSum<F>, VectorIndexError> {
+        Ok(match self.vector_at(rowgroup, vector)? {
+            StoredVector::Alp(v, exc) => sum_vector(v, exc, band),
+            StoredVector::Rd(v, meta) => {
+                let n = decode_rd_vector(v, meta, buf);
+                sum_decoded(buf.get(..n).unwrap_or(&[]), band, may_hold_nan)
+            }
+        })
+    }
+}
+
+/// One stored vector with what its decoder needs beside it.
+enum StoredVector<'a> {
+    Alp(&'a AlpVector, ExcView<'a>),
+    Rd(&'a RdVector, &'a RdMeta),
 }
 
 /// The ALP compressor. Construct once (optionally with custom

@@ -661,10 +661,11 @@ pub fn query(
         service.store().pages()
     );
     println!(
-        "sum({lo_text} <= x <= {hi_text}) = {:.6}  ({} matches, {} vectors scanned, {} skipped, {:.1} ms)",
+        "sum({lo_text} <= x <= {hi_text}) = {:.6}  ({} matches, {} vectors scanned ({} predicate-free), {} skipped, {:.1} ms)",
         result.value.sum,
         result.value.matches,
         result.value.vectors_scanned,
+        result.value.vectors_all_in,
         result.value.vectors_skipped,
         result.elapsed.as_secs_f64() * 1e3
     );

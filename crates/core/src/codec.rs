@@ -149,7 +149,7 @@ pub trait ColumnCodec: Sync {
     /// [`ColumnCodec::try_decompress_into`] and folds [`scan_values`] over
     /// the buffer; codecs with [`Capabilities::fused_scan`] override with a
     /// kernel that never materializes. Overrides must be **bit-identical** to
-    /// this default — same accumulation chain, same bitmap (see
+    /// this default — same canonical sum, same bitmap (see
     /// [`crate::scan`] for the contract).
     fn try_scan_fused(
         &self,

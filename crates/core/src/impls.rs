@@ -157,7 +157,7 @@ impl ColumnCodec for Alp {
     /// Fused scan: per-vector unpack→FOR→patch→predicate→aggregate kernels
     /// with mid-stream exception patching; ALP_rd vectors (no decimal fast
     /// path) decode into scratch and scan. Bit-identical to the default
-    /// materialize-then-scan — per-vector chains added in vector order.
+    /// materialize-then-scan — per-vector canonical sums added in vector order.
     fn try_scan_fused(
         &self,
         bytes: &[u8],

@@ -3,13 +3,16 @@
 //! ([`scan_values`]) behind `ColumnCodec::try_scan_fused`'s default.
 //!
 //! ## Accumulation contract
-//! A scan folds `sum = sum + if hit { x } else { 0.0 }` value-by-value — one
-//! sequential scalar chain per 1024-value vector — then adds the per-vector
-//! sums in vector order. Floating-point addition is not associative, so this
-//! exact order *is* the contract: a fused override must reproduce it so fused
-//! and materializing scans agree bit-for-bit at every thread count. Fusion
-//! buys the elimination of the decoded vector's store/load round trip, not a
-//! reassociated reduction.
+//! A scan's sum is the workspace's *canonical sum* ([`alp::decode`], DESIGN.md
+//! §14): within a 64-value block value `i` goes to lane `i % 8`, the lanes
+//! combine through one fixed tree ([`alp::decode::block_sum`]), a
+//! 1024-value vector folds its block sums in order, and per-vector sums are
+//! added in vector order. Floating-point addition is not associative, so this
+//! exact order *is* the contract: it is a function of position only, which is
+//! what lets fused and materializing scans agree bit-for-bit at every thread
+//! count while the lanes still vectorize. [`scan_values`] calls the same
+//! block primitive as every kernel; the independent statement of the
+//! definition lives in `tests/kernel_differential.rs`.
 //!
 //! ## Validity bitmap layout
 //! Bit `i` of word `i / 64` describes value `i`: set ⇔ the value is live and
@@ -17,6 +20,7 @@
 //! the float domain). Bits at and past `len` are always clear, so counts are
 //! plain popcounts over the words.
 
+use alp::decode::block_sum;
 use alp::VECTOR_SIZE;
 
 /// Growable validity bitmap: 64-bit words, popcount-based counts.
@@ -123,7 +127,7 @@ pub enum ScanAgg {
 /// Result of a predicate scan, fused or materializing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScanResult {
-    /// Chain sum of the matching values (see the module contract).
+    /// Canonical sum of the matching values (see the module contract).
     pub sum: f64,
     /// Number of matching values.
     pub matches: usize,
@@ -143,24 +147,24 @@ impl ScanResult {
     }
 }
 
-/// The reference scan: folds the contract chain over `values` at 1024-value
+/// The reference scan: folds the canonical sum over `values` at 1024-value
 /// vector granularity, appending to `result`. `try_scan_fused`'s default
 /// decompresses and calls this; fused overrides must match it bit-for-bit.
 pub fn scan_values(values: &[f64], pred: ScanPredicate, agg: ScanAgg, result: &mut ScanResult) {
     let with_minmax = matches!(agg, ScanAgg::All);
     for vector in values.chunks(VECTOR_SIZE) {
-        // One sequential scalar chain per vector; per-vector sums are then
-        // added in vector order — the exact shape the fused kernels mirror.
         let mut sum = 0.0f64;
-        let mut matches = 0usize;
-        for word_chunk in vector.chunks(64) {
+        for block in vector.chunks(64) {
+            let (s, matches) = block_sum(block, pred.lo, pred.hi);
+            sum += s;
+            result.matches += matches;
             let mut vw = 0u64;
-            for (j, &x) in word_chunk.iter().enumerate() {
-                let hit = x >= pred.lo && x <= pred.hi;
-                sum += if hit { x } else { 0.0 };
-                matches += hit as usize;
+            for (j, &x) in block.iter().enumerate() {
                 vw |= ((!x.is_nan()) as u64) << j;
-                if with_minmax && hit {
+            }
+            result.validity.push_word(vw, block.len());
+            if with_minmax {
+                for &x in block.iter().filter(|&&x| x >= pred.lo && x <= pred.hi) {
                     result.min = Some(match result.min {
                         Some(m) if m <= x => m,
                         _ => x,
@@ -171,10 +175,8 @@ pub fn scan_values(values: &[f64], pred: ScanPredicate, agg: ScanAgg, result: &m
                     });
                 }
             }
-            result.validity.push_word(vw, word_chunk.len());
         }
         result.sum += sum;
-        result.matches += matches;
     }
 }
 

@@ -155,6 +155,23 @@ impl ZoneMap {
     pub fn overlaps(&self, lo: f64, hi: f64) -> bool {
         self.min <= self.max && self.min <= hi && self.max >= lo
     }
+
+    /// Whether every value in the zone is a non-NaN member of `[lo, hi]`, so
+    /// a predicated aggregate needs no predicate: the vector's sum is its
+    /// unpredicated canonical sum and its match count its length. The
+    /// comparisons are the predicate's own (`-0.0 >= 0.0` holds, a NaN bound
+    /// holds for nothing), so the verdict agrees with testing every value.
+    #[inline]
+    pub fn within(&self, lo: f64, hi: f64) -> bool {
+        !self.has_nan && self.min >= lo && self.max <= hi
+    }
+
+    /// The predicate an aggregate-only scan of this zone still has to apply:
+    /// `None` once the zone lies [`within`](ZoneMap::within) the band.
+    #[inline]
+    fn residual_band(&self, lo: f64, hi: f64) -> Option<(f64, f64)> {
+        (!self.within(lo, hi)).then_some((lo, hi))
+    }
 }
 
 /// Result of a predicated aggregation, including push-down effectiveness.
@@ -173,47 +190,57 @@ pub struct FilteredSum {
     pub valid: usize,
     /// NaN values among everything actually scanned.
     pub invalid: usize,
+    /// Scanned vectors whose zone map lay inside the band
+    /// ([`ZoneMap::within`]) and so took the predicate-free sum.
+    pub vectors_all_in: usize,
 }
 
 impl FilteredSum {
     /// Additive identity: nothing scanned yet.
     pub const fn zero() -> Self {
-        Self { sum: 0.0, matches: 0, vectors_scanned: 0, vectors_skipped: 0, valid: 0, invalid: 0 }
+        Self {
+            sum: 0.0,
+            matches: 0,
+            vectors_scanned: 0,
+            vectors_skipped: 0,
+            valid: 0,
+            invalid: 0,
+            vectors_all_in: 0,
+        }
     }
 
-    /// Folds one vector's scan partials in — the single `VectorScan →
-    /// FilteredSum` step behind every route (compressed-domain, freshly
-    /// decoded, cached page), which is what keeps them bit-identical: one
-    /// sequential scalar sum per vector, added into the running total
-    /// afterwards.
-    pub(crate) fn add_scan(&mut self, scan: &alp::VectorScan<f64>) {
-        self.sum += scan.sum;
-        self.matches += scan.matches;
-        self.valid += scan.valid_count();
-        self.invalid += scan.invalid_count();
+    /// Folds the partial of a later range of vectors in: the sum added after
+    /// this one's, the counters added up. The one way partials combine — the
+    /// service folds its page partials in page order through it.
+    pub(crate) fn merge(&mut self, later: &FilteredSum) {
+        self.sum += later.sum;
+        self.matches += later.matches;
+        self.vectors_scanned += later.vectors_scanned;
+        self.vectors_skipped += later.vectors_skipped;
+        self.valid += later.valid;
+        self.invalid += later.invalid;
+        self.vectors_all_in += later.vectors_all_in;
+    }
+
+    /// Folds one scanned vector in — the single `VectorSum → FilteredSum`
+    /// step behind every route (compressed-domain, freshly decoded, cached
+    /// page), which is what keeps them bit-identical: one canonical sum per
+    /// vector, added into the running total afterwards.
+    fn add_vector(&mut self, band: Option<(f64, f64)>, vector: alp::VectorSum<f64>) {
+        self.sum += vector.sum;
+        self.matches += vector.matches;
+        self.valid += vector.len - vector.nans;
+        self.invalid += vector.nans;
+        self.vectors_all_in += band.is_none() as usize;
     }
 
     /// Folds one already-decoded vector (of a cached or freshly materialized
-    /// page) in: the same chain as [`alp::scan_decoded`] followed by
-    /// [`FilteredSum::add_scan`], bit for bit, as one dense branch-free pass
-    /// that builds no bitmaps. The service's cached route is nothing but
-    /// this loop, and there it measures a fifth faster than going through
-    /// the hit words (`hot_small`); `scan_decoded` is for the consumers that
-    /// need those words.
-    pub(crate) fn add_values(&mut self, values: &[f64], lo: f64, hi: f64) {
-        let mut sum = 0.0;
-        let mut matches = 0usize;
-        let mut invalid = 0usize;
-        for &x in values {
-            let hit = x >= lo && x <= hi;
-            sum += if hit { x } else { 0.0 };
-            matches += hit as usize;
-            invalid += x.is_nan() as usize;
-        }
-        self.sum += sum;
-        self.matches += matches;
-        self.valid += values.len() - invalid;
-        self.invalid += invalid;
+    /// page, or raw storage) with zone map `zone` in: [`alp::sum_decoded`],
+    /// which builds no bitmaps, takes the NaN count from the zone map where
+    /// it can and drops the predicate where the zone lies inside the band.
+    pub(crate) fn add_values(&mut self, values: &[f64], zone: &ZoneMap, lo: f64, hi: f64) {
+        let band = zone.residual_band(lo, hi);
+        self.add_vector(band, alp::sum_decoded(values, band, zone.has_nan));
     }
 }
 
@@ -267,6 +294,17 @@ impl std::error::Error for VectorAccessError {}
 // — the only place vectorq turns a decode error into a panic.
 pub(crate) fn trusted<T>(decoded: Result<T, VectorAccessError>) -> T {
     decoded.expect("decoding bytes this column compressed in-process")
+}
+
+/// Lends `f` the scratch's float buffer, grown to one vector — where ALP_rd
+/// vectors decode to on the per-vector scan routes. Only ever grown:
+/// re-zeroing 8 KB per vector would cost those routes their
+/// no-materialization win, and a decode overwrites whatever it reads.
+fn with_vector_buf<T>(scratch: &mut Scratch, f: impl FnOnce(&mut [f64]) -> T) -> T {
+    if scratch.floats.len() < VECTOR_SIZE {
+        scratch.floats.resize(VECTOR_SIZE, 0.0);
+    }
+    f(&mut scratch.floats)
 }
 
 /// Calls `f` with the index of every set bit of a bitmap (bit `i` of word
@@ -436,9 +474,11 @@ impl Column {
     /// `lo..=hi`: hands each one's [`alp::VectorScan`] (partial sum, match
     /// count, validity and hit words) to `visit`. ALP and raw storage scan in
     /// place ([`Column::try_scan_vector_fused`]); codec bytes go through
-    /// [`Column::try_walk`] and [`alp::scan_decoded`], the same accumulation
-    /// chain, so every storage folds bit-identically. Returns the
-    /// decompressed-vector count like [`Column::try_walk`].
+    /// [`Column::try_walk`] and [`alp::scan_decoded`], the same canonical sum,
+    /// so every storage folds bit-identically. This is the route of the
+    /// consumers that walk the words; a plain SUM takes the bitmap-free
+    /// [`Column::try_sum_where_in`]. Returns the decompressed-vector count like
+    /// [`Column::try_walk`].
     pub(crate) fn try_scan_range(
         &self,
         vectors: Range<usize>,
@@ -467,7 +507,14 @@ impl Column {
     }
 
     /// [`Column::sum_where`] over a vector range (the service's fused page
-    /// route is this over one page).
+    /// route is this over one page): the aggregate-only scan of every vector
+    /// whose zone map overlaps `lo..=hi`. ALP storage runs
+    /// [`alp::Compressed::try_sum_vector`] in the compressed domain; raw
+    /// values and codec bytes go through [`Column::try_walk`] and
+    /// [`FilteredSum::add_values`] — the same canonical sum, so every storage
+    /// folds bit-identically. No route builds bitmap words, and a vector whose
+    /// zone map lies inside the band ([`ZoneMap::within`]) drops the
+    /// predicate too.
     pub(crate) fn try_sum_where_in(
         &self,
         vectors: Range<usize>,
@@ -477,10 +524,36 @@ impl Column {
     ) -> Result<FilteredSum, VectorAccessError> {
         let in_range = vectors.len();
         let mut part = FilteredSum::zero();
-        let scanned =
-            self.try_scan_range(vectors, lo, hi, scratch, |_, scan| part.add_scan(scan))?;
-        part.vectors_scanned = scanned;
-        part.vectors_skipped = in_range - scanned;
+        let zones = &self.zone_maps;
+        match &self.storage {
+            Storage::Alp(c) => with_vector_buf(scratch, |buf| {
+                for v in vectors {
+                    let zone = zones
+                        .get(v)
+                        .ok_or(VectorAccessError::OutOfRange { vector: v, vectors: zones.len() })?;
+                    if !zone.overlaps(lo, hi) {
+                        continue;
+                    }
+                    let band = zone.residual_band(lo, hi);
+                    let (rowgroup, vector) = (v / ROWGROUP_VECTORS, v % ROWGROUP_VECTORS);
+                    let sum = c
+                        .try_sum_vector(rowgroup, vector, band, zone.has_nan, buf)
+                        .map_err(VectorAccessError::Index)?;
+                    part.add_vector(band, sum);
+                    part.vectors_scanned += 1;
+                }
+                Ok(())
+            })?,
+            _ => {
+                let wanted = |v: usize| zones.get(v).is_some_and(|z| z.overlaps(lo, hi));
+                part.vectors_scanned = self.try_walk(vectors, wanted, scratch, |v, values| {
+                    if let Some(zone) = zones.get(v) {
+                        part.add_values(values, zone, lo, hi);
+                    }
+                })?;
+            }
+        }
+        part.vectors_skipped = in_range - part.vectors_scanned;
         Ok(part)
     }
 
@@ -521,7 +594,7 @@ impl Column {
 
     /// Parallel SUM over `threads` workers.
     pub fn par_sum(&self, threads: usize) -> f64 {
-        self.fold_vectors(threads, |v| v.iter().sum())
+        self.fold_vectors(threads, |v| alp::sum_decoded(v, None, false).sum)
     }
 
     /// Adds up `consume(vector)` over every decoded vector. Workers claim
@@ -571,8 +644,8 @@ impl Column {
     /// pass, returning the vector's partial aggregates plus validity and hit
     /// bitmaps without materializing a `Vec<f64>`. `Ok(None)` means this
     /// storage has no fused kernel (codec bytes); the caller materializes
-    /// instead. Partials fold bit-identically to [`Column::sum_where`]'s
-    /// materializing chain.
+    /// instead. The partial sum is the same bits [`Column::sum_where`] adds
+    /// for this vector.
     pub fn try_scan_vector_fused(
         &self,
         vector_idx: usize,
@@ -585,29 +658,13 @@ impl Column {
             return Err(VectorAccessError::OutOfRange { vector: vector_idx, vectors });
         }
         match &self.storage {
-            Storage::Alp(c) => {
-                // The corrupt-exception fallback inside `try_scan_vector`
-                // stages through a float buffer; lend it the scratch one.
-                // Only grow it — re-zeroing 8 KB per vector would cost the
-                // fused path its no-materialization win, and the fallback
-                // overwrites whatever it reads.
-                let mut buf = std::mem::take(&mut scratch.floats);
-                if buf.len() < VECTOR_SIZE {
-                    buf.resize(VECTOR_SIZE, 0.0);
-                }
-                let scan = c
-                    .try_scan_vector(
-                        vector_idx / ROWGROUP_VECTORS,
-                        vector_idx % ROWGROUP_VECTORS,
-                        lo,
-                        hi,
-                        false,
-                        &mut buf,
-                    )
-                    .map_err(VectorAccessError::Index);
-                scratch.floats = buf;
-                scan.map(Some)
-            }
+            Storage::Alp(c) => with_vector_buf(scratch, |buf| {
+                let (rowgroup, vector) =
+                    (vector_idx / ROWGROUP_VECTORS, vector_idx % ROWGROUP_VECTORS);
+                c.try_scan_vector(rowgroup, vector, lo, hi, false, buf)
+                    .map(Some)
+                    .map_err(VectorAccessError::Index)
+            }),
             Storage::Uncompressed(values) => {
                 // Already materialized: scan the stored slice in place — the
                 // fused path's "no intermediate copy" win applies here too.
@@ -854,6 +911,47 @@ mod tests {
             let r = col.sum_where(f64::NEG_INFINITY, f64::INFINITY);
             assert_eq!(r.matches, VECTOR_SIZE, "{}", fmt.name());
             assert!(r.vectors_skipped >= 1, "{} should prune the NaN vector", fmt.name());
+        }
+    }
+
+    #[test]
+    fn within_is_the_predicate_applied_to_every_value() {
+        let inf = f64::INFINITY;
+        let zone = ZoneMap::of(&[1.0, 2.5, 4.0]);
+        assert!(zone.within(1.0, 4.0), "boundary-equal bounds are inclusive");
+        assert!(zone.within(-inf, inf));
+        assert!(!zone.within(1.5, 4.0) && !zone.within(1.0, 3.5));
+        assert!(!zone.within(4.0, 1.0), "an empty band holds nothing");
+        assert!(!zone.within(f64::NAN, 4.0) && !zone.within(1.0, f64::NAN));
+        // One NaN spoils the vector: it is live but can never match.
+        let nan = ZoneMap::of(&[1.0, f64::NAN, 4.0]);
+        assert!(nan.has_nan && !nan.within(-inf, inf));
+        assert!(!ZoneMap::of(&[f64::NAN; 4]).within(-inf, inf), "NaN-only vector");
+        // Signed zeros compare equal, as they do in the predicate itself.
+        let zeros = ZoneMap::of(&[-0.0, 0.0]);
+        assert!(zeros.within(0.0, 0.0) && zeros.within(-0.0, -0.0));
+        // Infinite values are ordinary members of an unbounded band only.
+        let wide = ZoneMap::of(&[-inf, 0.0, inf]);
+        assert!(wide.within(-inf, inf) && !wide.within(f64::MIN, f64::MAX));
+    }
+
+    #[test]
+    fn vectors_inside_the_band_take_the_predicate_free_route() {
+        // Ascending data: vector `v` spans `v*1024 ..= v*1024 + 1023`.
+        let mut data: Vec<f64> = (0..8 * VECTOR_SIZE).map(|i| i as f64).collect();
+        data[5 * VECTOR_SIZE + 3] = f64::NAN; // vector 5 can never be all-in
+        let (lo, hi) = (1.5 * VECTOR_SIZE as f64, 7.0 * VECTOR_SIZE as f64 - 1.0);
+        let reference: f64 = data.iter().filter(|&&x| x >= lo && x <= hi).sum();
+        for fmt in formats() {
+            let r = Column::from_f64(&data, fmt).sum_where(lo, hi);
+            // Vectors 1..=6 overlap; 1 straddles `lo`, 5 holds a NaN.
+            assert_eq!(r.vectors_all_in, 4, "{}", fmt.name());
+            assert_eq!(r.matches, 5 * VECTOR_SIZE + VECTOR_SIZE / 2 - 1, "{}", fmt.name());
+            assert_eq!(r.invalid, 1, "{}", fmt.name());
+            assert_eq!(r.sum, reference, "{} (integers: every order is exact)", fmt.name());
+            // Nothing is inside an empty band, and nothing is scanned for it.
+            let none = Column::from_f64(&data, fmt).sum_where(hi, lo);
+            assert_eq!((none.vectors_all_in, none.matches), (0, 0), "{}", fmt.name());
         }
     }
 

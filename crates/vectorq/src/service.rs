@@ -20,9 +20,14 @@
 //!   [`LossReport`] naming the lost pages, and every later query skips them
 //!   without re-decoding.
 //!
-//! Results are deterministic: per-page partials are reduced in page order on
-//! the caller's thread, so a query over an unpoisoned store returns
-//! bit-identical sums at every thread count and cache state.
+//! Results are deterministic. A query's sum has one fold order: each page
+//! folds the canonical sums of its vectors ([`alp::decode`]) in vector order
+//! from `+0.0`, and the page partials are reduced in page order on the
+//! caller's thread — so a query over an unpoisoned store returns
+//! bit-identical sums at every thread count, cache state and route. (It is
+//! the *service's* order: [`Column::sum_where`] folds all vector sums into
+//! one running total, a different association that agrees to rounding, not
+//! to the bit, once a column spans several pages.)
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -447,10 +452,10 @@ impl Store {
         self.rows.saturating_sub(v.saturating_mul(VECTOR_SIZE)).min(VECTOR_SIZE)
     }
 
-    /// Scans a page's decoded values with zone-map pruning per vector.
-    /// Accumulation order is fixed (vector order, then value order), so the
-    /// partial is bit-identical whether the values came from the cache or a
-    /// fresh decode.
+    /// Scans a page's decoded values with zone-map pruning per vector. Each
+    /// vector's canonical sum folds in vector order, so the partial is
+    /// bit-identical whether the values came from the cache, a fresh decode or
+    /// — never decoded at all — the compressed-domain route.
     fn scan_page_values(
         &self,
         values: &[f64],
@@ -469,7 +474,7 @@ impl Store {
             };
             if zone.overlaps(lo, hi) {
                 part.vectors_scanned += 1;
-                part.add_values(slice, lo, hi);
+                part.add_values(slice, zone, lo, hi);
             } else {
                 part.vectors_skipped += 1;
             }
@@ -764,12 +769,7 @@ impl Service {
                     // `completed` is sorted by page, so this reduction order —
                     // and therefore the floating-point sum — is independent of
                     // thread count and worker timing.
-                    value.sum += p.sum;
-                    value.matches += p.matches;
-                    value.vectors_scanned += p.vectors_scanned;
-                    value.vectors_skipped += p.vectors_skipped;
-                    value.valid += p.valid;
-                    value.invalid += p.invalid;
+                    value.merge(&p);
                     if fused {
                         pages_fused += 1;
                     } else {

@@ -80,7 +80,9 @@ impl Column {
             |_, live| {
                 count += live.len();
                 match agg {
-                    Aggregate::Sum | Aggregate::Avg => sum += live.iter().sum::<f64>(),
+                    Aggregate::Sum | Aggregate::Avg => {
+                        sum += alp::sum_decoded(live, None, false).sum
+                    }
                     Aggregate::Min | Aggregate::Max => minmax.update_valid(live),
                     Aggregate::Count => {}
                 }

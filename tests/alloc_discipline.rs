@@ -13,6 +13,11 @@
 //!   `try_decompress_into` parses the checksummed column format first, and
 //!   building that column index allocates once per *column*, not per vector.
 //!
+//! * the scan kernels and the SUM route above them: no kernel stages through
+//!   the heap (not even the unsorted-exception fallback, reachable from wire
+//!   data), and `Column::sum_where` / a fused `Service::sum_where` page cost
+//!   the same number of allocation events however many vectors they cover.
+//!
 //! The same allocator also gauges the largest single request, which pins the
 //! other half of the discipline: no reader sizes a buffer from a length field
 //! it has not yet seen the bytes for.
@@ -262,6 +267,77 @@ fn block_granular_pages_inflate_their_block_once_per_operator() {
         allocs <= budget,
         "Service::sum_where: {allocs} allocation events, one inflate is {one_inflate}"
     );
+}
+
+/// The scan kernels stage on the stack. The unsorted-exception fallback — a
+/// corrupt-but-decodable list, so reachable from wire data — used to request
+/// an 8 KB heap buffer per call.
+#[test]
+fn scan_kernels_never_touch_the_heap() {
+    use alp::decode::{scan_vector, sum_vector};
+    use alp::encode::{encode_vector, ExcArena};
+
+    let owned = encode_vector(&sample(alp::VECTOR_SIZE)[..1000], 14, 12);
+    let sorted = owned.view();
+    assert!(sorted.positions.len() > 1, "the sample must hold exceptions");
+    let mut reversed = ExcArena::new();
+    for (&p, &bits) in sorted.positions.iter().zip(sorted.values).rev() {
+        reversed.push(p, bits);
+    }
+    let (lo, hi) = (-10.0, 10.0);
+    for (what, exc) in [("sorted", sorted), ("unsorted", reversed.view(&owned))] {
+        let mut answers = None;
+        let allocs = allocations_in(|| {
+            let scan = scan_vector::<f64>(&owned, exc, lo, hi, true);
+            let sum = sum_vector::<f64>(&owned, exc, Some((lo, hi)));
+            answers = Some((scan.sum.to_bits(), scan.matches, sum.sum.to_bits(), sum.matches));
+        });
+        assert_eq!(allocs, 0, "{what} exceptions: a scan kernel allocated");
+        // Same exception set either way, so the same answer on both routes.
+        let want = scan_vector::<f64>(&owned, sorted, lo, hi, false);
+        let want = (want.sum.to_bits(), want.matches);
+        assert_eq!(answers, Some((want.0, want.1, want.0, want.1)), "{what} exceptions");
+    }
+}
+
+/// The SUM route allocates per call (a scratch), never per vector:
+/// `Column::sum_where` over ALP storage and a fused `Service::sum_where`
+/// page cost the same events over 4 vectors as over 64.
+#[test]
+fn the_sum_route_allocates_nothing_per_vector() {
+    use std::sync::Arc;
+    use vectorq::cache::CacheConfig;
+    use vectorq::service::{QueryOptions, Service, ServiceConfig, Store};
+    use vectorq::{Column, Format};
+
+    // Overlaps every vector of `sample` (each holds a tiny exception).
+    let (lo, hi) = (0.0, 5.0);
+    let events = |vectors: usize| {
+        let data = sample(vectors * alp::VECTOR_SIZE);
+        let column = Column::from_f64(&data, Format::alp());
+        let direct = column.sum_where(lo, hi); // warm-up
+        assert_eq!(direct.vectors_scanned, vectors);
+        let per_call = allocations_in(|| {
+            std::hint::black_box(column.sum_where(lo, hi));
+        });
+        // One page, zero-entry cache: the page is a predicted bypass and runs
+        // in the compressed domain on the caller's thread.
+        let cache = CacheConfig {
+            max_entries: 0,
+            page_size_rows: vectors * alp::VECTOR_SIZE,
+            max_bytes: 0,
+        };
+        let service = Service::new(Arc::new(Store::new(column, cache)), ServiceConfig::default());
+        let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
+        let warm = service.sum_where(lo, hi, &opts).expect("admitted");
+        assert_eq!((warm.pages_fused, warm.value.vectors_scanned), (1, vectors));
+        assert_eq!(warm.value.sum.to_bits(), direct.sum.to_bits());
+        let per_query = allocations_in(|| {
+            std::hint::black_box(service.sum_where(lo, hi, &opts).expect("admitted"));
+        });
+        (per_call, per_query)
+    };
+    assert_eq!(events(4), events(64), "(Column::sum_where, Service::sum_where) events");
 }
 
 /// Regression: both stream readers used to size their frame buffer from the

@@ -1,6 +1,6 @@
 //! Fused-scan equivalence: `ColumnCodec::try_scan_fused` must be
 //! **bit-identical** to materialize-then-scan for every registry codec —
-//! same sums (same floating-point chain), same match counts, same min/max,
+//! same sums (the canonical sum, bit for bit), same match counts, same min/max,
 //! same validity bitmap — and the query service's fused cache-bypass path
 //! must match its materializing path at every thread count.
 //!
@@ -36,7 +36,7 @@ fn mixed_f64() -> impl Strategy<Value = f64> {
 }
 
 /// The reference path: materialize through `try_decompress_into`, then fold
-/// the shared `scan_values` contract chain over the buffer.
+/// the shared `scan_values` contract over the buffer.
 fn materialize_then_scan(
     codec: &'static dyn ColumnCodec,
     bytes: &[u8],

@@ -4,6 +4,14 @@
 //! value-at-a-time reference written here (runtime-width bit extraction, one
 //! float at a time, the cast conversions) or to `decode_vector_scalar`.
 //!
+//! It also holds the workspace's one predicated sum to its *definition*
+//! (DESIGN.md §14), restated here a value at a time with no call into the
+//! primitive — lane `i % 8` within a 64-value block, the fixed combine tree,
+//! block sums folded per vector, vector sums folded per column — across every
+//! route that claims it: `scan_vector`, `scan_decoded`, the aggregate-only
+//! `sum_vector` / `sum_decoded`, the oracle `scan_values`, and
+//! `Column::sum_where` (`FilteredSum`) over raw, ALP and codec-byte storage.
+//!
 //! The inputs sit on the edges the kernels branch on: all-ones residuals,
 //! bases at `i64::MIN` / `i64::MAX` / `±2^50 ± 1` / `±2^51` (the per-vector
 //! conversion choice flips between them), scaled magnitudes on either side of
@@ -11,13 +19,18 @@
 //! short tail vectors. Plus a proptest that the pruned `full_search` is the
 //! exhaustive one.
 
-use alp::decode::{decode_vector, decode_vector_scalar, decode_vector_unfused, scan_vector};
-use alp::encode::{decode_one, encode_one, encode_vector, AlpVector, ExcArena};
+use alp::decode::{
+    decode_vector, decode_vector_scalar, decode_vector_unfused, scan_decoded, scan_vector,
+    sum_decoded, sum_vector, VectorScan,
+};
+use alp::encode::{decode_one, encode_one, encode_vector, AlpVector, ExcArena, ExcView};
 use alp::sampler::{full_search, score_sample, Combination, SampleScore};
 use alp::{AlpFloat, VECTOR_SIZE};
+use alp_core::scan::{scan_values, ScanAgg, ScanPredicate, ScanResult};
 use fastlanes::{bitpack, bitpack32, ffor, packed_len};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use vectorq::{Column, Format, ZoneMap};
 
 /// Deterministic 64-bit mixer (splitmix64 finalizer).
 fn mix(i: u64) -> u64 {
@@ -147,31 +160,145 @@ fn ffor_matches_the_reference_at_every_width_and_extreme_bases() {
     }
 }
 
-/// Value-at-a-time scan oracle over decoded values: the contract chain
-/// (`sum = sum + if hit { x } else { 0 }`), counts, min/max and both bitmaps.
-#[allow(clippy::type_complexity)]
-fn reference_scan(
-    values: &[f64],
-    lo: f64,
-    hi: f64,
-) -> (u64, usize, Option<u64>, Option<u64>, Vec<u64>, Vec<u64>) {
-    let (mut sum, mut matches) = (0.0f64, 0usize);
-    let (mut min, mut max): (Option<f64>, Option<f64>) = (None, None);
+/// What a scan of one vector must report, bit patterns widened to `u64`.
+#[derive(Debug, PartialEq)]
+struct Expected {
+    sum: u64,
+    matches: usize,
+    nans: usize,
+    min: Option<u64>,
+    max: Option<u64>,
+    valid: Vec<u64>,
+    hits: Vec<u64>,
+}
+
+/// The canonical sum of one vector as DESIGN.md §14 *defines* it, one value
+/// at a time: within each 64-value block, live value `i` joins lane `i % 8`
+/// (lanes start at `+0.0`, a miss adds `+0.0`), the block's sum is the tree
+/// `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`, and the block sums fold in order
+/// from `+0.0`. Plus the counts, min/max and both bitmaps.
+fn reference_scan<F: AlpFloat>(values: &[F], lo: F, hi: F) -> Expected {
+    let zero = F::from_i64(0);
+    let (mut sum, mut matches, mut nans) = (zero, 0usize, 0usize);
+    let (mut min, mut max): (Option<F>, Option<F>) = (None, None);
     let (mut valid, mut hits) = (vec![0u64; VECTOR_SIZE / 64], vec![0u64; VECTOR_SIZE / 64]);
-    for (i, &x) in values.iter().enumerate() {
-        let hit = x >= lo && x <= hi;
-        sum += if hit { x } else { 0.0 };
-        if !x.is_nan() {
-            valid[i / 64] |= 1 << (i % 64);
+    for (b, block) in values.chunks(64).enumerate() {
+        let mut l = [zero; 8];
+        for (i, &x) in block.iter().enumerate() {
+            let hit = x >= lo && x <= hi;
+            l[i % 8] = l[i % 8] + if hit { x } else { zero };
+            if x.is_nan() {
+                nans += 1;
+            } else {
+                valid[b] |= 1 << i;
+            }
+            if hit {
+                matches += 1;
+                hits[b] |= 1 << i;
+                min = Some(min.map_or(x, |m| if m <= x { m } else { x }));
+                max = Some(max.map_or(x, |m| if m >= x { m } else { x }));
+            }
         }
-        if hit {
-            matches += 1;
-            hits[i / 64] |= 1 << (i % 64);
-            min = Some(min.map_or(x, |m| if m <= x { m } else { x }));
-            max = Some(max.map_or(x, |m| if m >= x { m } else { x }));
+        sum = sum + (((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7])));
+    }
+    Expected {
+        sum: sum.to_bits_u64(),
+        matches,
+        nans,
+        min: min.map(F::to_bits_u64),
+        max: max.map(F::to_bits_u64),
+        valid,
+        hits,
+    }
+}
+
+/// The definition one level up: a column's sum folds its 1024-value vectors'
+/// sums in vector order from `+0.0`. Returns `(sum bits, matches, NaNs)`.
+fn reference_column(values: &[f64], lo: f64, hi: f64) -> (u64, usize, usize) {
+    let (mut sum, mut matches, mut nans) = (0.0f64, 0, 0);
+    for vector in values.chunks(VECTOR_SIZE) {
+        let want = reference_scan(vector, lo, hi);
+        sum += f64::from_bits(want.sum);
+        matches += want.matches;
+        nans += want.nans;
+    }
+    (sum.to_bits(), matches, nans)
+}
+
+fn observed<F: AlpFloat>(scan: &VectorScan<F>) -> Expected {
+    Expected {
+        sum: scan.sum.to_bits_u64(),
+        matches: scan.matches,
+        nans: scan.invalid_count(),
+        min: scan.min.map(F::to_bits_u64),
+        max: scan.max.map(F::to_bits_u64),
+        valid: scan.valid.to_vec(),
+        hits: scan.hits.to_vec(),
+    }
+}
+
+/// The bands every scan check runs: infinite, empty (`lo > hi`), all-out,
+/// boundary-equal (`lo == min`, `hi == max` of the finite values — all-in
+/// when nothing else is live), and the inner quartiles.
+fn bands<F: AlpFloat>(live: &[F]) -> Vec<(F, F)> {
+    let inf = F::from_bits_u64(if F::BITS == 64 { 0x7FF0_0000_0000_0000 } else { 0x7F80_0000 });
+    let neg_inf = F::from_i64(0) - inf;
+    let mut sorted: Vec<F> = live.iter().copied().filter(|&x| x > neg_inf && x < inf).collect();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values order"));
+    let mut bands = vec![(neg_inf, inf), (F::from_i64(1), F::from_i64(0))];
+    if let (Some(&min), Some(&max)) = (sorted.first(), sorted.last()) {
+        bands.push((max + F::from_i64(1), inf)); // all-out unless +inf is live
+        bands.push((min, max));
+        bands.push((sorted[sorted.len() / 4], sorted[3 * sorted.len() / 4]));
+    }
+    bands
+}
+
+/// Holds every per-vector scan route to [`reference_scan`] over `live`, the
+/// vector's decoded values: the bitmap routes in full, the aggregate-only
+/// routes on sum, matches and NaN count, and — wherever the values prove
+/// every one a non-NaN match, which is what `ZoneMap::within` decides from
+/// stored statistics — the predicate-free routes as well.
+fn check_scan_routes<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, live: &[F], what: &str) {
+    for (lo, hi) in bands(live) {
+        let what = format!("{what}, band [{lo:?}, {hi:?}]");
+        let want = reference_scan(live, lo, hi);
+        let fused = scan_vector(v, exc, lo, hi, true);
+        assert_eq!(fused.len, live.len(), "{what}");
+        assert_eq!(observed(&fused), want, "{what}: scan_vector");
+        let mut decoded = VectorScan::empty(live.len());
+        scan_decoded(live, lo, hi, true, &mut decoded);
+        assert_eq!(observed(&decoded), want, "{what}: scan_decoded");
+
+        let parts = |s: alp::VectorSum<F>| (s.sum.to_bits_u64(), s.matches, s.nans, s.len);
+        let want_sum = (want.sum, want.matches, want.nans, live.len());
+        assert_eq!(parts(sum_vector(v, exc, Some((lo, hi)))), want_sum, "{what}: sum_vector");
+        assert_eq!(parts(sum_decoded(live, Some((lo, hi)), true)), want_sum, "{what}: sum_decoded");
+        if want.nans == 0 {
+            let trusting = sum_decoded(live, Some((lo, hi)), false);
+            assert_eq!(parts(trusting), want_sum, "{what}: sum_decoded, NaN-free zone");
+        }
+        if want.matches == live.len() {
+            assert_eq!(parts(sum_vector(v, exc, None)), want_sum, "{what}: sum_vector, all-in");
+            let all_in = sum_decoded(live, None, false);
+            assert_eq!(parts(all_in), want_sum, "{what}: sum_decoded, all-in");
         }
     }
-    (sum.to_bits(), matches, min.map(f64::to_bits), max.map(f64::to_bits), valid, hits)
+}
+
+/// `PATCH` as Algorithm 2 states it, one exception at a time in list order
+/// (so of two exceptions at one position the later stays), over the
+/// exception-free scalar decode.
+fn reference_decode<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>) -> Vec<F> {
+    let mut out = vec![F::from_i64(0); VECTOR_SIZE];
+    decode_vector_scalar(&AlpVector { exc_count: 0, ..v.clone() }, ExcView::empty(), &mut out);
+    for (&p, &bits) in exc.positions.iter().zip(exc.values) {
+        if (p as usize) < VECTOR_SIZE {
+            out[p as usize] = F::from_bits_u64(bits);
+        }
+    }
+    out.truncate(v.len as usize);
+    out
 }
 
 /// Holds all three decoders and the fused scan to `decode_vector_scalar` on
@@ -192,31 +319,11 @@ fn check_decoders<F: AlpFloat>(v: &AlpVector, arena: &ExcArena, what: &str) {
     }
 }
 
-fn check_scan(v: &AlpVector, arena: &ExcArena, what: &str) {
+fn check_scan<F: AlpFloat>(v: &AlpVector, arena: &ExcArena, what: &str) {
     let exc = arena.view(v);
-    let mut scalar = vec![0.0f64; VECTOR_SIZE];
+    let mut scalar = vec![F::from_i64(0); VECTOR_SIZE];
     let n = decode_vector_scalar(v, exc, &mut scalar);
-    let mut sorted: Vec<f64> = scalar[..n].iter().copied().filter(|x| !x.is_nan()).collect();
-    sorted.sort_by(f64::total_cmp);
-    let bands = [
-        (f64::NEG_INFINITY, f64::INFINITY),
-        (1.0, 0.0),
-        match sorted.len() {
-            0 => (0.0, 0.0),
-            len => (sorted[len / 4], sorted[3 * len / 4]),
-        },
-    ];
-    for (lo, hi) in bands {
-        let scan = scan_vector(v, exc, lo, hi, true);
-        let (sum, matches, min, max, valid, hits) = reference_scan(&scalar[..n], lo, hi);
-        assert_eq!(scan.len, n, "{what}");
-        assert_eq!(scan.sum.to_bits(), sum, "{what}: sum over [{lo}, {hi}]");
-        assert_eq!(scan.matches, matches, "{what}: matches over [{lo}, {hi}]");
-        assert_eq!(scan.min.map(f64::to_bits), min, "{what}: min");
-        assert_eq!(scan.max.map(f64::to_bits), max, "{what}: max");
-        assert_eq!(scan.valid[..], valid[..], "{what}: validity bitmap");
-        assert_eq!(scan.hits[..], hits[..], "{what}: selection bitmap");
-    }
+    check_scan_routes(v, exc, &scalar[..n], what);
 }
 
 /// A vector built field by field (no encoder in the loop): `residuals` packed
@@ -281,7 +388,7 @@ fn decode_and_scan_match_the_scalar_decoder_at_every_width_and_base() {
                     hand_built(residuals, width, base, combo, len, &positions, payload);
                 let what = format!("width {width} base {base} (e,f) {combo:?} len {len}");
                 check_decoders::<f64>(&v, &arena, &what);
-                check_scan(&v, &arena, &what);
+                check_scan::<f64>(&v, &arena, &what);
             }
         }
     }
@@ -313,9 +420,162 @@ fn f32_decode_matches_the_scalar_decoder_around_its_conversion_limit() {
                 let payload = |k: usize| [0x7FC0_1234u64, 0x8000_0000, 0x7F80_0000, 1][k % 4];
                 let (v, arena) =
                     hand_built(residuals, width, base, combo, len, &positions, payload);
-                check_decoders::<f32>(&v, &arena, &format!("f32 width {width} base {base}"));
+                let what = format!("f32 width {width} base {base}");
+                check_decoders::<f32>(&v, &arena, &what);
+                check_scan::<f32>(&v, &arena, &what);
             }
         }
+    }
+}
+
+/// Lengths on every side of a lane row (8) and a block (64), plus the ends.
+const LENGTHS: [usize; 10] = [0, 1, 7, 8, 9, 63, 64, 65, 1023, VECTOR_SIZE];
+
+/// Exception positions on every side of a lane-row edge.
+const LANE_EDGE_POSITIONS: [u16; 11] = [0, 7, 8, 9, 15, 16, 56, 63, 64, 71, 72];
+
+/// Exception payloads for either width: two NaNs, ±inf, ±0.0, and a finite
+/// value far outside the decoded range.
+fn special_payloads<F: AlpFloat>() -> [u64; 7] {
+    match F::BITS {
+        64 => [
+            0x7FF8_DEAD_BEEF_0001,
+            0x7FF0_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0xFFF8_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x0000_0000_0000_0000,
+            1e9f64.to_bits(),
+        ],
+        _ => [
+            0x7FC0_1234,
+            0x7F80_0000,
+            0x8000_0000,
+            0xFFC0_0000,
+            0xFF80_0000,
+            0x0000_0000,
+            1e9f32.to_bits() as u64,
+        ],
+    }
+}
+
+/// Every scan route against the definition, at every length, for exception
+/// lists of every shape the kernels branch on: none, block edges, lane-row
+/// edges, a NaN in every lane, runs of equal positions (the later payload
+/// stays — NaN-then-finite and finite-then-NaN both occur), and unsorted
+/// lists (the decode-then-scan fallback).
+fn check_scans_at_every_length_and_exception_shape<F: AlpFloat>(combo: (u8, u8)) {
+    let payloads = special_payloads::<F>();
+    let residuals = &residual_patterns(10)[0];
+    let shapes: [(&str, Vec<u16>); 6] = [
+        ("no exceptions", Vec::new()),
+        ("block edges", EDGE_POSITIONS.to_vec()),
+        ("lane edges", LANE_EDGE_POSITIONS.to_vec()),
+        ("a NaN per lane", (0..8).map(|lane| 64 * lane + lane).collect()),
+        ("duplicates", vec![0, 0, 5, 5, 5, 63, 64, 64, 1023, 1023]),
+        ("unsorted", vec![100, 3, 3, 70, 64, 0, 1023, 8]),
+    ];
+    for len in LENGTHS {
+        for (shape, positions) in &shapes {
+            for rotate in 0..payloads.len() {
+                let payload = |k: usize| match *shape {
+                    "a NaN per lane" => payloads[0],
+                    _ => payloads[(k + rotate) % payloads.len()],
+                };
+                let (v, arena) = hand_built(residuals, 10, -300, combo, len, positions, payload);
+                let exc = arena.view(&v);
+                let live = reference_decode::<F>(&v, exc);
+                let what = format!("{} len {len}, {shape}, payloads from {rotate}", F::NAME);
+                check_scan_routes(&v, exc, &live, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_scan_route_matches_the_definition_at_every_length_and_exception_shape() {
+    check_scans_at_every_length_and_exception_shape::<f64>((14, 12));
+    check_scans_at_every_length_and_exception_shape::<f32>((5, 2));
+}
+
+/// A column with everything a predicated sum has to get right: decimals,
+/// both zeros, both infinities and NaNs, mixed by position.
+fn column_with_specials(n: usize) -> Vec<f64> {
+    (0..n)
+        .map(|i| match i % 97 {
+            13 => -0.0,
+            31 => 0.0,
+            57 if i % 2 == 0 => f64::NAN,
+            71 if i % 3 == 0 => f64::INFINITY,
+            71 if i % 3 == 1 => f64::NEG_INFINITY,
+            _ => ((mix(i as u64) % 20_001) as f64 - 10_000.0) / 100.0,
+        })
+        .collect()
+}
+
+/// Holds `scan_values` and `Column::sum_where` (the `FilteredSum` fold) over
+/// raw, ALP, per-vector codec and block codec storage to the column-level
+/// definition, with the push-down counters: a pruned vector adds nothing, a
+/// vector inside the band takes the predicate-free route.
+fn check_column(data: &[f64], lo: f64, hi: f64, what: &str) {
+    let (sum, matches, nans) = reference_column(data, lo, hi);
+    let mut oracle = ScanResult::new();
+    scan_values(data, ScanPredicate { lo, hi }, ScanAgg::SumCount, &mut oracle);
+    assert_eq!(
+        (oracle.sum.to_bits(), oracle.matches, oracle.validity.count_invalid()),
+        (sum, matches, nans),
+        "{what}: scan_values"
+    );
+    // A vector is scanned when its zone map overlaps the band; whether it may
+    // drop the predicate is decided here by looking at every value.
+    let scanned: Vec<&[f64]> =
+        data.chunks(VECTOR_SIZE).filter(|v| ZoneMap::of(v).overlaps(lo, hi)).collect();
+    let all_in = scanned.iter().filter(|v| v.iter().all(|&x| x >= lo && x <= hi)).count();
+    let scanned_nans: usize = scanned.iter().map(|v| v.iter().filter(|x| x.is_nan()).count()).sum();
+    for id in ["raw", "alp", "patas", "gpzip"] {
+        let format = Format::by_id(id).unwrap_or(Format::Uncompressed);
+        let got = Column::from_f64(data, format).sum_where(lo, hi);
+        assert_eq!((got.sum.to_bits(), got.matches), (sum, matches), "{what}: {id} sum_where");
+        assert_eq!(got.invalid, scanned_nans, "{what}: {id} NaNs scanned");
+        assert_eq!(got.vectors_all_in, all_in, "{what}: {id} predicate-free vectors");
+        if id != "gpzip" {
+            // Block-granular storage also counts the neighbours it inflated.
+            assert_eq!(got.vectors_scanned, scanned.len(), "{what}: {id} vectors scanned");
+        }
+    }
+}
+
+#[test]
+fn column_sums_match_the_definition_on_every_storage() {
+    for len in LENGTHS.into_iter().chain([3 * VECTOR_SIZE + 65]) {
+        let data = column_with_specials(len);
+        for (lo, hi) in bands(&data) {
+            check_column(&data, lo, hi, &format!("specials, len {len}, band [{lo}, {hi}]"));
+        }
+    }
+    // Vectors of distinct character, so one band meets every zone verdict:
+    // inside (predicate-free), straddling, NaN-bearing, all-NaN, disjoint.
+    let mut data: Vec<f64> = (0..5 * VECTOR_SIZE + 9).map(|i| (i % 1000) as f64 / 8.0).collect();
+    for (i, x) in data.iter_mut().enumerate() {
+        match i / VECTOR_SIZE {
+            0 => *x = 10.0 + *x / 100.0,
+            1 if i % 50 == 0 => *x = f64::NAN,
+            2 => *x = f64::NAN,
+            3 => *x += 1000.0,
+            _ => {}
+        }
+    }
+    let first = ZoneMap::of(&data[..VECTOR_SIZE]);
+    for (lo, hi) in [
+        (first.min, first.max),
+        (first.min, first.max - 0.01),
+        (0.0, 125.0),
+        (-0.0, 2000.0),
+        (f64::NEG_INFINITY, f64::INFINITY),
+        (f64::NAN, 1.0),
+        (3000.0, f64::INFINITY),
+    ] {
+        check_column(&data, lo, hi, &format!("zone verdicts, band [{lo}, {hi}]"));
     }
 }
 
