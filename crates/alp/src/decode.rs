@@ -14,6 +14,16 @@
 //!   standing in for the paper's "Scalar (vectorization disabled)"
 //!   configuration of Figure 4.
 //!
+//! **One kernel, two word sources.** The fused kernels — decode, and the scans
+//! below — are methods of [`AlpVectorRef`], the vector as a kernel reads it:
+//! header by value, packed words and exceptions borrowed. Over `u64`/`u16`
+//! that is an owned [`AlpVector`] with its arena view ([`AlpVectorRef::owned`];
+//! [`decode_vector`], [`scan_vector`] and [`sum_vector`] are one-line callers);
+//! over `[u8; 8]`/`[u8; 2]` it is [`crate::format::AlpVectorView`], a vector
+//! still sitting in the bytes of a frame body, its words read in place through
+//! [`fastlanes::bitpack::Word`]. There is one loop body per kernel; the two
+//! instantiations differ in a load.
+//!
 //! On top of these sit the *fused scans*: unpack, FOR-add, decimal multiply,
 //! mid-stream exception patch, range predicate and aggregate in one pass per
 //! vector with no materialized `Vec<f64>` — [`scan_vector`] with
@@ -42,18 +52,96 @@
 //! chosen per vector from the header); the results are the same bits either
 //! way, which `tests/kernel_differential.rs` pins against the scalar variant.
 
-use fastlanes::bitpack::{block_words, unpacker, Unpack64, BLOCK};
+use fastlanes::bitpack::{block_words, unpacker, Unpack64, Word, BLOCK};
 use fastlanes::{ffor, VECTOR_SIZE};
 
-use crate::encode::{AlpVector, ExcView};
+use crate::encode::{AlpVector, ExcView, Short};
 use crate::traits::AlpFloat;
+
+/// One ALP vector as the kernels read it: the header by value, the packed
+/// words and the exceptions borrowed from wherever they live. `W`/`P` are
+/// `u64`/`u16` over an owned [`AlpVector`] and its arena
+/// ([`AlpVectorRef::owned`]) and `[u8; 8]`/`[u8; 2]` over the bytes of a
+/// frame body ([`crate::format::AlpVectorView`], built only by the body
+/// parser, which has checked every field). Every kernel of this module is
+/// one generic body over the two.
+#[derive(Debug, Clone, Copy)]
+pub struct AlpVectorRef<'a, W = u64, P = u16> {
+    pub(crate) exponent: u8,
+    pub(crate) factor: u8,
+    pub(crate) bit_width: u8,
+    pub(crate) for_base: i64,
+    pub(crate) len: u16,
+    /// `16 * bit_width` words; an owned vector's pad word may follow.
+    pub(crate) packed: &'a [W],
+    pub(crate) exc: ExcView<'a, P, W>,
+}
+
+impl<'a> AlpVectorRef<'a> {
+    /// The kernels' view of an owned vector and its exceptions.
+    #[inline]
+    pub fn owned(v: &'a AlpVector, exc: ExcView<'a>) -> Self {
+        Self {
+            exponent: v.exponent,
+            factor: v.factor,
+            bit_width: v.bit_width,
+            for_base: v.for_base,
+            len: v.len,
+            packed: &v.packed,
+            exc,
+        }
+    }
+}
+
+impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
+    /// Number of live values (`<= 1024`).
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the vector holds no live values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// [`decode_vector`] over this source.
+    pub fn decode<F: AlpFloat>(&self, out: &mut [F]) -> usize {
+        assert!(out.len() >= VECTOR_SIZE);
+        let mut dec = AlpDec::of(self);
+        let blocks = out.as_chunks_mut::<BLOCK>().0;
+        for (block, out_block) in blocks.iter_mut().enumerate().take(VECTOR_SIZE / BLOCK) {
+            dec.block(block, out_block);
+        }
+        patch_exceptions(self.exc, out);
+        self.len()
+    }
+
+    /// [`scan_vector`] over this source.
+    pub fn scan<F: AlpFloat>(&self, lo: F, hi: F, with_minmax: bool) -> VectorScan<F> {
+        let mut scan = VectorScan::empty(self.len());
+        for_each_block(self, |block, live| scan.scan_block(block, live, lo, hi, with_minmax));
+        scan
+    }
+
+    /// [`sum_vector`] over this source.
+    pub fn sum<F: AlpFloat>(&self, band: Option<(F, F)>) -> VectorSum<F> {
+        let mut sum = F::from_i64(0);
+        let mut matches = 0usize;
+        let nans = for_each_block(self, |_, live| {
+            let (s, m) = block_sum_in(live, band);
+            sum = sum + s;
+            matches += m;
+        });
+        VectorSum { sum, matches, nans, len: self.len().min(VECTOR_SIZE) }
+    }
+}
 
 /// `ALP_dec` for one vector: the block unpacker for its width, its frame
 /// and multipliers, and which int→float conversion the frame allows.
-struct AlpDec<'a, F> {
-    packed: &'a [u64],
+struct AlpDec<'a, F, W> {
+    packed: &'a [W],
     width: usize,
-    unpack: Unpack64,
+    unpack: Unpack64<W>,
     base: i64,
     mul_f: F,
     mul_e: F,
@@ -64,15 +152,15 @@ struct AlpDec<'a, F> {
     residuals: [u64; BLOCK],
 }
 
-impl<'a, F: AlpFloat> AlpDec<'a, F> {
-    fn of(v: &'a AlpVector) -> Self {
+impl<'a, F: AlpFloat, W: Word> AlpDec<'a, F, W> {
+    fn of<P>(v: &AlpVectorRef<'a, W, P>) -> Self {
         let limit = F::MAGIC_LIMIT;
         let magic = v.bit_width <= 51
             && (-limit..=limit).contains(&v.for_base)
             && v.for_base + ((1i64 << v.bit_width) - 1) <= limit;
         let width = v.bit_width as usize;
         Self {
-            packed: &v.packed,
+            packed: v.packed,
             width,
             unpack: unpacker(width),
             base: v.for_base,
@@ -113,14 +201,7 @@ impl<'a, F: AlpFloat> AlpDec<'a, F> {
 /// exception view `exc` (obtained from the owning arena). Returns the number
 /// of live values written.
 pub fn decode_vector<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, out: &mut [F]) -> usize {
-    assert!(out.len() >= VECTOR_SIZE);
-    let mut dec = AlpDec::of(v);
-    let blocks = out.as_chunks_mut::<BLOCK>().0;
-    for (block, out_block) in blocks.iter_mut().enumerate().take(VECTOR_SIZE / BLOCK) {
-        dec.block(block, out_block);
-    }
-    patch_exceptions(exc, out);
-    v.len as usize
+    AlpVectorRef::owned(v, exc).decode(out)
 }
 
 /// Unfused decode: unFFOR into an integer scratch vector, then a separate
@@ -134,7 +215,7 @@ pub fn decode_vector_unfused<F: AlpFloat>(
     assert!(scratch.len() >= VECTOR_SIZE && out.len() >= VECTOR_SIZE);
     let scratch = scratch.get_mut(..VECTOR_SIZE).unwrap_or_default();
     ffor::ffor_unpack(&v.packed, v.for_base, v.bit_width as usize, scratch);
-    AlpDec::of(v).multiply(scratch.iter().copied(), out);
+    AlpDec::of(&AlpVectorRef::owned(v, exc)).multiply(scratch.iter().copied(), out);
     patch_exceptions(exc, out);
     v.len as usize
 }
@@ -186,8 +267,8 @@ pub fn decode_vector_scalar<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, out: &
 /// Overwrites exception positions with their stored raw values (the PATCH step
 /// of Algorithm 2).
 #[inline]
-pub fn patch_exceptions<F: AlpFloat>(exc: ExcView<'_>, out: &mut [F]) {
-    for (&p, &bits) in exc.positions.iter().zip(exc.values) {
+pub fn patch_exceptions<F: AlpFloat, P: Short, V: Word>(exc: ExcView<'_, P, V>, out: &mut [F]) {
+    for (p, bits) in exc.iter() {
         // Positions come off the wire; a corrupt position past the vector end
         // is dropped rather than allowed to panic the decode path.
         if let Some(slot) = out.get_mut(p as usize) {
@@ -310,17 +391,16 @@ pub fn block_sum_all<F: AlpFloat>(chunk: &[F]) -> F {
 /// number of live NaNs, which only exception lanes can hold (a decoded
 /// integer is never NaN).
 #[inline]
-fn for_each_block<F: AlpFloat>(
-    v: &AlpVector,
-    exc: ExcView<'_>,
+fn for_each_block<F: AlpFloat, W: Word, P: Short>(
+    v: &AlpVectorRef<'_, W, P>,
     mut consume: impl FnMut(usize, &[F]),
 ) -> usize {
-    let len = (v.len as usize).min(VECTOR_SIZE);
-    if !exc.positions.is_sorted() {
-        return for_each_block_unsorted(v, exc, len, &mut consume);
+    let len = v.len().min(VECTOR_SIZE);
+    if !v.exc.positions.iter().map(|p| p.get()).is_sorted() {
+        return for_each_block_unsorted(v, len, &mut consume);
     }
     let mut dec = AlpDec::of(v);
-    let mut exceptions = exc.positions.iter().zip(exc.values).peekable();
+    let mut exceptions = v.exc.iter().peekable();
     let mut nans = 0usize;
     // Block-local staging: stage 1 overwrites every slot.
     let mut vals = [F::from_i64(0); BLOCK];
@@ -333,13 +413,13 @@ fn for_each_block<F: AlpFloat>(
         // (checked above), so one cursor visits each exception once;
         // positions past the vector end are dropped and of a run of equal
         // positions the last one stays, matching `patch_exceptions`.
-        while let Some((&p, &bits)) = exceptions.next_if(|(&p, _)| (p as usize) < start + BLOCK) {
+        while let Some((p, bits)) = exceptions.next_if(|&(p, _)| (p as usize) < start + BLOCK) {
             let Some(i) = (p as usize).checked_sub(start) else { continue };
             let patch = F::from_bits_u64(bits);
             if let Some(slot) = vals.get_mut(i) {
                 *slot = patch;
             }
-            let stays = exceptions.peek().is_none_or(|(&next, _)| next != p);
+            let stays = exceptions.peek().is_none_or(|&(next, _)| next != p);
             nans += (stays && i < live && patch.is_nan()) as usize;
         }
         consume(block, vals.get(..live).unwrap_or(&vals));
@@ -354,14 +434,13 @@ fn for_each_block<F: AlpFloat>(
 /// does not carry the 8 KB buffer.
 #[cold]
 #[inline(never)]
-fn for_each_block_unsorted<F: AlpFloat>(
-    v: &AlpVector,
-    exc: ExcView<'_>,
+fn for_each_block_unsorted<F: AlpFloat, W: Word, P: Short>(
+    v: &AlpVectorRef<'_, W, P>,
     len: usize,
     consume: &mut dyn FnMut(usize, &[F]),
 ) -> usize {
     let mut buf = [F::from_i64(0); VECTOR_SIZE];
-    decode_vector(v, exc, &mut buf);
+    v.decode(&mut buf);
     let live = buf.get(..len).unwrap_or(&buf);
     for (block, chunk) in live.chunks(BLOCK).enumerate() {
         consume(block, chunk);
@@ -380,9 +459,7 @@ pub fn scan_vector<F: AlpFloat>(
     hi: F,
     with_minmax: bool,
 ) -> VectorScan<F> {
-    let mut scan = VectorScan::empty(v.len as usize);
-    for_each_block(v, exc, |block, live| scan.scan_block(block, live, lo, hi, with_minmax));
-    scan
+    AlpVectorRef::owned(v, exc).scan(lo, hi, with_minmax)
 }
 
 /// Scans already-decoded values with the same sum and bitmap semantics as
@@ -494,14 +571,7 @@ pub fn sum_vector<F: AlpFloat>(
     exc: ExcView<'_>,
     band: Option<(F, F)>,
 ) -> VectorSum<F> {
-    let mut sum = F::from_i64(0);
-    let mut matches = 0usize;
-    let nans = for_each_block(v, exc, |_, live| {
-        let (s, m) = block_sum_in(live, band);
-        sum = sum + s;
-        matches += m;
-    });
-    VectorSum { sum, matches, nans, len: (v.len as usize).min(VECTOR_SIZE) }
+    AlpVectorRef::owned(v, exc).sum(band)
 }
 
 /// [`sum_vector`] over already-decoded values (ALP_rd vectors, cached pages,

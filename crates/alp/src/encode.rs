@@ -14,6 +14,7 @@
 //! bit width of the packed vector is unaffected. The encoded integers then go
 //! through FFOR (frame-of-reference + bit-packing, fused).
 
+use fastlanes::bitpack::Word;
 use fastlanes::ffor;
 use fastlanes::VECTOR_SIZE;
 
@@ -95,13 +96,37 @@ impl ExcArena {
     }
 }
 
+/// A stored `u16` (an exception position, an ALP_rd left part) as a kernel
+/// reads it: native, or its two bytes in wire (little-endian) order — the
+/// 16-bit counterpart of [`fastlanes::bitpack::Word`].
+pub trait Short: Copy {
+    /// The stored value.
+    fn get(self) -> u16;
+}
+
+impl Short for u16 {
+    #[inline(always)]
+    fn get(self) -> u16 {
+        self
+    }
+}
+
+impl Short for [u8; 2] {
+    #[inline(always)]
+    fn get(self) -> u16 {
+        u16::from_le_bytes(self)
+    }
+}
+
 /// Borrowed view of one vector's exceptions: parallel position/value slices.
+/// `P`/`V` are `u16`/`u64` over an [`ExcArena`] and `[u8; 2]`/`[u8; 8]` over
+/// the bytes of a frame body (see [`crate::format::RowGroupView`]).
 #[derive(Debug, Clone, Copy)]
-pub struct ExcView<'a> {
+pub struct ExcView<'a, P = u16, V = u64> {
     /// Positions (within the vector) of values stored as exceptions.
-    pub positions: &'a [u16],
+    pub positions: &'a [P],
     /// Raw bit patterns of the exception values (zero-extended to 64 bits).
-    pub values: &'a [u64],
+    pub values: &'a [V],
 }
 
 impl ExcView<'_> {
@@ -109,7 +134,9 @@ impl ExcView<'_> {
     pub const fn empty() -> Self {
         ExcView { positions: &[], values: &[] }
     }
+}
 
+impl<'a, P: Short, V: Word> ExcView<'a, P, V> {
     /// Number of exceptions in the view.
     pub fn len(&self) -> usize {
         self.positions.len()
@@ -118,6 +145,12 @@ impl ExcView<'_> {
     /// Whether the view holds no exceptions.
     pub fn is_empty(&self) -> bool {
         self.positions.is_empty()
+    }
+
+    /// `(position, raw bits)` pairs in stored order.
+    #[inline]
+    pub fn iter(&self) -> impl Iterator<Item = (u16, u64)> + Clone + 'a {
+        self.positions.iter().zip(self.values).map(|(p, v)| (p.get(), v.get()))
     }
 }
 

@@ -15,26 +15,72 @@
 //!   RD vector  : len:u16 exc:u16 packed_codes packed_right exc_pos exc_left
 //! ```
 //!
+//! Every packed stream is 16 blocks of `width` little-endian `u64` words
+//! (`fastlanes::bitpack`; an in-memory vector's trailing pad word is not
+//! stored); exception values are 8 bytes whatever the float width; an RD
+//! vector's right parts are `bits - left_width` wide.
+//!
 //! This module owns the header and the row-group *body* codec
-//! ([`write_rowgroup`] / [`read_rowgroup`]); the `len | xxh64 | body` frame
+//! ([`write_rowgroup`] / [`RowGroupView`]); the `len | xxh64 | body` frame
 //! around each body, the parity section and repair are [`crate::frame`]'s.
 //! The frame buys two things: bit-rot in a payload is *detected* (a flipped
 //! packed bit otherwise decodes to plausible garbage), and
 //! [`from_bytes_salvage`] can resync past a damaged row-group and recover —
 //! or, with parity, rebuild — the rest of the column.
 //!
+//! ## Reading a body: one borrowed view
+//! [`RowGroupView::parse`] is the only code that validates a row-group body.
+//! It copies nothing: a view is the header fields by value plus sub-slices of
+//! the body, and the decode kernels read their packed words from those bytes
+//! in place ([`AlpVectorView`] / [`RdVectorView`] are the kernels' own source
+//! types, `crate::decode::AlpVectorRef` / `crate::rd::RdVectorRef`, over
+//! `[u8; 8]` words). Readers that want values — the stream reader, the
+//! salvage engine — go bytes → view → values ([`decode_rowgroup_into`]);
+//! readers that want an owned [`RowGroup`] ([`from_bytes`], [`read_rowgroup`],
+//! the salvage walkers) copy one out of a view ([`RowGroupView::to_owned`]).
+//!
+//! The checks, in the order they are made (a body failing several reports
+//! the first). Reading any field past the end of the buffer is
+//! [`FormatError::Truncated`]; the rest are [`FormatError::Corrupt`]:
+//!
+//! 1. `scheme` is 0 or 1 — `"scheme tag"` (after `scheme` and `vectors` are
+//!    read).
+//! 2. RD header, once `left_width`, `code_width` and `dict_len` are read:
+//!    `1 <= left_width <= 16` — `"rd left_width"`; `1 <= dict_len <= 8` —
+//!    `"rd dict size"`; `code_width <= 3` — `"rd code width"`; then the
+//!    dictionary is read.
+//! 3. Per ALP vector, once its 15 header bytes are read: `width <= 64` —
+//!    `"alp bit_width"`; `len <= 1024` and `exc <= len` —
+//!    `"alp vector len/exceptions"`; the payload (`packed`, `exc_pos`,
+//!    `exc_val`) is present; every `exc_pos < len` —
+//!    `"alp exception position"`; `e <= F::MAX_EXPONENT` and `f <= e` —
+//!    `"alp exponent/factor"`.
+//! 4. Per RD vector, once its 4 header bytes are read: `len <= 1024` and
+//!    `exc <= len` — `"rd vector len/exceptions"`; the payload is present;
+//!    every `exc_pos < len` — `"rd exception position"`.
+//! 5. A frame body is exactly one row-group: bytes left over —
+//!    `"row-group frame length"` ([`RowGroupView::parse_exact`]).
+//!
+//! Exception positions may repeat or come unsorted (no writer produces that;
+//! the decoders patch in list order, so of equal positions the last stays).
+//! An RD code at or past `dict_len` decodes as dictionary entry 0.
+//!
 //! The legacy `ALP1` layout — identical except that bare row-group bodies
 //! follow each other with no frame — is still accepted by [`from_bytes`];
 //! nothing writes it any more (`tests/golden/alp1_f64.bin` pins the reader).
 
-use crate::encode::{AlpVector, ExcArena, ExcView};
+use fastlanes::bitpack::Word;
+use fastlanes::VECTOR_SIZE;
+
+use crate::decode::AlpVectorRef;
+use crate::encode::{AlpVector, ExcArena, ExcView, Short};
 pub use crate::frame::parity_group_size;
 use crate::frame::{self, Frame, ParityConfig};
-use crate::rd::{RdMeta, RdVector};
+use crate::rd::{RdMeta, RdVector, RdVectorRef, MAX_DICT_SIZE, MAX_LEFT_WIDTH};
 use crate::rowgroup::{AlpGroup, Compressed, RowGroup};
 use crate::sampler::ConfigError;
 use crate::traits::AlpFloat;
-use crate::wire::{GetExt, PutExt};
+use crate::wire::{self, PutExt};
 
 /// Magic bytes identifying a checksummed (current) serialized ALP column.
 pub const MAGIC: &[u8; 4] = b"ALP2";
@@ -160,7 +206,7 @@ fn write_alp_vector(out: &mut Vec<u8>, v: &AlpVector, exc: ExcView<'_>) {
     out.put_i64_le(v.for_base);
     out.put_u16_le(exc.positions.len() as u16);
     // Stored without the trailing pad word — it is reconstructed on read.
-    let words = v.bit_width as usize * (fastlanes::VECTOR_SIZE / 64);
+    let words = v.bit_width as usize * (VECTOR_SIZE / 64);
     for &w in &v.packed[..words] {
         out.put_u64_le(w);
     }
@@ -179,7 +225,7 @@ fn write_rd_vector(out: &mut Vec<u8>, v: &RdVector, right_width: usize) {
     for &w in &v.packed_codes[..code_words] {
         out.put_u64_le(w);
     }
-    let right_words = right_width * (fastlanes::VECTOR_SIZE / 64);
+    let right_words = right_width * (VECTOR_SIZE / 64);
     for &w in &v.packed_right[..right_words] {
         out.put_u64_le(w);
     }
@@ -200,38 +246,39 @@ struct Header {
     rg_count: usize,
 }
 
-fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
-    if buf.len() < 4 {
-        return Err(FormatError::Truncated);
+impl Header {
+    /// The row-group count, clamped to what `rest` (the bytes after the
+    /// header) could physically hold, the smallest body being 5 bytes: a
+    /// corrupt header can claim billions, and neither a reservation nor a
+    /// loss report may be sized by the claim.
+    fn plausible_rowgroups(&self, rest: &[u8]) -> usize {
+        let min_frame = if self.framed { frame::PREFIX_LEN + 5 } else { 5 };
+        self.rg_count.min(rest.len() / min_frame + 1)
     }
-    // ANALYZER-ALLOW(no-panic): length checked above
-    let framed = match &buf[..4] {
-        m if m == MAGIC => true,
-        m if m == MAGIC_V1 => false,
+}
+
+fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
+    let framed = match &take::<4>(buf)? {
+        MAGIC => true,
+        MAGIC_V1 => false,
         _ => return Err(FormatError::BadMagic),
     };
-    buf.advance(4);
     if buf.len() < 1 + 8 + 4 {
         return Err(FormatError::Truncated);
     }
-    let bits = buf.get_u8();
+    let bits = u8::from_le_bytes(take(buf)?);
     if u32::from(bits) != F::BITS {
         // ANALYZER-ALLOW(no-panic): F::BITS is 32 or 64, always fits in u8.
         return Err(FormatError::WidthMismatch { found: bits, expected: F::BITS as u8 });
     }
-    let len = buf.get_u64_le() as usize;
-    let rg_count = buf.get_u32_le() as usize;
+    let len = u64::from_le_bytes(take(buf)?) as usize;
+    let rg_count = u32::from_le_bytes(take(buf)?) as usize;
     Ok(Header { framed, len, rg_count })
 }
 
-/// Parses a frame body as exactly one row-group: trailing bytes are a
-/// framing error, not slack.
-pub(crate) fn read_rowgroup_exact<F: AlpFloat>(mut body: &[u8]) -> Result<RowGroup, FormatError> {
-    let rg = read_rowgroup::<F>(&mut body)?;
-    if !body.is_empty() {
-        return Err(FormatError::Corrupt("row-group frame length"));
-    }
-    Ok(rg)
+/// Parses a frame body as exactly one owned row-group.
+pub(crate) fn read_rowgroup_exact<F: AlpFloat>(body: &[u8]) -> Result<RowGroup, FormatError> {
+    RowGroupView::<F>::parse_exact(body)?.to_owned()
 }
 
 /// Verifies and parses one delimited frame: checksum first, then a full-body
@@ -246,7 +293,7 @@ fn decode_frame<F: AlpFloat>(frame: &Frame<'_>, index: usize) -> Result<RowGroup
 /// `ALP1` writer). Strict: any damage — structural or checksum — is an error.
 pub fn from_bytes<F: AlpFloat>(mut buf: &[u8]) -> Result<Compressed<F>, FormatError> {
     let header = read_header::<F>(&mut buf)?;
-    let mut rowgroups = Vec::with_capacity(header.rg_count.min(1 << 20));
+    let mut rowgroups = Vec::with_capacity(header.plausible_rowgroups(buf));
     for i in 0..header.rg_count {
         rowgroups.push(if header.framed {
             let (frame, rest) = Frame::split(buf).ok_or(FormatError::Truncated)?;
@@ -322,10 +369,7 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     threads: usize,
 ) -> Result<Salvage<F>, FormatError> {
     let header = read_header::<F>(&mut buf)?;
-    // A corrupt header can claim billions of row-groups; clamp the loss report
-    // to what the buffer could physically hold (smallest body is 5 bytes).
-    let min_frame = if header.framed { frame::PREFIX_LEN + 5 } else { 5 };
-    let rg_count = header.rg_count.min(buf.len() / min_frame + 1);
+    let rg_count = header.plausible_rowgroups(buf);
     let (mut decoded, repaired) = if header.framed {
         // Serial boundary walk, parallel verify + decode, then parity repair
         // of single-fault groups: the layer's random-access walker.
@@ -351,139 +395,348 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     })
 }
 
-/// Deserializes one row-group (inverse of [`write_rowgroup`]).
-pub fn read_rowgroup<F: AlpFloat>(buf: &mut &[u8]) -> Result<RowGroup, FormatError> {
-    if buf.len() < 5 {
-        return Err(FormatError::Truncated);
+/// The wire form of an ALP vector: [`AlpVectorRef`] over the bytes of a frame
+/// body — `decode` / `sum` / `scan` run on it as they do on an owned vector.
+pub type AlpVectorView<'a> = AlpVectorRef<'a, [u8; 8], [u8; 2]>;
+
+/// The wire form of an ALP_rd vector (see [`AlpVectorView`]); the row-group's
+/// cut and dictionary ride along by value.
+pub type RdVectorView<'a> = RdVectorRef<'a, [u8; 8], [u8; 2]>;
+
+/// One vector of a [`RowGroupView`].
+#[derive(Debug, Clone, Copy)]
+pub enum VectorView<'a> {
+    /// A plain ALP vector.
+    Alp(AlpVectorView<'a>),
+    /// An ALP_rd vector.
+    Rd(RdVectorView<'a>),
+}
+
+impl VectorView<'_> {
+    /// Number of live values (`<= 1024`).
+    pub fn len(&self) -> usize {
+        match self {
+            VectorView::Alp(v) => v.len(),
+            VectorView::Rd(v) => v.len(),
+        }
     }
-    let scheme = buf.get_u8();
-    let vec_count = buf.get_u32_le() as usize;
-    match scheme {
-        SCHEME_TAG_ALP => {
-            let mut group = AlpGroup {
-                vectors: Vec::with_capacity(vec_count.min(1 << 16)),
-                exceptions: ExcArena::new(),
-            };
-            for _ in 0..vec_count {
-                let v = read_alp_vector(buf, &mut group.exceptions)?;
-                // The decoder indexes its power-of-ten tables with these.
-                if v.exponent > F::MAX_EXPONENT || v.factor > v.exponent {
-                    return Err(FormatError::Corrupt("alp exponent/factor"));
-                }
-                group.vectors.push(v);
-            }
-            Ok(RowGroup::Alp(group))
+
+    /// Whether the vector holds no live values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Decodes into `out[..len]` (`out` ≥ 1024 elements) with the scheme's
+    /// kernel, reading packed words straight from the body bytes; returns
+    /// the live count.
+    pub fn decode<F: AlpFloat>(&self, out: &mut [F]) -> usize {
+        match self {
+            VectorView::Alp(v) => v.decode(out),
+            VectorView::Rd(v) => v.decode(out),
         }
-        SCHEME_TAG_RD => {
-            if buf.len() < 3 {
-                return Err(FormatError::Truncated);
-            }
-            let left_width = buf.get_u8();
-            let code_width = buf.get_u8();
-            let dict_len = buf.get_u8() as usize;
-            if left_width == 0 || left_width as usize > crate::rd::MAX_LEFT_WIDTH {
-                return Err(FormatError::Corrupt("rd left_width"));
-            }
-            if dict_len == 0 || dict_len > crate::rd::MAX_DICT_SIZE {
-                return Err(FormatError::Corrupt("rd dict size"));
-            }
-            if code_width > 3 {
-                return Err(FormatError::Corrupt("rd code width"));
-            }
-            if buf.len() < dict_len * 2 {
-                return Err(FormatError::Truncated);
-            }
-            let dict: Vec<u16> = (0..dict_len).map(|_| buf.get_u16_le()).collect();
-            let meta = RdMeta { left_width, code_width, dict };
-            let right_width = meta.right_width::<F>();
-            let mut vectors = Vec::with_capacity(vec_count.min(1 << 16));
-            for _ in 0..vec_count {
-                vectors.push(read_rd_vector(buf, code_width as usize, right_width)?);
-            }
-            Ok(RowGroup::Rd(meta, vectors))
-        }
-        _ => Err(FormatError::Corrupt("scheme tag")),
     }
 }
 
-fn read_alp_vector(buf: &mut &[u8], arena: &mut ExcArena) -> Result<AlpVector, FormatError> {
-    if buf.len() < 3 + 2 + 8 + 2 {
-        return Err(FormatError::Truncated);
-    }
-    let exponent = buf.get_u8();
-    let factor = buf.get_u8();
-    let bit_width = buf.get_u8();
-    let len = buf.get_u16_le();
-    let for_base = buf.get_i64_le();
-    let exc_count = buf.get_u16_le();
-    let exc = exc_count as usize;
+/// The ALP_rd row-group header, parsed: what every vector of the group
+/// decodes under.
+#[derive(Debug, Clone, Copy)]
+struct RdHeader {
+    left_width: u8,
+    code_width: u8,
+    dict_len: u8,
+    /// The dictionary, unused slots repeating entry 0.
+    lut: [u16; MAX_DICT_SIZE],
+}
+
+/// A validated, borrowed view of one serialized row-group: nothing is copied
+/// out of `body`, and the decode kernels read its packed words in place.
+///
+/// [`RowGroupView::parse`] is the only code that validates a row-group body.
+/// It walks every vector header once, so a view in hand means every field is
+/// in range and every payload slice is present; [`RowGroupView::vectors`]
+/// re-walks the same bytes and cannot fail. Owned [`RowGroup`]s
+/// ([`read_rowgroup`], [`from_bytes`], the salvage walkers) are built from a
+/// view; readers that only want values ([`decode_rowgroup_into`], the stream
+/// reader) never build one.
+#[derive(Debug, Clone, Copy)]
+pub struct RowGroupView<'a, F> {
+    /// `Some` for an ALP_rd row-group.
+    rd: Option<RdHeader>,
+    vectors: usize,
+    /// Live values over all vectors.
+    len: usize,
+    /// The serialized vectors, exactly.
+    payload: &'a [u8],
+    /// What follows the row-group in the buffer it was parsed from.
+    rest: &'a [u8],
+    _float: core::marker::PhantomData<F>,
+}
+
+/// Splits the next `N` bytes off `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], FormatError> {
+    wire::take(buf).ok_or(FormatError::Truncated)
+}
+
+/// Splits the next `n` `N`-byte little-endian integers off `buf`, still as
+/// bytes. The length is checked before anything is sliced.
+fn take_ints<'a, const N: usize>(
+    buf: &mut &'a [u8],
+    n: usize,
+) -> Result<&'a [[u8; N]], FormatError> {
+    let bytes = n.checked_mul(N).ok_or(FormatError::Truncated)?;
+    let (head, rest) = buf.split_at_checked(bytes).ok_or(FormatError::Truncated)?;
+    *buf = rest;
+    Ok(head.as_chunks::<N>().0)
+}
+
+/// Splits one ALP vector off `buf`: header, then its three payload slices.
+fn split_alp_vector<'a>(buf: &mut &'a [u8]) -> Result<AlpVectorView<'a>, FormatError> {
+    let [exponent] = take(buf)?;
+    let [factor] = take(buf)?;
+    let [bit_width] = take(buf)?;
+    let len = u16::from_le_bytes(take(buf)?);
+    let for_base = i64::from_le_bytes(take(buf)?);
+    let exc = usize::from(u16::from_le_bytes(take(buf)?));
     if bit_width > 64 {
         return Err(FormatError::Corrupt("alp bit_width"));
     }
-    if len as usize > fastlanes::VECTOR_SIZE || exc > len as usize {
+    if usize::from(len) > VECTOR_SIZE || exc > usize::from(len) {
         return Err(FormatError::Corrupt("alp vector len/exceptions"));
     }
-    let words = bit_width as usize * (fastlanes::VECTOR_SIZE / 64);
-    if buf.len() < words * 8 + exc * (2 + 8) {
-        return Err(FormatError::Truncated);
-    }
-    let mut packed = Vec::with_capacity(words + 1);
-    for _ in 0..words {
-        packed.push(buf.get_u64_le());
-    }
-    packed.push(0); // reconstruct the pad word
-    let Ok(exc_start) = u32::try_from(arena.len()) else {
-        return Err(FormatError::Corrupt("exception arena overflow"));
-    };
-    // Positions precede values on the wire; stage positions so both streams
-    // land in the arena in parallel order.
-    for _ in 0..exc {
-        arena.positions.push(buf.get_u16_le());
-    }
-    for _ in 0..exc {
-        arena.values.push(buf.get_u64_le());
-    }
-    let start = exc_start as usize;
-    if arena.positions.get(start..).is_some_and(|ps| ps.iter().any(|&p| p >= len)) {
-        return Err(FormatError::Corrupt("alp exception position"));
-    }
-    Ok(AlpVector { exponent, factor, bit_width, for_base, packed, exc_start, exc_count, len })
+    // The trailing pad word of an in-memory vector is not on the wire.
+    let packed = take_ints::<8>(buf, usize::from(bit_width) * (VECTOR_SIZE / 64))?;
+    let positions = take_ints::<2>(buf, exc)?;
+    let values = take_ints::<8>(buf, exc)?;
+    Ok(AlpVectorRef {
+        exponent,
+        factor,
+        bit_width,
+        for_base,
+        len,
+        packed,
+        exc: ExcView { positions, values },
+    })
 }
 
-fn read_rd_vector(
-    buf: &mut &[u8],
-    code_width: usize,
-    right_width: usize,
-) -> Result<RdVector, FormatError> {
-    if buf.len() < 4 {
-        return Err(FormatError::Truncated);
-    }
-    let len = buf.get_u16_le();
-    let exc = buf.get_u16_le() as usize;
-    if len as usize > fastlanes::VECTOR_SIZE || exc > len as usize {
+/// Splits one ALP_rd vector off `buf` under its row-group's header.
+fn split_rd_vector<'a, F: AlpFloat>(
+    rd: &RdHeader,
+    buf: &mut &'a [u8],
+) -> Result<RdVectorView<'a>, FormatError> {
+    let len = u16::from_le_bytes(take(buf)?);
+    let exc = usize::from(u16::from_le_bytes(take(buf)?));
+    if usize::from(len) > VECTOR_SIZE || exc > usize::from(len) {
         return Err(FormatError::Corrupt("rd vector len/exceptions"));
     }
-    let code_words = code_width * (fastlanes::VECTOR_SIZE / 64);
-    let right_words = right_width * (fastlanes::VECTOR_SIZE / 64);
-    if buf.len() < (code_words + right_words) * 8 + exc * 4 {
-        return Err(FormatError::Truncated);
+    // `left_width <= 16 < F::BITS`: checked when the header was parsed.
+    let right_width = (F::BITS as u8).saturating_sub(rd.left_width);
+    let words = VECTOR_SIZE / 64;
+    let packed_codes = take_ints::<8>(buf, usize::from(rd.code_width) * words)?;
+    let packed_right = take_ints::<8>(buf, usize::from(right_width) * words)?;
+    let exc_positions = take_ints::<2>(buf, exc)?;
+    let exc_left = take_ints::<2>(buf, exc)?;
+    Ok(RdVectorRef {
+        right_width,
+        code_width: rd.code_width,
+        lut: rd.lut,
+        len,
+        packed_codes,
+        packed_right,
+        exc_positions,
+        exc_left,
+    })
+}
+
+/// Every exception position must address a live value.
+fn check_positions(positions: &[[u8; 2]], len: u16, what: &'static str) -> Result<(), FormatError> {
+    if positions.iter().any(|p| p.get() >= len) {
+        return Err(FormatError::Corrupt(what));
     }
-    let mut packed_codes = Vec::with_capacity(code_words + 1);
-    for _ in 0..code_words {
-        packed_codes.push(buf.get_u64_le());
+    Ok(())
+}
+
+impl<'a, F: AlpFloat> RowGroupView<'a, F> {
+    /// Parses and validates the row-group at the head of `buf` (inverse of
+    /// [`write_rowgroup`]); bytes past it are kept as [`RowGroupView::rest`].
+    pub fn parse(buf: &'a [u8]) -> Result<Self, FormatError> {
+        let mut cur = buf;
+        let [scheme] = take(&mut cur)?;
+        let vectors = u32::from_le_bytes(take(&mut cur)?) as usize;
+        let rd = match scheme {
+            SCHEME_TAG_ALP => None,
+            SCHEME_TAG_RD => Some(Self::parse_rd_header(&mut cur)?),
+            _ => return Err(FormatError::Corrupt("scheme tag")),
+        };
+        let body = cur;
+        let mut len = 0usize;
+        for _ in 0..vectors {
+            len += match &rd {
+                None => {
+                    let v = split_alp_vector(&mut cur)?;
+                    check_positions(v.exc.positions, v.len, "alp exception position")?;
+                    // The decoder indexes its power-of-ten tables with these.
+                    if v.exponent > F::MAX_EXPONENT || v.factor > v.exponent {
+                        return Err(FormatError::Corrupt("alp exponent/factor"));
+                    }
+                    v.len()
+                }
+                Some(rd) => {
+                    let v = split_rd_vector::<F>(rd, &mut cur)?;
+                    check_positions(v.exc_positions, v.len, "rd exception position")?;
+                    v.len()
+                }
+            };
+        }
+        let payload = body.get(..body.len() - cur.len()).unwrap_or(body);
+        Ok(Self { rd, vectors, len, payload, rest: cur, _float: core::marker::PhantomData })
     }
-    packed_codes.push(0);
-    let mut packed_right = Vec::with_capacity(right_words + 1);
-    for _ in 0..right_words {
-        packed_right.push(buf.get_u64_le());
+
+    /// [`RowGroupView::parse`] for a frame body, which must hold exactly one
+    /// row-group: trailing bytes are a framing error, not slack.
+    pub fn parse_exact(body: &'a [u8]) -> Result<Self, FormatError> {
+        let view = Self::parse(body)?;
+        if !view.rest.is_empty() {
+            return Err(FormatError::Corrupt("row-group frame length"));
+        }
+        Ok(view)
     }
-    packed_right.push(0);
-    let exc_positions: Vec<u16> = (0..exc).map(|_| buf.get_u16_le()).collect();
-    let exc_left: Vec<u16> = (0..exc).map(|_| buf.get_u16_le()).collect();
-    if exc_positions.iter().any(|&p| p >= len) {
-        return Err(FormatError::Corrupt("rd exception position"));
+
+    fn parse_rd_header(cur: &mut &[u8]) -> Result<RdHeader, FormatError> {
+        let [left_width] = take(cur)?;
+        let [code_width] = take(cur)?;
+        let [dict_len] = take(cur)?;
+        if left_width == 0 || usize::from(left_width) > MAX_LEFT_WIDTH {
+            return Err(FormatError::Corrupt("rd left_width"));
+        }
+        if dict_len == 0 || usize::from(dict_len) > MAX_DICT_SIZE {
+            return Err(FormatError::Corrupt("rd dict size"));
+        }
+        if code_width > 3 {
+            return Err(FormatError::Corrupt("rd code width"));
+        }
+        let dict = take_ints::<2>(cur, usize::from(dict_len))?;
+        // Codes are `< 2^code_width <= 8`: with the unused slots repeating
+        // entry 0, a masked lookup never misses, whatever the bytes say.
+        let first = dict.first().map_or(0, |d| d.get());
+        let lut = core::array::from_fn(|i| dict.get(i).map_or(first, |d| d.get()));
+        Ok(RdHeader { left_width, code_width, dict_len, lut })
     }
-    Ok(RdVector { packed_codes, packed_right, exc_positions, exc_left, len })
+
+    /// Number of vectors.
+    pub fn vector_count(&self) -> usize {
+        self.vectors
+    }
+
+    /// Number of live values over all vectors.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the row-group holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes that follow the row-group in the buffer it was parsed from
+    /// (empty after [`RowGroupView::parse_exact`]).
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// The vectors in order. Re-walks the bytes [`RowGroupView::parse`]
+    /// validated, so every vector is delivered.
+    pub fn vectors(&self) -> impl Iterator<Item = VectorView<'a>> + use<'a, F> {
+        let (rd, mut cur) = (self.rd, self.payload);
+        (0..self.vectors).map_while(move |_| match &rd {
+            None => split_alp_vector(&mut cur).ok().map(VectorView::Alp),
+            Some(rd) => split_rd_vector::<F>(rd, &mut cur).ok().map(VectorView::Rd),
+        })
+    }
+
+    /// Appends the row-group's values to `out`, one reservation of exactly
+    /// [`RowGroupView::len`] values, decoding vector by vector from the
+    /// body bytes.
+    pub fn decode_into(&self, out: &mut Vec<F>) {
+        out.reserve(self.len);
+        let mut buf = [F::from_bits_u64(0); VECTOR_SIZE];
+        for v in self.vectors() {
+            let n = v.decode(&mut buf);
+            out.extend_from_slice(buf.get(..n).unwrap_or(&buf));
+        }
+    }
+
+    /// Copies the view out into an owned [`RowGroup`]. Every reservation is
+    /// sized by what was parsed, never by a count field alone.
+    pub fn to_owned(&self) -> Result<RowGroup, FormatError> {
+        let words = |packed: &[[u8; 8]]| -> Vec<u64> {
+            let mut out = Vec::with_capacity(packed.len() + 1);
+            out.extend(packed.iter().map(|w| w.get()));
+            out.push(0); // reconstruct the pad word
+            out
+        };
+        let shorts = |s: &[[u8; 2]]| -> Vec<u16> { s.iter().map(|p| p.get()).collect() };
+        match &self.rd {
+            None => {
+                let mut group = AlpGroup {
+                    vectors: Vec::with_capacity(self.vectors),
+                    exceptions: ExcArena::new(),
+                };
+                for v in self.vectors() {
+                    let VectorView::Alp(v) = v else { continue };
+                    let arena = &mut group.exceptions;
+                    let Ok(exc_start) = u32::try_from(arena.len()) else {
+                        return Err(FormatError::Corrupt("exception arena overflow"));
+                    };
+                    arena.positions.extend(v.exc.positions.iter().map(|p| p.get()));
+                    arena.values.extend(v.exc.values.iter().map(|x| x.get()));
+                    group.vectors.push(AlpVector {
+                        exponent: v.exponent,
+                        factor: v.factor,
+                        bit_width: v.bit_width,
+                        for_base: v.for_base,
+                        packed: words(v.packed),
+                        exc_start,
+                        exc_count: u16::try_from(v.exc.len()).unwrap_or(u16::MAX),
+                        len: v.len,
+                    });
+                }
+                Ok(RowGroup::Alp(group))
+            }
+            Some(rd) => {
+                let dict = rd.lut.get(..usize::from(rd.dict_len)).unwrap_or(&rd.lut).to_vec();
+                let meta = RdMeta { left_width: rd.left_width, code_width: rd.code_width, dict };
+                let mut vectors = Vec::with_capacity(self.vectors);
+                for v in self.vectors() {
+                    let VectorView::Rd(v) = v else { continue };
+                    vectors.push(RdVector {
+                        packed_codes: words(v.packed_codes),
+                        packed_right: words(v.packed_right),
+                        exc_positions: shorts(v.exc_positions),
+                        exc_left: shorts(v.exc_left),
+                        len: v.len,
+                    });
+                }
+                Ok(RowGroup::Rd(meta, vectors))
+            }
+        }
+    }
+}
+
+/// Deserializes the row-group at the head of `buf` into an owned
+/// [`RowGroup`] and advances `buf` past it (inverse of [`write_rowgroup`]).
+pub fn read_rowgroup<F: AlpFloat>(buf: &mut &[u8]) -> Result<RowGroup, FormatError> {
+    let view = RowGroupView::<F>::parse(buf)?;
+    let rg = view.to_owned()?;
+    *buf = view.rest();
+    Ok(rg)
+}
+
+/// Decodes a frame body — exactly one row-group — appending its values to
+/// `out`, straight from the body bytes: no owned [`RowGroup`] is built. On
+/// `Err` nothing was appended.
+pub fn decode_rowgroup_into<F: AlpFloat>(body: &[u8], out: &mut Vec<F>) -> Result<(), FormatError> {
+    RowGroupView::parse_exact(body)?.decode_into(out);
+    Ok(())
 }
 
 #[cfg(test)]

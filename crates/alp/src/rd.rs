@@ -10,13 +10,20 @@
 //!   with a *skewed dictionary*: at most 8 entries, values outside the
 //!   dictionary stored as 16-bit exceptions with 16-bit positions.
 //!
-//! Decoding bit-unpacks both parts, maps codes through the dictionary and
-//! `GLUE`s: `bits = (left << right_width) | right`, then patches exceptions.
+//! Decoding is one block-fused loop ([`RdVectorRef::decode`]): per 64 values,
+//! bit-unpack the codes and the right parts, map the codes through the
+//! dictionary and `GLUE` — `bits = (left << right_width) | right` — straight
+//! into the output, with no vector-sized temporaries; exceptions are then
+//! patched over the slots' own right parts. The loop reads its words through
+//! [`fastlanes::bitpack::Word`], so it runs on an owned [`RdVector`] and on
+//! the bytes of a frame body ([`crate::format::RdVectorView`]) alike.
 
 use std::collections::HashMap;
 
-use fastlanes::{bitpack, bits_needed, VECTOR_SIZE};
+use fastlanes::bitpack::{self, block_words, unpacker, Word, BLOCK};
+use fastlanes::{bits_needed, VECTOR_SIZE};
 
+use crate::encode::Short;
 use crate::sampler::equidistant_indices;
 use crate::traits::AlpFloat;
 
@@ -193,40 +200,113 @@ pub fn encode_rd_vector<F: AlpFloat>(input: &[F], meta: &RdMeta) -> RdVector {
     }
 }
 
-/// Decodes one ALP_rd vector into `out[..v.len]` (Algorithm 3, decoding half).
-// ANALYZER-ALLOW(no-panic): fixed 1024-lane kernel geometry; out.len() is
-// asserted at entry, code indices are masked to the padded LUT size, and the
-// exception patch loop goes through checked accessors.
-pub fn decode_rd_vector<F: AlpFloat>(v: &RdVector, meta: &RdMeta, out: &mut [F]) -> usize {
-    assert!(out.len() >= VECTOR_SIZE);
-    let right_w = meta.right_width::<F>();
+/// One ALP_rd vector as the decode kernel reads it: the cut and the
+/// dictionary (padded to a fixed-size LUT) by value, the four payload streams
+/// borrowed. `W`/`P` are `u64`/`u16` over an owned [`RdVector`]
+/// ([`RdVectorRef::owned`]) and `[u8; 8]`/`[u8; 2]` over the bytes of a frame
+/// body ([`crate::format::RdVectorView`], built only by the body parser).
+#[derive(Debug, Clone, Copy)]
+pub struct RdVectorRef<'a, W = u64, P = u16> {
+    /// Bits of the right part, `1..=63` (both constructors check the cut).
+    pub(crate) right_width: u8,
+    /// Bits per dictionary code, `0..=3` (likewise).
+    pub(crate) code_width: u8,
+    /// The dictionary, unused slots repeating entry 0.
+    pub(crate) lut: [u16; MAX_DICT_SIZE],
+    pub(crate) len: u16,
+    /// `16 * code_width` words; an owned vector's pad word may follow.
+    pub(crate) packed_codes: &'a [W],
+    /// `16 * right_width` words, likewise.
+    pub(crate) packed_right: &'a [W],
+    pub(crate) exc_positions: &'a [P],
+    pub(crate) exc_left: &'a [P],
+}
 
-    let mut codes = [0u64; VECTOR_SIZE];
-    let mut rights = [0u64; VECTOR_SIZE];
-    bitpack::unpack(&v.packed_codes, meta.code_width as usize, &mut codes);
-    bitpack::unpack(&v.packed_right, right_w, &mut rights);
-
-    // Fixed-size dictionary LUT: codes are < 2^code_width <= 8, so indexing
-    // the padded array needs no bounds check in the hot loop (and stays safe
-    // on corrupt inputs).
-    debug_assert!(meta.code_width as usize <= 3 && !meta.dict.is_empty());
-    let mut lut = [meta.dict[0]; MAX_DICT_SIZE];
-    lut[..meta.dict.len()].copy_from_slice(&meta.dict);
-
-    // GLUE: left-shift the dictionary-decoded front bits and OR the right part.
-    for i in 0..VECTOR_SIZE {
-        let left = lut[(codes[i] as usize) & (MAX_DICT_SIZE - 1)] as u64;
-        out[i] = F::from_bits_u64((left << right_w) | rights[i]);
-    }
-    // Patch left-part exceptions. Positions come off the wire; a corrupt
-    // position past the vector end is dropped rather than allowed to panic.
-    for (&p, &left) in v.exc_positions.iter().zip(&v.exc_left) {
-        let i = p as usize;
-        if let (Some(slot), Some(&right)) = (out.get_mut(i), rights.get(i)) {
-            *slot = F::from_bits_u64(((left as u64) << right_w) | right);
+impl<'a> RdVectorRef<'a> {
+    /// The kernel's view of an owned vector under its row-group's `meta`;
+    /// `None` when `meta` is not one [`choose_cut`] or the wire parser could
+    /// have produced (empty or oversized dictionary, cut outside the float,
+    /// code width over 3) — both are `pub` structs anyone can fill in.
+    pub fn owned<F: AlpFloat>(v: &'a RdVector, meta: &RdMeta) -> Option<Self> {
+        let left = meta.left_width as usize;
+        // `MAX_LEFT_WIDTH` is below either float width, so a right part remains.
+        if left == 0 || left > MAX_LEFT_WIDTH || meta.code_width > 3 {
+            return None;
         }
+        // Codes are `< 2^code_width <= 8`: with the unused slots repeating
+        // entry 0, a masked lookup never misses.
+        let mut lut = [*meta.dict.first()?; MAX_DICT_SIZE];
+        lut.get_mut(..meta.dict.len())?.copy_from_slice(&meta.dict);
+        Some(Self {
+            right_width: u8::try_from(F::BITS as usize - left).ok()?,
+            code_width: meta.code_width,
+            lut,
+            len: v.len,
+            packed_codes: &v.packed_codes,
+            packed_right: &v.packed_right,
+            exc_positions: &v.exc_positions,
+            exc_left: &v.exc_left,
+        })
     }
-    v.len as usize
+}
+
+impl<W: Word, P: Short> RdVectorRef<'_, W, P> {
+    /// Number of live values (`<= 1024`).
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the vector holds no live values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// [`decode_rd_vector`] over this source: per 64-value block, unpack the
+    /// codes and the right parts, map each code through the LUT and `GLUE`
+    /// while both are in L1; then patch the exceptions' left parts over the
+    /// slots' own right parts. Returns the live count — `0`, with `out`
+    /// untouched, when a payload stream is shorter than its width requires.
+    pub fn decode<F: AlpFloat>(&self, out: &mut [F]) -> usize {
+        assert!(out.len() >= VECTOR_SIZE);
+        let (code_w, right_w) = (self.code_width as usize, self.right_width as usize);
+        let blocks = VECTOR_SIZE / BLOCK;
+        let (Some(code_words), Some(right_words)) =
+            (self.packed_codes.get(..code_w * blocks), self.packed_right.get(..right_w * blocks))
+        else {
+            return 0;
+        };
+        let (unpack_codes, unpack_right) = (unpacker::<W>(code_w), unpacker::<W>(right_w));
+        let lut = self.lut.map(|left| u64::from(left) << right_w);
+        let (mut codes, mut rights) = ([0u64; BLOCK], [0u64; BLOCK]);
+        let out = out.get_mut(..VECTOR_SIZE).unwrap_or_default();
+        for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
+            unpack_codes(block_words(code_words, code_w, block), &mut codes);
+            unpack_right(block_words(right_words, right_w, block), &mut rights);
+            // GLUE: the dictionary-decoded front bits over the right part.
+            for ((o, &code), &right) in out_block.iter_mut().zip(&codes).zip(&rights) {
+                let left = lut.get(code as usize & (MAX_DICT_SIZE - 1)).copied().unwrap_or(0);
+                *o = F::from_bits_u64(left | right);
+            }
+        }
+        // Patch left-part exceptions. Positions come off the wire; one past
+        // the vector end is dropped rather than allowed to panic.
+        let right_mask = (1u64 << right_w) - 1;
+        for (p, left) in self.exc_positions.iter().zip(self.exc_left) {
+            if let Some(slot) = out.get_mut(p.get() as usize) {
+                let right = slot.to_bits_u64() & right_mask;
+                *slot = F::from_bits_u64(u64::from(left.get()) << right_w | right);
+            }
+        }
+        self.len()
+    }
+}
+
+/// Decodes one ALP_rd vector into `out[..v.len]` (Algorithm 3, decoding half)
+/// and returns the live count. Total over its `pub` inputs: a `meta` no
+/// encoder or parser produces, or payload streams too short for its widths,
+/// decode to `0` live values.
+pub fn decode_rd_vector<F: AlpFloat>(v: &RdVector, meta: &RdMeta, out: &mut [F]) -> usize {
+    RdVectorRef::owned::<F>(v, meta).map_or(0, |r| r.decode(out))
 }
 
 #[cfg(test)]
@@ -303,6 +383,45 @@ mod tests {
         for i in 0..1024 {
             assert_eq!(out[i].to_bits(), data[i].to_bits(), "idx {i}");
         }
+    }
+
+    /// `RdMeta` and `RdVector` are `pub` structs: whatever a caller fills
+    /// in, decoding answers `0` live values instead of panicking.
+    #[test]
+    fn decode_is_total_over_hand_filled_inputs() {
+        let mut data = real_doubles(1024);
+        data[77] = -1e300;
+        let meta = choose_cut::<f64>(&data, 256);
+        let v = encode_rd_vector(&data, &meta);
+        assert!(v.exception_count() > 0);
+        let mut out = vec![1.0f64; VECTOR_SIZE];
+        assert_eq!(decode_rd_vector(&v, &meta, &mut out), 1024);
+        let wide_dict = RdMeta { dict: vec![0; MAX_DICT_SIZE + 1], ..meta.clone() };
+        for (what, bad) in [
+            ("empty dictionary", RdMeta { dict: Vec::new(), ..meta.clone() }),
+            ("oversized dictionary", wide_dict),
+            ("no left part", RdMeta { left_width: 0, ..meta.clone() }),
+            ("left part past the cap", RdMeta { left_width: 17, ..meta.clone() }),
+            ("left part is the whole float", RdMeta { left_width: 64, ..meta.clone() }),
+            ("code width past the dictionary cap", RdMeta { code_width: 4, ..meta.clone() }),
+        ] {
+            out.fill(1.0);
+            assert_eq!(decode_rd_vector(&v, &bad, &mut out), 0, "{what}");
+            assert!(out.iter().all(|&x| x == 1.0), "{what}: output touched");
+        }
+        let few_rights = RdVector { packed_right: v.packed_right[..100].to_vec(), ..v.clone() };
+        assert_eq!(decode_rd_vector(&few_rights, &meta, &mut out), 0, "short right stream");
+        let wider = RdMeta { code_width: 3, ..meta.clone() };
+        if meta.code_width < 3 {
+            assert_eq!(decode_rd_vector(&v, &wider, &mut out), 0, "short code stream");
+        }
+        // An f32 vector under a cut that leaves no right part of an f32.
+        let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+        let meta32 = choose_cut::<f32>(&narrow, 256);
+        let v32 = encode_rd_vector(&narrow, &meta32);
+        let mut out32 = vec![0.0f32; VECTOR_SIZE];
+        assert_eq!(decode_rd_vector(&v32, &meta32, &mut out32), 1024);
+        assert_eq!(decode_rd_vector(&v32, &RdMeta { left_width: 32, ..meta32 }, &mut out32), 0);
     }
 
     #[test]

@@ -53,14 +53,14 @@ use std::io::{self, Read, Write};
 
 use fastlanes::VECTOR_SIZE;
 
-use crate::format::{read_rowgroup_exact, write_rowgroup, FormatError};
+use crate::format::{decode_rowgroup_into, read_rowgroup_exact, write_rowgroup, FormatError};
 use crate::frame::{self, Frame, FrameRead, ParityAccumulator, ParityConfig};
 use crate::hash::{xxh64, CHECKSUM_SEED};
 use crate::io::{flush_retry, read_full_retry, write_all_retry, RetryPolicy};
 use crate::rowgroup::{Compressor, RowGroup};
 use crate::sampler::{ConfigError, SamplerParams};
 use crate::traits::AlpFloat;
-use crate::wire::{GetExt, PutExt};
+use crate::wire::{take, PutExt};
 
 /// Magic bytes of a streamed column (current, checksummed format).
 pub const STREAM_MAGIC: &[u8; 4] = b"ALPT";
@@ -109,17 +109,11 @@ pub(crate) fn encode_frame<F: AlpFloat>(rg: &RowGroup, out: &mut Vec<u8>) {
     frame::encode(out, |body| write_rowgroup::<F>(body, rg));
 }
 
-/// Decompresses one row-group on its own.
-fn rowgroup_values<F: AlpFloat>(rg: RowGroup) -> Vec<F> {
-    let mut out = Vec::with_capacity(rg.len());
-    rg.decode_into(&mut [F::from_bits_u64(0); VECTOR_SIZE], &mut out);
-    out
-}
-
-/// Decodes a frame body to its values; `None` when it is not exactly one
-/// row-group.
+/// Decodes a frame body to its values, straight from the body bytes; `None`
+/// when it is not exactly one row-group.
 fn body_values<F: AlpFloat>(body: &[u8]) -> Option<Vec<F>> {
-    read_rowgroup_exact::<F>(body).ok().map(rowgroup_values)
+    let mut out = Vec::new();
+    decode_rowgroup_into(body, &mut out).ok().map(|()| out)
 }
 
 /// Incremental column writer: buffers up to one row-group, compresses and
@@ -457,14 +451,19 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
 
     /// Reads and decompresses the next row-group; `None` at end of stream.
     pub fn next_rowgroup(&mut self) -> Result<Option<Vec<F>>, StreamError> {
-        Ok(self.next_rowgroup_compressed()?.map(rowgroup_values::<F>))
+        let mut out = Vec::new();
+        Ok(self.next_rowgroup_into(&mut out)?.then_some(out))
     }
 
-    /// Reads the next frame of either flavor into the reused buffer: a
-    /// checksummed frame, or the legacy `len:u32 | body`.
-    fn read_next(&mut self) -> io::Result<FrameRead> {
-        let extra = if self.checksummed { frame::PREFIX_LEN - 4 } else { 0 };
-        frame::read_len_prefixed(&mut self.source, &mut self.frame, extra, &self.retry)
+    /// [`ColumnReader::next_rowgroup`] into a caller-owned buffer: `out` is
+    /// cleared and filled with the next row-group's values, decoded straight
+    /// from the frame bytes; `false` at end of stream. With `out` reused, a
+    /// steady-state read allocates nothing.
+    pub fn next_rowgroup_into(&mut self, out: &mut Vec<F>) -> Result<bool, StreamError> {
+        out.clear();
+        let Some(body) = self.next_body()? else { return Ok(false) };
+        decode_rowgroup_into(body, out)?;
+        Ok(true)
     }
 
     /// Reads the next row-group without decompressing it (for servers that
@@ -474,6 +473,21 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// parse failure) leave the source positioned at the next frame, which is
     /// what lets [`ColumnReader::next_rowgroup_salvaged`] resync.
     pub fn next_rowgroup_compressed(&mut self) -> Result<Option<RowGroup>, StreamError> {
+        let Some(body) = self.next_body()? else { return Ok(None) };
+        Ok(Some(read_rowgroup_exact::<F>(body)?))
+    }
+
+    /// Reads the next frame of either flavor into the reused buffer: a
+    /// checksummed frame, or the legacy `len:u32 | body`.
+    fn read_next(&mut self) -> io::Result<FrameRead> {
+        let extra = if self.checksummed { frame::PREFIX_LEN - 4 } else { 0 };
+        frame::read_len_prefixed(&mut self.source, &mut self.frame, extra, &self.retry)
+    }
+
+    /// The strict readers' frame step: reads frames until one holds a
+    /// row-group, verifies its checksum, and lends its body out of the
+    /// reused frame buffer. `None` at end of stream.
+    fn next_body(&mut self) -> Result<Option<&[u8]>, StreamError> {
         loop {
             if self.done {
                 return Ok(None);
@@ -493,7 +507,7 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             // The frame is fully consumed from here on: every error below is
             // recoverable by reading the next frame.
             let raw = self.frame.get(..n).unwrap_or(&[]);
-            let body = if self.checksummed {
+            let body_at = if self.checksummed {
                 let (frame, _) = Frame::split(raw).ok_or(FormatError::Truncated)?;
                 if let Err(mismatch) = frame.check(self.next_index) {
                     self.next_index += 1;
@@ -504,12 +518,12 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
                     // without consuming a data index.
                     continue;
                 }
-                frame.body
+                frame::PREFIX_LEN
             } else {
-                raw.get(4..).unwrap_or(&[])
+                4
             };
             self.next_index += 1;
-            return Ok(Some(read_rowgroup_exact::<F>(body)?));
+            return Ok(Some(self.frame.get(body_at..n).unwrap_or(&[])));
         }
     }
 
@@ -771,7 +785,10 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
         if xxh64(attested, CHECKSUM_SEED) != u64::from_le_bytes(*stored) {
             return;
         }
-        let (values, rowgroups) = (fields.get_u64_le(), fields.get_u32_le());
+        let (Some(values), Some(rowgroups)) = (take(&mut fields), take(&mut fields)) else {
+            return;
+        };
+        let (values, rowgroups) = (u64::from_le_bytes(values), u32::from_le_bytes(rowgroups));
         self.footer = Some(StreamFooter { values, rowgroups });
         self.committed = rowgroups as usize == self.next_index;
     }

@@ -1,9 +1,8 @@
 //! Little-endian read/write helpers for the on-disk format.
 //!
 //! Replaces the external `bytes` crate (the build environment is offline)
-//! with the five writers and six readers `format`/`stream` actually use.
-//! Readers panic if the slice is too short — callers bounds-check first, the
-//! same contract `bytes::Buf` had.
+//! with the writers `format`/`stream` actually use and one fallible reader,
+//! [`take`]: no read can panic on a short slice.
 
 /// Appending little-endian writers for `Vec<u8>`.
 pub(crate) trait PutExt {
@@ -42,54 +41,14 @@ impl PutExt for Vec<u8> {
     }
 }
 
-/// Consuming little-endian readers for `&[u8]` cursors.
-pub(crate) trait GetExt {
-    fn advance(&mut self, n: usize);
-    fn get_u8(&mut self) -> u8;
-    fn get_u16_le(&mut self) -> u16;
-    fn get_u32_le(&mut self) -> u32;
-    fn get_u64_le(&mut self) -> u64;
-    fn get_i64_le(&mut self) -> i64;
-}
-
-impl GetExt for &[u8] {
-    #[inline]
-    // ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
-    // callers bounds-check remaining length before reading, as with bytes::Buf.
-    fn advance(&mut self, n: usize) {
-        *self = &self[n..];
-    }
-    #[inline]
-    fn get_u8(&mut self) -> u8 {
-        u8::from_le_bytes(take(self))
-    }
-    #[inline]
-    fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(take(self))
-    }
-    #[inline]
-    fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(take(self))
-    }
-    #[inline]
-    fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(take(self))
-    }
-    #[inline]
-    fn get_i64_le(&mut self) -> i64 {
-        i64::from_le_bytes(take(self))
-    }
-}
-
-/// Splits the next `N` bytes off the cursor — the one place the typed
-/// readers can panic on a short slice.
+/// Splits the next `N` bytes off the cursor; `None` (cursor untouched) when
+/// fewer remain. Every reader of the format decodes its integers from these
+/// arrays with `from_le_bytes`.
 #[inline]
-// ANALYZER-ALLOW(no-panic): documented cursor contract (see module doc):
-// callers bounds-check remaining length before reading, as with bytes::Buf.
-fn take<const N: usize>(cur: &mut &[u8]) -> [u8; N] {
-    let (head, tail) = cur.split_at(N);
+pub(crate) fn take<const N: usize>(cur: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, tail) = cur.split_first_chunk::<N>()?;
     *cur = tail;
-    head.try_into().unwrap()
+    Some(*head)
 }
 
 #[cfg(test)]
@@ -107,12 +66,13 @@ mod tests {
         buf.put_i64_le(-42);
 
         let mut cur: &[u8] = &buf;
-        cur.advance(2);
-        assert_eq!(cur.get_u8(), 0xAB);
-        assert_eq!(cur.get_u16_le(), 0x1234);
-        assert_eq!(cur.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(cur.get_u64_le(), 0x0102_0304_0506_0708);
-        assert_eq!(cur.get_i64_le(), -42);
+        assert_eq!(take::<2>(&mut cur), Some(*b"hd"));
+        assert_eq!(take(&mut cur).map(u8::from_le_bytes), Some(0xAB));
+        assert_eq!(take(&mut cur).map(u16::from_le_bytes), Some(0x1234));
+        assert_eq!(take(&mut cur).map(u32::from_le_bytes), Some(0xDEAD_BEEF));
+        assert_eq!(take(&mut cur).map(u64::from_le_bytes), Some(0x0102_0304_0506_0708));
+        assert_eq!(take::<9>(&mut cur), None, "a short read leaves the cursor alone");
+        assert_eq!(take(&mut cur).map(i64::from_le_bytes), Some(-42));
         assert!(cur.is_empty());
     }
 }

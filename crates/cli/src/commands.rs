@@ -145,9 +145,9 @@ fn drain_stream<F: alp::AlpFloat>(bytes: &[u8]) -> Result<(Vec<F>, String)> {
     use alp::stream::ColumnReader;
     let strict = (|| -> std::result::Result<(Vec<F>, bool), alp::stream::StreamError> {
         let mut reader = ColumnReader::<F, _>::new(bytes)?;
-        let mut data = Vec::new();
-        while let Some(values) = reader.next_rowgroup()? {
-            data.extend(values);
+        let (mut data, mut values) = (Vec::new(), Vec::new());
+        while reader.next_rowgroup_into(&mut values)? {
+            data.extend_from_slice(&values);
         }
         Ok((data, reader.is_committed()))
     })();

@@ -4,9 +4,16 @@
 //! `i` occupies bits `[i*W, (i+1)*W)` of the packed stream, so 64 consecutive
 //! values fill exactly `W` words. [`unpack64`] / [`pack64`] move one such
 //! block; every sequential-layout kernel in the workspace (this module,
-//! [`crate::ffor`], [`crate::bitpack32`], `alp::decode`) picks the block
-//! function for its vector's width once ([`unpacker`] / [`packer`]) and calls
-//! it 16 times, applying its own arithmetic to the 64 values in between.
+//! [`crate::ffor`], [`crate::bitpack32`], `alp::decode`, `alp::rd`) picks the
+//! block function for its vector's width once ([`unpacker`] / [`packer`]) and
+//! calls it 16 times, applying its own arithmetic to the 64 values in between.
+//!
+//! **Word sources.** The unpack side reads its words through [`Word`]: a
+//! native `u64` (an in-memory vector) or the `[u8; 8]` that holds one
+//! little-endian in a file. A byte buffer becomes a word source with
+//! `as_chunks::<8>()` — no copy, no alignment requirement — so a decoder can
+//! run on the bytes a reader was handed. There is one kernel body; the two
+//! instantiations differ in one load.
 
 use crate::dispatch::{width_mask, with_width, WidthKernel};
 use crate::{packed_len, VECTOR_SIZE};
@@ -34,6 +41,40 @@ macro_rules! lanes {
     };
 }
 
+/// One stored word of a packed stream, as a block kernel reads it: a native
+/// `u64`, or the eight bytes of one in wire (little-endian) order. Reading a
+/// `[u8; 8]` at a literal index is a plain 8-byte load.
+pub trait Word: Copy {
+    /// The word's value.
+    fn get(self) -> u64;
+    /// [`unpacker`] for this word type. A method of the (non-generic) impls
+    /// so that each source's 65 block functions are compiled once, in this
+    /// crate, not once per crate that decodes.
+    fn unpacker(width: usize) -> Unpack64<Self>;
+}
+
+impl Word for u64 {
+    #[inline(always)]
+    fn get(self) -> u64 {
+        self
+    }
+    #[inline(never)]
+    fn unpacker(width: usize) -> Unpack64<Self> {
+        pick_unpacker(width)
+    }
+}
+
+impl Word for [u8; 8] {
+    #[inline(always)]
+    fn get(self) -> u64 {
+        u64::from_le_bytes(self)
+    }
+    #[inline(never)]
+    fn unpacker(width: usize) -> Unpack64<Self> {
+        pick_unpacker(width)
+    }
+}
+
 /// Unpacks the 64 `W`-bit values held in `words[..W]`.
 ///
 /// Reads exactly `W` words (no pad word). With `W` const, each of the 64
@@ -46,7 +87,7 @@ macro_rules! lanes {
 // ANALYZER-ALLOW(no-panic): block geometry — after the one `words[..W]` slice
 // check (callers size buffers with `packed_len`) every index is a literal
 // `J * W / 64 (+ 1 only when the value straddles)`, below `W` for `J < 64`.
-pub fn unpack64<const W: usize>(words: &[u64]) -> [u64; BLOCK] {
+pub fn unpack64<const W: usize, T: Word>(words: &[T]) -> [u64; BLOCK] {
     if W == 0 {
         return [0; BLOCK];
     }
@@ -55,8 +96,8 @@ pub fn unpack64<const W: usize>(words: &[u64]) -> [u64; BLOCK] {
     let mask = width_mask::<W>();
     lanes!(J => {
         let (word, off) = (J * W / 64, J * W % 64);
-        let lo = words[word] >> off;
-        (if off + W > 64 { lo | (words[word + 1] << (64 - off)) } else { lo }) & mask
+        let lo = words[word].get() >> off;
+        (if off + W > 64 { lo | (words[word + 1].get() << (64 - off)) } else { lo }) & mask
     })
 }
 
@@ -91,7 +132,7 @@ pub fn pack64<const W: usize>(values: &[u64; BLOCK], words: &mut [u64]) {
 /// [`unpack64`] at one width, writing its block in place: a caller's output
 /// slice or scratch receives the 64 stores directly, where an array returned
 /// through a function pointer would cost a 512-byte copy per block.
-pub type Unpack64 = fn(&[u64], &mut [u64; BLOCK]);
+pub type Unpack64<T = u64> = fn(&[T], &mut [u64; BLOCK]);
 /// [`pack64`] at one width.
 pub type Pack64 = fn(&[u64; BLOCK], &mut [u64]);
 
@@ -100,15 +141,19 @@ pub type Pack64 = fn(&[u64; BLOCK], &mut [u64]);
 ///
 /// # Panics
 /// Panics if `width > 64`.
-pub fn unpacker(width: usize) -> Unpack64 {
-    struct Pick;
-    impl WidthKernel for Pick {
-        type Out = Unpack64;
-        fn run<const W: usize>(self) -> Unpack64 {
-            |words, out| *out = unpack64::<W>(words)
+pub fn unpacker<T: Word>(width: usize) -> Unpack64<T> {
+    T::unpacker(width)
+}
+
+fn pick_unpacker<T: Word>(width: usize) -> Unpack64<T> {
+    struct Pick<T>(core::marker::PhantomData<T>);
+    impl<T: Word> WidthKernel for Pick<T> {
+        type Out = Unpack64<T>;
+        fn run<const W: usize>(self) -> Unpack64<T> {
+            |words, out| *out = unpack64::<W, T>(words)
         }
     }
-    with_width(width, Pick)
+    with_width(width, Pick(core::marker::PhantomData))
 }
 
 /// The block packer for a runtime `width` (see [`unpacker`]).
@@ -127,7 +172,7 @@ pub fn packer(width: usize) -> Pack64 {
 /// `64 * block .. 64 * block + 64`) — the one place the block geometry of the
 /// sequential layout is spelled out.
 #[inline]
-pub fn block_words(packed: &[u64], width: usize, block: usize) -> &[u64] {
+pub fn block_words<T>(packed: &[T], width: usize, block: usize) -> &[T] {
     &packed[block * width..(block + 1) * width]
 }
 

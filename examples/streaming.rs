@@ -41,7 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut count = 0usize;
     let mut sum = 0.0f64;
     let mut rowgroups = 0usize;
-    while let Some(values) = reader.next_rowgroup()? {
+    // One buffer for every row-group: after the first, reading allocates
+    // nothing.
+    let mut values = Vec::new();
+    while reader.next_rowgroup_into(&mut values)? {
         count += values.len();
         sum += values.iter().sum::<f64>();
         rowgroups += 1;

@@ -18,71 +18,28 @@
 //!   data), and `Column::sum_where` / a fused `Service::sum_where` page cost
 //!   the same number of allocation events however many vectors they cover.
 //!
+//! * the strict stream read: `ColumnReader::next_rowgroup_into` decodes from
+//!   the frame bytes into the caller's buffer, so once both are warm a
+//!   row-group costs no allocation, and `next_rowgroup` exactly one (the
+//!   `Vec` it returns).
+//!
 //! The same allocator also gauges the largest single request, which pins the
-//! other half of the discipline: no reader sizes a buffer from a length field
-//! it has not yet seen the bytes for.
+//! other half of the discipline: no reader sizes a buffer from a length or a
+//! count field it has not yet seen the bytes for.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// System allocator wrapper that counts allocation events per thread.
-///
-/// The counter is thread-local so the other test threads of the harness
-/// cannot perturb a measurement, and `try_with` keeps the hook safe during
-/// thread setup/teardown when the TLS slot may not be live.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    /// Largest single request (bytes) since the gauge was last reset.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn alloc_count() -> u64 {
-    ALLOCS.try_with(Cell::get).unwrap_or(0)
-}
-
-fn note_request(size: usize) {
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
-}
-
-// SAFETY: a counting veneer; every allocator duty is delegated verbatim to
-// `System`, which upholds the `GlobalAlloc` contract.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_request(layout.size());
-        // SAFETY: delegated verbatim to the system allocator.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc`/`realloc` above with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_request(new_size);
-        // SAFETY: same contract as `System::realloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod common;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 
 /// Allocation events triggered by `f` on this thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = alloc_count();
-    f();
-    alloc_count() - before
+    common::gauge(f).1
 }
 
 /// Largest single allocation request `f` makes on this thread, in bytes.
 fn largest_request_in(f: impl FnOnce()) -> usize {
-    LARGEST.with(|c| c.set(0));
-    f();
-    LARGEST.with(Cell::get)
+    common::gauge(f).2
 }
 
 /// Decimal-flavored data with a sprinkle of exceptions, so ALP exercises its
@@ -386,4 +343,129 @@ fn stream_readers_never_allocate_from_an_unbacked_length() {
             assert!(largest <= CEILING, "{label}: salvage requested {largest} bytes");
         }
     }
+}
+
+/// A stream of `rowgroups` identical row-groups (so every frame is the size
+/// of the first and the reader's frame buffer is warm after one read) of
+/// four vectors each.
+fn periodic_stream(rowgroup: &[f64], rowgroups: usize) -> Vec<u8> {
+    use alp::stream::ColumnWriter;
+    let params = alp::SamplerParams { vectors_per_rowgroup: 4, ..alp::SamplerParams::default() };
+    assert_eq!(rowgroup.len(), 4 * alp::VECTOR_SIZE);
+    let mut file = Vec::new();
+    let mut writer = ColumnWriter::<f64, _>::with_params(&mut file, params).expect("valid params");
+    for _ in 0..rowgroups {
+        writer.push(rowgroup).expect("in-memory sink");
+    }
+    assert_eq!(writer.finish().expect("in-memory sink").rowgroups, rowgroups);
+    file
+}
+
+/// A strict read goes frame bytes → borrowed view → values: no owned
+/// row-group is rebuilt (at the parent commit that was one `Vec<u64>` per
+/// ALP vector and four `Vec`s per ALP_rd vector — 100 to 400 allocations per
+/// default row-group).
+#[test]
+fn strict_stream_reads_allocate_nothing_per_rowgroup_after_warmup() {
+    use alp::stream::ColumnReader;
+    // Two-decimal values with an exception every 500, so the patch path runs.
+    let decimals: Vec<f64> = (0..4 * alp::VECTOR_SIZE)
+        .map(|i| if i % 500 == 499 { (i as f64).sqrt() } else { (i % 977) as f64 / 100.0 })
+        .collect();
+    let reals: Vec<f64> =
+        (0..4 * alp::VECTOR_SIZE).map(|i| 0.5 + ((i as f64) * 0.7234).sin() * 1e-4).collect();
+    for (what, rowgroup, scheme) in
+        [("ALP", &decimals, alp::Scheme::Alp), ("ALP_rd", &reals, alp::Scheme::AlpRd)]
+    {
+        let file = periodic_stream(rowgroup, 6);
+        let mut reader = ColumnReader::<f64, _>::new(&file[..]).expect("header");
+        let first = reader.next_rowgroup_compressed().expect("clean").expect("six row-groups");
+        assert_eq!(first.scheme(), scheme, "{what}: the data must pick the scheme under test");
+
+        let mut values = Vec::new();
+        assert!(reader.next_rowgroup_into(&mut values).expect("clean"), "{what}: warm-up");
+        for rg in 2..4 {
+            let mut more = false;
+            let allocs =
+                allocations_in(|| more = reader.next_rowgroup_into(&mut values).expect("clean"));
+            assert!(more && values == *rowgroup, "{what}: row-group {rg}");
+            assert_eq!(allocs, 0, "{what}: next_rowgroup_into allocated on row-group {rg}");
+        }
+        for rg in 4..6 {
+            let mut owned = None;
+            let allocs = allocations_in(|| owned = reader.next_rowgroup().expect("clean"));
+            assert_eq!(owned.as_ref(), Some(rowgroup), "{what}: row-group {rg}");
+            assert_eq!(allocs, 1, "{what}: next_rowgroup allocates the Vec it returns, only");
+        }
+        assert!(!reader.next_rowgroup_into(&mut values).expect("clean") && values.is_empty());
+        assert!(reader.is_committed());
+    }
+}
+
+/// Regression: `read_rowgroup` reserved `min(count, 65536)` vector slots from
+/// the body's `vectors:u32` before reading one — ≈ 3 MiB (≈ 6.5 MiB for
+/// ALP_rd) for a 9-byte body that then fails `Truncated`, once per candidate
+/// frame under salvage. A body is validated before anything is reserved, and
+/// what is reserved then is sized by what was parsed.
+#[test]
+fn a_vector_count_the_body_cannot_back_reserves_nothing() {
+    use alp::format::{from_bytes, from_bytes_salvage, read_rowgroup, FormatError};
+    use alp::stream::{ColumnReader, StreamError};
+    const CEILING: usize = 64 << 10;
+
+    let alp_body = [&[0u8][..], &u32::MAX.to_le_bytes(), &[0; 4]].concat();
+    let rd_body =
+        [&[1u8][..], &u32::MAX.to_le_bytes(), &[16, 1, 2, 0xF0, 0x3F, 0xF0, 0xBF]].concat();
+    assert_eq!(alp_body.len(), 9);
+    for (what, body) in [("ALP", alp_body), ("ALP_rd", rd_body)] {
+        let truncated =
+            |r: Result<(), FormatError>| assert_eq!(r, Err(FormatError::Truncated), "{what}");
+        let largest = largest_request_in(|| {
+            truncated(read_rowgroup::<f64>(&mut &body[..]).map(drop));
+        });
+        assert!(largest < CEILING, "{what}: read_rowgroup requested {largest} bytes");
+
+        // The same body as the one frame of an "ALP2" column…
+        let mut column = b"ALP2".to_vec();
+        column.push(64);
+        column.extend_from_slice(&102_400u64.to_le_bytes());
+        column.extend_from_slice(&1u32.to_le_bytes());
+        alp::frame::encode(&mut column, |o| o.extend_from_slice(&body));
+        let largest = largest_request_in(|| truncated(from_bytes::<f64>(&column).map(drop)));
+        assert!(largest < CEILING, "{what}: from_bytes requested {largest} bytes");
+        let largest = largest_request_in(|| {
+            let salvage = from_bytes_salvage::<f64>(&column).expect("the header is intact");
+            assert_eq!(salvage.lost_rowgroups, [0], "{what}");
+        });
+        assert!(largest < CEILING, "{what}: from_bytes_salvage requested {largest} bytes");
+
+        // …and of an "ALPT" stream, on all four read paths.
+        let mut stream = b"ALPT".to_vec();
+        stream.push(64);
+        alp::frame::encode(&mut stream, |o| o.extend_from_slice(&body));
+        stream.extend_from_slice(&0u32.to_le_bytes());
+        let open = || ColumnReader::<f64, _>::new(&stream[..]).expect("header");
+        let format_error = |r: Result<(), StreamError>| match r {
+            Err(StreamError::Format(e)) => truncated(Err(e)),
+            other => panic!("{what}: expected a format error, got {other:?}"),
+        };
+        let largest = largest_request_in(|| {
+            format_error(open().next_rowgroup().map(drop));
+            format_error(open().next_rowgroup_into(&mut Vec::new()).map(drop));
+            format_error(open().next_rowgroup_compressed().map(drop));
+            let mut reader = open();
+            assert!(reader.next_rowgroup_salvaged().expect("salvage is total").is_none());
+            assert_eq!(reader.lost_rowgroups(), [0], "{what}");
+        });
+        assert!(largest < CEILING, "{what}: a stream reader requested {largest} bytes");
+    }
+
+    // The other side of the bound: a well-formed body's one reservation is
+    // its own value count, at most `vectors × 1024`.
+    let file = periodic_stream(&sample(4 * alp::VECTOR_SIZE), 1);
+    let mut reader = ColumnReader::<f64, _>::new(&file[..]).expect("header");
+    let mut values = None;
+    let largest = largest_request_in(|| values = reader.next_rowgroup().expect("clean"));
+    assert_eq!(values.map(|v| v.len()), Some(4 * alp::VECTOR_SIZE));
+    assert!(largest <= 4 * alp::VECTOR_SIZE * 8, "a clean read requested {largest} bytes");
 }

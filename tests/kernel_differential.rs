@@ -12,6 +12,12 @@
 //! `sum_vector` / `sum_decoded`, the oracle `scan_values`, and
 //! `Column::sum_where` (`FilteredSum`) over raw, ALP and codec-byte storage.
 //!
+//! Both word sources of the block kernels are held to each other: `unpack64`
+//! over little-endian bytes against `unpack64` over words at every width and
+//! block, and `decode` / `scan` / `sum` over a wire view (the vector
+//! serialized as a one-vector row-group body and parsed back) against the
+//! same references as the owned vector, on the whole matrix.
+//!
 //! The inputs sit on the edges the kernels branch on: all-ones residuals,
 //! bases at `i64::MIN` / `i64::MAX` / `±2^50 ± 1` / `±2^51` (the per-vector
 //! conversion choice flips between them), scaled magnitudes on either side of
@@ -24,6 +30,8 @@ use alp::decode::{
     sum_decoded, sum_vector, VectorScan,
 };
 use alp::encode::{decode_one, encode_one, encode_vector, AlpVector, ExcArena, ExcView};
+use alp::format::{write_rowgroup, AlpVectorView, RowGroupView, VectorView};
+use alp::rowgroup::AlpGroup;
 use alp::sampler::{full_search, score_sample, Combination, SampleScore};
 use alp::{AlpFloat, VECTOR_SIZE};
 use alp_core::scan::{scan_values, ScanAgg, ScanPredicate, ScanResult};
@@ -109,6 +117,29 @@ fn pack_and_unpack_match_the_bitwise_reference_at_every_width() {
                 assert_eq!(v, reference_extract(&packed, width, i), "unpack, width {width} [{i}]");
             }
             assert_eq!(out, residuals, "roundtrip, width {width}");
+        }
+    }
+}
+
+#[test]
+fn unpack_from_le_bytes_matches_unpack_from_words_at_every_width_and_block() {
+    for width in 0..=64usize {
+        let (from_words, from_bytes) =
+            (bitpack::unpacker::<u64>(width), bitpack::unpacker::<[u8; 8]>(width));
+        for residuals in residual_patterns(width) {
+            let packed = bitpack::pack(&residuals, width);
+            // The stream as a file holds it: no pad word, no alignment.
+            let mut bytes = vec![0xA5u8; 3];
+            bytes.extend(packed[..16 * width].iter().flat_map(|w| w.to_le_bytes()));
+            let (chunks, tail) = bytes[3..].as_chunks::<8>();
+            assert!(tail.is_empty());
+            for block in 0..VECTOR_SIZE / bitpack::BLOCK {
+                let (mut a, mut b) = ([u64::MAX; bitpack::BLOCK], [u64::MAX; bitpack::BLOCK]);
+                from_words(bitpack::block_words(&packed, width, block), &mut a);
+                from_bytes(bitpack::block_words(chunks, width, block), &mut b);
+                assert_eq!(a, b, "width {width} block {block}");
+                assert_eq!(a[..], residuals[64 * block..64 * block + 64], "width {width}");
+            }
         }
     }
 }
@@ -254,6 +285,37 @@ fn bands<F: AlpFloat>(live: &[F]) -> Vec<(F, F)> {
     bands
 }
 
+/// Runs `check` on the wire form of `(v, exc)`: the vector written as a
+/// one-vector row-group body and parsed back. The parser refuses exception
+/// lists a writer cannot produce (a position at or past `len`), which some
+/// hand-built shapes hold on purpose; nothing else may be refused.
+fn with_wire_view<F: AlpFloat>(
+    v: &AlpVector,
+    exc: ExcView<'_>,
+    what: &str,
+    check: impl FnOnce(&AlpVectorView<'_>),
+) {
+    let mut exceptions = ExcArena::new();
+    for (&p, &bits) in exc.positions.iter().zip(exc.values) {
+        exceptions.push(p, bits);
+    }
+    let exc_count = exc.positions.len() as u16;
+    let group =
+        AlpGroup { vectors: vec![AlpVector { exc_start: 0, exc_count, ..v.clone() }], exceptions };
+    let mut body = Vec::new();
+    write_rowgroup::<F>(&mut body, &alp::RowGroup::Alp(group));
+    match RowGroupView::<F>::parse_exact(&body) {
+        Ok(view) => match view.vectors().next() {
+            Some(VectorView::Alp(wire)) => check(&wire),
+            other => panic!("{what}: one ALP vector went in, {other:?} came out"),
+        },
+        Err(e) => assert!(
+            exc.positions.iter().any(|&p| p >= v.len),
+            "{what}: the parser refused a vector a writer can produce: {e}"
+        ),
+    }
+}
+
 /// Holds every per-vector scan route to [`reference_scan`] over `live`, the
 /// vector's decoded values: the bitmap routes in full, the aggregate-only
 /// routes on sum, matches and NaN count, and — wherever the values prove
@@ -283,6 +345,14 @@ fn check_scan_routes<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, live: &[F], w
             let all_in = sum_decoded(live, None, false);
             assert_eq!(parts(all_in), want_sum, "{what}: sum_decoded, all-in");
         }
+        // The same kernels reading their words from frame bytes.
+        with_wire_view::<F>(v, exc, &what, |wire| {
+            assert_eq!(observed(&wire.scan(lo, hi, true)), want, "{what}: scan over a view");
+            assert_eq!(parts(wire.sum(Some((lo, hi)))), want_sum, "{what}: sum over a view");
+            if want.matches == live.len() {
+                assert_eq!(parts(wire.sum(None)), want_sum, "{what}: sum over a view, all-in");
+            }
+        });
     }
 }
 
@@ -317,6 +387,14 @@ fn check_decoders<F: AlpFloat>(v: &AlpVector, arena: &ExcArena, what: &str) {
         assert_eq!(fused[i].to_bits_u64(), want, "{what}: decode_vector [{i}]");
         assert_eq!(unfused[i].to_bits_u64(), want, "{what}: decode_vector_unfused [{i}]");
     }
+    with_wire_view::<F>(v, exc, what, |wire| {
+        let mut from_bytes = vec![zero; VECTOR_SIZE];
+        assert_eq!(wire.decode(&mut from_bytes), n, "{what}: decode over a view");
+        for i in 0..n {
+            let want = scalar[i].to_bits_u64();
+            assert_eq!(from_bytes[i].to_bits_u64(), want, "{what}: decode over a view [{i}]");
+        }
+    });
 }
 
 fn check_scan<F: AlpFloat>(v: &AlpVector, arena: &ExcArena, what: &str) {
