@@ -309,19 +309,52 @@ fn cast_pass<F: AlpFloat>(
     mismatches
 }
 
-/// Encodes one vector (Algorithm 1) with the given `(e, f)` combination,
-/// appending its exceptions to `exceptions`.
+/// One vector as Algorithm 1 leaves it, before its words are packed anywhere:
+/// the header fields, the patched integers and the exception positions. What
+/// [`encode_vector_with`] hands to the code that lands it — in an owned
+/// [`AlpVector`] or in the bytes of a frame body.
+pub(crate) struct EncodedVector<'a, F> {
+    pub(crate) exponent: u8,
+    pub(crate) factor: u8,
+    pub(crate) bit_width: u8,
+    pub(crate) for_base: i64,
+    /// The values that were encoded (`1..=1024` of them).
+    pub(crate) input: &'a [F],
+    /// Their integers, exception slots and the short tail patched.
+    encoded: &'a [i64; VECTOR_SIZE],
+    /// Ascending.
+    pub(crate) exc_positions: &'a [u16],
+}
+
+impl<F: AlpFloat> EncodedVector<'_, F> {
+    /// FFOR-packs the integers into `words[..16 * bit_width]`, native words
+    /// or the bytes of a file alike.
+    pub(crate) fn pack_into<T: Word>(&self, words: &mut [T]) {
+        ffor::ffor_pack_into(self.encoded, self.for_base, usize::from(self.bit_width), words);
+    }
+
+    /// The exceptions' raw bit patterns, in position order.
+    pub(crate) fn exc_values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.exc_positions
+            .iter()
+            .filter_map(|&p| self.input.get(usize::from(p)))
+            .map(|v| v.to_bits_u64())
+    }
+}
+
+/// Encodes one vector (Algorithm 1) with the given `(e, f)` combination and
+/// hands the result to `land` — the one encode path under
+/// [`encode_vector_into`] and the frame-body writer.
 ///
-/// `input.len()` must be `1..=1024`. Shorter inputs are padded internally with
-/// the patch value so the packed payload is always a full 1024-value vector.
-/// Allocation-free once the arena is warm (the detection buffers live on the
-/// stack).
-pub fn encode_vector_into<F: AlpFloat>(
+/// `input.len()` must be `1..=1024`. Shorter inputs are padded with the patch
+/// value so the packed payload is always a full 1024-value vector. The
+/// detection buffers live on the stack.
+pub(crate) fn encode_vector_with<F: AlpFloat, R>(
     input: &[F],
     e: u8,
     f: u8,
-    exceptions: &mut ExcArena,
-) -> AlpVector {
+    land: impl FnOnce(&EncodedVector<'_, F>) -> R,
+) -> R {
     let len = input.len();
     assert!(len > 0 && len <= VECTOR_SIZE, "vector length {len} out of range");
 
@@ -347,18 +380,15 @@ pub fn encode_vector_into<F: AlpFloat>(
             exc_count += neq as usize;
         }
     }
+    let exc_positions = &exc_positions_buf[..exc_count];
 
-    // FIND_FIRST_ENCODED: first position that is *not* an exception.
-    let first_encoded = find_first_encoded(&encoded[..len], &exc_positions_buf[..exc_count]);
-
-    // Fetch exceptions into the shared arena and patch their slots.
-    let exc_start = u32::try_from(exceptions.len()).unwrap_or(u32::MAX);
-    assert!(exc_start as usize == exceptions.len(), "exception arena exceeds u32 addressing");
-    for &p in &exc_positions_buf[..exc_count] {
-        exceptions.push(p, input[p as usize].to_bits_u64());
+    // FIND_FIRST_ENCODED: first position that is *not* an exception. It
+    // patches the exception slots and pads a short tail (neither widens the
+    // frame).
+    let first_encoded = find_first_encoded(&encoded[..len], exc_positions);
+    for &p in exc_positions {
         encoded[p as usize] = first_encoded;
     }
-    // Pad a short tail with the patch value (does not widen the frame).
     for slot in encoded[len..].iter_mut() {
         *slot = first_encoded;
     }
@@ -367,18 +397,46 @@ pub fn encode_vector_into<F: AlpFloat>(
         Some((min, max)) => (min, fastlanes::bits_needed((max as u64).wrapping_sub(min as u64))),
         None => ffor::frame_of(&encoded),
     };
-    let packed = ffor::ffor_pack(&encoded, for_base, bit_width);
-
-    AlpVector {
+    land(&EncodedVector {
         exponent: e,
         factor: f,
         bit_width: bit_width as u8,
         for_base,
-        packed,
-        exc_start,
-        exc_count: exc_count as u16,
-        len: len as u16,
-    }
+        input,
+        encoded: &encoded,
+        exc_positions,
+    })
+}
+
+/// Encodes one vector (Algorithm 1) with the given `(e, f)` combination,
+/// appending its exceptions to `exceptions`.
+///
+/// `input.len()` must be `1..=1024`. Allocates the vector's packed words and
+/// nothing else once the arena is warm.
+pub fn encode_vector_into<F: AlpFloat>(
+    input: &[F],
+    e: u8,
+    f: u8,
+    exceptions: &mut ExcArena,
+) -> AlpVector {
+    encode_vector_with(input, e, f, |v| {
+        let exc_start = u32::try_from(exceptions.len()).unwrap_or(u32::MAX);
+        assert!(exc_start as usize == exceptions.len(), "exception arena exceeds u32 addressing");
+        exceptions.positions.extend_from_slice(v.exc_positions);
+        exceptions.values.extend(v.exc_values());
+        let mut packed = vec![0u64; fastlanes::packed_len(usize::from(v.bit_width))];
+        v.pack_into(&mut packed);
+        AlpVector {
+            exponent: v.exponent,
+            factor: v.factor,
+            bit_width: v.bit_width,
+            for_base: v.for_base,
+            packed,
+            exc_start,
+            exc_count: v.exc_positions.len() as u16,
+            len: v.input.len() as u16,
+        }
+    })
 }
 
 /// Encodes one vector into a fresh private arena — see [`encode_vector_into`]

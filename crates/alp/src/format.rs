@@ -28,6 +28,17 @@
 //! [`from_bytes_salvage`] can resync past a damaged row-group and recover —
 //! or, with parity, rebuild — the rest of the column.
 //!
+//! ## Writing a body: from an owned column, or straight from values
+//! [`write_rowgroup`] serializes an owned [`RowGroup`] (what `vectorq` and the
+//! registry codec hold), copying each packed stream out in one little-endian
+//! extend. [`encode_alp_body`] / [`encode_rd_body`] write the same bytes from
+//! the *values*: the encode kernels pack each 64-value block's words straight
+//! into a zeroed region of the output (`fastlanes::bitpack::Word` over
+//! `[u8; 8]` — the same block loops that fill an owned vector's `Vec<u64>`),
+//! so the stream writers build no `RowGroup`, no per-vector `Vec` and copy no
+//! word twice (`Compressor::encode_rowgroup_body` picks between the two and
+//! supplies the per-vector combination).
+//!
 //! ## Reading a body: one borrowed view
 //! [`RowGroupView::parse`] is the only code that validates a row-group body.
 //! It copies nothing: a view is the header fields by value plus sub-slices of
@@ -73,12 +84,12 @@ use fastlanes::bitpack::Word;
 use fastlanes::VECTOR_SIZE;
 
 use crate::decode::AlpVectorRef;
-use crate::encode::{AlpVector, ExcArena, ExcView, Short};
+use crate::encode::{encode_vector_with, AlpVector, ExcArena, ExcView, Short};
 pub use crate::frame::parity_group_size;
 use crate::frame::{self, Frame, ParityConfig};
-use crate::rd::{RdMeta, RdVector, RdVectorRef, MAX_DICT_SIZE, MAX_LEFT_WIDTH};
+use crate::rd::{RdCut, RdEncoder, RdVector, RdVectorRef, MAX_DICT_SIZE, MAX_LEFT_WIDTH};
 use crate::rowgroup::{AlpGroup, Compressed, RowGroup};
-use crate::sampler::ConfigError;
+use crate::sampler::{Combination, ConfigError};
 use crate::traits::AlpFloat;
 use crate::wire::{self, PutExt};
 
@@ -183,14 +194,7 @@ pub fn write_rowgroup<F: AlpFloat>(out: &mut Vec<u8>, rg: &RowGroup) {
             }
         }
         RowGroup::Rd(meta, vectors) => {
-            out.put_u8(SCHEME_TAG_RD);
-            out.put_u32_le(vectors.len() as u32);
-            out.put_u8(meta.left_width);
-            out.put_u8(meta.code_width);
-            out.put_u8(meta.dict.len() as u8);
-            for &d in &meta.dict {
-                out.put_u16_le(d);
-            }
+            write_rd_header(out, vectors.len(), meta.left_width, meta.code_width, &meta.dict);
             for v in vectors {
                 write_rd_vector(out, v, meta.right_width::<F>());
             }
@@ -198,42 +202,127 @@ pub fn write_rowgroup<F: AlpFloat>(out: &mut Vec<u8>, rg: &RowGroup) {
     }
 }
 
-fn write_alp_vector(out: &mut Vec<u8>, v: &AlpVector, exc: ExcView<'_>) {
-    out.put_u8(v.exponent);
-    out.put_u8(v.factor);
-    out.put_u8(v.bit_width);
-    out.put_u16_le(v.len);
-    out.put_i64_le(v.for_base);
-    out.put_u16_le(exc.positions.len() as u16);
-    // Stored without the trailing pad word — it is reconstructed on read.
-    let words = v.bit_width as usize * (VECTOR_SIZE / 64);
-    for &w in &v.packed[..words] {
-        out.put_u64_le(w);
+/// The head of an ALP_rd row-group: tag, vector count, cut and dictionary.
+fn write_rd_header(
+    out: &mut Vec<u8>,
+    vectors: usize,
+    left_width: u8,
+    code_width: u8,
+    dict: &[u16],
+) {
+    out.put_u8(SCHEME_TAG_RD);
+    out.put_u32_le(vectors as u32);
+    out.put_u8(left_width);
+    out.put_u8(code_width);
+    out.put_u8(dict.len() as u8);
+    for &d in dict {
+        out.put_u16_le(d);
     }
+}
+
+/// The fixed-size head of an ALP vector; its packed words follow.
+fn write_alp_vector_header(
+    out: &mut Vec<u8>,
+    (exponent, factor, bit_width): (u8, u8, u8),
+    len: u16,
+    for_base: i64,
+    exceptions: usize,
+) {
+    out.put_u8(exponent);
+    out.put_u8(factor);
+    out.put_u8(bit_width);
+    out.put_u16_le(len);
+    out.put_i64_le(for_base);
+    out.put_u16_le(exceptions as u16);
+}
+
+fn write_alp_vector(out: &mut Vec<u8>, v: &AlpVector, exc: ExcView<'_>) {
+    let head = (v.exponent, v.factor, v.bit_width);
+    write_alp_vector_header(out, head, v.len, v.for_base, exc.positions.len());
+    // Stored without the trailing pad word — it is reconstructed on read.
+    out.put_words_le(&v.packed[..v.bit_width as usize * (VECTOR_SIZE / 64)]);
     for &p in exc.positions {
         out.put_u16_le(p);
     }
-    for &x in exc.values {
-        out.put_u64_le(x);
-    }
+    out.put_words_le(exc.values);
 }
 
 fn write_rd_vector(out: &mut Vec<u8>, v: &RdVector, right_width: usize) {
     out.put_u16_le(v.len);
     out.put_u16_le(v.exc_positions.len() as u16);
-    let code_words = v.packed_codes.len() - 1;
-    for &w in &v.packed_codes[..code_words] {
-        out.put_u64_le(w);
-    }
-    let right_words = right_width * (VECTOR_SIZE / 64);
-    for &w in &v.packed_right[..right_words] {
-        out.put_u64_le(w);
-    }
+    out.put_words_le(&v.packed_codes[..v.packed_codes.len() - 1]);
+    out.put_words_le(&v.packed_right[..right_width * (VECTOR_SIZE / 64)]);
     for &p in &v.exc_positions {
         out.put_u16_le(p);
     }
     for &l in &v.exc_left {
         out.put_u16_le(l);
+    }
+}
+
+/// Appends `words` zeroed 8-byte words to `out` and lends them out: the
+/// region a vector's blocks are packed into in place.
+fn word_region(out: &mut Vec<u8>, words: usize) -> &mut [[u8; 8]] {
+    let start = out.len();
+    out.resize(start + 8 * words, 0);
+    out.get_mut(start..).unwrap_or_default().as_chunks_mut::<8>().0
+}
+
+/// Encodes `values` (one row-group's worth) as an ALP row-group straight into
+/// `out`, each vector under the combination `pick` answers for it: the bytes
+/// [`write_rowgroup`] writes for the same vectors encoded by
+/// [`crate::encode::encode_vector_into`], with no owned vector in between —
+/// a vector's header goes out first, its blocks are FFOR-packed in place into
+/// a zeroed region of `out`, its exceptions follow.
+pub fn encode_alp_body<F: AlpFloat>(
+    out: &mut Vec<u8>,
+    values: &[F],
+    mut pick: impl FnMut(&[F]) -> Combination,
+) {
+    let vectors = values.chunks(VECTOR_SIZE);
+    out.put_u8(SCHEME_TAG_ALP);
+    out.put_u32_le(vectors.len() as u32);
+    for chunk in vectors {
+        let combo = pick(chunk);
+        encode_vector_with(chunk, combo.e, combo.f, |v| {
+            let head = (v.exponent, v.factor, v.bit_width);
+            write_alp_vector_header(
+                out,
+                head,
+                chunk.len() as u16,
+                v.for_base,
+                v.exc_positions.len(),
+            );
+            v.pack_into(word_region(out, usize::from(v.bit_width) * (VECTOR_SIZE / 64)));
+            v.exc_positions.iter().for_each(|&p| out.put_u16_le(p));
+            v.exc_values().for_each(|bits| out.put_u64_le(bits));
+        });
+    }
+}
+
+/// Encodes `values` (one row-group's worth) as an ALP_rd row-group under
+/// `encoder`'s cut straight into `out`: the bytes [`write_rowgroup`] writes
+/// for the same vectors encoded by [`crate::rd::encode_rd_vector`]. Both
+/// packed streams of a vector are packed in place into one zeroed region; its
+/// exception count is known only afterwards and is patched into the header
+/// slot reserved for it.
+pub fn encode_rd_body<F: AlpFloat>(out: &mut Vec<u8>, encoder: &RdEncoder, values: &[F]) {
+    let vectors = values.chunks(VECTOR_SIZE);
+    let cut = encoder.cut();
+    write_rd_header(out, vectors.len(), cut.left_width, cut.code_width, cut.dict());
+    let code_words = usize::from(cut.code_width) * (VECTOR_SIZE / 64);
+    let right_words = usize::from(cut.right_width::<F>()) * (VECTOR_SIZE / 64);
+    for chunk in vectors {
+        out.put_u16_le(chunk.len() as u16);
+        let exc_count_at = out.len();
+        out.put_u16_le(0);
+        let (codes, rights) = word_region(out, code_words + right_words).split_at_mut(code_words);
+        let exceptions = encoder.encode_vector(chunk, codes, rights);
+        if let Some(slot) = out.get_mut(exc_count_at..exc_count_at + 2) {
+            slot.copy_from_slice(&(exceptions.count() as u16).to_le_bytes());
+        }
+        exceptions.positions().for_each(|p| out.put_u16_le(p));
+        exceptions.lefts(chunk).for_each(|left| out.put_u16_le(left));
     }
 }
 
@@ -437,17 +526,6 @@ impl VectorView<'_> {
     }
 }
 
-/// The ALP_rd row-group header, parsed: what every vector of the group
-/// decodes under.
-#[derive(Debug, Clone, Copy)]
-struct RdHeader {
-    left_width: u8,
-    code_width: u8,
-    dict_len: u8,
-    /// The dictionary, unused slots repeating entry 0.
-    lut: [u16; MAX_DICT_SIZE],
-}
-
 /// A validated, borrowed view of one serialized row-group: nothing is copied
 /// out of `body`, and the decode kernels read its packed words in place.
 ///
@@ -460,8 +538,8 @@ struct RdHeader {
 /// reader) never build one.
 #[derive(Debug, Clone, Copy)]
 pub struct RowGroupView<'a, F> {
-    /// `Some` for an ALP_rd row-group.
-    rd: Option<RdHeader>,
+    /// `Some` for an ALP_rd row-group: the header every vector decodes under.
+    rd: Option<RdCut>,
     vectors: usize,
     /// Live values over all vectors.
     len: usize,
@@ -520,7 +598,7 @@ fn split_alp_vector<'a>(buf: &mut &'a [u8]) -> Result<AlpVectorView<'a>, FormatE
 
 /// Splits one ALP_rd vector off `buf` under its row-group's header.
 fn split_rd_vector<'a, F: AlpFloat>(
-    rd: &RdHeader,
+    rd: &RdCut,
     buf: &mut &'a [u8],
 ) -> Result<RdVectorView<'a>, FormatError> {
     let len = u16::from_le_bytes(take(buf)?);
@@ -528,8 +606,7 @@ fn split_rd_vector<'a, F: AlpFloat>(
     if usize::from(len) > VECTOR_SIZE || exc > usize::from(len) {
         return Err(FormatError::Corrupt("rd vector len/exceptions"));
     }
-    // `left_width <= 16 < F::BITS`: checked when the header was parsed.
-    let right_width = (F::BITS as u8).saturating_sub(rd.left_width);
+    let right_width = rd.right_width::<F>();
     let words = VECTOR_SIZE / 64;
     let packed_codes = take_ints::<8>(buf, usize::from(rd.code_width) * words)?;
     let packed_right = take_ints::<8>(buf, usize::from(right_width) * words)?;
@@ -601,7 +678,7 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
         Ok(view)
     }
 
-    fn parse_rd_header(cur: &mut &[u8]) -> Result<RdHeader, FormatError> {
+    fn parse_rd_header(cur: &mut &[u8]) -> Result<RdCut, FormatError> {
         let [left_width] = take(cur)?;
         let [code_width] = take(cur)?;
         let [dict_len] = take(cur)?;
@@ -617,9 +694,8 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
         let dict = take_ints::<2>(cur, usize::from(dict_len))?;
         // Codes are `< 2^code_width <= 8`: with the unused slots repeating
         // entry 0, a masked lookup never misses, whatever the bytes say.
-        let first = dict.first().map_or(0, |d| d.get());
-        let lut = core::array::from_fn(|i| dict.get(i).map_or(first, |d| d.get()));
-        Ok(RdHeader { left_width, code_width, dict_len, lut })
+        let lut = RdCut::padded_lut(dict.iter().map(|d| d.get()));
+        Ok(RdCut { left_width, code_width, dict_len, lut })
     }
 
     /// Number of vectors.
@@ -703,8 +779,7 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
                 Ok(RowGroup::Alp(group))
             }
             Some(rd) => {
-                let dict = rd.lut.get(..usize::from(rd.dict_len)).unwrap_or(&rd.lut).to_vec();
-                let meta = RdMeta { left_width: rd.left_width, code_width: rd.code_width, dict };
+                let meta = rd.to_meta();
                 let mut vectors = Vec::with_capacity(self.vectors);
                 for v in self.vectors() {
                     let VectorView::Rd(v) = v else { continue };

@@ -20,8 +20,8 @@
 //!    sequence order, whole, so the `"ALPT"` layout — header, frames,
 //!    terminator, commit footer — is byte-identical to the serial
 //!    [`ColumnWriter`](crate::stream::ColumnWriter) at every thread count
-//!    and pipeline depth. Both paths share one frame encoder
-//!    ([`crate::stream`]'s `encode_frame`), so identity holds by
+//!    and pipeline depth. Both paths share one values → frame encoder
+//!    ([`crate::stream`]'s `encode_frames`), so identity holds by
 //!    construction, not by luck.
 //! 2. **Bounded in-flight frames.** At most `depth` row-groups may be
 //!    queued or compressing at once; a full pipeline makes
@@ -61,9 +61,9 @@ use std::thread::JoinHandle;
 use crate::frame::ParityConfig;
 use crate::io::RetryPolicy;
 use crate::par::{resolve_threads, run_morsels_contained, MorselFailure};
-use crate::rowgroup::Compressor;
-use crate::sampler::{ConfigError, SamplerParams};
-use crate::stream::{encode_frame, ColumnWriter, StreamSummary};
+use crate::rowgroup::{Compressor, EncodeScratch};
+use crate::sampler::{ConfigError, SamplerParams, SamplerStats};
+use crate::stream::{encode_frames, ColumnWriter, StreamSummary};
 use crate::traits::AlpFloat;
 
 /// Default bound on in-flight row-groups: one compressing, one queued —
@@ -142,6 +142,8 @@ struct EncodedFrames {
     bytes: Vec<u8>,
     /// Source values the batch covers.
     values: usize,
+    /// What the encoder decided for them.
+    stats: SamplerStats,
 }
 
 /// State shared between the caller thread and the worker pool.
@@ -300,22 +302,15 @@ fn encode_contained<F: AlpFloat>(
     compressor: &Compressor,
     panic_at: Option<u64>,
 ) -> Result<EncodedFrames, MorselFailure> {
-    let (mut completed, mut failures) = run_morsels_contained(
-        1,
-        1,
-        || (),
-        |_, _| {
+    let (mut completed, mut failures) =
+        run_morsels_contained(1, 1, EncodeScratch::default, |scratch, _| {
             if panic_at == Some(seq) {
                 panic!("injected pipeline fault at row-group {seq}");
             }
-            let compressed = compressor.compress(data);
-            let mut bytes = Vec::new();
-            for rg in &compressed.rowgroups {
-                encode_frame::<F>(rg, &mut bytes);
-            }
-            EncodedFrames { bytes, values: data.len() }
-        },
-    );
+            let (mut bytes, mut stats) = (Vec::new(), SamplerStats::default());
+            encode_frames(compressor, data, scratch, &mut stats, &mut bytes);
+            EncodedFrames { bytes, values: data.len(), stats }
+        });
     if let Some((_, frames)) = completed.pop() {
         return Ok(frames);
     }
@@ -485,9 +480,9 @@ fn commit_next<F: AlpFloat, W: Write>(
     poisoned: &mut Option<MorselFailure>,
 ) -> Result<(), IngestError> {
     match pool.take_next_done() {
-        Ok(frames) => {
-            inner.commit_encoded_frames(&frames.bytes, frames.values).map_err(IngestError::Io)
-        }
+        Ok(frames) => inner
+            .commit_encoded_frames(&frames.bytes, frames.values, &frames.stats)
+            .map_err(IngestError::Io),
         Err(failure) => {
             *poisoned = Some(failure.clone());
             Err(IngestError::Poisoned(failure))

@@ -10,6 +10,18 @@
 //!   with a *skewed dictionary*: at most 8 entries, values outside the
 //!   dictionary stored as 16-bit exceptions with 16-bit positions.
 //!
+//! Encoding is the mirror image ([`RdEncoder`], built once per row-group): a
+//! `2^lw`-byte table maps every possible left part to its dictionary code or
+//! to "miss", so per 64-value block the loop is a shift, a mask and one table
+//! load per value — a miss becomes a bit in the block's mask and a zeroed
+//! code arithmetically, never a branch on the data — followed by the two
+//! block packs straight to where the words will live: an owned [`RdVector`]
+//! ([`encode_rd_vector`]), or the bytes of a frame body
+//! ([`crate::format::encode_rd_body`]). Exception positions and left parts
+//! are read back out of the block masks afterwards, for the vectors that have
+//! any. [`choose_cut`] scores its 16 candidate cuts from one sorted copy of
+//! the sample by run-length counting.
+//!
 //! Decoding is one block-fused loop ([`RdVectorRef::decode`]): per 64 values,
 //! bit-unpack the codes and the right parts, map the codes through the
 //! dictionary and `GLUE` — `bits = (left << right_width) | right` — straight
@@ -18,10 +30,8 @@
 //! [`fastlanes::bitpack::Word`], so it runs on an owned [`RdVector`] and on
 //! the bytes of a frame body ([`crate::format::RdVectorView`]) alike.
 
-use std::collections::HashMap;
-
-use fastlanes::bitpack::{self, block_words, unpacker, Word, BLOCK};
-use fastlanes::{bits_needed, VECTOR_SIZE};
+use fastlanes::bitpack::{block_words, block_words_mut, packer, unpacker, Word, BLOCK};
+use fastlanes::{bits_needed, packed_len, VECTOR_SIZE};
 
 use crate::encode::Short;
 use crate::sampler::equidistant_indices;
@@ -34,6 +44,9 @@ pub const MAX_DICT_SIZE: usize = 8;
 /// Exception budget used when sizing the dictionary (§3.4: grow the
 /// dictionary while exceptions exceed 10%, up to 8 entries).
 pub const EXCEPTION_BUDGET: f64 = 0.10;
+
+/// Blocks per vector.
+const BLOCKS: usize = VECTOR_SIZE / BLOCK;
 
 /// Per-row-group ALP_rd parameters, chosen once by [`choose_cut`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +68,83 @@ impl RdMeta {
     /// Serialized footprint of the row-group header in bits.
     pub fn header_bits(&self) -> usize {
         8 /*left_width*/ + 8 /*dict len*/ + self.dict.len() * 16
+    }
+}
+
+/// Why an [`RdMeta`] was refused ([`RdEncoder::new`]): the field outside what
+/// [`choose_cut`] or the wire parser produce. `RdMeta` is a `pub` struct
+/// anyone can fill in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RdMetaError(pub &'static str);
+
+impl core::fmt::Display for RdMetaError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "ALP_rd parameters out of range: {}", self.0)
+    }
+}
+
+impl std::error::Error for RdMetaError {}
+
+/// A checked [`RdMeta`] held by value: `1 <= left_width <= 16` (below either
+/// float width, so a right part remains), `1 <= dict_len <= 8`,
+/// `code_width <= 3`. What the kernels and the wire parser work under:
+/// nothing is sized or shifted by an `RdMeta` field that did not pass
+/// [`RdCut::new`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RdCut {
+    pub(crate) left_width: u8,
+    pub(crate) code_width: u8,
+    pub(crate) dict_len: u8,
+    /// The dictionary, unused slots repeating entry 0: codes are
+    /// `< 2^code_width <= 8`, so a masked lookup never misses.
+    pub(crate) lut: [u16; MAX_DICT_SIZE],
+}
+
+impl RdCut {
+    /// Checks `meta`'s ranges and copies it.
+    pub(crate) fn new(meta: &RdMeta) -> Result<Self, RdMetaError> {
+        if meta.left_width == 0 || usize::from(meta.left_width) > MAX_LEFT_WIDTH {
+            return Err(RdMetaError("left_width"));
+        }
+        if meta.dict.is_empty() || meta.dict.len() > MAX_DICT_SIZE {
+            return Err(RdMetaError("dictionary size"));
+        }
+        if meta.code_width > 3 {
+            return Err(RdMetaError("code_width"));
+        }
+        Ok(Self {
+            left_width: meta.left_width,
+            code_width: meta.code_width,
+            dict_len: meta.dict.len() as u8,
+            lut: Self::padded_lut(meta.dict.iter().copied()),
+        })
+    }
+
+    /// The LUT of a dictionary of `entries` (at most 8; the rest is dropped):
+    /// the unused slots repeat entry 0.
+    pub(crate) fn padded_lut(mut entries: impl Iterator<Item = u16>) -> [u16; MAX_DICT_SIZE] {
+        let mut lut = [entries.next().unwrap_or(0); MAX_DICT_SIZE];
+        lut.iter_mut().skip(1).zip(entries).for_each(|(slot, entry)| *slot = entry);
+        lut
+    }
+
+    /// The dictionary entries.
+    pub(crate) fn dict(&self) -> &[u16] {
+        self.lut.get(..usize::from(self.dict_len)).unwrap_or(&self.lut)
+    }
+
+    /// The owned form.
+    pub(crate) fn to_meta(self) -> RdMeta {
+        RdMeta {
+            left_width: self.left_width,
+            dict: self.dict().to_vec(),
+            code_width: self.code_width,
+        }
+    }
+
+    /// Bits of the right part of an `F`, `16..=63`.
+    pub(crate) fn right_width<F: AlpFloat>(&self) -> u8 {
+        (F::BITS as u8).saturating_sub(self.left_width)
     }
 }
 
@@ -92,13 +182,24 @@ impl RdVector {
 /// candidate left width on an equidistant sample (the RD branch of level-1
 /// sampling, `ALP::RD::ADAPTIVE_SAMPLING` in Algorithm 3).
 pub fn choose_cut<F: AlpFloat>(rowgroup: &[F], sample_size: usize) -> RdMeta {
-    let sample = sample_bits(rowgroup, sample_size);
-    let mut best: Option<(f64, RdMeta)> = None;
+    choose_cut_with::<F>(rowgroup, sample_size, &mut Vec::new()).to_meta()
+}
+
+/// [`choose_cut`] over the caller's sample buffer, answering by value: the
+/// form the row-group encoder calls, which allocates nothing once `sample`
+/// is warm.
+pub(crate) fn choose_cut_with<F: AlpFloat>(
+    rowgroup: &[F],
+    sample_size: usize,
+    sample: &mut Vec<u64>,
+) -> RdCut {
+    sorted_sample(rowgroup, sample_size, sample);
+    let mut best: Option<(f64, RdCut)> = None;
     for lw in 1..=MAX_LEFT_WIDTH.min(F::BITS as usize - 1) {
-        let (est_bits_per_value, meta) = score_cut::<F>(&sample, lw);
+        let (est_bits_per_value, cut) = score_cut::<F>(sample, lw);
         match &best {
             Some((b, _)) if *b <= est_bits_per_value => {}
-            _ => best = Some((est_bits_per_value, meta)),
+            _ => best = Some((est_bits_per_value, cut)),
         }
     }
     best.expect("at least one cut candidate").1
@@ -112,91 +213,231 @@ pub fn meta_for_width<F: AlpFloat>(
     left_width: usize,
 ) -> RdMeta {
     assert!((1..=MAX_LEFT_WIDTH.min(F::BITS as usize - 1)).contains(&left_width));
-    let sample = sample_bits(rowgroup, sample_size);
-    score_cut::<F>(&sample, left_width).1
+    let mut sample = Vec::new();
+    sorted_sample(rowgroup, sample_size, &mut sample);
+    score_cut::<F>(&sample, left_width).1.to_meta()
 }
 
-fn sample_bits<F: AlpFloat>(rowgroup: &[F], sample_size: usize) -> Vec<u64> {
-    let mut sample: Vec<u64> = Vec::with_capacity(sample_size);
-    for idx in equidistant_indices(rowgroup.len(), sample_size) {
-        sample.push(rowgroup[idx].to_bits_u64());
-    }
+/// Fills `sample` with the bit patterns of an equidistant sample of
+/// `rowgroup`, ascending — so that at every cut the equal left parts are
+/// adjacent.
+fn sorted_sample<F: AlpFloat>(rowgroup: &[F], sample_size: usize, sample: &mut Vec<u64>) {
+    sample.clear();
+    sample.extend(
+        equidistant_indices(rowgroup.len(), sample_size).map(|idx| rowgroup[idx].to_bits_u64()),
+    );
     assert!(!sample.is_empty(), "cannot sample an empty row-group");
-    sample
+    sample.sort_unstable();
 }
 
-fn score_cut<F: AlpFloat>(sample: &[u64], lw: usize) -> (f64, RdMeta) {
+/// Scores the cut at `lw` over an ascending `sample`: one run-length pass
+/// keeps the eight most frequent left patterns in `(count desc, value asc)`
+/// order — runs arrive by ascending value, so a run goes behind every kept
+/// one that is at least as frequent.
+fn score_cut<F: AlpFloat>(sample: &[u64], lw: usize) -> (f64, RdCut) {
     let right_w = F::BITS as usize - lw;
-    // Frequency count of left patterns in the sample.
-    let mut counts: HashMap<u16, usize> = HashMap::new();
-    for &bits in sample {
-        *counts.entry((bits >> right_w) as u16).or_insert(0) += 1;
-    }
-    let mut by_freq: Vec<(u16, usize)> = counts.into_iter().collect();
-    by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-    // Smallest dictionary (1, 2, 4, 8) keeping exceptions within budget.
-    let total = sample.len();
-    let mut chosen_size = MAX_DICT_SIZE;
-    for b in 0..=3usize {
-        let size = 1usize << b;
-        let covered: usize = by_freq.iter().take(size).map(|&(_, c)| c).sum();
-        let exc_frac = 1.0 - covered as f64 / total as f64;
-        if exc_frac <= EXCEPTION_BUDGET {
-            chosen_size = size;
-            break;
+    let mut top = [(0u16, 0usize); MAX_DICT_SIZE];
+    let mut kept = 0usize;
+    for run in sample.chunk_by(|a, b| a >> right_w == b >> right_w) {
+        let entry = (run.first().map_or(0, |bits| (bits >> right_w) as u16), run.len());
+        let at = top.iter().take(kept).position(|e| e.1 < entry.1).unwrap_or(kept);
+        if at < MAX_DICT_SIZE {
+            top.copy_within(at..MAX_DICT_SIZE - 1, at + 1);
+            top[at] = entry;
+            kept = (kept + 1).min(MAX_DICT_SIZE);
         }
     }
-    let dict: Vec<u16> = by_freq.iter().take(chosen_size).map(|&(v, _)| v).collect();
-    let code_width = bits_needed(dict.len().saturating_sub(1) as u64);
-    let covered: usize = by_freq.iter().take(dict.len()).map(|&(_, c)| c).sum();
-    let exc_frac = 1.0 - covered as f64 / total as f64;
-    let est_bits_per_value = right_w as f64 + code_width as f64 + exc_frac * (16.0 + 16.0);
-    (est_bits_per_value, RdMeta { left_width: lw as u8, dict, code_width: code_width as u8 })
+    let total = sample.len();
+    let exc_frac = |size: usize| {
+        let covered: usize = top.iter().take(size).map(|&(_, c)| c).sum();
+        1.0 - covered as f64 / total as f64
+    };
+    // Smallest dictionary (1, 2, 4, 8) keeping exceptions within budget.
+    let in_budget = [1, 2, 4].into_iter().find(|&size| exc_frac(size) <= EXCEPTION_BUDGET);
+    let dict_len = in_budget.unwrap_or(MAX_DICT_SIZE).min(kept);
+    let code_width = bits_needed(dict_len.saturating_sub(1) as u64);
+    let est_bits_per_value =
+        right_w as f64 + code_width as f64 + exc_frac(dict_len) * (16.0 + 16.0);
+    let cut = RdCut {
+        left_width: lw as u8,
+        code_width: code_width as u8,
+        dict_len: dict_len as u8,
+        lut: RdCut::padded_lut(top.iter().take(dict_len).map(|&(left, _)| left)),
+    };
+    (est_bits_per_value, cut)
+}
+
+/// The ALP_rd encode kernel under one row-group's cut (Algorithm 3): a
+/// `2^left_width`-byte table answers "which dictionary code, if any" with one
+/// load per value, so the loop carries no branch on the data.
+#[derive(Debug, Clone)]
+pub struct RdEncoder {
+    cut: RdCut,
+    /// Left part → dictionary code; [`RdEncoder::MISS`] for the rest.
+    table: Vec<u8>,
+}
+
+impl RdEncoder {
+    /// The table entry of a left part outside the dictionary.
+    const MISS: u8 = 0xFF;
+
+    /// An encoder for `meta`: refuses a cut outside `1..=16`, a dictionary of
+    /// no or more than 8 entries, and a `code_width` over 3 or too narrow for
+    /// the dictionary's codes.
+    pub fn new(meta: &RdMeta) -> Result<Self, RdMetaError> {
+        let cut = RdCut::new(meta)?;
+        if usize::from(cut.dict_len) > 1 << cut.code_width {
+            return Err(RdMetaError("code_width"));
+        }
+        Ok(Self::for_cut(cut))
+    }
+
+    pub(crate) fn for_cut(cut: RdCut) -> Self {
+        let mut encoder = Self { cut, table: Vec::new() };
+        encoder.set_cut(cut);
+        encoder
+    }
+
+    /// Re-targets the encoder at another row-group's cut, keeping the
+    /// table's allocation.
+    pub(crate) fn set_cut(&mut self, cut: RdCut) {
+        self.table.clear();
+        self.table.resize(1 << cut.left_width, Self::MISS);
+        // In reverse, so that of equal entries the first keeps the slot —
+        // the answer a linear search of the dictionary gives.
+        for (code, &left) in cut.dict().iter().enumerate().rev() {
+            if let Some(slot) = self.table.get_mut(usize::from(left)) {
+                *slot = code as u8;
+            }
+        }
+        self.cut = cut;
+    }
+
+    /// The cut in force.
+    pub(crate) fn cut(&self) -> &RdCut {
+        &self.cut
+    }
+
+    /// Splits up to one block of `values` into right parts and dictionary
+    /// codes and returns the mask of the lanes that missed the dictionary
+    /// (their code is 0). No branch on the data: a miss is folded into the
+    /// mask and into the zeroed code arithmetically.
+    fn split_block<F: AlpFloat>(
+        &self,
+        right_w: usize,
+        values: &[F],
+        codes: &mut [u64; BLOCK],
+        rights: &mut [u64; BLOCK],
+    ) -> u64 {
+        let right_mask = (1u64 << right_w) - 1;
+        let mut missed = 0u64;
+        for (i, ((code, right), v)) in codes.iter_mut().zip(rights).zip(values).enumerate() {
+            let bits = v.to_bits_u64();
+            let probe = self.table.get((bits >> right_w) as usize).copied().unwrap_or(Self::MISS);
+            let miss = probe == Self::MISS;
+            missed |= u64::from(miss) << i;
+            *code = u64::from(probe) & u64::from(miss).wrapping_sub(1);
+            *right = bits & right_mask;
+        }
+        missed
+    }
+
+    /// Encodes one vector into the caller's zeroed word streams —
+    /// `16 * code_width` code words and `16 * right_width` right-part words,
+    /// native or the bytes of a frame body (see [`Word`]) — and returns its
+    /// exceptions. Per 64-value block, [`RdEncoder::split_block`] then both
+    /// packs, straight to their final place; blocks past a short tail are
+    /// left as they are: zero words. The (rare) exceptions are read back out
+    /// of the block masks afterwards ([`RdExceptions`]).
+    pub(crate) fn encode_vector<F: AlpFloat, T: Word>(
+        &self,
+        input: &[F],
+        codes: &mut [T],
+        rights: &mut [T],
+    ) -> RdExceptions {
+        assert!(!input.is_empty() && input.len() <= VECTOR_SIZE);
+        let code_w = usize::from(self.cut.code_width);
+        let right_w = usize::from(self.cut.right_width::<F>());
+        let (pack_codes, pack_right) = (packer::<T>(code_w), packer::<T>(right_w));
+        let mut exceptions = RdExceptions { missed: [0; BLOCKS], right_width: right_w as u8 };
+        let (mut code_block, mut right_block) = ([0u64; BLOCK], [0u64; BLOCK]);
+        for (block, (values, missed)) in input.chunks(BLOCK).zip(&mut exceptions.missed).enumerate()
+        {
+            if values.len() < BLOCK {
+                // The lanes past a short tail pack as zeros.
+                (code_block, right_block) = ([0; BLOCK], [0; BLOCK]);
+            }
+            *missed = self.split_block(right_w, values, &mut code_block, &mut right_block);
+            pack_codes(&code_block, block_words_mut(codes, code_w, block));
+            pack_right(&right_block, block_words_mut(rights, right_w, block));
+        }
+        exceptions
+    }
+
+    /// [`RdEncoder::encode_vector`] into a fresh owned vector.
+    pub fn encode_owned<F: AlpFloat>(&self, input: &[F]) -> RdVector {
+        let mut packed_codes = vec![0u64; packed_len(usize::from(self.cut.code_width))];
+        let mut packed_right = vec![0u64; packed_len(usize::from(self.cut.right_width::<F>()))];
+        let exceptions = self.encode_vector(input, &mut packed_codes, &mut packed_right);
+        RdVector {
+            packed_codes,
+            packed_right,
+            exc_positions: exceptions.positions().collect(),
+            exc_left: exceptions.lefts(input).collect(),
+            len: input.len() as u16,
+        }
+    }
+}
+
+/// Which slots of an encoded vector missed the dictionary: one mask per
+/// 64-value block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RdExceptions {
+    missed: [u64; BLOCKS],
+    right_width: u8,
+}
+
+impl RdExceptions {
+    /// Number of exceptions.
+    pub(crate) fn count(&self) -> usize {
+        self.missed.iter().map(|m| m.count_ones() as usize).sum()
+    }
+
+    /// The exception positions, ascending.
+    pub(crate) fn positions(&self) -> impl Iterator<Item = u16> + '_ {
+        self.missed.iter().enumerate().flat_map(|(block, &mask)| {
+            let mut rest = mask;
+            core::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros())?;
+                rest &= rest - 1;
+                Some((block * BLOCK) as u16 + bit as u16)
+            })
+        })
+    }
+
+    /// The exceptions' left parts in position order, read back from the
+    /// vector's `input`.
+    pub(crate) fn lefts<'a, F: AlpFloat>(
+        &'a self,
+        input: &'a [F],
+    ) -> impl Iterator<Item = u16> + 'a {
+        self.positions().filter_map(move |p| {
+            input.get(usize::from(p)).map(|v| (v.to_bits_u64() >> self.right_width) as u16)
+        })
+    }
 }
 
 /// Encodes one vector under the row-group's cut/dictionary (Algorithm 3).
+/// Builds the row-group state ([`RdEncoder`]) for this one vector; a caller
+/// encoding many vectors under one `meta` builds it once.
+///
+/// # Panics
+/// Panics if `input` is empty or longer than a vector, or if
+/// [`RdEncoder::new`] refuses `meta`.
 pub fn encode_rd_vector<F: AlpFloat>(input: &[F], meta: &RdMeta) -> RdVector {
-    let len = input.len();
-    assert!(len > 0 && len <= VECTOR_SIZE);
-    let right_w = meta.right_width::<F>();
-    let right_mask = if right_w == 64 { u64::MAX } else { (1u64 << right_w) - 1 };
-
-    let mut lefts = [0u64; VECTOR_SIZE];
-    let mut rights = [0u64; VECTOR_SIZE];
-    for i in 0..len {
-        let bits = input[i].to_bits_u64();
-        lefts[i] = bits >> right_w;
-        rights[i] = bits & right_mask;
-    }
-
-    // Dictionary lookup by linear scan — at most 8 entries, faster and more
-    // predictable than hashing.
-    let mut codes = [0u64; VECTOR_SIZE];
-    let mut exc_positions = Vec::new();
-    let mut exc_left = Vec::new();
-    for i in 0..len {
-        match meta.dict.iter().position(|&d| d as u64 == lefts[i]) {
-            Some(c) => codes[i] = c as u64,
-            None => {
-                exc_positions.push(i as u16);
-                exc_left.push(lefts[i] as u16);
-                codes[i] = 0;
-            }
-        }
-    }
-    // Pad short tails (keeps packed vectors full-size without widening).
-    for i in len..VECTOR_SIZE {
-        codes[i] = 0;
-        rights[i] = 0;
-    }
-
-    RdVector {
-        packed_codes: bitpack::pack(&codes, meta.code_width as usize),
-        packed_right: bitpack::pack(&rights, right_w),
-        exc_positions,
-        exc_left,
-        len: len as u16,
+    match RdEncoder::new(meta) {
+        Ok(encoder) => encoder.encode_owned(input),
+        Err(refused) => panic!("{refused}"),
     }
 }
 
@@ -228,19 +469,11 @@ impl<'a> RdVectorRef<'a> {
     /// have produced (empty or oversized dictionary, cut outside the float,
     /// code width over 3) — both are `pub` structs anyone can fill in.
     pub fn owned<F: AlpFloat>(v: &'a RdVector, meta: &RdMeta) -> Option<Self> {
-        let left = meta.left_width as usize;
-        // `MAX_LEFT_WIDTH` is below either float width, so a right part remains.
-        if left == 0 || left > MAX_LEFT_WIDTH || meta.code_width > 3 {
-            return None;
-        }
-        // Codes are `< 2^code_width <= 8`: with the unused slots repeating
-        // entry 0, a masked lookup never misses.
-        let mut lut = [*meta.dict.first()?; MAX_DICT_SIZE];
-        lut.get_mut(..meta.dict.len())?.copy_from_slice(&meta.dict);
+        let cut = RdCut::new(meta).ok()?;
         Some(Self {
-            right_width: u8::try_from(F::BITS as usize - left).ok()?,
-            code_width: meta.code_width,
-            lut,
+            right_width: cut.right_width::<F>(),
+            code_width: cut.code_width,
+            lut: cut.lut,
             len: v.len,
             packed_codes: &v.packed_codes,
             packed_right: &v.packed_right,
@@ -383,6 +616,108 @@ mod tests {
         for i in 0..1024 {
             assert_eq!(out[i].to_bits(), data[i].to_bits(), "idx {i}");
         }
+    }
+
+    /// `choose_cut` as it was before it counted runs of a sorted sample: a
+    /// hash map of left patterns per candidate width, sorted by
+    /// `(count desc, value asc)`.
+    fn choose_cut_by_hashing<F: AlpFloat>(rowgroup: &[F], sample_size: usize) -> RdMeta {
+        let sample: Vec<u64> = equidistant_indices(rowgroup.len(), sample_size)
+            .map(|i| rowgroup[i].to_bits_u64())
+            .collect();
+        let mut best: Option<(f64, RdMeta)> = None;
+        for lw in 1..=MAX_LEFT_WIDTH.min(F::BITS as usize - 1) {
+            let right_w = F::BITS as usize - lw;
+            let mut counts = std::collections::HashMap::new();
+            for &bits in &sample {
+                *counts.entry((bits >> right_w) as u16).or_insert(0usize) += 1;
+            }
+            let mut by_freq: Vec<(u16, usize)> = counts.into_iter().collect();
+            by_freq.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            let exc_frac = |size: usize| {
+                let covered: usize = by_freq.iter().take(size).map(|&(_, c)| c).sum();
+                1.0 - covered as f64 / sample.len() as f64
+            };
+            let size = [1, 2, 4].into_iter().find(|&s| exc_frac(s) <= EXCEPTION_BUDGET);
+            let dict: Vec<u16> =
+                by_freq.iter().take(size.unwrap_or(MAX_DICT_SIZE)).map(|&(v, _)| v).collect();
+            let code_width = bits_needed(dict.len() as u64 - 1);
+            let est = right_w as f64 + code_width as f64 + exc_frac(dict.len()) * 32.0;
+            if best.as_ref().is_none_or(|(b, _)| est < *b) {
+                let meta = RdMeta { left_width: lw as u8, dict, code_width: code_width as u8 };
+                best = Some((est, meta));
+            }
+        }
+        best.expect("at least one cut candidate").1
+    }
+
+    #[test]
+    fn choose_cut_by_run_length_equals_choose_cut_by_hashing() {
+        let mut wide = real_doubles(4096);
+        for (i, x) in wide.iter_mut().enumerate() {
+            // Many magnitudes and both signs: more distinct left parts than a
+            // dictionary holds, with ties in their counts.
+            *x *= [1.0, -1.0, 1e3, 1e-3, 1e7, -1e7, 1e11, 1e-11, 1e15, 1e19, -1e-19][i % 11];
+        }
+        wide[17] = f64::NAN;
+        wide[18] = -0.0;
+        let constant = vec![1.5f64; 2000];
+        for data in [real_doubles(8192), real_doubles(10), wide, constant] {
+            for sample_size in [1, 7, 256, 5000] {
+                let want = choose_cut_by_hashing::<f64>(&data, sample_size);
+                assert_eq!(choose_cut::<f64>(&data, sample_size), want, "sample {sample_size}");
+                let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+                let want = choose_cut_by_hashing::<f32>(&narrow, sample_size);
+                assert_eq!(
+                    choose_cut::<f32>(&narrow, sample_size),
+                    want,
+                    "f32, sample {sample_size}"
+                );
+            }
+        }
+    }
+
+    /// The encoder's table gives a repeated dictionary entry its first
+    /// code, as a linear search would, and refuses parameters it cannot
+    /// size a table or a code from.
+    #[test]
+    fn encoder_table_keeps_the_first_of_equal_entries() {
+        let data = real_doubles(1024);
+        let meta = choose_cut::<f64>(&data, 256);
+        let first = meta.dict[0];
+        let repeated = RdMeta {
+            dict: vec![first ^ 1, first, first, first ^ 2],
+            code_width: 2,
+            ..meta.clone()
+        };
+        let v = encode_rd_vector(&data, &repeated);
+        let mut codes = vec![0u64; VECTOR_SIZE];
+        fastlanes::bitpack::unpack(&v.packed_codes, 2, &mut codes);
+        assert!(codes.iter().all(|&c| c != 2), "the later copy of an entry is never used");
+        let mut out = vec![0.0f64; VECTOR_SIZE];
+        assert_eq!(decode_rd_vector(&v, &repeated, &mut out), 1024);
+        assert!(data.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()));
+
+        assert_eq!(
+            RdEncoder::new(&RdMeta { left_width: 0, ..meta.clone() }).err(),
+            Some(RdMetaError("left_width"))
+        );
+        assert_eq!(
+            RdEncoder::new(&RdMeta { left_width: 64, ..meta.clone() }).err(),
+            Some(RdMetaError("left_width"))
+        );
+        assert_eq!(
+            RdEncoder::new(&RdMeta { dict: Vec::new(), ..meta.clone() }).err(),
+            Some(RdMetaError("dictionary size"))
+        );
+        assert_eq!(
+            RdEncoder::new(&RdMeta { code_width: 4, ..meta.clone() }).err(),
+            Some(RdMetaError("code_width"))
+        );
+        assert_eq!(
+            RdEncoder::new(&RdMeta { code_width: 1, ..repeated }).err(),
+            Some(RdMetaError("code_width"))
+        );
     }
 
     /// `RdMeta` and `RdVector` are `pub` structs: whatever a caller fills

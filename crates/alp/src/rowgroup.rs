@@ -1,6 +1,16 @@
 //! Column-level compression: splits data into row-groups of `w × 1024` values,
 //! runs level-1 sampling once per row-group to pick the scheme (ALP vs ALP_rd)
 //! and the candidate combinations, then encodes vector by vector.
+//!
+//! A row-group is encoded by one of two drivers over the same decisions
+//! (`Compressor::plan_rowgroup`) and the same per-vector kernels
+//! (`encode::encode_vector_with`, `rd::RdEncoder::encode_vector`), which
+//! differ only in where a vector lands: [`Compressor::compress`] builds an
+//! owned [`RowGroup`] (what `vectorq` and the registry codec hold and query),
+//! [`Compressor::encode_rowgroup_body`] appends the serialized body to a byte
+//! buffer, packing every block's words straight into it
+//! ([`crate::format::encode_alp_body`] / [`crate::format::encode_rd_body`]) —
+//! the stream writers' path, which builds no `RowGroup` at all.
 
 use fastlanes::VECTOR_SIZE;
 
@@ -8,8 +18,12 @@ use crate::decode::{
     decode_vector, scan_decoded, scan_vector, sum_decoded, sum_vector, VectorScan, VectorSum,
 };
 use crate::encode::{encode_vector_into, AlpVector, ExcArena, ExcView, OwnedAlpVector};
-use crate::rd::{choose_cut, decode_rd_vector, encode_rd_vector, RdMeta, RdVector};
-use crate::sampler::{first_level, second_level, ConfigError, SamplerParams, SamplerStats};
+use crate::format::{encode_alp_body, encode_rd_body};
+use crate::rd::{choose_cut_with, decode_rd_vector, RdEncoder, RdMeta, RdVector};
+use crate::sampler::{
+    first_level_with, prefers_rd, second_level, Combination, ConfigError, SamplerParams,
+    SamplerStats,
+};
 use crate::traits::AlpFloat;
 
 /// An out-of-range `(rowgroup, vector)` coordinate passed to
@@ -385,6 +399,26 @@ enum StoredVector<'a> {
     Rd(&'a RdVector, &'a RdMeta),
 }
 
+/// What encoding a row-group needs beside its values, reusable from one
+/// row-group to the next so that a warm writer allocates nothing: the level-1
+/// winners, the ALP candidate list, and the ALP_rd sample and encoder (whose
+/// probe table is at most 64 KB).
+#[derive(Debug, Clone, Default)]
+pub struct EncodeScratch {
+    winners: Vec<(Combination, usize)>,
+    candidates: Vec<Combination>,
+    rd_sample: Vec<u64>,
+    rd: Option<RdEncoder>,
+}
+
+/// What level 1 decided for a row-group, with what its vectors encode under.
+enum Plan<'a> {
+    /// ALP, each vector under one of these candidates (level 2 picks).
+    Alp(&'a [Combination]),
+    /// ALP_rd under the encoder's cut.
+    Rd(&'a RdEncoder),
+}
+
 /// The ALP compressor. Construct once (optionally with custom
 /// [`SamplerParams`]) and reuse across columns.
 #[derive(Debug, Clone, Default)]
@@ -414,40 +448,85 @@ impl Compressor {
     }
 
     /// Values per row-group under the active parameters (`w × 1024`).
-    fn rowgroup_values(&self) -> usize {
+    pub(crate) fn rowgroup_values(&self) -> usize {
         // Nonzero by construction: every constructor validates the params.
         self.params.vectors_per_rowgroup * VECTOR_SIZE
     }
 
-    /// Compresses one row-group's worth of values. Sampling state is strictly
-    /// row-group-local (level 1 runs on `rg_data` alone; level 2 only ever
-    /// *adds* to `stats`), which is what makes the parallel path byte-exact:
-    /// each worker produces the same `RowGroup` the serial loop would.
-    fn compress_rowgroup<F: AlpFloat>(&self, rg_data: &[F], stats: &mut SamplerStats) -> RowGroup {
-        let outcome = first_level(rg_data, &self.params);
-        if outcome.should_use_rd::<F>() {
+    /// Level-1 sampling and the scheme decision for one row-group. Sampling
+    /// state is strictly row-group-local (level 1 runs on `rg_data` alone;
+    /// level 2 only ever *adds* to `stats`), which is what makes the parallel
+    /// paths byte-exact: each worker decides what the serial loop would.
+    fn plan_rowgroup<'a, F: AlpFloat>(
+        &self,
+        rg_data: &[F],
+        scratch: &'a mut EncodeScratch,
+        stats: &mut SamplerStats,
+    ) -> Plan<'a> {
+        let (estimated_bits_per_value, exception_fraction) =
+            first_level_with(rg_data, &self.params, &mut scratch.winners);
+        if prefers_rd::<F>(estimated_bits_per_value, exception_fraction) {
             stats.rowgroups_rd += 1;
-            let meta =
-                choose_cut::<F>(rg_data, self.params.sample_vectors * self.params.sample_values);
-            let vectors =
-                rg_data.chunks(VECTOR_SIZE).map(|chunk| encode_rd_vector(chunk, &meta)).collect();
-            RowGroup::Rd(meta, vectors)
+            let sample_size = self.params.sample_vectors * self.params.sample_values;
+            let cut = choose_cut_with::<F>(rg_data, sample_size, &mut scratch.rd_sample);
+            Plan::Rd(match &mut scratch.rd {
+                Some(encoder) => {
+                    encoder.set_cut(cut);
+                    encoder
+                }
+                none => none.insert(RdEncoder::for_cut(cut)),
+            })
         } else {
             stats.rowgroups_alp += 1;
-            let mut group = AlpGroup {
-                vectors: Vec::with_capacity(rg_data.len().div_ceil(VECTOR_SIZE)),
-                exceptions: ExcArena::new(),
-            };
-            for chunk in rg_data.chunks(VECTOR_SIZE) {
-                let combo = second_level(chunk, &outcome.combinations, &self.params, stats);
-                group.vectors.push(encode_vector_into(
-                    chunk,
-                    combo.e,
-                    combo.f,
-                    &mut group.exceptions,
-                ));
+            scratch.candidates.clear();
+            scratch.candidates.extend(scratch.winners.iter().map(|&(c, _)| c));
+            Plan::Alp(&scratch.candidates)
+        }
+    }
+
+    /// Compresses one row-group's worth of values into an owned [`RowGroup`].
+    fn compress_rowgroup<F: AlpFloat>(&self, rg_data: &[F], stats: &mut SamplerStats) -> RowGroup {
+        let vectors = rg_data.chunks(VECTOR_SIZE);
+        match self.plan_rowgroup(rg_data, &mut EncodeScratch::default(), stats) {
+            Plan::Rd(encoder) => RowGroup::Rd(
+                encoder.cut().to_meta(),
+                vectors.map(|chunk| encoder.encode_owned(chunk)).collect(),
+            ),
+            Plan::Alp(candidates) => {
+                let mut group =
+                    AlpGroup { vectors: Vec::with_capacity(vectors.len()), ..AlpGroup::default() };
+                for chunk in vectors {
+                    let combo = second_level(chunk, candidates, &self.params, stats);
+                    group.vectors.push(encode_vector_into(
+                        chunk,
+                        combo.e,
+                        combo.f,
+                        &mut group.exceptions,
+                    ));
+                }
+                RowGroup::Alp(group)
             }
-            RowGroup::Alp(group)
+        }
+    }
+
+    /// Appends the serialized body of one row-group of `rg_data` (at most
+    /// `vectors_per_rowgroup × 1024` values) to `body`: byte for byte what
+    /// [`crate::format::write_rowgroup`] writes for [`Compressor::compress`]'s
+    /// row-group, without building it ([`encode_alp_body`] /
+    /// [`encode_rd_body`]). Allocates nothing once `body` and `scratch` are
+    /// warm.
+    pub fn encode_rowgroup_body<F: AlpFloat>(
+        &self,
+        rg_data: &[F],
+        body: &mut Vec<u8>,
+        scratch: &mut EncodeScratch,
+        stats: &mut SamplerStats,
+    ) {
+        match self.plan_rowgroup(rg_data, scratch, stats) {
+            Plan::Rd(encoder) => encode_rd_body(body, encoder, rg_data),
+            Plan::Alp(candidates) => encode_alp_body(body, rg_data, |vector| {
+                second_level(vector, candidates, &self.params, stats)
+            }),
         }
     }
 

@@ -143,8 +143,23 @@ fn score_sample_capped<F: AlpFloat>(sample: &[F], e: u8, f: u8, cap: usize) -> S
 /// Brute-force search over the full `(e, f)` space; ties prefer higher `e`,
 /// then higher `f` (§3.2).
 pub fn full_search<F: AlpFloat>(sample: &[F]) -> (Combination, SampleScore) {
-    let mut best = Combination { e: 0, f: 0 };
-    let mut best_score = SampleScore { bits: usize::MAX, exceptions: usize::MAX };
+    full_search_from(sample, None)
+}
+
+/// [`full_search`] with a head start: `seed` (a combination of the search
+/// space — the previous vector's winner) is scored first and the sweep starts
+/// under its score instead of under no bound at all. The sweep still visits
+/// every combination in order, the seed included, so the winner is still the
+/// *last* combination with the minimal score: the outcome does not depend on
+/// the seed, only the number of values scored does.
+fn full_search_from<F: AlpFloat>(
+    sample: &[F],
+    seed: Option<Combination>,
+) -> (Combination, SampleScore) {
+    let (mut best, mut best_score) = match seed {
+        Some(c) => (c, score_sample(sample, c.e, c.f)),
+        None => (Combination { e: 0, f: 0 }, SampleScore { bits: usize::MAX, exceptions: 0 }),
+    };
     for e in 0..=F::MAX_EXPONENT {
         for f in 0..=e {
             // A combination abandoned above the best score could neither win
@@ -178,8 +193,17 @@ impl FirstLevelOutcome {
     /// encoding is deemed hopeless when the estimate approaches the
     /// uncompressed width or exceptions dominate.
     pub fn should_use_rd<F: AlpFloat>(&self) -> bool {
-        self.estimated_bits_per_value >= F::BITS as f64 * 0.96 || self.exception_fraction > 0.35
+        prefers_rd::<F>(self.estimated_bits_per_value, self.exception_fraction)
     }
+}
+
+/// The rule behind [`FirstLevelOutcome::should_use_rd`], on the two figures
+/// [`first_level_with`] returns.
+pub(crate) fn prefers_rd<F: AlpFloat>(
+    estimated_bits_per_value: f64,
+    exception_fraction: f64,
+) -> bool {
+    estimated_bits_per_value >= F::BITS as f64 * 0.96 || exception_fraction > 0.35
 }
 
 /// Indices of `count` samples of a `len`-element sequence: one per
@@ -201,14 +225,11 @@ pub fn equidistant_indices(len: usize, count: usize) -> impl Iterator<Item = usi
     })
 }
 
-/// Gathers `count` equidistant values of `vector` (at most one vector's
-/// worth) into `buf` and returns the filled prefix — the sample lives on the
-/// caller's stack, so sampling a vector never touches the heap.
-fn sample_into<'a, F: AlpFloat>(
-    vector: &[F],
-    count: usize,
-    buf: &'a mut [F; fastlanes::VECTOR_SIZE],
-) -> &'a [F] {
+/// Gathers `count` equidistant values of `vector` into `buf` (which holds at
+/// least `min(count, vector.len())`) and returns the filled prefix — the
+/// sample lives on the caller's stack, so sampling a vector never touches the
+/// heap.
+fn sample_into<'a, F: AlpFloat>(vector: &[F], count: usize, buf: &'a mut [F]) -> &'a [F] {
     let mut taken = 0usize;
     for (slot, idx) in buf.iter_mut().zip(equidistant_indices(vector.len(), count)) {
         *slot = vector[idx];
@@ -220,23 +241,46 @@ fn sample_into<'a, F: AlpFloat>(
 /// Level-1 sampling over one row-group, presented as a slice of (up to
 /// `vectors_per_rowgroup * 1024`) values.
 pub fn first_level<F: AlpFloat>(rowgroup: &[F], params: &SamplerParams) -> FirstLevelOutcome {
+    let mut winners = Vec::new();
+    let (estimated_bits_per_value, exception_fraction) =
+        first_level_with(rowgroup, params, &mut winners);
+    FirstLevelOutcome {
+        combinations: winners.into_iter().map(|(c, _)| c).collect(),
+        estimated_bits_per_value,
+        exception_fraction,
+    }
+}
+
+/// [`first_level`] over the caller's winner list: leaves the `k' <= k`
+/// candidates in `winners`, most frequent first, and returns
+/// `(estimated_bits_per_value, exception_fraction)`. Allocates nothing once
+/// `winners` is warm.
+pub(crate) fn first_level_with<F: AlpFloat>(
+    rowgroup: &[F],
+    params: &SamplerParams,
+    winners: &mut Vec<(Combination, usize)>,
+) -> (f64, f64) {
     let n_vectors = rowgroup.len().div_ceil(fastlanes::VECTOR_SIZE);
 
     // Winners with their frequencies, in order of first appearance.
-    let mut counts: Vec<(Combination, usize)> = Vec::new();
+    winners.clear();
     let mut sample_buf = [F::from_i64(0); fastlanes::VECTOR_SIZE];
     let mut sampled_values = 0usize;
     let mut best_bits = 0usize;
     let mut best_exceptions = 0usize;
+    // (e, f) is stable within a column (§3.2), so the previous sampled
+    // vector's winner is a tight first bound for this one's search.
+    let mut previous = None;
 
     for vid in equidistant_indices(n_vectors, params.sample_vectors) {
         let start = vid * fastlanes::VECTOR_SIZE;
         let end = (start + fastlanes::VECTOR_SIZE).min(rowgroup.len());
         let sample = sample_into(&rowgroup[start..end], params.sample_values, &mut sample_buf);
-        let (combo, score) = full_search(sample);
-        match counts.iter_mut().find(|(c, _)| *c == combo) {
+        let (combo, score) = full_search_from(sample, previous);
+        previous = Some(combo);
+        match winners.iter_mut().find(|(c, _)| *c == combo) {
             Some((_, n)) => *n += 1,
-            None => counts.push((combo, 1)),
+            None => winners.push((combo, 1)),
         }
         // The scheme decision uses what a *per-vector adaptive* encoder can
         // achieve — each sampled vector under its own best combination —
@@ -248,25 +292,18 @@ pub fn first_level<F: AlpFloat>(rowgroup: &[F], params: &SamplerParams) -> First
     }
 
     // Frequency-rank the winners; ties prefer higher e, then higher f.
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.e.cmp(&a.0.e)).then(b.0.f.cmp(&a.0.f)));
-    counts.truncate(params.max_combinations);
-    let combinations: Vec<Combination> = counts.into_iter().map(|(c, _)| c).collect();
+    winners.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.e.cmp(&a.0.e)).then(b.0.f.cmp(&a.0.f)));
+    winners.truncate(params.max_combinations);
 
-    let (est_bits, exc_frac) = if sampled_values == 0 {
+    if sampled_values == 0 {
         (0.0, 0.0)
     } else {
         (best_bits as f64 / sampled_values as f64, best_exceptions as f64 / sampled_values as f64)
-    };
-
-    FirstLevelOutcome {
-        combinations,
-        estimated_bits_per_value: est_bits,
-        exception_fraction: exc_frac,
     }
 }
 
 /// Counters the §4.2 "Sampling Overhead" analysis reports.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerStats {
     /// Vectors encoded with the decimal (non-rd) scheme.
     pub vectors_encoded: usize,
@@ -308,27 +345,43 @@ pub fn second_level<F: AlpFloat>(
     params: &SamplerParams,
     stats: &mut SamplerStats,
 ) -> Combination {
+    // A buffer the size of the sample, not of the vector: zeroing 8 KB per
+    // vector costs more than scoring the paper's 32-value sample.
+    const SMALL_SAMPLE: usize = 64;
+    let zero = F::from_i64(0);
+    let (mut small, mut large);
+    let buf: &mut [F] = if params.second_level_values <= SMALL_SAMPLE {
+        small = [zero; SMALL_SAMPLE];
+        &mut small
+    } else {
+        large = [zero; fastlanes::VECTOR_SIZE];
+        &mut large
+    };
+    pick_combination(sample_into(vector, params.second_level_values, buf), candidates, stats)
+}
+
+/// [`second_level`] on the vector's sample.
+fn pick_combination<F: AlpFloat>(
+    sample: &[F],
+    candidates: &[Combination],
+    stats: &mut SamplerStats,
+) -> Combination {
     stats.vectors_encoded += 1;
-    let mut sample_buf = [F::from_i64(0); fastlanes::VECTOR_SIZE];
-    let sample = sample_into(vector, params.second_level_values, &mut sample_buf);
-
-    if candidates.len() <= 1 {
+    let (first, rest) = match candidates {
+        [] => (Combination { e: 0, f: 0 }, candidates),
+        [first, rest @ ..] => (*first, rest),
+    };
+    let (mut best, mut best_score) = (first, score_sample(sample, first.e, first.f));
+    let mut tried = candidates.len().min(1);
+    if rest.is_empty() {
         stats.second_level_skipped += 1;
-        stats.combinations_tried[1.min(candidates.len())] += 1;
-        let combo = candidates.first().copied().unwrap_or(Combination { e: 0, f: 0 });
-        return rescue_if_poor(sample, combo, stats);
     }
-
-    let mut best = candidates[0];
-    let mut best_bits = usize::MAX;
     let mut worse_streak = 0usize;
-    let mut tried = 0usize;
-    for &c in candidates {
+    for &c in rest {
         tried += 1;
         let s = score_sample(sample, c.e, c.f);
-        if s.bits < best_bits {
-            best = c;
-            best_bits = s.bits;
+        if s.bits < best_score.bits {
+            (best, best_score) = (c, s);
             worse_streak = 0;
         } else {
             worse_streak += 1;
@@ -338,29 +391,21 @@ pub fn second_level<F: AlpFloat>(
         }
     }
     stats.combinations_tried[tried.min(7)] += 1;
-    rescue_if_poor(sample, best, stats)
-}
 
-/// Robustness guard (deviation from the paper, see DESIGN.md): if the
-/// row-group's candidates all fail on this particular vector — which happens
-/// when the level-1 sample missed a locally different sub-population (e.g. a
-/// burst of values inside a mostly-zero column) — fall back to a full search
-/// on the vector's own sample. The guard costs one 32-value scoring pass per
-/// vector and only triggers on pathological vectors.
-fn rescue_if_poor<F: AlpFloat>(
-    sample: &[F],
-    combo: Combination,
-    stats: &mut SamplerStats,
-) -> Combination {
-    let s = score_sample(sample, combo.e, combo.f);
-    if s.exceptions * 4 > sample.len() {
+    // Robustness guard (deviation from the paper, see DESIGN.md): if the
+    // row-group's candidates all fail on this particular vector — which
+    // happens when the level-1 sample missed a locally different
+    // sub-population (e.g. a burst of values inside a mostly-zero column) —
+    // fall back to a full search on the vector's own sample. It only
+    // triggers on pathological vectors.
+    if best_score.exceptions * 4 > sample.len() {
         stats.rescued_vectors += 1;
-        let (best, best_score) = full_search(sample);
-        if best_score.bits < s.bits {
-            return best;
+        let (rescued, rescued_score) = full_search(sample);
+        if rescued_score.bits < best_score.bits {
+            return rescued;
         }
     }
-    combo
+    best
 }
 
 #[cfg(test)]
@@ -457,6 +502,104 @@ mod tests {
         let bad = Combination { e: 2, f: 0 }; // cannot represent 4 decimals
         let combo = second_level(&v, &[bad, good], &SamplerParams::default(), &mut stats);
         assert_eq!(combo, good);
+    }
+
+    /// Samples of different character: decimals at several precisions, real
+    /// doubles, the values no combination encodes, a mix, and nothing.
+    fn search_samples() -> Vec<Vec<f64>> {
+        let reals: Vec<f64> = (0..32).map(|i| ((i as f64) + 0.1).sqrt().sin() * 1e-3).collect();
+        let specials =
+            vec![f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1e300, f64::from_bits(1)];
+        let mut mixed = decimals(1, 20);
+        mixed.extend(&reals[..6]);
+        mixed.extend(&specials);
+        vec![
+            decimals(0, 32),
+            decimals(2, 32),
+            decimals(5, 32),
+            decimals(9, 7),
+            reals,
+            specials,
+            mixed,
+            Vec::new(),
+        ]
+    }
+
+    /// A seed changes how many values a search scores, never what it finds:
+    /// whichever combination it starts under, the sweep ends on the last
+    /// combination with the minimal score, scored exactly.
+    #[test]
+    fn seeded_search_equals_the_unseeded_one_under_every_seed() {
+        for sample in search_samples() {
+            let want = full_search(&sample);
+            for e in 0..=f64::MAX_EXPONENT {
+                for f in 0..=e {
+                    let seed = Combination { e, f };
+                    assert_eq!(full_search_from(&sample, Some(seed)), want, "seed {seed:?}");
+                }
+            }
+            let narrow: Vec<f32> = sample.iter().map(|&x| x as f32).collect();
+            let want = full_search(&narrow);
+            for e in 0..=f32::MAX_EXPONENT {
+                for f in 0..=e {
+                    let seed = Combination { e, f };
+                    assert_eq!(full_search_from(&narrow, Some(seed)), want, "f32 seed {seed:?}");
+                }
+            }
+        }
+    }
+
+    /// `first_level` as it was before its searches were seeded: every sampled
+    /// vector searched from scratch.
+    fn first_level_unseeded(rowgroup: &[f64], params: &SamplerParams) -> FirstLevelOutcome {
+        let n_vectors = rowgroup.len().div_ceil(fastlanes::VECTOR_SIZE);
+        let mut counts: Vec<(Combination, usize)> = Vec::new();
+        let (mut values, mut bits, mut exceptions) = (0usize, 0usize, 0usize);
+        for vid in equidistant_indices(n_vectors, params.sample_vectors) {
+            let vector = &rowgroup[vid * fastlanes::VECTOR_SIZE..];
+            let vector = &vector[..vector.len().min(fastlanes::VECTOR_SIZE)];
+            let sample: Vec<f64> = equidistant_indices(vector.len(), params.sample_values)
+                .map(|i| vector[i])
+                .collect();
+            let (combo, score) = full_search(&sample);
+            match counts.iter_mut().find(|(c, _)| *c == combo) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((combo, 1)),
+            }
+            values += sample.len();
+            bits += score.bits;
+            exceptions += score.exceptions;
+        }
+        counts.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.e.cmp(&a.0.e)).then(b.0.f.cmp(&a.0.f)));
+        counts.truncate(params.max_combinations);
+        FirstLevelOutcome {
+            combinations: counts.into_iter().map(|(c, _)| c).collect(),
+            estimated_bits_per_value: bits as f64 / values.max(1) as f64,
+            exception_fraction: exceptions as f64 / values.max(1) as f64,
+        }
+    }
+
+    #[test]
+    fn first_level_equals_its_unseeded_reference() {
+        // Row-groups whose sampled vectors agree, disagree, and cannot be
+        // encoded at all; whole, short and shorter than one vector.
+        let mut changing = decimals(2, 3 * 1024);
+        changing.extend(decimals(6, 2 * 1024));
+        changing.extend((0..3 * 1024).map(|i| ((i as f64) + 0.1).sqrt().sin()));
+        changing.extend([f64::NAN, -0.0, f64::INFINITY, 1e300, f64::from_bits(1)].repeat(300));
+        for rowgroup in [decimals(3, 100 * 1024), decimals(1, 5000), decimals(4, 700), changing] {
+            for sample_vectors in [1, 3, 8] {
+                let params = SamplerParams { sample_vectors, ..SamplerParams::default() };
+                let (got, want) =
+                    (first_level(&rowgroup, &params), first_level_unseeded(&rowgroup, &params));
+                assert_eq!(got.combinations, want.combinations);
+                assert_eq!(
+                    got.estimated_bits_per_value.to_bits(),
+                    want.estimated_bits_per_value.to_bits()
+                );
+                assert_eq!(got.exception_fraction.to_bits(), want.exception_fraction.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! ```
 //!
 //! Each [frame](crate::frame) holds one serialized row-group (see
-//! [`crate::format`]), so a reader needs only one row-group of memory at a
-//! time, can stop early, detects payload corruption before handing data out,
-//! and can *resync* past a damaged frame
+//! [`crate::format`]) — the writer encodes a row-group's values straight into
+//! its frame's bytes (`encode_frames`; no owned `RowGroup` in between, and no
+//! allocation once its buffers are warm), and reports what the encoder
+//! decided in [`StreamSummary::stats`] — so a reader needs only one row-group
+//! of memory at a time, can stop early, detects payload corruption before
+//! handing data out, and can *resync* past a damaged frame
 //! ([`ColumnReader::next_rowgroup_salvaged`]). With a [`ParityConfig`] the
 //! writer puts one parity frame after every `group_size` row-group frames,
 //! and salvage *repairs* any single damaged frame per group. This module
@@ -53,12 +56,12 @@ use std::io::{self, Read, Write};
 
 use fastlanes::VECTOR_SIZE;
 
-use crate::format::{decode_rowgroup_into, read_rowgroup_exact, write_rowgroup, FormatError};
+use crate::format::{decode_rowgroup_into, read_rowgroup_exact, FormatError};
 use crate::frame::{self, Frame, FrameRead, ParityAccumulator, ParityConfig};
 use crate::hash::{xxh64, CHECKSUM_SEED};
 use crate::io::{flush_retry, read_full_retry, write_all_retry, RetryPolicy};
-use crate::rowgroup::{Compressor, RowGroup};
-use crate::sampler::{ConfigError, SamplerParams};
+use crate::rowgroup::{Compressor, EncodeScratch, RowGroup};
+use crate::sampler::{ConfigError, SamplerParams, SamplerStats};
 use crate::traits::AlpFloat;
 use crate::wire::{take, PutExt};
 
@@ -86,7 +89,7 @@ pub struct StreamFooter {
 }
 
 /// Statistics returned by [`ColumnWriter::finish`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamSummary {
     /// Total values written.
     pub values: usize,
@@ -100,13 +103,31 @@ pub struct StreamSummary {
     /// commit footer. After a successful [`ColumnWriter::finish`] this equals
     /// the sink's length exactly.
     pub total_bytes: usize,
+    /// What the encoder decided, summed over the row-groups: how many went
+    /// ALP and how many ALP_rd, vectors encoded, level-2 short-circuits and
+    /// rescues. Equal at every thread count and pipeline depth.
+    pub stats: SamplerStats,
 }
 
-/// Appends the frame for `rg` to `out`. The single row-group framing routine
-/// shared by the serial [`ColumnWriter`] and the pipelined ingest workers, so
-/// both produce byte-identical streams by construction.
-pub(crate) fn encode_frame<F: AlpFloat>(rg: &RowGroup, out: &mut Vec<u8>) {
-    frame::encode(out, |body| write_rowgroup::<F>(body, rg));
+/// Appends one frame per row-group of `values` to `out`, each body encoded
+/// straight into the frame's bytes ([`Compressor::encode_rowgroup_body`] — no
+/// [`RowGroup`] is built), and adds what the encoder decided to `stats`. The
+/// single values → frame routine shared by the serial [`ColumnWriter`] and the
+/// pipelined ingest workers, so both produce byte-identical streams by
+/// construction.
+pub(crate) fn encode_frames<F: AlpFloat>(
+    compressor: &Compressor,
+    values: &[F],
+    scratch: &mut EncodeScratch,
+    stats: &mut SamplerStats,
+    out: &mut Vec<u8>,
+) {
+    // A frame is rarely larger than its values: one request up front instead
+    // of doubling up to it (and past it).
+    out.reserve(core::mem::size_of_val(values));
+    for rowgroup in values.chunks(compressor.rowgroup_values()) {
+        frame::encode(out, |body| compressor.encode_rowgroup_body(rowgroup, body, scratch, stats));
+    }
 }
 
 /// Decodes a frame body to its values, straight from the body bytes; `None`
@@ -126,7 +147,9 @@ pub struct ColumnWriter<F: AlpFloat, W: Write> {
     rowgroup_values: usize,
     header_written: bool,
     summary: StreamSummary,
-    scratch: Vec<u8>,
+    /// The current row-group's frame bytes (reused).
+    frames: Vec<u8>,
+    scratch: EncodeScratch,
     retry: RetryPolicy,
     /// XOR erasure protection: when set, one `"ALPP"` parity frame follows
     /// every `group_size` row-group frames (see [`crate::frame`]).
@@ -178,8 +201,9 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
             buffer: Vec::with_capacity(rowgroup_values),
             rowgroup_values,
             header_written: false,
-            summary: StreamSummary { values: 0, rowgroups: 0, payload_bytes: 0, total_bytes: 0 },
-            scratch: Vec::new(),
+            summary: StreamSummary::default(),
+            frames: Vec::new(),
+            scratch: EncodeScratch::default(),
             retry: RetryPolicy::default(),
             parity: parity.map(ParityAccumulator::new),
         }
@@ -253,29 +277,33 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         Ok(())
     }
 
-    /// Compresses the buffered values — one row-group's worth, or the tail —
-    /// and commits their frame.
+    /// Encodes the buffered values — one row-group's worth, or the tail —
+    /// into their frame and commits it.
     fn flush_rowgroup(&mut self) -> io::Result<()> {
-        let compressed = self.compressor.compress(&self.buffer);
+        let mut frames = core::mem::take(&mut self.frames);
+        frames.clear();
+        let mut stats = SamplerStats::default();
+        encode_frames(&self.compressor, &self.buffer, &mut self.scratch, &mut stats, &mut frames);
         let values = self.buffer.len();
         self.buffer.clear();
-        let mut frames = core::mem::take(&mut self.scratch);
-        frames.clear();
-        for rg in &compressed.rowgroups {
-            encode_frame::<F>(rg, &mut frames);
-        }
-        let result = self.commit_encoded_frames(&frames, values);
-        self.scratch = frames;
+        let result = self.commit_encoded_frames(&frames, values, &stats);
+        self.frames = frames;
         result
     }
 
-    /// Writes pre-encoded frames (see [`encode_frame`]) covering `values`
-    /// source values to the sink and folds them into the summary. The commit
-    /// seam shared with the pipelined ingest path: frames land on the sink
-    /// whole and in order, under the writer's retry policy, and each parity
-    /// frame lands immediately after the group it closes — so the layout is
-    /// independent of who encoded the frames.
-    pub(crate) fn commit_encoded_frames(&mut self, frames: &[u8], values: usize) -> io::Result<()> {
+    /// Writes pre-encoded frames (see [`encode_frames`]) covering `values`
+    /// source values to the sink and folds them, with the encoder's `stats`
+    /// for them, into the summary. The commit seam shared with the pipelined
+    /// ingest path: frames land on the sink whole and in order, under the
+    /// writer's retry policy, and each parity frame lands immediately after
+    /// the group it closes — so the layout is independent of who encoded the
+    /// frames.
+    pub(crate) fn commit_encoded_frames(
+        &mut self,
+        frames: &[u8],
+        values: usize,
+        stats: &SamplerStats,
+    ) -> io::Result<()> {
         self.ensure_header()?;
         let mut rest = frames;
         while let Some((frame, tail)) = Frame::split(rest) {
@@ -293,6 +321,7 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
             ));
         }
         self.summary.values += values;
+        self.summary.stats.merge(stats);
         Ok(())
     }
 

@@ -12,6 +12,8 @@ pub(crate) trait PutExt {
     fn put_u32_le(&mut self, v: u32);
     fn put_u64_le(&mut self, v: u64);
     fn put_i64_le(&mut self, v: i64);
+    /// Every word of `words` in order, as one extend.
+    fn put_words_le(&mut self, words: &[u64]);
 }
 
 impl PutExt for Vec<u8> {
@@ -39,6 +41,10 @@ impl PutExt for Vec<u8> {
     fn put_i64_le(&mut self, v: i64) {
         self.extend_from_slice(&v.to_le_bytes());
     }
+    #[inline]
+    fn put_words_le(&mut self, words: &[u64]) {
+        self.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+    }
 }
 
 /// Splits the next `N` bytes off the cursor; `None` (cursor untouched) when
@@ -63,6 +69,7 @@ mod tests {
         buf.put_u16_le(0x1234);
         buf.put_u32_le(0xDEAD_BEEF);
         buf.put_u64_le(0x0102_0304_0506_0708);
+        buf.put_words_le(&[0x1122_3344_5566_7788, 1]);
         buf.put_i64_le(-42);
 
         let mut cur: &[u8] = &buf;
@@ -71,6 +78,8 @@ mod tests {
         assert_eq!(take(&mut cur).map(u16::from_le_bytes), Some(0x1234));
         assert_eq!(take(&mut cur).map(u32::from_le_bytes), Some(0xDEAD_BEEF));
         assert_eq!(take(&mut cur).map(u64::from_le_bytes), Some(0x0102_0304_0506_0708));
+        assert_eq!(take(&mut cur).map(u64::from_le_bytes), Some(0x1122_3344_5566_7788));
+        assert_eq!(take(&mut cur).map(u64::from_le_bytes), Some(1));
         assert_eq!(take::<9>(&mut cur), None, "a short read leaves the cursor alone");
         assert_eq!(take(&mut cur).map(i64::from_le_bytes), Some(-42));
         assert!(cur.is_empty());

@@ -113,12 +113,18 @@ pub fn compress_stream(
         let summary = writer.finish()?;
         let secs = t0.elapsed().as_secs_f64();
         let raw_mb = summary.values as f64 * raw_bits / 8.0 / 1e6;
+        let stats = summary.stats;
         println!(
-            "{} values -> {} bytes streamed in {} row-groups  \
+            "{} values -> {} bytes streamed in {} row-groups: {} ALP, {} ALP_rd, \
+             {} of {} vectors rescued  \
              ({:.2} bits/value, {:.0} ms, {:.0} MB/s, threads={}, depth={})",
             summary.values,
             summary.total_bytes,
             summary.rowgroups,
+            stats.rowgroups_alp,
+            stats.rowgroups_rd,
+            stats.rescued_vectors,
+            stats.vectors_encoded,
             summary.payload_bytes as f64 * 8.0 / summary.values.max(1) as f64,
             secs * 1e3,
             raw_mb / secs.max(1e-9),

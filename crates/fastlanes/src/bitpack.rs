@@ -8,12 +8,14 @@
 //! block function for its vector's width once ([`unpacker`] / [`packer`]) and
 //! calls it 16 times, applying its own arithmetic to the 64 values in between.
 //!
-//! **Word sources.** The unpack side reads its words through [`Word`]: a
-//! native `u64` (an in-memory vector) or the `[u8; 8]` that holds one
+//! **Word sources and sinks.** Both sides move their words through [`Word`]:
+//! a native `u64` (an in-memory vector) or the `[u8; 8]` that holds one
 //! little-endian in a file. A byte buffer becomes a word source with
-//! `as_chunks::<8>()` — no copy, no alignment requirement — so a decoder can
-//! run on the bytes a reader was handed. There is one kernel body; the two
-//! instantiations differ in one load.
+//! `as_chunks::<8>()` and a word sink with `as_chunks_mut::<8>()` — no copy,
+//! no alignment requirement — so a decoder can run on the bytes a reader was
+//! handed and an encoder can pack into the bytes a writer will send. There is
+//! one kernel body per direction; the two instantiations differ in one load
+//! or one store.
 
 use crate::dispatch::{width_mask, with_width, WidthKernel};
 use crate::{packed_len, VECTOR_SIZE};
@@ -41,16 +43,21 @@ macro_rules! lanes {
     };
 }
 
-/// One stored word of a packed stream, as a block kernel reads it: a native
-/// `u64`, or the eight bytes of one in wire (little-endian) order. Reading a
-/// `[u8; 8]` at a literal index is a plain 8-byte load.
+/// One stored word of a packed stream, as a block kernel reads or writes it:
+/// a native `u64`, or the eight bytes of one in wire (little-endian) order.
+/// Reading or writing a `[u8; 8]` at a literal index is a plain 8-byte load
+/// or store.
 pub trait Word: Copy {
     /// The word's value.
     fn get(self) -> u64;
+    /// The stored form of `value`.
+    fn from_u64(value: u64) -> Self;
     /// [`unpacker`] for this word type. A method of the (non-generic) impls
     /// so that each source's 65 block functions are compiled once, in this
     /// crate, not once per crate that decodes.
     fn unpacker(width: usize) -> Unpack64<Self>;
+    /// [`packer`] for this word type (see [`Word::unpacker`]).
+    fn packer(width: usize) -> Pack64<Self>;
 }
 
 impl Word for u64 {
@@ -58,9 +65,17 @@ impl Word for u64 {
     fn get(self) -> u64 {
         self
     }
+    #[inline(always)]
+    fn from_u64(value: u64) -> Self {
+        value
+    }
     #[inline(never)]
     fn unpacker(width: usize) -> Unpack64<Self> {
         pick_unpacker(width)
+    }
+    #[inline(never)]
+    fn packer(width: usize) -> Pack64<Self> {
+        pick_packer(width)
     }
 }
 
@@ -69,9 +84,17 @@ impl Word for [u8; 8] {
     fn get(self) -> u64 {
         u64::from_le_bytes(self)
     }
+    #[inline(always)]
+    fn from_u64(value: u64) -> Self {
+        value.to_le_bytes()
+    }
     #[inline(never)]
     fn unpacker(width: usize) -> Unpack64<Self> {
         pick_unpacker(width)
+    }
+    #[inline(never)]
+    fn packer(width: usize) -> Pack64<Self> {
+        pick_packer(width)
     }
 }
 
@@ -107,7 +130,7 @@ pub fn unpack64<const W: usize, T: Word>(words: &[T]) -> [u64; BLOCK] {
 /// # Panics
 /// Panics if `words.len() < W` or `W > 64`.
 #[inline]
-pub fn pack64<const W: usize>(values: &[u64; BLOCK], words: &mut [u64]) {
+pub fn pack64<const W: usize, T: Word>(values: &[u64; BLOCK], words: &mut [T]) {
     if W == 0 {
         return;
     }
@@ -121,7 +144,7 @@ pub fn pack64<const W: usize>(values: &[u64; BLOCK], words: &mut [u64]) {
         let v = values[J] & mask;
         acc |= v << off;
         if off + W >= 64 {
-            words[word] = acc;
+            words[word] = T::from_u64(acc);
             // Bits of `v` that did not fit open the next word.
             acc = if off + W > 64 { v >> (64 - off) } else { 0 };
         }
@@ -134,7 +157,7 @@ pub fn pack64<const W: usize>(values: &[u64; BLOCK], words: &mut [u64]) {
 /// through a function pointer would cost a 512-byte copy per block.
 pub type Unpack64<T = u64> = fn(&[T], &mut [u64; BLOCK]);
 /// [`pack64`] at one width.
-pub type Pack64 = fn(&[u64; BLOCK], &mut [u64]);
+pub type Pack64<T = u64> = fn(&[u64; BLOCK], &mut [T]);
 
 /// The block unpacker for a runtime `width`. The 65 instantiations live here
 /// and nowhere else, whatever a caller does to the values afterwards.
@@ -157,23 +180,33 @@ fn pick_unpacker<T: Word>(width: usize) -> Unpack64<T> {
 }
 
 /// The block packer for a runtime `width` (see [`unpacker`]).
-pub fn packer(width: usize) -> Pack64 {
-    struct Pick;
-    impl WidthKernel for Pick {
-        type Out = Pack64;
-        fn run<const W: usize>(self) -> Pack64 {
-            pack64::<W>
+pub fn packer<T: Word>(width: usize) -> Pack64<T> {
+    T::packer(width)
+}
+
+fn pick_packer<T: Word>(width: usize) -> Pack64<T> {
+    struct Pick<T>(core::marker::PhantomData<T>);
+    impl<T: Word> WidthKernel for Pick<T> {
+        type Out = Pack64<T>;
+        fn run<const W: usize>(self) -> Pack64<T> {
+            pack64::<W, T>
         }
     }
-    with_width(width, Pick)
+    with_width(width, Pick(core::marker::PhantomData))
 }
 
 /// The `width` words of `packed` that hold block `block` (values
-/// `64 * block .. 64 * block + 64`) — the one place the block geometry of the
-/// sequential layout is spelled out.
+/// `64 * block .. 64 * block + 64`) — with [`block_words_mut`], the one place
+/// the block geometry of the sequential layout is spelled out.
 #[inline]
 pub fn block_words<T>(packed: &[T], width: usize, block: usize) -> &[T] {
     &packed[block * width..(block + 1) * width]
+}
+
+/// [`block_words`] for a packer's destination.
+#[inline]
+pub fn block_words_mut<T>(packed: &mut [T], width: usize, block: usize) -> &mut [T] {
+    &mut packed[block * width..(block + 1) * width]
 }
 
 /// Packs `input` (exactly 1024 values, each already `< 2^width`) into a fresh
@@ -186,7 +219,7 @@ pub fn pack(input: &[u64], width: usize) -> Vec<u64> {
     let mut out = vec![0u64; packed_len(width)];
     let pack = packer(width);
     for (block, values) in input.as_chunks::<BLOCK>().0.iter().enumerate() {
-        pack(values, &mut out[block * width..]);
+        pack(values, block_words_mut(&mut out, width, block));
     }
     out
 }

@@ -11,7 +11,7 @@
 //! `v >= base`, so any `i64` range — including ones spanning more than
 //! `i64::MAX` — packs correctly into `u64` residuals.
 
-use crate::bitpack::{block_words, packer, unpacker, BLOCK};
+use crate::bitpack::{block_words, block_words_mut, packer, unpacker, Word, BLOCK};
 use crate::{bits_needed, packed_len, VECTOR_SIZE};
 
 /// Smallest width (bits per residual) that losslessly frames `input` against
@@ -32,15 +32,21 @@ pub fn frame_of(input: &[i64]) -> (i64, usize) {
 /// residuals goes from the subtraction straight into
 /// [`crate::bitpack::pack64`] (which truncates to `width` bits).
 pub fn ffor_pack(input: &[i64], base: i64, width: usize) -> Vec<u64> {
-    assert_eq!(input.len(), VECTOR_SIZE);
     let mut out = vec![0u64; packed_len(width)];
-    let pack = packer(width);
+    ffor_pack_into(input, base, width, &mut out);
+    out
+}
+
+/// [`ffor_pack`] into the caller's words — native, or the bytes of a file
+/// (see [`Word`]): fills `out[..16 * width]` and leaves the rest alone.
+pub fn ffor_pack_into<T: Word>(input: &[i64], base: i64, width: usize, out: &mut [T]) {
+    assert_eq!(input.len(), VECTOR_SIZE);
+    let pack = packer::<T>(width);
     let mut residuals = [0u64; BLOCK];
     for (block, values) in input.as_chunks::<BLOCK>().0.iter().enumerate() {
         for_encode(values, base, &mut residuals);
-        pack(&residuals, &mut out[block * width..]);
+        pack(&residuals, block_words_mut(out, width, block));
     }
-    out
 }
 
 /// Fused bit-unpack + add-base of a 1024-value vector: the base is added

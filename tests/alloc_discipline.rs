@@ -23,6 +23,12 @@
 //!   row-group costs no allocation, and `next_rowgroup` exactly one (the
 //!   `Vec` it returns).
 //!
+//! * the serial stream write: `ColumnWriter::push` encodes a row-group from
+//!   its values straight into the frame's bytes, so once the writer's buffers
+//!   are warm a full row-group — ALP or ALP_rd — costs no allocation at all
+//!   (at the parent commit: an owned `RowGroup` first, one `Vec` per ALP
+//!   vector and up to four per ALP_rd vector).
+//!
 //! The same allocator also gauges the largest single request, which pins the
 //! other half of the discipline: no reader sizes a buffer from a length or a
 //! count field it has not yet seen the bytes for.
@@ -468,4 +474,69 @@ fn a_vector_count_the_body_cannot_back_reserves_nothing() {
     let largest = largest_request_in(|| values = reader.next_rowgroup().expect("clean"));
     assert_eq!(values.map(|v| v.len()), Some(4 * alp::VECTOR_SIZE));
     assert!(largest <= 4 * alp::VECTOR_SIZE * 8, "a clean read requested {largest} bytes");
+}
+
+/// A stream write goes values → frame bytes: no owned row-group is built, so
+/// a warm writer allocates nothing for a full row-group of either scheme —
+/// and while warming up it never asks for more than one row-group of raw
+/// values at once (its own value buffer is that size).
+#[test]
+fn stream_writes_allocate_nothing_per_rowgroup_after_warmup() {
+    use alp::stream::ColumnWriter;
+    let rowgroup_values = alp::SamplerParams::default().vectors_per_rowgroup * alp::VECTOR_SIZE;
+    // Two-decimal values with an exception every 500, so the patch path runs.
+    let decimals: Vec<f64> = (0..rowgroup_values)
+        .map(|i| if i % 500 == 499 { (i as f64).sqrt() } else { (i % 977) as f64 / 100.0 })
+        .collect();
+    // Real doubles at three magnitudes, so several dictionary entries are in
+    // use, and one in 64 far outside them: an exception.
+    let reals: Vec<f64> = (0..rowgroup_values)
+        .map(|i| {
+            let x = 0.5 + ((i as f64) * 0.7234).sin() * 1e-4;
+            if i % 64 == 0 {
+                x * 10f64.powi(20 + (i / 64 % 200) as i32)
+            } else {
+                x * [1.0, 64.0, 4096.0][i % 3]
+            }
+        })
+        .collect();
+    for (what, rowgroup, schemes) in [("ALP", &decimals, (5, 0)), ("ALP_rd", &reals, (0, 5))] {
+        // Sized up front: the sink's growth is the caller's, not the writer's.
+        let mut sink = Vec::with_capacity(6 * 8 * rowgroup_values);
+        let mut writer = None;
+        let largest = largest_request_in(|| {
+            let warm = writer.insert(ColumnWriter::<f64, _>::new(&mut sink));
+            for _ in 0..2 {
+                warm.push(rowgroup).expect("in-memory sink");
+            }
+        });
+        assert!(
+            largest <= 8 * rowgroup_values,
+            "{what}: the writer requested {largest} bytes at once while warming up"
+        );
+        let mut writer = writer.expect("just built");
+        for rg in 2..5 {
+            let allocs = allocations_in(|| writer.push(rowgroup).expect("in-memory sink"));
+            assert_eq!(allocs, 0, "{what}: push allocated on full row-group {rg}");
+        }
+        let summary = writer.finish().expect("in-memory sink");
+        assert_eq!(summary.rowgroups, 5, "{what}");
+        let stats = summary.stats;
+        assert_eq!(
+            (stats.rowgroups_alp, stats.rowgroups_rd),
+            schemes,
+            "{what}: the data must pick the scheme under test"
+        );
+        if what == "ALP_rd" {
+            let first = alp::stream::ColumnReader::<f64, _>::new(&sink[..])
+                .expect("header")
+                .next_rowgroup_compressed()
+                .expect("clean");
+            let Some(alp::RowGroup::Rd(meta, vectors)) = first else {
+                panic!("an ALP_rd row-group")
+            };
+            assert!(meta.dict.len() > 1, "several dictionary entries in use: {meta:?}");
+            assert!(vectors.iter().all(|v| v.exception_count() > 0), "every vector has exceptions");
+        }
+    }
 }

@@ -18,6 +18,14 @@
 //! serialized as a one-vector row-group body and parsed back) against the
 //! same references as the owned vector, on the whole matrix.
 //!
+//! The write side gets the same treatment: the row-group *body* each scheme's
+//! values → frame-bytes encoder writes (`format::encode_alp_body` /
+//! `encode_rd_body`, the stream writers' path) is held byte for byte to a
+//! value-at-a-time reference written here from the layout in `format.rs`'s
+//! module docs (linear dictionary search, bit-at-a-time packing), with the
+//! owned path — `write_rowgroup` over `encode_rd_vector` / `encode_vector_into`
+//! — as a second witness, for `f64` and `f32`.
+//!
 //! The inputs sit on the edges the kernels branch on: all-ones residuals,
 //! bases at `i64::MIN` / `i64::MAX` / `±2^50 ± 1` / `±2^51` (the per-vector
 //! conversion choice flips between them), scaled magnitudes on either side of
@@ -29,8 +37,14 @@ use alp::decode::{
     decode_vector, decode_vector_scalar, decode_vector_unfused, scan_decoded, scan_vector,
     sum_decoded, sum_vector, VectorScan,
 };
-use alp::encode::{decode_one, encode_one, encode_vector, AlpVector, ExcArena, ExcView};
-use alp::format::{write_rowgroup, AlpVectorView, RowGroupView, VectorView};
+use alp::encode::{
+    decode_one, encode_one, encode_vector, encode_vector_into, AlpVector, ExcArena, ExcView,
+};
+use alp::format::{
+    decode_rowgroup_into, encode_alp_body, encode_rd_body, write_rowgroup, AlpVectorView,
+    RowGroupView, VectorView,
+};
+use alp::rd::{choose_cut, encode_rd_vector, RdEncoder, RdMeta};
 use alp::rowgroup::AlpGroup;
 use alp::sampler::{full_search, score_sample, Combination, SampleScore};
 use alp::{AlpFloat, VECTOR_SIZE};
@@ -794,6 +808,269 @@ fn encoder_matches_algorithm_1_across_the_sweet_spot_edges() {
     f32_specials[64] = -0.0;
     f32_specials[1023] = f32::from_bits(1);
     check_encoder(&f32_specials, 5, 3, "f32 decimals with specials on block edges");
+}
+
+/// A packed stream as a file holds it: 16 blocks of `width` little-endian
+/// words, every bit placed by [`reference_pack`]; no pad word.
+fn reference_stream(values: &[u64], width: usize) -> Vec<u8> {
+    let mut padded = values.to_vec();
+    padded.resize(VECTOR_SIZE, 0);
+    reference_pack(&padded, width)[..16 * width].iter().flat_map(|w| w.to_le_bytes()).collect()
+}
+
+fn le16(values: &[u16]) -> impl Iterator<Item = u8> + '_ {
+    values.iter().flat_map(|v| v.to_le_bytes())
+}
+
+/// The ALP_rd row-group body of `values` under `meta`, a value at a time from
+/// the layout `format.rs` documents: split at the cut, look the left part up
+/// by linear search (first match), code 0 in an exception's slot, zeros past
+/// a short tail.
+fn reference_rd_body<F: AlpFloat>(values: &[F], meta: &RdMeta) -> Vec<u8> {
+    let right_w = F::BITS as usize - meta.left_width as usize;
+    let mut out = vec![1u8];
+    out.extend((values.len().div_ceil(VECTOR_SIZE) as u32).to_le_bytes());
+    out.extend([meta.left_width, meta.code_width, meta.dict.len() as u8]);
+    out.extend(le16(&meta.dict));
+    for vector in values.chunks(VECTOR_SIZE) {
+        let (mut codes, mut rights) = (Vec::new(), Vec::new());
+        let (mut positions, mut lefts) = (Vec::new(), Vec::new());
+        for (i, v) in vector.iter().enumerate() {
+            let bits = v.to_bits_u64();
+            let left = (bits >> right_w) as u16;
+            rights.push(bits & mask(right_w));
+            codes.push(match meta.dict.iter().position(|&d| d == left) {
+                Some(code) => code as u64,
+                None => {
+                    positions.push(i as u16);
+                    lefts.push(left);
+                    0
+                }
+            });
+        }
+        out.extend((vector.len() as u16).to_le_bytes());
+        out.extend((positions.len() as u16).to_le_bytes());
+        out.extend(reference_stream(&codes, meta.code_width as usize));
+        out.extend(reference_stream(&rights, right_w));
+        out.extend(le16(&positions));
+        out.extend(le16(&lefts));
+    }
+    out
+}
+
+/// Byte equality with the first difference named (a body is too long to print).
+fn assert_same_bytes(got: &[u8], want: &[u8], what: &str) {
+    let at = got.iter().zip(want).position(|(a, b)| a != b);
+    assert!(
+        at.is_none() && got.len() == want.len(),
+        "{what}: {} bytes, want {}; first difference at {at:?}",
+        got.len(),
+        want.len()
+    );
+}
+
+fn assert_decodes_back<F: AlpFloat>(body: &[u8], values: &[F], what: &str) {
+    let mut back = Vec::new();
+    decode_rowgroup_into::<F>(body, &mut back).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(back.len(), values.len(), "{what}");
+    for (i, (a, b)) in values.iter().zip(&back).enumerate() {
+        assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "{what}: roundtrip [{i}]");
+    }
+}
+
+/// Holds both writers of an ALP_rd body — values → bytes in place, and the
+/// owned vectors serialized — to [`reference_rd_body`].
+fn check_rd_bodies<F: AlpFloat>(values: &[F], meta: &RdMeta, what: &str) {
+    let want = reference_rd_body(values, meta);
+    let encoder = RdEncoder::new(meta).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let mut in_place = vec![0xA5; 3]; // unaligned, and not at the start
+    encode_rd_body(&mut in_place, &encoder, values);
+    assert_same_bytes(&in_place[3..], &want, &format!("{what}: encode_rd_body"));
+    let vectors = values.chunks(VECTOR_SIZE).map(|c| encode_rd_vector(c, meta)).collect();
+    let mut owned = Vec::new();
+    write_rowgroup::<F>(&mut owned, &alp::RowGroup::Rd(meta.clone(), vectors));
+    assert_same_bytes(&owned, &want, &format!("{what}: write_rowgroup"));
+    assert_decodes_back(&want, values, what);
+}
+
+/// How many of a case's values miss the dictionary.
+#[derive(Debug, Clone, Copy)]
+enum Misses {
+    None,
+    /// One in a hundred, the first and the last slot among them.
+    Sparse,
+    All,
+}
+
+/// `len` values whose left parts at cut `lw` come from a `dict_size`-entry
+/// dictionary (every code in use; entries repeat when `2^lw` is too few) or,
+/// for the chosen misses, from outside it — when anything is outside it.
+fn rd_case<F: AlpFloat>(
+    lw: usize,
+    dict_size: usize,
+    misses: Misses,
+    len: usize,
+) -> (Vec<F>, RdMeta) {
+    let right_w = F::BITS as usize - lw;
+    let salt = (lw * 131 + dict_size) as u64;
+    let dict: Vec<u16> = (0..dict_size as u64).map(|k| (mix(salt + k) & mask(lw)) as u16).collect();
+    let outsider = (0..=mask(lw)).map(|x| x as u16).find(|x| !dict.contains(x));
+    let values = (0..len)
+        .map(|i| {
+            let miss = match misses {
+                Misses::None => false,
+                Misses::Sparse => i % 100 == 37 || i == 0 || i == len - 1,
+                Misses::All => true,
+            };
+            let hit = dict[(mix(i as u64) % dict_size as u64) as usize];
+            let left = if miss { outsider.unwrap_or(hit) } else { hit };
+            F::from_bits_u64(u64::from(left) << right_w | mix(salt ^ i as u64) & mask(right_w))
+        })
+        .collect();
+    let code_width = fastlanes::bits_needed(dict_size as u64 - 1) as u8;
+    (values, RdMeta { left_width: lw as u8, dict, code_width })
+}
+
+fn check_rd_bodies_at_every_cut<F: AlpFloat>() {
+    for lw in 1..=16usize {
+        for dict_size in [1usize, 2, 4, 8] {
+            for misses in [Misses::None, Misses::Sparse, Misses::All] {
+                // Rotate the lengths instead of crossing them; every one
+                // meets every cut and every dictionary size.
+                let lens = [1, 63, 64, 65, 1023, VECTOR_SIZE, 2 * VECTOR_SIZE + 65];
+                for len in [lens[(lw + dict_size) % 7], lens[(lw + dict_size + 3) % 7]] {
+                    let (values, meta) = rd_case::<F>(lw, dict_size, misses, len);
+                    let what =
+                        format!("{} cut {lw} dict {dict_size} {misses:?} len {len}", F::NAME);
+                    check_rd_bodies(&values, &meta, &what);
+                }
+            }
+        }
+    }
+    for len in [1, 63, 64, 65, 1023, VECTOR_SIZE] {
+        let (values, meta) = rd_case::<F>(11, 8, Misses::Sparse, len);
+        check_rd_bodies(&values, &meta, &format!("{} every length, len {len}", F::NAME));
+    }
+}
+
+#[test]
+fn rd_body_writers_match_the_reference_at_every_cut_dictionary_and_length() {
+    check_rd_bodies_at_every_cut::<f64>();
+    check_rd_bodies_at_every_cut::<f32>();
+}
+
+#[test]
+fn rd_body_writers_match_the_reference_on_real_cuts_and_special_values() {
+    // What `choose_cut` picks for real doubles, specials in the first and
+    // last slot and on block edges.
+    for (name, mut data) in datagen::all_datasets(2 * VECTOR_SIZE + 300, 20240609) {
+        let meta = choose_cut::<f64>(&data, 256);
+        for (k, &p) in EDGE_POSITIONS.iter().chain(&[2 * VECTOR_SIZE as u16 + 299]).enumerate() {
+            data[p as usize] = f64::from_bits(F64_PAYLOADS[k % F64_PAYLOADS.len()]);
+        }
+        check_rd_bodies(&data, &meta, name);
+        let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+        check_rd_bodies(&narrow, &choose_cut::<f32>(&narrow, 256), &format!("{name} as f32"));
+    }
+}
+
+/// `RdMeta` is a `pub` struct: whatever a caller fills in, the encoder
+/// refuses it with a typed error before sizing anything from it, or — for a
+/// dictionary with repeated entries — writes what a first-match search does.
+#[test]
+fn rd_encoder_refuses_impossible_parameters_and_keeps_first_match_for_duplicates() {
+    let (values, meta) = rd_case::<f64>(12, 4, Misses::Sparse, VECTOR_SIZE + 7);
+    for (what, bad) in [
+        ("no left part", RdMeta { left_width: 0, ..meta.clone() }),
+        ("left part past the cap", RdMeta { left_width: 17, ..meta.clone() }),
+        ("left part is the whole float", RdMeta { left_width: 64, ..meta.clone() }),
+        ("empty dictionary", RdMeta { dict: Vec::new(), ..meta.clone() }),
+        ("nine entries", RdMeta { dict: vec![7; 9], ..meta.clone() }),
+        ("code width past the dictionary cap", RdMeta { code_width: 4, ..meta.clone() }),
+        ("codes wider than the code width", RdMeta { code_width: 1, ..meta.clone() }),
+    ] {
+        assert!(RdEncoder::new(&bad).is_err(), "{what}: accepted");
+    }
+    let [a, b, c, _] = meta.dict[..] else { panic!("a four-entry dictionary") };
+    for dict in [vec![a, b, a, c], vec![a, a, a, a], vec![b, a, c, c]] {
+        let duplicated = RdMeta { dict, ..meta.clone() };
+        check_rd_bodies(&values, &duplicated, &format!("duplicates {:?}", duplicated.dict));
+    }
+}
+
+/// The ALP row-group body of `values`, every vector under `(e, f)`: Algorithm
+/// 1 a value at a time ([`reference_encode`]), laid out as `format.rs`
+/// documents.
+fn reference_alp_body<F: AlpFloat>(values: &[F], e: u8, f: u8) -> Vec<u8> {
+    let mut out = vec![0u8];
+    out.extend((values.len().div_ceil(VECTOR_SIZE) as u32).to_le_bytes());
+    for vector in values.chunks(VECTOR_SIZE) {
+        let (v, positions, exceptions) = reference_encode(vector, e, f);
+        out.extend([v.exponent, v.factor, v.bit_width]);
+        out.extend(v.len.to_le_bytes());
+        out.extend(v.for_base.to_le_bytes());
+        out.extend(v.exc_count.to_le_bytes());
+        out.extend(v.packed[..16 * v.bit_width as usize].iter().flat_map(|w| w.to_le_bytes()));
+        out.extend(le16(&positions));
+        out.extend(exceptions.iter().flat_map(|x| x.to_le_bytes()));
+    }
+    out
+}
+
+/// Holds both writers of an ALP body to [`reference_alp_body`]; returns the
+/// widths the vectors came out at.
+fn check_alp_bodies<F: AlpFloat>(values: &[F], e: u8, f: u8, what: &str) -> Vec<u8> {
+    let want = reference_alp_body(values, e, f);
+    let mut in_place = vec![0xA5; 5];
+    encode_alp_body(&mut in_place, values, |_| Combination { e, f });
+    assert_same_bytes(&in_place[5..], &want, &format!("{what}: encode_alp_body"));
+    let mut group = AlpGroup::default();
+    for chunk in values.chunks(VECTOR_SIZE) {
+        let v = encode_vector_into(chunk, e, f, &mut group.exceptions);
+        group.vectors.push(v);
+    }
+    let widths = group.vectors.iter().map(|v| v.bit_width).collect();
+    let mut owned = Vec::new();
+    write_rowgroup::<F>(&mut owned, &alp::RowGroup::Alp(group));
+    assert_same_bytes(&owned, &want, &format!("{what}: write_rowgroup"));
+    assert_decodes_back(&want, values, what);
+    widths
+}
+
+#[test]
+fn alp_body_writers_match_the_reference_on_every_exception_shape() {
+    for len in [1, 63, 64, 65, 1000, VECTOR_SIZE, 2 * VECTOR_SIZE + 65] {
+        let clean = decimals(len);
+        check_alp_bodies(&clean, 14, 12, &format!("clean decimals, len {len}"));
+        check_alp_bodies(&clean, 21, 0, &format!("decimals on the cast pass, len {len}"));
+
+        let mut edges = clean.clone();
+        for &p in EDGE_POSITIONS.iter().filter(|&&p| (p as usize) < len) {
+            edges[p as usize] = f64::from_bits(F64_PAYLOADS[p as usize % F64_PAYLOADS.len()]);
+        }
+        edges[len - 1] = std::f64::consts::E;
+        check_alp_bodies(&edges, 14, 12, &format!("edge exceptions, len {len}"));
+
+        let noise: Vec<f64> = (0..len).map(|i| (i as f64 + 0.1).sqrt().sin()).collect();
+        check_alp_bodies(&noise, 14, 0, &format!("nearly all exceptions, len {len}"));
+        let nans = vec![f64::from_bits(0x7FF8_DEAD_BEEF_0001); len];
+        let widths = check_alp_bodies(&nans, 14, 12, &format!("all exceptions, len {len}"));
+        assert!(widths.iter().all(|&w| w == 0), "all-exception vectors pack nothing");
+
+        let widths = check_alp_bodies(&vec![42.5f64; len], 14, 13, &format!("constant, len {len}"));
+        assert!(widths.iter().all(|&w| w == 0), "constant vectors pack nothing");
+
+        let wide: Vec<f64> = (0..len).map(|i| if i % 2 == 0 { 9e18 } else { -9e18 }).collect();
+        let widths = check_alp_bodies(&wide, 0, 0, &format!("full-width frame, len {len}"));
+        assert!(len < 2 || widths.iter().all(|&w| w == 64), "±9e18 spans 64 bits: {widths:?}");
+
+        let floats: Vec<f32> = (0..len).map(|i| (mix(i as u64) % 20_000) as f32 / 100.0).collect();
+        check_alp_bodies(&floats, 5, 3, &format!("f32 decimals, len {len}"));
+        let mut specials = floats.clone();
+        specials[0] = f32::from_bits(0x7FC0_1234);
+        specials[len - 1] = -0.0;
+        check_alp_bodies(&specials, 5, 3, &format!("f32 specials at the ends, len {len}"));
+    }
 }
 
 /// `full_search` without the abandon: every combination scored to the end.

@@ -224,3 +224,47 @@ fn worker_panic_quarantines_and_leaves_salvageable_sink() {
         assert_eq!(a.to_bits(), b.to_bits(), "committed-prefix value {i}");
     }
 }
+
+/// The summary says what the encoder decided — and says the same whoever
+/// encoded: ALP and ALP_rd row-groups, skipped level-2 searches and rescued
+/// vectors sum to what `Compressor::compress` reports for the column, at
+/// every thread count and depth.
+#[test]
+fn summaries_agree_with_the_serial_writer_and_the_column_compressor() {
+    // Two decimal row-groups, one whose second and fourth vectors hold a burst
+    // level 1 does not sample (it takes the first and the third: rescued per
+    // vector), two of real doubles, a decimal tail.
+    let mut data: Vec<f64> = (0..2 * ROWGROUP).map(|i| (i % 577) as f64 * 0.25).collect();
+    data.extend((0..ROWGROUP).map(|i| match i / 1024 {
+        1 | 3 => (i as f64 + 0.5).sqrt(),
+        _ => (i % 91) as f64 / 4.0,
+    }));
+    data.extend((0..2 * ROWGROUP).map(|i| ((i as f64) * 0.31).cos() * 1e-5));
+    data.extend((0..1500).map(|i| i as f64 / 8.0));
+
+    let column = alp::Compressor::with_params(params()).expect("valid params").compress(&data);
+    let mut sink = Vec::new();
+    let mut writer =
+        ColumnWriter::<f64, _>::with_params(&mut sink, params()).expect("valid params");
+    writer.push(&data).expect("push");
+    let serial = writer.finish().expect("finish");
+    assert_eq!(serial.stats, column.stats);
+    assert_eq!(serial.stats.rowgroups_alp + serial.stats.rowgroups_rd, serial.rowgroups);
+    assert!(serial.stats.rowgroups_alp >= 3 && serial.stats.rowgroups_rd >= 2, "{serial:?}");
+    assert!(serial.stats.rescued_vectors > 0, "{serial:?}");
+
+    for threads in THREADS {
+        for depth in DEPTHS {
+            let mut sink = Vec::new();
+            let config = PipelineConfig { threads, depth, panic_at: None };
+            let mut writer =
+                PipelinedColumnWriter::<f64, _>::with_params(&mut sink, params(), config)
+                    .expect("valid params");
+            for c in data.chunks(1777) {
+                writer.push(c).expect("push");
+            }
+            let pipelined = writer.finish().expect("finish");
+            assert_eq!(pipelined, serial, "threads={threads} depth={depth}");
+        }
+    }
+}
