@@ -16,9 +16,9 @@
 //!   closure before the claim loop starts — nothing hot is shared mutably;
 //! * results are merged only after every worker has joined, so the reduction
 //!   runs single-threaded on the caller's thread;
-//! * `threads <= 1` (or a single morsel) short-circuits to a plain serial
-//!   loop on the calling thread — no threads are spawned, which keeps
-//!   single-threaded callers allocation- and syscall-free.
+//! * `threads <= 1` (or a single morsel) runs the same claim loop on the
+//!   calling thread — no threads are spawned, which keeps single-threaded
+//!   callers syscall-free.
 //!
 //! Panics inside `work` are handled by the *containment* seam (DESIGN.md
 //! §11): the strict entry points ([`try_map_morsels`], [`map_morsels`],
@@ -196,6 +196,47 @@ impl MorselQueue {
     }
 }
 
+/// The one claim loop under every entry point below. Up to `threads` workers
+/// — the calling thread alone when `threads <= 1` or there is at most one
+/// morsel, so single-threaded callers spawn nothing — each build a scratch
+/// and an outcome with `init`, then claim morsels until the queue drains or
+/// `is_cancelled` fires (consulted before every claim: the morsel boundary).
+/// Each worker's outcome is handed to `join` on the calling thread once that
+/// worker is done; the scratch never leaves its thread.
+///
+/// What ends a run and what a panicking morsel becomes are the caller's:
+/// `step` runs its work inside [`containment::run`] and raises whatever
+/// `is_cancelled` reads, so the only panic that can escape a worker is
+/// `init`'s, forwarded untouched.
+fn claim_morsels<S, W: Send>(
+    threads: usize,
+    morsels: usize,
+    init: impl Fn() -> (S, W) + Sync,
+    is_cancelled: impl Fn() -> bool + Sync,
+    step: impl Fn(&mut S, &mut W, usize) + Sync,
+    mut join: impl FnMut(W),
+) {
+    let queue = MorselQueue::new(morsels);
+    let worker = || {
+        let (mut scratch, mut outcome) = init();
+        while !is_cancelled() {
+            let Some(m) = queue.claim() else { break };
+            step(&mut scratch, &mut outcome, m);
+        }
+        outcome
+    };
+    let workers = threads.min(morsels);
+    if workers <= 1 {
+        return join(worker());
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        for h in handles {
+            join(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+    });
+}
+
 /// Runs `work` over every morsel in `0..morsels` on up to `threads` workers
 /// and returns the results in morsel order, stopping at the first error.
 ///
@@ -216,80 +257,43 @@ where
     T: Send,
     E: Send,
 {
-    if threads <= 1 || morsels <= 1 {
-        let mut scratch = init();
-        let mut out = Vec::with_capacity(morsels);
-        for m in 0..morsels {
-            out.push(work(&mut scratch, m)?);
-        }
-        return Ok(out);
-    }
-
-    /// How one strict worker's claim loop ended.
-    enum StrictEnd<T, E> {
-        /// Queue drained (or another worker raised `stop`).
-        Done(Vec<(usize, T)>),
-        /// A morsel returned `Err`.
+    /// Why a strict worker stopped before the queue drained.
+    enum Abort<E> {
         Failed(E),
-        /// A morsel panicked; re-raised with context after the join.
         Panicked(usize, Box<dyn Any + Send>),
     }
 
-    let queue = MorselQueue::new(morsels);
     let stop = AtomicBool::new(false);
-    let workers = threads.min(morsels);
-    let joined = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut done: Vec<(usize, T)> = Vec::new();
-                    while !stop.load(Ordering::Relaxed) {
-                        let Some(m) = queue.claim() else { break };
-                        match containment::run(|| work(&mut scratch, m)) {
-                            Ok(Ok(v)) => done.push((m, v)),
-                            Ok(Err(e)) => {
-                                stop.store(true, Ordering::Relaxed);
-                                return StrictEnd::Failed(e);
-                            }
-                            Err(payload) => {
-                                stop.store(true, Ordering::Relaxed);
-                                return StrictEnd::Panicked(m, payload);
-                            }
-                        }
-                    }
-                    StrictEnd::Done(done)
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(workers);
-        for h in handles {
-            match h.join() {
-                Ok(end) => results.push(end),
-                // Only `init` runs outside containment; nothing is known
-                // about the payload, so forward it untouched.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        results
-    });
-
-    let mut pairs: Vec<(usize, T)> = Vec::with_capacity(morsels);
+    let mut pairs: Vec<(usize, T)> = Vec::new();
     let mut first_err: Option<E> = None;
-    for end in joined {
-        match end {
-            StrictEnd::Done(r) => pairs.extend(r),
-            StrictEnd::Failed(e) => {
-                first_err.get_or_insert(e);
-            }
-            // A panic outranks any `Err`: it must never be swallowed.
-            StrictEnd::Panicked(m, payload) => containment::resume_with_morsel(m, payload),
-        }
+    let mut panicked = None;
+    claim_morsels(
+        threads,
+        morsels,
+        || (init(), (Vec::new(), None)),
+        || stop.load(Ordering::Relaxed),
+        |scratch, (done, abort), m| {
+            *abort = Some(match containment::run(|| work(scratch, m)) {
+                Ok(Ok(v)) => return done.push((m, v)),
+                Ok(Err(e)) => Abort::Failed(e),
+                Err(payload) => Abort::Panicked(m, payload),
+            });
+            stop.store(true, Ordering::Relaxed);
+        },
+        |(done, abort)| match abort {
+            None => pairs.extend(done),
+            Some(Abort::Failed(e)) => drop(first_err.get_or_insert(e)),
+            Some(Abort::Panicked(m, payload)) => drop(panicked.get_or_insert((m, payload))),
+        },
+    );
+    // A panic outranks any `Err`: it must never be swallowed.
+    if let Some((m, payload)) = panicked {
+        containment::resume_with_morsel(m, payload)
     }
     if let Some(e) = first_err {
         return Err(e);
     }
-    pairs.sort_by_key(|&(m, _)| m);
+    pairs.sort_unstable_by_key(|&(m, _)| m);
     Ok(pairs.into_iter().map(|(_, v)| v).collect())
 }
 
@@ -351,78 +355,35 @@ pub fn run_morsels_governed<T, S>(
 where
     T: Send,
 {
-    if threads <= 1 || morsels <= 1 {
-        let mut scratch = init();
-        let mut completed = Vec::with_capacity(morsels);
-        let mut failures = Vec::new();
-        for m in 0..morsels {
-            if token.is_cancelled() {
-                return GovernedRun { completed, failures, cancelled: true };
-            }
-            match containment::run(|| work(&mut scratch, m)) {
-                Ok(v) => completed.push((m, v)),
-                Err(payload) => {
-                    failures.push(MorselFailure {
-                        morsel: m,
-                        message: containment::payload_message(&*payload),
-                    });
-                    scratch = init();
-                }
-            }
-        }
-        return GovernedRun { completed, failures, cancelled: false };
-    }
-
-    let queue = MorselQueue::new(morsels);
-    let workers = threads.min(morsels);
     let cut_short = AtomicBool::new(false);
-    let joined = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = init();
-                    let mut ok: Vec<(usize, T)> = Vec::new();
-                    let mut failed: Vec<MorselFailure> = Vec::new();
-                    loop {
-                        if token.is_cancelled() {
-                            cut_short.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        let Some(m) = queue.claim() else { break };
-                        match containment::run(|| work(&mut scratch, m)) {
-                            Ok(v) => ok.push((m, v)),
-                            Err(payload) => {
-                                failed.push(MorselFailure {
-                                    morsel: m,
-                                    message: containment::payload_message(&*payload),
-                                });
-                                scratch = init();
-                            }
-                        }
-                    }
-                    (ok, failed)
-                })
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(workers);
-        for h in handles {
-            match h.join() {
-                Ok(p) => parts.push(p),
-                // Only `init` runs outside containment.
-                Err(payload) => std::panic::resume_unwind(payload),
+    let mut completed: Vec<(usize, T)> = Vec::new();
+    let mut failures: Vec<MorselFailure> = Vec::new();
+    claim_morsels(
+        threads,
+        morsels,
+        || (init(), (Vec::new(), Vec::new())),
+        || {
+            let fired = token.is_cancelled();
+            if fired {
+                cut_short.store(true, Ordering::Relaxed);
             }
-        }
-        parts
-    });
-
-    let mut completed = Vec::with_capacity(morsels);
-    let mut failures = Vec::new();
-    for (o, f) in joined {
-        completed.extend(o);
-        failures.extend(f);
-    }
-    completed.sort_by_key(|&(m, _)| m);
-    failures.sort_by_key(|f| f.morsel);
+            fired
+        },
+        |scratch, (ok, failed), m| match containment::run(|| work(scratch, m)) {
+            Ok(v) => ok.push((m, v)),
+            Err(payload) => {
+                let message = containment::payload_message(&*payload);
+                failed.push(MorselFailure { morsel: m, message });
+                *scratch = init();
+            }
+        },
+        |(ok, failed)| {
+            completed.extend(ok);
+            failures.extend(failed);
+        },
+    );
+    completed.sort_unstable_by_key(|&(m, _)| m);
+    failures.sort_unstable_by_key(|f| f.morsel);
     // "Cancelled" means morsels were actually abandoned: a token that fires
     // after the queue drained (but before a worker's final boundary check)
     // cut nothing short.
@@ -453,7 +414,8 @@ where
 /// Folds every morsel into per-worker accumulators, then reduces the
 /// accumulators on the calling thread. This is the aggregation shape of
 /// `vectorq`'s `par_scan`/`par_sum`: order-insensitive, no per-morsel
-/// allocation.
+/// allocation. One worker hitting a panic stops the whole fold — siblings
+/// quit claiming instead of folding morsels the re-raise will throw away.
 pub fn fold_morsels<A>(
     threads: usize,
     morsels: usize,
@@ -464,49 +426,34 @@ pub fn fold_morsels<A>(
 where
     A: Send,
 {
-    if threads <= 1 || morsels <= 1 {
-        let mut acc = init();
-        for m in 0..morsels {
-            work(&mut acc, m);
-        }
-        return acc;
-    }
-
-    let queue = MorselQueue::new(morsels);
-    let workers = threads.min(morsels);
-    // One worker hitting a panic stops the whole fold: siblings poll the
-    // stop flag before each claim so they quit draining the queue instead of
-    // folding morsels whose result will be thrown away by the re-raise.
     let stop = AtomicBool::new(false);
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut acc = init();
-                    while !stop.load(Ordering::Relaxed) {
-                        let Some(m) = queue.claim() else { break };
-                        if let Err(payload) = containment::run(|| work(&mut acc, m)) {
-                            stop.store(true, Ordering::Relaxed);
-                            return Err((m, payload));
-                        }
-                    }
-                    Ok(acc)
-                })
-            })
-            .collect();
-        let mut results = Vec::with_capacity(workers);
-        for h in handles {
-            match h.join() {
-                Ok(Ok(a)) => results.push(a),
-                // Re-raise with the poisoned morsel's index attached.
-                Ok(Err((m, payload))) => containment::resume_with_morsel(m, payload),
-                // Only `init` runs outside containment.
-                Err(payload) => std::panic::resume_unwind(payload),
+    let mut total: Option<A> = None;
+    let mut panicked = None;
+    claim_morsels(
+        threads,
+        morsels,
+        || ((), (init(), None)),
+        || stop.load(Ordering::Relaxed),
+        |(), (acc, poisoned), m| {
+            if let Err(payload) = containment::run(|| work(acc, m)) {
+                *poisoned = Some((m, payload));
+                stop.store(true, Ordering::Relaxed);
             }
-        }
-        results
-    });
-    partials.into_iter().reduce(reduce).unwrap_or_else(init)
+        },
+        |(acc, poisoned)| match poisoned {
+            Some(p) => drop(panicked.get_or_insert(p)),
+            None => {
+                total = Some(match total.take() {
+                    Some(t) => reduce(t, acc),
+                    None => acc,
+                })
+            }
+        },
+    );
+    if let Some((m, payload)) = panicked {
+        containment::resume_with_morsel(m, payload)
+    }
+    total.unwrap_or_else(init)
 }
 
 #[cfg(test)]

@@ -485,9 +485,14 @@ impl Compressor {
     }
 
     /// Compresses one row-group's worth of values into an owned [`RowGroup`].
-    fn compress_rowgroup<F: AlpFloat>(&self, rg_data: &[F], stats: &mut SamplerStats) -> RowGroup {
+    fn compress_rowgroup<F: AlpFloat>(
+        &self,
+        rg_data: &[F],
+        scratch: &mut EncodeScratch,
+        stats: &mut SamplerStats,
+    ) -> RowGroup {
         let vectors = rg_data.chunks(VECTOR_SIZE);
-        match self.plan_rowgroup(rg_data, &mut EncodeScratch::default(), stats) {
+        match self.plan_rowgroup(rg_data, scratch, stats) {
             Plan::Rd(encoder) => RowGroup::Rd(
                 encoder.cut().to_meta(),
                 vectors.map(|chunk| encoder.encode_owned(chunk)).collect(),
@@ -536,26 +541,23 @@ impl Compressor {
     }
 
     /// Compresses a column on up to `threads` morsel-claiming workers, one
-    /// row-group per morsel (at `threads <= 1` the scheduler runs inline on
-    /// the caller). The output — row-groups, exception arenas, and sampling
-    /// statistics — is byte-identical at every thread count: sampling is
-    /// row-group-local and the per-worker [`SamplerStats`] partials are pure
-    /// sums (see [`SamplerStats::merge`]).
+    /// row-group per morsel and one [`EncodeScratch`] per worker (at
+    /// `threads <= 1` the scheduler runs inline on the caller). The output —
+    /// row-groups, exception arenas, and sampling statistics — is
+    /// byte-identical at every thread count: sampling is row-group-local and
+    /// the per-worker [`SamplerStats`] partials are pure sums (see
+    /// [`SamplerStats::merge`]).
     pub fn compress_parallel<F: AlpFloat>(&self, data: &[F], threads: usize) -> Compressed<F> {
         let rg_values = self.rowgroup_values();
         let morsels = data.len().div_ceil(rg_values);
-        let pieces = crate::par::map_morsels(
-            threads,
-            morsels,
-            || (),
-            |(), m| {
+        let pieces =
+            crate::par::map_morsels(threads, morsels, EncodeScratch::default, |scratch, m| {
                 let start = m * rg_values;
                 let end = (start + rg_values).min(data.len());
                 let mut stats = SamplerStats::default();
-                let rg = self.compress_rowgroup(&data[start..end], &mut stats);
+                let rg = self.compress_rowgroup(&data[start..end], scratch, &mut stats);
                 (rg, stats)
-            },
-        );
+            });
         let mut stats = SamplerStats::default();
         let mut rowgroups = Vec::with_capacity(pieces.len());
         for (rg, partial) in pieces {

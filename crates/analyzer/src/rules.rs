@@ -14,9 +14,7 @@
 //! * `registry-sync` — every `ColumnCodec` value (a unit-struct impl, or
 //!   each `static`/`const` instance of an implementing type) must appear
 //!   exactly once in the codec registry's literal `ENTRIES` list, and every
-//!   entry must name a live value. Additionally, a codec claiming
-//!   `fused_scan: true` in its capabilities must override `try_scan_fused`
-//!   (and vice versa): the flag and the kernel drift independently otherwise.
+//!   entry must name a live value.
 //! * `contained-unwind` — `catch_unwind` is only legal inside the parallel
 //!   scheduler's containment seam (`alp::par`); swallowing panics anywhere
 //!   else hides poisoned state instead of quarantining it.
@@ -685,62 +683,6 @@ fn registry_sync(files: &BTreeMap<String, FileInfo>, cfg: &Config, findings: &mu
             if let Some(name) = name {
                 impls.push((name, path, idx + 1));
             }
-        }
-    }
-
-    // Fused-scan capability sync: within each impl block (brace-matched from
-    // the `impl` line), `fused_scan: true` in caps and a `try_scan_fused`
-    // override must appear together. A claim without a kernel silently routes
-    // capability-checking callers through the default materialize-then-scan
-    // body; a kernel without the claim is dead code no caller ever reaches.
-    for (name, path, line) in &impls {
-        let Some(info) = files.get(*path) else { continue };
-        let mut depth = 0usize;
-        let mut opened = false;
-        let mut claim_line = None;
-        let mut kernel_line = None;
-        for (idx, l) in info.lines.iter().enumerate().skip(line - 1) {
-            for b in l.code.bytes() {
-                match b {
-                    b'{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    b'}' => depth = depth.saturating_sub(1),
-                    _ => {}
-                }
-            }
-            let squeezed: String = l.code.split_whitespace().collect();
-            if claim_line.is_none() && squeezed.contains("fused_scan:true") {
-                claim_line = Some(idx + 1);
-            }
-            if kernel_line.is_none() && l.code.contains("fn try_scan_fused") {
-                kernel_line = Some(idx + 1);
-            }
-            if opened && depth == 0 {
-                break;
-            }
-        }
-        match (claim_line, kernel_line) {
-            (Some(cl), None) => findings.push(Finding::new(
-                "registry-sync",
-                path,
-                cl,
-                &format!(
-                    "`{name}` claims `fused_scan: true` but its impl has no `try_scan_fused` \
-                     override — the flag would silently fall back to materialize-then-scan"
-                ),
-            )),
-            (None, Some(kl)) => findings.push(Finding::new(
-                "registry-sync",
-                path,
-                kl,
-                &format!(
-                    "`{name}` overrides `try_scan_fused` without claiming `fused_scan: true` \
-                     in its caps — capability-checking callers will never reach the kernel"
-                ),
-            )),
-            _ => {}
         }
     }
 

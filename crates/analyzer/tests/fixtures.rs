@@ -131,20 +131,6 @@ fn registry_good_is_clean() {
 }
 
 #[test]
-fn fused_bad_flags_capability_drift_in_both_directions() {
-    let found = scan("crates/core/src/registry.rs", include_str!("fixtures/fused_bad.rs"));
-    // Line 6: `Claimer` sets `fused_scan: true` but never overrides the
-    // kernel, 12: `Hidden` ships a kernel its caps never claim.
-    assert_eq!(found, pairs(&[("registry-sync", 6), ("registry-sync", 12)]));
-}
-
-#[test]
-fn fused_good_is_clean() {
-    let found = scan("crates/core/src/registry.rs", include_str!("fixtures/fused_good.rs"));
-    assert_eq!(found, pairs(&[]));
-}
-
-#[test]
 fn contained_unwind_bad_flags_catch_unwind_outside_the_seam() {
     let found = scan("crates/core/src/worker.rs", include_str!("fixtures/unwind_bad.rs"));
     // Line 4: the `use std::panic::catch_unwind` import, 7: the call site.

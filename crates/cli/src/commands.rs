@@ -727,9 +727,6 @@ pub fn list_codecs() -> Result<()> {
         if caps.block_based {
             tags.push("block-based");
         }
-        if caps.fused_scan {
-            tags.push("fused-scan");
-        }
         if caps.streaming_ingest {
             tags.push("streaming-ingest");
         }

@@ -44,71 +44,16 @@ fn main() -> ExitCode {
     if args.first().map(String::as_str) == Some("analyze") {
         return commands::analyze(&args[1..]);
     }
-    // `--threads` takes a value, so extract it (and its argument) before the
+    // Value-taking flags come out (with their arguments) before the
     // boolean-flag partition below.
-    let mut threads_flag: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("--threads requires a value");
-            return usage();
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n > 0 => threads_flag = Some(n),
-            _ => {
-                eprintln!("--threads expects a positive integer, got {value:?}");
+    let ValueFlags { threads: threads_flag, depth: depth_flag, parity: parity_flag, deadline_ms } =
+        match ValueFlags::take(&mut args) {
+            Ok(values) => values,
+            Err(message) => {
+                eprintln!("{message}");
                 return usage();
             }
-        }
-        args.drain(i..=i + 1);
-    }
-    // `--pipeline-depth` (compress --stream) takes a value too.
-    let mut depth_flag: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--pipeline-depth") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("--pipeline-depth requires a value");
-            return usage();
         };
-        match value.parse::<usize>() {
-            Ok(n) if n > 0 => depth_flag = Some(n),
-            _ => {
-                eprintln!("--pipeline-depth expects a positive integer, got {value:?}");
-                return usage();
-            }
-        }
-        args.drain(i..=i + 1);
-    }
-    // `--parity` (compress) takes a value too: the row-group group size.
-    let mut parity_flag: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--parity") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("--parity requires a value (row-groups per parity frame)");
-            return usage();
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n > 0 && n <= 255 => parity_flag = Some(n),
-            _ => {
-                eprintln!("--parity expects an integer in 1..=255, got {value:?}");
-                return usage();
-            }
-        }
-        args.drain(i..=i + 1);
-    }
-    // `--deadline-ms` (query) takes a value too.
-    let mut deadline_ms: Option<u64> = None;
-    if let Some(i) = args.iter().position(|a| a == "--deadline-ms") {
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("--deadline-ms requires a value");
-            return usage();
-        };
-        match value.parse::<u64>() {
-            Ok(ms) if ms > 0 => deadline_ms = Some(ms),
-            _ => {
-                eprintln!("--deadline-ms expects a positive integer, got {value:?}");
-                return usage();
-            }
-        }
-        args.drain(i..=i + 1);
-    }
     let threads = alp_core::par::resolve_threads(threads_flag);
     let (flags, positional): (Vec<&String>, Vec<&String>) =
         args.iter().partition(|a| a.starts_with("--"));
@@ -183,6 +128,51 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The flags that take a value.
+struct ValueFlags {
+    threads: Option<usize>,
+    depth: Option<usize>,
+    parity: Option<usize>,
+    deadline_ms: Option<u64>,
+}
+
+impl ValueFlags {
+    /// Takes each flag and its value out of `args`; the first complaint
+    /// otherwise.
+    fn take(args: &mut Vec<String>) -> Result<Self, String> {
+        Ok(ValueFlags {
+            threads: take_value(args, "--threads", "", usize::MAX)?,
+            depth: take_value(args, "--pipeline-depth", "", usize::MAX)?,
+            parity: take_value(args, "--parity", " (row-groups per parity frame)", 255)?,
+            deadline_ms: take_value(args, "--deadline-ms", "", usize::MAX)?.map(|ms| ms as u64),
+        })
+    }
+}
+
+/// Removes `flag` and the value after it, an integer in `1..=max`, from
+/// `args`. `Ok(None)` when the flag is absent; `Err` is the message for a
+/// missing value (`what` says what the value means) or an unacceptable one.
+fn take_value(
+    args: &mut Vec<String>,
+    flag: &str,
+    what: &str,
+    max: usize,
+) -> Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    let Some(value) = args.get(i + 1) else {
+        return Err(format!("{flag} requires a value{what}"));
+    };
+    let Some(n) = value.parse().ok().filter(|n| (1..=max).contains(n)) else {
+        let expects = match max {
+            usize::MAX => "a positive integer".to_string(),
+            _ => format!("an integer in 1..={max}"),
+        };
+        return Err(format!("{flag} expects {expects}, got {value:?}"));
+    };
+    args.drain(i..=i + 1);
+    Ok(Some(n))
 }
 
 fn usage() -> ExitCode {

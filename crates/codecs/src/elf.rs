@@ -129,7 +129,7 @@ pub fn try_decompress_into(
 
     let mut flags = BitReader::new(flag_bytes);
     out.clear();
-    out.reserve(count.min(1 << 24));
+    out.reserve(count); // bounded by the bytes: checked above
     for &bits in words.iter() {
         let v = f64::from_bits(bits);
         if flags.read_bit() {

@@ -35,6 +35,22 @@ pub enum CodecError {
 }
 
 impl CodecError {
+    /// Refuses a `count` that `bytes` cannot back when every value costs at
+    /// least one bit: the truncation a zero-filling bit reader would only
+    /// report after decoding (and storing) all `count` values. The XOR
+    /// decoders call it first, so a count from an unauthenticated header
+    /// costs no more memory or time than the bytes beside it.
+    pub(crate) fn unless_backed(
+        codec: &'static str,
+        bytes: &[u8],
+        count: usize,
+    ) -> Result<(), CodecError> {
+        if count > bytes.len().saturating_mul(8) {
+            return Err(CodecError::Truncated { codec });
+        }
+        Ok(())
+    }
+
     /// Name of the codec that produced the error.
     pub fn codec(&self) -> &'static str {
         match self {

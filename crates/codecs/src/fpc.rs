@@ -181,7 +181,7 @@ pub fn try_decompress_into(
 
     predictor.reset();
     out.clear();
-    out.reserve(count.min(1 << 24));
+    out.reserve(count); // bounded by the bytes: checked above
     for i in 0..count {
         // ANALYZER-ALLOW(no-panic): header_len >= ceil(count/2) checked above
         let byte = headers[i / 2];

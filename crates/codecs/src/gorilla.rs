@@ -85,9 +85,10 @@ pub fn try_decompress_words_into<W: Word>(
     count: usize,
     out: &mut Vec<W>,
 ) -> Result<(), CodecError> {
+    CodecError::unless_backed(NAME, bytes, count)?;
     let mut r = BitReader::new(bytes);
     out.clear();
-    out.reserve(count.min(1 << 24));
+    out.reserve(count);
     if count == 0 {
         return Ok(());
     }

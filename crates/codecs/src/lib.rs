@@ -229,6 +229,33 @@ mod tests {
         }
     }
 
+    /// Found by the differential driver: told a count the bytes could not
+    /// back, the bit-reader codecs decoded (and stored) that many zero-filled
+    /// values before reporting the truncation, and the others reserved for it.
+    #[test]
+    fn a_count_the_bytes_cannot_back_is_refused_before_anything_is_reserved() {
+        let data: Vec<f64> = (0..100).map(|i| i as f64 * 0.5).collect();
+        for codec in Codec::ALL {
+            let bytes = codec.compress_f64(&data);
+            let mut out = Vec::new();
+            for lie in [bytes.len() * 8 + 1, 1 << 40, usize::MAX] {
+                let result = codec.try_decompress_f64_into(
+                    &bytes,
+                    lie,
+                    &mut out,
+                    &mut DecodeScratch::default(),
+                );
+                assert!(result.is_err(), "{} told {lie} values", codec.name());
+                assert!(
+                    out.capacity() <= bytes.len() * 8,
+                    "{} reserved {}",
+                    codec.name(),
+                    out.capacity()
+                );
+            }
+        }
+    }
+
     #[test]
     fn f32_support_matches_paper() {
         assert!(Codec::Gorilla.supports_f32());

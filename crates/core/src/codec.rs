@@ -2,7 +2,6 @@
 //! workspace.
 
 use crate::error::CoreError;
-use crate::scan::{scan_values, ScanAgg, ScanPredicate, ScanResult};
 use crate::scratch::Scratch;
 
 /// What a codec can and cannot do — consumers branch on capabilities instead
@@ -27,13 +26,6 @@ pub struct Capabilities {
     /// False for ratio-only schemes, which have no byte path to decode at
     /// all; raw/uncompressed storage is handled by the consumer, not here.
     pub cacheable_decode: bool,
-    /// [`ColumnCodec::try_scan_fused`] has a real fused implementation —
-    /// predicate and aggregation run inside the decode kernel with no
-    /// materialized vector. Codecs leaving this false serve scans through the
-    /// default materialize-then-scan path. Enforced by the `registry-sync`
-    /// analyzer rule: claiming `fused_scan: true` without overriding
-    /// `try_scan_fused` (or vice versa) is a finding.
-    pub fused_scan: bool,
     /// An incremental, bounded-memory stream writer exists for this codec,
     /// including a pipelined mode that overlaps compression with source
     /// fill (see [`crate::ingest`]). Columns of any length can be ingested
@@ -50,7 +42,6 @@ impl Capabilities {
             ratio_only: false,
             block_based: false,
             cacheable_decode: true,
-            fused_scan: false,
             streaming_ingest: false,
         }
     }
@@ -139,32 +130,6 @@ pub trait ColumnCodec: Sync {
             Ok(stage.len() * 8)
         })();
         scratch.stage = stage;
-        scratch.floats = floats;
-        result
-    }
-
-    /// Predicate scan over a compressed column: aggregates the values
-    /// matching `pred` (SUM/COUNT, optionally MIN/MAX per `agg`) plus a
-    /// per-value validity bitmap. The default materializes through
-    /// [`ColumnCodec::try_decompress_into`] and folds [`scan_values`] over
-    /// the buffer; codecs with [`Capabilities::fused_scan`] override with a
-    /// kernel that never materializes. Overrides must be **bit-identical** to
-    /// this default — same canonical sum, same bitmap (see
-    /// [`crate::scan`] for the contract).
-    fn try_scan_fused(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        pred: ScanPredicate,
-        agg: ScanAgg,
-        scratch: &mut Scratch,
-    ) -> Result<ScanResult, CoreError> {
-        let mut floats = std::mem::take(&mut scratch.floats);
-        let result = self.try_decompress_into(bytes, count, &mut floats, scratch).map(|()| {
-            let mut r = ScanResult::new();
-            scan_values(&floats, pred, agg, &mut r);
-            r
-        });
         scratch.floats = floats;
         result
     }

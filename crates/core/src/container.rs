@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic "ALPC" | id_len: u8 | id bytes | count: u64 LE | payload_len: u64 LE
-//!   | xxh64(payload): u64 LE | frames | [trailing parity frames]
+//!   | xxh64(payload, seed ^ count): u64 LE | frames | [trailing parity frames]
 //! ```
 //!
 //! The codec id is stored by name, so a reader needs no out-of-band schema to
@@ -14,7 +14,10 @@
 //! with a registry header and opaque bodies. Per-slice checksums *localize*
 //! damage; the header's whole-payload checksum stays as the end-to-end proof
 //! that the reassembled (and possibly repaired) payload is what was written,
-//! before any decoder sees the bytes.
+//! before any decoder sees the bytes. It is keyed by the value count: most
+//! codecs' payloads do not say how many values they hold, so a damaged
+//! `count` would otherwise decode — silently short, or long by whatever the
+//! padding bits happen to spell.
 //!
 //! [`write_container_with_parity`] appends the layer's trailing `"ALPP"`
 //! parity section, one parity frame per `group_size` slices, which
@@ -36,6 +39,11 @@ pub const MAGIC: [u8; 4] = *b"ALPC";
 /// Seed of the whole-payload checksum (distinct from the frame layer's seed
 /// so the two integrity domains cannot be confused).
 const CHECKSUM_SEED: u64 = 0xC0_17_A1_9E;
+
+/// The header's checksum: of the whole payload, keyed by the value count.
+fn payload_checksum(payload: &[u8], count: usize) -> u64 {
+    alp::hash::xxh64(payload, CHECKSUM_SEED ^ count as u64)
+}
 
 /// Fixed bytes before the frames, excluding the variable-length id.
 const FIXED_HEADER: usize = MAGIC.len() + 1 + 8 + 8 + 8;
@@ -90,7 +98,7 @@ fn write_envelope(
         out.extend_from_slice(id);
         out.extend_from_slice(&(data.len() as u64).to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&alp::hash::xxh64(&payload, CHECKSUM_SEED).to_le_bytes());
+        out.extend_from_slice(&payload_checksum(&payload, data.len()).to_le_bytes());
         frame::encode_trailing(&mut out, parity, payload.chunks(SLICE_LEN), |o, slice| {
             o.extend_from_slice(slice)
         });
@@ -146,7 +154,7 @@ fn decode_payload(
     if payload.len() != header.payload_len {
         return Err(CoreError::Format(FormatError::Corrupt("container payload length")));
     }
-    let computed = alp::hash::xxh64(payload, CHECKSUM_SEED);
+    let computed = payload_checksum(payload, header.count);
     if computed != header.stored {
         return Err(CoreError::Format(FormatError::ChecksumMismatch {
             rowgroup: 0,
@@ -267,6 +275,34 @@ mod tests {
         }
     }
 
+    /// Found by the differential driver's header mutations: `count` was the
+    /// one header field nothing vouched for, so one flipped bit decoded a
+    /// column one value long (the XOR decoders read the padding as "same as
+    /// the last value"), a saturated field drove a multi-gigabyte decode, and
+    /// the gpzip adapter's `count * 8` overflowed. The checksum is keyed by it.
+    #[test]
+    fn a_damaged_value_count_is_a_checksum_mismatch_for_every_codec() {
+        let data = sample();
+        let mut scratch = Scratch::new();
+        for codec in Registry::all().iter().filter(|c| !c.caps().ratio_only) {
+            let frame = write_container(*codec, &data, &mut scratch).expect("compress");
+            let count_at = MAGIC.len() + 1 + codec.id().len();
+            let lies = [data.len() as u64 ^ 1, data.len() as u64 - 1, 0, 1 << 40, u64::MAX];
+            for lie in lies {
+                let mut lying = frame.clone();
+                lying[count_at..count_at + 8].copy_from_slice(&lie.to_le_bytes());
+                let err = try_read_container_into(&lying, &mut Vec::new(), &mut scratch)
+                    .map(|c| c.id())
+                    .unwrap_err();
+                assert!(
+                    matches!(err, CoreError::Format(FormatError::ChecksumMismatch { .. })),
+                    "{} claiming {lie}: {err:?}",
+                    codec.id()
+                );
+            }
+        }
+    }
+
     #[test]
     fn ratio_only_codec_is_rejected_at_write() {
         let lwc = Registry::get("lwc-alp").expect("registered");
@@ -319,7 +355,7 @@ mod tests {
         old.extend_from_slice(b"alp");
         old.extend_from_slice(&(data.len() as u64).to_le_bytes());
         old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        old.extend_from_slice(&alp::hash::xxh64(&payload, CHECKSUM_SEED).to_le_bytes());
+        old.extend_from_slice(&payload_checksum(&payload, data.len()).to_le_bytes());
         old.extend_from_slice(&payload);
         let mut out = Vec::new();
         for threads in [1usize, 4] {

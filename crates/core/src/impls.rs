@@ -9,29 +9,7 @@
 
 use crate::codec::{verify_lossless, Capabilities, ColumnCodec};
 use crate::error::CoreError;
-use crate::scan::{ScanAgg, ScanPredicate, ScanResult};
 use crate::scratch::Scratch;
-
-/// Merges a per-vector min into the running min with the same tie semantics
-/// as the sequential fold in [`crate::scan::scan_values`] (earlier value wins
-/// ties, e.g. `0.0` vs `-0.0`), keeping fused and materializing scans
-/// bit-identical.
-fn merge_min(acc: Option<f64>, v: Option<f64>) -> Option<f64> {
-    match (acc, v) {
-        (Some(a), Some(b)) => Some(if a <= b { a } else { b }),
-        (Some(a), None) => Some(a),
-        (None, b) => b,
-    }
-}
-
-/// Max-side twin of [`merge_min`].
-fn merge_max(acc: Option<f64>, v: Option<f64>) -> Option<f64> {
-    match (acc, v) {
-        (Some(a), Some(b)) => Some(if a >= b { a } else { b }),
-        (Some(a), None) => Some(a),
-        (None, b) => b,
-    }
-}
 
 /// One of the seven per-value baselines of the paper's evaluation — the
 /// registry's face of a [`codecs::Codec`]. The instances differ in nothing
@@ -138,7 +116,6 @@ impl ColumnCodec for Alp {
         Capabilities {
             random_vector_access: true,
             f32: true,
-            fused_scan: true,
             streaming_ingest: true,
             ..Capabilities::vector()
         }
@@ -153,67 +130,6 @@ impl ColumnCodec for Alp {
         out.clear();
         out.extend_from_slice(&alp::format::to_bytes(&compressed));
         Ok(())
-    }
-    /// Fused scan: per-vector unpack→FOR→patch→predicate→aggregate kernels
-    /// with mid-stream exception patching; ALP_rd vectors (no decimal fast
-    /// path) decode into scratch and scan. Bit-identical to the default
-    /// materialize-then-scan — per-vector canonical sums added in vector order.
-    fn try_scan_fused(
-        &self,
-        bytes: &[u8],
-        count: usize,
-        pred: ScanPredicate,
-        agg: ScanAgg,
-        scratch: &mut Scratch,
-    ) -> Result<ScanResult, CoreError> {
-        let compressed = alp::format::from_bytes::<f64>(bytes)?;
-        if compressed.len != count {
-            return Err(CoreError::LengthMismatch {
-                codec: "alp",
-                expected: count,
-                actual: compressed.len,
-            });
-        }
-        let with_minmax = matches!(agg, ScanAgg::All);
-        let mut floats = std::mem::take(&mut scratch.floats);
-        floats.clear();
-        floats.resize(alp::VECTOR_SIZE, 0.0);
-        let mut result = ScanResult::new();
-        for (rg_idx, rg) in compressed.rowgroups.iter().enumerate() {
-            for v_idx in 0..rg.vector_count() {
-                let scan = compressed.try_scan_vector(
-                    rg_idx,
-                    v_idx,
-                    pred.lo,
-                    pred.hi,
-                    with_minmax,
-                    &mut floats,
-                );
-                let Ok(scan) = scan else {
-                    // Unreachable: both indices come from the iteration above.
-                    scratch.floats = floats;
-                    return Err(CoreError::Unsupported {
-                        codec: "alp",
-                        what: "fused scan of an out-of-range vector",
-                    });
-                };
-                result.sum += scan.sum;
-                result.matches += scan.matches;
-                result.min = merge_min(result.min, scan.min);
-                result.max = merge_max(result.max, scan.max);
-                let mut remaining = scan.len;
-                for &w in scan.valid.iter() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let bits = remaining.min(64);
-                    result.validity.push_word(w, bits);
-                    remaining -= bits;
-                }
-            }
-        }
-        scratch.floats = floats;
-        Ok(result)
     }
     fn try_decompress_into(
         &self,
@@ -325,11 +241,11 @@ fn bytes_to_f64(
     count: usize,
     out: &mut Vec<f64>,
 ) -> Result<(), CoreError> {
-    if raw.len() != count * 8 {
+    if count.checked_mul(8) != Some(raw.len()) {
         return Err(CoreError::LengthMismatch { codec, expected: count, actual: raw.len() / 8 });
     }
     out.clear();
-    out.reserve(count.min(1 << 24));
+    out.reserve(count);
     for chunk in raw.chunks_exact(8) {
         let mut le = [0u8; 8];
         le.copy_from_slice(chunk);

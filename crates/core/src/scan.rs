@@ -1,6 +1,6 @@
-//! Fused-scan support: validity bitmaps ([`Validity`]), the scan contract
-//! ([`ScanResult`]), and the materialize-then-scan reference implementation
-//! ([`scan_values`]) behind `ColumnCodec::try_scan_fused`'s default.
+//! The scan oracle: validity bitmaps ([`Validity`]), the scan contract
+//! ([`ScanResult`]), and the reference implementation over plain values
+//! ([`scan_values`]) every compressed-domain aggregate is held equal to.
 //!
 //! ## Accumulation contract
 //! A scan's sum is the workspace's *canonical sum* ([`alp::decode`], DESIGN.md
@@ -148,8 +148,8 @@ impl ScanResult {
 }
 
 /// The reference scan: folds the canonical sum over `values` at 1024-value
-/// vector granularity, appending to `result`. `try_scan_fused`'s default
-/// decompresses and calls this; fused overrides must match it bit-for-bit.
+/// vector granularity, appending to `result`. Every aggregate over stored
+/// columns must match it bit-for-bit (`tests/differential.rs`).
 pub fn scan_values(values: &[f64], pred: ScanPredicate, agg: ScanAgg, result: &mut ScanResult) {
     let with_minmax = matches!(agg, ScanAgg::All);
     for vector in values.chunks(VECTOR_SIZE) {

@@ -3,9 +3,10 @@
 //! Every decoder in the workspace claims the same contract for untrusted
 //! bytes: *return `Err`, never panic, never read out of bounds, never
 //! allocate unboundedly*. This module generates the adversarial corpus that
-//! the integration suite (`tests/codec_robustness.rs`) runs against each of
-//! them — truncations at boundary classes, single and multi bit-flips, and
-//! random garbage — plus [`assert_decoder_robust`], the standard driver.
+//! the differential driver (`tests/driver/mod.rs`, `assert_total`) runs
+//! against each of them — truncations at boundary classes, single and multi
+//! bit-flips, and random garbage — and the frame walkers it aims its
+//! structure-aware mutations with.
 //!
 //! Everything is deterministic: cases derive from a caller-provided seed via
 //! an inline SplitMix64, so a failure reproduces from its printed label.
@@ -296,84 +297,6 @@ pub fn corpus(original: &[u8], seed: u64) -> Vec<Case> {
     cases.extend(multi_bit_flips(original, seed, 32));
     cases.extend(garbage(seed, &[0, 1, 7, 64, 1024, original.len().clamp(1, 1 << 16)]));
     cases
-}
-
-/// Standard robustness driver. `decode` is run over the whole corpus and must
-/// *return* on every case (a panic fails the test by itself); additionally:
-///
-/// * the pristine input must still decode (`Ok`);
-/// * aggressive truncations — empty input and cuts at 1/3 and 1/2 of the
-///   stream, which provably destroy payload — must be *detected* (`Err`).
-///
-/// Bit-flips are deliberately not required to `Err` here: codecs without
-/// checksums (every XOR baseline) cannot detect a payload flip that decodes
-/// to different-but-well-formed values. Formats with integrity frames get
-/// the stronger every-flip-errs guarantee in their own tests.
-pub fn assert_decoder_robust<T, E: core::fmt::Debug>(
-    original: &[u8],
-    seed: u64,
-    mut decode: impl FnMut(&[u8]) -> Result<T, E>,
-) {
-    assert!(decode(original).is_ok(), "decoder rejects pristine input");
-    for case in corpus(original, seed) {
-        let _ = decode(&case.bytes);
-    }
-    for cut in [0, original.len() / 3, original.len() / 2] {
-        assert!(
-            decode(&original[..cut]).is_err(),
-            "truncation to {cut} of {} bytes went undetected",
-            original.len()
-        );
-    }
-}
-
-/// Runs [`assert_decoder_robust`] over every serializable codec in the
-/// workspace [`alp_core::Registry`], twice per codec: once on the raw
-/// compressed bytes, once wrapped in the checksummed container envelope.
-///
-/// New codecs are covered automatically the moment they are registered —
-/// there is no per-codec list to keep in sync.
-pub fn assert_registry_robust(data: &[f64], seed: u64) {
-    use alp_core::{Registry, Scratch};
-    for codec in Registry::all().iter().filter(|c| !c.caps().ratio_only) {
-        let mut bytes = Vec::new();
-        codec
-            .try_compress_into(data, &mut bytes, &mut Scratch::new())
-            .unwrap_or_else(|e| panic!("{}: compress failed: {e}", codec.id()));
-        let codec_seed = seed ^ alp::hash::xxh64(codec.id().as_bytes(), 0);
-
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        assert_decoder_robust(&bytes, codec_seed, |b| {
-            codec.try_decompress_into(b, data.len(), &mut out, &mut scratch)
-        });
-
-        let frame = alp_core::write_container(*codec, data, &mut scratch)
-            .unwrap_or_else(|e| panic!("{}: container write failed: {e}", codec.id()));
-        assert_decoder_robust(&frame, codec_seed.rotate_left(17), |b| {
-            alp_core::try_read_container_into(b, &mut out, &mut scratch)
-        });
-    }
-}
-
-/// The `f32` twin of [`assert_registry_robust`]: every codec whose
-/// capability descriptor advertises `f32` support runs the corpus on its
-/// single-precision path.
-pub fn assert_registry_robust_f32(data: &[f32], seed: u64) {
-    use alp_core::{Registry, Scratch};
-    for codec in Registry::all().iter().filter(|c| c.caps().f32) {
-        let mut bytes = Vec::new();
-        codec
-            .try_compress_f32_into(data, &mut bytes, &mut Scratch::new())
-            .unwrap_or_else(|e| panic!("{}: f32 compress failed: {e}", codec.id()));
-        let codec_seed = seed ^ alp::hash::xxh64(codec.id().as_bytes(), 1);
-
-        let mut scratch = Scratch::new();
-        let mut out = Vec::new();
-        assert_decoder_robust(&bytes, codec_seed, |b| {
-            codec.try_decompress_f32_into(b, data.len(), &mut out, &mut scratch)
-        });
-    }
 }
 
 #[cfg(test)]

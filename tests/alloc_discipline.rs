@@ -29,6 +29,10 @@
 //!   (at the parent commit: an owned `RowGroup` first, one `Vec` per ALP
 //!   vector and up to four per ALP_rd vector).
 //!
+//! * the bulk write: `Compressor::compress{,_parallel}` builds owned
+//!   row-groups (so it allocates per vector), but its encoding scratch is one
+//!   per worker, not one per row-group.
+//!
 //! The same allocator also gauges the largest single request, which pins the
 //! other half of the discipline: no reader sizes a buffer from a length or a
 //! count field it has not yet seen the bytes for.
@@ -476,21 +480,23 @@ fn a_vector_count_the_body_cannot_back_reserves_nothing() {
     assert!(largest <= 4 * alp::VECTOR_SIZE * 8, "a clean read requested {largest} bytes");
 }
 
-/// A stream write goes values → frame bytes: no owned row-group is built, so
-/// a warm writer allocates nothing for a full row-group of either scheme —
-/// and while warming up it never asks for more than one row-group of raw
-/// values at once (its own value buffer is that size).
-#[test]
-fn stream_writes_allocate_nothing_per_rowgroup_after_warmup() {
-    use alp::stream::ColumnWriter;
-    let rowgroup_values = alp::SamplerParams::default().vectors_per_rowgroup * alp::VECTOR_SIZE;
-    // Two-decimal values with an exception every 500, so the patch path runs.
-    let decimals: Vec<f64> = (0..rowgroup_values)
+fn rowgroup_values() -> usize {
+    alp::SamplerParams::default().vectors_per_rowgroup * alp::VECTOR_SIZE
+}
+
+/// One row-group of two-decimal values with an exception every 500, so the
+/// patch path runs: goes ALP.
+fn decimal_rowgroup() -> Vec<f64> {
+    (0..rowgroup_values())
         .map(|i| if i % 500 == 499 { (i as f64).sqrt() } else { (i % 977) as f64 / 100.0 })
-        .collect();
-    // Real doubles at three magnitudes, so several dictionary entries are in
-    // use, and one in 64 far outside them: an exception.
-    let reals: Vec<f64> = (0..rowgroup_values)
+        .collect()
+}
+
+/// One row-group of real doubles at three magnitudes, so several dictionary
+/// entries are in use, and one in 64 far outside them (an exception): goes
+/// ALP_rd.
+fn real_rowgroup() -> Vec<f64> {
+    (0..rowgroup_values())
         .map(|i| {
             let x = 0.5 + ((i as f64) * 0.7234).sin() * 1e-4;
             if i % 64 == 0 {
@@ -499,7 +505,18 @@ fn stream_writes_allocate_nothing_per_rowgroup_after_warmup() {
                 x * [1.0, 64.0, 4096.0][i % 3]
             }
         })
-        .collect();
+        .collect()
+}
+
+/// A stream write goes values → frame bytes: no owned row-group is built, so
+/// a warm writer allocates nothing for a full row-group of either scheme —
+/// and while warming up it never asks for more than one row-group of raw
+/// values at once (its own value buffer is that size).
+#[test]
+fn stream_writes_allocate_nothing_per_rowgroup_after_warmup() {
+    use alp::stream::ColumnWriter;
+    let (rowgroup_values, decimals, reals) =
+        (rowgroup_values(), decimal_rowgroup(), real_rowgroup());
     for (what, rowgroup, schemes) in [("ALP", &decimals, (5, 0)), ("ALP_rd", &reals, (0, 5))] {
         // Sized up front: the sink's growth is the caller's, not the writer's.
         let mut sink = Vec::with_capacity(6 * 8 * rowgroup_values);
@@ -539,4 +556,44 @@ fn stream_writes_allocate_nothing_per_rowgroup_after_warmup() {
             assert!(vectors.iter().all(|v| v.exception_count() > 0), "every vector has exceptions");
         }
     }
+}
+
+/// The bulk path builds owned row-groups, so it allocates per vector — but
+/// what encoding a row-group needs beside them (the level-1 winners, the
+/// candidate list, the ALP_rd sample and its probe table) is one
+/// `EncodeScratch` per worker, as in the stream writers. So every row-group
+/// after a worker's first costs the same number of allocation events, and the
+/// first costs exactly one scratch more — what `encode_rowgroup_body` spends
+/// on a fresh scratch over a warm one — plus a per-run overhead that is the
+/// same whichever scheme the data picks. (At the parent commit every
+/// row-group built its own scratch: the ALP_rd run's overhead then comes out
+/// two events short of the ALP run's.)
+#[test]
+fn bulk_compression_builds_its_scratch_once_per_worker() {
+    let compressor = alp::Compressor::new();
+    let overhead = |what: &str, rowgroup: Vec<f64>| {
+        let mut body = Vec::with_capacity(8 * rowgroup.len());
+        let mut encode = |scratch: &mut alp::rowgroup::EncodeScratch| {
+            body.clear();
+            let mut stats = alp::SamplerStats::default();
+            allocations_in(|| {
+                compressor.encode_rowgroup_body(&rowgroup, &mut body, scratch, &mut stats)
+            })
+        };
+        let mut scratch = alp::rowgroup::EncodeScratch::default();
+        let (fresh, warm) = (encode(&mut scratch), encode(&mut scratch));
+        assert!(fresh > 0 && warm == 0, "{what}: a scratch costs {fresh} events once, then {warm}");
+
+        let compress = |rowgroups: usize| {
+            let column = rowgroup.repeat(rowgroups);
+            let mut compressed = None;
+            let allocs = allocations_in(|| compressed = Some(compressor.compress(&column)));
+            assert_eq!(compressed.map(|c| c.rowgroups.len()), Some(rowgroups), "{what}");
+            allocs
+        };
+        let [none, one, two, three] = [0, 1, 2, 3].map(compress);
+        assert_eq!(three - two, two - one, "{what}: every further row-group costs the same");
+        (one - none) - (two - one) - fresh
+    };
+    assert_eq!(overhead("ALP", decimal_rowgroup()), overhead("ALP_rd", real_rowgroup()));
 }

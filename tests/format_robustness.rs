@@ -1,74 +1,57 @@
-//! Adversarial-input robustness of the serialized column format: arbitrary
-//! byte mutations and truncations must never panic, never allocate
-//! unboundedly, and a successful parse must decompress safely.
+//! Adversarial bytes against the serialized column format: never a panic,
+//! never an unbounded allocation — names the test floor pins, each one a
+//! slice of the differential driver's mutation loop (`tests/differential.rs`
+//! runs all of it; DESIGN.md §17) under its own seed; `corruption::corpus`
+//! holds the truncations, single and multiple flips and garbage the names
+//! speak of.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+mod driver;
 
-fn sample_column() -> Vec<u8> {
-    let mut data: Vec<f64> = (0..5000).map(|i| (i as f64) / 8.0).collect();
-    // Mix in an ALP_rd row-group too.
-    data.extend((0..3000).map(|i| ((i as f64) * 0.377).sin() * 1e-4));
-    let compressed = alp::Compressor::new().compress(&data);
-    alp::format::to_bytes(&compressed)
+use driver::*;
+
+#[global_allocator]
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
+
+/// The four written layouts of a short column (the driver mutates a longer).
+fn layouts<F: Float>() -> [Layout; 4] {
+    written_layouts(&mutation_column::<F>(2))
 }
 
 #[test]
 fn lying_length_header_is_rejected() {
-    let mut bytes = sample_column();
+    let [mut plain, ..] = layouts::<f64>();
     // len lives at offset 5..13 (after magic + bits byte).
-    bytes[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
+    plain.pristine[5..13].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(matches!(
-        alp::format::from_bytes::<f64>(&bytes),
+        alp::format::from_bytes::<f64>(&plain.pristine),
         Err(alp::format::FormatError::Corrupt(_))
     ));
 }
 
 #[test]
 fn every_truncation_point_fails_cleanly() {
-    let bytes = sample_column();
-    for cut in (0..bytes.len()).step_by(97).chain([bytes.len() - 1]) {
-        // Must return an error (or, for prefixes that happen to end on a
-        // boundary, a shorter valid column) without panicking.
-        let _ = alp::format::from_bytes::<f64>(&bytes[..cut]);
+    let [plain, ..] = layouts::<f64>();
+    for cut in (0..plain.pristine.len()).step_by(97) {
+        // An error or, for a prefix that ends on a boundary, a shorter valid
+        // column; the gauge is the driver's.
+        let (_, _, largest) = common::gauge(|| {
+            alp::format::from_bytes::<f64>(&plain.pristine[..cut]).map(|column| column.decompress())
+        });
+        assert!(largest <= plain.ceiling, "cut at {cut}: one request of {largest} bytes");
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+#[test]
+fn random_single_byte_corruptions_never_panic() {
+    assert_total(&layouts::<f32>()[0], seed() ^ 0x51);
+}
 
-    #[test]
-    fn random_single_byte_corruptions_never_panic(
-        pos_frac in 0.0f64..1.0,
-        val in any::<u8>(),
-    ) {
-        let mut bytes = sample_column();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] = val;
-        if let Ok(col) = alp::format::from_bytes::<f64>(&bytes) {
-            // A parse that survives validation must decode without panicking.
-            let _ = col.decompress();
-        }
-    }
+#[test]
+fn random_garbage_never_panics() {
+    assert_total(&layouts::<f64>()[1], seed() ^ 0x6A);
+}
 
-    #[test]
-    fn random_garbage_never_panics(bytes in vec(any::<u8>(), 0..4096)) {
-        if let Ok(col) = alp::format::from_bytes::<f64>(&bytes) {
-            let _ = col.decompress();
-        }
-    }
-
-    #[test]
-    fn random_multi_corruptions_never_panic(
-        seed_bytes in vec((0.0f64..1.0, any::<u8>()), 1..8),
-    ) {
-        let mut bytes = sample_column();
-        for (frac, val) in seed_bytes {
-            let pos = ((bytes.len() - 1) as f64 * frac) as usize;
-            bytes[pos] ^= val;
-        }
-        if let Ok(col) = alp::format::from_bytes::<f64>(&bytes) {
-            let _ = col.decompress();
-        }
-    }
+#[test]
+fn random_multi_corruptions_never_panic() {
+    assert_total(&layouts::<f32>()[1], seed() ^ 0x3C);
 }

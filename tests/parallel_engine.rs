@@ -1,132 +1,49 @@
-//! Serial-vs-parallel equivalence across the whole compression engine.
-//!
-//! The morsel scheduler's core contract (DESIGN.md §10): thread count is
-//! invisible in the output. Compressing on N workers must produce
-//! byte-identical blocks to compressing serially, and decompressing on N
-//! workers must produce bit-identical values — for every registered codec,
-//! including columns with a partial tail row-group, and for the empty and
-//! length-1 edge cases.
+//! Thread count is invisible in what the engine writes and reads (DESIGN.md
+//! §10) — names the test floor pins, each one a slice of the differential
+//! driver's table (`tests/differential.rs` runs all of it; DESIGN.md §17).
 
-use alp::VECTOR_SIZE;
-use alp_core::Registry;
-use vectorq::ROWGROUP_VALUES;
+mod driver;
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
+use driver::*;
 
-/// Mixed-scheme column: decimal stretches (ALP-friendly), a noisy stretch
-/// (exception-heavy), and enough values for several chunks plus a ragged
-/// tail that is neither vector- nor row-group-aligned.
-fn mixed_column(n: usize) -> Vec<f64> {
-    (0..n)
-        .map(|i| match i % 3000 {
-            0..=1999 => (i % 977) as f64 * 0.25,
-            2000..=2499 => ((i * 2654435761) % 100_000) as f64 * 1e-7,
-            _ => (i as f64).sqrt() * 1e3,
-        })
-        .collect()
+/// Decimals, decimals with noise and noise, each several chunks and a ragged
+/// tail; and every bit pattern amid decimals.
+fn mixed_columns() -> Vec<Input<f64>> {
+    let mut inputs = arbitrary(3, 9000);
+    inputs.extend(bit_patterns().pop());
+    inputs
 }
 
 #[test]
 fn every_codec_compresses_byte_identically_at_all_thread_counts() {
-    // 3 chunks of 8 * VECTOR_SIZE plus a ragged 700-value tail.
-    let chunk = 8 * VECTOR_SIZE;
-    let data = mixed_column(3 * chunk + 700);
-    for codec in Registry::all() {
-        if codec.caps().ratio_only {
-            continue;
-        }
-        let reference = codec.par_compress(&data, chunk, 1).unwrap();
-        assert_eq!(reference.len(), 4, "{}: chunk layout", codec.id());
-        for threads in THREAD_COUNTS {
-            let blocks = codec.par_compress(&data, chunk, threads).unwrap();
-            assert_eq!(blocks, reference, "{} at {threads} threads", codec.id());
-        }
-    }
+    same_bytes(&chunk_writers(), &mixed_columns());
 }
 
 #[test]
 fn every_codec_decompresses_value_identically_at_all_thread_counts() {
-    let chunk = 8 * VECTOR_SIZE;
-    let data = mixed_column(2 * chunk + 1234);
-    for codec in Registry::all() {
-        if codec.caps().ratio_only {
-            continue;
-        }
-        let blocks = codec.par_compress(&data, chunk, 2).unwrap();
-        for threads in THREAD_COUNTS {
-            let back = codec.par_decompress(&blocks, threads).unwrap();
-            assert_eq!(back.len(), data.len(), "{} at {threads} threads", codec.id());
-            for (i, (a, b)) in data.iter().zip(&back).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{} at {threads} threads, value {i}",
-                    codec.id()
-                );
-            }
-        }
-    }
+    lossless(&codec_chunks(), &mixed_columns());
 }
 
 #[test]
 fn every_codec_handles_empty_and_length_one_columns_in_parallel() {
-    for codec in Registry::all() {
-        if codec.caps().ratio_only {
-            continue;
-        }
-        for threads in THREAD_COUNTS {
-            let blocks = codec.par_compress(&[], VECTOR_SIZE, threads).unwrap();
-            assert!(blocks.is_empty(), "{}: empty column", codec.id());
-            assert!(codec.par_decompress(&blocks, threads).unwrap().is_empty());
-
-            let one = [6.625_f64];
-            let blocks = codec.par_compress(&one, VECTOR_SIZE, threads).unwrap();
-            assert_eq!(blocks.len(), 1, "{}: single value", codec.id());
-            let back = codec.par_decompress(&blocks, threads).unwrap();
-            assert_eq!(back.len(), 1);
-            assert_eq!(back[0].to_bits(), one[0].to_bits(), "{}", codec.id());
-        }
-    }
+    let shortest = &vector_lengths()[..2];
+    lossless(&codec_chunks(), shortest);
+    same_bytes(&chunk_writers(), shortest);
 }
 
-/// ALP's native row-group compressor (not the chunked registry path): the
-/// parallel row-group build must serialize to the very same bytes as the
-/// serial one, tail row-group included.
+/// ALP's native row-group compressor (not the chunked registry path):
+/// serialized bytes and sampler statistics, partial tail row-group included.
 #[test]
 fn native_alp_rowgroup_compression_is_byte_identical_serialized() {
-    // 2 full row-groups plus a partial third ending mid-vector.
-    let data = mixed_column(2 * ROWGROUP_VALUES + 5 * VECTOR_SIZE + 333);
-    let compressor = alp::Compressor::new();
-    let serial = compressor.compress(&data);
-    let serial_bytes = alp::format::to_bytes(&serial);
-    for threads in THREAD_COUNTS {
-        let parallel = compressor.compress_parallel(&data, threads);
-        assert_eq!(
-            alp::format::to_bytes(&parallel),
-            serial_bytes,
-            "serialized bytes at {threads} threads"
-        );
-        assert_eq!(parallel.stats, serial.stats, "sampler stats at {threads} threads");
-        for threads_dec in THREAD_COUNTS {
-            let back = parallel.decompress_parallel(threads_dec);
-            assert_eq!(back.len(), data.len());
-            for (a, b) in data.iter().zip(&back) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
+    let mut inputs = mixed_columns();
+    inputs.extend(rowgroup_lengths().pop());
+    same_bytes(&alp_writers()[..2], &inputs);
+    lossless::<f64>(&[alp_column()], &inputs);
 }
 
 #[test]
 fn native_alp_parallel_handles_empty_and_length_one() {
-    let compressor = alp::Compressor::new();
-    for threads in THREAD_COUNTS {
-        let empty = compressor.compress_parallel(&[] as &[f64], threads);
-        let serial_empty = compressor.compress::<f64>(&[]);
-        assert_eq!(alp::format::to_bytes(&empty), alp::format::to_bytes(&serial_empty));
-        assert!(empty.decompress_parallel(threads).is_empty());
-
-        let one = compressor.compress_parallel(&[42.5_f64], threads);
-        assert_eq!(one.decompress_parallel(threads), vec![42.5]);
-    }
+    let shortest = &vector_lengths::<f64>()[..2];
+    lossless(&[alp_column(), alp_bytes(false)], shortest);
+    same_bytes(&alp_writers()[..2], shortest);
 }

@@ -1,9 +1,13 @@
-//! Pipelined-ingest equivalence suite: the `PipelinedColumnWriter` must
-//! produce byte-for-byte the same `"ALPT"` stream as the serial
-//! `ColumnWriter` at every thread count and pipeline depth — including under
-//! `ALP_FAULT_SEED`-driven transient sink faults — and must degrade to the
-//! same torn-tail shapes (salvage-readable whole-frame prefix, never a torn
-//! frame) under hard faults and quarantined worker panics.
+//! Pipelined-ingest suite. That the `PipelinedColumnWriter` writes byte for
+//! byte the serial `ColumnWriter`'s `"ALPT"` stream at every thread count and
+//! pipeline depth is invariant 3 of the differential driver (the first three
+//! tests are slices of it; `tests/differential.rs` runs all of it, DESIGN.md
+//! §17). What is this suite's own: the same holds under `ALP_FAULT_SEED`-driven
+//! transient sink faults, and hard faults and quarantined worker panics
+//! degrade to the serial writer's torn-tail shapes (a salvage-readable
+//! whole-frame prefix, never a torn frame).
+
+mod driver;
 
 use alp::io::{fault_seed, FaultPlan, FaultyWrite};
 use alp::pipeline::{IngestError, PipelineConfig, PipelinedColumnWriter};
@@ -37,60 +41,33 @@ fn serial_stream(data: &[f64]) -> Vec<u8> {
     sink
 }
 
-fn pipelined_stream(data: &[f64], threads: usize, depth: usize, chunk: usize) -> Vec<u8> {
-    let mut sink = Vec::new();
-    let config = PipelineConfig { threads, depth, panic_at: None };
-    let mut writer = PipelinedColumnWriter::<f64, _>::with_params(&mut sink, params(), config)
-        .expect("valid params");
-    for c in data.chunks(chunk) {
-        writer.push(c).expect("push");
-    }
-    let summary = writer.finish().expect("finish");
-    assert_eq!(summary.values, data.len());
-    assert_eq!(summary.total_bytes, sink.len(), "summary must match sink length");
-    sink
+/// The driver's two `"ALPT"` writers, plain and parity-protected, each swept
+/// over threads × depths against the serial writer (depth 0).
+fn same_bytes(inputs: &[driver::Input<f64>]) {
+    driver::same_bytes(&driver::alp_writers()[2..], inputs);
 }
 
-/// The headline equivalence claim: every (threads, depth) combination, fed
-/// with ragged pushes, produces the identical stream — frames, terminator,
-/// and commit footer.
+/// The headline equivalence claim: every (threads, depth) combination
+/// produces the identical stream — frames, terminator, commit footer — and
+/// the identical summary.
 #[test]
 fn pipelined_matches_serial_across_threads_and_depths() {
-    let data = dataset();
-    let serial = serial_stream(&data);
-    for threads in THREADS {
-        for depth in DEPTHS {
-            let pipelined = pipelined_stream(&data, threads, depth, 1777);
-            assert_eq!(
-                pipelined, serial,
-                "threads={threads} depth={depth}: pipelined stream diverged"
-            );
-        }
-    }
+    same_bytes(&[driver::Input::new("the suite's column", dataset())]);
 }
 
-/// Push granularity must not matter: one giant push, value-at-a-time
-/// pushes, and row-group-aligned pushes all land on the same bytes.
+/// Push granularity must not matter: the driver's pipelined writer is fed
+/// ragged pushes (1, 778, 1555, … values) against the serial writer's one.
 #[test]
 fn pipelined_is_insensitive_to_push_chunking() {
-    let data = dataset();
-    let serial = serial_stream(&data);
-    for chunk in [VALUES, ROWGROUP, 999] {
-        let pipelined = pipelined_stream(&data, 4, 2, chunk);
-        assert_eq!(pipelined, serial, "chunk={chunk}: pipelined stream diverged");
-    }
+    same_bytes(&driver::arbitrary(6, 9000));
 }
 
-/// A column shorter than one row-group (pure ragged tail) and an exact
-/// row-group multiple both round the pipeline unchanged.
+/// A column shorter than one row-group (pure ragged tail) and exact
+/// row-group multiples.
 #[test]
 fn pipelined_handles_tail_only_and_aligned_columns() {
-    for values in [137usize, ROWGROUP, 3 * ROWGROUP] {
-        let data: Vec<f64> = (0..values).map(|i| (i % 91) as f64 / 4.0).collect();
-        let serial = serial_stream(&data);
-        let pipelined = pipelined_stream(&data, 3, 2, 500);
-        assert_eq!(pipelined, serial, "values={values}: pipelined stream diverged");
-    }
+    let column = |n| driver::Input::new(format!("length {n}"), driver::ramp(n));
+    same_bytes(&[137, 2048, 3 * 2048].map(column));
 }
 
 /// Transient sink faults (retryable `Interrupted`/`WouldBlock`/short writes,

@@ -1,210 +1,101 @@
-//! Property-based losslessness: every scheme must reproduce *arbitrary*
-//! `f64`/`f32` bit patterns exactly — NaN payloads, ±0, infinities,
-//! subnormals — regardless of vector boundaries and input lengths.
+//! Every scheme reproduces *arbitrary* bit patterns exactly, whatever the
+//! vector boundaries and lengths — names the test floor pins. The codec-level
+//! ones are slices of the differential driver's table (`tests/differential.rs`
+//! runs all of it; DESIGN.md §17) over its seeded arbitrary columns; the
+//! kernel-level ones sweep every width with seeded values.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+mod driver;
 
-/// Arbitrary doubles by bit pattern (covers every NaN payload, both zeros,
-/// infinities and subnormals — not just "reasonable" values).
-fn any_f64() -> impl Strategy<Value = f64> {
-    any::<u64>().prop_map(f64::from_bits)
+use alp_repro::corruption::SplitMix64;
+use driver::*;
+
+fn noise<F: Float>() -> Vec<Input<F>> {
+    arbitrary_of("noise", 16, 3000)
 }
 
-/// Decimal-flavored doubles (the data ALP targets).
-fn decimal_f64() -> impl Strategy<Value = f64> {
-    (any::<i32>(), 0u32..10).prop_map(|(d, p)| d as f64 / 10f64.powi(p as i32))
+fn mixed<F: Float>() -> Vec<Input<F>> {
+    arbitrary_of("mixed", 16, 5000)
 }
 
-/// Mixed: mostly decimals with arbitrary bit patterns sprinkled in.
-fn mixed_f64() -> impl Strategy<Value = f64> {
-    prop_oneof![4 => decimal_f64(), 1 => any_f64()]
+lossless_tests! {
+    alp_compressor_is_lossless: f64, [alp_column()], mixed();
+    alp_handles_pure_noise: f64, [alp_column()], noise();
+    alp_format_roundtrips: f64, [alp_bytes(false)], mixed();
+    alp_f32_is_lossless: f32, [alp_column()], noise();
+    stream_roundtrips_mixed: f64, [alp_stream(false)], mixed();
+    cascade_is_lossless: f64, [codec_named("lwc-alp")], mixed();
+    gorilla_is_lossless: f64, [codec_named("gorilla")], noise();
+    chimp_is_lossless: f64, [codec_named("chimp")], noise();
+    chimp128_is_lossless: f64, [codec_named("chimp128")], noise();
+    patas_is_lossless: f64, [codec_named("patas")], noise();
+    fpc_is_lossless: f64, [codec_named("fpc")], noise();
+    elf_is_lossless: f64, [codec_named("elf")], arbitrary_of("mixed", 16, 800);
+    pde_is_lossless: f64, [codec_named("pde")], mixed();
+    gpzip_is_lossless: f64, [codec_named("gpzip")], noise();
+    gpzip_fast_is_lossless: f64, [codec_named("gpzip-fast")], noise();
+    f32_codecs_are_lossless: f32, codecs(), noise();
 }
 
-fn assert_bits_eq(a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn alp_compressor_is_lossless(data in vec(mixed_f64(), 0..5000)) {
-        let compressed = alp::Compressor::new().compress(&data);
-        assert_bits_eq(&data, &compressed.decompress());
-    }
-
-    #[test]
-    fn alp_handles_pure_noise(data in vec(any_f64(), 1..3000)) {
-        let compressed = alp::Compressor::new().compress(&data);
-        assert_bits_eq(&data, &compressed.decompress());
-    }
-
-    #[test]
-    fn alp_format_roundtrips(data in vec(mixed_f64(), 0..4000)) {
-        let compressed = alp::Compressor::new().compress(&data);
-        let bytes = alp::format::to_bytes(&compressed);
-        let restored = alp::format::from_bytes::<f64>(&bytes).unwrap();
-        assert_bits_eq(&data, &restored.decompress());
-    }
-
-    #[test]
-    fn cascade_is_lossless(data in vec(mixed_f64(), 0..3000)) {
-        let compressed = alp::cascade::CascadeCompressor::new().compress(&data);
-        assert_bits_eq(&data, &compressed.decompress());
-    }
-
-    #[test]
-    fn encode_vector_is_lossless_for_any_combo(
-        data in vec(any_f64(), 1..1024),
-        e in 0u8..=21,
-        f_rel in 0u8..=21,
-    ) {
-        let f = f_rel.min(e);
-        let v = alp::encode::encode_vector(&data, e, f);
+#[test]
+fn encode_vector_is_lossless_for_any_combo() {
+    let mut rng = SplitMix64::new(seed());
+    for input in noise::<f64>().iter().filter(|input| !input.values.is_empty()) {
+        let data = &input.values[..input.values.len().min(alp::VECTOR_SIZE)];
+        let e = rng.below(22) as u8;
+        let f = (rng.below(22) as u8).min(e);
+        let vector = alp::encode::encode_vector(data, e, f);
         let mut out = vec![0.0f64; alp::VECTOR_SIZE];
-        let n = alp::decode::decode_vector(&v, v.view(), &mut out);
-        assert_eq!(n, data.len());
-        assert_bits_eq(&data, &out[..n]);
+        let n = alp::decode::decode_vector(&vector, vector.view(), &mut out);
+        let same = data.iter().zip(&out[..n]).all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(n == data.len() && same, "{} at e={e} f={f}", input.name);
     }
+}
 
-    #[test]
-    fn gorilla_is_lossless(data in vec(any_f64(), 0..2000)) {
-        let bytes = codecs::gorilla::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::gorilla::try_decompress_f64(&bytes, data.len()).unwrap());
-    }
+/// 1024 seeded words masked to `width` bits, for each width up to `max`.
+fn words_at_every_width(max: usize) -> impl Iterator<Item = (usize, Vec<u64>)> {
+    let mut rng = SplitMix64::new(seed());
+    (0..=max).map(move |width| {
+        let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        (width, (0..1024).map(|_| rng.next_u64() & mask).collect())
+    })
+}
 
-    #[test]
-    fn chimp_is_lossless(data in vec(any_f64(), 0..2000)) {
-        let bytes = codecs::chimp::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::chimp::try_decompress_f64(&bytes, data.len()).unwrap());
-    }
-
-    #[test]
-    fn chimp128_is_lossless(data in vec(any_f64(), 0..2000)) {
-        let bytes = codecs::chimp128::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::chimp128::try_decompress_f64(&bytes, data.len()).unwrap());
-    }
-
-    #[test]
-    fn patas_is_lossless(data in vec(any_f64(), 0..2000)) {
-        let bytes = codecs::patas::compress_f64(&data);
-        assert_bits_eq(&data, &codecs::patas::try_decompress_f64(&bytes, data.len()).unwrap());
-    }
-
-    #[test]
-    fn elf_is_lossless(data in vec(mixed_f64(), 0..800)) {
-        let bytes = codecs::elf::compress(&data);
-        assert_bits_eq(&data, &codecs::elf::try_decompress(&bytes, data.len()).unwrap());
-    }
-
-    #[test]
-    fn pde_is_lossless(data in vec(mixed_f64(), 0..2000)) {
-        let bytes = codecs::pde::compress(&data);
-        assert_bits_eq(&data, &codecs::pde::try_decompress(&bytes, data.len()).unwrap());
-    }
-
-    #[test]
-    fn gpzip_is_lossless(data in vec(any::<u8>(), 0..60_000)) {
-        let z = gpzip::compress(&data);
-        prop_assert_eq!(gpzip::try_decompress(&z).unwrap(), data);
-    }
-
-    #[test]
-    fn f32_codecs_are_lossless(bits in vec(any::<u32>(), 0..1500)) {
-        let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        for codec in [codecs::Codec::Gorilla, codecs::Codec::Chimp, codecs::Codec::Chimp128, codecs::Codec::Patas] {
-            let bytes = codec.compress_f32(&data).unwrap();
-            let back = codec.decompress_f32(&bytes, data.len()).unwrap();
-            for (a, b) in data.iter().zip(&back) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "{}", codec.name());
-            }
-        }
-    }
-
-    #[test]
-    fn alp_f32_is_lossless(bits in vec(any::<u32>(), 0..3000)) {
-        let data: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
-        let compressed = alp::Compressor::new().compress(&data);
-        let back = compressed.decompress();
-        for (a, b) in data.iter().zip(&back) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn bitpack_roundtrips_any_width(
-        values in vec(any::<u64>(), 1024..=1024),
-        width in 0usize..=64,
-    ) {
-        let mask = if width == 64 { u64::MAX } else if width == 0 { 0 } else { (1 << width) - 1 };
-        let masked: Vec<u64> = values.iter().map(|&v| v & mask).collect();
-        let packed = fastlanes::bitpack::pack(&masked, width);
+#[test]
+fn bitpack_roundtrips_any_width() {
+    for (width, values) in words_at_every_width(64) {
         let mut out = vec![0u64; 1024];
-        fastlanes::bitpack::unpack(&packed, width, &mut out);
-        prop_assert_eq!(out, masked);
+        fastlanes::bitpack::unpack(&fastlanes::bitpack::pack(&values, width), width, &mut out);
+        assert_eq!(out, values, "width {width}");
     }
+}
 
-    #[test]
-    fn bitpack32_roundtrips_any_width(
-        values in vec(any::<u32>(), 1024..=1024),
-        width in 0usize..=32,
-    ) {
-        let mask = if width == 32 { u32::MAX } else if width == 0 { 0 } else { (1 << width) - 1 };
-        let masked: Vec<u32> = values.iter().map(|&v| v & mask).collect();
-        let packed = fastlanes::bitpack32::pack(&masked, width);
+#[test]
+fn bitpack32_roundtrips_any_width() {
+    for (width, values) in words_at_every_width(32) {
+        let values: Vec<u32> = values.iter().map(|&v| v as u32).collect();
         let mut out = vec![0u32; 1024];
-        fastlanes::bitpack32::unpack(&packed, width, &mut out);
-        prop_assert_eq!(out, masked);
+        fastlanes::bitpack32::unpack(&fastlanes::bitpack32::pack(&values, width), width, &mut out);
+        assert_eq!(out, values, "width {width}");
     }
+}
 
-    #[test]
-    fn interleaved_roundtrips_any_width(
-        values in vec(any::<u64>(), 1024..=1024),
-        width in 0usize..=64,
-    ) {
-        let mask = if width == 64 { u64::MAX } else if width == 0 { 0 } else { (1 << width) - 1 };
-        let masked: Vec<u64> = values.iter().map(|&v| v & mask).collect();
-        let packed = fastlanes::interleaved::pack(&masked, width);
+#[test]
+fn interleaved_roundtrips_any_width() {
+    for (width, values) in words_at_every_width(64) {
         let mut out = vec![0u64; 1024];
+        let packed = fastlanes::interleaved::pack(&values, width);
         fastlanes::interleaved::unpack(&packed, width, &mut out);
-        prop_assert_eq!(out, masked);
+        assert_eq!(out, values, "width {width}");
     }
+}
 
-    #[test]
-    fn fpc_is_lossless(data in vec(any_f64(), 0..2000)) {
-        let bytes = codecs::fpc::compress(&data);
-        assert_bits_eq(&data, &codecs::fpc::try_decompress(&bytes, data.len()).unwrap());
-    }
-
-    #[test]
-    fn gpzip_fast_is_lossless(data in vec(any::<u8>(), 0..60_000)) {
-        let z = gpzip::fast::compress(&data);
-        prop_assert_eq!(gpzip::fast::try_decompress(&z).unwrap(), data);
-    }
-
-    #[test]
-    fn stream_roundtrips_mixed(data in vec(mixed_f64(), 0..4000)) {
-        let mut file = Vec::new();
-        let mut w = alp::stream::ColumnWriter::<f64, _>::new(&mut file);
-        w.push(&data).unwrap();
-        w.finish().unwrap();
-        let mut r = alp::stream::ColumnReader::<f64, _>::new(&file[..]).unwrap();
-        let mut restored = Vec::new();
-        while let Some(values) = r.next_rowgroup().unwrap() {
-            restored.extend(values);
-        }
-        assert_bits_eq(&data, &restored);
-    }
-
-    #[test]
-    fn ffor_roundtrips_any_i64(values in vec(any::<i64>(), 1024..=1024)) {
-        let (base, width, packed) = fastlanes::ffor::ffor(&values);
+#[test]
+fn ffor_roundtrips_any_i64() {
+    for (width, values) in words_at_every_width(64) {
+        let values: Vec<i64> = values.iter().map(|&v| (v as i64).wrapping_sub(1 << 40)).collect();
+        let (base, packed_width, packed) = fastlanes::ffor::ffor(&values);
         let mut out = vec![0i64; 1024];
-        fastlanes::ffor::ffor_unpack(&packed, base, width, &mut out);
-        prop_assert_eq!(out, values);
+        fastlanes::ffor::ffor_unpack(&packed, base, packed_width, &mut out);
+        assert_eq!(out, values, "range of {width} bits");
     }
 }

@@ -1,143 +1,36 @@
 //! Registry-driven losslessness over the columns that break codecs in
-//! practice: empty input, a single value, all-NaN, negative zero, subnormals,
-//! and lengths straddling the 1024-value vector boundary. One suite covers
-//! every registered codec — adding a codec to `alp_core::Registry` adds it
-//! here with no edits — plus a property-based sweep over mixed bit patterns.
+//! practice — names the test floor pins, each one a slice of the differential
+//! driver's table (`tests/differential.rs` runs all of it; DESIGN.md §17).
 
-use alp_core::{ColumnCodec, CoreError, Registry, Scratch};
-use proptest::collection::vec;
-use proptest::prelude::*;
+mod driver;
 
-/// The deterministic edge-case columns every codec must survive.
-///
-/// Lengths bracket the paper's 1024-value vector: one under, exact, one over,
-/// and a multi-vector column with a ragged tail.
-fn edge_columns() -> Vec<(&'static str, Vec<f64>)> {
-    let vs = alp::VECTOR_SIZE;
-    vec![
-        ("empty", Vec::new()),
-        ("single value", vec![3.25]),
-        ("single NaN", vec![f64::NAN]),
-        ("all NaN", vec![f64::NAN; vs + 3]),
-        ("negative zero", vec![-0.0; 100]),
-        ("mixed zeros", (0..200).map(|i| if i % 2 == 0 { 0.0 } else { -0.0 }).collect()),
-        ("subnormals", (1..300).map(|i| f64::from_bits(i as u64)).collect()),
-        ("vector boundary - 1", (0..vs - 1).map(|i| i as f64 / 100.0).collect()),
-        ("vector boundary exact", (0..vs).map(|i| i as f64 / 100.0).collect()),
-        ("vector boundary + 1", (0..vs + 1).map(|i| i as f64 / 100.0).collect()),
-        ("ragged multi-vector", (0..3 * vs + 17).map(|i| (i as f64) * 0.005 - 9.5).collect()),
-    ]
+use driver::*;
+
+/// Every bit-pattern class and every vector-straddling length.
+fn edge_columns<F: Float>() -> Vec<Input<F>> {
+    let mut inputs = bit_patterns();
+    inputs.extend(vector_lengths());
+    inputs
 }
 
-fn assert_bits_eq(label: &str, codec: &dyn ColumnCodec, a: &[f64], b: &[f64]) {
-    assert_eq!(a.len(), b.len(), "{}: {label}: length drift", codec.id());
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "{}: {label}: value {i} not bit-exact ({x} vs {y})",
-            codec.id()
-        );
-    }
-}
-
-/// Roundtrips one column through one codec's byte path, tolerating only the
-/// documented refusals (ratio-only codecs never serialize).
-fn roundtrip(codec: &dyn ColumnCodec, label: &str, data: &[f64], scratch: &mut Scratch) {
-    let mut bytes = Vec::new();
-    match codec.try_compress_into(data, &mut bytes, scratch) {
-        Ok(()) => {}
-        Err(CoreError::Unsupported { .. }) if codec.caps().ratio_only => return,
-        Err(e) => panic!("{}: {label}: compress failed: {e}", codec.id()),
-    }
-    let mut out = Vec::new();
-    codec
-        .try_decompress_into(&bytes, data.len(), &mut out, scratch)
-        .unwrap_or_else(|e| panic!("{}: {label}: decompress failed: {e}", codec.id()));
-    assert_bits_eq(label, codec, data, &out);
-}
-
-#[test]
-fn every_codec_roundtrips_every_edge_column() {
-    let mut scratch = Scratch::new();
-    for (label, data) in edge_columns() {
-        for codec in Registry::all() {
-            roundtrip(*codec, label, &data, &mut scratch);
-        }
-    }
+lossless_tests! {
+    every_codec_roundtrips_every_edge_column: f64, codecs(), edge_columns();
+    f32_capable_codecs_roundtrip_edge_columns: f32, codecs(), edge_columns();
+    every_codec_roundtrips_arbitrary_columns: f64, codecs(), arbitrary(24, 2600);
 }
 
 #[test]
 fn every_ratio_codec_measures_every_edge_column() {
     // Codecs that cannot serialize must still *measure* the edge columns:
-    // `verified_compressed_bits` internally roundtrips and checks bit
-    // equality, so ratio-only schemes get the same losslessness guarantee.
-    let mut scratch = Scratch::new();
-    for (label, data) in edge_columns() {
-        if data.is_empty() {
-            continue; // ratio of an empty column is a bench-layer error
-        }
-        for codec in Registry::all() {
+    // `verified_compressed_bits` roundtrips internally and checks bit
+    // equality, so ratio-only schemes get the same guarantee.
+    let mut scratch = alp_core::Scratch::new();
+    for input in edge_columns::<f64>().iter().filter(|input| !input.values.is_empty()) {
+        for codec in alp_core::Registry::all() {
             let bits = codec
-                .verified_compressed_bits(&data, &mut scratch)
-                .unwrap_or_else(|e| panic!("{}: {label}: measure failed: {e}", codec.id()));
-            assert!(bits > 0, "{}: {label}: zero-size claim", codec.id());
-        }
-    }
-}
-
-#[test]
-fn f32_capable_codecs_roundtrip_edge_columns() {
-    let vs = alp::VECTOR_SIZE;
-    let columns: Vec<(&str, Vec<f32>)> = vec![
-        ("empty", Vec::new()),
-        ("single value", vec![-7.5]),
-        ("all NaN", vec![f32::NAN; 40]),
-        ("negative zero", vec![-0.0; 40]),
-        ("subnormals", (1..200).map(|i| f32::from_bits(i as u32)).collect()),
-        ("vector boundary", (0..vs + 1).map(|i| i as f32 / 4.0).collect()),
-    ];
-    let mut scratch = Scratch::new();
-    for (label, data) in &columns {
-        for codec in Registry::all().iter().filter(|c| c.caps().f32) {
-            let mut bytes = Vec::new();
-            codec
-                .try_compress_f32_into(data, &mut bytes, &mut scratch)
-                .unwrap_or_else(|e| panic!("{}: {label}: f32 compress failed: {e}", codec.id()));
-            let mut out = Vec::new();
-            codec
-                .try_decompress_f32_into(&bytes, data.len(), &mut out, &mut scratch)
-                .unwrap_or_else(|e| panic!("{}: {label}: f32 decompress failed: {e}", codec.id()));
-            assert_eq!(data.len(), out.len(), "{}: {label}", codec.id());
-            for (i, (x, y)) in data.iter().zip(&out).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{}: {label}: value {i} not bit-exact",
-                    codec.id()
-                );
-            }
-        }
-    }
-}
-
-/// Mixed doubles: mostly decimals (ALP's target) with raw bit patterns mixed
-/// in so NaN payloads, infinities, and subnormals appear organically.
-fn mixed_f64() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        4 => (any::<i32>(), 0u32..10).prop_map(|(d, p)| d as f64 / 10f64.powi(p as i32)),
-        1 => any::<u64>().prop_map(f64::from_bits),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn every_codec_roundtrips_arbitrary_columns(data in vec(mixed_f64(), 0..2600)) {
-        let mut scratch = Scratch::new();
-        for codec in Registry::all() {
-            roundtrip(*codec, "proptest column", &data, &mut scratch);
+                .verified_compressed_bits(&input.values, &mut scratch)
+                .unwrap_or_else(|e| panic!("{}: {}: measure failed: {e}", codec.id(), input.name));
+            assert!(bits > 0, "{}: {}: zero-size claim", codec.id(), input.name);
         }
     }
 }
