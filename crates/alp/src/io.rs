@@ -47,7 +47,7 @@ pub fn fault_seed(default: u64) -> u64 {
 
 /// SplitMix64 step — the same tiny generator the corruption harness uses,
 /// inlined here so the fault layer stays dependency-free. Public because the
-/// whole deterministic-fault family ([`FaultPlan`], retry jitter, the query
+/// whole deterministic-fault family ([`FaultPlan`], the query
 /// service's poisoned-page injection) derives its schedules from this one
 /// mixer: every consumer is a pure function of `(seed, counter)`.
 pub fn splitmix64(mut z: u64) -> u64 {
@@ -290,23 +290,12 @@ impl<W: Write> Write for FaultyWrite<W> {
 /// the sleep before the first retry, doubled on each subsequent one (capped
 /// at 100 ms). Hard errors are never retried. A zero `base_backoff` retries
 /// immediately, which is what the deterministic tests use.
-///
-/// With a nonzero `jitter_seed`, each retry sleeps a *jittered* delay drawn
-/// deterministically from the upper half of its exponential step (see
-/// [`RetryPolicy::backoff_delay`]): parallel workers that hit the same
-/// transient fault at the same moment decorrelate instead of retrying in
-/// lockstep and re-colliding, while every schedule stays a pure function of
-/// the seed (`ALP_FAULT_SEED` reproducibility is preserved by deriving
-/// per-worker seeds from the suite's base seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Transient failures tolerated per logical operation.
     pub max_attempts: u32,
     /// Sleep before the first retry; doubles per retry, capped at 100 ms.
     pub base_backoff: Duration,
-    /// Seed for deterministic backoff jitter; `0` disables jitter and keeps
-    /// the exact exponential schedule.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -314,54 +303,28 @@ impl Default for RetryPolicy {
     /// out bursts of `EINTR` without stalling a genuinely dead source for
     /// more than ~a quarter second.
     fn default() -> Self {
-        Self { max_attempts: 8, base_backoff: Duration::from_millis(1), jitter_seed: 0 }
+        Self { max_attempts: 8, base_backoff: Duration::from_millis(1) }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries: every transient is surfaced as-is.
     pub fn none() -> Self {
-        Self { max_attempts: 0, base_backoff: Duration::ZERO, jitter_seed: 0 }
+        Self { max_attempts: 0, base_backoff: Duration::ZERO }
     }
 
     /// A policy that retries `max_attempts` times with no backoff sleep —
     /// the right shape for deterministic tests.
     pub fn immediate(max_attempts: u32) -> Self {
-        Self { max_attempts, base_backoff: Duration::ZERO, jitter_seed: 0 }
+        Self { max_attempts, base_backoff: Duration::ZERO }
     }
 
-    /// Enables deterministic backoff jitter from `seed` (0 disables). Give
-    /// each parallel worker a distinct seed — e.g. `base_seed ^ worker_id`
-    /// with the suite's `ALP_FAULT_SEED` as `base_seed` — so simultaneous
-    /// retriers spread out while the whole schedule stays reproducible.
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// The exact delay retry number `attempt` (1-based) will sleep.
-    ///
-    /// Without jitter this is the classic doubling schedule
-    /// `base_backoff * 2^(attempt-1)`, capped at 100 ms. With jitter the
-    /// delay is drawn deterministically from `[step/2, step]` ("equal
-    /// jitter": bounded below by half the exponential step, so backoff
-    /// pressure is preserved, and above by the step, so the cap still
-    /// holds). Exposed so tests can assert the schedule without sleeping.
+    /// The exact delay retry number `attempt` (1-based) will sleep: the
+    /// doubling schedule `base_backoff * 2^(attempt-1)`, capped at 100 ms.
+    /// Exposed so tests can assert the schedule without sleeping.
     pub fn backoff_delay(&self, attempt: u32) -> Duration {
-        if self.base_backoff.is_zero() {
-            return Duration::ZERO;
-        }
         let factor = 1u32 << attempt.saturating_sub(1).min(16);
-        let step = self.base_backoff.saturating_mul(factor).min(Duration::from_millis(100));
-        if self.jitter_seed == 0 {
-            return step;
-        }
-        // Deterministic draw from [step/2, step]: pure in (seed, attempt).
-        let nanos = step.as_nanos() as u64; // <= 100 ms, far below u64::MAX
-        let half = nanos / 2;
-        let span = nanos - half;
-        let draw = splitmix64(self.jitter_seed ^ u64::from(attempt)) % (span + 1);
-        Duration::from_nanos(half + draw)
+        self.base_backoff.saturating_mul(factor).min(Duration::from_millis(100))
     }
 
     /// Sleeps for the backoff of retry number `attempt` (1-based).
@@ -616,56 +579,13 @@ mod tests {
     }
 
     #[test]
-    fn jitter_schedule_is_bounded_and_deterministic() {
-        let base = Duration::from_millis(1);
-        let plain = RetryPolicy { max_attempts: 8, base_backoff: base, jitter_seed: 0 };
-        let jittered = plain.with_jitter(42);
-        for attempt in 1..=8u32 {
-            let step = plain.backoff_delay(attempt);
-            let d = jittered.backoff_delay(attempt);
-            // Bounded: never below half the exponential step (backoff
-            // pressure preserved), never above the step (cap preserved).
-            assert!(d >= step / 2, "attempt {attempt}: {d:?} < {:?}", step / 2);
-            assert!(d <= step, "attempt {attempt}: {d:?} > {step:?}");
-            // Deterministic: same (seed, attempt) -> same delay.
-            assert_eq!(d, jittered.backoff_delay(attempt));
-        }
-        // The exponential cap survives jitter.
-        assert!(jittered.backoff_delay(64) <= Duration::from_millis(100));
-    }
-
-    #[test]
-    fn jitter_decorrelates_distinct_worker_seeds() {
-        let base =
-            RetryPolicy { max_attempts: 8, base_backoff: Duration::from_millis(4), jitter_seed: 0 };
-        // Workers derive their seeds from one base seed (the ALP_FAULT_SEED
-        // pattern); their schedules must not coincide everywhere, or retries
-        // resync in lockstep.
-        let schedules: Vec<Vec<Duration>> = (0..4u64)
-            .map(|w| {
-                let p = base.with_jitter(fault_seed(9) ^ w.wrapping_add(1));
-                (1..=6).map(|a| p.backoff_delay(a)).collect()
-            })
-            .collect();
-        let mut distinct_pairs = 0;
-        for i in 0..schedules.len() {
-            for j in i + 1..schedules.len() {
-                if schedules[i] != schedules[j] {
-                    distinct_pairs += 1;
-                }
-            }
-        }
-        assert_eq!(distinct_pairs, 6, "every worker pair must decorrelate");
-    }
-
-    #[test]
-    fn zero_seed_keeps_the_legacy_doubling_schedule() {
-        let p =
-            RetryPolicy { max_attempts: 4, base_backoff: Duration::from_millis(2), jitter_seed: 0 };
+    fn backoff_doubles_up_to_the_cap() {
+        let p = RetryPolicy { max_attempts: 4, base_backoff: Duration::from_millis(2) };
         assert_eq!(p.backoff_delay(1), Duration::from_millis(2));
         assert_eq!(p.backoff_delay(2), Duration::from_millis(4));
         assert_eq!(p.backoff_delay(3), Duration::from_millis(8));
         assert_eq!(p.backoff_delay(20), Duration::from_millis(100), "cap");
+        assert_eq!(RetryPolicy::immediate(4).backoff_delay(3), Duration::ZERO);
     }
 
     #[test]

@@ -37,6 +37,8 @@
 //! * [`stream`] — incremental `std::io` writer/reader (one row-group in memory):
 //!   the `"ALPT"` header, terminator and commit footer around [`frame`]s.
 //! * [`pipeline`] — the same stream bytes with compression on a worker pool.
+//! * [`archive`] — the one way to open a file of either layout: sniff, strict
+//!   read, salvage, verdict.
 //! * [`mod@io`] — fault injection, bounded retry, and the fault taxonomy.
 //! * [`par`] — the morsel-driven scheduler behind the `*_parallel` paths.
 //! * [`analysis`] — the dataset statistics of Table 2.
@@ -44,6 +46,7 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
+pub mod archive;
 pub mod cascade;
 pub mod decode;
 pub mod encode;

@@ -4,106 +4,87 @@ use std::error::Error;
 use std::fs;
 use std::time::Instant;
 
-type Result<T> = std::result::Result<T, Box<dyn Error>>;
+use alp::archive::{self, Layout, Opened, Survivors, Verdict};
+use alp::{AlpFloat, ParityConfig, PipelineConfig, PipelinedColumnWriter};
 
-/// Reads a raw little-endian `f64` file.
-pub fn read_f64(path: &str) -> Result<Vec<f64>> {
-    let bytes = fs::read(path)?;
-    if bytes.len() % 8 != 0 {
-        return Err(format!("{path}: length {} is not a multiple of 8", bytes.len()).into());
+type Result<T> = std::result::Result<T, Box<dyn Error + Send + Sync>>;
+
+/// Reads a raw little-endian file of `F`s.
+fn read_raw<F: AlpFloat>(path: &str) -> Result<Vec<F>> {
+    let (bytes, width) = (fs::read(path)?, F::BITS as usize / 8);
+    if bytes.len() % width != 0 {
+        return Err(format!("{path}: length {} is not a multiple of {width}", bytes.len()).into());
     }
-    Ok(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
+    let value = |raw: &[u8]| {
+        let mut le = [0u8; 8];
+        le[..width].copy_from_slice(raw);
+        F::from_bits_u64(u64::from_le_bytes(le))
+    };
+    Ok(bytes.chunks_exact(width).map(value).collect())
 }
 
-/// Reads a raw little-endian `f32` file.
-pub fn read_f32(path: &str) -> Result<Vec<f32>> {
-    let bytes = fs::read(path)?;
-    if bytes.len() % 4 != 0 {
-        return Err(format!("{path}: length {} is not a multiple of 4", bytes.len()).into());
-    }
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
-}
-
-fn write_f64(path: &str, data: &[f64]) -> Result<()> {
-    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-    fs::write(path, bytes)?;
+/// Writes `data` as raw little-endian `F`s.
+fn write_raw<F: AlpFloat>(path: &str, data: &[F]) -> Result<()> {
+    let width = F::BITS as usize / 8;
+    let le = |v: &F| v.to_bits_u64().to_le_bytes().into_iter().take(width);
+    fs::write(path, data.iter().flat_map(le).collect::<Vec<u8>>())?;
     Ok(())
 }
 
-/// `alp compress <in> <out> [--f32] [--parity K]` — `--parity K` appends one
-/// XOR parity frame per `K` row-group frames, making any single damaged
-/// row-group per group reconstructible by `alp scrub` / the salvage readers.
-pub fn compress(input: &str, output: &str, f32_mode: bool, parity: Option<usize>) -> Result<()> {
-    fn encode<F: alp::AlpFloat>(data: &[F], parity: Option<usize>) -> Result<(Vec<u8>, f64)> {
-        let compressed = alp::Compressor::new().compress(data);
-        let bytes = match parity {
-            Some(group_size) => {
-                alp::format::to_bytes_with_parity(&compressed, alp::ParityConfig { group_size })?
-            }
-            None => alp::format::to_bytes(&compressed),
-        };
-        Ok((bytes, compressed.bits_per_value()))
-    }
-    let t0 = Instant::now();
-    let (bytes, values, bpv) = if f32_mode {
-        let data = read_f32(input)?;
-        let (bytes, bpv) = encode(&data, parity)?;
-        (bytes, data.len(), bpv)
-    } else {
-        let data = read_f64(input)?;
-        let (bytes, bpv) = encode(&data, parity)?;
-        (bytes, data.len(), bpv)
-    };
-    fs::write(output, &bytes)?;
-    let raw_bits = if f32_mode { 32.0 } else { 64.0 };
-    let protection = match parity {
-        Some(k) => format!(", parity 1/{k}"),
-        None => String::new(),
-    };
-    println!(
-        "{values} values -> {} bytes  ({bpv:.2} bits/value, {:.1}x, {:.0} ms{protection})",
-        bytes.len(),
-        raw_bits / bpv,
-        t0.elapsed().as_secs_f64() * 1e3
-    );
-    Ok(())
-}
-
-/// `alp compress <in> <out> --stream [--threads N] [--pipeline-depth D]
-/// [--parity K]`
+/// `alp compress <in> <out> [--f32] [--parity K] [--stream [--threads N]
+/// [--pipeline-depth D]]`
 ///
-/// Writes the incremental `"ALPT"` stream layout through the pipelined
-/// ingest path: row-group N compresses on a worker pool while row-group N+1
-/// fills. The bytes are identical to the serial stream writer at every
-/// thread count and depth; `--threads 1` runs fully inline. `--parity K`
-/// interleaves one XOR parity frame per `K` row-group frames (computed on
-/// the commit path, so the byte-identity guarantee holds with parity too).
-pub fn compress_stream(
+/// Without `--stream`: an `"ALP2"` column. With it (`stream` is the resolved
+/// pipeline configuration): the incremental `"ALPT"` stream layout through
+/// the pipelined ingest path — row-group N compresses on a worker pool while
+/// row-group N+1 fills; the bytes are identical to the serial stream writer
+/// at every thread count and depth, and `--threads 1` runs fully inline.
+/// `--parity K` adds one XOR parity frame per `K` row-group frames (trailing
+/// in a column, interleaved in a stream, computed on the commit path so the
+/// byte-identity guarantee holds with parity too), making any single damaged
+/// row-group per group reconstructible by `alp scrub` / on read.
+///
+/// Both layouts print one figure: bits/value = file bytes × 8 / values —
+/// headers, checksums and parity included — with the protection named next
+/// to it.
+pub fn compress(
     input: &str,
     output: &str,
     f32_mode: bool,
-    threads: usize,
-    depth: Option<usize>,
     parity: Option<usize>,
+    stream: Option<PipelineConfig>,
 ) -> Result<()> {
-    use alp_core::ingest::{PipelineConfig, PipelinedColumnWriter};
-    use std::io::BufWriter;
-
-    fn run<F: alp::AlpFloat>(
-        data: &[F],
+    fn run<F: AlpFloat>(
+        input: &str,
         output: &str,
-        config: PipelineConfig,
-        parity: Option<usize>,
-        t0: Instant,
-        raw_bits: f64,
+        parity: Option<ParityConfig>,
+        stream: Option<PipelineConfig>,
     ) -> Result<()> {
-        let sink = BufWriter::new(fs::File::create(output)?);
+        let t0 = Instant::now();
+        let data = read_raw::<F>(input)?;
+        let raw_bits = f64::from(F::BITS);
+        let bits_per_value = |file_bytes: usize| file_bytes as f64 * 8.0 / data.len().max(1) as f64;
+        let protection = parity.map_or(String::new(), |p| format!(", parity 1/{}", p.group_size));
+        let Some(config) = stream else {
+            let compressed = alp::Compressor::new().compress(&data);
+            let bytes = match parity {
+                Some(parity) => alp::format::to_bytes_with_parity(&compressed, parity)?,
+                None => alp::format::to_bytes(&compressed),
+            };
+            fs::write(output, &bytes)?;
+            let bpv = bits_per_value(bytes.len());
+            println!(
+                "{} values -> {} bytes  ({bpv:.2} bits/value, {:.1}x, {:.0} ms{protection})",
+                data.len(),
+                bytes.len(),
+                raw_bits / bpv,
+                t0.elapsed().as_secs_f64() * 1e3
+            );
+            return Ok(());
+        };
+        let sink = std::io::BufWriter::new(fs::File::create(output)?);
         let mut writer = match parity {
-            Some(group_size) => PipelinedColumnWriter::<F, _>::with_parity(
-                sink,
-                config,
-                alp::ParityConfig { group_size },
-            )?,
+            Some(parity) => PipelinedColumnWriter::<F, _>::with_parity(sink, config, parity)?,
             None => PipelinedColumnWriter::<F, _>::new(sink, config),
         };
         // Chunked pushes, as a real source would deliver them.
@@ -112,12 +93,11 @@ pub fn compress_stream(
         }
         let summary = writer.finish()?;
         let secs = t0.elapsed().as_secs_f64();
-        let raw_mb = summary.values as f64 * raw_bits / 8.0 / 1e6;
         let stats = summary.stats;
         println!(
             "{} values -> {} bytes streamed in {} row-groups: {} ALP, {} ALP_rd, \
              {} of {} vectors rescued  \
-             ({:.2} bits/value, {:.0} ms, {:.0} MB/s, threads={}, depth={})",
+             ({:.2} bits/value, {:.0} ms, {:.0} MB/s, threads={}, depth={}{protection})",
             summary.values,
             summary.total_bytes,
             summary.rowgroups,
@@ -125,417 +105,258 @@ pub fn compress_stream(
             stats.rowgroups_rd,
             stats.rescued_vectors,
             stats.vectors_encoded,
-            summary.payload_bytes as f64 * 8.0 / summary.values.max(1) as f64,
+            bits_per_value(summary.total_bytes),
             secs * 1e3,
-            raw_mb / secs.max(1e-9),
+            summary.values as f64 * raw_bits / 8.0 / 1e6 / secs.max(1e-9),
             config.threads,
             config.depth,
         );
         Ok(())
     }
-
-    let config = PipelineConfig::resolve(Some(threads), depth);
-    let t0 = Instant::now();
+    let parity = parity.map(|group_size| ParityConfig { group_size });
     if f32_mode {
-        run::<f32>(&read_f32(input)?, output, config, parity, t0, 32.0)
+        run::<f32>(input, output, parity, stream)
     } else {
-        run::<f64>(&read_f64(input)?, output, config, parity, t0, 64.0)
+        run::<f64>(input, output, parity, stream)
     }
 }
 
-/// Drains an `"ALPT"`/`"ALPS"` stream strictly; on a corruption error,
-/// retries through the salvage-with-repair reader and accepts the result
-/// only when parity reconstructed *everything* — decompress never silently
-/// drops rows. Returns the values plus a human-readable provenance note.
-fn drain_stream<F: alp::AlpFloat>(bytes: &[u8]) -> Result<(Vec<F>, String)> {
-    use alp::stream::ColumnReader;
-    let strict = (|| -> std::result::Result<(Vec<F>, bool), alp::stream::StreamError> {
-        let mut reader = ColumnReader::<F, _>::new(bytes)?;
-        let (mut data, mut values) = (Vec::new(), Vec::new());
-        while reader.next_rowgroup_into(&mut values)? {
-            data.extend_from_slice(&values);
-        }
-        Ok((data, reader.is_committed()))
-    })();
-    match strict {
-        Ok((data, committed)) => {
-            let committed = if committed { "committed" } else { "UNCOMMITTED" };
-            Ok((data, format!("{committed} stream")))
-        }
-        Err(strict_err) => {
-            // Repair-on-read: the salvage reader reconstructs any single
-            // damaged frame per parity group, checksum-verified.
-            let mut reader = ColumnReader::<F, _>::new(bytes)?;
-            let mut data = Vec::new();
-            while let Some(values) = reader.next_rowgroup_salvaged()? {
-                data.extend(values);
-            }
-            if !reader.lost_rowgroups().is_empty() || reader.repaired_rowgroups().is_empty() {
-                return Err(strict_err.into());
-            }
-            let committed = if reader.is_committed() { "committed" } else { "UNCOMMITTED" };
-            Ok((
-                data,
-                format!(
-                    "{committed} stream, repaired row-groups {:?} from parity",
-                    reader.repaired_rowgroups()
-                ),
-            ))
-        }
-    }
+/// What `alp decompress | inspect | verify | scrub` does with the opened file.
+pub enum Action<'a> {
+    /// Write the values out as raw little-endian floats.
+    Decompress { output: &'a str },
+    /// List the row-groups.
+    Inspect,
+    /// Report the verdict.
+    Verify,
+    /// Report the verdict row-group by row-group; `rewrite` atomically
+    /// replaces a fully repaired *column* file with its repaired re-encoding
+    /// (temp file, then rename), preserving the original parity group size.
+    Scrub { rewrite: bool },
 }
 
-/// Drains an `"ALPT"`/`"ALPS"` stream into raw little-endian floats.
-fn decompress_stream(bytes: &[u8], output: &str) -> Result<()> {
-    let bits = *bytes.get(4).ok_or("file too short")?;
-    match bits {
-        64 => {
-            let (data, note) = drain_stream::<f64>(bytes)?;
-            write_f64(output, &data)?;
-            println!("{} values ({note}) -> {output}", data.len());
-        }
-        32 => {
-            let (data, note) = drain_stream::<f32>(bytes)?;
-            let raw: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-            fs::write(output, raw)?;
-            println!("{} values (f32, {note}) -> {output}", data.len());
-        }
-        other => return Err(format!("unsupported float width {other}").into()),
-    }
-    Ok(())
-}
-
-/// Strict column read with a repair-on-read fallback: when the strict parse
-/// fails, a salvage pass may still reconstruct every row-group from parity
-/// (or re-find alignment past a corrupted length prefix). The fallback is
-/// accepted only when *no* row-group stayed lost and the value count matches
-/// the header — anything less re-raises the strict error.
-fn read_column_with_repair<F: alp::AlpFloat>(
-    bytes: &[u8],
-) -> Result<(alp::Compressed<F>, Vec<usize>)> {
-    match alp::format::from_bytes::<F>(bytes) {
-        Ok(c) => Ok((c, Vec::new())),
-        Err(strict_err) => match alp::format::from_bytes_salvage::<F>(bytes) {
-            Ok(s)
-                if s.lost_rowgroups.is_empty()
-                    && s.column.len == s.expected_len
-                    && s.total_rowgroups > 0 =>
-            {
-                Ok((s.column, s.repaired_rowgroups))
-            }
-            _ => Err(strict_err.into()),
-        },
-    }
-}
-
-/// Whether `bytes` is a stream (`"ALPT"` / legacy `"ALPS"`) rather than a
-/// column. Both share the width-at-byte-4 convention; the magic picks the
-/// reader.
-fn is_stream(bytes: &[u8]) -> bool {
-    bytes.starts_with(alp::stream::STREAM_MAGIC) || bytes.starts_with(alp::stream::STREAM_MAGIC_V1)
-}
-
-/// `alp decompress <in> <out>` — with repair-on-read: a damaged but
-/// parity-protected file whose every row-group is reconstructible
-/// decompresses byte-identically, with a note naming the repaired
-/// row-groups.
-pub fn decompress(input: &str, output: &str) -> Result<()> {
+/// `alp decompress | inspect | verify | scrub <in> [--threads N]` — the one
+/// path from a stored file to a report: read it, sniff it, dispatch once on
+/// the float width, [`alp::archive::open`] (strict read, salvage fallback,
+/// verdict — DESIGN.md §7), act. Columns and streams, current and legacy,
+/// take the same path.
+///
+/// Returns the process exit code. `verify` and `scrub` triage through it, and
+/// it is the [`Verdict`]'s own number: 0 clean, 2 damaged but fully repaired,
+/// 3 salvageable with loss, 4 unreadable (no row-group survives, or the
+/// header is damaged). `decompress` and `inspect` return 0 or `Err`:
+/// `decompress` never writes a column with rows missing. `Err` (a missing
+/// file, a refused action) exits 1.
+pub fn open_archive(input: &str, threads: usize, action: &Action<'_>) -> Result<u8> {
     let bytes = fs::read(input)?;
-    if is_stream(&bytes) {
-        return decompress_stream(&bytes, output);
-    }
-    // Peek at the width byte (after the 4-byte magic).
-    let bits = *bytes.get(4).ok_or("file too short")?;
-    match bits {
-        64 => {
-            let (compressed, repaired) = read_column_with_repair::<f64>(&bytes)?;
-            let data = compressed.decompress();
-            write_f64(output, &data)?;
-            let note = repair_note(&repaired);
-            println!("{} values{note} -> {output}", data.len());
+    let acted = archive::sniff(&bytes).and_then(|kind| match kind.bits {
+        32 => archive::open::<f32>(&bytes, threads).map(|o| action.run(input, &bytes, threads, o)),
+        _ => archive::open::<f64>(&bytes, threads).map(|o| action.run(input, &bytes, threads, o)),
+    });
+    match (acted, action) {
+        (Ok(result), _) => result,
+        // No usable header: the triaging commands answer "unreadable" too.
+        (Err(e), Action::Verify | Action::Scrub { .. }) => {
+            match action {
+                Action::Verify => println!(
+                    "{input}: CORRUPT — unrecognized: {e}\n  salvageable: nothing (header damaged)"
+                ),
+                _ => println!("{input}: unreadable — {e}"),
+            }
+            Ok(Verdict::Unreadable as u8)
         }
-        32 => {
-            let (compressed, repaired) = read_column_with_repair::<f32>(&bytes)?;
-            let data = compressed.decompress();
-            let raw: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-            fs::write(output, raw)?;
-            let note = repair_note(&repaired);
-            println!("{} values (f32){note} -> {output}", data.len());
-        }
-        other => return Err(format!("unsupported float width {other}").into()),
+        (Err(e), _) => Err(e.into()),
     }
-    Ok(())
 }
 
-fn repair_note(repaired: &[usize]) -> String {
-    if repaired.is_empty() {
+impl Action<'_> {
+    fn run<F: AlpFloat>(
+        &self,
+        input: &str,
+        bytes: &[u8],
+        threads: usize,
+        opened: Opened<F>,
+    ) -> Result<u8> {
+        let code = opened.verdict as u8;
+        match *self {
+            Action::Decompress { output } => {
+                let mut notes: Vec<String> = Vec::new();
+                notes.extend((F::BITS == 32).then(|| "f32".into()));
+                notes.extend(commit_state(&opened).map(String::from));
+                if !opened.repaired.is_empty() {
+                    notes.push(format!("repaired row-groups {:?} from parity", opened.repaired));
+                }
+                let data = opened.complete_values(threads)?;
+                write_raw(output, &data)?;
+                println!("{} values{} -> {output}", data.len(), parenthesized(notes));
+                Ok(0)
+            }
+            Action::Inspect => match &opened.strict_error {
+                Some(e) if opened.verdict == Verdict::Unreadable => Err(e.to_string().into()),
+                _ => {
+                    inspect(bytes.len(), &opened);
+                    Ok(0)
+                }
+            },
+            Action::Verify => {
+                report(input, &opened, false);
+                Ok(code)
+            }
+            Action::Scrub { rewrite } => {
+                if rewrite && opened.kind.layout == Layout::Stream {
+                    return Err(
+                        "--rewrite supports column files; re-ingest to rewrite a stream".into()
+                    );
+                }
+                report(input, &opened, true);
+                if let (true, Verdict::Repaired, Survivors::Column(column)) =
+                    (rewrite, opened.verdict, &opened.survivors)
+                {
+                    // Re-encode with the same protection the file carried; the
+                    // repaired row-groups are byte-identical to what the writer
+                    // emitted, so the rewritten file matches the pristine
+                    // original.
+                    let repaired = match alp::format::parity_group_size(bytes) {
+                        Some(group_size) => {
+                            alp::format::to_bytes_with_parity(column, ParityConfig { group_size })?
+                        }
+                        None => alp::format::to_bytes(column),
+                    };
+                    let tmp = format!("{input}.scrub-tmp");
+                    fs::write(&tmp, &repaired)?;
+                    fs::rename(&tmp, input)?;
+                    println!("  rewrote {input} ({} bytes, damage cleared)", repaired.len());
+                }
+                Ok(code)
+            }
+        }
+    }
+}
+
+/// `Some("committed stream" | "UNCOMMITTED stream")` for a stream, `None` for
+/// a column (which has no commit record: it is written whole).
+fn commit_state<F: AlpFloat>(opened: &Opened<F>) -> Option<&'static str> {
+    match (opened.kind.layout, opened.committed) {
+        (Layout::Column, _) => None,
+        (Layout::Stream, true) => Some("committed stream"),
+        (Layout::Stream, false) => Some("UNCOMMITTED stream"),
+    }
+}
+
+/// `" (a, b)"`, or nothing for no notes.
+fn parenthesized<S: AsRef<str>>(notes: impl IntoIterator<Item = S>) -> String {
+    let notes: Vec<String> = notes.into_iter().map(|note| note.as_ref().to_string()).collect();
+    if notes.is_empty() {
         String::new()
     } else {
-        format!(" (repaired row-groups {repaired:?} from parity)")
+        format!(" ({})", notes.join(", "))
     }
 }
 
-/// `alp inspect <in>`
-pub fn inspect(input: &str) -> Result<()> {
-    let bytes = fs::read(input)?;
-    let bits = *bytes.get(4).ok_or("file too short")?;
-    if bits == 32 {
-        let c = alp::format::from_bytes::<f32>(&bytes)?;
-        print_structure(&c.rowgroups, c.len, 32, bytes.len());
-    } else {
-        let c = alp::format::from_bytes::<f64>(&bytes)?;
-        print_structure(&c.rowgroups, c.len, 64, bytes.len());
-    }
-    Ok(())
-}
-
-fn print_structure(rowgroups: &[alp::RowGroup], len: usize, bits: u32, file_bytes: usize) {
+/// `alp inspect <in>`: the surviving row-groups in file order — with their
+/// scheme and exception counts where the layout keeps them compressed — and
+/// the repaired and lost ones marked.
+fn inspect<F: AlpFloat>(file_bytes: usize, opened: &Opened<F>) {
+    let lens = opened.survivors.rowgroup_lens();
+    let what = match opened.kind.layout {
+        Layout::Column => "column",
+        Layout::Stream => "stream",
+    };
     println!(
-        "ALP column: {len} values of f{bits}, {} row-groups, {file_bytes} bytes",
-        rowgroups.len()
+        "ALP {what}: {} values of f{}, {} row-groups, {file_bytes} bytes{}",
+        lens.iter().sum::<usize>(),
+        F::BITS,
+        lens.len(),
+        parenthesized(commit_state(opened)),
     );
     println!("{:<6} {:<8} {:>8} {:>10} {:>12}", "rg", "scheme", "vectors", "values", "exceptions");
-    for (i, rg) in rowgroups.iter().enumerate() {
-        let (scheme, exceptions) = match rg {
-            alp::RowGroup::Alp(g) => {
-                ("ALP", g.vectors.iter().map(|v| v.exception_count()).sum::<usize>())
-            }
-            alp::RowGroup::Rd(_, vs) => {
-                ("ALP_rd", vs.iter().map(|v| v.exception_count()).sum::<usize>())
-            }
+    let shape = |rg: &alp::RowGroup| -> (&str, String) {
+        let (scheme, exceptions): (_, usize) = match rg {
+            alp::RowGroup::Alp(g) => ("ALP", g.vectors.iter().map(|v| v.exception_count()).sum()),
+            alp::RowGroup::Rd(_, vs) => ("ALP_rd", vs.iter().map(|v| v.exception_count()).sum()),
         };
-        println!("{i:<6} {scheme:<8} {:>8} {:>10} {exceptions:>12}", rg.vector_count(), rg.len());
-    }
-}
-
-/// `alp verify` exit code: the column is clean.
-pub const VERIFY_EXIT_CLEAN: u8 = 0;
-
-/// `alp verify` exit code: damage was found, but a salvage pass recovers
-/// *every* row-group (parity reconstruction and/or resync) — the data is
-/// fully intact despite the strict-read failure.
-pub const VERIFY_EXIT_REPAIRED: u8 = 2;
-
-/// `alp verify` exit code: the column is damaged but a salvage pass recovers
-/// part of it.
-pub const VERIFY_EXIT_SALVAGEABLE: u8 = 3;
-
-/// `alp verify` exit code: nothing is recoverable (damaged header, or no
-/// row-group survives).
-pub const VERIFY_EXIT_UNREADABLE: u8 = 4;
-
-/// `alp verify <in.alp> [--threads N]` — integrity-check a stored column
-/// without writing anything: validates the header, every row-group checksum
-/// (`ALP2`), and the declared value count, then reports what a salvage pass
-/// could recover if the strict read fails. The proving decode and the
-/// salvage pass both run on `threads` morsel-claiming workers.
-///
-/// Returns the process exit code so scripts can triage archives:
-/// [`VERIFY_EXIT_CLEAN`] (0), [`VERIFY_EXIT_REPAIRED`] (2, damage found but
-/// fully repairable via parity), [`VERIFY_EXIT_SALVAGEABLE`] (3), or
-/// [`VERIFY_EXIT_UNREADABLE`] (4). `Err` is reserved for operational
-/// failures (unreadable file, unsupported width) and exits 1.
-pub fn verify_column(input: &str, threads: usize) -> Result<u8> {
-    let bytes = fs::read(input)?;
-    let bits = *bytes.get(4).ok_or("file too short")?;
-    match bits {
-        64 => verify_typed::<f64>(input, &bytes, threads),
-        32 => verify_typed::<f32>(input, &bytes, threads),
-        other => Err(format!("unsupported float width {other}").into()),
-    }
-}
-
-fn verify_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8], threads: usize) -> Result<u8> {
-    let layout = if bytes.starts_with(alp::format::MAGIC) {
-        "ALP2 (per-row-group checksums)"
-    } else if bytes.starts_with(alp::format::MAGIC_V1) {
-        "ALP1 (legacy, no checksums)"
-    } else {
-        "unrecognized"
+        (scheme, exceptions.to_string())
     };
-    match alp::format::from_bytes::<F>(bytes) {
-        Ok(col) => {
-            // A column that parses strictly must also decode; do so to prove
-            // the payload is usable, not just well-framed.
-            let values = col.decompress_parallel(threads);
-            println!(
-                "{input}: OK — {layout}, {} values of f{}, {} row-groups",
-                values.len(),
-                F::BITS,
-                col.rowgroups.len()
-            );
-            Ok(VERIFY_EXIT_CLEAN)
-        }
-        Err(e) => {
-            println!("{input}: CORRUPT — {layout}: {e}");
-            match alp::format::from_bytes_salvage_parallel::<F>(bytes, threads) {
-                Ok(s) => {
-                    for rg in &s.repaired_rowgroups {
-                        println!("  row-group {rg}: repaired from parity (checksum verified)");
-                    }
-                    if s.lost_rowgroups.is_empty()
-                        && s.column.len == s.expected_len
-                        && s.total_rowgroups > 0
-                    {
-                        println!(
-                            "  fully repaired: all {} values intact ({} of {} row-groups \
-                             reconstructed)",
-                            s.column.len,
-                            s.repaired_rowgroups.len(),
-                            s.total_rowgroups
-                        );
-                        Ok(VERIFY_EXIT_REPAIRED)
-                    } else if s.column.len > 0 {
-                        println!(
-                            "  salvageable: {} of {} values ({} of {} row-groups; lost {:?})",
-                            s.column.len,
-                            s.expected_len,
-                            s.total_rowgroups - s.lost_rowgroups.len(),
-                            s.total_rowgroups,
-                            s.lost_rowgroups
-                        );
-                        Ok(VERIFY_EXIT_SALVAGEABLE)
-                    } else {
-                        println!("  salvageable: nothing (no row-group survives)");
-                        Ok(VERIFY_EXIT_UNREADABLE)
-                    }
-                }
-                Err(_) => {
-                    println!("  salvageable: nothing (header damaged)");
-                    Ok(VERIFY_EXIT_UNREADABLE)
-                }
-            }
-        }
-    }
-}
-
-/// `alp scrub <in> [--threads N] [--rewrite]` — walk a stored column or
-/// stream, verify every row-group checksum, reconstruct damaged row-groups
-/// from parity, and report a per-row-group verdict. Report-only by default;
-/// `--rewrite` atomically replaces a fully-repaired *column* file with its
-/// repaired re-encoding (write to a temp file, then rename), preserving the
-/// original parity group size.
-///
-/// Exit codes mirror `alp verify`: [`VERIFY_EXIT_CLEAN`] (0, no damage),
-/// [`VERIFY_EXIT_REPAIRED`] (2, damage found and fully repaired),
-/// [`VERIFY_EXIT_SALVAGEABLE`] (3, unrecoverable loss remains), or
-/// [`VERIFY_EXIT_UNREADABLE`] (4). `Err` exits 1.
-pub fn scrub(input: &str, threads: usize, rewrite: bool) -> Result<u8> {
-    let bytes = fs::read(input)?;
-    if is_stream(&bytes) {
-        if rewrite {
-            return Err("--rewrite supports column files; re-ingest to rewrite a stream".into());
-        }
-        let bits = *bytes.get(4).ok_or("file too short")?;
-        return match bits {
-            64 => scrub_stream_typed::<f64>(input, &bytes),
-            32 => scrub_stream_typed::<f32>(input, &bytes),
-            other => Err(format!("unsupported float width {other}").into()),
-        };
-    }
-    let bits = *bytes.get(4).ok_or("file too short")?;
-    match bits {
-        64 => scrub_column::<f64>(input, &bytes, threads, rewrite),
-        32 => scrub_column::<f32>(input, &bytes, threads, rewrite),
-        other => Err(format!("unsupported float width {other}").into()),
-    }
-}
-
-fn scrub_column<F: alp::AlpFloat>(
-    input: &str,
-    bytes: &[u8],
-    threads: usize,
-    rewrite: bool,
-) -> Result<u8> {
-    if alp::format::from_bytes::<F>(bytes).is_ok() {
-        println!("{input}: clean — nothing to scrub");
-        return Ok(VERIFY_EXIT_CLEAN);
-    }
-    let s = match alp::format::from_bytes_salvage_parallel::<F>(bytes, threads) {
-        Ok(s) => s,
-        Err(e) => {
-            println!("{input}: unreadable — {e}");
-            return Ok(VERIFY_EXIT_UNREADABLE);
-        }
+    let rows: Vec<(&str, String)> = match &opened.survivors {
+        Survivors::Column(column) => column.rowgroups.iter().map(shape).collect(),
+        // A drained stream keeps values only: no scheme, no exception count.
+        Survivors::Stream(rowgroups) => vec![("-", "-".into()); rowgroups.len()],
     };
-    for rg in &s.repaired_rowgroups {
+    let mut survivors = lens.iter().zip(rows);
+    for rg in 0..lens.len() + opened.lost.len() {
+        if opened.lost.contains(&rg) {
+            println!("{rg:<6} LOST");
+        } else if let Some((len, (scheme, exceptions))) = survivors.next() {
+            let vectors = len.div_ceil(alp::VECTOR_SIZE);
+            let repaired =
+                if opened.repaired.contains(&rg) { "  repaired from parity" } else { "" };
+            println!("{rg:<6} {scheme:<8} {vectors:>8} {len:>10} {exceptions:>12}{repaired}");
+        }
+    }
+}
+
+/// The one report under `alp verify` (`scrub == false`) and `alp scrub`: what
+/// the strict read said, each repaired (and, for `scrub`, lost) row-group,
+/// and the verdict's line.
+fn report<F: AlpFloat>(input: &str, opened: &Opened<F>, scrub: bool) {
+    let kind = opened.kind;
+    let layout = match (kind.layout, kind.legacy) {
+        (Layout::Column, false) => "per-row-group checksums",
+        (Layout::Stream, false) => "checksummed frames, commit footer",
+        (_, true) => "legacy, no checksums",
+    };
+    let layout = format!("{} ({layout})", kind.magic);
+    let state = parenthesized(commit_state(opened));
+    let lens = opened.survivors.rowgroup_lens();
+    let (values, rowgroups) = (lens.iter().sum::<usize>(), lens.len());
+    let (total, repaired) = (opened.total_rowgroups(), opened.repaired.len());
+    if let (Some(e), false) = (&opened.strict_error, scrub) {
+        println!("{input}: CORRUPT — {layout}: {e}");
+    }
+    for rg in &opened.repaired {
         println!("  row-group {rg}: repaired from parity (checksum verified)");
     }
-    for rg in &s.lost_rowgroups {
+    for rg in opened.lost.iter().filter(|_| scrub) {
         println!("  row-group {rg}: LOST (unrecoverable)");
     }
-    if !s.lost_rowgroups.is_empty() {
-        println!(
-            "{input}: salvageable with loss — {} of {} values recoverable",
-            s.column.len, s.expected_len
-        );
-        return Ok(VERIFY_EXIT_SALVAGEABLE);
+    let promised = opened.promised.map_or("an unknown number of".into(), |p| p.values.to_string());
+    match (opened.verdict, scrub) {
+        (Verdict::Clean, false) => println!(
+            "{input}: OK — {layout}, {values} values of f{}, {rowgroups} row-groups{state}",
+            F::BITS
+        ),
+        (Verdict::Clean, true) => println!("{input}: clean — nothing to scrub{state}"),
+        (Verdict::Repaired, false) => println!(
+            "  fully repaired: all {values} values intact ({repaired} of {total} row-groups \
+             reconstructed){state}"
+        ),
+        (Verdict::Repaired, true) => println!(
+            "{input}: fully repaired — {repaired} row-groups reconstructed from parity, all \
+             {values} values intact{state}"
+        ),
+        (Verdict::Salvageable, false) => println!(
+            "  salvageable: {values} of {promised} values ({rowgroups} of {total} row-groups; \
+             lost {:?}){state}",
+            opened.lost
+        ),
+        (Verdict::Salvageable, true) => println!(
+            "{input}: salvageable with loss — {values} of {promised} values recoverable{state}"
+        ),
+        (Verdict::Unreadable, false) => {
+            println!("  salvageable: nothing (no row-group survives){state}")
+        }
+        (Verdict::Unreadable, true) => {
+            println!("{input}: unreadable — no row-group survives{state}")
+        }
     }
-    if s.column.len != s.expected_len || s.total_rowgroups == 0 {
-        println!("{input}: unreadable — no row-group survives");
-        return Ok(VERIFY_EXIT_UNREADABLE);
-    }
-    println!(
-        "{input}: fully repaired — {} row-groups reconstructed from parity, all {} values intact",
-        s.repaired_rowgroups.len(),
-        s.column.len
-    );
-    if rewrite {
-        // Re-encode with the same protection the file carried; the repaired
-        // row-groups are byte-identical to what the writer emitted, so the
-        // rewritten file matches the pristine original.
-        let repaired_bytes = match alp::format::parity_group_size(bytes) {
-            Some(group_size) => {
-                alp::format::to_bytes_with_parity(&s.column, alp::ParityConfig { group_size })?
-            }
-            None => alp::format::to_bytes(&s.column),
-        };
-        let tmp = format!("{input}.scrub-tmp");
-        fs::write(&tmp, &repaired_bytes)?;
-        fs::rename(&tmp, input)?;
-        println!("  rewrote {input} ({} bytes, damage cleared)", repaired_bytes.len());
-    }
-    Ok(VERIFY_EXIT_REPAIRED)
-}
-
-fn scrub_stream_typed<F: alp::AlpFloat>(input: &str, bytes: &[u8]) -> Result<u8> {
-    use alp::stream::ColumnReader;
-    let mut reader = ColumnReader::<F, _>::new(bytes)?;
-    let mut values = 0usize;
-    while let Some(v) = reader.next_rowgroup_salvaged()? {
-        values += v.len();
-    }
-    let committed = if reader.is_committed() { "committed" } else { "UNCOMMITTED" };
-    for rg in reader.repaired_rowgroups() {
-        println!("  row-group {rg}: repaired from parity (checksum verified)");
-    }
-    for rg in reader.lost_rowgroups() {
-        println!("  row-group {rg}: LOST (unrecoverable)");
-    }
-    if !reader.lost_rowgroups().is_empty() {
-        println!(
-            "{input}: salvageable with loss — {values} values recoverable ({committed} stream)"
-        );
-        return Ok(if values > 0 { VERIFY_EXIT_SALVAGEABLE } else { VERIFY_EXIT_UNREADABLE });
-    }
-    if reader.repaired_rowgroups().is_empty() {
-        println!("{input}: clean — {values} values, nothing to scrub ({committed} stream)");
-        return Ok(VERIFY_EXIT_CLEAN);
-    }
-    println!(
-        "{input}: fully repaired — {} row-groups reconstructed from parity, all {values} values \
-         intact ({committed} stream)",
-        reader.repaired_rowgroups().len()
-    );
-    Ok(VERIFY_EXIT_REPAIRED)
 }
 
 /// `alp stats <in> [--f32]`
 pub fn stats(input: &str, f32_mode: bool) -> Result<()> {
     let data: Vec<f64> = if f32_mode {
-        read_f32(input)?.into_iter().map(|v| v as f64).collect()
+        read_raw::<f32>(input)?.into_iter().map(f64::from).collect()
     } else {
-        read_f64(input)?
+        read_raw(input)?
     };
     if data.is_empty() {
         return Err("empty input".into());
@@ -571,7 +392,7 @@ pub fn generate(dataset: &str, n: &str, output: &str) -> Result<()> {
         return Err(format!("unknown dataset {dataset:?} (try `alp datasets`)").into());
     }
     let data = datagen::generate(dataset, n, 42);
-    write_f64(output, &data)?;
+    write_raw(output, &data)?;
     println!("{dataset}: {n} values -> {output}");
     Ok(())
 }
@@ -591,7 +412,7 @@ pub fn list_datasets() -> Result<()> {
 /// (`par_compress`/`par_decompress`) at the requested thread count; ratio-only
 /// schemes report bits/value with dashes for the timing columns.
 pub fn shootout(input: &str, threads: usize) -> Result<()> {
-    let data = read_f64(input)?;
+    let data: Vec<f64> = read_raw(input)?;
     if data.is_empty() {
         return Err("empty input".into());
     }
@@ -641,7 +462,7 @@ pub fn query(
     let (lo_text, hi_text) = (lo, hi);
     let lo: f64 = lo.parse().map_err(|_| format!("lo: {lo:?} is not a number"))?;
     let hi: f64 = hi.parse().map_err(|_| format!("hi: {hi:?} is not a number"))?;
-    let data = read_f64(input)?;
+    let data: Vec<f64> = read_raw(input)?;
     let t0 = Instant::now();
     let column = vectorq::Column::from_f64_parallel(&data, vectorq::Format::alp(), threads);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -806,6 +627,9 @@ pub fn analyze(args: &[String]) -> std::process::ExitCode {
 
 #[cfg(test)]
 mod tests {
+    //! The commands that never open an archive; `tests/drills.rs` drives
+    //! `compress`, `decompress`, `inspect`, `verify`, `scrub` and `query`
+    //! through the binary.
     use super::*;
 
     fn tmp(name: &str) -> String {
@@ -815,32 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn compress_decompress_cycle() {
-        let input = tmp("cycle.f64");
-        let packed = tmp("cycle.alp");
-        let restored = tmp("cycle_restored.f64");
-        let data: Vec<f64> = (0..50_000).map(|i| (i % 777) as f64 / 4.0).collect();
-        write_f64(&input, &data).unwrap();
-        compress(&input, &packed, false, None).unwrap();
-        decompress(&packed, &restored).unwrap();
-        assert_eq!(read_f64(&restored).unwrap(), data);
-    }
-
-    #[test]
-    fn inspect_reports_structure() {
-        let input = tmp("inspect.f64");
-        let packed = tmp("inspect.alp");
-        let data: Vec<f64> = (0..120_000).map(|i| (i % 100) as f64).collect();
-        write_f64(&input, &data).unwrap();
-        compress(&input, &packed, false, None).unwrap();
-        inspect(&packed).unwrap();
-    }
-
-    #[test]
     fn gen_then_stats() {
         let out = tmp("gen.f64");
         generate("City-Temp", "20000", &out).unwrap();
-        assert_eq!(read_f64(&out).unwrap().len(), 20_000);
+        assert_eq!(read_raw::<f64>(&out).unwrap().len(), 20_000);
         stats(&out, false).unwrap();
     }
 
@@ -850,122 +652,26 @@ mod tests {
     }
 
     #[test]
-    fn bad_file_length_is_an_error() {
-        let p = tmp("bad.f64");
+    fn raw_files_round_trip_at_both_widths_and_refuse_a_ragged_length() {
+        let p = tmp("raw.bin");
+        let doubles = [1.5f64, -0.0, f64::from_bits(0x7ff8_0000_0000_1234)];
+        write_raw(&p, &doubles).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&read_raw::<f64>(&p).unwrap()), bits(&doubles));
+        write_raw(&p, &[2.5f32, f32::MIN_POSITIVE]).unwrap();
+        assert_eq!(read_raw::<f32>(&p).unwrap(), [2.5f32, f32::MIN_POSITIVE]);
         fs::write(&p, [1, 2, 3]).unwrap();
-        assert!(read_f64(&p).is_err());
-        assert!(read_f32(&p).is_err());
-    }
-
-    #[test]
-    fn verify_accepts_clean_and_rejects_flipped_bit() {
-        let input = tmp("verify.f64");
-        let packed = tmp("verify.alp");
-        let data: Vec<f64> = (0..120_000).map(|i| (i % 500) as f64 / 4.0).collect();
-        write_f64(&input, &data).unwrap();
-        compress(&input, &packed, false, None).unwrap();
-        assert_eq!(verify_column(&packed, 2).unwrap(), VERIFY_EXIT_CLEAN);
-
-        // One flipped payload bit: damaged, but the other row-group survives.
-        let mut bytes = fs::read(&packed).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        let damaged = tmp("verify_damaged.alp");
-        fs::write(&damaged, &bytes).unwrap();
-        assert_eq!(verify_column(&damaged, 2).unwrap(), VERIFY_EXIT_SALVAGEABLE);
-
-        // A wrecked magic makes the header unrecoverable.
-        let mut bytes = fs::read(&packed).unwrap();
-        bytes[0] = b'X';
-        let unreadable = tmp("verify_unreadable.alp");
-        fs::write(&unreadable, &bytes).unwrap();
-        assert_eq!(verify_column(&unreadable, 2).unwrap(), VERIFY_EXIT_UNREADABLE);
-    }
-
-    #[test]
-    fn parity_column_repairs_scrubs_and_verifies() {
-        let input = tmp("parity.f64");
-        let packed = tmp("parity.alp");
-        let restored = tmp("parity_restored.f64");
-        let data: Vec<f64> = (0..250_000).map(|i| (i % 999) as f64 / 8.0).collect();
-        write_f64(&input, &data).unwrap();
-        compress(&input, &packed, false, Some(4)).unwrap();
-        let pristine = fs::read(&packed).unwrap();
-        assert_eq!(verify_column(&packed, 2).unwrap(), VERIFY_EXIT_CLEAN);
-        assert_eq!(scrub(&packed, 2, false).unwrap(), VERIFY_EXIT_CLEAN);
-
-        // Corrupt one byte deep inside the first row-group's frame body.
-        let mut bytes = pristine.clone();
-        bytes[600] ^= 0xFF;
-        fs::write(&packed, &bytes).unwrap();
-
-        // Report-only scrub finds and repairs the damage (exit 2) without
-        // touching the file; verify agrees.
-        assert_eq!(scrub(&packed, 2, false).unwrap(), VERIFY_EXIT_REPAIRED);
-        assert_eq!(fs::read(&packed).unwrap(), bytes, "report-only scrub must not rewrite");
-        assert_eq!(verify_column(&packed, 2).unwrap(), VERIFY_EXIT_REPAIRED);
-
-        // Repair-on-read decompression recovers the original data exactly.
-        decompress(&packed, &restored).unwrap();
-        assert_eq!(read_f64(&restored).unwrap(), data);
-
-        // --rewrite replaces the file with its repaired re-encoding, which
-        // matches the pristine bytes exactly (repair is byte-identical and
-        // the parity group size is preserved).
-        assert_eq!(scrub(&packed, 2, true).unwrap(), VERIFY_EXIT_REPAIRED);
-        assert_eq!(fs::read(&packed).unwrap(), pristine);
-        assert_eq!(verify_column(&packed, 2).unwrap(), VERIFY_EXIT_CLEAN);
-    }
-
-    #[test]
-    fn parity_stream_repairs_on_read_and_scrubs() {
-        let input = tmp("pstream.f64");
-        let packed = tmp("pstream.alpt");
-        let restored = tmp("pstream_restored.f64");
-        let data: Vec<f64> = (0..250_000).map(|i| (i % 123) as f64 / 2.0).collect();
-        write_f64(&input, &data).unwrap();
-        compress_stream(&input, &packed, false, 2, None, Some(2)).unwrap();
-        assert_eq!(scrub(&packed, 2, false).unwrap(), VERIFY_EXIT_CLEAN);
-
-        // Corrupt a byte inside the first data frame's body.
-        let mut bytes = fs::read(&packed).unwrap();
-        bytes[600] ^= 0xFF;
-        fs::write(&packed, &bytes).unwrap();
-        assert_eq!(scrub(&packed, 2, false).unwrap(), VERIFY_EXIT_REPAIRED);
-        decompress(&packed, &restored).unwrap();
-        assert_eq!(read_f64(&restored).unwrap(), data);
-
-        // Two damaged frames in one parity group exceed the repair budget:
-        // scrub degrades to an honest loss report.
-        let mut bytes = fs::read(&packed).unwrap();
-        bytes[600] ^= 0xFF;
-        let second_frame = bytes.len() / 3;
-        bytes[second_frame] ^= 0xFF;
-        fs::write(&packed, &bytes).unwrap();
-        let code = scrub(&packed, 2, false).unwrap();
-        assert!(code == VERIFY_EXIT_SALVAGEABLE || code == VERIFY_EXIT_REPAIRED);
+        assert!(read_raw::<f64>(&p).is_err());
+        assert!(read_raw::<f32>(&p).is_err());
     }
 
     #[test]
     fn shootout_runs_across_thread_counts() {
         let input = tmp("shootout.f64");
         let data: Vec<f64> = (0..120_000).map(|i| (i % 321) as f64 / 8.0).collect();
-        write_f64(&input, &data).unwrap();
+        write_raw(&input, &data).unwrap();
         for threads in [1, 3] {
             shootout(&input, threads).unwrap();
         }
-    }
-
-    #[test]
-    fn f32_compress_cycle() {
-        let input = tmp("c32.f32");
-        let packed = tmp("c32.alp");
-        let restored = tmp("c32_restored.f32");
-        let data: Vec<f32> = (0..30_000).map(|i| (i % 300) as f32 / 2.0).collect();
-        let raw: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        fs::write(&input, raw).unwrap();
-        compress(&input, &packed, true, None).unwrap();
-        decompress(&packed, &restored).unwrap();
-        assert_eq!(read_f32(&restored).unwrap(), data);
     }
 }

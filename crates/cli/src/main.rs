@@ -8,15 +8,17 @@
 //!                file reads; identical bytes at every N and D);
 //!                --parity K emits one XOR parity frame per K row-groups so
 //!                any single damaged row-group per group repairs on read
-//! alp decompress <in.alp> <out.f64>             ALP column/stream -> raw LE floats
+//! alp decompress <in.alp> <out.f64>  [--threads N]   ALP column/stream -> raw LE floats
 //!                (repair-on-read: parity-reconstructible damage decompresses
-//!                byte-identically, with the repaired row-groups named)
-//! alp inspect    <in.alp>                       header, row-groups, schemes
-//! alp verify     <in.alp> [--threads N]         checksum + salvage report
+//!                byte-identically, with the repaired row-groups named; never
+//!                writes a column with rows missing)
+//! alp inspect    <in.alp>                       row-groups of a column or stream:
+//!                scheme, vectors, values, exceptions; repaired / lost marked
+//! alp verify     <in.alp> [--threads N]         verdict on a column or stream
 //!                exit codes: 0 clean, 2 damaged-but-fully-repaired,
 //!                3 salvageable, 4 unreadable, 1 error
 //! alp scrub      <in.alp> [--threads N] [--rewrite]
-//!                walk + repair report for a column or stream; --rewrite
+//!                the same verdict, row-group by row-group; --rewrite
 //!                atomically replaces a fully-repaired column file
 //!                exit codes: same as verify
 //! alp stats      <in.f64> [--f32]               Table 2-style dataset metrics
@@ -35,6 +37,7 @@
 
 mod commands;
 
+use commands::Action;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -69,60 +72,37 @@ fn main() -> ExitCode {
         return usage();
     }
 
-    let result = match positional.split_first() {
-        Some((cmd, rest)) => {
-            let rest: Vec<&str> = rest.iter().map(|s| s.as_str()).collect();
-            match (cmd.as_str(), rest.as_slice()) {
-                ("compress", [input, output]) if stream_mode => commands::compress_stream(
-                    input,
-                    output,
-                    f32_mode,
-                    threads,
-                    depth_flag,
-                    parity_flag,
-                ),
-                ("compress", [input, output]) => {
-                    commands::compress(input, output, f32_mode, parity_flag)
-                }
-                ("decompress", [input, output]) => commands::decompress(input, output),
-                ("inspect", [input]) => commands::inspect(input),
-                // `verify` and `scrub` triage archives through their exit
-                // codes (clean / repaired / salvageable / unreadable), so
-                // they bypass the unit match.
-                ("verify", [input]) => {
-                    return match commands::verify_column(input, threads) {
-                        Ok(code) => ExitCode::from(code),
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            ExitCode::FAILURE
-                        }
-                    };
-                }
-                ("scrub", [input]) => {
-                    return match commands::scrub(input, threads, rewrite) {
-                        Ok(code) => ExitCode::from(code),
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            ExitCode::FAILURE
-                        }
-                    };
-                }
-                ("stats", [input]) => commands::stats(input, f32_mode),
-                ("gen", [dataset, n, output]) => commands::generate(dataset, n, output),
-                ("shootout", [input]) => commands::shootout(input, threads),
-                ("query", [input, lo, hi]) => {
-                    commands::query(input, lo, hi, threads, deadline_ms, no_fused)
-                }
-                ("codecs", []) => commands::list_codecs(),
-                ("datasets", []) => commands::list_datasets(),
-                _ => return usage(),
+    let Some((cmd, rest)) = positional.split_first() else { return usage() };
+    let rest: Vec<&str> = rest.iter().map(|s| s.as_str()).collect();
+    // The four commands that open a stored file share one path and answer
+    // with an exit code (`verify` and `scrub` triage through it).
+    let open = |input, action| commands::open_archive(input, threads, &action);
+    let result = match (cmd.as_str(), rest.as_slice()) {
+        ("decompress", [input, output]) => open(input, Action::Decompress { output }),
+        ("inspect", [input]) => open(input, Action::Inspect),
+        ("verify", [input]) => open(input, Action::Verify),
+        ("scrub", [input]) => open(input, Action::Scrub { rewrite }),
+        command => match command {
+            ("compress", [input, output]) => {
+                let stream =
+                    stream_mode.then(|| alp::PipelineConfig::resolve(Some(threads), depth_flag));
+                commands::compress(input, output, f32_mode, parity_flag, stream)
             }
+            ("stats", [input]) => commands::stats(input, f32_mode),
+            ("gen", [dataset, n, output]) => commands::generate(dataset, n, output),
+            ("shootout", [input]) => commands::shootout(input, threads),
+            ("query", [input, lo, hi]) => {
+                commands::query(input, lo, hi, threads, deadline_ms, no_fused)
+            }
+            ("codecs", []) => commands::list_codecs(),
+            ("datasets", []) => commands::list_datasets(),
+            _ => return usage(),
         }
-        None => return usage(),
+        .map(|()| 0),
     };
 
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => ExitCode::from(code),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -177,7 +157,7 @@ fn take_value(
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  alp compress   <in.f64> <out.alp> [--f32] [--parity K] [--stream [--threads N] [--pipeline-depth D]]\n  alp decompress <in.alp> <out.f64>\n  alp inspect    <in.alp>\n  alp verify     <in.alp> [--threads N]\n  alp scrub      <in.alp> [--threads N] [--rewrite]\n  alp stats      <in.f64> [--f32]\n  alp gen        <dataset> <n> <out.f64>\n  alp shootout   <in.f64> [--threads N]\n  alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]\n  alp codecs\n  alp datasets\n  alp analyze    [--root <path>] [--format text|json]"
+        "usage:\n  alp compress   <in.f64> <out.alp> [--f32] [--parity K] [--stream [--threads N] [--pipeline-depth D]]\n  alp decompress <in.alp|in.alpt> <out.f64> [--threads N]\n  alp inspect    <in.alp|in.alpt>\n  alp verify     <in.alp|in.alpt> [--threads N]\n  alp scrub      <in.alp|in.alpt> [--threads N] [--rewrite]\n  alp stats      <in.f64> [--f32]\n  alp gen        <dataset> <n> <out.f64>\n  alp shootout   <in.f64> [--threads N]\n  alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]\n  alp codecs\n  alp datasets\n  alp analyze    [--root <path>] [--format text|json]"
     );
     ExitCode::FAILURE
 }

@@ -23,7 +23,6 @@ pub mod codec;
 pub mod container;
 pub mod error;
 pub mod impls;
-pub mod ingest;
 pub mod par;
 pub mod registry;
 pub mod scan;

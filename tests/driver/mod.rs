@@ -26,6 +26,7 @@ pub mod common;
 
 use std::sync::Arc;
 
+use alp::archive::{self, Verdict};
 use alp::format::{
     from_bytes, from_bytes_salvage_parallel, to_bytes, to_bytes_with_parity, RowGroupView,
 };
@@ -497,9 +498,18 @@ pub fn write_column<F: Float>(ctx: &Ctx, parity: bool, data: &[F]) -> (Vec<u8>, 
     (bytes, format!("{:?}", column.stats))
 }
 
+/// `archive::open` → the whole column, which only a complete verdict hands out
+/// (what `alp decompress` does with a file of either layout).
+fn open_complete<F: Float>(bytes: &[u8], threads: usize, verdict: Verdict) -> Vec<F> {
+    let opened = archive::open::<F>(bytes, threads).expect("header");
+    assert_eq!(opened.verdict, verdict, "lost {:?}", opened.lost);
+    opened.complete_values(threads).expect("complete")
+}
+
 /// `to_bytes{,_with_parity}` → `from_bytes{,_salvage_parallel}` (whose one-thread
-/// form is `from_bytes_salvage`) and the borrowed [`RowGroupView`] over each
-/// frame body; with parity, also one damaged frame per group repaired on read.
+/// form is `from_bytes_salvage`), `archive::open`, and the borrowed
+/// [`RowGroupView`] over each frame body; with parity, also one damaged frame
+/// per group repaired on read.
 pub fn alp_bytes<F: Float>(parity: bool) -> Path<F> {
     let name = if parity { "\"ALP2\" bytes with parity" } else { "\"ALP2\" bytes" };
     Path::new(name, true, move |ctx, data: &[F]| {
@@ -523,12 +533,15 @@ pub fn alp_bytes<F: Float>(parity: bool) -> Path<F> {
                 values
             }),
             ("RowGroupView::decode_into".into(), viewed),
+            ("archive::open".into(), open_complete(&bytes, ctx.threads, Verdict::Clean)),
         ];
         if parity && !data.is_empty() {
             let damaged = one_damaged_frame_per_group(&bytes, &spans);
             let (values, repaired) = salvaged(&damaged.bytes, ctx.threads);
             assert_eq!(repaired, damaged.damaged, "{}", damaged.label);
             renditions.push(("salvage after repair".into(), values));
+            let opened = open_complete(&damaged.bytes, ctx.threads, Verdict::Repaired);
+            renditions.push(("archive::open after repair".into(), opened));
         }
         renditions
     })
@@ -620,8 +633,8 @@ fn read_stream<F: Float>(bytes: &[u8], how: &str) -> Result<Vec<F>, StreamError>
 const STREAM_READS: [&str; 4] =
     ["next_rowgroup", "next_rowgroup_into", "next_rowgroup_compressed", "next_rowgroup_salvaged"];
 
-/// The `"ALPT"` stream → every [`ColumnReader`] read; with parity, also one
-/// damaged frame per group repaired by the salvaging read. Written by the
+/// The `"ALPT"` stream → every [`ColumnReader`] read and `archive::open`; with
+/// parity, also one damaged frame per group repaired by the salvaging read. Written by the
 /// serial writer: invariant 3 holds the pipelined writer to the same bytes at
 /// every thread count and depth.
 pub fn alp_stream<F: Float>(parity: bool) -> Path<F> {
@@ -630,6 +643,7 @@ pub fn alp_stream<F: Float>(parity: bool) -> Path<F> {
         let (bytes, _) = write_stream(ctx, 0, parity, data);
         let read = |how: &str| (how.to_string(), read_stream::<F>(&bytes, how).expect("pristine"));
         let mut renditions: Renditions<F> = STREAM_READS.map(read).into();
+        renditions.push(("archive::open".into(), open_complete(&bytes, 1, Verdict::Clean)));
         if parity && !data.is_empty() {
             let spans = frame_spans(&bytes, STREAM_HEADER);
             let damaged = one_damaged_frame_per_group(&bytes, &spans);
@@ -641,6 +655,8 @@ pub fn alp_stream<F: Float>(parity: bool) -> Path<F> {
             assert!(reader.lost_rowgroups().is_empty() && reader.is_committed());
             assert_eq!(reader.repaired_rowgroups(), damaged.damaged, "{}", damaged.label);
             renditions.push(("salvage after repair".into(), values));
+            let opened = open_complete(&damaged.bytes, 1, Verdict::Repaired);
+            renditions.push(("archive::open after repair".into(), opened));
         }
         renditions
     })
@@ -987,6 +1003,16 @@ pub struct Reader {
     pub read: Box<Read>,
 }
 
+/// `archive::open` as a reader of either file layout: the whole column or the
+/// strict read's error — so it refuses whatever a strict reader refuses,
+/// unless parity repairs it.
+fn archive_reader<F: Float>(strict: bool) -> Reader {
+    reader("archive::open", strict, true, |b, threads| {
+        let opened = archive::open::<F>(b, threads).map_err(|e| e.to_string())?;
+        opened.complete_values(threads).map(|values| values.len()).map_err(|e| e.to_string())
+    })
+}
+
 fn reader<E: core::fmt::Display>(
     name: &'static str,
     strict: bool,
@@ -1045,6 +1071,7 @@ pub fn column_layout<F: Float>(name: &str, pristine: Vec<u8>, values: usize) -> 
                     values.len()
                 })
             }),
+            archive_reader::<F>(strict),
         ],
     }
 }
@@ -1056,12 +1083,14 @@ pub fn stream_layout<F: Float>(name: &str, pristine: Vec<u8>, values: usize) -> 
         let strict = checksummed && !name.contains("parity") && how != "next_rowgroup_salvaged";
         reader(how, strict, false, move |b, _| read_stream::<F>(b, how).map(|values| values.len()))
     };
+    let mut readers: Vec<Reader> = STREAM_READS.map(read).into();
+    readers.push(archive_reader::<F>(checksummed && !name.contains("parity")));
     Layout {
         name: format!("{name} ({})", F::NAME),
         frames_at: checksummed.then_some(STREAM_HEADER),
         ceiling: ceiling::<F>(FRAMED_SLACK, values),
         pristine,
-        readers: STREAM_READS.map(read).into(),
+        readers,
     }
 }
 

@@ -11,10 +11,7 @@ const N: usize = 4 * 1024 + 333;
 
 lossless_tests! {
     alp_roundtrips_every_dataset: f64, [alp_column()], datasets(N);
-    alp_serialized_roundtrips_every_dataset: f64, [alp_bytes(false)], datasets(N);
-    cascade_roundtrips_every_dataset: f64, [codec_named("lwc-alp")], datasets(N);
     every_codec_roundtrips_every_dataset: f64, codecs(), datasets(N);
-    gpzip_roundtrips_every_dataset: f64, [codec_named("gpzip"), codec_named("gpzip-fast")], datasets(N);
     f32_alp_roundtrips_ml_weights: f32, alp_paths(), [ml_weights(10_000)];
     f32_codecs_roundtrip_ml_weights: f32, codecs(), [ml_weights(10_000)];
 }
