@@ -356,12 +356,15 @@ where
     T: Send,
 {
     let cut_short = AtomicBool::new(false);
-    let mut completed: Vec<(usize, T)> = Vec::new();
+    // Sized up front, so a run costs the same allocations at any morsel count
+    // (a worker that claims more than its share still grows).
+    let mut completed: Vec<(usize, T)> = Vec::with_capacity(morsels);
     let mut failures: Vec<MorselFailure> = Vec::new();
+    let share = morsels.div_ceil(threads.max(1));
     claim_morsels(
         threads,
         morsels,
-        || (init(), (Vec::new(), Vec::new())),
+        || (init(), (Vec::with_capacity(share), Vec::new())),
         || {
             let fired = token.is_cancelled();
             if fired {

@@ -442,13 +442,11 @@ pub fn shootout(input: &str, threads: usize) -> Result<()> {
 
 /// `alp query <in.f64> <lo> <hi> [--threads N] [--deadline-ms M]
 /// [--no-fused]` — a predicated sum served through the query service:
-/// per-query deadline, quarantine-and-continue. A one-shot CLI query never
-/// re-reads a page, so the cache is built with `max_entries: 0` and every
-/// page is a predicted bypass: all pages are scanned with the fused
-/// compressed-domain kernels unless `--no-fused` forces the materializing
-/// path (the results are bit-identical either way). A nonzero
-/// `ALP_FAULT_SEED` poisons a deterministic subset of pages so the degraded
-/// path can be exercised from the shell.
+/// per-query deadline, quarantine-and-continue. Every page of the ALP column
+/// is scanned with the fused compressed-domain kernels unless `--no-fused`
+/// forces the materializing path (the results are bit-identical either way).
+/// A nonzero `ALP_FAULT_SEED` poisons a deterministic subset of pages so the
+/// degraded path can be exercised from the shell.
 pub fn query(
     input: &str,
     lo: &str,
@@ -466,10 +464,8 @@ pub fn query(
     let t0 = Instant::now();
     let column = vectorq::Column::from_f64_parallel(&data, vectorq::Format::alp(), threads);
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    // One-shot queries have no page reuse: a zero-entry cache turns every
-    // lookup into a predicted bypass, which is what routes pages onto the
-    // fused compressed-domain kernels instead of warming a cache that is
-    // dropped on exit.
+    // A one-shot query reads each page once: with no cache, the ALP pages are
+    // summed from the stored bytes instead of decoded for nobody to reuse.
     let cache = vectorq::cache::CacheConfig {
         max_entries: 0,
         ..vectorq::cache::CacheConfig::default_config()
@@ -517,16 +513,6 @@ pub fn query(
             println!("  page {:>4}  {:>7} rows  {}", loss.page, loss.rows, loss.reason);
         }
     }
-    let cache = service.cache_stats();
-    println!(
-        "cache: {} hits, {} misses, {} evictions, {} bypasses, {} resident pages ({} KiB peak)",
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        cache.bypasses,
-        cache.entries,
-        cache.bytes_peak / 1024
-    );
     Ok(())
 }
 

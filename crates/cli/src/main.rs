@@ -25,7 +25,7 @@
 //! alp gen        <dataset> <n> <out.f64>        synthetic dataset to a file
 //! alp shootout   <in.f64> [--threads N]         ratio/speed of every codec
 //! alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]
-//!                predicated sum through the query service (cache, deadlines,
+//!                predicated sum through the query service (fused scan, deadlines,
 //!                quarantine — ALP_FAULT_SEED injects bad pages; --no-fused
 //!                forces the materializing scan path)
 //! alp codecs                                    list the codec registry

@@ -1,6 +1,12 @@
 //! `vectorq::cache` — a bounded LRU cache of decompressed pages for the
 //! query service.
 //!
+//! The store decides what reaches it (DESIGN.md §12): every page of
+//! codec-byte storage (gpzip, gorilla, …), which has no compressed-domain
+//! route, and ALP and raw pages only when the whole decoded column fits.
+//! A larger ALP column is summed straight from its bytes: queries that scan
+//! it through an LRU evict every page before it is read again.
+//!
 //! The cache holds `Arc<Vec<f64>>` pages so concurrent queries share one
 //! decoded copy without lifetime gymnastics: a query that hits keeps its
 //! `Arc` alive for exactly as long as it scans, even if the page is evicted
@@ -157,22 +163,13 @@ impl PageCache {
         }
     }
 
-    /// Whether a page of `bytes` payload bytes could be admitted at all —
-    /// the lock-free pre-check of [`PageCache::insert`]'s bypass condition.
-    /// The service consults this to predict a bypass *before* decoding: a
-    /// page that would bypass is scanned fused instead of materialized, since
-    /// caching its decoded form is impossible anyway.
-    pub fn would_admit(&self, bytes: usize) -> bool {
-        self.max_entries != 0 && bytes <= self.max_bytes
-    }
-
     /// Tries to admit `values` as page `page`, evicting cold pages until both
     /// ceilings hold. Returns `false` (a bypass) when the page cannot be
     /// admitted at any eviction cost; the caller keeps streaming from its own
     /// buffer. Inserting a page that is already resident refreshes it.
     pub fn insert(&self, page: usize, values: Arc<Vec<f64>>) -> bool {
         let bytes = values.len().saturating_mul(core::mem::size_of::<f64>());
-        if !self.would_admit(bytes) {
+        if self.max_entries == 0 || bytes > self.max_bytes {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             return false;
         }

@@ -5,7 +5,8 @@
 //!
 //! * **[`Store`]** — the column plus per-page quarantine flags and a bounded
 //!   [`PageCache`]. Pages are the unit of decode, caching, quarantine, and
-//!   parallelism (one page = one morsel).
+//!   parallelism (one page = one morsel). ALP and raw pages of a column
+//!   larger than the cache are summed from the stored bytes and never cached.
 //! * **Admission control** — at most `max_concurrent` queries run and at most
 //!   `max_queued` wait; the next caller gets a typed
 //!   [`ServiceError::Overloaded`] with a retry hint derived from recent query
@@ -151,11 +152,12 @@ pub struct QueryResult {
     /// The aggregate over every healthy page.
     pub value: FilteredSum,
     /// Pages scanned in the compressed domain — the fused
-    /// unpack→FOR→patch→predicate→aggregate path, chosen on a predicted
-    /// cache bypass (and never when [`QueryOptions::no_fused`] is set).
+    /// unpack→FOR→patch→predicate→aggregate path, taken by ALP and raw pages
+    /// of a column larger than the cache (never when
+    /// [`QueryOptions::no_fused`] is set).
     pub pages_fused: usize,
-    /// Pages scanned from a materialized buffer: cache hits, plus misses
-    /// whose decoded page was worth admitting for later queries.
+    /// Pages scanned from a materialized buffer: cache hits and misses, and
+    /// `no_fused` pages.
     pub pages_materialized: usize,
     /// Pages that could not be served; empty for a complete result.
     pub loss: LossReport,
@@ -240,6 +242,8 @@ pub struct Store {
     /// First-observed quarantine reason per page, for reporting.
     reasons: Mutex<BTreeMap<usize, LossReason>>,
     cache: PageCache,
+    /// Whether pages go through `cache` (see [`Store::execute_page`]).
+    caches_pages: bool,
     poison: PoisonPlan,
     /// When set, the injected fault plan stops firing — models the faulty
     /// medium having been repaired out-of-band (e.g. the backing file
@@ -267,6 +271,9 @@ impl Store {
         let vectors_per_page = (cache.rows_per_page() / VECTOR_SIZE).max(1);
         let pages = vectors.div_ceil(vectors_per_page);
         let quarantined = (0..pages).map(|_| AtomicBool::new(false)).collect();
+        let fits = pages <= cache.max_entries
+            && rows.saturating_mul(core::mem::size_of::<f64>()) <= cache.max_bytes;
+        let caches_pages = fits || !column.supports_fused_scan();
         Self {
             column,
             rows,
@@ -276,6 +283,7 @@ impl Store {
             quarantined,
             reasons: Mutex::new(BTreeMap::new()),
             cache: PageCache::new(&cache),
+            caches_pages,
             poison,
             healed: AtomicBool::new(false),
             scrub_checked: AtomicU64::new(0),
@@ -483,21 +491,21 @@ impl Store {
         part
     }
 
-    /// One morsel of a query: serve page `page` through the cache, decoding
-    /// on a miss. Runs on a worker inside the governed runner, so an
-    /// injected [`PoisonKind::Panic`] unwinds into the containment seam.
+    /// One morsel of a query: serve page `page`. Runs on a worker inside the
+    /// governed runner, so an injected [`PoisonKind::Panic`] unwinds into the
+    /// containment seam. Zone maps prune at two levels — a fully-disjoint page
+    /// is never touched at all, and disjoint vectors inside a served page are
+    /// skipped.
     ///
-    /// The page is the decode unit: a miss inflates the whole page even when
-    /// only some of its vectors overlap the predicate. Zone maps still prune
-    /// at two levels — a fully-disjoint page is never decoded at all, and
-    /// disjoint vectors inside a decoded page are skipped during the scan.
-    ///
-    /// Path selection on a miss: when the decoded page could never be
-    /// admitted anyway ([`PageCache::would_admit`] predicts a bypass) and the
-    /// storage has a fused kernel, the page is scanned in the compressed
-    /// domain without materializing at all. Admitting misses still
-    /// materialize and insert, so later queries hit a warm cache; cache hits
-    /// scan the cached page. All three routes fold bit-identically.
+    /// When the whole decoded column fits the cache — and always for codec
+    /// bytes, which have no other route — pages go through the cache: a hit
+    /// scans the cached page, a miss decodes the page, offers it to the cache
+    /// and scans it. Otherwise ALP and raw pages never touch the cache, since
+    /// a query wider than the cache would evict each page before the next
+    /// query read it again: each overlapping vector is summed straight from
+    /// the stored bytes ([`Column::try_sum_where_in`]), and `no_fused`, that
+    /// route's reference, decodes the page into the worker's reused buffer
+    /// and scans it there. Every route folds bit-identically.
     fn execute_page(
         &self,
         page: usize,
@@ -522,17 +530,14 @@ impl Store {
         if let Err(reason) = self.injected_fault(page) {
             return PageOutcome::Skipped(reason);
         }
-        if let Some(values) = self.cache.get(page) {
-            return PageOutcome::Scanned {
-                part: self.scan_page_values(&values, v0, v1, lo, hi),
-                fused: false,
-            };
-        }
-        let page_bytes = self.page_rows(page).saturating_mul(core::mem::size_of::<f64>());
-        if !no_fused && self.column.supports_fused_scan() && !self.cache.would_admit(page_bytes) {
-            // Predicted bypass: caching the decoded page is impossible, so
-            // materializing it buys nothing — scan in the compressed domain,
-            // one fused pass per overlapping vector and no page buffer.
+        if self.caches_pages {
+            if let Some(values) = self.cache.get(page) {
+                return PageOutcome::Scanned {
+                    part: self.scan_page_values(&values, v0, v1, lo, hi),
+                    fused: false,
+                };
+            }
+        } else if !no_fused {
             return match self.column.try_sum_where_in(v0..v1, lo, hi, &mut ctx.scratch) {
                 Ok(part) => PageOutcome::Scanned { part, fused: true },
                 Err(e) => PageOutcome::Skipped(LossReason::Decode(e.to_string())),
@@ -548,6 +553,10 @@ impl Store {
         );
         if let Err(e) = decoded {
             return PageOutcome::Skipped(LossReason::Decode(e.to_string()));
+        }
+        if !self.caches_pages {
+            let part = self.scan_page_values(&ctx.page_buf, v0, v1, lo, hi);
+            return PageOutcome::Scanned { part, fused: false };
         }
         let values = Arc::new(std::mem::take(&mut ctx.page_buf));
         let admitted = self.cache.insert(page, Arc::clone(&values));
@@ -665,10 +674,10 @@ pub struct QueryOptions {
     pub deadline: Option<Duration>,
     /// Worker threads for this query; defaults to the service's setting.
     pub threads: Option<usize>,
-    /// Disable the fused compressed-domain scan path: every miss
-    /// materializes, even on a predicted cache bypass (the CLI's
-    /// `--no-fused` escape hatch). Results are bit-identical either way —
-    /// this only trades performance.
+    /// Disable the fused compressed-domain scan path: a page that would run
+    /// it is decoded into a buffer and scanned there instead, never cached
+    /// (the CLI's `--no-fused` reference route). Results are bit-identical
+    /// either way — this only trades performance.
     pub no_fused: bool,
 }
 
@@ -895,8 +904,17 @@ mod tests {
     }
 
     fn store(n: usize) -> Arc<Store> {
-        let column = Column::from_f64(&sample(n), Format::alp());
+        store_as(n, Format::alp())
+    }
+
+    fn store_as(n: usize, format: Format) -> Arc<Store> {
+        let column = Column::from_f64(&sample(n), format);
         Arc::new(Store::new(column, CacheConfig::default_config()))
+    }
+
+    /// Codec bytes: no compressed-domain route, so pages go through the cache.
+    fn gorilla() -> Format {
+        Format::by_id("gorilla").unwrap()
     }
 
     fn reference(data: &[f64], lo: f64, hi: f64) -> (f64, usize) {
@@ -921,7 +939,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_cache_with_identical_results() {
-        let svc = Service::new(store(300_000), ServiceConfig::default());
+        let svc = Service::new(store_as(300_000, gorilla()), ServiceConfig::default());
         let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
         let first = svc.sum_where(5.0, 45.0, &opts).unwrap();
         let stats_cold = svc.cache_stats();
@@ -1042,30 +1060,37 @@ mod tests {
     #[test]
     fn bypass_misses_scan_fused_and_match_the_materializing_path() {
         let data = sample(400_000);
-        let column = Column::from_f64(&data, Format::alp());
-        // max_entries = 0: every miss is a predicted bypass → fused scan.
-        let bypass = CacheConfig { max_entries: 0, ..CacheConfig::default_config() };
-        let svc = Service::new(Arc::new(Store::new(column, bypass)), ServiceConfig::default());
-        let fused = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
-        assert!(fused.pages_fused > 0, "bypass misses must take the fused path");
-        assert_eq!(fused.pages_materialized, 0);
         let opts = QueryOptions { no_fused: true, ..QueryOptions::default() };
-        let mat = svc.sum_where(5.0, 45.0, &opts).unwrap();
-        assert_eq!(mat.pages_fused, 0, "--no-fused must force materialization");
-        assert!(mat.pages_materialized > 0);
-        assert_eq!(fused.value.sum.to_bits(), mat.value.sum.to_bits());
-        assert_eq!(fused.value, mat.value, "all counters agree across paths");
+        // A zero-entry cache, and one that holds half of the column's 4 pages.
+        let zero_entry = CacheConfig { max_entries: 0, ..CacheConfig::default_config() };
+        for cache in [zero_entry, CacheConfig { max_entries: 2, ..zero_entry }] {
+            let column = Column::from_f64(&data, Format::alp());
+            let svc = Service::new(Arc::new(Store::new(column, cache)), ServiceConfig::default());
+            let fused = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
+            assert_eq!(fused.pages_fused, 4, "a column larger than the cache runs fused");
+            assert_eq!(fused.pages_materialized, 0);
+            let mat = svc.sum_where(5.0, 45.0, &opts).unwrap();
+            assert_eq!(mat.pages_fused, 0, "--no-fused must force materialization");
+            assert!(mat.pages_materialized > 0);
+            assert_eq!(fused.value.sum.to_bits(), mat.value.sum.to_bits());
+            assert_eq!(fused.value, mat.value, "all counters agree across paths");
+            assert_eq!(svc.cache_stats(), CacheStats::default(), "neither route uses the cache");
+        }
     }
 
     #[test]
     fn admitting_misses_still_materialize_and_warm_the_cache() {
-        let svc = Service::new(store(300_000), ServiceConfig::default());
-        let first = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
-        assert_eq!(first.pages_fused, 0, "admitting misses materialize for reuse");
-        assert!(first.pages_materialized > 0);
-        let second = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
-        assert!(svc.cache_stats().hits > 0, "second query should hit the warm cache");
-        assert_eq!(first.value.sum.to_bits(), second.value.sum.to_bits());
+        // The whole column fits the default cache, so even ALP pages go
+        // through it.
+        for format in [Format::alp(), gorilla()] {
+            let svc = Service::new(store_as(300_000, format), ServiceConfig::default());
+            let first = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
+            assert_eq!(first.pages_fused, 0, "{format:?}: admitting misses materialize");
+            assert!(first.pages_materialized > 0);
+            let second = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
+            assert_eq!(svc.cache_stats().hits, second.pages_materialized as u64, "{format:?}");
+            assert_eq!(first.value.sum.to_bits(), second.value.sum.to_bits());
+        }
     }
 
     #[test]

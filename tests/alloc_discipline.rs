@@ -15,8 +15,9 @@
 //!
 //! * the scan kernels and the SUM route above them: no kernel stages through
 //!   the heap (not even the unsorted-exception fallback, reachable from wire
-//!   data), and `Column::sum_where` / a fused `Service::sum_where` page cost
-//!   the same number of allocation events however many vectors they cover.
+//!   data), and `Column::sum_where` / `Service::sum_where` over an ALP column
+//!   larger than its cache cost the same number of allocation events however
+//!   many vectors and pages they cover.
 //!
 //! * the strict stream read: `ColumnReader::next_rowgroup_into` decodes from
 //!   the frame bytes into the caller's buffer, so once both are warm a
@@ -267,19 +268,35 @@ fn scan_kernels_never_touch_the_heap() {
     }
 }
 
-/// The SUM route allocates per call (a scratch), never per vector:
-/// `Column::sum_where` over ALP storage and a fused `Service::sum_where`
-/// page cost the same events over 4 vectors as over 64.
+/// The SUM route allocates per call (a scratch), never per vector or per
+/// page: `Column::sum_where` over ALP storage and `Service::sum_where` over a
+/// column twice its cache cost the same events over 4 vectors as over 64, in
+/// one page or in one page per vector — a fresh store's first query as much
+/// as a repeat. Such a column's pages are summed from the stored bytes and
+/// never reach the cache; at the parent commit each miss decoded into a
+/// fresh page-sized `Arc` and evicted another page for it, so events grew
+/// with pages.
 #[test]
 fn the_sum_route_allocates_nothing_per_vector() {
     use std::sync::Arc;
-    use vectorq::cache::CacheConfig;
+    use vectorq::cache::{CacheConfig, CacheStats};
     use vectorq::service::{QueryOptions, Service, ServiceConfig, Store};
     use vectorq::{Column, Format};
 
+    let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
+    // The default ceilings, except that the cache holds half of `pages`.
+    let half_of = |vectors: usize, pages: usize| CacheConfig {
+        max_entries: pages / 2,
+        page_size_rows: vectors / pages * alp::VECTOR_SIZE,
+        ..CacheConfig::default_config()
+    };
+    let service = |data: &[f64], cache| {
+        let store = Store::new(Column::from_f64(data, Format::alp()), cache);
+        Service::new(Arc::new(store), ServiceConfig::default())
+    };
     // Overlaps every vector of `sample` (each holds a tiny exception).
     let (lo, hi) = (0.0, 5.0);
-    let events = |vectors: usize| {
+    let events = |vectors: usize, pages: usize| {
         let data = sample(vectors * alp::VECTOR_SIZE);
         let column = Column::from_f64(&data, Format::alp());
         let direct = column.sum_where(lo, hi); // warm-up
@@ -287,24 +304,36 @@ fn the_sum_route_allocates_nothing_per_vector() {
         let per_call = allocations_in(|| {
             std::hint::black_box(column.sum_where(lo, hi));
         });
-        // One page, zero-entry cache: the page is a predicted bypass and runs
-        // in the compressed domain on the caller's thread.
-        let cache = CacheConfig {
-            max_entries: 0,
-            page_size_rows: vectors * alp::VECTOR_SIZE,
-            max_bytes: 0,
-        };
-        let service = Service::new(Arc::new(Store::new(column, cache)), ServiceConfig::default());
-        let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
-        let warm = service.sum_where(lo, hi, &opts).expect("admitted");
-        assert_eq!((warm.pages_fused, warm.value.vectors_scanned), (1, vectors));
-        assert_eq!(warm.value.sum.to_bits(), direct.sum.to_bits());
-        let per_query = allocations_in(|| {
-            std::hint::black_box(service.sum_where(lo, hi, &opts).expect("admitted"));
+        let cache = half_of(vectors, pages);
+        service(&data, cache).sum_where(lo, hi, &opts).expect("admitted"); // warm-up
+        let fresh = service(&data, cache);
+        let mut first = None;
+        let cold = allocations_in(|| first = fresh.sum_where(lo, hi, &opts).ok());
+        let first = first.expect("admitted");
+        assert_eq!((first.pages_fused, first.pages_materialized), (pages, 0));
+        assert_eq!(first.value.matches, direct.matches);
+        if pages == 1 {
+            assert_eq!(first.value.sum.to_bits(), direct.sum.to_bits());
+        }
+        let repeat = allocations_in(|| {
+            std::hint::black_box(fresh.sum_where(lo, hi, &opts).expect("admitted"));
         });
-        (per_call, per_query)
+        assert_eq!(fresh.cache_stats(), CacheStats::default(), "the pages never reach the cache");
+        (per_call, cold, repeat)
     };
-    assert_eq!(events(4), events(64), "(Column::sum_where, Service::sum_where) events");
+    let one_page = events(4, 1);
+    assert_eq!(one_page, events(64, 1), "(Column::sum_where, first query, repeat) events");
+    assert_eq!(one_page, events(4, 4), "one page per vector");
+    assert_eq!(one_page, events(64, 64), "one page per vector");
+
+    // Repeated full-band scans of a column twice its cache never miss, evict
+    // or admit anything.
+    let twice = service(&sample(512 * alp::VECTOR_SIZE), half_of(512, 512));
+    for _ in 0..3 {
+        let all = twice.sum_where(f64::NEG_INFINITY, f64::INFINITY, &opts).expect("admitted");
+        assert_eq!(all.pages_fused, 512);
+    }
+    assert_eq!(twice.cache_stats(), CacheStats::default());
 }
 
 /// Regression: both stream readers used to size their frame buffer from the

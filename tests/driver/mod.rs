@@ -845,6 +845,7 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
         {
             for (route, service, options) in routes {
                 let label = format!("{name} [{lo}, {hi}] {route} at {threads} threads");
+                let hits = service.cache_stats().hits;
                 let result = service.sum_where(lo, hi, &options).expect("admitted");
                 assert!(result.loss.is_complete(), "{label}");
                 assert_eq!(result.value.sum.to_bits(), want_sum.to_bits(), "{label}: sum");
@@ -855,15 +856,31 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
                     let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
                     assert_eq!(counters(result.value), counters(*direct), "{label}: counters");
                 }
+                // The column fits the default cache, so every storage goes
+                // through it and a warm query hits every page it reads; ALP
+                // and raw pages of a column larger than the (zero-entry) cache
+                // run fused unless asked not to, and never touch the cache.
                 match route {
-                    "no_fused" => assert_eq!(result.pages_fused, 0, "{label}: must materialize"),
-                    "fused" if column.supports_fused_scan() && want_matches > 0 => {
-                        assert!(result.pages_fused > 0, "{label}: a bypassing miss runs fused")
+                    "cached, warm" => {
+                        assert_eq!(result.pages_fused, 0, "{label}: served from the cache");
+                        let hits = service.cache_stats().hits - hits;
+                        assert_eq!(hits, result.pages_materialized as u64, "{label}: all hits");
                     }
+                    "fused" if column.supports_fused_scan() => {
+                        assert_eq!(result.pages_materialized, 0, "{label}: runs fused");
+                        if want_matches > 0 {
+                            assert!(result.pages_fused > 0, "{label}: runs fused")
+                        }
+                    }
+                    "no_fused" => assert_eq!(result.pages_fused, 0, "{label}: must materialize"),
                     _ => {}
                 }
             }
         }
+    }
+    if column.supports_fused_scan() {
+        let untouched = uncached.cache_stats() == vectorq::cache::CacheStats::default();
+        assert!(untouched, "{name}: a column larger than the cache never touches it");
     }
 }
 

@@ -10,10 +10,7 @@ use driver::*;
 const N: usize = 4 * 1024 + 333;
 
 lossless_tests! {
-    alp_roundtrips_every_dataset: f64, [alp_column()], datasets(N);
     every_codec_roundtrips_every_dataset: f64, codecs(), datasets(N);
-    f32_alp_roundtrips_ml_weights: f32, alp_paths(), [ml_weights(10_000)];
-    f32_codecs_roundtrip_ml_weights: f32, codecs(), [ml_weights(10_000)];
 }
 
 #[test]
