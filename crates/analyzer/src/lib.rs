@@ -95,8 +95,8 @@ pub struct Config {
     /// listed.
     pub ordering_gate_fields: Vec<String>,
     /// Call-name prefixes too expensive to run while holding a lock guard
-    /// (`guard-across-call`): page decompression, the parallel scheduler,
-    /// retrying I/O.
+    /// (`guard-across-call`): page decompression and summing, the parallel
+    /// scheduler, retrying I/O.
     pub guard_expensive_patterns: Vec<String>,
     /// Squeezed-text patterns that count as consulting cancellation inside a
     /// morsel-claim loop (`cancel-poll`).
@@ -171,6 +171,10 @@ impl Default for Config {
             guard_expensive_patterns: strings(&[
                 "try_decompress",
                 "try_compress",
+                // The service's page decode and compressed-domain page sum:
+                // no resident-set slot guard may live across either.
+                "try_walk",
+                "try_sum_where",
                 "par_compress",
                 "par_decompress",
                 "run_morsels",

@@ -1,45 +1,35 @@
-//! `vectorq::cache` — a bounded LRU cache of decompressed pages for the
-//! query service.
+//! `vectorq::cache` — the query service's resident page set: decoded pages
+//! kept for every later query, filled while a byte budget has room and never
+//! evicted (DESIGN.md §12).
 //!
-//! The store decides what reaches it (DESIGN.md §12): every page of
-//! codec-byte storage (gpzip, gorilla, …), which has no compressed-domain
-//! route, and ALP and raw pages only when the whole decoded column fits.
-//! A larger ALP column is summed straight from its bytes: queries that scan
-//! it through an LRU evict every page before it is read again.
-//!
-//! The cache holds `Arc<Vec<f64>>` pages so concurrent queries share one
-//! decoded copy without lifetime gymnastics: a query that hits keeps its
-//! `Arc` alive for exactly as long as it scans, even if the page is evicted
-//! mid-scan. Two independent ceilings bound the cache — an entry count and a
-//! hard byte budget — and it **degrades instead of growing**: a page that
-//! cannot be admitted (budget zero, or the page alone exceeds the budget) is
-//! counted as a bypass and the query streams from its private buffer. The
-//! byte ceiling is enforced on every insert (evicting least-recently-used
-//! pages first), so `bytes_peak` can never exceed `max_bytes` — the service
-//! test suite asserts exactly that under concurrent load.
-//!
-//! All counters are relaxed atomics: they are observability, not
-//! synchronization. The map itself sits behind one `Mutex`, which is cheap at
-//! page granularity (one lock round-trip per ~100k-row page, not per value).
+//! Every query is a band scan in page order, so an LRU smaller than the
+//! column evicts each page before the next scan reads it again, and one the
+//! column fits never evicts: an eviction policy buys nothing here. The set
+//! has one slot per page. A miss claims its slot only while an entry count
+//! and a byte budget, both atomics, have room — before it decodes, so
+//! `bytes_peak` never exceeds `max_bytes` and no page is admitted twice,
+//! however many workers miss at once. Clearing a slot on quarantine or
+//! unquarantine ([`PageCache::invalidate`]) returns its bytes and is the only
+//! removal. A hit locks only its own slot, to clone the page's `Arc`; the
+//! counters are relaxed atomics (each slot's mutex publishes its page).
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fastlanes::VECTOR_SIZE;
 
-/// Sizing knobs for the service's page cache.
+/// Sizing knobs for the service's resident page set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Maximum number of cached pages. `0` disables caching entirely (every
-    /// lookup is a bypass).
+    /// Maximum number of resident pages. `0` disables the set: a store built
+    /// with it never consults it.
     pub max_entries: usize,
-    /// Rows per cache page. Rounded up to a whole number of 1024-value
-    /// vectors; pages are the unit of decode, quarantine, and parallelism.
+    /// Rows per page. Rounded up to a whole number of 1024-value vectors;
+    /// pages are the unit of decode, residency, quarantine, and parallelism.
     pub page_size_rows: usize,
-    /// Hard memory ceiling for cached payloads, in bytes. Inserts evict
-    /// least-recently-used pages until the new page fits; a page larger than
-    /// the whole budget is bypassed, never admitted.
+    /// Hard memory ceiling for resident payloads, in bytes. A miss is
+    /// admitted only while its page still fits; nothing is evicted to make
+    /// room.
     pub max_bytes: usize,
 }
 
@@ -63,17 +53,18 @@ impl Default for CacheConfig {
     }
 }
 
-/// Point-in-time snapshot of the cache's counters.
+/// Point-in-time snapshot of the set's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served from a cached page.
+    /// Lookups served from a resident page.
     pub hits: u64,
-    /// Lookups that found nothing cached.
+    /// Lookups that found no resident page.
     pub misses: u64,
-    /// Pages evicted to make room.
+    /// Always 0: the set never evicts. Kept only because `benchmark/` reads
+    /// it.
     pub evictions: u64,
-    /// Pages that could not be admitted (cache disabled or page larger than
-    /// the byte budget) — the query streamed without caching.
+    /// Misses that found no room (a ceiling reached, or no slot for the page
+    /// id): the page was served without being admitted.
     pub bypasses: u64,
     /// Pages currently resident.
     pub entries: usize,
@@ -83,150 +74,159 @@ pub struct CacheStats {
     pub bytes_peak: usize,
 }
 
-struct Slot {
-    values: Arc<Vec<f64>>,
-    bytes: usize,
-    tick: u64,
+/// One page's place in the set, behind its own lock.
+struct Slot(Mutex<State>);
+
+enum State {
+    Free,
+    /// Being decoded by the worker that claimed these bytes for it.
+    Claimed(usize),
+    Resident(Arc<Vec<f64>>),
 }
 
-struct Inner {
-    /// page index → resident slot.
-    map: HashMap<usize, Slot>,
-    /// LRU order: monotone tick → page index. Ticks are unique, so this is a
-    /// total order; the first entry is the coldest page.
-    lru: BTreeMap<u64, usize>,
-    next_tick: u64,
-    bytes: usize,
-    bytes_peak: usize,
+impl Slot {
+    /// Never block on a poisoned lock: no critical section here can panic,
+    /// and a poisoned slot must not take the whole store down with it.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-/// Bounded, shared LRU cache of decompressed pages. See the module docs for
-/// the degrade-don't-grow contract.
+/// Bounded, shared, never-evicting set of decoded pages. See the module docs.
 pub struct PageCache {
     max_entries: usize,
     max_bytes: usize,
-    inner: Mutex<Inner>,
+    slots: Box<[Slot]>,
+    entries: AtomicUsize,
+    bytes: AtomicUsize,
+    bytes_peak: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     bypasses: AtomicU64,
 }
 
 impl PageCache {
-    /// Builds an empty cache with the given ceilings.
+    /// An empty set with the given ceilings and a slot for each page id below
+    /// `max_entries`.
     pub fn new(config: &CacheConfig) -> Self {
+        Self::with_slots(config, config.max_entries)
+    }
+
+    /// An empty set with the given ceilings and one slot per page of a
+    /// `pages`-page store.
+    pub(crate) fn with_slots(config: &CacheConfig, pages: usize) -> Self {
         Self {
             max_entries: config.max_entries,
             max_bytes: config.max_bytes,
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                lru: BTreeMap::new(),
-                next_tick: 0,
-                bytes: 0,
-                bytes_peak: 0,
-            }),
+            slots: (0..pages).map(|_| Slot(Mutex::new(State::Free))).collect(),
+            entries: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(0),
+            bytes_peak: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
         }
     }
 
-    /// Never block on a poisoned lock: the critical sections below cannot
-    /// panic, but a defensive service layer does not let a poisoned mutex
-    /// take the whole store down with it.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        match self.inner.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Looks up page `page`, refreshing its recency on a hit.
+    /// Looks up page `page`; an id with no slot is a miss.
     pub fn get(&self, page: usize) -> Option<Arc<Vec<f64>>> {
-        let mut inner = self.lock();
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        if let Some(slot) = inner.map.get_mut(&page) {
-            let old = slot.tick;
-            slot.tick = tick;
-            let values = Arc::clone(&slot.values);
-            inner.lru.remove(&old);
-            inner.lru.insert(tick, page);
-            drop(inner);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            Some(values)
-        } else {
-            drop(inner);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            None
-        }
+        let hit = match self.slots.get(page).map(Slot::lock).as_deref() {
+            Some(State::Resident(values)) => Some(Arc::clone(values)),
+            _ => None,
+        };
+        (if hit.is_some() { &self.hits } else { &self.misses }).fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Tries to admit `values` as page `page`, evicting cold pages until both
-    /// ceilings hold. Returns `false` (a bypass) when the page cannot be
-    /// admitted at any eviction cost; the caller keeps streaming from its own
-    /// buffer. Inserting a page that is already resident refreshes it.
+    /// Admits `values` as page `page` if its slot is free and both ceilings
+    /// have room. `false` when it is not admitted: the page is already
+    /// resident (nothing is replaced), or there is no room (a bypass).
     pub fn insert(&self, page: usize, values: Arc<Vec<f64>>) -> bool {
-        let bytes = values.len().saturating_mul(core::mem::size_of::<f64>());
-        if self.max_entries == 0 || bytes > self.max_bytes {
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let mut inner = self.lock();
-        let tick = inner.next_tick;
-        inner.next_tick += 1;
-        if let Some(old) = inner.map.remove(&page) {
-            inner.lru.remove(&old.tick);
-            inner.bytes -= old.bytes;
-        }
-        // Evict coldest-first until the new page fits under both ceilings.
-        let mut evicted = 0u64;
-        while inner.map.len() >= self.max_entries
-            || inner.bytes.saturating_add(bytes) > self.max_bytes
-        {
-            match inner.lru.pop_first() {
-                Some((_, cold)) => {
-                    if let Some(slot) = inner.map.remove(&cold) {
-                        inner.bytes -= slot.bytes;
-                    }
-                    evicted += 1;
-                }
-                None => break,
+        self.claim(page, values.len()) && self.fill(page, values)
+    }
+
+    /// Claims page `page`'s free slot, and the budget for `rows` values, for
+    /// a page about to be decoded; [`PageCache::fill`] ends the claim. A page
+    /// whose decode fails or panics is quarantined instead, which clears the
+    /// claim. `false` when the page is resident or claimed already, or —
+    /// counted as a bypass — when there is no room.
+    pub(crate) fn claim(&self, page: usize, rows: usize) -> bool {
+        let bytes = rows.saturating_mul(size_of::<f64>());
+        if let Some(slot) = self.slots.get(page) {
+            let mut state = slot.lock();
+            if !matches!(*state, State::Free) {
+                return false;
+            }
+            if self.reserve(bytes) {
+                *state = State::Claimed(bytes);
+                return true;
             }
         }
-        inner.map.insert(page, Slot { values, bytes, tick });
-        inner.lru.insert(tick, page);
-        inner.bytes += bytes;
-        inner.bytes_peak = inner.bytes_peak.max(inner.bytes);
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        self.bypasses.fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    /// Makes `values` the resident copy of claimed page `page`. A page of
+    /// another size than claimed frees the claim instead; a slot invalidated
+    /// since the claim stays free. Returns whether the page became resident.
+    pub(crate) fn fill(&self, page: usize, values: Arc<Vec<f64>>) -> bool {
+        let Some(slot) = self.slots.get(page) else { return false };
+        let mut state = slot.lock();
+        let State::Claimed(bytes) = *state else { return false };
+        if values.len().saturating_mul(size_of::<f64>()) != bytes {
+            *state = State::Free;
+            self.release(bytes);
+            return false;
         }
+        *state = State::Resident(values);
         true
     }
 
-    /// Drops page `page` if resident (used when a page is quarantined: a
-    /// cached copy of a page later found bad must not outlive the verdict).
+    /// Takes one entry and `bytes` from the ceilings, or nothing if either
+    /// would be crossed.
+    fn reserve(&self, bytes: usize) -> bool {
+        let take = |used: &AtomicUsize, n: usize, ceiling: usize| {
+            let room = |u: usize| u.checked_add(n).filter(|&total| total <= ceiling);
+            used.fetch_update(Ordering::Relaxed, Ordering::Relaxed, room).ok()
+        };
+        if take(&self.entries, 1, self.max_entries).is_none() {
+            return false;
+        }
+        let Some(used) = take(&self.bytes, bytes, self.max_bytes) else {
+            self.entries.fetch_sub(1, Ordering::Relaxed);
+            return false;
+        };
+        self.bytes_peak.fetch_max(used + bytes, Ordering::Relaxed);
+        true
+    }
+
+    fn release(&self, bytes: usize) {
+        self.entries.fetch_sub(1, Ordering::Relaxed);
+        self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+    }
+
+    /// Clears page `page`'s slot — resident or claimed — and returns its
+    /// bytes to the budget: a resident copy must not outlive a quarantine
+    /// verdict, and a failed page's claim ends here.
     pub fn invalidate(&self, page: usize) {
-        let mut inner = self.lock();
-        if let Some(slot) = inner.map.remove(&page) {
-            inner.lru.remove(&slot.tick);
-            inner.bytes -= slot.bytes;
+        let Some(slot) = self.slots.get(page) else { return };
+        match std::mem::replace(&mut *slot.lock(), State::Free) {
+            State::Free => {}
+            State::Claimed(bytes) => self.release(bytes),
+            State::Resident(values) => self.release(values.len() * size_of::<f64>()),
         }
     }
 
     /// Snapshot of all counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: 0,
             bypasses: self.bypasses.load(Ordering::Relaxed),
-            entries: inner.map.len(),
-            bytes: inner.bytes,
-            bytes_peak: inner.bytes_peak,
+            entries: self.entries.load(Ordering::Relaxed),
+            bytes: self.bytes.load(Ordering::Relaxed),
+            bytes_peak: self.bytes_peak.load(Ordering::Relaxed),
         }
     }
 }
@@ -240,7 +240,10 @@ mod tests {
     }
 
     fn cache(max_entries: usize, max_bytes: usize) -> PageCache {
-        PageCache::new(&CacheConfig { max_entries, page_size_rows: VECTOR_SIZE, max_bytes })
+        PageCache::with_slots(
+            &CacheConfig { max_entries, page_size_rows: VECTOR_SIZE, max_bytes },
+            16,
+        )
     }
 
     #[test]
@@ -254,16 +257,15 @@ mod tests {
     }
 
     #[test]
-    fn entry_ceiling_evicts_least_recently_used() {
+    fn the_set_fills_until_full_and_never_evicts() {
         let c = cache(2, 1 << 20);
-        c.insert(0, page(4));
-        c.insert(1, page(4));
-        c.get(0); // page 1 is now coldest
-        c.insert(2, page(4));
-        assert!(c.get(0).is_some());
-        assert!(c.get(1).is_none(), "coldest page should have been evicted");
-        assert!(c.get(2).is_some());
-        assert_eq!(c.stats().evictions, 1);
+        assert!(c.insert(0, page(4)));
+        assert!(c.insert(1, page(4)));
+        assert!(!c.insert(2, page(4)), "a full set refuses instead of evicting");
+        assert!(c.get(0).is_some() && c.get(1).is_some());
+        assert!(c.get(2).is_none());
+        let s = c.stats();
+        assert_eq!((s.entries, s.bypasses, s.evictions), (2, 1, 0));
     }
 
     #[test]
@@ -271,18 +273,16 @@ mod tests {
         // 100 f64 = 800 bytes per page; ceiling fits two pages.
         let c = cache(64, 1700);
         for p in 0..10 {
-            c.insert(p, page(100));
-            let s = c.stats();
-            assert!(s.bytes <= 1700, "resident {} > ceiling", s.bytes);
+            assert_eq!(c.insert(p, page(100)), p < 2);
+            assert!(c.stats().bytes <= 1700);
         }
         let s = c.stats();
-        assert!(s.bytes_peak <= 1700);
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.evictions, 8);
+        assert_eq!((s.entries, s.bytes, s.bytes_peak), (2, 1600, 1600));
+        assert_eq!((s.bypasses, s.evictions), (8, 0));
     }
 
     #[test]
-    fn oversized_pages_bypass_instead_of_evicting_the_world() {
+    fn oversized_pages_bypass_and_resident_pages_stay() {
         let c = cache(8, 800);
         c.insert(0, page(50));
         assert!(!c.insert(1, page(200)), "1600-byte page cannot fit an 800-byte budget");
@@ -293,32 +293,59 @@ mod tests {
 
     #[test]
     fn zero_entry_cache_bypasses_everything() {
-        let c = cache(0, 1 << 20);
+        let c = PageCache::new(&CacheConfig { max_entries: 0, ..CacheConfig::default_config() });
         assert!(!c.insert(0, page(4)));
         assert!(c.get(0).is_none());
         assert_eq!(c.stats().bypasses, 1);
     }
 
     #[test]
-    fn invalidate_drops_the_page_and_its_bytes() {
-        let c = cache(4, 1 << 20);
+    fn page_ids_without_a_slot_miss_and_are_refused() {
+        let c = PageCache::new(&CacheConfig { max_entries: 2, ..CacheConfig::default_config() });
+        assert!(c.insert(1, page(4)));
+        assert!(!c.insert(2, page(4)));
+        assert!(c.get(2).is_none() && c.get(usize::MAX).is_none());
+        let s = c.stats();
+        assert_eq!((s.misses, s.bypasses, s.entries), (2, 1, 1));
+    }
+
+    #[test]
+    fn invalidate_returns_the_bytes_for_another_page() {
+        let c = cache(1, 1 << 20);
         c.insert(0, page(100));
+        assert!(!c.insert(1, page(100)));
         c.invalidate(0);
         let s = c.stats();
         assert_eq!((s.entries, s.bytes), (0, 0));
         assert!(c.get(0).is_none());
+        assert!(c.insert(1, page(100)), "the freed room admits the next miss");
     }
 
     #[test]
-    fn reinserting_a_resident_page_refreshes_it() {
-        let c = cache(2, 1 << 20);
-        c.insert(0, page(4));
-        c.insert(1, page(4));
-        c.insert(0, page(6)); // refresh: page 1 is now coldest
-        c.insert(2, page(4));
-        assert!(c.get(0).is_some());
-        assert!(c.get(1).is_none());
-        assert_eq!(c.get(0).map(|v| v.len()), Some(6));
+    fn a_resident_page_is_never_admitted_twice() {
+        let c = cache(4, 1 << 20);
+        assert!(c.insert(0, page(4)));
+        assert!(!c.insert(0, page(6)), "the resident copy stays");
+        assert_eq!(c.get(0).map(|v| v.len()), Some(4));
+        let s = c.stats();
+        assert_eq!((s.entries, s.bytes, s.bypasses), (1, 32, 0));
+    }
+
+    #[test]
+    fn a_failed_or_missized_claim_frees_its_slot_and_budget() {
+        let c = cache(1, 1 << 20);
+        assert!(c.claim(0, 100));
+        assert!(!c.claim(0, 100), "one claim per slot");
+        assert!(!c.claim(1, 100), "the claim holds the only entry");
+        c.invalidate(0); // the decode failed: the page is quarantined
+        assert!(!c.fill(0, page(100)), "an invalidated claim fills nothing");
+        assert!(c.get(0).is_none());
+        assert_eq!((c.stats().entries, c.stats().bytes), (0, 0));
+        assert!(c.claim(0, 100));
+        assert!(!c.fill(0, page(99)), "a page of another size is not admitted");
+        assert_eq!((c.stats().entries, c.stats().bytes), (0, 0));
+        assert!(c.claim(0, 100) && c.fill(0, page(100)));
+        assert_eq!(c.stats().entries, 1);
     }
 
     #[test]

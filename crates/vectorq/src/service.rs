@@ -3,10 +3,12 @@
 //!
 //! The moving parts, and the failure each one absorbs:
 //!
-//! * **[`Store`]** — the column plus per-page quarantine flags and a bounded
-//!   [`PageCache`]. Pages are the unit of decode, caching, quarantine, and
-//!   parallelism (one page = one morsel). ALP and raw pages of a column
-//!   larger than the cache are summed from the stored bytes and never cached.
+//! * **[`Store`]** — the column plus per-page quarantine flags and a bounded,
+//!   never-evicting resident page set ([`PageCache`]). Pages are the unit of
+//!   decode, residency, quarantine, and parallelism (one page = one morsel).
+//!   A missed page becomes resident while the set has room; the pages that
+//!   do not fit are summed from the stored bytes (ALP and raw) or decoded
+//!   into the worker's reused buffer (codec bytes).
 //! * **Admission control** — at most `max_concurrent` queries run and at most
 //!   `max_queued` wait; the next caller gets a typed
 //!   [`ServiceError::Overloaded`] with a retry hint derived from recent query
@@ -25,7 +27,7 @@
 //! folds the canonical sums of its vectors ([`alp::decode`]) in vector order
 //! from `+0.0`, and the page partials are reduced in page order on the
 //! caller's thread — so a query over an unpoisoned store returns
-//! bit-identical sums at every thread count, cache state and route. (It is
+//! bit-identical sums at every thread count, residency and route. (It is
 //! the *service's* order: [`Column::sum_where`] folds all vector sums into
 //! one running total, a different association that agrees to rounding, not
 //! to the bit, once a column spans several pages.)
@@ -153,11 +155,12 @@ pub struct QueryResult {
     pub value: FilteredSum,
     /// Pages scanned in the compressed domain — the fused
     /// unpack→FOR→patch→predicate→aggregate path, taken by ALP and raw pages
-    /// of a column larger than the cache (never when
-    /// [`QueryOptions::no_fused`] is set).
+    /// that are not resident and found no room in the resident set (never
+    /// when [`QueryOptions::no_fused`] is set).
     pub pages_fused: usize,
-    /// Pages scanned from a materialized buffer: cache hits and misses, and
-    /// `no_fused` pages.
+    /// Pages scanned from decoded values: resident pages, pages decoded to
+    /// become resident, and pages decoded into the worker's buffer (codec
+    /// bytes and `no_fused`).
     pub pages_materialized: usize,
     /// Pages that could not be served; empty for a complete result.
     pub loss: LossReport,
@@ -227,7 +230,7 @@ impl PoisonPlan {
 // ---------------------------------------------------------------------------
 
 /// A shared, immutable column prepared for concurrent service: page
-/// geometry, quarantine flags, the bounded page cache, and (in the fault
+/// geometry, quarantine flags, the resident page set, and (in the fault
 /// suites) a poison plan. `Store` is `Sync`; queries borrow it concurrently.
 pub struct Store {
     column: Column,
@@ -241,9 +244,9 @@ pub struct Store {
     quarantined: Vec<AtomicBool>,
     /// First-observed quarantine reason per page, for reporting.
     reasons: Mutex<BTreeMap<usize, LossReason>>,
-    cache: PageCache,
-    /// Whether pages go through `cache` (see [`Store::execute_page`]).
-    caches_pages: bool,
+    /// The resident page set, one slot per page; `None` for a zero-entry
+    /// configuration, which is never consulted.
+    cache: Option<PageCache>,
     poison: PoisonPlan,
     /// When set, the injected fault plan stops firing — models the faulty
     /// medium having been repaired out-of-band (e.g. the backing file
@@ -271,9 +274,6 @@ impl Store {
         let vectors_per_page = (cache.rows_per_page() / VECTOR_SIZE).max(1);
         let pages = vectors.div_ceil(vectors_per_page);
         let quarantined = (0..pages).map(|_| AtomicBool::new(false)).collect();
-        let fits = pages <= cache.max_entries
-            && rows.saturating_mul(core::mem::size_of::<f64>()) <= cache.max_bytes;
-        let caches_pages = fits || !column.supports_fused_scan();
         Self {
             column,
             rows,
@@ -282,8 +282,7 @@ impl Store {
             pages,
             quarantined,
             reasons: Mutex::new(BTreeMap::new()),
-            cache: PageCache::new(&cache),
-            caches_pages,
+            cache: (cache.max_entries > 0).then(|| PageCache::with_slots(&cache, pages)),
             poison,
             healed: AtomicBool::new(false),
             scrub_checked: AtomicU64::new(0),
@@ -321,9 +320,9 @@ impl Store {
             .collect()
     }
 
-    /// Snapshot of the page cache's counters.
+    /// Snapshot of the resident page set's counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.cache.as_ref().map_or_else(CacheStats::default, PageCache::stats)
     }
 
     fn is_quarantined(&self, page: usize) -> bool {
@@ -332,14 +331,15 @@ impl Store {
     }
 
     /// Marks `page` bad: later queries skip it without touching its payload,
-    /// and any cached copy is dropped (a verdict outlives the cache).
+    /// and its resident slot is cleared (a verdict outlives the resident
+    /// copy).
     fn quarantine(&self, page: usize, reason: LossReason) {
         // Publication order matters: the `LossReason` is recorded and the
-        // cached copy invalidated *before* the flag flips, and the flag store
-        // is `Release` paired with the `Acquire` loads in `is_quarantined` /
+        // slot cleared *before* the flag flips, and the flag store is
+        // `Release` paired with the `Acquire` loads in `is_quarantined` /
         // `quarantined_pages` / `loss_reason` — so any query that observes
         // the flag and skips the page is guaranteed to find the reason (and
-        // never a stale cached payload) behind it.
+        // never a stale resident payload) behind it.
         {
             let mut reasons = match self.reasons.lock() {
                 Ok(g) => g,
@@ -347,7 +347,9 @@ impl Store {
             };
             reasons.entry(page).or_insert(reason);
         }
-        self.cache.invalidate(page);
+        if let Some(cache) = &self.cache {
+            cache.invalidate(page);
+        }
         if let Some(q) = self.quarantined.get(page) {
             q.store(true, Ordering::Release);
         }
@@ -371,9 +373,9 @@ impl Store {
     /// cleanly (the scrubber is the only caller — queries never clear flags).
     ///
     /// Inverse publication order of [`Store::quarantine`]: the stale verdict
-    /// is removed and any cached copy invalidated *before* the flag clears,
-    /// and the flag store is `Release` paired with the same `Acquire` loads —
-    /// so a query that observes the flag low decodes the page fresh and never
+    /// is removed and the resident slot cleared *before* the flag clears, and
+    /// the flag store is `Release` paired with the same `Acquire` loads — so
+    /// a query that observes the flag low decodes the page fresh and never
     /// finds a leftover reason (or payload) behind a healthy flag.
     pub(crate) fn unquarantine(&self, page: usize) {
         {
@@ -383,7 +385,9 @@ impl Store {
             };
             reasons.remove(&page);
         }
-        self.cache.invalidate(page);
+        if let Some(cache) = &self.cache {
+            cache.invalidate(page);
+        }
         if let Some(q) = self.quarantined.get(page) {
             q.store(false, Ordering::Release);
         }
@@ -419,7 +423,7 @@ impl Store {
 
     /// Re-verifies that `page` decodes cleanly end to end — the scrubber's
     /// probe. Walks every vector through the same fallible storage walker
-    /// queries use, bypassing the cache (a verdict must come from the
+    /// queries use, never the resident copy (a verdict must come from the
     /// payload, not a stale copy).
     pub(crate) fn verify_page(&self, page: usize, ctx: &mut PageCtx) -> Result<(), LossReason> {
         self.injected_fault(page)?;
@@ -462,8 +466,8 @@ impl Store {
 
     /// Scans a page's decoded values with zone-map pruning per vector. Each
     /// vector's canonical sum folds in vector order, so the partial is
-    /// bit-identical whether the values came from the cache, a fresh decode or
-    /// — never decoded at all — the compressed-domain route.
+    /// bit-identical whether the values were resident, freshly decoded or —
+    /// never decoded at all — summed by the compressed-domain route.
     fn scan_page_values(
         &self,
         values: &[f64],
@@ -497,15 +501,14 @@ impl Store {
     /// is never touched at all, and disjoint vectors inside a served page are
     /// skipped.
     ///
-    /// When the whole decoded column fits the cache — and always for codec
-    /// bytes, which have no other route — pages go through the cache: a hit
-    /// scans the cached page, a miss decodes the page, offers it to the cache
-    /// and scans it. Otherwise ALP and raw pages never touch the cache, since
-    /// a query wider than the cache would evict each page before the next
-    /// query read it again: each overlapping vector is summed straight from
-    /// the stored bytes ([`Column::try_sum_where_in`]), and `no_fused`, that
-    /// route's reference, decodes the page into the worker's reused buffer
-    /// and scans it there. Every route folds bit-identically.
+    /// A resident page is scanned where it sits. A miss claims the page's
+    /// slot while the resident set has room, decodes the page into a buffer
+    /// of its own, scans it and leaves it resident. A miss that finds no room
+    /// materializes nothing for the set: ALP and raw pages are summed
+    /// straight from the stored bytes ([`Column::try_sum_where_in`]); codec
+    /// bytes, and `no_fused` (that route's reference), decode into the
+    /// worker's reused buffer and scan it there. Every route folds
+    /// bit-identically.
     fn execute_page(
         &self,
         page: usize,
@@ -530,44 +533,36 @@ impl Store {
         if let Err(reason) = self.injected_fault(page) {
             return PageOutcome::Skipped(reason);
         }
-        if self.caches_pages {
-            if let Some(values) = self.cache.get(page) {
-                return PageOutcome::Scanned {
-                    part: self.scan_page_values(&values, v0, v1, lo, hi),
-                    fused: false,
-                };
-            }
-        } else if !no_fused {
+        let cache = self.cache.as_ref();
+        if let Some(values) = cache.and_then(|c| c.get(page)) {
+            let part = self.scan_page_values(&values, v0, v1, lo, hi);
+            return PageOutcome::Scanned { part, fused: false };
+        }
+        let rows = self.page_rows(page);
+        let claimed = cache.filter(|c| c.claim(page, rows));
+        if claimed.is_none() && !no_fused && self.column.supports_fused_scan() {
             return match self.column.try_sum_where_in(v0..v1, lo, hi, &mut ctx.scratch) {
                 Ok(part) => PageOutcome::Scanned { part, fused: true },
                 Err(e) => PageOutcome::Skipped(LossReason::Decode(e.to_string())),
             };
         }
-        ctx.page_buf.clear();
-        let page_buf = &mut ctx.page_buf;
+        let mut own = Vec::new();
+        let values = if claimed.is_some() { &mut own } else { &mut ctx.page_buf };
+        values.clear();
+        values.reserve_exact(rows);
         let decoded = self.column.try_walk(
             v0..v1,
             |_| true,
             &mut ctx.scratch,
-            |_, live| page_buf.extend_from_slice(live),
+            |_, live| values.extend_from_slice(live),
         );
         if let Err(e) = decoded {
+            // The page is quarantined, which also ends its claim.
             return PageOutcome::Skipped(LossReason::Decode(e.to_string()));
         }
-        if !self.caches_pages {
-            let part = self.scan_page_values(&ctx.page_buf, v0, v1, lo, hi);
-            return PageOutcome::Scanned { part, fused: false };
-        }
-        let values = Arc::new(std::mem::take(&mut ctx.page_buf));
-        let admitted = self.cache.insert(page, Arc::clone(&values));
-        let part = self.scan_page_values(&values, v0, v1, lo, hi);
-        if !admitted {
-            // Cache bypass (degraded mode): reclaim the buffer so the worker
-            // keeps streaming allocation-free.
-            if let Ok(mut reclaimed) = Arc::try_unwrap(values) {
-                reclaimed.clear();
-                ctx.page_buf = reclaimed;
-            }
+        let part = self.scan_page_values(values, v0, v1, lo, hi);
+        if let Some(cache) = claimed {
+            cache.fill(page, Arc::new(own));
         }
         PageOutcome::Scanned { part, fused: false }
     }
@@ -675,9 +670,11 @@ pub struct QueryOptions {
     /// Worker threads for this query; defaults to the service's setting.
     pub threads: Option<usize>,
     /// Disable the fused compressed-domain scan path: a page that would run
-    /// it is decoded into a buffer and scanned there instead, never cached
-    /// (the CLI's `--no-fused` reference route). Results are bit-identical
-    /// either way — this only trades performance.
+    /// it is decoded into the worker's reused buffer and scanned there
+    /// instead (the CLI's `--no-fused` reference route). Residency is
+    /// unchanged: resident pages still hit, and a miss with room still
+    /// becomes resident. Results are bit-identical either way — this only
+    /// trades performance.
     pub no_fused: bool,
 }
 
@@ -829,7 +826,7 @@ impl Service {
         crate::scrub::scrub_store(&self.store, threads, &token)
     }
 
-    /// Snapshot of the store's cache counters (for the benchmark and the CLI).
+    /// Snapshot of the store's resident-set counters (for the benchmark).
     pub fn cache_stats(&self) -> CacheStats {
         self.store.cache_stats()
     }
@@ -1058,30 +1055,35 @@ mod tests {
     }
 
     #[test]
-    fn bypass_misses_scan_fused_and_match_the_materializing_path() {
+    fn misses_without_room_scan_fused_and_match_the_materializing_path() {
         let data = sample(400_000);
         let opts = QueryOptions { no_fused: true, ..QueryOptions::default() };
-        // A zero-entry cache, and one that holds half of the column's 4 pages.
+        // A zero-entry set, and one that holds half of the column's 4 pages.
         let zero_entry = CacheConfig { max_entries: 0, ..CacheConfig::default_config() };
-        for cache in [zero_entry, CacheConfig { max_entries: 2, ..zero_entry }] {
+        for (cache, resident) in
+            [(zero_entry, 0), (CacheConfig { max_entries: 2, ..zero_entry }, 2)]
+        {
             let column = Column::from_f64(&data, Format::alp());
             let svc = Service::new(Arc::new(Store::new(column, cache)), ServiceConfig::default());
             let fused = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
-            assert_eq!(fused.pages_fused, 4, "a column larger than the cache runs fused");
-            assert_eq!(fused.pages_materialized, 0);
+            let routes = (fused.pages_fused, fused.pages_materialized);
+            assert_eq!(routes, (4 - resident, resident), "the pages that do not fit run fused");
             let mat = svc.sum_where(5.0, 45.0, &opts).unwrap();
-            assert_eq!(mat.pages_fused, 0, "--no-fused must force materialization");
-            assert!(mat.pages_materialized > 0);
+            assert_eq!((mat.pages_fused, mat.pages_materialized), (0, 4), "--no-fused");
             assert_eq!(fused.value.sum.to_bits(), mat.value.sum.to_bits());
             assert_eq!(fused.value, mat.value, "all counters agree across paths");
-            assert_eq!(svc.cache_stats(), CacheStats::default(), "neither route uses the cache");
+            let stats = svc.cache_stats();
+            assert_eq!((stats.entries, stats.hits), (resident, resident as u64));
+            if resident == 0 {
+                assert_eq!(stats, CacheStats::default(), "a zero-entry set is never consulted");
+            }
         }
     }
 
     #[test]
     fn admitting_misses_still_materialize_and_warm_the_cache() {
-        // The whole column fits the default cache, so even ALP pages go
-        // through it.
+        // The whole column fits the default set, so every page of either
+        // storage becomes resident.
         for format in [Format::alp(), gorilla()] {
             let svc = Service::new(store_as(300_000, format), ServiceConfig::default());
             let first = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
@@ -1132,7 +1134,7 @@ mod tests {
         svc.sum_where(f64::NEG_INFINITY, f64::INFINITY, &QueryOptions::default()).unwrap();
         let bad = store.quarantined_pages();
         assert!(!bad.is_empty());
-        for page in bad {
+        for &page in &bad {
             assert!(
                 store.loss_reason(page).is_some(),
                 "quarantined page {page} must expose the verdict that condemned it"
@@ -1140,6 +1142,17 @@ mod tests {
         }
         let healthy = (0..store.pages()).find(|p| !store.is_quarantined(*p)).unwrap();
         assert_eq!(store.loss_reason(healthy), None);
+
+        // Quarantining a resident page clears its slot and returns its bytes
+        // before the flag is up.
+        let resident = store.cache_stats();
+        assert_eq!(resident.entries, store.pages() - bad.len(), "every healthy page fit");
+        store.quarantine_for_test(healthy);
+        let after = store.cache_stats();
+        assert_eq!(after.entries, resident.entries - 1);
+        assert_eq!(after.bytes, resident.bytes - store.page_rows(healthy) * 8);
+        let r = svc.sum_where(f64::NEG_INFINITY, f64::INFINITY, &QueryOptions::default()).unwrap();
+        assert!(r.loss.pages.iter().any(|p| p.page == healthy));
     }
 
     #[test]

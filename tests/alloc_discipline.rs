@@ -16,8 +16,9 @@
 //! * the scan kernels and the SUM route above them: no kernel stages through
 //!   the heap (not even the unsorted-exception fallback, reachable from wire
 //!   data), and `Column::sum_where` / `Service::sum_where` over an ALP column
-//!   larger than its cache cost the same number of allocation events however
-//!   many vectors and pages they cover.
+//!   larger than its resident set cost the same number of allocation events
+//!   however many vectors and pages they cover, apart from one page buffer
+//!   per page the set admits.
 //!
 //! * the strict stream read: `ColumnReader::next_rowgroup_into` decodes from
 //!   the frame bytes into the caller's buffer, so once both are warm a
@@ -269,22 +270,26 @@ fn scan_kernels_never_touch_the_heap() {
 }
 
 /// The SUM route allocates per call (a scratch), never per vector or per
-/// page: `Column::sum_where` over ALP storage and `Service::sum_where` over a
-/// column twice its cache cost the same events over 4 vectors as over 64, in
-/// one page or in one page per vector — a fresh store's first query as much
-/// as a repeat. Such a column's pages are summed from the stored bytes and
-/// never reach the cache; at the parent commit each miss decoded into a
-/// fresh page-sized `Arc` and evicted another page for it, so events grew
-/// with pages.
+/// page: `Column::sum_where` over ALP storage costs the same events over 4
+/// vectors as over 64. `Service::sum_where` over a column twice its resident
+/// set costs the same on a repeat — half the pages hit, half summed from the
+/// stored bytes — whether the column is 4 pages or 64, and on a fresh store's
+/// first query exactly one page buffer more per page it admits. At the
+/// parent commit such a column never reached the page cache, so no page was
+/// admitted and none ever hit.
 #[test]
 fn the_sum_route_allocates_nothing_per_vector() {
     use std::sync::Arc;
-    use vectorq::cache::{CacheConfig, CacheStats};
+    use vectorq::cache::CacheConfig;
     use vectorq::service::{QueryOptions, Service, ServiceConfig, Store};
     use vectorq::{Column, Format};
 
     let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
-    // The default ceilings, except that the cache holds half of `pages`.
+    // What admitting a one-vector page costs: its values and the `Arc`.
+    let page_buffer = allocations_in(|| {
+        drop(std::hint::black_box(Arc::new(Vec::<f64>::with_capacity(alp::VECTOR_SIZE))));
+    });
+    // The default ceilings, except that the set holds half of `pages`.
     let half_of = |vectors: usize, pages: usize| CacheConfig {
         max_entries: pages / 2,
         page_size_rows: vectors / pages * alp::VECTOR_SIZE,
@@ -310,7 +315,8 @@ fn the_sum_route_allocates_nothing_per_vector() {
         let mut first = None;
         let cold = allocations_in(|| first = fresh.sum_where(lo, hi, &opts).ok());
         let first = first.expect("admitted");
-        assert_eq!((first.pages_fused, first.pages_materialized), (pages, 0));
+        let admitted = pages / 2;
+        assert_eq!((first.pages_fused, first.pages_materialized), (pages - admitted, admitted));
         assert_eq!(first.value.matches, direct.matches);
         if pages == 1 {
             assert_eq!(first.value.sum.to_bits(), direct.sum.to_bits());
@@ -318,22 +324,35 @@ fn the_sum_route_allocates_nothing_per_vector() {
         let repeat = allocations_in(|| {
             std::hint::black_box(fresh.sum_where(lo, hi, &opts).expect("admitted"));
         });
-        assert_eq!(fresh.cache_stats(), CacheStats::default(), "the pages never reach the cache");
-        (per_call, cold, repeat)
+        assert_eq!(fresh.cache_stats().entries, admitted);
+        (per_call, cold, repeat, admitted as u64)
     };
-    let one_page = events(4, 1);
-    assert_eq!(one_page, events(64, 1), "(Column::sum_where, first query, repeat) events");
-    assert_eq!(one_page, events(4, 4), "one page per vector");
-    assert_eq!(one_page, events(64, 64), "one page per vector");
-
-    // Repeated full-band scans of a column twice its cache never miss, evict
-    // or admit anything.
-    let twice = service(&sample(512 * alp::VECTOR_SIZE), half_of(512, 512));
-    for _ in 0..3 {
-        let all = twice.sum_where(f64::NEG_INFINITY, f64::INFINITY, &opts).expect("admitted");
-        assert_eq!(all.pages_fused, 512);
+    let (per_call, cold, repeat, _) = events(4, 1);
+    assert_eq!(cold, repeat, "a zero-entry set admits nothing");
+    for (vectors, pages) in [(64, 1), (4, 4), (64, 64)] {
+        let (calls, first, again, admitted) = events(vectors, pages);
+        let label = format!("{vectors} vectors in {pages} pages");
+        assert_eq!((calls, again), (per_call, repeat), "{label}: (sum_where, repeat) events");
+        assert_eq!(first, again + admitted * page_buffer, "{label}: first query");
     }
-    assert_eq!(twice.cache_stats(), CacheStats::default());
+
+    // Repeated full-band scans of a column twice its set: the first admits
+    // the half that fits, every later one hits it and sums the rest from the
+    // bytes; nothing is ever evicted.
+    let twice = service(&sample(512 * alp::VECTOR_SIZE), half_of(512, 512));
+    let all = |lo, hi| twice.sum_where(lo, hi, &opts).expect("admitted");
+    assert_eq!(all(f64::NEG_INFINITY, f64::INFINITY).pages_fused, 256);
+    for _ in 0..2 {
+        let before = twice.cache_stats();
+        assert_eq!(all(f64::NEG_INFINITY, f64::INFINITY).pages_fused, 256);
+        let after = twice.cache_stats();
+        assert_eq!(after.hits - before.hits, 256, "hits are the resident pages");
+        assert_eq!(after.misses - before.misses, 256, "misses are the rest");
+        assert_eq!(after.bypasses - before.bypasses, 256, "and found no room");
+    }
+    let stats = twice.cache_stats();
+    assert_eq!((stats.entries, stats.evictions), (256, 0));
+    assert_eq!(stats.bytes, 256 * alp::VECTOR_SIZE * 8);
 }
 
 /// Regression: both stream readers used to size their frame buffer from the

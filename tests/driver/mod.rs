@@ -740,12 +740,12 @@ pub fn oracle(data: &[f64], lo: f64, hi: f64) -> ScanResult {
 
 /// Invariant 2, written once. Every way of asking "which rows fall in
 /// `lo..=hi`, and what do they add up to" — the column's own operators, the
-/// two-column table, and every service route (cached cold and warm,
-/// compressed-domain, materialize-and-drop) at every thread count — answers
-/// with the oracle's bits. `exact_sums` says every partial sum of `data` is
-/// exact, so the operators that add in their own order (the table's
-/// row-at-a-time sum, `par_sum`'s per-worker partials) are held to the same
-/// bits too; otherwise they are held to the counts.
+/// two-column table, and every service route (fully and half resident, cold
+/// and warm; compressed-domain; materialize-and-drop) at every thread count —
+/// answers with the oracle's bits. `exact_sums` says every partial sum of
+/// `data` is exact, so the operators that add in their own order (the
+/// table's row-at-a-time sum, `par_sum`'s per-worker partials) are held to
+/// the same bits too; otherwise they are held to the counts.
 pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &str) {
     let name = format!("{} over {what}", format.name());
     let bits = |x: Option<f64>| x.map(f64::to_bits);
@@ -812,6 +812,10 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
     let page_vectors = if data.len() > vectorq::ROWGROUP_VALUES { 100 } else { 2 };
     let paged =
         CacheConfig { page_size_rows: page_vectors * VECTOR_SIZE, ..CacheConfig::default_config() };
+    // A byte budget for half the pages, rounded up: the rest never fit.
+    let pages = data.len().div_ceil(page_vectors * VECTOR_SIZE);
+    let half =
+        CacheConfig { max_bytes: pages.div_ceil(2) * page_vectors * VECTOR_SIZE * 8, ..paged };
     let service = |threads, cache| {
         let column = Column::from_f64_parallel(data, format, threads);
         Service::new(Arc::new(Store::new(column, cache)), ServiceConfig::default())
@@ -831,12 +835,16 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
             assert_eq!(got, finite_sum.to_bits(), "{name}: par_sum at {threads} threads");
         }
         let cached = service(threads, paged);
+        let half_resident = service(threads, half);
         let fused = QueryOptions { threads: Some(threads), ..QueryOptions::default() };
         let no_fused = QueryOptions { no_fused: true, ..fused };
-        // `cached` twice: the first query fills the cache, the second hits it.
+        // Each store with room twice: the first query fills the resident
+        // set, the second hits it.
         let routes = [
             ("cached, cold", &cached, fused),
             ("cached, warm", &cached, fused),
+            ("half-resident, cold", &half_resident, fused),
+            ("half-resident, warm", &half_resident, fused),
             ("fused", &uncached, fused),
             ("no_fused", &uncached, no_fused),
         ];
@@ -845,7 +853,7 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
         {
             for (route, service, options) in routes {
                 let label = format!("{name} [{lo}, {hi}] {route} at {threads} threads");
-                let hits = service.cache_stats().hits;
+                let before = service.cache_stats();
                 let result = service.sum_where(lo, hi, &options).expect("admitted");
                 assert!(result.loss.is_complete(), "{label}");
                 assert_eq!(result.value.sum.to_bits(), want_sum.to_bits(), "{label}: sum");
@@ -856,15 +864,27 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
                     let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
                     assert_eq!(counters(result.value), counters(*direct), "{label}: counters");
                 }
-                // The column fits the default cache, so every storage goes
-                // through it and a warm query hits every page it reads; ALP
-                // and raw pages of a column larger than the (zero-entry) cache
-                // run fused unless asked not to, and never touch the cache.
+                // The column fits the default set, so a warm query hits every
+                // page it reads. Under the half budget it hits the resident
+                // pages it touches, and every miss found no room: ALP and raw
+                // pages that did not fit run fused, codec bytes decode into
+                // the worker's buffer. The zero-entry set is never consulted:
+                // ALP and raw pages run fused unless asked not to.
+                let after = service.cache_stats();
+                let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
                 match route {
                     "cached, warm" => {
-                        assert_eq!(result.pages_fused, 0, "{label}: served from the cache");
-                        let hits = service.cache_stats().hits - hits;
+                        assert_eq!(result.pages_fused, 0, "{label}: served from the set");
                         assert_eq!(hits, result.pages_materialized as u64, "{label}: all hits");
+                    }
+                    "half-resident, warm" => {
+                        assert_eq!(after.bypasses - before.bypasses, misses, "{label}: no room");
+                        let served = (result.pages_fused + result.pages_materialized) as u64;
+                        assert_eq!(hits + misses, served, "{label}: every page looked up");
+                        if column.supports_fused_scan() {
+                            assert_eq!(result.pages_fused as u64, misses, "{label}: misses fuse");
+                        }
+                        assert!(after.bytes_peak <= half.max_bytes, "{label}: {after:?}");
                     }
                     "fused" if column.supports_fused_scan() => {
                         assert_eq!(result.pages_materialized, 0, "{label}: runs fused");
@@ -878,10 +898,8 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
             }
         }
     }
-    if column.supports_fused_scan() {
-        let untouched = uncached.cache_stats() == vectorq::cache::CacheStats::default();
-        assert!(untouched, "{name}: a column larger than the cache never touches it");
-    }
+    let untouched = uncached.cache_stats() == vectorq::cache::CacheStats::default();
+    assert!(untouched, "{name}: a zero-entry set is never consulted");
 }
 
 /// `(valid, invalid)` a vector-granular scan of `lo..=hi` reports: the non-NaN

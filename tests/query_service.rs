@@ -1,20 +1,21 @@
 //! Concurrent stress suite for `vectorq::service` (DESIGN.md §12): many OS
 //! threads hammering one shared [`Store`] must produce results byte-identical
-//! to serial execution, respect the cache's hard memory ceiling, surface
-//! overload and deadlines as typed errors, and — under `ALP_FAULT_SEED`
-//! injection — quarantine exactly the poisoned pages while every healthy
-//! page keeps being served. Zero panics escape: a panicking page is
-//! contained at the morsel boundary and the query degrades to a partial.
+//! to serial execution, admit each page to the resident set at most once
+//! within its hard memory ceiling, surface overload and deadlines as typed
+//! errors, and — under `ALP_FAULT_SEED` injection — quarantine exactly the
+//! poisoned pages while every healthy page keeps being served. Zero panics
+//! escape: a panicking page is contained at the morsel boundary and the query
+//! degrades to a partial.
 //!
 //! The fault variants derive their poison plan from `ALP_FAULT_SEED`
 //! (defaulting to seed 1), so CI can sweep seeds without recompiling.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use alp::io::fault_seed;
 use fastlanes::VECTOR_SIZE;
-use vectorq::cache::{CacheConfig, CacheStats};
+use vectorq::cache::CacheConfig;
 use vectorq::service::{
     LossReason, PoisonPlan, QueryOptions, Service, ServiceConfig, ServiceError, Store,
 };
@@ -36,14 +37,13 @@ fn dataset(n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Payload bytes of one full page under [`tight_cache`].
+const PAGE_BYTES: usize = 10 * VECTOR_SIZE * 8;
+
 /// Small pages (10 vectors) so a modest column spans dozens of pages, and a
-/// deliberately tight cache so eviction pressure is constant.
+/// deliberately tight resident set that fills after six of them.
 fn tight_cache() -> CacheConfig {
-    CacheConfig {
-        max_entries: 8,
-        page_size_rows: 10 * VECTOR_SIZE,
-        max_bytes: 6 * 10 * VECTOR_SIZE * 8, // six pages' worth of f64s
-    }
+    CacheConfig { max_entries: 8, page_size_rows: 10 * VECTOR_SIZE, max_bytes: 6 * PAGE_BYTES }
 }
 
 /// The mixed query workload: selective, broad, empty, and unbounded ranges.
@@ -55,10 +55,10 @@ const PREDICATES: &[(f64, f64)] = &[
     (90.0, 90.0),
 ];
 
-/// The 50-page column is larger than the 8-page cache: its ALP pages are
-/// summed from the stored bytes and never touch the cache, while codec bytes
-/// (gorilla here), which have no other route, go through it and keep its
-/// ceilings under load.
+/// The 51-page column is larger than the 6-page budget: under load the set
+/// fills with six pages, which later queries hit, and every other page is
+/// summed from the stored bytes (ALP) or decoded into the worker's buffer
+/// (codec bytes, gorilla here).
 #[test]
 fn concurrent_mixed_queries_are_byte_identical_to_serial() {
     let data = dataset(50 * 10 * VECTOR_SIZE + 700);
@@ -104,22 +104,14 @@ fn concurrent_mixed_queries_are_byte_identical_to_serial() {
             }
         });
 
+        // The set filled to its budget, each page admitted once, and the
+        // ceiling held under all that pressure.
         let stats = store.cache_stats();
-        if store.column().supports_fused_scan() {
-            assert_eq!(stats, CacheStats::default(), "{format:?}: pages never reach the cache");
-            continue;
-        }
-        // The hard ceilings held under all that pressure.
-        let cfg = tight_cache();
-        assert!(
-            stats.bytes_peak <= cfg.max_bytes,
-            "peak {} > ceiling {}",
-            stats.bytes_peak,
-            cfg.max_bytes
-        );
-        assert!(stats.entries <= cfg.max_entries);
-        assert!(stats.hits > 0, "a 50-page column under an 8-page cache should still see reuse");
-        assert!(stats.evictions > 0, "the tight cache must have evicted under pressure");
+        assert_eq!(stats.entries, 6, "{format:?}: six full pages fit the budget");
+        assert_eq!(stats.bytes, stats.entries * PAGE_BYTES, "{format:?}");
+        assert!(stats.bytes_peak <= tight_cache().max_bytes, "{format:?}: {stats:?}");
+        assert!(stats.hits > 0, "{format:?}: later queries hit the resident pages");
+        assert_eq!(stats.evictions, 0);
     }
 }
 
@@ -184,8 +176,9 @@ fn fault_injected_store_quarantines_and_degrades_without_panicking() {
     let seed = fault_seed(1);
     let poison = PoisonPlan::seeded(seed);
     let data = dataset(40 * 10 * VECTOR_SIZE);
-    let store =
-        Arc::new(Store::with_poison(Column::from_f64(&data, Format::alp()), tight_cache(), poison));
+    // Half of the 40 pages fit the resident set.
+    let half = CacheConfig { max_entries: 40, max_bytes: 20 * PAGE_BYTES, ..tight_cache() };
+    let store = Arc::new(Store::with_poison(Column::from_f64(&data, Format::alp()), half, poison));
     let expected_bad: Vec<usize> = (0..store.pages()).filter(|p| poison.poisons(*p)).collect();
     assert!(
         !expected_bad.is_empty(),
@@ -198,15 +191,19 @@ fn fault_injected_store_quarantines_and_degrades_without_panicking() {
         ServiceConfig { max_concurrent: 8, max_queued: 64, threads: 2 },
     );
 
-    // Eight workers × full-range queries, all racing to discover the bad
-    // pages. Every query must return Ok (a partial, never a panic or a
-    // poisoned-lock hang), and every loss report must name exactly the
-    // poisoned pages.
+    // Eight workers × full-range queries, leaving a barrier together so they
+    // all miss the same pages at once, racing to fill the resident set and
+    // to discover the bad pages. Every query must return Ok (a partial,
+    // never a panic or a poisoned-lock hang), and every loss report must
+    // name exactly the poisoned pages.
+    let barrier = Barrier::new(8);
     std::thread::scope(|scope| {
         for _ in 0..8 {
             let service = &service;
             let expected_bad = &expected_bad;
+            let barrier = &barrier;
             scope.spawn(move || {
+                barrier.wait();
                 for _ in 0..3 {
                     let r = service
                         .sum_where(f64::NEG_INFINITY, f64::INFINITY, &QueryOptions::default())
@@ -221,12 +218,28 @@ fn fault_injected_store_quarantines_and_degrades_without_panicking() {
     });
 
     assert_eq!(store.quarantined_pages(), expected_bad);
+    // The race filled the set to its budget without overshooting it.
+    let raced = store.cache_stats();
+    let healthy = store.pages() - expected_bad.len();
+    assert_eq!(raced.entries, healthy.min(20));
+    assert_eq!(raced.bytes, raced.entries * PAGE_BYTES);
+    assert!(raced.bytes_peak <= half.max_bytes, "{raced:?}");
 
     // After the dust settles, a fresh query skips the quarantined pages
-    // without re-decoding them: every loss reason is now `Quarantined`.
+    // without re-decoding them: every loss reason is now `Quarantined`. It
+    // hits every resident page — so no page was admitted twice, and no
+    // resident slot sits behind a quarantine flag (`Store::quarantine` clears
+    // the slot before it publishes the flag) — and sums the rest from the
+    // bytes.
     let r = service.sum_where(f64::NEG_INFINITY, f64::INFINITY, &QueryOptions::default()).unwrap();
     assert!(r.loss.pages.iter().all(|p| p.reason == LossReason::Quarantined));
     assert_eq!(r.loss.rows_lost(), lost_rows);
+    let warm = store.cache_stats();
+    assert_eq!(warm.hits - raced.hits, raced.entries as u64);
+    assert_eq!(r.pages_materialized, raced.entries);
+    assert_eq!(r.pages_fused, healthy - raced.entries);
+    assert_eq!(warm.misses - raced.misses, (healthy - raced.entries) as u64);
+    assert_eq!(warm.bypasses - raced.bypasses, warm.misses - raced.misses);
 }
 
 #[test]

@@ -1,17 +1,10 @@
-//! Every scheme is bit-exact lossless on every synthetic dataset — names the
-//! test floor pins, each one a slice of the differential driver's table
-//! (`tests/differential.rs` runs all of it; DESIGN.md §17).
+//! ALP's footprint bound on every synthetic dataset. The lossless slices
+//! this suite used to hold run in the differential driver's table
+//! (`tests/differential.rs`; DESIGN.md §17 maps each to its axis).
 
 mod driver;
 
 use driver::*;
-
-/// Values per dataset: two 2-vector row-groups and a ragged third.
-const N: usize = 4 * 1024 + 333;
-
-lossless_tests! {
-    every_codec_roundtrips_every_dataset: f64, codecs(), datasets(N);
-}
 
 #[test]
 fn alp_never_expands_catastrophically() {
