@@ -9,6 +9,16 @@
 //! and [`crate::stream`]'s — and one [`Verdict`] says what a caller may do
 //! with what came back.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::error::Error;
 
 use crate::format::{self, FormatError, Salvage};

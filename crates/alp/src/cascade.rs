@@ -6,6 +6,16 @@
 //! [`CascadeCompressor`] tries plain ALP, DICT+ALP, and RLE+ALP and keeps the
 //! smallest.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use fastlanes::dict::DictEncoded;
 use fastlanes::rle::Rle;
 use fastlanes::{bitpack, bits_needed, VECTOR_SIZE};
@@ -93,6 +103,10 @@ impl<F: AlpFloat> CascadeCompressed<F> {
     }
 
     /// Decompresses the whole column, bit-exactly.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "codes come from `DictEncoded::encode` and index its own dictionary"
+    )]
     pub fn decompress(&self) -> Vec<F> {
         match self {
             CascadeCompressed::Plain(c) => c.decompress(),
@@ -104,8 +118,6 @@ impl<F: AlpFloat> CascadeCompressed<F> {
                     bitpack::unpack(packed, *code_width as usize, &mut buf);
                     let remaining = *len - out.len();
                     for &code in buf.iter().take(remaining.min(VECTOR_SIZE)) {
-                        // ANALYZER-ALLOW(no-panic): codes come from
-                        // DictEncoded::encode and index its own dictionary.
                         out.push(dict_values[code as usize]);
                     }
                 }
@@ -177,7 +189,7 @@ impl CascadeCompressor {
         let dict = self.inner.compress(&dict_values);
         Some(CascadeCompressed::Dict {
             packed_codes,
-            // ANALYZER-ALLOW(no-panic): cardinality cap above bounds width at 20
+            // The cardinality cap above bounds the width at 20.
             code_width: code_width as u8,
             dict,
             len: data.len(),
@@ -200,7 +212,7 @@ impl CascadeCompressor {
         Some(CascadeCompressed::Rle {
             values,
             lengths: rle.lengths,
-            length_width: length_width as u8, // ANALYZER-ALLOW(no-panic): <= 64
+            length_width: length_width as u8, // <= 64
             len: data.len(),
         })
     }

@@ -52,6 +52,16 @@
 //! chosen per vector from the header); the results are the same bits either
 //! way, which `tests/kernel_differential.rs` pins against the scalar variant.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use fastlanes::bitpack::{block_words, unpacker, Unpack64, Word, BLOCK};
 use fastlanes::{ffor, VECTOR_SIZE};
 
@@ -223,10 +233,12 @@ pub fn decode_vector_unfused<F: AlpFloat>(
 /// Deliberately scalar decode: value-at-a-time with runtime-width bit
 /// arithmetic and a per-value exception branch. Proxy for the paper's
 /// vectorization-disabled builds (Figure 4).
-// ANALYZER-ALLOW(no-panic): out.len() is asserted at entry; v.packed length is
-// validated against bit_width during wire deserialization, and the `as u32`
-// shift cast is bounded by `& 63`.
-#[allow(clippy::needless_range_loop)] // value-at-a-time is the point here
+#[expect(
+    clippy::needless_range_loop,
+    clippy::indexing_slicing,
+    reason = "value-at-a-time is the point here; `out.len()` is asserted at entry and \
+              `v.packed` holds `bit_width` words per 64 values plus the pad word"
+)]
 pub fn decode_vector_scalar<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, out: &mut [F]) -> usize {
     assert!(out.len() >= VECTOR_SIZE);
     let w = v.bit_width as usize;

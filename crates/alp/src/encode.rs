@@ -14,6 +14,16 @@
 //! bit width of the packed vector is unaffected. The encoded integers then go
 //! through FFOR (frame-of-reference + bit-packing, fused).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use fastlanes::bitpack::Word;
 use fastlanes::ffor;
 use fastlanes::VECTOR_SIZE;
@@ -349,6 +359,11 @@ impl<F: AlpFloat> EncodedVector<'_, F> {
 /// `input.len()` must be `1..=1024`. Shorter inputs are padded with the patch
 /// value so the packed payload is always a full 1024-value vector. The
 /// detection buffers live on the stack.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`len` is asserted to be `1..=1024` at entry; the buffers hold 1024 slots and \
+              the positions are `0..len`"
+)]
 pub(crate) fn encode_vector_with<F: AlpFloat, R>(
     input: &[F],
     e: u8,

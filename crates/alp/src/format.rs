@@ -80,6 +80,16 @@
 //! follow each other with no frame — is still accepted by [`from_bytes`];
 //! nothing writes it any more (`tests/golden/alp1_f64.bin` pins the reader).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use fastlanes::bitpack::Word;
 use fastlanes::VECTOR_SIZE;
 
@@ -96,8 +106,8 @@ use crate::wire::{self, PutExt};
 /// Magic bytes identifying a checksummed (current) serialized ALP column.
 pub const MAGIC: &[u8; 4] = b"ALP2";
 
-/// Magic bytes of the legacy, checksum-less column layout (still readable).
-// ANALYZER-ALLOW(wire-tag-sync): read-only legacy tag, reader pinned by tests/golden
+/// Magic bytes of the legacy, checksum-less column layout (still readable,
+/// never written; `tests/golden/alp1_f64.bin` pins the reader).
 pub const MAGIC_V1: &[u8; 4] = b"ALP1";
 
 /// Row-group scheme tag: the body holds plain ALP vectors.
@@ -236,6 +246,10 @@ fn write_alp_vector_header(
     out.put_u16_le(exceptions as u16);
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "an owned vector holds `bit_width` words per 64 values plus the pad word"
+)]
 fn write_alp_vector(out: &mut Vec<u8>, v: &AlpVector, exc: ExcView<'_>) {
     let head = (v.exponent, v.factor, v.bit_width);
     write_alp_vector_header(out, head, v.len, v.for_base, exc.positions.len());
@@ -247,6 +261,10 @@ fn write_alp_vector(out: &mut Vec<u8>, v: &AlpVector, exc: ExcView<'_>) {
     out.put_words_le(exc.values);
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "an owned vector's packed streams hold their widths' words plus the pad word"
+)]
 fn write_rd_vector(out: &mut Vec<u8>, v: &RdVector, right_width: usize) {
     out.put_u16_le(v.len);
     out.put_u16_le(v.exc_positions.len() as u16);
@@ -357,7 +375,7 @@ fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
     }
     let bits = u8::from_le_bytes(take(buf)?);
     if u32::from(bits) != F::BITS {
-        // ANALYZER-ALLOW(no-panic): F::BITS is 32 or 64, always fits in u8.
+        // F::BITS is 32 or 64, always fits in u8.
         return Err(FormatError::WidthMismatch { found: bits, expected: F::BITS as u8 });
     }
     let len = u64::from_le_bytes(take(buf)?) as usize;

@@ -29,6 +29,16 @@
 //! frame whose stored checksum verifies and whose padding cancels to zero.
 //! Two or more damaged members are beyond the protection level and stay lost.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::io::{self, Read};
 
 use crate::format::FormatError;
@@ -52,6 +62,7 @@ const READ_STEP: usize = 1 << 20;
 /// Appends one frame to `out`: reserves the prefix, lets `body` append the
 /// body bytes, then back-fills length and checksum. Every writer frames
 /// through here, which keeps their bytes identical by construction.
+#[expect(clippy::indexing_slicing, reason = "the prefix is reserved on entry")]
 pub fn encode(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.resize(start + PREFIX_LEN, 0);
@@ -300,7 +311,7 @@ pub fn encode_trailing<T>(
     for item in items {
         let start = out.len();
         encode(out, |o| body(o, item));
-        if let Some(pframe) = acc.as_mut().and_then(|a| a.push(&out[start..])) {
+        if let Some(pframe) = acc.as_mut().and_then(|a| a.push(out.split_at(start).1)) {
             trailer.extend_from_slice(&pframe);
         }
     }

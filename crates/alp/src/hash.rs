@@ -6,6 +6,16 @@
 //! and truncation, not adversarial tampering, which matches the threat model
 //! of a storage checksum.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
@@ -37,6 +47,7 @@ fn merge_round(acc: u64, val: u64) -> u64 {
 }
 
 /// Hashes `input` with the given `seed` (XXH64, one shot).
+#[expect(clippy::indexing_slicing, reason = "every slice follows a length check on `rest`")]
 pub fn xxh64(input: &[u8], seed: u64) -> u64 {
     let mut rest = input;
     let mut h = if input.len() >= 32 {

@@ -29,6 +29,16 @@
 //! * **poisoned morsel** — a panic inside one parallel work unit; contained
 //!   by [`crate::par::run_morsels_contained`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::io::{self, ErrorKind, Read, Write};
 use std::time::Duration;
 

@@ -43,8 +43,6 @@
 //! * [`par`] — the morsel-driven scheduler behind the `*_parallel` paths.
 //! * [`analysis`] — the dataset statistics of Table 2.
 
-#![forbid(unsafe_code)]
-
 pub mod analysis;
 pub mod archive;
 pub mod cascade;

@@ -36,8 +36,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The one place in the workspace where unwinding is caught (enforced by the
-/// analyzer's `contained-unwind` rule): every `catch_unwind` goes through
+/// The one place in the workspace where unwinding is caught (`clippy.toml`
+/// disallows `catch_unwind` everywhere else): every caught panic goes through
 /// here so panic policy — what is caught, how payloads are rendered, how
 /// strict paths re-raise — lives in a single seam.
 mod containment {
@@ -48,6 +48,7 @@ mod containment {
     /// is sound here because callers either re-raise (strict paths — the
     /// possibly-torn state is abandoned with the unwind) or rebuild the
     /// worker scratch from `init` before touching it again (contained path).
+    #[expect(clippy::disallowed_methods, reason = "this is the containment seam")]
     pub(super) fn run<T>(f: impl FnOnce() -> T) -> Result<T, Box<dyn Any + Send>> {
         catch_unwind(AssertUnwindSafe(f))
     }
@@ -666,7 +667,7 @@ mod tests {
 
     #[test]
     fn strict_map_panic_carries_morsel_context() {
-        let caught = std::panic::catch_unwind(|| {
+        let caught = containment::run(|| {
             map_morsels(
                 4,
                 32,
@@ -687,7 +688,7 @@ mod tests {
 
     #[test]
     fn strict_fold_panic_carries_morsel_context() {
-        let caught = std::panic::catch_unwind(|| {
+        let caught = containment::run(|| {
             fold_morsels(
                 3,
                 64,

@@ -53,6 +53,16 @@
 //! assert_eq!(summary.total_bytes, file.len());
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -296,6 +306,7 @@ fn worker_loop<F: AlpFloat>(shared: &Shared<F>, compressor: &Compressor, panic_a
 /// Compresses one row-group buffer into ready-to-commit frames, inside the
 /// morsel scheduler's panic containment seam: a panic (the compressor's or
 /// the injected `panic_at`) becomes a [`MorselFailure`] carrying `seq`.
+#[expect(clippy::panic, reason = "the injected fault is a panic by design")]
 fn encode_contained<F: AlpFloat>(
     seq: u64,
     data: &[F],
@@ -415,9 +426,9 @@ impl<F: AlpFloat, W: Write> PipelinedColumnWriter<F, W> {
         let mut rest = values;
         while !rest.is_empty() {
             let room = self.rowgroup_values - self.buffer.len();
-            let take = room.min(rest.len());
-            self.buffer.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
+            let (head, tail) = rest.split_at(room.min(rest.len()));
+            self.buffer.extend_from_slice(head);
+            rest = tail;
             if self.buffer.len() == self.rowgroup_values {
                 let full =
                     core::mem::replace(&mut self.buffer, Vec::with_capacity(self.rowgroup_values));

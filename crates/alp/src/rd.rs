@@ -30,6 +30,16 @@
 //! [`fastlanes::bitpack::Word`], so it runs on an owned [`RdVector`] and on
 //! the bytes of a frame body ([`crate::format::RdVectorView`]) alike.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use fastlanes::bitpack::{block_words, block_words_mut, packer, unpacker, Word, BLOCK};
 use fastlanes::{bits_needed, packed_len, VECTOR_SIZE};
 
@@ -194,15 +204,14 @@ pub(crate) fn choose_cut_with<F: AlpFloat>(
     sample: &mut Vec<u64>,
 ) -> RdCut {
     sorted_sample(rowgroup, sample_size, sample);
-    let mut best: Option<(f64, RdCut)> = None;
-    for lw in 1..=MAX_LEFT_WIDTH.min(F::BITS as usize - 1) {
-        let (est_bits_per_value, cut) = score_cut::<F>(sample, lw);
-        match &best {
-            Some((b, _)) if *b <= est_bits_per_value => {}
-            _ => best = Some((est_bits_per_value, cut)),
+    let mut best = score_cut::<F>(sample, 1);
+    for lw in 2..=MAX_LEFT_WIDTH.min(F::BITS as usize - 1) {
+        let candidate = score_cut::<F>(sample, lw);
+        if candidate.0 < best.0 {
+            best = candidate;
         }
     }
-    best.expect("at least one cut candidate").1
+    best.1
 }
 
 /// Builds the dictionary and estimated footprint for one forced left width
@@ -224,7 +233,8 @@ pub fn meta_for_width<F: AlpFloat>(
 fn sorted_sample<F: AlpFloat>(rowgroup: &[F], sample_size: usize, sample: &mut Vec<u64>) {
     sample.clear();
     sample.extend(
-        equidistant_indices(rowgroup.len(), sample_size).map(|idx| rowgroup[idx].to_bits_u64()),
+        equidistant_indices(rowgroup.len(), sample_size)
+            .filter_map(|idx| rowgroup.get(idx).map(|v| v.to_bits_u64())),
     );
     assert!(!sample.is_empty(), "cannot sample an empty row-group");
     sample.sort_unstable();
@@ -234,6 +244,7 @@ fn sorted_sample<F: AlpFloat>(rowgroup: &[F], sample_size: usize, sample: &mut V
 /// keeps the eight most frequent left patterns in `(count desc, value asc)`
 /// order — runs arrive by ascending value, so a run goes behind every kept
 /// one that is at least as frequent.
+#[expect(clippy::indexing_slicing, reason = "`top[at]` follows the `at < MAX_DICT_SIZE` check")]
 fn score_cut<F: AlpFloat>(sample: &[u64], lw: usize) -> (f64, RdCut) {
     let right_w = F::BITS as usize - lw;
     let mut top = [(0u16, 0usize); MAX_DICT_SIZE];
@@ -434,6 +445,7 @@ impl RdExceptions {
 /// # Panics
 /// Panics if `input` is empty or longer than a vector, or if
 /// [`RdEncoder::new`] refuses `meta`.
+#[expect(clippy::panic, reason = "the documented contract of this one-vector convenience")]
 pub fn encode_rd_vector<F: AlpFloat>(input: &[F], meta: &RdMeta) -> RdVector {
     match RdEncoder::new(meta) {
         Ok(encoder) => encoder.encode_owned(input),

@@ -12,6 +12,16 @@
 //! ([`crate::format::encode_alp_body`] / [`crate::format::encode_rd_body`]) —
 //! the stream writers' path, which builds no `RowGroup` at all.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use fastlanes::VECTOR_SIZE;
 
 use crate::decode::{
@@ -161,8 +171,11 @@ impl RowGroup {
     /// through `buf`, the caller's reused vector buffer (≥ 1024 elements).
     /// This is the one whole-row-group decode loop: the serial, parallel and
     /// salvaging column decoders and the stream reader all call it.
-    // ANALYZER-ALLOW(no-panic): decode kernels return n <= VECTOR_SIZE, and
-    // assert at entry that `buf` holds at least that many elements.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "decode kernels return n <= VECTOR_SIZE, and assert at entry that `buf` \
+                  holds at least that many elements"
+    )]
     pub fn decode_into<F: AlpFloat>(&self, buf: &mut [F], out: &mut Vec<F>) {
         match self {
             RowGroup::Alp(g) => {
@@ -552,10 +565,9 @@ impl Compressor {
         let morsels = data.len().div_ceil(rg_values);
         let pieces =
             crate::par::map_morsels(threads, morsels, EncodeScratch::default, |scratch, m| {
-                let start = m * rg_values;
-                let end = (start + rg_values).min(data.len());
+                let rowgroup = data.chunks(rg_values).nth(m).unwrap_or_default();
                 let mut stats = SamplerStats::default();
-                let rg = self.compress_rowgroup(&data[start..end], scratch, &mut stats);
+                let rg = self.compress_rowgroup(rowgroup, scratch, &mut stats);
                 (rg, stats)
             });
         let mut stats = SamplerStats::default();

@@ -51,6 +51,16 @@
 //! assert_eq!(restored.len(), 500_000);
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
@@ -68,8 +78,8 @@ use crate::wire::{take, PutExt};
 /// Magic bytes of a streamed column (current, checksummed format).
 pub const STREAM_MAGIC: &[u8; 4] = b"ALPT";
 
-/// Magic bytes of the legacy, pre-checksum stream format (still readable).
-// ANALYZER-ALLOW(wire-tag-sync): read-only legacy tag, reader pinned by tests/golden
+/// Magic bytes of the legacy, pre-checksum stream format (still readable,
+/// never written; `tests/golden/alps_f64.bin` pins the reader).
 pub const STREAM_MAGIC_V1: &[u8; 4] = b"ALPS";
 
 /// Magic bytes of the commit footer a finished `"ALPT"` stream ends with.
@@ -222,9 +232,9 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         let mut rest = values;
         while !rest.is_empty() {
             let room = self.rowgroup_values - self.buffer.len();
-            let take = room.min(rest.len());
-            self.buffer.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
+            let (head, tail) = rest.split_at(room.min(rest.len()));
+            self.buffer.extend_from_slice(head);
+            rest = tail;
             if self.buffer.len() == self.rowgroup_values {
                 self.flush_rowgroup()?;
             }
@@ -250,7 +260,7 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
         tail.put_slice(COMMIT_MAGIC);
         tail.put_u64_le(self.summary.values as u64);
         tail.put_u32_le(self.summary.rowgroups as u32);
-        let checksum = xxh64(&tail[4..], CHECKSUM_SEED);
+        let checksum = xxh64(tail.split_at(4).1, CHECKSUM_SEED);
         tail.put_u64_le(checksum);
         write_all_retry(&mut self.sink, &tail, &self.retry)?;
         self.summary.total_bytes += tail.len();

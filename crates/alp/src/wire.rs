@@ -4,6 +4,16 @@
 //! with the writers `format`/`stream` actually use and one fallible reader,
 //! [`take`]: no read can panic on a short slice.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 /// Appending little-endian writers for `Vec<u8>`.
 pub(crate) trait PutExt {
     fn put_slice(&mut self, src: &[u8]);

@@ -2,20 +2,17 @@
 //!
 //! The concurrency rules need more than per-line token matches: a
 //! `MutexGuard`'s *live range* spans from its `let` to the end of the
-//! enclosing brace scope (or an explicit `drop`), an atomic load's result
-//! *feeds* a store three statements later through intermediate bindings, and
-//! a `Condvar::wait` is only disciplined when some *enclosing loop* re-checks
-//! the predicate. This module rebuilds exactly that much structure from the
-//! lexed code lines of a single [`FnItem`]:
+//! enclosing brace scope (or an explicit `drop`), and an atomic load's result
+//! *feeds* a store three statements later through intermediate bindings.
+//! This module rebuilds exactly that much structure from the lexed code lines
+//! of a single [`FnItem`]:
 //!
 //! * **statements** — code joined across physical lines, split at top-level
 //!   `;` and at `{`/`}` boundaries (a block header like `while cond` or
 //!   `let x = if c` becomes its own statement, which is all the rules need);
 //! * **bindings** — `let name = init` with the binding's scope-end line and
 //!   any explicit `drop(name)` line; destructuring patterns (`let Some(x)`,
-//!   `let (a, b)`) are conservatively skipped;
-//! * **loops** — `loop`/`while`/`for` blocks with their header text and body
-//!   span, innermost-last.
+//!   `let (a, b)`) are conservatively skipped.
 //!
 //! Like the item scanner this is not a parser: it tracks depth over
 //! comment-free, literal-blanked code and is kept honest by fixtures.
@@ -55,27 +52,6 @@ impl Binding {
     }
 }
 
-/// A `loop` / `while` / `for` block inside the function.
-#[derive(Debug, Clone)]
-pub struct LoopSpan {
-    /// Header text (everything between the previous boundary and the `{`),
-    /// e.g. `while !stop . load ( Ordering :: Relaxed )`.
-    pub head: String,
-    /// 1-based line the header starts on.
-    pub head_line: usize,
-    /// 1-based line of the body's opening brace.
-    pub body_start: usize,
-    /// 1-based line of the matching close brace.
-    pub body_end: usize,
-}
-
-impl LoopSpan {
-    /// Whether 1-based `line` falls inside this loop (header or body).
-    pub fn contains(&self, line: usize) -> bool {
-        self.head_line <= line && line <= self.body_end
-    }
-}
-
 /// Everything the rules need to know about one function body.
 #[derive(Debug, Default)]
 pub struct FnFlow {
@@ -83,15 +59,6 @@ pub struct FnFlow {
     pub stmts: Vec<Stmt>,
     /// `let` bindings with live ranges.
     pub bindings: Vec<Binding>,
-    /// Loops, in close order (innermost loops first when nested).
-    pub loops: Vec<LoopSpan>,
-}
-
-impl FnFlow {
-    /// Loops whose span contains 1-based `line`.
-    pub fn loops_containing(&self, line: usize) -> impl Iterator<Item = &LoopSpan> {
-        self.loops.iter().filter(move |l| l.contains(line))
-    }
 }
 
 /// Is `c` part of an identifier?
@@ -121,31 +88,24 @@ fn squeeze(s: &str) -> String {
 }
 
 /// Scans the body of `f` (using the whole file's lexed `lines`) into
-/// statements, bindings, and loops.
+/// statements and bindings.
 pub fn scan_fn(lines: &[Line], f: &FnItem) -> FnFlow {
     let mut flow = FnFlow::default();
-    // Open brace scopes: (open line, indices of bindings declared inside,
-    // whether the block is a loop body).
-    struct Scope {
-        bindings: Vec<usize>,
-        is_loop: bool,
-        head: String,
-        head_line: usize,
-        open_line: usize,
-    }
-    let mut scopes: Vec<Scope> = Vec::new();
+    // Open brace scopes, each with the indices of the bindings declared
+    // inside it.
+    let mut scopes: Vec<Vec<usize>> = Vec::new();
     let mut pending = String::new();
     let mut pending_line = 0usize;
     let mut group_depth = 0usize; // () and [] nesting
 
-    let finish_stmt = |flow: &mut FnFlow, scopes: &mut [Scope], text: &str, line: usize| {
+    let finish_stmt = |flow: &mut FnFlow, scopes: &mut [Vec<usize>], text: &str, line: usize| {
         let text = squeeze(text);
         if text.is_empty() {
             return;
         }
         if let Some(b) = parse_let(&text, line) {
             if let Some(scope) = scopes.last_mut() {
-                scope.bindings.push(flow.bindings.len());
+                scope.push(flow.bindings.len());
             }
             flow.bindings.push(b);
         }
@@ -174,9 +134,6 @@ pub fn scan_fn(lines: &[Line], f: &FnItem) -> FnFlow {
                     pending.clear();
                 }
                 '{' => {
-                    let head = squeeze(&pending);
-                    let head_line = pending_line;
-                    let is_loop = entered && is_loop_header(&head);
                     // The text before the first `{` is the fn signature, not
                     // a statement.
                     if entered {
@@ -184,31 +141,15 @@ pub fn scan_fn(lines: &[Line], f: &FnItem) -> FnFlow {
                     }
                     pending.clear();
                     group_depth = 0;
-                    scopes.push(Scope {
-                        bindings: Vec::new(),
-                        is_loop,
-                        head,
-                        head_line: if head_line == 0 { line_no } else { head_line },
-                        open_line: line_no,
-                    });
+                    scopes.push(Vec::new());
                     entered = true;
                 }
                 '}' => {
                     finish_stmt(&mut flow, &mut scopes, &pending, pending_line);
                     pending.clear();
                     group_depth = 0;
-                    if let Some(scope) = scopes.pop() {
-                        for bi in scope.bindings {
-                            flow.bindings[bi].scope_end = line_no;
-                        }
-                        if scope.is_loop {
-                            flow.loops.push(LoopSpan {
-                                head: scope.head,
-                                head_line: scope.head_line,
-                                body_start: scope.open_line,
-                                body_end: line_no,
-                            });
-                        }
+                    for bi in scopes.pop().unwrap_or_default() {
+                        flow.bindings[bi].scope_end = line_no;
                     }
                 }
                 _ => {
@@ -223,10 +164,8 @@ pub fn scan_fn(lines: &[Line], f: &FnItem) -> FnFlow {
     }
     // Unclosed scopes (the fn's own end brace was consumed above, so this
     // only happens on truncated input): close them at the last line.
-    while let Some(scope) = scopes.pop() {
-        for bi in scope.bindings {
-            flow.bindings[bi].scope_end = end;
-        }
+    for bi in scopes.into_iter().flatten() {
+        flow.bindings[bi].scope_end = end;
     }
 
     // Explicit drops: `drop ( name )`.
@@ -243,14 +182,6 @@ pub fn scan_fn(lines: &[Line], f: &FnItem) -> FnFlow {
         }
     }
     flow
-}
-
-/// True when a block header opens a loop body (`loop`, `while`, `while let`,
-/// `for`). The keyword may be anywhere in the header (`let x = loop` is rare
-/// but legal); a word match avoids `forward`/`looped` identifiers.
-fn is_loop_header(head: &str) -> bool {
-    let mut toks = head.split(|c: char| !is_ident(c)).filter(|t| !t.is_empty());
-    toks.any(|t| t == "loop" || t == "while" || t == "for")
 }
 
 /// Parses `let [mut] name = init` from a squeezed statement. Destructuring
@@ -319,18 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn loops_record_head_and_body_span() {
-        let src = "fn f() {\n    while !stop.load(O) {\n        let m = q.claim();\n    }\n    loop {\n        break;\n    }\n}\n";
-        let flow = flow_of(src);
-        assert_eq!(flow.loops.len(), 2);
-        let w = flow.loops.iter().find(|l| l.head.contains("while")).unwrap();
-        assert!(w.head.contains("stop.load"));
-        assert_eq!((w.head_line, w.body_end), (2, 4));
-        assert!(w.contains(3));
-        assert!(!w.contains(6));
-    }
-
-    #[test]
     fn statements_split_on_semicolons_not_array_types() {
         let src = "fn f() {\n    let a: [u8; 4] = g();\n    h(a,\n      b);\n}\n";
         let flow = flow_of(src);
@@ -348,14 +267,5 @@ mod tests {
         let next = flow.bindings.iter().find(|b| b.name == "next").unwrap();
         assert!(next.init.contains("if old == 0"), "{:?}", next.init);
         assert!(flow.stmts.iter().any(|s| s.text.contains("self.a.store(next")));
-    }
-
-    #[test]
-    fn the_fn_signature_is_not_a_loop() {
-        // `for` in a generic bound (`impl Fn() -> T`) or the word `for` in
-        // the signature must not open a loop.
-        let src = "fn wait_for(x: u8) {\n    if x > 0 {\n        y();\n    }\n}\n";
-        let flow = flow_of(src);
-        assert!(flow.loops.is_empty());
     }
 }

@@ -1,48 +1,67 @@
-//! `analyzer` — a self-contained static-analysis pass for this workspace.
+//! `analyzer` — the workspace's three concurrency rules that no stock rustc or
+//! clippy lint expresses (DESIGN.md §13).
 //!
 //! The build environment is fully offline, so this is a from-scratch source
 //! scanner (no syn, no rustc plumbing): a comment/string-aware lexer
-//! ([`lexer`]), a lightweight item scanner ([`parse`]), and a rule engine
-//! ([`rules`]) enforcing the invariants PR 1 introduced by convention:
+//! ([`lexer`]), a lightweight item scanner ([`parse`]), brace-scoped
+//! statement and binding facts per function ([`flow`]), and the rules
+//! ([`rules`]):
 //!
-//! * decode paths must not panic (`no-panic`),
-//! * unsafe must be documented and unsafe-free crates must say so
-//!   (`undocumented-unsafe`),
-//! * wire-format tag constants must be kept in sync between serialize and
-//!   deserialize paths (`wire-tag-sync`),
-//! * every `ColumnCodec` value (a unit-struct impl, or an instance of a
-//!   shared adapter type) appears exactly once in the codec registry's
-//!   literal `ENTRIES` list, and every entry names a live value
-//!   (`registry-sync`),
-//! * `catch_unwind` is only legal inside the parallel scheduler's panic
-//!   containment seam (`contained-unwind`).
+//! * `atomic-rmw` — a `.load(..)` whose result feeds a `.store(..)` on the
+//!   same atomic is a lost-update race;
+//! * `atomic-ordering` — `Relaxed` on a data-visibility gate field
+//!   ([`GATE_FIELDS`]);
+//! * `guard-across-call` — a lock guard held across a call in
+//!   [`EXPENSIVE_CALLS`].
 //!
-//! Run it as `cargo run -p analyzer` or `alp analyze`; findings are reported
-//! as `file:line: [rule] message`, or as JSON with `--format json`, and the
-//! process exits non-zero when anything is found. Individual findings are
-//! suppressed with `// ANALYZER-ALLOW(rule): reason` annotations (see
-//! DESIGN.md §8 for the grammar and scoping).
+//! Everything else the workspace promises about panics, `unsafe` and unwinding
+//! is enforced by rustc and clippy (`[workspace.lints]`, `clippy.toml`).
+//!
+//! Run it as `cargo run -p analyzer`; findings are reported as
+//! `file:line: [rule] message`, and the process exits non-zero when anything
+//! is found. There is no suppression syntax: a finding is fixed, not argued
+//! away.
 
-#![forbid(unsafe_code)]
-
-mod concurrency;
 pub mod flow;
-pub mod graph;
 pub mod lexer;
 pub mod parse;
-pub mod report;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+/// Atomic field names that gate *data visibility* across threads (a flag
+/// whose observation implies some payload was written). `Relaxed` on them is
+/// an `atomic-ordering` finding; counters stay Relaxed by not being listed.
+/// `quarantined` publishes a page verdict whose `LossReason` must be visible
+/// to whoever observes the flag.
+pub const GATE_FIELDS: &[&str] = &["quarantined"];
+
+/// Call-name prefixes too expensive to run while holding a lock guard
+/// (`guard-across-call`): page decompression and summing — no resident-set
+/// slot guard may live across `try_walk` or `try_sum_where*` — the parallel
+/// scheduler, and retrying I/O.
+pub const EXPENSIVE_CALLS: &[&str] = &[
+    "try_decompress",
+    "try_compress",
+    "try_walk",
+    "try_sum_where",
+    "par_compress",
+    "par_decompress",
+    "run_morsels",
+    "map_morsels",
+    "fold_morsels",
+    "read_full_retry",
+    "write_all_retry",
+    "flush_retry",
+];
+
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (see [`rules::RULE_IDS`] plus `allow-syntax`).
-    pub rule: String,
+    /// Rule id: `atomic-rmw`, `atomic-ordering` or `guard-across-call`.
+    pub rule: &'static str,
     /// Workspace-relative path, forward slashes.
     pub file: String,
     /// 1-based line number.
@@ -51,167 +70,35 @@ pub struct Finding {
     pub message: String,
 }
 
-impl Finding {
-    pub(crate) fn new(rule: &str, file: &str, line: usize, message: &str) -> Self {
-        Self { rule: rule.to_string(), file: file.to_string(), line, message: message.to_string() }
-    }
-}
-
 impl core::fmt::Display for Finding {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
     }
 }
 
-/// Scope configuration for the rules. [`Config::default`] encodes this
-/// workspace's layout; tests construct narrower ones.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Crates whose decode-shaped functions fall under `no-panic`.
-    pub decode_crates: Vec<String>,
-    /// Files whose *every* function falls under `no-panic`.
-    pub decode_files: Vec<String>,
-    /// Function-name patterns (prefix or `_`-separated) marking decode paths.
-    pub decode_name_patterns: Vec<String>,
-    /// Files holding wire-format tag constants, checked by `wire-tag-sync`.
-    pub wire_files: Vec<String>,
-    /// Function-name patterns classifying a function as a serializer.
-    pub writer_fn_patterns: Vec<String>,
-    /// Function-name patterns classifying a function as a deserializer.
-    pub reader_fn_patterns: Vec<String>,
-    /// Crates exempt from the `#![forbid(unsafe_code)]` requirement.
-    pub unsafe_allowed_crates: Vec<String>,
-    /// The only files allowed to `catch_unwind` (the scheduler's panic
-    /// containment seam), checked by `contained-unwind`.
-    pub unwind_allowed_files: Vec<String>,
-    /// The file holding the codec registry's `static ENTRIES` block, checked
-    /// by `registry-sync`.
-    pub registry_file: String,
-    /// The trait whose implementing values must each appear in `ENTRIES`.
-    pub codec_trait: String,
-    /// Atomic field names that gate *data visibility* across threads (a flag
-    /// whose observation implies some payload was written). `Relaxed` on them
-    /// is an `atomic-ordering` finding; counters stay Relaxed by not being
-    /// listed.
-    pub ordering_gate_fields: Vec<String>,
-    /// Call-name prefixes too expensive to run while holding a lock guard
-    /// (`guard-across-call`): page decompression and summing, the parallel
-    /// scheduler, retrying I/O.
-    pub guard_expensive_patterns: Vec<String>,
-    /// Squeezed-text patterns that count as consulting cancellation inside a
-    /// morsel-claim loop (`cancel-poll`).
-    pub cancel_poll_patterns: Vec<String>,
-}
-
-fn strings(v: &[&str]) -> Vec<String> {
-    v.iter().map(|s| s.to_string()).collect()
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Self {
-            decode_crates: strings(&["alp", "codecs", "fastlanes", "bitstream", "gpzip"]),
-            decode_files: strings(&[
-                "crates/alp/src/decode.rs",
-                "crates/alp/src/wire.rs",
-                "crates/bitstream/src/reader.rs",
-            ]),
-            decode_name_patterns: strings(&[
-                "decompress",
-                "decode",
-                "unpack",
-                "from_bytes",
-                "read",
-                "salvage",
-                "next_",
-                "get_u",
-                "get_i",
-                "refill",
-                "advance",
-                "untranspose",
-                // Self-healing paths (DESIGN.md §16): parity reconstruction
-                // and the scrubber run on damaged or quarantined input, the
-                // least trustworthy bytes in the system.
-                "repair",
-                "scrub",
-            ]),
-            wire_files: strings(&[
-                "crates/alp/src/format.rs",
-                "crates/alp/src/stream.rs",
-                "crates/alp/src/frame.rs",
-            ]),
-            writer_fn_patterns: strings(&[
-                "to_bytes",
-                "write",
-                "finish",
-                "ensure_header",
-                "flush",
-                "push",
-                "serialize",
-            ]),
-            reader_fn_patterns: strings(&[
-                "from_bytes",
-                "read",
-                "open",
-                "parse",
-                "next",
-                "salvage",
-                "deserialize",
-                "new",
-            ]),
-            // `bench` reads the x86 time-stamp counter directly.
-            unsafe_allowed_crates: strings(&["bench"]),
-            // `alp::par` hosts the one containment module (DESIGN.md §11).
-            unwind_allowed_files: strings(&["crates/alp/src/par.rs"]),
-            registry_file: "crates/core/src/registry.rs".to_string(),
-            codec_trait: "ColumnCodec".to_string(),
-            // `quarantined` publishes a page verdict whose `LossReason` must
-            // be visible to whoever observes the flag (DESIGN.md §13).
-            ordering_gate_fields: strings(&["quarantined"]),
-            guard_expensive_patterns: strings(&[
-                "try_decompress",
-                "try_compress",
-                // The service's page decode and compressed-domain page sum:
-                // no resident-set slot guard may live across either.
-                "try_walk",
-                "try_sum_where",
-                "par_compress",
-                "par_decompress",
-                "run_morsels",
-                "map_morsels",
-                "fold_morsels",
-                "read_full_retry",
-                "write_all_retry",
-                "flush_retry",
-            ]),
-            cancel_poll_patterns: strings(&[
-                "is_cancelled(",
-                "cancelled.load(",
-                "stop.load(",
-                "stop_flag.load(",
-            ]),
-        }
+/// Analyzes in-memory sources. `files` pairs a workspace-relative path with
+/// the file's contents. Findings come back sorted by location.
+pub fn analyze_sources(files: &[(String, String)]) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    for (path, src) in files {
+        rules::run(path, &parse::scan_source(src), &mut findings);
     }
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    // Several identical hits on one line read as noise; one finding per
+    // (location, message) is enough to fail the build.
+    findings.dedup();
+    findings
 }
 
-/// Analyzes in-memory sources. `files` pairs a workspace-relative path (used
-/// for scoping decisions) with the file's contents.
-pub fn analyze_sources(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    let scanned: BTreeMap<String, parse::FileInfo> =
-        files.iter().map(|(p, src)| (p.clone(), parse::scan_source(src))).collect();
-    rules::run_all(&scanned, cfg)
-}
-
-/// Walks a workspace root, reads every eligible `.rs` file, and runs all
-/// rules with the default [`Config`].
+/// Walks a workspace root, reads every eligible `.rs` file, and runs the
+/// rules.
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let files = collect_workspace_sources(root)?;
-    Ok(analyze_sources(&files, &Config::default()))
+    Ok(analyze_sources(&collect_workspace_sources(root)?))
 }
 
 /// Directory names never descended into. Integration tests, benches, and
-/// examples exercise APIs from the outside and may panic freely; `fixtures`
-/// holds the analyzer's own known-bad inputs.
+/// examples drive the APIs from the outside; `fixtures` holds the analyzer's
+/// own known-bad inputs.
 const SKIP_DIRS: &[&str] =
     &["target", ".git", "tests", "benches", "examples", "fixtures", ".github"];
 

@@ -1,70 +1,42 @@
-//! `analyzer` binary — run the workspace lint pass from the command line.
+//! `analyzer` binary — run the workspace's concurrency rules.
 //!
 //! ```text
-//! cargo run -p analyzer -- [--root <path>] [--format text|json]
+//! cargo run -p analyzer [-- --root <path>]
 //! ```
 //!
 //! Exits 0 when the workspace is finding-clean, 1 when findings exist, and
 //! 2 on usage or I/O errors.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use analyzer::{analyze_workspace, find_workspace_root, report};
+use analyzer::{analyze_workspace, find_workspace_root};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut root: Option<PathBuf> = None;
-    let mut format = "text".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" if i + 1 < args.len() => {
-                root = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--format" if i + 1 < args.len() => {
-                format = args[i + 1].clone();
-                i += 2;
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: analyzer [--root <path>] [--format text|json]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if format != "text" && format != "json" {
-        eprintln!("unknown format {format} (expected text or json)");
-        return ExitCode::from(2);
-    }
-
-    let root = match root
-        .or_else(|| std::env::current_dir().ok().and_then(|cwd| find_workspace_root(&cwd)))
-    {
-        Some(r) => r,
-        None => {
-            eprintln!("could not locate a workspace root (pass --root)");
+    let root = match args.as_slice() {
+        [] => std::env::current_dir().ok().and_then(|cwd| find_workspace_root(&cwd)),
+        [flag, path] if flag == "--root" => Some(PathBuf::from(path)),
+        _ => {
+            eprintln!("usage: analyzer [--root <path>]");
             return ExitCode::from(2);
         }
+    };
+    let Some(root) = root else {
+        eprintln!("could not locate a workspace root (pass --root)");
+        return ExitCode::from(2);
     };
 
     match analyze_workspace(&root) {
         Ok(findings) => {
-            let rendered = if format == "json" {
-                report::render_json(&findings)
-            } else {
-                report::render_text(&findings)
-            };
-            print!("{rendered}");
+            for f in &findings {
+                println!("{f}");
+            }
             if findings.is_empty() {
+                println!("analyzer: no findings");
                 ExitCode::SUCCESS
             } else {
+                println!("analyzer: {} finding(s)", findings.len());
                 ExitCode::FAILURE
             }
         }

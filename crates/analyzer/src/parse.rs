@@ -1,12 +1,10 @@
 //! A lightweight item scanner over lexed code lines.
 //!
-//! Builds just enough structure for the rules: function items with spans and
-//! signatures, module nesting (so `#[cfg(test)] mod tests` bodies can be
-//! skipped), `const` items (for the wire-tag rule), `unsafe` occurrences, and
-//! crate-level `#![forbid(unsafe_code)]` declarations. It is not a parser —
-//! it tracks brace depth over comment-free code and pattern-matches item
-//! headers, which is exact enough for this workspace's style and is kept
-//! honest by the fixture tests.
+//! Builds just enough structure for the rules: function items with spans,
+//! and module nesting (so `#[cfg(test)] mod tests` bodies can be skipped).
+//! It is not a parser — it tracks brace depth over comment-free code and
+//! pattern-matches item headers, which is exact enough for this workspace's
+//! style and is kept honest by the fixture tests.
 
 use crate::lexer::Line;
 
@@ -15,41 +13,11 @@ use crate::lexer::Line;
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// True for bare `pub` (not `pub(crate)` / `pub(super)`).
-    pub is_pub: bool,
-    /// Return-type text (tokens after `->`, before `where`/`{`), if any.
-    pub ret: String,
     /// 1-based line of the `fn` keyword.
     pub start_line: usize,
-    /// 1-based line of the body's opening brace (== start for `;` decls).
-    pub body_start: usize,
     /// 1-based line of the matching close brace.
     pub end_line: usize,
-    /// True when every enclosing block is a plain (non-test) `mod`.
-    pub module_level: bool,
     /// True when any enclosing block is a `#[cfg(test)]` / `mod tests` body.
-    pub in_test: bool,
-}
-
-/// A `const` item and its initializer text.
-#[derive(Debug, Clone)]
-pub struct ConstItem {
-    /// Constant name.
-    pub name: String,
-    /// Initializer tokens, joined by single spaces.
-    pub value: String,
-    /// 1-based definition line.
-    pub line: usize,
-    /// True inside a test module.
-    pub in_test: bool,
-}
-
-/// One occurrence of the `unsafe` keyword in real code.
-#[derive(Debug, Clone)]
-pub struct UnsafeSite {
-    /// 1-based line of the keyword.
-    pub line: usize,
-    /// True inside a test module.
     pub in_test: bool,
 }
 
@@ -58,16 +26,8 @@ pub struct UnsafeSite {
 pub struct FileInfo {
     /// Lexed per-line code/comment views.
     pub lines: Vec<Line>,
-    /// The original source lines (literal contents intact).
-    pub raw_lines: Vec<String>,
     /// All function items, in source order.
     pub fns: Vec<FnItem>,
-    /// All `const` items.
-    pub consts: Vec<ConstItem>,
-    /// All `unsafe` keyword sites.
-    pub unsafe_sites: Vec<UnsafeSite>,
-    /// True if the file declares `#![forbid(unsafe_code)]`.
-    pub has_forbid_unsafe: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,21 +70,10 @@ fn tokenize(lines: &[Line]) -> Vec<Token> {
 
 /// Lexes and scans a source file into items.
 pub fn scan_source(src: &str) -> FileInfo {
-    let raw_lines: Vec<String> = src.split('\n').map(str::to_string).collect();
-    scan(crate::lexer::split_lines(src), raw_lines)
-}
-
-/// Scans a lexed file into items.
-fn scan(lines: Vec<Line>, raw_lines: Vec<String>) -> FileInfo {
-    let has_forbid_unsafe = lines.iter().any(|l| {
-        let squeezed: String = l.code.chars().filter(|c| !c.is_whitespace()).collect();
-        squeezed.contains("#![forbid(unsafe_code)]")
-    });
+    let lines = crate::lexer::split_lines(src);
     let tokens = tokenize(&lines);
 
     let mut fns: Vec<FnItem> = Vec::new();
-    let mut consts: Vec<ConstItem> = Vec::new();
-    let mut unsafe_sites: Vec<UnsafeSite> = Vec::new();
     let mut stack: Vec<BlockKind> = Vec::new();
     // Tokens accumulated since the last statement/block boundary — the
     // would-be item header for the next `{`.
@@ -133,12 +82,8 @@ fn scan(lines: Vec<Line>, raw_lines: Vec<String>) -> FileInfo {
 
     let in_test =
         |stack: &[BlockKind]| stack.iter().any(|b| matches!(b, BlockKind::Mod { is_test: true }));
-    let module_level =
-        |stack: &[BlockKind]| stack.iter().all(|b| matches!(b, BlockKind::Mod { is_test: false }));
 
-    let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
+    for t in &tokens {
         match t.text.as_str() {
             "(" | "[" => {
                 group_depth += 1;
@@ -148,37 +93,18 @@ fn scan(lines: Vec<Line>, raw_lines: Vec<String>) -> FileInfo {
                 group_depth = group_depth.saturating_sub(1);
                 pending.push(t.clone());
             }
-            "unsafe" => {
-                unsafe_sites.push(UnsafeSite { line: t.line, in_test: in_test(&stack) });
-                pending.push(t.clone());
-            }
-            ";" if group_depth == 0 => {
-                if let Some(c) = parse_const(&pending) {
-                    consts.push(ConstItem {
-                        name: c.0,
-                        value: c.1,
-                        line: pending[0].line,
-                        in_test: in_test(&stack),
-                    });
-                }
-                pending.clear();
-            }
+            ";" if group_depth == 0 => pending.clear(),
             "{" => {
-                let kind = classify_block(&pending);
-                match kind {
-                    PendingKind::Fn { name, is_pub, ret } => {
+                match classify_block(&pending) {
+                    PendingKind::Fn { name } => {
                         fns.push(FnItem {
                             name,
-                            is_pub,
-                            ret,
                             start_line: pending
                                 .iter()
                                 .find(|p| p.text == "fn")
                                 .map(|p| p.line)
                                 .unwrap_or(t.line),
-                            body_start: t.line,
                             end_line: t.line,
-                            module_level: module_level(&stack),
                             in_test: in_test(&stack),
                         });
                         stack.push(BlockKind::Fn { item: fns.len() - 1 });
@@ -198,14 +124,13 @@ fn scan(lines: Vec<Line>, raw_lines: Vec<String>) -> FileInfo {
             }
             _ => pending.push(t.clone()),
         }
-        i += 1;
     }
 
-    FileInfo { lines, raw_lines, fns, consts, unsafe_sites, has_forbid_unsafe }
+    FileInfo { lines, fns }
 }
 
 enum PendingKind {
-    Fn { name: String, is_pub: bool, ret: String },
+    Fn { name: String },
     Mod { is_test: bool },
     Other,
 }
@@ -219,14 +144,7 @@ fn classify_block(pending: &[Token]) -> PendingKind {
         if t.text == "fn" {
             if let Some(name_tok) = pending.get(k + 1) {
                 if name_tok.text.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') {
-                    let is_pub = pending[..k].iter().enumerate().any(|(j, p)| {
-                        p.text == "pub" && pending.get(j + 1).map(|n| n.text != "(").unwrap_or(true)
-                    });
-                    return PendingKind::Fn {
-                        name: name_tok.text.clone(),
-                        is_pub,
-                        ret: return_type(&pending[k..]),
-                    };
+                    return PendingKind::Fn { name: name_tok.text.clone() };
                 }
             }
         }
@@ -249,143 +167,33 @@ fn classify_block(pending: &[Token]) -> PendingKind {
     PendingKind::Other
 }
 
-/// Extracts the return-type text from a signature token run (`fn … -> T …`).
-fn return_type(sig: &[Token]) -> String {
-    let mut depth = 0usize;
-    let mut j = 0;
-    while j + 1 < sig.len() {
-        match sig[j].text.as_str() {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth = depth.saturating_sub(1),
-            "-" if depth == 0 && sig[j + 1].text == ">" => {
-                let mut out = Vec::new();
-                let mut k = j + 2;
-                while k < sig.len() && sig[k].text != "where" {
-                    out.push(sig[k].text.clone());
-                    k += 1;
-                }
-                return out.join(" ");
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    String::new()
-}
-
-/// Matches `[attrs] [pub [(…)]] const NAME : … = VALUE` (not `const fn`).
-fn parse_const(pending: &[Token]) -> Option<(String, String)> {
-    let mut k = 0;
-    // Skip leading attributes: `#`, optional `!`, then a bracketed group.
-    while pending.get(k)?.text == "#" {
-        k += 1;
-        if pending.get(k)?.text == "!" {
-            k += 1;
-        }
-        if pending.get(k)?.text != "[" {
-            return None;
-        }
-        let mut depth = 0;
-        loop {
-            match pending.get(k)?.text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    if pending.get(k)?.text == "pub" {
-        k += 1;
-        if pending.get(k)?.text == "(" {
-            while pending.get(k)?.text != ")" {
-                k += 1;
-            }
-            k += 1;
-        }
-    }
-    if pending.get(k)?.text != "const" {
-        return None;
-    }
-    let name = pending.get(k + 1)?.text.clone();
-    if name == "fn" || !name.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_') {
-        return None;
-    }
-    let eq = pending.iter().position(|t| t.text == "=")?;
-    let value: Vec<String> = pending[eq + 1..].iter().map(|t| t.text.clone()).collect();
-    Some((name, value.join(" ")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scan_src(src: &str) -> FileInfo {
-        scan_source(src)
-    }
-
     #[test]
-    fn finds_fns_with_spans_and_visibility() {
+    fn finds_fns_with_spans() {
         let src = "pub fn outer(x: u8) -> Result<u8, ()> {\n    inner();\n}\nfn inner() {\n}\npub(crate) fn hidden() {}\n";
-        let info = scan_src(src);
-        assert_eq!(info.fns.len(), 3);
-        assert_eq!(info.fns[0].name, "outer");
-        assert!(info.fns[0].is_pub);
-        assert!(info.fns[0].ret.contains("Result"));
+        let info = scan_source(src);
+        let names: Vec<&str> = info.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["outer", "inner", "hidden"]);
         assert_eq!((info.fns[0].start_line, info.fns[0].end_line), (1, 3));
-        assert!(!info.fns[1].is_pub);
-        assert!(!info.fns[2].is_pub, "pub(crate) is not public API");
     }
 
     #[test]
     fn test_modules_are_marked() {
         let src = "fn real() {}\n#[cfg(test)]\nmod tests {\n    fn helper() {}\n    #[test]\n    fn case() {}\n}\n";
-        let info = scan_src(src);
+        let info = scan_source(src);
         assert!(!info.fns[0].in_test);
         assert!(info.fns[1].in_test);
         assert!(info.fns[2].in_test);
     }
 
     #[test]
-    fn consts_and_forbid_are_found() {
-        let src = "#![forbid(unsafe_code)]\npub const MAGIC: &[u8; 4] = b\"ALP2\";\nconst X: u8 = 3;\nconst fn f() -> u8 { 1 }\n";
-        let info = scan_src(src);
-        assert!(info.has_forbid_unsafe);
-        assert_eq!(info.consts.len(), 2);
-        assert_eq!(info.consts[0].name, "MAGIC");
-        assert_eq!(info.fns.len(), 1);
-        assert_eq!(info.fns[0].name, "f");
-    }
-
-    #[test]
-    fn unsafe_sites_are_recorded() {
-        let src = "fn f() {\n    // SAFETY: fine\n    unsafe { g() }\n}\npub unsafe fn g() {}\n";
-        let info = scan_src(src);
-        assert_eq!(info.unsafe_sites.len(), 2);
-        assert_eq!(info.unsafe_sites[0].line, 3);
-        assert_eq!(info.unsafe_sites[1].line, 5);
-    }
-
-    #[test]
-    fn methods_in_impls_are_not_module_level() {
-        let src = "impl Foo {\n    pub fn decompress(&self) {}\n}\npub fn decompress() {}\n";
-        let info = scan_src(src);
-        assert!(!info.fns[0].module_level);
-        assert!(info.fns[1].module_level);
-    }
-
-    #[test]
     fn array_type_semicolons_do_not_split_items() {
-        let src = "pub const M: &[u8; 4] = b\"ALPT\";\nfn f(x: [u64; 16]) -> [u64; 2] {\n}\n";
-        let info = scan_src(src);
-        assert_eq!(info.consts.len(), 1);
-        assert_eq!(info.fns.len(), 1);
-        assert_eq!(info.fns[0].name, "f");
+        let src = "pub const M: &[u8; 4] = b\"ALPT\";\nfn f(x: [u64; 16]) -> [u64; 2] {\n}\nconst fn g() -> u8 { 1 }\n";
+        let info = scan_source(src);
+        let names: Vec<&str> = info.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["f", "g"]);
     }
 }

@@ -1,773 +1,323 @@
-//! The four project-specific rules, plus the `ANALYZER-ALLOW` annotation
-//! machinery that suppresses individual findings with a recorded reason.
+//! The three concurrency rules (`atomic-rmw`, `atomic-ordering`,
+//! `guard-across-call`).
 //!
-//! Rule ids (used in reports and in `ANALYZER-ALLOW(<rule>)` annotations):
-//!
-//! * `no-panic` — panicking idioms (`unwrap`, `expect`, `panic!`,
-//!   `unreachable!`, `todo!`, `unimplemented!`), slice indexing, and
-//!   narrowing `as` casts are forbidden in decode-path functions.
-//! * `undocumented-unsafe` — every `unsafe` needs a `// SAFETY:` comment, and
-//!   unsafe-free crates must declare `#![forbid(unsafe_code)]`.
-//! * `wire-tag-sync` — magic/tag constants in the wire-format files must be
-//!   used by both a serialize and a deserialize function, with no orphan or
-//!   duplicate tags.
-//! * `registry-sync` — every `ColumnCodec` value (a unit-struct impl, or
-//!   each `static`/`const` instance of an implementing type) must appear
-//!   exactly once in the codec registry's literal `ENTRIES` list, and every
-//!   entry must name a live value.
-//! * `contained-unwind` — `catch_unwind` is only legal inside the parallel
-//!   scheduler's containment seam (`alp::par`); swallowing panics anywhere
-//!   else hides poisoned state instead of quarantining it.
-//! * `atomic-rmw` — a `.load(..)` whose result feeds a `.store(..)` on the
-//!   same atomic is a lost-update race; use `fetch_*`/`fetch_update`.
-//! * `atomic-ordering` — `Ordering::Relaxed` on configured data-visibility
-//!   gate fields (e.g. `quarantined`) needs Acquire/Release instead.
-//! * `condvar-discipline` — `Condvar::wait` must sit in a re-checking loop
-//!   and must not unwrap the poison result.
-//! * `guard-across-call` — a lock guard's live range may not span a call
-//!   into the configured expensive-function list.
-//! * `cancel-poll` — loops claiming scheduler morsels must consult a
-//!   `CancelToken`/stop flag each iteration.
-//! * `allow-syntax` — malformed or unknown-rule `ANALYZER-ALLOW` annotations
-//!   (a typo in an annotation must not silently disable a lint).
-//!
-//! `no-panic` additionally runs in *reachability* mode: the workspace call
-//! graph ([`crate::graph`]) is walked from every `try_*` entry point, and
-//! explicit panics in any reached function are findings even outside the
-//! textual decode scope.
+//! All three work on the per-function facts from [`crate::flow`] —
+//! statements and binding live ranges — rather than raw lines, so a
+//! multi-line iterator chain is one statement and a guard's lifetime is a
+//! real range. They are deliberately narrow: each encodes one discipline this
+//! workspace already follows by hand (DESIGN.md §13), and anything the
+//! textual model cannot prove safe must be rewritten.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
+use crate::flow::{self, FnFlow};
 use crate::parse::{FileInfo, FnItem};
-use crate::{Config, Finding};
+use crate::{Finding, EXPENSIVE_CALLS, GATE_FIELDS};
 
-/// All valid rule ids, as used in `ANALYZER-ALLOW(<rule>)`.
-pub const RULE_IDS: &[&str] = &[
-    "no-panic",
-    "undocumented-unsafe",
-    "wire-tag-sync",
-    "registry-sync",
-    "contained-unwind",
-    "atomic-rmw",
-    "atomic-ordering",
-    "condvar-discipline",
-    "guard-across-call",
-    "cancel-poll",
-];
-
-/// A parsed `ANALYZER-ALLOW(rule): reason` annotation and the lines it covers.
-#[derive(Debug)]
-struct Allow {
-    rule: String,
-    /// Inclusive 1-based line range the annotation suppresses.
-    span: (usize, usize),
+/// Runs the rules over every non-test function of one file.
+pub fn run(path: &str, info: &FileInfo, findings: &mut Vec<Finding>) {
+    for f in info.fns.iter().filter(|f| !f.in_test) {
+        let fl = flow::scan_fn(&info.lines, f);
+        let mut report = |rule: &'static str, line: usize, message: String| {
+            findings.push(Finding { rule, file: path.to_string(), line, message })
+        };
+        atomic_rmw(f, &fl, &mut report);
+        atomic_ordering(f, &fl, &mut report);
+        guard_across_call(f, &fl, &mut report);
+    }
 }
 
-/// Runs every rule over the scanned files. `files` maps workspace-relative
-/// paths (forward slashes) to their scanned contents.
-pub fn run_all(files: &BTreeMap<String, FileInfo>, cfg: &Config) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut allows: BTreeMap<&str, Vec<Allow>> = BTreeMap::new();
-    for (path, info) in files {
-        let (file_allows, mut bad) = collect_allows(path, info);
-        findings.append(&mut bad);
-        allows.insert(path, file_allows);
-    }
-
-    for (path, info) in files {
-        no_panic(path, info, cfg, &mut findings);
-        undocumented_unsafe(path, info, &mut findings);
-        contained_unwind(path, info, cfg, &mut findings);
-    }
-    forbid_unsafe_crates(files, cfg, &mut findings);
-    wire_tag_sync(files, cfg, &mut findings);
-    registry_sync(files, cfg, &mut findings);
-    crate::concurrency::run(files, cfg, &mut findings);
-    no_panic_reachable(files, cfg, &mut findings);
-
-    findings.retain(|f| {
-        !allows
-            .get(f.file.as_str())
-            .map(|a| {
-                a.iter().any(|al| al.rule == f.rule && al.span.0 <= f.line && f.line <= al.span.1)
-            })
-            .unwrap_or(false)
-    });
-    findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
-    // Several identical hits on one line (e.g. `out[i] = x[i]`) read as noise;
-    // one finding per (location, message) is enough to fail the build.
-    findings.dedup();
-    findings
+/// Strips all whitespace (statement text is space-collapsed; receiver and
+/// call-pattern matching wants exact adjacency).
+fn squeeze(s: &str) -> String {
+    s.chars().filter(|c| !c.is_whitespace()).collect()
 }
 
-/// Parses the `ANALYZER-ALLOW` annotations in one file.
-///
-/// Scope: a trailing annotation covers its own line; an annotation on its own
-/// comment line covers the next code line — or, when that line opens a `fn`
-/// item, the whole item (for hot kernels whose every line would otherwise
-/// need one). Malformed annotations are findings, never silent.
-fn collect_allows(path: &str, info: &FileInfo) -> (Vec<Allow>, Vec<Finding>) {
-    let mut allows = Vec::new();
-    let mut bad = Vec::new();
-    for (idx, l) in info.lines.iter().enumerate() {
-        let line = idx + 1;
-        // An annotation must *start* its comment (after the `//`/`/*` markers)
-        // so that prose merely mentioning the grammar, like this sentence's
-        // `ANALYZER-ALLOW(rule): reason`, is not parsed as one.
-        let stripped = l.comment.trim_start_matches(['/', '!', '*', ' ', '\t']);
-        let mut first = true;
-        let mut rest = stripped;
-        while let Some(pos) = rest.find("ANALYZER-ALLOW") {
-            if first && pos != 0 {
-                break;
-            }
-            first = false;
-            rest = &rest[pos + "ANALYZER-ALLOW".len()..];
-            let (rule, reason) = match parse_allow_tail(rest) {
-                Some(rr) => rr,
-                None => {
-                    bad.push(Finding::new(
-                        "allow-syntax",
-                        path,
-                        line,
-                        "malformed ANALYZER-ALLOW: expected `ANALYZER-ALLOW(rule): reason`",
-                    ));
-                    continue;
-                }
-            };
-            if !RULE_IDS.contains(&rule.as_str()) {
-                bad.push(Finding::new(
-                    "allow-syntax",
-                    path,
-                    line,
-                    &format!("ANALYZER-ALLOW names unknown rule `{rule}`"),
-                ));
-                continue;
-            }
-            if reason.trim().is_empty() {
-                bad.push(Finding::new(
-                    "allow-syntax",
-                    path,
-                    line,
-                    &format!("ANALYZER-ALLOW({rule}) has no reason"),
-                ));
-                continue;
-            }
-            let span = allow_span(info, line, !l.code.trim().is_empty());
-            allows.push(Allow { rule, span });
+/// The receiver chain ending just before byte offset `at` in squeezed text:
+/// the maximal run of identifier chars, `.`, `::`, and index brackets —
+/// `self.ewma_nanos`, `q`, `flags[i]`.
+fn receiver_before(text: &str, at: usize) -> &str {
+    let bytes = text.as_bytes();
+    let mut start = at;
+    while start > 0 {
+        let b = bytes[start - 1];
+        if b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b':' | b'[' | b']') {
+            start -= 1;
+        } else {
+            break;
         }
     }
-    (allows, bad)
+    &text[start..at]
 }
 
-/// Parses `(rule): reason` from the text following `ANALYZER-ALLOW`.
-fn parse_allow_tail(rest: &str) -> Option<(String, String)> {
-    let rest = rest.strip_prefix('(')?;
-    let close = rest.find(')')?;
-    let rule = rest[..close].trim().to_string();
-    let after = rest[close + 1..].strip_prefix(':')?;
-    Some((rule, after.to_string()))
-}
-
-/// Computes which lines an annotation at `line` covers.
-fn allow_span(info: &FileInfo, line: usize, trailing: bool) -> (usize, usize) {
-    if trailing {
-        return (line, line);
-    }
-    // Own-line annotation: find the next line with real code, skipping blank,
-    // comment-only, and attribute-only lines.
-    let mut target = line + 1;
-    while target <= info.lines.len() {
-        let code = info.lines[target - 1].code.trim();
-        if code.is_empty() || code.starts_with('#') {
-            target += 1;
-            continue;
-        }
-        break;
-    }
-    // Covering a whole `fn` item when the annotation sits on its header.
-    for f in &info.fns {
-        if f.start_line == target {
-            return (f.start_line, f.end_line);
-        }
-    }
-    (target, target)
-}
-
-// ---------------------------------------------------------------------------
-// Rule: no-panic
-// ---------------------------------------------------------------------------
-
-/// True when `name` matches a decode-path name pattern (`unpack`,
-/// `ffor_unpack`, … — prefix or `_`-separated occurrence).
-fn matches_decode_name(name: &str, patterns: &[String]) -> bool {
-    patterns.iter().any(|p| name.starts_with(p.as_str()) || name.contains(&format!("_{p}")))
-}
-
-/// Decides whether a function is in the no-panic scope.
-fn in_no_panic_scope(path: &str, f: &FnItem, cfg: &Config) -> bool {
-    if f.in_test {
-        return false;
-    }
-    if f.name.starts_with("try_") {
-        return true;
-    }
-    if cfg.decode_files.iter().any(|df| df == path) {
-        return true;
-    }
-    let crate_name = crate_of(path);
-    cfg.decode_crates.iter().any(|c| c == &crate_name)
-        && matches_decode_name(&f.name, &cfg.decode_name_patterns)
-}
-
-fn no_panic(path: &str, info: &FileInfo, cfg: &Config, findings: &mut Vec<Finding>) {
-    for f in &info.fns {
-        if !in_no_panic_scope(path, f, cfg) {
-            continue;
-        }
-        for line_no in f.start_line..=f.end_line {
-            let code = &info.lines[line_no - 1].code;
-            for (what, msg) in scan_panic_patterns(code) {
-                findings.push(Finding::new(
-                    "no-panic",
-                    path,
-                    line_no,
-                    &format!("{msg} in decode-path fn `{}` ({what})", f.name),
-                ));
-            }
-        }
-    }
-}
-
-/// Scans one code line for panicking idioms. Returns (pattern, description).
-fn scan_panic_patterns(code: &str) -> Vec<(&'static str, &'static str)> {
+/// Occurrences of `.op(` in squeezed text, yielding (receiver, args-offset).
+fn atomic_ops<'a>(text: &'a str, op: &str) -> Vec<(&'a str, usize)> {
+    let needle = format!(".{op}(");
     let mut out = Vec::new();
-    let chars: Vec<char> = code.chars().collect();
-
-    for (method, label) in [(".unwrap(", "`.unwrap()`"), (".expect(", "`.expect()`")] {
-        let bare = &method[1..method.len() - 1]; // method name without . and (
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(bare) {
-            let at = from + pos;
-            let before_ok = code[..at].trim_end().ends_with('.');
-            let word_start = at == 0
-                || !code.as_bytes()[at - 1].is_ascii_alphanumeric()
-                    && code.as_bytes()[at - 1] != b'_';
-            let after = code[at + bare.len()..].trim_start();
-            if before_ok && word_start && after.starts_with('(') {
-                out.push((label, "may panic"));
-            }
-            from = at + bare.len();
-        }
-    }
-
-    for mac in ["panic", "unreachable", "todo", "unimplemented"] {
-        let mut from = 0;
-        while let Some(pos) = code[from..].find(mac) {
-            let at = from + pos;
-            let before = if at == 0 { None } else { code.as_bytes().get(at - 1) };
-            let boundary = before.map(|b| !b.is_ascii_alphanumeric() && *b != b'_').unwrap_or(true);
-            let after = &code[at + mac.len()..];
-            if boundary && after.trim_start().starts_with('!') {
-                out.push(("macro", "panicking macro"));
-            }
-            from = at + mac.len();
-        }
-    }
-
-    // Slice/array indexing: `[` immediately preceded (modulo spaces) by an
-    // identifier, `)`, or `]` — but not when the "identifier" is a keyword or
-    // a lifetime, which makes the bracket a slice *type* (`&mut [F]`,
-    // `&'a [u8]`), not an index expression.
-    for (i, &c) in chars.iter().enumerate() {
-        if c != '[' {
-            continue;
-        }
-        let mut j = i;
-        while j > 0 && chars[j - 1].is_whitespace() {
-            j -= 1;
-        }
-        if j == 0 {
-            continue;
-        }
-        let p = chars[j - 1];
-        if p == ')' || p == ']' {
-            out.push(("indexing", "unguarded slice indexing"));
-            continue;
-        }
-        if p.is_alphanumeric() || p == '_' {
-            let mut start = j;
-            while start > 0 && (chars[start - 1].is_alphanumeric() || chars[start - 1] == '_') {
-                start -= 1;
-            }
-            let ident: String = chars[start..j].iter().collect();
-            let keyword = matches!(
-                ident.as_str(),
-                "mut" | "dyn" | "in" | "return" | "break" | "else" | "match" | "const" | "static"
-            );
-            let lifetime = start > 0 && chars[start - 1] == '\'';
-            if !keyword && !lifetime {
-                out.push(("indexing", "unguarded slice indexing"));
-            }
-        }
-    }
-
-    // Narrowing `as` casts.
-    let toks: Vec<&str> = code
-        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
-        .filter(|t| !t.is_empty())
-        .collect();
-    for w in toks.windows(2) {
-        if w[0] == "as" && matches!(w[1], "u8" | "u16" | "u32" | "i8" | "i16" | "i32") {
-            out.push(("as-cast", "narrowing `as` cast"));
-        }
+    let mut from = 0;
+    while let Some(pos) = text[from..].find(&needle) {
+        let at = from + pos;
+        out.push((receiver_before(text, at), at + needle.len()));
+        from = at + needle.len();
     }
     out
 }
 
-/// Reachability upgrade of `no-panic`: no *explicit* panic may be reachable
-/// from any non-test `try_*` entry point through the workspace call graph.
-///
-/// The textual scope ([`in_no_panic_scope`]) stays the strict tier — panic
-/// idioms, unguarded indexing, narrowing casts — because those functions
-/// parse untrusted bytes. Functions pulled in only by reachability are
-/// internal helpers running on trusted data: for them, unguarded indexing
-/// against a fixed kernel geometry is fine, but an `unwrap`/`expect`/`panic!`
-/// is a promise that a `try_` caller can be made to break, so only the
-/// explicit-panic idioms are findings. The graph over-approximates (methods
-/// resolve by name workspace-wide), so every finding names its witness path
-/// for a human to judge — and an `ANALYZER-ALLOW(no-panic)` at the panic site
-/// covers all paths to it.
-fn no_panic_reachable(
-    files: &BTreeMap<String, FileInfo>,
-    cfg: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    let g = crate::graph::build(files);
-    let roots: Vec<usize> = g
-        .nodes
-        .iter()
-        .enumerate()
-        .filter(|(_, n)| !n.in_test && n.name.starts_with("try_"))
-        .map(|(i, _)| i)
-        .collect();
-    if roots.is_empty() {
-        return;
-    }
-    let parent = g.reachable(&roots);
-    for (&id, _) in parent.iter() {
-        let node = &g.nodes[id];
-        if node.in_test {
-            continue;
-        }
-        let info = &files[&node.file];
-        let Some(item) =
-            info.fns.iter().find(|f| f.name == node.name && f.start_line == node.start_line)
-        else {
-            continue;
-        };
-        // The strict textual tier already scans these (including indexing and
-        // casts); re-reporting the explicit subset would double up.
-        if in_no_panic_scope(&node.file, item, cfg) {
-            continue;
-        }
-        let witness = g.witness(&parent, id);
-        let via = if witness.len() > 1 {
-            format!(" (via {})", witness.join(" → "))
-        } else {
-            String::new() // the root itself (a try_ fn outside the textual scope)
-        };
-        for line_no in item.start_line..=item.end_line.min(info.lines.len()) {
-            let code = &info.lines[line_no - 1].code;
-            for (what, msg) in scan_panic_patterns(code) {
-                if !matches!(what, "`.unwrap()`" | "`.expect()`" | "macro") {
-                    continue;
+// ---------------------------------------------------------------------------
+// Rule: atomic-rmw
+// ---------------------------------------------------------------------------
+
+/// A `.load(…)` whose result flows (through bindings, statement-level) into a
+/// `.store(…)` on the *same* receiver is a lost-update race: another thread
+/// can update the atomic between the two halves and have its write silently
+/// overwritten. Use `fetch_add`/`fetch_update`/`compare_exchange`.
+fn atomic_rmw(f: &FnItem, fl: &FnFlow, report: &mut impl FnMut(&'static str, usize, String)) {
+    // Binding name → receivers whose loaded value tainted it.
+    let mut taint: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for stmt in &fl.stmts {
+        let sq = squeeze(&stmt.text);
+        // New taint: `let name = … recv.load(…) …` or propagation from an
+        // already-tainted binding mentioned in the initializer.
+        if let Some((name, init)) = as_let(&stmt.text) {
+            let mut sources: BTreeSet<String> = BTreeSet::new();
+            for (recv, _) in atomic_ops(&squeeze(init), "load") {
+                if !recv.is_empty() {
+                    sources.insert(recv.to_string());
                 }
-                findings.push(Finding::new(
-                    "no-panic",
-                    &node.file,
-                    line_no,
-                    &format!(
-                        "{msg} in `{}`, reachable from a `try_` entry point{via} ({what})",
-                        node.name
-                    ),
-                ));
+            }
+            for (var, recvs) in &taint {
+                if word_in(init, var) {
+                    sources.extend(recvs.iter().cloned());
+                }
+            }
+            if !sources.is_empty() {
+                taint.insert(name.to_string(), sources);
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: undocumented-unsafe
-// ---------------------------------------------------------------------------
-
-fn undocumented_unsafe(path: &str, info: &FileInfo, findings: &mut Vec<Finding>) {
-    for site in &info.unsafe_sites {
-        if site.in_test {
-            continue;
-        }
-        if !has_safety_comment(info, site.line) {
-            findings.push(Finding::new(
-                "undocumented-unsafe",
-                path,
-                site.line,
-                "`unsafe` without a `// SAFETY:` comment",
-            ));
-        }
-    }
-}
-
-/// Looks for `SAFETY:` on the unsafe line itself or in the contiguous
-/// comment/attribute block above it.
-fn has_safety_comment(info: &FileInfo, line: usize) -> bool {
-    if info.lines[line - 1].comment.contains("SAFETY:") {
-        return true;
-    }
-    let mut up = line - 1;
-    while up >= 1 {
-        let l = &info.lines[up - 1];
-        let code = l.code.trim();
-        if code.is_empty() || code.starts_with('#') {
-            if l.comment.contains("SAFETY:") {
-                return true;
-            }
-            up -= 1;
-            continue;
-        }
-        break;
-    }
-    false
-}
-
-/// Crates with zero `unsafe` anywhere must say so with `#![forbid(unsafe_code)]`.
-fn forbid_unsafe_crates(
-    files: &BTreeMap<String, FileInfo>,
-    cfg: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    let mut crates: BTreeMap<String, (bool, Option<&str>, bool)> = BTreeMap::new();
-    for (path, info) in files {
-        let name = crate_of(path);
-        let entry = crates.entry(name).or_insert((false, None, false));
-        entry.0 |= !info.unsafe_sites.is_empty();
-        if path.ends_with("src/lib.rs") || path.ends_with("src/main.rs") {
-            entry.1 = Some(path);
-            entry.2 = info.has_forbid_unsafe;
-        }
-    }
-    for (name, (has_unsafe, root, has_forbid)) in crates {
-        if cfg.unsafe_allowed_crates.iter().any(|c| c == &name) {
-            continue;
-        }
-        if let Some(root) = root {
-            if !has_unsafe && !has_forbid {
-                findings.push(Finding::new(
-                    "undocumented-unsafe",
-                    root,
-                    1,
-                    &format!("crate `{name}` has no unsafe code but does not declare #![forbid(unsafe_code)]"),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: wire-tag-sync
-// ---------------------------------------------------------------------------
-
-fn wire_tag_sync(files: &BTreeMap<String, FileInfo>, cfg: &Config, findings: &mut Vec<Finding>) {
-    // Collect tag constants from the wire files.
-    struct Tag<'a> {
-        name: &'a str,
-        file: &'a str,
-        line: usize,
-        raw_value: String,
-    }
-    let mut tags: Vec<Tag> = Vec::new();
-    for wf in &cfg.wire_files {
-        let Some(info) = files.get(wf) else { continue };
-        for c in &info.consts {
-            if c.in_test {
+        // Sink: `recv.store(args…)` whose args mention a binding tainted by a
+        // load of the same receiver, or an inline `recv.load(` in the args.
+        for (recv, args_at) in atomic_ops(&sq, "store") {
+            if recv.is_empty() {
                 continue;
             }
-            let named_tag = ["MAGIC", "TAG", "SCHEME"].iter().any(|k| c.name.contains(k));
-            let byte_string = c.value.contains("b \"");
-            if named_tag || byte_string {
-                // Literal value from the raw source (the lexer blanks string
-                // contents), for duplicate detection.
-                let raw = info
-                    .raw_lines
-                    .get(c.line - 1)
-                    .and_then(|l| l.split('=').nth(1))
-                    .map(|v| v.trim().trim_end_matches(';').trim().to_string())
-                    .unwrap_or_default();
-                tags.push(Tag { name: &c.name, file: wf, line: c.line, raw_value: raw });
-            }
-        }
-    }
-
-    // Duplicate values.
-    for (i, t) in tags.iter().enumerate() {
-        if !t.raw_value.is_empty() {
-            if let Some(prev) = tags[..i].iter().find(|p| p.raw_value == t.raw_value) {
-                findings.push(Finding::new(
-                    "wire-tag-sync",
-                    t.file,
-                    t.line,
-                    &format!(
-                        "tag `{}` duplicates the value of `{}` ({})",
-                        t.name, prev.name, t.raw_value
+            let args = &sq[args_at..];
+            let inline = args.contains(&format!("{recv}.load("));
+            let via_binding =
+                taint.iter().any(|(var, recvs)| recvs.contains(recv) && word_in(args, var));
+            if inline || via_binding {
+                report(
+                    "atomic-rmw",
+                    stmt.line,
+                    format!(
+                        "lost-update race in `{}`: `{recv}.store(…)` writes a value derived \
+                         from `{recv}.load(…)` — use `fetch_*`/`fetch_update` so the \
+                         read-modify-write is one atomic step",
+                        f.name
                     ),
-                ));
-            }
-        }
-    }
-
-    // Reference sites: which functions (across all wire files) mention each tag.
-    for t in &tags {
-        let mut written = false;
-        let mut read = false;
-        let mut referenced = false;
-        for wf in &cfg.wire_files {
-            let Some(info) = files.get(wf) else { continue };
-            for f in &info.fns {
-                if f.in_test {
-                    continue;
-                }
-                let mentions = (f.start_line..=f.end_line)
-                    .any(|ln| ln != t.line && word_in(&info.lines[ln - 1].code, t.name));
-                if !mentions {
-                    continue;
-                }
-                referenced = true;
-                if cfg.writer_fn_patterns.iter().any(|p| f.name.contains(p.as_str())) {
-                    written = true;
-                }
-                if cfg.reader_fn_patterns.iter().any(|p| f.name.contains(p.as_str())) {
-                    read = true;
-                }
-            }
-        }
-        if !referenced {
-            findings.push(Finding::new(
-                "wire-tag-sync",
-                t.file,
-                t.line,
-                &format!("tag `{}` is defined but never used (orphan)", t.name),
-            ));
-        } else {
-            if !written {
-                findings.push(Finding::new(
-                    "wire-tag-sync",
-                    t.file,
-                    t.line,
-                    &format!("tag `{}` is never emitted by a serialize function", t.name),
-                ));
-            }
-            if !read {
-                findings.push(Finding::new(
-                    "wire-tag-sync",
-                    t.file,
-                    t.line,
-                    &format!("tag `{}` is never checked by a deserialize function", t.name),
-                ));
+                );
             }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule: contained-unwind
-// ---------------------------------------------------------------------------
-
-/// `catch_unwind` is only legal in the scheduler's containment seam
-/// ([`Config::unwind_allowed_files`]): that module re-initializes worker
-/// scratch after a caught panic and either re-raises with context or reports
-/// a quarantined morsel. A `catch_unwind` anywhere else swallows a panic
-/// while leaving possibly-torn state live. Test functions are exempt — they
-/// catch panics to assert on them.
-fn contained_unwind(path: &str, info: &FileInfo, cfg: &Config, findings: &mut Vec<Finding>) {
-    if cfg.unwind_allowed_files.iter().any(|f| f == path) {
-        return;
+/// Splits a squeezed-ish statement `let [mut] name = init`; `None` for
+/// destructuring patterns (the flow module already skips those too).
+fn as_let(text: &str) -> Option<(&str, &str)> {
+    let rest = text.strip_prefix("let ")?;
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let name_len = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').count();
+    if name_len == 0 {
+        return None;
     }
-    for (idx, l) in info.lines.iter().enumerate() {
-        let line = idx + 1;
-        if !word_in(&l.code, "catch_unwind") {
-            continue;
-        }
-        let in_test =
-            info.fns.iter().any(|f| f.in_test && f.start_line <= line && line <= f.end_line);
-        if in_test {
-            continue;
-        }
-        findings.push(Finding::new(
-            "contained-unwind",
-            path,
-            line,
-            "`catch_unwind` outside the scheduler's containment module — \
-             route panic containment through `alp::par` (run_morsels_contained)",
-        ));
+    let (name, tail) = rest.split_at(name_len);
+    if name.chars().next().is_some_and(|c| c.is_uppercase()) {
+        return None;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: registry-sync
-// ---------------------------------------------------------------------------
-
-/// Parses `[pub[(..)]] static|const NAME: Type …` from one code line into
-/// `(NAME, Type)`; `None` for anything else (including reference- or
-/// slice-typed items such as `ENTRIES` itself).
-fn parse_instance(code: &str) -> Option<(String, String)> {
-    let mut rest = code.trim();
-    if let Some(after_pub) = rest.strip_prefix("pub") {
-        rest = after_pub.trim_start();
-        if rest.starts_with('(') {
-            rest = rest.split_once(')')?.1.trim_start();
-        }
-    }
-    let rest = rest.strip_prefix("static").or_else(|| rest.strip_prefix("const"))?;
-    let (name, rest) = rest.strip_prefix(char::is_whitespace)?.split_once(':')?;
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    let ty: String = rest.trim_start().chars().take_while(|c| ident(*c)).collect();
-    let name = name.trim();
-    (!name.is_empty() && name.chars().all(ident) && !ty.is_empty()).then(|| (name.to_string(), ty))
-}
-
-/// Every codec *value* in the workspace must appear exactly once as a
-/// `&path::NAME,` entry inside the registry's `static ENTRIES` block, and
-/// every entry must name a live value. A value is a type `X` with an
-/// `impl ColumnCodec for X` (a unit struct) — or, when the workspace declares
-/// `static`/`const` items of type `X` (one adapter shared by several codecs),
-/// each of those items in its place. The check is purely textual by design:
-/// it is what forces the registry to stay a literal one-entry-per-line list
-/// (no macros, no computed entries) that a reviewer can read at a glance.
-fn registry_sync(files: &BTreeMap<String, FileInfo>, cfg: &Config, findings: &mut Vec<Finding>) {
-    let Some(reg) = files.get(&cfg.registry_file) else {
-        return; // narrow test configs that do not include the registry
+    let eq = tail.find('=')?;
+    let ascription_ok = |c: char| {
+        c.is_whitespace() || c.is_alphanumeric() || matches!(c, ':' | '_' | '<' | '>' | '&' | '\'')
     };
-
-    // Entries: the identifiers listed inside the `static ENTRIES` block,
-    // one `&path::Name,` literal per line.
-    let mut entries: Vec<(String, usize)> = Vec::new();
-    let mut inside = false;
-    for (idx, l) in reg.lines.iter().enumerate() {
-        let code = l.code.trim();
-        if !inside {
-            inside = code.contains("static ENTRIES");
-            continue;
-        }
-        if code.contains("];") {
-            break;
-        }
-        let Some(entry) = code.strip_prefix('&') else { continue };
-        let entry = entry.trim_end_matches(',').trim();
-        let name = entry.rsplit("::").next().unwrap_or(entry).trim();
-        if !name.is_empty() {
-            entries.push((name.to_string(), idx + 1));
-        }
+    if tail[..eq].contains(|c: char| !ascription_ok(c)) {
+        // Type ascriptions pass; anything structural (commas, parens) is a
+        // pattern we do not track.
+        return None;
     }
+    Some((name, tail[eq + 1..].trim_start()))
+}
 
-    // Impls: `impl <Trait> for X` anywhere in the scanned workspace.
-    let mut impls: Vec<(String, &str, usize)> = Vec::new();
-    for (path, info) in files {
-        for (idx, l) in info.lines.iter().enumerate() {
-            let name = (|| {
-                let rest = l.code.trim().strip_prefix("impl")?.trim_start();
-                let rest = rest.strip_prefix(cfg.codec_trait.as_str())?.trim_start();
-                let rest = rest.strip_prefix("for")?.trim_start();
-                let name: String =
-                    rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-                (!name.is_empty()).then_some(name)
-            })();
-            if let Some(name) = name {
-                impls.push((name, path, idx + 1));
+// ---------------------------------------------------------------------------
+// Rule: atomic-ordering
+// ---------------------------------------------------------------------------
+
+/// `Ordering::Relaxed` on a data-visibility gate field ([`GATE_FIELDS`]). A
+/// gate flag publishes *other* data (a quarantine verdict, a loss reason):
+/// the writer must `store(…, Release)` after the payload write and readers
+/// must `load(Acquire)`, or the payload may not be visible when the flag is.
+fn atomic_ordering(f: &FnItem, fl: &FnFlow, report: &mut impl FnMut(&'static str, usize, String)) {
+    for gate in GATE_FIELDS {
+        // Bindings/closure params that alias the gate field in this fn.
+        let mut aliases: BTreeSet<String> = BTreeSet::new();
+        for stmt in &fl.stmts {
+            let mentions_gate =
+                word_in(&stmt.text, gate) || aliases.iter().any(|a| word_in(&stmt.text, a));
+            if mentions_gate {
+                aliases.extend(bound_idents(&stmt.text));
             }
-        }
-    }
-
-    // Values: for each implementing type, its `static`/`const` instances if
-    // it has any, else the (unit-struct) type itself.
-    let mut values: Vec<(String, &str, usize, String)> = Vec::new();
-    for (ty, path, line) in &impls {
-        let before = values.len();
-        for (ipath, info) in files {
-            for (idx, l) in info.lines.iter().enumerate() {
-                if let Some((name, _)) = parse_instance(&l.code).filter(|(_, t)| t == ty) {
-                    values.push((name, ipath, idx + 1, format!("is an instance of `{ty}`")));
+            if !stmt.text.contains("Relaxed") {
+                continue;
+            }
+            let sq = squeeze(&stmt.text);
+            for op in ["load", "store", "swap", "fetch_or", "fetch_and", "fetch_xor"] {
+                for (recv, args_at) in atomic_ops(&sq, op) {
+                    let relaxed_args = sq[args_at..].contains("Relaxed");
+                    let gated = word_in(recv, gate)
+                        || aliases.iter().any(|a| receiver_tail(recv) == a.as_str());
+                    if relaxed_args && gated {
+                        report(
+                            "atomic-ordering",
+                            stmt.line,
+                            format!(
+                                "Relaxed `{op}` on data-visibility gate `{gate}` in `{}` — \
+                                 publication needs `Release` stores paired with `Acquire` loads",
+                                f.name
+                            ),
+                        );
+                    }
                 }
             }
         }
-        if values.len() == before {
-            values.push((ty.clone(), path, *line, format!("implements {}", cfg.codec_trait)));
+    }
+}
+
+/// Final identifier segment of a receiver chain (`self.a.b` → `b`).
+fn receiver_tail(recv: &str) -> &str {
+    recv.rsplit(|c: char| !(c.is_alphanumeric() || c == '_')).next().unwrap_or(recv)
+}
+
+/// Identifiers bound by a statement's `let` pattern or closure parameter
+/// lists — the things through which a gate field can be accessed later.
+fn bound_idents(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut grab_pattern_idents = |pat: &str| {
+        for tok in pat.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+            if !tok.is_empty()
+                && tok.chars().next().is_some_and(|c| c.is_lowercase() || c == '_')
+                && !matches!(tok, "let" | "mut" | "ref" | "_")
+            {
+                out.push(tok.to_string());
+            }
+        }
+    };
+    if let Some(rest) = text.trim_start().strip_prefix("let ") {
+        if let Some(eq) = rest.find('=') {
+            grab_pattern_idents(&rest[..eq]);
         }
     }
-    for (name, path, line, what) in &values {
-        if !entries.iter().any(|(e, _)| e == name) {
-            findings.push(Finding::new(
-                "registry-sync",
-                path,
-                *line,
-                &format!("`{name}` {what} but is not listed in the registry's ENTRIES"),
-            ));
+    // `if let PAT = …` / `while let PAT = …`
+    for kw in ["if let ", "while let "] {
+        if let Some(pos) = text.find(kw) {
+            let rest = &text[pos + kw.len()..];
+            if let Some(eq) = rest.find('=') {
+                grab_pattern_idents(&rest[..eq]);
+            }
         }
     }
-    for (i, (name, line)) in entries.iter().enumerate() {
-        if entries[..i].iter().any(|(prev, _)| prev == name) {
-            findings.push(Finding::new(
-                "registry-sync",
-                &cfg.registry_file,
-                *line,
-                &format!("`{name}` is registered more than once in ENTRIES"),
-            ));
+    // Closure parameter lists: the text between the first `|…|` pair after a
+    // call-ish char. Cheap scan: any `|…|` span without `|` inside.
+    let bytes = text.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] == b'|' && (i == 0 || !matches!(bytes[i - 1], b'|' | b'&')) {
+            if let Some(end) = text[i + 1..].find('|') {
+                let inner = &text[i + 1..i + 1 + end];
+                if inner.len() < 64 && !inner.contains("||") {
+                    grab_pattern_idents(inner);
+                }
+                i += end + 2;
+                continue;
+            }
+        }
+        i += 1;
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Rule: guard-across-call
+// ---------------------------------------------------------------------------
+
+/// A `MutexGuard` live range must not span a call into [`EXPENSIVE_CALLS`]
+/// (page decompression and summing, the parallel scheduler, retrying I/O):
+/// every query on the service would serialize behind that lock. The range
+/// runs from the `let g = ….lock(…)` to `drop(g)` or the end of the
+/// enclosing scope.
+fn guard_across_call(
+    f: &FnItem,
+    fl: &FnFlow,
+    report: &mut impl FnMut(&'static str, usize, String),
+) {
+    for b in &fl.bindings {
+        if b.name == "_" || !squeeze(&b.init).contains(".lock(") {
+            continue;
+        }
+        let end = b.live_end();
+        for stmt in fl.stmts.iter().filter(|s| s.line > b.line && s.line <= end) {
+            let sq = squeeze(&stmt.text);
+            for pat in EXPENSIVE_CALLS {
+                if let Some(called) = called_pattern(&sq, pat) {
+                    report(
+                        "guard-across-call",
+                        stmt.line,
+                        format!(
+                            "lock guard `{}` (taken at line {}) in `{}` is still held across \
+                             call to `{called}` — drop the guard first or move the call out \
+                             of the critical section",
+                            b.name, b.line, f.name
+                        ),
+                    );
+                }
+            }
         }
     }
-    for (name, line) in &entries {
-        if !values.iter().any(|(n, _, _, _)| n == name) {
-            findings.push(Finding::new(
-                "registry-sync",
-                &cfg.registry_file,
-                *line,
-                &format!(
-                    "ENTRIES lists `{name}` but no `impl {} for {name}`, nor an instance \
-                     of an implementing type named `{name}`, exists",
-                    cfg.codec_trait
-                ),
-            ));
+}
+
+/// If squeezed `text` calls a function whose name starts with `pat`
+/// (word-start match, e.g. `try_decompress` matches
+/// `try_decompress_vector_at(…)`), returns the full called name.
+fn called_pattern<'a>(text: &'a str, pat: &str) -> Option<&'a str> {
+    let bytes = text.as_bytes();
+    let mut from = 0;
+    while let Some(pos) = text[from..].find(pat) {
+        let at = from + pos;
+        let word_start = at == 0 || {
+            let b = bytes[at - 1];
+            !(b.is_ascii_alphanumeric() || b == b'_')
+        };
+        let mut end = at + pat.len();
+        while end < bytes.len() && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_') {
+            end += 1;
         }
+        if word_start && bytes.get(end) == Some(&b'(') {
+            return Some(&text[at..end]);
+        }
+        from = at + pat.len();
     }
+    None
 }
 
 /// Whole-word occurrence of `word` in a code line.
-pub(crate) fn word_in(code: &str, word: &str) -> bool {
+fn word_in(code: &str, word: &str) -> bool {
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut from = 0;
     while let Some(pos) = code[from..].find(word) {
         let at = from + pos;
-        let before_ok = at == 0
-            || !{
-                let b = code.as_bytes()[at - 1];
-                b.is_ascii_alphanumeric() || b == b'_'
-            };
         let end = at + word.len();
-        let after_ok = end >= code.len()
-            || !{
-                let b = code.as_bytes()[end];
-                b.is_ascii_alphanumeric() || b == b'_'
-            };
+        let before_ok = at == 0 || !is_ident(code.as_bytes()[at - 1]);
+        let after_ok = end >= code.len() || !is_ident(code.as_bytes()[end]);
         if before_ok && after_ok {
             return true;
         }
-        from = at + word.len();
+        from = end;
     }
     false
-}
-
-/// Extracts the crate name from a workspace-relative path.
-pub fn crate_of(path: &str) -> String {
-    let mut parts = path.split('/');
-    match parts.next() {
-        Some("crates") | Some("shims") => parts.next().unwrap_or("").to_string(),
-        Some("src") | Some("examples") | Some("tests") => "alp-repro".to_string(),
-        other => other.unwrap_or("").to_string(),
-    }
 }

@@ -1,6 +1,8 @@
-//! Tier-1 enforcement: the workspace itself must scan clean. Any new panic
-//! site in a decode path, undocumented `unsafe`, missing `try_` twin, or
-//! out-of-sync wire tag fails this test (and the `analyze` CI job).
+//! The workspace itself must scan clean: a lost-update atomic, a Relaxed
+//! gate access or a lock guard held across an expensive call fails this test
+//! (and `cargo run -p analyzer` in CI). It runs under `cargo test -p analyzer`
+//! and `cargo test --workspace`, not under the umbrella package's tier-1
+//! `cargo test`.
 
 use std::path::Path;
 

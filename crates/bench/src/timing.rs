@@ -11,6 +11,7 @@ use std::time::Instant;
 /// Reads the cycle counter.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
+#[expect(unsafe_code, reason = "rdtsc is only reachable through an intrinsic")]
 pub fn cycles_now() -> u64 {
     // SAFETY: rdtsc has no preconditions.
     unsafe { core::arch::x86_64::_rdtsc() }

@@ -25,8 +25,6 @@
 //! assert_eq!(r.read_bits(16), 0xDEAD);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod reader;
 mod writer;
 

@@ -1,3 +1,13 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 /// MSB-first bit reader over a byte slice.
 ///
 /// Reading past the end of the slice yields zero bits rather than panicking;

@@ -552,65 +552,6 @@ fn verify(a: &[f64], b: &[f64], name: &str) -> Result<()> {
     Ok(())
 }
 
-/// `alp analyze [--root <path>] [--format text|json]` — run the workspace
-/// static-analysis pass (see the `analyzer` crate). Exits 0 when clean, 1
-/// when findings exist, 2 on usage or I/O errors.
-pub fn analyze(args: &[String]) -> std::process::ExitCode {
-    use std::process::ExitCode;
-
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut format = "text";
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--root" if i + 1 < args.len() => {
-                root = Some(std::path::PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--format" if i + 1 < args.len() => {
-                format = &args[i + 1];
-                i += 2;
-            }
-            other => {
-                eprintln!("usage: alp analyze [--root <path>] [--format text|json] (got {other})");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if format != "text" && format != "json" {
-        eprintln!("unknown format {format} (expected text or json)");
-        return ExitCode::from(2);
-    }
-    let root = match root.or_else(|| {
-        std::env::current_dir().ok().and_then(|cwd| analyzer::find_workspace_root(&cwd))
-    }) {
-        Some(r) => r,
-        None => {
-            eprintln!("could not locate a workspace root (pass --root)");
-            return ExitCode::from(2);
-        }
-    };
-    match analyzer::analyze_workspace(&root) {
-        Ok(findings) => {
-            let rendered = if format == "json" {
-                analyzer::report::render_json(&findings)
-            } else {
-                analyzer::report::render_text(&findings)
-            };
-            print!("{rendered}");
-            if findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("analyze: I/O error: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     //! The commands that never open an archive; `tests/drills.rs` drives

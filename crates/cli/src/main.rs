@@ -30,10 +30,7 @@
 //!                forces the materializing scan path)
 //! alp codecs                                    list the codec registry
 //! alp datasets                                  list generatable datasets
-//! alp analyze    [--root <path>] [--format text|json]   workspace lint pass
 //! ```
-
-#![forbid(unsafe_code)]
 
 mod commands;
 
@@ -42,11 +39,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `analyze` owns its value-taking flags (--root, --format), which the
-    // generic boolean-flag partition below would mangle.
-    if args.first().map(String::as_str) == Some("analyze") {
-        return commands::analyze(&args[1..]);
-    }
     // Value-taking flags come out (with their arguments) before the
     // boolean-flag partition below.
     let ValueFlags { threads: threads_flag, depth: depth_flag, parity: parity_flag, deadline_ms } =
@@ -157,7 +149,7 @@ fn take_value(
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  alp compress   <in.f64> <out.alp> [--f32] [--parity K] [--stream [--threads N] [--pipeline-depth D]]\n  alp decompress <in.alp|in.alpt> <out.f64> [--threads N]\n  alp inspect    <in.alp|in.alpt>\n  alp verify     <in.alp|in.alpt> [--threads N]\n  alp scrub      <in.alp|in.alpt> [--threads N] [--rewrite]\n  alp stats      <in.f64> [--f32]\n  alp gen        <dataset> <n> <out.f64>\n  alp shootout   <in.f64> [--threads N]\n  alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]\n  alp codecs\n  alp datasets\n  alp analyze    [--root <path>] [--format text|json]"
+        "usage:\n  alp compress   <in.f64> <out.alp> [--f32] [--parity K] [--stream [--threads N] [--pipeline-depth D]]\n  alp decompress <in.alp|in.alpt> <out.f64> [--threads N]\n  alp inspect    <in.alp|in.alpt>\n  alp verify     <in.alp|in.alpt> [--threads N]\n  alp scrub      <in.alp|in.alpt> [--threads N] [--rewrite]\n  alp stats      <in.f64> [--f32]\n  alp gen        <dataset> <n> <out.f64>\n  alp shootout   <in.f64> [--threads N]\n  alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]\n  alp codecs\n  alp datasets"
     );
     ExitCode::FAILURE
 }

@@ -49,6 +49,10 @@ const fn center_field<W: Word>() -> u32 {
 }
 
 /// Compresses a column of words.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the 65-entry tables are indexed by a leading-zero count, at most 64"
+)]
 pub fn compress_words<W: Word>(data: &[W]) -> Vec<u8> {
     let mut w = BitWriter::with_capacity(data.len() * (W::BITS as usize / 8) + 16);
     let mut prev = W::ZERO;
@@ -92,6 +96,7 @@ pub fn compress_words<W: Word>(data: &[W]) -> Vec<u8> {
 
 /// Decompresses `count` words into `out` (cleared first), validating every
 /// field against the input. Allocation-free once `out` has capacity.
+#[expect(clippy::indexing_slicing, reason = "a 3-bit code indexes the 8-entry table")]
 pub fn try_decompress_words_into<W: Word>(
     bytes: &[u8],
     count: usize,
@@ -112,9 +117,7 @@ pub fn try_decompress_words_into<W: Word>(
         let value = match flag {
             0b00 => prev,
             0b01 => {
-                // ANALYZER-ALLOW(no-panic): 3-bit index into the 8-entry LUT
                 let lz = LEADING_DECODE[r.read_bits(3) as usize];
-                // ANALYZER-ALLOW(no-panic): center field is at most 6 bits wide
                 let mut center = r.read_bits(center_field::<W>()) as u32;
                 if center == 0 {
                     center = W::BITS;
@@ -134,7 +137,6 @@ pub fn try_decompress_words_into<W: Word>(
                 prev ^ xor
             }
             _ => {
-                // ANALYZER-ALLOW(no-panic): 3-bit index into the 8-entry LUT
                 stored_lz = LEADING_DECODE[r.read_bits(3) as usize];
                 let len = W::BITS
                     .checked_sub(stored_lz)

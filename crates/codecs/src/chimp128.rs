@@ -41,6 +41,11 @@ const fn center_field<W: Word>() -> u32 {
 }
 
 /// Compresses a column of words.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ring slots are taken mod its 128 slots, keys are masked to the index table's \
+              14 bits, and the 65-entry tables are indexed by a leading-zero count"
+)]
 pub fn compress_words<W: Word>(data: &[W]) -> Vec<u8> {
     let mut w = BitWriter::with_capacity(data.len() * (W::BITS as usize / 8) + 16);
     let mut ring = [W::ZERO; PREVIOUS_VALUES];
@@ -110,7 +115,7 @@ pub fn compress_words<W: Word>(data: &[W]) -> Vec<u8> {
             }
         }
 
-        ring[i % PREVIOUS_VALUES] = value; // ANALYZER-ALLOW(no-panic): index is mod ring size
+        ring[i % PREVIOUS_VALUES] = value;
         indices[key] = i;
     }
     w.into_bytes()
@@ -120,6 +125,10 @@ pub fn compress_words<W: Word>(data: &[W]) -> Vec<u8> {
 /// field against the input. Allocation-free once `out` has capacity.
 /// (Ring indices are 7-bit reads and cannot exceed the 128-slot buffer; the
 /// center/lz geometry and end-of-stream are the checked hazards.)
+#[expect(
+    clippy::indexing_slicing,
+    reason = "7-bit indices address the 128-slot ring and 3-bit codes the 8-entry table"
+)]
 pub fn try_decompress_words_into<W: Word>(
     bytes: &[u8],
     count: usize,
@@ -134,7 +143,7 @@ pub fn try_decompress_words_into<W: Word>(
     }
     let mut ring = [W::ZERO; PREVIOUS_VALUES];
     let first = W::from_u64(r.read_bits(W::BITS));
-    ring[0] = first; // ANALYZER-ALLOW(no-panic): fixed 128-slot ring
+    ring[0] = first;
     out.push(first);
     let mut prev = first;
     let mut stored_lz = 0u32;
@@ -144,13 +153,11 @@ pub fn try_decompress_words_into<W: Word>(
         let value = match flag {
             0b00 => {
                 let idx = r.read_bits(PREV_LOG2) as usize;
-                ring[idx] // ANALYZER-ALLOW(no-panic): 7-bit index into 128-slot ring
+                ring[idx]
             }
             0b01 => {
                 let idx = r.read_bits(PREV_LOG2) as usize;
-                // ANALYZER-ALLOW(no-panic): 3-bit index into the 8-entry LUT
                 let lz = LEADING_DECODE[r.read_bits(3) as usize];
-                // ANALYZER-ALLOW(no-panic): center field is at most 6 bits wide
                 let mut center = r.read_bits(center_field::<W>()) as u32;
                 if center == 0 {
                     center = W::BITS;
@@ -160,7 +167,7 @@ pub fn try_decompress_words_into<W: Word>(
                     what: "center exceeds word width",
                 })?;
                 let xor = W::from_u64(r.read_bits(center) << tz);
-                ring[idx] ^ xor // ANALYZER-ALLOW(no-panic): 7-bit index into 128-slot ring
+                ring[idx] ^ xor
             }
             0b10 => {
                 let len = W::BITS
@@ -170,7 +177,6 @@ pub fn try_decompress_words_into<W: Word>(
                 prev ^ xor
             }
             _ => {
-                // ANALYZER-ALLOW(no-panic): 3-bit index into the 8-entry LUT
                 stored_lz = LEADING_DECODE[r.read_bits(3) as usize];
                 let len = W::BITS
                     .checked_sub(stored_lz)
@@ -179,7 +185,7 @@ pub fn try_decompress_words_into<W: Word>(
                 prev ^ xor
             }
         };
-        ring[i % PREVIOUS_VALUES] = value; // ANALYZER-ALLOW(no-panic): index is mod ring size
+        ring[i % PREVIOUS_VALUES] = value;
         out.push(value);
         prev = value;
     }

@@ -133,7 +133,7 @@ pub fn try_decompress_into(
     for &bits in words.iter() {
         let v = f64::from_bits(bits);
         if flags.read_bit() {
-            let alpha = flags.read_bits(4) as u32; // ANALYZER-ALLOW(no-panic): 4-bit value
+            let alpha = flags.read_bits(4) as u32;
             if alpha > MAX_ALPHA {
                 return Err(CodecError::Corrupt { codec: NAME, what: "precision out of range" });
             }

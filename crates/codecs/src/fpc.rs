@@ -62,6 +62,10 @@ impl Default for Predictor {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "both hashes are masked to `TABLE_SIZE - 1`, the length of both tables"
+)]
 impl Predictor {
     /// Returns (fcm prediction, dfcm prediction) for the next value.
     #[inline]
@@ -139,8 +143,7 @@ pub fn compress(data: &[f64]) -> Vec<u8> {
             None => pending = Some(nibble),
             Some(first) => headers.push((first << 4) | nibble),
         }
-        let bytes = 8 - lzb as usize;
-        payload.extend_from_slice(&xor.to_be_bytes()[8 - bytes..]);
+        payload.extend(xor.to_be_bytes().into_iter().skip(lzb as usize));
         predictor.update(bits);
     }
     if let Some(first) = pending {
@@ -182,21 +185,19 @@ pub fn try_decompress_into(
     predictor.reset();
     out.clear();
     out.reserve(count); // bounded by the bytes: checked above
-    for i in 0..count {
-        // ANALYZER-ALLOW(no-panic): header_len >= ceil(count/2) checked above
-        let byte = headers[i / 2];
-        let nibble = if i % 2 == 0 { byte >> 4 } else { byte & 0xF };
+
+    // header_len >= ceil(count/2), checked above, so there are `count` nibbles.
+    let nibbles = headers.iter().flat_map(|&byte| [byte >> 4, byte & 0xF]);
+    for nibble in nibbles.take(count) {
         let selector = nibble >> 3;
         let lzb = code_lzb(nibble & 0x7) as usize;
         let n_bytes = 8 - lzb;
         let Some((head, tail)) = payload.split_at_checked(n_bytes) else {
             return Err(CodecError::Truncated { codec: NAME });
         };
-        let mut be = [0u8; 8];
-        // ANALYZER-ALLOW(no-panic): n_bytes <= 8 because code_lzb returns <= 8
-        be[8 - n_bytes..].copy_from_slice(head);
         payload = tail;
-        let xor = u64::from_be_bytes(be);
+        // The stored bytes are the low `n_bytes` of the XOR, big-endian.
+        let xor = head.iter().fold(0u64, |acc, &b| acc << 8 | u64::from(b));
         let (p_fcm, p_dfcm) = predictor.predict();
         let prediction = if selector == 0 { p_fcm } else { p_dfcm };
         let bits = xor ^ prediction;

@@ -101,9 +101,7 @@ pub fn try_decompress_words_into<W: Word>(
             prev
         } else {
             if r.read_bit() {
-                // ANALYZER-ALLOW(no-panic): LZ_FIELD-bit value fits u32
                 stored_lz = r.read_bits(LZ_FIELD) as u32;
-                // ANALYZER-ALLOW(no-panic): length field is at most 6 bits wide
                 let mut len = r.read_bits(len_field::<W>()) as u32;
                 if len == 0 {
                     len = W::BITS;

@@ -11,7 +11,15 @@
 //! The XOR-family codecs are generic over [`word::Word`] so the same logic
 //! serves `f64` and the `f32` variants Table 7 benchmarks.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod chimp;
 pub mod chimp128;

@@ -25,6 +25,11 @@ const KEY_BITS: u32 = PREV_LOG2 + 7;
 const TZ_THRESHOLD: u32 = 6 + PREV_LOG2;
 
 /// Compresses a column of words.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "ring slots are taken mod its 128 slots, keys are masked to the index table's \
+              14 bits, and a word has at most 8 bytes"
+)]
 pub fn compress_words<W: Word>(data: &[W]) -> Vec<u8> {
     let word_bytes = (W::BITS / 8) as usize;
     let mut out = Vec::with_capacity(data.len() * (word_bytes + 2) + 16);
@@ -76,6 +81,11 @@ pub fn compress_words<W: Word>(data: &[W]) -> Vec<u8> {
 /// Checked hazards: the verbatim first word, every 2-byte header, the 4-bit
 /// significant-byte count (values 9–15 are unrepresentable in a word), and
 /// each payload slice.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "byte counts are checked against the word size, and a 7-bit index addresses \
+              the 128-slot ring"
+)]
 pub fn try_decompress_words_into<W: Word>(
     bytes: &[u8],
     count: usize,
@@ -94,10 +104,9 @@ pub fn try_decompress_words_into<W: Word>(
         return Err(CodecError::Truncated { codec: NAME });
     };
     let mut first_word = [0u8; 8];
-    // ANALYZER-ALLOW(no-panic): word_bytes is 4 or 8, within the 8-byte buffer
     first_word[..word_bytes].copy_from_slice(first_bytes);
     let first = W::from_u64(u64::from_le_bytes(first_word));
-    ring[0] = first; // ANALYZER-ALLOW(no-panic): fixed 128-slot ring
+    ring[0] = first;
     out.push(first);
 
     for i in 1..count {
@@ -113,12 +122,10 @@ pub fn try_decompress_words_into<W: Word>(
             return Err(CodecError::Truncated { codec: NAME });
         };
         let mut payload = [0u8; 8];
-        // ANALYZER-ALLOW(no-panic): byte_count <= word_bytes <= 8 checked above
         payload[..byte_count].copy_from_slice(src);
         let xor = W::from_u64(u64::from_le_bytes(payload) << (8 * tz_bytes));
-        // ANALYZER-ALLOW(no-panic): ref_index is a 7-bit field, ring has 128 slots
         let value = ring[ref_index] ^ xor;
-        ring[i % PREVIOUS_VALUES] = value; // ANALYZER-ALLOW(no-panic): index is mod ring size
+        ring[i % PREVIOUS_VALUES] = value;
         out.push(value);
     }
     Ok(())

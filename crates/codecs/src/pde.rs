@@ -63,24 +63,18 @@ fn compress_block(block: &[f64], out: &mut Vec<u8>) {
     let mut patch_pos: Vec<u16> = Vec::new();
     let mut patch_val: Vec<u64> = Vec::new();
 
-    for (i, &v) in block.iter().enumerate() {
+    // Patched slots and the tail of a short block keep their zeros.
+    for (i, ((sig, exp), &v)) in sigs.iter_mut().zip(&mut exps).zip(block).enumerate() {
         match find_exponent(v) {
             Some((d, e)) => {
-                sigs[i] = d as i64;
-                exps[i] = e as u64;
+                *sig = d as i64;
+                *exp = e as u64;
             }
             None => {
                 patch_pos.push(i as u16);
                 patch_val.push(v.to_bits());
-                sigs[i] = 0;
-                exps[i] = 0;
             }
         }
-    }
-    // Pad the tail of a short block.
-    for i in block.len()..VECTOR_SIZE {
-        sigs[i] = 0;
-        exps[i] = 0;
     }
 
     let (sig_base, sig_width) = ffor::frame_of(&sigs);
@@ -94,11 +88,11 @@ fn compress_block(block: &[f64], out: &mut Vec<u8>) {
     out.extend_from_slice(&(block.len() as u16).to_le_bytes());
     out.extend_from_slice(&(patch_pos.len() as u16).to_le_bytes());
     let sig_words = sig_width * (VECTOR_SIZE / 64);
-    for &w in &packed_sigs[..sig_words] {
+    for &w in packed_sigs.iter().take(sig_words) {
         out.extend_from_slice(&w.to_le_bytes());
     }
     let exp_words = exp_width * (VECTOR_SIZE / 64);
-    for &w in &packed_exps[..exp_words] {
+    for &w in packed_exps.iter().take(exp_words) {
         out.extend_from_slice(&w.to_le_bytes());
     }
     for &p in &patch_pos {
@@ -132,7 +126,6 @@ impl Scratch {
             positions: Vec::with_capacity(VECTOR_SIZE),
             // Inverse powers of ten indexed by exponent, hoisted out of the
             // decode loop.
-            // ANALYZER-ALLOW(no-panic): e <= MAX_EXPONENT = 22 always fits in i32
             inv_pow: (0..=MAX_EXPONENT).map(|e| 10f64.powi(-(e as i32))).collect(),
         }
     }
@@ -209,14 +202,10 @@ pub fn try_decompress_into(
         bitpack::unpack(packed_e, exp_width, exps);
 
         let start = out.len();
-        for i in 0..block_len {
-            // ANALYZER-ALLOW(no-panic): i < block_len <= VECTOR_SIZE = exps.len()
-            let e = exps[i] as usize;
-            if e > MAX_EXPONENT as usize {
-                return Err(corrupt("exponent out of range"));
-            }
-            // ANALYZER-ALLOW(no-panic): i bounds sigs; e <= MAX_EXPONENT bounds the LUT
-            out.push(sigs[i] as f64 * inv_pow[e]);
+        for (&e, &sig) in exps.iter().zip(sigs.iter()).take(block_len) {
+            // The LUT holds an entry per exponent up to MAX_EXPONENT.
+            let &inv = inv_pow.get(e as usize).ok_or_else(|| corrupt("exponent out of range"))?;
+            out.push(sig as f64 * inv);
         }
         // Patch streams: all positions, then all values.
         positions.clear();
@@ -225,11 +214,9 @@ pub fn try_decompress_into(
         }
         for &p in positions.iter() {
             let v = cursor::read_u64_le(bytes, &mut pos).ok_or_else(truncated)?;
-            if p >= block_len {
-                return Err(corrupt("patch position"));
-            }
-            // ANALYZER-ALLOW(no-panic): p < block_len values just pushed above
-            out[start + p] = f64::from_bits(v);
+            // The block's values end the output, so this is `p < block_len`.
+            let slot = out.get_mut(start + p).ok_or_else(|| corrupt("patch position"))?;
+            *slot = f64::from_bits(v);
         }
     }
     Ok(())

@@ -56,7 +56,7 @@ impl Capabilities {
 ///
 /// Every implementing value — a unit struct, or a `static` instance of a
 /// shared adapter type — is registered exactly once in [`crate::registry`]
-/// (enforced by the `registry-sync` analyzer rule).
+/// (its unit test pins the list).
 pub trait ColumnCodec: Sync {
     /// Stable registry id (kebab-case, never changes once released).
     fn id(&self) -> &'static str;

@@ -6,7 +6,7 @@
 //! [`Registry`]. Consumers (the benchmark harness, the CLI, the `vectorq`
 //! query engine, the corruption test suite) iterate the registry instead of
 //! keeping hand-maintained scheme lists; adding a codec means one impl plus
-//! one registry line, which the `registry-sync` analyzer rule keeps in sync.
+//! one registry line (whose unit test pins the list).
 //!
 //! The trait is built around **caller-owned scratch buffers**: compression
 //! and decompression write into `&mut Vec` outputs and stage through a
@@ -16,8 +16,6 @@
 //! [`container`] adds a registry-keyed, checksummed byte envelope so any
 //! codec's output can be stored and re-identified without per-codec framing
 //! code.
-
-#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod container;

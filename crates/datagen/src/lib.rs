@@ -13,8 +13,6 @@
 //!
 //! All generators are deterministic given `(name, n, seed)`.
 
-#![forbid(unsafe_code)]
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -17,6 +17,16 @@
 //! one kernel body per direction; the two instantiations differ in one load
 //! or one store.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::dispatch::{width_mask, with_width, WidthKernel};
 use crate::{packed_len, VECTOR_SIZE};
 
@@ -107,9 +117,12 @@ impl Word for [u8; 8] {
 /// # Panics
 /// Panics if `words.len() < W` or `W > 64`.
 #[inline]
-// ANALYZER-ALLOW(no-panic): block geometry — after the one `words[..W]` slice
-// check (callers size buffers with `packed_len`) every index is a literal
-// `J * W / 64 (+ 1 only when the value straddles)`, below `W` for `J < 64`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "block geometry: after the one `words[..W]` slice check (callers size buffers \
+              with `packed_len`) every index is a literal `J * W / 64` (+ 1 only when the \
+              value straddles), below `W` for `J < 64`"
+)]
 pub fn unpack64<const W: usize, T: Word>(words: &[T]) -> [u64; BLOCK] {
     if W == 0 {
         return [0; BLOCK];
@@ -130,6 +143,7 @@ pub fn unpack64<const W: usize, T: Word>(words: &[T]) -> [u64; BLOCK] {
 /// # Panics
 /// Panics if `words.len() < W` or `W > 64`.
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "the block geometry of `unpack64`")]
 pub fn pack64<const W: usize, T: Word>(values: &[u64; BLOCK], words: &mut [T]) {
     if W == 0 {
         return;
@@ -199,12 +213,17 @@ fn pick_packer<T: Word>(width: usize) -> Pack64<T> {
 /// `64 * block .. 64 * block + 64`) — with [`block_words_mut`], the one place
 /// the block geometry of the sequential layout is spelled out.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "callers hold `packed_len(width)` words, and `block < 16`"
+)]
 pub fn block_words<T>(packed: &[T], width: usize, block: usize) -> &[T] {
     &packed[block * width..(block + 1) * width]
 }
 
 /// [`block_words`] for a packer's destination.
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "as in `block_words`")]
 pub fn block_words_mut<T>(packed: &mut [T], width: usize, block: usize) -> &mut [T] {
     &mut packed[block * width..(block + 1) * width]
 }

@@ -8,6 +8,16 @@
 //! one [`crate::bitpack::pack64`] / [`crate::bitpack::unpack64`] block and
 //! the kernels here only join and split word halves around it. The `layout_ablation` bench compares the two.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::bitpack::{packer, unpacker, BLOCK};
 use crate::VECTOR_SIZE;
 
@@ -37,7 +47,7 @@ pub fn pack(input: &[u32], width: usize) -> Vec<u32> {
             *v = u64::from(narrow);
         }
         pack(&values, &mut words);
-        for (pair, &w) in halves[block * width..].iter_mut().zip(&words[..width]) {
+        for (pair, &w) in halves.iter_mut().skip(block * width).zip(words.iter().take(width)) {
             *pair = [w as u32, (w >> 32) as u32];
         }
     }

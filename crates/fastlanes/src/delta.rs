@@ -1,6 +1,16 @@
 //! Delta encoding with zigzag mapping, for sorted or slowly-drifting integer
 //! streams (e.g. ALP-encoded dictionaries or run values in a cascade).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::bits_needed;
 
 /// Maps a signed delta to an unsigned value with small magnitudes near zero.
@@ -17,13 +27,12 @@ pub const fn unzigzag(v: u64) -> i64 {
 
 /// Delta-encodes `input` in place semantics: returns `(first, zigzagged deltas)`.
 pub fn delta_encode(input: &[i64]) -> (i64, Vec<u64>) {
-    if input.is_empty() {
+    let Some((&first, rest)) = input.split_first() else {
         return (0, Vec::new());
-    }
-    let first = input[0];
-    let mut deltas = Vec::with_capacity(input.len() - 1);
+    };
+    let mut deltas = Vec::with_capacity(rest.len());
     let mut prev = first;
-    for &v in &input[1..] {
+    for &v in rest {
         deltas.push(zigzag(v.wrapping_sub(prev)));
         prev = v;
     }

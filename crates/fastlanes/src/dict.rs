@@ -2,6 +2,16 @@
 //! keep NaN/-0.0 exact). Codes are dense `u32`s assigned in first-seen order;
 //! pack them with [`crate::bitpack`] at `bits_needed(dict_len - 1)` bits.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::collections::HashMap;
 
 use crate::bits_needed;
@@ -32,8 +42,10 @@ impl DictEncoded {
     }
 
     /// Reconstructs the original sequence.
-    // ANALYZER-ALLOW(no-panic): codes are produced by encode() and always
-    // index this encoder's own dictionary.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "codes are produced by `encode` and always index this encoder's own dictionary"
+    )]
     pub fn decode(&self) -> Vec<u64> {
         self.codes.iter().map(|&c| self.dict[c as usize]).collect()
     }

@@ -89,9 +89,9 @@ pub fn with_width<K: WidthKernel>(width: usize, k: K) -> K::Out {
         62 => k.run::<62>(),
         63 => k.run::<63>(),
         64 => k.run::<64>(),
-        // ANALYZER-ALLOW(no-panic): exhaustive match over usize needs a
-        // catch-all arm; widths come from `bit_width(u64)` and are ≤ 64 by
-        // construction, so this arm is unreachable without a kernel bug.
+        // An exhaustive match over usize needs a catch-all arm; widths come
+        // from `bit_width(u64)` and are ≤ 64 by construction, so this arm is
+        // unreachable without a kernel bug.
         w => panic!("bit width {w} out of range 0..=64"),
     }
 }

@@ -11,6 +11,16 @@
 //! `v >= base`, so any `i64` range — including ones spanning more than
 //! `i64::MAX` — packs correctly into `u64` residuals.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::bitpack::{block_words, block_words_mut, packer, unpacker, Word, BLOCK};
 use crate::{bits_needed, packed_len, VECTOR_SIZE};
 

@@ -15,6 +15,16 @@
 //! module provides the integer substrate and the bitmap conventions shared by
 //! both: bit `i` of word `i / 64` describes value `i`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::dispatch::{width_mask, with_width, WidthKernel};
 use crate::interleaved::{LANES, ROWS};
 use crate::{packed_len, VECTOR_SIZE};
@@ -73,10 +83,12 @@ impl WidthKernel for FusedScan<'_> {
 
 /// Monomorphized fused scan. Public for fixed-width callers downstream.
 #[inline]
-#[allow(clippy::needless_range_loop)] // lanes index five parallel arrays
-                                      // ANALYZER-ALLOW(no-panic): fixed 1024-lane FastLanes geometry — callers
-                                      // size `packed` via packed_len(width), row/lane/word indices are bounded
-                                      // at compile time, and shift casts are bounded by the word width.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "lanes index five parallel arrays under the fixed 1024-lane FastLanes geometry: \
+              callers size `packed` via `packed_len(width)`, and row/lane/word indices are \
+              bounded at compile time"
+)]
 pub fn ffor_unpack_cmp_agg_const<const W: usize>(
     packed: &[u64],
     base: i64,

@@ -13,6 +13,16 @@
 //! compressed size is identical by construction (same width, same word
 //! count), only the access pattern differs.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::dispatch::{width_mask, with_width, WidthKernel};
 use crate::{packed_len, VECTOR_SIZE};
 
@@ -63,6 +73,11 @@ impl WidthKernel for UnpackKernel<'_> {
 
 /// Monomorphized interleaved pack: 16 parallel lane accumulators.
 #[inline]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "fixed 1024-lane FastLanes geometry: `input` holds a vector and `out` \
+              `packed_len::<W>()` words; row/lane/word indices are bounded at compile time"
+)]
 pub fn pack_const<const W: usize>(input: &[u64], out: &mut [u64]) {
     if W == 0 {
         return;
@@ -111,9 +126,11 @@ pub fn pack_const<const W: usize>(input: &[u64], out: &mut [u64]) {
 /// Monomorphized interleaved unpack: identical shifts across all 16 lanes at
 /// every step.
 #[inline]
-// ANALYZER-ALLOW(no-panic): fixed 1024-lane FastLanes geometry — callers
-// size `packed` via packed_len::<W>() (16*W words plus the pad word) and
-// `out` holds VECTOR_SIZE lanes; shift casts are bounded by the word width.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "fixed 1024-lane FastLanes geometry: callers size `packed` via \
+              `packed_len::<W>()` (16*W words plus the pad word) and `out` holds a vector"
+)]
 pub fn unpack_const<const W: usize>(packed: &[u64], out: &mut [u64]) {
     if W == 0 {
         out[..VECTOR_SIZE].fill(0);

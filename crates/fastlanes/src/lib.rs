@@ -30,8 +30,6 @@
 //! the lane permutation; [`interleaved`] provides the lane-transposed layout
 //! as well, and the `layout_ablation` bench compares the two.
 
-#![forbid(unsafe_code)]
-
 pub mod bitpack;
 pub mod bitpack32;
 pub mod delta;

@@ -2,6 +2,16 @@
 //! stream can be further compressed (the cascade the paper describes: RLE, then
 //! ALP on the run values, FOR/BP on the run lengths).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 /// A run-length encoded sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rle<T> {

@@ -25,7 +25,9 @@ const WINDOW: usize = 65_535;
 
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    // Callers always leave `MIN_MATCH` bytes at `i`; map_or keeps the helper
+    // panic-free.
+    let v = data.get(i..).and_then(<[u8]>::first_chunk::<4>).map_or(0, |c| u32::from_le_bytes(*c));
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
@@ -50,6 +52,11 @@ fn read_len(bytes: &[u8], pos: &mut usize) -> Option<usize> {
 }
 
 /// Compresses `data` (single frame, unframed length — callers prepend one).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "hashes are masked to the table size, and every data index is bounded by the \
+              loop conditions on `data.len()`"
+)]
 pub fn compress_block(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     let mut table = vec![0u32; 1 << HASH_BITS];
@@ -157,11 +164,10 @@ pub fn try_decompress_block(
         if out.len() - start + mlen > expected {
             return Err(corrupt("match exceeds block length"));
         }
+        // Byte-wise, because an overlapping copy is the LZ idiom for runs.
         let from = out.len() - dist;
-        for k in 0..mlen {
-            // ANALYZER-ALLOW(no-panic): from + k < out.len() — dist >= 1 is
-            // checked above and out grows by one byte per iteration
-            let b = out[from + k];
+        for k in from..from + mlen {
+            let &b = out.get(k).ok_or_else(|| corrupt("match distance"))?;
             out.push(b);
         }
         if out.len() - start >= expected {

@@ -31,6 +31,7 @@ impl Encoder {
 
     /// Emits one symbol.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "callers emit symbols of this table's alphabet")]
     pub fn write_symbol(&self, w: &mut BitWriter, sym: usize) {
         let len = self.lengths[sym];
         debug_assert!(len > 0, "symbol {sym} has no code");
@@ -58,12 +59,16 @@ pub struct Decoder {
 impl Decoder {
     /// Reads an `n`-symbol length table and builds the decode structures.
     pub fn read_lengths(r: &mut BitReader, n: usize) -> Self {
-        // ANALYZER-ALLOW(no-panic): 4-bit values fit u8
         let lengths: Vec<u8> = (0..n).map(|_| r.read_bits(4) as u8).collect();
         Self::from_lengths(&lengths)
     }
 
     /// Builds decode structures from explicit lengths.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "4-bit lengths index the 16-entry tables, and `symbols` holds one slot per \
+                  coded symbol"
+    )]
     pub fn from_lengths(lengths: &[u8]) -> Self {
         let mut count = [0u32; 16];
         for &l in lengths {
@@ -98,9 +103,12 @@ impl Decoder {
     /// callers should also check [`BitReader::overrun`] to distinguish
     /// truncation from an all-zeros code being decoded forever).
     #[inline]
-    // ANALYZER-ALLOW(no-panic): len ranges over 1..=15 into fixed 16-entry
-    // tables, and idx < offset[len] + count[len] = symbols.len() by the
-    // canonical-code construction in from_lengths.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "len ranges over 1..=15 into fixed 16-entry tables, and \
+                  idx < offset[len] + count[len] <= symbols.len() by the canonical-code \
+                  construction in `from_lengths`"
+    )]
     pub fn try_read_symbol(&self, r: &mut BitReader) -> Option<usize> {
         let mut code = 0u32;
         for len in 1..=15usize {
@@ -116,6 +124,11 @@ impl Decoder {
 }
 
 /// Computes length-limited Huffman code lengths for `freq`.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    reason = "node ids index the `2m - 1`-node forest, and the heap holds two nodes per merge"
+)]
 fn build_lengths(freq: &[u32]) -> Vec<u8> {
     let n = freq.len();
     let used: Vec<usize> = (0..n).filter(|&i| freq[i] > 0).collect();
@@ -180,6 +193,12 @@ fn build_lengths(freq: &[u32]) -> Vec<u8> {
 
 /// Repairs the length assignment so the Kraft sum is exactly satisfiable
 /// after clamping to [`MAX_LEN`] (the zlib-style fix-up).
+#[expect(
+    clippy::indexing_slicing,
+    clippy::expect_used,
+    reason = "indices range over `lengths`, and an over-subscribed code always has an \
+              extendable length below MAX_LEN"
+)]
 fn enforce_kraft(lengths: &mut [u8]) {
     let unit = 1u64 << MAX_LEN;
     let weight = |l: u8| -> u64 {
@@ -217,6 +236,7 @@ fn enforce_kraft(lengths: &mut [u8]) {
 }
 
 /// Assigns canonical codes for the given lengths.
+#[expect(clippy::indexing_slicing, reason = "lengths of at most 15 index the 16-entry tables")]
 fn canonical_codes(lengths: &[u8]) -> Vec<u16> {
     let mut count = [0u32; 16];
     for &l in lengths {

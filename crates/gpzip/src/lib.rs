@@ -23,7 +23,15 @@
 //! assert_eq!(gpzip::try_decompress(&compressed).unwrap(), data);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod fast;
 pub mod huffman;
@@ -160,35 +168,29 @@ const DIST_CODES: [(u32, u32); 30] = [
     (24577, 13),
 ];
 
+/// The highest code of an ascending `(base, extra bits)` table whose base is
+/// at most `value`, with the remainder and its extra-bit count.
+fn code_of(table: &[(u32, u32)], value: u32) -> (usize, u32, u32) {
+    let (code, &(base, extra)) =
+        table.iter().enumerate().rfind(|(_, &(base, _))| base <= value).unwrap_or((0, &(0, 0)));
+    (code, value - base, extra)
+}
+
 fn length_code(len: u32) -> (usize, u32, u32) {
     debug_assert!((3..=258).contains(&len));
-    // Highest code whose base <= len.
-    let mut code = 0;
-    for (i, &(base, _)) in LEN_CODES.iter().enumerate() {
-        if base <= len {
-            code = i;
-        } else {
-            break;
-        }
-    }
-    let (base, extra) = LEN_CODES[code];
-    (257 + code, len - base, extra)
+    let (code, rem, extra) = code_of(&LEN_CODES, len);
+    (257 + code, rem, extra)
 }
 
 fn dist_code(dist: u32) -> (usize, u32, u32) {
     debug_assert!(dist >= 1);
-    let mut code = 0;
-    for (i, &(base, _)) in DIST_CODES.iter().enumerate() {
-        if base <= dist {
-            code = i;
-        } else {
-            break;
-        }
-    }
-    let (base, extra) = DIST_CODES[code];
-    (code, dist - base, extra)
+    code_of(&DIST_CODES, dist)
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "tokens cover the block exactly, and symbols index their own alphabets"
+)]
 fn encode_block(block: &[u8], tokens: &[lz::Token]) -> Vec<u8> {
     // Frequency pass.
     let mut ll_freq = [0u32; LL_SYMBOLS];
@@ -264,29 +266,23 @@ fn try_decode_block(payload: &[u8], out: &mut Vec<u8>, max_total: usize) -> Resu
             return Err(truncated());
         }
         if sym < 256 {
-            out.push(sym as u8); // ANALYZER-ALLOW(no-panic): sym < 256 checked
+            out.push(sym as u8);
         } else if sym == EOB {
             return Ok(());
         } else {
-            // ANALYZER-ALLOW(no-panic): sym < LL_SYMBOLS = 286, so sym - 257 < 29
-            let (base, extra) = LEN_CODES[sym - 257];
-            // ANALYZER-ALLOW(no-panic): extra-bits fields are at most 13 bits
+            let &(base, extra) = LEN_CODES.get(sym - 257).ok_or_else(|| corrupt("length code"))?;
             let len = base + r.read_bits(extra) as u32;
             let dsym =
                 dist_table.try_read_symbol(&mut r).ok_or_else(|| corrupt("distance code"))?;
-            // ANALYZER-ALLOW(no-panic): dsym < DIST_SYMBOLS = DIST_CODES.len()
-            let (dbase, dextra) = DIST_CODES[dsym];
-            // ANALYZER-ALLOW(no-panic): extra-bits fields are at most 13 bits
+            let &(dbase, dextra) = DIST_CODES.get(dsym).ok_or_else(|| corrupt("distance code"))?;
             let dist = (dbase + r.read_bits(dextra) as u32) as usize;
             if r.overrun() {
                 return Err(truncated());
             }
             let start = out.len().checked_sub(dist).ok_or_else(|| corrupt("match distance"))?;
             // Overlapping copies are the LZ idiom for runs; copy byte-wise.
-            for i in 0..len as usize {
-                // ANALYZER-ALLOW(no-panic): start + i < out.len() — checked_sub
-                // above guards start and out grows by one byte per iteration
-                let b = out[start + i];
+            for i in start..start + len as usize {
+                let &b = out.get(i).ok_or_else(|| corrupt("match distance"))?;
                 out.push(b);
             }
         }

@@ -50,11 +50,19 @@ impl Matcher {
 
     #[inline]
     fn hash(data: &[u8], i: usize) -> usize {
-        let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+        // Callers always leave `MIN_MATCH` bytes at `i`; map_or keeps the
+        // helper panic-free.
+        let v =
+            data.get(i..).and_then(<[u8]>::first_chunk::<4>).map_or(0, |c| u32::from_le_bytes(*c));
         (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
     }
 
     /// Longest match for position `i`, searching the chain.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "hashes are masked to the table size, chain entries are earlier positions, \
+                  and match lengths are capped at `data.len() - i`"
+    )]
     fn best_match(&self, data: &[u8], i: usize) -> Option<(usize, usize)> {
         if i + MIN_MATCH > data.len() {
             return None;
@@ -91,6 +99,10 @@ impl Matcher {
     }
 
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`prev` holds one entry per position and hashes are masked to the table size"
+    )]
     fn insert(&mut self, data: &[u8], i: usize) {
         if i + MIN_MATCH <= data.len() {
             let h = Self::hash(data, i);
@@ -154,32 +166,32 @@ impl Matcher {
     }
 }
 
-/// Expands a token stream against its block (test helper / reference).
-pub fn expand(block_literals: &[u8], tokens: &[Token]) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut lit = 0usize;
-    for t in tokens {
-        match *t {
-            Token::Literals(n) => {
-                out.extend_from_slice(&block_literals[lit..lit + n as usize]);
-                lit += n as usize;
-            }
-            Token::Match { len, dist } => {
-                let start = out.len() - dist as usize;
-                for k in 0..len as usize {
-                    let b = out[start + k];
-                    out.push(b);
-                }
-                lit += len as usize;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expands a token stream against its block (the reference decoder).
+    fn expand(block_literals: &[u8], tokens: &[Token]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut lit = 0usize;
+        for t in tokens {
+            match *t {
+                Token::Literals(n) => {
+                    out.extend_from_slice(&block_literals[lit..lit + n as usize]);
+                    lit += n as usize;
+                }
+                Token::Match { len, dist } => {
+                    let start = out.len() - dist as usize;
+                    for k in 0..len as usize {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                    lit += len as usize;
+                }
+            }
+        }
+        out
+    }
 
     fn tokens_reconstruct(data: &[u8]) {
         let mut m = Matcher::new();

@@ -18,8 +18,6 @@
 //! row-group block to read anything inside it — the skipping disadvantage the
 //! paper highlights.
 
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod scrub;
 pub mod service;
@@ -290,8 +288,6 @@ impl std::error::Error for VectorAccessError {}
 /// compressed in-process by the constructor, so a failure here is a codec
 /// bug, not bad input; everything that reads by caller-supplied index (the
 /// service, the scrubber, the `try_` accessors) stays on the `Result`.
-// ANALYZER-ALLOW(no-panic): the documented trusted-bytes seam described above
-// — the only place vectorq turns a decode error into a panic.
 pub(crate) fn trusted<T>(decoded: Result<T, VectorAccessError>) -> T {
     decoded.expect("decoding bytes this column compressed in-process")
 }

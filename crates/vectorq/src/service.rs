@@ -410,9 +410,9 @@ impl Store {
             return Ok(());
         }
         match self.poison.decide(page) {
-            // ANALYZER-ALLOW(no-panic): deliberate fault injection — this is
-            // the panic the governed runner's containment seam exists to
-            // absorb, enabled only by a nonzero poison seed.
+            // Deliberate fault injection: the panic the governed runner's
+            // containment seam exists to absorb, enabled only by a nonzero
+            // poison seed.
             Some(PoisonKind::Panic) => panic!("injected page poison (page {page})"),
             Some(PoisonKind::Corrupt) => {
                 Err(LossReason::Decode(format!("injected corruption (page {page})")))

@@ -9,8 +9,6 @@
 //! upstream `rand` in low-order bits, which the statistical generators in
 //! `datagen` tolerate by construction.
 
-#![forbid(unsafe_code)]
-
 use core::ops::{Range, RangeInclusive};
 
 /// Low-level entropy source: everything derives from `next_u64`.

@@ -27,6 +27,7 @@ fn note_request(size: usize) {
 
 // SAFETY: a counting veneer; every allocator duty is delegated verbatim to
 // `System`, which upholds the `GlobalAlloc` contract.
+#[expect(unsafe_code, reason = "a global allocator is an unsafe trait by definition")]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_request(layout.size());

@@ -90,7 +90,7 @@ fn lossless_bites_a_lossy_path_on_the_bit_pattern_classes() {
         let inputs = bit_patterns::<F>();
         let input = inputs.iter().find(|i| i.name.starts_with(class)).expect("a class");
         let check = || assert_lossless(&lossy::<F>(), input, 1);
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err()
+        std::thread::scope(|s| s.spawn(check).join().is_err())
     }
     for class in ["NaN payloads", "signed zeros", "every class amid decimals"] {
         assert!(caught::<f64>(class) && caught::<f32>(class), "{class}: the lossy path passed");

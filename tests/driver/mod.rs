@@ -19,7 +19,7 @@
 //! The thread sweep is `{1, 2, 4, ALP_THREADS}` ([`thread_counts`]); every
 //! seed derives from `ALP_FAULT_SEED` ([`seed`]).
 
-#![allow(dead_code)] // every suite that includes this module drives a slice of it
+#![allow(dead_code, reason = "every suite that includes this module drives a slice of it")]
 
 #[path = "../common/mod.rs"]
 pub mod common;

@@ -13,19 +13,27 @@
 //!   [`params`] below) before those writers were deleted, and nothing in the
 //!   workspace can regenerate them. They pin V1 *reading*, strict and salvage.
 //!
+//! Read together, the files hold every magic a writer or reader knows and
+//! both row-group scheme tags, so no tag exists that no golden file pins.
+//!
 //! The input is small and deterministic (tiny `SamplerParams`, so every file
 //! is a few KB): three one-vector row-groups — decimals carrying every
 //! special bit-pattern class, real doubles that force ALP_rd, small decimals —
 //! and a ragged 333-value tail.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+use alp::archive::{self, Layout};
 use alp::format::{
     from_bytes, from_bytes_salvage, from_bytes_salvage_parallel, to_bytes, to_bytes_with_parity,
+    RowGroupView, MAGIC, MAGIC_V1, SCHEME_TAG_ALP, SCHEME_TAG_RD,
 };
+use alp::frame::{PARITY_MAGIC, PREFIX_LEN};
 use alp::pipeline::{PipelineConfig, PipelinedColumnWriter};
-use alp::stream::{ColumnReader, ColumnWriter};
+use alp::stream::{ColumnReader, ColumnWriter, COMMIT_MAGIC, STREAM_MAGIC, STREAM_MAGIC_V1};
 use alp::{AlpFloat, Compressor, ParityConfig, SamplerParams, Scheme};
+use alp_repro::corruption::frame_spans;
 
 const PARITY: ParityConfig = ParityConfig { group_size: 2 };
 
@@ -215,18 +223,63 @@ fn todays_writers_reproduce_every_v2_golden() {
     check_writers_reproduce(&dataset_f32());
 }
 
+/// Records the tags `bytes` holds as the readers meet them: the leading magic
+/// [`archive::sniff`] dispatches on, the magic of every parity frame, the
+/// commit footer's magic after a stream's terminator, and the scheme tag of
+/// every data frame body [`RowGroupView::parse_exact`] accepts.
+fn record_tags(bytes: &[u8], magics: &mut BTreeSet<[u8; 4]>, schemes: &mut BTreeSet<u8>) {
+    let magic = |at: usize| -> [u8; 4] { bytes[at..at + 4].try_into().expect("4 bytes") };
+    let kind = archive::sniff(bytes).expect("a known magic");
+    magics.insert(magic(0));
+    if kind.legacy {
+        return; // pre-checksum layouts have no frames
+    }
+    let header = match kind.layout {
+        Layout::Column => COLUMN_FIRST_BODY - PREFIX_LEN,
+        Layout::Stream => STREAM_FIRST_BODY - PREFIX_LEN,
+    };
+    let spans = frame_spans(bytes, header);
+    for &(start, end, parity) in &spans {
+        let body = &bytes[start + PREFIX_LEN..end];
+        if parity {
+            magics.insert(magic(start + PREFIX_LEN));
+            continue;
+        }
+        let parsed = match kind.bits {
+            64 => RowGroupView::<f64>::parse_exact(body).map(|_| ()),
+            _ => RowGroupView::<f32>::parse_exact(body).map(|_| ()),
+        };
+        parsed.unwrap_or_else(|e| panic!("frame at {start}: {e}"));
+        schemes.insert(body[0]);
+    }
+    if matches!(kind.layout, Layout::Stream) {
+        let (_, last_end, _) = spans.last().expect("a stream with frames");
+        magics.insert(magic(last_end + 4)); // past the 4-byte terminator
+    }
+}
+
 #[test]
 fn every_golden_reads_back_bit_exactly() {
+    let f64_columns = ["alp2_f64.bin", "alp2_f64_parity2.bin", "alp1_f64.bin"];
+    let f64_streams = ["alpt_f64.bin", "alpt_f64_parity2.bin", "alps_f64.bin"];
     let f64s = dataset_f64();
-    for name in ["alp2_f64.bin", "alp2_f64_parity2.bin", "alp1_f64.bin"] {
+    for name in f64_columns {
         check_column_reads(name, &f64s);
     }
-    for name in ["alpt_f64.bin", "alpt_f64_parity2.bin", "alps_f64.bin"] {
+    for name in f64_streams {
         check_stream_reads(name, &f64s);
     }
     let f32s = dataset_f32();
     check_column_reads("alp2_f32.bin", &f32s);
     check_stream_reads("alpt_f32.bin", &f32s);
+
+    let (mut magics, mut schemes) = (BTreeSet::new(), BTreeSet::new());
+    for name in f64_columns.into_iter().chain(f64_streams).chain(["alp2_f32.bin", "alpt_f32.bin"]) {
+        record_tags(&golden(name), &mut magics, &mut schemes);
+    }
+    let known = [MAGIC, MAGIC_V1, STREAM_MAGIC, STREAM_MAGIC_V1, COMMIT_MAGIC, PARITY_MAGIC];
+    assert_eq!(magics, known.into_iter().copied().collect(), "magics in the golden set");
+    assert_eq!(schemes, BTreeSet::from([SCHEME_TAG_ALP, SCHEME_TAG_RD]), "scheme tags");
 }
 
 /// Offset of the first frame's body: the format's fixed header, then the

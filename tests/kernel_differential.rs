@@ -30,7 +30,7 @@
 //! bases at `i64::MIN` / `i64::MAX` / `±2^50 ± 1` / `±2^51` (the per-vector
 //! conversion choice flips between them), scaled magnitudes on either side of
 //! `2^50` and NaNs (the encoder's fallback), exceptions on block edges, and
-//! short tail vectors. Plus a proptest that the pruned `full_search` is the
+//! short tail vectors. Plus a seeded property that the pruned `full_search` is the
 //! exhaustive one.
 
 use alp::decode::{
@@ -49,10 +49,11 @@ use alp::rowgroup::AlpGroup;
 use alp::sampler::{full_search, score_sample, Combination, SampleScore};
 use alp::{AlpFloat, VECTOR_SIZE};
 use alp_core::scan::{scan_values, ScanAgg, ScanPredicate, ScanResult};
+use alp_repro::corruption::SplitMix64;
 use fastlanes::{bitpack, bitpack32, ffor, packed_len};
-use proptest::collection::vec;
-use proptest::prelude::*;
 use vectorq::{Column, Format, ZoneMap};
+
+mod driver;
 
 /// Deterministic 64-bit mixer (splitmix64 finalizer).
 fn mix(i: u64) -> u64 {
@@ -1101,28 +1102,28 @@ fn pruned_full_search_equals_the_exhaustive_one_on_every_dataset() {
     }
 }
 
-/// Values that move the running bound late or tie it: mostly one decimal
-/// population, with outliers, specials and a second population at the end.
-fn adversarial_f64() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        6 => (any::<i16>(), 0u32..4).prop_map(|(d, p)| d as f64 / 10f64.powi(p as i32)),
-        1 => (any::<i64>(), 0u32..19).prop_map(|(d, p)| d as f64 / 10f64.powi(p as i32)),
-        1 => any::<u64>().prop_map(f64::from_bits),
-        1 => (0u8..4).prop_map(|k| [0.0, -0.0, f64::NAN, 1e300][k as usize]),
-    ]
+/// A value that moves the running bound late or ties it: mostly one decimal
+/// population (6 in 9), with wide decimals, raw bit patterns and specials.
+fn adversarial_f64(rng: &mut SplitMix64) -> f64 {
+    match rng.below(9) {
+        0..=5 => rng.next_u64() as i16 as f64 / 10f64.powi(rng.below(4) as i32),
+        6 => rng.next_u64() as i64 as f64 / 10f64.powi(rng.below(19) as i32),
+        7 => f64::from_bits(rng.next_u64()),
+        _ => [0.0, -0.0, f64::NAN, 1e300][rng.below(4)],
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn pruned_full_search_equals_the_exhaustive_one_on_adversarial_samples(
-        head in vec(adversarial_f64(), 0..40),
-        tail in vec(any::<u64>().prop_map(f64::from_bits), 0..6),
-    ) {
-        let sample: Vec<f64> = head.into_iter().chain(tail).collect();
-        prop_assert_eq!(full_search(&sample), exhaustive_search(&sample));
+/// 96 seeded samples: up to 39 adversarial values, then up to 5 raw bit
+/// patterns (a second population at the end), at both widths.
+#[test]
+fn pruned_full_search_equals_the_exhaustive_one_on_adversarial_samples() {
+    let mut rng = SplitMix64::new(driver::seed() ^ 0x5EA2);
+    for case in 0..96 {
+        let (head, tail) = (rng.below(40), rng.below(6));
+        let mut sample: Vec<f64> = (0..head).map(|_| adversarial_f64(&mut rng)).collect();
+        sample.extend((0..tail).map(|_| f64::from_bits(rng.next_u64())));
+        assert_eq!(full_search(&sample), exhaustive_search(&sample), "case {case}: {sample:?}");
         let narrow: Vec<f32> = sample.iter().map(|&x| x as f32).collect();
-        prop_assert_eq!(full_search(&narrow), exhaustive_search(&narrow));
+        assert_eq!(full_search(&narrow), exhaustive_search(&narrow), "case {case} as f32");
     }
 }

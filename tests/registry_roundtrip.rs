@@ -1,6 +1,7 @@
-//! Registry-driven losslessness over the columns that break codecs in
-//! practice — names the test floor pins, each one a slice of the differential
-//! driver's table (`tests/differential.rs` runs all of it; DESIGN.md §17).
+//! Registry-wide measurement over the columns that break codecs in practice —
+//! a name the test floor pins. The roundtrips themselves are the differential
+//! driver's `lossless_through_every_registry_codec_at_both_widths`
+//! (`tests/differential.rs`; DESIGN.md §17).
 
 mod driver;
 
@@ -11,12 +12,6 @@ fn edge_columns<F: Float>() -> Vec<Input<F>> {
     let mut inputs = bit_patterns();
     inputs.extend(vector_lengths());
     inputs
-}
-
-lossless_tests! {
-    every_codec_roundtrips_every_edge_column: f64, codecs(), edge_columns();
-    f32_capable_codecs_roundtrip_edge_columns: f32, codecs(), edge_columns();
-    every_codec_roundtrips_arbitrary_columns: f64, codecs(), arbitrary(24, 2600);
 }
 
 #[test]

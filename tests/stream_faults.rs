@@ -1,14 +1,16 @@
 //! Stream-layer truncation suite: a writer killed at an arbitrary byte
 //! offset — mid-header, mid-payload, or mid-footer — leaves a stream that
 //! salvage-reads to exactly the committed row-group prefix, reports the rest
-//! as lost, and never claims to be committed. Offsets are proptest-chosen;
-//! the boundary cuts (frame edges, terminator, footer) run exhaustively.
+//! as lost, and never claims to be committed. Offsets are seeded draws
+//! (`ALP_FAULT_SEED`); the boundary cuts (frame edges, terminator, footer) run
+//! exhaustively.
 
 use alp::io::{fault_seed, FaultyRead, RetryPolicy};
 use alp::stream::{ColumnReader, ColumnWriter};
 use alp::SamplerParams;
-use alp_repro::corruption::{stream_frame_spans, transient_plans};
-use proptest::prelude::*;
+use alp_repro::corruption::{stream_frame_spans, transient_plans, SplitMix64};
+
+mod driver;
 
 /// Small row-groups (4 × 1024 values) keep each case cheap while still
 /// giving several frames to cut between.
@@ -96,28 +98,31 @@ fn every_boundary_cut_salvages_the_committed_prefix() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn any_cut_salvages_the_committed_prefix(frac in 0u64..1_000_000) {
-        let data = dataset();
-        let clean = clean_stream(&data);
-        let ends = frame_ends(&clean);
-        let cut = (frac as usize * (clean.len() - 1)) / 1_000_000;
-        check_cut(&data, &clean, &ends, cut);
+/// 64 seeded cuts anywhere before the last byte.
+#[test]
+fn any_cut_salvages_the_committed_prefix() {
+    let data = dataset();
+    let clean = clean_stream(&data);
+    let ends = frame_ends(&clean);
+    let mut rng = SplitMix64::new(driver::seed() ^ 0xC07);
+    for _ in 0..64 {
+        check_cut(&data, &clean, &ends, rng.below(clean.len() - 1));
     }
+}
 
-    #[test]
-    fn salvage_retries_transient_reads_while_truncated(frac in 0u64..1_000_000, which in 0usize..3) {
-        // A torn stream read through a flaky source: the salvage path must
-        // retry transients and recover exactly what a fault-free read of the
-        // same torn bytes recovers.
-        let data = dataset();
-        let clean = clean_stream(&data);
-        let cut = 5 + (frac as usize * (clean.len() - 6)) / 1_000_000;
+/// A torn stream read through a flaky source: the salvage path must retry
+/// transients and recover exactly what a fault-free read of the same torn
+/// bytes recovers. 64 seeded (cut past the header, transient plan) cases.
+#[test]
+fn salvage_retries_transient_reads_while_truncated() {
+    let data = dataset();
+    let clean = clean_stream(&data);
+    let plans = transient_plans(fault_seed(42));
+    let mut rng = SplitMix64::new(driver::seed() ^ 0x7EA2);
+    for _ in 0..64 {
+        let cut = 5 + rng.below(clean.len() - 6);
+        let (name, plan) = &plans[rng.below(3)];
         let torn = &clean[..cut];
-        let plan = transient_plans(fault_seed(42))[which].1;
 
         let mut reference = ColumnReader::<f64, _>::new(torn).expect("open reference");
         let mut want = Vec::new();
@@ -125,19 +130,21 @@ proptest! {
             want.extend(values);
         }
 
-        let source = FaultyRead::new(torn, plan);
-        let mut reader = ColumnReader::<f64, _>::with_retry_policy(source, RetryPolicy::immediate(64))
-            .expect("open faulty");
+        let source = FaultyRead::new(torn, *plan);
+        let mut reader =
+            ColumnReader::<f64, _>::with_retry_policy(source, RetryPolicy::immediate(64))
+                .expect("open faulty");
         let mut got = Vec::new();
         while let Some(values) = reader.next_rowgroup_salvaged().expect("faulty salvage") {
             got.extend(values);
         }
-        prop_assert_eq!(got.len(), want.len());
+        let label = format!("cut {cut}, plan {name}");
+        assert_eq!(got.len(), want.len(), "{label}");
         for (a, b) in want.iter().zip(&got) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}");
         }
-        prop_assert_eq!(reader.is_committed(), reference.is_committed());
-        prop_assert_eq!(reader.lost_rowgroups(), reference.lost_rowgroups());
+        assert_eq!(reader.is_committed(), reference.is_committed(), "{label}");
+        assert_eq!(reader.lost_rowgroups(), reference.lost_rowgroups(), "{label}");
     }
 }
 
