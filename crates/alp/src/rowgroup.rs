@@ -31,8 +31,7 @@ use crate::encode::{encode_vector_into, AlpVector, ExcArena, ExcView, OwnedAlpVe
 use crate::format::{encode_alp_body, encode_rd_body};
 use crate::rd::{choose_cut_with, decode_rd_vector, RdEncoder, RdMeta, RdVector};
 use crate::sampler::{
-    first_level_with, prefers_rd, second_level, Combination, ConfigError, SamplerParams,
-    SamplerStats,
+    prefers_rd, rd_cap, second_level, Combination, ConfigError, Level1, SamplerParams, SamplerStats,
 };
 use crate::traits::AlpFloat;
 
@@ -413,12 +412,13 @@ enum StoredVector<'a> {
 }
 
 /// What encoding a row-group needs beside its values, reusable from one
-/// row-group to the next so that a warm writer allocates nothing: the level-1
-/// winners, the ALP candidate list, and the ALP_rd sample and encoder (whose
-/// probe table is at most 64 KB).
+/// row-group to the next so that a warm writer allocates nothing: level 1's
+/// per-vector results and winners (as many as `sample_vectors` asks for), the
+/// ALP candidate list, and the ALP_rd sample and encoder (whose probe table is
+/// at most 64 KB).
 #[derive(Debug, Clone, Default)]
 pub struct EncodeScratch {
-    winners: Vec<(Combination, usize)>,
+    level1: Level1,
     candidates: Vec<Combination>,
     rd_sample: Vec<u64>,
     rd: Option<RdEncoder>,
@@ -466,34 +466,67 @@ impl Compressor {
         self.params.vectors_per_rowgroup * VECTOR_SIZE
     }
 
-    /// Level-1 sampling and the scheme decision for one row-group. Sampling
-    /// state is strictly row-group-local (level 1 runs on `rg_data` alone;
-    /// level 2 only ever *adds* to `stats`), which is what makes the parallel
-    /// paths byte-exact: each worker decides what the serial loop would.
+    /// Level-1 sampling and the scheme decision for one row-group — what
+    /// [`Compressor::encode_rowgroup_body`] runs before it encodes anything —
+    /// counted in `stats` (`rowgroups_alp`, `rowgroups_rd`, `rd_proven`).
+    /// Sampling state is strictly row-group-local (level 1 runs on `rg_data`
+    /// alone; level 2 only ever *adds* to `stats`), which is what makes the
+    /// parallel paths byte-exact: each worker decides what the serial loop
+    /// would.
+    ///
+    /// The decision comes first: each sampled vector is searched under the
+    /// rd rule's own cap, and when all of them are above it the rule holds
+    /// for the pooled sample too, so the row-group goes ALP_rd without
+    /// finishing level 1 (`rd_proven`). Otherwise level 1 finishes, exactly
+    /// as [`crate::sampler::first_level`] would, and the rule decides on its
+    /// figures.
+    pub fn choose_scheme<F: AlpFloat>(
+        &self,
+        rg_data: &[F],
+        scratch: &mut EncodeScratch,
+        stats: &mut SamplerStats,
+    ) -> Scheme {
+        let level1 = &mut scratch.level1;
+        let proven = level1.search(rg_data, &self.params, rd_cap::<F>);
+        let rd = proven || {
+            let (estimated_bits_per_value, exception_fraction) =
+                level1.finish(rg_data, &self.params);
+            prefers_rd::<F>(estimated_bits_per_value, exception_fraction)
+        };
+        if rd {
+            stats.rowgroups_rd += 1;
+            stats.rd_proven += usize::from(proven);
+            Scheme::AlpRd
+        } else {
+            stats.rowgroups_alp += 1;
+            Scheme::Alp
+        }
+    }
+
+    /// [`Compressor::choose_scheme`], with what the vectors encode under.
     fn plan_rowgroup<'a, F: AlpFloat>(
         &self,
         rg_data: &[F],
         scratch: &'a mut EncodeScratch,
         stats: &mut SamplerStats,
     ) -> Plan<'a> {
-        let (estimated_bits_per_value, exception_fraction) =
-            first_level_with(rg_data, &self.params, &mut scratch.winners);
-        if prefers_rd::<F>(estimated_bits_per_value, exception_fraction) {
-            stats.rowgroups_rd += 1;
-            let sample_size = self.params.sample_vectors * self.params.sample_values;
-            let cut = choose_cut_with::<F>(rg_data, sample_size, &mut scratch.rd_sample);
-            Plan::Rd(match &mut scratch.rd {
-                Some(encoder) => {
-                    encoder.set_cut(cut);
-                    encoder
-                }
-                none => none.insert(RdEncoder::for_cut(cut)),
-            })
-        } else {
-            stats.rowgroups_alp += 1;
-            scratch.candidates.clear();
-            scratch.candidates.extend(scratch.winners.iter().map(|&(c, _)| c));
-            Plan::Alp(&scratch.candidates)
+        match self.choose_scheme(rg_data, scratch, stats) {
+            Scheme::AlpRd => {
+                let sample_size = self.params.sample_vectors * self.params.sample_values;
+                let cut = choose_cut_with::<F>(rg_data, sample_size, &mut scratch.rd_sample);
+                Plan::Rd(match &mut scratch.rd {
+                    Some(encoder) => {
+                        encoder.set_cut(cut);
+                        encoder
+                    }
+                    none => none.insert(RdEncoder::for_cut(cut)),
+                })
+            }
+            Scheme::Alp => {
+                scratch.candidates.clear();
+                scratch.candidates.extend(scratch.level1.winners.iter().map(|&(c, _)| c));
+                Plan::Alp(&scratch.candidates)
+            }
         }
     }
 

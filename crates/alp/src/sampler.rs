@@ -6,6 +6,14 @@
 //! keep the `k` most frequent winners. The pooled sample also drives the
 //! ALP-vs-ALP_rd scheme decision (§3.4).
 //!
+//! Two things make level 1 cheaper without changing any outcome. A per-shift
+//! lower bound on a sample's exceptions that scores nothing
+//! ([`is_definite_exception`]) lets the search skip combinations that could
+//! neither win nor tie. And the compressor searches each sampled vector under
+//! the scheme rule's own cap first (`rd_cap`): when every sampled vector is
+//! above it, the row-group is ALP_rd whatever the exact scores are, and level
+//! 1 stops there.
+//!
 //! **Level 2** (once per vector, only when `k' > 1`): sample `SECOND_VALUES`
 //! equidistant values from the vector, evaluate the `k'` candidates in order,
 //! early-exiting after two consecutive non-improvements.
@@ -140,41 +148,104 @@ fn score_sample_capped<F: AlpFloat>(sample: &[F], e: u8, f: u8, cap: usize) -> S
     score
 }
 
+/// Magnitudes from `2^51` up leave the sweet-spot round's exact range.
+const SWEET_RANGE: f64 = (1u64 << 51) as f64;
+
+/// Whether `n` is an exception under every `(e, f)` with `e − f = shift`
+/// (`shift <= F::MAX_EXPONENT`), decided without encoding anything.
+///
+/// [`crate::encode::decode_one`] is `d·10^f·10^-e` rounded at most four
+/// times (the conversion of `d`, the inexact `10^-e`, two products), and
+/// `10^f·10^-e = 10^-shift`. So if some integer `d` decodes to `n`, then
+/// `y = n·10^shift` — computed in `f64`, exactly for `f32` — lies within
+/// `(5u + O(u²))·|y| < 8u·|y|` of `d`, `u` being `F`'s
+/// [`AlpFloat::UNIT_ROUNDOFF`] (the fifth rounding is `y`'s own). A `y` in
+/// the sweet-spot round's exact range (`|y| < 2^51`) whose nearest integer is
+/// farther than that has no such `d`. Below `|y| = 1/2` that nearest integer
+/// is 0, which decodes to `+0.0` only, while every other `d` decodes to a
+/// `|y|` near `|d| ≥ 1`. NaN, ±∞ and overflowing products fail both
+/// comparisons and are never marked.
+#[inline(always)]
+pub fn is_definite_exception<F: AlpFloat>(n: F, shift: u8) -> bool {
+    let y = n.to_f64() * f64::f10(shift);
+    let off = (y - ((y + f64::SWEET) - f64::SWEET)).abs();
+    y.abs() < SWEET_RANGE && off > 8.0 * F::UNIT_ROUNDOFF * y.abs()
+}
+
+/// Shifts `e − f` of the widest search space (`f64`'s).
+const SHIFTS: usize = f64::MAX_EXPONENT as usize + 1;
+
+/// Per shift `g`, a lower bound on how many values of `sample` are
+/// exceptions under every combination with `e − f = g`: the values
+/// [`is_definite_exception`] marks, counted from `g = 0` up to the first shift
+/// that marks none. Any count of 0 is a lower bound, and a shift above one
+/// where every value is an integer or out of range hardly ever marks any, so
+/// the counting stops there: after `p + 1` shifts on `p`-digit decimals.
+fn definite_exceptions<F: AlpFloat>(sample: &[F]) -> [usize; SHIFTS] {
+    let mut counts = [0; SHIFTS];
+    for (shift, count) in (0..=F::MAX_EXPONENT).zip(&mut counts) {
+        *count = sample.iter().filter(|&&n| is_definite_exception(n, shift)).count();
+        if *count == 0 {
+            break;
+        }
+    }
+    counts
+}
+
 /// Brute-force search over the full `(e, f)` space; ties prefer higher `e`,
 /// then higher `f` (§3.2).
 pub fn full_search<F: AlpFloat>(sample: &[F]) -> (Combination, SampleScore) {
-    full_search_from(sample, None)
+    uncapped_search(sample, None)
 }
 
-/// [`full_search`] with a head start: `seed` (a combination of the search
-/// space — the previous vector's winner) is scored first and the sweep starts
-/// under its score instead of under no bound at all. The sweep still visits
-/// every combination in order, the seed included, so the winner is still the
-/// *last* combination with the minimal score: the outcome does not depend on
-/// the seed, only the number of values scored does.
-fn full_search_from<F: AlpFloat>(
+/// [`full_search_from`] with no cap, under which something always scores.
+fn uncapped_search<F: AlpFloat>(
     sample: &[F],
     seed: Option<Combination>,
 ) -> (Combination, SampleScore) {
-    let (mut best, mut best_score) = match seed {
-        Some(c) => (c, score_sample(sample, c.e, c.f)),
-        None => (Combination { e: 0, f: 0 }, SampleScore { bits: usize::MAX, exceptions: 0 }),
-    };
+    full_search_from(sample, seed, usize::MAX).expect("every score is at most usize::MAX")
+}
+
+/// [`full_search`] under `cap`: the same winner and score when that score is
+/// `<= cap`, and `None` when no combination scores within it.
+///
+/// `seed` (a combination of the search space — the previous vector's winner)
+/// is a head start: it is scored first and the sweep starts under its score.
+/// The sweep still visits every combination in order, the seed included, so
+/// the winner is still the *last* combination with the minimal score: the
+/// outcome does not depend on the seed, only the number of values scored
+/// does.
+fn full_search_from<F: AlpFloat>(
+    sample: &[F],
+    seed: Option<Combination>,
+    cap: usize,
+) -> Option<(Combination, SampleScore)> {
+    let definite = definite_exceptions(sample);
+    let exception_bits = F::BITS as usize + 16;
+    let mut bound = cap;
+    if let Some(c) = seed {
+        bound = bound.min(score_sample_capped(sample, c.e, c.f, bound).bits);
+    }
+    let mut best = None;
     for e in 0..=F::MAX_EXPONENT {
         for f in 0..=e {
-            // A combination abandoned above the best score could neither win
-            // nor tie, so capping changes no winner and no reported score.
-            let s = score_sample_capped(sample, e, f, best_score.bits);
+            // A combination whose definite exceptions alone cost more than
+            // the bound, or that is abandoned above it, could neither win nor
+            // tie: skipping and capping change no winner and no score.
+            if definite[usize::from(e - f)] * exception_bits > bound {
+                continue;
+            }
+            let s = score_sample_capped(sample, e, f, bound);
             // `e` ascends and `f` ascends within `e`, so `<=` makes the
             // *later* (higher-e, then higher-f) combination win ties — the
             // paper's tie-break rule.
-            if s.bits <= best_score.bits {
-                best = Combination { e, f };
-                best_score = s;
+            if s.bits <= bound {
+                best = Some((Combination { e, f }, s));
+                bound = s.bits;
             }
         }
     }
-    (best, best_score)
+    best
 }
 
 /// Outcome of level-1 sampling for one row-group.
@@ -198,12 +269,45 @@ impl FirstLevelOutcome {
 }
 
 /// The rule behind [`FirstLevelOutcome::should_use_rd`], on the two figures
-/// [`first_level_with`] returns.
+/// [`Level1::finish`] returns.
 pub(crate) fn prefers_rd<F: AlpFloat>(
     estimated_bits_per_value: f64,
     exception_fraction: f64,
 ) -> bool {
-    estimated_bits_per_value >= F::BITS as f64 * 0.96 || exception_fraction > 0.35
+    estimated_bits_per_value >= rd_threshold::<F>() || exception_fraction > 0.35
+}
+
+/// The estimated bits/value at and above which [`prefers_rd`] switches.
+fn rd_threshold<F: AlpFloat>() -> f64 {
+    F::BITS as f64 * 0.96
+}
+
+/// The largest bit count `b` whose rate over `len` sampled values is still
+/// below the rd threshold: `b > rd_cap::<F>(len)` exactly when
+/// `prefers_rd::<F>(b as f64 / len as f64, 0.0)`.
+///
+/// Worked out in integers from the threshold's bits, not by rounding a float
+/// quotient. `b as f64 / len as f64` is the real quotient correctly rounded,
+/// so it is `>= t` exactly when the real quotient passes the midpoint between
+/// `t` and the double `p` below it. With `t = mt·2^kt` and `p = mp·2^kp`
+/// (`kp <= kt`) that midpoint is `n·2^(kp−1)`, `n = mt·2^(kt−kp) + mp`, and the
+/// test is `b·2^(1−kp) > n·len`. It cannot tie: `n` is odd (`mt + mp` when
+/// `kt = kp`, `2^53 + mp` otherwise), so a tie needs `2^(1−kp)` (here `2^48`
+/// or more) to divide `len`, and a sample holds at most a vector. Because the
+/// test is linear in `(b, len)`, pooled samples that are each above their cap
+/// are above the pooled cap too.
+pub(crate) fn rd_cap<F: AlpFloat>(len: usize) -> usize {
+    let t = rd_threshold::<F>();
+    let (mt, kt) = significand_and_exponent(t);
+    let (mp, kp) = significand_and_exponent(f64::from_bits(t.to_bits() - 1));
+    let n = (u128::from(mt) << (kt - kp)) + u128::from(mp);
+    usize::try_from((n * len as u128) >> (1 - kp)).unwrap_or(usize::MAX)
+}
+
+/// `(m, k)` with `x = m·2^k` for a positive normal double `x`.
+fn significand_and_exponent(x: f64) -> (u64, i32) {
+    let bits = x.to_bits();
+    ((bits & ((1 << 52) - 1)) | (1 << 52), (bits >> 52) as i32 - 1075)
 }
 
 /// Indices of `count` samples of a `len`-element sequence: one per
@@ -241,64 +345,114 @@ fn sample_into<'a, F: AlpFloat>(vector: &[F], count: usize, buf: &'a mut [F]) ->
 /// Level-1 sampling over one row-group, presented as a slice of (up to
 /// `vectors_per_rowgroup * 1024`) values.
 pub fn first_level<F: AlpFloat>(rowgroup: &[F], params: &SamplerParams) -> FirstLevelOutcome {
-    let mut winners = Vec::new();
-    let (estimated_bits_per_value, exception_fraction) =
-        first_level_with(rowgroup, params, &mut winners);
+    let mut level1 = Level1::default();
+    level1.search(rowgroup, params, |_| usize::MAX);
+    let (estimated_bits_per_value, exception_fraction) = level1.finish(rowgroup, params);
     FirstLevelOutcome {
-        combinations: winners.into_iter().map(|(c, _)| c).collect(),
+        combinations: level1.winners.into_iter().map(|(c, _)| c).collect(),
         estimated_bits_per_value,
         exception_fraction,
     }
 }
 
-/// [`first_level`] over the caller's winner list: leaves the `k' <= k`
-/// candidates in `winners`, most frequent first, and returns
-/// `(estimated_bits_per_value, exception_fraction)`. Allocates nothing once
-/// `winners` is warm.
-pub(crate) fn first_level_with<F: AlpFloat>(
-    rowgroup: &[F],
+/// The sampled vectors of a row-group, in order.
+fn sampled_vectors<'a, F: AlpFloat>(
+    rowgroup: &'a [F],
     params: &SamplerParams,
-    winners: &mut Vec<(Combination, usize)>,
-) -> (f64, f64) {
+) -> impl Iterator<Item = &'a [F]> {
     let n_vectors = rowgroup.len().div_ceil(fastlanes::VECTOR_SIZE);
-
-    // Winners with their frequencies, in order of first appearance.
-    winners.clear();
-    let mut sample_buf = [F::from_i64(0); fastlanes::VECTOR_SIZE];
-    let mut sampled_values = 0usize;
-    let mut best_bits = 0usize;
-    let mut best_exceptions = 0usize;
-    // (e, f) is stable within a column (§3.2), so the previous sampled
-    // vector's winner is a tight first bound for this one's search.
-    let mut previous = None;
-
-    for vid in equidistant_indices(n_vectors, params.sample_vectors) {
+    equidistant_indices(n_vectors, params.sample_vectors).map(move |vid| {
         let start = vid * fastlanes::VECTOR_SIZE;
-        let end = (start + fastlanes::VECTOR_SIZE).min(rowgroup.len());
-        let sample = sample_into(&rowgroup[start..end], params.sample_values, &mut sample_buf);
-        let (combo, score) = full_search_from(sample, previous);
-        previous = Some(combo);
-        match winners.iter_mut().find(|(c, _)| *c == combo) {
-            Some((_, n)) => *n += 1,
-            None => winners.push((combo, 1)),
+        &rowgroup[start..(start + fastlanes::VECTOR_SIZE).min(rowgroup.len())]
+    })
+}
+
+/// Level 1 of one row-group in two steps over reusable buffers ([`first_level`]
+/// runs both; allocates nothing once warm): [`Level1::search`] searches every
+/// sampled vector under a cap, [`Level1::finish`] completes the searches that
+/// ran above it and ranks the winners.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Level1 {
+    /// Per sampled vector: its sample length, and its best combination with
+    /// the exact score, or `None` while that score is only known to exceed
+    /// the cap the vector was searched under.
+    searches: Vec<(usize, Option<(Combination, SampleScore)>)>,
+    /// After [`Level1::finish`]: the `k' <= k` candidates, most frequent
+    /// first, with their frequencies.
+    pub(crate) winners: Vec<(Combination, usize)>,
+}
+
+impl Level1 {
+    /// Searches every sampled vector of `rowgroup` under `cap(sample length)`
+    /// and returns whether there was one and each scored above its cap.
+    pub(crate) fn search<F: AlpFloat>(
+        &mut self,
+        rowgroup: &[F],
+        params: &SamplerParams,
+        cap: fn(usize) -> usize,
+    ) -> bool {
+        let mut buf = [F::from_i64(0); fastlanes::VECTOR_SIZE];
+        // (e, f) is stable within a column (§3.2), so the previous sampled
+        // vector's winner is a tight first bound for this one's search.
+        let mut previous = None;
+        self.searches.clear();
+        for vector in sampled_vectors(rowgroup, params) {
+            let sample = sample_into(vector, params.sample_values, &mut buf);
+            let found = full_search_from(sample, previous, cap(sample.len()));
+            previous = found.map(|(c, _)| c).or(previous);
+            self.searches.push((sample.len(), found));
         }
-        // The scheme decision uses what a *per-vector adaptive* encoder can
-        // achieve — each sampled vector under its own best combination —
-        // so mixed row-groups (e.g. zero bursts next to value bursts) are
-        // not mistaken for incompressible real doubles.
-        sampled_values += sample.len();
-        best_bits += score.bits;
-        best_exceptions += score.exceptions;
+        !self.searches.is_empty() && self.searches.iter().all(|(_, found)| found.is_none())
     }
 
-    // Frequency-rank the winners; ties prefer higher e, then higher f.
-    winners.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.e.cmp(&a.0.e)).then(b.0.f.cmp(&a.0.f)));
-    winners.truncate(params.max_combinations);
+    /// Searches the vectors that [`Level1::search`] left above their cap
+    /// again without one, ranks the winners into [`Level1::winners`] and
+    /// returns `(estimated_bits_per_value, exception_fraction)`. A vector
+    /// found under its cap has found its exact best, so these are the
+    /// figures of an uncapped search, whatever the caps were.
+    pub(crate) fn finish<F: AlpFloat>(
+        &mut self,
+        rowgroup: &[F],
+        params: &SamplerParams,
+    ) -> (f64, f64) {
+        let mut buf = [F::from_i64(0); fastlanes::VECTOR_SIZE];
+        let mut previous = None;
+        let (mut sampled_values, mut best_bits, mut best_exceptions) = (0usize, 0usize, 0usize);
+        // Winners with their frequencies, in order of first appearance.
+        self.winners.clear();
+        for (&(len, found), vector) in self.searches.iter().zip(sampled_vectors(rowgroup, params)) {
+            let (combo, score) = match found {
+                Some(hit) => hit,
+                None => {
+                    uncapped_search(sample_into(vector, params.sample_values, &mut buf), previous)
+                }
+            };
+            previous = Some(combo);
+            match self.winners.iter_mut().find(|(c, _)| *c == combo) {
+                Some((_, n)) => *n += 1,
+                None => self.winners.push((combo, 1)),
+            }
+            // The scheme decision uses what a *per-vector adaptive* encoder
+            // can achieve — each sampled vector under its own best
+            // combination — so mixed row-groups (e.g. zero bursts next to
+            // value bursts) are not mistaken for incompressible real doubles.
+            sampled_values += len;
+            best_bits += score.bits;
+            best_exceptions += score.exceptions;
+        }
 
-    if sampled_values == 0 {
-        (0.0, 0.0)
-    } else {
-        (best_bits as f64 / sampled_values as f64, best_exceptions as f64 / sampled_values as f64)
+        // Frequency-rank the winners; ties prefer higher e, then higher f.
+        self.winners.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.e.cmp(&a.0.e)).then(b.0.f.cmp(&a.0.f)));
+        self.winners.truncate(params.max_combinations);
+
+        if sampled_values == 0 {
+            (0.0, 0.0)
+        } else {
+            (
+                best_bits as f64 / sampled_values as f64,
+                best_exceptions as f64 / sampled_values as f64,
+            )
+        }
     }
 }
 
@@ -316,6 +470,9 @@ pub struct SamplerStats {
     pub rowgroups_alp: usize,
     /// Row-groups that fell back to ALP_rd.
     pub rowgroups_rd: usize,
+    /// Of those, the row-groups whose decision level 1 settled without
+    /// finishing: every sampled vector scored above the rd rule's own cap.
+    pub rd_proven: usize,
     /// Vectors whose row-group candidates all failed locally and that were
     /// re-searched individually (see `rescue_if_poor`).
     pub rescued_vectors: usize,
@@ -333,6 +490,7 @@ impl SamplerStats {
         }
         self.rowgroups_alp += other.rowgroups_alp;
         self.rowgroups_rd += other.rowgroups_rd;
+        self.rd_proven += other.rd_proven;
         self.rescued_vectors += other.rescued_vectors;
     }
 }
@@ -527,30 +685,50 @@ mod tests {
 
     /// A seed changes how many values a search scores, never what it finds:
     /// whichever combination it starts under, the sweep ends on the last
-    /// combination with the minimal score, scored exactly.
+    /// combination with the minimal score, scored exactly. A cap changes
+    /// nothing at or above that score, and below it finds nothing.
     #[test]
-    fn seeded_search_equals_the_unseeded_one_under_every_seed() {
-        for sample in search_samples() {
-            let want = full_search(&sample);
-            for e in 0..=f64::MAX_EXPONENT {
+    fn seeded_and_capped_searches_equal_the_plain_one() {
+        fn check<F: AlpFloat>(sample: &[F]) {
+            let want = full_search(sample);
+            for e in 0..=F::MAX_EXPONENT {
                 for f in 0..=e {
-                    let seed = Combination { e, f };
-                    assert_eq!(full_search_from(&sample, Some(seed)), want, "seed {seed:?}");
-                }
-            }
-            let narrow: Vec<f32> = sample.iter().map(|&x| x as f32).collect();
-            let want = full_search(&narrow);
-            for e in 0..=f32::MAX_EXPONENT {
-                for f in 0..=e {
-                    let seed = Combination { e, f };
-                    assert_eq!(full_search_from(&narrow, Some(seed)), want, "f32 seed {seed:?}");
+                    let seed = Some(Combination { e, f });
+                    for cap in [usize::MAX, want.1.bits, want.1.bits + 1] {
+                        let got = full_search_from(sample, seed, cap);
+                        assert_eq!(got, Some(want), "{} seed {seed:?} cap {cap}", F::NAME);
+                    }
+                    if let Some(cap) = want.1.bits.checked_sub(1) {
+                        assert_eq!(full_search_from(sample, seed, cap), None, "{}", F::NAME);
+                    }
                 }
             }
         }
+        for sample in search_samples() {
+            check(&sample);
+            check(&sample.iter().map(|&x| x as f32).collect::<Vec<_>>());
+        }
     }
 
-    /// `first_level` as it was before its searches were seeded: every sampled
-    /// vector searched from scratch.
+    /// `b > rd_cap(len)` is the rd rule on `b / len`, for every sample length
+    /// up to a vector and every bit count a sample can score.
+    #[test]
+    fn rd_cap_is_the_rd_rule_at_every_length_and_score() {
+        fn check<F: AlpFloat>() {
+            for len in 1..=fastlanes::VECTOR_SIZE {
+                let cap = rd_cap::<F>(len);
+                for b in 0..=len * (F::BITS as usize + 16) {
+                    let rule = prefers_rd::<F>(b as f64 / len as f64, 0.0);
+                    assert!((b > cap) == rule, "{} len {len} b {b} cap {cap}", F::NAME);
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
+    /// `first_level` as it was before its searches were seeded and capped:
+    /// every sampled vector searched from scratch.
     fn first_level_unseeded(rowgroup: &[f64], params: &SamplerParams) -> FirstLevelOutcome {
         let n_vectors = rowgroup.len().div_ceil(fastlanes::VECTOR_SIZE);
         let mut counts: Vec<(Combination, usize)> = Vec::new();

@@ -35,6 +35,9 @@ pub trait AlpFloat:
     /// [`AlpFloat::from_i64_magic`]. A quarter of the sweet spot's exact
     /// range, so a sum with `SWEET` never leaves its binade.
     const MAGIC_LIMIT: i64;
+    /// Unit roundoff `u`, the largest relative error of one rounding
+    /// (`2^-53` / `2^-24`).
+    const UNIT_ROUNDOFF: f64;
     /// Human-readable name for reports ("f64" / "f32").
     const NAME: &'static str;
 
@@ -50,6 +53,8 @@ pub trait AlpFloat:
     fn from_i64(v: i64) -> Self;
     /// Saturating cast to `i64` (Rust `as` semantics: NaN → 0).
     fn to_i64_cast(self) -> i64;
+    /// Exact widening to `f64`.
+    fn to_f64(self) -> f64;
     /// [`AlpFloat::from_i64`] for `|d| <= MAGIC_LIMIT` without an int→float
     /// conversion instruction (scalar-only on baseline x86-64): `SWEET + d`
     /// has `SWEET`'s exponent and `d` added to its mantissa, so an integer
@@ -88,6 +93,7 @@ impl AlpFloat for f64 {
     const MAX_EXPONENT: u8 = 21;
     const SWEET: f64 = 6755399441055744.0; // 2^51 + 2^52
     const MAGIC_LIMIT: i64 = 1 << 50;
+    const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
     const NAME: &'static str = "f64";
 
     #[inline(always)]
@@ -115,6 +121,10 @@ impl AlpFloat for f64 {
         self as i64
     }
     #[inline(always)]
+    fn to_f64(self) -> f64 {
+        self
+    }
+    #[inline(always)]
     fn is_nan(self) -> bool {
         f64::is_nan(self)
     }
@@ -131,6 +141,7 @@ impl AlpFloat for f32 {
     const MAX_EXPONENT: u8 = 10;
     const SWEET: f32 = 12582912.0; // 2^22 + 2^23
     const MAGIC_LIMIT: i64 = 1 << 21;
+    const UNIT_ROUNDOFF: f64 = f32::EPSILON as f64 / 2.0;
     const NAME: &'static str = "f32";
 
     #[inline(always)]
@@ -156,6 +167,10 @@ impl AlpFloat for f32 {
     #[inline(always)]
     fn to_i64_cast(self) -> i64 {
         self as i64
+    }
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        f64::from(self)
     }
     #[inline(always)]
     fn is_nan(self) -> bool {

@@ -95,14 +95,15 @@ pub fn compress(
         let secs = t0.elapsed().as_secs_f64();
         let stats = summary.stats;
         println!(
-            "{} values -> {} bytes streamed in {} row-groups: {} ALP, {} ALP_rd, \
-             {} of {} vectors rescued  \
+            "{} values -> {} bytes streamed in {} row-groups: {} ALP, {} ALP_rd \
+             ({} decided before level 1 finished), {} of {} vectors rescued  \
              ({:.2} bits/value, {:.0} ms, {:.0} MB/s, threads={}, depth={}{protection})",
             summary.values,
             summary.total_bytes,
             summary.rowgroups,
             stats.rowgroups_alp,
             stats.rowgroups_rd,
+            stats.rd_proven,
             stats.rescued_vectors,
             stats.vectors_encoded,
             bits_per_value(summary.total_bytes),

@@ -159,7 +159,9 @@ fn same_bytes_from_the_alp_writers_at_every_thread_count_and_depth() {
 
 #[test]
 fn same_bytes_from_every_codec_chunk_at_every_thread_count() {
-    let every_other: Vec<_> = shapes::<f64>().into_iter().step_by(2).collect();
+    let mut every_other: Vec<_> = shapes::<f64>().into_iter().step_by(2).collect();
+    // The stride skips the empty column; add it back.
+    every_other.extend(vector_lengths().into_iter().take(1));
     same_bytes(&chunk_writers(), &every_other);
 }
 

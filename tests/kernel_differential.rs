@@ -31,7 +31,8 @@
 //! conversion choice flips between them), scaled magnitudes on either side of
 //! `2^50` and NaNs (the encoder's fallback), exceptions on block edges, and
 //! short tail vectors. Plus a seeded property that the pruned `full_search` is the
-//! exhaustive one.
+//! exhaustive one, the soundness of the per-shift exception bound that prunes
+//! it, and the compressor's decide-first plan held to the finished level 1.
 
 use alp::decode::{
     decode_vector, decode_vector_scalar, decode_vector_unfused, scan_decoded, scan_vector,
@@ -45,9 +46,12 @@ use alp::format::{
     RowGroupView, VectorView,
 };
 use alp::rd::{choose_cut, encode_rd_vector, RdEncoder, RdMeta};
-use alp::rowgroup::AlpGroup;
-use alp::sampler::{full_search, score_sample, Combination, SampleScore};
-use alp::{AlpFloat, VECTOR_SIZE};
+use alp::rowgroup::{AlpGroup, EncodeScratch};
+use alp::sampler::{
+    first_level, full_search, is_definite_exception, score_sample, second_level, Combination,
+    SampleScore, SamplerParams,
+};
+use alp::{AlpFloat, Compressor, SamplerStats, VECTOR_SIZE};
 use alp_core::scan::{scan_values, ScanAgg, ScanPredicate, ScanResult};
 use alp_repro::corruption::SplitMix64;
 use fastlanes::{bitpack, bitpack32, ffor, packed_len};
@@ -1103,14 +1107,28 @@ fn pruned_full_search_equals_the_exhaustive_one_on_every_dataset() {
 }
 
 /// A value that moves the running bound late or ties it: mostly one decimal
-/// population (6 in 9), with wide decimals, raw bit patterns and specials.
+/// population (6 in 10), with wide decimals, values a few ulps off a decimal
+/// (either side of the per-shift exception bound), raw bit patterns and
+/// specials.
 fn adversarial_f64(rng: &mut SplitMix64) -> f64 {
-    match rng.below(9) {
+    match rng.below(10) {
         0..=5 => rng.next_u64() as i16 as f64 / 10f64.powi(rng.below(4) as i32),
         6 => rng.next_u64() as i64 as f64 / 10f64.powi(rng.below(19) as i32),
-        7 => f64::from_bits(rng.next_u64()),
+        7 => near_decimal(rng),
+        8 => f64::from_bits(rng.next_u64()),
         _ => [0.0, -0.0, f64::NAN, 1e300][rng.below(4)],
     }
+}
+
+/// A value within ±8 ulps of a decimal `k / 10^p`, `p <= 21`.
+fn near_decimal(rng: &mut SplitMix64) -> f64 {
+    let decimal = rng.next_u64() as i32 as f64 / 10f64.powi(rng.below(22) as i32);
+    ulps_away(decimal, rng.below(17) as i64 - 8)
+}
+
+/// The double `steps` bit patterns above (below, when negative) `x`.
+fn ulps_away(x: f64, steps: i64) -> f64 {
+    f64::from_bits(x.to_bits().wrapping_add_signed(steps))
 }
 
 /// 96 seeded samples: up to 39 adversarial values, then up to 5 raw bit
@@ -1125,5 +1143,169 @@ fn pruned_full_search_equals_the_exhaustive_one_on_adversarial_samples() {
         assert_eq!(full_search(&sample), exhaustive_search(&sample), "case {case}: {sample:?}");
         let narrow: Vec<f32> = sample.iter().map(|&x| x as f32).collect();
         assert_eq!(full_search(&narrow), exhaustive_search(&narrow), "case {case} as f32");
+    }
+}
+
+/// Values on every edge of the per-shift exception bound, at `F`'s width:
+/// within ±8 ulps of `k / 10^p` for every `p` of `F`'s search space (computed
+/// in `F`) and of the `f64` decimals up to `p = 21`; values whose scaled
+/// magnitude `|v·10^g|` straddles `2^51`, on the integers and half-integers
+/// there; and ±0, NaN payloads, ±∞, subnormals and huge magnitudes.
+fn bound_edges<F: driver::Float>(specials: &[u64]) -> Vec<F> {
+    let width_mask = u64::MAX >> (64 - F::BITS);
+    let ulps = |x: F, steps: i64| {
+        F::from_bits_u64(x.to_bits_u64().wrapping_add_signed(steps) & width_mask)
+    };
+    let mut values = Vec::new();
+    for k in [1i64, -3, 7, 25, -123, 4097, 98_765, -1_234_567, 123_456_789, (1 << 40) + 3] {
+        for p in 0..=21u8 {
+            let wide = F::of(k as f64 / 10f64.powi(p.into()));
+            let native = if p <= F::MAX_EXPONENT { F::from_i64(k) * F::if10(p) } else { wide };
+            for steps in -8..=8 {
+                values.extend([ulps(wide, steps), ulps(native, steps)]);
+            }
+        }
+    }
+    let limit = (1u64 << 51) as f64;
+    for g in 0..=F::MAX_EXPONENT {
+        for offset in [-2.0, -1.5, -1.0, -0.75, -0.5, -0.25, 0.0, 0.5, 1.0, 1.5] {
+            let v = F::of((limit + offset) / 10f64.powi(g.into()));
+            let minus = F::from_i64(-1);
+            values.extend((-3..=3).flat_map(|steps| [ulps(v, steps), ulps(v, steps) * minus]));
+        }
+    }
+    values.extend(specials.iter().map(|&bits| F::from_bits_u64(bits)));
+    values
+}
+
+/// The bound is sound: whenever it calls `v` an exception at shift `g`, no
+/// `(e, f)` with `e − f = g` round-trips `v` — neither through the encoder's
+/// own integer nor through either integer beside it — at both widths.
+#[test]
+fn the_per_shift_exception_bound_never_marks_an_encodable_value() {
+    fn check<F: AlpFloat>(values: &[F]) -> (usize, usize) {
+        let (mut marked, mut unmarked) = (0, 0);
+        for &v in values {
+            for g in 0..=F::MAX_EXPONENT {
+                if !is_definite_exception(v, g) {
+                    unmarked += 1;
+                    continue;
+                }
+                marked += 1;
+                let y = v.to_f64() * 10f64.powi(g.into());
+                let nearest = y.round() as i64;
+                for e in g..=F::MAX_EXPONENT {
+                    let f = e - g;
+                    let d = encode_one(v, e, f);
+                    for d in [d, nearest - 1, nearest, nearest + 1] {
+                        let back: F = decode_one(d, e, f);
+                        assert_ne!(
+                            back.to_bits_u64(),
+                            v.to_bits_u64(),
+                            "{} {v:?} marked at shift {g}, yet d = {d} decodes to it under ({e}, {f})",
+                            F::NAME
+                        );
+                    }
+                }
+            }
+        }
+        (marked, unmarked)
+    }
+    let wide = bound_edges::<f64>(&[
+        0,
+        1 << 63,
+        0x7FF8_DEAD_BEEF_0001,
+        0xFFF0_0000_0000_0001,
+        0x7FF0 << 48,
+        0xFFF0 << 48,
+        1,
+        0x000F_FFFF_FFFF_FFFF,
+        0x0010_0000_0000_0000,
+        1e300f64.to_bits(),
+        (-1e300f64).to_bits(),
+        f64::MAX.to_bits(),
+    ]);
+    let narrow = bound_edges::<f32>(&[
+        0,
+        1 << 31,
+        0x7FC0_1234,
+        0xFF80_0001,
+        0x7F80_0000,
+        0xFF80_0000,
+        1,
+        0x007F_FFFF,
+        0x0080_0000,
+        1e30f32.to_bits().into(),
+        f32::MAX.to_bits().into(),
+    ]);
+    for (width, (marked, unmarked)) in [("f64", check(&wide)), ("f32", check(&narrow))] {
+        assert!(marked > 1000 && unmarked > 1000, "{width}: {marked} marked, {unmarked} not");
+    }
+}
+
+/// The scheme decision is made before level 1 finishes, yet the compressor
+/// writes what the finished level 1 says: for every row-group, its body
+/// equals the one written from `first_level`'s outcome — ALP_rd under
+/// `choose_cut` when `should_use_rd`, else ALP under level 2 over its
+/// combinations. Row-groups of every dataset, and mixed ones whose sampled
+/// vectors are all, four, three or one of eight real doubles (the rest decimals),
+/// at both widths. On POI every ALP_rd decision is proven by the cap alone.
+#[test]
+fn the_plan_writes_what_the_finished_first_level_decides() {
+    fn check<F: AlpFloat>(rowgroup: &[F], what: &str) -> SamplerStats {
+        let params = SamplerParams::default();
+        let outcome = first_level(rowgroup, &params);
+        let mut want = Vec::new();
+        if outcome.should_use_rd::<F>() {
+            let cut = choose_cut::<F>(rowgroup, params.sample_vectors * params.sample_values);
+            encode_rd_body(&mut want, &RdEncoder::new(&cut).expect("a chosen cut"), rowgroup);
+        } else {
+            let mut stats = SamplerStats::default();
+            encode_alp_body(&mut want, rowgroup, |v| {
+                second_level(v, &outcome.combinations, &params, &mut stats)
+            });
+        }
+        let (mut got, mut stats) = (Vec::new(), SamplerStats::default());
+        let mut scratch = EncodeScratch::default();
+        Compressor::new().encode_rowgroup_body(rowgroup, &mut got, &mut scratch, &mut stats);
+        assert_same_bytes(&got, &want, what);
+        assert_eq!(stats.rowgroups_rd == 1, outcome.should_use_rd::<F>(), "{what}");
+        stats
+    }
+    let rowgroup_values = SamplerParams::default().vectors_per_rowgroup * VECTOR_SIZE;
+    for (name, data) in datagen::all_datasets(2 * rowgroup_values + 5000, 20240609) {
+        let mut proven = 0;
+        for (i, rowgroup) in data.chunks(rowgroup_values).enumerate() {
+            let stats = check(rowgroup, &format!("{name}, row-group {i}"));
+            let narrow: Vec<f32> = rowgroup.iter().map(|&x| x as f32).collect();
+            check(&narrow, &format!("{name} as f32, row-group {i}"));
+            assert!(stats.rd_proven <= stats.rowgroups_rd);
+            proven += stats.rd_proven;
+        }
+        if name.starts_with("POI") {
+            assert_eq!(proven, 3, "{name}: every row-group proven ALP_rd");
+        }
+    }
+
+    // The default sampling takes one vector from each stratum of twelve, so
+    // the first `real` strata hold the sampled real doubles.
+    for real in [8, 4, 3, 1] {
+        let rowgroup: Vec<f64> = (0..rowgroup_values)
+            .map(|i| {
+                let stratum = i / VECTOR_SIZE / 12;
+                if stratum < real {
+                    ((i as f64) + 0.1).sqrt().sin()
+                } else {
+                    (mix(i as u64) % 100_000) as f64 / 100.0
+                }
+            })
+            .collect();
+        let stats = check(&rowgroup, &format!("{real} of 8 sampled vectors real"));
+        // Four real vectors of eight hold over 35 % exceptions: ALP_rd, but
+        // only the finished level 1 can tell; three do not.
+        let (rd, proven) = (usize::from(real >= 4), usize::from(real == 8));
+        assert_eq!((stats.rowgroups_rd, stats.rd_proven), (rd, proven), "{real} of 8 real");
+        let narrow: Vec<f32> = rowgroup.iter().map(|&x| x as f32).collect();
+        check(&narrow, &format!("{real} of 8 sampled vectors real, as f32"));
     }
 }

@@ -33,7 +33,11 @@ fn alp_rd_takes_over_on_real_doubles_and_still_wins() {
     for name in ["POI-lat", "POI-lon"] {
         let data = datagen::generate(name, 120_000, 17);
         let compressed = Compressor::new().compress(&data);
-        assert!(compressed.stats.rowgroups_rd > 0, "{name} should use ALP_rd");
+        let stats = compressed.stats;
+        assert!(stats.rowgroups_rd > 0, "{name} should use ALP_rd");
+        // No sampled POI vector comes under the rd rule's cap, so level 1
+        // settles every decision without finishing.
+        assert_eq!(stats.rd_proven, stats.rowgroups_rd, "{name}: {stats:?}");
         let alp = compressed.bits_per_value();
         for codec in codecs::Codec::ALL {
             let other = bits_per_value_codec(codec, &data);
@@ -50,7 +54,9 @@ fn decimal_time_series_compress_below_half() {
     let mut count = 0;
     for ds in datagen::DATASETS.iter().filter(|d| d.time_series) {
         let data = datagen::generate(ds.name, 120_000, 17);
-        total += bits_per_value_alp(&data);
+        let compressed = Compressor::new().compress(&data);
+        assert_eq!(compressed.stats.rd_proven, 0, "{}: {:?}", ds.name, compressed.stats);
+        total += compressed.bits_per_value();
         count += 1;
     }
     let avg = total / count as f64;

@@ -14,23 +14,6 @@ fn mixed_columns() -> Vec<Input<f64>> {
     inputs
 }
 
-#[test]
-fn every_codec_compresses_byte_identically_at_all_thread_counts() {
-    same_bytes(&chunk_writers(), &mixed_columns());
-}
-
-#[test]
-fn every_codec_decompresses_value_identically_at_all_thread_counts() {
-    lossless(&codec_chunks(), &mixed_columns());
-}
-
-#[test]
-fn every_codec_handles_empty_and_length_one_columns_in_parallel() {
-    let shortest = &vector_lengths()[..2];
-    lossless(&codec_chunks(), shortest);
-    same_bytes(&chunk_writers(), shortest);
-}
-
 /// ALP's native row-group compressor (not the chunked registry path):
 /// serialized bytes and sampler statistics, partial tail row-group included.
 #[test]
