@@ -51,6 +51,12 @@
 //! instruction wherever the vector's frame allows ([`AlpFloat::from_i64_magic`],
 //! chosen per vector from the header); the results are the same bits either
 //! way, which `tests/kernel_differential.rs` pins against the scalar variant.
+//!
+//! Every fused kernel — decode, scan, sum, and the decoded-value sums — runs
+//! its per-vector body through [`fastlanes::tier::run`], so on a CPU with
+//! AVX2 it executes as x86-64-v3 code; its helpers are `#[inline(always)]`
+//! so that they are compiled into that copy. The bits are the same at both
+//! tiers.
 
 #![deny(
     clippy::unwrap_used,
@@ -63,7 +69,7 @@
 )]
 
 use fastlanes::bitpack::{block_words, unpacker, Unpack64, Word, BLOCK};
-use fastlanes::{ffor, VECTOR_SIZE};
+use fastlanes::{ffor, tier, VECTOR_SIZE};
 
 use crate::encode::{AlpVector, ExcView, Short};
 use crate::traits::AlpFloat;
@@ -117,32 +123,57 @@ impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
     /// [`decode_vector`] over this source.
     pub fn decode<F: AlpFloat>(&self, out: &mut [F]) -> usize {
         assert!(out.len() >= VECTOR_SIZE);
-        let mut dec = AlpDec::of(self);
-        let blocks = out.as_chunks_mut::<BLOCK>().0;
-        for (block, out_block) in blocks.iter_mut().enumerate().take(VECTOR_SIZE / BLOCK) {
-            dec.block(block, out_block);
-        }
-        patch_exceptions(self.exc, out);
+        tier::run(
+            #[inline(always)]
+            || {
+                let mut dec = AlpDec::of(self);
+                let blocks = out.as_chunks_mut::<BLOCK>().0;
+                for (block, out_block) in blocks.iter_mut().enumerate().take(VECTOR_SIZE / BLOCK) {
+                    dec.block(block, out_block);
+                }
+                patch_exceptions(self.exc, out);
+            },
+        );
         self.len()
     }
 
     /// [`scan_vector`] over this source.
     pub fn scan<F: AlpFloat>(&self, lo: F, hi: F, with_minmax: bool) -> VectorScan<F> {
-        let mut scan = VectorScan::empty(self.len());
-        for_each_block(self, |block, live| scan.scan_block(block, live, lo, hi, with_minmax));
-        scan
+        tier::run(
+            #[inline(always)]
+            || {
+                let mut scan = VectorScan::empty(self.len());
+                for_each_block(
+                    self,
+                    #[inline(always)]
+                    |block, live| {
+                        scan.scan_block(block, live, lo, hi, with_minmax);
+                    },
+                );
+                scan
+            },
+        )
     }
 
     /// [`sum_vector`] over this source.
     pub fn sum<F: AlpFloat>(&self, band: Option<(F, F)>) -> VectorSum<F> {
-        let mut sum = F::from_i64(0);
-        let mut matches = 0usize;
-        let nans = for_each_block(self, |_, live| {
-            let (s, m) = block_sum_in(live, band);
-            sum = sum + s;
-            matches += m;
-        });
-        VectorSum { sum, matches, nans, len: self.len().min(VECTOR_SIZE) }
+        tier::run(
+            #[inline(always)]
+            || {
+                let mut sum = F::from_i64(0);
+                let mut matches = 0usize;
+                let nans = for_each_block(
+                    self,
+                    #[inline(always)]
+                    |_, live| {
+                        let (s, m) = block_sum_in(live, band);
+                        sum = sum + s;
+                        matches += m;
+                    },
+                );
+                VectorSum { sum, matches, nans, len: self.len().min(VECTOR_SIZE) }
+            },
+        )
     }
 }
 
@@ -163,6 +194,7 @@ struct AlpDec<'a, F, W> {
 }
 
 impl<'a, F: AlpFloat, W: Word> AlpDec<'a, F, W> {
+    #[inline(always)]
     fn of<P>(v: &AlpVectorRef<'a, W, P>) -> Self {
         let limit = F::MAGIC_LIMIT;
         let magic = v.bit_width <= 51
@@ -183,7 +215,7 @@ impl<'a, F: AlpFloat, W: Word> AlpDec<'a, F, W> {
 
     /// `out[i] = ALP_dec(ints[i])`. Two loops, not a per-value branch: both
     /// are integer-add / float-multiply bodies with no cross-lane state.
-    #[inline]
+    #[inline(always)]
     fn multiply(&self, ints: impl Iterator<Item = i64>, out: &mut [F]) {
         let (mul_f, mul_e) = (self.mul_f, self.mul_e);
         if self.magic {
@@ -199,9 +231,9 @@ impl<'a, F: AlpFloat, W: Word> AlpDec<'a, F, W> {
 
     /// Stage 1 of the fused kernels: unpack block `block`, add the FOR base
     /// and multiply back to floats while the 64 integers are still in L1.
-    #[inline]
+    #[inline(always)]
     fn block(&mut self, block: usize, out: &mut [F; BLOCK]) {
-        (self.unpack)(block_words(self.packed, self.width, block), &mut self.residuals);
+        self.unpack.call(block_words(self.packed, self.width, block), &mut self.residuals);
         let base = self.base as u64;
         self.multiply(self.residuals.iter().map(|&r| r.wrapping_add(base) as i64), out);
     }
@@ -224,9 +256,14 @@ pub fn decode_vector_unfused<F: AlpFloat>(
 ) -> usize {
     assert!(scratch.len() >= VECTOR_SIZE && out.len() >= VECTOR_SIZE);
     let scratch = scratch.get_mut(..VECTOR_SIZE).unwrap_or_default();
-    ffor::ffor_unpack(&v.packed, v.for_base, v.bit_width as usize, scratch);
-    AlpDec::of(&AlpVectorRef::owned(v, exc)).multiply(scratch.iter().copied(), out);
-    patch_exceptions(exc, out);
+    tier::run(
+        #[inline(always)]
+        || {
+            ffor::ffor_unpack(&v.packed, v.for_base, v.bit_width as usize, scratch);
+            AlpDec::of(&AlpVectorRef::owned(v, exc)).multiply(scratch.iter().copied(), out);
+            patch_exceptions(exc, out);
+        },
+    );
     v.len as usize
 }
 
@@ -278,7 +315,7 @@ pub fn decode_vector_scalar<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, out: &
 
 /// Overwrites exception positions with their stored raw values (the PATCH step
 /// of Algorithm 2).
-#[inline]
+#[inline(always)]
 pub fn patch_exceptions<F: AlpFloat, P: Short, V: Word>(exc: ExcView<'_, P, V>, out: &mut [F]) {
     for (p, bits) in exc.iter() {
         // Positions come off the wire; a corrupt position past the vector end
@@ -374,7 +411,9 @@ pub fn block_sum<F: AlpFloat>(chunk: &[F], lo: F, hi: F) -> (F, usize) {
         }
     };
     let (rows, tail) = chunk.as_chunks::<SUM_LANES>();
-    rows.iter().for_each(|row| fold(row));
+    for row in rows {
+        fold(row);
+    }
     fold(tail);
     (combine(sum), combine(count).to_i64_cast() as usize)
 }
@@ -391,7 +430,9 @@ pub fn block_sum_all<F: AlpFloat>(chunk: &[F]) -> F {
         }
     };
     let (rows, tail) = chunk.as_chunks::<SUM_LANES>();
-    rows.iter().for_each(|row| fold(row));
+    for row in rows {
+        fold(row);
+    }
     fold(tail);
     combine(sum)
 }
@@ -402,7 +443,7 @@ pub fn block_sum_all<F: AlpFloat>(chunk: &[F]) -> F {
 /// block's live values to `consume(block, values)` in order. Returns the
 /// number of live NaNs, which only exception lanes can hold (a decoded
 /// integer is never NaN).
-#[inline]
+#[inline(always)]
 fn for_each_block<F: AlpFloat, W: Word, P: Short>(
     v: &AlpVectorRef<'_, W, P>,
     mut consume: impl FnMut(usize, &[F]),
@@ -485,14 +526,19 @@ pub fn scan_decoded<F: AlpFloat>(
     with_minmax: bool,
     scan: &mut VectorScan<F>,
 ) {
-    for (block, chunk) in values.chunks(BLOCK).enumerate().take(SCAN_WORDS) {
-        scan.scan_block(block, chunk, lo, hi, with_minmax);
-    }
+    tier::run(
+        #[inline(always)]
+        || {
+            for (block, chunk) in values.chunks(BLOCK).enumerate().take(SCAN_WORDS) {
+                scan.scan_block(block, chunk, lo, hi, with_minmax);
+            }
+        },
+    );
 }
 
 impl<F: AlpFloat> VectorScan<F> {
     /// Folds live values `64 * block ..` (at most 64 of them) into the scan.
-    #[inline]
+    #[inline(always)]
     fn scan_block(&mut self, block: usize, chunk: &[F], lo: F, hi: F, with_minmax: bool) {
         let chunk = chunk.get(..BLOCK).unwrap_or(chunk);
         // One byte of each word per row of eight lanes: an 8-lane compare
@@ -565,7 +611,7 @@ pub struct VectorSum<F> {
 /// One block's `(sum, matches)` under `band`: the predicate `Some((lo, hi))`,
 /// or `None` for "every value is known to match", which swaps in
 /// [`block_sum_all`] for the same bits.
-#[inline]
+#[inline(always)]
 fn block_sum_in<F: AlpFloat>(chunk: &[F], band: Option<(F, F)>) -> (F, usize) {
     match band {
         Some((lo, hi)) => block_sum(chunk, lo, hi),
@@ -594,18 +640,23 @@ pub fn sum_decoded<F: AlpFloat>(
     band: Option<(F, F)>,
     may_hold_nan: bool,
 ) -> VectorSum<F> {
-    let mut sum = F::from_i64(0);
-    let mut matches = 0usize;
-    for chunk in values.chunks(BLOCK) {
-        let (s, m) = block_sum_in(chunk, band);
-        sum = sum + s;
-        matches += m;
-    }
-    let nans = match (band, may_hold_nan) {
-        (Some(_), true) => values.iter().filter(|x| x.is_nan()).count(),
-        _ => 0,
-    };
-    VectorSum { sum, matches, nans, len: values.len() }
+    tier::run(
+        #[inline(always)]
+        || {
+            let mut sum = F::from_i64(0);
+            let mut matches = 0usize;
+            for chunk in values.chunks(BLOCK) {
+                let (s, m) = block_sum_in(chunk, band);
+                sum = sum + s;
+                matches += m;
+            }
+            let nans = match (band, may_hold_nan) {
+                (Some(_), true) => values.iter().filter(|x| x.is_nan()).count(),
+                _ => 0,
+            };
+            VectorSum { sum, matches, nans, len: values.len() }
+        },
+    )
 }
 
 #[cfg(test)]

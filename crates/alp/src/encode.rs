@@ -25,8 +25,7 @@
 )]
 
 use fastlanes::bitpack::Word;
-use fastlanes::ffor;
-use fastlanes::VECTOR_SIZE;
+use fastlanes::{ffor, tier, VECTOR_SIZE};
 
 use crate::traits::AlpFloat;
 
@@ -258,6 +257,7 @@ impl core::ops::Deref for OwnedAlpVector {
 /// same integers and the same verdicts: `(x + SWEET) - SWEET` is an
 /// integer-valued float there, so the cast, the mantissa read and `from_i64`
 /// all are exact.
+#[inline(always)]
 fn sweet_pass<F: AlpFloat>(
     input: &[F],
     e: u8,
@@ -302,6 +302,7 @@ fn sweet_pass<F: AlpFloat>(
 /// The encode pass for everything else: `ALP_enc` through the float→int cast
 /// (which saturates, and maps NaN to 0), verified through `ALP_dec`. Fills
 /// `encoded` and `is_exc` like [`sweet_pass`] and returns the mismatch count.
+#[inline(always)]
 fn cast_pass<F: AlpFloat>(
     input: &[F],
     e: u8,
@@ -339,6 +340,7 @@ pub(crate) struct EncodedVector<'a, F> {
 impl<F: AlpFloat> EncodedVector<'_, F> {
     /// FFOR-packs the integers into `words[..16 * bit_width]`, native words
     /// or the bytes of a file alike.
+    #[inline(always)]
     pub(crate) fn pack_into<T: Word>(&self, words: &mut [T]) {
         ffor::ffor_pack_into(self.encoded, self.for_base, usize::from(self.bit_width), words);
     }
@@ -354,16 +356,12 @@ impl<F: AlpFloat> EncodedVector<'_, F> {
 
 /// Encodes one vector (Algorithm 1) with the given `(e, f)` combination and
 /// hands the result to `land` — the one encode path under
-/// [`encode_vector_into`] and the frame-body writer.
+/// [`encode_vector_into`] and the frame-body writer. Both run at the active
+/// instruction tier ([`fastlanes::tier`]).
 ///
 /// `input.len()` must be `1..=1024`. Shorter inputs are padded with the patch
 /// value so the packed payload is always a full 1024-value vector. The
 /// detection buffers live on the stack.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`len` is asserted to be `1..=1024` at entry; the buffers hold 1024 slots and \
-              the positions are `0..len`"
-)]
 pub(crate) fn encode_vector_with<F: AlpFloat, R>(
     input: &[F],
     e: u8,
@@ -372,7 +370,26 @@ pub(crate) fn encode_vector_with<F: AlpFloat, R>(
 ) -> R {
     let len = input.len();
     assert!(len > 0 && len <= VECTOR_SIZE, "vector length {len} out of range");
+    tier::run(
+        #[inline(always)]
+        || encode_vector_kernel(input, e, f, land),
+    )
+}
 
+/// The body of [`encode_vector_with`], inlined into its tier's trampoline.
+#[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`encode_vector_with` asserts `len` in `1..=1024`; the buffers hold 1024 slots and \
+              the positions are `0..len`"
+)]
+fn encode_vector_kernel<F: AlpFloat, R>(
+    input: &[F],
+    e: u8,
+    f: u8,
+    land: impl FnOnce(&EncodedVector<'_, F>) -> R,
+) -> R {
+    let len = input.len();
     let mut encoded = [0i64; VECTOR_SIZE];
     let mut is_exc = [false; VECTOR_SIZE];
     // A vector the sweet pass verified clean has nothing to patch, and its
@@ -434,24 +451,33 @@ pub fn encode_vector_into<F: AlpFloat>(
     f: u8,
     exceptions: &mut ExcArena,
 ) -> AlpVector {
-    encode_vector_with(input, e, f, |v| {
-        let exc_start = u32::try_from(exceptions.len()).unwrap_or(u32::MAX);
-        assert!(exc_start as usize == exceptions.len(), "exception arena exceeds u32 addressing");
-        exceptions.positions.extend_from_slice(v.exc_positions);
-        exceptions.values.extend(v.exc_values());
-        let mut packed = vec![0u64; fastlanes::packed_len(usize::from(v.bit_width))];
-        v.pack_into(&mut packed);
-        AlpVector {
-            exponent: v.exponent,
-            factor: v.factor,
-            bit_width: v.bit_width,
-            for_base: v.for_base,
-            packed,
-            exc_start,
-            exc_count: v.exc_positions.len() as u16,
-            len: v.input.len() as u16,
-        }
-    })
+    encode_vector_with(
+        input,
+        e,
+        f,
+        #[inline(always)]
+        |v| {
+            let exc_start = u32::try_from(exceptions.len()).unwrap_or(u32::MAX);
+            assert!(
+                exc_start as usize == exceptions.len(),
+                "exception arena exceeds u32 addressing"
+            );
+            exceptions.positions.extend_from_slice(v.exc_positions);
+            exceptions.values.extend(v.exc_values());
+            let mut packed = vec![0u64; fastlanes::packed_len(usize::from(v.bit_width))];
+            v.pack_into(&mut packed);
+            AlpVector {
+                exponent: v.exponent,
+                factor: v.factor,
+                bit_width: v.bit_width,
+                for_base: v.for_base,
+                packed,
+                exc_start,
+                exc_count: v.exc_positions.len() as u16,
+                len: v.input.len() as u16,
+            }
+        },
+    )
 }
 
 /// Encodes one vector into a fresh private arena — see [`encode_vector_into`]
@@ -464,6 +490,7 @@ pub fn encode_vector<F: AlpFloat>(input: &[F], e: u8, f: u8) -> OwnedAlpVector {
 
 /// Returns the first encoded integer whose position is not in the (sorted)
 /// exception list, or 0 if every value is an exception.
+#[inline(always)]
 fn find_first_encoded(encoded: &[i64], exc_positions: &[u16]) -> i64 {
     let mut exc_iter = exc_positions.iter().peekable();
     for (i, &d) in encoded.iter().enumerate() {

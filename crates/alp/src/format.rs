@@ -302,19 +302,25 @@ pub fn encode_alp_body<F: AlpFloat>(
     out.put_u32_le(vectors.len() as u32);
     for chunk in vectors {
         let combo = pick(chunk);
-        encode_vector_with(chunk, combo.e, combo.f, |v| {
-            let head = (v.exponent, v.factor, v.bit_width);
-            write_alp_vector_header(
-                out,
-                head,
-                chunk.len() as u16,
-                v.for_base,
-                v.exc_positions.len(),
-            );
-            v.pack_into(word_region(out, usize::from(v.bit_width) * (VECTOR_SIZE / 64)));
-            v.exc_positions.iter().for_each(|&p| out.put_u16_le(p));
-            v.exc_values().for_each(|bits| out.put_u64_le(bits));
-        });
+        encode_vector_with(
+            chunk,
+            combo.e,
+            combo.f,
+            #[inline(always)]
+            |v| {
+                let head = (v.exponent, v.factor, v.bit_width);
+                write_alp_vector_header(
+                    out,
+                    head,
+                    chunk.len() as u16,
+                    v.for_base,
+                    v.exc_positions.len(),
+                );
+                v.pack_into(word_region(out, usize::from(v.bit_width) * (VECTOR_SIZE / 64)));
+                v.exc_positions.iter().for_each(|&p| out.put_u16_le(p));
+                v.exc_values().for_each(|bits| out.put_u64_le(bits));
+            },
+        );
     }
 }
 

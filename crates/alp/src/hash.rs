@@ -26,17 +26,6 @@ const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
 pub const CHECKSUM_SEED: u64 = 0;
 
 #[inline]
-fn read_u64(b: &[u8]) -> u64 {
-    // Callers always pass >= 8 bytes; map_or keeps the helper panic-free.
-    b.first_chunk::<8>().map_or(0, |c| u64::from_le_bytes(*c))
-}
-
-#[inline]
-fn read_u32(b: &[u8]) -> u32 {
-    b.first_chunk::<4>().map_or(0, |c| u32::from_le_bytes(*c))
-}
-
-#[inline]
 fn round(acc: u64, input: u64) -> u64 {
     acc.wrapping_add(input.wrapping_mul(PRIME64_2)).rotate_left(31).wrapping_mul(PRIME64_1)
 }
@@ -47,21 +36,23 @@ fn merge_round(acc: u64, val: u64) -> u64 {
 }
 
 /// Hashes `input` with the given `seed` (XXH64, one shot).
-#[expect(clippy::indexing_slicing, reason = "every slice follows a length check on `rest`")]
 pub fn xxh64(input: &[u8], seed: u64) -> u64 {
-    let mut rest = input;
-    let mut h = if input.len() >= 32 {
-        let mut v1 = seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2);
-        let mut v2 = seed.wrapping_add(PRIME64_2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(PRIME64_1);
-        while rest.len() >= 32 {
-            v1 = round(v1, read_u64(&rest[0..8]));
-            v2 = round(v2, read_u64(&rest[8..16]));
-            v3 = round(v3, read_u64(&rest[16..24]));
-            v4 = round(v4, read_u64(&rest[24..32]));
-            rest = &rest[32..];
+    let (stripes, rest) = input.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        seed.wrapping_add(PRIME64_5)
+    } else {
+        let mut v = [
+            seed.wrapping_add(PRIME64_1).wrapping_add(PRIME64_2),
+            seed.wrapping_add(PRIME64_2),
+            seed,
+            seed.wrapping_sub(PRIME64_1),
+        ];
+        for stripe in stripes {
+            for (acc, lane) in v.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *acc = round(*acc, u64::from_le_bytes(*lane));
+            }
         }
+        let [v1, v2, v3, v4] = v;
         let mut h = v1
             .rotate_left(1)
             .wrapping_add(v2.rotate_left(7))
@@ -71,21 +62,19 @@ pub fn xxh64(input: &[u8], seed: u64) -> u64 {
         h = merge_round(h, v2);
         h = merge_round(h, v3);
         merge_round(h, v4)
-    } else {
-        seed.wrapping_add(PRIME64_5)
     };
 
     h = h.wrapping_add(input.len() as u64);
 
-    while rest.len() >= 8 {
-        h ^= round(0, read_u64(rest));
+    let (words, mut rest) = rest.as_chunks::<8>();
+    for word in words {
+        h ^= round(0, u64::from_le_bytes(*word));
         h = h.rotate_left(27).wrapping_mul(PRIME64_1).wrapping_add(PRIME64_4);
-        rest = &rest[8..];
     }
-    if rest.len() >= 4 {
-        h ^= (read_u32(rest) as u64).wrapping_mul(PRIME64_1);
+    if let Some((half, tail)) = rest.split_first_chunk::<4>() {
+        h ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME64_1);
         h = h.rotate_left(23).wrapping_mul(PRIME64_2).wrapping_add(PRIME64_3);
-        rest = &rest[4..];
+        rest = tail;
     }
     for &b in rest {
         h ^= (b as u64).wrapping_mul(PRIME64_5);

@@ -67,6 +67,7 @@ pub use decode::{
 pub use encode::{
     decode_one, encode_one, fast_round, AlpVector, ExcArena, ExcView, OwnedAlpVector,
 };
+pub use fastlanes::tier;
 pub use frame::ParityConfig;
 pub use par::MorselFailure;
 pub use pipeline::{IngestError, PipelineConfig, PipelinedColumnWriter};

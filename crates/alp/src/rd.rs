@@ -41,6 +41,7 @@
 )]
 
 use fastlanes::bitpack::{block_words, block_words_mut, packer, unpacker, Word, BLOCK};
+use fastlanes::tier;
 use fastlanes::{bits_needed, packed_len, VECTOR_SIZE};
 
 use crate::encode::Short;
@@ -333,6 +334,7 @@ impl RdEncoder {
     /// codes and returns the mask of the lanes that missed the dictionary
     /// (their code is 0). No branch on the data: a miss is folded into the
     /// mask and into the zeroed code arithmetically.
+    #[inline(always)]
     fn split_block<F: AlpFloat>(
         &self,
         right_w: usize,
@@ -359,7 +361,8 @@ impl RdEncoder {
     /// exceptions. Per 64-value block, [`RdEncoder::split_block`] then both
     /// packs, straight to their final place; blocks past a short tail are
     /// left as they are: zero words. The (rare) exceptions are read back out
-    /// of the block masks afterwards ([`RdExceptions`]).
+    /// of the block masks afterwards ([`RdExceptions`]). Runs at the active
+    /// instruction tier ([`fastlanes::tier`]).
     pub(crate) fn encode_vector<F: AlpFloat, T: Word>(
         &self,
         input: &[F],
@@ -371,17 +374,22 @@ impl RdEncoder {
         let right_w = usize::from(self.cut.right_width::<F>());
         let (pack_codes, pack_right) = (packer::<T>(code_w), packer::<T>(right_w));
         let mut exceptions = RdExceptions { missed: [0; BLOCKS], right_width: right_w as u8 };
-        let (mut code_block, mut right_block) = ([0u64; BLOCK], [0u64; BLOCK]);
-        for (block, (values, missed)) in input.chunks(BLOCK).zip(&mut exceptions.missed).enumerate()
-        {
-            if values.len() < BLOCK {
-                // The lanes past a short tail pack as zeros.
-                (code_block, right_block) = ([0; BLOCK], [0; BLOCK]);
-            }
-            *missed = self.split_block(right_w, values, &mut code_block, &mut right_block);
-            pack_codes(&code_block, block_words_mut(codes, code_w, block));
-            pack_right(&right_block, block_words_mut(rights, right_w, block));
-        }
+        tier::run(
+            #[inline(always)]
+            || {
+                let (mut code_block, mut right_block) = ([0u64; BLOCK], [0u64; BLOCK]);
+                let blocks = input.chunks(BLOCK).zip(&mut exceptions.missed).enumerate();
+                for (block, (values, missed)) in blocks {
+                    if values.len() < BLOCK {
+                        // The lanes past a short tail pack as zeros.
+                        (code_block, right_block) = ([0; BLOCK], [0; BLOCK]);
+                    }
+                    *missed = self.split_block(right_w, values, &mut code_block, &mut right_block);
+                    pack_codes.call(&code_block, block_words_mut(codes, code_w, block));
+                    pack_right.call(&right_block, block_words_mut(rights, right_w, block));
+                }
+            },
+        );
         exceptions
     }
 
@@ -522,26 +530,32 @@ impl<W: Word, P: Short> RdVectorRef<'_, W, P> {
         };
         let (unpack_codes, unpack_right) = (unpacker::<W>(code_w), unpacker::<W>(right_w));
         let lut = self.lut.map(|left| u64::from(left) << right_w);
-        let (mut codes, mut rights) = ([0u64; BLOCK], [0u64; BLOCK]);
         let out = out.get_mut(..VECTOR_SIZE).unwrap_or_default();
-        for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
-            unpack_codes(block_words(code_words, code_w, block), &mut codes);
-            unpack_right(block_words(right_words, right_w, block), &mut rights);
-            // GLUE: the dictionary-decoded front bits over the right part.
-            for ((o, &code), &right) in out_block.iter_mut().zip(&codes).zip(&rights) {
-                let left = lut.get(code as usize & (MAX_DICT_SIZE - 1)).copied().unwrap_or(0);
-                *o = F::from_bits_u64(left | right);
-            }
-        }
-        // Patch left-part exceptions. Positions come off the wire; one past
-        // the vector end is dropped rather than allowed to panic.
-        let right_mask = (1u64 << right_w) - 1;
-        for (p, left) in self.exc_positions.iter().zip(self.exc_left) {
-            if let Some(slot) = out.get_mut(p.get() as usize) {
-                let right = slot.to_bits_u64() & right_mask;
-                *slot = F::from_bits_u64(u64::from(left.get()) << right_w | right);
-            }
-        }
+        tier::run(
+            #[inline(always)]
+            || {
+                let (mut codes, mut rights) = ([0u64; BLOCK], [0u64; BLOCK]);
+                for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
+                    unpack_codes.call(block_words(code_words, code_w, block), &mut codes);
+                    unpack_right.call(block_words(right_words, right_w, block), &mut rights);
+                    // GLUE: the dictionary-decoded front bits over the right part.
+                    for ((o, &code), &right) in out_block.iter_mut().zip(&codes).zip(&rights) {
+                        let left =
+                            lut.get(code as usize & (MAX_DICT_SIZE - 1)).copied().unwrap_or(0);
+                        *o = F::from_bits_u64(left | right);
+                    }
+                }
+                // Patch left-part exceptions. Positions come off the wire; one
+                // past the vector end is dropped rather than allowed to panic.
+                let right_mask = (1u64 << right_w) - 1;
+                for (p, left) in self.exc_positions.iter().zip(self.exc_left) {
+                    if let Some(slot) = out.get_mut(p.get() as usize) {
+                        let right = slot.to_bits_u64() & right_mask;
+                        *slot = F::from_bits_u64(u64::from(left.get()) << right_w | right);
+                    }
+                }
+            },
+        );
         self.len()
     }
 }

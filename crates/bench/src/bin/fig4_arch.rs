@@ -1,15 +1,19 @@
-//! **Figure 4** — decompression speed of ALP's decode implementations.
+//! **Figure 4** — ALP's kernels on two instruction sets, in one process.
 //!
 //! The paper compares SIMDized / auto-vectorized / scalar builds across five
-//! CPU architectures. With a single host CPU we reproduce the software axis:
+//! CPU architectures. With a single host CPU we reproduce the two axes it can
+//! reach:
 //!
-//! * `fused` — the production branch-free kernel (auto-vectorizable),
-//! * `unfused` — same math through a materialized integer buffer,
-//! * `scalar` — deliberately value-at-a-time with per-value branching
-//!   (proxy for the `-fno-vectorize` builds of the paper).
+//! * the **ISA axis**: the same kernels at both instruction tiers of
+//!   [`fastlanes::tier`] — baseline x86-64 (SSE2) and x86-64-v3 (AVX2) —
+//!   for the vector encoder, the fused decoder and the fused sum. The tiers
+//!   are switched with [`fastlanes::tier::capped`], so both columns come from
+//!   one binary on one host;
+//! * the **software axis**: the fused decoder against `scalar`, a
+//!   deliberately value-at-a-time decoder with per-value branching (proxy for
+//!   the `-fno-vectorize` builds of the paper).
 //!
-//! To reproduce the ISA axis, re-run with
-//! `RUSTFLAGS="-C target-cpu=native"` vs the default target.
+//! On a CPU without v3 both tier columns are the baseline's.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin fig4_arch
@@ -17,22 +21,33 @@
 
 use alp::VECTOR_SIZE;
 use bench::tables::Table;
-use bench::timing::measure;
+use bench::timing::{measure, Measurement};
+use fastlanes::tier::{self, Tier};
 
 fn main() {
     let batch_ms: u64 =
         std::env::var("ALP_BENCH_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(20);
+    let fast = tier::detected();
+    println!("CPU tier: {fast}");
     let mut table = Table::new(
-        "Figure 4: ALP decode variants (tuples per cycle, higher is better)",
-        &["fused", "unfused", "scalar", "fused/scalar"],
+        "Figure 4: ALP kernels per instruction tier (tuples per cycle, higher is better)",
+        &[
+            "encode x86-64",
+            "encode v3",
+            "decode x86-64",
+            "decode v3",
+            "sum x86-64",
+            "sum v3",
+            "decode scalar",
+        ],
     );
 
-    let mut speedups = Vec::new();
+    let mut gains: [Vec<f64>; 3] = Default::default();
     for ds in &datagen::DATASETS {
         let data = bench::dataset(ds.name);
         let compressed = alp::Compressor::new().compress(&data);
-        // First ALP-encoded (non-rd) vector, or skip rd-only datasets for the
-        // decimal kernel comparison.
+        // First ALP-encoded (non-rd) vector; rd-only datasets have no decimal
+        // kernel to compare.
         let Some(vector) = compressed.rowgroups.iter().find_map(|rg| match rg {
             alp::RowGroup::Alp(g) => g.owned_vector(0),
             _ => None,
@@ -40,25 +55,47 @@ fn main() {
             eprintln!("skip {} (ALP_rd row-groups only)", ds.name);
             continue;
         };
+        let input = &data[..VECTOR_SIZE.min(data.len())];
+        let (e, f) = (vector.exponent, vector.factor);
 
         let mut out = vec![0.0f64; VECTOR_SIZE];
-        let mut scratch = vec![0i64; VECTOR_SIZE];
-        let fused = measure(
-            || {
-                alp::decode::decode_vector(&vector, vector.view(), &mut out);
-                std::hint::black_box(&out);
-            },
-            batch_ms,
-            3,
-        );
-        let unfused = measure(
-            || {
-                alp::decode::decode_vector_unfused(&vector, vector.view(), &mut scratch, &mut out);
-                std::hint::black_box(&out);
-            },
-            batch_ms,
-            3,
-        );
+        let mut arena = alp::ExcArena::new();
+        let mut at = |tier: Tier| -> [Measurement; 3] {
+            tier::capped(tier, || {
+                let encode = measure(
+                    || {
+                        arena.clear();
+                        std::hint::black_box(alp::encode::encode_vector_into(
+                            input, e, f, &mut arena,
+                        ));
+                    },
+                    batch_ms,
+                    3,
+                );
+                let decode = measure(
+                    || {
+                        alp::decode::decode_vector(&vector, vector.view(), &mut out);
+                        std::hint::black_box(&out);
+                    },
+                    batch_ms,
+                    3,
+                );
+                let sum = measure(
+                    || {
+                        std::hint::black_box(alp::decode::sum_vector::<f64>(
+                            &vector,
+                            vector.view(),
+                            None,
+                        ));
+                    },
+                    batch_ms,
+                    3,
+                );
+                [encode, decode, sum]
+            })
+        };
+        let base = at(Tier::Baseline);
+        let v3 = at(fast);
         let scalar = measure(
             || {
                 alp::decode::decode_vector_scalar(&vector, vector.view(), &mut out);
@@ -67,28 +104,27 @@ fn main() {
             batch_ms,
             3,
         );
-        let f = fused.tuples_per_cycle(VECTOR_SIZE);
-        let u = unfused.tuples_per_cycle(VECTOR_SIZE);
-        let s = scalar.tuples_per_cycle(VECTOR_SIZE);
-        speedups.push(f / s);
-        table.row(
-            ds.name,
-            vec![format!("{f:.3}"), format!("{u:.3}"), format!("{s:.3}"), format!("{:.1}x", f / s)],
-        );
+        let tpc = |m: &Measurement| m.tuples_per_cycle(VECTOR_SIZE);
+        let mut cells = Vec::new();
+        for (k, (b, v)) in base.iter().zip(&v3).enumerate() {
+            gains[k].push(tpc(v) / tpc(b));
+            cells.push(format!("{:.3}", tpc(b)));
+            cells.push(format!("{:.3}", tpc(v)));
+        }
+        cells.push(format!("{:.3}", tpc(&scalar)));
+        table.row(ds.name, cells);
     }
 
     table.print();
-    println!("\nmedian fused/scalar speedup: {:.1}x", median(&mut speedups));
+    for (kernel, g) in ["encode", "decode", "sum"].iter().zip(&mut gains) {
+        println!("median {kernel} v3/x86-64: {:.2}x", median(g));
+    }
     if let Ok(p) = table.write_csv("fig4_arch") {
         eprintln!("wrote {}", p.display());
     }
 }
 
 fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs[xs.len() / 2]
-    }
+    xs.sort_by(|a, b| a.total_cmp(b));
+    xs.get(xs.len() / 2).copied().unwrap_or(0.0)
 }

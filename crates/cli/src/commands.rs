@@ -46,7 +46,7 @@ fn write_raw<F: AlpFloat>(path: &str, data: &[F]) -> Result<()> {
 ///
 /// Both layouts print one figure: bits/value = file bytes × 8 / values —
 /// headers, checksums and parity included — with the protection named next
-/// to it.
+/// to it, and the instruction tier the kernels ran at ([`alp::tier`]).
 pub fn compress(
     input: &str,
     output: &str,
@@ -65,6 +65,7 @@ pub fn compress(
         let raw_bits = f64::from(F::BITS);
         let bits_per_value = |file_bytes: usize| file_bytes as f64 * 8.0 / data.len().max(1) as f64;
         let protection = parity.map_or(String::new(), |p| format!(", parity 1/{}", p.group_size));
+        let kernels = alp::tier::active();
         let Some(config) = stream else {
             let compressed = alp::Compressor::new().compress(&data);
             let bytes = match parity {
@@ -74,7 +75,8 @@ pub fn compress(
             fs::write(output, &bytes)?;
             let bpv = bits_per_value(bytes.len());
             println!(
-                "{} values -> {} bytes  ({bpv:.2} bits/value, {:.1}x, {:.0} ms{protection})",
+                "{} values -> {} bytes  ({bpv:.2} bits/value, {:.1}x, {:.0} ms{protection}, \
+                 {kernels} kernels)",
                 data.len(),
                 bytes.len(),
                 raw_bits / bpv,
@@ -97,7 +99,8 @@ pub fn compress(
         println!(
             "{} values -> {} bytes streamed in {} row-groups: {} ALP, {} ALP_rd \
              ({} decided before level 1 finished), {} of {} vectors rescued  \
-             ({:.2} bits/value, {:.0} ms, {:.0} MB/s, threads={}, depth={}{protection})",
+             ({:.2} bits/value, {:.0} ms, {:.0} MB/s, threads={}, depth={}{protection}, \
+             {kernels} kernels)",
             summary.values,
             summary.total_bytes,
             summary.rowgroups,
@@ -419,7 +422,7 @@ pub fn shootout(input: &str, threads: usize) -> Result<()> {
     }
     let chunk = alp_core::par::DEFAULT_CHUNK_VALUES;
     let mb = data.len() as f64 * 8.0 / 1e6;
-    println!("threads: {threads}, chunk: {chunk} values");
+    println!("threads: {threads}, chunk: {chunk} values, kernels: {}", alp::tier::active());
     println!("{:<10} {:>11} {:>12} {:>12}", "scheme", "bits/value", "comp MB/s", "dec MB/s");
 
     let mut scratch = alp_core::Scratch::new();

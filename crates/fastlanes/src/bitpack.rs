@@ -7,6 +7,8 @@
 //! [`crate::ffor`], [`crate::bitpack32`], `alp::decode`, `alp::rd`) picks the
 //! block function for its vector's width once ([`unpacker`] / [`packer`]) and
 //! calls it 16 times, applying its own arithmetic to the 64 values in between.
+//! The pick also chooses the instruction tier: each width has a baseline and
+//! an x86-64-v3 copy, and the one [`crate::tier::active`] names is handed out.
 //!
 //! **Word sources and sinks.** Both sides move their words through [`Word`]:
 //! a native `u64` (an in-memory vector) or the `[u8; 8]` that holds one
@@ -28,6 +30,7 @@
 )]
 
 use crate::dispatch::{width_mask, with_width, WidthKernel};
+use crate::tier::{v3, Kernel};
 use crate::{packed_len, VECTOR_SIZE};
 
 /// Values per block: 64 `W`-bit values span exactly `W` words.
@@ -63,8 +66,8 @@ pub trait Word: Copy {
     /// The stored form of `value`.
     fn from_u64(value: u64) -> Self;
     /// [`unpacker`] for this word type. A method of the (non-generic) impls
-    /// so that each source's 65 block functions are compiled once, in this
-    /// crate, not once per crate that decodes.
+    /// so that each source's 65 block functions per tier are compiled once,
+    /// in this crate, not once per crate that decodes.
     fn unpacker(width: usize) -> Unpack64<Self>;
     /// [`packer`] for this word type (see [`Word::unpacker`]).
     fn packer(width: usize) -> Pack64<Self>;
@@ -116,7 +119,7 @@ impl Word for [u8; 8] {
 ///
 /// # Panics
 /// Panics if `words.len() < W` or `W > 64`.
-#[inline]
+#[inline(always)]
 #[expect(
     clippy::indexing_slicing,
     reason = "block geometry: after the one `words[..W]` slice check (callers size buffers \
@@ -142,7 +145,7 @@ pub fn unpack64<const W: usize, T: Word>(words: &[T]) -> [u64; BLOCK] {
 ///
 /// # Panics
 /// Panics if `words.len() < W` or `W > 64`.
-#[inline]
+#[inline(always)]
 #[expect(clippy::indexing_slicing, reason = "the block geometry of `unpack64`")]
 pub fn pack64<const W: usize, T: Word>(values: &[u64; BLOCK], words: &mut [T]) {
     if W == 0 {
@@ -166,15 +169,17 @@ pub fn pack64<const W: usize, T: Word>(values: &[u64; BLOCK], words: &mut [T]) {
     debug_assert_eq!(acc, 0, "lane 63 ends the last word");
 }
 
-/// [`unpack64`] at one width, writing its block in place: a caller's output
-/// slice or scratch receives the 64 stores directly, where an array returned
-/// through a function pointer would cost a 512-byte copy per block.
-pub type Unpack64<T = u64> = fn(&[T], &mut [u64; BLOCK]);
-/// [`pack64`] at one width.
-pub type Pack64<T = u64> = fn(&[u64; BLOCK], &mut [T]);
+/// [`unpack64`] at one width and the active tier ([`crate::tier`]), writing
+/// its block in place: a caller's output slice or scratch receives the 64
+/// stores directly, where an array returned through a function pointer would
+/// cost a 512-byte copy per block. Run it with [`Kernel::call`].
+pub type Unpack64<T = u64> = Kernel<[T], [u64; BLOCK]>;
+/// [`pack64`] at one width and the active tier.
+pub type Pack64<T = u64> = Kernel<[u64; BLOCK], [T]>;
 
-/// The block unpacker for a runtime `width`. The 65 instantiations live here
-/// and nowhere else, whatever a caller does to the values afterwards.
+/// The block unpacker for a runtime `width` at the active tier. The 65 × 2
+/// instantiations live here and nowhere else, whatever a caller does to the
+/// values afterwards.
 ///
 /// # Panics
 /// Panics if `width > 64`.
@@ -182,20 +187,37 @@ pub fn unpacker<T: Word>(width: usize) -> Unpack64<T> {
     T::unpacker(width)
 }
 
+fn unpack_into<const W: usize, T: Word>(words: &[T], out: &mut [u64; BLOCK]) {
+    *out = unpack64::<W, T>(words);
+}
+
+v3! {
+    fn unpack_into_v3<const W: usize, T: Word>(words: &[T], out: &mut [u64; BLOCK]) {
+        *out = unpack64::<W, T>(words);
+    }
+}
+
 fn pick_unpacker<T: Word>(width: usize) -> Unpack64<T> {
     struct Pick<T>(core::marker::PhantomData<T>);
     impl<T: Word> WidthKernel for Pick<T> {
         type Out = Unpack64<T>;
         fn run<const W: usize>(self) -> Unpack64<T> {
-            |words, out| *out = unpack64::<W, T>(words)
+            Kernel::pick(unpack_into::<W, T>, unpack_into_v3::<W, T>)
         }
     }
     with_width(width, Pick(core::marker::PhantomData))
 }
 
-/// The block packer for a runtime `width` (see [`unpacker`]).
+/// The block packer for a runtime `width` at the active tier (see
+/// [`unpacker`]).
 pub fn packer<T: Word>(width: usize) -> Pack64<T> {
     T::packer(width)
+}
+
+v3! {
+    fn pack64_v3<const W: usize, T: Word>(values: &[u64; BLOCK], words: &mut [T]) {
+        pack64::<W, T>(values, words);
+    }
 }
 
 fn pick_packer<T: Word>(width: usize) -> Pack64<T> {
@@ -203,7 +225,7 @@ fn pick_packer<T: Word>(width: usize) -> Pack64<T> {
     impl<T: Word> WidthKernel for Pick<T> {
         type Out = Pack64<T>;
         fn run<const W: usize>(self) -> Pack64<T> {
-            pack64::<W, T>
+            Kernel::pick(pack64::<W, T>, pack64_v3::<W, T>)
         }
     }
     with_width(width, Pick(core::marker::PhantomData))
@@ -238,7 +260,7 @@ pub fn pack(input: &[u64], width: usize) -> Vec<u64> {
     let mut out = vec![0u64; packed_len(width)];
     let pack = packer(width);
     for (block, values) in input.as_chunks::<BLOCK>().0.iter().enumerate() {
-        pack(values, block_words_mut(&mut out, width, block));
+        pack.call(values, block_words_mut(&mut out, width, block));
     }
     out
 }
@@ -251,7 +273,7 @@ pub fn unpack(packed: &[u64], width: usize, out: &mut [u64]) {
     assert!(packed.len() >= packed_len(width));
     let unpack = unpacker(width);
     for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
-        unpack(block_words(packed, width, block), out_block);
+        unpack.call(block_words(packed, width, block), out_block);
     }
 }
 

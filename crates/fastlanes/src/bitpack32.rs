@@ -46,7 +46,7 @@ pub fn pack(input: &[u32], width: usize) -> Vec<u32> {
         for (v, &narrow) in values.iter_mut().zip(chunk) {
             *v = u64::from(narrow);
         }
-        pack(&values, &mut words);
+        pack.call(&values, &mut words);
         for (pair, &w) in halves.iter_mut().skip(block * width).zip(words.iter().take(width)) {
             *pair = [w as u32, (w >> 32) as u32];
         }
@@ -68,7 +68,7 @@ pub fn unpack(packed: &[u32], width: usize, out: &mut [u32]) {
         for (w, &[lo, hi]) in words.iter_mut().zip(halves.iter().skip(block * width).take(width)) {
             *w = u64::from(lo) | u64::from(hi) << 32;
         }
-        unpack(&words, &mut values);
+        unpack.call(&words, &mut values);
         for (o, &v) in out_block.iter_mut().zip(&values) {
             // `v` is masked to `width <= 32` bits, so the conversion cannot fail.
             *o = u32::try_from(v).unwrap_or(u32::MAX);

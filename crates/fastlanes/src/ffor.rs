@@ -26,6 +26,7 @@ use crate::{bits_needed, packed_len, VECTOR_SIZE};
 
 /// Smallest width (bits per residual) that losslessly frames `input` against
 /// its minimum. Returns `(base, width)`.
+#[inline(always)]
 pub fn frame_of(input: &[i64]) -> (i64, usize) {
     assert!(!input.is_empty());
     let mut min = i64::MAX;
@@ -49,31 +50,34 @@ pub fn ffor_pack(input: &[i64], base: i64, width: usize) -> Vec<u64> {
 
 /// [`ffor_pack`] into the caller's words — native, or the bytes of a file
 /// (see [`Word`]): fills `out[..16 * width]` and leaves the rest alone.
+#[inline(always)]
 pub fn ffor_pack_into<T: Word>(input: &[i64], base: i64, width: usize, out: &mut [T]) {
     assert_eq!(input.len(), VECTOR_SIZE);
     let pack = packer::<T>(width);
     let mut residuals = [0u64; BLOCK];
     for (block, values) in input.as_chunks::<BLOCK>().0.iter().enumerate() {
         for_encode(values, base, &mut residuals);
-        pack(&residuals, block_words_mut(out, width, block));
+        pack.call(&residuals, block_words_mut(out, width, block));
     }
 }
 
 /// Fused bit-unpack + add-base of a 1024-value vector: the base is added
 /// while a block's 64 residuals are still in L1.
+#[inline(always)]
 pub fn ffor_unpack(packed: &[u64], base: i64, width: usize, out: &mut [i64]) {
     assert_eq!(out.len(), VECTOR_SIZE);
     assert!(packed.len() >= packed_len(width));
     let unpack = unpacker(width);
     let mut residuals = [0u64; BLOCK];
     for (block, out_block) in out.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
-        unpack(block_words(packed, width, block), &mut residuals);
+        unpack.call(block_words(packed, width, block), &mut residuals);
         for_decode(&residuals, base, out_block);
     }
 }
 
 /// Unfused FOR encode: writes residuals to `residuals`, then the caller packs
 /// them with [`crate::bitpack::pack`]. Exists for the kernel-fusion ablation.
+#[inline(always)]
 pub fn for_encode(input: &[i64], base: i64, residuals: &mut [u64]) {
     assert_eq!(input.len(), residuals.len());
     for (r, &v) in residuals.iter_mut().zip(input) {
@@ -82,6 +86,7 @@ pub fn for_encode(input: &[i64], base: i64, residuals: &mut [u64]) {
 }
 
 /// Unfused FOR decode: adds the base back onto unpacked residuals.
+#[inline(always)]
 pub fn for_decode(residuals: &[u64], base: i64, out: &mut [i64]) {
     assert_eq!(residuals.len(), out.len());
     for (o, &r) in out.iter_mut().zip(residuals) {

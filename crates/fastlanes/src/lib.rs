@@ -23,6 +23,11 @@
 //! * [`rle`] — run-length encoding with separate run-value / run-length streams.
 //! * [`dict`] — dictionary encoding with packed codes.
 //!
+//! [`tier`] runs the hot kernels — these block packers and unpackers, and
+//! through [`tier::run`] ALP's encode, decode and sum kernels — as
+//! x86-64-v3 (AVX2) code when the CPU has it, chosen at runtime; a stock
+//! build otherwise vectorizes for SSE2 only.
+//!
 //! # Layout note
 //! The default is a word-sequential LSB-first packed layout rather than
 //! FastLanes' interleaved lane order. Every claim reproduced here (fusion
@@ -39,6 +44,7 @@ pub mod ffor;
 pub mod fused;
 pub mod interleaved;
 pub mod rle;
+pub mod tier;
 
 /// Number of values every kernel processes at a time.
 pub const VECTOR_SIZE: usize = 1024;

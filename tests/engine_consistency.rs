@@ -1,39 +1,12 @@
-//! The vectorized engine answers identically over every storage format and
-//! at every parallelism level — names the test floor pins, each one a slice
-//! of the differential driver's aggregate axis (`tests/differential.rs` runs
-//! all of it; DESIGN.md §17).
+//! The vectorized engine answers identically over every storage format — a
+//! name the test floor pins, a slice of the differential driver's aggregate
+//! axis (`tests/differential.rs` runs all of it; DESIGN.md §17) — and ALP's
+//! footprint ranks as the paper's Table 4 does.
 
 mod driver;
 
 use driver::*;
 use vectorq::{Column, Format};
-
-#[test]
-fn sums_agree_across_formats_on_diverse_datasets() {
-    for name in ["City-Temp", "Gov/26", "Blockchain", "POI-lat", "CMS/9"] {
-        for format in formats() {
-            assert_aggregates(&dataset(name, 1024 + 333).values, false, format, name);
-        }
-    }
-}
-
-#[test]
-fn scan_counts_are_exact() {
-    let odd = dataset::<f64>("Stocks-DE", 12_457);
-    for format in formats() {
-        assert_eq!(
-            Column::from_f64(&odd.values, format).scan(),
-            odd.values.len(),
-            "{}",
-            format.name()
-        );
-    }
-}
-
-#[test]
-fn parallelism_does_not_change_answers() {
-    assert_aggregates(&dataset("Food-prices", 10_000).values, false, Format::alp(), "Food-prices");
-}
 
 #[test]
 fn compressed_footprints_rank_sensibly_on_decimals() {

@@ -30,7 +30,10 @@
 //! bases at `i64::MIN` / `i64::MAX` / `±2^50 ± 1` / `±2^51` (the per-vector
 //! conversion choice flips between them), scaled magnitudes on either side of
 //! `2^50` and NaNs (the encoder's fallback), exceptions on block edges, and
-//! short tail vectors. Plus a seeded property that the pruned `full_search` is the
+//! short tail vectors. Every kernel check runs at both instruction tiers
+//! (`fastlanes::tier`: x86-64-v3 when the CPU has it, and the baseline), and
+//! the tiers are held to each other on every dataset: same body bytes, same
+//! decoded bits, same sums. Plus a seeded property that the pruned `full_search` is the
 //! exhaustive one, the soundness of the per-shift exception bound that prunes
 //! it, and the compressor's decide-first plan held to the finished level 1.
 
@@ -54,10 +57,21 @@ use alp::sampler::{
 use alp::{AlpFloat, Compressor, SamplerStats, VECTOR_SIZE};
 use alp_core::scan::{scan_values, ScanAgg, ScanPredicate, ScanResult};
 use alp_repro::corruption::SplitMix64;
+use fastlanes::tier::{self, Tier};
 use fastlanes::{bitpack, bitpack32, ffor, packed_len};
 use vectorq::{Column, Format, ZoneMap};
 
 mod driver;
+
+/// Runs `check` at each instruction tier of `fastlanes::tier` — v3 (when the
+/// CPU has it), then held to the baseline — so every reference below holds
+/// the kernels at both. `capped` serializes its callers, so each run is at
+/// the tier it names.
+fn at_every_tier(check: impl Fn()) {
+    for t in [Tier::V3, Tier::Baseline] {
+        tier::capped(t, &check);
+    }
+}
 
 /// Deterministic 64-bit mixer (splitmix64 finalizer).
 fn mix(i: u64) -> u64 {
@@ -126,88 +140,106 @@ const BASES: [i64; 14] = [
 
 #[test]
 fn pack_and_unpack_match_the_bitwise_reference_at_every_width() {
-    for width in 0..=64usize {
-        for residuals in residual_patterns(width) {
-            let packed = bitpack::pack(&residuals, width);
-            assert_eq!(packed, reference_pack(&residuals, width), "pack, width {width}");
-            let mut out = vec![u64::MAX; VECTOR_SIZE];
-            bitpack::unpack(&packed, width, &mut out);
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, reference_extract(&packed, width, i), "unpack, width {width} [{i}]");
+    at_every_tier(|| {
+        for width in 0..=64usize {
+            for residuals in residual_patterns(width) {
+                let packed = bitpack::pack(&residuals, width);
+                assert_eq!(packed, reference_pack(&residuals, width), "pack, width {width}");
+                let mut out = vec![u64::MAX; VECTOR_SIZE];
+                bitpack::unpack(&packed, width, &mut out);
+                for (i, &v) in out.iter().enumerate() {
+                    assert_eq!(
+                        v,
+                        reference_extract(&packed, width, i),
+                        "unpack, width {width} [{i}]"
+                    );
+                }
+                assert_eq!(out, residuals, "roundtrip, width {width}");
             }
-            assert_eq!(out, residuals, "roundtrip, width {width}");
         }
-    }
+    });
 }
 
 #[test]
 fn unpack_from_le_bytes_matches_unpack_from_words_at_every_width_and_block() {
-    for width in 0..=64usize {
-        let (from_words, from_bytes) =
-            (bitpack::unpacker::<u64>(width), bitpack::unpacker::<[u8; 8]>(width));
-        for residuals in residual_patterns(width) {
-            let packed = bitpack::pack(&residuals, width);
-            // The stream as a file holds it: no pad word, no alignment.
-            let mut bytes = vec![0xA5u8; 3];
-            bytes.extend(packed[..16 * width].iter().flat_map(|w| w.to_le_bytes()));
-            let (chunks, tail) = bytes[3..].as_chunks::<8>();
-            assert!(tail.is_empty());
-            for block in 0..VECTOR_SIZE / bitpack::BLOCK {
-                let (mut a, mut b) = ([u64::MAX; bitpack::BLOCK], [u64::MAX; bitpack::BLOCK]);
-                from_words(bitpack::block_words(&packed, width, block), &mut a);
-                from_bytes(bitpack::block_words(chunks, width, block), &mut b);
-                assert_eq!(a, b, "width {width} block {block}");
-                assert_eq!(a[..], residuals[64 * block..64 * block + 64], "width {width}");
+    at_every_tier(|| {
+        for width in 0..=64usize {
+            let (from_words, from_bytes) =
+                (bitpack::unpacker::<u64>(width), bitpack::unpacker::<[u8; 8]>(width));
+            for residuals in residual_patterns(width) {
+                let packed = bitpack::pack(&residuals, width);
+                // The stream as a file holds it: no pad word, no alignment.
+                let mut bytes = vec![0xA5u8; 3];
+                bytes.extend(packed[..16 * width].iter().flat_map(|w| w.to_le_bytes()));
+                let (chunks, tail) = bytes[3..].as_chunks::<8>();
+                assert!(tail.is_empty());
+                for block in 0..VECTOR_SIZE / bitpack::BLOCK {
+                    let (mut a, mut b) = ([u64::MAX; bitpack::BLOCK], [u64::MAX; bitpack::BLOCK]);
+                    from_words.call(bitpack::block_words(&packed, width, block), &mut a);
+                    from_bytes.call(bitpack::block_words(chunks, width, block), &mut b);
+                    assert_eq!(a, b, "width {width} block {block}");
+                    assert_eq!(a[..], residuals[64 * block..64 * block + 64], "width {width}");
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn pack_truncates_oversized_values_like_the_reference() {
-    for width in 0..64usize {
-        let wide: Vec<u64> = (0..VECTOR_SIZE as u64).map(mix).collect();
-        let truncated: Vec<u64> = wide.iter().map(|&v| v & mask(width)).collect();
-        assert_eq!(bitpack::pack(&wide, width), reference_pack(&truncated, width), "width {width}");
-    }
+    at_every_tier(|| {
+        for width in 0..64usize {
+            let wide: Vec<u64> = (0..VECTOR_SIZE as u64).map(mix).collect();
+            let truncated: Vec<u64> = wide.iter().map(|&v| v & mask(width)).collect();
+            assert_eq!(
+                bitpack::pack(&wide, width),
+                reference_pack(&truncated, width),
+                "width {width}"
+            );
+        }
+    });
 }
 
 #[test]
 fn bitpack32_matches_the_bitwise_reference_at_every_width() {
-    for width in 0..=32usize {
-        for residuals in residual_patterns(width) {
-            let narrow: Vec<u32> = residuals.iter().map(|&v| v as u32).collect();
-            let packed = bitpack32::pack(&narrow, width);
-            assert_eq!(packed.len(), bitpack32::packed_len32(width));
-            // The u32 stream is the u64 stream read in halves, pad aside.
-            let wide = reference_pack(&residuals, width);
-            let halves: Vec<u32> =
-                wide.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]).collect();
-            assert_eq!(packed[..32 * width], halves[..32 * width], "pack32, width {width}");
-            assert_eq!(packed[32 * width], 0, "pad word, width {width}");
-            let mut out = vec![u32::MAX; VECTOR_SIZE];
-            bitpack32::unpack(&packed, width, &mut out);
-            assert_eq!(out, narrow, "unpack32, width {width}");
+    at_every_tier(|| {
+        for width in 0..=32usize {
+            for residuals in residual_patterns(width) {
+                let narrow: Vec<u32> = residuals.iter().map(|&v| v as u32).collect();
+                let packed = bitpack32::pack(&narrow, width);
+                assert_eq!(packed.len(), bitpack32::packed_len32(width));
+                // The u32 stream is the u64 stream read in halves, pad aside.
+                let wide = reference_pack(&residuals, width);
+                let halves: Vec<u32> =
+                    wide.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]).collect();
+                assert_eq!(packed[..32 * width], halves[..32 * width], "pack32, width {width}");
+                assert_eq!(packed[32 * width], 0, "pad word, width {width}");
+                let mut out = vec![u32::MAX; VECTOR_SIZE];
+                bitpack32::unpack(&packed, width, &mut out);
+                assert_eq!(out, narrow, "unpack32, width {width}");
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn ffor_matches_the_reference_at_every_width_and_extreme_bases() {
-    for width in 0..=64usize {
-        for residuals in residual_patterns(width) {
-            let want_packed = reference_pack(&residuals, width);
-            for base in BASES {
-                let ints: Vec<i64> =
-                    residuals.iter().map(|&r| r.wrapping_add(base as u64) as i64).collect();
-                let packed = ffor::ffor_pack(&ints, base, width);
-                assert_eq!(packed, want_packed, "ffor_pack, width {width} base {base}");
-                let mut out = vec![0i64; VECTOR_SIZE];
-                ffor::ffor_unpack(&packed, base, width, &mut out);
-                assert_eq!(out, ints, "ffor_unpack, width {width} base {base}");
+    at_every_tier(|| {
+        for width in 0..=64usize {
+            for residuals in residual_patterns(width) {
+                let want_packed = reference_pack(&residuals, width);
+                for base in BASES {
+                    let ints: Vec<i64> =
+                        residuals.iter().map(|&r| r.wrapping_add(base as u64) as i64).collect();
+                    let packed = ffor::ffor_pack(&ints, base, width);
+                    assert_eq!(packed, want_packed, "ffor_pack, width {width} base {base}");
+                    let mut out = vec![0i64; VECTOR_SIZE];
+                    ffor::ffor_unpack(&packed, base, width, &mut out);
+                    assert_eq!(out, ints, "ffor_unpack, width {width} base {base}");
+                }
             }
         }
-    }
+    });
 }
 
 /// What a scan of one vector must report, bit patterns widened to `u64`.
@@ -467,62 +499,68 @@ const F64_PAYLOADS: [u64; 7] = [
 
 #[test]
 fn decode_and_scan_match_the_scalar_decoder_at_every_width_and_base() {
-    for width in 0..=64usize {
-        let residuals = &residual_patterns(width)[..2];
-        for (r, residuals) in residuals.iter().enumerate() {
-            for (b, &base) in BASES.iter().enumerate() {
-                // Rotate the remaining axes instead of crossing them: every
-                // (width, base) pair runs, every (e, f) / length / exception
-                // shape runs at many widths.
-                let combo = [(14, 12), (0, 0), (21, 3), (6, 6)][(width + b) % 4];
-                let len = [VECTOR_SIZE, 1, 63, 65, 1000][(width + b + r) % 5];
-                let positions: Vec<u16> = match (width + b) % 3 {
-                    0 => Vec::new(),
-                    _ => EDGE_POSITIONS.iter().copied().filter(|&p| (p as usize) < len).collect(),
-                };
-                let payload = |k: usize| F64_PAYLOADS[(k + width) % F64_PAYLOADS.len()];
-                let (v, arena) =
-                    hand_built(residuals, width, base, combo, len, &positions, payload);
-                let what = format!("width {width} base {base} (e,f) {combo:?} len {len}");
-                check_decoders::<f64>(&v, &arena, &what);
-                check_scan::<f64>(&v, &arena, &what);
+    at_every_tier(|| {
+        for width in 0..=64usize {
+            let residuals = &residual_patterns(width)[..2];
+            for (r, residuals) in residuals.iter().enumerate() {
+                for (b, &base) in BASES.iter().enumerate() {
+                    // Rotate the remaining axes instead of crossing them: every
+                    // (width, base) pair runs, every (e, f) / length / exception
+                    // shape runs at many widths.
+                    let combo = [(14, 12), (0, 0), (21, 3), (6, 6)][(width + b) % 4];
+                    let len = [VECTOR_SIZE, 1, 63, 65, 1000][(width + b + r) % 5];
+                    let positions: Vec<u16> = match (width + b) % 3 {
+                        0 => Vec::new(),
+                        _ => {
+                            EDGE_POSITIONS.iter().copied().filter(|&p| (p as usize) < len).collect()
+                        }
+                    };
+                    let payload = |k: usize| F64_PAYLOADS[(k + width) % F64_PAYLOADS.len()];
+                    let (v, arena) =
+                        hand_built(residuals, width, base, combo, len, &positions, payload);
+                    let what = format!("width {width} base {base} (e,f) {combo:?} len {len}");
+                    check_decoders::<f64>(&v, &arena, &what);
+                    check_scan::<f64>(&v, &arena, &what);
+                }
             }
         }
-    }
+    });
 }
 
 #[test]
 fn f32_decode_matches_the_scalar_decoder_around_its_conversion_limit() {
-    // ±2^21 is where the f32 conversion choice flips; 2^22 is the edge of the
-    // f32 sweet spot itself.
-    let bases: [i64; 10] = [
-        0,
-        (1 << 21) - 1,
-        1 << 21,
-        (1 << 21) + 1,
-        -(1 << 21),
-        -(1 << 21) - 1,
-        1 << 22,
-        -(1 << 22),
-        i64::MAX,
-        i64::MIN,
-    ];
-    for width in 0..=64usize {
-        for residuals in &residual_patterns(width)[..2] {
-            for (b, &base) in bases.iter().enumerate() {
-                let combo = [(5, 2), (0, 0), (10, 0)][(width + b) % 3];
-                let len = [VECTOR_SIZE, 7, 64][(width + b) % 3];
-                let positions: Vec<u16> =
-                    EDGE_POSITIONS.iter().copied().filter(|&p| (p as usize) < len).collect();
-                let payload = |k: usize| [0x7FC0_1234u64, 0x8000_0000, 0x7F80_0000, 1][k % 4];
-                let (v, arena) =
-                    hand_built(residuals, width, base, combo, len, &positions, payload);
-                let what = format!("f32 width {width} base {base}");
-                check_decoders::<f32>(&v, &arena, &what);
-                check_scan::<f32>(&v, &arena, &what);
+    at_every_tier(|| {
+        // ±2^21 is where the f32 conversion choice flips; 2^22 is the edge of the
+        // f32 sweet spot itself.
+        let bases: [i64; 10] = [
+            0,
+            (1 << 21) - 1,
+            1 << 21,
+            (1 << 21) + 1,
+            -(1 << 21),
+            -(1 << 21) - 1,
+            1 << 22,
+            -(1 << 22),
+            i64::MAX,
+            i64::MIN,
+        ];
+        for width in 0..=64usize {
+            for residuals in &residual_patterns(width)[..2] {
+                for (b, &base) in bases.iter().enumerate() {
+                    let combo = [(5, 2), (0, 0), (10, 0)][(width + b) % 3];
+                    let len = [VECTOR_SIZE, 7, 64][(width + b) % 3];
+                    let positions: Vec<u16> =
+                        EDGE_POSITIONS.iter().copied().filter(|&p| (p as usize) < len).collect();
+                    let payload = |k: usize| [0x7FC0_1234u64, 0x8000_0000, 0x7F80_0000, 1][k % 4];
+                    let (v, arena) =
+                        hand_built(residuals, width, base, combo, len, &positions, payload);
+                    let what = format!("f32 width {width} base {base}");
+                    check_decoders::<f32>(&v, &arena, &what);
+                    check_scan::<f32>(&v, &arena, &what);
+                }
             }
         }
-    }
+    });
 }
 
 /// Lengths on every side of a lane row (8) and a block (64), plus the ends.
@@ -591,8 +629,10 @@ fn check_scans_at_every_length_and_exception_shape<F: AlpFloat>(combo: (u8, u8))
 
 #[test]
 fn every_scan_route_matches_the_definition_at_every_length_and_exception_shape() {
-    check_scans_at_every_length_and_exception_shape::<f64>((14, 12));
-    check_scans_at_every_length_and_exception_shape::<f32>((5, 2));
+    at_every_tier(|| {
+        check_scans_at_every_length_and_exception_shape::<f64>((14, 12));
+        check_scans_at_every_length_and_exception_shape::<f32>((5, 2));
+    });
 }
 
 /// A column with everything a predicated sum has to get right: decimals,
@@ -644,36 +684,39 @@ fn check_column(data: &[f64], lo: f64, hi: f64, what: &str) {
 
 #[test]
 fn column_sums_match_the_definition_on_every_storage() {
-    for len in LENGTHS.into_iter().chain([3 * VECTOR_SIZE + 65]) {
-        let data = column_with_specials(len);
-        for (lo, hi) in bands(&data) {
-            check_column(&data, lo, hi, &format!("specials, len {len}, band [{lo}, {hi}]"));
+    at_every_tier(|| {
+        for len in LENGTHS.into_iter().chain([3 * VECTOR_SIZE + 65]) {
+            let data = column_with_specials(len);
+            for (lo, hi) in bands(&data) {
+                check_column(&data, lo, hi, &format!("specials, len {len}, band [{lo}, {hi}]"));
+            }
         }
-    }
-    // Vectors of distinct character, so one band meets every zone verdict:
-    // inside (predicate-free), straddling, NaN-bearing, all-NaN, disjoint.
-    let mut data: Vec<f64> = (0..5 * VECTOR_SIZE + 9).map(|i| (i % 1000) as f64 / 8.0).collect();
-    for (i, x) in data.iter_mut().enumerate() {
-        match i / VECTOR_SIZE {
-            0 => *x = 10.0 + *x / 100.0,
-            1 if i % 50 == 0 => *x = f64::NAN,
-            2 => *x = f64::NAN,
-            3 => *x += 1000.0,
-            _ => {}
+        // Vectors of distinct character, so one band meets every zone verdict:
+        // inside (predicate-free), straddling, NaN-bearing, all-NaN, disjoint.
+        let mut data: Vec<f64> =
+            (0..5 * VECTOR_SIZE + 9).map(|i| (i % 1000) as f64 / 8.0).collect();
+        for (i, x) in data.iter_mut().enumerate() {
+            match i / VECTOR_SIZE {
+                0 => *x = 10.0 + *x / 100.0,
+                1 if i % 50 == 0 => *x = f64::NAN,
+                2 => *x = f64::NAN,
+                3 => *x += 1000.0,
+                _ => {}
+            }
         }
-    }
-    let first = ZoneMap::of(&data[..VECTOR_SIZE]);
-    for (lo, hi) in [
-        (first.min, first.max),
-        (first.min, first.max - 0.01),
-        (0.0, 125.0),
-        (-0.0, 2000.0),
-        (f64::NEG_INFINITY, f64::INFINITY),
-        (f64::NAN, 1.0),
-        (3000.0, f64::INFINITY),
-    ] {
-        check_column(&data, lo, hi, &format!("zone verdicts, band [{lo}, {hi}]"));
-    }
+        let first = ZoneMap::of(&data[..VECTOR_SIZE]);
+        for (lo, hi) in [
+            (first.min, first.max),
+            (first.min, first.max - 0.01),
+            (0.0, 125.0),
+            (-0.0, 2000.0),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (f64::NAN, 1.0),
+            (3000.0, f64::INFINITY),
+        ] {
+            check_column(&data, lo, hi, &format!("zone verdicts, band [{lo}, {hi}]"));
+        }
+    });
 }
 
 /// The encoder as Algorithm 1 states it, one value at a time through the
@@ -732,87 +775,92 @@ fn decimals(len: usize) -> Vec<f64> {
 
 #[test]
 fn encoder_matches_algorithm_1_on_both_passes() {
-    let specials = [
-        f64::NAN,
-        f64::from_bits(0x7FF8_DEAD_BEEF_0001),
-        f64::from_bits(0xFFF0_0000_0000_0001),
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        -0.0,
-        0.0,
-        f64::from_bits(1),
-        -f64::MIN_POSITIVE / 2.0,
-        f64::MAX,
-        std::f64::consts::PI,
-    ];
-    for len in [VECTOR_SIZE, 1, 3, 63, 64, 65, 1000] {
-        let clean = decimals(len);
-        check_encoder(&clean, 14, 12, &format!("clean decimals, len {len}"));
-        check_encoder(&clean, 0, 0, &format!("decimals at (0,0), len {len}"));
-        check_encoder(&clean, 21, 0, &format!("decimals scaled past 2^50, len {len}"));
+    at_every_tier(|| {
+        let specials = [
+            f64::NAN,
+            f64::from_bits(0x7FF8_DEAD_BEEF_0001),
+            f64::from_bits(0xFFF0_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::MIN_POSITIVE / 2.0,
+            f64::MAX,
+            std::f64::consts::PI,
+        ];
+        for len in [VECTOR_SIZE, 1, 3, 63, 64, 65, 1000] {
+            let clean = decimals(len);
+            check_encoder(&clean, 14, 12, &format!("clean decimals, len {len}"));
+            check_encoder(&clean, 0, 0, &format!("decimals at (0,0), len {len}"));
+            check_encoder(&clean, 21, 0, &format!("decimals scaled past 2^50, len {len}"));
 
-        // One special at a time on a block edge: the non-finite ones (and
-        // f64::MAX) push the whole vector onto the cast pass, the zeros and
-        // the subnormals stay on the sweet pass as exceptions.
-        for (k, &special) in specials.iter().enumerate() {
-            let mut data = clean.clone();
-            let at = EDGE_POSITIONS[k % EDGE_POSITIONS.len()] as usize % len;
-            data[at] = special;
-            check_encoder(&data, 14, 12, &format!("special {special:e} at {at}, len {len}"));
+            // One special at a time on a block edge: the non-finite ones (and
+            // f64::MAX) push the whole vector onto the cast pass, the zeros and
+            // the subnormals stay on the sweet pass as exceptions.
+            for (k, &special) in specials.iter().enumerate() {
+                let mut data = clean.clone();
+                let at = EDGE_POSITIONS[k % EDGE_POSITIONS.len()] as usize % len;
+                data[at] = special;
+                check_encoder(&data, 14, 12, &format!("special {special:e} at {at}, len {len}"));
+            }
+
+            // Exceptions on every block edge at once, first value included.
+            let mut edges = clean.clone();
+            for &p in EDGE_POSITIONS.iter().filter(|&&p| (p as usize) < len) {
+                edges[p as usize] = std::f64::consts::E * (p as f64 + 1.0);
+            }
+            check_encoder(&edges, 14, 12, &format!("edge exceptions, len {len}"));
+
+            // Every value an exception.
+            let noise: Vec<f64> = (0..len).map(|i| (i as f64 + 0.1).sqrt().sin()).collect();
+            check_encoder(&noise, 14, 0, &format!("all exceptions, len {len}"));
         }
-
-        // Exceptions on every block edge at once, first value included.
-        let mut edges = clean.clone();
-        for &p in EDGE_POSITIONS.iter().filter(|&&p| (p as usize) < len) {
-            edges[p as usize] = std::f64::consts::E * (p as f64 + 1.0);
-        }
-        check_encoder(&edges, 14, 12, &format!("edge exceptions, len {len}"));
-
-        // Every value an exception.
-        let noise: Vec<f64> = (0..len).map(|i| (i as f64 + 0.1).sqrt().sin()).collect();
-        check_encoder(&noise, 14, 0, &format!("all exceptions, len {len}"));
-    }
+    });
 }
 
 #[test]
 fn encoder_matches_algorithm_1_across_the_sweet_spot_edges() {
-    // Half-integers in [-2^52, -2^51): exactly representable, they round to
-    // even and sit beyond both the 2^50 limit of the sweet pass and the 2^51
-    // limit of fast rounding itself.
-    let half_integers: Vec<f64> = (0..VECTOR_SIZE)
-        .map(|i| -((1u64 << 51) as f64) - 0.5 - (mix(i as u64) % 4096) as f64)
-        .collect();
-    assert!(half_integers.iter().all(|x| x.fract() == -0.5 && *x >= -((1u64 << 52) as f64)));
-    check_encoder(&half_integers, 0, 0, "half-integers below -2^51");
+    at_every_tier(|| {
+        // Half-integers in [-2^52, -2^51): exactly representable, they round to
+        // even and sit beyond both the 2^50 limit of the sweet pass and the 2^51
+        // limit of fast rounding itself.
+        let half_integers: Vec<f64> = (0..VECTOR_SIZE)
+            .map(|i| -((1u64 << 51) as f64) - 0.5 - (mix(i as u64) % 4096) as f64)
+            .collect();
+        assert!(half_integers.iter().all(|x| x.fract() == -0.5 && *x >= -((1u64 << 52) as f64)));
+        check_encoder(&half_integers, 0, 0, "half-integers below -2^51");
 
-    // Integers straddling ±2^50 at (0, 0): below the limit the sweet pass
-    // encodes them, at and above it the cast pass does, and the two must
-    // agree on every field.
-    for centre in [1i64 << 50, -(1i64 << 50), 1 << 51, -(1 << 51)] {
-        for spread in [1i64, 2, 1000] {
-            let data: Vec<f64> = (0..VECTOR_SIZE as i64)
-                .map(|i| (centre + (i % (2 * spread + 1)) - spread) as f64)
-                .collect();
-            check_encoder(&data, 0, 0, &format!("integers around {centre} ± {spread}"));
-            let below: Vec<f64> =
-                data.iter().map(|x| x - x.signum() * (spread + 1) as f64).collect();
-            check_encoder(&below, 0, 0, &format!("integers just inside {centre}"));
+        // Integers straddling ±2^50 at (0, 0): below the limit the sweet pass
+        // encodes them, at and above it the cast pass does, and the two must
+        // agree on every field.
+        for centre in [1i64 << 50, -(1i64 << 50), 1 << 51, -(1 << 51)] {
+            for spread in [1i64, 2, 1000] {
+                let data: Vec<f64> = (0..VECTOR_SIZE as i64)
+                    .map(|i| (centre + (i % (2 * spread + 1)) - spread) as f64)
+                    .collect();
+                check_encoder(&data, 0, 0, &format!("integers around {centre} ± {spread}"));
+                let below: Vec<f64> =
+                    data.iter().map(|x| x - x.signum() * (spread + 1) as f64).collect();
+                check_encoder(&below, 0, 0, &format!("integers just inside {centre}"));
+            }
         }
-    }
 
-    // The same edges for f32: 2^21 (sweet-pass limit) and 2^22 (fast rounding).
-    for centre in [1i64 << 21, -(1i64 << 21), 1 << 22, -(1 << 22)] {
-        let data: Vec<f32> = (0..VECTOR_SIZE as i64).map(|i| (centre + i % 5 - 2) as f32).collect();
-        check_encoder(&data, 0, 0, &format!("f32 integers around {centre}"));
-    }
-    let f32_decimals: Vec<f32> =
-        (0..VECTOR_SIZE).map(|i| (mix(i as u64) % 20_000) as f32 / 100.0).collect();
-    check_encoder(&f32_decimals, 5, 3, "f32 decimals");
-    let mut f32_specials = f32_decimals.clone();
-    f32_specials[63] = f32::from_bits(0x7FC0_1234);
-    f32_specials[64] = -0.0;
-    f32_specials[1023] = f32::from_bits(1);
-    check_encoder(&f32_specials, 5, 3, "f32 decimals with specials on block edges");
+        // The same edges for f32: 2^21 (sweet-pass limit) and 2^22 (fast rounding).
+        for centre in [1i64 << 21, -(1i64 << 21), 1 << 22, -(1 << 22)] {
+            let data: Vec<f32> =
+                (0..VECTOR_SIZE as i64).map(|i| (centre + i % 5 - 2) as f32).collect();
+            check_encoder(&data, 0, 0, &format!("f32 integers around {centre}"));
+        }
+        let f32_decimals: Vec<f32> =
+            (0..VECTOR_SIZE).map(|i| (mix(i as u64) % 20_000) as f32 / 100.0).collect();
+        check_encoder(&f32_decimals, 5, 3, "f32 decimals");
+        let mut f32_specials = f32_decimals.clone();
+        f32_specials[63] = f32::from_bits(0x7FC0_1234);
+        f32_specials[64] = -0.0;
+        f32_specials[1023] = f32::from_bits(1);
+        check_encoder(&f32_specials, 5, 3, "f32 decimals with specials on block edges");
+    });
 }
 
 /// A packed stream as a file holds it: 16 blocks of `width` little-endian
@@ -960,23 +1008,28 @@ fn check_rd_bodies_at_every_cut<F: AlpFloat>() {
 
 #[test]
 fn rd_body_writers_match_the_reference_at_every_cut_dictionary_and_length() {
-    check_rd_bodies_at_every_cut::<f64>();
-    check_rd_bodies_at_every_cut::<f32>();
+    at_every_tier(|| {
+        check_rd_bodies_at_every_cut::<f64>();
+        check_rd_bodies_at_every_cut::<f32>();
+    });
 }
 
 #[test]
 fn rd_body_writers_match_the_reference_on_real_cuts_and_special_values() {
-    // What `choose_cut` picks for real doubles, specials in the first and
-    // last slot and on block edges.
-    for (name, mut data) in datagen::all_datasets(2 * VECTOR_SIZE + 300, 20240609) {
-        let meta = choose_cut::<f64>(&data, 256);
-        for (k, &p) in EDGE_POSITIONS.iter().chain(&[2 * VECTOR_SIZE as u16 + 299]).enumerate() {
-            data[p as usize] = f64::from_bits(F64_PAYLOADS[k % F64_PAYLOADS.len()]);
+    at_every_tier(|| {
+        // What `choose_cut` picks for real doubles, specials in the first and
+        // last slot and on block edges.
+        for (name, mut data) in datagen::all_datasets(2 * VECTOR_SIZE + 300, 20240609) {
+            let meta = choose_cut::<f64>(&data, 256);
+            for (k, &p) in EDGE_POSITIONS.iter().chain(&[2 * VECTOR_SIZE as u16 + 299]).enumerate()
+            {
+                data[p as usize] = f64::from_bits(F64_PAYLOADS[k % F64_PAYLOADS.len()]);
+            }
+            check_rd_bodies(&data, &meta, name);
+            let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
+            check_rd_bodies(&narrow, &choose_cut::<f32>(&narrow, 256), &format!("{name} as f32"));
         }
-        check_rd_bodies(&data, &meta, name);
-        let narrow: Vec<f32> = data.iter().map(|&x| x as f32).collect();
-        check_rd_bodies(&narrow, &choose_cut::<f32>(&narrow, 256), &format!("{name} as f32"));
-    }
+    });
 }
 
 /// `RdMeta` is a `pub` struct: whatever a caller fills in, the encoder
@@ -1000,6 +1053,59 @@ fn rd_encoder_refuses_impossible_parameters_and_keeps_first_match_for_duplicates
     for dict in [vec![a, b, a, c], vec![a, a, a, a], vec![b, a, c, c]] {
         let duplicated = RdMeta { dict, ..meta.clone() };
         check_rd_bodies(&values, &duplicated, &format!("duplicates {:?}", duplicated.dict));
+    }
+}
+
+/// One row-group as one tier sees it: the body the compressor writes, the
+/// bits it decodes to, and every sum route's `(sum bits, matches, NaNs)` —
+/// the fused sum and scan of each ALP vector, all values and a band, and the
+/// sum of the decoded values.
+type TierOutput = (Vec<u8>, Vec<u64>, Vec<(u64, usize, usize)>);
+
+fn at_tier<F: AlpFloat>(t: Tier, rowgroup: &[F]) -> TierOutput {
+    tier::capped(t, || {
+        let (mut body, mut stats) = (Vec::new(), SamplerStats::default());
+        let mut scratch = EncodeScratch::default();
+        Compressor::new().encode_rowgroup_body(rowgroup, &mut body, &mut scratch, &mut stats);
+        let mut values = Vec::new();
+        decode_rowgroup_into::<F>(&body, &mut values).expect("a body just written");
+        let (a, b) = (rowgroup[0], rowgroup[rowgroup.len() / 2]);
+        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+        let mut sums = Vec::new();
+        let view = RowGroupView::<F>::parse_exact(&body).expect("a body just written");
+        for vector in view.vectors() {
+            if let VectorView::Alp(v) = vector {
+                for band in [None, Some((lo, hi))] {
+                    let s = v.sum(band);
+                    sums.push((s.sum.to_bits_u64(), s.matches, s.nans));
+                }
+                let s = v.scan(lo, hi, true);
+                sums.push((s.sum.to_bits_u64(), s.matches, s.invalid_count()));
+            }
+        }
+        let s = sum_decoded(&values, Some((lo, hi)), true);
+        sums.push((s.sum.to_bits_u64(), s.matches, s.nans));
+        (body, values.iter().map(|x| x.to_bits_u64()).collect(), sums)
+    })
+}
+
+#[test]
+fn both_tiers_write_read_and_sum_the_same_bits_on_every_dataset() {
+    fn check<F: AlpFloat>(rowgroup: &[F], what: &str) {
+        let (fast, baseline) = (at_tier(Tier::V3, rowgroup), at_tier(Tier::Baseline, rowgroup));
+        assert_same_bytes(&fast.0, &baseline.0, what);
+        assert!(fast.1 == baseline.1, "{what}: decoded bits differ between tiers");
+        let want: Vec<u64> = rowgroup.iter().map(|x| x.to_bits_u64()).collect();
+        assert!(fast.1 == want, "{what}: not lossless");
+        assert_eq!(fast.2, baseline.2, "{what}: sums differ between tiers");
+    }
+    let rowgroup_values = SamplerParams::default().vectors_per_rowgroup * VECTOR_SIZE;
+    for (name, data) in datagen::all_datasets(rowgroup_values + 5000, 20240609) {
+        for (i, rowgroup) in data.chunks(rowgroup_values).enumerate() {
+            check(rowgroup, &format!("{name}, row-group {i}"));
+            let narrow: Vec<f32> = rowgroup.iter().map(|&x| x as f32).collect();
+            check(&narrow, &format!("{name} as f32, row-group {i}"));
+        }
     }
 }
 
@@ -1044,38 +1150,42 @@ fn check_alp_bodies<F: AlpFloat>(values: &[F], e: u8, f: u8, what: &str) -> Vec<
 
 #[test]
 fn alp_body_writers_match_the_reference_on_every_exception_shape() {
-    for len in [1, 63, 64, 65, 1000, VECTOR_SIZE, 2 * VECTOR_SIZE + 65] {
-        let clean = decimals(len);
-        check_alp_bodies(&clean, 14, 12, &format!("clean decimals, len {len}"));
-        check_alp_bodies(&clean, 21, 0, &format!("decimals on the cast pass, len {len}"));
+    at_every_tier(|| {
+        for len in [1, 63, 64, 65, 1000, VECTOR_SIZE, 2 * VECTOR_SIZE + 65] {
+            let clean = decimals(len);
+            check_alp_bodies(&clean, 14, 12, &format!("clean decimals, len {len}"));
+            check_alp_bodies(&clean, 21, 0, &format!("decimals on the cast pass, len {len}"));
 
-        let mut edges = clean.clone();
-        for &p in EDGE_POSITIONS.iter().filter(|&&p| (p as usize) < len) {
-            edges[p as usize] = f64::from_bits(F64_PAYLOADS[p as usize % F64_PAYLOADS.len()]);
+            let mut edges = clean.clone();
+            for &p in EDGE_POSITIONS.iter().filter(|&&p| (p as usize) < len) {
+                edges[p as usize] = f64::from_bits(F64_PAYLOADS[p as usize % F64_PAYLOADS.len()]);
+            }
+            edges[len - 1] = std::f64::consts::E;
+            check_alp_bodies(&edges, 14, 12, &format!("edge exceptions, len {len}"));
+
+            let noise: Vec<f64> = (0..len).map(|i| (i as f64 + 0.1).sqrt().sin()).collect();
+            check_alp_bodies(&noise, 14, 0, &format!("nearly all exceptions, len {len}"));
+            let nans = vec![f64::from_bits(0x7FF8_DEAD_BEEF_0001); len];
+            let widths = check_alp_bodies(&nans, 14, 12, &format!("all exceptions, len {len}"));
+            assert!(widths.iter().all(|&w| w == 0), "all-exception vectors pack nothing");
+
+            let widths =
+                check_alp_bodies(&vec![42.5f64; len], 14, 13, &format!("constant, len {len}"));
+            assert!(widths.iter().all(|&w| w == 0), "constant vectors pack nothing");
+
+            let wide: Vec<f64> = (0..len).map(|i| if i % 2 == 0 { 9e18 } else { -9e18 }).collect();
+            let widths = check_alp_bodies(&wide, 0, 0, &format!("full-width frame, len {len}"));
+            assert!(len < 2 || widths.iter().all(|&w| w == 64), "±9e18 spans 64 bits: {widths:?}");
+
+            let floats: Vec<f32> =
+                (0..len).map(|i| (mix(i as u64) % 20_000) as f32 / 100.0).collect();
+            check_alp_bodies(&floats, 5, 3, &format!("f32 decimals, len {len}"));
+            let mut specials = floats.clone();
+            specials[0] = f32::from_bits(0x7FC0_1234);
+            specials[len - 1] = -0.0;
+            check_alp_bodies(&specials, 5, 3, &format!("f32 specials at the ends, len {len}"));
         }
-        edges[len - 1] = std::f64::consts::E;
-        check_alp_bodies(&edges, 14, 12, &format!("edge exceptions, len {len}"));
-
-        let noise: Vec<f64> = (0..len).map(|i| (i as f64 + 0.1).sqrt().sin()).collect();
-        check_alp_bodies(&noise, 14, 0, &format!("nearly all exceptions, len {len}"));
-        let nans = vec![f64::from_bits(0x7FF8_DEAD_BEEF_0001); len];
-        let widths = check_alp_bodies(&nans, 14, 12, &format!("all exceptions, len {len}"));
-        assert!(widths.iter().all(|&w| w == 0), "all-exception vectors pack nothing");
-
-        let widths = check_alp_bodies(&vec![42.5f64; len], 14, 13, &format!("constant, len {len}"));
-        assert!(widths.iter().all(|&w| w == 0), "constant vectors pack nothing");
-
-        let wide: Vec<f64> = (0..len).map(|i| if i % 2 == 0 { 9e18 } else { -9e18 }).collect();
-        let widths = check_alp_bodies(&wide, 0, 0, &format!("full-width frame, len {len}"));
-        assert!(len < 2 || widths.iter().all(|&w| w == 64), "±9e18 spans 64 bits: {widths:?}");
-
-        let floats: Vec<f32> = (0..len).map(|i| (mix(i as u64) % 20_000) as f32 / 100.0).collect();
-        check_alp_bodies(&floats, 5, 3, &format!("f32 decimals, len {len}"));
-        let mut specials = floats.clone();
-        specials[0] = f32::from_bits(0x7FC0_1234);
-        specials[len - 1] = -0.0;
-        check_alp_bodies(&specials, 5, 3, &format!("f32 specials at the ends, len {len}"));
-    }
+    });
 }
 
 /// `full_search` without the abandon: every combination scored to the end.
