@@ -447,8 +447,11 @@ pub fn shootout(input: &str, threads: usize) -> Result<()> {
 /// `alp query <in.f64> <lo> <hi> [--threads N] [--deadline-ms M]
 /// [--no-fused]` — a predicated sum served through the query service:
 /// per-query deadline, quarantine-and-continue. Every page of the ALP column
-/// is scanned with the fused compressed-domain kernels unless `--no-fused`
-/// forces the materializing path (the results are bit-identical either way).
+/// is scanned with the fused compressed-domain kernels — a vector inside the
+/// band answered from its zone map, unread — unless `--no-fused` forces the
+/// materializing path, which decodes every vector the zone maps do not rule
+/// out. The sum line is the same either way, counts included: "inside the
+/// band" counts the scanned vectors whose zone map lies within it.
 /// A nonzero `ALP_FAULT_SEED` poisons a deterministic subset of pages so the
 /// degraded path can be exercised from the shell.
 pub fn query(
@@ -488,7 +491,7 @@ pub fn query(
         service.store().pages()
     );
     println!(
-        "sum({lo_text} <= x <= {hi_text}) = {:.6}  ({} matches, {} vectors scanned ({} predicate-free), {} skipped, {:.1} ms)",
+        "sum({lo_text} <= x <= {hi_text}) = {:.6}  ({} matches, {} vectors scanned ({} inside the band), {} skipped, {:.1} ms)",
         result.value.sum,
         result.value.matches,
         result.value.vectors_scanned,

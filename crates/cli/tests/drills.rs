@@ -204,8 +204,8 @@ fn compress_prints_one_bits_per_value_definition() {
 fn fused_and_materialized_queries_print_the_same_sum() {
     let dir = Dir::new("query");
     let [(_, input), _] = inputs(&dir);
-    let query = |flags: &[&str], fault_seed: Option<&str>| {
-        let args = [&["query", &input, "-1e300", "1e300"], flags].concat();
+    let query = |band: [&str; 2], flags: &[&str], fault_seed: Option<&str>| {
+        let args = [&["query", &input], &band[..], flags].concat();
         let mut command = Command::new(env!("CARGO_BIN_EXE_alp"));
         command.args(&args).env_remove("ALP_FAULT_SEED");
         fault_seed.map(|seed| command.env("ALP_FAULT_SEED", seed));
@@ -213,16 +213,42 @@ fn fused_and_materialized_queries_print_the_same_sum() {
         assert!(output.status.success(), "{args:?}");
         String::from_utf8(output.stdout).unwrap()
     };
+    let everything = ["-1e300", "1e300"];
     // An injected bad page (seed 4 poisons one of the three) degrades to a
     // partial result, never a failure.
-    assert!(query(&["--deadline-ms", "60000"], Some("4")).contains("PARTIAL result"));
+    assert!(query(everything, &["--deadline-ms", "60000"], Some("4")).contains("PARTIAL result"));
     // Without them the two scan paths print the same sum line, apart from the
     // elapsed time that ends it.
     let sum_line = |stdout: String| {
         let line = stdout.lines().find(|line| line.starts_with("sum")).expect("a sum line");
         line[..line.rfind(", ").expect("a timing")].to_string()
     };
-    let (fused, materialized) = (query(&[], None), query(&["--no-fused"], None));
-    assert!(fused.contains("scan path: fused") && materialized.contains("scan path: materialized"));
-    assert_eq!(sum_line(fused), sum_line(materialized));
+    // Every vector lies inside the widest band, so the fused path answers
+    // each from its zone map; the interquartile range straddles most
+    // vectors, so there it decodes and sums them.
+    let mut sorted: Vec<f64> = fs::read(&input)
+        .unwrap()
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .collect();
+    sorted.sort_by(f64::total_cmp);
+    let quartile = |q: usize| sorted[sorted.len() * q / 4].to_string();
+    let (q1, q3) = (quartile(1), quartile(3));
+    // `(vectors scanned, of them inside the band)` from a sum line.
+    let counts = |line: &str| {
+        let number_before = |text: &str| {
+            let head = &line[..line.find(text).expect(text)];
+            head.rsplit(['(', ' ']).next().unwrap().parse::<usize>().unwrap()
+        };
+        (number_before(" vectors scanned"), number_before(" inside the band"))
+    };
+    for (band, all_inside) in [(everything, true), ([q1.as_str(), q3.as_str()], false)] {
+        let (fused, materialized) = (query(band, &[], None), query(band, &["--no-fused"], None));
+        assert!(fused.contains("scan path: fused"), "{band:?}: {fused}");
+        assert!(materialized.contains("scan path: materialized"), "{band:?}: {materialized}");
+        let line = sum_line(fused);
+        assert_eq!(line, sum_line(materialized), "{band:?}");
+        let (scanned, inside) = counts(&line);
+        assert!(scanned > 0 && (inside == scanned) == all_inside, "{band:?}: {line}");
+    }
 }

@@ -25,7 +25,9 @@ pub mod table;
 
 use core::ops::Range;
 
+use alp::decode::{block_sum_all, SUM_LANES};
 use alp_core::{ColumnCodec, Registry, Scratch};
+use fastlanes::bitpack::BLOCK;
 use fastlanes::VECTOR_SIZE;
 
 /// Row-group size in vectors (matches the ALP compressor's default).
@@ -105,8 +107,10 @@ enum Storage {
     },
 }
 
-/// Per-vector min/max statistics enabling predicate push-down: a vector whose
-/// range is disjoint from the predicate is skipped without decompression.
+/// Per-vector statistics enabling predicate push-down: a vector whose range
+/// is disjoint from the predicate is skipped without decompression, and a
+/// vector whose range lies inside it is answered from [`ZoneMap::sum`]
+/// without decompression either.
 ///
 /// NaNs are handled explicitly rather than folded into the range: `min`/`max`
 /// cover only the non-NaN values (so a stray NaN can never poison the range
@@ -120,27 +124,53 @@ pub struct ZoneMap {
     pub min: f64,
     /// Maximum non-NaN value in the vector (`-inf` if none).
     pub max: f64,
+    /// The vector's unpredicated canonical sum (DESIGN.md §14):
+    /// `alp::sum_decoded(values, None, false).sum`, the bits every sum route
+    /// folds for a vector [`within`](ZoneMap::within) a band.
+    pub sum: f64,
     /// Whether the vector contains at least one NaN.
     pub has_nan: bool,
 }
 
 impl ZoneMap {
-    /// Builds the zone map of one vector of values.
+    /// Builds the zone map of one vector of values in one lane-striped pass:
+    /// per 64-value block, the canonical block sum ([`block_sum_all`])
+    /// and eight min / max / NaN lanes over the same values.
     pub fn of(values: &[f64]) -> Self {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut has_nan = false;
-        for &v in values {
-            // NaNs never match a range predicate; exclude them from the
-            // range but remember they exist.
-            if v.is_nan() {
-                has_nan = true;
-            } else {
-                min = min.min(v);
-                max = max.max(v);
-            }
-        }
-        Self { min, max, has_nan }
+        alp::tier::run(
+            #[inline(always)]
+            || {
+                let mut sum = 0.0;
+                let mut min = [f64::INFINITY; SUM_LANES];
+                let mut max = [f64::NEG_INFINITY; SUM_LANES];
+                let mut nan = [false; SUM_LANES];
+                for block in values.chunks(BLOCK) {
+                    sum += block_sum_all(block);
+                    // A NaN fails both comparisons: it never enters the
+                    // range, only the NaN lane.
+                    let mut fold = |row: &[f64]| {
+                        for (((lo, hi), n), &x) in
+                            min.iter_mut().zip(&mut max).zip(&mut nan).zip(row)
+                        {
+                            *lo = if x < *lo { x } else { *lo };
+                            *hi = if x > *hi { x } else { *hi };
+                            *n |= x.is_nan();
+                        }
+                    };
+                    let (rows, tail) = block.as_chunks::<SUM_LANES>();
+                    for row in rows {
+                        fold(row);
+                    }
+                    fold(tail);
+                }
+                Self {
+                    min: min.into_iter().fold(f64::INFINITY, f64::min),
+                    max: max.into_iter().fold(f64::NEG_INFINITY, f64::max),
+                    sum,
+                    has_nan: nan.contains(&true),
+                }
+            },
+        )
     }
 
     /// Whether any value in the zone could fall inside `[lo, hi]`.
@@ -156,12 +186,20 @@ impl ZoneMap {
 
     /// Whether every value in the zone is a non-NaN member of `[lo, hi]`, so
     /// a predicated aggregate needs no predicate: the vector's sum is its
-    /// unpredicated canonical sum and its match count its length. The
-    /// comparisons are the predicate's own (`-0.0 >= 0.0` holds, a NaN bound
-    /// holds for nothing), so the verdict agrees with testing every value.
+    /// unpredicated canonical sum ([`ZoneMap::sum`]) and its match count its
+    /// length. The comparisons are the predicate's own (`-0.0 >= 0.0` holds,
+    /// a NaN bound holds for nothing), so the verdict agrees with testing
+    /// every value.
     #[inline]
     pub fn within(&self, lo: f64, hi: f64) -> bool {
         !self.has_nan && self.min >= lo && self.max <= hi
+    }
+
+    /// Whether a sum over `[lo, hi]` has to read this zone's payload: it
+    /// overlaps the band without lying [`within`](ZoneMap::within) it.
+    #[inline]
+    fn needs_scan(&self, lo: f64, hi: f64) -> bool {
+        self.overlaps(lo, hi) && !self.within(lo, hi)
     }
 
     /// The predicate an aggregate-only scan of this zone still has to apply:
@@ -179,17 +217,25 @@ pub struct FilteredSum {
     pub sum: f64,
     /// Number of matching values.
     pub matches: usize,
-    /// Vectors whose payload was actually decompressed.
+    /// Vectors the zone maps could not rule out: each vector whose zone map
+    /// overlaps the band — decoded and summed, or answered from its zone map
+    /// (see [`FilteredSum::vectors_all_in`]) — plus, on block-granular
+    /// storage, the disjoint neighbours that shared an inflated block.
     pub vectors_scanned: usize,
     /// Vectors skipped purely from their zone map.
     pub vectors_skipped: usize,
-    /// Non-NaN values among everything actually scanned (validity-bitmap
-    /// popcounts; zone-skipped vectors contribute nothing).
+    /// Non-NaN values among every scanned vector (validity-bitmap popcounts,
+    /// or the length of a vector inside the band; zone-skipped vectors
+    /// contribute nothing).
     pub valid: usize,
-    /// NaN values among everything actually scanned.
+    /// NaN values among every scanned vector.
     pub invalid: usize,
     /// Scanned vectors whose zone map lay inside the band
-    /// ([`ZoneMap::within`]) and so took the predicate-free sum.
+    /// ([`ZoneMap::within`]), so no predicate applied. On the fused route
+    /// ([`Column::sum_where`], the service's pages summed from the bytes)
+    /// each was answered from [`ZoneMap::sum`] with its payload untouched;
+    /// on a decoded page it took the predicate-free sum of its values — the
+    /// same bits.
     pub vectors_all_in: usize,
 }
 
@@ -239,6 +285,12 @@ impl FilteredSum {
     pub(crate) fn add_values(&mut self, values: &[f64], zone: &ZoneMap, lo: f64, hi: f64) {
         let band = zone.residual_band(lo, hi);
         self.add_vector(band, alp::sum_decoded(values, band, zone.has_nan));
+    }
+
+    /// Folds in a vector of `len` values whose zone map lies inside the band
+    /// from the zone map alone: its stored sum, every value a match, no NaN.
+    fn add_zone(&mut self, zone: &ZoneMap, len: usize) {
+        self.add_vector(None, alp::VectorSum { sum: zone.sum, matches: len, nans: 0, len });
     }
 }
 
@@ -353,8 +405,18 @@ impl Column {
                 Storage::Blocks { codec, vectors_per_block, blocks }
             }
         };
-        let zone_maps = data.chunks(VECTOR_SIZE).map(ZoneMap::of).collect();
-        Self { storage, len: data.len(), zone_maps }
+        // One row-group of zone maps per morsel, on the same workers.
+        let rowgroups = data.len().div_ceil(ROWGROUP_VALUES);
+        let zone_maps = alp_core::par::map_morsels(
+            threads,
+            rowgroups,
+            || (),
+            |_, m| {
+                let rowgroup = data.chunks(ROWGROUP_VALUES).nth(m).unwrap_or_default();
+                rowgroup.chunks(VECTOR_SIZE).map(ZoneMap::of).collect::<Vec<_>>()
+            },
+        );
+        Self { storage, len: data.len(), zone_maps: zone_maps.concat() }
     }
 
     /// The per-vector zone maps.
@@ -503,14 +565,15 @@ impl Column {
     }
 
     /// [`Column::sum_where`] over a vector range (the service's fused page
-    /// route is this over one page): the aggregate-only scan of every vector
-    /// whose zone map overlaps `lo..=hi`. ALP storage runs
-    /// [`alp::Compressed::try_sum_vector`] in the compressed domain; raw
-    /// values and codec bytes go through [`Column::try_walk`] and
-    /// [`FilteredSum::add_values`] — the same canonical sum, so every storage
-    /// folds bit-identically. No route builds bitmap words, and a vector whose
-    /// zone map lies inside the band ([`ZoneMap::within`]) drops the
-    /// predicate too.
+    /// route is this over one page): every vector whose zone map overlaps
+    /// `lo..=hi`, folded in vector order. A vector whose zone map lies inside
+    /// the band ([`ZoneMap::within`]) is answered from its stored sum without
+    /// touching its payload; the others take the aggregate-only scan — ALP
+    /// storage runs [`alp::Compressed::try_sum_vector`] in the compressed
+    /// domain, raw values and codec bytes go through [`Column::try_walk`] and
+    /// [`FilteredSum::add_values`]. Every route folds the same canonical sum,
+    /// so every storage folds bit-identically, and no route builds bitmap
+    /// words.
     pub(crate) fn try_sum_where_in(
         &self,
         vectors: Range<usize>,
@@ -518,39 +581,80 @@ impl Column {
         hi: f64,
         scratch: &mut Scratch,
     ) -> Result<FilteredSum, VectorAccessError> {
-        let in_range = vectors.len();
-        let mut part = FilteredSum::zero();
         let zones = &self.zone_maps;
+        let range_zones = zones.get(vectors.clone()).ok_or(VectorAccessError::OutOfRange {
+            vector: vectors.end.saturating_sub(1),
+            vectors: zones.len(),
+        })?;
+        let mut part = FilteredSum::zero();
         match &self.storage {
             Storage::Alp(c) => with_vector_buf(scratch, |buf| {
-                for v in vectors {
-                    let zone = zones
-                        .get(v)
-                        .ok_or(VectorAccessError::OutOfRange { vector: v, vectors: zones.len() })?;
-                    if !zone.overlaps(lo, hi) {
+                for (v, zone) in vectors.clone().zip(range_zones) {
+                    if zone.within(lo, hi) {
+                        part.add_zone(zone, self.vector_len(v));
+                    } else if zone.overlaps(lo, hi) {
+                        let (rowgroup, vector) = (v / ROWGROUP_VECTORS, v % ROWGROUP_VECTORS);
+                        let band = Some((lo, hi));
+                        let sum = c
+                            .try_sum_vector(rowgroup, vector, band, zone.has_nan, buf)
+                            .map_err(VectorAccessError::Index)?;
+                        part.add_vector(band, sum);
+                    } else {
                         continue;
                     }
-                    let band = zone.residual_band(lo, hi);
-                    let (rowgroup, vector) = (v / ROWGROUP_VECTORS, v % ROWGROUP_VECTORS);
-                    let sum = c
-                        .try_sum_vector(rowgroup, vector, band, zone.has_nan, buf)
-                        .map_err(VectorAccessError::Index)?;
-                    part.add_vector(band, sum);
                     part.vectors_scanned += 1;
                 }
                 Ok(())
             })?,
             _ => {
-                let wanted = |v: usize| zones.get(v).is_some_and(|z| z.overlaps(lo, hi));
-                part.vectors_scanned = self.try_walk(vectors, wanted, scratch, |v, values| {
+                // The walker decodes only the vectors that need the
+                // predicate; those inside the band fold from their zone maps
+                // in between, so the fold keeps vector order.
+                let walk = |v: usize| zones.get(v).is_some_and(|z| z.needs_scan(lo, hi));
+                let answer = |part: &mut FilteredSum, from: Range<usize>| {
+                    for (v, zone) in from.clone().zip(zones.get(from).unwrap_or_default()) {
+                        if zone.within(lo, hi) {
+                            part.add_zone(zone, self.vector_len(v));
+                        }
+                    }
+                };
+                let mut next = vectors.start;
+                let walked = self.try_walk(vectors.clone(), walk, scratch, |v, values| {
+                    answer(&mut part, next..v);
                     if let Some(zone) = zones.get(v) {
                         part.add_values(values, zone, lo, hi);
                     }
+                    next = v + 1;
                 })?;
+                answer(&mut part, next..vectors.end);
+                // The walk counted what it decoded; a vector answered from
+                // its zone map counts too, unless it shared an inflated block.
+                let unit = self.vectors_per_unit();
+                let inflated = |v: usize| {
+                    let first = v - v % unit;
+                    (first.max(vectors.start)..(first + unit).min(vectors.end)).any(walk)
+                };
+                let answered = vectors.clone().zip(range_zones);
+                part.vectors_scanned =
+                    walked + answered.filter(|&(v, z)| z.within(lo, hi) && !inflated(v)).count();
             }
         }
-        part.vectors_skipped = in_range - part.vectors_scanned;
+        part.vectors_skipped = vectors.len() - part.vectors_scanned;
         Ok(part)
+    }
+
+    /// Values in vector `v` (the column's last vector may be short).
+    pub(crate) fn vector_len(&self, v: usize) -> usize {
+        self.len.saturating_sub(v.saturating_mul(VECTOR_SIZE)).min(VECTOR_SIZE)
+    }
+
+    /// Vectors per independently decoded unit of the storage: a block of
+    /// block-granular codec bytes, one vector for everything else.
+    fn vectors_per_unit(&self) -> usize {
+        match &self.storage {
+            Storage::Blocks { vectors_per_block, .. } => *vectors_per_block,
+            _ => 1,
+        }
     }
 
     /// `SELECT sum(x) WHERE lo <= x <= hi` with zone-map push-down.
@@ -948,6 +1052,70 @@ mod tests {
             // Nothing is inside an empty band, and nothing is scanned for it.
             let none = Column::from_f64(&data, fmt).sum_where(hi, lo);
             assert_eq!((none.vectors_all_in, none.matches), (0, 0), "{}", fmt.name());
+        }
+    }
+
+    /// Shifts every value of vector `v` in the stored payload, leaving its
+    /// zone map as it was built.
+    fn damage(column: &mut Column, v: usize) {
+        match &mut column.storage {
+            Storage::Uncompressed(values) => {
+                values[v * VECTOR_SIZE..(v + 1) * VECTOR_SIZE].iter_mut().for_each(|x| *x += 0.01);
+            }
+            Storage::Alp(c) => match &mut c.rowgroups[v / ROWGROUP_VECTORS] {
+                alp::RowGroup::Alp(group) => group.vectors[v % ROWGROUP_VECTORS].for_base += 1,
+                alp::RowGroup::Rd(..) => panic!("decimal data encodes as ALP"),
+            },
+            Storage::Blocks { .. } => panic!("codec bytes are not damaged here"),
+        }
+    }
+
+    #[test]
+    fn a_vector_inside_the_band_is_answered_without_reading_its_payload() {
+        use crate::cache::CacheConfig;
+        use crate::service::{QueryOptions, Service, ServiceConfig, Store};
+        use std::sync::Arc;
+
+        // Ascending quarters: vector `v` spans `v * 256 ..= v * 256 + 255.75`.
+        let data: Vec<f64> = (0..4 * VECTOR_SIZE).map(|i| i as f64 / 4.0).collect();
+        let zone = |v: usize| ZoneMap::of(&data[v * VECTOR_SIZE..(v + 1) * VECTOR_SIZE]);
+        // Vectors 0..=2 lie inside; the second band straddles vector 1.
+        let inside = (zone(0).min, zone(2).max);
+        let straddling = (zone(1).min + 10.0, zone(1).max);
+        let bits = |r: FilteredSum| (r.sum.to_bits(), r.matches, r.vectors_all_in);
+        let zero_entries = CacheConfig { max_entries: 0, ..CacheConfig::default_config() };
+        let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
+        let no_fused = QueryOptions { no_fused: true, ..opts };
+        for fmt in [Format::alp(), Format::Uncompressed] {
+            let pristine = Column::from_f64(&data, fmt);
+            let want = (
+                pristine.sum_where(inside.0, inside.1),
+                pristine.sum_where(straddling.0, straddling.1),
+            );
+            assert_eq!(want.0.vectors_all_in, 3, "{}", fmt.name());
+            let mut column = Column::from_f64(&data, fmt);
+            damage(&mut column, 1);
+            // The damaged vector's answer inside the band comes from its
+            // zone map: unchanged, bit for bit.
+            let got = column.sum_where(inside.0, inside.1);
+            assert_eq!(bits(got), bits(want.0), "{}: inside the band", fmt.name());
+            // A band it straddles has to decode it, and sees the damage.
+            let got = column.sum_where(straddling.0, straddling.1);
+            assert_ne!(got.sum.to_bits(), want.1.sum.to_bits(), "{}: straddling", fmt.name());
+            // The service's fused pages answer the same way; `no_fused`
+            // decodes every vector it scans, so it reports the damage even
+            // inside the band.
+            let service =
+                Service::new(Arc::new(Store::new(column, zero_entries)), ServiceConfig::default());
+            let fused = service.sum_where(inside.0, inside.1, &opts).unwrap();
+            assert_eq!(bits(fused.value), bits(want.0), "{}: fused service", fmt.name());
+            let decoded = service.sum_where(inside.0, inside.1, &no_fused).unwrap();
+            assert_ne!(
+                decoded.value.sum.to_bits(),
+                want.0.sum.to_bits(),
+                "{}: no_fused",
+                fmt.name()
+            );
         }
     }
 

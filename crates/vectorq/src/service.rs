@@ -459,15 +459,11 @@ impl Store {
         (v0, v1)
     }
 
-    /// Values in global vector `v` (the column's last vector may be short).
-    fn vector_len(&self, v: usize) -> usize {
-        self.rows.saturating_sub(v.saturating_mul(VECTOR_SIZE)).min(VECTOR_SIZE)
-    }
-
     /// Scans a page's decoded values with zone-map pruning per vector. Each
     /// vector's canonical sum folds in vector order, so the partial is
     /// bit-identical whether the values were resident, freshly decoded or —
-    /// never decoded at all — summed by the compressed-domain route.
+    /// never decoded at all — summed by the compressed-domain route or
+    /// answered from their zone maps.
     fn scan_page_values(
         &self,
         values: &[f64],
@@ -480,7 +476,7 @@ impl Store {
         let zones = self.column.zone_maps();
         let mut offset = 0usize;
         for v in v0..v1 {
-            let len = self.vector_len(v);
+            let len = self.column.vector_len(v);
             let (Some(zone), Some(slice)) = (zones.get(v), values.get(offset..offset + len)) else {
                 break;
             };

@@ -902,6 +902,90 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
     assert!(untouched, "{name}: a zero-entry set is never consulted");
 }
 
+/// The non-NaN `(min, max)` of every vector of `data` that holds a non-NaN
+/// value, found by looking at each value.
+fn vector_ranges(data: &[f64]) -> Vec<(f64, f64)> {
+    let range = |vector: &[f64]| {
+        let live = vector.iter().copied().filter(|x| !x.is_nan());
+        live.fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), x| (a.min(x), b.max(x)))
+    };
+    data.chunks(VECTOR_SIZE).map(range).filter(|(min, max)| min <= max).collect()
+}
+
+/// [`BANDS`] plus bands cut from `data`'s own vectors, so that each zone
+/// verdict occurs: the first live vector's exact range (inside, bounds equal),
+/// the whole live range (every NaN-free vector inside), from the first
+/// vector's low end to the middle of the last one (inside, then across), and
+/// from the middle of the first to the top (across, then inside).
+pub fn zone_bands(data: &[f64]) -> Vec<(f64, f64)> {
+    let mut bands = BANDS.to_vec();
+    let ranges = vector_ranges(data);
+    if let (Some(&first), Some(&last)) = (ranges.first(), ranges.last()) {
+        let (min, max) = ranges.iter().fold(first, |(a, b), &(lo, hi)| (a.min(lo), b.max(hi)));
+        let middle = |(lo, hi): (f64, f64)| lo / 2.0 + hi / 2.0;
+        bands.extend([first, (min, max), (first.0, middle(last)), (middle(first), max)]);
+    }
+    bands
+}
+
+/// The zone-answered route, against the oracle. A vector whose zone map lies
+/// inside the band is answered from its stored sum by `Column::sum_where`
+/// and the service's fused pages, and decoded and summed under `no_fused`:
+/// all three answer with the oracle's bits (the service page by page), and
+/// count as inside the band exactly the vectors whose every value is a
+/// member of it, found by looking at each value. On vector-granular storage
+/// the scanned-vector and validity counts are the ones a scan of every
+/// overlapping vector reports.
+pub fn assert_zone_answers(data: &[f64], format: Format, what: &str) {
+    let name = format!("{} over {what}", format.name());
+    let block_based = matches!(format, Format::Registered(c) if c.caps().block_based);
+    let column = Column::from_f64(data, format);
+    let page_vectors = 2;
+    let paged = CacheConfig {
+        max_entries: 0,
+        page_size_rows: page_vectors * VECTOR_SIZE,
+        ..CacheConfig::default_config()
+    };
+    let store = Store::new(Column::from_f64(data, format), paged);
+    let service = Service::new(Arc::new(store), ServiceConfig::default());
+    let fused = QueryOptions { threads: Some(1), ..QueryOptions::default() };
+    let no_fused = QueryOptions { no_fused: true, ..fused };
+    for (lo, hi) in zone_bands(data) {
+        let label = format!("{name} [{lo}, {hi}]");
+        let inside =
+            data.chunks(VECTOR_SIZE).filter(|v| v.iter().all(|&x| x >= lo && x <= hi)).count();
+        let overlapping =
+            vector_ranges(data).into_iter().filter(|&(min, max)| min <= hi && max >= lo).count();
+        let want = oracle(data, lo, hi);
+        let direct = column.sum_where(lo, hi);
+        assert_eq!(
+            (direct.sum.to_bits(), direct.matches, direct.vectors_all_in),
+            (want.sum.to_bits(), want.matches, inside),
+            "{label}: sum_where (sum, matches, inside the band)"
+        );
+        if !block_based {
+            assert_eq!(direct.vectors_scanned, overlapping, "{label}: vectors scanned");
+            let validity = (direct.valid, direct.invalid);
+            assert_eq!(validity, scanned_validity(data, lo, hi), "{label}: validity");
+        }
+        let pages = data.chunks(page_vectors * VECTOR_SIZE).map(|page| oracle(page, lo, hi));
+        let (sum, matches) = pages.fold((0.0, 0), |(s, m), page| (s + page.sum, m + page.matches));
+        for (route, options) in [("fused", fused), ("no_fused", no_fused)] {
+            let got = service.sum_where(lo, hi, &options).expect("admitted");
+            assert!(got.loss.is_complete(), "{label} {route}");
+            assert_eq!(
+                (got.value.sum.to_bits(), got.value.matches, got.value.vectors_all_in),
+                (sum.to_bits(), matches, inside),
+                "{label} {route}: service (sum, matches, inside the band)"
+            );
+            if !block_based {
+                let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
+                assert_eq!(counters(got.value), counters(direct), "{label} {route}: counters");
+            }
+        }
+    }
+}
+
 /// `(valid, invalid)` a vector-granular scan of `lo..=hi` reports: the non-NaN
 /// and NaN counts of every vector whose non-NaN range overlaps the band.
 fn scanned_validity(data: &[f64], lo: f64, hi: f64) -> (usize, usize) {
