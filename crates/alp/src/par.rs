@@ -416,9 +416,9 @@ where
 }
 
 /// Folds every morsel into per-worker accumulators, then reduces the
-/// accumulators on the calling thread. This is the aggregation shape of
-/// `vectorq`'s `par_scan`/`par_sum`: order-insensitive, no per-morsel
-/// allocation. One worker hitting a panic stops the whole fold — siblings
+/// accumulators on the calling thread. This is the aggregation shape of the
+/// end-to-end harness's SCAN and SUM (`bench::endtoend`, Table 6 / Fig. 6):
+/// order-insensitive, no per-morsel allocation. One worker hitting a panic stops the whole fold — siblings
 /// quit claiming instead of folding morsels the re-raise will throw away.
 pub fn fold_morsels<A>(
     threads: usize,

@@ -1,6 +1,7 @@
 //! **Figure 6** — end-to-end SUM cost in CPU cycles per tuple for five
 //! diverse datasets (Gov/26, City-Temp, Food-prices, Blockchain-tr, NYC/29),
-//! decomposed into SCAN and summing work (SUM − SCAN), across thread counts.
+//! decomposed into SCAN and summing work (SUM − SCAN), across thread counts,
+//! on the same decode-then-consume loop as Table 6 ([`bench::endtoend`]).
 //!
 //! Lower is better. The paper's claims to check: ALP is cheaper end-to-end
 //! than every other scheme *and* than uncompressed, and its per-core cost
@@ -12,19 +13,11 @@
 
 use std::time::Instant;
 
+use bench::endtoend::{Stored, SCHEMES};
 use bench::tables::Table;
 use bench::timing::tsc_ghz;
-use vectorq::{Column, Format};
 
 const DATASETS: [&str; 5] = ["Gov/26", "City-Temp", "Food-prices", "Blockchain", "NYC/29"];
-
-fn formats() -> Vec<Format> {
-    let mut out = vec![Format::alp(), Format::Uncompressed];
-    for id in ["pde", "patas", "gorilla", "chimp", "chimp128", "gpzip"] {
-        out.push(Format::by_id(id).expect("registered serializable codec"));
-    }
-    out
-}
 
 fn cycles_per_tuple(tuples: usize, threads: usize, mut f: impl FnMut()) -> f64 {
     f(); // warm-up
@@ -56,22 +49,22 @@ fn main() {
             format!("Figure 6: SUM on {name} (cycles per tuple per core, lower is better)"),
             &["scan@1", "sum@1", "sum-scan@1", "sum@8", "sum@16", "bits/val"],
         );
-        for fmt in formats() {
-            let col = Column::from_f64(&data, fmt);
+        for id in SCHEMES {
+            let col = Stored::new(id, &data);
             let scan1 = cycles_per_tuple(data.len(), 1, || {
-                std::hint::black_box(col.par_scan(1));
+                std::hint::black_box(col.scan(1));
             });
             let sums: Vec<f64> = threads
                 .iter()
                 .map(|&t| {
                     cycles_per_tuple(data.len(), t, || {
-                        std::hint::black_box(col.par_sum(t));
+                        std::hint::black_box(col.sum(t));
                     })
                 })
                 .collect();
             let bpv = col.compressed_bytes() as f64 * 8.0 / data.len() as f64;
             table.row(
-                fmt.name(),
+                col.name(),
                 vec![
                     format!("{scan1:.2}"),
                     format!("{:.2}", sums[0]),
@@ -81,7 +74,7 @@ fn main() {
                     format!("{bpv:.1}"),
                 ],
             );
-            eprintln!("done: {name} / {}", fmt.name());
+            eprintln!("done: {name} / {}", col.name());
         }
         table.print();
         table.write_csv(&format!("fig6_{}", name.replace('/', "_"))).ok();

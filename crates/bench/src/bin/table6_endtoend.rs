@@ -1,6 +1,8 @@
-//! **Table 6** — end-to-end query performance in the vectorized engine
-//! (§4.3): SCAN and SUM at 1/8/16 threads plus COMP, in per-core tuples per
-//! cycle, on the City-Temp dataset scaled up by concatenation.
+//! **Table 6** — end-to-end query performance (§4.3): SCAN and SUM at
+//! 1/8/16 threads plus COMP, in per-core tuples per cycle, on the City-Temp
+//! dataset scaled up by concatenation. Each scheme's column is decoded vector
+//! at a time by morsel-claiming workers ([`bench::endtoend`]), the paper's
+//! Tectorwise setup.
 //!
 //! The paper scales to 1B doubles on a 16-core Ice Lake; the default here is
 //! 20M values (override with `ALP_E2E_VALUES`), and thread counts are clamped
@@ -13,17 +15,9 @@
 
 use std::time::Instant;
 
+use bench::endtoend::{Stored, SCHEMES};
 use bench::tables::Table;
 use bench::timing::tsc_ghz;
-use vectorq::{Column, Format};
-
-fn formats() -> Vec<Format> {
-    let mut out = vec![Format::alp(), Format::Uncompressed];
-    for id in ["pde", "patas", "gorilla", "chimp", "chimp128", "gpzip"] {
-        out.push(Format::by_id(id).expect("registered serializable codec"));
-    }
-    out
-}
 
 fn scaled_dataset(name: &str, target: usize) -> Vec<f64> {
     let base = bench::dataset(name);
@@ -64,35 +58,32 @@ fn main() {
         &["SCAN 1", "SCAN 8", "SCAN 16", "SUM 1", "SUM 8", "SUM 16", "COMP", "bits/val"],
     );
 
-    for fmt in formats() {
-        // COMP: time the constructor.
+    for id in SCHEMES {
+        // COMP: time the compression.
         let t0 = Instant::now();
-        let col = Column::from_f64(&data, fmt);
+        let col = Stored::new(id, &data);
         let comp_s = t0.elapsed().as_secs_f64();
-        let comp_tpc = if fmt == Format::Uncompressed {
-            f64::NAN
-        } else {
-            data.len() as f64 / (comp_s * tsc_ghz() * 1e9)
-        };
+        let comp_tpc =
+            if id == "raw" { f64::NAN } else { data.len() as f64 / (comp_s * tsc_ghz() * 1e9) };
         let bits_per_value = col.compressed_bytes() as f64 * 8.0 / data.len() as f64;
 
         let mut cells = Vec::new();
         for &t in &thread_counts {
             let tpc = per_core_tpc(data.len(), t, || {
-                std::hint::black_box(col.par_scan(t));
+                std::hint::black_box(col.scan(t));
             });
             cells.push(format!("{tpc:.3}"));
         }
         for &t in &thread_counts {
             let tpc = per_core_tpc(data.len(), t, || {
-                std::hint::black_box(col.par_sum(t));
+                std::hint::black_box(col.sum(t));
             });
             cells.push(format!("{tpc:.3}"));
         }
         cells.push(if comp_tpc.is_nan() { "N/A".into() } else { format!("{comp_tpc:.3}") });
         cells.push(format!("{bits_per_value:.1}"));
-        table.row(fmt.name(), cells);
-        eprintln!("done: {}", fmt.name());
+        table.row(col.name(), cells);
+        eprintln!("done: {}", col.name());
     }
 
     table.print();

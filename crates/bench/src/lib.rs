@@ -1,6 +1,6 @@
 //! Shared infrastructure for the per-table/per-figure harness binaries:
 //! cycle-accurate timing, a scheme registry covering every compressor in the
-//! evaluation, and plain-text/CSV table output.
+//! evaluation, the end-to-end SCAN/SUM loop, and plain-text/CSV table output.
 //!
 //! Run every binary in `--release`; the measurements are meaningless in debug
 //! builds. Environment knobs:
@@ -8,6 +8,7 @@
 //! * `ALP_BENCH_VALUES` — values generated per dataset (default 262,144).
 //! * `ALP_BENCH_SEED` — generator seed (default 20240609).
 
+pub mod endtoend;
 pub mod schemes;
 pub mod tables;
 pub mod timing;

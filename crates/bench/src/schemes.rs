@@ -5,6 +5,7 @@
 use alp::VECTOR_SIZE;
 use alp_core::{ColumnCodec, CoreError, Scratch};
 
+use crate::endtoend::ROWGROUP_VALUES;
 use crate::timing::{measure, Measurement};
 
 /// Compression ratio of `codec` on `data` in bits per value, verifying
@@ -101,8 +102,7 @@ pub fn measure_speed(
     }
     // Block-based codecs get a whole row-group per call; vector-granular
     // codecs get one L1-resident vector.
-    let input =
-        if caps.block_based { &data[..data.len().min(vectorq::ROWGROUP_VALUES)] } else { vector };
+    let input = if caps.block_based { &data[..data.len().min(ROWGROUP_VALUES)] } else { vector };
     let mut scratch = Scratch::new();
     let mut bytes = Vec::new();
     codec.try_compress_into(input, &mut bytes, &mut scratch)?;

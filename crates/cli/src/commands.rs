@@ -411,39 +411,6 @@ pub fn list_datasets() -> Result<()> {
     Ok(())
 }
 
-/// `alp shootout <in> [--threads N]` — every registered codec, one loop.
-/// Timed compression and decompression run through the morsel scheduler
-/// (`par_compress`/`par_decompress`) at the requested thread count; ratio-only
-/// schemes report bits/value with dashes for the timing columns.
-pub fn shootout(input: &str, threads: usize) -> Result<()> {
-    let data: Vec<f64> = read_raw(input)?;
-    if data.is_empty() {
-        return Err("empty input".into());
-    }
-    let chunk = alp_core::par::DEFAULT_CHUNK_VALUES;
-    let mb = data.len() as f64 * 8.0 / 1e6;
-    println!("threads: {threads}, chunk: {chunk} values, kernels: {}", alp::tier::active());
-    println!("{:<10} {:>11} {:>12} {:>12}", "scheme", "bits/value", "comp MB/s", "dec MB/s");
-
-    let mut scratch = alp_core::Scratch::new();
-    for codec in alp_core::Registry::all() {
-        let bpv = codec.verified_compressed_bits(&data, &mut scratch)? as f64 / data.len() as f64;
-        if codec.caps().ratio_only {
-            println!("{:<10} {bpv:>11.2} {:>12} {:>12}", codec.name(), "-", "-");
-            continue;
-        }
-        let t0 = Instant::now();
-        let blocks = codec.par_compress(&data, chunk, threads)?;
-        let c = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let back = codec.par_decompress(&blocks, threads)?;
-        let d = t0.elapsed().as_secs_f64();
-        verify(&data, &back, codec.name())?;
-        println!("{:<10} {bpv:>11.2} {:>12.0} {:>12.0}", codec.name(), mb / c, mb / d);
-    }
-    Ok(())
-}
-
 /// `alp query <in.f64> <lo> <hi> [--threads N] [--deadline-ms M]
 /// [--no-fused]` — a predicated sum served through the query service:
 /// per-query deadline, quarantine-and-continue. Every page of the ALP column
@@ -523,42 +490,6 @@ pub fn query(
     Ok(())
 }
 
-/// `alp codecs` — list every registered codec with its capabilities.
-pub fn list_codecs() -> Result<()> {
-    println!("{:<12} {:<10} capabilities", "id", "name");
-    for codec in alp_core::Registry::all() {
-        let caps = codec.caps();
-        let mut tags: Vec<&str> = Vec::new();
-        if caps.random_vector_access {
-            tags.push("random-vector-access");
-        }
-        if caps.f32 {
-            tags.push("f32");
-        }
-        if caps.ratio_only {
-            tags.push("ratio-only");
-        }
-        if caps.block_based {
-            tags.push("block-based");
-        }
-        if caps.streaming_ingest {
-            tags.push("streaming-ingest");
-        }
-        if tags.is_empty() {
-            tags.push("-");
-        }
-        println!("{:<12} {:<10} {}", codec.id(), codec.name(), tags.join(", "));
-    }
-    Ok(())
-}
-
-fn verify(a: &[f64], b: &[f64], name: &str) -> Result<()> {
-    if a.len() != b.len() || a.iter().zip(b).any(|(x, y)| x.to_bits() != y.to_bits()) {
-        return Err(format!("{name} roundtrip failed").into());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     //! The commands that never open an archive; `tests/drills.rs` drives
@@ -597,15 +528,5 @@ mod tests {
         fs::write(&p, [1, 2, 3]).unwrap();
         assert!(read_raw::<f64>(&p).is_err());
         assert!(read_raw::<f32>(&p).is_err());
-    }
-
-    #[test]
-    fn shootout_runs_across_thread_counts() {
-        let input = tmp("shootout.f64");
-        let data: Vec<f64> = (0..120_000).map(|i| (i % 321) as f64 / 8.0).collect();
-        write_raw(&input, &data).unwrap();
-        for threads in [1, 3] {
-            shootout(&input, threads).unwrap();
-        }
     }
 }

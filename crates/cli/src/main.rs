@@ -23,12 +23,10 @@
 //!                exit codes: same as verify
 //! alp stats      <in.f64> [--f32]               Table 2-style dataset metrics
 //! alp gen        <dataset> <n> <out.f64>        synthetic dataset to a file
-//! alp shootout   <in.f64> [--threads N]         ratio/speed of every codec
 //! alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]
 //!                predicated sum through the query service (fused scan, deadlines,
 //!                quarantine — ALP_FAULT_SEED injects bad pages; --no-fused
 //!                forces the materializing scan path)
-//! alp codecs                                    list the codec registry
 //! alp datasets                                  list generatable datasets
 //! ```
 
@@ -49,7 +47,7 @@ fn main() -> ExitCode {
                 return usage();
             }
         };
-    let threads = alp_core::par::resolve_threads(threads_flag);
+    let threads = alp::par::resolve_threads(threads_flag);
     let (flags, positional): (Vec<&String>, Vec<&String>) =
         args.iter().partition(|a| a.starts_with("--"));
     let f32_mode = flags.iter().any(|f| f.as_str() == "--f32");
@@ -82,11 +80,9 @@ fn main() -> ExitCode {
             }
             ("stats", [input]) => commands::stats(input, f32_mode),
             ("gen", [dataset, n, output]) => commands::generate(dataset, n, output),
-            ("shootout", [input]) => commands::shootout(input, threads),
             ("query", [input, lo, hi]) => {
                 commands::query(input, lo, hi, threads, deadline_ms, no_fused)
             }
-            ("codecs", []) => commands::list_codecs(),
             ("datasets", []) => commands::list_datasets(),
             _ => return usage(),
         }
@@ -149,7 +145,7 @@ fn take_value(
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  alp compress   <in.f64> <out.alp> [--f32] [--parity K] [--stream [--threads N] [--pipeline-depth D]]\n  alp decompress <in.alp|in.alpt> <out.f64> [--threads N]\n  alp inspect    <in.alp|in.alpt>\n  alp verify     <in.alp|in.alpt> [--threads N]\n  alp scrub      <in.alp|in.alpt> [--threads N] [--rewrite]\n  alp stats      <in.f64> [--f32]\n  alp gen        <dataset> <n> <out.f64>\n  alp shootout   <in.f64> [--threads N]\n  alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]\n  alp codecs\n  alp datasets"
+        "usage:\n  alp compress   <in.f64> <out.alp> [--f32] [--parity K] [--stream [--threads N] [--pipeline-depth D]]\n  alp decompress <in.alp|in.alpt> <out.f64> [--threads N]\n  alp inspect    <in.alp|in.alpt>\n  alp verify     <in.alp|in.alpt> [--threads N]\n  alp scrub      <in.alp|in.alpt> [--threads N] [--rewrite]\n  alp stats      <in.f64> [--f32]\n  alp gen        <dataset> <n> <out.f64>\n  alp query      <in.f64> <lo> <hi> [--threads N] [--deadline-ms M] [--no-fused]\n  alp datasets"
     );
     ExitCode::FAILURE
 }

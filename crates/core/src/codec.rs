@@ -8,9 +8,6 @@ use crate::scratch::Scratch;
 /// of matching on concrete schemes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
-    /// Individual 1024-value vectors are decodable without touching the rest
-    /// of the column (ALP's skip-friendly access path).
-    pub random_vector_access: bool,
     /// A 32-bit float variant exists (Table 7's f32 benchmarks).
     pub f32: bool,
     /// The scheme reports exact compressed size but has no byte
@@ -20,30 +17,12 @@ pub struct Capabilities {
     /// block (the general-purpose compressors). Vector-granular codecs leave
     /// this false.
     pub block_based: bool,
-    /// Decoded pages of this codec are worth holding in a page cache:
-    /// decoding costs enough relative to a copy that a long-running query
-    /// service should retain hot decompressed pages (`vectorq::cache`).
-    /// False for ratio-only schemes, which have no byte path to decode at
-    /// all; raw/uncompressed storage is handled by the consumer, not here.
-    pub cacheable_decode: bool,
-    /// An incremental, bounded-memory stream writer exists for this codec,
-    /// including a pipelined mode that overlaps compression with source
-    /// fill (see [`crate::ingest`]). Columns of any length can be ingested
-    /// without materializing them.
-    pub streaming_ingest: bool,
 }
 
 impl Capabilities {
     /// Defaults of a vector-granular, f64-only, fully serializable codec.
     pub const fn vector() -> Self {
-        Capabilities {
-            random_vector_access: false,
-            f32: false,
-            ratio_only: false,
-            block_based: false,
-            cacheable_decode: true,
-            streaming_ingest: false,
-        }
+        Capabilities { f32: false, ratio_only: false, block_based: false }
     }
 }
 

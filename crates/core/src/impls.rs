@@ -113,12 +113,7 @@ impl ColumnCodec for Alp {
         "ALP"
     }
     fn caps(&self) -> Capabilities {
-        Capabilities {
-            random_vector_access: true,
-            f32: true,
-            streaming_ingest: true,
-            ..Capabilities::vector()
-        }
+        Capabilities { f32: true, ..Capabilities::vector() }
     }
     fn try_compress_into(
         &self,
@@ -204,7 +199,7 @@ impl ColumnCodec for LwcAlp {
         "LWC+ALP"
     }
     fn caps(&self) -> Capabilities {
-        Capabilities { ratio_only: true, cacheable_decode: false, ..Capabilities::vector() }
+        Capabilities { ratio_only: true, ..Capabilities::vector() }
     }
     fn try_compress_into(
         &self,

@@ -3,8 +3,8 @@
 //! Every compression scheme in the evaluation — the seven baseline float
 //! codecs, ALP itself, the LWC+ALP cascade, and both GPZip modes — implements
 //! one trait, [`ColumnCodec`], and is reachable through one table, the
-//! [`Registry`]. Consumers (the benchmark harness, the CLI, the `vectorq`
-//! query engine, the corruption test suite) iterate the registry instead of
+//! [`Registry`]. Consumers (the benchmark harness, the examples, the
+//! corruption and differential test suites) iterate the registry instead of
 //! keeping hand-maintained scheme lists; adding a codec means one impl plus
 //! one registry line (whose unit test pins the list).
 //!

@@ -5,8 +5,8 @@
 //! The scheduling primitives themselves live in [`alp::par`] (this crate
 //! depends on `alp`, not the other way around, so placing them there lets
 //! `alp::Compressor::compress_parallel` use the same queue) and are
-//! re-exported here verbatim; `vectorq`, the CLI, and the benches all import
-//! them through this module.
+//! re-exported here verbatim for the registry's consumers; `vectorq`, the
+//! CLI and the end-to-end harness import them from [`alp::par`] directly.
 //!
 //! The helpers in this module parallelize any registered codec by splitting
 //! the column into fixed-size chunks and treating each chunk as one morsel.

@@ -2,7 +2,7 @@
 //!
 //! Quarantine contains damage; the scrubber is the path back. A scrub pass
 //! walks the store's quarantined pages on the shared morsel scheduler
-//! ([`alp_core::par::run_morsels_governed`]), re-decodes each one through the
+//! ([`alp::par::run_morsels_governed`]), re-decodes each one through the
 //! same fallible path queries use, and atomically un-quarantines the pages
 //! that decode cleanly again — so a fault that was transient, or has since
 //! been repaired out-of-band (e.g. by rewriting the backing file through the
@@ -22,7 +22,7 @@
 
 use std::time::Duration;
 
-use alp_core::par::{run_morsels_governed, CancelToken};
+use alp::par::{run_morsels_governed, CancelToken};
 
 use crate::service::{PageCtx, Store};
 

@@ -7,8 +7,7 @@
 //!   never-evicting resident page set ([`PageCache`]). Pages are the unit of
 //!   decode, residency, quarantine, and parallelism (one page = one morsel).
 //!   A missed page becomes resident while the set has room; the pages that
-//!   do not fit are summed from the stored bytes (ALP and raw) or decoded
-//!   into the worker's reused buffer (codec bytes).
+//!   do not fit are summed from the stored bytes.
 //! * **Admission control** — at most `max_concurrent` queries run and at most
 //!   `max_queued` wait; the next caller gets a typed
 //!   [`ServiceError::Overloaded`] with a retry hint derived from recent query
@@ -38,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use alp::io::{fault_seed, splitmix64};
-use alp_core::par::{resolve_threads, run_morsels_governed, CancelToken};
+use alp::par::{resolve_threads, run_morsels_governed, CancelToken};
 use alp_core::Scratch;
 use fastlanes::VECTOR_SIZE;
 
@@ -153,14 +152,14 @@ impl LossReport {
 pub struct QueryResult {
     /// The aggregate over every healthy page.
     pub value: FilteredSum,
-    /// Pages scanned in the compressed domain — the fused
-    /// unpack→FOR→patch→predicate→aggregate path, taken by ALP and raw pages
-    /// that are not resident and found no room in the resident set (never
-    /// when [`QueryOptions::no_fused`] is set).
+    /// Pages summed from the stored bytes — the fused
+    /// unpack→FOR→patch→predicate→aggregate path on ALP, an in-place sum on
+    /// raw values — taken by pages that are not resident and found no room
+    /// in the resident set (never when [`QueryOptions::no_fused`] is set).
     pub pages_fused: usize,
     /// Pages scanned from decoded values: resident pages, pages decoded to
-    /// become resident, and pages decoded into the worker's buffer (codec
-    /// bytes and `no_fused`).
+    /// become resident, and pages decoded into the worker's buffer
+    /// (`no_fused`).
     pub pages_materialized: usize,
     /// Pages that could not be served; empty for a complete result.
     pub loss: LossReport,
@@ -429,8 +428,7 @@ impl Store {
         self.injected_fault(page)?;
         let (v0, v1) = self.page_vectors(page);
         self.column
-            .try_walk(v0..v1, |_| true, &mut ctx.scratch, |_, _| {})
-            .map(drop)
+            .try_walk(v0..v1, &mut ctx.scratch, |_| {})
             .map_err(|e| LossReason::Decode(e.to_string()))
     }
 
@@ -500,11 +498,10 @@ impl Store {
     /// A resident page is scanned where it sits. A miss claims the page's
     /// slot while the resident set has room, decodes the page into a buffer
     /// of its own, scans it and leaves it resident. A miss that finds no room
-    /// materializes nothing for the set: ALP and raw pages are summed
-    /// straight from the stored bytes ([`Column::try_sum_where_in`]); codec
-    /// bytes, and `no_fused` (that route's reference), decode into the
-    /// worker's reused buffer and scan it there. Every route folds
-    /// bit-identically.
+    /// materializes nothing for the set: the page is summed straight from the
+    /// stored bytes ([`Column::try_sum_where_in`]), or under `no_fused` (that
+    /// route's reference) decoded into the worker's reused buffer and scanned
+    /// there. Every route folds bit-identically.
     fn execute_page(
         &self,
         page: usize,
@@ -536,7 +533,7 @@ impl Store {
         }
         let rows = self.page_rows(page);
         let claimed = cache.filter(|c| c.claim(page, rows));
-        if claimed.is_none() && !no_fused && self.column.supports_fused_scan() {
+        if claimed.is_none() && !no_fused {
             return match self.column.try_sum_where_in(v0..v1, lo, hi, &mut ctx.scratch) {
                 Ok(part) => PageOutcome::Scanned { part, fused: true },
                 Err(e) => PageOutcome::Skipped(LossReason::Decode(e.to_string())),
@@ -546,12 +543,8 @@ impl Store {
         let values = if claimed.is_some() { &mut own } else { &mut ctx.page_buf };
         values.clear();
         values.reserve_exact(rows);
-        let decoded = self.column.try_walk(
-            v0..v1,
-            |_| true,
-            &mut ctx.scratch,
-            |_, live| values.extend_from_slice(live),
-        );
+        let decoded =
+            self.column.try_walk(v0..v1, &mut ctx.scratch, |live| values.extend_from_slice(live));
         if let Err(e) = decoded {
             // The page is quarantined, which also ends its claim.
             return PageOutcome::Skipped(LossReason::Decode(e.to_string()));
@@ -564,9 +557,9 @@ impl Store {
     }
 }
 
-/// Per-worker query scratch: the walker's staging (which carries the block
-/// buffer of block-granular storage) plus the page assembly buffer, built
-/// once per worker and reused across every page it claims. Shared with the
+/// Per-worker query scratch: the walker's vector buffer plus the page
+/// assembly buffer, built once per worker and reused across every page it
+/// claims. Shared with the
 /// scrubber ([`crate::scrub`]), whose workers re-verify pages through the
 /// same walker.
 pub(crate) struct PageCtx {
@@ -905,11 +898,6 @@ mod tests {
         Arc::new(Store::new(column, CacheConfig::default_config()))
     }
 
-    /// Codec bytes: no compressed-domain route, so pages go through the cache.
-    fn gorilla() -> Format {
-        Format::by_id("gorilla").unwrap()
-    }
-
     fn reference(data: &[f64], lo: f64, hi: f64) -> (f64, usize) {
         let matching = data.iter().filter(|x| **x >= lo && **x <= hi);
         (matching.clone().sum(), matching.count())
@@ -932,7 +920,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_hit_the_cache_with_identical_results() {
-        let svc = Service::new(store_as(300_000, gorilla()), ServiceConfig::default());
+        let svc = Service::new(store(300_000), ServiceConfig::default());
         let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
         let first = svc.sum_where(5.0, 45.0, &opts).unwrap();
         let stats_cold = svc.cache_stats();
@@ -1080,7 +1068,7 @@ mod tests {
     fn admitting_misses_still_materialize_and_warm_the_cache() {
         // The whole column fits the default set, so every page of either
         // storage becomes resident.
-        for format in [Format::alp(), gorilla()] {
+        for format in [Format::alp(), Format::Uncompressed] {
             let svc = Service::new(store_as(300_000, format), ServiceConfig::default());
             let first = svc.sum_where(5.0, 45.0, &QueryOptions::default()).unwrap();
             assert_eq!(first.pages_fused, 0, "{format:?}: admitting misses materialize");

@@ -1,7 +1,7 @@
-//! End-to-end querying over compressed storage with the vectorized engine:
-//! SCAN and SUM over an ALP column vs uncompressed vs a block-based
-//! general-purpose compressor, demonstrating why vector-granular compression
-//! enables skipping (predicate push-down) and block-based does not.
+//! Predicate push-down over compressed storage with the query engine: a
+//! narrow-band `sum_where` over an ALP column and over the same values
+//! uncompressed, and why vector-granular compression can skip where a
+//! block-based general-purpose compressor cannot.
 //!
 //! ```sh
 //! cargo run --release --example query_pushdown
@@ -10,13 +10,6 @@
 use std::time::Instant;
 
 use vectorq::{Column, Format};
-
-fn time<T>(label: &str, f: impl FnOnce() -> T) -> T {
-    let t0 = Instant::now();
-    let r = f();
-    println!("  {label:<24} {:>9.1} ms", t0.elapsed().as_secs_f64() * 1e3);
-    r
-}
 
 fn main() {
     let data = {
@@ -29,18 +22,30 @@ fn main() {
     };
     println!("column: {} doubles ({} MB uncompressed)\n", data.len(), data.len() * 8 / 1_000_000);
 
-    for fmt in [Format::Uncompressed, Format::alp(), Format::by_id("gpzip").unwrap()] {
-        println!("{}:", fmt.name());
-        let col = time("compress (COMP)", || Column::from_f64(&data, fmt));
+    // A narrow band — the range of one vector in the middle of the column:
+    // most vectors' zone maps rule it out, the ones inside it are answered
+    // from their stored sums, and the rest are summed.
+    let middle = data.chunks(alp::VECTOR_SIZE).nth(4000).expect("8192 vectors");
+    let lo = middle.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = middle.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    for fmt in [Format::Uncompressed, Format::alp()] {
+        let t0 = Instant::now();
+        let col = Column::from_f64(&data, fmt);
+        let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let bpv = col.compressed_bytes() as f64 * 8.0 / data.len() as f64;
+        println!("{}: {bpv:.2} bits/value, built in {build_ms:.1} ms", fmt.name());
+        let t0 = Instant::now();
+        let r = col.sum_where(lo, hi);
         println!(
-            "  {:<24} {:>9.2} bits/value",
-            "footprint",
-            col.compressed_bytes() as f64 * 8.0 / data.len() as f64
+            "  sum({lo} <= x <= {hi}) = {:.2} ({} matches) in {:.2} ms: {} vectors scanned \
+             ({} inside the band), {} skipped\n",
+            r.sum,
+            r.matches,
+            t0.elapsed().as_secs_f64() * 1e3,
+            r.vectors_scanned,
+            r.vectors_all_in,
+            r.vectors_skipped
         );
-        let tuples = time("full scan (SCAN)", || col.scan());
-        assert_eq!(tuples, data.len());
-        let total = time("aggregate (SUM)", || col.sum());
-        println!("  {:<24} {total:>13.2}\n", "sum result");
     }
 
     // The push-down story: touching ONE vector.
@@ -62,30 +67,5 @@ fn main() {
         "  GPZip : must inflate the whole {}-value block -> {z_us:>8.1} us ({:.0}x more data touched)",
         raw.len() / 8,
         (raw.len() / 8) as f64 / n as f64
-    );
-
-    // Cross-column push-down with the Table API: filter on a sorted time
-    // column, aggregate a price column — only the matching vectors of the
-    // price column are ever decompressed.
-    println!("\ncross-column predicate push-down (Table API):");
-    let n_rows = 2_000_000usize;
-    let time: Vec<f64> = (0..n_rows).map(|i| i as f64).collect();
-    let price = datagen::generate("Stocks-USA", n_rows, 3);
-    let table = vectorq::table::Table::from_columns(vec![
-        ("time", time, vectorq::Format::alp()),
-        ("price", price, vectorq::Format::alp()),
-    ])
-    .unwrap();
-    let t0 = Instant::now();
-    let r = table
-        .aggregate_where("price", vectorq::table::Aggregate::Avg, "time", 1_000_000.0, 1_004_095.0)
-        .unwrap();
-    println!(
-        "  avg(price) where time in [1e6, 1e6+4095]: {:.4} ({} rows, {} of {} price vectors touched, {:.1} us)",
-        r.value,
-        r.matches,
-        r.vectors_touched,
-        table.rows().div_ceil(alp::VECTOR_SIZE),
-        t0.elapsed().as_secs_f64() * 1e6
     );
 }

@@ -155,89 +155,6 @@ fn baseline_codec_layer_is_allocation_free_after_warmup() {
     }
 }
 
-/// Regression: every per-vector consumer of a block-granular column used to
-/// reach its block through `try_decompress_vector_at`, which inflates the
-/// whole 100-vector block for each vector — 100 inflates per default page.
-/// The storage walker inflates a block once per call; gpzip's inflate
-/// allocates per call, so the event counter sees the difference.
-#[test]
-fn block_granular_pages_inflate_their_block_once_per_operator() {
-    use std::sync::Arc;
-    use vectorq::cache::CacheConfig;
-    use vectorq::scrub::ScrubOptions;
-    use vectorq::service::{PoisonPlan, QueryOptions, Service, ServiceConfig, Store};
-    use vectorq::table::Aggregate;
-    use vectorq::{Column, Format};
-
-    // One default page = one gpzip block of 100 vectors.
-    let data = sample(100 * alp::VECTOR_SIZE);
-    let gpzip = Format::by_id("gpzip").expect("registered");
-    let codec = alp_core::Registry::get("gpzip").expect("registered");
-    let mut scratch = alp_core::Scratch::new();
-    let (mut bytes, mut out) = (Vec::new(), Vec::new());
-    codec.try_compress_into(&data, &mut bytes, &mut scratch).expect("compress");
-    codec.try_decompress_into(&bytes, data.len(), &mut out, &mut scratch).expect("warm-up");
-    let one_inflate = allocations_in(|| {
-        codec.try_decompress_into(&bytes, data.len(), &mut out, &mut scratch).expect("decode");
-    });
-    assert!(one_inflate > 0, "gpzip's inflate must allocate for this gauge to mean anything");
-    let budget = 3 * one_inflate;
-
-    // Every vector holds one of `sample`'s tiny exceptions, so this narrow
-    // band overlaps every zone map (nothing is pruned) yet selects few rows.
-    let (lo, hi) = (0.0, 1e-3);
-    let column = Column::from_f64(&data, gpzip);
-    let reference = column.sum_where(lo, hi);
-    assert_eq!(reference.vectors_skipped, 0);
-
-    let mut ids = Vec::new();
-    let allocs = allocations_in(|| ids = column.filter_indices(lo, hi));
-    assert_eq!(ids.len(), reference.matches);
-    assert!(
-        allocs <= budget,
-        "filter_indices: {allocs} allocation events, one inflate is {one_inflate}"
-    );
-    let mut sum = None;
-    let allocs = allocations_in(|| sum = column.try_aggregate(Aggregate::Sum));
-    assert!(sum.is_some());
-    assert!(
-        allocs <= budget,
-        "try_aggregate: {allocs} allocation events, one inflate is {one_inflate}"
-    );
-
-    // A zero-entry cache, so the service materializes the page on every
-    // query; a seed that poisons page 0, so the scrubber has work to do.
-    let seed = (1..).find(|&s| PoisonPlan::seeded(s).poisons(0)).expect("some seed poisons page 0");
-    let no_cache = CacheConfig { max_entries: 0, ..CacheConfig::default_config() };
-    let store = Arc::new(Store::with_poison(column, no_cache, PoisonPlan::seeded(seed)));
-    assert_eq!(store.pages(), 1);
-    let service = Service::new(Arc::clone(&store), ServiceConfig::default());
-    let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
-    let partial = service.sum_where(lo, hi, &opts).expect("admitted");
-    assert_eq!(store.quarantined_pages(), [0], "{:?}", partial.loss);
-    store.heal_poison();
-    let scrub = ScrubOptions { threads: Some(1), ..ScrubOptions::default() };
-    let mut repaired = 0;
-    let allocs = allocations_in(|| repaired = service.scrub_once(&scrub).pages_repaired);
-    assert_eq!(repaired, 1);
-    assert!(
-        allocs <= budget,
-        "scrub_once: {allocs} allocation events, one inflate is {one_inflate}"
-    );
-
-    let mut answer = None;
-    let allocs = allocations_in(|| answer = service.sum_where(lo, hi, &opts).ok());
-    let answer = answer.expect("admitted");
-    assert!(answer.loss.is_complete());
-    assert_eq!(answer.pages_materialized, 1);
-    assert_eq!(answer.value.sum.to_bits(), reference.sum.to_bits());
-    assert_eq!(answer.value.matches, reference.matches);
-    assert!(
-        allocs <= budget,
-        "Service::sum_where: {allocs} allocation events, one inflate is {one_inflate}"
-    );
-}
-
 /// The scan kernels stage on the stack. The unsorted-exception fallback — a
 /// corrupt-but-decodable list, so reachable from wire data — used to request
 /// an 8 KB heap buffer per call.

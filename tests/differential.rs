@@ -15,7 +15,6 @@
 mod driver;
 
 use driver::*;
-use vectorq::Format;
 
 #[global_allocator]
 static GLOBAL: common::CountingAlloc = common::CountingAlloc;
@@ -58,9 +57,7 @@ fn lossless_through_every_registry_codec_at_both_widths() {
 /// `"ALPC"` container and `vectorq`'s stored columns. They add framing and
 /// chunking, not value handling, so they sweep the inputs that stress those:
 /// every bit pattern, every vector-straddling length, every FCBench domain.
-/// (A block-granular stored column inflates its whole block per vector read,
-/// so these columns are short; `oracle_matches_every_operator…` below crosses
-/// its blocks.)
+/// (`oracle_matches_every_operator…` below crosses a row-group boundary.)
 #[test]
 fn lossless_through_chunks_containers_and_stored_columns() {
     let mut inputs = bit_patterns::<f64>();
@@ -104,14 +101,11 @@ fn lossless_bites_a_lossy_path_on_the_bit_pattern_classes() {
 
 /// Every storage × every operator × every service route × the thread sweep
 /// on the column that holds every bit-pattern class and spans a ragged second
-/// block-granular block; its partial sums are exact, so the operators that
-/// add in their own order are held to the oracle's bits too.
+/// row-group; its partial sums are exact, so the routes that add in their own
+/// order are held to the oracle's bits too.
 #[test]
 fn oracle_matches_every_operator_on_every_storage() {
-    // Crossing a block boundary is the storage's doing, not the codec's: of
-    // the two block-granular codecs the faster one suffices here (the slower,
-    // gpzip, is under every operator in the test below, within one block).
-    for format in formats().into_iter().filter(|format| format.name() != "Zstd*") {
+    for format in formats() {
         assert_aggregates(&exact_column(format), true, format, "every class at chosen places");
     }
 }
@@ -141,8 +135,8 @@ fn oracle_matches_on_every_input_shape() {
 /// Vectors inside the band, answered from their zone maps, on the shapes
 /// that make a stored sum hard: NaN payloads, ±0, ±∞ and extremes,
 /// subnormals, each alone and amid decimals, NaN-dense and all-NaN vectors,
-/// ALP and ALP_rd row-groups with a short tail vector — on raw values, ALP
-/// and block-granular codec bytes.
+/// ALP and ALP_rd row-groups with a short tail vector — on raw values and
+/// ALP.
 #[test]
 fn zone_answered_vectors_match_the_oracle_on_every_shape() {
     let n = 3 * 1024 + 333;
@@ -155,10 +149,8 @@ fn zone_answered_vectors_match_the_oracle_on_every_shape() {
         assert!(compressed.rowgroups.iter().all(|rg| rg.scheme() == scheme), "{name}");
         inputs.push(input);
     }
-    let formats =
-        ["raw", "alp", "gpzip"].map(|id| Format::by_id(id).unwrap_or(Format::Uncompressed));
     for input in &inputs {
-        for format in formats {
+        for format in formats() {
             assert_zone_answers(&input.values, format, &input.name);
         }
     }

@@ -40,7 +40,6 @@ use alp_repro::corruption::{
 };
 use vectorq::cache::CacheConfig;
 use vectorq::service::{QueryOptions, Service, ServiceConfig, Store};
-use vectorq::table::{Aggregate, Table};
 use vectorq::{Column, Format};
 
 /// One parity frame per two data frames: small inputs still fill whole groups.
@@ -690,8 +689,7 @@ pub fn containers() -> Vec<Path<f64>> {
 
 /// Every storage a `vectorq::Column` can sit on.
 pub fn formats() -> Vec<Format> {
-    let stored = Registry::all().iter().filter_map(|c| Format::by_id(c.id()));
-    [Format::Uncompressed].into_iter().chain(stored).collect()
+    vec![Format::Uncompressed, Format::alp()]
 }
 
 /// A stored `vectorq::Column`, read back vector by vector.
@@ -739,41 +737,27 @@ pub fn oracle(data: &[f64], lo: f64, hi: f64) -> ScanResult {
 }
 
 /// Invariant 2, written once. Every way of asking "which rows fall in
-/// `lo..=hi`, and what do they add up to" — the column's own operators, the
-/// two-column table, and every service route (fully and half resident, cold
-/// and warm; compressed-domain; materialize-and-drop) at every thread count —
-/// answers with the oracle's bits. `exact_sums` says every partial sum of
-/// `data` is exact, so the operators that add in their own order (the
-/// table's row-at-a-time sum, `par_sum`'s per-worker partials) are held to
-/// the same bits too; otherwise they are held to the counts.
+/// `lo..=hi`, and what do they add up to" — the column's own operators and
+/// every service route (fully and half resident, cold and warm;
+/// compressed-domain; materialize-and-drop) at every thread count — answers
+/// with the oracle's bits. `exact_sums` says every partial sum of `data` is
+/// exact, so the column's one running total and the service's page-ordered
+/// fold, which differ only in association, are held to the same bits too.
 pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &str) {
     let name = format!("{} over {what}", format.name());
-    let bits = |x: Option<f64>| x.map(f64::to_bits);
-    let whole = oracle(data, f64::NEG_INFINITY, f64::INFINITY);
     let column = Column::from_f64(data, format);
-    assert_eq!(bits(column.try_aggregate(Aggregate::Min)), bits(whole.min), "{name}: min");
-    assert_eq!(bits(column.try_aggregate(Aggregate::Max)), bits(whole.max), "{name}: max");
-    assert_eq!(column.try_aggregate(Aggregate::Count), Some(data.len() as f64), "{name}: count");
-    let block_based = matches!(format, Format::Registered(c) if c.caps().block_based);
     let mut directs = Vec::new();
-    let table = Table::from_columns(vec![
-        ("filter", data.to_vec(), format),
-        ("target", data.to_vec(), format),
-    ])
-    .expect("equal lengths");
     for (lo, hi) in BANDS {
         let label = format!("{name} [{lo}, {hi}]");
         let want = oracle(data, lo, hi);
         let direct = column.sum_where(lo, hi);
         assert_eq!(direct.sum.to_bits(), want.sum.to_bits(), "{label}: sum_where");
         assert_eq!(direct.matches, want.matches, "{label}: sum_where matches");
-        if !block_based {
-            assert_eq!(
-                (direct.valid, direct.invalid),
-                scanned_validity(data, lo, hi),
-                "{label}: validity"
-            );
-        }
+        assert_eq!(
+            (direct.valid, direct.invalid),
+            scanned_validity(data, lo, hi),
+            "{label}: validity"
+        );
         directs.push(direct);
         let rows =
             (0..data.len() as u64).filter(|&i| data[i as usize] >= lo && data[i as usize] <= hi);
@@ -782,31 +766,8 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
             rows.collect::<Vec<_>>(),
             "{label}: filter_indices"
         );
-
-        let agg =
-            |a| table.aggregate_where("target", a, "filter", lo, hi).expect("both columns exist");
-        let undefined = Some(f64::NAN.to_bits());
-        assert_eq!(
-            bits(Some(agg(Aggregate::Min).value)),
-            bits(want.min).or(undefined),
-            "{label}: table min"
-        );
-        assert_eq!(
-            bits(Some(agg(Aggregate::Max).value)),
-            bits(want.max).or(undefined),
-            "{label}: table max"
-        );
-        let sum = agg(Aggregate::Sum);
-        assert_eq!(sum.matches, want.matches, "{label}: table matches");
-        if exact_sums {
-            assert_eq!(sum.value.to_bits(), want.sum.to_bits(), "{label}: table sum");
-        }
     }
 
-    // `par_sum` has no predicate to keep NaN and ±inf out of its total.
-    let finite: Vec<f64> = data.iter().copied().filter(|x| x.is_finite()).collect();
-    let finite_sum = oracle(&finite, f64::NEG_INFINITY, f64::INFINITY).sum;
-    let finite = exact_sums.then(|| Column::from_f64(&finite, format));
     // Pages of the paper's 100 vectors for a column longer than that, of two
     // for a shorter one, so that it too spans several.
     let page_vectors = if data.len() > vectorq::ROWGROUP_VALUES { 100 } else { 2 };
@@ -829,11 +790,6 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
     };
     let wants = BANDS.map(paged_oracle);
     for threads in thread_counts() {
-        assert_eq!(column.par_scan(threads), data.len(), "{name}: par_scan at {threads} threads");
-        if let Some(finite) = &finite {
-            let got = finite.par_sum(threads).to_bits();
-            assert_eq!(got, finite_sum.to_bits(), "{name}: par_sum at {threads} threads");
-        }
         let cached = service(threads, paged);
         let half_resident = service(threads, half);
         let fused = QueryOptions { threads: Some(threads), ..QueryOptions::default() };
@@ -858,18 +814,18 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
                 assert!(result.loss.is_complete(), "{label}");
                 assert_eq!(result.value.sum.to_bits(), want_sum.to_bits(), "{label}: sum");
                 assert_eq!(result.value.matches, want_matches, "{label}: matches");
-                // Vector-granular storage skips and counts per vector whoever
-                // asks; a block-granular page answers for its whole block.
-                if !block_based {
-                    let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
-                    assert_eq!(counters(result.value), counters(*direct), "{label}: counters");
+                if exact_sums {
+                    let column_sum = direct.sum.to_bits();
+                    assert_eq!(result.value.sum.to_bits(), column_sum, "{label}: column's sum");
                 }
+                // Every route skips and counts per vector.
+                let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
+                assert_eq!(counters(result.value), counters(*direct), "{label}: counters");
                 // The column fits the default set, so a warm query hits every
                 // page it reads. Under the half budget it hits the resident
-                // pages it touches, and every miss found no room: ALP and raw
-                // pages that did not fit run fused, codec bytes decode into
-                // the worker's buffer. The zero-entry set is never consulted:
-                // ALP and raw pages run fused unless asked not to.
+                // pages it touches, and every miss found no room: the pages
+                // that did not fit run fused. The zero-entry set is never
+                // consulted: every page runs fused unless asked not to.
                 let after = service.cache_stats();
                 let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
                 match route {
@@ -881,12 +837,10 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
                         assert_eq!(after.bypasses - before.bypasses, misses, "{label}: no room");
                         let served = (result.pages_fused + result.pages_materialized) as u64;
                         assert_eq!(hits + misses, served, "{label}: every page looked up");
-                        if column.supports_fused_scan() {
-                            assert_eq!(result.pages_fused as u64, misses, "{label}: misses fuse");
-                        }
+                        assert_eq!(result.pages_fused as u64, misses, "{label}: misses fuse");
                         assert!(after.bytes_peak <= half.max_bytes, "{label}: {after:?}");
                     }
-                    "fused" if column.supports_fused_scan() => {
+                    "fused" => {
                         assert_eq!(result.pages_materialized, 0, "{label}: runs fused");
                         if want_matches > 0 {
                             assert!(result.pages_fused > 0, "{label}: runs fused")
@@ -933,12 +887,10 @@ pub fn zone_bands(data: &[f64]) -> Vec<(f64, f64)> {
 /// and the service's fused pages, and decoded and summed under `no_fused`:
 /// all three answer with the oracle's bits (the service page by page), and
 /// count as inside the band exactly the vectors whose every value is a
-/// member of it, found by looking at each value. On vector-granular storage
-/// the scanned-vector and validity counts are the ones a scan of every
-/// overlapping vector reports.
+/// member of it, found by looking at each value. The scanned-vector and
+/// validity counts are the ones a scan of every overlapping vector reports.
 pub fn assert_zone_answers(data: &[f64], format: Format, what: &str) {
     let name = format!("{} over {what}", format.name());
-    let block_based = matches!(format, Format::Registered(c) if c.caps().block_based);
     let column = Column::from_f64(data, format);
     let page_vectors = 2;
     let paged = CacheConfig {
@@ -963,11 +915,9 @@ pub fn assert_zone_answers(data: &[f64], format: Format, what: &str) {
             (want.sum.to_bits(), want.matches, inside),
             "{label}: sum_where (sum, matches, inside the band)"
         );
-        if !block_based {
-            assert_eq!(direct.vectors_scanned, overlapping, "{label}: vectors scanned");
-            let validity = (direct.valid, direct.invalid);
-            assert_eq!(validity, scanned_validity(data, lo, hi), "{label}: validity");
-        }
+        assert_eq!(direct.vectors_scanned, overlapping, "{label}: vectors scanned");
+        let validity = (direct.valid, direct.invalid);
+        assert_eq!(validity, scanned_validity(data, lo, hi), "{label}: validity");
         let pages = data.chunks(page_vectors * VECTOR_SIZE).map(|page| oracle(page, lo, hi));
         let (sum, matches) = pages.fold((0.0, 0), |(s, m), page| (s + page.sum, m + page.matches));
         for (route, options) in [("fused", fused), ("no_fused", no_fused)] {
@@ -978,15 +928,13 @@ pub fn assert_zone_answers(data: &[f64], format: Format, what: &str) {
                 (sum.to_bits(), matches, inside),
                 "{label} {route}: service (sum, matches, inside the band)"
             );
-            if !block_based {
-                let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
-                assert_eq!(counters(got.value), counters(direct), "{label} {route}: counters");
-            }
+            let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
+            assert_eq!(counters(got.value), counters(direct), "{label} {route}: counters");
         }
     }
 }
 
-/// `(valid, invalid)` a vector-granular scan of `lo..=hi` reports: the non-NaN
+/// `(valid, invalid)` a scan of `lo..=hi` reports: the non-NaN
 /// and NaN counts of every vector whose non-NaN range overlaps the band.
 fn scanned_validity(data: &[f64], lo: f64, hi: f64) -> (usize, usize) {
     let (mut valid, mut invalid) = (0, 0);
@@ -1006,12 +954,10 @@ fn scanned_validity(data: &[f64], lo: f64, hi: f64) -> (usize, usize) {
 /// One column holding every bit-pattern class at chosen places, whose values
 /// are multiples of 0.25 (so every partial sum is exact), with an all-NaN
 /// vector every predicate zone-prunes and a ragged tail. It crosses the
-/// storage's own block boundary into a short second block: 100 vectors for raw
-/// values, ALP row-groups and the block-granular codecs; the per-value codecs
-/// store vector by vector, so a dozen vectors do.
-pub fn exact_column(format: Format) -> Vec<f64> {
-    let per_value = matches!(format, Format::Registered(c) if !c.caps().block_based && !c.caps().random_vector_access);
-    let first_block = if per_value { 9 * VECTOR_SIZE } else { vectorq::ROWGROUP_VALUES };
+/// 100-vector row-group boundary into a short second row-group, which is both
+/// storages' block, so one column serves every `Format`.
+pub fn exact_column(_format: Format) -> Vec<f64> {
+    let first_block = vectorq::ROWGROUP_VALUES;
     let n = first_block + 3 * VECTOR_SIZE + 700;
     let mut data: Vec<f64> = (0..n).map(|i| ((i * 7919) % 4001) as f64 * 0.25 - 500.0).collect();
     data[5] = f64::from_bits(0x7ff8_0000_0000_1234);

@@ -651,8 +651,7 @@ fn column_with_specials(n: usize) -> Vec<f64> {
 }
 
 /// Holds `scan_values` and `Column::sum_where` (the `FilteredSum` fold) over
-/// raw, ALP, per-vector codec and block codec storage to the column-level
-/// definition, with the push-down counters: a pruned vector adds nothing, a
+/// raw and ALP storage to the column-level definition, with the push-down counters: a pruned vector adds nothing, a
 /// vector inside the band takes the predicate-free route.
 fn check_column(data: &[f64], lo: f64, hi: f64, what: &str) {
     let (sum, matches, nans) = reference_column(data, lo, hi);
@@ -669,16 +668,13 @@ fn check_column(data: &[f64], lo: f64, hi: f64, what: &str) {
         data.chunks(VECTOR_SIZE).filter(|v| ZoneMap::of(v).overlaps(lo, hi)).collect();
     let all_in = scanned.iter().filter(|v| v.iter().all(|&x| x >= lo && x <= hi)).count();
     let scanned_nans: usize = scanned.iter().map(|v| v.iter().filter(|x| x.is_nan()).count()).sum();
-    for id in ["raw", "alp", "patas", "gpzip"] {
-        let format = Format::by_id(id).unwrap_or(Format::Uncompressed);
+    for format in [Format::Uncompressed, Format::alp()] {
+        let id = format.name();
         let got = Column::from_f64(data, format).sum_where(lo, hi);
         assert_eq!((got.sum.to_bits(), got.matches), (sum, matches), "{what}: {id} sum_where");
         assert_eq!(got.invalid, scanned_nans, "{what}: {id} NaNs scanned");
         assert_eq!(got.vectors_all_in, all_in, "{what}: {id} predicate-free vectors");
-        if id != "gpzip" {
-            // Block-granular storage also counts the neighbours it inflated.
-            assert_eq!(got.vectors_scanned, scanned.len(), "{what}: {id} vectors scanned");
-        }
+        assert_eq!(got.vectors_scanned, scanned.len(), "{what}: {id} vectors scanned");
     }
 }
 

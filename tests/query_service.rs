@@ -57,62 +57,59 @@ const PREDICATES: &[(f64, f64)] = &[
 
 /// The 51-page column is larger than the 6-page budget: under load the set
 /// fills with six pages, which later queries hit, and every other page is
-/// summed from the stored bytes (ALP) or decoded into the worker's buffer
-/// (codec bytes, gorilla here).
+/// summed from the stored bytes.
 #[test]
 fn concurrent_mixed_queries_are_byte_identical_to_serial() {
     let data = dataset(50 * 10 * VECTOR_SIZE + 700);
-    for format in [Format::alp(), Format::by_id("gorilla").unwrap()] {
-        let store = Arc::new(Store::new(Column::from_f64(&data, format), tight_cache()));
-        let service = Service::new(
-            Arc::clone(&store),
-            ServiceConfig { max_concurrent: 8, max_queued: 64, threads: 2 },
-        );
+    let store = Arc::new(Store::new(Column::from_f64(&data, Format::alp()), tight_cache()));
+    let service = Service::new(
+        Arc::clone(&store),
+        ServiceConfig { max_concurrent: 8, max_queued: 64, threads: 2 },
+    );
 
-        // Serial reference on an identical but separate store (its own cache).
-        let ref_store = Arc::new(Store::new(Column::from_f64(&data, format), tight_cache()));
-        let ref_service =
-            Service::new(ref_store, ServiceConfig { threads: 1, ..ServiceConfig::default() });
-        let serial: Vec<_> = PREDICATES
-            .iter()
-            .map(|(lo, hi)| ref_service.sum_where(*lo, *hi, &QueryOptions::default()).unwrap())
-            .collect();
+    // Serial reference on an identical but separate store (its own cache).
+    let ref_store = Arc::new(Store::new(Column::from_f64(&data, Format::alp()), tight_cache()));
+    let ref_service =
+        Service::new(ref_store, ServiceConfig { threads: 1, ..ServiceConfig::default() });
+    let serial: Vec<_> = PREDICATES
+        .iter()
+        .map(|(lo, hi)| ref_service.sum_where(*lo, *hi, &QueryOptions::default()).unwrap())
+        .collect();
 
-        std::thread::scope(|scope| {
-            for worker in 0..8usize {
-                let service = &service;
-                let serial = &serial;
-                scope.spawn(move || {
-                    // Each worker runs the whole mix, rotated so different
-                    // predicates overlap in time across workers.
-                    for round in 0..3 {
-                        for k in 0..PREDICATES.len() {
-                            let idx = (k + worker + round) % PREDICATES.len();
-                            let (lo, hi) = PREDICATES[idx];
-                            let got = service.sum_where(lo, hi, &QueryOptions::default()).unwrap();
-                            let want = &serial[idx];
-                            assert!(got.loss.is_complete());
-                            assert_eq!(got.value.matches, want.value.matches);
-                            assert_eq!(
-                                got.value.sum.to_bits(),
-                                want.value.sum.to_bits(),
-                                "{format:?}: predicate {idx} diverged from serial"
-                            );
-                        }
+    std::thread::scope(|scope| {
+        for worker in 0..8usize {
+            let service = &service;
+            let serial = &serial;
+            scope.spawn(move || {
+                // Each worker runs the whole mix, rotated so different
+                // predicates overlap in time across workers.
+                for round in 0..3 {
+                    for k in 0..PREDICATES.len() {
+                        let idx = (k + worker + round) % PREDICATES.len();
+                        let (lo, hi) = PREDICATES[idx];
+                        let got = service.sum_where(lo, hi, &QueryOptions::default()).unwrap();
+                        let want = &serial[idx];
+                        assert!(got.loss.is_complete());
+                        assert_eq!(got.value.matches, want.value.matches);
+                        assert_eq!(
+                            got.value.sum.to_bits(),
+                            want.value.sum.to_bits(),
+                            "predicate {idx} diverged from serial"
+                        );
                     }
-                });
-            }
-        });
+                }
+            });
+        }
+    });
 
-        // The set filled to its budget, each page admitted once, and the
-        // ceiling held under all that pressure.
-        let stats = store.cache_stats();
-        assert_eq!(stats.entries, 6, "{format:?}: six full pages fit the budget");
-        assert_eq!(stats.bytes, stats.entries * PAGE_BYTES, "{format:?}");
-        assert!(stats.bytes_peak <= tight_cache().max_bytes, "{format:?}: {stats:?}");
-        assert!(stats.hits > 0, "{format:?}: later queries hit the resident pages");
-        assert_eq!(stats.evictions, 0);
-    }
+    // The set filled to its budget, each page admitted once, and the
+    // ceiling held under all that pressure.
+    let stats = store.cache_stats();
+    assert_eq!(stats.entries, 6, "six full pages fit the budget");
+    assert_eq!(stats.bytes, stats.entries * PAGE_BYTES);
+    assert!(stats.bytes_peak <= tight_cache().max_bytes, "{stats:?}");
+    assert!(stats.hits > 0, "later queries hit the resident pages");
+    assert_eq!(stats.evictions, 0);
 }
 
 #[test]
@@ -131,42 +128,6 @@ fn thread_count_and_cache_state_never_change_query_bits() {
                 Some(prev) => assert_eq!(prev, b, "t={threads} lo={lo} hi={hi}"),
             }
         }
-    }
-}
-
-/// Block-based storage (GPZip) flows through the same service seam. What is
-/// guaranteed: exact counts, and sum bits that depend on neither thread count
-/// nor route. *Not* guaranteed is bit-equality with [`Column::sum_where`]:
-/// the service folds vector sums per page and page partials in page order,
-/// the column folds every vector sum into one running total (DESIGN.md §12),
-/// and two association orders agree only to rounding.
-#[test]
-fn block_granular_formats_serve_identically() {
-    let data = dataset(3 * 100 * VECTOR_SIZE);
-    let cache = CacheConfig {
-        max_entries: 4,
-        page_size_rows: 100 * VECTOR_SIZE, // one page per row-group block
-        max_bytes: 64 << 20,
-    };
-    let column = Column::from_f64(&data, Format::by_id("gpzip").unwrap());
-    let direct = column.sum_where(10.0, 20.0);
-    let service = Service::new(Arc::new(Store::new(column, cache)), ServiceConfig::default());
-    let reference = service
-        .sum_where(10.0, 20.0, &QueryOptions { no_fused: true, ..QueryOptions::default() })
-        .unwrap();
-    for threads in [1, 2, 7] {
-        let opts = QueryOptions { threads: Some(threads), ..QueryOptions::default() };
-        let r = service.sum_where(10.0, 20.0, &opts).unwrap();
-        assert!(r.loss.is_complete());
-        assert_eq!(r.value.matches, direct.matches, "t={threads}");
-        assert_eq!(r.value.sum.to_bits(), reference.value.sum.to_bits(), "t={threads}");
-        let error = (r.value.sum - direct.sum).abs();
-        assert!(
-            error <= 1e-12 * direct.sum.abs(),
-            "t={threads}: {} vs {}",
-            r.value.sum,
-            direct.sum
-        );
     }
 }
 
