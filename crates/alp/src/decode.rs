@@ -145,9 +145,12 @@ impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
                 let mut scan = VectorScan::empty(self.len());
                 for_each_block(
                     self,
+                    scan_all,
                     #[inline(always)]
-                    |block, live| {
-                        scan.scan_block(block, live, lo, hi, with_minmax);
+                    |block, visit| {
+                        if let Block::Values(live) = visit {
+                            scan.scan_block(block, live, lo, hi, with_minmax);
+                        }
                     },
                 );
                 scan
@@ -155,8 +158,24 @@ impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
         )
     }
 
-    /// [`sum_vector`] over this source.
+    /// [`sum_vector`] over this source: [`AlpVectorRef::sum_planned`] with
+    /// every block scanned.
     pub fn sum<F: AlpFloat>(&self, band: Option<(F, F)>) -> VectorSum<F> {
+        self.sum_planned(band, scan_all)
+    }
+
+    /// The aggregate-only fused scan, one block at a time as `route` says
+    /// ([`BlockRoute`]): a skipped block is neither unpacked nor predicated
+    /// (its exceptions are stepped over), a stored one folds its stored sum,
+    /// a scanned one is decoded, patched and summed under `band`. Block sums
+    /// fold in block order, so a route that is true to the values yields the
+    /// bits of scanning every block. NaNs are counted over the scanned
+    /// blocks.
+    pub fn sum_planned<F: AlpFloat>(
+        &self,
+        band: Option<(F, F)>,
+        route: impl Fn(usize) -> BlockRoute<F>,
+    ) -> VectorSum<F> {
         tier::run(
             #[inline(always)]
             || {
@@ -164,9 +183,13 @@ impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
                 let mut matches = 0usize;
                 let nans = for_each_block(
                     self,
+                    route,
                     #[inline(always)]
-                    |_, live| {
-                        let (s, m) = block_sum_in(live, band);
+                    |_, visit| {
+                        let (s, m) = match visit {
+                            Block::Values(live) => block_sum_in(live, band),
+                            Block::Stored(s, live) => (s, live),
+                        };
                         sum = sum + s;
                         matches += m;
                     },
@@ -437,20 +460,55 @@ pub fn block_sum_all<F: AlpFloat>(chunk: &[F]) -> F {
     combine(sum)
 }
 
+/// How a planned sum ([`AlpVectorRef::sum_planned`], [`sum_decoded_planned`])
+/// treats one 64-value block, decided from statistics kept beside the vector
+/// (DESIGN.md §14). A route is true to the values when a skipped block holds
+/// no match and a stored block's every live value is a non-NaN match whose
+/// [`block_sum_all`] is the stored sum; the planned sum then has the bits of
+/// scanning every block, since a block without a match sums to `+0.0` and
+/// adding `+0.0` to a fold that started at `+0.0` changes no bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BlockRoute<F> {
+    /// No live value of the block lies in the band: it adds nothing.
+    Skip,
+    /// Every live value of the block lies in the band: this sum folds in its
+    /// place, every live value a match.
+    Stored(F),
+    /// Decode the block and apply the band to its values.
+    Scan,
+}
+
+/// The route of an unplanned scan: every block decoded and predicated.
+#[inline(always)]
+fn scan_all<F>(_block: usize) -> BlockRoute<F> {
+    BlockRoute::Scan
+}
+
+/// What [`for_each_block`] hands its consumer for a block it did not skip.
+enum Block<'b, F> {
+    /// The block's live values, decoded and patched.
+    Values(&'b [F]),
+    /// The route's stored sum and the block's live length.
+    Stored(F, usize),
+}
+
 /// Stages 1 and 2 of the fused scans, shared by the bitmap and the
-/// aggregate-only consumer: decode block by block exactly as
-/// [`decode_vector`] does, patch exceptions *mid-stream*, and hand each
-/// block's live values to `consume(block, values)` in order. Returns the
-/// number of live NaNs, which only exception lanes can hold (a decoded
-/// integer is never NaN).
+/// aggregate-only consumer: per block, as `route` says, decode exactly as
+/// [`decode_vector`] does and patch exceptions *mid-stream*, handing the
+/// live values to `consume(block, …)` in order — or, for a block the route
+/// skips or answers from a stored sum, step the exception cursor over the
+/// block without unpacking it. Returns the number of live NaNs among the
+/// scanned blocks, which only exception lanes can hold (a decoded integer is
+/// never NaN).
 #[inline(always)]
 fn for_each_block<F: AlpFloat, W: Word, P: Short>(
     v: &AlpVectorRef<'_, W, P>,
-    mut consume: impl FnMut(usize, &[F]),
+    route: impl Fn(usize) -> BlockRoute<F>,
+    mut consume: impl FnMut(usize, Block<'_, F>),
 ) -> usize {
     let len = v.len().min(VECTOR_SIZE);
     if !v.exc.positions.iter().map(|p| p.get()).is_sorted() {
-        return for_each_block_unsorted(v, len, &mut consume);
+        return for_each_block_unsorted(v, len, &route, &mut consume);
     }
     let mut dec = AlpDec::of(v);
     let mut exceptions = v.exc.iter().peekable();
@@ -458,16 +516,32 @@ fn for_each_block<F: AlpFloat, W: Word, P: Short>(
     // Block-local staging: stage 1 overwrites every slot.
     let mut vals = [F::from_i64(0); BLOCK];
     for (block, start) in (0..len).step_by(BLOCK).enumerate() {
+        let end = start + BLOCK;
+        let live = (len - start).min(BLOCK);
+        let scanned = match route(block) {
+            BlockRoute::Scan => true,
+            BlockRoute::Stored(sum) => {
+                consume(block, Block::Stored(sum, live));
+                false
+            }
+            BlockRoute::Skip => false,
+        };
+        if !scanned {
+            // Drain the block's exceptions, so that the next scanned block's
+            // cursor starts inside that block.
+            while exceptions.next_if(|&(p, _)| (p as usize) < end).is_some() {}
+            continue;
+        }
         // Stage 1: unpack + FOR-add + decimal multiply into the staging
         // buffer — the same block step as `decode_vector`.
         dec.block(block, &mut vals);
-        let live = (len - start).min(BLOCK);
         // Stage 2: mid-stream exception patch. Positions are ascending
-        // (checked above), so one cursor visits each exception once;
-        // positions past the vector end are dropped and of a run of equal
-        // positions the last one stays, matching `patch_exceptions`.
-        while let Some((p, bits)) = exceptions.next_if(|&(p, _)| (p as usize) < start + BLOCK) {
-            let Some(i) = (p as usize).checked_sub(start) else { continue };
+        // (checked above) and every earlier block drained its own, so each
+        // position the cursor yields lies in this block; positions past the
+        // vector end are dropped and of a run of equal positions the last one
+        // stays, matching `patch_exceptions`.
+        while let Some((p, bits)) = exceptions.next_if(|&(p, _)| (p as usize) < end) {
+            let i = p as usize % BLOCK;
             let patch = F::from_bits_u64(bits);
             if let Some(slot) = vals.get_mut(i) {
                 *slot = patch;
@@ -475,7 +549,7 @@ fn for_each_block<F: AlpFloat, W: Word, P: Short>(
             let stays = exceptions.peek().is_none_or(|&(next, _)| next != p);
             nans += (stays && i < live && patch.is_nan()) as usize;
         }
-        consume(block, vals.get(..live).unwrap_or(&vals));
+        consume(block, Block::Values(vals.get(..live).unwrap_or(&vals)));
     }
     nans
 }
@@ -490,15 +564,24 @@ fn for_each_block<F: AlpFloat, W: Word, P: Short>(
 fn for_each_block_unsorted<F: AlpFloat, W: Word, P: Short>(
     v: &AlpVectorRef<'_, W, P>,
     len: usize,
-    consume: &mut dyn FnMut(usize, &[F]),
+    route: &dyn Fn(usize) -> BlockRoute<F>,
+    consume: &mut dyn FnMut(usize, Block<'_, F>),
 ) -> usize {
     let mut buf = [F::from_i64(0); VECTOR_SIZE];
     v.decode(&mut buf);
     let live = buf.get(..len).unwrap_or(&buf);
+    let mut nans = 0;
     for (block, chunk) in live.chunks(BLOCK).enumerate() {
-        consume(block, chunk);
+        match route(block) {
+            BlockRoute::Scan => {
+                nans += chunk.iter().filter(|x| x.is_nan()).count();
+                consume(block, Block::Values(chunk));
+            }
+            BlockRoute::Stored(sum) => consume(block, Block::Stored(sum, chunk.len())),
+            BlockRoute::Skip => {}
+        }
     }
-    live.iter().filter(|x| x.is_nan()).count()
+    nans
 }
 
 /// Fused scan of one ALP vector: decodes, patches exceptions *mid-stream*
@@ -633,20 +716,36 @@ pub fn sum_vector<F: AlpFloat>(
 }
 
 /// [`sum_vector`] over already-decoded values (ALP_rd vectors, cached pages,
-/// raw storage). `may_hold_nan: false` — a zone map recorded none — skips the
-/// per-value NaN test; `band: None` implies it.
+/// raw storage): [`sum_decoded_planned`] with every block scanned.
 pub fn sum_decoded<F: AlpFloat>(
     values: &[F],
     band: Option<(F, F)>,
     may_hold_nan: bool,
+) -> VectorSum<F> {
+    sum_decoded_planned(values, band, may_hold_nan, scan_all)
+}
+
+/// [`AlpVectorRef::sum_planned`] over already-decoded values: the blocks
+/// `route` skips or answers from a stored sum are not predicated.
+/// `may_hold_nan: false` — a zone map recorded none — skips the per-value
+/// NaN test; `band: None` implies it.
+pub fn sum_decoded_planned<F: AlpFloat>(
+    values: &[F],
+    band: Option<(F, F)>,
+    may_hold_nan: bool,
+    route: impl Fn(usize) -> BlockRoute<F>,
 ) -> VectorSum<F> {
     tier::run(
         #[inline(always)]
         || {
             let mut sum = F::from_i64(0);
             let mut matches = 0usize;
-            for chunk in values.chunks(BLOCK) {
-                let (s, m) = block_sum_in(chunk, band);
+            for (block, chunk) in values.chunks(BLOCK).enumerate() {
+                let (s, m) = match route(block) {
+                    BlockRoute::Scan => block_sum_in(chunk, band),
+                    BlockRoute::Stored(s) => (s, chunk.len()),
+                    BlockRoute::Skip => continue,
+                };
                 sum = sum + s;
                 matches += m;
             }

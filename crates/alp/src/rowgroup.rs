@@ -25,7 +25,8 @@
 use fastlanes::VECTOR_SIZE;
 
 use crate::decode::{
-    decode_vector, scan_decoded, scan_vector, sum_decoded, sum_vector, VectorScan, VectorSum,
+    decode_vector, scan_decoded, scan_vector, sum_decoded_planned, AlpVectorRef, BlockRoute,
+    VectorScan, VectorSum,
 };
 use crate::encode::{encode_vector_into, AlpVector, ExcArena, ExcView, OwnedAlpVector};
 use crate::format::{encode_alp_body, encode_rd_body};
@@ -383,10 +384,12 @@ impl<F: AlpFloat> Compressed<F> {
     }
 
     /// Aggregate-only form of [`Compressed::try_scan_vector`] — the same
-    /// sum, match count and NaN count without bitmap words
-    /// ([`sum_vector`] / [`sum_decoded`], whose `band` and `may_hold_nan`
-    /// this passes through; the latter matters only to ALP_rd vectors, whose
-    /// NaNs are found by testing the decoded values).
+    /// sum, match count and NaN count without bitmap words, planned block by
+    /// block by `route` ([`AlpVectorRef::sum_planned`] /
+    /// [`sum_decoded_planned`], whose `band`, `may_hold_nan` and `route` this
+    /// passes through; `may_hold_nan` matters only to ALP_rd vectors, whose
+    /// NaNs are found by testing the decoded values, and an ALP_rd vector is
+    /// decoded whole before the route applies).
     pub fn try_sum_vector(
         &self,
         rowgroup: usize,
@@ -394,12 +397,13 @@ impl<F: AlpFloat> Compressed<F> {
         band: Option<(F, F)>,
         may_hold_nan: bool,
         buf: &mut [F],
+        route: impl Fn(usize) -> BlockRoute<F>,
     ) -> Result<VectorSum<F>, VectorIndexError> {
         Ok(match self.vector_at(rowgroup, vector)? {
-            StoredVector::Alp(v, exc) => sum_vector(v, exc, band),
+            StoredVector::Alp(v, exc) => AlpVectorRef::owned(v, exc).sum_planned(band, route),
             StoredVector::Rd(v, meta) => {
                 let n = decode_rd_vector(v, meta, buf);
-                sum_decoded(buf.get(..n).unwrap_or(&[]), band, may_hold_nan)
+                sum_decoded_planned(buf.get(..n).unwrap_or(&[]), band, may_hold_nan, route)
             }
         })
     }

@@ -5,7 +5,9 @@
 //! Its one aggregate is the predicated sum, [`Column::sum_where`]: a vector
 //! the zone maps rule out is skipped, one inside the band is answered from
 //! its zone map's stored sum, and the rest are summed one vector at a time —
-//! in the compressed domain on ALP, in place on raw values. The [`service`]
+//! in the compressed domain on ALP, in place on raw values — block by block
+//! as their block zones plan it: a 64-value block outside the band is not
+//! decoded, one inside it folds its stored sum. The [`service`]
 //! runs the same sum page by page on concurrent workers behind admission,
 //! deadlines, a resident page set ([`cache`]) and quarantine, and the
 //! [`scrub`]ber re-verifies quarantined pages. Parallel work goes through the
@@ -22,6 +24,7 @@ pub mod service;
 use core::ops::Range;
 
 use alp::decode::{block_sum_all, SUM_LANES};
+use alp::BlockRoute;
 use alp_core::Scratch;
 use fastlanes::bitpack::BLOCK;
 use fastlanes::VECTOR_SIZE;
@@ -30,6 +33,8 @@ use fastlanes::VECTOR_SIZE;
 pub const ROWGROUP_VECTORS: usize = 100;
 /// Row-group size in values.
 pub const ROWGROUP_VALUES: usize = ROWGROUP_VECTORS * VECTOR_SIZE;
+/// 64-value blocks per vector: the unit the FFOR layout unpacks on its own.
+const VECTOR_BLOCKS: usize = VECTOR_SIZE / BLOCK;
 
 /// Storage format of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,19 +92,31 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Builds the zone map of one vector of values in one lane-striped pass:
-    /// per 64-value block, the canonical block sum ([`block_sum_all`])
-    /// and eight min / max / NaN lanes over the same values.
+    /// Builds the zone map of one vector of values in one lane-striped pass
+    /// (`ZoneMap::with_blocks` without the block zones).
     pub fn of(values: &[f64]) -> Self {
+        Self::with_blocks(values).0
+    }
+
+    /// Builds the zone map and the [`BlockZones`] of one vector of values in
+    /// one lane-striped pass: per 64-value block, the canonical block sum
+    /// ([`block_sum_all`]) and eight min / max / NaN lanes over the same
+    /// values, the lanes reduced per block. The vector's figures fold the
+    /// blocks' in block order — its sum as every sum route folds block sums.
+    /// A vector longer than [`VECTOR_SIZE`] gets block zones for its first
+    /// [`VECTOR_BLOCKS`] blocks only.
+    pub(crate) fn with_blocks(values: &[f64]) -> (Self, BlockZones) {
         alp::tier::run(
             #[inline(always)]
             || {
-                let mut sum = 0.0;
-                let mut min = [f64::INFINITY; SUM_LANES];
-                let mut max = [f64::NEG_INFINITY; SUM_LANES];
+                let mut blocks = BlockZones::EMPTY;
+                let mut zone =
+                    Self { min: f64::INFINITY, max: f64::NEG_INFINITY, sum: 0.0, has_nan: false };
                 let mut nan = [false; SUM_LANES];
-                for block in values.chunks(BLOCK) {
-                    sum += block_sum_all(block);
+                for (b, block) in values.chunks(BLOCK).enumerate() {
+                    let sum = block_sum_all(block);
+                    let mut min = [f64::INFINITY; SUM_LANES];
+                    let mut max = [f64::NEG_INFINITY; SUM_LANES];
                     // A NaN fails both comparisons: it never enters the
                     // range, only the NaN lane.
                     let mut fold = |row: &[f64]| {
@@ -116,13 +133,18 @@ impl ZoneMap {
                         fold(row);
                     }
                     fold(tail);
+                    let min = min.into_iter().fold(f64::INFINITY, f64::min);
+                    let max = max.into_iter().fold(f64::NEG_INFINITY, f64::max);
+                    zone.min = zone.min.min(min);
+                    zone.max = zone.max.max(max);
+                    zone.sum += sum;
+                    let slots = (blocks.min.get_mut(b), blocks.max.get_mut(b));
+                    if let ((Some(lo), Some(hi)), Some(s)) = (slots, blocks.sum.get_mut(b)) {
+                        (*lo, *hi, *s) = (min, max, sum);
+                    }
                 }
-                Self {
-                    min: min.into_iter().fold(f64::INFINITY, f64::min),
-                    max: max.into_iter().fold(f64::NEG_INFINITY, f64::max),
-                    sum,
-                    has_nan: nan.contains(&true),
-                }
+                zone.has_nan = nan.contains(&true);
+                (zone, blocks)
             },
         )
     }
@@ -148,12 +170,74 @@ impl ZoneMap {
     pub fn within(&self, lo: f64, hi: f64) -> bool {
         !self.has_nan && self.min >= lo && self.max <= hi
     }
+}
 
-    /// The predicate an aggregate-only scan of this zone still has to apply:
-    /// `None` once the zone lies [`within`](ZoneMap::within) the band.
-    #[inline]
-    fn residual_band(&self, lo: f64, hi: f64) -> Option<(f64, f64)> {
-        (!self.within(lo, hi)).then_some((lo, hi))
+/// Per-block statistics of one vector, kept beside its [`ZoneMap`]: for each
+/// 64-value block, the non-NaN min and max and the canonical block sum
+/// ([`block_sum_all`]), struct-of-arrays — 384 bytes per vector. A block past
+/// the end of a short vector holds the empty range (`+inf`, `-inf`) and
+/// `+0.0`. They let a NaN-free vector that straddles a band be summed block
+/// by block ([`Column::sum_where`], DESIGN.md §14): a block outside the band
+/// is not decoded, one inside it folds its stored sum.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct BlockZones {
+    /// Minimum non-NaN value of each block (`+inf` if none).
+    min: [f64; VECTOR_BLOCKS],
+    /// Maximum non-NaN value of each block (`-inf` if none).
+    max: [f64; VECTOR_BLOCKS],
+    /// Each block's unpredicated canonical sum, `block_sum_all(block)`.
+    sum: [f64; VECTOR_BLOCKS],
+}
+
+impl BlockZones {
+    /// Every block empty.
+    const EMPTY: Self = Self {
+        min: [f64::INFINITY; VECTOR_BLOCKS],
+        max: [f64::NEG_INFINITY; VECTOR_BLOCKS],
+        sum: [0.0; VECTOR_BLOCKS],
+    };
+
+    /// The plan of a NaN-free vector for `[lo, hi]`: two 16-wide compares,
+    /// one for the blocks whose range misses the band (an empty block among
+    /// them), one for the blocks whose range lies inside it. The comparisons
+    /// are the predicate's own, as in [`ZoneMap::overlaps`] and
+    /// [`ZoneMap::within`].
+    fn plan(&self, lo: f64, hi: f64) -> BlockPlan<'_> {
+        let (mut skip, mut inside) = (0u16, 0u16);
+        for (b, (&min, &max)) in self.min.iter().zip(&self.max).enumerate() {
+            skip |= u16::from(!((min <= max) & (min <= hi) & (max >= lo))) << b;
+            inside |= u16::from((min >= lo) & (max <= hi)) << b;
+        }
+        BlockPlan { skip, inside, sums: &self.sum }
+    }
+}
+
+/// One vector's [`BlockRoute`] per block for one band, on the stack: bit `b`
+/// of `skip` / `inside` says block `b` misses / lies inside the band, and
+/// neither bit means it is scanned.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockPlan<'a> {
+    skip: u16,
+    inside: u16,
+    sums: &'a [f64; VECTOR_BLOCKS],
+}
+
+impl BlockPlan<'_> {
+    /// Every block scanned: the plan of a vector that holds a NaN, whose
+    /// block ranges say nothing about the NaN's block.
+    const SCAN_ALL: BlockPlan<'static> =
+        BlockPlan { skip: 0, inside: 0, sums: &BlockZones::EMPTY.sum };
+
+    #[inline(always)]
+    pub(crate) fn route(&self, block: usize) -> BlockRoute<f64> {
+        let bit = 1u16.checked_shl(block as u32).unwrap_or(0);
+        if self.skip & bit != 0 {
+            BlockRoute::Skip
+        } else if self.inside & bit != 0 {
+            self.sums.get(block).map_or(BlockRoute::Scan, |&sum| BlockRoute::Stored(sum))
+        } else {
+            BlockRoute::Scan
+        }
     }
 }
 
@@ -215,28 +299,21 @@ impl FilteredSum {
     /// Folds one scanned vector in — the single `VectorSum → FilteredSum`
     /// step behind every route (compressed-domain, freshly decoded, cached
     /// page), which is what keeps them bit-identical: one canonical sum per
-    /// vector, added into the running total afterwards.
-    fn add_vector(&mut self, band: Option<(f64, f64)>, vector: alp::VectorSum<f64>) {
+    /// vector, added into the running total afterwards. `all_in` says the
+    /// vector's zone map lay inside the band.
+    pub(crate) fn add_vector(&mut self, all_in: bool, vector: alp::VectorSum<f64>) {
         self.sum += vector.sum;
         self.matches += vector.matches;
         self.valid += vector.len - vector.nans;
         self.invalid += vector.nans;
-        self.vectors_all_in += band.is_none() as usize;
-    }
-
-    /// Folds one already-decoded vector (of a cached or freshly materialized
-    /// page, or raw storage) with zone map `zone` in: [`alp::sum_decoded`],
-    /// which builds no bitmaps, takes the NaN count from the zone map where
-    /// it can and drops the predicate where the zone lies inside the band.
-    pub(crate) fn add_values(&mut self, values: &[f64], zone: &ZoneMap, lo: f64, hi: f64) {
-        let band = zone.residual_band(lo, hi);
-        self.add_vector(band, alp::sum_decoded(values, band, zone.has_nan));
+        self.vectors_all_in += all_in as usize;
+        self.vectors_scanned += 1;
     }
 
     /// Folds in a vector of `len` values whose zone map lies inside the band
     /// from the zone map alone: its stored sum, every value a match, no NaN.
     fn add_zone(&mut self, zone: &ZoneMap, len: usize) {
-        self.add_vector(None, alp::VectorSum { sum: zone.sum, matches: len, nans: 0, len });
+        self.add_vector(true, alp::VectorSum { sum: zone.sum, matches: len, nans: 0, len });
     }
 }
 
@@ -317,6 +394,8 @@ pub struct Column {
     len: usize,
     /// One entry per 1024-value vector.
     zone_maps: Vec<ZoneMap>,
+    /// One entry per vector, beside its zone map.
+    block_zones: Vec<BlockZones>,
 }
 
 impl Column {
@@ -335,18 +414,20 @@ impl Column {
             Format::Uncompressed => Storage::Uncompressed(data.to_vec()),
             Format::Alp => Storage::Alp(alp::Compressor::new().compress_parallel(data, threads)),
         };
-        // One row-group of zone maps per morsel, on the same workers.
+        // One row-group of zone maps and block zones per morsel, on the same
+        // workers.
         let rowgroups = data.len().div_ceil(ROWGROUP_VALUES);
-        let zone_maps = alp::par::map_morsels(
+        let zones = alp::par::map_morsels(
             threads,
             rowgroups,
             || (),
             |_, m| {
                 let rowgroup = data.chunks(ROWGROUP_VALUES).nth(m).unwrap_or_default();
-                rowgroup.chunks(VECTOR_SIZE).map(ZoneMap::of).collect::<Vec<_>>()
+                rowgroup.chunks(VECTOR_SIZE).map(ZoneMap::with_blocks).collect::<Vec<_>>()
             },
         );
-        Self { storage, len: data.len(), zone_maps: zone_maps.concat() }
+        let (zone_maps, block_zones) = zones.into_iter().flatten().unzip();
+        Self { storage, len: data.len(), zone_maps, block_zones }
     }
 
     /// The per-vector zone maps.
@@ -419,13 +500,11 @@ impl Column {
 
     /// [`Column::sum_where`] over a vector range (the service's fused page
     /// route is this over one page): every vector whose zone map overlaps
-    /// `lo..=hi`, folded in vector order. A vector whose zone map lies inside
-    /// the band ([`ZoneMap::within`]) is answered from its stored sum without
-    /// touching its payload; the others take the aggregate-only scan — ALP
-    /// storage runs [`alp::Compressed::try_sum_vector`] in the compressed
-    /// domain, raw values [`alp::sum_decoded`] in place. Both fold the same
-    /// canonical sum, so both storages fold bit-identically, and neither
-    /// builds bitmap words.
+    /// `lo..=hi`, folded in vector order as [`Column::add_fused`] says — ALP
+    /// storage summed by [`alp::Compressed::try_sum_vector`] in the
+    /// compressed domain, raw values by [`alp::sum_decoded_planned`] in
+    /// place. Both fold the same canonical sum, so both storages fold
+    /// bit-identically, and neither builds bitmap words.
     pub(crate) fn try_sum_where_in(
         &self,
         vectors: Range<usize>,
@@ -441,27 +520,55 @@ impl Column {
         let band = Some((lo, hi));
         let mut part = FilteredSum::zero();
         for (v, zone) in vectors.clone().zip(range_zones) {
-            if zone.within(lo, hi) {
-                part.add_zone(zone, self.vector_len(v));
-            } else if zone.overlaps(lo, hi) {
-                let sum = match &self.storage {
-                    Storage::Alp(c) => with_vector_buf(scratch, |buf| {
-                        let (rowgroup, vector) = (v / ROWGROUP_VECTORS, v % ROWGROUP_VECTORS);
-                        c.try_sum_vector(rowgroup, vector, band, zone.has_nan, buf)
-                    })
-                    .map_err(VectorAccessError::Index)?,
-                    Storage::Uncompressed(values) => {
-                        alp::sum_decoded(self.raw_vector(values, v)?, band, zone.has_nan)
-                    }
-                };
-                part.add_vector(band, sum);
-            } else {
+            if !zone.overlaps(lo, hi) {
                 continue;
             }
-            part.vectors_scanned += 1;
+            self.add_fused(&mut part, v, lo, hi, |plan| match &self.storage {
+                Storage::Alp(c) => with_vector_buf(scratch, |buf| {
+                    let (rowgroup, vector) = (v / ROWGROUP_VECTORS, v % ROWGROUP_VECTORS);
+                    c.try_sum_vector(rowgroup, vector, band, zone.has_nan, buf, |b| plan.route(b))
+                })
+                .map_err(VectorAccessError::Index),
+                Storage::Uncompressed(values) => Ok(alp::sum_decoded_planned(
+                    self.raw_vector(values, v)?,
+                    band,
+                    zone.has_nan,
+                    |b| plan.route(b),
+                )),
+            })?;
         }
         part.vectors_skipped = vectors.len() - part.vectors_scanned;
         Ok(part)
+    }
+
+    /// Folds vector `v`, whose zone map overlaps `[lo, hi]`, into `part` the
+    /// way every fused route does: a vector whose zone map lies inside the
+    /// band ([`ZoneMap::within`]) from its stored sum, its payload untouched;
+    /// any other from `sum(plan)`, its sum under `[lo, hi]` planned block by
+    /// block. A NaN-free vector's plan comes from its [`BlockZones`]; a
+    /// vector holding a NaN scans every block. Out of line: inlined into the
+    /// zone-filter loop of `try_sum_where_in`, its body made that loop 1.4×
+    /// slower per pruned vector (EXPERIMENTS.md E28).
+    #[inline(never)]
+    pub(crate) fn add_fused<E>(
+        &self,
+        part: &mut FilteredSum,
+        v: usize,
+        lo: f64,
+        hi: f64,
+        sum: impl FnOnce(BlockPlan<'_>) -> Result<alp::VectorSum<f64>, E>,
+    ) -> Result<(), E> {
+        let Some(zone) = self.zone_maps.get(v) else { return Ok(()) };
+        if zone.within(lo, hi) {
+            part.add_zone(zone, self.vector_len(v));
+            return Ok(());
+        }
+        let plan = match self.block_zones.get(v) {
+            Some(blocks) if !zone.has_nan => blocks.plan(lo, hi),
+            _ => BlockPlan::SCAN_ALL,
+        };
+        part.add_vector(false, sum(plan)?);
+        Ok(())
     }
 
     /// Values in vector `v` (the column's last vector may be short).
@@ -593,6 +700,7 @@ mod tests {
                 let at = format!("{} t={threads}", fmt.name());
                 assert_eq!(par.compressed_bytes(), serial.compressed_bytes(), "{at}");
                 assert_eq!(par.zone_maps(), serial.zone_maps(), "{at}");
+                assert_eq!(par.block_zones, serial.block_zones, "{at}");
                 let (a, b) = (par.sum_where(10.0, 30.0), serial.sum_where(10.0, 30.0));
                 assert_eq!(a, b, "{at}");
             }
@@ -617,6 +725,20 @@ mod tests {
             let chunk = &data[i * VECTOR_SIZE..((i + 1) * VECTOR_SIZE).min(data.len())];
             assert_eq!(zm.min, chunk.iter().copied().fold(f64::INFINITY, f64::min));
             assert_eq!(zm.max, chunk.iter().copied().fold(f64::NEG_INFINITY, f64::max));
+            // Block `b` of the zones covers values `64 b ..`; past a short
+            // vector's end a block is empty.
+            let blocks = &col.block_zones[i];
+            for b in 0..VECTOR_BLOCKS {
+                let want = chunk.chunks(BLOCK).nth(b).map_or(
+                    (f64::INFINITY, f64::NEG_INFINITY, 0.0),
+                    |block: &[f64]| {
+                        let min = block.iter().copied().fold(f64::INFINITY, f64::min);
+                        let max = block.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                        (min, max, block_sum_all(block))
+                    },
+                );
+                assert_eq!((blocks.min[b], blocks.max[b], blocks.sum[b]), want, "v={i} b={b}");
+            }
         }
     }
 
@@ -798,6 +920,76 @@ mod tests {
                 "{}: no_fused",
                 fmt.name()
             );
+        }
+    }
+
+    /// Overwrites block `to` of vector `v`'s stored payload with block
+    /// `from`'s, leaving zone maps, block zones and ALP exceptions as built.
+    fn copy_block(column: &mut Column, v: usize, from: usize, to: usize) {
+        let at = |block: usize| v * VECTOR_SIZE + block * BLOCK;
+        match &mut column.storage {
+            Storage::Uncompressed(values) => values.copy_within(at(from)..at(from) + BLOCK, at(to)),
+            Storage::Alp(c) => match &mut c.rowgroups[v / ROWGROUP_VECTORS] {
+                alp::RowGroup::Alp(group) => {
+                    let vector = &mut group.vectors[v % ROWGROUP_VECTORS];
+                    let width = vector.bit_width as usize;
+                    vector.packed.copy_within(from * width..(from + 1) * width, to * width);
+                }
+                alp::RowGroup::Rd(..) => panic!("decimal data encodes as ALP"),
+            },
+        }
+    }
+
+    #[test]
+    fn a_straddling_vector_decodes_only_its_straddling_blocks() {
+        use crate::cache::CacheConfig;
+        use crate::service::{QueryOptions, Service, ServiceConfig, Store};
+        use std::sync::Arc;
+
+        // Vector 0 lies far above the band. Block `b` of vector 1 holds
+        // `16 b ..= 16 b + 0.63` in hundredths and `16 b + 1/3`, an ALP
+        // exception, so every block the plan passes over has one to drain.
+        let far = (0..VECTOR_SIZE).map(|i| (10_000 + i) as f64 * 0.25);
+        let block = |i: usize| match i % BLOCK {
+            17 => (i / BLOCK * 16) as f64 + 1.0 / 3.0,
+            j => (i / BLOCK * 1600 + j) as f64 * 0.01,
+        };
+        let data: Vec<f64> = far.chain((0..VECTOR_SIZE).map(block)).collect();
+        // Blocks 0..=2 of vector 1 lie below the band, block 3 straddles its
+        // low edge, 4..=9 lie inside (9's max is the high edge) and 10..=15
+        // above it.
+        let (lo, hi) = (48.05, 144.63);
+        let reference = data.chunks(VECTOR_SIZE).fold((0.0, 0), |(sum, matches), vector| {
+            let s = alp::sum_decoded(vector, Some((lo, hi)), true);
+            (sum + s.sum, matches + s.matches)
+        });
+        let bits = |r: FilteredSum| (r.sum.to_bits(), r.matches);
+        let zero_entries = CacheConfig { max_entries: 0, ..CacheConfig::default_config() };
+        let opts = QueryOptions { threads: Some(1), ..QueryOptions::default() };
+        let no_fused = QueryOptions { no_fused: true, ..opts };
+        // (damaged block, copied from, whether a plan that is right sees it)
+        let cases =
+            [(12, 5, "outside", false), (5, 6, "inside", false), (3, 4, "straddling", true)];
+        for fmt in formats() {
+            let pristine = Column::from_f64(&data, fmt).sum_where(lo, hi);
+            assert_eq!(bits(pristine), (reference.0.to_bits(), reference.1), "{}", fmt.name());
+            assert_eq!((pristine.vectors_scanned, pristine.vectors_all_in), (1, 0));
+            for (damaged, from, kind, seen) in cases {
+                let at = format!("{}: a damaged block {kind} the band", fmt.name());
+                let mut column = Column::from_f64(&data, fmt);
+                copy_block(&mut column, 1, from, damaged);
+                let got = column.sum_where(lo, hi);
+                assert_eq!(bits(got) != bits(pristine), seen, "{at}: sum_where");
+                let service = Service::new(
+                    Arc::new(Store::new(column, zero_entries)),
+                    ServiceConfig::default(),
+                );
+                let fused = service.sum_where(lo, hi, &opts).unwrap().value;
+                assert_eq!(bits(fused), bits(got), "{at}: the service's fused pages");
+                // `no_fused` decodes and predicates every value of the vector.
+                let decoded = service.sum_where(lo, hi, &no_fused).unwrap().value;
+                assert_ne!(bits(decoded), bits(pristine), "{at}: no_fused");
+            }
         }
     }
 

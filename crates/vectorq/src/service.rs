@@ -32,6 +32,7 @@
 //! to the bit, once a column spans several pages.)
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -457,34 +458,42 @@ impl Store {
         (v0, v1)
     }
 
-    /// Scans a page's decoded values with zone-map pruning per vector. Each
-    /// vector's canonical sum folds in vector order, so the partial is
-    /// bit-identical whether the values were resident, freshly decoded or —
-    /// never decoded at all — summed by the compressed-domain route or
-    /// answered from their zone maps.
+    /// Scans a page's decoded values with zone-map pruning per vector. On
+    /// the fused routes each overlapping vector is folded as
+    /// [`Column::add_fused`] says — from its stored sum, or block-planned
+    /// over its values; under `no_fused` (the reference) every value of it is
+    /// predicated. Each vector's canonical sum folds in vector order, so the
+    /// partial is bit-identical whether the values were resident, freshly
+    /// decoded or — never decoded at all — summed by the compressed-domain
+    /// route or answered from their zone maps.
     fn scan_page_values(
         &self,
         values: &[f64],
-        v0: usize,
-        v1: usize,
+        (v0, v1): (usize, usize),
         lo: f64,
         hi: f64,
+        no_fused: bool,
     ) -> FilteredSum {
         let mut part = FilteredSum::zero();
         let zones = self.column.zone_maps();
+        let band = Some((lo, hi));
         let mut offset = 0usize;
         for v in v0..v1 {
             let len = self.column.vector_len(v);
             let (Some(zone), Some(slice)) = (zones.get(v), values.get(offset..offset + len)) else {
                 break;
             };
-            if zone.overlaps(lo, hi) {
-                part.vectors_scanned += 1;
-                part.add_values(slice, zone, lo, hi);
-            } else {
-                part.vectors_skipped += 1;
-            }
             offset += len;
+            if !zone.overlaps(lo, hi) {
+                part.vectors_skipped += 1;
+            } else if no_fused {
+                part.add_vector(zone.within(lo, hi), alp::sum_decoded(slice, band, zone.has_nan));
+            } else {
+                let Ok(()) = self.column.add_fused(&mut part, v, lo, hi, |plan| {
+                    let route = |b| plan.route(b);
+                    Ok::<_, Infallible>(alp::sum_decoded_planned(slice, band, zone.has_nan, route))
+                });
+            }
         }
         part
     }
@@ -528,7 +537,7 @@ impl Store {
         }
         let cache = self.cache.as_ref();
         if let Some(values) = cache.and_then(|c| c.get(page)) {
-            let part = self.scan_page_values(&values, v0, v1, lo, hi);
+            let part = self.scan_page_values(&values, (v0, v1), lo, hi, no_fused);
             return PageOutcome::Scanned { part, fused: false };
         }
         let rows = self.page_rows(page);
@@ -549,7 +558,7 @@ impl Store {
             // The page is quarantined, which also ends its claim.
             return PageOutcome::Skipped(LossReason::Decode(e.to_string()));
         }
-        let part = self.scan_page_values(values, v0, v1, lo, hi);
+        let part = self.scan_page_values(values, (v0, v1), lo, hi, no_fused);
         if let Some(cache) = claimed {
             cache.fill(page, Arc::new(own));
         }

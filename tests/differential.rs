@@ -156,6 +156,42 @@ fn zone_answered_vectors_match_the_oracle_on_every_shape() {
     }
 }
 
+/// Vectors that straddle the band, summed block by block from their block
+/// zones, on the shapes that make a plan hard: band edges on, just inside
+/// and between 64-value block boundaries; ragged tails of 333 and 40 values;
+/// `±0.0` at the edges; `±∞` bounds and a vector holding `+∞` and `−∞`
+/// (NaN-free, and beside a NaN, whose matched sum is NaN: the one band that
+/// holds both infinities holds every non-NaN value, so only a NaN makes such
+/// a vector straddle it); vectors holding a
+/// NaN, which keep the vector route; ALP row-groups with exceptions behind
+/// skipped blocks, and ALP_rd row-groups — on raw values and ALP, through
+/// `sum_where` and every service route.
+#[test]
+fn block_pruned_answers_match_the_oracle_on_every_shape() {
+    let n = 3 * 1024 + 333;
+    let mut inputs = block_shapes();
+    inputs.extend(nan_shapes());
+    let alp_rd = [("City-Temp", alp::Scheme::Alp), ("POI-lat", alp::Scheme::AlpRd)];
+    for (name, scheme) in alp_rd {
+        let input = dataset::<f64>(name, n);
+        let compressed = alp::Compressor::new().compress(&input.values);
+        assert!(compressed.rowgroups.iter().all(|rg| rg.scheme() == scheme), "{name}");
+        inputs.push(input);
+    }
+    let ascending = &inputs[0].values;
+    let compressed = alp::Compressor::new().compress(ascending);
+    let exceptions = compressed.rowgroups.iter().map(|rg| match rg {
+        alp::RowGroup::Alp(group) => group.vectors.iter().map(|v| v.exc_count as usize).sum(),
+        alp::RowGroup::Rd(..) => 0,
+    });
+    assert!(exceptions.sum::<usize>() >= 16, "every block of the ascending decimals has one");
+    for input in &inputs {
+        for format in formats() {
+            assert_zone_answers(&input.values, format, &input.name);
+        }
+    }
+}
+
 // --- Invariant 3 -----------------------------------------------------------
 
 /// The shapes the writers are swept over: every bit pattern, every length,

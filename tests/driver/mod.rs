@@ -859,18 +859,22 @@ pub fn assert_aggregates(data: &[f64], exact_sums: bool, format: Format, what: &
 /// The non-NaN `(min, max)` of every vector of `data` that holds a non-NaN
 /// value, found by looking at each value.
 fn vector_ranges(data: &[f64]) -> Vec<(f64, f64)> {
-    let range = |vector: &[f64]| {
-        let live = vector.iter().copied().filter(|x| !x.is_nan());
-        live.fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), x| (a.min(x), b.max(x)))
-    };
-    data.chunks(VECTOR_SIZE).map(range).filter(|(min, max)| min <= max).collect()
+    data.chunks(VECTOR_SIZE).map(live_range).filter(|(min, max)| min <= max).collect()
+}
+
+/// The non-NaN `(min, max)` of `values`, found by looking at each value
+/// (`(+inf, -inf)` when there is none).
+fn live_range(values: &[f64]) -> (f64, f64) {
+    let live = values.iter().copied().filter(|x| !x.is_nan());
+    live.fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), x| (a.min(x), b.max(x)))
 }
 
 /// [`BANDS`] plus bands cut from `data`'s own vectors, so that each zone
 /// verdict occurs: the first live vector's exact range (inside, bounds equal),
 /// the whole live range (every NaN-free vector inside), from the first
 /// vector's low end to the middle of the last one (inside, then across), and
-/// from the middle of the first to the top (across, then inside).
+/// from the middle of the first to the top (across, then inside). Then the
+/// same at 64-value block granularity ([`block_bands`]).
 pub fn zone_bands(data: &[f64]) -> Vec<(f64, f64)> {
     let mut bands = BANDS.to_vec();
     let ranges = vector_ranges(data);
@@ -879,27 +883,101 @@ pub fn zone_bands(data: &[f64]) -> Vec<(f64, f64)> {
         let middle = |(lo, hi): (f64, f64)| lo / 2.0 + hi / 2.0;
         bands.extend([first, (min, max), (first.0, middle(last)), (middle(first), max)]);
     }
+    bands.extend(block_bands(data));
     bands
 }
 
-/// The zone-answered route, against the oracle. A vector whose zone map lies
-/// inside the band is answered from its stored sum by `Column::sum_where`
-/// and the service's fused pages, and decoded and summed under `no_fused`:
-/// all three answer with the oracle's bits (the service page by page), and
-/// count as inside the band exactly the vectors whose every value is a
-/// member of it, found by looking at each value. The scanned-vector and
-/// validity counts are the ones a scan of every overlapping vector reports.
+/// Bands whose edges sit at the 64-value block boundaries of `data`'s first,
+/// middle and last vector, for each of them that spans three blocks or more:
+/// from the second block's min to the next-to-last block's max (edges
+/// exactly on a block's end values), the same moved one ulp inwards (just
+/// inside), and from between the first two blocks' ranges to between the last
+/// two (between blocks). On data that ascends within a vector, the first
+/// kind leaves every block inside or outside the band; the others make the
+/// edge blocks straddle it.
+pub fn block_bands(data: &[f64]) -> Vec<(f64, f64)> {
+    let vectors: Vec<&[f64]> = data.chunks(VECTOR_SIZE).collect();
+    let picks = [0, vectors.len() / 2, vectors.len().saturating_sub(1)];
+    let mut bands = Vec::new();
+    for (i, vector) in vectors.iter().enumerate() {
+        if !picks.contains(&i) || vector.len() <= 2 * 64 {
+            continue;
+        }
+        let blocks: Vec<(f64, f64)> = vector.chunks(64).map(live_range).collect();
+        let (first, second) = (blocks[0], blocks[1]);
+        let (next_to_last, last) = (blocks[blocks.len() - 2], blocks[blocks.len() - 1]);
+        let between = |below: f64, above: f64| below / 2.0 + above / 2.0;
+        bands.extend([
+            (second.0, next_to_last.1),
+            (second.0.next_up(), next_to_last.1.next_down()),
+            (between(first.1, second.0), between(next_to_last.1, last.0)),
+        ]);
+    }
+    bands
+}
+
+/// Columns where block zones decide the answer ([`block_bands`] cuts their
+/// bands): decimals that ascend within every vector, each 64-value block
+/// holding a value the decimal encoding cannot take (an ALP exception, found
+/// behind every skipped or stored block), with a ragged tail of 333 values
+/// and one shorter than a block; a block of alternating `±0.0` between
+/// negative and positive decimals; vectors holding `+∞` and `−∞`, NaN-free and
+/// beside a NaN; and a NaN in the middle of the middle vector, whose blocks
+/// would otherwise plan.
+pub fn block_shapes() -> Vec<Input<f64>> {
+    // Block `b` spans `16 b ..= 16 b + 0.63` in hundredths, `16 b + 1/3` among them.
+    let ascending = |n: usize| -> Vec<f64> {
+        let value = |i: usize| match i % 64 {
+            17 => (i / 64 * 16) as f64 + 1.0 / 3.0,
+            j => (i / 64 * 1600 + j) as f64 * 0.01,
+        };
+        (0..n).map(value).collect()
+    };
+    let n = 3 * VECTOR_SIZE + 333;
+    let mut zeros: Vec<f64> = (0..n).map(|i| (i as f64 - 1500.0) * 0.125).collect();
+    for (i, x) in zeros.iter_mut().enumerate().skip(1472).take(64) {
+        *x = if i % 2 == 0 { 0.0 } else { -0.0 };
+    }
+    let mut infinities = ascending(n);
+    (infinities[70], infinities[900]) = (f64::NEG_INFINITY, f64::INFINITY);
+    let v = VECTOR_SIZE;
+    (infinities[v + 130], infinities[v + 700], infinities[v + 701]) =
+        (f64::NEG_INFINITY, f64::INFINITY, f64::NAN);
+    let mut nan = ascending(n);
+    nan[2 * v + 5 * 64 + 9] = f64::NAN;
+    vec![
+        Input::new("ascending decimals, tail of 333", ascending(n)),
+        Input::new("ascending decimals, tail of 40", ascending(2 * VECTOR_SIZE + 40)),
+        Input::new("signed zeros filling a block", zeros),
+        Input::new("infinities, NaN-free and beside a NaN", infinities),
+        Input::new("a NaN amid ascending decimals", nan),
+    ]
+}
+
+/// The zone-answered and block-planned routes, against the oracle. A vector
+/// whose zone map lies inside the band is answered from its stored sum, and a
+/// NaN-free one that straddles it is summed block by block from its block
+/// zones, by `Column::sum_where` and the service's fused pages — resident or
+/// not, the first query on a half-resident store and the next —; `no_fused`
+/// decodes and predicates every value, on pages resident or not. All answer
+/// with the oracle's bits (the service page by page), and count as inside the
+/// band exactly the vectors whose every value is a member of it, found by
+/// looking at each value. The scanned-vector and validity counts are the
+/// ones a scan of every overlapping vector reports.
 pub fn assert_zone_answers(data: &[f64], format: Format, what: &str) {
     let name = format!("{} over {what}", format.name());
     let column = Column::from_f64(data, format);
     let page_vectors = 2;
-    let paged = CacheConfig {
-        max_entries: 0,
-        page_size_rows: page_vectors * VECTOR_SIZE,
-        ..CacheConfig::default_config()
+    let paged =
+        CacheConfig { page_size_rows: page_vectors * VECTOR_SIZE, ..CacheConfig::default_config() };
+    let pages = data.len().div_ceil(page_vectors * VECTOR_SIZE);
+    let half =
+        CacheConfig { max_bytes: pages.div_ceil(2) * page_vectors * VECTOR_SIZE * 8, ..paged };
+    let service = |cache| {
+        let store = Store::new(Column::from_f64(data, format), cache);
+        Service::new(Arc::new(store), ServiceConfig::default())
     };
-    let store = Store::new(Column::from_f64(data, format), paged);
-    let service = Service::new(Arc::new(store), ServiceConfig::default());
+    let uncached = service(CacheConfig { max_entries: 0, ..paged });
     let fused = QueryOptions { threads: Some(1), ..QueryOptions::default() };
     let no_fused = QueryOptions { no_fused: true, ..fused };
     for (lo, hi) in zone_bands(data) {
@@ -920,7 +998,16 @@ pub fn assert_zone_answers(data: &[f64], format: Format, what: &str) {
         assert_eq!(validity, scanned_validity(data, lo, hi), "{label}: validity");
         let pages = data.chunks(page_vectors * VECTOR_SIZE).map(|page| oracle(page, lo, hi));
         let (sum, matches) = pages.fold((0.0, 0), |(s, m), page| (s + page.sum, m + page.matches));
-        for (route, options) in [("fused", fused), ("no_fused", no_fused)] {
+        // A store of its own per band, so that its first query is cold.
+        let half_resident = service(half);
+        let routes = [
+            ("fused", &uncached, fused),
+            ("no_fused", &uncached, no_fused),
+            ("half-resident, cold", &half_resident, fused),
+            ("half-resident, warm", &half_resident, fused),
+            ("half-resident, no_fused", &half_resident, no_fused),
+        ];
+        for (route, service, options) in routes {
             let got = service.sum_where(lo, hi, &options).expect("admitted");
             assert!(got.loss.is_complete(), "{label} {route}");
             assert_eq!(
@@ -931,6 +1018,7 @@ pub fn assert_zone_answers(data: &[f64], format: Format, what: &str) {
             let counters = |value| vectorq::FilteredSum { sum: 0.0, ..value };
             assert_eq!(counters(got.value), counters(direct), "{label} {route}: counters");
         }
+        assert!(half_resident.cache_stats().bytes_peak <= half.max_bytes, "{label}");
     }
 }
 
