@@ -1,28 +1,37 @@
-//! `vectorq::cache` — the query service's resident page set: decoded pages
-//! kept for every later query, filled while a byte budget has room and never
-//! evicted (DESIGN.md §12).
+//! `vectorq::cache` — one cell per page: the query service's resident page
+//! set and its quarantine verdicts (DESIGN.md §12).
 //!
-//! Every query is a band scan in page order, so an LRU smaller than the
-//! column evicts each page before the next scan reads it again, and one the
-//! column fits never evicts: an eviction policy buys nothing here. The set
-//! has one slot per page. A miss claims its slot only while an entry count
-//! and a byte budget, both atomics, have room — before it decodes, so
-//! `bytes_peak` never exceeds `max_bytes` and no page is admitted twice,
-//! however many workers miss at once. Clearing a slot on quarantine or
-//! unquarantine ([`PageCache::invalidate`]) returns its bytes and is the only
-//! removal. A hit locks only its own slot, to clone the page's `Arc`; the
-//! counters are relaxed atomics (each slot's mutex publishes its page).
+//! Each page of a store owns one cell, a mutex around the page's whole state:
+//! `Free`, `Claimed` by the worker decoding it into residency, `Resident`, or
+//! `Quarantined` with the verdict that condemned it. A verdict and a resident
+//! payload are one value, so they cannot disagree, and there is no order of
+//! publication between fields to get right. The cell is reached only through
+//! the constant-time transitions below, each of which locks, transitions and
+//! unlocks; no guard leaves this module, and it calls no decoder, so no lock
+//! is ever held across a page decode or sum.
+//!
+//! Residency is a set, not an LRU: every query is a band scan in page order,
+//! so an LRU smaller than the column evicts each page before the next scan
+//! reads it again, and one the column fits never evicts. A miss claims its
+//! cell only while an entry count and a byte budget, both atomics, have room
+//! — before it decodes, so `bytes_peak` never exceeds `max_bytes` and no page
+//! is admitted twice, however many workers miss at once. Quarantine returns a
+//! page's bytes and is the only removal. A store built with `max_entries: 0`
+//! still has its cells, for quarantine; its lookups admit and count nothing.
+//! The counters are relaxed atomics: no data is published through them.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use fastlanes::VECTOR_SIZE;
 
+use crate::service::LossReason;
+
 /// Sizing knobs for the service's resident page set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Maximum number of resident pages. `0` disables the set: a store built
-    /// with it never consults it.
+    /// Maximum number of resident pages. `0` admits nothing: a store built
+    /// with it keeps its pages' cells for quarantine and counts no lookup.
     pub max_entries: usize,
     /// Rows per page. Rounded up to a whole number of 1024-value vectors;
     /// pages are the unit of decode, residency, quarantine, and parallelism.
@@ -63,7 +72,7 @@ pub struct CacheStats {
     /// Always 0: the set never evicts. Kept only because `benchmark/` reads
     /// it.
     pub evictions: u64,
-    /// Misses that found no room (a ceiling reached, or no slot for the page
+    /// Misses that found no room (a ceiling reached, or no cell for the page
     /// id): the page was served without being admitted.
     pub bypasses: u64,
     /// Pages currently resident.
@@ -74,29 +83,34 @@ pub struct CacheStats {
     pub bytes_peak: usize,
 }
 
-/// One page's place in the set, behind its own lock.
-struct Slot(Mutex<State>);
-
+/// One page's whole state: its residency and its quarantine verdict.
 enum State {
     Free,
     /// Being decoded by the worker that claimed these bytes for it.
     Claimed(usize),
     Resident(Arc<Vec<f64>>),
+    /// The first verdict observed; the page holds no bytes.
+    Quarantined(LossReason),
 }
 
-impl Slot {
-    /// Never block on a poisoned lock: no critical section here can panic,
-    /// and a poisoned slot must not take the whole store down with it.
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
+/// What a page's cell told a query about to serve it.
+pub(crate) enum Lookup {
+    /// The page carries a verdict: skip it without touching its payload.
+    Quarantined,
+    /// The resident copy, to scan where it sits.
+    Hit(Arc<Vec<f64>>),
+    /// The caller claimed the page: decode it, then [`PageCache::fill`] it.
+    Claimed,
+    /// Serve the page without residency: no room, claimed by another worker,
+    /// or not to be read at all.
+    Bypass,
 }
 
-/// Bounded, shared, never-evicting set of decoded pages. See the module docs.
+/// One cell per page, holding residency and quarantine. See the module docs.
 pub struct PageCache {
     max_entries: usize,
     max_bytes: usize,
-    slots: Box<[Slot]>,
+    cells: Box<[Mutex<State>]>,
     entries: AtomicUsize,
     bytes: AtomicUsize,
     bytes_peak: AtomicUsize,
@@ -106,19 +120,19 @@ pub struct PageCache {
 }
 
 impl PageCache {
-    /// An empty set with the given ceilings and a slot for each page id below
+    /// An empty set with the given ceilings and a cell for each page id below
     /// `max_entries`.
     pub fn new(config: &CacheConfig) -> Self {
         Self::with_slots(config, config.max_entries)
     }
 
-    /// An empty set with the given ceilings and one slot per page of a
+    /// An empty set with the given ceilings and one cell per page of a
     /// `pages`-page store.
     pub(crate) fn with_slots(config: &CacheConfig, pages: usize) -> Self {
         Self {
             max_entries: config.max_entries,
             max_bytes: config.max_bytes,
-            slots: (0..pages).map(|_| Slot(Mutex::new(State::Free))).collect(),
+            cells: (0..pages).map(|_| Mutex::new(State::Free)).collect(),
             entries: AtomicUsize::new(0),
             bytes: AtomicUsize::new(0),
             bytes_peak: AtomicUsize::new(0),
@@ -128,9 +142,16 @@ impl PageCache {
         }
     }
 
-    /// Looks up page `page`; an id with no slot is a miss.
+    /// Locks page `page`'s cell. Never blocks on a poisoned lock: no critical
+    /// section here can panic, and a poisoned cell must not take the whole
+    /// store down with it.
+    fn cell(&self, page: usize) -> Option<MutexGuard<'_, State>> {
+        self.cells.get(page).map(|cell| cell.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Looks up page `page`; an id with no cell is a miss.
     pub fn get(&self, page: usize) -> Option<Arc<Vec<f64>>> {
-        let hit = match self.slots.get(page).map(Slot::lock).as_deref() {
+        let hit = match self.cell(page).as_deref() {
             Some(State::Resident(values)) => Some(Arc::clone(values)),
             _ => None,
         };
@@ -138,48 +159,62 @@ impl PageCache {
         hit
     }
 
-    /// Admits `values` as page `page` if its slot is free and both ceilings
+    /// Admits `values` as page `page` if its cell is free and both ceilings
     /// have room. `false` when it is not admitted: the page is already
     /// resident (nothing is replaced), or there is no room (a bypass).
     pub fn insert(&self, page: usize, values: Arc<Vec<f64>>) -> bool {
         self.claim(page, values.len()) && self.fill(page, values)
     }
 
-    /// Claims page `page`'s free slot, and the budget for `rows` values, for
-    /// a page about to be decoded; [`PageCache::fill`] ends the claim. A page
-    /// whose decode fails or panics is quarantined instead, which clears the
-    /// claim. `false` when the page is resident or claimed already, or —
-    /// counted as a bypass — when there is no room.
+    /// A query's one look at page `page`, about to serve its `rows` values.
+    /// A quarantined page says so whatever `read` is. Otherwise, when the
+    /// query will not read the page (its zones prune it, or an injected
+    /// fault fires first) or the set admits nothing (`max_entries: 0`), the
+    /// answer is an uncounted [`Lookup::Bypass`]; when it will, the lookup
+    /// counts a hit, or a miss that claims the page while there is room.
+    pub(crate) fn lookup(&self, page: usize, rows: usize, read: bool) -> Lookup {
+        let Some(mut state) = self.cell(page) else { return Lookup::Bypass };
+        match &*state {
+            State::Quarantined(_) => Lookup::Quarantined,
+            _ if !read || self.max_entries == 0 => Lookup::Bypass,
+            State::Resident(values) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Lookup::Hit(Arc::clone(values))
+            }
+            State::Free | State::Claimed(_) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                // A page another worker claimed is served without residency.
+                let free = matches!(*state, State::Free);
+                if free && self.admit(&mut state, rows) {
+                    Lookup::Claimed
+                } else {
+                    Lookup::Bypass
+                }
+            }
+        }
+    }
+
+    /// Claims page `page`'s free cell, and the budget for `rows` values, for
+    /// a page about to be decoded; [`PageCache::fill`] or a quarantine ends
+    /// the claim. `false` when the page is not free, or — counted as a
+    /// bypass — when there is no room or no cell.
     pub(crate) fn claim(&self, page: usize, rows: usize) -> bool {
+        let Some(mut state) = self.cell(page) else {
+            self.bypasses.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        matches!(*state, State::Free) && self.admit(&mut state, rows)
+    }
+
+    /// Claims `state` and the budget for `rows` values, or counts a bypass.
+    fn admit(&self, state: &mut State, rows: usize) -> bool {
         let bytes = rows.saturating_mul(size_of::<f64>());
-        if let Some(slot) = self.slots.get(page) {
-            let mut state = slot.lock();
-            if !matches!(*state, State::Free) {
-                return false;
-            }
-            if self.reserve(bytes) {
-                *state = State::Claimed(bytes);
-                return true;
-            }
+        if self.reserve(bytes) {
+            *state = State::Claimed(bytes);
+            return true;
         }
         self.bypasses.fetch_add(1, Ordering::Relaxed);
         false
-    }
-
-    /// Makes `values` the resident copy of claimed page `page`. A page of
-    /// another size than claimed frees the claim instead; a slot invalidated
-    /// since the claim stays free. Returns whether the page became resident.
-    pub(crate) fn fill(&self, page: usize, values: Arc<Vec<f64>>) -> bool {
-        let Some(slot) = self.slots.get(page) else { return false };
-        let mut state = slot.lock();
-        let State::Claimed(bytes) = *state else { return false };
-        if values.len().saturating_mul(size_of::<f64>()) != bytes {
-            *state = State::Free;
-            self.release(bytes);
-            return false;
-        }
-        *state = State::Resident(values);
-        true
     }
 
     /// Takes one entry and `bytes` from the ceilings, or nothing if either
@@ -200,21 +235,63 @@ impl PageCache {
         true
     }
 
-    fn release(&self, bytes: usize) {
-        self.entries.fetch_sub(1, Ordering::Relaxed);
-        self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+    /// Makes `values` the resident copy of claimed page `page`. A page of
+    /// another size than claimed frees the claim instead; a page quarantined
+    /// since the claim stays so. Returns whether the page became resident.
+    pub(crate) fn fill(&self, page: usize, values: Arc<Vec<f64>>) -> bool {
+        let Some(mut state) = self.cell(page) else { return false };
+        let State::Claimed(bytes) = *state else { return false };
+        if values.len().saturating_mul(size_of::<f64>()) != bytes {
+            self.release(std::mem::replace(&mut *state, State::Free));
+            return false;
+        }
+        *state = State::Resident(values);
+        true
     }
 
-    /// Clears page `page`'s slot — resident or claimed — and returns its
-    /// bytes to the budget: a resident copy must not outlive a quarantine
-    /// verdict, and a failed page's claim ends here.
-    pub fn invalidate(&self, page: usize) {
-        let Some(slot) = self.slots.get(page) else { return };
-        match std::mem::replace(&mut *slot.lock(), State::Free) {
-            State::Free => {}
-            State::Claimed(bytes) => self.release(bytes),
-            State::Resident(values) => self.release(values.len() * size_of::<f64>()),
+    /// Condemns page `page` with `reason` unless it already carries a verdict
+    /// (the first one stands). A resident copy or a claim ends here and its
+    /// bytes return to the budget.
+    pub(crate) fn quarantine(&self, page: usize, reason: LossReason) {
+        let Some(mut state) = self.cell(page) else { return };
+        if !matches!(*state, State::Quarantined(_)) {
+            self.release(std::mem::replace(&mut *state, State::Quarantined(reason)));
         }
+    }
+
+    /// Lifts page `page`'s verdict, after a scrub pass re-verified that it
+    /// decodes cleanly: the next query reads it fresh.
+    pub(crate) fn unquarantine(&self, page: usize) {
+        let Some(mut state) = self.cell(page) else { return };
+        if matches!(*state, State::Quarantined(_)) {
+            *state = State::Free;
+        }
+    }
+
+    /// The verdict page `page` carries, if it is quarantined.
+    pub(crate) fn reason(&self, page: usize) -> Option<LossReason> {
+        match &*self.cell(page)? {
+            State::Quarantined(reason) => Some(reason.clone()),
+            _ => None,
+        }
+    }
+
+    /// Pages currently quarantined, sorted.
+    pub(crate) fn quarantined_pages(&self) -> Vec<usize> {
+        let quarantined =
+            |&page: &usize| matches!(self.cell(page).as_deref(), Some(State::Quarantined(_)));
+        (0..self.cells.len()).filter(quarantined).collect()
+    }
+
+    /// Returns the entry and bytes a cell's former state held to the budget.
+    fn release(&self, old: State) {
+        let bytes = match old {
+            State::Claimed(bytes) => bytes,
+            State::Resident(values) => values.len() * size_of::<f64>(),
+            State::Free | State::Quarantined(_) => return,
+        };
+        self.entries.fetch_sub(1, Ordering::Relaxed);
+        self.bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Snapshot of all counters.
@@ -234,6 +311,17 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PageCache {
+        /// Ends page `page`'s residency or claim, as a quarantine does,
+        /// without condemning it.
+        fn invalidate(&self, page: usize) {
+            let Some(mut state) = self.cell(page) else { return };
+            if !matches!(*state, State::Quarantined(_)) {
+                self.release(std::mem::replace(&mut *state, State::Free));
+            }
+        }
+    }
 
     fn page(n: usize) -> Arc<Vec<f64>> {
         Arc::new(vec![1.0; n])

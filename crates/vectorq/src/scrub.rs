@@ -10,11 +10,10 @@
 //! original verdict; a panic during re-verification is contained at the
 //! morsel boundary exactly like a query-time panic.
 //!
-//! Un-quarantining follows the inverse publication order of quarantining
-//! (reason removed and cache invalidated *before* the flag's `Release`
-//! store), so queries racing a scrub pass observe each page either fully
-//! quarantined or fully healthy — results transition partial → complete and
-//! never regress.
+//! A page's verdict and residency are one cell ([`crate::cache`]), and
+//! un-quarantining is one transition of it (quarantined → free), so queries
+//! racing a scrub pass observe each page either quarantined with its reason
+//! or healthy — results transition partial → complete and never regress.
 //!
 //! Scrub passes are deadline-governed: the [`CancelToken`] is consulted at
 //! every morsel boundary, so an expired deadline leaves unchecked pages for
@@ -69,7 +68,7 @@ pub fn scrub_store(store: &Store, threads: usize, token: &CancelToken) -> ScrubR
         let Some(&page) = bad.get(i) else { return false };
         match store.verify_page(page, ctx) {
             Ok(()) => {
-                store.unquarantine(page);
+                store.cells.unquarantine(page);
                 true
             }
             // The page is still bad; its first-observed verdict stands.

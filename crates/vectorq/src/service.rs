@@ -3,11 +3,12 @@
 //!
 //! The moving parts, and the failure each one absorbs:
 //!
-//! * **[`Store`]** — the column plus per-page quarantine flags and a bounded,
-//!   never-evicting resident page set ([`PageCache`]). Pages are the unit of
-//!   decode, residency, quarantine, and parallelism (one page = one morsel).
-//!   A missed page becomes resident while the set has room; the pages that
-//!   do not fit are summed from the stored bytes.
+//! * **[`Store`]** — the column plus one cell per page ([`PageCache`]) that
+//!   holds the page's whole state: free, claimed, resident in a bounded,
+//!   never-evicting set, or quarantined with its verdict. Pages are the unit
+//!   of decode, residency, quarantine, and parallelism (one page = one
+//!   morsel). A missed page becomes resident while the set has room; the
+//!   pages that do not fit are summed from the stored bytes.
 //! * **Admission control** — at most `max_concurrent` queries run and at most
 //!   `max_queued` wait; the next caller gets a typed
 //!   [`ServiceError::Overloaded`] with a retry hint derived from recent query
@@ -31,7 +32,6 @@
 //! one running total, a different association that agrees to rounding, not
 //! to the bit, once a column spans several pages.)
 
-use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -42,7 +42,7 @@ use alp::par::{resolve_threads, run_morsels_governed, CancelToken};
 use alp_core::Scratch;
 use fastlanes::VECTOR_SIZE;
 
-use crate::cache::{CacheConfig, CacheStats, PageCache};
+use crate::cache::{CacheConfig, CacheStats, Lookup, PageCache};
 use crate::scrub::{ScrubOptions, ScrubReport};
 use crate::{Column, FilteredSum};
 
@@ -181,6 +181,21 @@ enum PoisonKind {
     Corrupt,
 }
 
+impl PoisonKind {
+    /// Fires the fault on `page`: a panic (which the governed runner's
+    /// containment seam absorbs, for queries and scrub passes alike) or a
+    /// typed decode error.
+    fn fire(self, page: usize) -> LossReason {
+        match self {
+            // Deliberate fault injection: the panic the governed runner's
+            // containment seam exists to absorb, enabled only by a nonzero
+            // poison seed.
+            Self::Panic => panic!("injected page poison (page {page})"),
+            Self::Corrupt => LossReason::Decode(format!("injected corruption (page {page})")),
+        }
+    }
+}
+
 /// Deterministic bad-page injection for the robustness suites: a pure
 /// function of `(seed, page)` through the same [`splitmix64`] mixer as the
 /// I/O fault layer, so a seed reproduces the exact same poisoned pages on
@@ -230,7 +245,7 @@ impl PoisonPlan {
 // ---------------------------------------------------------------------------
 
 /// A shared, immutable column prepared for concurrent service: page
-/// geometry, quarantine flags, the resident page set, and (in the fault
+/// geometry, one cell per page (residency and quarantine), and (in the fault
 /// suites) a poison plan. `Store` is `Sync`; queries borrow it concurrently.
 pub struct Store {
     column: Column,
@@ -238,21 +253,16 @@ pub struct Store {
     vectors: usize,
     vectors_per_page: usize,
     pages: usize,
-    /// One flag per page; set when the page fails decode or poisons a
-    /// worker, cleared only by a scrub pass that re-verified the page
-    /// decodes cleanly (see [`Store::unquarantine`]).
-    quarantined: Vec<AtomicBool>,
-    /// First-observed quarantine reason per page, for reporting.
-    reasons: Mutex<BTreeMap<usize, LossReason>>,
-    /// The resident page set, one slot per page; `None` for a zero-entry
-    /// configuration, which is never consulted.
-    cache: Option<PageCache>,
+    /// One cell per page. A page is quarantined when it fails decode or
+    /// poisons a worker, and only a scrub pass that re-verified it decodes
+    /// cleanly lifts the verdict ([`crate::scrub`]).
+    pub(crate) cells: PageCache,
     poison: PoisonPlan,
     /// When set, the injected fault plan stops firing — models the faulty
     /// medium having been repaired out-of-band (e.g. the backing file
     /// rewritten through the parity repair path), so scrub recovery is
     /// deterministic in the fault suites. Production stores (seed 0) never
-    /// poison and are unaffected.
+    /// poison and are unaffected. `Relaxed`: it publishes no other data.
     healed: AtomicBool,
     /// Cumulative quarantined pages re-verified by scrub passes.
     scrub_checked: AtomicU64,
@@ -273,16 +283,13 @@ impl Store {
         let vectors = column.zone_maps().len();
         let vectors_per_page = (cache.rows_per_page() / VECTOR_SIZE).max(1);
         let pages = vectors.div_ceil(vectors_per_page);
-        let quarantined = (0..pages).map(|_| AtomicBool::new(false)).collect();
         Self {
             column,
             rows,
             vectors,
             vectors_per_page,
             pages,
-            quarantined,
-            reasons: Mutex::new(BTreeMap::new()),
-            cache: (cache.max_entries > 0).then(|| PageCache::with_slots(&cache, pages)),
+            cells: PageCache::with_slots(&cache, pages),
             poison,
             healed: AtomicBool::new(false),
             scrub_checked: AtomicU64::new(0),
@@ -310,87 +317,17 @@ impl Store {
 
     /// Pages currently quarantined, sorted.
     pub fn quarantined_pages(&self) -> Vec<usize> {
-        // Acquire pairs with the Release store in `quarantine`: a flag seen
-        // true guarantees the page's `LossReason` is already recorded.
-        self.quarantined
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.load(Ordering::Acquire))
-            .map(|(p, _)| p)
-            .collect()
+        self.cells.quarantined_pages()
     }
 
     /// Snapshot of the resident page set's counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.as_ref().map_or_else(CacheStats::default, PageCache::stats)
+        self.cells.stats()
     }
 
-    fn is_quarantined(&self, page: usize) -> bool {
-        // Acquire pairs with the Release store in `quarantine` (see there).
-        self.quarantined.get(page).map(|q| q.load(Ordering::Acquire)).unwrap_or(false)
-    }
-
-    /// Marks `page` bad: later queries skip it without touching its payload,
-    /// and its resident slot is cleared (a verdict outlives the resident
-    /// copy).
-    fn quarantine(&self, page: usize, reason: LossReason) {
-        // Publication order matters: the `LossReason` is recorded and the
-        // slot cleared *before* the flag flips, and the flag store is
-        // `Release` paired with the `Acquire` loads in `is_quarantined` /
-        // `quarantined_pages` / `loss_reason` — so any query that observes
-        // the flag and skips the page is guaranteed to find the reason (and
-        // never a stale resident payload) behind it.
-        {
-            let mut reasons = match self.reasons.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            reasons.entry(page).or_insert(reason);
-        }
-        if let Some(cache) = &self.cache {
-            cache.invalidate(page);
-        }
-        if let Some(q) = self.quarantined.get(page) {
-            q.store(true, Ordering::Release);
-        }
-    }
-
-    /// The recorded verdict for a quarantined page, if any. The Acquire load
-    /// pairs with `quarantine`'s Release store, so a `Some` flag implies the
-    /// reason lookup cannot race with its insertion.
+    /// The recorded verdict for a quarantined page, if any.
     pub fn loss_reason(&self, page: usize) -> Option<LossReason> {
-        if !self.is_quarantined(page) {
-            return None;
-        }
-        let reasons = match self.reasons.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reasons.get(&page).cloned()
-    }
-
-    /// Clears `page`'s quarantine after a scrub pass re-verified it decodes
-    /// cleanly (the scrubber is the only caller — queries never clear flags).
-    ///
-    /// Inverse publication order of [`Store::quarantine`]: the stale verdict
-    /// is removed and the resident slot cleared *before* the flag clears, and
-    /// the flag store is `Release` paired with the same `Acquire` loads — so
-    /// a query that observes the flag low decodes the page fresh and never
-    /// finds a leftover reason (or payload) behind a healthy flag.
-    pub(crate) fn unquarantine(&self, page: usize) {
-        {
-            let mut reasons = match self.reasons.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            reasons.remove(&page);
-        }
-        if let Some(cache) = &self.cache {
-            cache.invalidate(page);
-        }
-        if let Some(q) = self.quarantined.get(page) {
-            q.store(false, Ordering::Release);
-        }
+        self.cells.reason(page)
     }
 
     /// Stops the injected fault plan from firing: models the faulty medium
@@ -398,27 +335,16 @@ impl Store {
     /// through the parity repair path), so a following scrub pass observes
     /// recovery deterministically. Idempotent; a no-op on production stores.
     pub fn heal_poison(&self) {
-        self.healed.store(true, Ordering::Release);
+        self.healed.store(true, Ordering::Relaxed);
     }
 
-    /// Fires the seeded plan's fault for `page`, if any and unless the store
-    /// has been healed: a panic (which the governed runner's containment
-    /// seam absorbs, for queries and scrub passes alike) or a typed decode
-    /// error.
-    fn injected_fault(&self, page: usize) -> Result<(), LossReason> {
-        if self.healed.load(Ordering::Acquire) {
-            return Ok(());
+    /// The seeded plan's fault for `page`, if any and unless the store has
+    /// been healed.
+    fn injected_fault(&self, page: usize) -> Option<PoisonKind> {
+        if self.healed.load(Ordering::Relaxed) {
+            return None;
         }
-        match self.poison.decide(page) {
-            // Deliberate fault injection: the panic the governed runner's
-            // containment seam exists to absorb, enabled only by a nonzero
-            // poison seed.
-            Some(PoisonKind::Panic) => panic!("injected page poison (page {page})"),
-            Some(PoisonKind::Corrupt) => {
-                Err(LossReason::Decode(format!("injected corruption (page {page})")))
-            }
-            None => Ok(()),
-        }
+        self.poison.decide(page)
     }
 
     /// Re-verifies that `page` decodes cleanly end to end — the scrubber's
@@ -426,18 +352,13 @@ impl Store {
     /// queries use, never the resident copy (a verdict must come from the
     /// payload, not a stale copy).
     pub(crate) fn verify_page(&self, page: usize, ctx: &mut PageCtx) -> Result<(), LossReason> {
-        self.injected_fault(page)?;
+        if let Some(fault) = self.injected_fault(page) {
+            return Err(fault.fire(page));
+        }
         let (v0, v1) = self.page_vectors(page);
         self.column
             .try_walk(v0..v1, &mut ctx.scratch, |_| {})
             .map_err(|e| LossReason::Decode(e.to_string()))
-    }
-
-    /// Test-only quarantine entry so the scrub suite can seed damage without
-    /// running a full query first.
-    #[cfg(test)]
-    pub(crate) fn quarantine_for_test(&self, page: usize) {
-        self.quarantine(page, LossReason::Decode(format!("seeded by test (page {page})")));
     }
 
     /// Accumulates one scrub pass's counters.
@@ -505,7 +426,7 @@ impl Store {
     /// skipped.
     ///
     /// A resident page is scanned where it sits. A miss claims the page's
-    /// slot while the resident set has room, decodes the page into a buffer
+    /// cell while the resident set has room, decodes the page into a buffer
     /// of its own, scans it and leaves it resident. A miss that finds no room
     /// materializes nothing for the set: the page is summed straight from the
     /// stored bytes ([`Column::try_sum_where_in`]), or under `no_fused` (that
@@ -519,37 +440,40 @@ impl Store {
         no_fused: bool,
         ctx: &mut PageCtx,
     ) -> PageOutcome {
-        if self.is_quarantined(page) {
-            return PageOutcome::Skipped(LossReason::Quarantined);
-        }
         let (v0, v1) = self.page_vectors(page);
         let zones = self.column.zone_maps();
         let overlapping =
             zones.get(v0..v1).map(|zs| zs.iter().any(|z| z.overlaps(lo, hi))).unwrap_or(false);
-        if !overlapping {
+        // One look at the page's cell. The answers come in a fixed order: a
+        // quarantined page is skipped before zone pruning, and an injected
+        // fault fires before any hit, miss or claim, so the cell counts only
+        // a page this query goes on to read.
+        let fault = if overlapping { self.injected_fault(page) } else { None };
+        let rows = self.page_rows(page);
+        let claimed = match self.cells.lookup(page, rows, overlapping && fault.is_none()) {
+            Lookup::Quarantined => return PageOutcome::Skipped(LossReason::Quarantined),
             // A pruned page is never touched, so a poisoned-but-pruned page
             // cannot hurt this query (it will hurt the first query that
             // actually reads it).
-            return PageOutcome::Pruned(v1 - v0);
+            _ if !overlapping => return PageOutcome::Pruned(v1 - v0),
+            Lookup::Hit(values) => {
+                let part = self.scan_page_values(&values, (v0, v1), lo, hi, no_fused);
+                return PageOutcome::Scanned { part, fused: false };
+            }
+            Lookup::Claimed => true,
+            Lookup::Bypass => false,
+        };
+        if let Some(fault) = fault {
+            return PageOutcome::Skipped(fault.fire(page));
         }
-        if let Err(reason) = self.injected_fault(page) {
-            return PageOutcome::Skipped(reason);
-        }
-        let cache = self.cache.as_ref();
-        if let Some(values) = cache.and_then(|c| c.get(page)) {
-            let part = self.scan_page_values(&values, (v0, v1), lo, hi, no_fused);
-            return PageOutcome::Scanned { part, fused: false };
-        }
-        let rows = self.page_rows(page);
-        let claimed = cache.filter(|c| c.claim(page, rows));
-        if claimed.is_none() && !no_fused {
+        if !claimed && !no_fused {
             return match self.column.try_sum_where_in(v0..v1, lo, hi, &mut ctx.scratch) {
                 Ok(part) => PageOutcome::Scanned { part, fused: true },
                 Err(e) => PageOutcome::Skipped(LossReason::Decode(e.to_string())),
             };
         }
         let mut own = Vec::new();
-        let values = if claimed.is_some() { &mut own } else { &mut ctx.page_buf };
+        let values = if claimed { &mut own } else { &mut ctx.page_buf };
         values.clear();
         values.reserve_exact(rows);
         let decoded =
@@ -559,8 +483,8 @@ impl Store {
             return PageOutcome::Skipped(LossReason::Decode(e.to_string()));
         }
         let part = self.scan_page_values(values, (v0, v1), lo, hi, no_fused);
-        if let Some(cache) = claimed {
-            cache.fill(page, Arc::new(own));
+        if claimed {
+            self.cells.fill(page, Arc::new(own));
         }
         PageOutcome::Scanned { part, fused: false }
     }
@@ -757,7 +681,7 @@ impl Service {
         // poisoned a worker must not get a second chance to do it again.
         let mut loss: Vec<PageLoss> = Vec::new();
         for f in &run.failures {
-            store.quarantine(f.morsel, LossReason::Poisoned(f.message.clone()));
+            store.cells.quarantine(f.morsel, LossReason::Poisoned(f.message.clone()));
             loss.push(PageLoss {
                 page: f.morsel,
                 rows: store.page_rows(f.morsel),
@@ -783,7 +707,7 @@ impl Service {
                 PageOutcome::Pruned(vectors) => value.vectors_skipped += vectors,
                 PageOutcome::Skipped(reason) => {
                     if !matches!(reason, LossReason::Quarantined) {
-                        store.quarantine(page, reason.clone());
+                        store.cells.quarantine(page, reason.clone());
                     }
                     loss.push(PageLoss { page, rows: store.page_rows(page), reason });
                 }
@@ -893,6 +817,18 @@ impl Service {
 mod tests {
     use super::*;
     use crate::Format;
+
+    impl Store {
+        fn is_quarantined(&self, page: usize) -> bool {
+            self.loss_reason(page).is_some()
+        }
+
+        /// Seeds damage without running a full query first.
+        pub(crate) fn quarantine_for_test(&self, page: usize) {
+            let reason = LossReason::Decode(format!("seeded by test (page {page})"));
+            self.cells.quarantine(page, reason);
+        }
+    }
 
     fn sample(n: usize) -> Vec<f64> {
         (0..n).map(|i| ((i % 5000) as f64) / 100.0).collect()
@@ -1021,21 +957,13 @@ mod tests {
         // value must land *exactly* where T·K serial applications land. The
         // pre-fix load-then-store version drops updates under contention
         // (two threads read the same `old`), which leaves the value strictly
-        // higher because fewer decays were applied.
+        // higher because fewer decays were applied. A barrier lines the
+        // threads up, and many rounds give a lost update many chances to
+        // show, even on two cores.
         let svc = Service::new(store(VECTOR_SIZE), ServiceConfig::default());
         const SEED_NANOS: u64 = 1 << 50;
         const THREADS: usize = 4;
         const NOTES: usize = 40;
-        svc.note_duration(Duration::from_nanos(SEED_NANOS));
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                s.spawn(|| {
-                    for _ in 0..NOTES {
-                        svc.note_duration(Duration::ZERO);
-                    }
-                });
-            }
-        });
         let mut expect = SEED_NANOS;
         for _ in 0..THREADS * NOTES {
             expect -= expect / 8;
@@ -1044,7 +972,22 @@ mod tests {
         // to zero, so every one of the 160 decays changes the value and any
         // lost update is observable.
         assert!(expect > 8);
-        assert_eq!(svc.ewma_nanos.load(Ordering::Relaxed), expect);
+        for round in 0..200 {
+            svc.ewma_nanos.store(0, Ordering::Relaxed);
+            svc.note_duration(Duration::from_nanos(SEED_NANOS));
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..NOTES {
+                            svc.note_duration(Duration::ZERO);
+                        }
+                    });
+                }
+            });
+            assert_eq!(svc.ewma_nanos.load(Ordering::Relaxed), expect, "round {round}");
+        }
     }
 
     #[test]
@@ -1113,9 +1056,8 @@ mod tests {
 
     #[test]
     fn quarantine_flags_publish_their_loss_reason() {
-        // `quarantine` records the reason *before* the Release store that
-        // flips the flag, and `loss_reason` reads the flag with Acquire — so
-        // a flag observed true always has a reason behind it.
+        // A page's verdict is its cell's state, so a page seen quarantined
+        // always has the reason that condemned it, and a healthy one none.
         let data = sample(800_000);
         let column = Column::from_f64(&data, Format::alp());
         let store = Arc::new(Store::with_poison(
@@ -1136,8 +1078,8 @@ mod tests {
         let healthy = (0..store.pages()).find(|p| !store.is_quarantined(*p)).unwrap();
         assert_eq!(store.loss_reason(healthy), None);
 
-        // Quarantining a resident page clears its slot and returns its bytes
-        // before the flag is up.
+        // Quarantining a resident page replaces its payload and returns its
+        // bytes in the same transition.
         let resident = store.cache_stats();
         assert_eq!(resident.entries, store.pages() - bad.len(), "every healthy page fit");
         store.quarantine_for_test(healthy);

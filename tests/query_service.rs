@@ -189,9 +189,8 @@ fn fault_injected_store_quarantines_and_degrades_without_panicking() {
     // After the dust settles, a fresh query skips the quarantined pages
     // without re-decoding them: every loss reason is now `Quarantined`. It
     // hits every resident page — so no page was admitted twice, and no
-    // resident slot sits behind a quarantine flag (`Store::quarantine` clears
-    // the slot before it publishes the flag) — and sums the rest from the
-    // bytes.
+    // resident copy survives a verdict (a page's verdict and its residency
+    // are one cell) — and sums the rest from the bytes.
     let r = service.sum_where(f64::NEG_INFINITY, f64::INFINITY, &QueryOptions::default()).unwrap();
     assert!(r.loss.pages.iter().all(|p| p.reason == LossReason::Quarantined));
     assert_eq!(r.loss.rows_lost(), lost_rows);

@@ -36,7 +36,7 @@ use alp_repro::corruption::{
 use fastlanes::VECTOR_SIZE;
 use vectorq::cache::CacheConfig;
 use vectorq::scrub::ScrubOptions;
-use vectorq::service::{PoisonPlan, QueryOptions, Service, ServiceConfig, Store};
+use vectorq::service::{LossReason, PoisonPlan, QueryOptions, Service, ServiceConfig, Store};
 use vectorq::{Column, Format};
 
 mod driver;
@@ -390,6 +390,7 @@ fn scrubber_heals_pages_while_query_workers_race() {
             }
         });
         for worker in 0..8usize {
+            let (expected_bad, clean) = (&expected_bad, &clean);
             scope.spawn(move || {
                 let mut last_lost = usize::MAX;
                 for round in 0..20 {
@@ -402,6 +403,31 @@ fn scrubber_heals_pages_while_query_workers_race() {
                         "worker {worker} round {round}: loss regressed {last_lost} -> {lost}"
                     );
                     last_lost = lost;
+                    // A page's verdict and its residency are one state: every
+                    // lost page is a poisoned one and says why, and each page
+                    // is either summed or reported lost — never both, never
+                    // neither (the data has no NaN, so every row matches).
+                    for loss in &result.loss.pages {
+                        assert!(
+                            expected_bad.contains(&loss.page),
+                            "worker {worker} round {round}: healthy page {} lost",
+                            loss.page
+                        );
+                        let said = match &loss.reason {
+                            LossReason::Quarantined => true,
+                            LossReason::Decode(why) | LossReason::Poisoned(why) => !why.is_empty(),
+                        };
+                        assert!(
+                            said,
+                            "worker {worker} round {round}: page {} lost without a reason",
+                            loss.page
+                        );
+                    }
+                    assert_eq!(
+                        result.value.matches + lost,
+                        clean.value.matches,
+                        "worker {worker} round {round}: rows summed + rows lost != rows"
+                    );
                 }
             });
         }
