@@ -25,7 +25,7 @@
 //! around each body, the parity section and repair are [`crate::frame`]'s.
 //! The frame buys two things: bit-rot in a payload is *detected* (a flipped
 //! packed bit otherwise decodes to plausible garbage), and
-//! [`from_bytes_salvage`] can resync past a damaged row-group and recover —
+//! [`from_bytes_salvage_parallel`] can resync past a damaged row-group and recover —
 //! or, with parity, rebuild — the rest of the column.
 //!
 //! ## Writing a body: from an owned column, or straight from values
@@ -171,7 +171,7 @@ pub fn to_bytes<F: AlpFloat>(c: &Compressed<F>) -> Vec<u8> {
 /// Serializes a compressed column like [`to_bytes`], then appends the
 /// trailing parity section (see [`crate::frame`]): one parity frame per
 /// `parity.group_size` data frames. Strict readers never look at it;
-/// [`from_bytes_salvage`] uses it to rebuild any *single* damaged row-group
+/// [`from_bytes_salvage_parallel`] uses it to rebuild any *single* damaged row-group
 /// per group byte-identically.
 ///
 /// Returns [`ConfigError`] when the group size is out of range.
@@ -467,16 +467,11 @@ impl<F: AlpFloat> Salvage<F> {
 /// damaged row-group ends recovery outright. A damaged header is
 /// unrecoverable and returns `Err` like [`from_bytes`].
 ///
-/// Single-threaded shorthand for [`from_bytes_salvage_parallel`].
-pub fn from_bytes_salvage<F: AlpFloat>(buf: &[u8]) -> Result<Salvage<F>, FormatError> {
-    from_bytes_salvage_parallel(buf, 1)
-}
-
-/// [`from_bytes_salvage`] on up to `threads` morsel-claiming workers: a
-/// serial scan finds the frame boundaries, then checksum verification and
-/// body decoding fan out, one frame per morsel. `threads <= 1` never spawns.
-/// The salvage report is identical to the serial path's for any input;
-/// legacy `ALP1` columns have no boundaries to scan and always walk serially.
+/// A serial scan finds the frame boundaries, then checksum verification and
+/// body decoding fan out on up to `threads` morsel-claiming workers, one
+/// frame per morsel; `threads <= 1` never spawns. The salvage report is the
+/// same at every thread count; legacy `ALP1` columns have no boundaries to
+/// scan and always walk serially.
 pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     mut buf: &[u8],
     threads: usize,
@@ -955,7 +950,7 @@ mod tests {
 
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;
-        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert_eq!(salvage.lost_rowgroups.len(), 1);
         assert_eq!(salvage.total_rowgroups, rg_count);
         assert_eq!(salvage.expected_len, data.len());
@@ -981,7 +976,7 @@ mod tests {
     #[test]
     fn salvage_on_clean_column_is_complete() {
         let (data, bytes) = multi_rowgroup_bytes();
-        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert!(salvage.is_complete());
         assert!(salvage.lost_rowgroups.is_empty());
         assert_eq!(salvage.column.len, data.len());
@@ -999,14 +994,14 @@ mod tests {
         let back = from_bytes::<f64>(v1).unwrap();
         assert_eq!(back.rowgroups.len(), 4);
         assert_bit_exact(&want, &back.decompress());
-        let salvage = from_bytes_salvage::<f64>(v1).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(v1, 1).unwrap();
         assert!(salvage.is_complete());
         assert_bit_exact(&want, &salvage.column.decompress());
         // Salvage accepts v1 too, but without frames damage ends recovery.
         let mut damaged = v1.to_vec();
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0x01;
-        let salvage = from_bytes_salvage::<f64>(&damaged).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&damaged, 1).unwrap();
         assert!(salvage.column.len <= want.len());
     }
 
@@ -1015,7 +1010,7 @@ mod tests {
         let (_, bytes) = multi_rowgroup_bytes();
         let clean = from_bytes::<f64>(&bytes).unwrap();
         let cut = bytes.len() - bytes.len() / 3;
-        let salvage = from_bytes_salvage::<f64>(&bytes[..cut]).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&bytes[..cut], 1).unwrap();
         assert!(!salvage.lost_rowgroups.is_empty());
         assert!(salvage.column.rowgroups.len() < clean.rowgroups.len());
     }
@@ -1025,7 +1020,7 @@ mod tests {
         let (_, mut bytes) = multi_rowgroup_bytes();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x04;
-        let serial = from_bytes_salvage::<f64>(&bytes).unwrap();
+        let serial = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert!(!serial.is_complete());
         for threads in [2, 4] {
             let par = from_bytes_salvage_parallel::<f64>(&bytes, threads).unwrap();
@@ -1041,7 +1036,7 @@ mod tests {
     fn parallel_salvage_matches_serial_on_truncation() {
         let (_, bytes) = multi_rowgroup_bytes();
         for cut in [bytes.len() - 1, bytes.len() * 2 / 3, bytes.len() / 3, 20, 17] {
-            let serial = from_bytes_salvage::<f64>(&bytes[..cut]).unwrap();
+            let serial = from_bytes_salvage_parallel::<f64>(&bytes[..cut], 1).unwrap();
             let par = from_bytes_salvage_parallel::<f64>(&bytes[..cut], 4).unwrap();
             assert_eq!(par.lost_rowgroups, serial.lost_rowgroups, "cut {cut}");
             assert_eq!(par.total_rowgroups, serial.total_rowgroups, "cut {cut}");
@@ -1101,7 +1096,7 @@ mod tests {
         // Strict reader (which predates parity) ignores the trailing section.
         let strict = from_bytes::<f64>(&bytes).unwrap();
         assert_bit_exact(&data, &strict.decompress());
-        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert!(salvage.is_complete());
         assert!(salvage.repaired_rowgroups.is_empty());
         assert_bit_exact(&data, &salvage.column.decompress());
@@ -1117,7 +1112,7 @@ mod tests {
         let (s, e) = spans[5];
         bytes[s..s + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         bytes[s + 20] ^= 0xFF;
-        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert_eq!(salvage.repaired_rowgroups, vec![5]);
         assert!(salvage.lost_rowgroups.is_empty());
         assert_bit_exact(&data, &salvage.column.decompress());
@@ -1126,7 +1121,7 @@ mod tests {
         let mut bytes = clean.clone();
         bytes[s..s + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let _ = e;
-        let salvage = from_bytes_salvage::<f64>(&bytes).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert!(salvage.lost_rowgroups.is_empty());
         assert_bit_exact(&data, &salvage.column.decompress());
     }
@@ -1143,7 +1138,7 @@ mod tests {
         let (s2, e2) = spans[8];
         bytes[s2 + 13] ^= 0x02;
         bytes[e2 - 1] ^= 0x02; // still one frame: repairable
-        let serial = from_bytes_salvage::<f64>(&bytes).unwrap();
+        let serial = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert_eq!(serial.repaired_rowgroups, vec![2, 5, 8]);
         for threads in [2, 4] {
             let par = from_bytes_salvage_parallel::<f64>(&bytes, threads).unwrap();
@@ -1160,13 +1155,13 @@ mod tests {
         // Cut inside the parity section: all data survives, repair is gone.
         let parity_start = spans.last().unwrap().1;
         let cut = parity_start + (clean.len() - parity_start) / 2;
-        let salvage = from_bytes_salvage::<f64>(&clean[..cut]).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&clean[..cut], 1).unwrap();
         assert!(salvage.lost_rowgroups.is_empty());
         assert_bit_exact(&data, &salvage.column.decompress());
         // Cut inside the data: the tail (and the parity section with it) is
         // lost — trailing parity cannot repair truncation, by design.
         let (s, e) = spans[11];
-        let salvage = from_bytes_salvage::<f64>(&clean[..s + (e - s) / 2]).unwrap();
+        let salvage = from_bytes_salvage_parallel::<f64>(&clean[..s + (e - s) / 2], 1).unwrap();
         assert!(salvage.lost_rowgroups.contains(&11));
         assert!(salvage.column.rowgroups.len() <= 11);
     }
@@ -1175,6 +1170,9 @@ mod tests {
     fn salvage_rejects_damaged_header() {
         let (_, mut bytes) = multi_rowgroup_bytes();
         bytes[0] = b'X';
-        assert!(matches!(from_bytes_salvage::<f64>(&bytes), Err(FormatError::BadMagic)));
+        assert!(matches!(
+            from_bytes_salvage_parallel::<f64>(&bytes, 1),
+            Err(FormatError::BadMagic)
+        ));
     }
 }

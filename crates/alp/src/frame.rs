@@ -10,7 +10,7 @@
 //!
 //! **Frame.** Written by [`encode`], delimited and verified on a slice by
 //! [`Frame::split`] / [`Frame::check`], read from an `io::Read` by
-//! [`read_frame`], which grows its buffer only as bytes actually arrive: a
+//! `read_len_prefixed`, which grows its buffer only as bytes actually arrive: a
 //! lying length prefix cannot drive an allocation. A length of zero is never
 //! a frame (streams use it as their terminator).
 //!
@@ -55,7 +55,7 @@ pub const PARITY_MAGIC: &[u8; 4] = b"ALPP";
 /// Fixed bytes of a parity body before the XOR block.
 const PARITY_BODY_HEADER: usize = 4 + 1 + 1 + 4;
 
-/// Largest single buffer growth of [`read_frame`]: a default 100-vector
+/// Largest single buffer growth of [`read_len_prefixed`]: a default 100-vector
 /// row-group frame (≤ ~0.8 MiB) still arrives in one step.
 const READ_STEP: usize = 1 << 20;
 
@@ -197,16 +197,6 @@ pub(crate) fn read_len_prefixed<R: Read + ?Sized>(
     let rest = usize::try_from(len).unwrap_or(usize::MAX).saturating_add(extra);
     let got = read_bounded(source, buf, 4, rest, retry)?;
     Ok(if got == rest { FrameRead::Frame(4 + rest) } else { FrameRead::Torn(4 + got) })
-}
-
-/// Reads one frame — length, checksum and body — into the reused `buf`, with
-/// [`read_len_prefixed`]'s bounded growth; [`Frame::split`] then delimits it.
-pub fn read_frame<R: Read + ?Sized>(
-    source: &mut R,
-    buf: &mut Vec<u8>,
-    retry: &RetryPolicy,
-) -> io::Result<FrameRead> {
-    read_len_prefixed(source, buf, PREFIX_LEN - 4, retry)
 }
 
 /// Whether whole frame bytes announce a parity frame. It holds for damaged
@@ -658,25 +648,44 @@ mod tests {
         }
     }
 
+    /// The two shapes [`read_len_prefixed`] reads: an `"ALPT"` frame
+    /// (`len | xxh64 | body`, `extra = PREFIX_LEN - 4`) and a legacy
+    /// `"ALPS"` one (`len | body`, `extra = 0`), each with its whole length.
+    fn prefixed_shapes(body: &[u8]) -> [(usize, Vec<u8>); 2] {
+        let mut legacy = (body.len() as u32).to_le_bytes().to_vec();
+        legacy.extend_from_slice(body);
+        [(PREFIX_LEN - 4, frame(body)), (0, legacy)]
+    }
+
     #[test]
-    fn read_frame_classifies_whole_terminator_and_torn() {
+    fn read_len_prefixed_classifies_whole_terminator_and_torn() {
         let retry = RetryPolicy::none();
         let mut buf = Vec::new();
-        let whole = frame(b"abcdef");
-        let mut source: &[u8] = &whole;
-        assert_eq!(read_frame(&mut source, &mut buf, &retry).unwrap(), FrameRead::Frame(18));
-        assert_eq!(Frame::split(&buf[..18]).unwrap().0.body, b"abcdef");
-        assert_eq!(read_frame(&mut source, &mut buf, &retry).unwrap(), FrameRead::Torn(0));
+        for (extra, whole) in prefixed_shapes(b"abcdef") {
+            let read = |source: &mut &[u8], buf: &mut Vec<u8>| {
+                read_len_prefixed(source, buf, extra, &retry).unwrap()
+            };
+            let mut source: &[u8] = &whole;
+            assert_eq!(read(&mut source, &mut buf), FrameRead::Frame(whole.len()));
+            assert_eq!(&buf[..whole.len()], &whole[..], "extra {extra}");
+            assert_eq!(&buf[whole.len() - 6..whole.len()], b"abcdef");
+            assert_eq!(read(&mut source, &mut buf), FrameRead::Torn(0));
 
-        let mut source: &[u8] = &[0, 0, 0, 0, 9, 9];
-        assert_eq!(read_frame(&mut source, &mut buf, &retry).unwrap(), FrameRead::Terminator);
-        assert_eq!(source, &[9, 9]);
+            let mut source: &[u8] = &[0, 0, 0, 0, 9, 9];
+            assert_eq!(read(&mut source, &mut buf), FrameRead::Terminator);
+            assert_eq!(source, &[9, 9]);
 
-        for cut in [2usize, 4, 11, 17] {
-            let mut source: &[u8] = &whole[..cut];
-            assert_eq!(read_frame(&mut source, &mut buf, &retry).unwrap(), FrameRead::Torn(cut));
-            assert_eq!(&buf[..cut], &whole[..cut]);
+            for cut in [2usize, 4, 5, whole.len() - 1] {
+                let mut source: &[u8] = &whole[..cut];
+                assert_eq!(read(&mut source, &mut buf), FrameRead::Torn(cut), "extra {extra}");
+                assert_eq!(&buf[..cut], &whole[..cut]);
+            }
         }
+        let whole = frame(b"abcdef");
+        assert_eq!(Frame::split(&whole).unwrap().0.body, b"abcdef");
+        let mut source: &[u8] = &whole[..11];
+        let read = read_len_prefixed(&mut source, &mut buf, PREFIX_LEN - 4, &retry).unwrap();
+        assert_eq!(read, FrameRead::Torn(11));
         let torn = group_parity(&[frame(&[1; 9])], 1);
         assert!(claims_parity(&torn[..16]));
         assert!(!claims_parity(&torn[..15]));
@@ -685,20 +694,22 @@ mod tests {
 
     #[test]
     fn lying_length_costs_one_step_of_buffer() {
-        // "1 GiB follows" backed by 8 bytes: the buffer grows by one step.
-        let mut input = (1u32 << 30).to_le_bytes().to_vec();
-        input.extend_from_slice(&[0u8; 8]);
-        let mut buf = Vec::new();
-        let mut source: &[u8] = &input;
-        let read = read_frame(&mut source, &mut buf, &RetryPolicy::none()).unwrap();
-        assert_eq!(read, FrameRead::Torn(12));
-        assert!(buf.capacity() <= 2 * READ_STEP, "capacity {}", buf.capacity());
+        for extra in [PREFIX_LEN - 4, 0] {
+            // "1 GiB follows" backed by 8 bytes: the buffer grows by one step.
+            let mut input = (1u32 << 30).to_le_bytes().to_vec();
+            input.extend_from_slice(&[0u8; 8]);
+            let mut buf = Vec::new();
+            let mut source: &[u8] = &input;
+            let read = read_len_prefixed(&mut source, &mut buf, extra, &RetryPolicy::none());
+            assert_eq!(read.unwrap(), FrameRead::Torn(12));
+            assert!(buf.capacity() <= 2 * READ_STEP, "capacity {}", buf.capacity());
 
-        // A frame that really is 2.5 steps long still arrives whole.
-        let len = 5 * READ_STEP / 2;
-        let prefix = (len as u32).to_le_bytes();
-        let mut source = prefix.as_slice().chain(Zeros);
-        let read = read_frame(&mut source, &mut buf, &RetryPolicy::none()).unwrap();
-        assert_eq!(read, FrameRead::Frame(PREFIX_LEN + len));
+            // A frame that really is 2.5 steps long still arrives whole.
+            let len = 5 * READ_STEP / 2;
+            let prefix = (len as u32).to_le_bytes();
+            let mut source = prefix.as_slice().chain(Zeros);
+            let read = read_len_prefixed(&mut source, &mut buf, extra, &RetryPolicy::none());
+            assert_eq!(read.unwrap(), FrameRead::Frame(4 + extra + len));
+        }
     }
 }

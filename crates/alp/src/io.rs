@@ -27,7 +27,7 @@
 //!   then hard-fails, as when the writing process dies; detected by the
 //!   stream commit footer, recovered by salvage;
 //! * **poisoned morsel** — a panic inside one parallel work unit; contained
-//!   by [`crate::par::run_morsels_contained`].
+//!   by [`crate::par::run_morsels_governed`].
 
 #![deny(
     clippy::unwrap_used,
@@ -337,12 +337,26 @@ impl RetryPolicy {
         self.base_backoff.saturating_mul(factor).min(Duration::from_millis(100))
     }
 
-    /// Sleeps for the backoff of retry number `attempt` (1-based).
-    fn backoff(&self, attempt: u32) {
-        let delay = self.backoff_delay(attempt);
+    /// The one retry step every `*_retry` loop shares. A hard `e` comes
+    /// back as-is. A transient one is counted against `transients`, the
+    /// budget of one logical operation: past `max_attempts` it comes back
+    /// [`RetryExhausted`]-wrapped under its own kind; otherwise this sleeps
+    /// the backoff of that retry and returns `Ok`, and the caller retries.
+    fn absorb(&self, transients: &mut u32, e: io::Error) -> io::Result<()> {
+        if !is_transient(&e) {
+            return Err(e);
+        }
+        *transients += 1;
+        let attempts = *transients;
+        if attempts > self.max_attempts {
+            let last_kind = e.kind();
+            return Err(io::Error::new(last_kind, RetryExhausted { attempts, last_kind }));
+        }
+        let delay = self.backoff_delay(attempts);
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
+        Ok(())
     }
 }
 
@@ -370,10 +384,6 @@ impl core::fmt::Display for RetryExhausted {
 
 impl std::error::Error for RetryExhausted {}
 
-fn exhausted(attempts: u32, last: &io::Error) -> io::Error {
-    io::Error::new(last.kind(), RetryExhausted { attempts, last_kind: last.kind() })
-}
-
 /// Reads exactly `buf.len()` bytes, absorbing up to `policy.max_attempts`
 /// transient faults ([`ErrorKind::Interrupted`], [`ErrorKind::WouldBlock`])
 /// with backoff. Short reads are not faults — the loop simply continues.
@@ -385,31 +395,13 @@ pub fn read_full_retry<R: Read + ?Sized>(
     buf: &mut [u8],
     policy: &RetryPolicy,
 ) -> io::Result<()> {
-    let mut filled = 0usize;
-    let mut transients = 0u32;
-    while let Some(rest) = buf.get_mut(filled..) {
-        if rest.is_empty() {
-            return Ok(());
-        }
-        match source.read(rest) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    format!("source ended {} bytes short", rest.len()),
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_transient(&e) => {
-                transients += 1;
-                if transients > policy.max_attempts {
-                    return Err(exhausted(transients, &e));
-                }
-                policy.backoff(transients);
-            }
-            Err(e) => return Err(e),
-        }
+    match buf.len() - read_best_effort(source, buf, policy)? {
+        0 => Ok(()),
+        short => Err(io::Error::new(
+            ErrorKind::UnexpectedEof,
+            format!("source ended {short} bytes short"),
+        )),
     }
-    Ok(())
 }
 
 /// Like [`read_full_retry`], but a short source is not an error: returns
@@ -430,14 +422,7 @@ pub(crate) fn read_best_effort<R: Read + ?Sized>(
         match source.read(rest) {
             Ok(0) => break,
             Ok(n) => filled += n,
-            Err(e) if is_transient(&e) => {
-                transients += 1;
-                if transients > policy.max_attempts {
-                    return Err(exhausted(transients, &e));
-                }
-                policy.backoff(transients);
-            }
-            Err(e) => return Err(e),
+            Err(e) => policy.absorb(&mut transients, e)?,
         }
     }
     Ok(filled)
@@ -465,14 +450,7 @@ pub fn write_all_retry<W: Write + ?Sized>(
                 ))
             }
             Ok(n) => written += n,
-            Err(e) if is_transient(&e) => {
-                transients += 1;
-                if transients > policy.max_attempts {
-                    return Err(exhausted(transients, &e));
-                }
-                policy.backoff(transients);
-            }
-            Err(e) => return Err(e),
+            Err(e) => policy.absorb(&mut transients, e)?,
         }
     }
     Ok(())
@@ -484,14 +462,7 @@ pub fn flush_retry<W: Write + ?Sized>(sink: &mut W, policy: &RetryPolicy) -> io:
     loop {
         match sink.flush() {
             Ok(()) => return Ok(()),
-            Err(e) if is_transient(&e) => {
-                transients += 1;
-                if transients > policy.max_attempts {
-                    return Err(exhausted(transients, &e));
-                }
-                policy.backoff(transients);
-            }
-            Err(e) => return Err(e),
+            Err(e) => policy.absorb(&mut transients, e)?,
         }
     }
 }

@@ -7,8 +7,8 @@
 //! balances itself without any work-splitting heuristics. This is the
 //! Tectorwise/morsel-driven design `vectorq` originally carried privately;
 //! it now lives here so the compressor ([`crate::Compressor::compress_parallel`]),
-//! the codec registry (`alp_core::par`), and the query engine all share one
-//! scheduler.
+//! the codec registry's chunked codecs (`alp_core::par`), and the query
+//! engine all share one scheduler.
 //!
 //! Ownership rules (DESIGN.md §10):
 //!
@@ -23,11 +23,12 @@
 //! Panics inside `work` are handled by the *containment* seam (DESIGN.md
 //! §11): the strict entry points ([`try_map_morsels`], [`map_morsels`],
 //! [`fold_morsels`]) re-raise the panic on the calling thread with the
-//! poisoned morsel's index attached, while [`run_morsels_contained`]
+//! poisoned morsel's index attached, while [`run_morsels_governed`]
 //! quarantines it into a [`MorselFailure`] report and keeps going — the
-//! degraded path behind `decompress_parallel_salvage`, and the seam the
-//! pipelined ingest workers ([`crate::pipeline`]) compress inside so a
-//! poisoned row-group surfaces as a typed error instead of a torn frame.
+//! runner `vectorq::service` queries execute on (their token carries the
+//! deadline), and the seam the pipelined ingest workers ([`crate::pipeline`])
+//! compress inside, with a token that never fires, so a poisoned row-group
+//! surfaces as a typed error instead of a torn frame.
 //!
 //! No external dependencies: only `std::thread::scope` and atomics.
 
@@ -133,7 +134,7 @@ impl CancelToken {
     }
 }
 
-/// A morsel whose `work` panicked, quarantined by [`run_morsels_contained`]
+/// A morsel whose `work` panicked, quarantined by [`run_morsels_governed`]
 /// instead of aborting the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MorselFailure {
@@ -246,7 +247,7 @@ fn claim_morsels<S, W: Send>(
 /// scratch and the claimed morsel index. When any morsel fails, remaining
 /// workers stop claiming and the first error (in claim order, not morsel
 /// order) is returned. A panicking morsel is re-raised on the calling thread
-/// with its index attached; see [`run_morsels_contained`] for the variant
+/// with its index attached; see [`run_morsels_governed`] for the variant
 /// that quarantines it instead.
 pub fn try_map_morsels<T, E, S>(
     threads: usize,
@@ -298,29 +299,6 @@ where
     Ok(pairs.into_iter().map(|(_, v)| v).collect())
 }
 
-/// Like [`map_morsels`], but a panicking morsel is *contained* instead of
-/// aborting the run: the panic is caught at the morsel boundary, the morsel
-/// is quarantined into a [`MorselFailure`] (index + rendered payload), the
-/// worker rebuilds its scratch from `init` (the panic may have torn it
-/// mid-mutation), and every other morsel still completes.
-///
-/// Returns the surviving `(morsel, result)` pairs and the failure reports,
-/// both sorted by morsel index. This is the engine behind
-/// `Compressed::decompress_parallel_salvage`, where one poisoned row-group
-/// degrades to a lost-row-group report rather than a process abort.
-pub fn run_morsels_contained<T, S>(
-    threads: usize,
-    morsels: usize,
-    init: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> T + Sync,
-) -> (Vec<(usize, T)>, Vec<MorselFailure>)
-where
-    T: Send,
-{
-    let run = run_morsels_governed(threads, morsels, &CancelToken::new(), init, work);
-    (run.completed, run.failures)
-}
-
 /// Outcome of [`run_morsels_governed`]: surviving results, quarantined
 /// failures, and whether the run was cut short by its [`CancelToken`].
 #[derive(Debug)]
@@ -340,12 +318,16 @@ pub struct GovernedRun<T> {
 /// or deadline-expired run stops at the next morsel boundary — in-flight
 /// morsels finish (a kernel is never interrupted mid-decode), unclaimed ones
 /// are abandoned, and the workers release themselves back to the caller.
-/// Panic handling is identical to [`run_morsels_contained`]: the poisoned
-/// morsel is quarantined into a [`MorselFailure`] and the worker rebuilds
-/// its scratch from `init`.
+///
+/// A panicking morsel is *contained* instead of aborting the run: the panic
+/// is caught at the morsel boundary, the morsel is quarantined into a
+/// [`MorselFailure`] (index + rendered payload), the worker rebuilds its
+/// scratch from `init` (the panic may have torn it mid-mutation), and every
+/// other morsel still completes.
 ///
 /// This is the execution seam for `vectorq::service` queries: one query =
-/// one governed run, whose token carries the query's deadline.
+/// one governed run, whose token carries the query's deadline. A caller that
+/// wants containment alone passes `&CancelToken::new()`, which never fires.
 pub fn run_morsels_governed<T, S>(
     threads: usize,
     morsels: usize,
@@ -538,11 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn contained_run_quarantines_poisoned_morsels() {
+    fn governed_run_quarantines_poisoned_morsels() {
         for threads in [1, 4] {
-            let (ok, failed) = run_morsels_contained(
+            let run = run_morsels_governed(
                 threads,
                 40,
+                &CancelToken::new(),
                 || (),
                 |(), m| {
                     if m == 7 || m == 23 {
@@ -551,21 +534,24 @@ mod tests {
                     m * 2
                 },
             );
-            assert_eq!(ok.len(), 38);
-            assert!(ok.iter().all(|&(m, v)| v == m * 2));
-            let lost: Vec<usize> = failed.iter().map(|f| f.morsel).collect();
+            assert!(!run.cancelled);
+            assert_eq!(run.completed.len(), 38);
+            assert!(run.completed.iter().all(|&(m, v)| v == m * 2));
+            let lost: Vec<usize> = run.failures.iter().map(|f| f.morsel).collect();
             assert_eq!(lost, vec![7, 23]);
-            assert!(failed[0].message.contains("poisoned morsel 7"), "got: {}", failed[0].message);
+            let message = &run.failures[0].message;
+            assert!(message.contains("poisoned morsel 7"), "got: {message}");
         }
     }
 
     #[test]
-    fn contained_run_rebuilds_scratch_after_panic() {
+    fn governed_run_rebuilds_scratch_after_panic() {
         // The scratch is re-initialized after a contained panic, so torn
         // mutations from the poisoned morsel never leak into later ones.
-        let (ok, failed) = run_morsels_contained(
+        let run = run_morsels_governed(
             1,
             3,
+            &CancelToken::new(),
             || 0usize,
             |scratch, m| {
                 *scratch += 100;
@@ -575,31 +561,9 @@ mod tests {
                 *scratch
             },
         );
-        assert_eq!(ok, vec![(0, 100), (2, 100)]);
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].morsel, 1);
-    }
-
-    #[test]
-    fn governed_run_without_cancellation_matches_contained() {
-        for threads in [1, 4] {
-            let run = run_morsels_governed(
-                threads,
-                40,
-                &CancelToken::new(),
-                || (),
-                |(), m| {
-                    if m == 7 {
-                        panic!("poisoned morsel {m}");
-                    }
-                    m * 2
-                },
-            );
-            assert!(!run.cancelled);
-            assert_eq!(run.completed.len(), 39);
-            assert_eq!(run.failures.len(), 1);
-            assert_eq!(run.failures[0].morsel, 7);
-        }
+        assert_eq!(run.completed, vec![(0, 100), (2, 100)]);
+        assert_eq!(run.failures.len(), 1);
+        assert_eq!(run.failures[0].morsel, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   serial writer's own retry machinery;
 //! - a small **worker pool** compresses and frame-encodes row-groups, each
 //!   inside the morsel scheduler's panic containment seam
-//!   ([`crate::par::run_morsels_contained`]).
+//!   ([`crate::par::run_morsels_governed`], with a token that never fires).
 //!
 //! Three invariants make the overlap safe:
 //!
@@ -70,7 +70,7 @@ use std::thread::JoinHandle;
 
 use crate::frame::ParityConfig;
 use crate::io::RetryPolicy;
-use crate::par::{resolve_threads, run_morsels_contained, MorselFailure};
+use crate::par::{resolve_threads, run_morsels_governed, CancelToken, MorselFailure};
 use crate::rowgroup::{Compressor, EncodeScratch};
 use crate::sampler::{ConfigError, SamplerParams, SamplerStats};
 use crate::stream::{encode_frames, ColumnWriter, StreamSummary};
@@ -313,8 +313,8 @@ fn encode_contained<F: AlpFloat>(
     compressor: &Compressor,
     panic_at: Option<u64>,
 ) -> Result<EncodedFrames, MorselFailure> {
-    let (mut completed, mut failures) =
-        run_morsels_contained(1, 1, EncodeScratch::default, |scratch, _| {
+    let mut run =
+        run_morsels_governed(1, 1, &CancelToken::new(), EncodeScratch::default, |scratch, _| {
             if panic_at == Some(seq) {
                 panic!("injected pipeline fault at row-group {seq}");
             }
@@ -322,10 +322,11 @@ fn encode_contained<F: AlpFloat>(
             encode_frames(compressor, data, scratch, &mut stats, &mut bytes);
             EncodedFrames { bytes, values: data.len(), stats }
         });
-    if let Some((_, frames)) = completed.pop() {
+    if let Some((_, frames)) = run.completed.pop() {
         return Ok(frames);
     }
-    let message = failures
+    let message = run
+        .failures
         .pop()
         .map(|f| f.message)
         .unwrap_or_else(|| "worker produced neither result nor failure".to_string());

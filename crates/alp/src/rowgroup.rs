@@ -199,27 +199,6 @@ fn vector_buf<F: AlpFloat>() -> Vec<F> {
     vec![F::from_bits_u64(0); VECTOR_SIZE]
 }
 
-/// Result of [`Compressed::decompress_parallel_salvage`]: the values of
-/// every row-group that decoded cleanly, plus quarantine reports for the
-/// poisoned ones.
-#[derive(Debug)]
-pub struct DecompressSalvage<F> {
-    /// Decoded values of surviving row-groups, concatenated in row-group
-    /// order (lost row-groups simply leave a gap).
-    pub values: Vec<F>,
-    /// One report per row-group whose decode panicked, sorted by index.
-    pub lost_rowgroups: Vec<crate::par::MorselFailure>,
-    /// Row-groups the column held in total.
-    pub total_rowgroups: usize,
-}
-
-impl<F> DecompressSalvage<F> {
-    /// Whether every row-group decoded (no losses).
-    pub fn is_complete(&self) -> bool {
-        self.lost_rowgroups.is_empty()
-    }
-}
-
 /// A fully compressed column.
 #[derive(Debug, Clone)]
 pub struct Compressed<F: AlpFloat> {
@@ -295,26 +274,6 @@ impl<F: AlpFloat> Compressed<F> {
             out.extend_from_slice(p);
         }
         out
-    }
-
-    /// Like [`Compressed::decompress_parallel`], but a row-group whose
-    /// decode *panics* — poisoned in-memory data that slipped past the
-    /// serialization checksums — is quarantined instead of aborting the
-    /// process: the panic is contained at the morsel boundary
-    /// ([`crate::par::run_morsels_contained`]), the row-group is reported in
-    /// [`DecompressSalvage::lost_rowgroups`], and every surviving row-group
-    /// decodes byte-identically to the serial path.
-    pub fn decompress_parallel_salvage(&self, threads: usize) -> DecompressSalvage<F> {
-        let total = self.rowgroups.len();
-        let (parts, lost_rowgroups) =
-            crate::par::run_morsels_contained(threads, total, vector_buf::<F>, |buf, m| {
-                self.decode_rowgroup(m, buf)
-            });
-        let mut values = Vec::with_capacity(self.len);
-        for (_, p) in &parts {
-            values.extend_from_slice(p);
-        }
-        DecompressSalvage { values, lost_rowgroups, total_rowgroups: total }
     }
 
     /// Locates vector (`rowgroup`, `vector`) — the one index check behind
@@ -737,52 +696,6 @@ mod tests {
 
             let one = comp.compress_parallel(&[42.5f64], threads);
             assert_eq!(one.decompress_parallel(threads), vec![42.5]);
-        }
-    }
-
-    #[test]
-    fn decompress_parallel_salvage_clean_matches_serial() {
-        let mut data: Vec<f64> = (0..150_000).map(|i| ((i * 13) % 9973) as f64 / 100.0).collect();
-        data.extend((0..50_000).map(|i| (i as f64 * 0.577).sin() * 0.001));
-        let c = Compressor::new().compress(&data);
-        let serial = c.decompress();
-        for threads in [1, 4] {
-            let salvage = c.decompress_parallel_salvage(threads);
-            assert!(salvage.is_complete());
-            assert_eq!(salvage.total_rowgroups, c.rowgroups.len());
-            assert_eq!(salvage.values, serial, "t={threads}");
-        }
-    }
-
-    #[test]
-    fn decompress_parallel_salvage_quarantines_poisoned_rowgroup() {
-        let rowgroup_len = 102_400; // default vectors_per_rowgroup * VECTOR_SIZE
-        let data: Vec<f64> = (0..250_000).map(|i| ((i % 901) as f64) / 8.0).collect();
-        let mut c = Compressor::new().compress(&data);
-        assert_eq!(c.rowgroups.len(), 3);
-        // Poison row-group 1 in memory (past the serialization checksums):
-        // truncating a packed buffer makes the unpack kernel index out of
-        // bounds, the panic the containment seam must absorb.
-        match &mut c.rowgroups[1] {
-            RowGroup::Alp(g) => {
-                assert!(g.vectors[0].bit_width > 0);
-                g.vectors[0].packed.truncate(1);
-            }
-            RowGroup::Rd(..) => panic!("decimal data must pick the ALP scheme"),
-        }
-        for threads in [1, 4] {
-            let salvage = c.decompress_parallel_salvage(threads);
-            assert!(!salvage.is_complete());
-            assert_eq!(salvage.total_rowgroups, 3);
-            assert_eq!(salvage.lost_rowgroups.len(), 1, "t={threads}");
-            assert_eq!(salvage.lost_rowgroups[0].morsel, 1);
-            // Survivors decode byte-identically to the original data.
-            let expected: Vec<f64> =
-                data[..rowgroup_len].iter().chain(&data[2 * rowgroup_len..]).copied().collect();
-            assert_eq!(salvage.values.len(), expected.len());
-            for (a, b) in expected.iter().zip(&salvage.values) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
         }
     }
 

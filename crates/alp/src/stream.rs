@@ -381,7 +381,7 @@ impl PendingFrame {
 pub struct ColumnReader<F: AlpFloat, R: Read> {
     source: R,
     /// Reused read buffer; only its first `n` bytes (see
-    /// [`frame::read_frame`]) are the current frame.
+    /// [`frame::read_len_prefixed`]) are the current frame.
     frame: Vec<u8>,
     done: bool,
     /// `"ALPT"`: frames carry checksums and a commit footer follows the

@@ -1,12 +1,10 @@
-//! `alp_core::par` — the workspace's shared morsel scheduler, plus the
-//! codec-level parallel helpers behind [`ColumnCodec::par_compress`] and
-//! [`ColumnCodec::par_decompress`].
+//! `alp_core::par` — the codec-level parallel helpers behind
+//! [`ColumnCodec::par_compress`] and [`ColumnCodec::par_decompress`].
 //!
-//! The scheduling primitives themselves live in [`alp::par`] (this crate
-//! depends on `alp`, not the other way around, so placing them there lets
-//! `alp::Compressor::compress_parallel` use the same queue) and are
-//! re-exported here verbatim for the registry's consumers; `vectorq`, the
-//! CLI and the end-to-end harness import them from [`alp::par`] directly.
+//! They run on the workspace's one morsel scheduler, [`alp::par`] (this
+//! crate depends on `alp`, not the other way around, so placing it there
+//! lets `alp::Compressor::compress_parallel` use the same queue); every
+//! caller imports the scheduler from there.
 //!
 //! The helpers in this module parallelize any registered codec by splitting
 //! the column into fixed-size chunks and treating each chunk as one morsel.
@@ -15,11 +13,7 @@
 //! claims, so the zero-alloc-after-warm-up discipline of
 //! `tests/alloc_discipline.rs` holds per worker.
 
-pub use alp::par::{
-    fold_morsels, map_morsels, resolve_threads, run_morsels_contained, run_morsels_governed,
-    try_map_morsels, CancelToken, GovernedRun, MorselFailure, MorselQueue, THREADS_ENV,
-};
-
+use alp::par::try_map_morsels;
 use alp::ConfigError;
 
 use crate::codec::ColumnCodec;

@@ -4,7 +4,7 @@
 //! `i` occupies bits `[i*W, (i+1)*W)` of the packed stream, so 64 consecutive
 //! values fill exactly `W` words. [`unpack64`] / [`pack64`] move one such
 //! block; every sequential-layout kernel in the workspace (this module,
-//! [`crate::ffor`], [`crate::bitpack32`], `alp::decode`, `alp::rd`) picks the
+//! [`crate::ffor`], `alp::decode`, `alp::rd`) picks the
 //! block function for its vector's width once ([`unpacker`] / [`packer`]) and
 //! calls it 16 times, applying its own arithmetic to the 64 values in between.
 //! The pick also chooses the instruction tier: each width has a baseline and

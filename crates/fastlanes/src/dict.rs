@@ -54,11 +54,6 @@ impl DictEncoded {
     pub fn code_width(&self) -> usize {
         bits_needed(self.dict.len().saturating_sub(1) as u64)
     }
-
-    /// Estimated compressed size in bits: packed codes + raw dictionary.
-    pub fn estimated_bits(&self) -> usize {
-        self.codes.len() * self.code_width() + self.dict.len() * 64
-    }
 }
 
 #[cfg(test)]
@@ -89,12 +84,5 @@ mod tests {
         let e = DictEncoded::encode(&[]);
         assert!(e.dict.is_empty() && e.codes.is_empty());
         assert!(e.decode().is_empty());
-    }
-
-    #[test]
-    fn estimated_bits_favours_repetitive_data() {
-        let repetitive = DictEncoded::encode(&vec![1u64; 4096]);
-        let distinct = DictEncoded::encode(&(0..4096).collect::<Vec<u64>>());
-        assert!(repetitive.estimated_bits() < distinct.estimated_bits());
     }
 }

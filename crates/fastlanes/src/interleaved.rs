@@ -9,9 +9,10 @@
 //! amounts** — the textbook SIMD-friendly arrangement (two AVX-512 registers
 //! cover a whole lane row).
 //!
-//! The `layout_ablation` bench compares this against the sequential layout;
-//! compressed size is identical by construction (same width, same word
-//! count), only the access pattern differs.
+//! Compressed size is identical to the sequential layout by construction
+//! (same width, same word count); only the access pattern differs. No bench
+//! compares the two layouts; the pinned benchmark's
+//! `fastlanes.fused_scan_mbps` rung times [`crate::fused`] over this one.
 
 #![deny(
     clippy::unwrap_used,

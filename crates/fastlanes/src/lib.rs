@@ -33,10 +33,11 @@
 //! FastLanes' interleaved lane order. Every claim reproduced here (fusion
 //! speedup, scalar-vs-vectorized gap, compression ratios) is independent of
 //! the lane permutation; [`interleaved`] provides the lane-transposed layout
-//! as well, and the `layout_ablation` bench compares the two.
+//! as well, read only by the [`fused`] scan kernels. No bench times the two
+//! layouts head to head; the pinned benchmark's `fastlanes.fused_scan_mbps`
+//! rung times the fused scan over the interleaved one.
 
 pub mod bitpack;
-pub mod bitpack32;
 pub mod delta;
 pub mod dict;
 pub mod dispatch;

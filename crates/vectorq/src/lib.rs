@@ -375,19 +375,6 @@ fn with_vector_buf<T>(scratch: &mut Scratch, f: impl FnOnce(&mut [f64]) -> T) ->
     f(&mut scratch.floats)
 }
 
-/// Calls `f` with the index of every set bit of a bitmap (bit `i` of word
-/// `i / 64`), ascending — the sparse-word walk that turns hit words into row
-/// offsets, so vectors with few matches cost almost nothing.
-fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in words.iter().enumerate() {
-        let mut rest = word;
-        while rest != 0 {
-            f(w * 64 + rest.trailing_zeros() as usize);
-            rest &= rest - 1;
-        }
-    }
-}
-
 /// A single stored column plus its operators.
 pub struct Column {
     storage: Storage,
@@ -637,45 +624,6 @@ impl Column {
         };
         Ok(Some(scan))
     }
-
-    /// Predicate scan of the vectors in `vectors` whose zone map overlaps
-    /// `lo..=hi`: hands each one's fused [`alp::VectorScan`] (partial sum,
-    /// match count, validity and hit words) to `visit`. This is the route of
-    /// [`Column::filter_indices`], which walks the words; a plain SUM takes
-    /// the bitmap-free [`Column::try_sum_where_in`].
-    pub(crate) fn try_scan_range(
-        &self,
-        vectors: Range<usize>,
-        lo: f64,
-        hi: f64,
-        scratch: &mut Scratch,
-        mut visit: impl FnMut(usize, &alp::VectorScan<f64>),
-    ) -> Result<(), VectorAccessError> {
-        let overlapping = |&v: &usize| self.zone_maps.get(v).is_some_and(|z| z.overlaps(lo, hi));
-        for v in vectors.filter(overlapping) {
-            if let Some(scan) = self.try_scan_vector_fused(v, lo, hi, scratch)? {
-                visit(v, &scan);
-            }
-        }
-        Ok(())
-    }
-
-    /// `SELECT row_ids WHERE lo <= x <= hi` with zone-map push-down: returns
-    /// global row indices of matching values.
-    ///
-    /// The selection vector is derived from per-vector hit-bitmap words
-    /// ([`alp::VectorScan::hits`] — straight from the compressed domain on
-    /// ALP), walked sparsely, so vectors with few (or no) matches cost almost
-    /// nothing beyond the scan itself.
-    pub fn filter_indices(&self, lo: f64, hi: f64) -> Vec<u64> {
-        let mut ids = Vec::new();
-        let all = 0..self.zone_maps.len();
-        trusted(self.try_scan_range(all, lo, hi, &mut Scratch::new(), |v, scan| {
-            let base = v * VECTOR_SIZE;
-            for_each_set_bit(&scan.hits, |i| ids.push((base + i) as u64));
-        }));
-        ids
-    }
 }
 
 #[cfg(test)]
@@ -793,9 +741,8 @@ mod tests {
             // covering its live values, and every live row found.
             let r = col.sum_where(0.0, 49.99);
             assert_eq!(r.matches, live_in_range(0.0, 49.99), "{}", fmt.name());
-            // Rows adjacent to the NaNs are still addressable by value.
-            let ids = col.filter_indices(0.01, 0.01);
-            assert!(ids.contains(&1), "{}", fmt.name());
+            // Rows adjacent to the NaNs are still found by value.
+            assert_eq!(col.sum_where(0.01, 0.01).matches, 1, "{}", fmt.name());
         }
     }
 
@@ -1028,16 +975,6 @@ mod tests {
             // A range past the column is a typed error before any decode.
             let err = col.try_walk(0..vectors + 1, &mut scratch, |_| {}).unwrap_err();
             assert_eq!(err, VectorAccessError::OutOfRange { vector: vectors, vectors });
-        }
-    }
-
-    #[test]
-    fn filter_indices_match_predicate() {
-        let data: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-        for fmt in formats() {
-            let col = Column::from_f64(&data, fmt);
-            let ids = col.filter_indices(5000.0, 5004.0);
-            assert_eq!(ids, vec![5000, 5001, 5002, 5003, 5004], "{}", fmt.name());
         }
     }
 }

@@ -9,7 +9,8 @@
 
 use std::time::Instant;
 
-use alp_core::par::{resolve_threads, DEFAULT_CHUNK_VALUES};
+use alp::par::resolve_threads;
+use alp_core::par::DEFAULT_CHUNK_VALUES;
 use alp_core::{CoreError, Registry, Scratch};
 
 fn main() -> Result<(), CoreError> {

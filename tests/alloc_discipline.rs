@@ -384,7 +384,7 @@ fn strict_stream_reads_allocate_nothing_per_rowgroup_after_warmup() {
 /// what is reserved then is sized by what was parsed.
 #[test]
 fn a_vector_count_the_body_cannot_back_reserves_nothing() {
-    use alp::format::{from_bytes, from_bytes_salvage, read_rowgroup, FormatError};
+    use alp::format::{from_bytes, from_bytes_salvage_parallel, read_rowgroup, FormatError};
     use alp::stream::{ColumnReader, StreamError};
     const CEILING: usize = 64 << 10;
 
@@ -409,10 +409,11 @@ fn a_vector_count_the_body_cannot_back_reserves_nothing() {
         let largest = largest_request_in(|| truncated(from_bytes::<f64>(&column).map(drop)));
         assert!(largest < CEILING, "{what}: from_bytes requested {largest} bytes");
         let largest = largest_request_in(|| {
-            let salvage = from_bytes_salvage::<f64>(&column).expect("the header is intact");
+            let salvage =
+                from_bytes_salvage_parallel::<f64>(&column, 1).expect("the header is intact");
             assert_eq!(salvage.lost_rowgroups, [0], "{what}");
         });
-        assert!(largest < CEILING, "{what}: from_bytes_salvage requested {largest} bytes");
+        assert!(largest < CEILING, "{what}: from_bytes_salvage_parallel requested {largest} bytes");
 
         // …and of an "ALPT" stream, on all four read paths.
         let mut stream = b"ALPT".to_vec();

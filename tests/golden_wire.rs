@@ -26,8 +26,8 @@ use std::path::PathBuf;
 
 use alp::archive::{self, Layout};
 use alp::format::{
-    from_bytes, from_bytes_salvage, from_bytes_salvage_parallel, to_bytes, to_bytes_with_parity,
-    RowGroupView, MAGIC, MAGIC_V1, SCHEME_TAG_ALP, SCHEME_TAG_RD,
+    from_bytes, from_bytes_salvage_parallel, to_bytes, to_bytes_with_parity, RowGroupView, MAGIC,
+    MAGIC_V1, SCHEME_TAG_ALP, SCHEME_TAG_RD,
 };
 use alp::frame::{PARITY_MAGIC, PREFIX_LEN};
 use alp::pipeline::{PipelineConfig, PipelinedColumnWriter};
@@ -300,7 +300,10 @@ fn one_flipped_body_byte_in_each_parity_golden_repairs_byte_identically() {
         assert!(salvage.is_complete(), "column t={threads}");
         assert_bits_eq(&data, &salvage.column.decompress(), "column repair");
     }
-    assert_eq!(from_bytes_salvage::<f64>(&column).expect("salvage").repaired_rowgroups, [0]);
+    assert_eq!(
+        from_bytes_salvage_parallel::<f64>(&column, 1).expect("salvage").repaired_rowgroups,
+        [0]
+    );
 
     let mut stream = golden("alpt_f64_parity2.bin");
     stream[STREAM_FIRST_BODY + 40] ^= 0xFF;

@@ -1,5 +1,5 @@
 //! One differential suite for the block-kernel stack: every width of
-//! `bitpack` / `bitpack32` / `ffor`, both int→float conversions of the ALP
+//! `bitpack` / `ffor`, both int→float conversions of the ALP
 //! decode and scan kernels, and both passes of the encoder, each held to a
 //! value-at-a-time reference written here (runtime-width bit extraction, one
 //! float at a time, the cast conversions) or to `decode_vector_scalar`.
@@ -58,7 +58,7 @@ use alp::{AlpFloat, Compressor, SamplerStats, VECTOR_SIZE};
 use alp_core::scan::{scan_values, ScanAgg, ScanPredicate, ScanResult};
 use alp_repro::corruption::SplitMix64;
 use fastlanes::tier::{self, Tier};
-use fastlanes::{bitpack, bitpack32, ffor, packed_len};
+use fastlanes::{bitpack, ffor, packed_len};
 use vectorq::{Column, Format, ZoneMap};
 
 mod driver;
@@ -196,28 +196,6 @@ fn pack_truncates_oversized_values_like_the_reference() {
                 reference_pack(&truncated, width),
                 "width {width}"
             );
-        }
-    });
-}
-
-#[test]
-fn bitpack32_matches_the_bitwise_reference_at_every_width() {
-    at_every_tier(|| {
-        for width in 0..=32usize {
-            for residuals in residual_patterns(width) {
-                let narrow: Vec<u32> = residuals.iter().map(|&v| v as u32).collect();
-                let packed = bitpack32::pack(&narrow, width);
-                assert_eq!(packed.len(), bitpack32::packed_len32(width));
-                // The u32 stream is the u64 stream read in halves, pad aside.
-                let wide = reference_pack(&residuals, width);
-                let halves: Vec<u32> =
-                    wide.iter().flat_map(|&w| [w as u32, (w >> 32) as u32]).collect();
-                assert_eq!(packed[..32 * width], halves[..32 * width], "pack32, width {width}");
-                assert_eq!(packed[32 * width], 0, "pad word, width {width}");
-                let mut out = vec![u32::MAX; VECTOR_SIZE];
-                bitpack32::unpack(&packed, width, &mut out);
-                assert_eq!(out, narrow, "unpack32, width {width}");
-            }
         }
     });
 }

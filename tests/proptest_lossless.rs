@@ -51,10 +51,10 @@ fn encode_vector_is_lossless_for_any_combo() {
     }
 }
 
-/// 1024 seeded words masked to `width` bits, for each width up to `max`.
-fn words_at_every_width(max: usize) -> impl Iterator<Item = (usize, Vec<u64>)> {
+/// 1024 seeded words masked to `width` bits, for each width `0..=64`.
+fn words_at_every_width() -> impl Iterator<Item = (usize, Vec<u64>)> {
     let mut rng = SplitMix64::new(seed());
-    (0..=max).map(move |width| {
+    (0..=64).map(move |width| {
         let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
         (width, (0..1024).map(|_| rng.next_u64() & mask).collect())
     })
@@ -62,7 +62,7 @@ fn words_at_every_width(max: usize) -> impl Iterator<Item = (usize, Vec<u64>)> {
 
 #[test]
 fn bitpack_roundtrips_any_width() {
-    for (width, values) in words_at_every_width(64) {
+    for (width, values) in words_at_every_width() {
         let mut out = vec![0u64; 1024];
         fastlanes::bitpack::unpack(&fastlanes::bitpack::pack(&values, width), width, &mut out);
         assert_eq!(out, values, "width {width}");
@@ -70,18 +70,8 @@ fn bitpack_roundtrips_any_width() {
 }
 
 #[test]
-fn bitpack32_roundtrips_any_width() {
-    for (width, values) in words_at_every_width(32) {
-        let values: Vec<u32> = values.iter().map(|&v| v as u32).collect();
-        let mut out = vec![0u32; 1024];
-        fastlanes::bitpack32::unpack(&fastlanes::bitpack32::pack(&values, width), width, &mut out);
-        assert_eq!(out, values, "width {width}");
-    }
-}
-
-#[test]
 fn interleaved_roundtrips_any_width() {
-    for (width, values) in words_at_every_width(64) {
+    for (width, values) in words_at_every_width() {
         let mut out = vec![0u64; 1024];
         let packed = fastlanes::interleaved::pack(&values, width);
         fastlanes::interleaved::unpack(&packed, width, &mut out);
@@ -91,7 +81,7 @@ fn interleaved_roundtrips_any_width() {
 
 #[test]
 fn ffor_roundtrips_any_i64() {
-    for (width, values) in words_at_every_width(64) {
+    for (width, values) in words_at_every_width() {
         let values: Vec<i64> = values.iter().map(|&v| (v as i64).wrapping_sub(1 << 40)).collect();
         let (base, packed_width, packed) = fastlanes::ffor::ffor(&values);
         let mut out = vec![0i64; 1024];

@@ -169,7 +169,8 @@ fn table_surfaces(data: &[f64]) -> Vec<Surface> {
             frames_at: 4 + 1 + 8 + 4,
             values_per_frame: Some(TABLE_ROWGROUP),
             read: |bytes| {
-                let serial = alp::format::from_bytes_salvage::<f64>(bytes).expect("salvage");
+                let serial =
+                    alp::format::from_bytes_salvage_parallel::<f64>(bytes, 1).expect("salvage");
                 let par = alp::format::from_bytes_salvage_parallel::<f64>(bytes, 4).expect("par");
                 assert_eq!(par.lost_rowgroups, serial.lost_rowgroups);
                 assert_eq!(par.repaired_rowgroups, serial.repaired_rowgroups);

@@ -26,8 +26,8 @@ use std::collections::BTreeSet;
 
 use alp::encode::{AlpVector, ExcArena};
 use alp::format::{
-    decode_rowgroup_into, from_bytes, from_bytes_salvage, read_rowgroup, to_bytes, write_rowgroup,
-    FormatError, RowGroupView,
+    decode_rowgroup_into, from_bytes, from_bytes_salvage_parallel, read_rowgroup, to_bytes,
+    write_rowgroup, FormatError, RowGroupView,
 };
 use alp::rd::{RdMeta, RdVector};
 use alp::rowgroup::AlpGroup;
@@ -410,9 +410,14 @@ fn check_golden<F: AlpFloat>(name: &str) {
     } else {
         let strict = from_bytes::<F>(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(bits_of(&strict.decompress()), flat, "{name}: from_bytes");
-        let salvage = from_bytes_salvage::<F>(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let salvage =
+            from_bytes_salvage_parallel::<F>(&bytes, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(salvage.is_complete(), "{name}");
-        assert_eq!(bits_of(&salvage.column.decompress()), flat, "{name}: from_bytes_salvage");
+        assert_eq!(
+            bits_of(&salvage.column.decompress()),
+            flat,
+            "{name}: from_bytes_salvage_parallel"
+        );
     }
 }
 
