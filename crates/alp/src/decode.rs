@@ -21,7 +21,9 @@
 //! [`decode_vector`], [`scan_vector`] and [`sum_vector`] are one-line callers);
 //! over `[u8; 8]`/`[u8; 2]` it is [`crate::format::AlpVectorView`], a vector
 //! still sitting in the bytes of a frame body, its words read in place through
-//! [`fastlanes::bitpack::Word`]. There is one loop body per kernel; the two
+//! [`fastlanes::bitpack::Word`] — how the stream reader decodes and how the
+//! query engine decodes, scans and sums the bodies it stores
+//! ([`crate::format::BodyColumn`], [`crate::format::VectorView`]). There is one loop body per kernel; the two
 //! instantiations differ in a load.
 //!
 //! On top of these sit the *fused scans*: unpack, FOR-add, decimal multiply,

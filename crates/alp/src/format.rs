@@ -29,15 +29,16 @@
 //! or, with parity, rebuild — the rest of the column.
 //!
 //! ## Writing a body: from an owned column, or straight from values
-//! [`write_rowgroup`] serializes an owned [`RowGroup`] (what `vectorq` and the
-//! registry codec hold), copying each packed stream out in one little-endian
+//! [`write_rowgroup`] serializes an owned [`RowGroup`] (what the registry
+//! codec holds), copying each packed stream out in one little-endian
 //! extend. [`encode_alp_body`] / [`encode_rd_body`] write the same bytes from
 //! the *values*: the encode kernels pack each 64-value block's words straight
 //! into a zeroed region of the output (`fastlanes::bitpack::Word` over
 //! `[u8; 8]` — the same block loops that fill an owned vector's `Vec<u64>`),
-//! so the stream writers build no `RowGroup`, no per-vector `Vec` and copy no
-//! word twice (`Compressor::encode_rowgroup_body` picks between the two and
-//! supplies the per-vector combination).
+//! so the stream writers and the query engine's column build no `RowGroup`,
+//! no per-vector `Vec` and copy no word twice
+//! (`Compressor::encode_rowgroup_body` picks between the two and supplies the
+//! per-vector combination).
 //!
 //! ## Reading a body: one borrowed view
 //! [`RowGroupView::parse`] is the only code that validates a row-group body.
@@ -49,6 +50,10 @@
 //! salvage engine — go bytes → view → values ([`decode_rowgroup_into`]);
 //! readers that want an owned [`RowGroup`] ([`from_bytes`], [`read_rowgroup`],
 //! the salvage walkers) copy one out of a view ([`RowGroupView::to_owned`]).
+//! A reader that keeps the bytes and wants any one vector later — the query
+//! engine — holds a [`BodyColumn`]: the bodies, each parsed once when it is
+//! taken in, and every vector's offset, from which [`BodyColumn::vector`]
+//! splits a [`VectorView`] again with the parser's own per-vector step.
 //!
 //! The checks, in the order they are made (a body failing several reports
 //! the first). Reading any field past the end of the buffer is
@@ -93,7 +98,9 @@
 use fastlanes::bitpack::Word;
 use fastlanes::VECTOR_SIZE;
 
-use crate::decode::AlpVectorRef;
+use crate::decode::{
+    scan_decoded, sum_decoded_planned, AlpVectorRef, BlockRoute, VectorScan, VectorSum,
+};
 use crate::encode::{encode_vector_with, AlpVector, ExcArena, ExcView, Short};
 pub use crate::frame::parity_group_size;
 use crate::frame::{self, Frame, ParityConfig};
@@ -543,6 +550,93 @@ impl VectorView<'_> {
             VectorView::Rd(v) => v.decode(out),
         }
     }
+
+    /// Fused scan under `lo..=hi` ([`AlpVectorRef::scan`]); an ALP_rd vector,
+    /// which has no decimal fast path, decodes into `buf` (≥ 1024 elements)
+    /// and is scanned there ([`scan_decoded`]) — the same bits either way.
+    pub fn scan<F: AlpFloat>(&self, lo: F, hi: F, minmax: bool, buf: &mut [F]) -> VectorScan<F> {
+        match self {
+            VectorView::Alp(v) => v.scan(lo, hi, minmax),
+            VectorView::Rd(v) => {
+                let n = v.decode(buf);
+                let mut scan = VectorScan::empty(n);
+                scan_decoded(buf.get(..n).unwrap_or(&[]), lo, hi, minmax, &mut scan);
+                scan
+            }
+        }
+    }
+
+    /// The aggregate-only scan, planned block by block by `route`
+    /// ([`AlpVectorRef::sum_planned`]); an ALP_rd vector decodes whole into
+    /// `buf` (≥ 1024 elements) first, and only its NaNs need `may_hold_nan`
+    /// ([`sum_decoded_planned`]).
+    pub fn sum_planned<F: AlpFloat>(
+        &self,
+        band: Option<(F, F)>,
+        may_hold_nan: bool,
+        buf: &mut [F],
+        route: impl Fn(usize) -> BlockRoute<F>,
+    ) -> VectorSum<F> {
+        match self {
+            VectorView::Alp(v) => v.sum_planned(band, route),
+            VectorView::Rd(v) => {
+                let n = v.decode(buf);
+                sum_decoded_planned(buf.get(..n).unwrap_or(&[]), band, may_hold_nan, route)
+            }
+        }
+    }
+}
+
+/// An owned column of row-group frame bodies, addressable by vector.
+/// [`BodyColumn::from_bodies`], the only constructor, parses each body once
+/// ([`RowGroupView::parse_exact`]) and records where each vector starts;
+/// [`BodyColumn::vector`] splits it off there with the parser's own
+/// per-vector step, so the kernels read the stored bytes in place (the
+/// paper's §4.3 random access) with no owned vector in between.
+#[derive(Debug, Clone)]
+pub struct BodyColumn<F> {
+    bodies: Vec<Vec<u8>>,
+    /// Per vector: its body, the offset of its header there, and the body's
+    /// ALP_rd cut (`None`: an ALP row-group).
+    vectors: Vec<(usize, usize, Option<RdCut>)>,
+    _float: core::marker::PhantomData<F>,
+}
+
+impl<F: AlpFloat> BodyColumn<F> {
+    /// Takes `bodies` — one row-group each, in column order, as
+    /// [`crate::Compressor::encode_rowgroup_body`] writes them — once every
+    /// one parses whole; the first that does not is the error.
+    pub fn from_bodies(bodies: Vec<Vec<u8>>) -> Result<Self, FormatError> {
+        let views: Vec<_> =
+            bodies.iter().map(|b| RowGroupView::<F>::parse_exact(b)).collect::<Result<_, _>>()?;
+        let mut vectors = Vec::with_capacity(views.iter().map(|v| v.vectors).sum());
+        for (body, (view, bytes)) in views.iter().zip(&bodies).enumerate() {
+            let mut cur = view.payload; // which ends where the body does
+            for _ in 0..view.vectors {
+                vectors.push((body, bytes.len() - cur.len(), view.rd));
+                split_vector::<F>(view.rd.as_ref(), &mut cur)?;
+            }
+        }
+        Ok(Self { bodies, vectors, _float: core::marker::PhantomData })
+    }
+
+    /// Vector `v`, numbered across the bodies; `None` past the last.
+    #[inline]
+    pub fn vector(&self, v: usize) -> Option<VectorView<'_>> {
+        let (body, at, rd) = self.vectors.get(v)?;
+        let mut cur = self.bodies.get(*body)?.get(*at..)?;
+        split_vector::<F>(rd.as_ref(), &mut cur).ok()
+    }
+
+    /// The bodies, byte for byte as they were taken in.
+    pub fn bodies(&self) -> &[Vec<u8>] {
+        &self.bodies
+    }
+
+    /// Number of vectors.
+    pub fn vector_count(&self) -> usize {
+        self.vectors.len()
+    }
 }
 
 /// A validated, borrowed view of one serialized row-group: nothing is copied
@@ -588,12 +682,9 @@ fn take_ints<'a, const N: usize>(
 
 /// Splits one ALP vector off `buf`: header, then its three payload slices.
 fn split_alp_vector<'a>(buf: &mut &'a [u8]) -> Result<AlpVectorView<'a>, FormatError> {
-    let [exponent] = take(buf)?;
-    let [factor] = take(buf)?;
-    let [bit_width] = take(buf)?;
-    let len = u16::from_le_bytes(take(buf)?);
-    let for_base = i64::from_le_bytes(take(buf)?);
-    let exc = usize::from(u16::from_le_bytes(take(buf)?));
+    let [exponent, factor, bit_width, l0, l1, base @ .., x0, x1] = take::<15>(buf)?;
+    let (len, for_base) = (u16::from_le_bytes([l0, l1]), i64::from_le_bytes(base));
+    let exc = usize::from(u16::from_le_bytes([x0, x1]));
     if bit_width > 64 {
         return Err(FormatError::Corrupt("alp bit_width"));
     }
@@ -620,8 +711,8 @@ fn split_rd_vector<'a, F: AlpFloat>(
     rd: &RdCut,
     buf: &mut &'a [u8],
 ) -> Result<RdVectorView<'a>, FormatError> {
-    let len = u16::from_le_bytes(take(buf)?);
-    let exc = usize::from(u16::from_le_bytes(take(buf)?));
+    let [l0, l1, x0, x1] = take(buf)?;
+    let (len, exc) = (u16::from_le_bytes([l0, l1]), usize::from(u16::from_le_bytes([x0, x1])));
     if usize::from(len) > VECTOR_SIZE || exc > usize::from(len) {
         return Err(FormatError::Corrupt("rd vector len/exceptions"));
     }
@@ -651,6 +742,36 @@ fn check_positions(positions: &[[u8; 2]], len: u16, what: &'static str) -> Resul
     Ok(())
 }
 
+/// Splits one vector off `buf` under its row-group's cut (`None`: ALP), the
+/// checks that size its payload included: the per-vector step of
+/// [`RowGroupView::parse`] (which then runs [`check_vector`]) and of
+/// [`BodyColumn::vector`], and the only code that makes a [`VectorView`].
+#[inline]
+fn split_vector<'a, F: AlpFloat>(
+    rd: Option<&RdCut>,
+    buf: &mut &'a [u8],
+) -> Result<VectorView<'a>, FormatError> {
+    Ok(match rd {
+        None => VectorView::Alp(split_alp_vector(buf)?),
+        Some(rd) => VectorView::Rd(split_rd_vector::<F>(rd, buf)?),
+    })
+}
+
+/// The rest of a vector's checks: its exception positions address live
+/// values, and an ALP vector's exponent and factor index the decoder's tables.
+fn check_vector<F: AlpFloat>(vector: &VectorView<'_>) -> Result<(), FormatError> {
+    match vector {
+        VectorView::Alp(v) => {
+            check_positions(v.exc.positions, v.len, "alp exception position")?;
+            if v.exponent > F::MAX_EXPONENT || v.factor > v.exponent {
+                return Err(FormatError::Corrupt("alp exponent/factor"));
+            }
+        }
+        VectorView::Rd(v) => check_positions(v.exc_positions, v.len, "rd exception position")?,
+    }
+    Ok(())
+}
+
 impl<'a, F: AlpFloat> RowGroupView<'a, F> {
     /// Parses and validates the row-group at the head of `buf` (inverse of
     /// [`write_rowgroup`]); bytes past it are kept as [`RowGroupView::rest`].
@@ -666,22 +787,9 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
         let body = cur;
         let mut len = 0usize;
         for _ in 0..vectors {
-            len += match &rd {
-                None => {
-                    let v = split_alp_vector(&mut cur)?;
-                    check_positions(v.exc.positions, v.len, "alp exception position")?;
-                    // The decoder indexes its power-of-ten tables with these.
-                    if v.exponent > F::MAX_EXPONENT || v.factor > v.exponent {
-                        return Err(FormatError::Corrupt("alp exponent/factor"));
-                    }
-                    v.len()
-                }
-                Some(rd) => {
-                    let v = split_rd_vector::<F>(rd, &mut cur)?;
-                    check_positions(v.exc_positions, v.len, "rd exception position")?;
-                    v.len()
-                }
-            };
+            let vector = split_vector::<F>(rd.as_ref(), &mut cur)?;
+            check_vector::<F>(&vector)?;
+            len += vector.len();
         }
         let payload = body.get(..body.len() - cur.len()).unwrap_or(body);
         Ok(Self { rd, vectors, len, payload, rest: cur, _float: core::marker::PhantomData })
@@ -742,10 +850,7 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
     /// validated, so every vector is delivered.
     pub fn vectors(&self) -> impl Iterator<Item = VectorView<'a>> + use<'a, F> {
         let (rd, mut cur) = (self.rd, self.payload);
-        (0..self.vectors).map_while(move |_| match &rd {
-            None => split_alp_vector(&mut cur).ok().map(VectorView::Alp),
-            Some(rd) => split_rd_vector::<F>(rd, &mut cur).ok().map(VectorView::Rd),
-        })
+        (0..self.vectors).map_while(move |_| split_vector::<F>(rd.as_ref(), &mut cur).ok())
     }
 
     /// Appends the row-group's values to `out`, one reservation of exactly
@@ -1164,6 +1269,53 @@ mod tests {
         let salvage = from_bytes_salvage_parallel::<f64>(&clean[..s + (e - s) / 2], 1).unwrap();
         assert!(salvage.lost_rowgroups.contains(&11));
         assert!(salvage.column.rowgroups.len() <= 11);
+    }
+
+    /// A [`BodyColumn`] over one body per slice of `rowgroups`.
+    fn body_column(rowgroups: &[&[f64]]) -> BodyColumn<f64> {
+        let compressor = Compressor::new();
+        let mut scratch = crate::rowgroup::EncodeScratch::default();
+        let mut stats = crate::sampler::SamplerStats::default();
+        let bodies = rowgroups.iter().map(|values| {
+            let mut body = Vec::new();
+            compressor.encode_rowgroup_body(values, &mut body, &mut scratch, &mut stats);
+            body
+        });
+        BodyColumn::from_bodies(bodies.collect()).expect("bodies this process wrote")
+    }
+
+    #[test]
+    fn vector_random_access_matches_full_decode() {
+        let decimals: Vec<f64> = (0..5000).map(|i| (i as f64) * 0.5).collect();
+        let reals: Vec<f64> = (0..2100).map(|i| ((i as f64) * 0.271).sin() * 2e-5).collect();
+        let column = body_column(&[&decimals, &reals]);
+        assert!(matches!(column.vector(0), Some(VectorView::Alp(_))));
+        assert!(matches!(column.vector(5), Some(VectorView::Rd(_))));
+        let mut buf = vec![0.0f64; VECTOR_SIZE];
+        // A full vector, the short last one of each body, and the first
+        // vector of the second body.
+        let cases = [
+            (2, &decimals[2048..3072]),
+            (4, &decimals[4096..]),
+            (5, &reals[..1024]),
+            (7, &reals[2048..]),
+        ];
+        for (v, want) in cases {
+            let n = column.vector(v).expect("in range").decode(&mut buf);
+            assert_bit_exact(want, &buf[..n]);
+        }
+    }
+
+    #[test]
+    fn vectors_are_numbered_across_bodies_and_none_past_the_last() {
+        let data: Vec<f64> = (0..5000).map(|i| (i as f64) * 0.5).collect();
+        let column = body_column(&[&data, &data[..2100]]);
+        assert_eq!(column.vector_count(), 8);
+        assert_eq!(column.vector(4).map(|v| v.len()), Some(5000 - 4096));
+        assert_eq!(column.vector(5).map(|v| v.len()), Some(1024));
+        assert_eq!(column.vector(7).map(|v| v.len()), Some(2100 - 2048));
+        assert!(column.vector(8).is_none());
+        assert!(body_column(&[]).vector(0).is_none());
     }
 
     #[test]

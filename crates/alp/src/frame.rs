@@ -459,7 +459,7 @@ pub struct Salvaged<T> {
 }
 
 /// The random-access walker over a trailing-placement region: delimits up
-/// to `max_frames` data frames serially ([`locate`]), runs `decode` — which
+/// to `max_frames` data frames serially (`locate`), runs `decode` — which
 /// must verify the frame it is handed — over them on up to `threads` morsel
 /// workers, then applies [`repair_group`] to every parity group and decodes
 /// each rebuilt frame through the same closure. The result is identical at

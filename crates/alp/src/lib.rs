@@ -72,7 +72,7 @@ pub use fastlanes::tier;
 pub use frame::ParityConfig;
 pub use par::MorselFailure;
 pub use pipeline::{IngestError, PipelineConfig, PipelinedColumnWriter};
-pub use rowgroup::{AlpGroup, Compressed, Compressor, RowGroup, Scheme, VectorIndexError};
+pub use rowgroup::{AlpGroup, Compressed, Compressor, RowGroup, Scheme};
 pub use sampler::{Combination, ConfigError, SamplerParams, SamplerStats};
 pub use traits::AlpFloat;
 

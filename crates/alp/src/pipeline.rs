@@ -19,7 +19,7 @@
 //! 1. **Ordered commit.** Frames reach the sink strictly in row-group
 //!    sequence order, whole, so the `"ALPT"` layout — header, frames,
 //!    terminator, commit footer — is byte-identical to the serial
-//!    [`ColumnWriter`](crate::stream::ColumnWriter) at every thread count
+//!    [`ColumnWriter`] at every thread count
 //!    and pipeline depth. Both paths share one values → frame encoder
 //!    ([`crate::stream`]'s `encode_frames`), so identity holds by
 //!    construction, not by luck.
@@ -35,7 +35,7 @@
 //!    already recovers.
 //!
 //! Transient sink faults are absorbed by the inner writer's
-//! [`RetryPolicy`](crate::io::RetryPolicy) exactly as in the serial path:
+//! [`RetryPolicy`] exactly as in the serial path:
 //! all sink I/O stays on the caller thread.
 //!
 //! # Example
@@ -85,7 +85,7 @@ pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
 pub struct PipelineConfig {
     /// Total threads the ingest path may use, caller thread included.
     /// `<= 1` disables the pool: the writer degrades to the serial
-    /// [`ColumnWriter`](crate::stream::ColumnWriter) inline path.
+    /// [`ColumnWriter`] inline path.
     pub threads: usize,
     /// Maximum row-groups in flight (queued or compressing). Clamped to at
     /// least 1; a full pipeline blocks `push` until a frame commits.
@@ -334,7 +334,7 @@ fn encode_contained<F: AlpFloat>(
 }
 
 /// Double-buffered, pool-backed column writer: same stream bytes as
-/// [`ColumnWriter`](crate::stream::ColumnWriter), with row-group N
+/// [`ColumnWriter`], with row-group N
 /// compressing while row-group N+1 fills. See the module docs for the
 /// ordering, back-pressure, and fault contract.
 pub struct PipelinedColumnWriter<F: AlpFloat, W: Write> {

@@ -393,7 +393,7 @@ impl RdEncoder {
         exceptions
     }
 
-    /// [`RdEncoder::encode_vector`] into a fresh owned vector.
+    /// `RdEncoder::encode_vector` into a fresh owned vector.
     pub fn encode_owned<F: AlpFloat>(&self, input: &[F]) -> RdVector {
         let mut packed_codes = vec![0u64; packed_len(usize::from(self.cut.code_width))];
         let mut packed_right = vec![0u64; packed_len(usize::from(self.cut.right_width::<F>()))];

@@ -6,11 +6,12 @@
 //! (`Compressor::plan_rowgroup`) and the same per-vector kernels
 //! (`encode::encode_vector_with`, `rd::RdEncoder::encode_vector`), which
 //! differ only in where a vector lands: [`Compressor::compress`] builds an
-//! owned [`RowGroup`] (what `vectorq` and the registry codec hold and query),
+//! owned [`RowGroup`] (what the registry codec holds),
 //! [`Compressor::encode_rowgroup_body`] appends the serialized body to a byte
 //! buffer, packing every block's words straight into it
 //! ([`crate::format::encode_alp_body`] / [`crate::format::encode_rd_body`]) —
-//! the stream writers' path, which builds no `RowGroup` at all.
+//! the path of the stream writers and of the query engine's column
+//! (`vectorq`), which builds no `RowGroup` at all.
 
 #![deny(
     clippy::unwrap_used,
@@ -24,10 +25,7 @@
 
 use fastlanes::VECTOR_SIZE;
 
-use crate::decode::{
-    decode_vector, scan_decoded, scan_vector, sum_decoded_planned, AlpVectorRef, BlockRoute,
-    VectorScan, VectorSum,
-};
+use crate::decode::decode_vector;
 use crate::encode::{encode_vector_into, AlpVector, ExcArena, ExcView, OwnedAlpVector};
 use crate::format::{encode_alp_body, encode_rd_body};
 use crate::rd::{choose_cut_with, decode_rd_vector, RdEncoder, RdMeta, RdVector};
@@ -35,42 +33,6 @@ use crate::sampler::{
     prefers_rd, rd_cap, second_level, Combination, ConfigError, Level1, SamplerParams, SamplerStats,
 };
 use crate::traits::AlpFloat;
-
-/// An out-of-range `(rowgroup, vector)` coordinate passed to
-/// [`Compressed::try_decompress_vector`], naming the failing axis and the
-/// live count on that axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VectorIndexError {
-    /// The row-group index was `index` but the column has `count` row-groups.
-    RowGroup {
-        /// Requested row-group index.
-        index: usize,
-        /// Number of row-groups in the column.
-        count: usize,
-    },
-    /// The vector index was `index` but the row-group has `count` vectors.
-    Vector {
-        /// Requested vector index.
-        index: usize,
-        /// Number of vectors in the addressed row-group.
-        count: usize,
-    },
-}
-
-impl core::fmt::Display for VectorIndexError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::RowGroup { index, count } => {
-                write!(f, "row-group index {index} out of range (column has {count} row-groups)")
-            }
-            Self::Vector { index, count } => {
-                write!(f, "vector index {index} out of range (row-group has {count} vectors)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for VectorIndexError {}
 
 /// Which encoding a row-group uses (§3.4: the decision is per row-group).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,103 +237,6 @@ impl<F: AlpFloat> Compressed<F> {
         }
         out
     }
-
-    /// Locates vector (`rowgroup`, `vector`) — the one index check behind
-    /// every per-vector entry point.
-    fn vector_at(
-        &self,
-        rowgroup: usize,
-        vector: usize,
-    ) -> Result<StoredVector<'_>, VectorIndexError> {
-        let rg = self
-            .rowgroups
-            .get(rowgroup)
-            .ok_or(VectorIndexError::RowGroup { index: rowgroup, count: self.rowgroups.len() })?;
-        let out_of_range = |count| VectorIndexError::Vector { index: vector, count };
-        match rg {
-            RowGroup::Alp(g) => {
-                let v = g.vectors.get(vector).ok_or(out_of_range(g.vectors.len()))?;
-                Ok(StoredVector::Alp(v, g.view(v)))
-            }
-            RowGroup::Rd(meta, vs) => {
-                Ok(StoredVector::Rd(vs.get(vector).ok_or(out_of_range(vs.len()))?, meta))
-            }
-        }
-    }
-
-    /// Decompresses a single vector (`rowgroup`, `vector`) into `out`
-    /// (≥ 1024 elements); returns the live count, or a typed
-    /// [`VectorIndexError`] naming the out-of-range axis. This is the
-    /// skip-friendly access path that block-based compressors cannot offer.
-    pub fn try_decompress_vector(
-        &self,
-        rowgroup: usize,
-        vector: usize,
-        out: &mut [F],
-    ) -> Result<usize, VectorIndexError> {
-        Ok(match self.vector_at(rowgroup, vector)? {
-            StoredVector::Alp(v, exc) => decode_vector(v, exc, out),
-            StoredVector::Rd(v, meta) => decode_rd_vector(v, meta, out),
-        })
-    }
-
-    /// Fused scan of a single vector (`rowgroup`, `vector`): aggregates the
-    /// values matching `lo..=hi` plus validity/selection bitmaps without
-    /// materializing the decoded vector. ALP vectors run the fused
-    /// unpack→FOR→patch→predicate→aggregate kernel; ALP_rd vectors (no
-    /// decimal fast path) decode into `buf` (≥ 1024 elements) and scan that.
-    /// Either way the result is bit-identical to
-    /// [`Compressed::try_decompress_vector`] followed by [`scan_decoded`].
-    pub fn try_scan_vector(
-        &self,
-        rowgroup: usize,
-        vector: usize,
-        lo: F,
-        hi: F,
-        with_minmax: bool,
-        buf: &mut [F],
-    ) -> Result<VectorScan<F>, VectorIndexError> {
-        Ok(match self.vector_at(rowgroup, vector)? {
-            StoredVector::Alp(v, exc) => scan_vector(v, exc, lo, hi, with_minmax),
-            StoredVector::Rd(v, meta) => {
-                let n = decode_rd_vector(v, meta, buf);
-                let mut scan = VectorScan::empty(n);
-                scan_decoded(buf.get(..n).unwrap_or(&[]), lo, hi, with_minmax, &mut scan);
-                scan
-            }
-        })
-    }
-
-    /// Aggregate-only form of [`Compressed::try_scan_vector`] — the same
-    /// sum, match count and NaN count without bitmap words, planned block by
-    /// block by `route` ([`AlpVectorRef::sum_planned`] /
-    /// [`sum_decoded_planned`], whose `band`, `may_hold_nan` and `route` this
-    /// passes through; `may_hold_nan` matters only to ALP_rd vectors, whose
-    /// NaNs are found by testing the decoded values, and an ALP_rd vector is
-    /// decoded whole before the route applies).
-    pub fn try_sum_vector(
-        &self,
-        rowgroup: usize,
-        vector: usize,
-        band: Option<(F, F)>,
-        may_hold_nan: bool,
-        buf: &mut [F],
-        route: impl Fn(usize) -> BlockRoute<F>,
-    ) -> Result<VectorSum<F>, VectorIndexError> {
-        Ok(match self.vector_at(rowgroup, vector)? {
-            StoredVector::Alp(v, exc) => AlpVectorRef::owned(v, exc).sum_planned(band, route),
-            StoredVector::Rd(v, meta) => {
-                let n = decode_rd_vector(v, meta, buf);
-                sum_decoded_planned(buf.get(..n).unwrap_or(&[]), band, may_hold_nan, route)
-            }
-        })
-    }
-}
-
-/// One stored vector with what its decoder needs beside it.
-enum StoredVector<'a> {
-    Alp(&'a AlpVector, ExcView<'a>),
-    Rd(&'a RdVector, &'a RdMeta),
 }
 
 /// What encoding a row-group needs beside its values, reusable from one
@@ -627,21 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_random_access_matches_full_decode() {
-        let data: Vec<f64> = (0..5000).map(|i| (i as f64) * 0.5).collect();
-        let c = Compressor::new().compress(&data);
-        let full = c.decompress();
-        let mut buf = vec![0.0f64; VECTOR_SIZE];
-        let n = c.try_decompress_vector(0, 2, &mut buf).unwrap();
-        assert_eq!(n, 1024);
-        assert_eq!(&full[2048..2048 + n], &buf[..n]);
-        // Last, short vector.
-        let n_last = c.try_decompress_vector(0, 4, &mut buf).unwrap();
-        assert_eq!(n_last, 5000 - 4096);
-        assert_eq!(&full[4096..], &buf[..n_last]);
-    }
-
-    #[test]
     fn with_params_rejects_zero_counts() {
         let p = SamplerParams { vectors_per_rowgroup: 0, ..SamplerParams::default() };
         let err = Compressor::with_params(p).unwrap_err();
@@ -697,22 +547,6 @@ mod tests {
             let one = comp.compress_parallel(&[42.5f64], threads);
             assert_eq!(one.decompress_parallel(threads), vec![42.5]);
         }
-    }
-
-    #[test]
-    fn try_decompress_vector_reports_out_of_range_axes() {
-        let data: Vec<f64> = (0..5000).map(|i| (i as f64) * 0.5).collect();
-        let c = Compressor::new().compress(&data);
-        let mut buf = vec![0.0f64; VECTOR_SIZE];
-        assert_eq!(c.try_decompress_vector(0, 2, &mut buf), Ok(1024));
-        assert_eq!(
-            c.try_decompress_vector(3, 0, &mut buf),
-            Err(VectorIndexError::RowGroup { index: 3, count: 1 })
-        );
-        assert_eq!(
-            c.try_decompress_vector(0, 5, &mut buf),
-            Err(VectorIndexError::Vector { index: 5, count: 5 })
-        );
     }
 
     #[test]

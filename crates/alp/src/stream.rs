@@ -6,7 +6,7 @@
 //! "ALPF" | values:u64 | rowgroups:u32 | xxh64:u64            (commit footer)
 //! ```
 //!
-//! Each [frame](crate::frame) holds one serialized row-group (see
+//! Each [frame] holds one serialized row-group (see
 //! [`crate::format`]) — the writer encodes a row-group's values straight into
 //! its frame's bytes (`encode_frames`; no owned `RowGroup` in between, and no
 //! allocation once its buffers are warm), and reports what the encoder
@@ -25,7 +25,7 @@
 //! stream from one whose writer died mid-row-group: a torn write can never
 //! fabricate the footer's magic, counts, and checksum. Both ends absorb
 //! *transient* I/O faults under a bounded
-//! [`RetryPolicy`](crate::io::RetryPolicy) and surface hard faults as
+//! [`RetryPolicy`] and surface hard faults as
 //! [`StreamError::Io`]; see [`crate::io`] for the taxonomy.
 //!
 //! Legacy `"ALPS"` streams (no per-frame `xxh64`, no commit footer) are still

@@ -3,6 +3,7 @@
 //! time and handed to a consumer — the Tectorwise setup, without its zone
 //! maps or error paths, because the harness compresses its own bytes.
 
+use alp::format::BodyColumn;
 use alp::VECTOR_SIZE;
 use alp_core::{ColumnCodec, Registry, Scratch};
 
@@ -21,8 +22,8 @@ pub const SCHEMES: [&str; 8] =
 pub enum Stored {
     /// Plain values, read in place.
     Raw(Vec<f64>),
-    /// ALP's compressed form, decoded one vector at a time.
-    Alp(alp::Compressed<f64>),
+    /// ALP's row-group bodies, decoded one vector at a time in place.
+    Alp(BodyColumn<f64>),
     /// A registry codec's bytes: one chunk per vector, or per row-group for
     /// a block-based codec, which must inflate a whole block to read any of it.
     Codec(&'static dyn ColumnCodec, Vec<(Vec<u8>, usize)>),
@@ -33,7 +34,17 @@ impl Stored {
     pub fn new(id: &str, data: &[f64]) -> Self {
         match id {
             "raw" => Stored::Raw(data.to_vec()),
-            "alp" => Stored::Alp(alp::Compressor::new().compress(data)),
+            "alp" => {
+                let compressor = alp::Compressor::new();
+                let mut scratch = alp::rowgroup::EncodeScratch::default();
+                let mut stats = alp::SamplerStats::default();
+                let bodies = data.chunks(ROWGROUP_VALUES).map(|rowgroup| {
+                    let mut body = Vec::new();
+                    compressor.encode_rowgroup_body(rowgroup, &mut body, &mut scratch, &mut stats);
+                    body
+                });
+                Stored::Alp(BodyColumn::from_bodies(bodies.collect()).expect("bodies just encoded"))
+            }
             _ => {
                 let codec = Registry::get(id).expect("a registered codec");
                 let chunk = if codec.caps().block_based { ROWGROUP_VALUES } else { VECTOR_SIZE };
@@ -56,7 +67,7 @@ impl Stored {
     pub fn compressed_bytes(&self) -> usize {
         match self {
             Stored::Raw(values) => values.len() * 8,
-            Stored::Alp(c) => c.compressed_bits() / 8,
+            Stored::Alp(c) => c.bodies().iter().map(Vec::len).sum(),
             Stored::Codec(_, chunks) => chunks.iter().map(|(bytes, _)| bytes.len()).sum(),
         }
     }
@@ -81,14 +92,16 @@ impl Stored {
     /// buffers; partials are added at the join barrier (at one thread: one
     /// running total in vector order).
     fn fold_vectors(&self, threads: usize, consume: impl Fn(&[f64]) -> f64 + Sync) -> f64 {
-        let len = match self {
-            Stored::Raw(values) => values.len(),
-            Stored::Alp(c) => c.len,
-            Stored::Codec(_, chunks) => chunks.iter().map(|&(_, n)| n).sum(),
+        let morsels = match self {
+            Stored::Raw(values) => values.len().div_ceil(ROWGROUP_VALUES),
+            Stored::Alp(c) => c.vector_count().div_ceil(ROWGROUP_VECTORS),
+            Stored::Codec(_, chunks) => {
+                chunks.iter().map(|&(_, n)| n).sum::<usize>().div_ceil(ROWGROUP_VALUES)
+            }
         };
         let (.., total) = alp::par::fold_morsels(
             threads.max(1),
-            len.div_ceil(ROWGROUP_VALUES),
+            morsels,
             || (Scratch::new(), vec![0.0; VECTOR_SIZE], 0.0),
             |(scratch, buf, acc), m| match self {
                 Stored::Raw(values) => {
@@ -96,8 +109,9 @@ impl Stored {
                     morsel.chunks(VECTOR_SIZE).for_each(|v| *acc += consume(v));
                 }
                 Stored::Alp(c) => {
-                    for vector in 0..c.rowgroups[m].vector_count() {
-                        let n = c.try_decompress_vector(m, vector, buf).expect("in range");
+                    let first = m * ROWGROUP_VECTORS;
+                    for v in first..(first + ROWGROUP_VECTORS).min(c.vector_count()) {
+                        let n = c.vector(v).expect("in range").decode(buf);
                         *acc += consume(&buf[..n]);
                     }
                 }

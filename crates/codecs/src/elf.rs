@@ -110,7 +110,7 @@ pub fn compress(data: &[f64]) -> Vec<u8> {
 /// stream; the call is allocation-free once both buffers have capacity.
 ///
 /// Checked hazards: the flag-stream length prefix (can claim more bytes than
-/// exist), flag-stream exhaustion, precision values past [`MAX_ALPHA`], and
+/// exist), flag-stream exhaustion, precision values past `MAX_ALPHA`, and
 /// whatever the Chimp back-end detects in the XOR stream.
 pub fn try_decompress_into(
     bytes: &[u8],

@@ -9,7 +9,7 @@
 //!
 //! The codec id is stored by name, so a reader needs no out-of-band schema to
 //! pick the right decoder — it looks the id up in the [`Registry`]. The
-//! payload follows cut into slices of at most [`SLICE_LEN`] bytes, each an
+//! payload follows cut into slices of at most `SLICE_LEN` bytes, each an
 //! [`alp::frame`] frame (`len | xxh64 | slice`) — the `"ALP2"` column's layout
 //! with a registry header and opaque bodies. Per-slice checksums *localize*
 //! damage; the header's whole-payload checksum stays as the end-to-end proof

@@ -2,7 +2,7 @@
 //!
 //! Each [`ColumnCodec`] value in [`crate::impls`] — a unit-struct
 //! implementation, or a `static` instance of an implementing type such as
-//! [`impls::Baseline`] — appears exactly once in [`ENTRIES`], one literal per
+//! [`impls::Baseline`] — appears exactly once in `ENTRIES`, one literal per
 //! line.
 
 use crate::codec::ColumnCodec;

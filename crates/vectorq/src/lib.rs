@@ -1,18 +1,21 @@
 //! The query engine behind `alp query` and the benchmark, in the style of
 //! Tectorwise (Kersten et al., VLDB'18): one `f64` column, stored raw or as
-//! ALP in row-groups of 100 × 1024 values, with a [`ZoneMap`] per vector.
+//! ALP row-group bodies of 100 × 1024 values (an [`alp::format::BodyColumn`],
+//! the bytes an `"ALPT"` stream's frames hold, read in place), with a
+//! [`ZoneMap`] per vector.
 //!
 //! Its one aggregate is the predicated sum, [`Column::sum_where`]: a vector
 //! the zone maps rule out is skipped, one inside the band is answered from
 //! its zone map's stored sum, and the rest are summed one vector at a time —
-//! in the compressed domain on ALP, in place on raw values — block by block
-//! as their block zones plan it: a 64-value block outside the band is not
-//! decoded, one inside it folds its stored sum. The [`service`]
-//! runs the same sum page by page on concurrent workers behind admission,
-//! deadlines, a resident page set ([`cache`]) and quarantine, and the
-//! [`scrub`]ber re-verifies quarantined pages. Parallel work goes through the
-//! workspace's morsel scheduler, [`alp::par`], which also builds the column in
-//! [`Column::from_f64_parallel`].
+//! in the compressed domain on ALP ([`alp::format::VectorView::sum_planned`]),
+//! in place on raw values — block by block as their block zones plan it: a
+//! 64-value block outside the band is not decoded, one inside it folds its
+//! stored sum. The [`service`] runs the same sum page by page on concurrent
+//! workers behind admission, deadlines, a resident page set ([`cache`]) and
+//! quarantine, and the [`scrub`]ber re-verifies quarantined pages. Parallel
+//! work goes through the workspace's morsel scheduler, [`alp::par`], which
+//! also builds the column in [`Column::from_f64_parallel`]: one pass, each
+//! row-group's body and zones on one worker.
 //!
 //! The paper's whole-column SCAN and SUM over every codec (Table 6, Fig. 6)
 //! are the benchmark harness's (`crates/bench`), not this engine's.
@@ -24,6 +27,7 @@ pub mod service;
 use core::ops::Range;
 
 use alp::decode::{block_sum_all, SUM_LANES};
+use alp::format::BodyColumn;
 use alp::BlockRoute;
 use alp_core::Scratch;
 use fastlanes::bitpack::BLOCK;
@@ -63,7 +67,7 @@ impl Format {
 
 enum Storage {
     Uncompressed(Vec<f64>),
-    Alp(alp::Compressed<f64>),
+    Alp(BodyColumn<f64>),
 }
 
 /// Per-vector statistics enabling predicate push-down: a vector whose range
@@ -327,16 +331,6 @@ pub enum VectorAccessError {
         /// Number of vectors in the column.
         vectors: usize,
     },
-    /// ALP storage rejected the `(rowgroup, vector)` coordinate.
-    Index(alp::VectorIndexError),
-    /// ALP storage decoded more values than a vector holds — the stored
-    /// vector is internally inconsistent.
-    Truncated {
-        /// Requested global vector index.
-        vector: usize,
-        /// Values the decoder reported.
-        decoded: usize,
-    },
 }
 
 impl core::fmt::Display for VectorAccessError {
@@ -345,23 +339,20 @@ impl core::fmt::Display for VectorAccessError {
             Self::OutOfRange { vector, vectors } => {
                 write!(f, "vector index {vector} out of range (column has {vectors} vectors)")
             }
-            Self::Index(e) => write!(f, "{e}"),
-            Self::Truncated { vector, decoded } => {
-                write!(f, "vector {vector} decoded to {decoded} values, more than a vector holds")
-            }
         }
     }
 }
 
 impl std::error::Error for VectorAccessError {}
 
-/// The one seam where a decode failure becomes a panic. [`Column`]'s
-/// whole-column operators keep infallible signatures because their bytes were
-/// compressed in-process by the constructor, so a failure here is a codec
-/// bug, not bad input; everything that reads by caller-supplied index (the
-/// service, the scrubber, the `try_` accessors) stays on the `Result`.
-pub(crate) fn trusted<T>(decoded: Result<T, VectorAccessError>) -> T {
-    decoded.expect("decoding bytes this column compressed in-process")
+/// The one seam where a failure on the column's own bytes becomes a panic.
+/// [`Column`]'s constructor and whole-column operators keep infallible
+/// signatures because the constructor compressed those bytes in-process, so
+/// a failure here is a codec bug, not bad input; everything that reads by
+/// caller-supplied index (the service, the scrubber, the `try_` accessors)
+/// stays on the `Result`.
+pub(crate) fn trusted<T, E: core::fmt::Debug>(result: Result<T, E>) -> T {
+    result.expect("bytes this column compressed in-process")
 }
 
 /// Lends `f` the scratch's float buffer, grown to one vector — where ALP_rd
@@ -391,29 +382,41 @@ impl Column {
         Self::from_f64_parallel(data, format, 1)
     }
 
-    /// Like [`Column::from_f64`], but compresses on up to `threads`
-    /// morsel-claiming workers through the shared [`alp::par`] scheduler.
-    /// The stored bytes are identical to the serial constructor's at every
-    /// thread count: row-group boundaries, not thread count, define the
-    /// encoding units.
+    /// Like [`Column::from_f64`], in one pass on up to `threads` workers of
+    /// the shared [`alp::par`] scheduler: a morsel is a row-group, whose body
+    /// ([`alp::Compressor::encode_rowgroup_body`] into the worker's buffer,
+    /// copied out at its exact size), zone maps and block zones its worker
+    /// builds. The bodies are those of an `"ALPT"` stream of the same values
+    /// at every thread count: row-groups, not threads, are the encoding units.
     pub fn from_f64_parallel(data: &[f64], format: Format, threads: usize) -> Self {
-        let storage = match format {
-            Format::Uncompressed => Storage::Uncompressed(data.to_vec()),
-            Format::Alp => Storage::Alp(alp::Compressor::new().compress_parallel(data, threads)),
-        };
-        // One row-group of zone maps and block zones per morsel, on the same
-        // workers.
-        let rowgroups = data.len().div_ceil(ROWGROUP_VALUES);
-        let zones = alp::par::map_morsels(
+        let compressor = alp::Compressor::new();
+        let morsels = alp::par::map_morsels(
             threads,
-            rowgroups,
-            || (),
-            |_, m| {
+            data.len().div_ceil(ROWGROUP_VALUES),
+            Default::default,
+            |(scratch, body, stats): &mut (_, Vec<u8>, _), m| {
                 let rowgroup = data.chunks(ROWGROUP_VALUES).nth(m).unwrap_or_default();
-                rowgroup.chunks(VECTOR_SIZE).map(ZoneMap::with_blocks).collect::<Vec<_>>()
+                let stored = (format == Format::Alp).then(|| {
+                    body.clear();
+                    compressor.encode_rowgroup_body(rowgroup, body, scratch, stats);
+                    body.clone()
+                });
+                (stored, rowgroup.chunks(VECTOR_SIZE).map(ZoneMap::with_blocks).collect::<Vec<_>>())
             },
         );
-        let (zone_maps, block_zones) = zones.into_iter().flatten().unzip();
+        let vectors = data.len().div_ceil(VECTOR_SIZE);
+        let (mut zone_maps, mut block_zones) =
+            (Vec::with_capacity(vectors), Vec::with_capacity(vectors));
+        let mut bodies = Vec::with_capacity(morsels.len());
+        for (body, zones) in morsels {
+            bodies.extend(body);
+            zone_maps.extend(zones.iter().map(|&(zone, _)| zone));
+            block_zones.extend(zones.into_iter().map(|(_, blocks)| blocks));
+        }
+        let storage = match format {
+            Format::Uncompressed => Storage::Uncompressed(data.to_vec()),
+            Format::Alp => Storage::Alp(trusted(BodyColumn::from_bodies(bodies))),
+        };
         Self { storage, len: data.len(), zone_maps, block_zones }
     }
 
@@ -432,20 +435,26 @@ impl Column {
         self.len == 0
     }
 
-    /// Compressed footprint in bytes (payload only, as stored).
+    /// Stored footprint in bytes: 8 per raw value, or the ALP row-group
+    /// bodies' total length (an `"ALPT"` stream's frames without their
+    /// prefixes). Zone maps and block zones are not counted.
     pub fn compressed_bytes(&self) -> usize {
         match &self.storage {
             Storage::Uncompressed(v) => v.len() * 8,
-            Storage::Alp(c) => c.compressed_bits() / 8,
+            Storage::Alp(c) => c.bodies().iter().map(Vec::len).sum(),
         }
+    }
+
+    /// The error for vector index `v`, past the column.
+    fn out_of_range(&self, v: usize) -> VectorAccessError {
+        VectorAccessError::OutOfRange { vector: v, vectors: self.zone_maps.len() }
     }
 
     /// Vector `v` of raw storage, read in place.
     fn raw_vector<'a>(&self, values: &'a [f64], v: usize) -> Result<&'a [f64], VectorAccessError> {
         let start = v.saturating_mul(VECTOR_SIZE);
         let end = start.saturating_add(VECTOR_SIZE).min(values.len());
-        let vectors = self.zone_maps.len();
-        values.get(start..end).ok_or(VectorAccessError::OutOfRange { vector: v, vectors })
+        values.get(start..end).ok_or(self.out_of_range(v))
     }
 
     /// The one storage walker: hands every vector of `vectors` (global vector
@@ -459,9 +468,8 @@ impl Column {
         scratch: &mut Scratch,
         mut visit: impl FnMut(&[f64]),
     ) -> Result<(), VectorAccessError> {
-        let total = self.zone_maps.len();
-        if vectors.end > total {
-            return Err(VectorAccessError::OutOfRange { vector: vectors.end - 1, vectors: total });
+        if vectors.end > self.zone_maps.len() {
+            return Err(self.out_of_range(vectors.end - 1));
         }
         match &self.storage {
             Storage::Uncompressed(values) => {
@@ -471,13 +479,8 @@ impl Column {
             }
             Storage::Alp(c) => with_vector_buf(scratch, |buf| {
                 for v in vectors {
-                    let n = c
-                        .try_decompress_vector(v / ROWGROUP_VECTORS, v % ROWGROUP_VECTORS, buf)
-                        .map_err(VectorAccessError::Index)?;
-                    visit(
-                        buf.get(..n)
-                            .ok_or(VectorAccessError::Truncated { vector: v, decoded: n })?,
-                    );
+                    let n = c.vector(v).ok_or(self.out_of_range(v))?.decode(buf);
+                    visit(&buf[..n]);
                 }
                 Ok(())
             })?,
@@ -488,10 +491,11 @@ impl Column {
     /// [`Column::sum_where`] over a vector range (the service's fused page
     /// route is this over one page): every vector whose zone map overlaps
     /// `lo..=hi`, folded in vector order as [`Column::add_fused`] says — ALP
-    /// storage summed by [`alp::Compressed::try_sum_vector`] in the
-    /// compressed domain, raw values by [`alp::sum_decoded_planned`] in
-    /// place. Both fold the same canonical sum, so both storages fold
-    /// bit-identically, and neither builds bitmap words.
+    /// storage summed from its stored bytes in the compressed domain
+    /// ([`alp::format::VectorView::sum_planned`]), raw values by
+    /// [`alp::sum_decoded_planned`] in place. Both fold the same canonical
+    /// sum, so both storages fold bit-identically, and neither builds bitmap
+    /// words.
     pub(crate) fn try_sum_where_in(
         &self,
         vectors: Range<usize>,
@@ -499,11 +503,8 @@ impl Column {
         hi: f64,
         scratch: &mut Scratch,
     ) -> Result<FilteredSum, VectorAccessError> {
-        let range_zones =
-            self.zone_maps.get(vectors.clone()).ok_or(VectorAccessError::OutOfRange {
-                vector: vectors.end.saturating_sub(1),
-                vectors: self.zone_maps.len(),
-            })?;
+        let last = vectors.end.saturating_sub(1);
+        let range_zones = self.zone_maps.get(vectors.clone()).ok_or(self.out_of_range(last))?;
         let band = Some((lo, hi));
         let mut part = FilteredSum::zero();
         for (v, zone) in vectors.clone().zip(range_zones) {
@@ -511,11 +512,12 @@ impl Column {
                 continue;
             }
             self.add_fused(&mut part, v, lo, hi, |plan| match &self.storage {
-                Storage::Alp(c) => with_vector_buf(scratch, |buf| {
-                    let (rowgroup, vector) = (v / ROWGROUP_VECTORS, v % ROWGROUP_VECTORS);
-                    c.try_sum_vector(rowgroup, vector, band, zone.has_nan, buf, |b| plan.route(b))
-                })
-                .map_err(VectorAccessError::Index),
+                Storage::Alp(c) => {
+                    let vector = c.vector(v).ok_or(self.out_of_range(v))?;
+                    Ok(with_vector_buf(scratch, |buf| {
+                        vector.sum_planned(band, zone.has_nan, buf, |b| plan.route(b))
+                    }))
+                }
                 Storage::Uncompressed(values) => Ok(alp::sum_decoded_planned(
                     self.raw_vector(values, v)?,
                     band,
@@ -574,8 +576,7 @@ impl Column {
     /// Decompresses the vector with global index `vector_idx` into `out`
     /// (cleared first), staging through `scratch`, and returns the live
     /// count — the random-access form of the storage walker. Never panics:
-    /// out-of-range indices and inconsistent vectors come back as typed
-    /// [`VectorAccessError`]s.
+    /// an out-of-range index comes back as a typed [`VectorAccessError`].
     pub fn try_decompress_vector_at(
         &self,
         vector_idx: usize,
@@ -583,9 +584,8 @@ impl Column {
         scratch: &mut Scratch,
     ) -> Result<usize, VectorAccessError> {
         out.clear();
-        let vectors = self.zone_maps.len();
-        if vector_idx >= vectors {
-            return Err(VectorAccessError::OutOfRange { vector: vector_idx, vectors });
+        if vector_idx >= self.zone_maps.len() {
+            return Err(self.out_of_range(vector_idx));
         }
         self.try_walk(vector_idx..vector_idx + 1, scratch, |live| out.extend_from_slice(live))?;
         Ok(out.len())
@@ -604,17 +604,14 @@ impl Column {
         hi: f64,
         scratch: &mut Scratch,
     ) -> Result<Option<alp::VectorScan<f64>>, VectorAccessError> {
-        let vectors = self.zone_maps.len();
-        if vector_idx >= vectors {
-            return Err(VectorAccessError::OutOfRange { vector: vector_idx, vectors });
+        if vector_idx >= self.zone_maps.len() {
+            return Err(self.out_of_range(vector_idx));
         }
         let scan = match &self.storage {
-            Storage::Alp(c) => with_vector_buf(scratch, |buf| {
-                let (rowgroup, vector) =
-                    (vector_idx / ROWGROUP_VECTORS, vector_idx % ROWGROUP_VECTORS);
-                c.try_scan_vector(rowgroup, vector, lo, hi, false, buf)
-                    .map_err(VectorAccessError::Index)
-            })?,
+            Storage::Alp(c) => {
+                let vector = c.vector(vector_idx).ok_or(self.out_of_range(vector_idx))?;
+                with_vector_buf(scratch, |buf| vector.scan(lo, hi, false, buf))
+            }
             Storage::Uncompressed(values) => {
                 let live = self.raw_vector(values, vector_idx)?;
                 let mut scan = alp::VectorScan::empty(live.len());
@@ -638,21 +635,55 @@ mod tests {
         (0..n).map(|i| ((i % 5000) as f64) / 100.0).collect()
     }
 
+    /// What a column stores, byte for byte: its ALP row-group bodies, or its
+    /// raw values.
+    fn stored_bytes(column: &Column) -> Vec<Vec<u8>> {
+        match &column.storage {
+            Storage::Uncompressed(values) => {
+                vec![values.iter().flat_map(|x| x.to_le_bytes()).collect()]
+            }
+            Storage::Alp(c) => c.bodies().to_vec(),
+        }
+    }
+
+    /// The frame bodies of the `"ALPT"` stream `ColumnWriter` writes for
+    /// `data`, in order.
+    fn stream_bodies(data: &[f64]) -> Vec<Vec<u8>> {
+        let mut file = Vec::new();
+        let mut writer = alp::stream::ColumnWriter::<f64, _>::new(&mut file);
+        writer.push(data).unwrap();
+        writer.finish().unwrap();
+        let mut frames = &file[alp::stream::STREAM_MAGIC.len() + 1..]; // magic, width
+        let mut bodies = Vec::new();
+        while let Some((frame, rest)) = alp::frame::Frame::split(frames) {
+            bodies.push(frame.body.to_vec());
+            frames = rest;
+        }
+        bodies
+    }
+
     #[test]
     fn parallel_construction_is_identical_to_serial() {
         let data = sample_data(3 * ROWGROUP_VALUES + 700);
         for fmt in formats() {
             let serial = Column::from_f64(&data, fmt);
-            for threads in [1, 2, 7] {
+            let bytes = stored_bytes(&serial);
+            for threads in [1, 2, 4] {
                 let par = Column::from_f64_parallel(&data, fmt, threads);
                 let at = format!("{} t={threads}", fmt.name());
-                assert_eq!(par.compressed_bytes(), serial.compressed_bytes(), "{at}");
+                assert_eq!(stored_bytes(&par), bytes, "{at}");
                 assert_eq!(par.zone_maps(), serial.zone_maps(), "{at}");
                 assert_eq!(par.block_zones, serial.block_zones, "{at}");
                 let (a, b) = (par.sum_where(10.0, 30.0), serial.sum_where(10.0, 30.0));
                 assert_eq!(a, b, "{at}");
             }
+            let total: usize = bytes.iter().map(Vec::len).sum();
+            assert_eq!(serial.compressed_bytes(), total, "{}", fmt.name());
         }
+        // The engine holds exactly what a file of the same values holds.
+        let alp = stored_bytes(&Column::from_f64(&data, Format::alp()));
+        assert_eq!(alp.len(), 4);
+        assert_eq!(alp, stream_bodies(&data));
     }
 
     #[test]
@@ -807,6 +838,24 @@ mod tests {
         }
     }
 
+    /// Edits the stored bytes of ALP vector `v` of a one-row-group column:
+    /// `edit` gets the body from the vector's header on. The layout is
+    /// `alp::format`'s: a 5-byte body head, then per vector `e f width len:u16
+    /// base:i64 exc:u16`, 16 blocks of `width` words, 10 bytes per exception.
+    fn edit_alp_vector(column: &mut Column, v: usize, edit: impl FnOnce(&mut [u8])) {
+        let Storage::Alp(c) = &mut column.storage else { panic!("an ALP column") };
+        let mut bodies = c.bodies().to_vec();
+        let body = &mut bodies[0];
+        assert_eq!(body[0], alp::format::SCHEME_TAG_ALP, "decimal data encodes as ALP");
+        let mut at = 5;
+        for _ in 0..v {
+            let exceptions = u16::from_le_bytes([body[at + 13], body[at + 14]]);
+            at += 15 + 128 * usize::from(body[at + 2]) + 10 * usize::from(exceptions);
+        }
+        edit(&mut body[at..]);
+        *c = BodyColumn::from_bodies(bodies).expect("the edit keeps the body well-formed");
+    }
+
     /// Shifts every value of vector `v` in the stored payload, leaving its
     /// zone map as it was built.
     fn damage(column: &mut Column, v: usize) {
@@ -814,10 +863,10 @@ mod tests {
             Storage::Uncompressed(values) => {
                 values[v * VECTOR_SIZE..(v + 1) * VECTOR_SIZE].iter_mut().for_each(|x| *x += 0.01);
             }
-            Storage::Alp(c) => match &mut c.rowgroups[v / ROWGROUP_VECTORS] {
-                alp::RowGroup::Alp(group) => group.vectors[v % ROWGROUP_VECTORS].for_base += 1,
-                alp::RowGroup::Rd(..) => panic!("decimal data encodes as ALP"),
-            },
+            Storage::Alp(_) => edit_alp_vector(column, v, |vector| {
+                let base = i64::from_le_bytes(vector[5..13].try_into().unwrap());
+                vector[5..13].copy_from_slice(&(base + 1).to_le_bytes());
+            }),
         }
     }
 
@@ -876,14 +925,12 @@ mod tests {
         let at = |block: usize| v * VECTOR_SIZE + block * BLOCK;
         match &mut column.storage {
             Storage::Uncompressed(values) => values.copy_within(at(from)..at(from) + BLOCK, at(to)),
-            Storage::Alp(c) => match &mut c.rowgroups[v / ROWGROUP_VECTORS] {
-                alp::RowGroup::Alp(group) => {
-                    let vector = &mut group.vectors[v % ROWGROUP_VECTORS];
-                    let width = vector.bit_width as usize;
-                    vector.packed.copy_within(from * width..(from + 1) * width, to * width);
-                }
-                alp::RowGroup::Rd(..) => panic!("decimal data encodes as ALP"),
-            },
+            Storage::Alp(_) => edit_alp_vector(column, v, |vector| {
+                // Block `b`'s words follow the 15 header bytes at `8 width b`.
+                let block_bytes = 8 * usize::from(vector[2]);
+                let at = |block: usize| 15 + block * block_bytes;
+                vector.copy_within(at(from)..at(from) + block_bytes, at(to));
+            }),
         }
     }
 

@@ -50,10 +50,10 @@ fn main() {
 
     // The push-down story: touching ONE vector.
     println!("touching a single 1024-value vector in the middle of the column:");
-    let alp_col = alp::Compressor::new().compress(&data);
-    let mut buf = vec![0.0f64; alp::VECTOR_SIZE];
+    let alp_col = Column::from_f64(&data, Format::alp());
+    let (mut buf, mut scratch) = (Vec::with_capacity(alp::VECTOR_SIZE), alp_core::Scratch::new());
     let t0 = Instant::now();
-    let n = alp_col.try_decompress_vector(40, 50, &mut buf).expect("in range");
+    let n = alp_col.try_decompress_vector_at(4050, &mut buf, &mut scratch).expect("in range");
     let alp_us = t0.elapsed().as_secs_f64() * 1e6;
     println!("  ALP   : decompress exactly {n} values          -> {alp_us:>8.1} us");
 

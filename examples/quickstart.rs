@@ -5,7 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use alp::{format, Compressor};
+use alp::format::{self, BodyColumn};
+use alp::Compressor;
 
 fn main() {
     // A million "prices": decimals with 2 digits — typical database doubles.
@@ -35,8 +36,14 @@ fn main() {
     assert!(prices.iter().zip(&output).all(|(a, b)| a.to_bits() == b.to_bits()));
     println!("roundtrip         : bit-exact ✓");
 
-    // Vector-level random access: decompress only vector 500 of row-group 2.
+    // Vector-level random access: a row-group's body (the bytes a file's
+    // frame holds) decodes any one of its vectors without touching the rest.
+    let mut body = Vec::new();
+    let (mut scratch, mut stats) = (Default::default(), Default::default());
+    let rowgroup = &prices[..100 * alp::VECTOR_SIZE];
+    Compressor::new().encode_rowgroup_body(rowgroup, &mut body, &mut scratch, &mut stats);
+    let column = BodyColumn::<f64>::from_bodies(vec![body]).expect("a body just encoded");
     let mut buffer = vec![0.0f64; alp::VECTOR_SIZE];
-    let n = restored.try_decompress_vector(2, 50, &mut buffer).expect("in range");
-    println!("random access     : vector (rg=2, v=50) -> {n} values, first = {}", buffer[0]);
+    let n = column.vector(50).expect("in range").decode(&mut buffer);
+    println!("random access     : vector 50 of row-group 0 -> {n} values, first = {}", buffer[0]);
 }

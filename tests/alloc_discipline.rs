@@ -8,10 +8,11 @@
 //!   except the gpzip modes — their entropy stages build per-block Huffman /
 //!   match tables on the heap by design, which is why `Capabilities::
 //!   block_based` exists and why they are excluded here;
-//! * ALP's per-vector random access (`Compressed::try_decompress_vector`), the
-//!   skip-friendly path the paper's query engine relies on. ALP's registry
-//!   `try_decompress_into` parses the checksummed column format first, and
-//!   building that column index allocates once per *column*, not per vector.
+//! * ALP's per-vector random access (`BodyColumn::vector` → `decode`, straight
+//!   from a row-group body's bytes), the skip-friendly path the paper's query
+//!   engine relies on. ALP's registry `try_decompress_into` parses the
+//!   checksummed column format first, and building that column index
+//!   allocates once per *column*, not per vector.
 //!
 //! * the scan kernels and the SUM route above them: no kernel stages through
 //!   the heap (not even the unsorted-exception fallback, reachable from wire
@@ -34,6 +35,11 @@
 //! * the bulk write: `Compressor::compress{,_parallel}` builds owned
 //!   row-groups (so it allocates per vector), but its encoding scratch is one
 //!   per worker, not one per row-group.
+//!
+//! * the query engine's column build: `vectorq::Column::from_f64` encodes each
+//!   row-group straight into its body, so a row-group costs the same few
+//!   allocation events whatever its scheme and however many vectors and
+//!   exceptions it holds.
 //!
 //! The same allocator also gauges the largest single request, which pins the
 //! other half of the discipline: no reader sizes a buffer from a length or a
@@ -90,15 +96,18 @@ fn registry_decompression_is_allocation_free_after_warmup() {
 fn alp_per_vector_decode_is_allocation_free_after_warmup() {
     let vectors = 6;
     let data = sample(vectors * alp::VECTOR_SIZE);
-    let compressed = alp::Compressor::new().compress(&data);
+    let mut body = Vec::new();
+    let (mut scratch, mut stats) = (Default::default(), Default::default());
+    alp::Compressor::new().encode_rowgroup_body(&data, &mut body, &mut scratch, &mut stats);
+    let column = alp::format::BodyColumn::<f64>::from_bodies(vec![body]).expect("a fresh body");
     let mut buf = vec![0.0f64; alp::VECTOR_SIZE];
     for v in 0..vectors {
-        compressed.try_decompress_vector(0, v, &mut buf).expect("warm-up sweep");
+        column.vector(v).expect("warm-up sweep").decode(&mut buf);
     }
     let allocs = allocations_in(|| {
         for _ in 0..4 {
             for v in 0..vectors {
-                compressed.try_decompress_vector(0, v, &mut buf).expect("in range");
+                column.vector(v).expect("in range").decode(&mut buf);
             }
         }
     });
@@ -562,4 +571,31 @@ fn bulk_compression_builds_its_scratch_once_per_worker() {
         (one - none) - (two - one) - fresh
     };
     assert_eq!(overhead("ALP", decimal_rowgroup()), overhead("ALP_rd", real_rowgroup()));
+}
+
+/// The query engine's column build encodes each row-group straight into its
+/// body on the morsel's worker and builds its zone maps there too: at one
+/// thread a row-group costs the same allocation events — its body, copied
+/// out of the worker's buffer at its exact size, and its zones — whether it
+/// goes ALP or ALP_rd, and with or without exceptions. (A build through
+/// owned row-groups costs one packed `Vec` per ALP vector and four per ALP_rd
+/// vector.)
+#[test]
+fn column_builds_allocate_per_rowgroup_not_per_vector() {
+    use vectorq::{Column, Format};
+    let no_exceptions: Vec<f64> =
+        (0..rowgroup_values()).map(|i| (i % 977) as f64 / 100.0).collect();
+    let per_rowgroup = |what: &str, rowgroup: &[f64]| {
+        let build = |rowgroups: usize| {
+            let column = rowgroup.repeat(rowgroups);
+            allocations_in(|| drop(std::hint::black_box(Column::from_f64(&column, Format::alp()))))
+        };
+        let [one, two, three] = [1, 2, 3].map(build);
+        assert_eq!(three - two, two - one, "{what}: every further row-group costs the same");
+        two - one
+    };
+    let alp = per_rowgroup("ALP", &decimal_rowgroup());
+    assert_eq!(per_rowgroup("ALP without exceptions", &no_exceptions), alp);
+    assert_eq!(per_rowgroup("ALP_rd", &real_rowgroup()), alp);
+    assert!(alp <= 2, "a row-group costs {alp} events: its body and its zones");
 }

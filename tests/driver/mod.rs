@@ -28,7 +28,8 @@ use std::sync::Arc;
 
 use alp::archive::{self, Verdict};
 use alp::format::{
-    from_bytes, from_bytes_salvage_parallel, to_bytes, to_bytes_with_parity, RowGroupView,
+    from_bytes, from_bytes_salvage_parallel, to_bytes, to_bytes_with_parity, BodyColumn,
+    RowGroupView,
 };
 use alp::pipeline::{PipelineConfig, PipelinedColumnWriter};
 use alp::stream::{ColumnReader, ColumnWriter, StreamError};
@@ -463,22 +464,30 @@ pub fn codec_chunks() -> Vec<Path<f64>> {
     serializable().map(chunked).collect()
 }
 
-/// `Compressor::compress_parallel` → every in-memory decoder.
+/// `Compressor::compress_parallel` → every in-memory decoder, and
+/// `encode_rowgroup_body` per row-group → `BodyColumn::vector` one vector at
+/// a time.
 pub fn alp_column<F: Float>() -> Path<F> {
     Path::new("ALP column", true, |ctx, data: &[F]| {
-        let column = ctx.compressor().compress_parallel(data, ctx.threads);
+        let compressor = ctx.compressor();
+        let column = compressor.compress_parallel(data, ctx.threads);
+        let (mut scratch, mut stats) = (Default::default(), Default::default());
+        let bodies = data.chunks(ctx.rowgroup_vectors * VECTOR_SIZE).map(|rowgroup| {
+            let mut body = Vec::new();
+            compressor.encode_rowgroup_body(rowgroup, &mut body, &mut scratch, &mut stats);
+            body
+        });
+        let bodies = BodyColumn::<F>::from_bodies(bodies.collect()).expect("bodies just encoded");
         let mut buf = vec![F::of(0.0); VECTOR_SIZE];
         let mut by_vector = Vec::new();
-        for (r, rowgroup) in column.rowgroups.iter().enumerate() {
-            for v in 0..rowgroup.vector_count() {
-                let n = column.try_decompress_vector(r, v, &mut buf).expect("in range");
-                by_vector.extend_from_slice(&buf[..n]);
-            }
+        for v in 0..bodies.vector_count() {
+            let n = bodies.vector(v).expect("in range").decode(&mut buf);
+            by_vector.extend_from_slice(&buf[..n]);
         }
         vec![
             ("decompress".into(), column.decompress()),
             ("decompress_parallel".into(), column.decompress_parallel(ctx.threads)),
-            ("try_decompress_vector".into(), by_vector),
+            ("BodyColumn::vector".into(), by_vector),
         ]
     })
 }

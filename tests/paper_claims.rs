@@ -3,7 +3,11 @@
 //! adaptive switches fall. (Absolute numbers live in EXPERIMENTS.md; these
 //! tests pin the *shape*.)
 
+mod driver;
+
 use alp::Compressor;
+use alp_core::{Registry, Scratch};
+use vectorq::{Column, Format};
 
 fn bits_per_value_alp(data: &[f64]) -> f64 {
     Compressor::new().compress(data).bits_per_value()
@@ -220,4 +224,29 @@ fn ml_weights_favor_alp_rd32() {
     let patas = codecs::Codec::Patas.compress_f32(&weights).unwrap().len() as f64 * 8.0
         / weights.len() as f64;
     assert!(alp < patas, "ALP_rd32 {alp:.1} vs Patas {patas:.1}");
+}
+
+#[test]
+fn compressed_footprints_rank_sensibly_on_decimals() {
+    // On a classic decimal dataset ALP must compress, and must beat the
+    // XOR codecs clearly (the paper's Table 4 shape), as the query engine
+    // stores it.
+    let data = datagen::generate("City-Temp", 300_000, 5);
+    let raw = Column::from_f64(&data, Format::Uncompressed).compressed_bytes();
+    let alp = Column::from_f64(&data, Format::alp()).compressed_bytes();
+    let gorilla = Registry::get("gorilla").expect("registered");
+    let gorilla =
+        gorilla.verified_compressed_bits(&data, &mut Scratch::new()).expect("lossless") / 8;
+    assert!(alp * 3 < raw, "ALP {alp} vs raw {raw}");
+    assert!(alp < gorilla, "ALP {alp} vs Gorilla {gorilla}");
+}
+
+#[test]
+fn alp_never_expands_catastrophically() {
+    // Even on the worst inputs (real doubles) ALP_rd keeps the footprint close
+    // to the raw 64 bits + small headers.
+    for input in driver::datasets::<f64>(20_000) {
+        let bits = Compressor::new().compress(&input.values).bits_per_value();
+        assert!(bits < 68.0, "{}: {bits:.1} bits/value", input.name);
+    }
 }

@@ -12,13 +12,13 @@
 //!   ones included), every `datagen` dataset as `f64` and as `f32`, and
 //!   hand-built vectors on the edges: all-exception, zero-width, 64-bit
 //!   width, short tails, repeated and unsorted exception positions, RD codes
-//!   past the dictionary. View decode, owned decode, `next_rowgroup`,
-//!   `next_rowgroup_into`, `next_rowgroup_compressed` and
-//!   `next_rowgroup_salvaged` must all equal the reference bit for bit.
+//!   past the dictionary. View decode, owned decode, `BodyColumn::vector`
+//!   decode, `next_rowgroup`, `next_rowgroup_into`, `next_rowgroup_compressed`
+//!   and `next_rowgroup_salvaged` must all equal the reference bit for bit.
 //! * **Mutations** — seeded, structure-aware damage to frame bodies (a field
 //!   set to a boundary value, a bit flipped, a cut, trailing bytes), the
-//!   frame checksum re-stamped so the parser is what gets tested. View and
-//!   reference must return the same verdict — the same `FormatError`, or the
+//!   frame checksum re-stamped so the parser is what gets tested. View,
+//!   `BodyColumn::from_bodies` and reference must return the same verdict — the same `FormatError`, or the
 //!   same values — without a panic, a rejected body must cost no allocation
 //!   at all, and an accepted one no request above its decoded size.
 
@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use alp::encode::{AlpVector, ExcArena};
 use alp::format::{
     decode_rowgroup_into, from_bytes, from_bytes_salvage_parallel, read_rowgroup, to_bytes,
-    write_rowgroup, FormatError, RowGroupView,
+    write_rowgroup, BodyColumn, FormatError, RowGroupView,
 };
 use alp::rd::{RdMeta, RdVector};
 use alp::rowgroup::AlpGroup;
@@ -256,6 +256,19 @@ fn bits_of<F: AlpFloat>(values: &[F]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits_u64()).collect()
 }
 
+/// `BodyColumn::from_bodies` over `body` alone, then every vector decoded on
+/// its own through `BodyColumn::vector`, in order.
+fn body_column_values<F: AlpFloat>(body: &[u8]) -> Result<Vec<F>, FormatError> {
+    let column = BodyColumn::<F>::from_bodies(vec![body.to_vec()])?;
+    let (mut buf, mut values) = ([F::from_bits_u64(0); VECTOR_SIZE], Vec::new());
+    for v in 0..column.vector_count() {
+        let n = column.vector(v).expect("every parsed vector is addressable").decode(&mut buf);
+        values.extend_from_slice(&buf[..n]);
+    }
+    assert!(column.vector(column.vector_count()).is_none(), "one past the last vector");
+    Ok(values)
+}
+
 /// An `"ALPT"` stream of `bodies`, one frame each, terminated (no footer:
 /// reading does not need one).
 fn stream_of<F: AlpFloat>(bodies: &[Vec<u8>]) -> Vec<u8> {
@@ -293,6 +306,9 @@ fn check_body<F: AlpFloat>(body: &[u8], what: &str) -> Vec<F> {
     let mut out = Vec::new();
     decode_rowgroup_into::<F>(body, &mut out).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(bits_of(&out), want_bits, "{what}: decode_rowgroup_into");
+
+    let by_vector = body_column_values::<F>(body).unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(bits_of(&by_vector), want_bits, "{what}: BodyColumn::vector decode");
 
     let mut cursor = body;
     let owned = read_rowgroup::<F>(&mut cursor).unwrap_or_else(|e| panic!("{what}: owned: {e}"));
@@ -690,6 +706,8 @@ fn run_mutations<F: AlpFloat>(
                     if let FormatError::Corrupt(reason) = want {
                         reasons.insert(reason);
                     }
+                    let column = body_column_values::<F>(&body);
+                    assert_eq!(column.err().as_ref(), Some(want), "{what}: from_bodies");
                     let (owned, events, _) = gauge(|| read_rowgroup::<F>(&mut cursor));
                     // Unframed, trailing bytes are the next row-group's business.
                     if *want != FormatError::Corrupt("row-group frame length") {
@@ -717,6 +735,9 @@ fn run_mutations<F: AlpFloat>(
                     let owned =
                         read_rowgroup::<F>(&mut cursor).unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert_eq!(owned_bits::<F>(&owned), want_bits, "{what}: owned decode");
+                    let column = body_column_values::<F>(&body);
+                    let column = column.unwrap_or_else(|e| panic!("{what}: from_bodies: {e}"));
+                    assert_eq!(bits_of(&column), want_bits, "{what}: BodyColumn::vector decode");
                     let values = reader.next_rowgroup().unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert_eq!(values.map(|v| bits_of(&v)), Some(want_bits), "{what}: stream");
                 }
