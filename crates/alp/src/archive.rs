@@ -177,7 +177,7 @@ impl<F: AlpFloat> Opened<F> {
 /// first, the layout's salvage reader when that fails, one [`Verdict`] over
 /// the outcome. `Err` means the header itself is unusable (bad magic, wrong or
 /// unknown width, truncated): nothing can be said about the contents.
-/// `threads` bounds the column salvage; streams read serially.
+/// `threads` bounds the salvage walk of either layout.
 pub fn open<F: AlpFloat>(bytes: &[u8], threads: usize) -> Result<Opened<F>, FormatError> {
     let kind = sniff(bytes)?;
     let mut strict_error: Option<Box<dyn Error + Send + Sync>> = None;
@@ -203,7 +203,7 @@ pub fn open<F: AlpFloat>(bytes: &[u8], threads: usize) -> Result<Opened<F>, Form
                 let mut reader = ColumnReader::<F, _>::new(bytes)?;
                 let mut rowgroups = Vec::new();
                 while let Some(values) = match salvaging {
-                    true => reader.next_rowgroup_salvaged()?,
+                    true => reader.next_salvaged(threads)?,
                     false => reader.next_rowgroup()?,
                 } {
                     rowgroups.push(values);

@@ -193,11 +193,12 @@ pub struct AlpVector {
 impl AlpVector {
     /// Exact compressed size in bits, counting everything a serialized format
     /// must store: parameters, base, packed payload, and exceptions.
-    pub fn compressed_bits<F: AlpFloat>(&self) -> usize {
-        // e + f + bit_width (u8 each) + base (64) + exception count (16)
-        let header = 8 + 8 + 8 + 64 + 16;
+    pub fn compressed_bits(&self) -> usize {
+        // e, f, bit_width (u8 each), len (u16), base (i64), exception count (u16)
+        let header = 15 * 8;
         let payload = self.bit_width as usize * VECTOR_SIZE;
-        let exceptions = self.exc_count as usize * (16 + F::BITS as usize);
+        // A u16 position and the value's 8 bytes, whatever the float width.
+        let exceptions = self.exc_count as usize * (16 + 64);
         header + payload + exceptions
     }
 

@@ -488,7 +488,8 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     let (mut decoded, repaired) = if header.framed {
         // Serial boundary walk, parallel verify + decode, then parity repair
         // of single-fault groups: the layer's random-access walker.
-        let walk = frame::salvage(buf, rg_count, threads, |f, i| decode_frame::<F>(f, i).ok());
+        let placement = frame::Placement::Trailing(rg_count);
+        let walk = frame::salvage(buf, placement, threads, |f, i| decode_frame::<F>(f, i).ok());
         (walk.items, walk.repaired)
     } else {
         // No framing: a parse failure loses byte alignment for good.

@@ -19,9 +19,9 @@
 //! group's `count` frames — each taken *whole*, prefix included — zero-padded
 //! to the longest. Row-group bodies start with a scheme tag (`0` or `1`),
 //! never `'A'`, so the `"ALPP"` prefix is unambiguous, and readers that
-//! predate parity skip the frame as unparseable. Streams put the parity frame
-//! straight after its group ([`ParityAccumulator`]); columns and containers
-//! collect them in a trailing section ([`encode_trailing`] / [`salvage`]).
+//! predate parity skip the frame as unparseable. Streams put each parity frame
+//! straight after its group, columns and containers in a trailing section
+//! ([`Placement`], [`encode_trailing`]); one walker, [`salvage`], reads both.
 //!
 //! **Repair rule** ([`repair_group`]). A group with *exactly one* damaged
 //! member, every other member present, is rebuilt by XORing the parity block
@@ -359,15 +359,23 @@ pub fn repair_group(
     Some((victim, buf))
 }
 
-/// A trailing-placement region, delimited by [`locate`].
+/// Where a format keeps its parity frames: how [`salvage`] delimits a region.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// In one section after at most this many data frames ([`encode_trailing`];
+    /// `"ALP2"` columns, `"ALPC"` containers).
+    Trailing(usize),
+    /// Each straight after the group it closes, up to a zero length prefix or
+    /// the end of the bytes (`"ALPT"` streams).
+    Inline,
+}
+
+/// A region's data frames in order, and per group with a verified,
+/// well-formed parity frame its first member's index and that parity body (a
+/// group whose parity frame is damaged is simply unprotected).
 struct Located<'a> {
-    /// The data frames in order.
     frames: Vec<Frame<'a>>,
-    /// One entry per parity group, in group order; `None` where the group's
-    /// parity frame is itself damaged (the group is simply unprotected).
-    parity: Vec<Option<ParityBody<'a>>>,
-    /// The writer's group size; 0 when no parity frame parsed.
-    group_size: usize,
+    parity: Vec<(usize, ParityBody<'a>)>,
 }
 
 /// Start of the trailing parity section: the first offset where a
@@ -428,26 +436,79 @@ fn locate(buf: &[u8], max_frames: usize) -> Located<'_> {
     // A damaged parity frame with a plausible length leaves its group
     // unprotected; an implausible one ends the walk, since group order past
     // it cannot be trusted.
-    let mut parity = Vec::new();
-    let mut group_size = 0usize;
+    let mut bodies = Vec::new();
     let mut rest = section.and_then(|s| buf.get(s..)).unwrap_or(&[]);
     while let Some((frame, tail)) = Frame::split(rest) {
         rest = tail;
-        let body = if frame.verify() { frame.parse_parity() } else { None };
-        group_size = group_size.max(body.map_or(0, |pb| pb.group_size));
-        parity.push(body);
+        bodies.push(if frame.verify() { frame.parse_parity() } else { None });
     }
-    Located { frames, parity, group_size }
+    // g·k cannot overflow: g < buf.len() / PREFIX_LEN and k <= 255.
+    let k = bodies.iter().flatten().map(|pb| pb.group_size).max().unwrap_or(0);
+    let parity = bodies.into_iter().enumerate().filter_map(|(g, pb)| Some((g * k, pb?))).collect();
+    Located { frames, parity }
+}
+
+/// Delimits an inline-placement region (`{ frame }* | 0:u32`) by its length
+/// prefixes up to the terminator, or a torn tail taken as one more damaged
+/// frame (empty when the bytes ran out where a frame was due). A verified,
+/// well-formed parity frame closes the group of the `count` frames before it;
+/// [`settle`] sorts those before the group. Only parity frames and slots are
+/// hashed.
+fn locate_inline(buf: &[u8]) -> Located<'_> {
+    let (mut frames, mut parity, mut pending, mut k) = (Vec::new(), Vec::new(), Vec::new(), 0);
+    let mut rest = buf;
+    while rest.first_chunk() != Some(&[0u8; 4]) {
+        let Some((frame, tail)) = Frame::split(rest) else {
+            pending.push(Frame::over(rest).unwrap_or(Frame { whole: rest, stored: 0, body: &[] }));
+            break;
+        };
+        rest = tail;
+        if !(claims_parity(frame.whole) && frame.verify()) {
+            pending.push(frame);
+            continue;
+        }
+        // A verified parity frame with a malformed body closes nothing.
+        let Some(pb) = frame.parse_parity() else { continue };
+        k = pb.group_size;
+        let group = pending.len().saturating_sub(pb.count);
+        settle(&mut frames, pending.drain(..group), k);
+        if pending.len() == pb.count {
+            parity.push((frames.len(), pb));
+        }
+        frames.append(&mut pending);
+    }
+    settle(&mut frames, pending, k);
+    Located { frames, parity }
+}
+
+/// Appends the frames of groups whose parity frame is damaged, from a group
+/// boundary on, that are data: a damaged frame in a parity slot (every
+/// `k + 1`-th; none when `k == 0`) or still naming itself `"ALPP"` was that
+/// parity frame and costs no data. A verified frame is always data.
+fn settle<'a>(
+    frames: &mut Vec<Frame<'a>>,
+    unclaimed: impl IntoIterator<Item = Frame<'a>>,
+    k: usize,
+) {
+    let mut pos = 0usize;
+    for frame in unclaimed {
+        // Verified frames that name themselves parity never get here.
+        let slot = (k > 0 && pos == k) || claims_parity(frame.whole);
+        pos = if slot { 0 } else { pos + 1 };
+        if !slot || frame.verify() {
+            frames.push(frame);
+        }
+    }
 }
 
 /// The parity group size advertised by `buf`'s trailing parity section, when
 /// it carries one (located by magic scan and checksum-verified). Callers use
 /// this to re-encode a repaired column with the protection it had.
 pub fn parity_group_size(buf: &[u8]) -> Option<usize> {
-    Some(locate(buf, 0).group_size).filter(|&k| k > 0)
+    locate(buf, 0).parity.iter().map(|(_, pb)| pb.group_size).max()
 }
 
-/// What [`salvage`] recovered from a trailing-placement region.
+/// What [`salvage`] recovered from a region.
 #[derive(Debug)]
 pub struct Salvaged<T> {
     /// One slot per data frame delimited, in order: the decoded item, or
@@ -458,32 +519,33 @@ pub struct Salvaged<T> {
     pub repaired: Vec<usize>,
 }
 
-/// The random-access walker over a trailing-placement region: delimits up
-/// to `max_frames` data frames serially (`locate`), runs `decode` — which
-/// must verify the frame it is handed — over them on up to `threads` morsel
-/// workers, then applies [`repair_group`] to every parity group and decodes
-/// each rebuilt frame through the same closure. The result is identical at
-/// every thread count.
+/// The one salvage walker: delimits a region's data frames and parity groups
+/// serially by `placement` (`locate` / `locate_inline`), runs `decode` —
+/// which must verify the frame it is handed — over them on up to `threads`
+/// morsel workers, then applies [`repair_group`] to every parity group and
+/// decodes each rebuilt frame through the same closure. The result is
+/// identical at every thread count.
 pub fn salvage<T: Send>(
     buf: &[u8],
-    max_frames: usize,
+    placement: Placement,
     threads: usize,
     decode: impl Fn(&Frame<'_>, usize) -> Option<T> + Sync,
 ) -> Salvaged<T> {
-    let located = locate(buf, max_frames);
+    let located = match placement {
+        Placement::Trailing(max_frames) => locate(buf, max_frames),
+        Placement::Inline => locate_inline(buf),
+    };
     let frames = &located.frames;
     let mut items =
         crate::par::map_morsels(threads, frames.len(), || (), |(), m| decode(frames.get(m)?, m));
     let mut repaired = Vec::new();
-    for (g, section) in located.parity.iter().enumerate() {
-        let Some(pb) = section else { continue };
-        let Some(start) = g.checked_mul(located.group_size) else { break };
+    for &(start, pb) in &located.parity {
         // Stops short at a member the walk never delimited, which
         // `repair_group` then refuses as a missing member.
         let members: Vec<Option<&[u8]>> = (start..start.saturating_add(pb.count))
             .map_while(|i| Some(items.get(i)?.as_ref().and(frames.get(i)).map(|f| f.whole)))
             .collect();
-        let Some((victim, rebuilt)) = repair_group(&members, pb) else { continue };
+        let Some((victim, rebuilt)) = repair_group(&members, &pb) else { continue };
         let item = Frame::split(&rebuilt).and_then(|(f, _)| decode(&f, start + victim));
         if let (Some(item), Some(slot)) = (item, items.get_mut(start + victim)) {
             *slot = Some(item);
@@ -596,47 +658,112 @@ mod tests {
         }
     }
 
+    /// `bodies` framed with parity per two frames in a stream's inline
+    /// placement: each parity frame straight after its group, then the
+    /// zero terminator.
+    fn inline_region(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut region = Vec::new();
+        let mut acc = ParityAccumulator::new(ParityConfig { group_size: 2 });
+        for body in bodies {
+            let start = region.len();
+            encode(&mut region, |o| o.extend_from_slice(body));
+            let pframe = acc.push(&region[start..]);
+            region.extend(pframe.unwrap_or_default());
+        }
+        region.extend(acc.flush().unwrap_or_default());
+        region.extend_from_slice(&[0; 4]);
+        region
+    }
+
+    /// Every case on both placements, with the outcome each placement owes.
     #[test]
     fn trailing_placement_salvages_resyncs_and_repairs() {
         let bodies: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 10 + usize::from(i) * 7]).collect();
-        let mut region = Vec::new();
+        let mut trailing = Vec::new();
         let parity = Some(ParityConfig { group_size: 2 });
-        encode_trailing(&mut region, parity, &bodies, |o, b| o.extend_from_slice(b));
+        encode_trailing(&mut trailing, parity, &bodies, |o, b| o.extend_from_slice(b));
+        let inline = inline_region(&bodies);
         let body_of = |f: &Frame<'_>, _| f.verify().then(|| f.body.to_vec());
+        let all: Vec<Option<Vec<u8>>> = bodies.iter().cloned().map(Some).collect();
+        let present =
+            |s: &Salvaged<Vec<u8>>| s.items.iter().map(Option::is_some).collect::<Vec<_>>();
+        assert_eq!(parity_group_size(&trailing), Some(2));
 
-        assert_eq!(parity_group_size(&region), Some(2));
-        let clean = salvage(&region, bodies.len(), 1, body_of);
-        assert!(clean.repaired.is_empty());
-        assert_eq!(clean.items, bodies.iter().cloned().map(Some).collect::<Vec<_>>());
+        for (placement, region) in
+            [(Placement::Trailing(bodies.len()), &trailing), (Placement::Inline, &inline)]
+        {
+            let is_inline = placement == Placement::Inline;
+            let run = |bytes: &[u8], threads| salvage(bytes, placement, threads, body_of);
+            let clean = run(region, 1);
+            assert!(clean.repaired.is_empty());
+            assert_eq!(clean.items, all, "{placement:?}");
+            // `(start, len)` of the data frames and of the parity frames.
+            let (mut data, mut parity, mut at) = (Vec::new(), Vec::new(), 0);
+            while let Some((f, _)) = Frame::split(&region[at..]) {
+                let spans = if claims_parity(f.whole) { &mut parity } else { &mut data };
+                spans.push((at, f.whole.len()));
+                at += f.whole.len();
+            }
+            assert_eq!((data.len(), parity.len()), (5, 3));
 
-        // Destroy frame 3's length prefix and a body byte: resync + repair,
-        // identically at every thread count.
-        let at: usize = bodies[..3].iter().map(|b| PREFIX_LEN + b.len()).sum();
-        let mut hurt = region.clone();
-        hurt[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        hurt[at + PREFIX_LEN + 2] ^= 0xFF;
-        for threads in [1usize, 4] {
-            let healed = salvage(&hurt, bodies.len(), threads, body_of);
-            assert_eq!(healed.repaired, [3]);
-            assert_eq!(healed.items, clean.items);
+            // Each member position repaired, identically at every thread count.
+            for (i, &(start, _)) in data.iter().enumerate() {
+                let mut hurt = region.clone();
+                hurt[start + PREFIX_LEN + 2] ^= 0xFF;
+                for threads in [1usize, 4] {
+                    let healed = run(&hurt, threads);
+                    assert_eq!((healed.repaired, healed.items), (vec![i], all.clone()));
+                }
+            }
+            // A damaged parity frame costs nothing.
+            for &(start, len) in &parity {
+                let mut hurt = region.clone();
+                hurt[start + len - 1] ^= 0xFF;
+                let unprotected = run(&hurt, 1);
+                assert!(unprotected.repaired.is_empty());
+                assert_eq!(unprotected.items, all, "{placement:?} parity at {start}");
+            }
+            // Two damaged frames in one group are beyond the protection level.
+            let mut hurt = region.clone();
+            hurt[data[2].0 + PREFIX_LEN] ^= 0xFF;
+            hurt[data[3].0 + PREFIX_LEN] ^= 0xFF;
+            let lossy = run(&hurt, 1);
+            assert!(lossy.repaired.is_empty());
+            assert_eq!(present(&lossy), [true, true, false, false, true], "{placement:?}");
+            // A torn tail inside a parity frame costs nothing; inside a data
+            // frame it is one loss (a trailing section is cut off with it).
+            let (start, len) = parity[2];
+            assert_eq!(run(&region[..start + len / 2], 1).items, all, "{placement:?}");
+            let (start, len) = data[4];
+            let torn = run(&region[..start + len / 2], 1);
+            let expect = if is_inline { &[true, true, true, true, false][..] } else { &[true; 4] };
+            assert_eq!(present(&torn), expect, "{placement:?}");
+
+            // A destroyed length prefix: trailing placement resyncs on the
+            // next verified frame and repairs; inline placement has no
+            // section to bound the search, and the walk ends there.
+            let mut hurt = region.clone();
+            let (start, _) = data[3];
+            hurt[start..start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            hurt[start + PREFIX_LEN + 2] ^= 0xFF;
+            let walked = run(&hurt, 1);
+            if is_inline {
+                assert_eq!(present(&walked), [true, true, true, false]);
+                assert!(walked.repaired.is_empty());
+            } else {
+                assert_eq!((walked.repaired, walked.items), (vec![3], all.clone()));
+            }
         }
-        // A second fault in the same group is beyond the protection level.
-        hurt[at - 1] ^= 0xFF;
-        let lossy = salvage(&hurt, bodies.len(), 1, body_of);
-        assert!(lossy.repaired.is_empty());
-        assert_eq!(
-            lossy.items.iter().map(Option::is_some).collect::<Vec<_>>(),
-            [true, true, false, false, true]
-        );
 
         // Without parity the same bytes are the same frames, and a destroyed
         // prefix ends the walk there.
         let mut plain = Vec::new();
         encode_trailing(&mut plain, None, &bodies, |o, b| o.extend_from_slice(b));
-        assert_eq!(&plain[..], &region[..plain.len()]);
+        assert_eq!(&plain[..], &trailing[..plain.len()]);
         assert_eq!(parity_group_size(&plain), None);
+        let at: usize = bodies[..3].iter().map(|b| PREFIX_LEN + b.len()).sum();
         plain[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(salvage(&plain, bodies.len(), 1, body_of).items.len(), 3);
+        assert_eq!(salvage(&plain, Placement::Trailing(bodies.len()), 1, body_of).items.len(), 3);
     }
 
     /// A `Read` that never ends.

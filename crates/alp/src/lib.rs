@@ -32,10 +32,10 @@
 //! * [`rowgroup`] — the column-level [`Compressor`] tying it together.
 //! * [`mod@format`] — the row-group body codec and the `"ALP2"` column header.
 //! * [`frame`] — the one integrity layer under columns, streams and containers:
-//!   the `len | xxh64 | body` frame, `"ALPP"` parity frames, single-loss repair.
+//!   frames, `"ALPP"` parity, single-loss repair and the one salvage walker.
 //! * [`cascade`] — Dictionary/RLE cascades (the "LWC+ALP" column of Table 4).
-//! * [`stream`] — incremental `std::io` writer/reader (one row-group in memory):
-//!   the `"ALPT"` header, terminator and commit footer around [`frame`]s.
+//! * [`stream`] — incremental `std::io` writer/reader (strict reads hold one
+//!   row-group): the `"ALPT"` header, terminator and commit footer around [`frame`]s.
 //! * [`pipeline`] — the same stream bytes with compression on a worker pool.
 //! * [`archive`] — the one way to open a file of either layout: sniff, strict
 //!   read, salvage, verdict.

@@ -30,9 +30,9 @@
 //! 3. **Quarantined panics.** A worker panic is contained at the morsel
 //!    boundary and surfaces as [`IngestError::Poisoned`] from `push` or
 //!    `finish` — the poisoned frame is never written, so the sink holds a
-//!    committed-prefix-only torn tail, exactly the failure shape
-//!    [`ColumnReader::next_rowgroup_salvaged`](crate::stream::ColumnReader::next_rowgroup_salvaged)
-//!    already recovers.
+//!    committed-prefix-only torn tail, exactly the failure shape stream
+//!    salvage ([`crate::stream::ColumnReader::next_rowgroup_salvaged`],
+//!    through [`crate::frame::salvage`]) recovers.
 //!
 //! Transient sink faults are absorbed by the inner writer's
 //! [`RetryPolicy`] exactly as in the serial path:

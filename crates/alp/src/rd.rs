@@ -76,9 +76,9 @@ impl RdMeta {
         F::BITS as usize - self.left_width as usize
     }
 
-    /// Serialized footprint of the row-group header in bits.
+    /// Serialized footprint of the RD header in bits: three `u8`s, the dictionary.
     pub fn header_bits(&self) -> usize {
-        8 /*left_width*/ + 8 /*dict len*/ + self.dict.len() * 16
+        3 * 8 + self.dict.len() * 16
     }
 }
 
@@ -177,7 +177,7 @@ pub struct RdVector {
 impl RdVector {
     /// Exact compressed size in bits given the row-group meta.
     pub fn compressed_bits<F: AlpFloat>(&self, meta: &RdMeta) -> usize {
-        let header = 16; // exception count
+        let header = 16 + 16; // len, exception count
         let payload = VECTOR_SIZE * (meta.right_width::<F>() + meta.code_width as usize);
         let exceptions = self.exc_positions.len() * (16 + 16);
         header + payload + exceptions

@@ -114,16 +114,16 @@ impl RowGroup {
         self.len() == 0
     }
 
-    /// Exact compressed size in bits (header + payload + exceptions).
+    /// Exact compressed size in bits: what [`crate::format::write_rowgroup`]
+    /// writes (head, vector headers, payload, exceptions).
     pub fn compressed_bits<F: AlpFloat>(&self) -> usize {
-        let scheme_tag = 8;
+        let head = 8 + 32; // scheme tag, vector count
         match self {
             RowGroup::Alp(g) => {
-                scheme_tag + g.vectors.iter().map(|v| v.compressed_bits::<F>()).sum::<usize>()
+                head + g.vectors.iter().map(AlpVector::compressed_bits).sum::<usize>()
             }
             RowGroup::Rd(meta, vs) => {
-                scheme_tag
-                    + meta.header_bits()
+                head + meta.header_bits()
                     + vs.iter().map(|v| v.compressed_bits::<F>(meta)).sum::<usize>()
             }
         }
@@ -446,12 +446,19 @@ mod tests {
     use super::*;
     use crate::decode::decode_vector_unfused;
 
-    fn assert_lossless(data: &[f64]) -> Compressed<f64> {
+    /// Round-trips `data` bit for bit, and holds each row-group's
+    /// `compressed_bits` to the bytes its body serializes to.
+    fn assert_lossless<F: AlpFloat>(data: &[F]) -> Compressed<F> {
         let c = Compressor::new().compress(data);
         let back = c.decompress();
         assert_eq!(back.len(), data.len());
         for (i, (a, b)) in data.iter().zip(&back).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "idx {i}");
+            assert_eq!(a.to_bits_u64(), b.to_bits_u64(), "idx {i}");
+        }
+        for (i, rg) in c.rowgroups.iter().enumerate() {
+            let mut body = Vec::new();
+            crate::format::write_rowgroup::<F>(&mut body, rg);
+            assert_eq!(rg.compressed_bits::<F>(), 8 * body.len(), "row-group {i}");
         }
         c
     }
@@ -579,22 +586,24 @@ mod tests {
     #[test]
     fn f32_column_roundtrips() {
         let data: Vec<f32> = (0..30_000).map(|i| ((i % 2048) as f32) / 4.0).collect();
-        let c = Compressor::new().compress(&data);
-        let back = c.decompress();
-        for (a, b) in data.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let c = assert_lossless(&data);
         assert!(c.bits_per_value() < 32.0);
+        // Exception-heavy: every 16th value has no short decimal form.
+        let data: Vec<f32> = (0..30_000)
+            .map(|i| if i % 16 == 0 { (i as f32).sqrt() } else { ((i % 2048) as f32) / 4.0 })
+            .collect();
+        let c = assert_lossless(&data);
+        let exceptions = c.rowgroups.iter().map(|rg| match rg {
+            RowGroup::Alp(g) => g.vectors.iter().map(AlpVector::exception_count).sum(),
+            RowGroup::Rd(..) => 0,
+        });
+        assert!(exceptions.sum::<usize>() > 1000);
     }
 
     #[test]
     fn f32_real_floats_use_rd() {
         let data: Vec<f32> = (0..120_000).map(|i| ((i as f32) * 0.113).sin() * 0.02).collect();
-        let c = Compressor::new().compress(&data);
+        let c = assert_lossless(&data);
         assert!(c.stats.rowgroups_rd > 0);
-        let back = c.decompress();
-        for (a, b) in data.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

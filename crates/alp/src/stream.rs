@@ -10,15 +10,17 @@
 //! [`crate::format`]) — the writer encodes a row-group's values straight into
 //! its frame's bytes (`encode_frames`; no owned `RowGroup` in between, and no
 //! allocation once its buffers are warm), and reports what the encoder
-//! decided in [`StreamSummary::stats`] — so a reader needs only one row-group
-//! of memory at a time, can stop early, detects payload corruption before
-//! handing data out, and can *resync* past a damaged frame
-//! ([`ColumnReader::next_rowgroup_salvaged`]). With a [`ParityConfig`] the
-//! writer puts one parity frame after every `group_size` row-group frames,
-//! and salvage *repairs* any single damaged frame per group. This module
-//! owns the header, the terminator, the commit footer, the
-//! one-row-group-in-memory windowing and the retry plumbing; the frame,
-//! parity and the repair rule are [`crate::frame`]'s.
+//! decided in [`StreamSummary::stats`] — so a strict reader needs only one
+//! row-group of memory at a time, can stop early, and detects payload
+//! corruption before handing data out. With a [`ParityConfig`] the writer
+//! puts one parity frame after every `group_size` row-group frames (inline
+//! placement). Salvage ([`ColumnReader::next_rowgroup_salvaged`]) reads the
+//! rest of the stream into memory and runs the one salvage walker,
+//! [`crate::frame::salvage`], over it: damaged frames are skipped by their
+//! length prefix and any single damaged frame per group is *repaired*. This
+//! module owns the header, the terminator, the commit footer and the retry
+//! plumbing; the frame, parity placement, the walk and the repair rule are
+//! [`crate::frame`]'s.
 //!
 //! The commit footer is written only by [`ColumnWriter::finish`], so its
 //! presence ([`ColumnReader::is_committed`]) distinguishes a cleanly finished
@@ -61,7 +63,6 @@
     clippy::indexing_slicing
 )]
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 use fastlanes::VECTOR_SIZE;
@@ -138,13 +139,6 @@ pub(crate) fn encode_frames<F: AlpFloat>(
     for rowgroup in values.chunks(compressor.rowgroup_values()) {
         frame::encode(out, |body| compressor.encode_rowgroup_body(rowgroup, body, scratch, stats));
     }
-}
-
-/// Decodes a frame body to its values, straight from the body bytes; `None`
-/// when it is not exactly one row-group.
-fn body_values<F: AlpFloat>(body: &[u8]) -> Option<Vec<F>> {
-    let mut out = Vec::new();
-    decode_rowgroup_into(body, &mut out).ok().map(|()| out)
 }
 
 /// Incremental column writer: buffers up to one row-group, compresses and
@@ -347,36 +341,6 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
     }
 }
 
-/// Frames retained while probing for parity frames in a stream that may not
-/// carry any. A parity group holds at most 255 data frames, so a stream that
-/// has parity always shows its first parity frame within this many frames.
-const PARITY_PROBATION_FRAMES: usize = 256;
-
-/// Byte cap on the same probation window, for streams with huge frames.
-const PARITY_PROBATION_BYTES: usize = 64 << 20;
-
-/// One frame held by the salvage engine between parity resolutions. Held
-/// frames stay compressed: values are decoded when their turn comes.
-struct PendingFrame {
-    /// Whole frame bytes as read (what arrived, for a torn tail). Intact
-    /// frames feed the repair of a damaged neighbor.
-    bytes: Vec<u8>,
-    /// Frame checksum verified (the bytes are what the writer wrote).
-    verified: bool,
-    /// Values handed out (or the loss recorded): its data index is assigned.
-    /// A verified frame waits un-emitted only while an earlier frame in its
-    /// group is unresolved, to preserve stream order.
-    emitted: bool,
-}
-
-impl PendingFrame {
-    /// The row-group values of a verified frame; `None` when its body does
-    /// not parse.
-    fn values<F: AlpFloat>(&self) -> Option<Vec<F>> {
-        body_values(Frame::split(&self.bytes)?.0.body)
-    }
-}
-
 /// Incremental column reader: yields one decompressed row-group at a time.
 pub struct ColumnReader<F: AlpFloat, R: Read> {
     source: R,
@@ -399,15 +363,8 @@ pub struct ColumnReader<F: AlpFloat, R: Read> {
     /// The parsed commit footer, when one was found and verified.
     footer: Option<StreamFooter>,
     retry: RetryPolicy,
-    /// Frames since the last resolved parity group (salvage engine state).
-    window: Vec<PendingFrame>,
-    /// Decoded row-groups ready to hand out, in stream order.
-    pending: VecDeque<Vec<F>>,
-    /// Parity group size, once learned from a verified parity frame.
-    group_size: Option<usize>,
-    /// Cleared when the probation window fills without a parity frame: the
-    /// stream evidently carries none, so nothing is retained for repair.
-    parity_possible: bool,
+    /// Salvaged row-groups still to hand out, in stream order.
+    pending: std::vec::IntoIter<Vec<F>>,
 }
 
 /// Errors produced while reading a stream.
@@ -466,10 +423,7 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             committed: false,
             footer: None,
             retry,
-            window: Vec::new(),
-            pending: VecDeque::new(),
-            group_size: None,
-            parity_possible: checksummed,
+            pending: Vec::new().into_iter(),
         })
     }
 
@@ -507,10 +461,6 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
 
     /// Reads the next row-group without decompressing it (for servers that
     /// relay or selectively decode).
-    ///
-    /// Errors after the frame was consumed in full (checksum mismatch, body
-    /// parse failure) leave the source positioned at the next frame, which is
-    /// what lets [`ColumnReader::next_rowgroup_salvaged`] resync.
     pub fn next_rowgroup_compressed(&mut self) -> Result<Option<RowGroup>, StreamError> {
         let Some(body) = self.next_body()? else { return Ok(None) };
         Ok(Some(read_rowgroup_exact::<F>(body)?))
@@ -577,200 +527,65 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// caller keeps exactly the committed prefix. Hard faults and exhausted
     /// retry budgets still surface as `Err`.
     ///
-    /// Repair accounting assumes the stream is drained through this method;
-    /// interleaving calls with the strict readers degrades repairs to losses
-    /// (never the other way around).
+    /// The first call reads the rest of the source and salvages it in one
+    /// walk; later calls hand out the survivors. Strict reads before it
+    /// degrade repairs to losses (never the other way around).
     pub fn next_rowgroup_salvaged(&mut self) -> Result<Option<Vec<F>>, StreamError> {
-        loop {
-            if let Some(values) = self.pending.pop_front() {
-                return Ok(Some(values));
-            }
-            if self.done {
-                return Ok(None);
-            }
-            self.pump_salvage()?;
-        }
+        Ok(self.next_salvaged(1)?)
     }
 
-    /// Reads one frame in salvage mode: verified row-groups decode (and are
-    /// handed out as soon as nothing earlier is unresolved), verified parity
-    /// frames resolve the pending group, damaged frames wait in the window
-    /// for reconstruction. Torn tails resolve whatever is pending and end
-    /// the stream.
-    fn pump_salvage(&mut self) -> Result<(), StreamError> {
-        let n = match self.read_next()? {
-            FrameRead::Frame(n) => n,
-            FrameRead::Terminator => {
-                self.done = true;
-                self.read_commit_footer();
-                self.resolve_terminal();
-                return Ok(());
-            }
-            FrameRead::Torn(n) => {
-                // Torn tail: one last damaged entry. Its partial bytes still
-                // identify it when the settling happens — a cut inside a
-                // *parity* frame costs no data, a cut inside a row-group
-                // frame is a loss.
-                let bytes = self.frame.get(..n).unwrap_or(&[]).to_vec();
-                self.window.push(PendingFrame { bytes, verified: false, emitted: false });
-                self.done = true;
-                self.resolve_terminal();
-                return Ok(());
+    /// [`ColumnReader::next_rowgroup_salvaged`] with the walk over the rest of
+    /// the source on up to `threads` morsel workers (the same outcome at every
+    /// count): `"ALPT"` frames go through [`frame::salvage`], then a verified
+    /// footer arbitrates: trailing "losses" beyond its row-group count were
+    /// parity frames.
+    pub(crate) fn next_salvaged(&mut self, threads: usize) -> io::Result<Option<Vec<F>>> {
+        if self.done {
+            return Ok(self.pending.next());
+        }
+        // Frame by frame, so that no buffer grows by more than what arrived.
+        let mut parts = Vec::new();
+        let terminated = loop {
+            let read = self.read_next()?;
+            let (FrameRead::Frame(n) | FrameRead::Torn(n)) = read else { break true };
+            parts.push(self.frame.get(..n).unwrap_or(&[]).to_vec());
+            if read == FrameRead::Torn(n) {
+                break false;
             }
         };
-        // The frame is lent out of the reader while the window machinery
-        // (which needs `&mut self`) looks at it.
-        let buf = core::mem::take(&mut self.frame);
-        let raw = buf.get(..n).unwrap_or(&[]);
-        if !self.checksummed {
-            // Legacy frames have no checksum and no parity: a frame is good
-            // exactly when it parses, and damage is final.
-            self.emit(raw.get(4..).and_then(body_values), false);
-        } else if let Some((frame, _)) = Frame::split(raw) {
-            self.absorb_frame(&frame);
+        self.done = true;
+        if terminated {
+            self.read_commit_footer();
         }
-        self.frame = buf;
-        Ok(())
-    }
-
-    /// Salvage-mode handling of one whole frame, verified or not.
-    fn absorb_frame(&mut self, frame: &Frame<'_>) {
-        let verified = frame.verify();
-        if verified && frame::claims_parity(frame.whole) {
-            // A checksummed but malformed parity body has nothing to resolve
-            // against; either way the frame occupies no data slot.
-            if let Some(pb) = frame.parse_parity() {
-                self.group_size = Some(pb.group_size);
-                self.parity_possible = true;
-                let mut window = core::mem::take(&mut self.window);
-                self.resolve_group(&mut window, &pb);
-            }
-            return;
-        }
-        if !self.parity_possible {
-            // Probation expired with no parity frame in sight: the stream
-            // has none, so nothing is retained and damage is final.
-            self.emit(if verified { body_values(frame.body) } else { None }, false);
-            return;
-        }
-        let mut entry = PendingFrame { bytes: frame.whole.to_vec(), verified, emitted: false };
-        if verified && self.window.iter().all(|e| e.emitted) {
-            // Nothing unresolved ahead of this frame: hand it out (or record
-            // the loss) now, keeping only its bytes for a later repair.
-            self.emit(body_values(frame.body), false);
-            entry.emitted = true;
-        }
-        self.window.push(entry);
-        self.enforce_window_bounds();
-    }
-
-    /// Assigns the next data index: queues `values` for the caller (noting
-    /// the index as repaired when they came out of parity), or records the
-    /// loss when there are none.
-    fn emit(&mut self, values: Option<Vec<F>>, repaired: bool) {
-        let idx = self.next_index;
-        self.next_index += 1;
-        match values {
-            Some(v) => {
-                self.pending.push_back(v);
-                if repaired {
-                    self.repaired.push(idx);
-                }
-            }
-            None => self.lost.push(idx),
-        }
-    }
-
-    /// Caps salvage-window memory. A stream that shows no parity frame within
-    /// the probation window carries none (groups hold at most 255 frames), so
-    /// nothing more is retained for repair; one whose parity frames are
-    /// themselves lost twice in a row is beyond the single-fault protection
-    /// level. Either way position arithmetic settles what is held.
-    fn enforce_window_bounds(&mut self) {
-        let full = match self.group_size {
-            Some(k) => self.window.len() >= 3 * (k + 1),
-            None => {
-                self.window.len() >= PARITY_PROBATION_FRAMES
-                    || self.window.iter().map(|e| e.bytes.len()).sum::<usize>()
-                        >= PARITY_PROBATION_BYTES
-            }
+        let first = self.next_index;
+        // A body's values, straight from its bytes; `None` unless it is one row-group.
+        let body_values = |body: &[u8]| {
+            let mut out = Vec::new();
+            decode_rowgroup_into(body, &mut out).ok().map(|()| out)
         };
-        if full {
-            self.parity_possible = self.group_size.is_some();
-            let mut window = core::mem::take(&mut self.window);
-            self.settle_positional(&mut window, self.group_size.unwrap_or(0));
-        }
-    }
-
-    /// Resolves `window` against a verified parity frame covering its last
-    /// `parity.count` entries: a single damaged frame in the group is rebuilt
-    /// by [`frame::repair_group`] and handed out in stream order.
-    fn resolve_group(&mut self, window: &mut [PendingFrame], parity: &frame::ParityBody<'_>) {
-        let group_start = window.len().saturating_sub(parity.count);
-        let (prefix, group) = window.split_at_mut(group_start);
-        // Entries before the group belong to earlier groups whose parity
-        // frame was itself damaged: position arithmetic settles them.
-        self.settle_positional(prefix, parity.group_size);
-        // Frames the window never saw (reader started mid-stream or mixed
-        // strict and salvaged reads) leave the group short, which the repair
-        // rule refuses as a missing member — and damages nothing.
-        let members: Vec<Option<&[u8]>> =
-            group.iter().map(|e| e.verified.then_some(e.bytes.as_slice())).collect();
-        let mut rebuilt = frame::repair_group(&members, parity)
-            .and_then(|(_, bytes)| body_values(Frame::split(&bytes)?.0.body));
-        for e in group.iter_mut().filter(|e| !e.emitted) {
-            if e.verified {
-                self.emit(e.values(), false);
-            } else {
-                self.emit(rebuilt.take(), true);
-            }
-            e.emitted = true;
-        }
-    }
-
-    /// End-of-stream resolution: settle everything still pending by position
-    /// arithmetic, then let a verified footer arbitrate — trailing "losses"
-    /// in excess of its row-group count were parity frames, not data.
-    fn resolve_terminal(&mut self) {
-        let mut window = core::mem::take(&mut self.window);
-        self.settle_positional(&mut window, self.group_size.unwrap_or(0));
-        if let Some(f) = self.footer {
-            let total = f.rowgroups as usize;
+        let items: Vec<Option<Vec<F>>> = if self.checksummed {
+            let decode = |f: &Frame<'_>, _| if f.verify() { body_values(f.body) } else { None };
+            parts.extend(terminated.then(|| vec![0; 4]));
+            let walk = frame::salvage(&parts.concat(), frame::Placement::Inline, threads, decode);
+            self.repaired = walk.repaired.iter().map(|i| first + i).collect();
+            walk.items
+        } else {
+            // Legacy frames have no checksum and no parity: a frame survives
+            // exactly when its body parses.
+            parts.iter().map(|part| body_values(part.get(4..)?)).collect()
+        };
+        self.lost = (first..).zip(&items).filter(|(_, v)| v.is_none()).map(|(i, _)| i).collect();
+        self.next_index = first + items.len();
+        if let Some(footer) = self.footer {
+            let total = footer.rowgroups as usize;
             while self.next_index > total && self.lost.last() == Some(&(self.next_index - 1)) {
                 self.lost.pop();
                 self.next_index -= 1;
             }
             self.committed = total == self.next_index;
         }
-    }
-
-    /// Settles entries without a resolving parity frame. Verified entries
-    /// are data (parity frames never linger in the window); damaged entries
-    /// are classified by their position within `k + 1`-frame chunks — one
-    /// parity slot per chunk — or by still naming themselves parity, and a
-    /// damaged frame sitting in a parity slot costs no data. With `k == 0`
-    /// (no parity frame ever verified) position says nothing, and every
-    /// other damaged frame is a data loss, the pre-parity behavior.
-    fn settle_positional(&mut self, entries: &mut [PendingFrame], k: usize) {
-        let mut pos = 0usize;
-        for e in entries.iter_mut() {
-            let names_parity = self.checksummed && frame::claims_parity(&e.bytes);
-            let parity_slot = (k > 0 && pos == k) || (!e.verified && names_parity);
-            if parity_slot {
-                pos = 0;
-            } else {
-                pos += 1;
-            }
-            if e.emitted {
-                continue;
-            }
-            if e.verified {
-                self.emit(e.values(), false);
-            } else if !parity_slot {
-                self.emit(None, false);
-            }
-            e.emitted = true;
-        }
+        self.pending = items.into_iter().flatten().collect::<Vec<_>>().into_iter();
+        Ok(self.pending.next())
     }
 
     /// Row-group indices skipped so far by

@@ -121,7 +121,7 @@ fn main() {
             for chunk in data.chunks(VECTOR_SIZE) {
                 let (combo, _) = full_search(chunk);
                 let v = alp::encode::encode_vector(chunk, combo.e, combo.f);
-                bits += v.compressed_bits::<f64>();
+                bits += v.compressed_bits();
             }
             brute_bits += bits;
         }

@@ -240,7 +240,8 @@ pub fn try_read_container_salvaged(
     };
     let Ok(header) = read_header(bytes) else { return Err(strict_err) };
     let slices = header.payload_len.div_ceil(SLICE_LEN);
-    let salvaged = frame::salvage(header.frames, slices, threads, |slice, _| {
+    let placement = frame::Placement::Trailing(slices);
+    let salvaged = frame::salvage(header.frames, placement, threads, |slice, _| {
         slice.verify().then(|| slice.body.to_vec())
     });
     // Any slice still missing after repair is the strict read's error.

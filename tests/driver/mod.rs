@@ -644,7 +644,8 @@ const STREAM_READS: [&str; 4] =
 /// every thread count and depth.
 pub fn alp_stream<F: Float>(parity: bool) -> Path<F> {
     let name = if parity { "\"ALPT\" stream with parity" } else { "\"ALPT\" stream" };
-    Path::new(name, false, move |ctx, data: &[F]| {
+    // With parity, `archive::open` salvages on the thread count under test.
+    Path::new(name, parity, move |ctx, data: &[F]| {
         let (bytes, _) = write_stream(ctx, 0, parity, data);
         let read = |how: &str| (how.to_string(), read_stream::<F>(&bytes, how).expect("pristine"));
         let mut renditions: Renditions<F> = STREAM_READS.map(read).into();
@@ -660,7 +661,7 @@ pub fn alp_stream<F: Float>(parity: bool) -> Path<F> {
             assert!(reader.lost_rowgroups().is_empty() && reader.is_committed());
             assert_eq!(reader.repaired_rowgroups(), damaged.damaged, "{}", damaged.label);
             renditions.push(("salvage after repair".into(), values));
-            let opened = open_complete(&damaged.bytes, 1, Verdict::Repaired);
+            let opened = open_complete(&damaged.bytes, ctx.threads, Verdict::Repaired);
             renditions.push(("archive::open after repair".into(), opened));
         }
         renditions
