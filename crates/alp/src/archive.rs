@@ -7,7 +7,9 @@
 //! repair is *complete* by the counts the file itself promised. It adds no
 //! parser, checksum or check of its own — the readers are [`crate::format`]'s
 //! and [`crate::stream`]'s — and one [`Verdict`] says what a caller may do
-//! with what came back.
+//! with what came back. Whatever the layout and whichever reader ran, what
+//! survived is one form: its verified row-group bodies in a
+//! [`BodyColumn`], decoded only when the caller asks for values.
 
 #![deny(
     clippy::unwrap_used,
@@ -21,8 +23,7 @@
 
 use std::error::Error;
 
-use crate::format::{self, FormatError, Salvage};
-use crate::rowgroup::Compressed;
+use crate::format::{self, BodyColumn, FormatError, Salvage};
 use crate::stream::{self, ColumnReader, StreamError};
 use crate::traits::AlpFloat;
 
@@ -104,40 +105,13 @@ pub struct Promised {
     pub rowgroups: usize,
 }
 
-/// The surviving row-groups, in file order.
-#[derive(Debug)]
-pub enum Survivors<F: AlpFloat> {
-    /// A column keeps its compressed, vector-addressable form.
-    Column(Compressed<F>),
-    /// A stream is drained: one decoded row-group per entry.
-    Stream(Vec<Vec<F>>),
-}
-
-impl<F: AlpFloat> Survivors<F> {
-    /// Value count of each surviving row-group.
-    pub fn rowgroup_lens(&self) -> Vec<usize> {
-        match self {
-            Survivors::Column(column) => column.rowgroups.iter().map(|rg| rg.len()).collect(),
-            Survivors::Stream(rowgroups) => rowgroups.iter().map(Vec::len).collect(),
-        }
-    }
-
-    /// Every surviving value (a column decodes on `threads` workers).
-    pub fn into_values(self, threads: usize) -> Vec<F> {
-        match self {
-            Survivors::Column(column) => column.decompress_parallel(threads),
-            Survivors::Stream(rowgroups) => rowgroups.concat(),
-        }
-    }
-}
-
 /// The result of [`open`]: what survived and what the file says about it.
 #[derive(Debug)]
 pub struct Opened<F: AlpFloat> {
     /// What [`sniff`] saw.
     pub kind: Kind,
-    /// The surviving row-groups, in file order.
-    pub survivors: Survivors<F>,
+    /// The surviving row-groups' bodies, in file order.
+    pub survivors: BodyColumn<F>,
     /// File-order indices of row-groups rebuilt from parity (present in
     /// `survivors`).
     pub repaired: Vec<usize>,
@@ -159,16 +133,17 @@ pub struct Opened<F: AlpFloat> {
 impl<F: AlpFloat> Opened<F> {
     /// Row-groups the file held: the promise, or what the walk accounted for.
     pub fn total_rowgroups(&self) -> usize {
-        let walked = self.survivors.rowgroup_lens().len() + self.lost.len();
+        let walked = self.survivors.rowgroup_count() + self.lost.len();
         self.promised.map_or(walked, |p| p.rowgroups)
     }
 
-    /// The column's values — only when they are all there
-    /// ([`Verdict::is_complete`]); otherwise the strict read's error.
+    /// The column's values, decoded on `threads` workers — only when they
+    /// are all there ([`Verdict::is_complete`]); otherwise the strict read's
+    /// error.
     pub fn complete_values(self, threads: usize) -> Result<Vec<F>, Box<dyn Error + Send + Sync>> {
         match self.strict_error {
             Some(strict_error) if !self.verdict.is_complete() => Err(strict_error),
-            _ => Ok(self.survivors.into_values(threads)),
+            _ => Ok(self.survivors.decompress(threads)),
         }
     }
 }
@@ -183,9 +158,9 @@ pub fn open<F: AlpFloat>(bytes: &[u8], threads: usize) -> Result<Opened<F>, Form
     let mut strict_error: Option<Box<dyn Error + Send + Sync>> = None;
     let (survivors, repaired, lost, promised, committed) = match kind.layout {
         Layout::Column => {
-            let read = format::from_bytes::<F>(bytes).map(|column| Salvage {
-                expected_len: column.len,
-                total_rowgroups: column.rowgroups.len(),
+            let read = BodyColumn::from_bytes(bytes).map(|column| Salvage {
+                expected_len: column.len(),
+                total_rowgroups: column.rowgroup_count(),
                 column,
                 lost_rowgroups: Vec::new(),
                 repaired_rowgroups: Vec::new(),
@@ -195,26 +170,20 @@ pub fn open<F: AlpFloat>(bytes: &[u8], threads: usize) -> Result<Opened<F>, Form
                 format::from_bytes_salvage_parallel(bytes, threads)
             })?;
             let promised = Promised { values: read.expected_len, rowgroups: read.total_rowgroups };
-            let survivors = Survivors::Column(read.column);
-            (survivors, read.repaired_rowgroups, read.lost_rowgroups, Some(promised), true)
+            (read.column, read.repaired_rowgroups, read.lost_rowgroups, Some(promised), true)
         }
         Layout::Stream => {
             let drain = |salvaging: bool| -> Result<_, StreamError> {
                 let mut reader = ColumnReader::<F, _>::new(bytes)?;
-                let mut rowgroups = Vec::new();
-                while let Some(values) = match salvaging {
-                    true => reader.next_salvaged(threads)?,
-                    false => reader.next_rowgroup()?,
-                } {
-                    rowgroups.push(values);
-                }
-                Ok((rowgroups, reader))
+                let column =
+                    if salvaging { reader.salvage_rest(threads)? } else { reader.strict_rest()? };
+                Ok((column, reader))
             };
             let read = drain(false).or_else(|e| {
                 strict_error = Some(e.into());
                 drain(true)
             });
-            let (rowgroups, reader) = read.map_err(|e| match e {
+            let (column, reader) = read.map_err(|e| match e {
                 StreamError::Format(e) => e,
                 // In memory the only I/O "error" is the bytes running out.
                 StreamError::Io(_) => FormatError::Truncated,
@@ -224,17 +193,15 @@ pub fn open<F: AlpFloat>(bytes: &[u8], threads: usize) -> Result<Opened<F>, Form
                 rowgroups: footer.rowgroups as usize,
             });
             let (repaired, lost) = (reader.repaired_rowgroups(), reader.lost_rowgroups());
-            let survivors = Survivors::Stream(rowgroups);
-            (survivors, repaired.to_vec(), lost.to_vec(), promised, reader.is_committed())
+            (column, repaired.to_vec(), lost.to_vec(), promised, reader.is_committed())
         }
     };
     // The verdict rule, written once.
-    let lens = survivors.rowgroup_lens();
-    let as_promised = promised.is_none_or(|p| p.values == lens.iter().sum::<usize>());
+    let as_promised = promised.is_none_or(|p| p.values == survivors.len());
     let verdict = match &strict_error {
         None => Verdict::Clean,
         Some(_) if lost.is_empty() && committed && as_promised => Verdict::Repaired,
-        Some(_) if !lens.is_empty() => Verdict::Salvageable,
+        Some(_) if survivors.rowgroup_count() > 0 => Verdict::Salvageable,
         Some(_) => Verdict::Unreadable,
     };
     Ok(Opened { kind, survivors, repaired, lost, promised, committed, strict_error, verdict })

@@ -28,32 +28,17 @@
 //! [`from_bytes_salvage_parallel`] can resync past a damaged row-group and recover —
 //! or, with parity, rebuild — the rest of the column.
 //!
-//! ## Writing a body: from an owned column, or straight from values
-//! [`write_rowgroup`] serializes an owned [`RowGroup`] (what the registry
-//! codec holds), copying each packed stream out in one little-endian
-//! extend. [`encode_alp_body`] / [`encode_rd_body`] write the same bytes from
-//! the *values*: the encode kernels pack each 64-value block's words straight
-//! into a zeroed region of the output (`fastlanes::bitpack::Word` over
-//! `[u8; 8]` — the same block loops that fill an owned vector's `Vec<u64>`),
-//! so the stream writers and the query engine's column build no `RowGroup`,
-//! no per-vector `Vec` and copy no word twice
-//! (`Compressor::encode_rowgroup_body` picks between the two and supplies the
-//! per-vector combination).
-//!
-//! ## Reading a body: one borrowed view
-//! [`RowGroupView::parse`] is the only code that validates a row-group body.
-//! It copies nothing: a view is the header fields by value plus sub-slices of
-//! the body, and the decode kernels read their packed words from those bytes
-//! in place ([`AlpVectorView`] / [`RdVectorView`] are the kernels' own source
-//! types, `crate::decode::AlpVectorRef` / `crate::rd::RdVectorRef`, over
-//! `[u8; 8]` words). Readers that want values — the stream reader, the
-//! salvage engine — go bytes → view → values ([`decode_rowgroup_into`]);
-//! readers that want an owned [`RowGroup`] ([`from_bytes`], [`read_rowgroup`],
-//! the salvage walkers) copy one out of a view ([`RowGroupView::to_owned`]).
-//! A reader that keeps the bytes and wants any one vector later — the query
-//! engine — holds a [`BodyColumn`]: the bodies, each parsed once when it is
-//! taken in, and every vector's offset, from which [`BodyColumn::vector`]
-//! splits a [`VectorView`] again with the parser's own per-vector step.
+//! ## Writing and reading a body
+//! [`write_rowgroup`] serializes an owned [`RowGroup`]; [`encode_alp_body`] /
+//! [`encode_rd_body`] write the same bytes straight from the *values*, packing
+//! each block in place (DESIGN.md §7b). [`RowGroupView::parse`] is the only
+//! code that validates a body, and copies nothing: the decode kernels read the
+//! view's packed words in place ([`AlpVectorView`] / [`RdVectorView`]), and
+//! [`RowGroupView::to_owned`] copies an owned [`RowGroup`] out for
+//! [`from_bytes`]. Every open of a file and every salvage walk hands back a
+//! [`BodyColumn`]: the verified bodies in one buffer, any one vector
+//! ([`BodyColumn::vector`]) or row-group ([`BodyColumn::rowgroup`]) read
+//! from them on demand.
 //!
 //! The checks, in the order they are made (a body failing several reports
 //! the first). Reading any field past the end of the buffer is
@@ -95,6 +80,9 @@
     clippy::indexing_slicing
 )]
 
+use std::borrow::Cow;
+use std::ops::Range;
+
 use fastlanes::bitpack::Word;
 use fastlanes::VECTOR_SIZE;
 
@@ -105,7 +93,7 @@ use crate::encode::{encode_vector_with, AlpVector, ExcArena, ExcView, Short};
 pub use crate::frame::parity_group_size;
 use crate::frame::{self, Frame, ParityConfig};
 use crate::rd::{RdCut, RdEncoder, RdVector, RdVectorRef, MAX_DICT_SIZE, MAX_LEFT_WIDTH};
-use crate::rowgroup::{AlpGroup, Compressed, RowGroup};
+use crate::rowgroup::{AlpGroup, Compressed, RowGroup, Scheme};
 use crate::sampler::{Combination, ConfigError};
 use crate::traits::AlpFloat;
 use crate::wire::{self, PutExt};
@@ -172,7 +160,8 @@ impl std::error::Error for FormatError {}
 /// Serializes a compressed column to bytes (current `ALP2` layout: every
 /// row-group body is length-prefixed and XXH64-checksummed).
 pub fn to_bytes<F: AlpFloat>(c: &Compressed<F>) -> Vec<u8> {
-    write_column(c, None)
+    let shape = (c.len, c.rowgroups.len(), c.compressed_bits() / 8);
+    write_column::<F, _>(shape, None, &c.rowgroups, write_rowgroup::<F>)
 }
 
 /// Serializes a compressed column like [`to_bytes`], then appends the
@@ -187,16 +176,25 @@ pub fn to_bytes_with_parity<F: AlpFloat>(
     parity: ParityConfig,
 ) -> Result<Vec<u8>, ConfigError> {
     parity.validate()?;
-    Ok(write_column(c, Some(parity)))
+    let shape = (c.len, c.rowgroups.len(), c.compressed_bits() / 8);
+    Ok(write_column::<F, _>(shape, Some(parity), &c.rowgroups, write_rowgroup::<F>))
 }
 
-fn write_column<F: AlpFloat>(c: &Compressed<F>, parity: Option<ParityConfig>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(c.compressed_bits() / 8 + 64);
+/// The `"ALP2"` header for `len` values in `rowgroups` row-groups, then one
+/// frame per item, its body written by `body` (about `bytes` bytes in all),
+/// then the trailing parity section when `parity` is set.
+fn write_column<F: AlpFloat, T>(
+    (len, rowgroups, bytes): (usize, usize, usize),
+    parity: Option<ParityConfig>,
+    items: impl IntoIterator<Item = T>,
+    body: impl FnMut(&mut Vec<u8>, T),
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(bytes + 64);
     out.put_slice(MAGIC);
     out.put_u8(F::BITS as u8);
-    out.put_u64_le(c.len as u64);
-    out.put_u32_le(c.rowgroups.len() as u32);
-    frame::encode_trailing(&mut out, parity, &c.rowgroups, write_rowgroup::<F>);
+    out.put_u64_le(len as u64);
+    out.put_u32_le(rowgroups as u32);
+    frame::encode_trailing(&mut out, parity, items, body);
     out
 }
 
@@ -366,17 +364,6 @@ struct Header {
     rg_count: usize,
 }
 
-impl Header {
-    /// The row-group count, clamped to what `rest` (the bytes after the
-    /// header) could physically hold, the smallest body being 5 bytes: a
-    /// corrupt header can claim billions, and neither a reservation nor a
-    /// loss report may be sized by the claim.
-    fn plausible_rowgroups(&self, rest: &[u8]) -> usize {
-        let min_frame = if self.framed { frame::PREFIX_LEN + 5 } else { 5 };
-        self.rg_count.min(rest.len() / min_frame + 1)
-    }
-}
-
 fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
     let framed = match &take::<4>(buf)? {
         MAGIC => true,
@@ -396,49 +383,64 @@ fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
     Ok(Header { framed, len, rg_count })
 }
 
-/// Parses a frame body as exactly one owned row-group.
-pub(crate) fn read_rowgroup_exact<F: AlpFloat>(body: &[u8]) -> Result<RowGroup, FormatError> {
-    RowGroupView::<F>::parse_exact(body)?.to_owned()
+/// The strict walk over a column: the header, then each row-group body in
+/// order — a frame delimited and checksum-verified, or a legacy `"ALP1"` body
+/// delimited by parsing it — handed to `take`, which answers the body's value
+/// count. The first damage is the error, and the counts must add up to the
+/// header's length: a lying header would otherwise drive a giant allocation
+/// in a whole-column decode.
+fn walk_strict<'a, F: AlpFloat>(
+    mut buf: &'a [u8],
+    mut take: impl FnMut(&'a [u8]) -> Result<usize, FormatError>,
+) -> Result<(), FormatError> {
+    let header = read_header::<F>(&mut buf)?;
+    let mut values = 0usize;
+    for i in 0..header.rg_count {
+        let body;
+        (body, buf) = if header.framed {
+            let (frame, rest) = Frame::split(buf).ok_or(FormatError::Truncated)?;
+            frame.check(i)?;
+            (frame.body, rest)
+        } else {
+            split_legacy::<F>(buf)?
+        };
+        values = values.saturating_add(take(body)?);
+    }
+    if values != header.len {
+        return Err(FormatError::Corrupt("column length"));
+    }
+    Ok(())
 }
 
-/// Verifies and parses one delimited frame: checksum first, then a full-body
-/// parse. The per-morsel work unit of [`from_bytes_salvage_parallel`] — it
-/// touches nothing outside the frame, so frames decode independently.
-fn decode_frame<F: AlpFloat>(frame: &Frame<'_>, index: usize) -> Result<RowGroup, FormatError> {
-    frame.check(index)?;
-    read_rowgroup_exact::<F>(frame.body)
+/// Splits the legacy `"ALP1"` body at the head of `buf` off the bodies after
+/// it, by parsing it: nothing else delimits one.
+fn split_legacy<F: AlpFloat>(buf: &[u8]) -> Result<(&[u8], &[u8]), FormatError> {
+    let rest = RowGroupView::<F>::parse(buf)?.rest().len();
+    buf.split_at_checked(buf.len() - rest).ok_or(FormatError::Truncated)
 }
 
 /// Deserializes a column previously produced by [`to_bytes`] (or a legacy
-/// `ALP1` writer). Strict: any damage — structural or checksum — is an error.
-pub fn from_bytes<F: AlpFloat>(mut buf: &[u8]) -> Result<Compressed<F>, FormatError> {
-    let header = read_header::<F>(&mut buf)?;
-    let mut rowgroups = Vec::with_capacity(header.plausible_rowgroups(buf));
-    for i in 0..header.rg_count {
-        rowgroups.push(if header.framed {
-            let (frame, rest) = Frame::split(buf).ok_or(FormatError::Truncated)?;
-            buf = rest;
-            decode_frame::<F>(&frame, i)?
-        } else {
-            read_rowgroup::<F>(&mut buf)?
-        });
-    }
-
-    // The recorded length must equal the vectors' actual content — a lying
-    // header would otherwise drive a giant allocation in `decompress`.
-    let actual: usize = rowgroups.iter().map(|rg| rg.len()).sum();
-    if actual != header.len {
-        return Err(FormatError::Corrupt("column length"));
-    }
-    Ok(Compressed::from_rowgroups(rowgroups, header.len))
+/// `ALP1` writer) into owned row-groups. Strict: any damage — structural or
+/// checksum — is an error.
+pub fn from_bytes<F: AlpFloat>(buf: &[u8]) -> Result<Compressed<F>, FormatError> {
+    let mut rowgroups = Vec::new();
+    walk_strict::<F>(buf, |body| {
+        let rowgroup = RowGroupView::<F>::parse_exact(body)?.to_owned()?;
+        let values = rowgroup.len();
+        rowgroups.push(rowgroup);
+        Ok(values)
+    })?;
+    let len = rowgroups.iter().map(RowGroup::len).sum();
+    Ok(Compressed::from_rowgroups(rowgroups, len))
 }
 
 /// Result of a salvage read: whatever survived, plus a damage report.
 #[derive(Debug)]
 pub struct Salvage<F: AlpFloat> {
-    /// The recoverable column — surviving row-groups in file order. Its `len`
-    /// is the surviving value count, not the original header length.
-    pub column: Compressed<F>,
+    /// The recoverable column — surviving row-group bodies in file order. Its
+    /// [`BodyColumn::len`] is the surviving value count, not the original
+    /// header length.
+    pub column: BodyColumn<F>,
     /// Indices (in file order) of row-groups that were lost to corruption.
     pub lost_rowgroups: Vec<usize>,
     /// Indices (in file order) of row-groups that were damaged on disk but
@@ -455,7 +457,7 @@ pub struct Salvage<F: AlpFloat> {
 impl<F: AlpFloat> Salvage<F> {
     /// True when every row-group survived.
     pub fn is_complete(&self) -> bool {
-        self.lost_rowgroups.is_empty() && self.column.len == self.expected_len
+        self.lost_rowgroups.is_empty() && self.column.len() == self.expected_len
     }
 }
 
@@ -475,35 +477,41 @@ impl<F: AlpFloat> Salvage<F> {
 /// unrecoverable and returns `Err` like [`from_bytes`].
 ///
 /// A serial scan finds the frame boundaries, then checksum verification and
-/// body decoding fan out on up to `threads` morsel-claiming workers, one
-/// frame per morsel; `threads <= 1` never spawns. The salvage report is the
-/// same at every thread count; legacy `ALP1` columns have no boundaries to
-/// scan and always walk serially.
+/// body validation fan out on up to `threads` morsel-claiming workers, one
+/// frame per morsel; `threads <= 1` never spawns. Nothing is decoded: the
+/// surviving bodies are copied into the column as they are stored. The
+/// salvage report is the same at every thread count; legacy `ALP1` columns
+/// have no boundaries to scan and always walk serially.
 pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     mut buf: &[u8],
     threads: usize,
 ) -> Result<Salvage<F>, FormatError> {
     let header = read_header::<F>(&mut buf)?;
-    let rg_count = header.plausible_rowgroups(buf);
-    let (mut decoded, repaired) = if header.framed {
-        // Serial boundary walk, parallel verify + decode, then parity repair
-        // of single-fault groups: the layer's random-access walker.
+    // Clamped to what the bytes could hold, the smallest body being 5 bytes:
+    // a corrupt header can claim billions, and no loss report may say so.
+    let min_frame = if header.framed { frame::PREFIX_LEN + 5 } else { 5 };
+    let rg_count = header.rg_count.min(buf.len() / min_frame + 1);
+    let (mut bodies, repaired) = if header.framed {
+        // Serial boundary walk, parallel verify + validate, then parity
+        // repair of single-fault groups: the layer's random-access walker.
         let placement = frame::Placement::Trailing(rg_count);
-        let walk = frame::salvage(buf, placement, threads, |f, i| decode_frame::<F>(f, i).ok());
-        (walk.items, walk.repaired)
+        let valid = |body: &[u8]| RowGroupView::<F>::parse_exact(body).is_ok();
+        let walk = frame::salvage(buf, placement, threads, valid);
+        (walk.bodies, walk.repaired)
     } else {
         // No framing: a parse failure loses byte alignment for good.
-        let walk = core::iter::from_fn(|| read_rowgroup::<F>(&mut buf).ok().map(Some));
+        let walk = core::iter::from_fn(|| {
+            let body;
+            (body, buf) = split_legacy::<F>(buf).ok()?;
+            Some(Some(Cow::Borrowed(body)))
+        });
         (walk.take(rg_count).collect(), Vec::new())
     };
     // Damaged beyond repair, or beyond the walk: lost.
-    decoded.resize_with(rg_count, || None);
-    let lost = (0..rg_count).filter(|&i| decoded.get(i).is_some_and(Option::is_none)).collect();
-    let rowgroups: Vec<RowGroup> = decoded.into_iter().flatten().collect();
-
-    let salvaged_len: usize = rowgroups.iter().map(|rg| rg.len()).sum();
+    bodies.resize_with(rg_count, || None);
+    let lost = (0..rg_count).filter(|&i| bodies.get(i).is_some_and(Option::is_none)).collect();
     Ok(Salvage {
-        column: Compressed::from_rowgroups(rowgroups, salvaged_len),
+        column: BodyColumn::from_slices(bodies.iter().flatten().map(|b| &**b))?,
         lost_rowgroups: lost,
         repaired_rowgroups: repaired,
         total_rowgroups: rg_count,
@@ -540,6 +548,14 @@ impl VectorView<'_> {
     /// Whether the vector holds no live values.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of exceptions the vector patches.
+    pub fn exceptions(&self) -> usize {
+        match self {
+            VectorView::Alp(v) => v.exc.len(),
+            VectorView::Rd(v) => v.exc_positions.len(),
+        }
     }
 
     /// Decodes into `out[..len]` (`out` ≥ 1024 elements) with the scheme's
@@ -588,18 +604,25 @@ impl VectorView<'_> {
     }
 }
 
-/// An owned column of row-group frame bodies, addressable by vector.
-/// [`BodyColumn::from_bodies`], the only constructor, parses each body once
-/// ([`RowGroupView::parse_exact`]) and records where each vector starts;
-/// [`BodyColumn::vector`] splits it off there with the parser's own
-/// per-vector step, so the kernels read the stored bytes in place (the
-/// paper's §4.3 random access) with no owned vector in between.
-#[derive(Debug, Clone)]
+/// An owned column of row-group frame bodies, addressable by vector and by
+/// row-group: what every open of a file and every salvage walk hands back,
+/// and what the query engine stores. The bodies sit in one byte buffer, each
+/// parsed once when it is taken in ([`RowGroupView::parse_exact`]), with
+/// every vector's offset recorded; [`BodyColumn::vector`] splits one off
+/// there with the parser's own per-vector step, so the kernels read the
+/// stored bytes in place (the paper's §4.3 random access), and a row-group is
+/// decoded only when it is asked for.
+#[derive(Debug, Clone, Default)]
 pub struct BodyColumn<F> {
-    bodies: Vec<Vec<u8>>,
-    /// Per vector: its body, the offset of its header there, and the body's
-    /// ALP_rd cut (`None`: an ALP row-group).
-    vectors: Vec<(usize, usize, Option<RdCut>)>,
+    /// Every body, back to back.
+    buf: Vec<u8>,
+    /// Each body's range in `buf`, in column order.
+    bodies: Vec<Range<usize>>,
+    /// Per vector: the offset of its header in `buf`, and its body's ALP_rd
+    /// cut (`None`: an ALP row-group).
+    vectors: Vec<(usize, Option<RdCut>)>,
+    /// Live values over all bodies.
+    len: usize,
     _float: core::marker::PhantomData<F>,
 }
 
@@ -608,35 +631,112 @@ impl<F: AlpFloat> BodyColumn<F> {
     /// [`crate::Compressor::encode_rowgroup_body`] writes them — once every
     /// one parses whole; the first that does not is the error.
     pub fn from_bodies(bodies: Vec<Vec<u8>>) -> Result<Self, FormatError> {
-        let views: Vec<_> =
-            bodies.iter().map(|b| RowGroupView::<F>::parse_exact(b)).collect::<Result<_, _>>()?;
+        Self::from_slices(bodies.iter().map(Vec::as_slice))
+    }
+
+    /// [`BodyColumn::from_bodies`] over borrowed bodies, copied into one
+    /// buffer sized up front.
+    pub(crate) fn from_slices<'b>(
+        bodies: impl Iterator<Item = &'b [u8]> + Clone,
+    ) -> Result<Self, FormatError> {
+        let mut buf = Vec::with_capacity(bodies.clone().map(<[u8]>::len).sum());
+        let ranges = bodies.map(|body| {
+            buf.extend_from_slice(body);
+            buf.len() - body.len()..buf.len()
+        });
+        let ranges = ranges.collect();
+        Self::over(buf, ranges)
+    }
+
+    /// The strict open of an `"ALP2"` (or legacy `"ALP1"`) column: the walk
+    /// [`from_bytes`] makes, each verified body kept as it is stored.
+    pub(crate) fn from_bytes(buf: &[u8]) -> Result<Self, FormatError> {
+        let mut bodies = Vec::new();
+        walk_strict::<F>(buf, |body| {
+            bodies.push(body);
+            Ok(RowGroupView::<F>::parse_exact(body)?.len())
+        })?;
+        Self::from_slices(bodies.into_iter())
+    }
+
+    /// The column over `buf` as it is, no byte copied: each of `ranges` is
+    /// one body, in column order, and must parse whole.
+    pub(crate) fn over(buf: Vec<u8>, ranges: Vec<Range<usize>>) -> Result<Self, FormatError> {
+        let mut views = Vec::with_capacity(ranges.len());
+        for range in &ranges {
+            let body = buf.get(range.clone()).ok_or(FormatError::Truncated)?;
+            views.push(RowGroupView::<F>::parse_exact(body)?);
+        }
         let mut vectors = Vec::with_capacity(views.iter().map(|v| v.vectors).sum());
-        for (body, (view, bytes)) in views.iter().zip(&bodies).enumerate() {
+        for (range, view) in ranges.iter().zip(&views) {
             let mut cur = view.payload; // which ends where the body does
             for _ in 0..view.vectors {
-                vectors.push((body, bytes.len() - cur.len(), view.rd));
+                vectors.push((range.end - cur.len(), view.rd));
                 split_vector::<F>(view.rd.as_ref(), &mut cur)?;
             }
         }
-        Ok(Self { bodies, vectors, _float: core::marker::PhantomData })
+        let len = views.iter().map(|v| v.len).sum();
+        Ok(Self { buf, bodies: ranges, vectors, len, _float: core::marker::PhantomData })
     }
 
     /// Vector `v`, numbered across the bodies; `None` past the last.
     #[inline]
     pub fn vector(&self, v: usize) -> Option<VectorView<'_>> {
-        let (body, at, rd) = self.vectors.get(v)?;
-        let mut cur = self.bodies.get(*body)?.get(*at..)?;
+        let (at, rd) = self.vectors.get(v)?;
+        let mut cur = self.buf.get(*at..)?;
         split_vector::<F>(rd.as_ref(), &mut cur).ok()
     }
 
+    /// Row-group `i`'s view; `None` past the last.
+    pub fn rowgroup(&self, i: usize) -> Option<RowGroupView<'_, F>> {
+        RowGroupView::parse_exact(self.buf.get(self.bodies.get(i)?.clone())?).ok()
+    }
+
     /// The bodies, byte for byte as they were taken in.
-    pub fn bodies(&self) -> &[Vec<u8>] {
-        &self.bodies
+    pub fn bodies(&self) -> impl Iterator<Item = &[u8]> {
+        self.bodies.iter().filter_map(|range| self.buf.get(range.clone()))
+    }
+
+    /// Number of row-groups.
+    pub fn rowgroup_count(&self) -> usize {
+        self.bodies.len()
     }
 
     /// Number of vectors.
     pub fn vector_count(&self) -> usize {
         self.vectors.len()
+    }
+
+    /// Number of live values.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the column holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every value, decoded on up to `threads` morsel workers, one row-group
+    /// per morsel; the same values at every thread count.
+    pub fn decompress(&self, threads: usize) -> Vec<F> {
+        let part = |_: &mut (), i| {
+            let mut part = Vec::new();
+            self.rowgroup(i).inspect(|rowgroup| rowgroup.decode_into(&mut part));
+            part
+        };
+        crate::par::map_morsels(threads, self.bodies.len(), || (), part).concat()
+    }
+
+    /// The bodies as an `"ALP2"` column, each framed, with the trailing
+    /// parity section when `parity` is set: for row-groups a writer encoded,
+    /// the bytes [`to_bytes`] / [`to_bytes_with_parity`] write for them.
+    ///
+    /// Returns [`ConfigError`] when the group size is out of range.
+    pub fn to_bytes(&self, parity: Option<ParityConfig>) -> Result<Vec<u8>, ConfigError> {
+        parity.as_ref().map(ParityConfig::validate).transpose()?;
+        let shape = (self.len, self.bodies.len(), self.buf.len());
+        Ok(write_column::<F, _>(shape, parity, self.bodies(), |out, body| out.put_slice(body)))
     }
 }
 
@@ -829,6 +929,15 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
     /// Number of vectors.
     pub fn vector_count(&self) -> usize {
         self.vectors
+    }
+
+    /// The row-group's scheme.
+    pub fn scheme(&self) -> Scheme {
+        if self.rd.is_some() {
+            Scheme::AlpRd
+        } else {
+            Scheme::Alp
+        }
     }
 
     /// Number of live values over all vectors.
@@ -1065,14 +1174,14 @@ mod tests {
         // Surviving row-groups decode bit-exactly to the data outside the
         // damaged row-group.
         let lost = salvage.lost_rowgroups[0];
-        let decoded = salvage.column.decompress();
+        let decoded = salvage.column.decompress(1);
         let expected: Vec<f64> = data
             .chunks(rg_len)
             .enumerate()
             .filter(|(i, _)| *i != lost)
             .flat_map(|(_, c)| c.iter().copied())
             .collect();
-        assert_eq!(salvage.column.len, expected.len());
+        assert_eq!(salvage.column.len(), expected.len());
         assert_eq!(decoded.len(), expected.len());
         for (a, b) in decoded.iter().zip(&expected) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1085,7 +1194,7 @@ mod tests {
         let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert!(salvage.is_complete());
         assert!(salvage.lost_rowgroups.is_empty());
-        assert_eq!(salvage.column.len, data.len());
+        assert_eq!(salvage.column.len(), data.len());
     }
 
     /// The frozen `"ALP1"` file (no V1 writer is left) against the `"ALP2"`
@@ -1102,13 +1211,13 @@ mod tests {
         assert_bit_exact(&want, &back.decompress());
         let salvage = from_bytes_salvage_parallel::<f64>(v1, 1).unwrap();
         assert!(salvage.is_complete());
-        assert_bit_exact(&want, &salvage.column.decompress());
+        assert_bit_exact(&want, &salvage.column.decompress(1));
         // Salvage accepts v1 too, but without frames damage ends recovery.
         let mut damaged = v1.to_vec();
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0x01;
         let salvage = from_bytes_salvage_parallel::<f64>(&damaged, 1).unwrap();
-        assert!(salvage.column.len <= want.len());
+        assert!(salvage.column.len() <= want.len());
     }
 
     #[test]
@@ -1118,7 +1227,7 @@ mod tests {
         let cut = bytes.len() - bytes.len() / 3;
         let salvage = from_bytes_salvage_parallel::<f64>(&bytes[..cut], 1).unwrap();
         assert!(!salvage.lost_rowgroups.is_empty());
-        assert!(salvage.column.rowgroups.len() < clean.rowgroups.len());
+        assert!(salvage.column.rowgroup_count() < clean.rowgroups.len());
     }
 
     #[test]
@@ -1133,8 +1242,8 @@ mod tests {
             assert_eq!(par.lost_rowgroups, serial.lost_rowgroups, "t={threads}");
             assert_eq!(par.total_rowgroups, serial.total_rowgroups);
             assert_eq!(par.expected_len, serial.expected_len);
-            assert_eq!(par.column.len, serial.column.len);
-            assert_eq!(par.column.decompress(), serial.column.decompress());
+            assert_eq!(par.column.len(), serial.column.len());
+            assert_eq!(par.column.decompress(1), serial.column.decompress(1));
         }
     }
 
@@ -1146,7 +1255,7 @@ mod tests {
             let par = from_bytes_salvage_parallel::<f64>(&bytes[..cut], 4).unwrap();
             assert_eq!(par.lost_rowgroups, serial.lost_rowgroups, "cut {cut}");
             assert_eq!(par.total_rowgroups, serial.total_rowgroups, "cut {cut}");
-            assert_eq!(par.column.decompress(), serial.column.decompress(), "cut {cut}");
+            assert_eq!(par.column.decompress(1), serial.column.decompress(1), "cut {cut}");
         }
     }
 
@@ -1155,8 +1264,8 @@ mod tests {
         let (data, bytes) = multi_rowgroup_bytes();
         let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 4).unwrap();
         assert!(salvage.is_complete());
-        assert_eq!(salvage.column.len, data.len());
-        let decoded = salvage.column.decompress();
+        assert_eq!(salvage.column.len(), data.len());
+        let decoded = salvage.column.decompress(1);
         for (a, b) in data.iter().zip(&decoded) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -1205,7 +1314,7 @@ mod tests {
         let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert!(salvage.is_complete());
         assert!(salvage.repaired_rowgroups.is_empty());
-        assert_bit_exact(&data, &salvage.column.decompress());
+        assert_bit_exact(&data, &salvage.column.decompress(1));
     }
 
     #[test]
@@ -1221,7 +1330,7 @@ mod tests {
         let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert_eq!(salvage.repaired_rowgroups, vec![5]);
         assert!(salvage.lost_rowgroups.is_empty());
-        assert_bit_exact(&data, &salvage.column.decompress());
+        assert_bit_exact(&data, &salvage.column.decompress(1));
         // With only the length corrupted, resync re-finds the true frame and
         // no parity repair is even needed.
         let mut bytes = clean.clone();
@@ -1229,7 +1338,7 @@ mod tests {
         let _ = e;
         let salvage = from_bytes_salvage_parallel::<f64>(&bytes, 1).unwrap();
         assert!(salvage.lost_rowgroups.is_empty());
-        assert_bit_exact(&data, &salvage.column.decompress());
+        assert_bit_exact(&data, &salvage.column.decompress(1));
     }
 
     #[test]
@@ -1250,7 +1359,7 @@ mod tests {
             let par = from_bytes_salvage_parallel::<f64>(&bytes, threads).unwrap();
             assert_eq!(par.repaired_rowgroups, serial.repaired_rowgroups, "t={threads}");
             assert_eq!(par.lost_rowgroups, serial.lost_rowgroups);
-            assert_eq!(par.column.decompress(), serial.column.decompress());
+            assert_eq!(par.column.decompress(1), serial.column.decompress(1));
         }
     }
 
@@ -1263,13 +1372,13 @@ mod tests {
         let cut = parity_start + (clean.len() - parity_start) / 2;
         let salvage = from_bytes_salvage_parallel::<f64>(&clean[..cut], 1).unwrap();
         assert!(salvage.lost_rowgroups.is_empty());
-        assert_bit_exact(&data, &salvage.column.decompress());
+        assert_bit_exact(&data, &salvage.column.decompress(1));
         // Cut inside the data: the tail (and the parity section with it) is
         // lost — trailing parity cannot repair truncation, by design.
         let (s, e) = spans[11];
         let salvage = from_bytes_salvage_parallel::<f64>(&clean[..s + (e - s) / 2], 1).unwrap();
         assert!(salvage.lost_rowgroups.contains(&11));
-        assert!(salvage.column.rowgroups.len() <= 11);
+        assert!(salvage.column.rowgroup_count() <= 11);
     }
 
     /// A [`BodyColumn`] over one body per slice of `rowgroups`.
@@ -1317,6 +1426,39 @@ mod tests {
         assert_eq!(column.vector(7).map(|v| v.len()), Some(2100 - 2048));
         assert!(column.vector(8).is_none());
         assert!(body_column(&[]).vector(0).is_none());
+    }
+
+    /// The column's bodies, through the strict walk of its bytes.
+    fn bodies_of(c: &Compressed<f64>) -> BodyColumn<f64> {
+        BodyColumn::from_bytes(&to_bytes(c)).expect("a column just written")
+    }
+
+    #[test]
+    fn parallel_decompress_matches_serial() {
+        let mut data: Vec<f64> = (0..150_000).map(|i| ((i * 13) % 9973) as f64 / 100.0).collect();
+        data.extend((0..50_000).map(|i| (i as f64 * 0.577).sin() * 0.001));
+        let c = Compressor::new().compress(&data);
+        let serial = c.decompress();
+        for threads in [1, 2, 7] {
+            let par = bodies_of(&c).decompress(threads);
+            assert_eq!(par.len(), serial.len());
+            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "t={threads} idx {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_paths_handle_empty_and_single_value() {
+        let comp = Compressor::new();
+        for threads in [1, 2, 7] {
+            let empty = comp.compress_parallel::<f64>(&[], threads);
+            assert_eq!(empty.len, 0);
+            assert!(bodies_of(&empty).decompress(threads).is_empty());
+
+            let one = comp.compress_parallel(&[42.5f64], threads);
+            assert_eq!(bodies_of(&one).decompress(threads), vec![42.5]);
+        }
     }
 
     #[test]

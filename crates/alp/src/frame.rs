@@ -39,7 +39,9 @@
     clippy::indexing_slicing
 )]
 
+use std::borrow::Cow;
 use std::io::{self, Read};
+use std::ops::Range;
 
 use crate::format::FormatError;
 use crate::hash::{xxh64, CHECKSUM_SEED};
@@ -135,8 +137,8 @@ impl<'a> Frame<'a> {
     }
 }
 
-/// What a frame read found at the head of the source. `buf[..n]` is the
-/// frame, or what arrived of it; anything past `n` is scratch.
+/// What a frame read found at the head of the source. `buf[at..at + n]` is
+/// the frame, or what arrived of it; anything past it is scratch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameRead {
     /// A whole frame of this many bytes.
@@ -174,29 +176,37 @@ fn read_bounded<R: Read + ?Sized>(
     Ok(got)
 }
 
-/// Reads `len:u32 | extra bytes | body[len]` into the reused `buf` under
-/// `retry` — the one `Read`-side parser of the length prefix, with `extra = 8`
-/// for frames and `0` for the legacy checksum-less `"ALPS"` layout. The
-/// length is untrusted: the buffer grows only as bytes arrive, so an input
+/// Reads `len:u32 | extra bytes | body[len]` under `retry` into `buf` from
+/// `at` on — the one `Read`-side parser of the length prefix, with
+/// `extra = 8` for frames and `0` for the legacy checksum-less `"ALPS"`
+/// layout. The prefix is read aside, so a terminator writes nothing. The
+/// length is untrusted: `buf` grows only as bytes arrive, so an input
 /// claiming a gigabyte it does not have costs one [`READ_STEP`]. Hard faults
 /// and exhausted retry budgets are `Err`.
 pub(crate) fn read_len_prefixed<R: Read + ?Sized>(
     source: &mut R,
-    buf: &mut Vec<u8>,
+    (buf, at): (&mut Vec<u8>, usize),
     extra: usize,
     retry: &RetryPolicy,
 ) -> io::Result<FrameRead> {
-    let got = read_bounded(source, buf, 0, 4, retry)?;
-    let Some(len) = buf.get(..got).and_then(|b| b.first_chunk::<4>()) else {
-        return Ok(FrameRead::Torn(got));
-    };
-    let len = u32::from_le_bytes(*len);
-    if len == 0 {
+    let mut prefix = [0u8; 4];
+    let got = read_best_effort(source, &mut prefix, retry)?;
+    let len = u32::from_le_bytes(prefix);
+    if got == 4 && len == 0 {
         return Ok(FrameRead::Terminator);
     }
     let rest = usize::try_from(len).unwrap_or(usize::MAX).saturating_add(extra);
-    let got = read_bounded(source, buf, 4, rest, retry)?;
-    Ok(if got == rest { FrameRead::Frame(4 + rest) } else { FrameRead::Torn(4 + got) })
+    // The body's read grows `buf` past the prefix's place first.
+    let body = if got == 4 { read_bounded(source, buf, at + 4, rest, retry)? } else { 0 };
+    buf.resize(buf.len().max(at + got), 0);
+    if let (Some(dst), Some(src)) = (buf.get_mut(at..at + got), prefix.get(..got)) {
+        dst.copy_from_slice(src);
+    }
+    Ok(match got {
+        4 if body == rest => FrameRead::Frame(4 + rest),
+        4 => FrameRead::Torn(4 + body),
+        _ => FrameRead::Torn(got),
+    })
 }
 
 /// Whether whole frame bytes announce a parity frame. It holds for damaged
@@ -455,50 +465,53 @@ fn locate(buf: &[u8], max_frames: usize) -> Located<'_> {
 /// [`settle`] sorts those before the group. Only parity frames and slots are
 /// hashed.
 fn locate_inline(buf: &[u8]) -> Located<'_> {
-    let (mut frames, mut parity, mut pending, mut k) = (Vec::new(), Vec::new(), Vec::new(), 0);
+    // `frames[open..]` came after the last verified parity frame.
+    let (mut frames, mut parity, mut open, mut k) = (Vec::new(), Vec::new(), 0, 0);
     let mut rest = buf;
     while rest.first_chunk() != Some(&[0u8; 4]) {
         let Some((frame, tail)) = Frame::split(rest) else {
-            pending.push(Frame::over(rest).unwrap_or(Frame { whole: rest, stored: 0, body: &[] }));
+            frames.push(Frame::over(rest).unwrap_or(Frame { whole: rest, stored: 0, body: &[] }));
             break;
         };
         rest = tail;
         if !(claims_parity(frame.whole) && frame.verify()) {
-            pending.push(frame);
+            frames.push(frame);
             continue;
         }
         // A verified parity frame with a malformed body closes nothing.
         let Some(pb) = frame.parse_parity() else { continue };
         k = pb.group_size;
-        let group = pending.len().saturating_sub(pb.count);
-        settle(&mut frames, pending.drain(..group), k);
-        if pending.len() == pb.count {
-            parity.push((frames.len(), pb));
+        let members = frames.len().saturating_sub(pb.count).max(open);
+        let group = settle(&mut frames, open..members, k);
+        if frames.len() - group == pb.count {
+            parity.push((group, pb));
         }
-        frames.append(&mut pending);
+        open = frames.len();
     }
-    settle(&mut frames, pending, k);
+    let end = frames.len();
+    settle(&mut frames, open..end, k);
     Located { frames, parity }
 }
 
-/// Appends the frames of groups whose parity frame is damaged, from a group
-/// boundary on, that are data: a damaged frame in a parity slot (every
-/// `k + 1`-th; none when `k == 0`) or still naming itself `"ALPP"` was that
-/// parity frame and costs no data. A verified frame is always data.
-fn settle<'a>(
-    frames: &mut Vec<Frame<'a>>,
-    unclaimed: impl IntoIterator<Item = Frame<'a>>,
-    k: usize,
-) {
-    let mut pos = 0usize;
-    for frame in unclaimed {
+/// Settles `frames[range]` — frames of groups whose parity frame is damaged,
+/// from a group boundary on — in place, keeping those that are data: a
+/// damaged frame in a parity slot (every `k + 1`-th; none when `k == 0`) or
+/// still naming itself `"ALPP"` was that parity frame and costs no data. A
+/// verified frame is always data. Returns where the range ends now.
+fn settle(frames: &mut Vec<Frame<'_>>, range: Range<usize>, k: usize) -> usize {
+    let (mut pos, mut kept) = (0usize, range.start);
+    for i in range.clone() {
+        let Some(&frame) = frames.get(i) else { break };
         // Verified frames that name themselves parity never get here.
         let slot = (k > 0 && pos == k) || claims_parity(frame.whole);
         pos = if slot { 0 } else { pos + 1 };
         if !slot || frame.verify() {
-            frames.push(frame);
+            frames.swap(kept, i);
+            kept += 1;
         }
     }
+    frames.drain(kept..range.end);
+    kept
 }
 
 /// The parity group size advertised by `buf`'s trailing parity section, when
@@ -510,49 +523,54 @@ pub fn parity_group_size(buf: &[u8]) -> Option<usize> {
 
 /// What [`salvage`] recovered from a region.
 #[derive(Debug)]
-pub struct Salvaged<T> {
-    /// One slot per data frame delimited, in order: the decoded item, or
-    /// `None` where the frame is damaged beyond repair.
-    pub items: Vec<Option<T>>,
+pub struct Salvaged<'a> {
+    /// One slot per data frame delimited, in order: its verified body —
+    /// borrowed from the region, or the bytes parity rebuilt — or `None`
+    /// where the frame is damaged beyond repair.
+    pub bodies: Vec<Option<Cow<'a, [u8]>>>,
     /// Indices of the frames that were damaged and rebuilt from parity
-    /// (their items are present), ascending.
+    /// (their bodies are present), ascending.
     pub repaired: Vec<usize>,
 }
 
 /// The one salvage walker: delimits a region's data frames and parity groups
-/// serially by `placement` (`locate` / `locate_inline`), runs `decode` —
-/// which must verify the frame it is handed — over them on up to `threads`
-/// morsel workers, then applies [`repair_group`] to every parity group and
-/// decodes each rebuilt frame through the same closure. The result is
-/// identical at every thread count.
-pub fn salvage<T: Send>(
-    buf: &[u8],
+/// serially by `placement` (`locate` / `locate_inline`), checks each frame's
+/// checksum and runs `valid` over its body on up to `threads` morsel
+/// workers, then applies [`repair_group`] to every parity group and keeps
+/// each rebuilt body `valid` accepts. `valid` validates and decodes nothing
+/// for the caller; the result is identical at every thread count.
+pub fn salvage<'a>(
+    buf: &'a [u8],
     placement: Placement,
     threads: usize,
-    decode: impl Fn(&Frame<'_>, usize) -> Option<T> + Sync,
-) -> Salvaged<T> {
+    valid: impl Fn(&[u8]) -> bool + Sync,
+) -> Salvaged<'a> {
     let located = match placement {
         Placement::Trailing(max_frames) => locate(buf, max_frames),
         Placement::Inline => locate_inline(buf),
     };
     let frames = &located.frames;
-    let mut items =
-        crate::par::map_morsels(threads, frames.len(), || (), |(), m| decode(frames.get(m)?, m));
+    let intact = |_: &mut (), m: usize| {
+        let frame = frames.get(m)?;
+        (frame.verify() && valid(frame.body)).then_some(Cow::Borrowed(frame.body))
+    };
+    let mut bodies = crate::par::map_morsels(threads, frames.len(), || (), intact);
     let mut repaired = Vec::new();
     for &(start, pb) in &located.parity {
         // Stops short at a member the walk never delimited, which
         // `repair_group` then refuses as a missing member.
         let members: Vec<Option<&[u8]>> = (start..start.saturating_add(pb.count))
-            .map_while(|i| Some(items.get(i)?.as_ref().and(frames.get(i)).map(|f| f.whole)))
+            .map_while(|i| Some(bodies.get(i)?.as_ref().and(frames.get(i)).map(|f| f.whole)))
             .collect();
-        let Some((victim, rebuilt)) = repair_group(&members, &pb) else { continue };
-        let item = Frame::split(&rebuilt).and_then(|(f, _)| decode(&f, start + victim));
-        if let (Some(item), Some(slot)) = (item, items.get_mut(start + victim)) {
-            *slot = Some(item);
+        let Some((victim, mut rebuilt)) = repair_group(&members, &pb) else { continue };
+        let slot = bodies.get_mut(start + victim);
+        if let Some(slot) = slot.filter(|_| valid(rebuilt.get(PREFIX_LEN..).unwrap_or_default())) {
+            rebuilt.drain(..PREFIX_LEN);
+            *slot = Some(Cow::Owned(rebuilt));
             repaired.push(start + victim);
         }
     }
-    Salvaged { items, repaired }
+    Salvaged { bodies, repaired }
 }
 
 #[cfg(test)]
@@ -675,6 +693,12 @@ mod tests {
         region
     }
 
+    /// A walk's outcome with every body owned, to compare against.
+    struct Walked {
+        bodies: Vec<Option<Vec<u8>>>,
+        repaired: Vec<usize>,
+    }
+
     /// Every case on both placements, with the outcome each placement owes.
     #[test]
     fn trailing_placement_salvages_resyncs_and_repairs() {
@@ -683,20 +707,23 @@ mod tests {
         let parity = Some(ParityConfig { group_size: 2 });
         encode_trailing(&mut trailing, parity, &bodies, |o, b| o.extend_from_slice(b));
         let inline = inline_region(&bodies);
-        let body_of = |f: &Frame<'_>, _| f.verify().then(|| f.body.to_vec());
         let all: Vec<Option<Vec<u8>>> = bodies.iter().cloned().map(Some).collect();
-        let present =
-            |s: &Salvaged<Vec<u8>>| s.items.iter().map(Option::is_some).collect::<Vec<_>>();
+        let present = |s: &Walked| s.bodies.iter().map(Option::is_some).collect::<Vec<_>>();
         assert_eq!(parity_group_size(&trailing), Some(2));
 
         for (placement, region) in
             [(Placement::Trailing(bodies.len()), &trailing), (Placement::Inline, &inline)]
         {
             let is_inline = placement == Placement::Inline;
-            let run = |bytes: &[u8], threads| salvage(bytes, placement, threads, body_of);
+            // Every body is valid here: only checksums and parity decide.
+            let run = |bytes: &[u8], threads| {
+                let walk = salvage(bytes, placement, threads, |_| true);
+                let bodies = walk.bodies.into_iter().map(|b| b.map(Cow::into_owned)).collect();
+                Walked { bodies, repaired: walk.repaired }
+            };
             let clean = run(region, 1);
             assert!(clean.repaired.is_empty());
-            assert_eq!(clean.items, all, "{placement:?}");
+            assert_eq!(clean.bodies, all, "{placement:?}");
             // `(start, len)` of the data frames and of the parity frames.
             let (mut data, mut parity, mut at) = (Vec::new(), Vec::new(), 0);
             while let Some((f, _)) = Frame::split(&region[at..]) {
@@ -712,7 +739,7 @@ mod tests {
                 hurt[start + PREFIX_LEN + 2] ^= 0xFF;
                 for threads in [1usize, 4] {
                     let healed = run(&hurt, threads);
-                    assert_eq!((healed.repaired, healed.items), (vec![i], all.clone()));
+                    assert_eq!((healed.repaired, healed.bodies), (vec![i], all.clone()));
                 }
             }
             // A damaged parity frame costs nothing.
@@ -721,7 +748,7 @@ mod tests {
                 hurt[start + len - 1] ^= 0xFF;
                 let unprotected = run(&hurt, 1);
                 assert!(unprotected.repaired.is_empty());
-                assert_eq!(unprotected.items, all, "{placement:?} parity at {start}");
+                assert_eq!(unprotected.bodies, all, "{placement:?} parity at {start}");
             }
             // Two damaged frames in one group are beyond the protection level.
             let mut hurt = region.clone();
@@ -733,7 +760,7 @@ mod tests {
             // A torn tail inside a parity frame costs nothing; inside a data
             // frame it is one loss (a trailing section is cut off with it).
             let (start, len) = parity[2];
-            assert_eq!(run(&region[..start + len / 2], 1).items, all, "{placement:?}");
+            assert_eq!(run(&region[..start + len / 2], 1).bodies, all, "{placement:?}");
             let (start, len) = data[4];
             let torn = run(&region[..start + len / 2], 1);
             let expect = if is_inline { &[true, true, true, true, false][..] } else { &[true; 4] };
@@ -751,7 +778,7 @@ mod tests {
                 assert_eq!(present(&walked), [true, true, true, false]);
                 assert!(walked.repaired.is_empty());
             } else {
-                assert_eq!((walked.repaired, walked.items), (vec![3], all.clone()));
+                assert_eq!((walked.repaired, walked.bodies), (vec![3], all.clone()));
             }
         }
 
@@ -763,7 +790,7 @@ mod tests {
         assert_eq!(parity_group_size(&plain), None);
         let at: usize = bodies[..3].iter().map(|b| PREFIX_LEN + b.len()).sum();
         plain[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(salvage(&plain, Placement::Trailing(bodies.len()), 1, body_of).items.len(), 3);
+        assert_eq!(salvage(&plain, Placement::Trailing(bodies.len()), 1, |_| true).bodies.len(), 3);
     }
 
     /// A `Read` that never ends.
@@ -790,7 +817,7 @@ mod tests {
         let mut buf = Vec::new();
         for (extra, whole) in prefixed_shapes(b"abcdef") {
             let read = |source: &mut &[u8], buf: &mut Vec<u8>| {
-                read_len_prefixed(source, buf, extra, &retry).unwrap()
+                read_len_prefixed(source, (buf, 0), extra, &retry).unwrap()
             };
             let mut source: &[u8] = &whole;
             assert_eq!(read(&mut source, &mut buf), FrameRead::Frame(whole.len()));
@@ -811,7 +838,7 @@ mod tests {
         let whole = frame(b"abcdef");
         assert_eq!(Frame::split(&whole).unwrap().0.body, b"abcdef");
         let mut source: &[u8] = &whole[..11];
-        let read = read_len_prefixed(&mut source, &mut buf, PREFIX_LEN - 4, &retry).unwrap();
+        let read = read_len_prefixed(&mut source, (&mut buf, 0), PREFIX_LEN - 4, &retry).unwrap();
         assert_eq!(read, FrameRead::Torn(11));
         let torn = group_parity(&[frame(&[1; 9])], 1);
         assert!(claims_parity(&torn[..16]));
@@ -827,7 +854,7 @@ mod tests {
             input.extend_from_slice(&[0u8; 8]);
             let mut buf = Vec::new();
             let mut source: &[u8] = &input;
-            let read = read_len_prefixed(&mut source, &mut buf, extra, &RetryPolicy::none());
+            let read = read_len_prefixed(&mut source, (&mut buf, 0), extra, &RetryPolicy::none());
             assert_eq!(read.unwrap(), FrameRead::Torn(12));
             assert!(buf.capacity() <= 2 * READ_STEP, "capacity {}", buf.capacity());
 
@@ -835,7 +862,7 @@ mod tests {
             let len = 5 * READ_STEP / 2;
             let prefix = (len as u32).to_le_bytes();
             let mut source = prefix.as_slice().chain(Zeros);
-            let read = read_len_prefixed(&mut source, &mut buf, extra, &RetryPolicy::none());
+            let read = read_len_prefixed(&mut source, (&mut buf, 0), extra, &RetryPolicy::none());
             assert_eq!(read.unwrap(), FrameRead::Frame(4 + extra + len));
         }
     }

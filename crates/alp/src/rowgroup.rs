@@ -156,11 +156,6 @@ impl RowGroup {
     }
 }
 
-/// A zeroed vector-sized decode buffer (one per decoding thread).
-fn vector_buf<F: AlpFloat>() -> Vec<F> {
-    vec![F::from_bits_u64(0); VECTOR_SIZE]
-}
-
 /// A fully compressed column.
 #[derive(Debug, Clone)]
 pub struct Compressed<F: AlpFloat> {
@@ -206,36 +201,10 @@ impl<F: AlpFloat> Compressed<F> {
     pub fn decompress_into(&self, out: &mut Vec<F>) {
         out.clear();
         out.reserve(self.len);
-        let mut buf = vector_buf::<F>();
+        let mut buf = vec![F::from_bits_u64(0); VECTOR_SIZE];
         for rg in &self.rowgroups {
             rg.decode_into(&mut buf, out);
         }
-    }
-
-    /// Row-group `m`'s values on their own — one parallel worker's unit of
-    /// work (`m` comes from the morsel queue, so it is always in range).
-    fn decode_rowgroup(&self, m: usize, buf: &mut [F]) -> Vec<F> {
-        let mut part = Vec::new();
-        if let Some(rg) = self.rowgroups.get(m) {
-            part.reserve_exact(rg.len());
-            rg.decode_into(buf, &mut part);
-        }
-        part
-    }
-
-    /// Decompresses the whole column on up to `threads` morsel-claiming
-    /// workers (one row-group per morsel), each with its own vector-sized
-    /// scratch buffer. Values are identical to [`Compressed::decompress`].
-    pub fn decompress_parallel(&self, threads: usize) -> Vec<F> {
-        let parts =
-            crate::par::map_morsels(threads, self.rowgroups.len(), vector_buf::<F>, |buf, m| {
-                self.decode_rowgroup(m, buf)
-            });
-        let mut out = Vec::with_capacity(self.len);
-        for p in &parts {
-            out.extend_from_slice(p);
-        }
-        out
     }
 }
 
@@ -525,34 +494,6 @@ mod tests {
             assert_eq!(par.compressed_bits(), serial.compressed_bits(), "t={threads}");
             assert_eq!(par.decompress(), serial.decompress(), "t={threads}");
             assert_eq!(par.stats, serial.stats, "t={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_decompress_matches_serial() {
-        let mut data: Vec<f64> = (0..150_000).map(|i| ((i * 13) % 9973) as f64 / 100.0).collect();
-        data.extend((0..50_000).map(|i| (i as f64 * 0.577).sin() * 0.001));
-        let c = Compressor::new().compress(&data);
-        let serial = c.decompress();
-        for threads in [1, 2, 7] {
-            let par = c.decompress_parallel(threads);
-            assert_eq!(par.len(), serial.len());
-            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "t={threads} idx {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_paths_handle_empty_and_single_value() {
-        let comp = Compressor::new();
-        for threads in [1, 2, 7] {
-            let empty = comp.compress_parallel::<f64>(&[], threads);
-            assert_eq!(empty.len, 0);
-            assert!(empty.decompress_parallel(threads).is_empty());
-
-            let one = comp.compress_parallel(&[42.5f64], threads);
-            assert_eq!(one.decompress_parallel(threads), vec![42.5]);
         }
     }
 

@@ -15,11 +15,13 @@
 //! corruption before handing data out. With a [`ParityConfig`] the writer
 //! puts one parity frame after every `group_size` row-group frames (inline
 //! placement). Salvage ([`ColumnReader::next_rowgroup_salvaged`]) reads the
-//! rest of the stream into memory and runs the one salvage walker,
+//! rest of the stream into one buffer and runs the one salvage walker,
 //! [`crate::frame::salvage`], over it: damaged frames are skipped by their
-//! length prefix and any single damaged frame per group is *repaired*. This
-//! module owns the header, the terminator, the commit footer and the retry
-//! plumbing; the frame, parity placement, the walk and the repair rule are
+//! length prefix and any single damaged frame per group is *repaired*. The
+//! surviving bodies are kept as a [`BodyColumn`] — validated, not decoded —
+//! and each is decoded only when it is handed out. This module owns the
+//! header, the terminator, the commit footer and the retry plumbing; the
+//! frame, parity placement, the walk and the repair rule are
 //! [`crate::frame`]'s.
 //!
 //! The commit footer is written only by [`ColumnWriter::finish`], so its
@@ -63,11 +65,12 @@
     clippy::indexing_slicing
 )]
 
+use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 use fastlanes::VECTOR_SIZE;
 
-use crate::format::{decode_rowgroup_into, read_rowgroup_exact, FormatError};
+use crate::format::{decode_rowgroup_into, BodyColumn, FormatError, RowGroupView};
 use crate::frame::{self, Frame, FrameRead, ParityAccumulator, ParityConfig};
 use crate::hash::{xxh64, CHECKSUM_SEED};
 use crate::io::{flush_retry, read_full_retry, write_all_retry, RetryPolicy};
@@ -344,8 +347,7 @@ impl<F: AlpFloat, W: Write> ColumnWriter<F, W> {
 /// Incremental column reader: yields one decompressed row-group at a time.
 pub struct ColumnReader<F: AlpFloat, R: Read> {
     source: R,
-    /// Reused read buffer; only its first `n` bytes (see
-    /// [`frame::read_len_prefixed`]) are the current frame.
+    /// Reused read buffer: the current frame.
     frame: Vec<u8>,
     done: bool,
     /// `"ALPT"`: frames carry checksums and a commit footer follows the
@@ -363,8 +365,9 @@ pub struct ColumnReader<F: AlpFloat, R: Read> {
     /// The parsed commit footer, when one was found and verified.
     footer: Option<StreamFooter>,
     retry: RetryPolicy,
-    /// Salvaged row-groups still to hand out, in stream order.
-    pending: std::vec::IntoIter<Vec<F>>,
+    /// What the salvage walk kept, in stream order, and how many of its
+    /// row-groups were handed out.
+    survivors: (BodyColumn<F>, usize),
 }
 
 /// Errors produced while reading a stream.
@@ -423,7 +426,7 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             committed: false,
             footer: None,
             retry,
-            pending: Vec::new().into_iter(),
+            survivors: (BodyColumn::default(), 0),
         })
     }
 
@@ -463,14 +466,16 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// relay or selectively decode).
     pub fn next_rowgroup_compressed(&mut self) -> Result<Option<RowGroup>, StreamError> {
         let Some(body) = self.next_body()? else { return Ok(None) };
-        Ok(Some(read_rowgroup_exact::<F>(body)?))
+        Ok(Some(RowGroupView::<F>::parse_exact(body)?.to_owned()?))
     }
 
-    /// Reads the next frame of either flavor into the reused buffer: a
-    /// checksummed frame, or the legacy `len:u32 | body`.
-    fn read_next(&mut self) -> io::Result<FrameRead> {
+    /// Reads the next frame of either flavor — checksummed, or the legacy
+    /// `len:u32 | body` — into `into` at `at`, or else into the reused frame
+    /// buffer at its start.
+    fn read_next(&mut self, into: Option<(&mut Vec<u8>, usize)>) -> io::Result<FrameRead> {
         let extra = if self.checksummed { frame::PREFIX_LEN - 4 } else { 0 };
-        frame::read_len_prefixed(&mut self.source, &mut self.frame, extra, &self.retry)
+        let buf = into.unwrap_or((&mut self.frame, 0));
+        frame::read_len_prefixed(&mut self.source, buf, extra, &self.retry)
     }
 
     /// The strict readers' frame step: reads frames until one holds a
@@ -481,7 +486,7 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             if self.done {
                 return Ok(None);
             }
-            let n = match self.read_next()? {
+            let n = match self.read_next(None)? {
                 FrameRead::Frame(n) => n,
                 FrameRead::Terminator => {
                     self.done = true;
@@ -528,27 +533,38 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
     /// retry budgets still surface as `Err`.
     ///
     /// The first call reads the rest of the source and salvages it in one
-    /// walk; later calls hand out the survivors. Strict reads before it
-    /// degrade repairs to losses (never the other way around).
+    /// walk, which keeps the surviving bodies; each call then decodes the
+    /// next of them. Strict reads before it degrade repairs to losses (never
+    /// the other way around).
     pub fn next_rowgroup_salvaged(&mut self) -> Result<Option<Vec<F>>, StreamError> {
-        Ok(self.next_salvaged(1)?)
+        if !self.done {
+            self.survivors = (self.salvage_rest(1)?, 0);
+        }
+        let (survivors, handed_out) = &mut self.survivors;
+        let Some(rowgroup) = survivors.rowgroup(*handed_out) else { return Ok(None) };
+        *handed_out += 1;
+        let mut values = Vec::new();
+        rowgroup.decode_into(&mut values);
+        Ok(Some(values))
     }
 
-    /// [`ColumnReader::next_rowgroup_salvaged`] with the walk over the rest of
-    /// the source on up to `threads` morsel workers (the same outcome at every
-    /// count): `"ALPT"` frames go through [`frame::salvage`], then a verified
-    /// footer arbitrates: trailing "losses" beyond its row-group count were
-    /// parity frames.
-    pub(crate) fn next_salvaged(&mut self, threads: usize) -> io::Result<Option<Vec<F>>> {
+    /// The salvage walk over the rest of the source on up to `threads`
+    /// morsel workers (the same outcome at every count): the bytes are read
+    /// into one buffer, `"ALPT"` frames go through [`frame::salvage`], which
+    /// checks each checksum and validates each body, and a verified footer
+    /// then arbitrates: trailing "losses" beyond its row-group count were
+    /// parity frames. Returns the surviving bodies, none of them decoded.
+    pub(crate) fn salvage_rest(&mut self, threads: usize) -> Result<BodyColumn<F>, StreamError> {
         if self.done {
-            return Ok(self.pending.next());
+            return Ok(BodyColumn::default());
         }
-        // Frame by frame, so that no buffer grows by more than what arrived.
-        let mut parts = Vec::new();
+        // Frame by frame, so that `rest` grows only as bytes arrive.
+        let mut rest = Vec::new();
         let terminated = loop {
-            let read = self.read_next()?;
+            let at = rest.len();
+            let read = self.read_next(Some((&mut rest, at)))?;
             let (FrameRead::Frame(n) | FrameRead::Torn(n)) = read else { break true };
-            parts.push(self.frame.get(..n).unwrap_or(&[]).to_vec());
+            rest.truncate(at + n);
             if read == FrameRead::Torn(n) {
                 break false;
             }
@@ -558,24 +574,30 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             self.read_commit_footer();
         }
         let first = self.next_index;
-        // A body's values, straight from its bytes; `None` unless it is one row-group.
-        let body_values = |body: &[u8]| {
-            let mut out = Vec::new();
-            decode_rowgroup_into(body, &mut out).ok().map(|()| out)
-        };
-        let items: Vec<Option<Vec<F>>> = if self.checksummed {
-            let decode = |f: &Frame<'_>, _| if f.verify() { body_values(f.body) } else { None };
-            parts.extend(terminated.then(|| vec![0; 4]));
-            let walk = frame::salvage(&parts.concat(), frame::Placement::Inline, threads, decode);
+        let valid = |body: &[u8]| RowGroupView::<F>::parse_exact(body).is_ok();
+        let bodies = if self.checksummed {
+            if terminated {
+                rest.reserve_exact(4);
+                rest.extend_from_slice(&[0; 4]);
+            }
+            let walk = frame::salvage(&rest, frame::Placement::Inline, threads, valid);
             self.repaired = walk.repaired.iter().map(|i| first + i).collect();
-            walk.items
+            walk.bodies
         } else {
             // Legacy frames have no checksum and no parity: a frame survives
-            // exactly when its body parses.
-            parts.iter().map(|part| body_values(part.get(4..)?)).collect()
+            // exactly when its body parses, and a stream short of its
+            // terminator ends in one more loss, the torn frame.
+            let mut frames = rest.as_slice();
+            let legacy = core::iter::from_fn(|| {
+                let (len, tail) = frames.split_first_chunk::<4>()?;
+                let body;
+                (body, frames) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
+                Some(valid(body).then_some(Cow::Borrowed(body)))
+            });
+            legacy.chain((!terminated).then_some(None)).collect()
         };
-        self.lost = (first..).zip(&items).filter(|(_, v)| v.is_none()).map(|(i, _)| i).collect();
-        self.next_index = first + items.len();
+        self.lost = (first..).zip(&bodies).filter(|(_, b)| b.is_none()).map(|(i, _)| i).collect();
+        self.next_index = first + bodies.len();
         if let Some(footer) = self.footer {
             let total = footer.rowgroups as usize;
             while self.next_index > total && self.lost.last() == Some(&(self.next_index - 1)) {
@@ -584,8 +606,30 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             }
             self.committed = total == self.next_index;
         }
-        self.pending = items.into_iter().flatten().collect::<Vec<_>>().into_iter();
-        Ok(self.pending.next())
+        // Unless a body was rebuilt, the column keeps `rest`, each body a
+        // range of it, instead of copying them out.
+        let at = |body: &[u8]| (body.as_ptr() as usize).wrapping_sub(rest.as_ptr() as usize);
+        let mut ranges = Vec::with_capacity(bodies.len());
+        for body in bodies.iter().flatten() {
+            let Cow::Borrowed(body) = body else {
+                return Ok(BodyColumn::from_slices(bodies.iter().flatten().map(|b| &**b))?);
+            };
+            ranges.push(at(body)..at(body) + body.len());
+        }
+        Ok(BodyColumn::over(rest, ranges)?)
+    }
+
+    /// The strict read of the rest of the source: every frame verified and
+    /// every body parsed, in order (the first fault is the error), and all
+    /// of them kept.
+    pub(crate) fn strict_rest(&mut self) -> Result<BodyColumn<F>, StreamError> {
+        let (mut buf, mut ranges) = (Vec::new(), Vec::new());
+        while let Some(body) = self.next_body()? {
+            RowGroupView::<F>::parse_exact(body)?;
+            buf.extend_from_slice(body);
+            ranges.push(buf.len() - body.len()..buf.len());
+        }
+        Ok(BodyColumn::over(buf, ranges)?)
     }
 
     /// Row-group indices skipped so far by

@@ -12,6 +12,7 @@ use core::ops::{Add, Mul, Sub};
 /// (`2^(m-1) + 2^(m-2)` where `m` is the mantissa width + 1).
 pub trait AlpFloat:
     Copy
+    + Default
     + PartialEq
     + PartialOrd
     + Debug

@@ -67,7 +67,7 @@ impl Stored {
     pub fn compressed_bytes(&self) -> usize {
         match self {
             Stored::Raw(values) => values.len() * 8,
-            Stored::Alp(c) => c.bodies().iter().map(Vec::len).sum(),
+            Stored::Alp(c) => c.bodies().map(<[u8]>::len).sum(),
             Stored::Codec(_, chunks) => chunks.iter().map(|(bytes, _)| bytes.len()).sum(),
         }
     }

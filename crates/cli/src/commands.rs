@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fs;
 use std::time::Instant;
 
-use alp::archive::{self, Layout, Opened, Survivors, Verdict};
+use alp::archive::{self, Layout, Opened, Verdict};
 use alp::{AlpFloat, ParityConfig, PipelineConfig, PipelinedColumnWriter};
 
 type Result<T> = std::result::Result<T, Box<dyn Error + Send + Sync>>;
@@ -213,19 +213,14 @@ impl Action<'_> {
                     );
                 }
                 report(input, &opened, true);
-                if let (true, Verdict::Repaired, Survivors::Column(column)) =
-                    (rewrite, opened.verdict, &opened.survivors)
-                {
-                    // Re-encode with the same protection the file carried; the
-                    // repaired row-groups are byte-identical to what the writer
+                if (rewrite, opened.verdict) == (true, Verdict::Repaired) {
+                    // Re-frame with the same protection the file carried; the
+                    // repaired bodies are byte-identical to what the writer
                     // emitted, so the rewritten file matches the pristine
                     // original.
-                    let repaired = match alp::format::parity_group_size(bytes) {
-                        Some(group_size) => {
-                            alp::format::to_bytes_with_parity(column, ParityConfig { group_size })?
-                        }
-                        None => alp::format::to_bytes(column),
-                    };
+                    let parity = alp::format::parity_group_size(bytes)
+                        .map(|group_size| ParityConfig { group_size });
+                    let repaired = opened.survivors.to_bytes(parity)?;
                     let tmp = format!("{input}.scrub-tmp");
                     fs::write(&tmp, &repaired)?;
                     fs::rename(&tmp, input)?;
@@ -257,41 +252,34 @@ fn parenthesized<S: AsRef<str>>(notes: impl IntoIterator<Item = S>) -> String {
     }
 }
 
-/// `alp inspect <in>`: the surviving row-groups in file order — with their
-/// scheme and exception counts where the layout keeps them compressed — and
-/// the repaired and lost ones marked.
+/// `alp inspect <in>`: the surviving row-groups in file order — scheme,
+/// vectors, values and exceptions, read from their bodies — and the repaired
+/// and lost ones marked.
 fn inspect<F: AlpFloat>(file_bytes: usize, opened: &Opened<F>) {
-    let lens = opened.survivors.rowgroup_lens();
+    let survivors = &opened.survivors;
     let what = match opened.kind.layout {
         Layout::Column => "column",
         Layout::Stream => "stream",
     };
     println!(
         "ALP {what}: {} values of f{}, {} row-groups, {file_bytes} bytes{}",
-        lens.iter().sum::<usize>(),
+        survivors.len(),
         F::BITS,
-        lens.len(),
+        survivors.rowgroup_count(),
         parenthesized(commit_state(opened)),
     );
     println!("{:<6} {:<8} {:>8} {:>10} {:>12}", "rg", "scheme", "vectors", "values", "exceptions");
-    let shape = |rg: &alp::RowGroup| -> (&str, String) {
-        let (scheme, exceptions): (_, usize) = match rg {
-            alp::RowGroup::Alp(g) => ("ALP", g.vectors.iter().map(|v| v.exception_count()).sum()),
-            alp::RowGroup::Rd(_, vs) => ("ALP_rd", vs.iter().map(|v| v.exception_count()).sum()),
-        };
-        (scheme, exceptions.to_string())
-    };
-    let rows: Vec<(&str, String)> = match &opened.survivors {
-        Survivors::Column(column) => column.rowgroups.iter().map(shape).collect(),
-        // A drained stream keeps values only: no scheme, no exception count.
-        Survivors::Stream(rowgroups) => vec![("-", "-".into()); rowgroups.len()],
-    };
-    let mut survivors = lens.iter().zip(rows);
-    for rg in 0..lens.len() + opened.lost.len() {
+    let mut views = (0..survivors.rowgroup_count()).filter_map(|i| survivors.rowgroup(i));
+    for rg in 0..survivors.rowgroup_count() + opened.lost.len() {
         if opened.lost.contains(&rg) {
             println!("{rg:<6} LOST");
-        } else if let Some((len, (scheme, exceptions))) = survivors.next() {
-            let vectors = len.div_ceil(alp::VECTOR_SIZE);
+        } else if let Some(view) = views.next() {
+            let scheme = match view.scheme() {
+                alp::Scheme::Alp => "ALP",
+                alp::Scheme::AlpRd => "ALP_rd",
+            };
+            let exceptions: usize = view.vectors().map(|v| v.exceptions()).sum();
+            let (vectors, len) = (view.vector_count(), view.len());
             let repaired =
                 if opened.repaired.contains(&rg) { "  repaired from parity" } else { "" };
             println!("{rg:<6} {scheme:<8} {vectors:>8} {len:>10} {exceptions:>12}{repaired}");
@@ -311,8 +299,7 @@ fn report<F: AlpFloat>(input: &str, opened: &Opened<F>, scrub: bool) {
     };
     let layout = format!("{} ({layout})", kind.magic);
     let state = parenthesized(commit_state(opened));
-    let lens = opened.survivors.rowgroup_lens();
-    let (values, rowgroups) = (lens.iter().sum::<usize>(), lens.len());
+    let (values, rowgroups) = (opened.survivors.len(), opened.survivors.rowgroup_count());
     let (total, repaired) = (opened.total_rowgroups(), opened.repaired.len());
     if let (Some(e), false) = (&opened.strict_error, scrub) {
         println!("{input}: CORRUPT — {layout}: {e}");

@@ -3,7 +3,8 @@
 //! One table — damage × layout × width → exit code — holds `verify` and
 //! `scrub` to the same verdict on the same bytes (DESIGN.md §7), `decompress`
 //! to "succeeds, bit-exactly, iff the verdict is complete" and `inspect` to a
-//! listing whenever anything survives. Beside it: the `--rewrite` heal, byte
+//! listing whenever anything survives. Beside it: the `--rewrite` heal,
+//! `inspect`'s rows for a stream against a column's, byte
 //! identity of `--stream` across threads and depths, the one bits/value
 //! definition, and fused vs `--no-fused` queries.
 
@@ -168,6 +169,27 @@ fn scrub_rewrite_heals_a_column_in_place_and_refuses_a_stream() {
     assert_eq!(alp(&["scrub", &column, "--rewrite"]).0, 0);
     compress(&input, &stream, width, true, Some("4"));
     assert_eq!(alp(&["scrub", &stream, "--rewrite"]).0, 1);
+}
+
+/// `inspect` reads scheme, vectors, values and exceptions from the surviving
+/// bodies, so a stream lists the same row-groups as a column of the same
+/// values.
+#[test]
+fn inspect_lists_a_stream_like_a_column_of_the_same_values() {
+    let dir = Dir::new("inspect");
+    for (width, input) in inputs(&dir) {
+        let rows = |stream: bool| {
+            let file = dir.path(if stream { "col.alpt" } else { "col.alp" });
+            compress(&input, &file, width, stream, None);
+            let (code, listing) = alp(&["inspect", &file]);
+            assert_eq!(code, 0, "{width}: {listing}");
+            // Past the file's own line: the column titles, one row per row-group.
+            listing.lines().skip(1).map(String::from).collect::<Vec<_>>()
+        };
+        let column = rows(false);
+        assert_eq!(column.len(), 1 + 3, "{width}: {column:?}");
+        assert_eq!(rows(true), column, "{width}: the stream's rows");
+    }
 }
 
 #[test]

@@ -441,7 +441,7 @@ impl Column {
     pub fn compressed_bytes(&self) -> usize {
         match &self.storage {
             Storage::Uncompressed(v) => v.len() * 8,
-            Storage::Alp(c) => c.bodies().iter().map(Vec::len).sum(),
+            Storage::Alp(c) => c.bodies().map(<[u8]>::len).sum(),
         }
     }
 
@@ -642,7 +642,7 @@ mod tests {
             Storage::Uncompressed(values) => {
                 vec![values.iter().flat_map(|x| x.to_le_bytes()).collect()]
             }
-            Storage::Alp(c) => c.bodies().to_vec(),
+            Storage::Alp(c) => c.bodies().map(<[u8]>::to_vec).collect(),
         }
     }
 
@@ -844,7 +844,7 @@ mod tests {
     /// base:i64 exc:u16`, 16 blocks of `width` words, 10 bytes per exception.
     fn edit_alp_vector(column: &mut Column, v: usize, edit: impl FnOnce(&mut [u8])) {
         let Storage::Alp(c) = &mut column.storage else { panic!("an ALP column") };
-        let mut bodies = c.bodies().to_vec();
+        let mut bodies: Vec<Vec<u8>> = c.bodies().map(<[u8]>::to_vec).collect();
         let body = &mut bodies[0];
         assert_eq!(body[0], alp::format::SCHEME_TAG_ALP, "decimal data encodes as ALP");
         let mut at = 5;

@@ -24,7 +24,8 @@
 //! * the strict stream read: `ColumnReader::next_rowgroup_into` decodes from
 //!   the frame bytes into the caller's buffer, so once both are warm a
 //!   row-group costs no allocation, and `next_rowgroup` exactly one (the
-//!   `Vec` it returns).
+//!   `Vec` it returns); the salvage read decodes a row-group only when it
+//!   hands it out, so its first call costs no event per further row-group.
 //!
 //! * the serial stream write: `ColumnWriter::push` encodes a row-group from
 //!   its values straight into the frame's bytes, so once the writer's buffers
@@ -384,6 +385,30 @@ fn strict_stream_reads_allocate_nothing_per_rowgroup_after_warmup() {
         assert!(!reader.next_rowgroup_into(&mut values).expect("clean") && values.is_empty());
         assert!(reader.is_committed());
     }
+}
+
+/// A salvage read keeps the walk's surviving bodies in one column and decodes
+/// a row-group only when it hands it out, so its first call on a clean stream
+/// costs about the same allocation events whatever the stream's length (the
+/// read buffer and the walk's lists grow by doubling). Copying each frame out
+/// and decoding every survivor before handing out the first costs at least
+/// two events per row-group.
+#[test]
+fn the_first_salvaged_read_decodes_one_rowgroup() {
+    use alp::stream::ColumnReader;
+    let rowgroup = sample(4 * alp::VECTOR_SIZE);
+    let first_call = |rowgroups: usize| {
+        let file = periodic_stream(&rowgroup, rowgroups);
+        let mut reader = ColumnReader::<f64, _>::new(&file[..]).expect("header");
+        let mut first = None;
+        let allocs = allocations_in(|| first = reader.next_rowgroup_salvaged().expect("clean"));
+        assert_eq!(first.as_ref(), Some(&rowgroup), "{rowgroups} row-groups");
+        assert!(reader.lost_rowgroups().is_empty() && reader.repaired_rowgroups().is_empty());
+        allocs
+    };
+    let (two, ten) = (first_call(2), first_call(10));
+    let extra = ten.saturating_sub(two);
+    assert!(extra < 8, "8 more row-groups cost {extra} more events ({two} at 2, {ten} at 10)");
 }
 
 /// Regression: `read_rowgroup` reserved `min(count, 65536)` vector slots from

@@ -464,9 +464,9 @@ pub fn codec_chunks() -> Vec<Path<f64>> {
     serializable().map(chunked).collect()
 }
 
-/// `Compressor::compress_parallel` → every in-memory decoder, and
-/// `encode_rowgroup_body` per row-group → `BodyColumn::vector` one vector at
-/// a time.
+/// `Compressor::compress_parallel` → `decompress`, and `encode_rowgroup_body`
+/// per row-group → `BodyColumn`'s threaded decode and `BodyColumn::vector`
+/// one vector at a time.
 pub fn alp_column<F: Float>() -> Path<F> {
     Path::new("ALP column", true, |ctx, data: &[F]| {
         let compressor = ctx.compressor();
@@ -486,7 +486,7 @@ pub fn alp_column<F: Float>() -> Path<F> {
         }
         vec![
             ("decompress".into(), column.decompress()),
-            ("decompress_parallel".into(), column.decompress_parallel(ctx.threads)),
+            ("BodyColumn::decompress".into(), bodies.decompress(ctx.threads)),
             ("BodyColumn::vector".into(), by_vector),
         ]
     })
@@ -522,7 +522,7 @@ pub fn alp_bytes<F: Float>(parity: bool) -> Path<F> {
         let salvaged = |bytes: &[u8], threads| {
             let salvage = from_bytes_salvage_parallel::<F>(bytes, threads).expect("header");
             assert!(salvage.is_complete(), "lost {:?}", salvage.lost_rowgroups);
-            (salvage.column.decompress(), salvage.repaired_rowgroups)
+            (salvage.column.decompress(threads), salvage.repaired_rowgroups)
         };
         let spans = frame_spans(&bytes, COLUMN_HEADER);
         let mut viewed = Vec::new();
@@ -1219,8 +1219,8 @@ pub fn column_layout<F: Float>(name: &str, pristine: Vec<u8>, values: usize) -> 
             }),
             reader("from_bytes_salvage_parallel", false, true, |b, threads| {
                 from_bytes_salvage_parallel::<F>(b, threads).map(|salvage| {
-                    let values = salvage.column.decompress();
-                    assert_eq!(values.len(), salvage.column.len, "decodes to its own length");
+                    let values = salvage.column.decompress(1);
+                    assert_eq!(values.len(), salvage.column.len(), "decodes to its own length");
                     values.len()
                 })
             }),

@@ -187,7 +187,7 @@ fn check_column_reads<F: AlpFloat>(name: &str, data: &[F]) {
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(salvage.is_complete(), "{label}: complete");
         assert!(salvage.repaired_rowgroups.is_empty(), "{label}: nothing to repair");
-        assert_bits_eq(data, &salvage.column.decompress(), &label);
+        assert_bits_eq(data, &salvage.column.decompress(1), &label);
     }
 }
 
@@ -298,7 +298,7 @@ fn one_flipped_body_byte_in_each_parity_golden_repairs_byte_identically() {
         let salvage = from_bytes_salvage_parallel::<f64>(&column, threads).expect("salvage");
         assert_eq!(salvage.repaired_rowgroups, [0], "column t={threads}");
         assert!(salvage.is_complete(), "column t={threads}");
-        assert_bits_eq(&data, &salvage.column.decompress(), "column repair");
+        assert_bits_eq(&data, &salvage.column.decompress(1), "column repair");
     }
     assert_eq!(
         from_bytes_salvage_parallel::<f64>(&column, 1).expect("salvage").repaired_rowgroups,

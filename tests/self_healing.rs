@@ -175,7 +175,7 @@ fn table_surfaces(data: &[f64]) -> Vec<Surface> {
                 assert_eq!(par.lost_rowgroups, serial.lost_rowgroups);
                 assert_eq!(par.repaired_rowgroups, serial.repaired_rowgroups);
                 assert_eq!(serial.is_complete(), serial.lost_rowgroups.is_empty());
-                Ok((serial.column.decompress(), serial.lost_rowgroups, serial.repaired_rowgroups))
+                Ok((serial.column.decompress(1), serial.lost_rowgroups, serial.repaired_rowgroups))
             },
         },
         Surface {

@@ -430,7 +430,7 @@ fn check_golden<F: AlpFloat>(name: &str) {
             from_bytes_salvage_parallel::<F>(&bytes, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(salvage.is_complete(), "{name}");
         assert_eq!(
-            bits_of(&salvage.column.decompress()),
+            bits_of(&salvage.column.decompress(1)),
             flat,
             "{name}: from_bytes_salvage_parallel"
         );
