@@ -23,7 +23,7 @@
 
 use std::error::Error;
 
-use crate::format::{self, BodyColumn, FormatError, Salvage};
+use crate::format::{self, BodyColumn, FormatError};
 use crate::stream::{self, ColumnReader, StreamError};
 use crate::traits::AlpFloat;
 
@@ -157,21 +157,20 @@ pub fn open<F: AlpFloat>(bytes: &[u8], threads: usize) -> Result<Opened<F>, Form
     let kind = sniff(bytes)?;
     let mut strict_error: Option<Box<dyn Error + Send + Sync>> = None;
     let (survivors, repaired, lost, promised, committed) = match kind.layout {
-        Layout::Column => {
-            let read = BodyColumn::from_bytes(bytes).map(|column| Salvage {
-                expected_len: column.len(),
-                total_rowgroups: column.rowgroup_count(),
-                column,
-                lost_rowgroups: Vec::new(),
-                repaired_rowgroups: Vec::new(),
-            });
-            let read = read.or_else(|e| {
+        Layout::Column => match BodyColumn::from_bytes(bytes) {
+            Ok(column) => {
+                let promised =
+                    Promised { values: column.len(), rowgroups: column.rowgroup_count() };
+                (column, Vec::new(), Vec::new(), Some(promised), true)
+            }
+            Err(e) => {
                 strict_error = Some(e.into());
-                format::from_bytes_salvage_parallel(bytes, threads)
-            })?;
-            let promised = Promised { values: read.expected_len, rowgroups: read.total_rowgroups };
-            (read.column, read.repaired_rowgroups, read.lost_rowgroups, Some(promised), true)
-        }
+                let read = format::from_bytes_salvage_parallel(bytes, threads)?;
+                let promised =
+                    Promised { values: read.expected_len, rowgroups: read.total_rowgroups };
+                (read.column, read.repaired_rowgroups, read.lost_rowgroups, Some(promised), true)
+            }
+        },
         Layout::Stream => {
             let drain = |salvaging: bool| -> Result<_, StreamError> {
                 let mut reader = ColumnReader::<F, _>::new(bytes)?;
@@ -210,11 +209,53 @@ pub fn open<F: AlpFloat>(bytes: &[u8], threads: usize) -> Result<Opened<F>, Form
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::{RowGroupView, VectorView};
     use crate::stream::ColumnWriter;
-    use crate::{Compressor, ParityConfig};
+    use crate::{Compressor, ParityConfig, Scheme};
 
+    /// Three row-groups: ALP, ALP_rd, and a short ALP tail.
     fn data() -> Vec<f64> {
-        (0..250_000).map(|i| (i % 999) as f64 / 8.0).collect()
+        let real = |i: usize| ((i as f64) * 0.271).sin() * 2e-5;
+        let rowgroup = |i: usize| i / (100 * 1024);
+        (0..250_000)
+            .map(|i| if rowgroup(i) == 1 { real(i) } else { (i % 999) as f64 / 8.0 })
+            .collect()
+    }
+
+    /// A row-group as read: its length, scheme, vector count, and the bits
+    /// of its values, vector by vector.
+    type Described = (usize, Scheme, usize, Vec<u64>);
+
+    fn described(len: usize, scheme: Scheme, vectors: &[VectorView<'_>]) -> Described {
+        let (mut buf, mut bits) = ([0.0f64; fastlanes::VECTOR_SIZE], Vec::new());
+        for vector in vectors {
+            let n = vector.decode(&mut buf);
+            bits.extend(buf[..n].iter().map(|x| x.to_bits()));
+        }
+        (len, scheme, vectors.len(), bits)
+    }
+
+    /// Every row-group and every vector of `column`, as its access paths
+    /// hand them out and as a fresh parse of its bodies reads them; the two
+    /// must agree, and the result is what every way in must yield.
+    fn column_as_parsed(column: &BodyColumn<f64>) -> Vec<Described> {
+        let (mut rows, mut vector) = (Vec::new(), 0);
+        for (i, body) in column.bodies().enumerate() {
+            let parsed = RowGroupView::<f64>::parse_exact(body).expect("a body taken in");
+            let want: Vec<_> = parsed.vectors().collect();
+            let want = described(parsed.len(), parsed.scheme(), &want);
+            let view = column.rowgroup(i).expect("in range");
+            let got: Vec<_> = view.vectors().collect();
+            assert_eq!(described(view.len(), view.scheme(), &got), want, "rowgroup({i})");
+            let by_vector: Vec<_> = (vector..vector + parsed.vector_count())
+                .map(|v| column.vector(v).expect("in range"))
+                .collect();
+            assert_eq!(described(view.len(), view.scheme(), &by_vector), want, "vectors of {i}");
+            vector += parsed.vector_count();
+            rows.push(want);
+        }
+        assert!(column.rowgroup(rows.len()).is_none() && column.vector(vector).is_none());
+        rows
     }
 
     #[test]
@@ -259,12 +300,29 @@ mod tests {
             writer.finish().unwrap();
             sink
         };
+        // Every way in yields one column: the bodies a writer encoded, a
+        // clean open and a repaired salvage of either layout.
+        let compressor = Compressor::new();
+        let mut scratch = crate::rowgroup::EncodeScratch::default();
+        let mut stats = crate::sampler::SamplerStats::default();
+        let bodies = data.chunks(100 * 1024).map(|values| {
+            let mut body = Vec::new();
+            compressor.encode_rowgroup_body(values, &mut body, &mut scratch, &mut stats);
+            body
+        });
+        let written = column_as_parsed(&BodyColumn::from_bodies(bodies.collect()).unwrap());
+        let shape: Vec<_> = written.iter().map(|row| (row.0, row.1)).collect();
+        assert_eq!(
+            shape,
+            [(102_400, Scheme::Alp), (102_400, Scheme::AlpRd), (45_200, Scheme::Alp)]
+        );
         for (layout, write) in [("column", &column as &dyn Fn(_) -> Vec<u8>), ("stream", &stream)] {
             let verdict = |bytes: &[u8]| open::<f64>(bytes, 2).unwrap().verdict;
             let clean = write(None);
             assert_eq!(verdict(&clean), Verdict::Clean, "{layout}");
             let opened = open::<f64>(&clean, 2).unwrap();
             assert_eq!(opened.promised, Some(Promised { values: data.len(), rowgroups: 3 }));
+            assert_eq!(column_as_parsed(&opened.survivors), written, "{layout}: clean open");
             assert_eq!(opened.complete_values(2).unwrap(), data, "{layout}");
 
             let mut repairable = write(Some(2));
@@ -272,6 +330,7 @@ mod tests {
             let opened = open::<f64>(&repairable, 2).unwrap();
             assert_eq!((opened.verdict, &opened.repaired[..]), (Verdict::Repaired, &[0][..]));
             assert!(opened.strict_error.is_some() && opened.committed, "{layout}");
+            assert_eq!(column_as_parsed(&opened.survivors), written, "{layout}: salvaged");
             assert_eq!(opened.complete_values(2).unwrap(), data, "{layout}");
 
             // Damage confined to a parity frame costs no data: a column's strict

@@ -383,35 +383,6 @@ fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
     Ok(Header { framed, len, rg_count })
 }
 
-/// The strict walk over a column: the header, then each row-group body in
-/// order — a frame delimited and checksum-verified, or a legacy `"ALP1"` body
-/// delimited by parsing it — handed to `take`, which answers the body's value
-/// count. The first damage is the error, and the counts must add up to the
-/// header's length: a lying header would otherwise drive a giant allocation
-/// in a whole-column decode.
-fn walk_strict<'a, F: AlpFloat>(
-    mut buf: &'a [u8],
-    mut take: impl FnMut(&'a [u8]) -> Result<usize, FormatError>,
-) -> Result<(), FormatError> {
-    let header = read_header::<F>(&mut buf)?;
-    let mut values = 0usize;
-    for i in 0..header.rg_count {
-        let body;
-        (body, buf) = if header.framed {
-            let (frame, rest) = Frame::split(buf).ok_or(FormatError::Truncated)?;
-            frame.check(i)?;
-            (frame.body, rest)
-        } else {
-            split_legacy::<F>(buf)?
-        };
-        values = values.saturating_add(take(body)?);
-    }
-    if values != header.len {
-        return Err(FormatError::Corrupt("column length"));
-    }
-    Ok(())
-}
-
 /// Splits the legacy `"ALP1"` body at the head of `buf` off the bodies after
 /// it, by parsing it: nothing else delimits one.
 fn split_legacy<F: AlpFloat>(buf: &[u8]) -> Result<(&[u8], &[u8]), FormatError> {
@@ -420,18 +391,13 @@ fn split_legacy<F: AlpFloat>(buf: &[u8]) -> Result<(&[u8], &[u8]), FormatError> 
 }
 
 /// Deserializes a column previously produced by [`to_bytes`] (or a legacy
-/// `ALP1` writer) into owned row-groups. Strict: any damage — structural or
-/// checksum — is an error.
+/// `ALP1` writer) into owned row-groups, copied out of its [`BodyColumn`]'s
+/// views. Strict: any damage — structural or checksum — is an error.
 pub fn from_bytes<F: AlpFloat>(buf: &[u8]) -> Result<Compressed<F>, FormatError> {
-    let mut rowgroups = Vec::new();
-    walk_strict::<F>(buf, |body| {
-        let rowgroup = RowGroupView::<F>::parse_exact(body)?.to_owned()?;
-        let values = rowgroup.len();
-        rowgroups.push(rowgroup);
-        Ok(values)
-    })?;
-    let len = rowgroups.iter().map(RowGroup::len).sum();
-    Ok(Compressed::from_rowgroups(rowgroups, len))
+    let column = BodyColumn::<F>::from_bytes(buf)?;
+    let views = (0..column.rowgroup_count()).map_while(|i| column.rowgroup(i));
+    let rowgroups = views.map(|view| view.to_owned()).collect::<Result<_, _>>()?;
+    Ok(Compressed::from_rowgroups(rowgroups, column.len()))
 }
 
 /// Result of a salvage read: whatever survived, plus a damage report.
@@ -476,12 +442,12 @@ impl<F: AlpFloat> Salvage<F> {
 /// damaged row-group ends recovery outright. A damaged header is
 /// unrecoverable and returns `Err` like [`from_bytes`].
 ///
-/// A serial scan finds the frame boundaries, then checksum verification and
-/// body validation fan out on up to `threads` morsel-claiming workers, one
-/// frame per morsel; `threads <= 1` never spawns. Nothing is decoded: the
-/// surviving bodies are copied into the column as they are stored. The
-/// salvage report is the same at every thread count; legacy `ALP1` columns
-/// have no boundaries to scan and always walk serially.
+/// A serial scan finds the frame boundaries, then checksums fan out on up to
+/// `threads` morsel-claiming workers, one frame per morsel (`threads <= 1`
+/// never spawns); each verified body is then copied into the column and
+/// parsed once, in order, and one that does not parse is lost, never
+/// repaired. The report is the same at every thread count; legacy `ALP1`
+/// columns have no boundaries to scan and always walk serially.
 pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     mut buf: &[u8],
     threads: usize,
@@ -491,12 +457,10 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     // a corrupt header can claim billions, and no loss report may say so.
     let min_frame = if header.framed { frame::PREFIX_LEN + 5 } else { 5 };
     let rg_count = header.rg_count.min(buf.len() / min_frame + 1);
-    let (mut bodies, repaired) = if header.framed {
-        // Serial boundary walk, parallel verify + validate, then parity
-        // repair of single-fault groups: the layer's random-access walker.
-        let placement = frame::Placement::Trailing(rg_count);
-        let valid = |body: &[u8]| RowGroupView::<F>::parse_exact(body).is_ok();
-        let walk = frame::salvage(buf, placement, threads, valid);
+    let (bodies, mut repaired) = if header.framed {
+        // Serial boundary walk, parallel checksums, then parity repair of
+        // single-fault groups: the layer's random-access walker.
+        let walk = frame::salvage(buf, frame::Placement::Trailing(rg_count), threads);
         (walk.bodies, walk.repaired)
     } else {
         // No framing: a parse failure loses byte alignment for good.
@@ -507,11 +471,15 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
         });
         (walk.take(rg_count).collect(), Vec::new())
     };
-    // Damaged beyond repair, or beyond the walk: lost.
-    bodies.resize_with(rg_count, || None);
-    let lost = (0..rg_count).filter(|&i| bodies.get(i).is_some_and(Option::is_none)).collect();
+    let bytes = bodies.iter().flatten().map(|body| body.len()).sum();
+    let mut column = BodyColumn::with_capacity(Vec::with_capacity(bytes), 0, 0);
+    // Damaged beyond repair, refused by the intake, or beyond the walk: lost.
+    let mut taken =
+        |i| bodies.get(i).and_then(Option::as_deref).is_some_and(|b| column.push(b).is_ok());
+    let lost: Vec<usize> = (0..rg_count).filter(|&i| !taken(i)).collect();
+    repaired.retain(|i| lost.binary_search(i).is_err());
     Ok(Salvage {
-        column: BodyColumn::from_slices(bodies.iter().flatten().map(|b| &**b))?,
+        column,
         lost_rowgroups: lost,
         repaired_rowgroups: repaired,
         total_rowgroups: rg_count,
@@ -607,23 +575,37 @@ impl VectorView<'_> {
 /// An owned column of row-group frame bodies, addressable by vector and by
 /// row-group: what every open of a file and every salvage walk hands back,
 /// and what the query engine stores. The bodies sit in one byte buffer, each
-/// parsed once when it is taken in ([`RowGroupView::parse_exact`]), with
-/// every vector's offset recorded; [`BodyColumn::vector`] splits one off
-/// there with the parser's own per-vector step, so the kernels read the
-/// stored bytes in place (the paper's §4.3 random access), and a row-group is
-/// decoded only when it is asked for.
+/// walked once by the parser's checks when it is taken in and never checked
+/// again: [`BodyColumn::vector`] splits one off at its recorded offset with
+/// the parser's own per-vector step, so the kernels read the stored bytes in
+/// place (the paper's §4.3 random access), [`BodyColumn::rowgroup`] rebuilds
+/// a view from the record, and a row-group is decoded only when asked for.
 #[derive(Debug, Clone, Default)]
 pub struct BodyColumn<F> {
     /// Every body, back to back.
     buf: Vec<u8>,
-    /// Each body's range in `buf`, in column order.
-    bodies: Vec<Range<usize>>,
+    /// Per body, in column order: what its walk found.
+    bodies: Vec<Body>,
     /// Per vector: the offset of its header in `buf`, and its body's ALP_rd
     /// cut (`None`: an ALP row-group).
     vectors: Vec<(usize, Option<RdCut>)>,
-    /// Live values over all bodies.
-    len: usize,
     _float: core::marker::PhantomData<F>,
+}
+
+/// One body of a [`BodyColumn`] as its walk found it (`rd`: `None` for ALP):
+/// all [`BodyColumn::rowgroup`] needs to rebuild its view without parsing.
+#[derive(Debug, Clone)]
+struct Body {
+    range: Range<usize>,
+    rd: Option<RdCut>,
+    vectors: Range<usize>,
+    len: usize,
+}
+
+/// The vector count `body`'s head claims, capped so a lie reserves no more than the body's bytes.
+pub(crate) fn claimed_vectors(body: &[u8]) -> usize {
+    let claim = body.get(1..5).and_then(|c| c.try_into().ok()).map_or(0, u32::from_le_bytes);
+    (claim as usize).min(body.len() / size_of::<(usize, Option<RdCut>)>())
 }
 
 impl<F: AlpFloat> BodyColumn<F> {
@@ -631,52 +613,64 @@ impl<F: AlpFloat> BodyColumn<F> {
     /// [`crate::Compressor::encode_rowgroup_body`] writes them — once every
     /// one parses whole; the first that does not is the error.
     pub fn from_bodies(bodies: Vec<Vec<u8>>) -> Result<Self, FormatError> {
-        Self::from_slices(bodies.iter().map(Vec::as_slice))
+        let buf = Vec::with_capacity(bodies.iter().map(Vec::len).sum());
+        let claimed = bodies.iter().map(|body| claimed_vectors(body)).sum();
+        let mut column = Self::with_capacity(buf, bodies.len(), claimed);
+        bodies.iter().try_for_each(|body| column.push(body))?;
+        Ok(column)
     }
 
-    /// [`BodyColumn::from_bodies`] over borrowed bodies, copied into one
-    /// buffer sized up front.
-    pub(crate) fn from_slices<'b>(
-        bodies: impl Iterator<Item = &'b [u8]> + Clone,
-    ) -> Result<Self, FormatError> {
-        let mut buf = Vec::with_capacity(bodies.clone().map(<[u8]>::len).sum());
-        let ranges = bodies.map(|body| {
-            buf.extend_from_slice(body);
-            buf.len() - body.len()..buf.len()
-        });
-        let ranges = ranges.collect();
-        Self::over(buf, ranges)
+    /// An empty column over `buf`, with room for `bodies` bodies of `vectors` vectors.
+    pub(crate) fn with_capacity(buf: Vec<u8>, bodies: usize, vectors: usize) -> Self {
+        let (bodies, vectors) = (Vec::with_capacity(bodies), Vec::with_capacity(vectors));
+        Self { buf, bodies, vectors, _float: core::marker::PhantomData }
     }
 
-    /// The strict open of an `"ALP2"` (or legacy `"ALP1"`) column: the walk
-    /// [`from_bytes`] makes, each verified body kept as it is stored.
-    pub(crate) fn from_bytes(buf: &[u8]) -> Result<Self, FormatError> {
-        let mut bodies = Vec::new();
-        walk_strict::<F>(buf, |body| {
-            bodies.push(body);
-            Ok(RowGroupView::<F>::parse_exact(body)?.len())
-        })?;
-        Self::from_slices(bodies.into_iter())
-    }
-
-    /// The column over `buf` as it is, no byte copied: each of `ranges` is
-    /// one body, in column order, and must parse whole.
-    pub(crate) fn over(buf: Vec<u8>, ranges: Vec<Range<usize>>) -> Result<Self, FormatError> {
-        let mut views = Vec::with_capacity(ranges.len());
-        for range in &ranges {
-            let body = buf.get(range.clone()).ok_or(FormatError::Truncated)?;
-            views.push(RowGroupView::<F>::parse_exact(body)?);
+    /// The strict open of an `"ALP2"` (or legacy `"ALP1"`) column: each body
+    /// in order — a frame's, checksum-verified, or a legacy one delimited by
+    /// parsing it — taken in. The first damage is the error, and the values
+    /// must add up to the header's length (a lying header would otherwise
+    /// drive a giant allocation in a whole-column decode).
+    pub(crate) fn from_bytes(mut buf: &[u8]) -> Result<Self, FormatError> {
+        let header = read_header::<F>(&mut buf)?;
+        let mut column = Self::with_capacity(Vec::with_capacity(buf.len()), 0, 0);
+        for i in 0..header.rg_count {
+            let body;
+            (body, buf) = if header.framed {
+                let (frame, rest) = Frame::split(buf).ok_or(FormatError::Truncated)?;
+                frame.check(i)?;
+                (frame.body, rest)
+            } else {
+                split_legacy::<F>(buf)?
+            };
+            column.push(body)?;
         }
-        let mut vectors = Vec::with_capacity(views.iter().map(|v| v.vectors).sum());
-        for (range, view) in ranges.iter().zip(&views) {
-            let mut cur = view.payload; // which ends where the body does
-            for _ in 0..view.vectors {
-                vectors.push((range.end - cur.len(), view.rd));
-                split_vector::<F>(view.rd.as_ref(), &mut cur)?;
-            }
+        if column.len() != header.len {
+            return Err(FormatError::Corrupt("column length"));
         }
-        let len = views.iter().map(|v| v.len).sum();
-        Ok(Self { buf, bodies: ranges, vectors, len, _float: core::marker::PhantomData })
+        Ok(column)
+    }
+
+    /// Appends `body` to the buffer and takes it in ([`BodyColumn::index`]);
+    /// a body the intake refuses leaves the column as it was.
+    pub(crate) fn push(&mut self, body: &[u8]) -> Result<(), FormatError> {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(body);
+        self.index(at..self.buf.len()).inspect_err(|_| self.buf.truncate(at))
+    }
+
+    /// The intake: takes in the body at `range` of the buffer as the next
+    /// row-group in one walk — [`RowGroupView::parse_exact`]'s checks, each
+    /// vector's offset recorded on the way. On `Err` the column is as it was.
+    pub(crate) fn index(&mut self, range: Range<usize>) -> Result<(), FormatError> {
+        let (first, end) = (self.vectors.len(), range.end);
+        let body = self.buf.get(range.clone()).ok_or(FormatError::Truncated)?;
+        let view = RowGroupView::<F>::walk(body, |left, rd| self.vectors.push((end - left, rd)))
+            .and_then(RowGroupView::exact)
+            .inspect_err(|_| self.vectors.truncate(first))?;
+        let (rd, vectors, len) = (view.rd, first..self.vectors.len(), view.len);
+        self.bodies.push(Body { range, rd, vectors, len });
+        Ok(())
     }
 
     /// Vector `v`, numbered across the bodies; `None` past the last.
@@ -687,14 +681,19 @@ impl<F: AlpFloat> BodyColumn<F> {
         split_vector::<F>(rd.as_ref(), &mut cur).ok()
     }
 
-    /// Row-group `i`'s view; `None` past the last.
+    /// Row-group `i`'s view, rebuilt from its record; `None` past the last.
     pub fn rowgroup(&self, i: usize) -> Option<RowGroupView<'_, F>> {
-        RowGroupView::parse_exact(self.buf.get(self.bodies.get(i)?.clone())?).ok()
+        let Body { range, rd, vectors, len } = self.bodies.get(i)?.clone();
+        // The payload runs from the first vector's header to the body's end.
+        let start = self.vectors.get(vectors.clone())?.first().map_or(range.end, |v| v.0);
+        let payload = self.buf.get(start..range.end)?;
+        let (vectors, _float) = (vectors.len(), core::marker::PhantomData);
+        Some(RowGroupView { rd, vectors, len, payload, rest: &[], _float })
     }
 
     /// The bodies, byte for byte as they were taken in.
     pub fn bodies(&self) -> impl Iterator<Item = &[u8]> {
-        self.bodies.iter().filter_map(|range| self.buf.get(range.clone()))
+        self.bodies.iter().filter_map(|body| self.buf.get(body.range.clone()))
     }
 
     /// Number of row-groups.
@@ -709,12 +708,12 @@ impl<F: AlpFloat> BodyColumn<F> {
 
     /// Number of live values.
     pub fn len(&self) -> usize {
-        self.len
+        self.bodies.iter().map(|body| body.len).sum()
     }
 
     /// Whether the column holds no values.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Every value, decoded on up to `threads` morsel workers, one row-group
@@ -735,7 +734,7 @@ impl<F: AlpFloat> BodyColumn<F> {
     /// Returns [`ConfigError`] when the group size is out of range.
     pub fn to_bytes(&self, parity: Option<ParityConfig>) -> Result<Vec<u8>, ConfigError> {
         parity.as_ref().map(ParityConfig::validate).transpose()?;
-        let shape = (self.len, self.bodies.len(), self.buf.len());
+        let shape = (self.len(), self.bodies.len(), self.buf.len());
         Ok(write_column::<F, _>(shape, parity, self.bodies(), |out, body| out.put_slice(body)))
     }
 }
@@ -743,13 +742,12 @@ impl<F: AlpFloat> BodyColumn<F> {
 /// A validated, borrowed view of one serialized row-group: nothing is copied
 /// out of `body`, and the decode kernels read its packed words in place.
 ///
-/// [`RowGroupView::parse`] is the only code that validates a row-group body.
-/// It walks every vector header once, so a view in hand means every field is
-/// in range and every payload slice is present; [`RowGroupView::vectors`]
-/// re-walks the same bytes and cannot fail. Owned [`RowGroup`]s
-/// ([`read_rowgroup`], [`from_bytes`], the salvage walkers) are built from a
-/// view; readers that only want values ([`decode_rowgroup_into`], the stream
-/// reader) never build one.
+/// [`RowGroupView::parse`] is the only code that validates a row-group body
+/// ([`BodyColumn`]'s intake runs its walk). It walks every vector header
+/// once, so a view in hand means every field is in range and every payload
+/// slice is present; [`RowGroupView::vectors`] re-walks the same bytes and
+/// cannot fail. Owned [`RowGroup`]s ([`read_rowgroup`], [`from_bytes`]) are
+/// built from a view; readers that only want values never build one.
 #[derive(Debug, Clone, Copy)]
 pub struct RowGroupView<'a, F> {
     /// `Some` for an ALP_rd row-group: the header every vector decodes under.
@@ -877,6 +875,13 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
     /// Parses and validates the row-group at the head of `buf` (inverse of
     /// [`write_rowgroup`]); bytes past it are kept as [`RowGroupView::rest`].
     pub fn parse(buf: &'a [u8]) -> Result<Self, FormatError> {
+        Self::walk(buf, |_, _| {})
+    }
+
+    /// [`RowGroupView::parse`], telling `at` where each vector starts (the
+    /// bytes from its header to the end of `buf`) and its cut: the parser's
+    /// one per-vector loop, which [`BodyColumn`]'s intake runs too.
+    fn walk(buf: &'a [u8], mut at: impl FnMut(usize, Option<RdCut>)) -> Result<Self, FormatError> {
         let mut cur = buf;
         let [scheme] = take(&mut cur)?;
         let vectors = u32::from_le_bytes(take(&mut cur)?) as usize;
@@ -888,6 +893,7 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
         let body = cur;
         let mut len = 0usize;
         for _ in 0..vectors {
+            at(cur.len(), rd);
             let vector = split_vector::<F>(rd.as_ref(), &mut cur)?;
             check_vector::<F>(&vector)?;
             len += vector.len();
@@ -899,11 +905,15 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
     /// [`RowGroupView::parse`] for a frame body, which must hold exactly one
     /// row-group: trailing bytes are a framing error, not slack.
     pub fn parse_exact(body: &'a [u8]) -> Result<Self, FormatError> {
-        let view = Self::parse(body)?;
-        if !view.rest.is_empty() {
+        Self::parse(body)?.exact()
+    }
+
+    /// The view, when nothing follows it.
+    fn exact(self) -> Result<Self, FormatError> {
+        if !self.rest.is_empty() {
             return Err(FormatError::Corrupt("row-group frame length"));
         }
-        Ok(view)
+        Ok(self)
     }
 
     fn parse_rd_header(cur: &mut &[u8]) -> Result<RdCut, FormatError> {
@@ -933,11 +943,7 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
 
     /// The row-group's scheme.
     pub fn scheme(&self) -> Scheme {
-        if self.rd.is_some() {
-            Scheme::AlpRd
-        } else {
-            Scheme::Alp
-        }
+        self.rd.map_or(Scheme::Alp, |_| Scheme::AlpRd)
     }
 
     /// Number of live values over all vectors.
@@ -1360,6 +1366,32 @@ mod tests {
             assert_eq!(par.repaired_rowgroups, serial.repaired_rowgroups, "t={threads}");
             assert_eq!(par.lost_rowgroups, serial.lost_rowgroups);
             assert_eq!(par.column.decompress(1), serial.column.decompress(1));
+        }
+
+        // A body that does not parse under a checksum that holds (what a
+        // re-checksumming mutation leaves) shares a k = 2 group with row-group
+        // 2. The checksum alone makes it an intact member, so a damaged
+        // row-group 2 is rebuilt through it and only the forged body is lost;
+        // the forged body damaged instead is rebuilt, refused and lost.
+        let (data, clean) = parity_column_bytes();
+        let mut bodies: Vec<Vec<u8>> =
+            BodyColumn::<f64>::from_bytes(&clean).unwrap().bodies().map(<[u8]>::to_vec).collect();
+        bodies[3] = vec![7, 0, 0, 0, 0];
+        let shape = (data.len() - 2048, bodies.len(), clean.len());
+        let parity = Some(ParityConfig { group_size: 2 });
+        let forged = write_column::<f64, _>(shape, parity, &bodies, |out, b| out.put_slice(b));
+        let spans = data_frame_spans(&forged, 13);
+        let kept: Vec<f64> = [&data[..3 * 2048], &data[4 * 2048..]].concat();
+        for (damaged, repaired) in [(2, vec![2]), (3, vec![])] {
+            let mut bytes = forged.clone();
+            bytes[spans[damaged].0 + frame::PREFIX_LEN + 2] ^= 0x10;
+            for threads in [1, 2, 4] {
+                let salvage = from_bytes_salvage_parallel::<f64>(&bytes, threads).unwrap();
+                let what = format!("row-group {damaged} damaged, t={threads}");
+                assert_eq!(salvage.repaired_rowgroups, repaired, "{what}");
+                assert_eq!(salvage.lost_rowgroups, vec![3], "{what}");
+                assert_bit_exact(&kept, &salvage.column.decompress(threads));
+            }
         }
     }
 

@@ -535,25 +535,17 @@ pub struct Salvaged<'a> {
 
 /// The one salvage walker: delimits a region's data frames and parity groups
 /// serially by `placement` (`locate` / `locate_inline`), checks each frame's
-/// checksum and runs `valid` over its body on up to `threads` morsel
-/// workers, then applies [`repair_group`] to every parity group and keeps
-/// each rebuilt body `valid` accepts. `valid` validates and decodes nothing
-/// for the caller; the result is identical at every thread count.
-pub fn salvage<'a>(
-    buf: &'a [u8],
-    placement: Placement,
-    threads: usize,
-    valid: impl Fn(&[u8]) -> bool + Sync,
-) -> Salvaged<'a> {
+/// checksum on up to `threads` morsel workers, then applies [`repair_group`]
+/// to every parity group. It reads no body: what a verified body holds is the
+/// caller's to judge. The result is identical at every thread count.
+pub fn salvage(buf: &[u8], placement: Placement, threads: usize) -> Salvaged<'_> {
     let located = match placement {
         Placement::Trailing(max_frames) => locate(buf, max_frames),
         Placement::Inline => locate_inline(buf),
     };
     let frames = &located.frames;
-    let intact = |_: &mut (), m: usize| {
-        let frame = frames.get(m)?;
-        (frame.verify() && valid(frame.body)).then_some(Cow::Borrowed(frame.body))
-    };
+    let intact =
+        |_: &mut (), m: usize| Some(Cow::Borrowed(frames.get(m).filter(|f| f.verify())?.body));
     let mut bodies = crate::par::map_morsels(threads, frames.len(), || (), intact);
     let mut repaired = Vec::new();
     for &(start, pb) in &located.parity {
@@ -563,8 +555,7 @@ pub fn salvage<'a>(
             .map_while(|i| Some(bodies.get(i)?.as_ref().and(frames.get(i)).map(|f| f.whole)))
             .collect();
         let Some((victim, mut rebuilt)) = repair_group(&members, &pb) else { continue };
-        let slot = bodies.get_mut(start + victim);
-        if let Some(slot) = slot.filter(|_| valid(rebuilt.get(PREFIX_LEN..).unwrap_or_default())) {
+        if let Some(slot) = bodies.get_mut(start + victim) {
             rebuilt.drain(..PREFIX_LEN);
             *slot = Some(Cow::Owned(rebuilt));
             repaired.push(start + victim);
@@ -717,7 +708,7 @@ mod tests {
             let is_inline = placement == Placement::Inline;
             // Every body is valid here: only checksums and parity decide.
             let run = |bytes: &[u8], threads| {
-                let walk = salvage(bytes, placement, threads, |_| true);
+                let walk = salvage(bytes, placement, threads);
                 let bodies = walk.bodies.into_iter().map(|b| b.map(Cow::into_owned)).collect();
                 Walked { bodies, repaired: walk.repaired }
             };
@@ -790,7 +781,7 @@ mod tests {
         assert_eq!(parity_group_size(&plain), None);
         let at: usize = bodies[..3].iter().map(|b| PREFIX_LEN + b.len()).sum();
         plain[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(salvage(&plain, Placement::Trailing(bodies.len()), 1, |_| true).bodies.len(), 3);
+        assert_eq!(salvage(&plain, Placement::Trailing(bodies.len()), 1).bodies.len(), 3);
     }
 
     /// A `Read` that never ends.

@@ -17,12 +17,12 @@
 //! placement). Salvage ([`ColumnReader::next_rowgroup_salvaged`]) reads the
 //! rest of the stream into one buffer and runs the one salvage walker,
 //! [`crate::frame::salvage`], over it: damaged frames are skipped by their
-//! length prefix and any single damaged frame per group is *repaired*. The
-//! surviving bodies are kept as a [`BodyColumn`] — validated, not decoded —
-//! and each is decoded only when it is handed out. This module owns the
-//! header, the terminator, the commit footer and the retry plumbing; the
-//! frame, parity placement, the walk and the repair rule are
-//! [`crate::frame`]'s.
+//! length prefix and any single damaged frame per group is *repaired*. Each
+//! surviving body is taken into a [`BodyColumn`] where it lies in that
+//! buffer — walked once, not decoded — and decoded only when it is handed
+//! out. This module owns the header, the terminator, the commit footer and
+//! the retry plumbing; the frame, parity placement, the walk and the repair
+//! rule are [`crate::frame`]'s.
 //!
 //! The commit footer is written only by [`ColumnWriter::finish`], so its
 //! presence ([`ColumnReader::is_committed`]) distinguishes a cleanly finished
@@ -70,7 +70,7 @@ use std::io::{self, Read, Write};
 
 use fastlanes::VECTOR_SIZE;
 
-use crate::format::{decode_rowgroup_into, BodyColumn, FormatError, RowGroupView};
+use crate::format::{claimed_vectors, decode_rowgroup_into, BodyColumn, FormatError, RowGroupView};
 use crate::frame::{self, Frame, FrameRead, ParityAccumulator, ParityConfig};
 use crate::hash::{xxh64, CHECKSUM_SEED};
 use crate::io::{flush_retry, read_full_retry, write_all_retry, RetryPolicy};
@@ -550,10 +550,10 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
 
     /// The salvage walk over the rest of the source on up to `threads`
     /// morsel workers (the same outcome at every count): the bytes are read
-    /// into one buffer, `"ALPT"` frames go through [`frame::salvage`], which
-    /// checks each checksum and validates each body, and a verified footer
-    /// then arbitrates: trailing "losses" beyond its row-group count were
-    /// parity frames. Returns the surviving bodies, none of them decoded.
+    /// into one buffer, `"ALPT"` frames go through [`frame::salvage`], and
+    /// each survivor is taken into the column where it lies (a rebuilt one
+    /// appended) or, refused, lost. A verified footer then arbitrates:
+    /// trailing "losses" beyond its row-group count were parity frames.
     pub(crate) fn salvage_rest(&mut self, threads: usize) -> Result<BodyColumn<F>, StreamError> {
         if self.done {
             return Ok(BodyColumn::default());
@@ -573,31 +573,47 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
         if terminated {
             self.read_commit_footer();
         }
-        let first = self.next_index;
-        let valid = |body: &[u8]| RowGroupView::<F>::parse_exact(body).is_ok();
-        let bodies = if self.checksummed {
+        let (bodies, repaired) = if self.checksummed {
             if terminated {
                 rest.reserve_exact(4);
                 rest.extend_from_slice(&[0; 4]);
             }
-            let walk = frame::salvage(&rest, frame::Placement::Inline, threads, valid);
-            self.repaired = walk.repaired.iter().map(|i| first + i).collect();
-            walk.bodies
+            let walk = frame::salvage(&rest, frame::Placement::Inline, threads);
+            (walk.bodies, walk.repaired)
         } else {
-            // Legacy frames have no checksum and no parity: a frame survives
-            // exactly when its body parses, and a stream short of its
-            // terminator ends in one more loss, the torn frame.
+            // Legacy frames have no checksum and no parity: every frame is
+            // offered to the intake, and a stream short of its terminator
+            // ends in one more loss, the torn frame.
             let mut frames = rest.as_slice();
             let legacy = core::iter::from_fn(|| {
                 let (len, tail) = frames.split_first_chunk::<4>()?;
                 let body;
                 (body, frames) = tail.split_at_checked(u32::from_le_bytes(*len) as usize)?;
-                Some(valid(body).then_some(Cow::Borrowed(body)))
+                Some(Some(Cow::Borrowed(body)))
             });
-            legacy.chain((!terminated).then_some(None)).collect()
+            (legacy.chain((!terminated).then_some(None)).collect(), Vec::new())
         };
-        self.lost = (first..).zip(&bodies).filter(|(_, b)| b.is_none()).map(|(i, _)| i).collect();
-        self.next_index = first + bodies.len();
+        // Each survivor as its range of `rest`, or the bytes parity rebuilt.
+        let at = |body: &[u8]| (body.as_ptr() as usize).wrapping_sub(rest.as_ptr() as usize);
+        let claimed = bodies.iter().flatten().map(|body| claimed_vectors(body)).sum();
+        let slots: Vec<_> = bodies
+            .into_iter()
+            .map(|slot| match slot? {
+                Cow::Borrowed(body) => Some(Ok(at(body)..at(body) + body.len())),
+                Cow::Owned(body) => Some(Err(body)),
+            })
+            .collect();
+        let (first, count) = (self.next_index, slots.len());
+        let mut column = BodyColumn::with_capacity(rest, count, claimed);
+        let mut taken = |slot: Option<Result<_, Vec<u8>>>| match slot {
+            Some(Ok(range)) => column.index(range).is_ok(),
+            Some(Err(rebuilt)) => column.push(&rebuilt).is_ok(),
+            None => false,
+        };
+        self.lost.extend((first..).zip(slots).filter_map(|(i, slot)| (!taken(slot)).then_some(i)));
+        self.repaired =
+            repaired.iter().map(|i| first + i).filter(|i| !self.lost.contains(i)).collect();
+        self.next_index = first + count;
         if let Some(footer) = self.footer {
             let total = footer.rowgroups as usize;
             while self.next_index > total && self.lost.last() == Some(&(self.next_index - 1)) {
@@ -606,30 +622,17 @@ impl<F: AlpFloat, R: Read> ColumnReader<F, R> {
             }
             self.committed = total == self.next_index;
         }
-        // Unless a body was rebuilt, the column keeps `rest`, each body a
-        // range of it, instead of copying them out.
-        let at = |body: &[u8]| (body.as_ptr() as usize).wrapping_sub(rest.as_ptr() as usize);
-        let mut ranges = Vec::with_capacity(bodies.len());
-        for body in bodies.iter().flatten() {
-            let Cow::Borrowed(body) = body else {
-                return Ok(BodyColumn::from_slices(bodies.iter().flatten().map(|b| &**b))?);
-            };
-            ranges.push(at(body)..at(body) + body.len());
-        }
-        Ok(BodyColumn::over(rest, ranges)?)
+        Ok(column)
     }
 
     /// The strict read of the rest of the source: every frame verified and
-    /// every body parsed, in order (the first fault is the error), and all
-    /// of them kept.
+    /// every body taken in, in order (the first fault is the error).
     pub(crate) fn strict_rest(&mut self) -> Result<BodyColumn<F>, StreamError> {
-        let (mut buf, mut ranges) = (Vec::new(), Vec::new());
+        let mut column = BodyColumn::default();
         while let Some(body) = self.next_body()? {
-            RowGroupView::<F>::parse_exact(body)?;
-            buf.extend_from_slice(body);
-            ranges.push(buf.len() - body.len()..buf.len());
+            column.push(body)?;
         }
-        Ok(BodyColumn::over(buf, ranges)?)
+        Ok(column)
     }
 
     /// Row-group indices skipped so far by
@@ -1146,6 +1149,38 @@ mod tests {
             assert!(lost.is_empty());
             assert!(repaired.is_empty());
             assert!(committed);
+        }
+
+        // A body that does not parse under a checksum that holds (what a
+        // re-checksumming mutation leaves) shares a k = 2 group with row-group
+        // 2. The checksum alone makes it an intact member, so a damaged
+        // row-group 2 is rebuilt through it and only the forged body is lost;
+        // the forged body damaged instead is rebuilt, refused and lost.
+        let params = SamplerParams { vectors_per_rowgroup: 2, ..SamplerParams::default() };
+        let (mut frames, mut stats) = (Vec::new(), SamplerStats::default());
+        let compressor = Compressor::with_params(params).unwrap();
+        encode_frames(&compressor, &data, &mut EncodeScratch::default(), &mut stats, &mut frames);
+        let mut rest = &frames[..];
+        let mut forged = Vec::new();
+        for rowgroup in 0.. {
+            let Some((frame, tail)) = Frame::split(rest) else { break };
+            rest = tail;
+            let body = if rowgroup == 3 { &[7, 0, 0, 0, 0][..] } else { frame.body };
+            frame::encode(&mut forged, |out| out.extend_from_slice(body));
+        }
+        let mut file = Vec::new();
+        let mut writer =
+            ColumnWriter::<f64, _>::with_parity(&mut file, ParityConfig { group_size: 2 }).unwrap();
+        writer.commit_encoded_frames(&forged, data.len(), &stats).unwrap();
+        writer.finish().unwrap();
+        let spans: Vec<_> = frame_spans(&file).into_iter().filter(|s| !s.2).collect();
+        let kept = [&data[..3 * 2048], &data[4 * 2048..]].concat();
+        for (damaged, want) in [(2, vec![2]), (3, vec![])] {
+            let mut hurt = file.clone();
+            hurt[spans[damaged].0 + frame::PREFIX_LEN + 2] ^= 0x10;
+            let (restored, lost, repaired, committed) = drain_salvaged(&hurt);
+            assert_eq!((repaired, lost), (want, vec![3]), "row-group {damaged} damaged");
+            assert!(restored == kept && committed, "row-group {damaged} damaged");
         }
     }
 

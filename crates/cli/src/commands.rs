@@ -269,11 +269,12 @@ fn inspect<F: AlpFloat>(file_bytes: usize, opened: &Opened<F>) {
         parenthesized(commit_state(opened)),
     );
     println!("{:<6} {:<8} {:>8} {:>10} {:>12}", "rg", "scheme", "vectors", "values", "exceptions");
-    let mut views = (0..survivors.rowgroup_count()).filter_map(|i| survivors.rowgroup(i));
+    let mut survivor = 0;
     for rg in 0..survivors.rowgroup_count() + opened.lost.len() {
         if opened.lost.contains(&rg) {
             println!("{rg:<6} LOST");
-        } else if let Some(view) = views.next() {
+        } else if let Some(view) = survivors.rowgroup(survivor) {
+            survivor += 1;
             let scheme = match view.scheme() {
                 alp::Scheme::Alp => "ALP",
                 alp::Scheme::AlpRd => "ALP_rd",

@@ -241,8 +241,7 @@ pub fn try_read_container_salvaged(
     let Ok(header) = read_header(bytes) else { return Err(strict_err) };
     let slices = header.payload_len.div_ceil(SLICE_LEN);
     let placement = frame::Placement::Trailing(slices);
-    // A slice is opaque: its checksum is all there is to verify.
-    let salvaged = frame::salvage(header.frames, placement, threads, |_| true);
+    let salvaged = frame::salvage(header.frames, placement, threads);
     // Any slice still missing after repair is the strict read's error.
     let Some(payload) = salvaged.bodies.into_iter().collect::<Option<Vec<_>>>() else {
         return Err(strict_err);
