@@ -57,8 +57,13 @@
 //! Every fused kernel — decode, scan, sum, and the decoded-value sums — runs
 //! its per-vector body through [`fastlanes::tier::run`], so on a CPU with
 //! AVX2 it executes as x86-64-v3 code; its helpers are `#[inline(always)]`
-//! so that they are compiled into that copy. The bits are the same at both
-//! tiers.
+//! so that they are compiled into that copy. The one helper that is not is
+//! [`block_sum`]'s loop: forced into its consumers it made them slower, so
+//! it is a [`fastlanes::tier::Kernel`], a function of its own at each tier,
+//! called once per 64-value block at the tier the process runs at. Every sum
+//! route reaches it: [`AlpVectorRef::sum_planned`], [`sum_decoded_planned`]
+//! (ALP_rd vectors, resident pages, raw storage, `no_fused`) and the bitmap
+//! scans. The bits are the same at both tiers.
 
 #![deny(
     clippy::unwrap_used,
@@ -419,28 +424,45 @@ fn combine<F: AlpFloat>([l0, l1, l2, l3, l4, l5, l6, l7]: [F; SUM_LANES]) -> F {
 /// values of `chunk` — one block, at most 64 values — inside `lo..=hi`. NaN
 /// fails both comparisons, so it never matches.
 ///
+/// The loop runs as a function of its own at the active tier
+/// ([`tier::Kernel`]): out of line at both tiers, which measured faster than
+/// folding it into a fused sum's consumer (DESIGN.md §18), and at x86-64-v3
+/// on a CPU with AVX2 whatever tier its caller was compiled for.
+#[inline(always)]
+pub fn block_sum<F: AlpFloat>(chunk: &[F], lo: F, hi: F) -> (F, usize) {
+    let mut out = (F::from_i64(0), 0);
+    tier::Kernel::of::<BlockSum>().call_with(chunk, &mut out, (lo, hi));
+    out
+}
+
+/// [`block_sum`]'s loop, compiled once per tier.
+///
 /// Written for the vectorizer: `&`, not `&&`, keeps the predicate a mask
 /// instead of a branch, and matches are counted in float lanes (exact — at
 /// most 8 per lane) because an integer count lane does not share the sum
 /// lanes' width.
-#[inline]
-pub fn block_sum<F: AlpFloat>(chunk: &[F], lo: F, hi: F) -> (F, usize) {
-    let (zero, one) = (F::from_i64(0), F::from_i64(1));
-    let mut sum = [zero; SUM_LANES];
-    let mut count = [zero; SUM_LANES];
-    let mut fold = |row: &[F]| {
-        for ((s, c), &x) in sum.iter_mut().zip(&mut count).zip(row) {
-            let hit = (x >= lo) & (x <= hi);
-            *s = *s + if hit { x } else { zero };
-            *c = *c + if hit { one } else { zero };
+struct BlockSum;
+
+impl<F: AlpFloat> tier::Body<[F], (F, usize), (F, F)> for BlockSum {
+    #[inline(always)]
+    fn run(chunk: &[F], out: &mut (F, usize), (lo, hi): (F, F)) {
+        let (zero, one) = (F::from_i64(0), F::from_i64(1));
+        let mut sum = [zero; SUM_LANES];
+        let mut count = [zero; SUM_LANES];
+        let mut fold = |row: &[F]| {
+            for ((s, c), &x) in sum.iter_mut().zip(&mut count).zip(row) {
+                let hit = (x >= lo) & (x <= hi);
+                *s = *s + if hit { x } else { zero };
+                *c = *c + if hit { one } else { zero };
+            }
+        };
+        let (rows, tail) = chunk.as_chunks::<SUM_LANES>();
+        for row in rows {
+            fold(row);
         }
-    };
-    let (rows, tail) = chunk.as_chunks::<SUM_LANES>();
-    for row in rows {
-        fold(row);
+        fold(tail);
+        *out = (combine(sum), combine(count).to_i64_cast() as usize);
     }
-    fold(tail);
-    (combine(sum), combine(count).to_i64_cast() as usize)
 }
 
 /// [`block_sum`] without the predicate: the sum of every value of `chunk`.

@@ -6,9 +6,12 @@
 //!
 //! * the **ISA axis**: the same kernels at both instruction tiers of
 //!   [`fastlanes::tier`] — baseline x86-64 (SSE2) and x86-64-v3 (AVX2) —
-//!   for the vector encoder, the fused decoder and the fused sum. The tiers
-//!   are switched with [`fastlanes::tier::capped`], so both columns come from
-//!   one binary on one host;
+//!   for the vector encoder, the fused decoder and the fused sum — summing
+//!   every value (`sum`, the stored-sum route's `block_sum_all`) and under
+//!   the vector's interquartile band (`sum band`, the predicated
+//!   `block_sum` every query route calls). The tiers are switched with
+//!   [`fastlanes::tier::capped`], so both columns come from one binary on
+//!   one host;
 //! * the **software axis**: the fused decoder against `scalar`, a
 //!   deliberately value-at-a-time decoder with per-value branching (proxy for
 //!   the `-fno-vectorize` builds of the paper).
@@ -38,11 +41,13 @@ fn main() {
             "decode v3",
             "sum x86-64",
             "sum v3",
+            "sum band x86-64",
+            "sum band v3",
             "decode scalar",
         ],
     );
 
-    let mut gains: [Vec<f64>; 3] = Default::default();
+    let mut gains: [Vec<f64>; 4] = Default::default();
     for ds in &datagen::DATASETS {
         let data = bench::dataset(ds.name);
         let compressed = alp::Compressor::new().compress(&data);
@@ -57,10 +62,13 @@ fn main() {
         };
         let input = &data[..VECTOR_SIZE.min(data.len())];
         let (e, f) = (vector.exponent, vector.factor);
+        let mut sorted = input.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let band = Some((sorted[sorted.len() / 4], sorted[3 * sorted.len() / 4]));
 
         let mut out = vec![0.0f64; VECTOR_SIZE];
         let mut arena = alp::ExcArena::new();
-        let mut at = |tier: Tier| -> [Measurement; 3] {
+        let mut at = |tier: Tier| -> [Measurement; 4] {
             tier::capped(tier, || {
                 let encode = measure(
                     || {
@@ -91,7 +99,18 @@ fn main() {
                     batch_ms,
                     3,
                 );
-                [encode, decode, sum]
+                let sum_band = measure(
+                    || {
+                        std::hint::black_box(alp::decode::sum_vector::<f64>(
+                            &vector,
+                            vector.view(),
+                            band,
+                        ));
+                    },
+                    batch_ms,
+                    3,
+                );
+                [encode, decode, sum, sum_band]
             })
         };
         let base = at(Tier::Baseline);
@@ -116,7 +135,7 @@ fn main() {
     }
 
     table.print();
-    for (kernel, g) in ["encode", "decode", "sum"].iter().zip(&mut gains) {
+    for (kernel, g) in ["encode", "decode", "sum", "sum band"].iter().zip(&mut gains) {
         println!("median {kernel} v3/x86-64: {:.2}x", median(g));
     }
     if let Ok(p) = table.write_csv("fig4_arch") {

@@ -30,7 +30,7 @@
 )]
 
 use crate::dispatch::{width_mask, with_width, WidthKernel};
-use crate::tier::{v3, Kernel};
+use crate::tier::{Body, Kernel};
 use crate::{packed_len, VECTOR_SIZE};
 
 /// Values per block: 64 `W`-bit values span exactly `W` words.
@@ -187,12 +187,13 @@ pub fn unpacker<T: Word>(width: usize) -> Unpack64<T> {
     T::unpacker(width)
 }
 
-fn unpack_into<const W: usize, T: Word>(words: &[T], out: &mut [u64; BLOCK]) {
-    *out = unpack64::<W, T>(words);
-}
+/// [`unpack64`] at width `W`, writing its block in place, as a [`Body`]
+/// [`Kernel::of`] compiles once per tier.
+struct Unpack<const W: usize>;
 
-v3! {
-    fn unpack_into_v3<const W: usize, T: Word>(words: &[T], out: &mut [u64; BLOCK]) {
+impl<const W: usize, T: Word> Body<[T], [u64; BLOCK]> for Unpack<W> {
+    #[inline(always)]
+    fn run(words: &[T], out: &mut [u64; BLOCK], (): ()) {
         *out = unpack64::<W, T>(words);
     }
 }
@@ -202,7 +203,7 @@ fn pick_unpacker<T: Word>(width: usize) -> Unpack64<T> {
     impl<T: Word> WidthKernel for Pick<T> {
         type Out = Unpack64<T>;
         fn run<const W: usize>(self) -> Unpack64<T> {
-            Kernel::pick(unpack_into::<W, T>, unpack_into_v3::<W, T>)
+            Kernel::of::<Unpack<W>>()
         }
     }
     with_width(width, Pick(core::marker::PhantomData))
@@ -214,8 +215,12 @@ pub fn packer<T: Word>(width: usize) -> Pack64<T> {
     T::packer(width)
 }
 
-v3! {
-    fn pack64_v3<const W: usize, T: Word>(values: &[u64; BLOCK], words: &mut [T]) {
+/// [`pack64`] at width `W`, as a [`Body`] (see [`Unpack`]).
+struct Pack<const W: usize>;
+
+impl<const W: usize, T: Word> Body<[u64; BLOCK], [T]> for Pack<W> {
+    #[inline(always)]
+    fn run(values: &[u64; BLOCK], words: &mut [T], (): ()) {
         pack64::<W, T>(values, words);
     }
 }
@@ -225,7 +230,7 @@ fn pick_packer<T: Word>(width: usize) -> Pack64<T> {
     impl<T: Word> WidthKernel for Pick<T> {
         type Out = Pack64<T>;
         fn run<const W: usize>(self) -> Pack64<T> {
-            Kernel::pick(pack64::<W, T>, pack64_v3::<W, T>)
+            Kernel::of::<Pack<W>>()
         }
     }
     with_width(width, Pick(core::marker::PhantomData))

@@ -11,11 +11,16 @@
 //!   closure — and whatever it inlines — is compiled for the tier; the price
 //!   is one relaxed load and a predictable branch per call, so kernels take it
 //!   once per 1024-value vector, never per value.
-//! * [`Kernel`] is a block function picked per tier: [`crate::bitpack`]'s
-//!   packers and unpackers come as two tables of 65 widths, and
-//!   [`crate::bitpack::packer`] / [`crate::bitpack::unpacker`] hand out the
-//!   active tier's entry. A kernel running under [`run`] calls them through a
-//!   pointer, so without the second table its packing would stay baseline.
+//! * [`Kernel`] is a block function with a copy per tier: [`Kernel::of`]
+//!   compiles one `#[inline(always)]` [`Body`] as a baseline and a v3
+//!   function, each kept out of line, and hands out a pointer to the active
+//!   tier's. [`crate::bitpack`]'s packers and unpackers (a body per width,
+//!   picked by [`crate::bitpack::packer`] / [`crate::bitpack::unpacker`]) and
+//!   `alp::decode::block_sum` are built so. A kernel running under [`run`]
+//!   calls one through the pointer, so the block function runs at the tier it
+//!   was picked at, not at its caller's; and it stays a call at both tiers,
+//!   which is how a body that measured slower inlined into its consumer still
+//!   runs at v3.
 //!
 //! **Same bits at every tier.** The kernels use no operation whose result
 //! depends on the instruction set: Rust never contracts `a * b + c` into a
@@ -31,12 +36,23 @@
 //! position may take), and so do the helpers it reaches; a call that is not
 //! inlined (a pointer, a function the optimizer keeps out of line) runs at
 //! the tier that function was compiled for — still correct, just not faster.
+//! A body meant to stay out of line is a [`Kernel`] instead. CI lists the
+//! direct calls inside every `run_v3` and `outlined_v3` copy of the release
+//! binary and fails on one that is not another v3 copy, the allocator, the
+//! unwinder, a panic path or `mem*`.
 //!
 //! **Choosing.** The tier is detected once per process from CPUID
 //! ([`detected`]). [`capped`] runs a closure with the process held to a lower
 //! tier, which is how the tests prove both tiers agree and how the `fig4_arch`
 //! bench measures what v3 buys, in one process. A build that already targets
 //! v3 (`-C target-cpu=x86-64-v3` or newer) compiles both copies the same.
+//!
+//! **The unsafe boundary.** Calling a `#[target_feature]` function needs the
+//! caller's proof that the CPU has the features; it is made here, in [`run`]
+//! and [`Kernel::call_with`], and nowhere else. A [`Kernel`] is only ever
+//! built by [`Kernel::of`] from a [`Body`] type, so no other crate can make
+//! one wrap an arbitrary pointer, and a crate that writes a body needs no
+//! `unsafe` of its own.
 
 #![expect(
     unsafe_code,
@@ -59,7 +75,6 @@ macro_rules! v3 {
         $item
     };
 }
-pub(crate) use v3;
 
 /// An instruction tier the kernels can run at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -177,41 +192,92 @@ v3! {
     }
 }
 
-/// A block function with one copy per tier, called at the one [`active`]
-/// when it was picked: `fn(&I, &mut O)`, as [`crate::bitpack::Unpack64`] /
-/// [`crate::bitpack::Pack64`] are. Built only inside this crate, from a
-/// baseline function and its `v3!` twin.
-pub struct Kernel<I: ?Sized, O: ?Sized>(unsafe fn(&I, &mut O));
+/// A block function's body, written once: [`Kernel::of`] compiles it as a
+/// baseline and a `v3!` copy, both out of line, and picks between them. The
+/// body runs inside each copy only if it is inlined there, so its `run`
+/// carries `#[inline(always)]`, as do the helpers it reaches.
+///
+/// `P` is passed by value, so scalars (a predicate's bounds, say) arrive in
+/// registers: loaded from memory inside the v3 copy, two adjacent floats were
+/// fused into one vector and the loop around them lost its clean lanes.
+pub trait Body<I: ?Sized, O: ?Sized, P = ()> {
+    /// The body: read `input` and `param`, write `out`.
+    fn run(input: &I, out: &mut O, param: P);
+}
 
-impl<I: ?Sized, O: ?Sized> Kernel<I, O> {
-    /// The copy for the active tier. `v3` must be a safe function under
-    /// `v3!` (its only precondition the tier's features), coerced.
-    #[inline]
-    pub(crate) fn pick(baseline: fn(&I, &mut O), v3: unsafe fn(&I, &mut O)) -> Self {
-        Self(if active() == Tier::V3 { v3 } else { baseline })
+/// A block function with one copy per tier, called at the one [`active`]
+/// when it was picked: `fn(&I, &mut O, P)`, as [`crate::bitpack::Unpack64`]
+/// / [`crate::bitpack::Pack64`] are (with no `P`). Built only by
+/// [`Kernel::of`], from a [`Body`], so it never holds any other pointer.
+pub struct Kernel<I: ?Sized, O: ?Sized, P = ()> {
+    copy: unsafe fn(&I, &mut O, P),
+    tier: Tier,
+}
+
+impl<I: ?Sized, O: ?Sized, P> Kernel<I, O, P> {
+    /// `B`'s copy for the active tier. Each copy is a function of its own,
+    /// never inlined into its caller: a kernel running under [`run`] calls
+    /// it through the pointer, so its body runs at the tier it was picked
+    /// for, whatever tier the caller was compiled for.
+    #[inline(always)]
+    pub fn of<B: Body<I, O, P>>() -> Self {
+        let tier = active();
+        let copy: unsafe fn(&I, &mut O, P) = match tier {
+            Tier::V3 => outlined_v3::<B, I, O, P>,
+            Tier::Baseline => outlined::<B, I, O, P>,
+        };
+        Self { copy, tier }
+    }
+
+    /// The tier of the copy this kernel calls.
+    pub fn tier(&self) -> Tier {
+        self.tier
     }
 
     /// Calls the picked copy.
     #[inline(always)]
-    pub fn call(&self, input: &I, out: &mut O) {
-        // SAFETY: `pick` hands out the `v3!` copy only while `active()` is
+    pub fn call_with(&self, input: &I, out: &mut O, param: P) {
+        // SAFETY: `of` hands out the `v3!` copy only while `active()` is
         // `V3`, i.e. on a CPU `detected()` found every feature of it on; the
         // baseline copy is a safe function.
-        unsafe { (self.0)(input, out) }
+        unsafe { (self.copy)(input, out, param) }
     }
 }
 
-impl<I: ?Sized, O: ?Sized> Clone for Kernel<I, O> {
+impl<I: ?Sized, O: ?Sized> Kernel<I, O> {
+    /// Calls the picked copy of a kernel that takes no `P`.
+    #[inline(always)]
+    pub fn call(&self, input: &I, out: &mut O) {
+        self.call_with(input, out, ());
+    }
+}
+
+impl<I: ?Sized, O: ?Sized, P> Clone for Kernel<I, O, P> {
     fn clone(&self) -> Self {
         *self
     }
 }
 
-impl<I: ?Sized, O: ?Sized> Copy for Kernel<I, O> {}
+impl<I: ?Sized, O: ?Sized, P> Copy for Kernel<I, O, P> {}
 
-impl<I: ?Sized, O: ?Sized> core::fmt::Debug for Kernel<I, O> {
+impl<I: ?Sized, O: ?Sized, P> core::fmt::Debug for Kernel<I, O, P> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("Kernel")
+        f.debug_struct("Kernel").field("tier", &self.tier).finish()
+    }
+}
+
+/// [`Body`] `B` at the build's tier.
+#[inline(never)]
+fn outlined<B: Body<I, O, P>, I: ?Sized, O: ?Sized, P>(input: &I, out: &mut O, param: P) {
+    B::run(input, out, param);
+}
+
+v3! {
+    /// [`Body`] `B` at x86-64-v3. Off x86-64 [`active`] never reports `V3`,
+    /// so this copy is never picked there.
+    #[inline(never)]
+    fn outlined_v3<B: Body<I, O, P>, I: ?Sized, O: ?Sized, P>(input: &I, out: &mut O, param: P) {
+        B::run(input, out, param);
     }
 }
 
@@ -234,5 +300,28 @@ mod tests {
         let fast = run(|| sum(&xs));
         let slow = capped(Tier::Baseline, || run(|| sum(&xs)));
         assert_eq!(fast.to_bits(), slow.to_bits());
+    }
+
+    #[test]
+    fn a_kernel_runs_its_body_at_the_tier_it_was_picked_at() {
+        struct ScaledSum;
+        impl Body<[f64], f64, f64> for ScaledSum {
+            #[inline(always)]
+            fn run(xs: &[f64], out: &mut f64, scale: f64) {
+                *out = xs.iter().fold(0.0, |a, &x| a + x * scale);
+            }
+        }
+        let xs: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.1).collect();
+        let at = |cap| {
+            capped(cap, || {
+                let kernel = Kernel::of::<ScaledSum>();
+                let mut out = 0.0;
+                kernel.call_with(&xs, &mut out, 0.5);
+                (kernel.tier(), out.to_bits())
+            })
+        };
+        let (fast, slow) = (at(Tier::V3), at(Tier::Baseline));
+        assert_eq!((fast.0, slow.0), (detected(), Tier::Baseline));
+        assert_eq!(fast.1, slow.1);
     }
 }

@@ -8,7 +8,8 @@
 //! (DESIGN.md §14), restated here a value at a time with no call into the
 //! primitive — lane `i % 8` within a 64-value block, the fixed combine tree,
 //! block sums folded per vector, vector sums folded per column — across every
-//! route that claims it: `scan_vector`, `scan_decoded`, the aggregate-only
+//! route that claims it: `block_sum` / `block_sum_all` themselves at every
+//! block length, `scan_vector`, `scan_decoded`, the aggregate-only
 //! `sum_vector` / `sum_decoded`, the oracle `scan_values`, and
 //! `Column::sum_where` (`FilteredSum`) over raw, ALP and codec-byte storage.
 //!
@@ -31,15 +32,16 @@
 //! conversion choice flips between them), scaled magnitudes on either side of
 //! `2^50` and NaNs (the encoder's fallback), exceptions on block edges, and
 //! short tail vectors. Every kernel check runs at both instruction tiers
-//! (`fastlanes::tier`: x86-64-v3 when the CPU has it, and the baseline), and
-//! the tiers are held to each other on every dataset: same body bytes, same
-//! decoded bits, same sums. Plus a seeded property that the pruned `full_search` is the
+//! (`fastlanes::tier`: x86-64-v3 when the CPU has it, and the baseline), every
+//! block kernel is asked which tier's copy it calls, and the tiers are held
+//! to each other on every dataset: same body bytes, same decoded bits, same
+//! sums. Plus a seeded property that the pruned `full_search` is the
 //! exhaustive one, the soundness of the per-shift exception bound that prunes
 //! it, and the compressor's decide-first plan held to the finished level 1.
 
 use alp::decode::{
-    decode_vector, decode_vector_scalar, decode_vector_unfused, scan_decoded, scan_vector,
-    sum_decoded, sum_vector, VectorScan,
+    block_sum, block_sum_all, decode_vector, decode_vector_scalar, decode_vector_unfused,
+    scan_decoded, scan_vector, sum_decoded, sum_vector, VectorScan,
 };
 use alp::encode::{
     decode_one, encode_one, encode_vector, encode_vector_into, AlpVector, ExcArena, ExcView,
@@ -610,6 +612,135 @@ fn every_scan_route_matches_the_definition_at_every_length_and_exception_shape()
     at_every_tier(|| {
         check_scans_at_every_length_and_exception_shape::<f64>((14, 12));
         check_scans_at_every_length_and_exception_shape::<f32>((5, 2));
+    });
+}
+
+/// One block's canonical sum as DESIGN.md §14 defines it, a value at a time:
+/// live value `i` joins lane `i % 8` (a miss adds `+0.0`; with `band` `None`
+/// every value joins, as `block_sum_all` sums), and the lanes meet in the
+/// fixed tree. Returns `(sum, matches)` with the sum as [`sum_bits`].
+fn reference_block<F: AlpFloat>(block: &[F], band: Option<(F, F)>) -> (Option<u64>, usize) {
+    let zero = F::from_i64(0);
+    let (mut l, mut matches) = ([zero; 8], 0);
+    for (i, &x) in block.iter().enumerate() {
+        let hit = band.is_none_or(|(lo, hi)| x >= lo && x <= hi);
+        if hit {
+            l[i % 8] = l[i % 8] + x;
+            matches += 1;
+        } else {
+            l[i % 8] = l[i % 8] + zero;
+        }
+    }
+    let sum = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+    (sum_bits(sum), matches)
+}
+
+/// A sum's bits, or `None` for any NaN: the association order is fixed, but
+/// which NaN payload an addition of two NaNs keeps is not (the compiler may
+/// swap the operands of `+`), so a NaN sum is held to being NaN.
+fn sum_bits<F: AlpFloat>(sum: F) -> Option<u64> {
+    (!sum.is_nan()).then(|| sum.to_bits_u64())
+}
+
+/// Values a block sum has to get right, by bits: NaNs of both signs and
+/// other payloads, ±0, ±inf, the smallest and largest subnormals of both
+/// signs, and ordinary decimals of both signs.
+fn block_values<F: AlpFloat>() -> Vec<F> {
+    let bits: [u64; 10] = match F::BITS {
+        64 => [
+            0x7FF8_0000_0000_0000,
+            0xFFF8_DEAD_BEEF_0001,
+            0x7FF0_0000_0000_0001,
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0x7FF0_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x800F_FFFF_FFFF_FFFF,
+            0x0010_0000_0000_0000,
+        ],
+        _ => [
+            0x7FC0_0000,
+            0xFFC0_1234,
+            0x7F80_0001,
+            0x0000_0000,
+            0x8000_0000,
+            0x7F80_0000,
+            0xFF80_0000,
+            0x0000_0001,
+            0x807F_FFFF,
+            0x0080_0000,
+        ],
+    };
+    let decimals = (0..14).map(|k| F::from_i64(k * 37 - 250) * F::if10(2));
+    bits.iter().map(|&b| F::from_bits_u64(b)).chain(decimals).collect()
+}
+
+/// `block_sum` and `block_sum_all` at every block length `0..=64` — every
+/// split into full 8-lane rows and a tail — against [`reference_block`], with
+/// the values rotated so each kind lands in every lane, under bands that
+/// are empty (`lo > hi`), a point (`lo == hi`, on a value and on zero), NaN
+/// at either end, infinite at either or both ends, and ordinary.
+fn check_block_sums<F: AlpFloat>() {
+    let pool = block_values::<F>();
+    let nan = pool[0];
+    let inf = F::from_bits_u64(if F::BITS == 64 { 0x7FF0_0000_0000_0000 } else { 0x7F80_0000 });
+    let neg_inf = F::from_i64(0) - inf;
+    let (a, b) = (F::from_i64(-1), F::from_i64(1));
+    let bands = [
+        (neg_inf, inf),
+        (b, a),
+        (inf, neg_inf),
+        (pool[12], pool[12]),
+        (F::from_i64(0), F::from_i64(0)),
+        (nan, b),
+        (a, nan),
+        (nan, nan),
+        (neg_inf, F::from_i64(0)),
+        (F::from_i64(0), inf),
+        (a, b),
+    ];
+    for len in 0..=64 {
+        for rotate in 0..pool.len() {
+            let block: Vec<F> = (0..len).map(|i| pool[(i * 7 + rotate) % pool.len()]).collect();
+            let what = format!("{} len {len}, rotation {rotate}", F::NAME);
+            assert_eq!(
+                sum_bits(block_sum_all(&block)),
+                reference_block(&block, None).0,
+                "block_sum_all, {what}"
+            );
+            for (lo, hi) in bands {
+                let (sum, matches) = block_sum(&block, lo, hi);
+                assert_eq!(
+                    (sum_bits(sum), matches),
+                    reference_block(&block, Some((lo, hi))),
+                    "block_sum, {what}, band {lo:?}..={hi:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn block_sums_match_the_definition_at_every_block_length() {
+    at_every_tier(|| {
+        check_block_sums::<f64>();
+        check_block_sums::<f32>();
+    });
+}
+
+/// Each block kernel runs the copy of the tier it was picked at: a pick
+/// that ignored `tier::capped` would run v3 code where the tests hold the
+/// baseline, and the two tiers' copies would never be compared.
+#[test]
+fn block_kernels_run_the_copy_of_the_active_tier() {
+    at_every_tier(|| {
+        for width in 0..=64 {
+            assert_eq!(bitpack::unpacker::<u64>(width).tier(), tier::active(), "unpack {width}");
+            assert_eq!(bitpack::unpacker::<[u8; 8]>(width).tier(), tier::active());
+            assert_eq!(bitpack::packer::<u64>(width).tier(), tier::active(), "pack {width}");
+            assert_eq!(bitpack::packer::<[u8; 8]>(width).tier(), tier::active());
+        }
     });
 }
 
