@@ -30,7 +30,12 @@
 //! mid-stream exception patch, range predicate and aggregate in one pass per
 //! vector with no materialized `Vec<f64>` — [`scan_vector`] with
 //! validity/selection bitmaps for the consumers that walk them, and
-//! [`sum_vector`], the aggregate-only form that builds none.
+//! [`sum_vector`], the aggregate-only form that builds none. They patch each
+//! 64-value block as it is decoded, walking the exception list with one
+//! index: positions ascend strictly, which the encoders write and the body
+//! parser checks, so a block's exceptions are the next run of the list. A
+//! planned sum takes a [`BlockPlan`], two bitmasks and the stored block sums,
+//! and tests a bit per block to skip it, fold its stored sum or scan it.
 //!
 //! ## The canonical sum
 //! Every predicated sum in the workspace is one function of *position*:
@@ -87,7 +92,8 @@ use crate::traits::AlpFloat;
 /// ([`AlpVectorRef::owned`]) and `[u8; 8]`/`[u8; 2]` over the bytes of a
 /// frame body ([`crate::format::AlpVectorView`], built only by the body
 /// parser, which has checked every field). Every kernel of this module is
-/// one generic body over the two.
+/// one generic body over the two. The exception positions ascend strictly
+/// ([`ExcView`]); the fused scans and sums assume it.
 #[derive(Debug, Clone, Copy)]
 pub struct AlpVectorRef<'a, W = u64, P = u16> {
     pub(crate) exponent: u8,
@@ -152,7 +158,7 @@ impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
                 let mut scan = VectorScan::empty(self.len());
                 for_each_block(
                     self,
-                    scan_all,
+                    BlockPlan::ALL,
                     #[inline(always)]
                     |block, visit| {
                         if let Block::Values(live) = visit {
@@ -165,23 +171,17 @@ impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
         )
     }
 
-    /// [`sum_vector`] over this source: [`AlpVectorRef::sum_planned`] with
-    /// every block scanned.
-    pub fn sum<F: AlpFloat>(&self, band: Option<(F, F)>) -> VectorSum<F> {
-        self.sum_planned(band, scan_all)
-    }
-
-    /// The aggregate-only fused scan, one block at a time as `route` says
-    /// ([`BlockRoute`]): a skipped block is neither unpacked nor predicated
-    /// (its exceptions are stepped over), a stored one folds its stored sum,
-    /// a scanned one is decoded, patched and summed under `band`. Block sums
-    /// fold in block order, so a route that is true to the values yields the
-    /// bits of scanning every block. NaNs are counted over the scanned
-    /// blocks.
+    /// The aggregate-only fused scan ([`sum_vector`] over this source), one
+    /// block at a time as `plan` says: a skipped block is neither unpacked
+    /// nor predicated (its exceptions are stepped over), a stored one folds
+    /// its stored sum, a scanned one is decoded, patched and summed under
+    /// `band`. Block sums fold in block order, so a plan that is true to the
+    /// values yields the bits of [`BlockPlan::ALL`]. NaNs are counted over
+    /// the scanned blocks.
     pub fn sum_planned<F: AlpFloat>(
         &self,
         band: Option<(F, F)>,
-        route: impl Fn(usize) -> BlockRoute<F>,
+        plan: BlockPlan<'_, F>,
     ) -> VectorSum<F> {
         tier::run(
             #[inline(always)]
@@ -190,7 +190,7 @@ impl<'a, W: Word, P: Short> AlpVectorRef<'a, W, P> {
                 let mut matches = 0usize;
                 let nans = for_each_block(
                     self,
-                    route,
+                    plan,
                     #[inline(always)]
                     |_, visit| {
                         let (s, m) = match visit {
@@ -484,126 +484,99 @@ pub fn block_sum_all<F: AlpFloat>(chunk: &[F]) -> F {
     combine(sum)
 }
 
-/// How a planned sum ([`AlpVectorRef::sum_planned`], [`sum_decoded_planned`])
-/// treats one 64-value block, decided from statistics kept beside the vector
-/// (DESIGN.md §14). A route is true to the values when a skipped block holds
-/// no match and a stored block's every live value is a non-NaN match whose
-/// [`block_sum_all`] is the stored sum; the planned sum then has the bits of
-/// scanning every block, since a block without a match sums to `+0.0` and
-/// adding `+0.0` to a fold that started at `+0.0` changes no bit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BlockRoute<F> {
-    /// No live value of the block lies in the band: it adds nothing.
-    Skip,
-    /// Every live value of the block lies in the band: this sum folds in its
-    /// place, every live value a match.
-    Stored(F),
-    /// Decode the block and apply the band to its values.
-    Scan,
+/// Which 64-value blocks of one vector a planned sum
+/// ([`AlpVectorRef::sum_planned`], [`sum_decoded_planned`]) skips, answers
+/// from a stored sum or scans, decided from statistics kept beside the vector
+/// (DESIGN.md §14): bit `b` of `skip` says block `b` holds no live value in
+/// the band, bit `b` of `stored` that every live value of it does, with
+/// `sums[b]` its [`block_sum_all`]; a block with neither bit (or no stored
+/// sum) is decoded and predicated, and `skip` wins over `stored`. A plan is
+/// true to the values when a skipped block holds no match and a stored
+/// block's every live value is a non-NaN match; the planned sum then has the
+/// bits of scanning every block, since a block without a match sums to
+/// `+0.0` and adding `+0.0` to a fold that started at `+0.0` changes no bit.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockPlan<'a, F> {
+    skip: u16,
+    stored: u16,
+    sums: &'a [F],
 }
 
-/// The route of an unplanned scan: every block decoded and predicated.
-#[inline(always)]
-fn scan_all<F>(_block: usize) -> BlockRoute<F> {
-    BlockRoute::Scan
+impl<'a, F: Copy> BlockPlan<'a, F> {
+    /// Every block scanned.
+    pub const ALL: Self = Self { skip: 0, stored: 0, sums: &[] };
+
+    /// The plan with these block masks and stored block sums.
+    pub const fn new(skip: u16, stored: u16, sums: &'a [F]) -> Self {
+        Self { skip, stored, sums }
+    }
+
+    /// What block `block` adds: `None` if it is skipped, else its stored
+    /// sum (`Some(Some(sum))`) or its decoded, predicated values (`Some(None)`).
+    #[inline(always)]
+    fn block(&self, block: usize) -> Option<Option<F>> {
+        let bit = 1u16.checked_shl(block as u32).unwrap_or(0);
+        let stored = (self.stored & bit != 0).then(|| self.sums.get(block).copied()).flatten();
+        (self.skip & bit == 0).then_some(stored)
+    }
 }
 
 /// What [`for_each_block`] hands its consumer for a block it did not skip.
 enum Block<'b, F> {
     /// The block's live values, decoded and patched.
     Values(&'b [F]),
-    /// The route's stored sum and the block's live length.
+    /// The plan's stored sum and the block's live length.
     Stored(F, usize),
 }
 
 /// Stages 1 and 2 of the fused scans, shared by the bitmap and the
-/// aggregate-only consumer: per block, as `route` says, decode exactly as
+/// aggregate-only consumer: per block, as `plan` says, decode exactly as
 /// [`decode_vector`] does and patch exceptions *mid-stream*, handing the
-/// live values to `consume(block, …)` in order — or, for a block the route
+/// live values to `consume(block, …)` in order — or, for a block the plan
 /// skips or answers from a stored sum, step the exception cursor over the
 /// block without unpacking it. Returns the number of live NaNs among the
 /// scanned blocks, which only exception lanes can hold (a decoded integer is
 /// never NaN).
+///
+/// The exception positions must ascend strictly, which the encoders write
+/// and the body parser checks: a block's exceptions are then the run of the
+/// list from where the previous block's ended to the first position past it.
 #[inline(always)]
 fn for_each_block<F: AlpFloat, W: Word, P: Short>(
     v: &AlpVectorRef<'_, W, P>,
-    route: impl Fn(usize) -> BlockRoute<F>,
+    plan: BlockPlan<'_, F>,
     mut consume: impl FnMut(usize, Block<'_, F>),
 ) -> usize {
     let len = v.len().min(VECTOR_SIZE);
-    if !v.exc.positions.iter().map(|p| p.get()).is_sorted() {
-        return for_each_block_unsorted(v, len, &route, &mut consume);
-    }
     let mut dec = AlpDec::of(v);
-    let mut exceptions = v.exc.iter().peekable();
-    let mut nans = 0usize;
+    let (mut next, mut nans) = (0, 0);
     // Block-local staging: stage 1 overwrites every slot.
     let mut vals = [F::from_i64(0); BLOCK];
     for (block, start) in (0..len).step_by(BLOCK).enumerate() {
-        let end = start + BLOCK;
         let live = (len - start).min(BLOCK);
-        let scanned = match route(block) {
-            BlockRoute::Scan => true,
-            BlockRoute::Stored(sum) => {
-                consume(block, Block::Stored(sum, live));
-                false
-            }
-            BlockRoute::Skip => false,
-        };
-        if !scanned {
-            // Drain the block's exceptions, so that the next scanned block's
-            // cursor starts inside that block.
-            while exceptions.next_if(|&(p, _)| (p as usize) < end).is_some() {}
+        let first = next;
+        next = v.exc.positions.partition_point(|p| usize::from(p.get()) < start + BLOCK);
+        let Some(stored) = plan.block(block) else { continue };
+        if let Some(sum) = stored {
+            consume(block, Block::Stored(sum, live));
             continue;
         }
         // Stage 1: unpack + FOR-add + decimal multiply into the staging
         // buffer — the same block step as `decode_vector`.
         dec.block(block, &mut vals);
-        // Stage 2: mid-stream exception patch. Positions are ascending
-        // (checked above) and every earlier block drained its own, so each
-        // position the cursor yields lies in this block; positions past the
-        // vector end are dropped and of a run of equal positions the last one
-        // stays, matching `patch_exceptions`.
-        while let Some((p, bits)) = exceptions.next_if(|&(p, _)| (p as usize) < end) {
-            let i = p as usize % BLOCK;
-            let patch = F::from_bits_u64(bits);
+        // Stage 2: mid-stream exception patch. A position past the vector
+        // end (an owned, hand-built vector may hold one) patches a slot that
+        // is not live.
+        let patches = v.exc.positions.get(first..next).unwrap_or_default();
+        for (p, bits) in patches.iter().zip(v.exc.values.get(first..next).unwrap_or_default()) {
+            let i = usize::from(p.get()) % BLOCK;
+            let patch = F::from_bits_u64(bits.get());
             if let Some(slot) = vals.get_mut(i) {
                 *slot = patch;
             }
-            let stays = exceptions.peek().is_none_or(|&(next, _)| next != p);
-            nans += (stays && i < live && patch.is_nan()) as usize;
+            nans += (i < live && patch.is_nan()) as usize;
         }
         consume(block, Block::Values(vals.get(..live).unwrap_or(&vals)));
-    }
-    nans
-}
-
-/// [`for_each_block`] for a corrupt-but-decodable exception list: the
-/// mid-stream cursor assumes ascending positions (the encoder's invariant),
-/// so decode the whole vector onto the stack first, which preserves
-/// `patch_exceptions`' overwrite order. Out of line so the hot path's frame
-/// does not carry the 8 KB buffer.
-#[cold]
-#[inline(never)]
-fn for_each_block_unsorted<F: AlpFloat, W: Word, P: Short>(
-    v: &AlpVectorRef<'_, W, P>,
-    len: usize,
-    route: &dyn Fn(usize) -> BlockRoute<F>,
-    consume: &mut dyn FnMut(usize, Block<'_, F>),
-) -> usize {
-    let mut buf = [F::from_i64(0); VECTOR_SIZE];
-    v.decode(&mut buf);
-    let live = buf.get(..len).unwrap_or(&buf);
-    let mut nans = 0;
-    for (block, chunk) in live.chunks(BLOCK).enumerate() {
-        match route(block) {
-            BlockRoute::Scan => {
-                nans += chunk.iter().filter(|x| x.is_nan()).count();
-                consume(block, Block::Values(chunk));
-            }
-            BlockRoute::Stored(sum) => consume(block, Block::Stored(sum, chunk.len())),
-            BlockRoute::Skip => {}
-        }
     }
     nans
 }
@@ -736,7 +709,7 @@ pub fn sum_vector<F: AlpFloat>(
     exc: ExcView<'_>,
     band: Option<(F, F)>,
 ) -> VectorSum<F> {
-    AlpVectorRef::owned(v, exc).sum(band)
+    AlpVectorRef::owned(v, exc).sum_planned(band, BlockPlan::ALL)
 }
 
 /// [`sum_vector`] over already-decoded values (ALP_rd vectors, cached pages,
@@ -746,18 +719,18 @@ pub fn sum_decoded<F: AlpFloat>(
     band: Option<(F, F)>,
     may_hold_nan: bool,
 ) -> VectorSum<F> {
-    sum_decoded_planned(values, band, may_hold_nan, scan_all)
+    sum_decoded_planned(values, band, may_hold_nan, BlockPlan::ALL)
 }
 
 /// [`AlpVectorRef::sum_planned`] over already-decoded values: the blocks
-/// `route` skips or answers from a stored sum are not predicated.
+/// `plan` skips or answers from a stored sum are not predicated.
 /// `may_hold_nan: false` — a zone map recorded none — skips the per-value
 /// NaN test; `band: None` implies it.
 pub fn sum_decoded_planned<F: AlpFloat>(
     values: &[F],
     band: Option<(F, F)>,
     may_hold_nan: bool,
-    route: impl Fn(usize) -> BlockRoute<F>,
+    plan: BlockPlan<'_, F>,
 ) -> VectorSum<F> {
     tier::run(
         #[inline(always)]
@@ -765,11 +738,8 @@ pub fn sum_decoded_planned<F: AlpFloat>(
             let mut sum = F::from_i64(0);
             let mut matches = 0usize;
             for (block, chunk) in values.chunks(BLOCK).enumerate() {
-                let (s, m) = match route(block) {
-                    BlockRoute::Scan => block_sum_in(chunk, band),
-                    BlockRoute::Stored(s) => (s, chunk.len()),
-                    BlockRoute::Skip => continue,
-                };
+                let Some(stored) = plan.block(block) else { continue };
+                let (s, m) = stored.map_or_else(|| block_sum_in(chunk, band), |s| (s, chunk.len()));
                 sum = sum + s;
                 matches += m;
             }

@@ -129,7 +129,9 @@ impl Short for [u8; 2] {
 
 /// Borrowed view of one vector's exceptions: parallel position/value slices.
 /// `P`/`V` are `u16`/`u64` over an [`ExcArena`] and `[u8; 2]`/`[u8; 8]` over
-/// the bytes of a frame body (see [`crate::format::RowGroupView`]).
+/// the bytes of a frame body (see [`crate::format::RowGroupView`]). The
+/// positions ascend strictly: the encoders write them so, the body parser
+/// refuses any other order, and the fused scans rely on it.
 #[derive(Debug, Clone, Copy)]
 pub struct ExcView<'a, P = u16, V = u64> {
     /// Positions (within the vector) of values stored as exceptions.

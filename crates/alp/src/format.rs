@@ -53,17 +53,15 @@
 //! 3. Per ALP vector, once its 15 header bytes are read: `width <= 64` —
 //!    `"alp bit_width"`; `len <= 1024` and `exc <= len` —
 //!    `"alp vector len/exceptions"`; the payload (`packed`, `exc_pos`,
-//!    `exc_val`) is present; every `exc_pos < len` —
+//!    `exc_val`) is present; every `exc_pos < len`, strictly ascending —
 //!    `"alp exception position"`; `e <= F::MAX_EXPONENT` and `f <= e` —
 //!    `"alp exponent/factor"`.
 //! 4. Per RD vector, once its 4 header bytes are read: `len <= 1024` and
 //!    `exc <= len` — `"rd vector len/exceptions"`; the payload is present;
-//!    every `exc_pos < len` — `"rd exception position"`.
+//!    every `exc_pos < len`, strictly ascending — `"rd exception position"`.
 //! 5. A frame body is exactly one row-group: bytes left over —
 //!    `"row-group frame length"` ([`RowGroupView::parse_exact`]).
 //!
-//! Exception positions may repeat or come unsorted (no writer produces that;
-//! the decoders patch in list order, so of equal positions the last stays).
 //! An RD code at or past `dict_len` decodes as dictionary entry 0.
 //!
 //! The legacy `ALP1` layout — identical except that bare row-group bodies
@@ -80,14 +78,13 @@
     clippy::indexing_slicing
 )]
 
-use std::borrow::Cow;
 use std::ops::Range;
 
 use fastlanes::bitpack::Word;
 use fastlanes::VECTOR_SIZE;
 
 use crate::decode::{
-    scan_decoded, sum_decoded_planned, AlpVectorRef, BlockRoute, VectorScan, VectorSum,
+    scan_decoded, sum_decoded_planned, AlpVectorRef, BlockPlan, VectorScan, VectorSum,
 };
 use crate::encode::{encode_vector_with, AlpVector, ExcArena, ExcView, Short};
 pub use crate::frame::parity_group_size;
@@ -383,13 +380,6 @@ fn read_header<F: AlpFloat>(buf: &mut &[u8]) -> Result<Header, FormatError> {
     Ok(Header { framed, len, rg_count })
 }
 
-/// Splits the legacy `"ALP1"` body at the head of `buf` off the bodies after
-/// it, by parsing it: nothing else delimits one.
-fn split_legacy<F: AlpFloat>(buf: &[u8]) -> Result<(&[u8], &[u8]), FormatError> {
-    let rest = RowGroupView::<F>::parse(buf)?.rest().len();
-    buf.split_at_checked(buf.len() - rest).ok_or(FormatError::Truncated)
-}
-
 /// Deserializes a column previously produced by [`to_bytes`] (or a legacy
 /// `ALP1` writer) into owned row-groups, copied out of its [`BodyColumn`]'s
 /// views. Strict: any damage — structural or checksum — is an error.
@@ -457,26 +447,24 @@ pub fn from_bytes_salvage_parallel<F: AlpFloat>(
     // a corrupt header can claim billions, and no loss report may say so.
     let min_frame = if header.framed { frame::PREFIX_LEN + 5 } else { 5 };
     let rg_count = header.rg_count.min(buf.len() / min_frame + 1);
-    let (bodies, mut repaired) = if header.framed {
+    let (lost, mut repaired, column) = if header.framed {
         // Serial boundary walk, parallel checksums, then parity repair of
         // single-fault groups: the layer's random-access walker.
         let walk = frame::salvage(buf, frame::Placement::Trailing(rg_count), threads);
-        (walk.bodies, walk.repaired)
+        let bytes = walk.bodies.iter().flatten().map(|body| body.len()).sum();
+        let mut column = BodyColumn::with_capacity(Vec::with_capacity(bytes), 0, 0);
+        // Damaged beyond repair, refused by the intake, or beyond the walk: lost.
+        let body = |i| walk.bodies.get(i).and_then(Option::as_deref);
+        let lost = (0..rg_count).filter(|&i| body(i).is_none_or(|b| column.push(b).is_err()));
+        (lost.collect(), walk.repaired, column)
     } else {
         // No framing: a parse failure loses byte alignment for good.
-        let walk = core::iter::from_fn(|| {
-            let body;
-            (body, buf) = split_legacy::<F>(buf).ok()?;
-            Some(Some(Cow::Borrowed(body)))
-        });
-        (walk.take(rg_count).collect(), Vec::new())
+        let mut column = BodyColumn::with_capacity(Vec::with_capacity(buf.len()), 0, 0);
+        let mut next =
+            || column.push_head(buf, false).map(|n| buf = buf.get(n..).unwrap_or_default());
+        let taken = (0..rg_count).take_while(|_| next().is_ok()).count();
+        ((taken..rg_count).collect::<Vec<_>>(), Vec::new(), column)
     };
-    let bytes = bodies.iter().flatten().map(|body| body.len()).sum();
-    let mut column = BodyColumn::with_capacity(Vec::with_capacity(bytes), 0, 0);
-    // Damaged beyond repair, refused by the intake, or beyond the walk: lost.
-    let mut taken =
-        |i| bodies.get(i).and_then(Option::as_deref).is_some_and(|b| column.push(b).is_ok());
-    let lost: Vec<usize> = (0..rg_count).filter(|&i| !taken(i)).collect();
     repaired.retain(|i| lost.binary_search(i).is_err());
     Ok(Salvage {
         column,
@@ -551,7 +539,7 @@ impl VectorView<'_> {
         }
     }
 
-    /// The aggregate-only scan, planned block by block by `route`
+    /// The aggregate-only scan, planned block by block by `plan`
     /// ([`AlpVectorRef::sum_planned`]); an ALP_rd vector decodes whole into
     /// `buf` (≥ 1024 elements) first, and only its NaNs need `may_hold_nan`
     /// ([`sum_decoded_planned`]).
@@ -560,13 +548,13 @@ impl VectorView<'_> {
         band: Option<(F, F)>,
         may_hold_nan: bool,
         buf: &mut [F],
-        route: impl Fn(usize) -> BlockRoute<F>,
+        plan: BlockPlan<'_, F>,
     ) -> VectorSum<F> {
         match self {
-            VectorView::Alp(v) => v.sum_planned(band, route),
+            VectorView::Alp(v) => v.sum_planned(band, plan),
             VectorView::Rd(v) => {
                 let n = v.decode(buf);
-                sum_decoded_planned(buf.get(..n).unwrap_or(&[]), band, may_hold_nan, route)
+                sum_decoded_planned(buf.get(..n).unwrap_or(&[]), band, may_hold_nan, plan)
             }
         }
     }
@@ -627,23 +615,23 @@ impl<F: AlpFloat> BodyColumn<F> {
     }
 
     /// The strict open of an `"ALP2"` (or legacy `"ALP1"`) column: each body
-    /// in order — a frame's, checksum-verified, or a legacy one delimited by
-    /// parsing it — taken in. The first damage is the error, and the values
-    /// must add up to the header's length (a lying header would otherwise
-    /// drive a giant allocation in a whole-column decode).
+    /// in order — a frame's, checksum-verified, or a legacy one, which only
+    /// its parse delimits — taken in. The first damage is the error, and the
+    /// values must add up to the header's length (a lying header would
+    /// otherwise drive a giant allocation in a whole-column decode).
     pub(crate) fn from_bytes(mut buf: &[u8]) -> Result<Self, FormatError> {
         let header = read_header::<F>(&mut buf)?;
         let mut column = Self::with_capacity(Vec::with_capacity(buf.len()), 0, 0);
         for i in 0..header.rg_count {
-            let body;
-            (body, buf) = if header.framed {
+            if header.framed {
                 let (frame, rest) = Frame::split(buf).ok_or(FormatError::Truncated)?;
                 frame.check(i)?;
-                (frame.body, rest)
+                column.push(frame.body)?;
+                buf = rest;
             } else {
-                split_legacy::<F>(buf)?
-            };
-            column.push(body)?;
+                let used = column.push_head(buf, false)?;
+                buf = buf.get(used..).unwrap_or_default();
+            }
         }
         if column.len() != header.len {
             return Err(FormatError::Corrupt("column length"));
@@ -651,26 +639,44 @@ impl<F: AlpFloat> BodyColumn<F> {
         Ok(column)
     }
 
-    /// Appends `body` to the buffer and takes it in ([`BodyColumn::index`]);
-    /// a body the intake refuses leaves the column as it was.
+    /// Appends `body`, exactly one row-group (a frame's), and takes it in.
     pub(crate) fn push(&mut self, body: &[u8]) -> Result<(), FormatError> {
-        let at = self.buf.len();
-        self.buf.extend_from_slice(body);
-        self.index(at..self.buf.len()).inspect_err(|_| self.buf.truncate(at))
+        self.push_head(body, true).map(drop)
     }
 
-    /// The intake: takes in the body at `range` of the buffer as the next
-    /// row-group in one walk — [`RowGroupView::parse_exact`]'s checks, each
-    /// vector's offset recorded on the way. On `Err` the column is as it was.
+    /// Takes in the row-group at the head of `buf` — with `exact`, all of
+    /// `buf` — appends exactly its bytes and returns how many it used. A
+    /// legacy `"ALP1"` body, which only its parse delimits, comes in inexact.
+    pub(crate) fn push_head(&mut self, buf: &[u8], exact: bool) -> Result<usize, FormatError> {
+        let used = Self::walk((&mut self.bodies, &mut self.vectors), buf, self.buf.len(), exact)?;
+        self.buf.extend_from_slice(buf.get(..used).unwrap_or_default());
+        Ok(used)
+    }
+
+    /// Takes in the body at `range` of the buffer as the next row-group.
     pub(crate) fn index(&mut self, range: Range<usize>) -> Result<(), FormatError> {
-        let (first, end) = (self.vectors.len(), range.end);
         let body = self.buf.get(range.clone()).ok_or(FormatError::Truncated)?;
-        let view = RowGroupView::<F>::walk(body, |left, rd| self.vectors.push((end - left, rd)))
-            .and_then(RowGroupView::exact)
-            .inspect_err(|_| self.vectors.truncate(first))?;
-        let (rd, vectors, len) = (view.rd, first..self.vectors.len(), view.len);
-        self.bodies.push(Body { range, rd, vectors, len });
-        Ok(())
+        Self::walk((&mut self.bodies, &mut self.vectors), body, range.start, true).map(drop)
+    }
+
+    /// The intake's one walk over the row-group at the head of `bytes`, which
+    /// sit (or are about to) at `at` in the buffer: [`RowGroupView::parse`]'s
+    /// checks, with `exact` [`RowGroupView::parse_exact`]'s, each vector's
+    /// offset recorded on the way, then the body's record. Returns the body's
+    /// length; on `Err` the records are as they were.
+    fn walk(
+        (bodies, vectors): (&mut Vec<Body>, &mut Vec<(usize, Option<RdCut>)>),
+        bytes: &[u8],
+        at: usize,
+        exact: bool,
+    ) -> Result<usize, FormatError> {
+        let (first, end) = (vectors.len(), at + bytes.len());
+        let view = RowGroupView::<F>::walk(bytes, |left, rd| vectors.push((end - left, rd)))
+            .and_then(|view| if exact { view.exact() } else { Ok(view) })
+            .inspect_err(|_| vectors.truncate(first))?;
+        let (range, rd, len) = (at..end - view.rest.len(), view.rd, view.len);
+        bodies.push(Body { range: range.clone(), rd, vectors: first..vectors.len(), len });
+        Ok(range.len())
     }
 
     /// Vector `v`, numbered across the bodies; `None` past the last.
@@ -746,7 +752,7 @@ impl<F: AlpFloat> BodyColumn<F> {
 /// ([`BodyColumn`]'s intake runs its walk). It walks every vector header
 /// once, so a view in hand means every field is in range and every payload
 /// slice is present; [`RowGroupView::vectors`] re-walks the same bytes and
-/// cannot fail. Owned [`RowGroup`]s ([`read_rowgroup`], [`from_bytes`]) are
+/// cannot fail. Owned [`RowGroup`]s ([`RowGroupView::to_owned`], [`from_bytes`]) are
 /// built from a view; readers that only want values never build one.
 #[derive(Debug, Clone, Copy)]
 pub struct RowGroupView<'a, F> {
@@ -833,12 +839,11 @@ fn split_rd_vector<'a, F: AlpFloat>(
     })
 }
 
-/// Every exception position must address a live value.
+/// Every exception position must address a live value, each past the one before.
 fn check_positions(positions: &[[u8; 2]], len: u16, what: &'static str) -> Result<(), FormatError> {
-    if positions.iter().any(|p| p.get() >= len) {
-        return Err(FormatError::Corrupt(what));
-    }
-    Ok(())
+    let ascending = positions.iter().map(|p| p.get()).is_sorted_by(|a, b| a < b);
+    let live = positions.last().is_none_or(|p| p.get() < len);
+    (ascending && live).then_some(()).ok_or(FormatError::Corrupt(what))
 }
 
 /// Splits one vector off `buf` under its row-group's cut (`None`: ALP), the
@@ -857,7 +862,8 @@ fn split_vector<'a, F: AlpFloat>(
 }
 
 /// The rest of a vector's checks: its exception positions address live
-/// values, and an ALP vector's exponent and factor index the decoder's tables.
+/// values in strictly ascending order, and an ALP vector's exponent and
+/// factor index the decoder's tables.
 fn check_vector<F: AlpFloat>(vector: &VectorView<'_>) -> Result<(), FormatError> {
     match vector {
         VectorView::Alp(v) => {
@@ -1035,15 +1041,6 @@ impl<'a, F: AlpFloat> RowGroupView<'a, F> {
             }
         }
     }
-}
-
-/// Deserializes the row-group at the head of `buf` into an owned
-/// [`RowGroup`] and advances `buf` past it (inverse of [`write_rowgroup`]).
-pub fn read_rowgroup<F: AlpFloat>(buf: &mut &[u8]) -> Result<RowGroup, FormatError> {
-    let view = RowGroupView::<F>::parse(buf)?;
-    let rg = view.to_owned()?;
-    *buf = view.rest();
-    Ok(rg)
 }
 
 /// Decodes a frame body — exactly one row-group — appending its values to

@@ -62,8 +62,8 @@ pub mod traits;
 pub(crate) mod wire;
 
 pub use decode::{
-    scan_decoded, scan_vector, sum_decoded, sum_decoded_planned, sum_vector, BlockRoute,
-    VectorScan, VectorSum, SCAN_WORDS,
+    scan_decoded, scan_vector, sum_decoded, sum_decoded_planned, sum_vector, BlockPlan, VectorScan,
+    VectorSum, SCAN_WORDS,
 };
 pub use encode::{
     decode_one, encode_one, fast_round, AlpVector, ExcArena, ExcView, OwnedAlpVector,

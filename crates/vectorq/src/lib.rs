@@ -28,7 +28,7 @@ use core::ops::Range;
 
 use alp::decode::{block_sum_all, SUM_LANES};
 use alp::format::BodyColumn;
-use alp::BlockRoute;
+use alp::BlockPlan;
 use alp_core::Scratch;
 use fastlanes::bitpack::BLOCK;
 use fastlanes::VECTOR_SIZE;
@@ -206,42 +206,13 @@ impl BlockZones {
     /// them), one for the blocks whose range lies inside it. The comparisons
     /// are the predicate's own, as in [`ZoneMap::overlaps`] and
     /// [`ZoneMap::within`].
-    fn plan(&self, lo: f64, hi: f64) -> BlockPlan<'_> {
+    fn plan(&self, lo: f64, hi: f64) -> BlockPlan<'_, f64> {
         let (mut skip, mut inside) = (0u16, 0u16);
         for (b, (&min, &max)) in self.min.iter().zip(&self.max).enumerate() {
             skip |= u16::from(!((min <= max) & (min <= hi) & (max >= lo))) << b;
             inside |= u16::from((min >= lo) & (max <= hi)) << b;
         }
-        BlockPlan { skip, inside, sums: &self.sum }
-    }
-}
-
-/// One vector's [`BlockRoute`] per block for one band, on the stack: bit `b`
-/// of `skip` / `inside` says block `b` misses / lies inside the band, and
-/// neither bit means it is scanned.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockPlan<'a> {
-    skip: u16,
-    inside: u16,
-    sums: &'a [f64; VECTOR_BLOCKS],
-}
-
-impl BlockPlan<'_> {
-    /// Every block scanned: the plan of a vector that holds a NaN, whose
-    /// block ranges say nothing about the NaN's block.
-    const SCAN_ALL: BlockPlan<'static> =
-        BlockPlan { skip: 0, inside: 0, sums: &BlockZones::EMPTY.sum };
-
-    #[inline(always)]
-    pub(crate) fn route(&self, block: usize) -> BlockRoute<f64> {
-        let bit = 1u16.checked_shl(block as u32).unwrap_or(0);
-        if self.skip & bit != 0 {
-            BlockRoute::Skip
-        } else if self.inside & bit != 0 {
-            self.sums.get(block).map_or(BlockRoute::Scan, |&sum| BlockRoute::Stored(sum))
-        } else {
-            BlockRoute::Scan
-        }
+        BlockPlan::new(skip, inside, &self.sum)
     }
 }
 
@@ -515,14 +486,14 @@ impl Column {
                 Storage::Alp(c) => {
                     let vector = c.vector(v).ok_or(self.out_of_range(v))?;
                     Ok(with_vector_buf(scratch, |buf| {
-                        vector.sum_planned(band, zone.has_nan, buf, |b| plan.route(b))
+                        vector.sum_planned(band, zone.has_nan, buf, plan)
                     }))
                 }
                 Storage::Uncompressed(values) => Ok(alp::sum_decoded_planned(
                     self.raw_vector(values, v)?,
                     band,
                     zone.has_nan,
-                    |b| plan.route(b),
+                    plan,
                 )),
             })?;
         }
@@ -545,16 +516,18 @@ impl Column {
         v: usize,
         lo: f64,
         hi: f64,
-        sum: impl FnOnce(BlockPlan<'_>) -> Result<alp::VectorSum<f64>, E>,
+        sum: impl FnOnce(BlockPlan<'_, f64>) -> Result<alp::VectorSum<f64>, E>,
     ) -> Result<(), E> {
         let Some(zone) = self.zone_maps.get(v) else { return Ok(()) };
         if zone.within(lo, hi) {
             part.add_zone(zone, self.vector_len(v));
             return Ok(());
         }
+        // A vector holding a NaN scans every block: its block ranges say
+        // nothing about the NaN's block.
         let plan = match self.block_zones.get(v) {
             Some(blocks) if !zone.has_nan => blocks.plan(lo, hi),
-            _ => BlockPlan::SCAN_ALL,
+            _ => BlockPlan::ALL,
         };
         part.add_vector(false, sum(plan)?);
         Ok(())

@@ -411,8 +411,7 @@ impl Store {
                 part.add_vector(zone.within(lo, hi), alp::sum_decoded(slice, band, zone.has_nan));
             } else {
                 let Ok(()) = self.column.add_fused(&mut part, v, lo, hi, |plan| {
-                    let route = |b| plan.route(b);
-                    Ok::<_, Infallible>(alp::sum_decoded_planned(slice, band, zone.has_nan, route))
+                    Ok::<_, Infallible>(alp::sum_decoded_planned(slice, band, zone.has_nan, plan))
                 });
             }
         }

@@ -15,8 +15,7 @@
 //!   allocates once per *column*, not per vector.
 //!
 //! * the scan kernels and the SUM route above them: no kernel stages through
-//!   the heap (not even the unsorted-exception fallback, reachable from wire
-//!   data), and `Column::sum_where` / `Service::sum_where` over an ALP column
+//!   the heap, and `Column::sum_where` / `Service::sum_where` over an ALP column
 //!   larger than its resident set cost the same number of allocation events
 //!   however many vectors and pages they cover, apart from one page buffer
 //!   per page the set admits.
@@ -165,35 +164,26 @@ fn baseline_codec_layer_is_allocation_free_after_warmup() {
     }
 }
 
-/// The scan kernels stage on the stack. The unsorted-exception fallback — a
-/// corrupt-but-decodable list, so reachable from wire data — used to request
-/// an 8 KB heap buffer per call.
+/// The scan kernels stage on the stack, exceptions included.
 #[test]
 fn scan_kernels_never_touch_the_heap() {
     use alp::decode::{scan_vector, sum_vector};
-    use alp::encode::{encode_vector, ExcArena};
+    use alp::encode::encode_vector;
 
     let owned = encode_vector(&sample(alp::VECTOR_SIZE)[..1000], 14, 12);
-    let sorted = owned.view();
-    assert!(sorted.positions.len() > 1, "the sample must hold exceptions");
-    let mut reversed = ExcArena::new();
-    for (&p, &bits) in sorted.positions.iter().zip(sorted.values).rev() {
-        reversed.push(p, bits);
-    }
+    let exc = owned.view();
+    assert!(exc.positions.len() > 1, "the sample must hold exceptions");
     let (lo, hi) = (-10.0, 10.0);
-    for (what, exc) in [("sorted", sorted), ("unsorted", reversed.view(&owned))] {
-        let mut answers = None;
-        let allocs = allocations_in(|| {
-            let scan = scan_vector::<f64>(&owned, exc, lo, hi, true);
-            let sum = sum_vector::<f64>(&owned, exc, Some((lo, hi)));
-            answers = Some((scan.sum.to_bits(), scan.matches, sum.sum.to_bits(), sum.matches));
-        });
-        assert_eq!(allocs, 0, "{what} exceptions: a scan kernel allocated");
-        // Same exception set either way, so the same answer on both routes.
-        let want = scan_vector::<f64>(&owned, sorted, lo, hi, false);
-        let want = (want.sum.to_bits(), want.matches);
-        assert_eq!(answers, Some((want.0, want.1, want.0, want.1)), "{what} exceptions");
-    }
+    let mut answers = None;
+    let allocs = allocations_in(|| {
+        let scan = scan_vector::<f64>(&owned, exc, lo, hi, true);
+        let sum = sum_vector::<f64>(&owned, exc, Some((lo, hi)));
+        answers = Some((scan.sum.to_bits(), scan.matches, sum.sum.to_bits(), sum.matches));
+    });
+    assert_eq!(allocs, 0, "a scan kernel allocated");
+    let want = scan_vector::<f64>(&owned, exc, lo, hi, false);
+    let want = (want.sum.to_bits(), want.matches);
+    assert_eq!(answers, Some((want.0, want.1, want.0, want.1)), "the bitmap and sum routes agree");
 }
 
 /// The SUM route allocates per call (a scratch), never per vector or per
@@ -411,14 +401,32 @@ fn the_first_salvaged_read_decodes_one_rowgroup() {
     assert!(extra < 8, "8 more row-groups cost {extra} more events ({two} at 2, {ten} at 10)");
 }
 
-/// Regression: `read_rowgroup` reserved `min(count, 65536)` vector slots from
+/// A legacy `"ALP1"` column has no frames: each body is delimited by the one
+/// parse that takes it in, which copies exactly that row-group into the
+/// column. Neither the strict open nor the salvage read asks for a buffer
+/// larger than the file (copying the rest of the file per body would).
+#[test]
+fn a_legacy_column_copies_exactly_its_bodies() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/alp1_f64.bin");
+    let bytes = std::fs::read(path).expect("the golden legacy column");
+    let largest = largest_request_in(|| {
+        let opened = alp::archive::open::<f64>(&bytes, 1).expect("a clean legacy column");
+        assert_eq!(opened.verdict, alp::archive::Verdict::Clean);
+        let salvage = alp::format::from_bytes_salvage_parallel::<f64>(&bytes, 1).expect("header");
+        assert!(salvage.is_complete());
+    });
+    assert!(largest <= bytes.len(), "asked for {largest} bytes on a {}-byte file", bytes.len());
+}
+
+/// Regression: the owned read of a body (`RowGroupView::parse`, then
+/// `to_owned`; once `read_rowgroup`) reserved `min(count, 65536)` vector slots from
 /// the body's `vectors:u32` before reading one — ≈ 3 MiB (≈ 6.5 MiB for
 /// ALP_rd) for a 9-byte body that then fails `Truncated`, once per candidate
 /// frame under salvage. A body is validated before anything is reserved, and
 /// what is reserved then is sized by what was parsed.
 #[test]
 fn a_vector_count_the_body_cannot_back_reserves_nothing() {
-    use alp::format::{from_bytes, from_bytes_salvage_parallel, read_rowgroup, FormatError};
+    use alp::format::{from_bytes, from_bytes_salvage_parallel, FormatError, RowGroupView};
     use alp::stream::{ColumnReader, StreamError};
     const CEILING: usize = 64 << 10;
 
@@ -430,9 +438,9 @@ fn a_vector_count_the_body_cannot_back_reserves_nothing() {
         let truncated =
             |r: Result<(), FormatError>| assert_eq!(r, Err(FormatError::Truncated), "{what}");
         let largest = largest_request_in(|| {
-            truncated(read_rowgroup::<f64>(&mut &body[..]).map(drop));
+            truncated(RowGroupView::<f64>::parse(&body).and_then(|v| v.to_owned()).map(drop));
         });
-        assert!(largest < CEILING, "{what}: read_rowgroup requested {largest} bytes");
+        assert!(largest < CEILING, "{what}: the owned read requested {largest} bytes");
 
         // The same body as the one frame of an "ALP2" column…
         let mut column = b"ALP2".to_vec();

@@ -41,7 +41,7 @@
 
 use alp::decode::{
     block_sum, block_sum_all, decode_vector, decode_vector_scalar, decode_vector_unfused,
-    scan_decoded, scan_vector, sum_decoded, sum_vector, VectorScan,
+    scan_decoded, scan_vector, sum_decoded, sum_vector, BlockPlan, VectorScan,
 };
 use alp::encode::{
     decode_one, encode_one, encode_vector, encode_vector_into, AlpVector, ExcArena, ExcView,
@@ -318,8 +318,9 @@ fn bands<F: AlpFloat>(live: &[F]) -> Vec<(F, F)> {
 
 /// Runs `check` on the wire form of `(v, exc)`: the vector written as a
 /// one-vector row-group body and parsed back. The parser refuses exception
-/// lists a writer cannot produce (a position at or past `len`), which some
-/// hand-built shapes hold on purpose; nothing else may be refused.
+/// lists a writer cannot produce (a position at or past `len`, or positions
+/// that do not ascend strictly), which some hand-built shapes hold on
+/// purpose; nothing else may be refused.
 fn with_wire_view<F: AlpFloat>(
     v: &AlpVector,
     exc: ExcView<'_>,
@@ -341,7 +342,7 @@ fn with_wire_view<F: AlpFloat>(
             other => panic!("{what}: one ALP vector went in, {other:?} came out"),
         },
         Err(e) => assert!(
-            exc.positions.iter().any(|&p| p >= v.len),
+            exc.positions.iter().any(|&p| p >= v.len) || !exc.positions.is_sorted_by(|a, b| a < b),
             "{what}: the parser refused a vector a writer can produce: {e}"
         ),
     }
@@ -379,9 +380,10 @@ fn check_scan_routes<F: AlpFloat>(v: &AlpVector, exc: ExcView<'_>, live: &[F], w
         // The same kernels reading their words from frame bytes.
         with_wire_view::<F>(v, exc, &what, |wire| {
             assert_eq!(observed(&wire.scan(lo, hi, true)), want, "{what}: scan over a view");
-            assert_eq!(parts(wire.sum(Some((lo, hi)))), want_sum, "{what}: sum over a view");
+            let sum = |band| parts(wire.sum_planned(band, BlockPlan::ALL));
+            assert_eq!(sum(Some((lo, hi))), want_sum, "{what}: sum over a view");
             if want.matches == live.len() {
-                assert_eq!(parts(wire.sum(None)), want_sum, "{what}: sum over a view, all-in");
+                assert_eq!(sum(None), want_sum, "{what}: sum over a view, all-in");
             }
         });
     }
@@ -576,19 +578,17 @@ fn special_payloads<F: AlpFloat>() -> [u64; 7] {
 
 /// Every scan route against the definition, at every length, for exception
 /// lists of every shape the kernels branch on: none, block edges, lane-row
-/// edges, a NaN in every lane, runs of equal positions (the later payload
-/// stays — NaN-then-finite and finite-then-NaN both occur), and unsorted
-/// lists (the decode-then-scan fallback).
+/// edges and a NaN in every lane. Positions ascend strictly, as every writer
+/// writes them and the body parser demands (`wire_view.rs` holds the parser
+/// to refusing any other order).
 fn check_scans_at_every_length_and_exception_shape<F: AlpFloat>(combo: (u8, u8)) {
     let payloads = special_payloads::<F>();
     let residuals = &residual_patterns(10)[0];
-    let shapes: [(&str, Vec<u16>); 6] = [
+    let shapes: [(&str, Vec<u16>); 4] = [
         ("no exceptions", Vec::new()),
         ("block edges", EDGE_POSITIONS.to_vec()),
         ("lane edges", LANE_EDGE_POSITIONS.to_vec()),
         ("a NaN per lane", (0..8).map(|lane| 64 * lane + lane).collect()),
-        ("duplicates", vec![0, 0, 5, 5, 5, 63, 64, 64, 1023, 1023]),
-        ("unsorted", vec![100, 3, 3, 70, 64, 0, 1023, 8]),
     ];
     for len in LENGTHS {
         for (shape, positions) in &shapes {
@@ -1181,7 +1181,7 @@ fn at_tier<F: AlpFloat>(t: Tier, rowgroup: &[F]) -> TierOutput {
         for vector in view.vectors() {
             if let VectorView::Alp(v) = vector {
                 for band in [None, Some((lo, hi))] {
-                    let s = v.sum(band);
+                    let s = v.sum_planned(band, BlockPlan::ALL);
                     sums.push((s.sum.to_bits_u64(), s.matches, s.nans));
                 }
                 let s = v.scan(lo, hi, true);

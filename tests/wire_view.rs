@@ -11,10 +11,15 @@
 //! * **Corpus** — every `tests/golden/*` file (the frozen `"ALP1"`/`"ALPS"`
 //!   ones included), every `datagen` dataset as `f64` and as `f32`, and
 //!   hand-built vectors on the edges: all-exception, zero-width, 64-bit
-//!   width, short tails, repeated and unsorted exception positions, RD codes
-//!   past the dictionary. View decode, owned decode, `BodyColumn::vector`
-//!   decode, `next_rowgroup`, `next_rowgroup_into`, `next_rowgroup_compressed`
-//!   and `next_rowgroup_salvaged` must all equal the reference bit for bit.
+//!   width, short tails, RD codes past the dictionary. View decode, owned
+//!   decode, `BodyColumn::vector` decode, `next_rowgroup`,
+//!   `next_rowgroup_into`, `next_rowgroup_compressed` and
+//!   `next_rowgroup_salvaged` must all equal the reference bit for bit.
+//! * **Refusals** — exception positions that descend, repeat or come
+//!   unsorted, in ALP and ALP_rd vectors, which no writer produces: the
+//!   reference, the view, `BodyColumn::from_bodies`, the strict stream read
+//!   and `archive::open` on every layout refuse them with the same reason,
+//!   and a salvage read loses that row-group and keeps the rest.
 //! * **Mutations** — seeded, structure-aware damage to frame bodies (a field
 //!   set to a boundary value, a bit flipped, a cut, trailing bytes), the
 //!   frame checksum re-stamped so the parser is what gets tested. View,
@@ -26,8 +31,8 @@ use std::collections::BTreeSet;
 
 use alp::encode::{AlpVector, ExcArena};
 use alp::format::{
-    decode_rowgroup_into, from_bytes, from_bytes_salvage_parallel, read_rowgroup, to_bytes,
-    write_rowgroup, BodyColumn, FormatError, RowGroupView,
+    decode_rowgroup_into, from_bytes, from_bytes_salvage_parallel, to_bytes, write_rowgroup,
+    BodyColumn, FormatError, RowGroupView,
 };
 use alp::rd::{RdMeta, RdVector};
 use alp::rowgroup::AlpGroup;
@@ -121,6 +126,15 @@ mod reference {
         (0..8).rev().fold(0u64, |v, b| v << 8 | u64::from(bytes[8 * i + b]))
     }
 
+    /// Whether the `exc` positions in `bytes` are each below `len` and each
+    /// above the one before.
+    fn ascending_below(bytes: &[u8], exc: usize, len: usize) -> bool {
+        (0..exc).all(|k| {
+            let p = u16_at(bytes, k);
+            (p as usize) < len && (k == 0 || u16_at(bytes, k - 1) < p)
+        })
+    }
+
     fn corrupt<T>(what: &'static str) -> Result<T, FormatError> {
         Err(FormatError::Corrupt(what))
     }
@@ -187,13 +201,13 @@ mod reference {
         let packed = cur.bytes(Kind::Payload, 16 * width * 8)?;
         let positions = cur.bytes(Kind::ExcPos, 2 * exc)?;
         let raw = cur.bytes(Kind::Payload, 8 * exc)?;
-        if (0..exc).any(|k| u16_at(positions, k) as usize >= len) {
+        if !ascending_below(positions, exc, len) {
             return corrupt("alp exception position");
         }
         if e > F::MAX_EXPONENT || f > e {
             return corrupt("alp exponent/factor");
         }
-        // ALP_dec, one value at a time; then PATCH in list order.
+        // ALP_dec, one value at a time; then PATCH.
         let start = out.len();
         for i in 0..len {
             let d = extract(packed, width, i).wrapping_add(base) as i64;
@@ -221,7 +235,7 @@ mod reference {
         let rights = cur.bytes(Kind::Payload, 16 * right_width * 8)?;
         let positions = cur.bytes(Kind::ExcPos, 2 * exc)?;
         let lefts = cur.bytes(Kind::Payload, 2 * exc)?;
-        if (0..exc).any(|k| u16_at(positions, k) as usize >= len) {
+        if !ascending_below(positions, exc, len) {
             return corrupt("rd exception position");
         }
         // GLUE, one value at a time; then the exceptions' left parts.
@@ -254,6 +268,12 @@ fn owned_bits<F: AlpFloat>(rg: &RowGroup) -> Vec<u64> {
 
 fn bits_of<F: AlpFloat>(values: &[F]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits_u64()).collect()
+}
+
+/// The owned read: the row-group at the head of `bytes`, copied out of its
+/// view.
+fn read_owned<F: AlpFloat>(bytes: &[u8]) -> Result<RowGroup, FormatError> {
+    RowGroupView::<F>::parse(bytes)?.to_owned()
 }
 
 /// `BodyColumn::from_bodies` over `body` alone, then every vector decoded on
@@ -310,9 +330,7 @@ fn check_body<F: AlpFloat>(body: &[u8], what: &str) -> Vec<F> {
     let by_vector = body_column_values::<F>(body).unwrap_or_else(|e| panic!("{what}: {e}"));
     assert_eq!(bits_of(&by_vector), want_bits, "{what}: BodyColumn::vector decode");
 
-    let mut cursor = body;
-    let owned = read_rowgroup::<F>(&mut cursor).unwrap_or_else(|e| panic!("{what}: owned: {e}"));
-    assert!(cursor.is_empty(), "{what}: read_rowgroup leaves nothing");
+    let owned = read_owned::<F>(body).unwrap_or_else(|e| panic!("{what}: owned: {e}"));
     assert_eq!(owned.vector_count(), want.vectors, "{what}");
     assert_eq!(owned_bits::<F>(&owned), want_bits, "{what}: owned decode");
     // The owned copy writes back to the bytes it was read from.
@@ -529,9 +547,26 @@ impl Shape {
     }
 }
 
-fn edge_case_alp_body<F: AlpFloat>(rng: &mut SplitMix64) -> Vec<u8> {
+/// A decimal combination valid for `F`.
+fn combo<F: AlpFloat>() -> (u8, u8) {
+    if F::BITS == 64 {
+        (14, 12)
+    } else {
+        (5, 2)
+    }
+}
+
+/// An ALP body of one hand-built vector per shape.
+fn alp_body<F: AlpFloat>(rng: &mut SplitMix64, shapes: &[Shape]) -> Vec<u8> {
     let mut arena = ExcArena::new();
-    let combo = if F::BITS == 64 { (14, 12) } else { (5, 2) };
+    let vectors = shapes.iter().map(|shape| shape.build::<F>(rng, &mut arena)).collect();
+    let mut body = Vec::new();
+    write_rowgroup::<F>(&mut body, &RowGroup::Alp(AlpGroup { vectors, exceptions: arena }));
+    body
+}
+
+fn edge_case_alp_body<F: AlpFloat>(rng: &mut SplitMix64) -> Vec<u8> {
+    let combo = combo::<F>();
     let every: Vec<u16> = (0..100).collect();
     let shapes = [
         Shape::new(0, -7, combo, 100, &every), // all-exception, zero-width
@@ -541,20 +576,25 @@ fn edge_case_alp_body<F: AlpFloat>(rng: &mut SplitMix64) -> Vec<u8> {
         Shape::new(13, -300, combo, 1, &[0]),  // short tails
         Shape::new(7, 1 << 40, combo, 63, &[62]),
         Shape::new(51, -(1 << 50), (0, 0), 65, &[63, 64]),
-        Shape::new(10, 0, combo, 1000, &[0, 0, 5, 5, 5, 63, 64, 64, 999, 999]), // repeated
-        Shape::new(21, 17, combo, VECTOR_SIZE, &[100, 3, 3, 70, 64, 0, 1023, 8]), // unsorted
+        Shape::new(10, 0, combo, 1000, &[0, 5, 63, 64, 999]), // the refused lists, ascending
+        Shape::new(21, 17, combo, VECTOR_SIZE, &[0, 3, 8, 64, 70, 100, 1023]),
     ];
-    let vectors = shapes.iter().map(|shape| shape.build::<F>(rng, &mut arena)).collect();
-    let mut body = Vec::new();
-    write_rowgroup::<F>(&mut body, &RowGroup::Alp(AlpGroup { vectors, exceptions: arena }));
-    body
+    alp_body::<F>(rng, &shapes)
 }
 
-fn edge_case_rd_body<F: AlpFloat>(rng: &mut SplitMix64, left_width: u8, dict: &[u16]) -> Vec<u8> {
+/// An ALP_rd body under a `left_width` cut with `dict` (codes are two bits
+/// wide, so they may point past a shorter dictionary), one vector of random
+/// codes and right parts per `(len, exception positions)`.
+fn rd_body<F: AlpFloat>(
+    rng: &mut SplitMix64,
+    left_width: u8,
+    dict: &[u16],
+    shapes: &[(usize, &[u16])],
+) -> Vec<u8> {
     let right_width = F::BITS as usize - left_width as usize;
     let code_width = 2u8; // codes 0..=3 against a dictionary that may be shorter
     let left_mask = (1u32 << left_width) - 1;
-    let mut vector = |len: usize, positions: &[u16]| {
+    let mut vector = |&(len, positions): &(usize, &[u16])| {
         let codes: Vec<u64> = (0..VECTOR_SIZE).map(|_| rng.next_u64() & 3).collect();
         let rights: Vec<u64> =
             (0..VECTOR_SIZE).map(|_| rng.next_u64() & ((1u64 << right_width) - 1)).collect();
@@ -569,17 +609,22 @@ fn edge_case_rd_body<F: AlpFloat>(rng: &mut SplitMix64, left_width: u8, dict: &[
             len: len as u16,
         }
     };
-    let vectors = vec![
-        vector(VECTOR_SIZE, &[]),
-        vector(VECTOR_SIZE, &[0, 63, 64, 1023]),
-        vector(1000, &[7, 7, 7, 999, 0, 0]), // repeated
-        vector(65, &[64, 3, 3, 0]),          // unsorted
-        vector(1, &[0]),
-    ];
+    let vectors = shapes.iter().map(&mut vector).collect();
     let meta = RdMeta { left_width, code_width, dict: dict.to_vec() };
     let mut body = Vec::new();
     write_rowgroup::<F>(&mut body, &RowGroup::Rd(meta, vectors));
     body
+}
+
+fn edge_case_rd_body<F: AlpFloat>(rng: &mut SplitMix64, left_width: u8, dict: &[u16]) -> Vec<u8> {
+    let shapes: [(usize, &[u16]); 5] = [
+        (VECTOR_SIZE, &[]),
+        (VECTOR_SIZE, &[0, 63, 64, 1023]),
+        (1000, &[0, 7, 999]), // the refused lists, ascending
+        (65, &[0, 3, 64]),
+        (1, &[0]),
+    ];
+    rd_body::<F>(rng, left_width, dict, &shapes)
 }
 
 fn edge_case_bodies<F: AlpFloat>(seed: u64) -> Vec<Vec<u8>> {
@@ -600,6 +645,103 @@ fn edge_case_bodies<F: AlpFloat>(seed: u64) -> Vec<Vec<u8>> {
 fn hand_built_edge_vectors_decode_to_the_reference() {
     check_bodies::<f64>(&edge_case_bodies::<f64>(1), "edge cases f64");
     check_bodies::<f32>(&edge_case_bodies::<f32>(2), "edge cases f32");
+}
+
+/// Exception lists no writer produces: positions out of order or repeated.
+const OUT_OF_ORDER: [(&str, &[u16]); 5] = [
+    ("a descending pair", &[9, 3]),
+    ("an equal pair", &[5, 5]),
+    ("a descending pair across a block edge", &[64, 63]),
+    ("repeated", &[0, 0, 5, 5, 5, 63, 64, 64, 999, 999]),
+    ("unsorted", &[100, 3, 3, 70, 64, 0, 1023, 8]),
+];
+
+/// The three column layouts of `bodies`: `"ALP2"` (framed), legacy `"ALP1"`
+/// (bare bodies back to back) and an `"ALPT"` stream, each with the
+/// row-groups a salvage read must lose when body 1 is refused — a legacy
+/// column loses its byte alignment with it.
+fn layouts<F: AlpFloat>(bodies: &[Vec<u8>]) -> [(&'static str, Vec<u8>, Vec<usize>); 3] {
+    let header = |magic: &[u8]| {
+        let mut out = magic.to_vec();
+        out.push(F::BITS as u8);
+        out.extend_from_slice(&((bodies.len() * VECTOR_SIZE) as u64).to_le_bytes());
+        out.extend_from_slice(&(bodies.len() as u32).to_le_bytes());
+        out
+    };
+    let mut framed = header(b"ALP2");
+    for body in bodies {
+        alp::frame::encode(&mut framed, |o| o.extend_from_slice(body));
+    }
+    let legacy = [header(b"ALP1"), bodies.concat()].concat();
+    [
+        ("ALP2", framed, vec![1]),
+        ("ALP1", legacy, (1..bodies.len()).collect()),
+        ("ALPT", stream_of::<F>(bodies), vec![1]),
+    ]
+}
+
+/// Exception positions must ascend strictly (check list items 3 and 4 of
+/// `format.rs`'s module docs). A checksum-valid body whose positions
+/// descend, repeat or come unsorted, in an ALP or an ALP_rd vector, is
+/// refused with the list's reason by the reference, the body parser, the
+/// column intake, the strict stream read and `archive::open`'s strict read
+/// of every layout; the salvage read then loses that row-group — it is not
+/// repaired — and keeps the others bit for bit.
+#[test]
+fn out_of_order_exception_positions_are_refused_on_every_way_in() {
+    fn check<F: AlpFloat>(seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        let good = edge_case_bodies::<F>(seed);
+        let good = [good[0].clone(), good[1].clone()];
+        let good_bits = good
+            .clone()
+            .map(|body| bits_of(&reference::parse_body::<F>(&body).expect("well-formed").values));
+        for (shape, positions) in OUT_OF_ORDER {
+            let alp =
+                alp_body::<F>(&mut rng, &[Shape::new(10, 0, combo::<F>(), VECTOR_SIZE, positions)]);
+            let rd = rd_body::<F>(&mut rng, 16, &[0x3FF0, 0xBFF0], &[(VECTOR_SIZE, positions)]);
+            for (reason, bad) in [("alp exception position", alp), ("rd exception position", rd)] {
+                let what = format!("{} {shape}, {reason}", F::NAME);
+                let refused = Err(FormatError::Corrupt(reason));
+                assert_eq!(
+                    reference::parse_body::<F>(&bad).map(drop),
+                    refused,
+                    "{what}: reference"
+                );
+                let view = RowGroupView::<F>::parse_exact(&bad);
+                assert_eq!(view.map(drop), refused, "{what}: parse_exact");
+                let bodies = vec![good[0].clone(), bad, good[1].clone()];
+                let column = BodyColumn::<F>::from_bodies(bodies.clone());
+                assert_eq!(column.map(drop), refused, "{what}: from_bodies");
+
+                let stream = stream_of::<F>(&bodies);
+                let mut reader = ColumnReader::<F, _>::new(&stream[..]).expect("stream header");
+                assert!(matches!(reader.next_rowgroup(), Ok(Some(_))), "{what}: body 0");
+                match reader.next_rowgroup() {
+                    Err(StreamError::Format(e)) => assert_eq!(Err(e), refused, "{what}: stream"),
+                    other => panic!("{what}: next_rowgroup gave {other:?}"),
+                }
+
+                let named = FormatError::Corrupt(reason).to_string();
+                for (layout, file, lost) in layouts::<F>(&bodies) {
+                    let what = format!("{what}, {layout}");
+                    let opened = alp::archive::open::<F>(&file, 1).expect("the header is intact");
+                    let strict = opened.strict_error.as_ref().map(|e| e.to_string());
+                    assert!(strict.is_some_and(|e| e.ends_with(&named)), "{what}: strict read");
+                    assert_eq!(opened.verdict, alp::archive::Verdict::Salvageable, "{what}");
+                    assert_eq!(opened.lost, lost, "{what}: lost");
+                    assert!(opened.repaired.is_empty(), "{what}: repaired");
+                    // Bodies 0 and 2 are the good ones.
+                    let kept = [0, 2].into_iter().filter(|i| !lost.contains(i));
+                    let want: Vec<u64> = kept.flat_map(|i| good_bits[i / 2].clone()).collect();
+                    let values = bits_of(&opened.survivors.decompress(1));
+                    assert_eq!(values, want, "{what}: survivors");
+                }
+            }
+        }
+    }
+    check::<f64>(5);
+    check::<f32>(6);
 }
 
 // ---------------------------------------------------------------------------
@@ -699,7 +841,6 @@ fn run_mutations<F: AlpFloat>(
             // The owned reader and the stream readers over the re-stamped frame.
             let stream = stream_of::<F>(std::slice::from_ref(&body));
             let mut reader = ColumnReader::<F, _>::new(&stream[..]).expect("stream header");
-            let mut cursor = &body[..];
             match (&want, &got) {
                 (Err(want), Err(got)) => {
                     assert_eq!(got, want, "{what}");
@@ -708,10 +849,10 @@ fn run_mutations<F: AlpFloat>(
                     }
                     let column = body_column_values::<F>(&body);
                     assert_eq!(column.err().as_ref(), Some(want), "{what}: from_bodies");
-                    let (owned, events, _) = gauge(|| read_rowgroup::<F>(&mut cursor));
+                    let (owned, events, _) = gauge(|| read_owned::<F>(&body));
                     // Unframed, trailing bytes are the next row-group's business.
                     if *want != FormatError::Corrupt("row-group frame length") {
-                        assert_eq!(owned.err().as_ref(), Some(want), "{what}: read_rowgroup");
+                        assert_eq!(owned.err().as_ref(), Some(want), "{what}: owned read");
                         assert_eq!(events, 0, "{what}: a refused owned read allocated");
                     }
                     match reader.next_rowgroup() {
@@ -732,8 +873,7 @@ fn run_mutations<F: AlpFloat>(
                     let ((), _, largest) = gauge(|| view.decode_into(&mut out));
                     assert_eq!(bits_of(&out), want_bits, "{what}: view decode");
                     assert!(largest <= ceiling, "{what}: decode requested {largest} bytes");
-                    let owned =
-                        read_rowgroup::<F>(&mut cursor).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let owned = read_owned::<F>(&body).unwrap_or_else(|e| panic!("{what}: {e}"));
                     assert_eq!(owned_bits::<F>(&owned), want_bits, "{what}: owned decode");
                     let column = body_column_values::<F>(&body);
                     let column = column.unwrap_or_else(|e| panic!("{what}: from_bodies: {e}"));
